@@ -24,12 +24,7 @@ import numpy as np
 from ..core.ir import Lambda
 from .cache import CompilationCache, default_cache
 from .numpy_backend import CompileError, compile_program
-from .plan import (
-    ExecutionPlan,
-    PlanCache,
-    iterate_generic,
-    iterate_state_generic,
-)
+from .plan import ExecutionPlan, PlanCache, iterate_generic
 
 
 @runtime_checkable
@@ -226,47 +221,6 @@ class NumpyBackend:
         except CompileError:
             return iterate_generic(self, program, inputs, steps,
                                    carry=carry, size_env=size_env)
-
-    def iterate_state(
-        self,
-        program: Lambda,
-        inputs: Sequence,
-        steps: int,
-        carry=None,
-        size_env: Optional[Mapping[str, int]] = None,
-        tile_shape=None,
-        parallel_workers=None,
-    ):
-        """Like :meth:`iterate`, returning ``(out, state)`` for resumption.
-
-        ``state`` is the full input binding for the next timestep (the
-        post-rebind carry buffers, copied out of the plan's pools).
-        Feeding it back as ``inputs`` continues the trajectory bit for
-        bit — the segmented-execution primitive behind durable jobs.
-        Falls back to the generic per-sweep loop for programs a plan
-        cannot capture.
-        """
-        try:
-            return self.plan(program, inputs, size_env,
-                             tile_shape=tile_shape,
-                             parallel_workers=parallel_workers).iterate_state(
-                inputs, steps, carry=carry
-            )
-        except CompileError:
-            return iterate_state_generic(self, program, inputs, steps,
-                                         carry=carry, size_env=size_env)
-
-    def iterate_generic(
-        self,
-        program: Lambda,
-        inputs: Sequence,
-        steps: int,
-        carry=None,
-        size_env: Optional[Mapping[str, int]] = None,
-    ) -> np.ndarray:
-        """The per-sweep baseline loop (one generic ``run`` per timestep)."""
-        return iterate_generic(self, program, inputs, steps,
-                               carry=carry, size_env=size_env)
 
 
 class BackendMismatch(AssertionError):

@@ -364,10 +364,6 @@ class ReplayWorkerPool:
         self._spawn_lock = threading.Lock()
         self._threads = 0
         self._max_threads = max_threads
-        #: Chunk wall times of the most recent timed run (telemetry only;
-        #: request traces copy these when their replay used this pool).
-        self.last_chunk_seconds: Tuple[float, ...] = ()
-        self.last_run_at = 0.0
 
     def _ensure_threads(self, needed: int) -> None:
         target = min(needed, self._max_threads)
@@ -418,11 +414,9 @@ class ReplayWorkerPool:
         if error is not None:
             raise error
 
-    def _record_chunks(self, durations: List[float]) -> None:
-        """File per-chunk wall times: histograms + the last-run snapshot
-        the request tracer copies into slow-request traces."""
-        self.last_chunk_seconds = tuple(durations)
-        self.last_run_at = perf_counter()
+    @staticmethod
+    def _record_chunks(durations: List[float]) -> None:
+        """File per-chunk wall times into the chunk/imbalance histograms."""
         slowest = 0.0
         fastest = float("inf")
         for duration in durations:

@@ -129,6 +129,14 @@ def _rebind(state: List[np.ndarray], out: np.ndarray,
     ]
 
 
+def _copy_out(out: np.ndarray, state: List[np.ndarray]
+              ) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Caller-owned copies of a loop's ``(out, state)``; ``out`` copied once."""
+    copied = out.copy()
+    return copied, [copied if buffer is out else buffer.copy()
+                    for buffer in state]
+
+
 # ---------------------------------------------------------------------------
 # Output materialisation (mirrors _to_output / _to_output_batched exactly)
 # ---------------------------------------------------------------------------
@@ -475,6 +483,25 @@ class ExecutionPlan:
             out = self._step(state, self._pick_slot(state))
             return self._result(out, copy)
 
+    def _iterate(self, inputs: Sequence, steps: int, carry
+                 ) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """The one ``bind → step → rebind`` loop (caller holds the lock):
+        the final output buffer and post-rebind binding state, both *live*
+        pooled buffers — the public wrappers decide what is copied out."""
+        if self.batched:
+            raise ExecutionError("iterate is not supported on batched plans")
+        if steps < 1:
+            raise ExecutionError("iterate needs steps >= 1")
+        spec = normalize_carry(carry, len(self._in_bufs))
+        self._bind(inputs)
+        state = list(self._in_bufs)
+        out: Optional[np.ndarray] = None
+        for _ in range(steps):
+            out = self._step(state, self._pick_slot(state))
+            state = _rebind(state, out, spec)
+        assert out is not None
+        return out, state
+
     def iterate(self, inputs: Sequence, steps: int,
                 carry: Optional[Sequence] = None,
                 copy: bool = True) -> np.ndarray:
@@ -485,18 +512,8 @@ class ExecutionPlan:
         steps capture the binding cycle, every further step is a pure tape
         replay with zero allocations.
         """
-        if self.batched:
-            raise ExecutionError("iterate is not supported on batched plans")
-        if steps < 1:
-            raise ExecutionError("iterate needs steps >= 1")
-        spec = normalize_carry(carry, len(self._in_bufs))
         with self._lock:
-            self._bind(inputs)
-            state = list(self._in_bufs)
-            out: Optional[np.ndarray] = None
-            for _ in range(steps):
-                out = self._step(state, self._pick_slot(state))
-                state = _rebind(state, out, spec)
+            out, _state = self._iterate(inputs, steps, carry)
             return self._result(out, copy)
 
     def iterate_state(
@@ -507,7 +524,8 @@ class ExecutionPlan:
 
         Returns ``(out, state)`` where ``out`` is a copy of the final
         step's output and ``state`` is a copy of the full input binding
-        for the *next* step (the state after the final carry rebind).
+        for the *next* step (the state after the final carry rebind; its
+        ``"out"`` slots hold ``out`` itself, not a second copy).
         Feeding ``state`` back as ``inputs`` of a further
         ``iterate_state``/``iterate`` call continues the trajectory bit
         for bit: ``_bind`` copies the values into the same pooled input
@@ -516,23 +534,12 @@ class ExecutionPlan:
 
             iterate(x, a + b)  ==  iterate(iterate_state(x, a).state, b)
 
-        exactly.  This is the primitive the durable-jobs layer
-        (:mod:`repro.service.jobs`) checkpoints between segments.
+        exactly.  This is the primitive the service's trajectory runner
+        (:func:`repro.service.executor.run_trajectory`) segments with.
         """
-        if self.batched:
-            raise ExecutionError("iterate is not supported on batched plans")
-        if steps < 1:
-            raise ExecutionError("iterate needs steps >= 1")
-        spec = normalize_carry(carry, len(self._in_bufs))
         with self._lock:
-            self._bind(inputs)
-            state = list(self._in_bufs)
-            out: Optional[np.ndarray] = None
-            for _ in range(steps):
-                out = self._step(state, self._pick_slot(state))
-                state = _rebind(state, out, spec)
-            assert out is not None
-            return out.copy(), [buffer.copy() for buffer in state]
+            out, state = self._iterate(inputs, steps, carry)
+            return _copy_out(out, state)
 
     def run_batched(self, stacked_inputs: Sequence,
                     copy: bool = True) -> np.ndarray:
@@ -777,6 +784,22 @@ def time_steady(plan: ExecutionPlan, inputs: Sequence, runs: int = 3) -> float:
 # The per-sweep generic baseline (what plans are measured against)
 # ---------------------------------------------------------------------------
 
+def _iterate_generic(backend, program: Lambda, inputs: Sequence, steps: int,
+                     carry, size_env) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The one per-sweep loop: ``(out, state)`` after ``steps`` generic runs."""
+    if steps < 1:
+        raise ExecutionError("iterate needs steps >= 1")
+    state = [np.asarray(value, dtype=np.float64) for value in inputs]
+    spec = normalize_carry(carry, len(state))
+    out: Optional[np.ndarray] = None
+    for _ in range(steps):
+        out = np.asarray(backend.run(program, state, size_env),
+                         dtype=np.float64)
+        state = _rebind(state, out, spec)
+    assert out is not None
+    return out, state
+
+
 def iterate_generic(
     backend,
     program: Lambda,
@@ -792,16 +815,8 @@ def iterate_generic(
     reference implementation plans are verified against bit for bit, and as
     the baseline ``repro bench-plans`` compares them to.
     """
-    if steps < 1:
-        raise ExecutionError("iterate needs steps >= 1")
-    state = [np.asarray(value, dtype=np.float64) for value in inputs]
-    spec = normalize_carry(carry, len(state))
-    out: Optional[np.ndarray] = None
-    for _ in range(steps):
-        out = np.asarray(backend.run(program, state, size_env),
-                         dtype=np.float64)
-        state = _rebind(state, out, spec)
-    return out
+    return _iterate_generic(backend, program, inputs, steps, carry,
+                            size_env)[0]
 
 
 def iterate_state_generic(
@@ -815,21 +830,12 @@ def iterate_state_generic(
     """:func:`iterate_generic` that also returns the post-rebind state.
 
     The generic counterpart of :meth:`ExecutionPlan.iterate_state` — the
-    fallback the durable-jobs layer uses for programs a plan cannot
+    fallback the trajectory runner uses for programs a plan cannot
     capture.  Resuming from the returned ``state`` continues the
     trajectory bit for bit.
     """
-    if steps < 1:
-        raise ExecutionError("iterate needs steps >= 1")
-    state = [np.asarray(value, dtype=np.float64) for value in inputs]
-    spec = normalize_carry(carry, len(state))
-    out: Optional[np.ndarray] = None
-    for _ in range(steps):
-        out = np.asarray(backend.run(program, state, size_env),
-                         dtype=np.float64)
-        state = _rebind(state, out, spec)
-    assert out is not None
-    return out.copy(), [np.array(buffer, copy=True) for buffer in state]
+    return _copy_out(*_iterate_generic(backend, program, inputs, steps,
+                                       carry, size_env))
 
 
 __all__ = [

@@ -15,6 +15,9 @@ subsystem:
 * :class:`ServiceClient` — the blocking in-process client;
   :func:`serve_tcp` / :func:`run_server` — the JSON-lines TCP endpoint
   behind ``repro serve`` / ``repro submit``;
+* :mod:`.executor` — the one group sweep, trajectory loop and
+  ``plan → generic`` fallback chain every execution path above and below
+  calls;
 * :mod:`.shards` — the pre-forked worker processes behind
   ``StencilService(shards=N)`` / ``repro serve --shards``: groups are
   dispatched round-robin over shared-memory slabs so N sweeps run

@@ -5,9 +5,9 @@ server dies at step T-1 of a 10k-step Hotspot trajectory, every step is
 lost.  This module makes the *work itself* durable.  Submitting a job
 returns an id immediately; a :class:`JobManager` worker executes the
 trajectory in ``checkpoint_every``-step **segments** through the same
-double-buffered plan path the synchronous route uses
-(:meth:`~repro.backend.base.NumpyBackend.iterate_state`), and after each
-segment atomically persists a checkpoint under ``job_dir``:
+trajectory runner the synchronous route uses
+(:func:`~repro.service.executor.run_trajectory`), and at each segment
+boundary atomically persists a checkpoint under ``job_dir``:
 
 .. code-block:: text
 
@@ -76,6 +76,7 @@ from .. import faults as _faults
 from ..apps.base import squeeze_result
 from ..backend.plan import normalize_carry
 from ..telemetry import registry as _telemetry
+from .executor import run_trajectory
 from .requests import (
     CANCELLED,
     DEADLINE_EXCEEDED,
@@ -643,44 +644,51 @@ class JobManager:
                                    "refusing to resume")
             return
         spec = normalize_carry(carry, job.num_inputs)
-        state = job.state
-        if state is None:
+        if job.state is None:
             raise JobError(f"job {job.job_id} has no carry state")
-        while job.completed_steps < job.steps:
-            if job.cancel_requested:
+        resumed_at = job.completed_steps
+
+        def boundary(done: int, state) -> Optional[str]:
+            if done:
+                # A segment just finished: make it durable before advancing.
                 with self._lock:
+                    job.state = state
+                    job.completed_steps = resumed_at + done
+                    job.updated_at = time.time()
+                    self._persist_checkpoint(job)
+                    self._persist_manifest(job)
+                if _faults.ARMED and _faults.should_fail(
+                        "job.crash_after_checkpoint"):
+                    raise _InjectedCrash()
+            if job.cancel_requested:
+                return CANCELLED
+            if job.deadline_at is not None and time.time() >= job.deadline_at:
+                return DEADLINE_EXCEEDED
+            return None
+
+        _out, _done, stopped, _timings = run_trajectory(
+            self.backend, program, job.state, job.steps - resumed_at, carry,
+            job.size_env or None, use_plans=True,
+            segment=job.checkpoint_every, boundary=boundary)
+        if stopped is not None:
+            with self._lock:
+                if stopped == CANCELLED:
                     self._finish(job, JOB_CANCELLED,
                                  error="cancelled by client", code=CANCELLED)
-                return
-            if job.deadline_at is not None and time.time() >= job.deadline_at:
-                # The mid-trajectory shed: stop burning steps the moment
-                # the deadline passes a segment boundary.
-                with self._lock:
+                else:
+                    # The mid-trajectory shed: stop burning steps the
+                    # moment the deadline passes a segment boundary.
                     self._finish(
                         job, FAILED,
                         error=f"deadline exceeded after "
                               f"{job.completed_steps}/{job.steps} steps",
                         code=DEADLINE_EXCEEDED)
-                return
-            segment = min(job.checkpoint_every,
-                          job.steps - job.completed_steps)
-            _, state = self.backend.iterate_state(
-                program, state, segment, carry=carry,
-                size_env=job.size_env or None)
-            with self._lock:
-                job.state = state
-                job.completed_steps += segment
-                job.updated_at = time.time()
-                self._persist_checkpoint(job)
-                self._persist_manifest(job)
-            if _faults.ARMED and _faults.should_fail(
-                    "job.crash_after_checkpoint"):
-                raise _InjectedCrash()
+            return
         # The final output is the carry slot the spec feeds it back into
         # (normalize_carry guarantees one exists) — identical to the array
         # iterate() would have returned, so resume-at-completion needs no
         # separately persisted per-segment output.
-        out = state[spec.index("out")]
+        out = job.state[spec.index("out")]
         result = squeeze_result(np.asarray(out, dtype=np.float64))
         with self._lock:
             job.result = result

@@ -46,6 +46,10 @@ class RoutingPlan:
     #: for the default lowering) — the staleness check compares it against
     #: the store's current best to rebuild only on an actual change.
     tuned_fingerprint: Optional[str] = None
+    #: The benchmark's iterate() carry specification; ``None`` (programs
+    #: outside the suite) is ``plan.iterate``'s default — the output feeds
+    #: input 0, the rest stay static.
+    carry: Optional[Tuple] = None
 
     @property
     def source(self) -> str:
@@ -240,8 +244,9 @@ class TunedKernelRegistry:
                     program: Lambda, bench) -> RoutingPlan:
         naive = lower_program(program, NAIVE)
         extent = bench.stencil_extent if bench is not None else 3
+        carry = bench.carry_spec() if bench is not None else None
         plan = RoutingPlan(digest=digest, benchmark=key, naive=naive,
-                             stencil_extent=extent)
+                             stencil_extent=extent, carry=carry)
         best = self._best_result(bench)
         if best is None and bench is None and self.store is not None:
             # Unknown program: the store keys results by the digest of the

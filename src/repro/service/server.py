@@ -40,21 +40,20 @@ import time
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..apps.base import squeeze_result
 from ..backend.base import NumpyBackend
 from ..backend.cache import CompilationCache
-from ..backend.plan import iterate_state_generic
-from ..backend.fuse import replay_pool
-from ..backend.numpy_backend import CompileError
+from ..backend.plan import iterate_generic
 from ..core.serialize import SerializationError, program_to_dict
 from ..engine.store import ResultsStore
 from ..telemetry import registry as _telemetry
 from ..telemetry.registry import BATCH_BUCKETS
 from ..telemetry.trace import TraceRing
+from .executor import batch_capacity, run_trajectory, sweep_group
 from .jobs import JobError, JobManager, JobNotFound
 from .metrics import shards_section, stats_report
 from .registry import DigestCircuitBreaker, TunedKernelRegistry
@@ -136,17 +135,21 @@ _REJECTS_TOTAL = _telemetry.counter(
 DEFAULT_MAX_REQUEST_BYTES = 32 * 1024 * 1024
 
 
-@dataclass
-class _DeadlineShed:
-    """A ``steps > 1`` request expired at a segment boundary mid-trajectory.
+class _Route(NamedTuple):
+    """One resolved routing decision (see :meth:`StencilService._route`)."""
 
-    Stands in a group's output slot (computed on the executor thread) so
-    the response loop — back on the event loop — turns it into a
-    structured ``DeadlineExceeded`` shed instead of a result.
-    """
+    program: object                   # the Lambda chosen by the tuned registry
+    variant: str
+    source: str
+    digest: str
+    benchmark: Optional[str]
+    tuned: bool
+    carry: Optional[Tuple]            # the iterate() carry specification
 
-    completed_steps: int
-    steps: int
+    @property
+    def key(self) -> str:
+        """What shards and the supervisor's wire registry key programs by."""
+        return f"{self.digest}:{self.variant}"
 
 
 @dataclass
@@ -154,11 +157,7 @@ class _Pending:
     """One queued request together with its resolved execution plan."""
 
     request: ExecutionRequest
-    program: object                   # the Lambda chosen by the plan
-    variant: str
-    plan_source: str
-    digest: str
-    benchmark: Optional[str]
+    route: _Route
     key: Tuple
     future: "asyncio.Future[ExecutionResponse]"
     enqueued_at: float = field(default_factory=time.perf_counter)
@@ -407,9 +406,14 @@ class StencilService:
         self.tracer = TraceRing(capacity=trace_capacity, slow_ms=trace_slow_ms)
         #: Durable multi-timestep jobs: checkpointed execution + recovery.
         self.checkpoint_every = int(checkpoint_every)
+
+        def resolve_job(benchmark, shape, _size_env):
+            route = self._route(benchmark, None, shape)
+            return route.program, route.carry, route.digest
+
         self.jobs = JobManager(
             backend=self.backend,
-            resolve=self._resolve_job,
+            resolve=resolve_job,
             job_dir=job_dir,
             checkpoint_every=checkpoint_every,
             job_ttl_s=job_ttl_s,
@@ -417,19 +421,15 @@ class StencilService:
         )
         self._register_gauges()
 
-    def _resolve_job(self, benchmark: str, shape: Tuple[int, ...],
-                     size_env: Dict[str, int]):
-        """The job manager's program resolver: same routing as ``_admit``,
-        so a resumed job replays through the identical tuned variant."""
-        from ..apps.suite import get_benchmark
-
-        plan = self.registry.plan_for(benchmark=benchmark)
-        program, _variant, _source = plan.program_for(tuple(shape))
-        try:
-            carry = get_benchmark(benchmark).carry_spec()
-        except Exception:  # noqa: BLE001 - unknown key: default carry
-            carry = None
-        return program, carry, plan.digest
+    def _route(self, benchmark: Optional[str], program,
+               shape: Tuple[int, ...]) -> _Route:
+        """The one routing decision: admission, pre-warming and durable
+        jobs all resolve through here, so a prewarmed plan is the plan live
+        traffic hits and a resumed job replays the identical tuned variant."""
+        plan = self.registry.plan_for(benchmark=benchmark, program=program)
+        lowered, variant, source = plan.program_for(shape)
+        return _Route(lowered, variant, source, plan.digest, plan.benchmark,
+                      plan.tuned is not None, plan.carry)
 
     def _register_gauges(self) -> None:
         """Point the live service gauges at this instance (scrape-time only).
@@ -563,84 +563,45 @@ class StencilService:
         ``{"prewarmed": n, "skipped": m}`` counting per (request ×
         capacity) plan — skipped entries cannot be captured as plans (they
         will be served by the generic path anyway).  In sharded mode the
-        same warm-up is forwarded to **every** shard process instead (each
-        shard owns its own plan cache), counting one prepared entry per
-        (request × capacity × shard).
+        same warm-up runs on **every** shard process instead (each shard
+        owns its own plan cache), counting one entry per (request ×
+        capacity × shard).
         """
-        prepared = 0
-        skipped = 0
-        capacities = []
-        for requested in batch_capacities:
-            capacity = 1
-            while capacity < max(1, int(requested)):
-                capacity *= 2
-            if capacity > 1 and capacity not in capacities:
-                capacities.append(capacity)
-        if self.executor is not None:
-            return self._prewarm_shards(requests, capacities)
-        for request in requests:
-            try:
-                route = self.registry.plan_for(benchmark=request.benchmark,
-                                               program=request.program)
-                shape = tuple(request.inputs[0].shape) if request.inputs else ()
-                program, _variant, _source = route.program_for(shape)
-                size_env = request.size_env or None
-                if self.use_plans:
-                    plan = self.backend.plan(program, request.inputs, size_env)
-                    plan.run(request.inputs)  # capture: the tape, off-path
-                else:
-                    self.backend.run(program, request.inputs, size_env)
-                prepared += 1
-            except Exception:  # noqa: BLE001 - prewarm is best-effort
-                skipped += 1
-                continue
-            if not self.use_plans:
-                continue
-            for capacity in capacities:
-                try:
-                    signature = [
-                        ((capacity,) + tuple(grid.shape), str(grid.dtype))
-                        for grid in request.inputs
-                    ]
-                    plan = self.backend.plan(program, signature, size_env,
-                                             batched=True)
-                    plan.run_batched_parts([request.inputs] * capacity)
-                    prepared += 1
-                except Exception:  # noqa: BLE001 - prewarm is best-effort
-                    skipped += 1
-        self.plans_prewarmed += prepared
-        return {"prewarmed": prepared, "skipped": skipped}
-
-    def _prewarm_shards(self, requests: Sequence[ExecutionRequest],
-                        capacities: List[int]) -> Dict[str, int]:
-        """Warm every shard's plan caches (single + batched capacities)."""
-        from .shards import ShardError
-
+        capacities = sorted(
+            {1, *(batch_capacity(int(size)) for size in batch_capacities)})
         prepared = 0
         skipped = 0
         for request in requests:
             try:
-                route = self.registry.plan_for(benchmark=request.benchmark,
-                                               program=request.program)
                 shape = tuple(request.inputs[0].shape) if request.inputs else ()
-                program, variant, _source = route.program_for(shape)
-                program_key = f"{route.digest}:{variant}"
-                wire = self._wires.get(program_key)
-                if wire is None:
-                    wire = program_to_dict(program)
-                    self._wires[program_key] = wire
-                size_env = request.size_env or None
+                route = self._route(request.benchmark, request.program, shape)
             except Exception:  # noqa: BLE001 - prewarm is best-effort
                 skipped += 1
                 continue
-            for shard in self.executor.handles:
-                for capacity in [1] + capacities:
+            size_env = request.size_env or None
+            wire = (self._wire_for(route)
+                    if self.executor is not None else None)
+            # One loop over "each shard, or the local backend" (which also
+            # serves programs that cannot cross a shard pipe): both warm
+            # through the sweep live groups take, so the plan-cache keys
+            # are the ones traffic will hit.
+            for shard in (self.executor.handles if wire is not None
+                          else [None]):
+                for capacity in capacities:
+                    parts = [request.inputs] * capacity
                     try:
-                        shard.execute(program_key, wire, size_env,
-                                      [request.inputs] * capacity)
-                        prepared += 1
-                    except ShardError:
-                        skipped += 1
+                        if shard is None:
+                            _rows, timings = sweep_group(
+                                self.backend, route.program, parts, size_env,
+                                self.use_plans)
+                            warmed = not timings.get("plan_fallback")
+                        else:
+                            shard.execute(route.key, wire, size_env, parts)
+                            warmed = True
+                    except Exception:  # noqa: BLE001 - prewarm is best-effort
+                        warmed = False
+                    prepared += warmed
+                    skipped += not warmed
         self.plans_prewarmed += prepared
         return {"prewarmed": prepared, "skipped": skipped}
 
@@ -678,27 +639,24 @@ class StencilService:
         return await pending.future
 
     def _admit(self, request: ExecutionRequest) -> _Pending:
-        plan = self.registry.plan_for(benchmark=request.benchmark,
-                                      program=request.program)
         shape = tuple(request.inputs[0].shape) if request.inputs else ()
-        program, variant, source = plan.program_for(shape)
+        route = self._route(request.benchmark, request.program, shape)
         signature = tuple(
             (grid.shape, str(grid.dtype)) for grid in request.inputs
         )
-        key = (plan.digest, signature, tuple(sorted(request.size_env.items())),
-               request.steps)
+        key = (route.digest, signature,
+               tuple(sorted(request.size_env.items())), request.steps)
         if (
             self.auto_tune
-            and plan.tuned is None
-            and plan.benchmark is not None
-            and plan.digest not in self._tuning_digests
+            and not route.tuned
+            and route.benchmark is not None
+            and route.digest not in self._tuning_digests
         ):
-            self._start_background_tune(plan.digest, plan.benchmark)
+            self._start_background_tune(route.digest, route.benchmark)
         loop = asyncio.get_running_loop()
         pending = _Pending(
-            request=request, program=program, variant=variant,
-            plan_source=source, digest=plan.digest, benchmark=plan.benchmark,
-            key=key, future=loop.create_future(), priority=request.priority,
+            request=request, route=route, key=key,
+            future=loop.create_future(), priority=request.priority,
         )
         if request.deadline_ms is not None:
             pending.expires_at = pending.enqueued_at + request.deadline_ms / 1e3
@@ -716,7 +674,7 @@ class StencilService:
             return pending.future.result()
         if (
             self.max_inflight_per_digest is not None
-            and self._digest_inflight.get(pending.digest, 0)
+            and self._digest_inflight.get(pending.route.digest, 0)
             >= self.max_inflight_per_digest
         ):
             self._reject(pending, "digest_limit")
@@ -761,15 +719,7 @@ class StencilService:
             else "shed before execution"
         )
         self._record_trace(pending, 0, {}, now, now, error=reason)
-        pending.future.set_result(
-            ExecutionResponse(
-                result=None, benchmark=pending.benchmark,
-                digest=pending.digest, variant=pending.variant,
-                plan_source=pending.plan_source, batch_size=0, batched=False,
-                latency_s=now - pending.enqueued_at, error=reason,
-                code=DEADLINE_EXCEEDED,
-            )
-        )
+        self._answer(pending, now, 0, error=reason, code=DEADLINE_EXCEEDED)
 
     def _reject(self, pending: _Pending, reason: str) -> None:
         """Resolve one request with 429-style backpressure (+ retry hint)."""
@@ -783,7 +733,7 @@ class StencilService:
             "queue_full": f"queue depth cap {self.max_queue_depth} reached",
             "digest_limit": (
                 f"per-digest admission limit {self.max_inflight_per_digest} "
-                f"reached for {pending.digest[:12]}"
+                f"reached for {pending.route.digest[:12]}"
             ),
             "evicted": (
                 f"evicted from a full queue (depth cap {self.max_queue_depth})"
@@ -791,21 +741,14 @@ class StencilService:
             ),
         }.get(reason, reason)
         self._record_trace(pending, 0, {}, now, now, error=detail)
-        pending.future.set_result(
-            ExecutionResponse(
-                result=None, benchmark=pending.benchmark,
-                digest=pending.digest, variant=pending.variant,
-                plan_source=pending.plan_source, batch_size=0, batched=False,
-                latency_s=now - pending.enqueued_at, error=detail,
-                code=ADMISSION_REJECTED, retry_after_ms=retry_after,
-            )
-        )
+        self._answer(pending, now, 0, error=detail, code=ADMISSION_REJECTED,
+                     retry_after_ms=retry_after)
 
     def _track_inflight(self, pending: _Pending) -> None:
-        self._digest_inflight[pending.digest] = (
-            self._digest_inflight.get(pending.digest, 0) + 1
+        digest = pending.route.digest
+        self._digest_inflight[digest] = (
+            self._digest_inflight.get(digest, 0) + 1
         )
-        digest = pending.digest
         pending.future.add_done_callback(
             lambda _future: self._release_inflight(digest)
         )
@@ -900,6 +843,7 @@ class StencilService:
             if not group:
                 return
         size = len(group)
+        digest = group[0].route.digest
         loop = asyncio.get_running_loop()
         formed_at = time.perf_counter()
         try:
@@ -907,18 +851,18 @@ class StencilService:
                 None, self._compute_group, group
             )
         except Exception as error:  # noqa: BLE001 - reported in-band per request
-            self._breaker_outcome(group[0].digest,
+            self._breaker_outcome(digest,
                                   failure=f"{type(error).__name__}: {error}")
             self._fail_group(group, f"{type(error).__name__}: {error}")
             return
         if timings.get("quarantined"):
             pass  # served on the quarantine route: no breaker evidence
         elif timings.get("plan_fallback"):
-            self._breaker_outcome(group[0].digest, failure="plan capture")
+            self._breaker_outcome(digest, failure="plan capture")
         elif timings.get("redispatches"):
-            self._breaker_outcome(group[0].digest, failure="shard dispatch")
+            self._breaker_outcome(digest, failure="shard dispatch")
         else:
-            self._breaker_outcome(group[0].digest, failure=None)
+            self._breaker_outcome(digest, failure=None)
         executed_at = time.perf_counter()
         self.batches_formed += 1
         _BATCHES_TOTAL.inc()
@@ -934,25 +878,14 @@ class StencilService:
                 # The caller gave up (e.g. wait_for cancelled the submit);
                 # its slot in the sweep is discarded, everyone else's stands.
                 continue
-            if isinstance(output, _DeadlineShed):
-                # Expired at a segment boundary mid-trajectory: structured
-                # shed, not a result (and not a served request).
-                self._shed(item, reason=(
-                    f"deadline exceeded mid-trajectory after "
-                    f"{output.completed_steps}/{output.steps} steps"))
+            if isinstance(output, str):
+                # A trajectory stop reason (expired at a segment boundary):
+                # structured shed, not a result (and not a served request).
+                self._shed(item, reason=output)
                 continue
-            item.future.set_result(
-                ExecutionResponse(
-                    result=output if item.request.return_result else None,
-                    benchmark=item.benchmark,
-                    digest=item.digest,
-                    variant=item.variant,
-                    plan_source=item.plan_source,
-                    batch_size=size,
-                    batched=size > 1,
-                    latency_s=now - item.enqueued_at,
-                )
-            )
+            self._answer(
+                item, now, size,
+                result=output if item.request.return_result else None)
             self.requests_served += 1
             _REQUESTS_TOTAL.inc()
             _REQUEST_LATENCY_SECONDS.observe(
@@ -990,14 +923,13 @@ class StencilService:
                 stages.append((stage, float(value)))  # type: ignore[arg-type]
         stages.append(("respond", (done - executed_at) * 1e3))
         self.tracer.record({
-            "benchmark": item.benchmark,
-            "digest": item.digest,
-            "variant": item.variant,
+            "benchmark": item.route.benchmark,
+            "digest": item.route.digest,
+            "variant": item.route.variant,
             "batch_size": size,
             "total_ms": item.admit_ms + (done - item.enqueued_at) * 1e3,
             "stages": stages,
             "shard": timings.get("shard"),
-            "replay_chunks_ms": timings.get("replay_chunks_ms"),
             "redispatches": timings.get("redispatches"),
             "quarantined": timings.get("quarantined"),
             "error": error,
@@ -1008,57 +940,98 @@ class StencilService:
     ) -> Tuple[List, int, Dict[str, object]]:
         """The pure numeric part of a batch (runs on an executor thread).
 
-        Returns ``(outputs, crosschecked, timings)`` — the timings dict
-        carries the execute-phase breakdown (``plan_resolve_ms`` /
-        ``replay_ms`` locally, ``shard_roundtrip_ms`` + ``shard`` when
-        dispatched) the trace ring files per request.
+        Only *routes* the group — trajectories, shard dispatch or local
+        sweep; how it executes is :mod:`repro.service.executor`'s.  Returns
+        ``(outputs, crosschecked, timings)``.  An output slot holds the
+        request's grid, or the stop-reason string of a trajectory shed at
+        a segment boundary.  ``timings`` carries the execute-phase stages
+        the trace ring files (``plan_resolve_ms`` / ``replay_ms`` locally,
+        ``shard_roundtrip_ms`` + ``shard`` when dispatched) and the breaker
+        evidence (``plan_fallback``, ``redispatches``, ``quarantined``).
         """
-        if not self.breakers.allow(group[0].digest):
+        head = group[0]
+        parts = [item.request.inputs for item in group]
+        size_env = head.request.size_env or None
+        use_plans = self.use_plans
+        quarantined = not self.breakers.allow(head.route.digest)
+        if quarantined:
             # Quarantined digest: skip plan capture and shard dispatch
             # entirely — the generic unfused local path is the one thing
             # that has not been failing for it.  The breaker's half-open
             # probe (which `allow` admits) is what retries the fast path.
             self.quarantined_requests += len(group)
             _BREAKER_QUARANTINED_TOTAL.inc(len(group))
-            outputs, crosschecked, timings = self._compute_group_local(
-                group, use_plans=False)
+            use_plans = False
+        swept = None
+        if head.request.steps > 1:
+            # Iterative requests run locally: the shard wire ships single
+            # sweeps only.
+            swept = self._run_trajectories(group, size_env, use_plans)
+        elif self.executor is not None and not quarantined:
+            swept = self._dispatch_sharded(head.route, parts, size_env)
+            if swept is None:
+                self.shard_fallbacks += 1
+                _SHARD_FALLBACKS_TOTAL.inc()
+        if swept is None:
+            swept = sweep_group(self.backend, head.route.program, parts,
+                                size_env, use_plans)
+        rows, timings = swept
+        crosschecked = 0
+        if self.crosscheck and (len(group) > 1 or head.request.steps > 1):
+            crosschecked = self._crosscheck(group, rows)
+        if quarantined:
             timings["quarantined"] = True
-            return outputs, crosschecked, timings
-        if self.executor is not None and group[0].request.steps == 1:
-            # Iterative jobs (steps > 1) run locally: the shard wire
-            # protocol ships single sweeps, and a T-step job is one long
-            # replay loop anyway.
-            sharded = self._compute_group_sharded(group)
-            if sharded is not None:
-                return sharded
-            self.shard_fallbacks += 1
-            _SHARD_FALLBACKS_TOTAL.inc()
-        return self._compute_group_local(group)
+        return (
+            [row if isinstance(row, str)
+             else squeeze_result(np.asarray(row, dtype=np.float64))
+             for row in rows],
+            crosschecked,
+            timings,
+        )
 
-    def _compute_group_sharded(
-        self, group: List[_Pending]
-    ) -> Optional[Tuple[List, int, Dict[str, object]]]:
-        """Dispatch one group to a shard process; ``None`` = serve locally.
+    def _run_trajectories(
+        self, group: List[_Pending], size_env, use_plans: bool
+    ) -> Tuple[List, Dict[str, object]]:
+        """One T-step trajectory per request (the group shares its plan).
 
-        The program crosses the pipe once per (digest, variant) per shard as
-        a :func:`~repro.core.serialize.program_to_dict` wire dict; request
-        grids go through the shard's shared-memory input slabs.  Programs
-        the wire format cannot express (e.g. closure-captured constant
-        arrays) are remembered in ``_unshardable`` and served in-process.
+        Without a deadline a trajectory is one monolithic plan loop.  With
+        one, it runs in ``checkpoint_every``-step segments (the cadence
+        durable jobs checkpoint at) and is stopped at the first boundary
+        past the deadline instead of burning its remaining steps — its row
+        is then the reason the response loop sheds it with.
         """
-        head = group[0]
-        program_key = f"{head.digest}:{head.variant}"
-        if program_key in self._unshardable:
-            return None
-        wire = self._wires.get(program_key)
-        if wire is None:
-            try:
-                wire = program_to_dict(head.program)
-            except SerializationError:
-                self._unshardable.add(program_key)
+        steps = group[0].request.steps
+        timings: Dict[str, object] = {}
+        rows = []
+        started = time.perf_counter()
+        for item in group:
+            def expired(done: int, _state) -> Optional[str]:
+                if self._expired(item):
+                    return (f"deadline exceeded mid-trajectory after "
+                            f"{done}/{steps} steps")
                 return None
-            self._wires[program_key] = wire
-        parts = [item.request.inputs for item in group]
+
+            out, _done, stopped, fallback = run_trajectory(
+                self.backend, item.route.program, item.request.inputs, steps,
+                item.route.carry, size_env, use_plans, boundary=expired,
+                segment=(self.checkpoint_every
+                         if item.expires_at is not None else None))
+            rows.append(out if stopped is None else stopped)
+            timings.update(fallback)
+        timings["replay_ms"] = (time.perf_counter() - started) * 1e3
+        return rows, timings
+
+    def _dispatch_sharded(
+        self, route: _Route, parts: List, size_env
+    ) -> Optional[Tuple[List, Dict[str, object]]]:
+        """Sweep one group on a shard process; ``None`` = serve locally.
+
+        The program crosses the pipe once per (digest, variant) per shard;
+        request grids go through the shard's shared-memory input slabs.
+        """
+        wire = self._wire_for(route)
+        if wire is None:
+            return None
         redispatches = 0
         dispatched = time.perf_counter()
         while True:
@@ -1068,8 +1041,7 @@ class StencilService:
                 # the supervisor restores capacity.
                 return None
             try:
-                outputs = shard.execute(program_key, wire,
-                                        head.request.size_env or None, parts)
+                rows = shard.execute(route.key, wire, size_env, parts)
                 break
             except ShardUnavailable as error:
                 # The reply never arrived, so nothing was delivered for
@@ -1082,247 +1054,54 @@ class StencilService:
                 _SHARD_REDISPATCHES_TOTAL.inc()
                 log.warning(
                     "redispatching group (digest %s, %d requests): %s",
-                    head.digest[:12], len(group), error)
+                    route.digest[:12], len(parts), error)
                 if redispatches > len(self.executor.handles):
                     return None
         roundtrip = time.perf_counter() - dispatched
         _SHARD_ROUNDTRIP_SECONDS.observe(roundtrip)
-        crosschecked = 0
-        if self.crosscheck and len(group) > 1:
-            crosschecked = self._crosscheck_group(group, outputs)
         timings: Dict[str, object] = {
             "shard_roundtrip_ms": roundtrip * 1e3, "shard": shard.index,
         }
         if redispatches:
             timings["redispatches"] = redispatches
-        return (
-            [squeeze_result(np.asarray(output, dtype=np.float64))
-             for output in outputs],
-            crosschecked,
-            timings,
-        )
+        return rows, timings
 
-    def _iterate_deadlined(self, item: _Pending, steps: int, carry,
-                           force_generic: bool):
-        """One request's T-step trajectory, shed-aware.
-
-        Without a deadline the whole trajectory runs as one plan loop.
-        With one, it runs in ``checkpoint_every``-step segments (the same
-        cadence durable jobs checkpoint at), re-checking the deadline at
-        every boundary; expiry returns a :class:`_DeadlineShed` marker the
-        response loop turns into a structured ``DeadlineExceeded`` shed.
-        Segment boundaries re-bind the copied carry state into the same
-        pooled plan buffers, so the segmented result is bit-identical to
-        the monolithic loop.
-        """
-        size_env = item.request.size_env or None
-        if item.expires_at is None:
-            if force_generic:
-                return self.backend.iterate_generic(
-                    item.program, item.request.inputs, steps,
-                    carry=carry, size_env=size_env)
-            return self.backend.iterate(item.program, item.request.inputs,
-                                        steps, carry=carry, size_env=size_env)
-        state = item.request.inputs
-        out = None
-        done = 0
-        while done < steps:
-            if time.perf_counter() >= item.expires_at:
-                return _DeadlineShed(completed_steps=done, steps=steps)
-            segment = min(self.checkpoint_every, steps - done)
-            if force_generic:
-                out, state = iterate_state_generic(
-                    self.backend, item.program, state, segment,
-                    carry=carry, size_env=size_env)
-            else:
-                out, state = self.backend.iterate_state(
-                    item.program, state, segment, carry=carry,
-                    size_env=size_env)
-            done += segment
-        return out
-
-    def _carry_spec(self, item: _Pending):
-        """The iterate() carry specification for one request's benchmark.
-
-        Program-only requests use the default (output feeds input 0, the
-        rest stay static) — the same convention ``plan.iterate`` applies.
-        """
-        if item.benchmark:
+    def _wire_for(self, route: _Route) -> Optional[Dict]:
+        """The program's cross-process wire dict, serialised once per
+        (digest, variant).  ``None`` for programs the wire format cannot
+        express (e.g. closure-captured constant arrays): remembered in
+        ``_unshardable`` and served in-process."""
+        if route.key in self._unshardable:
+            return None
+        wire = self._wires.get(route.key)
+        if wire is None:
             try:
-                from ..apps.suite import get_benchmark
+                wire = program_to_dict(route.program)
+            except SerializationError:
+                self._unshardable.add(route.key)
+                return None
+            self._wires[route.key] = wire
+        return wire
 
-                return get_benchmark(item.benchmark).carry_spec()
-            except Exception:  # noqa: BLE001 - unknown key: default carry
-                pass
-        return None
-
-    def _compute_group_local(
-        self, group: List[_Pending], use_plans: Optional[bool] = None
-    ) -> Tuple[List, int, Dict[str, object]]:
-        """Serve one group in-process.
-
-        ``use_plans=False`` forces the generic unfused path regardless of
-        the service configuration — the circuit breaker's quarantine route.
-        """
-        force_generic = use_plans is not None and not use_plans
-        use_plans = self.use_plans if use_plans is None else use_plans
-        plan_fallback = False
-        head = group[0]
-        size_env = head.request.size_env or None
-        resolve_started = time.perf_counter()
-        replay_started = resolve_started
-        if head.request.steps > 1:
-            # Iterative jobs: one double-buffered plan replay loop per
-            # request (grouped by key so they share the cached plan, but
-            # each request's T-step trajectory is its own).  Deadlined
-            # requests run in checkpoint-sized segments with the deadline
-            # re-checked at each boundary — a request that expires at step
-            # k of T stops there instead of burning the remaining T-k
-            # steps.  Crosschecked against the generic per-sweep loop when
-            # enabled (segmentation is bit-identical to one monolithic
-            # iterate, so the check holds either way).
-            carry = self._carry_spec(head)
-            steps = head.request.steps
-            swept = [
-                self._iterate_deadlined(item, steps, carry, force_generic)
-                for item in group
-            ]
-            replay_done = time.perf_counter()
-            crosschecked = 0
-            if self.crosscheck:
-                for item, output in zip(group, swept):
-                    if isinstance(output, _DeadlineShed):
-                        continue
-                    generic = self.backend.iterate_generic(
-                        item.program, item.request.inputs, steps,
-                        carry=carry, size_env=item.request.size_env or None)
-                    if not np.array_equal(np.asarray(output), generic):
-                        raise ServiceError(
-                            f"iterate plan result diverges from the generic "
-                            f"loop for digest {item.digest[:12]}"
-                        )
-                    crosschecked += 1
-            return (
-                [output if isinstance(output, _DeadlineShed)
-                 else squeeze_result(np.asarray(output, dtype=np.float64))
-                 for output in swept],
-                crosschecked,
-                {"replay_ms": (replay_done - resolve_started) * 1e3},
-            )
-        if len(group) == 1:
-            if use_plans:
-                # The run_plan split, inlined so the trace can separate
-                # plan lookup/capture from the replay itself (identical
-                # semantics: CompileError at either stage falls back to
-                # the generic compiled path).
-                plan = None
-                try:
-                    plan = self.backend.plan(head.program,
-                                             head.request.inputs, size_env)
-                except CompileError:
-                    plan_fallback = True
-                replay_started = time.perf_counter()
-                if plan is not None:
-                    try:
-                        swept = [plan.run(head.request.inputs)]
-                    except CompileError:
-                        plan_fallback = True
-                        swept = [self.backend.run(head.program,
-                                                  head.request.inputs,
-                                                  size_env)]
-                else:
-                    swept = [self.backend.run(head.program,
-                                              head.request.inputs, size_env)]
-            else:
-                swept = [self.backend.run(head.program, head.request.inputs,
-                                          size_env)]
-        elif use_plans:
-            # One cached batched plan per (program, shapes, capacity):
-            # request grids are copied straight into its pooled stacked
-            # buffer set — no np.stack allocation, one tape replay.  Group
-            # sizes are rounded up to the next power of two (padding with
-            # repeats of the head request, whose slots are discarded), so
-            # variable load keys O(log max_batch) resident plans per
-            # program instead of one per distinct batch size.
-            capacity = 1
-            while capacity < len(group):
-                capacity *= 2
-            signature = [
-                ((capacity,) + tuple(grid.shape), str(grid.dtype))
-                for grid in head.request.inputs
-            ]
-            parts = [item.request.inputs for item in group]
-            parts += [head.request.inputs] * (capacity - len(group))
-
-            def stacked_fallback() -> np.ndarray:
-                stacked = [
-                    np.stack([item[i] for item in parts])
-                    for i in range(len(head.request.inputs))
-                ]
-                return self.backend.run_batched(head.program, stacked,
-                                                size_env)
-
-            plan = None
-            try:
-                plan = self.backend.plan(head.program, signature, size_env,
-                                         batched=True)
-            except CompileError:
-                plan_fallback = True
-            replay_started = time.perf_counter()
-            if plan is not None:
-                try:
-                    batch = plan.run_batched_parts(parts)
-                except CompileError:
-                    plan_fallback = True
-                    batch = stacked_fallback()
-            else:
-                batch = stacked_fallback()
-            swept = [batch[index] for index in range(len(group))]
-        else:
-            stacked = [
-                np.stack([item.request.inputs[i] for item in group])
-                for i in range(len(head.request.inputs))
-            ]
-            batch = self.backend.run_batched(
-                head.program, stacked, size_env
-            )
-            swept = [batch[index] for index in range(len(group))]
-        replay_done = time.perf_counter()
-        timings: Dict[str, object] = {
-            "plan_resolve_ms": (replay_started - resolve_started) * 1e3,
-            "replay_ms": (replay_done - replay_started) * 1e3,
-        }
-        if plan_fallback:
-            timings["plan_fallback"] = True
-        # If the sweep's fused regions replayed in parallel chunks, copy
-        # that run's per-chunk wall times into the trace (the pool stamps
-        # last_run_at only on timed runs — telemetry enabled).
-        pool = replay_pool()
-        if pool.last_run_at >= replay_started and pool.last_chunk_seconds:
-            timings["replay_chunks_ms"] = [
-                seconds * 1e3 for seconds in pool.last_chunk_seconds
-            ]
-        crosschecked = 0
-        if self.crosscheck and len(group) > 1:
-            crosschecked = self._crosscheck_group(group, swept)
-        return (
-            [squeeze_result(np.asarray(output, dtype=np.float64))
-             for output in swept],
-            crosschecked,
-            timings,
-        )
-
-    def _crosscheck_group(self, group: List[_Pending], outputs: List) -> int:
-        """Require stacked results to be bit-identical to per-request runs."""
+    def _crosscheck(self, group: List[_Pending], outputs: List) -> int:
+        """Require every served grid to be bit-identical to its request
+        re-executed alone through the generic per-sweep loop (batching,
+        plans, shards and trajectory segmentation must not change a bit)."""
+        checked = 0
         for item, output in zip(group, outputs):
-            single = self.backend.run(item.program, item.request.inputs,
-                                      item.request.size_env or None)
-            if not np.array_equal(np.asarray(output), single):
+            if isinstance(output, str):
+                continue  # shed mid-trajectory: no result to compare
+            reference = iterate_generic(
+                self.backend, item.route.program, item.request.inputs,
+                item.request.steps, carry=item.route.carry,
+                size_env=item.request.size_env or None)
+            if not np.array_equal(np.asarray(output), reference):
                 raise ServiceError(
-                    f"batched result diverges from single-request execution "
-                    f"for digest {item.digest[:12]}"
+                    f"served result diverges from per-request generic "
+                    f"execution for digest {item.route.digest[:12]}"
                 )
-        return len(group)
+            checked += 1
+        return checked
 
     def _fail_group(self, group: List[_Pending], reason: str,
                     code: Optional[str] = None) -> None:
@@ -1333,16 +1112,18 @@ class StencilService:
                 _REQUEST_ERRORS_TOTAL.inc()
                 self._record_trace(item, len(group), {}, now, now,
                                    error=reason)
-                item.future.set_result(
-                    ExecutionResponse(
-                        result=None, benchmark=item.benchmark,
-                        digest=item.digest, variant=item.variant,
-                        plan_source=item.plan_source, batch_size=len(group),
-                        batched=len(group) > 1,
-                        latency_s=now - item.enqueued_at, error=reason,
-                        code=code,
-                    )
-                )
+                self._answer(item, now, len(group), error=reason, code=code)
+
+    @staticmethod
+    def _answer(item: _Pending, now: float, size: int, result=None,
+                **outcome) -> None:
+        """Resolve one request's future: every response — served, shed,
+        rejected or failed — carries the same routing facts."""
+        item.future.set_result(ExecutionResponse(
+            result=result, benchmark=item.route.benchmark,
+            digest=item.route.digest, variant=item.route.variant,
+            plan_source=item.route.source, batch_size=size,
+            batched=size > 1, latency_s=now - item.enqueued_at, **outcome))
 
     # -- background tuning -----------------------------------------------------
     def _start_background_tune(self, digest: str, benchmark: str) -> None:

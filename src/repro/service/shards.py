@@ -22,10 +22,11 @@ that served it*, not one per process tree.
 
 Shards are deliberately plain: each one owns a private
 :class:`~repro.backend.base.NumpyBackend` (compilation cache + plan cache
-+ buffer pools) and replays exactly the plan/batched-plan logic of the
-in-process service, so a sharded service is bit-identical to an unsharded
-one.  Failure handling is layered: a round-trip that breaks (``EOFError``,
-watchdog timeout) raises :class:`ShardUnavailable` and marks the handle
++ buffer pools) and sweeps each group through the same
+:func:`~repro.service.executor.sweep_group` the in-process service calls,
+so a sharded service is bit-identical to an unsharded one.  Failure
+handling is layered: a round-trip that breaks (``EOFError``, watchdog
+timeout) raises :class:`ShardUnavailable` and marks the handle
 failed so :meth:`ShardedExecutor.pick` skips it; the service *redispatches*
 the group to a surviving shard (safe — the reply never arrived, so nothing
 was delivered twice) and the :class:`~repro.service.supervisor.ShardSupervisor`
@@ -56,6 +57,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .. import faults as _faults
+from .executor import batch_capacity, sweep_group
 from .requests import ServiceError
 
 log = logging.getLogger("repro.service.shards")
@@ -107,7 +109,6 @@ def _shard_main(index: int, conn, use_plans: bool) -> None:
     """
     from ..backend.base import NumpyBackend
     from ..backend.cache import CompilationCache
-    from ..backend.numpy_backend import CompileError
     from ..core.serialize import program_from_dict
 
     backend = NumpyBackend(cache=CompilationCache(), fallback=False)
@@ -138,44 +139,21 @@ def _shard_main(index: int, conn, use_plans: bool) -> None:
         program = programs.get(key)
         if program is None:
             raise ShardError(f"shard {index} has no program for {key!r}")
-        size_env = message["size_env"] or None
         n = int(message["n"])
-        capacity = int(message["capacity"])
         slabs = [input_array(spec) for spec in message["inputs"]]
         counters["groups"] += 1
         counters["requests"] += n
-        if n == 1:
-            item = [slab[0] for slab in slabs]
-            if use_plans:
-                result = backend.run_plan(program, item, size_env)
-            else:
-                result = backend.run(program, item, size_env)
-            batch = np.asarray(result, dtype=np.float64)[None]
-            counters["single"] += 1
-        else:
-            # Mirror the in-process service: one cached batched plan per
-            # (program, shapes, capacity), request rows copied into its
-            # pooled stacked buffers; generic run_batched as the fallback
-            # for programs a plan cannot capture.
-            parts = [[slab[row] for slab in slabs] for row in range(capacity)]
-            batch = None
-            if use_plans:
-                signature = [
-                    (tuple(slab.shape), str(slab.dtype)) for slab in slabs
-                ]
-                try:
-                    plan = backend.plan(program, signature, size_env,
-                                        batched=True)
-                    batch = plan.run_batched_parts(parts)
-                except CompileError:
-                    batch = None
-            if batch is None:
-                stacked = [np.ascontiguousarray(slab) for slab in slabs]
-                batch = backend.run_batched(program, stacked, size_env)
-            batch = np.asarray(batch, dtype=np.float64)
-            counters["batched"] += n
-        shm, out = output_slab(batch.shape, batch.dtype)
-        np.copyto(out, batch)
+        counters["single" if n == 1 else "batched"] += n
+        # The same sweep (and fallback chain) the in-process service runs,
+        # which is what keeps a sharded service bit-identical to it.
+        rows, _timings = sweep_group(
+            backend, program,
+            [[slab[row] for slab in slabs] for row in range(n)],
+            message["size_env"] or None, use_plans)
+        shm, out = output_slab(
+            (batch_capacity(n),) + np.shape(rows[0]), np.float64)
+        for row, result in enumerate(rows):
+            np.copyto(out[row], result)
         return {
             "ok": True,
             "out": {"name": shm.name, "shape": out.shape,
@@ -357,29 +335,22 @@ class ShardHandle:
                 parts: Sequence[Sequence[np.ndarray]]) -> List[np.ndarray]:
         """Run one routed group on this shard; returns per-request outputs.
 
-        Rows beyond ``len(parts)`` up to the power-of-two capacity are
-        padded with copies of row 0 (their result slots are discarded),
-        matching the in-process batcher's capacity policy so the shard's
-        plan-cache keys stay O(log max_batch) per program.
+        Slabs are sized by the batcher's power-of-two capacity, so their
+        count stays O(log max_batch) per program; only the first
+        ``len(parts)`` rows are written (the shard's sweep pads its plan
+        from the head request, exactly like the in-process path).
         """
         n = len(parts)
-        capacity = 1
-        while capacity < n:
-            capacity *= 2
         with self._lock:
-            slabs = self._input_slabs(parts[0], capacity)
+            slabs = self._input_slabs(parts[0], batch_capacity(n))
             for row, item in enumerate(parts):
                 for (_shm, array), grid in zip(slabs, item):
                     np.copyto(array[row], grid)  # casts to float64 once, here
-            for row in range(n, capacity):
-                for _shm, array in slabs:
-                    np.copyto(array[row], array[0])
             message = {
                 "op": "execute",
                 "digest": program_key,
                 "size_env": dict(size_env or {}),
                 "n": n,
-                "capacity": capacity,
                 "inputs": [
                     {"name": shm.name, "shape": array.shape,
                      "dtype": str(array.dtype)}

@@ -28,7 +28,7 @@ sweeps the fleet every ``check_interval_s``:
 Redispatch of the failed shard's in-flight groups is *not* done here: the
 executor thread that caught :class:`~repro.service.shards.ShardUnavailable`
 redispatches its own group immediately (see
-``StencilService._compute_group_sharded``) rather than parking it on a
+``StencilService._dispatch_sharded``) rather than parking it on a
 supervisor queue — the reply never arrived, so re-executing elsewhere is
 idempotent.  The supervisor's job is purely to restore capacity.
 

@@ -1,10 +1,8 @@
 """Request-lifecycle traces in a bounded ring buffer.
 
 The service records one trace dict per completed request: the per-stage
-wall times of its journey (admit → queue → execute sub-stages → respond),
-batch/shard context, and — when the executed group replayed a fused region
-in parallel — the per-chunk wall times of the most recent
-:class:`~repro.backend.fuse.ReplayWorkerPool` run.  Traces live in a
+wall times of its journey (admit → queue → execute sub-stages → respond)
+plus batch/shard context.  Traces live in a
 :class:`collections.deque` ring (O(1) record, oldest evicted first);
 requests slower than the configured threshold are *additionally* kept in a
 second ring so a burst of fast traffic cannot evict the one trace an
@@ -99,11 +97,6 @@ def format_trace(trace: Dict[str, object]) -> str:
     lines = [header]
     for name, duration_ms in trace.get("stages") or []:
         lines.append(f"    {name:<16} {float(duration_ms):>9.3f} ms")
-    chunks = trace.get("replay_chunks_ms")
-    if chunks:
-        rendered = " / ".join(f"{float(chunk):.3f}" for chunk in chunks)
-        lines.append(f"    replay chunks    [{rendered}] ms "
-                     f"({len(chunks)} workers)")
     return "\n".join(lines)
 
 

@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
-from repro.service import DigestCircuitBreaker
+import pytest
+
+from repro import faults
+from repro.service import (
+    DigestCircuitBreaker,
+    ExecutionRequest,
+    ServiceClient,
+    StencilService,
+)
 
 
 class FakeClock:
@@ -102,3 +110,34 @@ class TestConfiguration:
         assert row["state"] == "open"
         assert row["last_reason"] == "shard dispatch"
         assert breaker.open_count() == 1
+
+
+class TestFallbackEvidence:
+    """Every execution path reports plan fallbacks to the breaker."""
+
+    @pytest.fixture(autouse=True)
+    def _disarmed(self):
+        faults.disarm()
+        yield
+        faults.disarm()
+
+    @pytest.mark.parametrize("steps", [1, 4])
+    def test_failed_captures_quarantine_single_and_iterative_requests(
+            self, steps):
+        # Every plan lookup fails: two requests fall back (and are counted),
+        # the breaker opens, and the next two skip capture entirely — a
+        # poisoned digest costs one table lookup, for trajectories too.
+        faults.arm("plan.capture_fail:p=1")
+        service = StencilService(store=None, breaker_threshold=2,
+                                 breaker_cooldown_s=60.0)
+        with ServiceClient(service) as client:
+            for seed in range(4):
+                response = client.execute(ExecutionRequest.for_benchmark(
+                    "hotspot2d", shape=(12, 12), seed=seed, steps=steps))
+                assert response.ok, response.error
+            breakers = client.stats()["service"]["breakers"]
+        assert breakers["opens"] == 1, breakers
+        assert breakers["quarantined_requests"] == 2, breakers
+        (row,) = breakers["digests"].values()
+        assert row["state"] == "open"
+        assert faults.hits("plan.capture_fail") == 2

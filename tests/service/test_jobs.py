@@ -19,6 +19,8 @@ import pytest
 from repro import faults
 from repro.apps.suite import ALL_BENCHMARKS, get_benchmark
 from repro.backend.base import NumpyBackend
+from repro.backend.plan import iterate_generic
+from repro.service.executor import run_trajectory
 from repro.service.jobs import (
     COMPLETED,
     FAILED,
@@ -121,6 +123,59 @@ class TestResumeBitIdentity:
         assert result.tobytes() == expected.tobytes()
         recovered.close()
         crashed.close()
+
+
+class TestTrajectoryRunner:
+    """The one segment loop under both the sync path and durable jobs."""
+
+    @pytest.mark.parametrize("use_plans", [True, False])
+    @pytest.mark.parametrize("segment", [None, 1, 7])
+    @pytest.mark.parametrize("key", sorted(ALL_BENCHMARKS))
+    def test_any_segmentation_is_bit_identical_to_the_generic_loop(
+            self, key, segment, use_plans, backend):
+        bench = get_benchmark(key)
+        program, carry = bench.build_program(), bench.carry_spec()
+        inputs = bench.make_inputs(_shape_for(key), 3)
+        expected = iterate_generic(backend, program, inputs, STEPS,
+                                   carry=carry)
+        boundaries = []
+        out, done, stopped, timings = run_trajectory(
+            backend, program, inputs, STEPS, carry, None, use_plans,
+            segment=segment,
+            boundary=lambda done, state: boundaries.append(done))
+        assert (done, stopped, timings) == (STEPS, None, {})
+        assert out.tobytes() == expected.tobytes()
+        stride = segment or STEPS
+        assert boundaries == sorted({*range(0, STEPS, stride), STEPS})
+
+    @pytest.mark.parametrize("use_plans", [True, False])
+    def test_boundary_stop_returns_exactly_the_completed_segments(
+            self, use_plans, backend):
+        bench = get_benchmark("hotspot2d")
+        program, carry = bench.build_program(), bench.carry_spec()
+        inputs = bench.make_inputs(_shape_for("hotspot2d"), 3)
+        segment, k = 2, 3
+        out, done, stopped, _timings = run_trajectory(
+            backend, program, inputs, STEPS, carry, None, use_plans,
+            segment=segment,
+            boundary=lambda done, state: "stop" if done >= k * segment
+            else None)
+        assert (done, stopped) == (k * segment, "stop")
+        assert out.tobytes() == iterate_generic(
+            backend, program, inputs, k * segment, carry=carry).tobytes()
+
+    def test_capture_failure_falls_back_once_and_reports_it(self, backend):
+        bench = get_benchmark("stencil2d")
+        program = bench.build_program()
+        inputs = bench.make_inputs((9, 14), 3)  # a shape with no cached plan
+        expected = iterate_generic(backend, program, inputs, STEPS)
+        faults.arm("plan.capture_fail")
+        out, done, stopped, timings = run_trajectory(
+            backend, program, inputs, STEPS, None, None, True, segment=2)
+        assert (done, stopped) == (STEPS, None)
+        assert timings == {"plan_fallback": True}
+        assert faults.hits("plan.capture_fail") == 1  # not once per segment
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestCheckpointIntegrity:

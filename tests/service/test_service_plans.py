@@ -1,9 +1,12 @@
 """The service's plan-based serving path: caching, bit-identity, stats."""
 
 import numpy as np
+import pytest
 
-from repro.apps.suite import get_benchmark
+from repro.apps.suite import ALL_BENCHMARKS, get_benchmark
+from repro.backend.base import NumpyBackend
 from repro.service import ExecutionRequest, ServiceClient, StencilService
+from repro.service.executor import sweep_group
 from repro.service.loadgen import build_requests
 
 
@@ -90,3 +93,57 @@ class TestBatchSizeBucketing:
         batched_misses = plan_stats["misses"]
         assert batched_misses <= 2  # one capacity-8 plan (+ maybe a single)
         assert stats["compilation_cache"]["misses"] == 1
+
+
+class TestSweepGroup:
+    """The one group sweep every serving path calls, over the whole suite."""
+
+    @pytest.fixture(scope="class")
+    def backend(self):
+        return NumpyBackend()
+
+    @pytest.mark.parametrize("use_plans", [True, False])
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("key", sorted(ALL_BENCHMARKS))
+    def test_rows_equal_per_request_runs(self, key, size, use_plans, backend):
+        bench = get_benchmark(key)
+        program = bench.build_program()
+        shape = (13, 11) if bench.ndims == 2 else (5, 7, 9)
+        parts = [bench.make_inputs(shape, seed) for seed in range(size)]
+        rows, timings = sweep_group(backend, program, parts, None, use_plans)
+        assert len(rows) == size
+        for inputs, row in zip(parts, rows):
+            assert np.array_equal(row, backend.run(program, inputs))
+        assert "plan_fallback" not in timings
+        assert timings["plan_resolve_ms"] >= 0 and timings["replay_ms"] >= 0
+        if use_plans and size == 3:
+            # Three requests padded into the capacity-4 batched plan: a
+            # group of four replays it instead of building its own.
+            misses = backend.plans.stats()["misses"]
+            sweep_group(backend, program, parts + parts[:1], None, True)
+            assert backend.plans.stats()["misses"] == misses
+
+
+class TestShardedEqualsLocal:
+    def test_one_shard_and_no_shards_answer_a_mixed_wave_identically(self):
+        # Mixed digests, dimensionalities and group sizes in one wave: the
+        # shard child and the in-process path run the same sweep, so the
+        # answers must agree byte for byte.
+        wave = [
+            ExecutionRequest.for_benchmark(key, shape=shape, seed=seed)
+            for key, shape, count in (("stencil2d", (13, 11), 3),
+                                      ("hotspot2d", (12, 10), 1),
+                                      ("heat", (5, 7, 9), 2))
+            for seed in range(count)
+        ]
+        answers = []
+        for shards in (0, 1):
+            with make_client(store=None, shards=shards) as client:
+                responses = client.execute_many(wave)
+                stats = client.stats()["service"]
+            assert stats["shard_fallbacks"] == 0
+            if shards:
+                assert stats["shards"]["requests"] == len(wave)
+            answers.append([(r.result.dtype, r.result.shape,
+                             r.result.tobytes()) for r in responses])
+        assert answers[0] == answers[1]

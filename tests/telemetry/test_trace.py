@@ -85,7 +85,6 @@ class TestFormatTrace:
         ring = TraceRing(capacity=4, slow_ms=50.0)
         trace = ring.record(make_trace(120.0))
         trace["shard"] = 1
-        trace["replay_chunks_ms"] = [3.25, 3.5]
         text = format_trace(trace)
         assert text.startswith(f"#{trace['id']} stencil2d digest abcdef012345")
         assert "batch 4" in text
@@ -94,7 +93,6 @@ class TestFormatTrace:
         assert "[slow]" in text
         for stage in ("admit", "queue", "replay", "respond"):
             assert stage in text
-        assert "replay chunks    [3.250 / 3.500] ms (2 workers)" in text
 
     def test_error_trace(self):
         trace = {"benchmark": None, "digest": None, "batch_size": 1,
