@@ -72,7 +72,7 @@ class StencilClient:
     def execute(self, request: ExecutionRequest,
                 timeout_s: Optional[float] = None) -> ExecutionResponse:
         """Execute one request (the request's own priority/deadline apply)."""
-        return self._call(self._stamp(request), timeout_s)
+        return self._execute(self._stamp(request), timeout_s)
 
     def execute_benchmark(self, key: str, shape=None, seed: int = 0,
                           priority: Optional[str] = None,
@@ -88,7 +88,7 @@ class StencilClient:
                          else self.config.deadline_ms),
             steps=steps,
         )
-        return self._call(request, timeout_s)
+        return self._execute(request, timeout_s)
 
     def iterate(self, request: ExecutionRequest, steps: int,
                 timeout_s: Optional[float] = None) -> ExecutionResponse:
@@ -96,7 +96,7 @@ class StencilClient:
         request.steps = int(steps)
         if request.steps < 1:
             raise ValueError("steps must be >= 1")
-        return self._call(self._stamp(request), timeout_s)
+        return self._execute(self._stamp(request), timeout_s)
 
     # -- durable jobs --------------------------------------------------------
     def submit_job(self, request: ExecutionRequest,
@@ -112,7 +112,7 @@ class StencilClient:
         """
         if job_key is None:
             job_key = uuid.uuid4().hex
-        return self._job_call(
+        return self._call(
             lambda remaining: self.transport.job_submit(
                 self._stamp(request), job_key=job_key,
                 checkpoint_every=checkpoint_every, timeout_s=remaining,
@@ -122,7 +122,7 @@ class StencilClient:
 
     def job_status(self, job_id: str,
                    timeout_s: Optional[float] = None) -> Dict[str, object]:
-        return self._job_call(
+        return self._call(
             lambda remaining: self.transport.job_status(job_id, remaining),
             timeout_s,
         )
@@ -130,21 +130,21 @@ class StencilClient:
     def job_result(self, job_id: str, timeout_s: Optional[float] = None
                    ) -> Tuple[Dict[str, object], np.ndarray]:
         """The ``(descriptor, final grid)`` of a completed job."""
-        return self._job_call(
+        return self._call(
             lambda remaining: self.transport.job_result(job_id, remaining),
             timeout_s,
         )
 
     def cancel_job(self, job_id: str,
                    timeout_s: Optional[float] = None) -> Dict[str, object]:
-        return self._job_call(
+        return self._call(
             lambda remaining: self.transport.job_cancel(job_id, remaining),
             timeout_s,
         )
 
     def list_jobs(self, timeout_s: Optional[float] = None
                   ) -> List[Dict[str, object]]:
-        return self._job_call(
+        return self._call(
             lambda remaining: self.transport.job_list(remaining), timeout_s,
         )
 
@@ -196,12 +196,29 @@ class StencilClient:
             request.deadline_ms = float(self.config.deadline_ms)
         return request
 
-    def _call(self, request: ExecutionRequest,
-              timeout_s: Optional[float]) -> ExecutionResponse:
+    def _execute(self, request: ExecutionRequest,
+                 timeout_s: Optional[float]) -> ExecutionResponse:
+        return self._call(
+            lambda remaining: self.transport.submit(request, remaining),
+            timeout_s, rejected=lambda response: response.rejected,
+        )
+
+    def _call(self, attempt_fn, timeout_s: Optional[float],
+              rejected=lambda result: False):
         """One logical call: attempts = 1 + retries, safe failures only.
 
-        Admission rejections (429-style, in-band) are retried too — a
-        rejected request was provably not executed — honouring the server's
+        A :class:`TransportError` is replayed only when the transport
+        marks it ``retryable``.  For ``execute`` that flag means
+        provably-unexecuted (connect failure, timeout before a response
+        byte); job ops are idempotent server-side (submission dedups on
+        its ``job_key``; status/result/list are reads; cancel is
+        at-most-once), so the same flag is all they need.  In-band job
+        refusals arrive as non-retryable errors with a structured ``code``
+        and surface immediately.
+
+        Results for which ``rejected(result)`` holds — admission
+        rejections (429-style, in-band): a rejected request was provably
+        not executed — are retried too, honouring the server's
         ``retry_after_ms`` hint: the wait is the *larger* of the hint and
         the policy's backoff, clipped to the call deadline.  The last
         rejection is returned (not raised) once retries are exhausted.
@@ -216,52 +233,20 @@ class StencilClient:
                 raise TransportError("call deadline exhausted before "
                                      f"attempt {attempt + 1}")
             try:
-                response = self.transport.submit(request, remaining)
+                result = attempt_fn(remaining)
             except TransportError as error:
                 if not error.retryable or attempt >= policy.retries:
                     raise
                 delay = policy.delay_s(attempt, self._rng.random())
             else:
-                if not response.rejected or attempt >= policy.retries:
-                    return response
-                hint_s = (response.retry_after_ms or 0.0) / 1e3
+                if not rejected(result) or attempt >= policy.retries:
+                    return result
+                hint_s = (result.retry_after_ms or 0.0) / 1e3
                 delay = max(hint_s, policy.delay_s(attempt, self._rng.random()))
                 if delay > call_deadline - time.monotonic():
                     # Honouring the hint would blow the call deadline:
                     # hand the rejection back instead of a doomed retry.
-                    return response
-            delay = min(delay, max(0.0, call_deadline - time.monotonic()))
-            attempt += 1
-            self.retries_attempted += 1
-            if delay > 0:
-                time.sleep(delay)
-
-    def _job_call(self, attempt_fn, timeout_s: Optional[float]):
-        """One job operation under the same retry policy as :meth:`_call`.
-
-        Job ops are idempotent server-side (submission dedups on its
-        ``job_key``; status/result/list are reads; cancel is at-most-once),
-        so *any* retryable transport failure is safe to replay — the
-        provably-unexecuted restriction that guards ``execute`` is not
-        needed here.  In-band refusals arrive as non-retryable
-        :class:`TransportError` with a structured ``code`` and surface
-        immediately.
-        """
-        timeout = timeout_s if timeout_s is not None else self.config.timeout_s
-        policy = self.config.retry
-        call_deadline = time.monotonic() + timeout
-        attempt = 0
-        while True:
-            remaining = call_deadline - time.monotonic()
-            if remaining <= 0:
-                raise TransportError("call deadline exhausted before "
-                                     f"attempt {attempt + 1}")
-            try:
-                return attempt_fn(remaining)
-            except TransportError as error:
-                if not error.retryable or attempt >= policy.retries:
-                    raise
-                delay = policy.delay_s(attempt, self._rng.random())
+                    return result
             delay = min(delay, max(0.0, call_deadline - time.monotonic()))
             attempt += 1
             self.retries_attempted += 1

@@ -1,10 +1,13 @@
 """Pluggable transports: JSON-lines TCP and HTTP, with pooled connections.
 
-Both transports expose the same blocking surface — ``submit`` one
+Each transport implements one primitive, :meth:`Transport.call` — send
+``(op, metadata, grids)``, get ``(reply metadata, grids)`` — and the
+blocking surface (``submit`` one
 :class:`~repro.service.requests.ExecutionRequest`, get one
-:class:`~repro.service.requests.ExecutionResponse` — and both keep a pool
-of idle connections so sequential and multi-threaded callers reuse sockets
-instead of reconnecting per request.
+:class:`~repro.service.requests.ExecutionResponse`; ``ping``; ``stats``;
+the five ``job_*`` calls) is written once on the base class in terms of
+it.  Both keep a pool of idle connections so sequential and multi-threaded
+callers reuse sockets instead of reconnecting per request.
 
 Failure classification is the load-bearing part: :class:`TransportError`
 carries ``retryable``, and it is ``True`` **only** for connect failures and
@@ -20,11 +23,13 @@ import http.client
 import json
 import socket
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..service.requests import ExecutionRequest, ExecutionResponse
+from ..service.http import route_for
+from ..service.ops import refusal
+from ..service.requests import BAD_REQUEST, ExecutionRequest, ExecutionResponse
 from ..service.wire import (
     CONTENT_TYPE_GRIDS,
     CONTENT_TYPE_JSON,
@@ -87,57 +92,102 @@ class _Pool:
             pass
 
 
+def _with_inputs(meta: Dict[str, object],
+                 grids: Optional[Sequence[np.ndarray]]) -> Dict[str, object]:
+    """The JSON form of one message: grids become nested ``inputs`` lists."""
+    if grids is None:
+        return dict(meta)
+    return {**meta, "inputs": [grid.tolist() for grid in grids]}
+
+
+def _split_result(reply: Dict[str, object]):
+    """Lift a JSON reply's ``result`` lists out as the reply's one grid."""
+    result = reply.pop("result", None)
+    return reply, ([] if result is None
+                   else [np.asarray(result, dtype=np.float64)])
+
+
 class Transport:
-    """The transport surface :class:`StencilClient` drives."""
+    """The transport surface :class:`StencilClient` drives.
+
+    A transport implements :meth:`call` (and :meth:`close`); every
+    operation below is written once in terms of it.
+    """
+
+    def call(self, op: str, meta: Dict[str, object],
+             grids: Optional[Sequence[np.ndarray]], timeout_s: float,
+             ) -> Tuple[Dict[str, object], List[np.ndarray]]:
+        """One exchange: send ``(op, meta, grids)``, get ``(reply meta,
+        reply grids)``.  ``grids=None`` means the op carries no inputs."""
+        raise NotImplementedError
 
     def submit(self, request: ExecutionRequest,
                timeout_s: float) -> ExecutionResponse:
-        raise NotImplementedError
+        reply, grids = self.call("execute", request.wire_meta(),
+                                 request.inputs, timeout_s)
+        return ExecutionResponse.from_wire(reply, grids)
 
     def ping(self, timeout_s: float = 5.0) -> bool:
-        raise NotImplementedError
+        reply, _grids = self.call("ping", {}, None, timeout_s)
+        return bool(reply.get("ok"))
 
     def stats(self, timeout_s: float = 30.0) -> Optional[Dict[str, object]]:
         """Server-side stats, when the protocol exposes them (else None)."""
-        return None
+        reply, _grids = self.call("stats", {}, None, timeout_s)
+        stats = reply.get("stats")
+        return stats if isinstance(stats, dict) else None
 
     # -- durable jobs --------------------------------------------------------
     # All job ops are idempotent on the server (submission dedups on
     # ``job_key``; the rest are reads or at-most-once cancels), so every
     # in-band failure below surfaces as a non-retryable TransportError
     # carrying the server's structured ``code`` — the caller decides.
+    def _job(self, op: str, meta: Dict[str, object],
+             grids: Optional[Sequence[np.ndarray]], timeout_s: float):
+        reply, out = self.call(op, meta, grids, timeout_s)
+        if not reply.get("ok", False):
+            raise TransportError(
+                str(reply.get("error", "job operation refused")),
+                retryable=False, code=reply.get("code"),
+            )
+        return reply, out
+
     def job_submit(self, request: ExecutionRequest,
                    job_key: Optional[str] = None,
                    checkpoint_every: Optional[int] = None,
                    timeout_s: float = 30.0) -> Dict[str, object]:
         """Submit a checkpointed multi-timestep job; returns its descriptor."""
-        raise NotImplementedError
+        meta = request.wire_meta()
+        if job_key is not None:
+            meta["job_key"] = job_key
+        if checkpoint_every is not None:
+            meta["checkpoint_every"] = int(checkpoint_every)
+        return self._job("job_submit", meta, request.inputs,
+                         timeout_s)[0]["job"]
 
     def job_status(self, job_id: str,
                    timeout_s: float = 30.0) -> Dict[str, object]:
-        raise NotImplementedError
+        return self._job("job_status", {"job_id": job_id}, None,
+                         timeout_s)[0]["job"]
 
     def job_result(self, job_id: str, timeout_s: float = 30.0):
         """The final grid of a completed job: ``(descriptor, ndarray)``."""
-        raise NotImplementedError
+        reply, grids = self._job("job_result", {"job_id": job_id}, None,
+                                 timeout_s)
+        if not grids:
+            raise TransportError("job result carried no grid")
+        return reply.get("job", {}), np.asarray(grids[0], dtype=np.float64)
 
     def job_cancel(self, job_id: str,
                    timeout_s: float = 30.0) -> Dict[str, object]:
-        raise NotImplementedError
+        return self._job("job_cancel", {"job_id": job_id}, None,
+                         timeout_s)[0]["job"]
 
     def job_list(self, timeout_s: float = 30.0) -> List[Dict[str, object]]:
-        raise NotImplementedError
+        return self._job("job_list", {}, None, timeout_s)[0]["jobs"]
 
     def close(self) -> None:
         raise NotImplementedError
-
-
-def _job_refused(reply: Dict[str, object]) -> TransportError:
-    """An in-band job-op refusal shaped as a (non-retryable) error."""
-    return TransportError(
-        str(reply.get("error", "job operation refused")),
-        retryable=False, code=reply.get("code"),
-    )
 
 
 class _TcpConnection:
@@ -210,9 +260,9 @@ class TcpTransport(Transport):
         self.chunk_bytes = chunk_bytes
         self._pool = _Pool()
 
-    def _roundtrip(self, message: Dict[str, object],
-                   timeout_s: float) -> Dict[str, object]:
-        attach_auth(message, self.auth_key)
+    def call(self, op, meta, grids, timeout_s):
+        message = attach_auth({**_with_inputs(meta, grids), "op": op},
+                              self.auth_key)
         connection = self._pool.acquire()
         if connection is None:
             connection = _TcpConnection(self.host, self.port, timeout_s)
@@ -223,77 +273,7 @@ class TcpTransport(Transport):
             connection.close()
             raise
         self._pool.release(connection)
-        return reply
-
-    def submit(self, request: ExecutionRequest,
-               timeout_s: float) -> ExecutionResponse:
-        message = request.to_wire()
-        message["op"] = "execute"
-        reply = self._roundtrip(message, timeout_s)
-        return self._shape(reply)
-
-    @staticmethod
-    def _shape(reply: Dict[str, object]) -> ExecutionResponse:
-        if not reply.get("ok", False) and "digest" not in reply:
-            # A transport-level in-band refusal (auth, oversized line):
-            # shape it like an ExecutionResponse so callers see one type.
-            return ExecutionResponse(
-                result=None, benchmark=None, digest="", variant="",
-                plan_source="", batch_size=0, batched=False, latency_s=0.0,
-                error=str(reply.get("error", "request refused")),
-                code=reply.get("code"),
-            )
-        return ExecutionResponse.from_wire(reply)
-
-    def ping(self, timeout_s: float = 5.0) -> bool:
-        reply = self._roundtrip({"op": "ping"}, timeout_s)
-        return bool(reply.get("pong"))
-
-    def stats(self, timeout_s: float = 30.0) -> Optional[Dict[str, object]]:
-        reply = self._roundtrip({"op": "stats"}, timeout_s)
-        stats = reply.get("stats")
-        return stats if isinstance(stats, dict) else None
-
-    # -- durable jobs --------------------------------------------------------
-    def _job_roundtrip(self, message: Dict[str, object],
-                       timeout_s: float) -> Dict[str, object]:
-        reply = self._roundtrip(message, timeout_s)
-        if not reply.get("ok", False):
-            raise _job_refused(reply)
-        return reply
-
-    def job_submit(self, request: ExecutionRequest,
-                   job_key: Optional[str] = None,
-                   checkpoint_every: Optional[int] = None,
-                   timeout_s: float = 30.0) -> Dict[str, object]:
-        message = request.to_wire()
-        message["op"] = "job_submit"
-        if job_key is not None:
-            message["job_key"] = job_key
-        if checkpoint_every is not None:
-            message["checkpoint_every"] = int(checkpoint_every)
-        return self._job_roundtrip(message, timeout_s)["job"]
-
-    def job_status(self, job_id: str,
-                   timeout_s: float = 30.0) -> Dict[str, object]:
-        return self._job_roundtrip(
-            {"op": "job_status", "job_id": job_id}, timeout_s
-        )["job"]
-
-    def job_result(self, job_id: str, timeout_s: float = 30.0):
-        reply = self._job_roundtrip(
-            {"op": "job_result", "job_id": job_id}, timeout_s
-        )
-        return reply["job"], np.asarray(reply["result"], dtype=np.float64)
-
-    def job_cancel(self, job_id: str,
-                   timeout_s: float = 30.0) -> Dict[str, object]:
-        return self._job_roundtrip(
-            {"op": "job_cancel", "job_id": job_id}, timeout_s
-        )["job"]
-
-    def job_list(self, timeout_s: float = 30.0) -> List[Dict[str, object]]:
-        return self._job_roundtrip({"op": "job_list"}, timeout_s)["jobs"]
+        return _split_result(reply)
 
     def close(self) -> None:
         self._pool.close_all()
@@ -322,49 +302,37 @@ class HttpTransport(Transport):
         self.binary_threshold_bytes = binary_threshold_bytes
         self._pool = _Pool()
 
-    # -- request encoding ----------------------------------------------------
-    def _encode(self, request: ExecutionRequest,
-                extra: Optional[Dict[str, object]] = None):
-        """Returns (headers, body) — body is bytes or a chunk generator.
-
-        ``extra`` merges additional wire fields into the request meta
-        (e.g. ``job_key`` for durable-job submission) on both the JSON
-        and the binary-grids encodings.
-        """
+    def call(self, op, meta, grids, timeout_s):
+        route = route_for(op, meta)
+        if route is None:  # e.g. stats / trace: TCP-only ops
+            return refusal(BAD_REQUEST, f"op {op!r} has no HTTP route").meta, []
+        method, path = route
         headers = {"Accept": CONTENT_TYPE_GRIDS,
                    **auth_headers(self.auth_key)}
-        grid_bytes = sum(grid.nbytes for grid in request.inputs)
-        if grid_bytes < self.binary_threshold_bytes:
-            wire = request.to_wire()
-            wire.update(extra or {})
-            body = json.dumps(wire).encode("utf-8")
+        body = None
+        if (method == "POST" and grids is not None
+                and sum(grid.nbytes for grid in grids)
+                >= self.binary_threshold_bytes):
+            prefix, buffers = encode_grid_payload(meta, grids)
+            headers["Content-Type"] = CONTENT_TYPE_GRIDS
+            # No Content-Length: the generator body makes http.client send
+            # Transfer-Encoding: chunked, one bounded piece at a time.
+            body = iter_chunks(prefix, buffers, chunk_bytes=self.chunk_bytes)
+        elif method == "POST":
+            body = json.dumps(_with_inputs(meta, grids)).encode("utf-8")
             headers["Content-Type"] = CONTENT_TYPE_JSON
             headers["Content-Length"] = str(len(body))
-            return headers, body
-        meta = request.to_wire()
-        meta.pop("inputs", None)
-        meta.update(extra or {})
-        prefix, buffers = encode_grid_payload(meta, request.inputs)
-        headers["Content-Type"] = CONTENT_TYPE_GRIDS
-        # No Content-Length: the generator body makes http.client send
-        # Transfer-Encoding: chunked, one bounded piece at a time.
-        return headers, iter_chunks(prefix, buffers,
-                                    chunk_bytes=self.chunk_bytes)
-
-    @staticmethod
-    def _decode(content_type: str, body: bytes) -> ExecutionResponse:
-        media = content_type.split(";")[0].strip().lower()
-        if media == CONTENT_TYPE_GRIDS:
-            meta, grids = decode_grid_payload(body)
-            if grids:
-                meta["result"] = grids[0]
-            response = ExecutionResponse.from_wire(
-                {key: value for key, value in meta.items() if key != "result"}
-            )
-            if grids:
-                response.result = np.asarray(grids[0], dtype=np.float64)
-            return response
-        return ExecutionResponse.from_wire(json.loads(body.decode("utf-8")))
+        status, content_type, payload = self._roundtrip(
+            method, path, headers, body, timeout_s)
+        try:
+            if content_type.split(";")[0].strip().lower() == CONTENT_TYPE_GRIDS:
+                reply, out = decode_grid_payload(payload)
+            else:
+                reply, out = _split_result(json.loads(payload.decode("utf-8")))
+        except Exception as error:  # noqa: BLE001 - malformed server reply
+            raise TransportError(f"malformed response body: {error}")
+        reply.setdefault("ok", status == 200)
+        return reply, out
 
     # -- the wire ------------------------------------------------------------
     def _roundtrip(self, method: str, path: str, headers: Dict[str, str],
@@ -413,95 +381,6 @@ class HttpTransport(Transport):
         else:
             _Pool._close_one(connection)
         return response.status, content_type, payload
-
-    def submit(self, request: ExecutionRequest,
-               timeout_s: float) -> ExecutionResponse:
-        headers, body = self._encode(request)
-        path = "/v1/iterate" if request.steps > 1 else "/v1/execute"
-        _status, content_type, payload = self._roundtrip(
-            "POST", path, headers, body, timeout_s
-        )
-        try:
-            return self._decode(content_type, payload)
-        except Exception as error:  # noqa: BLE001 - malformed server reply
-            raise TransportError(f"malformed response body: {error}")
-
-    def ping(self, timeout_s: float = 5.0) -> bool:
-        status, _content_type, _payload = self._roundtrip(
-            "GET", "/healthz", auth_headers(self.auth_key), None, timeout_s
-        )
-        return status == 200
-
-    # -- durable jobs --------------------------------------------------------
-    def _job_json(self, method: str, path: str, headers, body,
-                  timeout_s: float) -> Dict[str, object]:
-        """One job-route exchange that must come back 200 + JSON."""
-        status, _content_type, payload = self._roundtrip(
-            method, path, headers, body, timeout_s
-        )
-        try:
-            reply = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise TransportError(f"malformed job response: {error}")
-        if status != 200 or not reply.get("ok", False):
-            raise _job_refused(reply)
-        return reply
-
-    def _job_headers(self) -> Dict[str, str]:
-        return {"Accept": CONTENT_TYPE_JSON, **auth_headers(self.auth_key)}
-
-    def job_submit(self, request: ExecutionRequest,
-                   job_key: Optional[str] = None,
-                   checkpoint_every: Optional[int] = None,
-                   timeout_s: float = 30.0) -> Dict[str, object]:
-        extra: Dict[str, object] = {}
-        if job_key is not None:
-            extra["job_key"] = job_key
-        if checkpoint_every is not None:
-            extra["checkpoint_every"] = int(checkpoint_every)
-        headers, body = self._encode(request, extra=extra)
-        headers["Accept"] = CONTENT_TYPE_JSON
-        return self._job_json("POST", "/v1/jobs", headers, body,
-                              timeout_s)["job"]
-
-    def job_status(self, job_id: str,
-                   timeout_s: float = 30.0) -> Dict[str, object]:
-        return self._job_json("GET", f"/v1/jobs/{job_id}",
-                              self._job_headers(), None, timeout_s)["job"]
-
-    def job_result(self, job_id: str, timeout_s: float = 30.0):
-        # Ask for the binary grids framing: the final grid travels as raw
-        # little-endian bytes with a per-buffer checksum, never as JSON.
-        headers = {"Accept": CONTENT_TYPE_GRIDS,
-                   **auth_headers(self.auth_key)}
-        status, content_type, payload = self._roundtrip(
-            "GET", f"/v1/jobs/{job_id}/result", headers, None, timeout_s
-        )
-        media = content_type.split(";")[0].strip().lower()
-        if status != 200 or media != CONTENT_TYPE_GRIDS:
-            # Refusals mirror the request's Accept: a grids-framed error
-            # meta when we asked for grids, JSON otherwise.
-            try:
-                if media == CONTENT_TYPE_GRIDS:
-                    reply, _grids = decode_grid_payload(payload)
-                else:
-                    reply = json.loads(payload.decode("utf-8"))
-            except Exception as error:  # noqa: BLE001 - malformed reply
-                raise TransportError(f"malformed job response: {error}")
-            raise _job_refused(reply)
-        meta, grids = decode_grid_payload(payload)
-        if not grids:
-            raise TransportError("job result carried no grid")
-        return meta.get("job", {}), np.asarray(grids[0], dtype=np.float64)
-
-    def job_cancel(self, job_id: str,
-                   timeout_s: float = 30.0) -> Dict[str, object]:
-        return self._job_json("DELETE", f"/v1/jobs/{job_id}",
-                              self._job_headers(), None, timeout_s)["job"]
-
-    def job_list(self, timeout_s: float = 30.0) -> List[Dict[str, object]]:
-        return self._job_json("GET", "/v1/jobs", self._job_headers(), None,
-                              timeout_s)["jobs"]
 
     def close(self) -> None:
         self._pool.close_all()

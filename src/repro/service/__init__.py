@@ -15,6 +15,9 @@ subsystem:
 * :class:`ServiceClient` — the blocking in-process client;
   :func:`serve_tcp` / :func:`run_server` — the JSON-lines TCP endpoint
   behind ``repro serve`` / ``repro submit``;
+* :mod:`.ops` — the one op table (``execute``, ``job_*``, ``ping``,
+  ``stats``, ``trace``) and refusal mapping both endpoints dispatch
+  through; :func:`serve_tcp` and :func:`serve_http` are codecs over it;
 * :mod:`.executor` — the one group sweep, trajectory loop and
   ``plan → generic`` fallback chain every execution path above and below
   calls;

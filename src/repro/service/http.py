@@ -1,10 +1,13 @@
-"""The HTTP transport: ``/v1/execute``, ``/v1/iterate``, and ``/v1/jobs``.
+"""The HTTP transport: a codec in front of :func:`repro.service.ops.dispatch`.
 
 A small asyncio HTTP/1.1 endpoint (same zero-dependency style as the
 telemetry sidecar, plus keep-alive and request bodies) that feeds the
 **same** :class:`~repro.service.server.StencilService` batcher as the
 JSON-lines TCP endpoint — an HTTP request and a TCP request for the same
-digest land in the same micro-batch.
+digest land in the same micro-batch.  It owns four things and no
+operation logic: the route table :data:`ROUTES` (request line → op), the
+body decoder :func:`decode_body` (content type + bytes → metadata +
+grids), the ``code`` → status-line map, and one reply writer.
 
 Content negotiation, both directions:
 
@@ -15,18 +18,13 @@ Content negotiation, both directions:
   selects the same framing for the response, written buffer-by-buffer so a
   1024² float64 result streams out without ever being one JSON string.
 
-Admission outcomes map onto status codes: ``DeadlineExceeded`` → 504,
+Reply codes map onto status codes: ``DeadlineExceeded`` → 504,
 ``AdmissionRejected`` → 429 (with a ``Retry-After`` header from
 ``retry_after_ms``), bad auth → 401, an oversized body → 413, a malformed
-request → 400, an unknown job id → 404, a result requested before the job
-completed → 409.  The response body always carries the structured
-:class:`~repro.service.requests.ExecutionResponse` wire form, so HTTP and
-TCP clients see identical in-band information.
-
-The durable-job surface (:mod:`repro.service.jobs`): ``POST /v1/jobs``
-submits a checkpointed multi-timestep job (idempotent on ``job_key``),
-``GET /v1/jobs/<id>`` polls, ``GET /v1/jobs/<id>/result`` fetches the
-final grid, ``DELETE /v1/jobs/<id>`` cancels at the next segment boundary.
+request or broken framing → 400, an unknown path or job id → 404, a
+result requested before the job completed → 409.  The body is the same
+structured reply the TCP endpoint writes, so HTTP and TCP clients see
+identical in-band information.
 """
 
 from __future__ import annotations
@@ -39,9 +37,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.serialize import program_from_dict
 from ..telemetry import registry as _telemetry
-from .jobs import JobError, JobNotFound
+from .ops import Reply, dispatch, refusal
 from .requests import (
     ADMISSION_REJECTED,
     BAD_REQUEST,
@@ -50,14 +47,11 @@ from .requests import (
     NOT_FOUND,
     REQUEST_TOO_LARGE,
     UNAUTHORIZED,
-    ExecutionRequest,
-    ExecutionResponse,
 )
 from .wire import (
     CONTENT_TYPE_GRIDS,
     CONTENT_TYPE_JSON,
     DEFAULT_CHUNK_BYTES,
-    WireFormatError,
     decode_grid_payload,
     encode_grid_payload,
     payload_length,
@@ -75,13 +69,30 @@ _HTTP_REQUESTS_TOTAL = _telemetry.counter(
     label="status",
 )
 
+#: ``(method, path pattern, op, required body field)`` — the whole HTTP
+#: surface.  ``{name}`` path segments land in the op's metadata; the
+#: client's HTTP transport resolves an op to its route through this same
+#: table (first row whose required field the metadata carries).
+ROUTES = (
+    ("GET", "/healthz", "ping", None),
+    # An iterate call without a step count is a client bug, not a 1-step
+    # run, so the route insists on an explicit ``steps``.
+    ("POST", "/v1/iterate", "execute", "steps"),
+    ("POST", "/v1/execute", "execute", None),
+    ("POST", "/v1/jobs", "job_submit", None),
+    ("GET", "/v1/jobs", "job_list", None),
+    ("GET", "/v1/jobs/{job_id}", "job_status", None),
+    ("DELETE", "/v1/jobs/{job_id}", "job_cancel", None),
+    ("GET", "/v1/jobs/{job_id}/result", "job_result", None),
+)
+
 _REASONS = {200: "OK", 400: "Bad Request", 401: "Unauthorized",
             404: "Not Found", 405: "Method Not Allowed",
             409: "Conflict", 413: "Payload Too Large",
             429: "Too Many Requests", 500: "Internal Server Error",
             504: "Gateway Timeout"}
 
-#: ``ExecutionResponse.code`` → HTTP status.
+#: Reply ``code`` → HTTP status.
 _CODE_STATUS = {
     DEADLINE_EXCEEDED: 504,
     ADMISSION_REJECTED: 429,
@@ -94,106 +105,95 @@ _CODE_STATUS = {
 
 
 class _HTTPError(Exception):
-    """An HTTP-level refusal answered before the request reaches the batcher."""
+    """An HTTP-level refusal answered before the request reaches an op."""
 
-    def __init__(self, status: int, code: str, message: str,
-                 close: bool = False) -> None:
+    def __init__(self, code: str, message: str,
+                 status: Optional[int] = None) -> None:
         super().__init__(message)
-        self.status = status
         self.code = code
-        self.close = close
+        self.status = status
 
 
-def _status_for(response: ExecutionResponse) -> int:
-    if response.ok:
-        return 200
-    return _CODE_STATUS.get(response.code or "", 500)
+def _route(method: str, path: str) -> Tuple[str, Dict[str, str],
+                                            Optional[str]]:
+    """Resolve one request line to ``(op, path params, required field)``."""
+    parts = path.split("/")
+    path_known = False
+    for route_method, pattern, op, required in ROUTES:
+        wanted = pattern.split("/")
+        if len(wanted) != len(parts) or any(
+                want != part and not want.startswith("{")
+                for want, part in zip(wanted, parts)):
+            continue
+        if route_method == method:
+            return op, {want[1:-1]: part for want, part in zip(wanted, parts)
+                        if want.startswith("{")}, required
+        path_known = True
+    if path_known:
+        raise _HTTPError(BAD_REQUEST, f"{path} does not support {method}",
+                         status=405)
+    raise _HTTPError(NOT_FOUND, f"unknown path {path!r}")
 
 
-def request_and_meta_from_body(
-    content_type: str, body: bytes, steps_required: bool = False
-) -> Tuple[ExecutionRequest, Dict[str, object]]:
-    """Decode one HTTP body into (request, raw metadata dict).
+def route_for(op: str, meta: Dict[str, object]) -> Optional[Tuple[str, str]]:
+    """The table read the other way: ``(method, path)`` a client uses for
+    ``op`` — the first row whose required field ``meta`` carries — or
+    ``None`` for an op HTTP does not expose (``stats``, ``trace``)."""
+    for method, pattern, route_op, required in ROUTES:
+        if route_op == op and (required is None or required in meta):
+            return method, pattern.format(**meta)
+    return None
 
-    The metadata dict is the JSON message (or binary header) as sent —
-    job routes read their extra fields (``job_key``, ``checkpoint_every``)
-    from it without those keys having to exist on
-    :class:`ExecutionRequest`.  ``steps_required`` is the ``/v1/iterate``
-    contract: the body must name ``steps`` explicitly (an iterate call
-    without a step count is a client bug, not a 1-step job).
+
+def decode_body(content_type: str,
+                body: bytes) -> Tuple[Dict[str, object],
+                                      Optional[List[np.ndarray]]]:
+    """Decode one HTTP body into ``(metadata, grids)``.
+
+    The binary framing yields its JSON header plus the raw grids; a JSON
+    body is the TCP wire form verbatim (grids, if any, stay nested lists
+    under ``"inputs"``).
     """
     media = content_type.split(";")[0].strip().lower()
-    if media == CONTENT_TYPE_GRIDS:
-        try:
-            meta, grids = decode_grid_payload(body)
-        except WireFormatError as error:
-            raise _HTTPError(400, BAD_REQUEST, str(error))
-        if steps_required and "steps" not in meta:
-            raise _HTTPError(400, BAD_REQUEST,
-                             "/v1/iterate requires 'steps' in the header")
-        if not grids:
-            # Generated-inputs form: benchmark + shape/seed in the header.
-            return ExecutionRequest.from_wire(meta), meta
-        program = meta.get("program")
-        deadline_ms = meta.get("deadline_ms")
-        return ExecutionRequest(
-            inputs=list(grids),
-            benchmark=(None if meta.get("benchmark") is None
-                       else str(meta["benchmark"])),
-            program=None if program is None else program_from_dict(program),
-            size_env={str(k): int(v)
-                      for k, v in dict(meta.get("size_env") or {}).items()},
-            return_result=bool(meta.get("return_result", True)),
-            priority=str(meta.get("priority", "normal")),
-            deadline_ms=None if deadline_ms is None else float(deadline_ms),
-            steps=int(meta.get("steps", 1)),
-        ), meta
-    if media in (CONTENT_TYPE_JSON, ""):
-        try:
-            message = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise _HTTPError(400, BAD_REQUEST, f"body is not JSON: {error}")
-        if not isinstance(message, dict):
-            raise _HTTPError(400, BAD_REQUEST, "body must be a JSON object")
-        if steps_required and "steps" not in message:
-            raise _HTTPError(400, BAD_REQUEST,
-                             "/v1/iterate requires 'steps' in the body")
-        return ExecutionRequest.from_wire(message), message
-    raise _HTTPError(400, BAD_REQUEST,
-                     f"unsupported content type {media!r}")
+    try:
+        if media == CONTENT_TYPE_GRIDS:
+            return decode_grid_payload(body)
+        if media not in (CONTENT_TYPE_JSON, ""):
+            raise ValueError(f"unsupported content type {media!r}")
+        message = json.loads(body.decode("utf-8"))
+    except Exception as error:  # noqa: BLE001 - hostile bytes answer 400
+        raise _HTTPError(BAD_REQUEST,
+                         f"malformed body: {type(error).__name__}: {error}")
+    if not isinstance(message, dict):
+        raise _HTTPError(BAD_REQUEST, "body must be a JSON object")
+    return message, None
 
 
-def request_from_body(content_type: str, body: bytes,
-                      steps_required: bool = False) -> ExecutionRequest:
-    """Decode one HTTP body into an :class:`ExecutionRequest`."""
-    request, _meta = request_and_meta_from_body(content_type, body,
-                                               steps_required)
-    return request
-
-
-def response_body(response: ExecutionResponse,
-                  accept: str) -> Tuple[str, bytes, List[memoryview]]:
-    """Encode one response as (content type, prefix bytes, grid buffers).
+def encode_reply(reply: Reply,
+                 accept: str) -> Tuple[str, bytes, List[memoryview]]:
+    """Encode one reply as (content type, prefix bytes, grid buffers).
 
     The JSON form returns everything in the prefix; the binary form keeps
     the result grid as a raw buffer so the writer can stream it.
     """
+    meta, grid = reply
     if CONTENT_TYPE_GRIDS in accept.lower():
-        wire = response.to_wire()
-        wire.pop("result", None)
-        grids: List[np.ndarray] = []
-        if response.result is not None:
-            grids.append(np.asarray(response.result, dtype=np.float64))
-        prefix, buffers = encode_grid_payload(wire, grids)
+        prefix, buffers = encode_grid_payload(
+            meta, [] if grid is None else [np.asarray(grid, dtype=np.float64)])
         return CONTENT_TYPE_GRIDS, prefix, buffers
-    payload = json.dumps(response.to_wire()).encode("utf-8")
-    return CONTENT_TYPE_JSON, payload, []
+    return CONTENT_TYPE_JSON, json.dumps(reply.wire()).encode("utf-8"), []
 
 
 async def _read_body(reader: asyncio.StreamReader,
                      headers: Dict[str, str],
                      max_request_bytes: int) -> bytes:
-    """Read one request body (Content-Length or chunked), bounded."""
+    """Read one request body (Content-Length or chunked), bounded.
+
+    Every refusal raised here leaves unread bytes in the socket, so the
+    caller answers it and closes the connection.
+    """
+    too_large = _HTTPError(
+        REQUEST_TOO_LARGE, f"request body exceeds {max_request_bytes} bytes")
     encoding = headers.get("transfer-encoding", "").lower()
     if "chunked" in encoding:
         chunks: List[bytes] = []
@@ -203,8 +203,9 @@ async def _read_body(reader: asyncio.StreamReader,
             try:
                 size = int(size_line.split(b";")[0].strip() or b"0", 16)
             except ValueError:
-                raise _HTTPError(400, BAD_REQUEST, "malformed chunk size",
-                                 close=True)
+                size = -1
+            if size < 0:
+                raise _HTTPError(BAD_REQUEST, "malformed chunk size")
             if size == 0:
                 while True:  # trailers, then the final blank line
                     trailer = await reader.readline()
@@ -213,22 +214,18 @@ async def _read_body(reader: asyncio.StreamReader,
                 return b"".join(chunks)
             total += size
             if total > max_request_bytes:
-                raise _HTTPError(
-                    413, REQUEST_TOO_LARGE,
-                    f"request body exceeds {max_request_bytes} bytes",
-                    close=True,
-                )
+                raise too_large
             chunks.append(await reader.readexactly(size))
             await reader.readexactly(2)  # the chunk's trailing CRLF
-    length = int(headers.get("content-length", "0") or "0")
+    try:
+        length = int(headers.get("content-length", "0") or "0")
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise _HTTPError(BAD_REQUEST, "malformed Content-Length")
     if length > max_request_bytes:
-        raise _HTTPError(
-            413, REQUEST_TOO_LARGE,
-            f"request body exceeds {max_request_bytes} bytes", close=True,
-        )
-    if length <= 0:
-        return b""
-    return await reader.readexactly(length)
+        raise too_large
+    return await reader.readexactly(length) if length else b""
 
 
 def _authorized(headers: Dict[str, str], auth_key: Optional[str]) -> bool:
@@ -261,21 +258,30 @@ async def serve_http(
     points it at the shared ``--max-requests`` gate.
     """
 
-    async def write_response(writer: asyncio.StreamWriter, status: int,
-                             content_type: str, prefix: bytes,
-                             buffers: List[memoryview],
-                             extra_headers: Optional[Dict[str, str]] = None,
-                             close: bool = False) -> None:
-        reason = _REASONS.get(status, "OK")
-        headers = [
-            f"HTTP/1.1 {status} {reason}",
+    async def write_reply(writer: asyncio.StreamWriter, reply: Reply,
+                          accept: str, close: bool,
+                          status: Optional[int] = None) -> None:
+        """The one reply writer: status line from the reply's ``code``,
+        JSON or RPG1 body from ``Accept``, ``Connection`` as asked."""
+        meta = reply.meta
+        if status is None:
+            status = (200 if meta.get("ok")
+                      else _CODE_STATUS.get(str(meta.get("code") or ""), 500))
+        # Encoding a grid (sha256 / tolist) stays off the loop; a bare
+        # metadata reply is not worth the thread hop.
+        content_type, prefix, buffers = (
+            encode_reply(reply, accept) if reply.grid is None
+            else await loop.run_in_executor(None, encode_reply, reply, accept))
+        lines = [
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
             f"Content-Type: {content_type}",
             f"Content-Length: {payload_length(prefix, buffers)}",
             f"Connection: {'close' if close else 'keep-alive'}",
         ]
-        for name, value in (extra_headers or {}).items():
-            headers.append(f"{name}: {value}")
-        writer.write(("\r\n".join(headers) + "\r\n\r\n").encode("latin-1"))
+        if meta.get("retry_after_ms") is not None:
+            lines.append("Retry-After: %d" % max(
+                1, int(round(float(meta["retry_after_ms"]) / 1e3))))
+        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
         writer.write(prefix)
         await writer.drain()
         for buffer in buffers:
@@ -283,125 +289,6 @@ async def serve_http(
                 writer.write(bytes(buffer[start:start + chunk_bytes]))
                 await writer.drain()
         _HTTP_REQUESTS_TOTAL.inc(label=f"{status // 100}xx")
-
-    async def write_error(writer: asyncio.StreamWriter, status: int,
-                          code: str, message: str, accept: str,
-                          close: bool = False) -> None:
-        shaped = ExecutionResponse(
-            result=None, benchmark=None, digest="", variant="",
-            plan_source="", batch_size=0, batched=False, latency_s=0.0,
-            error=message, code=code,
-        )
-        content_type, prefix, buffers = response_body(shaped, accept)
-        await write_response(writer, status, content_type, prefix, buffers,
-                             close=close)
-
-    async def write_job_json(writer: asyncio.StreamWriter, status: int,
-                             payload: Dict[str, object],
-                             close: bool = False) -> None:
-        body = json.dumps(payload).encode("utf-8") + b"\n"
-        await write_response(writer, status, CONTENT_TYPE_JSON, body, [],
-                             close=close)
-
-    async def handle_jobs(method: str, path: str, headers: Dict[str, str],
-                          body: bytes, writer: asyncio.StreamWriter,
-                          accept: str, keep_alive: bool) -> None:
-        """The durable-jobs surface.
-
-        ``POST /v1/jobs`` submits (same body forms as ``/v1/iterate``,
-        plus ``job_key`` — the idempotency token — and an optional
-        ``checkpoint_every``); ``GET /v1/jobs`` lists, ``GET
-        /v1/jobs/<id>`` polls status, ``GET /v1/jobs/<id>/result``
-        fetches the final grid (binary when ``Accept`` names the grid
-        framing), ``DELETE /v1/jobs/<id>`` cancels at the next segment
-        boundary.  Job manager calls hold a lock and may touch disk, so
-        every one runs off the event loop.
-        """
-        loop = asyncio.get_running_loop()
-        close = not keep_alive
-        parts = [part for part in path.split("/") if part]  # v1/jobs/...
-        try:
-            if len(parts) == 2:
-                if method == "POST":
-                    request, meta = await loop.run_in_executor(
-                        None, request_and_meta_from_body,
-                        headers.get("content-type", ""), body,
-                    )
-                    checkpoint_every = meta.get("checkpoint_every")
-                    job = await loop.run_in_executor(
-                        None, lambda: service.jobs.submit(
-                            request,
-                            job_key=(str(meta["job_key"])
-                                     if meta.get("job_key") else None),
-                            checkpoint_every=(int(checkpoint_every)
-                                              if checkpoint_every else None),
-                        )
-                    )
-                    await write_job_json(writer, 200,
-                                         {"ok": True, "job": job},
-                                         close=close)
-                    return
-                if method == "GET":
-                    jobs = await loop.run_in_executor(
-                        None, service.jobs.list_jobs)
-                    await write_job_json(writer, 200,
-                                         {"ok": True, "jobs": jobs},
-                                         close=close)
-                    return
-                await write_error(writer, 405, BAD_REQUEST,
-                                  "/v1/jobs supports POST and GET", accept)
-                return
-            job_id = parts[2]
-            if len(parts) == 3 and method == "GET":
-                job = await loop.run_in_executor(None, service.jobs.status,
-                                                 job_id)
-                await write_job_json(writer, 200, {"ok": True, "job": job},
-                                     close=close)
-                return
-            if len(parts) == 3 and method == "DELETE":
-                job = await loop.run_in_executor(None, service.jobs.cancel,
-                                                 job_id)
-                await write_job_json(writer, 200, {"ok": True, "job": job},
-                                     close=close)
-                return
-            if len(parts) == 4 and parts[3] == "result" and method == "GET":
-                try:
-                    job, result = await loop.run_in_executor(
-                        None, service.jobs.result, job_id)
-                except JobNotFound:
-                    raise
-                except JobError as error:
-                    # Not completed (yet): a conflict with the job's
-                    # current state, not a malformed request.
-                    await write_error(writer, 409, CANCELLED, str(error),
-                                      accept)
-                    return
-                if CONTENT_TYPE_GRIDS in accept.lower():
-                    prefix, buffers = await loop.run_in_executor(
-                        None, encode_grid_payload,
-                        {"ok": True, "job": job},
-                        [np.asarray(result, dtype=np.float64)],
-                    )
-                    await write_response(writer, 200, CONTENT_TYPE_GRIDS,
-                                         prefix, buffers, close=close)
-                    return
-                payload = await loop.run_in_executor(
-                    None, lambda: {"ok": True, "job": job,
-                                   "result": np.asarray(result).tolist()})
-                await write_job_json(writer, 200, payload, close=close)
-                return
-            await write_error(writer, 404, NOT_FOUND,
-                              f"unknown job route {path!r}", accept)
-        except _HTTPError as error:
-            await write_error(writer, error.status, error.code, str(error),
-                              accept)
-        except JobNotFound as error:
-            await write_error(writer, 404, NOT_FOUND, str(error), accept)
-        except JobError as error:
-            await write_error(writer, 400, BAD_REQUEST, str(error), accept)
-        except Exception as error:  # noqa: BLE001 - malformed job payload
-            await write_error(writer, 400, BAD_REQUEST,
-                              f"{type(error).__name__}: {error}", accept)
 
     async def handle_one(reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> bool:
@@ -423,79 +310,39 @@ async def serve_http(
         accept = headers.get("accept", "")
         keep_alive = headers.get("connection", "").lower() != "close"
         path = target.split("?")[0].rstrip("/")
-        if method == "GET" and path == "/healthz":
-            body = json.dumps({"status": "ok"}).encode("utf-8") + b"\n"
-            await write_response(writer, 200, CONTENT_TYPE_JSON, body, [],
-                                 close=not keep_alive)
-            return keep_alive
-        if path == "/v1/jobs" or path.startswith("/v1/jobs/"):
-            try:
-                body = await _read_body(reader, headers, max_request_bytes)
-            except _HTTPError as error:
-                if error.code == REQUEST_TOO_LARGE:
-                    _REJECTS_TOTAL.inc(label="too_large")
-                await write_error(writer, error.status, error.code,
-                                  str(error), accept, close=True)
-                return False
-            if not _authorized(headers, auth_key):
-                _REJECTS_TOTAL.inc(label="unauthorized")
-                await write_error(writer, 401, UNAUTHORIZED,
-                                  "missing or invalid auth key", accept)
-                return keep_alive
-            await handle_jobs(method, path, headers, body, writer, accept,
-                              keep_alive)
-            return keep_alive
-        if path not in ("/v1/execute", "/v1/iterate"):
-            await write_error(writer, 404, BAD_REQUEST,
-                              f"unknown path {path!r}", accept)
-            return keep_alive
-        if method != "POST":
-            await write_error(writer, 405, BAD_REQUEST,
-                              "execute/iterate require POST", accept)
-            return keep_alive
         try:
             body = await _read_body(reader, headers, max_request_bytes)
         except _HTTPError as error:
             if error.code == REQUEST_TOO_LARGE:
                 _REJECTS_TOTAL.inc(label="too_large")
             # The unread body is still in the socket; close to resync.
-            await write_error(writer, error.status, error.code, str(error),
+            await write_reply(writer, refusal(error.code, str(error)),
                               accept, close=True)
             return False
-        if not _authorized(headers, auth_key):
-            _REJECTS_TOTAL.inc(label="unauthorized")
-            await write_error(writer, 401, UNAUTHORIZED,
-                              "missing or invalid auth key", accept)
-            return keep_alive
-        loop = asyncio.get_running_loop()
+        status, served = None, False
         try:
+            op, params, required = _route(method, path)
+            if op != "ping" and not _authorized(headers, auth_key):
+                _REJECTS_TOTAL.inc(label="unauthorized")
+                raise _HTTPError(UNAUTHORIZED, "missing or invalid auth key")
             # Body decode can be arbitrarily large; keep it off the loop so
             # one fat request does not stall the batch window.
-            request = await loop.run_in_executor(
-                None, request_from_body, headers.get("content-type", ""),
-                body, path == "/v1/iterate",
-            )
+            meta, grids = ({}, None) if not body else (
+                await loop.run_in_executor(
+                    None, decode_body, headers.get("content-type", ""), body))
+            if required is not None and required not in meta:
+                raise _HTTPError(BAD_REQUEST,
+                                 f"{path} requires {required!r} in the body")
         except _HTTPError as error:
-            await write_error(writer, error.status, error.code, str(error),
-                              accept)
-            return keep_alive
-        except Exception as error:  # noqa: BLE001 - malformed request payload
-            await write_error(writer, 400, BAD_REQUEST,
-                              f"{type(error).__name__}: {error}", accept)
-            return keep_alive
-        response = await service.submit(request)
-        content_type, prefix, buffers = await loop.run_in_executor(
-            None, response_body, response, accept
-        )
-        extra: Dict[str, str] = {}
-        if response.retry_after_ms is not None:
-            extra["Retry-After"] = str(
-                max(1, int(round(response.retry_after_ms / 1e3)))
-            )
-        await write_response(writer, _status_for(response), content_type,
-                             prefix, buffers, extra_headers=extra,
-                             close=not keep_alive)
-        if on_served is not None:
+            reply, status = refusal(error.code, str(error)), error.status
+        else:
+            reply = await dispatch(service, op, {**meta, **params}, grids)
+            served = op == "execute"
+            if op == "ping":  # /healthz keeps the probe-friendly field
+                reply.meta["status"] = "ok"
+        await write_reply(writer, reply, accept, close=not keep_alive,
+                          status=status)
+        if served and on_served is not None:
             on_served()
         return keep_alive
 
@@ -519,14 +366,10 @@ async def serve_http(
             except Exception:  # noqa: BLE001 - teardown must not raise
                 pass
 
+    loop = asyncio.get_running_loop()
     # The stream limit only bounds readline/readuntil (request/header/chunk
     # lines); bodies are bounded explicitly in _read_body.
     return await asyncio.start_server(handle, host, port, limit=1024 * 1024)
 
 
-__all__ = [
-    "request_and_meta_from_body",
-    "request_from_body",
-    "response_body",
-    "serve_http",
-]
+__all__ = ["ROUTES", "decode_body", "encode_reply", "route_for", "serve_http"]

@@ -1,0 +1,156 @@
+"""The one op table behind both server transports.
+
+``dispatch(service, op, meta, grids)`` is *what the service answers*; the
+TCP and HTTP endpoints (:mod:`.server`, :mod:`.http`) are codecs that turn
+bytes into ``(op, meta, grids)`` and a :class:`Reply` back into bytes.
+Request construction, the off-loop hops (payload conversion, job-manager
+calls that hold a lock and touch disk) and the exception → structured
+``code`` mapping live here and nowhere else, so the two transports cannot
+drift.
+
+``meta`` is the JSON message (TCP line, HTTP JSON body, or RPG1 header)
+as sent; ``grids`` are input grids that travelled beside it as raw
+buffers.  Handlers read their extra fields (``job_id``, ``job_key``,
+``checkpoint_every``, ``limit``) straight from ``meta``.
+"""
+
+from __future__ import annotations
+
+import asyncio
+from typing import Awaitable, Callable, Dict, List, NamedTuple, Optional
+
+import numpy as np
+
+from .jobs import JobError, JobNotFound
+from .requests import BAD_REQUEST, CANCELLED, NOT_FOUND, ExecutionRequest
+
+Meta = Dict[str, object]
+Grids = Optional[List[np.ndarray]]
+
+
+class Reply(NamedTuple):
+    """Reply metadata plus the one result grid a reply may carry."""
+
+    meta: Meta
+    grid: Optional[np.ndarray] = None
+
+    def wire(self) -> Meta:
+        """The JSON form: the grid rides as nested ``result`` lists."""
+        if self.grid is None:
+            return self.meta
+        return {**self.meta, "result": np.asarray(self.grid).tolist()}
+
+
+def refusal(code: str, message: str) -> Reply:
+    """A structured in-band refusal, the same shape on every transport."""
+    return Reply({"ok": False, "code": code, "error": message})
+
+
+def _off_loop(function, *args):
+    return asyncio.get_running_loop().run_in_executor(None, function, *args)
+
+
+async def _request(meta: Meta, grids: Grids) -> ExecutionRequest:
+    # Payload conversion (JSON grids → ndarrays, input generation) can be
+    # arbitrarily large; keep it off the event loop so one fat request
+    # does not stall the batch window or other connections.
+    return await _off_loop(ExecutionRequest.from_wire, meta, grids)
+
+
+async def _ping(service, meta: Meta, grids: Grids) -> Reply:
+    return Reply({"ok": True, "pong": True})
+
+
+async def _stats(service, meta: Meta, grids: Grids) -> Reply:
+    return Reply({"ok": True, "stats": service.stats()})
+
+
+async def _trace(service, meta: Meta, grids: Grids) -> Reply:
+    limit = meta.get("limit")
+    return Reply({
+        "ok": True,
+        "traces": service.tracer.snapshot(
+            slow_only=bool(meta.get("slow")),
+            limit=int(limit) if limit is not None else None,
+        ),
+        "ring": service.tracer.stats(),
+    })
+
+
+async def _execute(service, meta: Meta, grids: Grids) -> Reply:
+    response = await service.submit(await _request(meta, grids))
+    return Reply(response.wire_meta(), response.result)
+
+
+async def _job_submit(service, meta: Meta, grids: Grids) -> Reply:
+    """The execute wire form plus ``job_key`` (the idempotency token) and
+    an optional per-job ``checkpoint_every``."""
+    request = await _request(meta, grids)
+    job_key = meta.get("job_key")
+    checkpoint_every = meta.get("checkpoint_every")
+    job = await _off_loop(
+        service.jobs.submit, request,
+        str(job_key) if job_key else None,
+        int(checkpoint_every) if checkpoint_every else None,
+    )
+    return Reply({"ok": True, "job": job})
+
+
+def _job_id(meta: Meta) -> str:
+    return str(meta.get("job_id") or "")
+
+
+async def _job_status(service, meta: Meta, grids: Grids) -> Reply:
+    job = await _off_loop(service.jobs.status, _job_id(meta))
+    return Reply({"ok": True, "job": job})
+
+
+async def _job_result(service, meta: Meta, grids: Grids) -> Reply:
+    job, result = await _off_loop(service.jobs.result, _job_id(meta))
+    return Reply({"ok": True, "job": job}, result)
+
+
+async def _job_cancel(service, meta: Meta, grids: Grids) -> Reply:
+    job = await _off_loop(service.jobs.cancel, _job_id(meta))
+    return Reply({"ok": True, "job": job})
+
+
+async def _job_list(service, meta: Meta, grids: Grids) -> Reply:
+    return Reply({"ok": True, "jobs": await _off_loop(service.jobs.list_jobs)})
+
+
+#: op name → handler; the TCP ``"op"`` field and the HTTP route table
+#: (:data:`repro.service.http.ROUTES`) both key into this.
+OPS: Dict[str, Callable[[object, Meta, Grids], Awaitable[Reply]]] = {
+    "ping": _ping,
+    "stats": _stats,
+    "trace": _trace,
+    "execute": _execute,
+    "job_submit": _job_submit,
+    "job_status": _job_status,
+    "job_result": _job_result,
+    "job_cancel": _job_cancel,
+    "job_list": _job_list,
+}
+
+
+async def dispatch(service, op: str, meta: Meta,
+                   grids: Grids = None) -> Reply:
+    """Answer one operation; every failure comes back as a refusal."""
+    handler = OPS.get(op)
+    if handler is None:
+        return refusal(BAD_REQUEST, f"unknown op {op!r}")
+    try:
+        return await handler(service, meta, grids)
+    except JobNotFound as error:
+        return refusal(NOT_FOUND, str(error))
+    except JobError as error:
+        # A result asked of a job that has not completed conflicts with
+        # the job's state (HTTP 409); any other job error is the caller's.
+        return refusal(CANCELLED if op == "job_result" else BAD_REQUEST,
+                       str(error))
+    except Exception as error:  # noqa: BLE001 - malformed request payload
+        return refusal(BAD_REQUEST, f"{type(error).__name__}: {error}")
+
+
+__all__ = ["OPS", "Reply", "dispatch", "refusal"]

@@ -114,11 +114,9 @@ class ExecutionRequest:
             return_result=return_result,
         )
 
-    def to_wire(self) -> Dict[str, object]:
-        wire: Dict[str, object] = {
-            "inputs": [grid.tolist() for grid in self.inputs],
-            "return_result": self.return_result,
-        }
+    def wire_meta(self) -> Dict[str, object]:
+        """The wire form minus the grids: the RPG1 header, the JSON body."""
+        wire: Dict[str, object] = {"return_result": self.return_result}
         if self.size_env:
             wire["size_env"] = dict(self.size_env)
         if self.benchmark is not None:
@@ -133,11 +131,23 @@ class ExecutionRequest:
             wire["steps"] = self.steps
         return wire
 
+    def to_wire(self) -> Dict[str, object]:
+        return {"inputs": [grid.tolist() for grid in self.inputs],
+                **self.wire_meta()}
+
     @staticmethod
-    def from_wire(data: Dict[str, object]) -> "ExecutionRequest":
+    def from_wire(data: Dict[str, object],
+                  grids: Optional[List[np.ndarray]] = None
+                  ) -> "ExecutionRequest":
+        """The one builder from wire metadata.
+
+        ``grids`` are inputs that travelled beside the metadata as raw
+        buffers (the binary framing); without them ``data["inputs"]``
+        carries JSON lists, or is absent for generated inputs.
+        """
         program = data.get("program")
         benchmark = data.get("benchmark")
-        inputs = data.get("inputs")
+        inputs = grids if grids else data.get("inputs")
         deadline_ms = data.get("deadline_ms")
         extras = {
             "priority": str(data.get("priority", "normal")),
@@ -205,7 +215,8 @@ class ExecutionResponse:
         """True when admission control pushed this request back (429-style)."""
         return self.code == ADMISSION_REJECTED
 
-    def to_wire(self) -> Dict[str, object]:
+    def wire_meta(self) -> Dict[str, object]:
+        """The wire form minus the result grid."""
         wire: Dict[str, object] = {
             "ok": self.ok,
             "benchmark": self.benchmark,
@@ -216,8 +227,6 @@ class ExecutionResponse:
             "batched": self.batched,
             "latency_ms": round(self.latency_s * 1e3, 4),
         }
-        if self.result is not None:
-            wire["result"] = np.asarray(self.result).tolist()
         if self.error is not None:
             wire["error"] = self.error
         if self.code is not None:
@@ -226,10 +235,26 @@ class ExecutionResponse:
             wire["retry_after_ms"] = round(float(self.retry_after_ms), 3)
         return wire
 
+    def to_wire(self) -> Dict[str, object]:
+        wire = self.wire_meta()
+        if self.result is not None:
+            wire["result"] = np.asarray(self.result).tolist()
+        return wire
+
     @staticmethod
-    def from_wire(data: Dict[str, object]) -> "ExecutionResponse":
-        result = data.get("result")
+    def from_wire(data: Dict[str, object],
+                  grids: Optional[List[np.ndarray]] = None
+                  ) -> "ExecutionResponse":
+        """Build from reply metadata; ``grids[0]`` is a binary result grid.
+
+        A refusal that never reached the batcher carries only ``ok`` /
+        ``code`` / ``error``; the remaining fields take their defaults.
+        """
+        result = grids[0] if grids else data.get("result")
         retry_after = data.get("retry_after_ms")
+        error = data.get("error")
+        if error is None and not data.get("ok", True):
+            error = "request refused"
         return ExecutionResponse(
             result=None if result is None else np.asarray(result, dtype=np.float64),
             benchmark=data.get("benchmark"),
@@ -239,7 +264,7 @@ class ExecutionResponse:
             batch_size=int(data.get("batch_size", 1)),
             batched=bool(data.get("batched", False)),
             latency_s=float(data.get("latency_ms", 0.0)) / 1e3,
-            error=data.get("error"),
+            error=error,
             code=data.get("code"),
             retry_after_ms=None if retry_after is None else float(retry_after),
         )

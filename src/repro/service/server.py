@@ -54,13 +54,12 @@ from ..telemetry import registry as _telemetry
 from ..telemetry.registry import BATCH_BUCKETS
 from ..telemetry.trace import TraceRing
 from .executor import batch_capacity, run_trajectory, sweep_group
-from .jobs import JobError, JobManager, JobNotFound
+from .jobs import JobManager
 from .metrics import shards_section, stats_report
+from .ops import dispatch, refusal
 from .registry import DigestCircuitBreaker, TunedKernelRegistry
 from .requests import (
-    CANCELLED,
     DEADLINE_EXCEEDED,
-    NOT_FOUND,
     PRIORITIES,
     REQUEST_TOO_LARGE,
     UNAUTHORIZED,
@@ -1263,99 +1262,6 @@ class ServiceClient:
 # The TCP endpoint (JSON lines)
 # ---------------------------------------------------------------------------
 
-async def _handle_message(service: StencilService,
-                          message: Dict[str, object]) -> Dict[str, object]:
-    op = str(message.get("op", "execute"))
-    if op == "ping":
-        return {"ok": True, "pong": True}
-    if op == "stats":
-        return {"ok": True, "stats": service.stats()}
-    if op == "trace":
-        limit = message.get("limit")
-        return {
-            "ok": True,
-            "traces": service.tracer.snapshot(
-                slow_only=bool(message.get("slow")),
-                limit=int(limit) if limit is not None else None,
-            ),
-            "ring": service.tracer.stats(),
-        }
-    if op == "execute":
-        # Payload conversion (JSON grids ↔ ndarrays, input generation) can
-        # be arbitrarily large; keep it off the event loop so one fat
-        # request does not stall the batch window or other connections.
-        loop = asyncio.get_running_loop()
-        request = await loop.run_in_executor(
-            None, ExecutionRequest.from_wire, message
-        )
-        response = await service.submit(request)
-        return await loop.run_in_executor(None, response.to_wire)
-    if op in ("job_submit", "job_status", "job_result", "job_cancel",
-              "job_list"):
-        return await _handle_job_op(service, op, message)
-    return {"ok": False, "error": f"unknown op {op!r}"}
-
-
-async def _handle_job_op(service: StencilService, op: str,
-                         message: Dict[str, object]) -> Dict[str, object]:
-    """Durable-job ops, all answered off the event loop (lock + disk I/O).
-
-    ``job_submit`` reuses the execute wire form plus ``job_key`` (the
-    idempotency token) and an optional per-job ``checkpoint_every``;
-    the rest take a ``job_id``.  Errors come back in-band with structured
-    codes (``NotFound`` for an unknown/aged-out id).
-    """
-    loop = asyncio.get_running_loop()
-    try:
-        if op == "job_submit":
-            request = await loop.run_in_executor(
-                None, ExecutionRequest.from_wire, message
-            )
-            checkpoint_every = message.get("checkpoint_every")
-            job = await loop.run_in_executor(
-                None, lambda: service.jobs.submit(
-                    request,
-                    job_key=(str(message["job_key"])
-                             if message.get("job_key") else None),
-                    checkpoint_every=(int(checkpoint_every)
-                                      if checkpoint_every else None),
-                )
-            )
-            return {"ok": True, "job": job}
-        job_id = str(message.get("job_id") or "")
-        if op == "job_status":
-            job = await loop.run_in_executor(None, service.jobs.status,
-                                             job_id)
-            return {"ok": True, "job": job}
-        if op == "job_cancel":
-            job = await loop.run_in_executor(None, service.jobs.cancel,
-                                             job_id)
-            return {"ok": True, "job": job}
-        if op == "job_list":
-            jobs = await loop.run_in_executor(None, service.jobs.list_jobs)
-            return {"ok": True, "jobs": jobs}
-        # job_result: descriptor + the final grid (JSON-listed on TCP).
-        try:
-            job, result = await loop.run_in_executor(None,
-                                                     service.jobs.result,
-                                                     job_id)
-        except JobNotFound:
-            raise
-        except JobError as error:
-            # Not completed (yet): a conflict with the job's state, the
-            # same code the HTTP surface answers 409 with.
-            return {"ok": False, "code": CANCELLED, "error": str(error)}
-        return {
-            "ok": True, "job": job,
-            "result": await loop.run_in_executor(
-                None, np.asarray(result).tolist),
-        }
-    except JobNotFound as error:
-        return {"ok": False, "code": NOT_FOUND, "error": str(error)}
-    except JobError as error:
-        return {"ok": False, "code": BAD_REQUEST, "error": str(error)}
-
-
 class ServedGate:
     """Counts answered requests across endpoints; resolves at ``max``.
 
@@ -1395,7 +1301,10 @@ async def serve_tcp(
 ) -> "asyncio.AbstractServer":
     """Expose a started service as a JSON-lines TCP endpoint.
 
-    One JSON object per line in, one per line out; each carries the
+    A codec in front of :func:`repro.service.ops.dispatch`: ``line →
+    (op, message) → dispatch → line``; a line with no ``"op"`` is an
+    ``execute``.  One JSON object per line in, one per line out; each
+    carries the
     client's ``id`` back so requests on one connection can be pipelined
     (responses may arrive out of submission order).  ``max_requests``
     closes the server after that many ``execute`` ops — used by smoke
@@ -1417,30 +1326,31 @@ async def serve_tcp(
         # themselves so a long-lived pipelined connection stays O(in-flight).
         tasks: set = set()
 
-        async def answer(message: Dict[str, object]) -> None:
-            if (auth_key is not None
-                    and str(message.get("op", "execute")) != "ping"
-                    and not hmac.compare_digest(
-                        str(message.get("auth") or ""), auth_key)):
-                _REJECTS_TOTAL.inc(label="unauthorized")
-                reply: Dict[str, object] = {
-                    "ok": False, "code": UNAUTHORIZED,
-                    "error": "missing or invalid auth key",
-                }
-            else:
-                try:
-                    reply = await _handle_message(service, message)
-                except Exception as error:  # noqa: BLE001 - wire-level error report
-                    reply = {"ok": False,
-                             "error": f"{type(error).__name__}: {error}"}
-            if "id" in message:
-                reply["id"] = message["id"]
+        async def write_line(reply: Dict[str, object]) -> None:
             async with write_lock:
                 writer.write((json.dumps(reply) + "\n").encode("utf-8"))
                 await writer.drain()
-            if str(message.get("op", "execute")) == "execute":
+
+        async def answer(message: Dict[str, object]) -> None:
+            op = str(message.get("op", "execute"))
+            if (auth_key is not None and op != "ping"
+                    and not hmac.compare_digest(
+                        str(message.get("auth") or ""), auth_key)):
+                _REJECTS_TOTAL.inc(label="unauthorized")
+                answered = refusal(UNAUTHORIZED,
+                                   "missing or invalid auth key")
+            else:
+                answered = await dispatch(service, op, message)
+            # A result grid becomes JSON lists off the loop.
+            reply = (answered.meta if answered.grid is None
+                     else await loop.run_in_executor(None, answered.wire))
+            if "id" in message:
+                reply["id"] = message["id"]
+            await write_line(reply)
+            if op == "execute":
                 gate.mark()
 
+        loop = asyncio.get_running_loop()
         connection = asyncio.current_task()
         if connection is not None:
             connections.add(connection)
@@ -1453,31 +1363,26 @@ async def serve_tcp(
                     # and close: the rest of the oversized line is still in
                     # the socket, so the stream cannot be resynchronised.
                     _REJECTS_TOTAL.inc(label="too_large")
-                    async with write_lock:
-                        writer.write((json.dumps({
-                            "ok": False, "code": REQUEST_TOO_LARGE,
-                            "error": ("request line exceeds "
-                                      f"{max_request_bytes} bytes"),
-                        }) + "\n").encode("utf-8"))
-                        await writer.drain()
+                    await write_line(refusal(
+                        REQUEST_TOO_LARGE,
+                        f"request line exceeds {max_request_bytes} bytes",
+                    ).meta)
                     break
                 if not line:
                     break
-                text = line.decode("utf-8").strip()
+                text = line.decode("utf-8", "replace").strip()
                 if not text:
                     continue
                 try:
                     message = json.loads(text)
-                except json.JSONDecodeError as error:
-                    message = {"op": "_invalid", "error": str(error)}
-                if message.get("op") == "_invalid":
-                    async with write_lock:
-                        writer.write(
-                            (json.dumps({"ok": False,
-                                         "error": "invalid JSON"}) + "\n")
-                            .encode("utf-8")
-                        )
-                        await writer.drain()
+                except json.JSONDecodeError:
+                    message = None
+                if not isinstance(message, dict):
+                    await write_line(refusal(
+                        BAD_REQUEST,
+                        "invalid JSON" if message is None
+                        else "a request line must be a JSON object",
+                    ).meta)
                     continue
                 task = asyncio.ensure_future(answer(message))
                 tasks.add(task)

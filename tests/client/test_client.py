@@ -163,6 +163,94 @@ class TestRetrySemantics:
             thread.join(timeout=5)
 
 
+class ScriptedCalls(Transport):
+    """A fake at the ``call`` primitive: scripted errors / replies in
+    order, then an ok reply shaped for whichever op asks."""
+
+    OK = {"execute": _response().wire_meta(),
+          "job_status": {"ok": True, "job": {"job_id": "j", "status": "running"}}}
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.attempts = 0
+        self.timeouts = []
+
+    def call(self, op, meta, grids, timeout_s):
+        self.attempts += 1
+        self.timeouts.append(timeout_s)
+        outcome = self.script.pop(0) if self.script else dict(self.OK[op])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome, []
+
+    def close(self):
+        pass
+
+
+#: The two kinds of logical call the one retry loop serves.
+KINDS = {
+    "execute": lambda client, **kw: client.execute(_request(), **kw),
+    "job": lambda client, **kw: client.job_status("j", **kw),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+class TestOneRetryLoop:
+    """execute and the job ops share one loop: same budget, same deadline
+    clipping; they differ only in what an in-band rejection means."""
+
+    def test_retryable_failures_replay_within_budget(self, kind):
+        flaky = [TransportError("connect refused", retryable=True)] * 2
+        transport = ScriptedCalls(flaky)
+        client = _client(transport, retries=2)
+        KINDS[kind](client)
+        assert (transport.attempts, client.retries_attempted) == (3, 2)
+        transport = ScriptedCalls(flaky * 5)
+        with pytest.raises(TransportError):
+            KINDS[kind](_client(transport, retries=2))
+        assert transport.attempts == 3  # 1 try + 2 retries, never more
+
+    def test_final_failures_are_never_replayed(self, kind):
+        transport = ScriptedCalls(
+            [TransportError("lost mid-response", retryable=False)])
+        client = _client(transport, retries=5)
+        with pytest.raises(TransportError):
+            KINDS[kind](client)
+        assert (transport.attempts, client.retries_attempted) == (1, 0)
+
+    def test_backoff_and_attempts_are_clipped_to_the_call_deadline(
+            self, kind, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("repro.client.client.time.sleep", sleeps.append)
+        config = ClientConfig(retry=RetryPolicy(
+            retries=1, backoff_base_s=30.0, backoff_max_s=30.0))
+        transport = ScriptedCalls(
+            [TransportError("connect refused", retryable=True)])
+        client = StencilClient(config, transport=transport, rng=FixedRandom())
+        KINDS[kind](client, timeout_s=0.5)
+        assert len(sleeps) == 1 and 0 < sleeps[0] <= 0.5
+        assert all(0 < timeout <= 0.5 for timeout in transport.timeouts)
+
+    def test_in_band_rejection(self, kind, monkeypatch):
+        """A rejected execute provably never ran, so it is replayed after
+        the server's hint; a refused job op surfaces at once, with its
+        code — the caller decides."""
+        sleeps = []
+        monkeypatch.setattr("repro.client.client.time.sleep", sleeps.append)
+        rejection = _rejection(retry_after_ms=20.0).wire_meta()
+        transport = ScriptedCalls([rejection])
+        client = _client(transport, retries=2)
+        if kind == "execute":
+            assert KINDS[kind](client).ok
+            assert (transport.attempts, sleeps) == (2, [pytest.approx(0.02)])
+        else:
+            with pytest.raises(TransportError) as excinfo:
+                KINDS[kind](client)
+            assert excinfo.value.code == rejection["code"]
+            assert not excinfo.value.retryable
+            assert (transport.attempts, sleeps) == (1, [])
+
+
 class RespondingTransport(Transport):
     """Returns the scripted responses in order (the last one repeats)."""
 

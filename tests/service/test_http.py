@@ -3,6 +3,7 @@
 import asyncio
 import http.client
 import json
+import socket
 import threading
 
 import numpy as np
@@ -10,10 +11,15 @@ import pytest
 
 from repro.apps.suite import execution_requests
 from repro.client import ClientConfig, StencilClient
-from repro.service import ExecutionRequest, StencilService, serve_http, serve_tcp
+from repro.service import (ExecutionRequest, ExecutionResponse,
+                           StencilService, serve_http, serve_tcp)
+from repro.service.http import ROUTES, route_for
+from repro.service.ops import OPS
 from repro.service.requests import (
     BAD_REQUEST,
+    CANCELLED,
     DEADLINE_EXCEEDED,
+    NOT_FOUND,
     REQUEST_TOO_LARGE,
     UNAUTHORIZED,
 )
@@ -78,7 +84,8 @@ def live_server():
             service = StencilService(batch_window=0.01)
             async with service:
                 tcp = await serve_tcp(service, "127.0.0.1", 0,
-                                      auth_key=AUTH_KEY)
+                                      auth_key=AUTH_KEY,
+                                      max_request_bytes=1024 * 1024)
                 web = await serve_http(service, "127.0.0.1", 0,
                                        auth_key=AUTH_KEY,
                                        max_request_bytes=1024 * 1024)
@@ -125,7 +132,134 @@ def _auth_headers(extra=None):
     return headers
 
 
+#: The three ways one op reaches the service through ``StencilClient``.
+MODES = {
+    "tcp": dict(transport="tcp"),
+    "http+json": dict(transport="http", binary_threshold_bytes=1 << 30),
+    "http+rpg1": dict(transport="http", binary_threshold_bytes=0),
+}
+
+
+def _client(holder, mode, auth_key=AUTH_KEY):
+    port = holder["tcp_port" if mode == "tcp" else "http_port"]
+    return StencilClient(ClientConfig(port=port, auth_key=auth_key,
+                                      **MODES[mode]))
+
+
+def _raw_op(holder, op, meta, headers=None):
+    """One op as a raw JSON HTTP request, routed through ``ROUTES``."""
+    method, path = route_for(op, meta)
+    body = json.dumps(meta).encode() if method == "POST" else b""
+    return _raw_http(holder, method, path, body=body,
+                     headers=headers if headers is not None
+                     else _auth_headers())
+
+
+def _raw_socket(port, payload, lines=None):
+    """Send raw bytes; read ``lines`` reply lines, or everything until EOF."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(payload)
+        reader = sock.makefile("rb")
+        if lines is None:
+            return reader.read()
+        return [reader.readline() for _ in range(lines)]
+
+
+def _request(steps=1):
+    return ExecutionRequest.for_benchmark("jacobi2d5pt", shape=(10, 9),
+                                          seed=2, steps=steps)
+
+
+def _response_meta(response):
+    meta = response.wire_meta()
+    meta.pop("latency_ms")
+    return meta, response.result.tobytes()
+
+
+def _job_result(client, job_id):
+    descriptor, grid = client.job_result(job_id)
+    return descriptor, grid.tobytes()
+
+
+@pytest.fixture(scope="module")
+def finished_job(live_server):
+    """A completed 4-step job every mode of the matrix then asks about."""
+    with _client(live_server, "tcp") as client:
+        job = client.submit_job(_request(steps=4), job_key="parity-matrix")
+        done = client.wait_job(job["job_id"], timeout_s=30, poll_s=0.02)
+    assert done["status"] == "completed", done
+    return done
+
+
+#: op name → how ``StencilClient`` drives it, returning what must agree
+#: across transports: (reply metadata, result bytes or None).
+OP_CALLS = {
+    "ping": lambda client, job: (client.ping(), None),
+    "stats": lambda client, job: (
+        sorted(client.stats()), None),
+    "trace": lambda client, job: (
+        sorted(client.transport.call("trace", {"limit": 1}, None, 10)[0]),
+        None),
+    "execute": lambda client, job: _response_meta(client.execute(_request())),
+    "iterate": lambda client, job: _response_meta(
+        client.iterate(_request(), steps=4)),
+    "job_submit": lambda client, job: (
+        client.submit_job(_request(steps=4), job_key="parity-matrix"), None),
+    "job_status": lambda client, job: (
+        client.job_status(job["job_id"]), None),
+    "job_result": lambda client, job: _job_result(client, job["job_id"]),
+    "job_cancel": lambda client, job: (
+        client.cancel_job(job["job_id"]), None),
+    "job_list": lambda client, job: (
+        [entry for entry in client.list_jobs()
+         if entry["job_id"] == job["job_id"]], None),
+}
+
+
 class TestTransportParity:
+    def test_the_matrix_covers_the_op_table(self):
+        # iterate is the execute op behind its own route.
+        assert set(OP_CALLS) - {"iterate"} == set(OPS)
+        routed = {op for _method, _pattern, op, _required in ROUTES}
+        assert set(OPS) - routed == {"stats", "trace"}  # TCP-only, as ever
+
+    @pytest.mark.parametrize("op", sorted(OP_CALLS))
+    def test_every_op_agrees_across_transports(self, live_server,
+                                               finished_job, op):
+        """One op table ⇒ equal reply metadata over TCP, HTTP+JSON and
+        HTTP+RPG1, and byte-equal grids where the op returns one."""
+        modes = ["tcp"] if op in ("stats", "trace") else list(MODES)
+        answers = {}
+        for mode in modes:
+            with _client(live_server, mode) as client:
+                answers[mode] = OP_CALLS[op](client, finished_job)
+        meta, grid = answers["tcp"]
+        assert meta  # a real answer, not three equal refusals
+        for mode, answer in answers.items():
+            assert answer == (meta, grid), f"{op} differs over {mode}"
+        if op in ("iterate", "job_result"):
+            assert grid is not None
+        if op == "job_result":  # the durable path computes the sync bits
+            with _client(live_server, "http+rpg1") as client:
+                stepped = client.iterate(_request(), steps=4)
+            assert grid == stepped.result.tobytes()
+
+    def test_binary_path_never_builds_json_lists(self, live_server,
+                                                 monkeypatch):
+        """RPG1 both ways reads grid-free metadata; ``to_wire`` (a
+        ``tolist()`` per grid) must not run on either side of the wire."""
+        def forbidden(self):
+            raise AssertionError("to_wire() called on the binary path")
+
+        monkeypatch.setattr(ExecutionRequest, "to_wire", forbidden)
+        monkeypatch.setattr(ExecutionResponse, "to_wire", forbidden)
+        with _client(live_server, "http+rpg1") as client:
+            one = client.execute(_request())
+            stepped = client.iterate(_request(), steps=4)
+            via_job = client.run_job(_request(steps=4), timeout_s=30)
+        assert one.ok and stepped.ok, (one.error, stepped.error)
+        assert via_job.tobytes() == stepped.result.tobytes()
+
     def test_http_and_tcp_results_are_bit_identical_for_the_suite(
             self, live_server):
         """Property (iii): every benchmark's grid is bit-identical over
@@ -275,3 +409,136 @@ class TestStatusMapping:
             headers=_auth_headers({"Content-Type": CONTENT_TYPE_GRIDS}))
         assert status == 400
         assert json.loads(body)["code"] == BAD_REQUEST
+
+    @pytest.mark.parametrize("name,op,meta,code,status", [
+        ("unknown benchmark", "execute", {"benchmark": "nope"},
+         BAD_REQUEST, 400),
+        ("bad priority", "execute",
+         {"benchmark": "stencil2d", "shape": [6, 6], "priority": "urgent"},
+         BAD_REQUEST, 400),
+        ("iterate of an unknown benchmark", "execute",
+         {"benchmark": "nope", "steps": 3}, BAD_REQUEST, 400),
+        ("job for an unknown benchmark", "job_submit",
+         {"benchmark": "nope", "steps": 3}, BAD_REQUEST, 400),
+        ("unknown job id", "job_status", {"job_id": "nope"}, NOT_FOUND, 404),
+        ("cancel of an unknown job", "job_cancel", {"job_id": "nope"},
+         NOT_FOUND, 404),
+        ("result of an unknown job", "job_result", {"job_id": "nope"},
+         NOT_FOUND, 404),
+    ])
+    def test_refusals_carry_one_code_on_every_transport(
+            self, live_server, name, op, meta, code, status):
+        replies = {}
+        for mode in MODES:
+            with _client(live_server, mode) as client:
+                replies[mode], _grids = client.transport.call(
+                    op, dict(meta), None, 10)
+        for mode, reply in replies.items():
+            assert reply["ok"] is False, (name, mode, reply)
+            assert reply["code"] == code, (name, mode, reply)
+            assert reply == replies["tcp"], (name, mode)
+        got, _headers, body = _raw_op(live_server, op, meta)
+        assert (got, json.loads(body)["code"]) == (status, code), name
+
+    def test_result_before_completion_is_cancelled_409(self, live_server):
+        with _client(live_server, "tcp") as client:
+            job = client.submit_job(
+                ExecutionRequest.for_benchmark("jacobi2d5pt", shape=(64, 64),
+                                               steps=200_000),
+                checkpoint_every=64)
+            meta = {"job_id": job["job_id"]}
+            try:
+                for mode in MODES:
+                    with _client(live_server, mode) as other:
+                        reply, _grids = other.transport.call(
+                            "job_result", dict(meta), None, 10)
+                    assert (reply["ok"], reply["code"]) == (False, CANCELLED)
+                status, _headers, body = _raw_op(live_server, "job_result",
+                                                 meta)
+                assert (status, json.loads(body)["code"]) == (409, CANCELLED)
+            finally:
+                client.cancel_job(job["job_id"])
+
+    def test_bad_auth_is_unauthorized_on_every_transport(self, live_server):
+        for mode in MODES:
+            with _client(live_server, mode, auth_key="wrong") as client:
+                for op, meta in (("execute", _request().wire_meta()),
+                                 ("job_list", {})):
+                    reply, _grids = client.transport.call(op, meta, None, 10)
+                    assert (reply["ok"], reply["code"]) == (False,
+                                                            UNAUTHORIZED)
+                assert client.ping()  # liveness needs no key, as ever
+        status, _headers, body = _raw_op(
+            live_server, "job_list", {},
+            headers={"Authorization": "Bearer wrong"})
+        assert (status, json.loads(body)["code"]) == (401, UNAUTHORIZED)
+
+    def test_oversized_request_is_too_large_on_both_transports(
+            self, live_server):
+        (line,) = _raw_socket(live_server["tcp_port"],
+                              b"x" * (2 * 1024 * 1024), lines=1)
+        assert json.loads(line)["code"] == REQUEST_TOO_LARGE
+        status, _headers, body = _raw_http(
+            live_server, "POST", "/v1/jobs", body=b"x" * 16,
+            headers=_auth_headers({"Content-Length": str(64 * 1024 * 1024)}))
+        assert (status, json.loads(body)["code"]) == (413, REQUEST_TOO_LARGE)
+
+
+class TestRawSocketRegressions:
+    """Four edge defects the per-transport copies had drifted into."""
+
+    @pytest.mark.parametrize("line", [b"[]", b"5", b'"execute"', b"\xff\xfe"])
+    def test_tcp_non_object_line_is_answered_in_band(self, live_server, line):
+        refused, pong = _raw_socket(
+            live_server["tcp_port"], line + b'\n{"op": "ping"}\n', lines=2)
+        refused = json.loads(refused)
+        assert (refused["ok"], refused["code"]) == (False, BAD_REQUEST)
+        assert json.loads(pong)["pong"] is True  # the connection survived
+
+    @pytest.mark.parametrize("message", [
+        {"op": "execute", "benchmark": "nope"},
+        {"benchmark": "stencil2d", "shape": [6, 6], "priority": "urgent"},
+        {"op": "no-such-op"},
+    ])
+    def test_tcp_refusals_carry_a_code(self, live_server, message):
+        message = dict(message, auth=AUTH_KEY)
+        (line,) = _raw_socket(live_server["tcp_port"],
+                              json.dumps(message).encode() + b"\n", lines=1)
+        reply = json.loads(line)
+        assert (reply["ok"], reply["code"]) == (False, BAD_REQUEST)
+
+    @pytest.mark.parametrize("framing", [
+        b"Content-Length: abc\r\n\r\n",
+        b"Content-Length: -5\r\n\r\n",
+        b"Transfer-Encoding: chunked\r\n\r\n-5\r\nhello\r\n0\r\n\r\n",
+        b"Transfer-Encoding: chunked\r\n\r\nzz\r\n",
+    ])
+    def test_http_framing_errors_answer_400_and_close(self, live_server,
+                                                      framing):
+        raw = _raw_socket(
+            live_server["http_port"],
+            b"POST /v1/execute HTTP/1.1\r\nHost: x\r\n"
+            b"Authorization: Bearer " + AUTH_KEY.encode() + b"\r\n" + framing)
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), raw[:80]
+        assert b"connection: close" in head.lower()
+        assert json.loads(body)["code"] == BAD_REQUEST
+
+    @pytest.mark.parametrize("method,path,auth,status", [
+        ("PUT", "/v1/jobs", True, 405),
+        ("GET", "/v1/jobs/nope", True, 404),
+        ("GET", "/v1/jobs/nope/result/extra", True, 404),
+        ("GET", "/v1/jobs", False, 401),
+        ("POST", "/v1/execute", False, 401),
+    ])
+    def test_errors_echo_connection_close(self, live_server, method, path,
+                                          auth, status):
+        headers = _auth_headers() if auth else {}
+        got, response_headers, _body = _raw_http(
+            live_server, method, path,
+            headers=dict(headers, Connection="close"))
+        assert got == status
+        assert response_headers["Connection"] == "close"
+        got, response_headers, _body = _raw_http(
+            live_server, method, path, headers=headers)
+        assert (got, response_headers["Connection"]) == (status, "keep-alive")

@@ -1,6 +1,6 @@
 """Docs health check: relative links resolve, documented CLI verbs exist.
 
-Two passes, run by the CI ``docs`` job (and locally via
+Four passes, run by the CI ``docs`` job (and locally via
 ``python tools/check_links.py``):
 
 1. **Link check.** Every relative markdown link in ``README.md``,
@@ -14,6 +14,11 @@ Two passes, run by the CI ``docs`` job (and locally via
 3. **Coverage.** The reverse direction: every subcommand the CLI parser
    actually registers must appear in ``docs/OPERATIONS.md`` — adding a
    verb without documenting it fails CI too.
+4. **Service surface.** The same both-directions rule for the wire: every
+   op in ``repro.service.ops.OPS`` and every ``METHOD /route`` in
+   ``repro.service.http.ROUTES`` must appear in ``docs/OPERATIONS.md``,
+   and every ``/v1/...`` route or ``job_*`` op the document mentions must
+   exist in those tables.
 
 Exits non-zero with one line per problem.
 """
@@ -39,6 +44,10 @@ _CODE_SPAN = re.compile(r"`[^`]*`")
 # ``repro <verb>`` or ``python -m repro <verb>`` with a verb-shaped token.
 _VERB = re.compile(r"\brepro\s+([a-z][a-z0-9-]+)\b")
 _NOT_VERBS = {"bench", "cli", "core", "backend", "service", "tuning"}
+_ROUTE = re.compile(r"/v1/[A-Za-z0-9_/{}]+")
+# A whole code span shaped like a job op; these two are wire fields.
+_JOB_OP = re.compile(r"`(job_[a-z_]+)`")
+_JOB_FIELDS = {"job_id", "job_key"}
 
 
 def check_links() -> list[str]:
@@ -88,11 +97,8 @@ def registered_verbs() -> set[str]:
     """The subcommands the argparse parser actually registers."""
     import argparse
 
-    sys.path.insert(0, str(REPO / "src"))
-    try:
-        from repro.cli import build_parser
-    finally:
-        sys.path.pop(0)
+    from repro.cli import build_parser
+
     parser = build_parser()
     for action in parser._subparsers._group_actions:
         if isinstance(action, argparse._SubParsersAction):
@@ -109,15 +115,44 @@ def check_verb_coverage() -> list[str]:
     ]
 
 
+def check_service_surface() -> list[str]:
+    from repro.service.http import ROUTES
+    from repro.service.ops import OPS
+
+    text = (REPO / "docs" / "OPERATIONS.md").read_text(encoding="utf-8")
+    patterns = {pattern for _method, pattern, _op, _required in ROUTES}
+    problems = [
+        f"service op `{op}` is missing from docs/OPERATIONS.md"
+        for op in sorted(OPS) if f"`{op}`" not in text
+    ] + [
+        f"HTTP route `{method} {pattern}` is missing from docs/OPERATIONS.md"
+        for method, pattern, _op, _required in ROUTES
+        if f"{method} {pattern}" not in text
+    ] + [
+        f"docs/OPERATIONS.md mentions route {route}, which "
+        f"repro.service.http.ROUTES does not serve"
+        for route in sorted({match.rstrip("/")
+                             for match in _ROUTE.findall(text)} - patterns)
+    ] + [
+        f"docs/OPERATIONS.md mentions op `{op}`, which "
+        f"repro.service.ops.OPS does not define"
+        for op in sorted(set(_JOB_OP.findall(text)) - _JOB_FIELDS - set(OPS))
+    ]
+    return problems
+
+
 def main() -> int:
-    problems = check_links() + check_verbs() + check_verb_coverage()
+    sys.path.insert(0, str(REPO / "src"))
+    problems = (check_links() + check_verbs() + check_verb_coverage()
+                + check_service_surface())
     for problem in problems:
         print(f"FAIL: {problem}")
     if not problems:
         print(
             f"OK: {len(DOC_FILES)} docs link-checked, "
             f"{len(documented_verbs())} CLI verbs answered --help, "
-            f"{len(registered_verbs())} registered subcommands documented"
+            f"{len(registered_verbs())} registered subcommands documented, "
+            f"service ops and routes match docs/OPERATIONS.md"
         )
     return 1 if problems else 0
 
