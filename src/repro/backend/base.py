@@ -154,8 +154,9 @@ class NumpyBackend:
         ``tile_shape`` selects the tape optimizer's tile (``None`` = auto
         heuristic, ``False`` = unfused, tuple = explicit trailing-axis
         blocking); ``parallel_workers`` selects N-way chunked replay of
-        fused regions (``None``/``1`` = serial).  Distinct tile shapes and
-        worker counts cache distinct plans.
+        fused regions (``1`` = serial, ``None`` = the size rule of
+        :func:`~repro.backend.fuse.auto_workers`).  Distinct tile shapes
+        and resolved worker counts cache distinct plans.
         """
         kernel_resolver = None
         if self.cache is not None:

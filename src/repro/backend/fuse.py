@@ -38,13 +38,21 @@ Tile shape is a first-class tuning parameter (see
 heuristic, ``False`` disables fusion, and an explicit tuple blocks the
 trailing output axes (``None`` entries keep an axis un-blocked).
 
+**The region's store target.**  A region whose result is the plan's output
+writes each tile into the output ring buffer, which for a grid the program
+pads is the *interior view* of a resident padded buffer
+(:class:`~repro.backend.numpy_backend.PadHome`): the next step's padded
+grid is produced in place, its pads left no tape entry for this module to
+see, and its halo ring is refreshed by one tape op after the region.
+
 **Parallel tiled replay.**  Tiles of a fused region are independent by
 construction: each tile writes a disjoint box of every written-through
 buffer, per-tile intermediates live in scratch, and the only overlapping
-writes — adjacent tiles refreshing a shared halo slab — copy *identical
-bytes* from the same source, so racing them is benign.  When a plan is
-built with ``parallel_workers=N`` (see :func:`normalize_workers`), the
-tile grid is partitioned into N contiguous chunks, each chunk gets its
+writes — adjacent tiles refreshing a shared halo slab of a copied pad —
+copy *identical bytes* from the same source, so racing them is benign.
+When a plan is built with ``parallel_workers=N`` (see
+:func:`normalize_workers`; ``None`` resolves through
+:func:`auto_workers`), the tile grid is partitioned into N contiguous chunks, each chunk gets its
 **own pooled scratch set** (preserving the zero-steady-allocation
 invariant — no sharing, no locking in the hot loop), and a persistent
 process-wide :class:`ReplayWorkerPool` of daemon threads replays the
@@ -59,6 +67,7 @@ already proven itself bit-identical to the generic backend.
 from __future__ import annotations
 
 import itertools
+import os
 import queue
 import threading
 from time import perf_counter
@@ -130,16 +139,45 @@ def normalize_tile_spec(tile_shape):
     return spec
 
 
-def normalize_workers(parallel_workers) -> int:
+#: Grid bytes a replay worker must have to itself before it is worth waking:
+#: sixteen cache-sized tiles.  Measured on the 2-vCPU recording box: one
+#: ``run_parts`` hand-off costs ≈20 µs idle and one tile of a 14-ufunc region
+#: ≈0.25 ms, but two chunks only overlap by the ≈1.15× the second vCPU adds
+#: to tile-sized ufuncs, so the gain must outweigh scheduling jitter on the
+#: whole region, not one hand-off.  Hotspot2D 1024² (8 MB, 32 tiles) took
+#: the second core in 10 of 10 interleaved pairs (+6 % median Mcell/s);
+#: Acoustic 32×96×96 (2.4 MB, 11 tiles) tied or lost (3.01 vs 3.09 ms per
+#: step) and, like 512² grids and batched 64² plans, stays serial.
+AUTO_WORKER_MIN_BYTES = 16 * TILE_TARGET_BYTES
+
+
+def auto_workers(input_shapes: Sequence[Sequence[int]]) -> int:
+    """The worker count ``parallel_workers=None`` resolves to.
+
+    One rule on what is known before a plan is built: a fused region sweeps
+    a grid the size of the largest input (``float64`` after the bind) in
+    tiles of :data:`TILE_TARGET_BYTES`, and each worker beyond the caller
+    must find :data:`AUTO_WORKER_MIN_BYTES` of it to itself — up to one
+    worker per core.
+    """
+    grid_bytes = max((8 * int(np.prod(shape, dtype=np.int64))
+                      for shape in input_shapes), default=0)
+    return max(1, min(os.cpu_count() or 1, MAX_REPLAY_WORKERS,
+                      grid_bytes // AUTO_WORKER_MIN_BYTES))
+
+
+def normalize_workers(parallel_workers, input_shapes=None) -> int:
     """Canonicalise a parallel-replay worker spec to a concrete count.
 
-    ``None``, ``False``, ``0`` and ``1`` all mean *serial replay* (the
-    default, and the only useful setting on a single-core machine); an
-    integer ``N >= 2`` requests N-way chunked replay, clamped to
-    :data:`MAX_REPLAY_WORKERS`.  The canonical form is part of the
-    :class:`~repro.backend.plan.PlanCache` key, so ``None`` and ``1``
-    resolve to the same cached plan.
+    ``False``, ``0`` and ``1`` mean *serial replay*; an integer ``N >= 2``
+    requests N-way chunked replay, clamped to :data:`MAX_REPLAY_WORKERS`.
+    ``None`` leaves the choice to :func:`auto_workers` for the plan's
+    ``input_shapes`` (serial when they are not given).  The resolved count
+    is part of the :class:`~repro.backend.plan.PlanCache` key, so ``None``
+    and the integer it resolves to are the same cached plan.
     """
+    if parallel_workers is None and input_shapes is not None:
+        return auto_workers(input_shapes)
     if parallel_workers is None or parallel_workers is False:
         return 1
     count = int(parallel_workers)
@@ -208,6 +246,21 @@ def _address(array: np.ndarray) -> int:
     return array.__array_interface__["data"][0]
 
 
+def _is_box(buffer: np.ndarray) -> bool:
+    """True when ``buffer`` is a rectangular box of a C-ordered allocation:
+    a whole pooled buffer, or the interior view of a resident padded one.
+    Each axis then strides over at least the full extent of the axes after
+    it, which is what lets an address offset be split axis by axis."""
+    span = buffer.itemsize
+    for extent, stride in zip(reversed(buffer.shape), reversed(buffer.strides)):
+        if extent <= 1:
+            continue
+        if stride < span:
+            return False
+        span = stride * extent
+    return True
+
+
 def _locate(view: np.ndarray, buffer: np.ndarray):
     """Decompose ``view`` as a rectangular selection of ``buffer``.
 
@@ -217,7 +270,7 @@ def _locate(view: np.ndarray, buffer: np.ndarray):
     plain strided window (step-sliced, transposed onto equal strides,
     different dtype, …).  Broadcast (stride-0) view axes contribute nothing.
     """
-    if view.dtype != buffer.dtype or not buffer.flags.c_contiguous:
+    if view.dtype != buffer.dtype or not _is_box(buffer):
         return None
     delta = _address(view) - _address(buffer)
     if delta < 0:
@@ -310,6 +363,19 @@ def _replay_steps(steps: Sequence[Tuple]) -> None:
             np.copyto(step[4], step[2], where=step[1], casting="unsafe")
         else:  # _CLIP
             np.clip(step[1], step[2], step[3], out=step[4])
+
+
+def _nbytes(values) -> int:
+    """Logical bytes of the arrays among ``values`` (scalars move nothing)."""
+    return sum(value.nbytes for value in values
+               if isinstance(value, np.ndarray))
+
+
+def _step_nbytes(step: Tuple) -> int:
+    """Operand plus output bytes of one micro-op."""
+    if step[0] == _UFUNC:
+        return _nbytes(step[2]) + step[3].nbytes
+    return _nbytes(step[1:])
 
 
 class _Latch:
@@ -470,6 +536,11 @@ class FusedOp:
     def workers(self) -> int:
         return len(self.parts)
 
+    @property
+    def nbytes(self) -> int:
+        """Operand plus output bytes one replay moves."""
+        return sum(_step_nbytes(step) for part in self.parts for step in part)
+
     def run(self) -> None:
         if _faults.ARMED and _faults.should_fail("replay.chunk_error"):
             raise ExecutionError("fault injected: replay.chunk_error")
@@ -490,7 +561,8 @@ class FusedOp:
 class FusionInfo:
     """What the optimizer did to one tape (reported via plan stats)."""
 
-    __slots__ = ("regions", "tiles", "fused_schedules", "fused_pads", "steps")
+    __slots__ = ("regions", "tiles", "fused_schedules", "fused_pads", "steps",
+                 "nbytes", "dead")
 
     def __init__(self) -> None:
         self.regions = 0
@@ -498,6 +570,10 @@ class FusionInfo:
         self.fused_schedules = 0
         self.fused_pads = 0
         self.steps = 0
+        self.nbytes = 0  # operand + output bytes of one replay of the tape
+        #: Full-grid schedule buffers the fused tape no longer touches
+        #: (tile scratch replaced them); the plan hands them back.
+        self.dead: List[np.ndarray] = []
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +596,22 @@ def _entry_reads(entry: TapeEntry) -> List[np.ndarray]:
 
 def _reads_buffer(reads: Sequence[np.ndarray], buffer: np.ndarray) -> bool:
     return any(np.may_share_memory(read, buffer) for read in reads)
+
+
+def entry_nbytes(entry: TapeEntry) -> int:
+    """Operand plus output bytes one replay of an unfused tape entry moves."""
+    if entry.kind != "schedule":
+        return _nbytes(entry.reads) + _nbytes(entry.writes)
+    total = 0
+    for node in entry.schedule.nodes:
+        total += node.buffer.nbytes
+        for operand in node.operands:
+            if isinstance(operand, TracedArray):
+                operand = operand.concrete if operand.node is None \
+                    else operand.node.buffer
+            if isinstance(operand, np.ndarray):
+                total += operand.nbytes
+    return total
 
 
 class _Region:
@@ -674,7 +766,7 @@ def _partition_grid(grid: List, parts_count: int) -> List[List]:
 
 def _build_region(entries: List[TapeEntry], region: _Region,
                   out_buffer: np.ndarray, tile_spec, pool,
-                  scratch: List[np.ndarray],
+                  scratch: List[np.ndarray], dead: List[np.ndarray],
                   workers: int = 1) -> Optional[FusedOp]:
     schedules = [entries[k].schedule for k in range(region.start, region.end)]
     final_node = schedules[-1].nodes[-1]
@@ -726,8 +818,9 @@ def _build_region(entries: List[TapeEntry], region: _Region,
     grid = _tile_grid(region_shape, tiles)
     parts_count = 1 if workers <= 1 else max(1, min(workers, len(grid)))
 
-    if len(schedules) < 2 and not pads and parts_count < 2:
-        return None  # a lone schedule gains nothing from serial tiling
+    if sum(len(schedule.nodes) for schedule in schedules) < 2 \
+            and not pads and parts_count < 2:
+        return None  # a lone operation gains nothing from serial tiling
 
     def allocate_scratch() -> Dict[int, np.ndarray]:
         # One tile-sized scratch buffer per internal (non-through) buffer.
@@ -850,6 +943,10 @@ def _build_region(entries: List[TapeEntry], region: _Region,
             build_tile_steps(tile, chunk_scratch, chunk_steps)
         parts.append(chunk_steps)
 
+    # What the schedules drew from the pool and the fused replay never
+    # touches: everything but the written-through buffers.
+    dead.extend(buffer for schedule in schedules for buffer in schedule.scratch
+                if id(buffer) not in through)
     return FusedOp(parts, tiles=len(grid), schedules=len(schedules),
                    pads=len(pads))
 
@@ -859,10 +956,11 @@ def optimize_tape(entries: List[TapeEntry], out_buffer: np.ndarray,
     """Fuse every eligible region of a captured tape.
 
     Returns ``(ops, scratch_buffers, info)`` — the new op list with fused
-    regions replaced by :class:`FusedOp` replays — or ``None`` when nothing
-    fuses.  Raises :class:`FusionError` (after handing scratch back to the
-    pool) when an analysis invariant fails; callers fall back to the
-    unfused tape either way.  ``workers`` (already canonicalised through
+    regions replaced by :class:`FusedOp` replays; ``info.dead`` lists the
+    full-grid schedule buffers that list no longer touches — or ``None``
+    when nothing fuses.  Raises :class:`FusionError` (after handing scratch
+    back to the pool) when an analysis invariant fails; callers fall back
+    to the unfused tape either way.  ``workers`` (already canonicalised through
     :func:`normalize_workers`) selects N-way chunked parallel replay; each
     chunk's scratch comes from the same ``pool``, so worker scratch is
     released with the rest on fallback or plan release.
@@ -874,7 +972,7 @@ def optimize_tape(entries: List[TapeEntry], out_buffer: np.ndarray,
     try:
         for region in regions:
             fused = _build_region(entries, region, out_buffer, tile_spec,
-                                  pool, scratch, workers=workers)
+                                  pool, scratch, info.dead, workers=workers)
             if fused is None:
                 continue
             replacements.append((region, fused))
@@ -893,16 +991,19 @@ def optimize_tape(entries: List[TapeEntry], out_buffer: np.ndarray,
         pool.release_all(scratch)
         return None
     ops = []
+
+    def keep(start: int, stop: int) -> None:
+        for entry in entries[start:stop]:
+            ops.append(entry.op)
+            info.nbytes += entry_nbytes(entry)
+
     index = 0
     for region, fused in replacements:
-        while index < region.pad_start:
-            ops.append(entries[index].op)
-            index += 1
+        keep(index, region.pad_start)
         ops.append(fused.run)
+        info.nbytes += fused.nbytes
         index = region.end
-    while index < len(entries):
-        ops.append(entries[index].op)
-        index += 1
+    keep(index, len(entries))
     return ops, scratch, info
 
 
@@ -959,7 +1060,10 @@ __all__ = [
     "MAX_REPLAY_WORKERS",
     "ReplayWorkerPool",
     "TILE_TARGET_BYTES",
+    "AUTO_WORKER_MIN_BYTES",
     "auto_tile",
+    "auto_workers",
+    "entry_nbytes",
     "find_regions",
     "measure_best_tile",
     "normalize_tile_spec",

@@ -74,6 +74,7 @@ from ..core.primitives.algorithmic import (
 )
 from ..core.primitives.opencl import _MemorySpaceModifier
 from ..core.primitives.stencil import Pad, PadConstant, Slide
+from .ufunc_trace import view_geometry
 
 
 class CompileError(Exception):
@@ -273,6 +274,82 @@ class PadWrite:
         self.runs = list(runs)  # [(dst_start, src_start, length), ...]
 
 
+#: One link of a pad chain, as the appliers describe it to the arena:
+#: ``(axis, left, right, halo_runs, value)``.  ``halo_runs`` are the
+#: ``(dst, src, length)`` block copies filling the *halo* of a reindexing
+#: ``pad`` (the interior is the identity and needs no copy); a
+#: ``padConstant`` has no runs and a float ``value`` instead.
+PadSpec = Tuple[int, int, int, Tuple[Tuple[int, int, int], ...], Optional[float]]
+
+
+def _axis_slice(axis: int, start: int, stop: int) -> Tuple[slice, ...]:
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
+class PadHome:
+    """A plan-owned grid kept resident in padded form: ``pad`` as a view.
+
+    ``padded`` is one pooled buffer at the final shape of the pad chain the
+    program applies to the grid.  ``stages[k]`` is the view of it that the
+    first ``k`` pads produce, so ``stages[0]`` — the ``interior`` — is where
+    the grid's owner writes it, and a pad of ``stages[k]`` that matches
+    ``chain[k]`` *is* ``stages[k + 1]``: nothing to copy but the halo ring.
+    Constant halos are written once, here.  Reindexed halos go stale with
+    every write to the interior; :meth:`refresh` rewrites them link by
+    link, each link copying at the padded extent of the links before it,
+    which is exactly what the chained ``pad`` computes (corners included).
+    Whoever writes the interior calls it.
+    """
+
+    __slots__ = ("padded", "chain", "stages", "halo_pairs")
+
+    @staticmethod
+    def padded_shape(shape: Sequence[int],
+                     chain: Sequence[PadSpec]) -> Tuple[int, ...]:
+        extents = list(shape)
+        for axis, left, right, _runs, _value in chain:
+            extents[axis] += left + right
+        return tuple(extents)
+
+    def __init__(self, padded: np.ndarray, shape: Sequence[int],
+                 chain: Sequence[PadSpec]) -> None:
+        self.padded = padded
+        self.chain = tuple(chain)
+        low = [0] * len(shape)
+        for axis, left, _right, _runs, _value in self.chain:
+            low[axis] += left
+        high = [lo + extent for lo, extent in zip(low, shape)]
+
+        def stage() -> np.ndarray:
+            return padded[tuple(slice(lo, hi) for lo, hi in zip(low, high))]
+
+        self.stages = [stage()]
+        #: The ``(destination, source)`` copies one :meth:`refresh` makes.
+        self.halo_pairs: List[Tuple[np.ndarray, np.ndarray]] = []
+        for axis, left, right, runs, value in self.chain:
+            inner = self.stages[-1]
+            low[axis] -= left
+            high[axis] += right
+            outer = stage()
+            self.stages.append(outer)
+            if value is not None:
+                extent = outer.shape[axis]
+                outer[_axis_slice(axis, 0, left)] = value
+                outer[_axis_slice(axis, extent - right, extent)] = value
+            for dst, src, length in runs:
+                self.halo_pairs.append(
+                    (outer[_axis_slice(axis, dst, dst + length)],
+                     inner[_axis_slice(axis, src, src + length)]))
+
+    @property
+    def interior(self) -> np.ndarray:
+        return self.stages[0]
+
+    def refresh(self) -> None:
+        for destination, source in self.halo_pairs:
+            np.copyto(destination, source)
+
+
 class TapeEntry:
     """One tape op plus the dataflow facts the fuser needs.
 
@@ -280,10 +357,11 @@ class TapeEntry:
     gather), ``"schedule"`` (a traced
     :class:`~repro.backend.ufunc_trace.ReplaySchedule`), ``"copy"``
     (reshape/gather block copies the fuser treats as opaque), ``"opaque"``
-    (per-sweep re-executed user functions) or ``"output"`` (the plan's
-    result materialisation).  ``reads``/``writes`` list the concrete arrays
-    the op touches — the fuser's interference analysis is conservative:
-    unknown ops simply break fusion regions.
+    (per-sweep re-executed user functions), ``"output"`` (the plan's
+    result materialisation) or ``"halo"`` (the ring refresh of the resident
+    padded buffer the output was stored into).  ``reads``/``writes`` list
+    the concrete arrays the op touches — the fuser's interference analysis
+    is conservative: unknown ops simply break fusion regions.
     """
 
     __slots__ = ("kind", "op", "reads", "writes", "schedule", "pad")
@@ -310,10 +388,28 @@ class CaptureArena:
     stable buffers, identical from run to run.  Replaying the tape therefore
     re-executes the whole kernel — bit-identically — without traversing the
     closure tree and without allocating.
+
+    ``homes`` are the plan's resident padded buffers (:class:`PadHome`): a
+    ``pad`` whose source is a stage of one, continuing its chain, is served
+    the next stage as a view (:meth:`resident_pad`) and records nothing.
+    ``roots`` are plan-owned buffers that have no home yet; the pads
+    materialised from them are remembered (:meth:`materialized_pad`) so
+    the plan can learn which chain each would need (:meth:`home_chains`).
     """
 
-    def __init__(self, pool) -> None:
+    def __init__(self, pool, homes=(), roots=()) -> None:
         self.pool = pool
+        self._stages = {
+            view_geometry(stage): (home, index)
+            for home in homes for index, stage in enumerate(home.stages)
+        }
+        # geometry of a root, or of a pad buffer chained onto one ->
+        # (root index, the specs that lead there)
+        self._chains = {
+            view_geometry(root): (index, ()) for index, root in enumerate(roots)
+        }
+        self.resident_pads = 0
+        self.materialized_pads = 0
         self.ops: List[Callable[[], object]] = []
         self.entries: List[TapeEntry] = []  # descriptors, aligned with ops
         self.buffers: List[np.ndarray] = []
@@ -335,6 +431,53 @@ class CaptureArena:
         self.entries.append(TapeEntry(kind, op, reads=reads, writes=writes,
                                       pad=pad))
         op()
+
+    # -- pads ---------------------------------------------------------------
+    def resident_pad(self, source: np.ndarray,
+                     spec: Optional[PadSpec]) -> Optional[np.ndarray]:
+        """The view that *is* ``pad(source)``, or ``None`` to materialise.
+
+        Matching is by geometry (address, shape, strides, dtype): a source
+        that covers exactly a stage's memory is that stage however the
+        kernel derived it.  ``spec`` is ``None`` for a pad that cannot be
+        resident (a gather too fragmented for block copies).
+        """
+        found = self._stages.get(view_geometry(source))
+        if found is None or spec is None:
+            return None
+        home, index = found
+        if index >= len(home.chain) or home.chain[index] != spec:
+            return None
+        self.resident_pads += 1
+        return home.stages[index + 1]
+
+    def materialized_pad(self, source: np.ndarray, buffer: np.ndarray,
+                         spec: Optional[PadSpec]) -> None:
+        """Count a pad that was copied; remember it if rooted at a root."""
+        self.materialized_pads += 1
+        link = self._chains.get(view_geometry(source))
+        if link is not None:
+            root, specs = link
+            self._chains[view_geometry(buffer)] = (root, specs + (spec,))
+
+    def home_chains(self) -> Dict[int, Tuple[PadSpec, ...]]:
+        """Root index -> the one pad chain observed on it.
+
+        A root qualifies when every pad sequence seen on it is a prefix of
+        the longest (two different chains cannot share one padded buffer)
+        and every link can be resident.
+        """
+        observed: Dict[int, List[Tuple]] = {}
+        for root, specs in self._chains.values():
+            if specs:
+                observed.setdefault(root, []).append(specs)
+        chains = {}
+        for root, seen in observed.items():
+            longest = max(seen, key=len)
+            if None not in longest \
+                    and all(longest[:len(specs)] == specs for specs in seen):
+                chains[root] = longest
+        return chains
 
     # -- user functions ------------------------------------------------------
     def userfun(self, fn: Callable, raws: List):
@@ -480,8 +623,8 @@ class _Compiler:
 
     def __init__(self, size_env: Mapping[str, int]) -> None:
         self.size_env = dict(size_env)
-        # (id(boundary), left, right, n) -> precomputed index table
-        self._pad_indices: Dict[Tuple, np.ndarray] = {}
+        # (id(boundary), left, right, n) -> (index table, runs, halo runs)
+        self._pad_layouts: Dict[Tuple, Tuple] = {}
 
     # -- expressions --------------------------------------------------------
     def compile_expr(self, expr: Expr) -> Step:
@@ -750,43 +893,56 @@ class _Compiler:
     def _compile_pad(self, prim: Pad) -> Applier:
         left, right, boundary = prim.left, prim.right, prim.boundary
 
-        def indices_for(n: int) -> np.ndarray:
+        def layout_for(n: int):
+            """``(index table, block-copy runs, halo-only runs)`` for length
+            ``n``; either runs entry is ``None`` when too fragmented, and the
+            halo runs also when the boundary does not leave the interior in
+            place (only then can the pad be a view of a wider buffer)."""
             key = (id(boundary), left, right, n)
-            table = self._pad_indices.get(key)
-            if table is None:
+            layout = self._pad_layouts.get(key)
+            if layout is None:
                 table = np.asarray(
                     [boundary(i - left, n) for i in range(n + left + right)],
                     dtype=np.intp,
                 )
-                self._pad_indices[key] = table
-            return table
+                halo = None
+                before = _index_runs(table[:left])
+                after = _index_runs(table[left + n:])
+                if before is not None and after is not None and np.array_equal(
+                        table[left:left + n], np.arange(n)):
+                    halo = tuple(before) + tuple(
+                        (left + n + dst, src, length)
+                        for dst, src, length in after
+                    )
+                layout = (table, _index_runs(table), halo)
+                self._pad_layouts[key] = layout
+            return layout
 
         def apply_pad(args: List, env: Env, depth: int):
             arena = _active_arena()
 
             def pad_leaf(leaf: Batched) -> Batched:
                 n = leaf.data.shape[depth]
-                table = indices_for(n)
+                table, runs, halo = layout_for(n)
                 if arena is None:
                     return Batched(np.take(leaf.data, table, axis=depth), depth)
                 source = leaf.data
+                spec = None if halo is None else (depth, left, right, halo, None)
+                resident = arena.resident_pad(source, spec)
+                if resident is not None:
+                    return Batched(resident, depth)
                 shape = (
                     source.shape[:depth] + (len(table),) + source.shape[depth + 1:]
                 )
                 buffer = arena.buffer(shape, source.dtype)
-                runs = _index_runs(table)
                 if runs is not None:
                     # The boundary re-indexing decomposes into a few
                     # contiguous runs (clamp/mirror/wrap all do): replay as
                     # block copies — one big interior copy plus tiny halo
                     # slices — instead of a per-element gather.
                     pairs = [
-                        (
-                            buffer[(slice(None),) * depth
-                                   + (slice(dst, dst + length),)],
-                            source[(slice(None),) * depth
-                                   + (slice(src, src + length),)],
-                        )
+                        (buffer[_axis_slice(depth, dst, dst + length)],
+                         source[_axis_slice(depth, src, src + length)])
                         for dst, src, length in runs
                     ]
 
@@ -804,6 +960,7 @@ class _Compiler:
 
                     arena.record_and_run(op, kind="copy", reads=[source],
                                          writes=[buffer])
+                arena.materialized_pad(source, buffer, spec)
                 return Batched(buffer, depth)
 
             return _leafmap(_align(args[0], depth), pad_leaf)
@@ -833,9 +990,13 @@ class _Compiler:
                                constant_values=value),
                         depth,
                     )
+                source = leaf.data
+                spec = (depth, left, right, (), float(value))
+                resident = arena.resident_pad(source, spec)
+                if resident is not None:
+                    return Batched(resident, depth)
                 # The constant halo never changes: write it once, refresh
                 # only the interior slab on every tape replay.
-                source = leaf.data
                 n = source.shape[depth]
                 shape = (
                     source.shape[:depth] + (n + left + right,)
@@ -843,9 +1004,7 @@ class _Compiler:
                 )
                 buffer = arena.buffer(shape, source.dtype)
                 buffer.fill(value)
-                interior = buffer[
-                    (slice(None),) * depth + (slice(left, left + n),)
-                ]
+                interior = buffer[_axis_slice(depth, left, left + n)]
 
                 def op(_dst=interior, _src=source):
                     np.copyto(_dst, _src)
@@ -857,6 +1016,7 @@ class _Compiler:
                     op, kind="pad", reads=[source], writes=[buffer],
                     pad=PadWrite(buffer, source, depth, [(left, 0, n)]),
                 )
+                arena.materialized_pad(source, buffer, spec)
                 return Batched(buffer, depth)
 
             return _leafmap(_align(args[0], depth), pad_leaf)
@@ -1031,6 +1191,7 @@ __all__ = [
     "CompileError",
     "CompiledKernel",
     "ExecutionError",
+    "PadHome",
     "PadWrite",
     "TapeEntry",
     "compile_program",

@@ -25,6 +25,25 @@ specification names, per program input, what feeds it on the next step:
 value — e.g. the acoustic benchmark's two-timestep rotation), or ``None``
 (a static grid such as Hotspot's power input).
 
+**Pad as a view.**  Lift never materialises ``pad``, and neither does a
+plan for the buffers it owns: an input buffer or ping-pong output buffer
+that the program pads lives inside a *resident padded home*
+(:class:`~repro.backend.numpy_backend.PadHome`) — one pooled buffer at the
+pad chain's final shape whose interior view stands in for the plain buffer
+everywhere (binding, the ``id()``-keyed tape table, the output store).  At
+capture the ``pad`` / ``padConstant`` appliers are served the widened view
+and record nothing; only the halo ring is ever rewritten, by whoever
+writes the interior: the bind for inputs (once per call, not once per
+step) and a ``halo`` tape op right after the output store for the buffer a
+carry feeds back.  Which inputs are padded, and how, is what the first
+capture observes; pads of anything else (computed intermediates, gathers
+too fragmented for block copies, two different chains on one buffer) are
+copied as before and counted (``materialized_pads``).  Because a stale halo
+would fool the fused-vs-unfused check on both sides alike, every tape that
+elided a pad is also compared, bit for bit, with the kernel's generic
+execution of the same step, which copies every pad; on a mismatch the plan
+falls back to copied pads (``fusion_fallbacks``, reason ``halo``).
+
 Captured tapes are handed to the tape optimizer (:mod:`repro.backend.fuse`)
 before their first replay: chains of elementwise traced-ufunc ops — halo
 gathers included — are fused into regions replayed **tile by tile** over
@@ -37,6 +56,10 @@ chunked across a persistent worker-thread pool, every chunk replaying
 against its own pooled scratch set (see
 :class:`~repro.backend.fuse.ReplayWorkerPool`) — the capture-time
 verification exercises that same parallel replay before trusting it.
+Left at ``None`` the count follows one rule on the input shapes
+(:func:`~repro.backend.fuse.auto_workers`): grids big enough to give each
+worker sixteen tiles take one worker per core, everything smaller stays
+serial.
 
 Plans are shape-bound (buffers are sized at build time) and serialise their
 own execution with a lock; :class:`PlanCache` memoises them per (program
@@ -47,6 +70,7 @@ the way the compilation cache memoises kernels.
 from __future__ import annotations
 
 import threading
+import weakref
 from time import perf_counter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -56,12 +80,19 @@ from .. import faults as _faults
 from ..core.ir import Lambda, structural_key
 from ..telemetry import registry as _telemetry
 from ..telemetry.registry import metrics_enabled as _metrics_on
-from .fuse import normalize_tile_spec, normalize_workers, optimize_tape
+from .fuse import (
+    FusionInfo,
+    entry_nbytes,
+    normalize_tile_spec,
+    normalize_workers,
+    optimize_tape,
+)
 from .numpy_backend import (
     Batched,
     CaptureArena,
     CompiledKernel,
     ExecutionError,
+    PadHome,
     PlanCaptureError,
     TapeEntry,
     _align_leaf,
@@ -96,6 +127,29 @@ _FUSION_FALLBACKS_TOTAL = _telemetry.counter(
 _FUSED_REGIONS_TOTAL = _telemetry.counter(
     "repro_plan_fused_regions_total",
     "Fused regions accepted after bit-exact verification.",
+)
+
+#: Every live plan, so the two gauges below can sum over them at scrape
+#: time (weak: a dropped plan is neither pinned nor counted).  They read
+#: plain attributes, never ``stats()``: a scrape must not wait on the lock
+#: of a plan that is mid-trajectory.
+_PLANS: "weakref.WeakSet[ExecutionPlan]" = weakref.WeakSet()
+
+
+def _sum_over_plans(attribute: str) -> int:
+    return sum(getattr(plan, attribute, 0) for plan in list(_PLANS))
+
+
+_telemetry.gauge(
+    "repro_plan_resident_pads",
+    "Pads served as views of resident padded buffers, over live plans.",
+    fn=lambda: _sum_over_plans("resident_pads"),
+)
+_telemetry.gauge(
+    "repro_plan_replay_bytes_per_step",
+    "Operand plus output bytes one step of each live plan's longest tape "
+    "moves, summed.",
+    fn=lambda: _sum_over_plans("replay_bytes_per_step"),
 )
 
 
@@ -211,13 +265,23 @@ def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class _Tape:
-    """One captured buffer binding: ordered ops plus the output buffer."""
+    """One captured buffer binding: ordered ops plus the output buffer.
 
-    __slots__ = ("ops", "out")
+    ``buffers`` are the pooled buffers the ops write (arena buffers and
+    fused tile scratch) and ``nbytes`` the operand plus output bytes one
+    replay moves; both are the plan's to account for once it accepts the
+    tape."""
 
-    def __init__(self, ops: List[Callable[[], None]], out: np.ndarray) -> None:
+    __slots__ = ("ops", "out", "buffers", "nbytes", "fusion")
+
+    def __init__(self, ops: List[Callable[[], None]], out: np.ndarray,
+                 buffers: List[np.ndarray], nbytes: int,
+                 fusion: Optional[FusionInfo] = None) -> None:
         self.ops = ops
         self.out = out
+        self.buffers = buffers
+        self.nbytes = nbytes
+        self.fusion = fusion  # what the tape optimizer did, if it did
 
     def run(self) -> np.ndarray:
         for op in self.ops:
@@ -272,11 +336,13 @@ class ExecutionPlan:
         #: Tape-optimizer tile spec: ``None`` = cache-sized heuristic,
         #: ``False`` = unfused tapes, a tuple = explicit trailing-axis tile.
         self.tile_shape = normalize_tile_spec(tile_shape)
-        #: Fused-region replay workers: 1 = serial (the default), ``N >= 2``
-        #: chunks each region's tile grid across the process-wide
-        #: :class:`~repro.backend.fuse.ReplayWorkerPool`.
-        self.parallel_workers = normalize_workers(parallel_workers)
         self.input_shapes = plan_signature(inputs_or_signature)
+        #: Fused-region replay workers, resolved: 1 = serial, ``N >= 2``
+        #: chunks each region's tile grid across the process-wide
+        #: :class:`~repro.backend.fuse.ReplayWorkerPool`.  ``None`` asked
+        #: :func:`~repro.backend.fuse.auto_workers`.
+        self.parallel_workers = normalize_workers(parallel_workers,
+                                                  self.input_shapes)
         if not self.input_shapes:
             raise ExecutionError("a plan needs at least one input")
         if batched:
@@ -299,9 +365,17 @@ class ExecutionPlan:
         ]
         for buffer in self._in_bufs:
             buffer.fill(1.0)  # benign values until the first bind
+        #: Every pooled buffer the plan holds (for homes: the padded one).
         self._buffers: List[np.ndarray] = list(self._in_bufs)
         self._tapes: Dict[Tuple, _Tape] = {}
         self._ring: List[np.ndarray] = []   # ping-pong output buffers
+        # Resident padded homes, keyed by id() of the interior view that
+        # stands in ``_in_bufs`` / ``_ring`` for the plain buffer.  Input
+        # homes are made by the first capture, which sees what the program
+        # pads; ring homes when a slot is first used.
+        self._homes: Dict[int, PadHome] = {}
+        self._homes_probed = False
+        self._resident = True  # cleared for good by a failed halo check
         self._out_shape: Optional[Tuple[int, ...]] = None
         self._out_dtype = None
         self.captures = 0
@@ -313,6 +387,11 @@ class ExecutionPlan:
         self.fused_schedules = 0
         self.fused_pads = 0
         self.fusion_fallbacks = 0
+        self.resident_pads = 0      # pads served as views of a home
+        self.materialized_pads = 0  # pads copied (no home, or no match)
+        #: Operand plus output bytes one replay of the longest tape moves.
+        self.replay_bytes_per_step = 0
+        _PLANS.add(self)
 
     # -- buffer management ---------------------------------------------------
     def _bind(self, inputs: Sequence) -> None:
@@ -328,6 +407,41 @@ class ExecutionPlan:
                     f"{buffer.shape}"
                 )
             np.copyto(buffer, array)  # casts to float64, like the generic path
+        self._refresh_inputs()
+
+    def _refresh_inputs(self) -> None:
+        """Whoever writes a home's interior refreshes its halo: for the
+        input buffers that is the bind, once per call however many steps
+        then read the padded grid."""
+        for buffer in self._in_bufs:
+            home = self._homes.get(id(buffer))
+            if home is not None:
+                home.refresh()
+
+    def _new_home(self, shape, dtype, chain) -> PadHome:
+        padded = self._pool.acquire(PadHome.padded_shape(shape, chain), dtype)
+        self._buffers.append(padded)
+        home = PadHome(padded, shape, chain)
+        self._homes[id(home.interior)] = home
+        return home
+
+    def _house_inputs(self, chains: Mapping[int, Tuple],
+                      state: List[np.ndarray]) -> None:
+        """Move the input buffers the program pads into resident homes.
+
+        ``state`` (the binding being captured, which is the input buffers
+        themselves) is updated in place; the bound values move along."""
+        for index, chain in chains.items():
+            plain = self._in_bufs[index]
+            home = self._new_home(plain.shape, plain.dtype, chain)
+            np.copyto(home.interior, plain)
+            home.refresh()
+            self._in_bufs[index] = home.interior
+            for position, buffer in enumerate(state):
+                if buffer is plain:
+                    state[position] = home.interior
+            self._buffers = [b for b in self._buffers if b is not plain]
+            self._pool.release(plain)
 
     def _pick_slot(self, state: Sequence[np.ndarray]) -> int:
         """The lowest-indexed output slot whose buffer is not being read.
@@ -343,16 +457,41 @@ class ExecutionPlan:
                 return index
         return len(self._ring)
 
+    def _ring_chain(self) -> Optional[Tuple]:
+        """The pad chain output buffers are born with, if any.
+
+        An output that can be carried back into a padded input is padded
+        the same way: the chain of the first input home of its shape.
+        Should a carry feed it to an input padded differently, those pads
+        find no matching chain and are materialised as before.  Batched
+        plans cannot iterate, so theirs is never carried anywhere."""
+        if self.batched or not self._resident:
+            return None
+        for buffer in self._in_bufs:
+            home = self._homes.get(id(buffer))
+            if home is not None and buffer.shape == self._out_shape \
+                    and buffer.dtype == self._out_dtype:
+                return home.chain
+        return None
+
     def _slot_buffer(self, slot: int) -> np.ndarray:
         if slot == len(self._ring):
-            buffer = self._pool.acquire(self._out_shape, self._out_dtype)
+            chain = self._ring_chain()
+            if chain is not None:
+                buffer = self._new_home(self._out_shape, self._out_dtype,
+                                        chain).interior
+            else:
+                buffer = self._pool.acquire(self._out_shape, self._out_dtype)
+                self._buffers.append(buffer)
             self._ring.append(buffer)
-            self._buffers.append(buffer)
         return self._ring[slot]
 
     # -- capture & replay ----------------------------------------------------
-    def _capture(self, state: List[np.ndarray], slot: int) -> _Tape:
-        arena = CaptureArena(self._pool)
+    def _trace(self, state: List[np.ndarray], roots=()) -> Tuple[CaptureArena,
+                                                                 object]:
+        """One kernel execution under a capture arena: ``(arena, value)``."""
+        homes = self._homes.values() if self._resident else ()
+        arena = CaptureArena(self._pool, homes=homes, roots=roots)
         try:
             value = self._kernel.capture(state, self._depth, arena)
             if self._out_shape is None:
@@ -365,11 +504,77 @@ class ExecutionPlan:
             # they would leak from the pool's accounting for good.
             self._pool.release_all(arena.buffers)
             raise
-        out_buffer = self._slot_buffer(slot)
-        self._buffers.extend(arena.buffers)
+        return arena, value
+
+    def _capture(self, state: List[np.ndarray], slot: int) -> _Tape:
+        """Capture the tape of one binding (``state`` may be re-housed in
+        place by the first capture)."""
+        roots = () if self._homes_probed else state
+        arena, value = self._trace(state, roots)
+        if not self._homes_probed:
+            # The first capture binds the plain input buffers and sees
+            # which of them the program pads, and how: those move into
+            # resident padded homes and the capture starts over, this time
+            # served views.
+            self._homes_probed = True
+            chains = arena.home_chains()
+            if chains:
+                self._pool.release_all(arena.buffers)
+                self._house_inputs(chains, state)
+                arena, value = self._trace(state)
+        tape = self._assemble(arena, value, slot)
+        if arena.resident_pads and not self._halo_ok(tape, state):
+            # A stale halo fools the fused-vs-unfused check on both sides
+            # alike, so a tape that elided pads answers to an execution
+            # that elided none.  On a mismatch this plan stops trusting
+            # its homes: this and every later capture copies its pads.
+            self._pool.release_all(tape.buffers)
+            self._resident = False
+            self.fusion_fallbacks += 1
+            _FUSION_FALLBACKS_TOTAL.inc(label="halo")
+            arena, value = self._trace(state)
+            tape = self._assemble(arena, value, slot)
+        self._buffers.extend(tape.buffers)
         self.captures += 1
         self.traced_calls += arena.traced_calls
         self.opaque_calls += arena.opaque_calls
+        self.resident_pads += arena.resident_pads
+        self.materialized_pads += arena.materialized_pads
+        # A halo gather that costs no full-grid pass: tile-restricted by
+        # the fuser, or not there at all.
+        self.fused_pads += arena.resident_pads
+        if tape.fusion is not None:
+            _FUSED_REGIONS_TOTAL.inc(tape.fusion.regions)
+            self.fused_regions += tape.fusion.regions
+            self.fused_tiles += tape.fusion.tiles
+            self.fused_schedules += tape.fusion.fused_schedules
+            self.fused_pads += tape.fusion.fused_pads
+        self.replay_bytes_per_step = max(self.replay_bytes_per_step,
+                                         tape.nbytes)
+        return tape
+
+    def _halo_ok(self, tape: _Tape, state: List[np.ndarray]) -> bool:
+        """Does the tape's output equal one generic execution of the step?
+
+        The generic call reads only the interiors in ``state`` and copies
+        every pad, so it cannot share a halo defect with the tape."""
+        if self.batched:
+            expected = self._kernel.run_batched(state)
+        else:
+            expected = self._kernel(state)
+        return _bits_equal(np.asarray(expected), tape.out)
+
+    def _assemble(self, arena: CaptureArena, value, slot: int) -> _Tape:
+        """Turn one traced execution into a tape writing output ``slot``."""
+        try:
+            return self._assemble_tape(arena, value, slot)
+        except Exception:
+            self._pool.release_all(arena.buffers)
+            raise
+
+    def _assemble_tape(self, arena: CaptureArena, value, slot: int) -> _Tape:
+        out_buffer = self._slot_buffer(slot)
+        buffers = arena.buffers
         if (
             isinstance(value, Batched)
             and value.bd == 0
@@ -385,7 +590,10 @@ class ExecutionPlan:
             # output ring buffer and skip the materialisation copy pass.
             schedule = arena.schedules[-1]
             np.copyto(out_buffer, value.data)  # this sweep already computed
-            schedule.retarget(out_buffer)
+            orphan = schedule.retarget(out_buffer)
+            if orphan is not None:
+                buffers[:] = [b for b in buffers if b is not orphan]
+                self._pool.release(orphan)
             ops = arena.ops[:-1] + [schedule.run]
             entries = list(arena.entries)
         else:
@@ -396,13 +604,24 @@ class ExecutionPlan:
                 TapeEntry("output", final, reads=final_reads,
                           writes=[out_buffer])
             ]
-        tape = _Tape(ops, out_buffer)
+        home = self._homes.get(id(out_buffer))
+        if home is not None and home.halo_pairs:
+            # The store above wrote a home's interior: refresh its ring so
+            # the step that pads this buffer next reads a view, not a copy.
+            home.refresh()
+            ops.append(home.refresh)
+            entries.append(TapeEntry(
+                "halo", home.refresh,
+                reads=[source for _, source in home.halo_pairs],
+                writes=[destination for destination, _ in home.halo_pairs],
+            ))
+        tape = _Tape(ops, out_buffer, buffers,
+                     sum(entry_nbytes(entry) for entry in entries))
         if self.tile_shape is not False:
-            tape = self._try_fuse(tape, entries, out_buffer)
+            tape = self._try_fuse(tape, entries)
         return tape
 
-    def _try_fuse(self, tape: _Tape, entries: List[TapeEntry],
-                  out_buffer: np.ndarray) -> _Tape:
+    def _try_fuse(self, tape: _Tape, entries: List[TapeEntry]) -> _Tape:
         """Fuse + tile the captured tape; verified, with unfused fallback.
 
         The fused tape replays the identical operation sequence tile by
@@ -410,6 +629,7 @@ class ExecutionPlan:
         is checked right here, against the output the capture just
         computed, before the fused tape is ever trusted with a result.
         """
+        out_buffer = tape.out
         try:
             optimized = optimize_tape(entries, out_buffer, self.tile_shape,
                                       self._pool,
@@ -422,7 +642,10 @@ class ExecutionPlan:
             return tape
         ops, scratch, info = optimized
         snapshot = out_buffer.copy()
-        fused = _Tape(ops, out_buffer)
+        dead = {id(buffer) for buffer in info.dead}
+        fused = _Tape(ops, out_buffer,
+                      [b for b in tape.buffers if id(b) not in dead] + scratch,
+                      info.nbytes, fusion=info)
         try:
             fused.run()
             accepted = _bits_equal(snapshot, out_buffer)
@@ -434,12 +657,9 @@ class ExecutionPlan:
             _FUSION_FALLBACKS_TOTAL.inc(label="verification")
             tape.run()  # restore every buffer from the trusted unfused ops
             return tape
-        self._buffers.extend(scratch)
-        _FUSED_REGIONS_TOTAL.inc(info.regions)
-        self.fused_regions += info.regions
-        self.fused_tiles += info.tiles
-        self.fused_schedules += info.fused_schedules
-        self.fused_pads += info.fused_pads
+        # Tile scratch replaced the schedules' full-grid buffers: nothing in
+        # the accepted tape touches them, so the next capture may have them.
+        self._pool.release_all(info.dead)
         return fused
 
     def _step(self, state: List[np.ndarray], slot: int) -> np.ndarray:
@@ -453,7 +673,8 @@ class ExecutionPlan:
                 _CAPTURES_TOTAL.inc()
             else:
                 tape = self._capture(state, slot)
-            self._tapes[key] = tape
+            # Keyed afresh: the first capture may have re-housed ``state``.
+            self._tapes[(tuple(id(buffer) for buffer in state), slot)] = tape
         elif _metrics_on():
             started = perf_counter()
             tape.run()
@@ -578,6 +799,7 @@ class ExecutionPlan:
                             f"plan's per-item {buffer.shape[1:]}"
                         )
                     np.copyto(buffer[index], array)
+            self._refresh_inputs()
             state = list(self._in_bufs)
             out = self._step(state, self._pick_slot(state))
             return self._result(out, copy)
@@ -603,6 +825,9 @@ class ExecutionPlan:
                 "fused_schedules": self.fused_schedules,
                 "fused_pads": self.fused_pads,
                 "fusion_fallbacks": self.fusion_fallbacks,
+                "resident_pads": self.resident_pads,
+                "materialized_pads": self.materialized_pads,
+                "replay_bytes_per_step": self.replay_bytes_per_step,
                 "tile_shape": self.tile_shape,
                 "parallel_workers": self.parallel_workers,
             }
@@ -615,6 +840,7 @@ class ExecutionPlan:
             self._tapes = {}
             self._ring = []
             self._in_bufs = []
+            self._homes = {}
 
 
 def compile_plan(
@@ -656,10 +882,12 @@ class PlanCache:
        :func:`~repro.backend.fuse.normalize_tile_spec` (``"auto"`` and
        ``None`` coincide; distinct tile shapes are distinct plans — how the
        tuner searches tile sizes over warm fused replays);
-    6. the ``parallel_workers`` count, canonicalised through
-       :func:`~repro.backend.fuse.normalize_workers` (``None``/``0``/``1``
-       all key the serial plan; each worker count owns its scratch layout,
-       so N-way plans are separate entries).
+    6. the *resolved* ``parallel_workers`` count
+       (:func:`~repro.backend.fuse.normalize_workers` on the input shapes:
+       ``0``/``1`` key the serial plan, ``None`` keys whatever
+       :func:`~repro.backend.fuse.auto_workers` picks for these shapes;
+       each worker count owns its scratch layout, so N-way plans are
+       separate entries).
 
     Evicted plans are simply dropped: their buffers may still be
     mid-execution on another thread, so they are left to the garbage
@@ -683,9 +911,10 @@ class PlanCache:
                 batched: bool = False, tile_shape=None,
                 parallel_workers=None) -> Tuple:
         sizes = tuple(sorted((size_env or {}).items()))
-        return (structural_key(program), plan_signature(inputs_or_signature),
-                sizes, batched, normalize_tile_spec(tile_shape),
-                normalize_workers(parallel_workers))
+        shapes = plan_signature(inputs_or_signature)
+        return (structural_key(program), shapes, sizes, batched,
+                normalize_tile_spec(tile_shape),
+                normalize_workers(parallel_workers, shapes))
 
     def get_or_compile(
         self,

@@ -35,38 +35,90 @@ class UntraceableFunction(Exception):
 class _Node:
     """One recorded operation: ``kind`` plus operands (nodes, arrays, scalars)."""
 
-    __slots__ = ("kind", "fn", "operands", "buffer", "concrete")
+    __slots__ = ("kind", "fn", "operands", "buffer", "shape", "dtype")
 
-    def __init__(self, kind: str, fn, operands: Tuple, concrete) -> None:
+    def __init__(self, kind: str, fn, operands: Tuple, shape, dtype) -> None:
         self.kind = kind            # "ufunc" | "where" | "clip"
         self.fn = fn                # the ufunc (for kind == "ufunc")
         self.operands = operands    # mix of TracedArray / ndarray / scalar
-        self.concrete = concrete    # eager result (drives scratch shape/dtype)
+        self.shape = shape          # result shape (drives the scratch buffer)
+        self.dtype = dtype
         self.buffer: Optional[np.ndarray] = None  # bound by the schedule
 
 
-def _concrete(value):
-    """The concrete array/scalar behind a traced or plain operand."""
+def view_geometry(array: np.ndarray) -> Tuple:
+    """What identifies a view: two arrays with equal geometry are one region."""
+    return (array.__array_interface__["data"][0], array.shape, array.strides,
+            array.dtype.str)
+
+
+def _operand_key(value) -> Tuple:
+    """Identity of one operand for common-subexpression matching."""
     if isinstance(value, TracedArray):
-        return value.concrete
+        if value.node is not None:
+            return ("node", id(value.node))
+        return ("leaf",) + view_geometry(value.concrete)
+    if isinstance(value, np.ndarray):
+        return ("array", id(value))
+    if isinstance(value, np.generic):
+        return ("scalar", value.dtype.str, value.tobytes())
+    # repr keeps 2 / 2.0 / True and 0.0 / -0.0 apart, which == does not.
+    return ("scalar", type(value).__name__, repr(value))
+
+
+def _stand_in(value):
+    """A one-element array of the operand's dtype and rank; scalars pass
+    through as themselves, so NumPy's promotion sees what the real call
+    would."""
+    if isinstance(value, (TracedArray, np.ndarray)):
+        return np.ones((1,) * len(value.shape), dtype=value.dtype)
     return value
 
 
 class TracedArray:
     """A proxy recording NumPy operations applied to a concrete array.
 
-    ``concrete`` always holds the materialised value (operations execute
-    eagerly during tracing), so shapes and dtypes of every intermediate are
-    known exactly when the replay schedule allocates its scratch buffers.
-    ``node`` is ``None`` for leaves — arrays that exist independently of the
-    traced function (the stable argument views of an execution plan).
+    Nothing is computed while tracing: a recorded operation's shape is the
+    broadcast of its operand shapes and its dtype is what NumPy gives
+    one-element stand-ins, which is all the replay schedule needs to size
+    its scratch buffers.  ``concrete`` is the array behind a *leaf* — one
+    that exists independently of the traced function (the stable argument
+    views of an execution plan) — and ``None`` for a computed value, whose
+    ``node`` records how to compute it.  ``memo`` is the trace's table of
+    operations already recorded: the same operation on the same operands
+    is one node.
     """
 
-    __slots__ = ("concrete", "node")
+    __slots__ = ("concrete", "node", "shape", "dtype", "memo")
 
-    def __init__(self, concrete: np.ndarray, node: Optional[_Node] = None) -> None:
+    def __init__(self, concrete: Optional[np.ndarray], memo: dict,
+                 node: Optional[_Node] = None) -> None:
         self.concrete = concrete
         self.node = node
+        self.memo = memo
+        source = concrete if node is None else node
+        self.shape = source.shape
+        self.dtype = source.dtype
+
+    def _record(self, kind: str, fn, operands: Tuple, evaluate) -> "TracedArray":
+        operands = tuple(
+            np.asarray(value) if isinstance(value, (list, tuple)) else value
+            for value in operands
+        )
+        key = (kind, fn) + tuple(_operand_key(value) for value in operands)
+        known = self.memo.get(key)
+        if known is not None:
+            return known
+        shape = np.broadcast_shapes(*[getattr(value, "shape", ())
+                                      for value in operands])
+        with np.errstate(all="ignore"):
+            sample = evaluate(*[_stand_in(value) for value in operands])
+        if isinstance(sample, tuple):  # multi-output ufuncs (divmod, …)
+            raise UntraceableFunction(f"multi-output operation {fn or kind}")
+        node = _Node(kind, fn, operands, shape, np.asarray(sample).dtype)
+        traced = TracedArray(None, self.memo, node)
+        self.memo[key] = traced
+        return traced
 
     # -- NumPy protocol hooks ------------------------------------------------
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
@@ -74,24 +126,11 @@ class TracedArray:
             raise UntraceableFunction(
                 f"unsupported ufunc use: {ufunc.__name__}.{method} with {kwargs}"
             )
-        concrete_inputs = [_concrete(value) for value in inputs]
-        result = getattr(ufunc, method)(*concrete_inputs)
-        if isinstance(result, tuple):  # multi-output ufuncs (divmod, …)
-            raise UntraceableFunction(f"multi-output ufunc {ufunc.__name__}")
-        result = np.asarray(result)
-        return TracedArray(result, _Node("ufunc", ufunc, tuple(inputs), result))
+        return self._record("ufunc", ufunc, inputs, ufunc)
 
     def __array_function__(self, func, types, args, kwargs):
-        if func is np.where and len(args) == 3 and not kwargs:
-            condition, x, y = args
-            result = np.asarray(
-                np.where(_concrete(condition), _concrete(x), _concrete(y))
-            )
-            return TracedArray(result, _Node("where", None, (condition, x, y), result))
-        if func is np.clip and len(args) == 3 and not kwargs:
-            a, lo, hi = args
-            result = np.asarray(np.clip(_concrete(a), _concrete(lo), _concrete(hi)))
-            return TracedArray(result, _Node("clip", None, (a, lo, hi), result))
+        if func in (np.where, np.clip) and len(args) == 3 and not kwargs:
+            return self._record(func.__name__, None, args, func)
         raise UntraceableFunction(f"unsupported function {getattr(func, '__name__', func)}")
 
     # -- structural access (views of leaves are themselves leaves) ----------
@@ -109,22 +148,16 @@ class TracedArray:
                 "indexing a traced argument with a copying (advanced/scalar) "
                 "selection"
             )
-        return TracedArray(result)
+        return TracedArray(result, self.memo)
 
     @property
-    def shape(self):
-        return self.concrete.shape
-
-    @property
-    def dtype(self):
-        return self.concrete.dtype
-
-    @property
-    def ndim(self):
-        return self.concrete.ndim
+    def ndim(self) -> int:
+        return len(self.shape)
 
     def __len__(self) -> int:
-        return len(self.concrete)
+        if not self.shape:
+            raise TypeError("len() of unsized object")
+        return self.shape[0]
 
     def __iter__(self):
         raise UntraceableFunction("iterating over a traced array")
@@ -199,11 +232,11 @@ class TracedArray:
     __hash__ = None  # traced arrays are not hashable (eq is elementwise)
 
 
-def _wrap_argument(value):
+def _wrap_argument(value, memo: dict):
     if isinstance(value, np.ndarray):
-        return TracedArray(value)
+        return TracedArray(value, memo)
     if isinstance(value, tuple):
-        return tuple(_wrap_argument(component) for component in value)
+        return tuple(_wrap_argument(component, memo) for component in value)
     return value  # scalars participate as plain Python numbers
 
 
@@ -216,9 +249,13 @@ class ReplaySchedule:
     plan's stable buffers, which earlier tape entries refresh every sweep.
     """
 
-    def __init__(self, nodes: List[_Node], out: np.ndarray) -> None:
+    def __init__(self, nodes: List[_Node], out: np.ndarray,
+                 scratch: List[np.ndarray]) -> None:
         self._nodes = nodes
         self.out = out
+        #: Every buffer this schedule drew from its allocator — what a
+        #: caller that stops running the schedule may hand back.
+        self.scratch = scratch
 
     @property
     def nodes(self) -> List[_Node]:
@@ -228,8 +265,12 @@ class ReplaySchedule:
         re-derives a tiled replay from the same nodes."""
         return self._nodes
 
-    def retarget(self, new_out: np.ndarray) -> None:
+    def retarget(self, new_out: np.ndarray) -> Optional[np.ndarray]:
         """Make the final operation write directly into ``new_out``.
+
+        Returns the scratch buffer this orphans (dropped from ``scratch``;
+        the caller owns handing it back), or ``None`` when an earlier node
+        still computes into it.
 
         Used by execution plans when the kernel's whole result *is* this
         schedule's final value: retargeting saves the output-materialisation
@@ -240,8 +281,13 @@ class ReplaySchedule:
         """
         final = self._nodes[-1]
         assert final.buffer is self.out, "final node must own the schedule output"
+        orphan = final.buffer
         final.buffer = new_out
         self.out = new_out
+        if any(node.buffer is orphan for node in self._nodes):
+            return None
+        self.scratch = [b for b in self.scratch if b is not orphan]
+        return orphan
 
     def run(self) -> np.ndarray:
         for node in self._nodes:
@@ -276,9 +322,10 @@ def trace_function(
 
     ``pool`` is any allocator with an ``acquire(shape, dtype)`` method (a
     :class:`~repro.backend.pool.BufferPool` or a capture arena).  Returns
-    ``(schedule, result)`` where ``result`` holds the concrete value of this
-    first (tracing) execution, living in the schedule's final scratch buffer
-    so downstream consumers see a stable array.  Returns ``(None, value)``
+    ``(schedule, result)`` where ``result`` holds the concrete value of the
+    schedule's first run — the one execution; tracing itself computes
+    nothing — living in the schedule's final scratch buffer so downstream
+    consumers see a stable array.  Returns ``(None, value)``
     when the function performed no recorded computation but its result is
     nevertheless stable across sweeps — an argument passed through unchanged
     (a live view of the caller's buffers) or a run-invariant constant.
@@ -286,7 +333,8 @@ def trace_function(
     (untraceable control flow, unsupported operations, tuple results).
     """
     try:
-        traced = fn(*[_wrap_argument(value) for value in args])
+        memo: dict = {}
+        traced = fn(*[_wrap_argument(value, memo) for value in args])
     except UntraceableFunction:
         return None, None
     if isinstance(traced, TracedArray) and traced.node is None:
@@ -314,14 +362,16 @@ def trace_function(
         nodes.append(node)
 
     collect(traced)
-    _assign_buffers(nodes, traced.node, pool)
-    schedule = ReplaySchedule(nodes, traced.node.buffer)
+    scratch = _assign_buffers(nodes, traced.node, pool)
+    schedule = ReplaySchedule(nodes, traced.node.buffer, scratch)
     result = schedule.run()  # materialise the traced values into the buffers
     return schedule, result
 
 
-def _assign_buffers(nodes: List[_Node], final: _Node, pool) -> None:
-    """Bind scratch buffers to nodes with liveness-based reuse.
+def _assign_buffers(nodes: List[_Node], final: _Node,
+                    pool) -> List[np.ndarray]:
+    """Bind scratch buffers to nodes with liveness-based reuse; returns the
+    buffers acquired.
 
     A node's buffer is dead once its last consumer has executed; later nodes
     of the same shape and dtype reuse it.  This mirrors NumPy's own
@@ -340,13 +390,13 @@ def _assign_buffers(nodes: List[_Node], final: _Node, pool) -> None:
     last_use[id(final)] = len(nodes)  # the result buffer outlives the schedule
 
     free = {}  # (shape, dtype str) -> [buffers]
+    acquired: List[np.ndarray] = []
 
     def key_of(buffer: np.ndarray):
         return (buffer.shape, str(buffer.dtype))
 
     for index, node in enumerate(nodes):
-        shape, dtype = node.concrete.shape, node.concrete.dtype
-        node.concrete = None  # eager temporaries are no longer needed
+        shape, dtype = node.shape, node.dtype
         dying = []
         for operand in node.operands:
             if isinstance(operand, TracedArray) and operand.node is not None \
@@ -364,10 +414,16 @@ def _assign_buffers(nodes: List[_Node], final: _Node, pool) -> None:
             node.buffer = reused
         else:
             bucket = free.get((shape, str(np.dtype(dtype))))
-            node.buffer = bucket.pop() if bucket else pool.acquire(shape, dtype)
+            if bucket:
+                node.buffer = bucket.pop()
+            else:
+                node.buffer = pool.acquire(shape, dtype)
+                acquired.append(node.buffer)
         for buffer in dying:
             if buffer is not node.buffer:
                 free.setdefault(key_of(buffer), []).append(buffer)
+    return acquired
 
 
-__all__ = ["ReplaySchedule", "TracedArray", "UntraceableFunction", "trace_function"]
+__all__ = ["ReplaySchedule", "TracedArray", "UntraceableFunction",
+           "trace_function", "view_geometry"]

@@ -156,7 +156,7 @@ class TestZeroAllocationFusedLoop:
         carry = bench.carry_spec()
         plan.iterate(inputs, 12, carry=carry)  # warm every binding's tape
         assert plan.stats()["fused_regions"] >= 1
-        pool_before = plan._pool.allocations
+        pool_before = (plan._pool.allocations, plan._pool.reuses)
 
         tracemalloc.start()
         try:
@@ -166,7 +166,7 @@ class TestZeroAllocationFusedLoop:
         finally:
             tracemalloc.stop()
 
-        assert plan._pool.allocations == pool_before
+        assert (plan._pool.allocations, plan._pool.reuses) == pool_before
         delta = after.compare_to(before, "filename")
         grown = sum(max(0, entry.size_diff) for entry in delta)
         assert grown < 64 * 1024, f"steady fused loop grew {grown} bytes"
@@ -225,7 +225,88 @@ class TestPoolHygiene:
         plan.release()
         stats = pool.stats()
         assert stats["live_buffers"] == 0
-        assert stats["free_buffers"] == live
+        # Everything the plan held is free again, beside what its capture
+        # already handed back (the buffers fusion made dead).
+        assert stats["free_buffers"] >= live
+
+
+class TestFusedResidency:
+    """What fusion leaves pinned, and where a fused region stores."""
+
+    def test_default_512_plan_pins_five_grids_at_most(self):
+        # Tiles smaller than the grid: tile scratch replaced the schedules'
+        # full-grid buffers and the pads are views, so what is left at grid
+        # size is the two inputs and the ring (20 buffers before).
+        bench = get_benchmark("hotspot2d")
+        inputs = bench.make_inputs((512, 512), 3)
+        pool = BufferPool()
+        plan = ExecutionPlan(bench.build_program(), inputs, pool=pool)
+        plan.iterate(inputs, 16, carry=bench.carry_spec())
+        stats = plan.stats()
+        assert stats["fused_tiles"] > stats["fused_regions"] == 3
+        grid = inputs[0].nbytes
+        assert sum(b.nbytes >= grid for b in plan._buffers) <= 5
+        assert stats["resident_pads"] >= 2 and stats["fusion_fallbacks"] == 0
+        # nothing the plan still holds was handed back, and vice versa
+        assert pool.stats()["live_buffers"] == stats["buffers"]
+        plan.release()
+        assert pool.stats()["live_buffers"] == 0
+
+    def test_region_stores_into_the_next_steps_padded_buffer(self):
+        bench = get_benchmark("hotspot2d")
+        inputs = small_inputs(bench)
+        plan = NumpyBackend(cache=None).plan(bench.build_program(), inputs,
+                                             tile_shape=(4, 3))
+        plan.iterate(inputs, 4, carry=bench.carry_spec())
+        for out in plan._ring:
+            home = plan._homes[id(out)]
+            assert out is home.interior and not out.flags.c_contiguous
+            assert np.shares_memory(out, home.padded)
+            # the ring around it is what the chained pad would produce
+            assert np.array_equal(home.padded, np.pad(out, 1, mode="edge"))
+
+    def test_rejected_fusion_keeps_the_unfused_tape_whole(self, monkeypatch):
+        # A fused tape that fails verification is dropped: the unfused tape
+        # must still own every full-grid buffer it computes into.
+        from repro.backend import plan as plan_module
+
+        genuine = plan_module._bits_equal
+        calls = []
+
+        def reject_first(a, b):
+            calls.append(1)
+            return genuine(a, b) and len(calls) > 1
+
+        monkeypatch.setattr(plan_module, "_bits_equal", reject_first)
+        bench = get_benchmark("hotspot2d")
+        inputs = small_inputs(bench)
+        program, carry = bench.build_program(), bench.carry_spec()
+        pool = BufferPool()
+        plan = ExecutionPlan(program, inputs, pool=pool, tile_shape=(4, 3))
+        backend = NumpyBackend(cache=None)
+        assert np.array_equal(
+            plan.iterate(inputs, 6, carry=carry),
+            iterate_generic(backend, program, inputs, 6, carry=carry))
+        stats = plan.stats()
+        assert stats["fusion_fallbacks"] == 1 and stats["fused_regions"] == 2
+        assert pool.stats()["live_buffers"] == stats["buffers"]
+        plan.release()
+        assert pool.stats()["live_buffers"] == 0
+
+    def test_locate_splits_offsets_within_a_strided_box(self):
+        from repro.backend.fuse import _is_aligned, _locate
+
+        padded = np.zeros((6, 8, 10))
+        interior = padded[1:5, 2:7, 1:9]
+        assert _locate(interior[1:3, :, 2:5], interior) == \
+            [(1, 0, 2), (0, 1, 5), (2, 2, 3)]
+        assert _locate(interior[2, 1:4], interior) == \
+            [(2, None, 1), (1, 0, 3), (0, 1, 8)]
+        assert _is_aligned(interior[:, None], interior)
+        assert not _is_aligned(interior[:, :, 1:], interior)
+        assert _locate(padded[0:2], interior) is None       # starts before it
+        assert _locate(padded[1:5, 2:7, 1:10], interior) is None  # overruns
+        assert _locate(interior, interior.T) is None        # not a C-order box
 
 
 class TestTileSpecs:

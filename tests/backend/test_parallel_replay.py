@@ -122,6 +122,44 @@ class TestParallelPlanCaching:
         with pytest.raises(ExecutionError):
             normalize_workers(-2)
 
+    def test_none_resolves_through_the_size_rule(self, monkeypatch):
+        # One worker per core once each has sixteen cache-sized tiles of the
+        # largest input to itself; everything smaller stays serial.
+        import os
+
+        from repro.backend import fuse
+
+        hotspot_1024 = [(1024, 1024), (1024, 1024)]
+        stay_serial = [
+            [(32, 96, 96)] * 3,           # Acoustic: 11 tiles
+            [(512, 512), (512, 512)],     # 8 tiles
+            [(16, 64, 64), (16, 64, 64)],  # a batched 64² wave
+            [()],
+        ]
+        for cores, expected in ((1, 1), (2, 2), (8, 2), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+            assert normalize_workers(None, hotspot_1024) == expected
+            assert fuse.auto_workers([(4096, 4096)]) == \
+                min(cores or 1, MAX_REPLAY_WORKERS)
+            for shapes in stay_serial:
+                assert normalize_workers(None, shapes) == 1
+            # explicit integers mean what they meant
+            assert normalize_workers(1, hotspot_1024) == 1
+            assert normalize_workers(0, hotspot_1024) == 1
+            assert normalize_workers(3, [(8, 8)]) == 3
+        # the resolved count is the cache key: None and its resolution share
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cache = PlanCache()
+        program = get_benchmark("hotspot2d").build_program()
+        big = [(shape, "float64") for shape in hotspot_1024]
+        assert cache.key_for(program, big) == \
+            cache.key_for(program, big, parallel_workers=2)
+        assert cache.key_for(program, big) != \
+            cache.key_for(program, big, parallel_workers=1)
+        small = [((13, 11), "float64")] * 2
+        assert cache.key_for(program, small) == \
+            cache.key_for(program, small, parallel_workers=1)
+
 
 class TestParallelZeroAllocation:
     @pytest.mark.parametrize("key", ["hotspot2d", "acoustic"])

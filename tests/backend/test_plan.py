@@ -114,7 +114,7 @@ class TestZeroAllocationSteadyLoop:
         # Warm up until every binding in the ping-pong cycle has a tape.
         plan.iterate(inputs, 12, carry=carry)
         tapes_before = plan.stats()["tapes"]
-        pool_before = plan._pool.allocations
+        pool_before = (plan._pool.allocations, plan._pool.reuses)
 
         tracemalloc.start()
         try:
@@ -125,7 +125,8 @@ class TestZeroAllocationSteadyLoop:
             tracemalloc.stop()
 
         assert plan.stats()["tapes"] == tapes_before  # no new captures
-        assert plan._pool.allocations == pool_before  # no new buffers
+        # no pool acquisition at all, fresh or reused
+        assert (plan._pool.allocations, plan._pool.reuses) == pool_before
         # Net traced allocation across 64 steady steps stays at Python-object
         # noise (snapshot bookkeeping), far below one grid per step.
         delta = after.compare_to(before, "filename")
@@ -320,4 +321,363 @@ class TestExecutionPlanRelease:
         plan.release()
         stats = pool.stats()
         assert stats["live_buffers"] == 0
-        assert stats["free_buffers"] == live
+        # What the plan held, plus what its capture already handed back.
+        assert stats["free_buffers"] >= live
+
+
+# ---------------------------------------------------------------------------
+# Pad as a view: resident padded homes
+# ---------------------------------------------------------------------------
+
+MATRIX_SHAPES = {1: (9,), 2: (6, 7), 3: (4, 5, 6)}
+RAGGED_TILES = {1: (4,), 2: (4, 3), 3: (3, 2, 4)}
+CARRIES = {"out0": ("out", None), "rotation": (1, "out", None),
+           "static_padded": ("out", None), "shrinking": None}
+
+
+def matrix_case(rank, boundary, carry_kind):
+    """``(program, carry, make_inputs)`` of one stencil of the matrix.
+
+    Every program weights the full ``3**rank`` window element by element,
+    corners included, so a halo refreshed in the wrong order shows.  The
+    carry kinds: ``out0`` (padded carried grid + plain static grid),
+    ``rotation`` (the Acoustic two-level rotation), ``static_padded`` (a
+    static padded grid beside the carried one), ``shrinking`` (padded on
+    the left only, so the output is smaller than the input it would feed).
+    """
+    import itertools
+
+    from repro.core import builders as L
+    from repro.core.arithmetic import Var
+    from repro.core.types import Float
+    from repro.core.userfuns import make_userfun
+
+    right = 0 if carry_kind == "shrinking" else 1
+
+    def windows(grid):
+        if boundary == "const":
+            padded = L.pad_constant_nd(1, right, 0.5, grid, rank)
+        else:
+            padded = L.pad_nd(1, right, boundary, grid, rank)
+        return L.slide_nd(3, 1, padded, rank)
+
+    def elements(nbh):
+        picked = []
+        for index in itertools.product(range(3), repeat=rank):
+            value = nbh
+            for i in index:
+                value = L.at(i, value)
+            picked.append(value)
+        return picked
+
+    count = 3 ** rank
+    weights = [(i + 1) / (count * (count + 1)) for i in range(count)]
+    padded_grids = 2 if carry_kind == "static_padded" else 1
+    plain_grids = {"out0": 1, "rotation": 2}.get(carry_kind, 0)
+
+    def update(*values):
+        acc = 0.0
+        for weight, value in zip(weights * padded_grids, values[plain_grids:]):
+            acc = acc + weight * value
+        for k, value in enumerate(values[:plain_grids]):
+            acc = acc - (0.1 + 0.2 * k) * value
+        return acc
+
+    fn = make_userfun(
+        f"matrix_{rank}_{boundary}_{carry_kind}",
+        [f"x{i}" for i in range(plain_grids + count * padded_grids)],
+        "return 0;", update,
+    )
+
+    def body(*grids):
+        if carry_kind == "shrinking":
+            return L.map_nd(lambda nbh: L.FunCall(fn, *elements(nbh)),
+                            windows(grids[0]), rank)
+        if carry_kind == "static_padded":
+            zipped = L.zip_nd([windows(grids[0]), windows(grids[1])], rank)
+            return L.map_nd(
+                lambda t: L.FunCall(fn, *elements(L.get(0, t)),
+                                    *elements(L.get(1, t))), zipped, rank)
+        if carry_kind == "out0":
+            zipped = L.zip_nd([windows(grids[0]), grids[1]], rank)
+            return L.map_nd(
+                lambda t: L.FunCall(fn, L.get(1, t), *elements(L.get(0, t))),
+                zipped, rank)
+        zipped = L.zip_nd([grids[0], windows(grids[1]), grids[2]], rank)
+        return L.map_nd(
+            lambda t: L.FunCall(fn, L.get(0, t), L.get(2, t),
+                                *elements(L.get(1, t))), zipped, rank)
+
+    arity = plain_grids + padded_grids
+    sizes = [Var(name) for name in "ABC"[:rank]]
+    program = L.fun([L.array_type(Float, *sizes)] * arity, body)
+
+    def make_inputs(seed):
+        rng = np.random.default_rng(seed)
+        return [rng.random(MATRIX_SHAPES[rank]) for _ in range(arity)]
+
+    return program, CARRIES[carry_kind], make_inputs
+
+
+def poison_halos(plan):
+    """NaN into every byte of the plan's homes outside their interiors."""
+    for home in plan._homes.values():
+        kept = home.interior.copy()
+        home.padded.fill(np.nan)
+        np.copyto(home.interior, kept)
+
+
+class TestResidentPadMatrix:
+    """boundary × rank × carry × tile × workers, every way a plan is driven:
+    the resident-pad path is bit-identical to the generic path and, at these
+    shapes, to the interpreter."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("tile", ["auto", "ragged", False])
+    @pytest.mark.parametrize("carry_kind", sorted(CARRIES))
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("boundary", ["clamp", "mirror", "wrap", "const"])
+    def test_every_driver_matches_generic(self, boundary, rank, carry_kind,
+                                          tile, workers):
+        from repro.backend.base import InterpreterBackend
+        from repro.backend.plan import iterate_state_generic
+
+        program, carry, make_inputs = matrix_case(rank, boundary, carry_kind)
+        x, y = make_inputs(1), make_inputs(2)
+        backend = NumpyBackend(cache=None)
+        plan = backend.plan(
+            program, x, tile_shape=RAGGED_TILES[rank] if tile == "ragged" else tile,
+            parallel_workers=workers)
+        one = plan.run(x)
+        assert np.array_equal(one, backend.run(program, x))
+        if tile == "auto" and workers == 1:
+            assert np.array_equal(one, InterpreterBackend().run(program, x))
+        if carry is not None:
+            whole = plan.iterate(x, 5, carry=carry)
+            assert np.array_equal(
+                whole, iterate_generic(backend, program, x, 5, carry=carry))
+            # iterate(x, a + b) == iterate(iterate_state(x, a).state, b)
+            out, state = plan.iterate_state(x, 2, carry=carry)
+            ref_out, ref_state = iterate_state_generic(backend, program, x, 2,
+                                                       carry=carry)
+            assert np.array_equal(out, ref_out)
+            assert all(np.array_equal(a, b) for a, b in zip(state, ref_state))
+            assert np.array_equal(plan.iterate(state, 3, carry=carry), whole)
+            # run after iterate on the same plan, then new inputs
+            assert np.array_equal(plan.run(x), one)
+            assert np.array_equal(
+                plan.iterate(y, 4, carry=carry),
+                iterate_generic(backend, program, y, 4, carry=carry))
+            # a halo poisoned between two calls never reaches a result: the
+            # bind and the tapes' refresh ops rewrite it (constant halos are
+            # written once, so those are left alone)
+            if boundary != "const":
+                poison_halos(plan)
+                assert np.array_equal(plan.iterate(x, 5, carry=carry), whole)
+            captures = plan.stats()["captures"]
+            plan.iterate(y, 50, carry=carry)
+            assert plan.stats()["captures"] == captures
+        assert np.array_equal(plan.run(y), backend.run(program, y))
+        stats = plan.stats()
+        assert stats["fusion_fallbacks"] == 0
+        assert stats["materialized_pads"] == 0
+        assert stats["resident_pads"] >= rank
+        # every padded input has a home, and so has every ring buffer,
+        # except that the shrinking output can feed no input: it stays plain
+        padded_inputs = 2 if carry_kind == "static_padded" else 1
+        ring_homes = 0 if carry_kind == "shrinking" else len(plan._ring)
+        assert len(plan._homes) == padded_inputs + ring_homes
+
+
+class TestResidentPadMechanics:
+    def test_tape_counts_hold_and_captures_stop(self):
+        for key, tapes in (("hotspot2d", 3), ("acoustic", 5)):
+            bench = get_benchmark(key)
+            inputs = small_inputs(bench)
+            plan = NumpyBackend(cache=None).plan(bench.build_program(), inputs)
+            plan.iterate(inputs, 12, carry=bench.carry_spec())
+            before = plan.stats()
+            plan.iterate(inputs, 50, carry=bench.carry_spec())
+            after = plan.stats()
+            assert before["tapes"] == after["tapes"] == tapes, key
+            assert after["captures"] == before["captures"] == tapes, key
+            assert after["resident_pads"] == bench.ndims * tapes, key
+            assert after["replay_bytes_per_step"] > 0, key
+
+    def test_forced_halo_mismatch_is_caught_at_capture(self, monkeypatch):
+        # A refresh that skips the last axis leaves that axis' halo stale.
+        # The fused-vs-unfused check cannot see it (both sides read the same
+        # stale ring); the comparison with a pad-copying execution does.
+        from repro.backend import plan as plan_module
+        from repro.backend.numpy_backend import PadHome
+
+        def skip_last_axis(self):
+            for destination, source in self.halo_pairs[:-2]:
+                np.copyto(destination, source)
+
+        monkeypatch.setattr(PadHome, "refresh", skip_last_axis)
+        bench = get_benchmark("hotspot2d")
+        inputs = small_inputs(bench)
+        program, carry = bench.build_program(), bench.carry_spec()
+        backend = NumpyBackend(cache=None)
+        reference = iterate_generic(backend, program, inputs, 6, carry=carry)
+        fallbacks = plan_module._FUSION_FALLBACKS_TOTAL.values
+        counted = fallbacks.get("halo", 0)
+
+        plan = backend.plan(program, inputs)
+        assert np.array_equal(plan.iterate(inputs, 6, carry=carry), reference)
+        stats = plan.stats()
+        assert stats["fusion_fallbacks"] == 1
+        assert stats["materialized_pads"] > 0   # every tape copies its pads
+        assert fallbacks["halo"] == counted + 1
+
+        # ... and it is that comparison which catches it: without it the
+        # same plan returns a wrong grid.
+        monkeypatch.setattr(plan_module.ExecutionPlan, "_halo_ok",
+                            lambda self, tape, state: True)
+        unchecked = NumpyBackend(cache=None).plan(program, inputs)
+        assert not np.array_equal(
+            unchecked.iterate(inputs, 6, carry=carry), reference)
+
+    def test_ineligible_pads_stay_materialised(self):
+        from repro.core import builders as L
+        from repro.core.arithmetic import Var
+        from repro.core.types import Float
+        from repro.core.userfuns import make_userfun
+
+        double = make_userfun("double_it", ["x"], "return 2*x;",
+                              lambda x: 2.0 * x)
+        total = make_userfun("add3", ["a", "b", "c"], "return a+b+c;",
+                             lambda a, b, c: a + b + c)
+        pair = make_userfun("pair_sum", ["a", "b"], "return a+b;",
+                            lambda a, b: a + 0.5 * b)
+        row = [L.array_type(Float, Var("N"))]
+
+        def summed(padded):
+            return L.map(lambda w: L.FunCall(total, L.at(0, w), L.at(1, w),
+                                             L.at(2, w)),
+                         L.slide(3, 1, padded))
+
+        cases = {
+            # a pad of a computed intermediate
+            "intermediate": L.fun(row, lambda a: summed(
+                L.pad(1, 1, L.CLAMP, L.map(lambda v: L.FunCall(double, v), a)))),
+            # a mirror halo of ten is ten one-element runs: an np.take gather
+            "gather": L.fun(row, lambda a: L.map(
+                lambda w: L.FunCall(pair, L.at(0, w), L.at(20, w)),
+                L.slide(21, 1, L.pad(10, 10, L.MIRROR, a)))),
+            # two different chains on one root
+            "two_chains": L.fun(row, lambda a: L.map(
+                lambda t: L.FunCall(pair, L.get(0, t), L.get(1, t)),
+                L.zip(summed(L.pad(1, 1, L.CLAMP, a)),
+                      summed(L.pad(1, 1, L.WRAP, a))))),
+        }
+        backend = NumpyBackend(cache=None)
+        for name, program in cases.items():
+            plan = backend.plan(program, [np.zeros(24)])
+            for seed in (1, 2):
+                inputs = [np.random.default_rng(seed).random(24)]
+                assert np.array_equal(plan.run(inputs),
+                                      backend.run(program, inputs)), name
+                assert np.array_equal(
+                    plan.iterate(inputs, 4),
+                    iterate_generic(backend, program, inputs, 4)), name
+            stats = plan.stats()
+            assert stats["resident_pads"] == 0, name
+            assert stats["materialized_pads"] >= 1, name
+            assert stats["fusion_fallbacks"] == 0, name
+            assert not plan._homes, name
+
+    def test_gauges_are_exported(self):
+        from repro.telemetry.registry import get_registry
+
+        bench = get_benchmark("hotspot2d")
+        inputs = small_inputs(bench)
+        plan = NumpyBackend(cache=None).plan(bench.build_program(), inputs)
+        plan.run(inputs)
+        rendered = get_registry().render()
+        for name in ("repro_plan_resident_pads",
+                     "repro_plan_replay_bytes_per_step"):
+            value = [line for line in rendered.splitlines()
+                     if line.startswith(name + " ")]
+            assert value and float(value[0].split()[1]) > 0, name
+
+
+class TestTracer:
+    """The tracer computes nothing: shapes by broadcasting, dtypes from
+    one-element stand-ins, one node per distinct operation."""
+
+    @staticmethod
+    def trace(fn, *args):
+        from repro.backend.pool import BufferPool
+        from repro.backend.ufunc_trace import trace_function
+
+        return trace_function(fn, list(args), BufferPool())
+
+    def test_common_subexpressions_are_one_node(self):
+        a = np.arange(6.0).reshape(2, 3)
+        schedule, result = self.trace(lambda x: (2.0 * x) + (2.0 * x) * x, a)
+        assert [node.fn.__name__ for node in schedule.nodes] == \
+            ["multiply", "multiply", "add"]
+        assert np.array_equal(result, (2.0 * a) + (2.0 * a) * a)
+        # equal-by-== scalars that differ in bits or type stay apart, and
+        # operands are never commuted
+        for fn in (lambda x: (x * 0.0) + (x * -0.0),
+                   lambda x: (x * 2) + (x * 2.0),
+                   lambda x: (x * 3.0) + (3.0 * x)):
+            schedule, result = self.trace(fn, a)
+            assert len(schedule.nodes) == 3
+            assert np.array_equal(result, fn(a))
+        # the same leaf view reached twice is one operand
+        schedule, _ = self.trace(lambda x: x[0] * 2.0 + x[0] * 2.0, a)
+        assert len(schedule.nodes) == 2
+
+    def test_hotspot2d_update_is_fourteen_ufuncs(self):
+        bench = get_benchmark("hotspot2d")
+        inputs = small_inputs(bench)
+        plan = NumpyBackend(cache=None).plan(bench.build_program(), inputs,
+                                             tile_shape=False)
+        plan.run(inputs)
+        (tape,) = plan._tapes.values()
+        (schedule,) = [op.__self__ for op in tape.ops
+                       if hasattr(getattr(op, "__self__", None), "nodes")]
+        assert len(schedule.nodes) == 14
+
+    def test_shapes_and_dtypes_match_eager_evaluation(self):
+        a32 = np.linspace(0.0, 1.0, 6, dtype=np.float32).reshape(2, 3)
+        row = np.arange(3.0)
+        cases = [
+            (lambda x, y: x * 2.0 + y, (a32, row)),          # broadcast, f32+f64
+            (lambda x, y: x * 2.0, (a32, row)),              # weak scalar: f32
+            (lambda x, y: np.where(x < 0.5, x, y), (a32, row)),
+            (lambda x, y: np.clip(x, 0.25, 0.75) / y[1:2], (a32, row)),
+            (lambda x, y: np.logical_and(x > y, y >= 1.0), (a32, row)),
+            (lambda x, y: x / (y - 1.0), (a32, row)),        # divides by zero
+        ]
+        for fn, args in cases:
+            with np.errstate(all="ignore"):
+                expected = fn(*args)
+                schedule, result = self.trace(fn, *args)
+            assert result.shape == expected.shape
+            assert result.dtype == expected.dtype
+            assert np.array_equal(result, expected, equal_nan=True)
+
+    def test_refusals_and_non_schedule_returns_are_kept(self):
+        a = np.arange(6.0).reshape(2, 3)
+        refused = [
+            lambda x: x * 2.0 if x else x,            # __bool__
+            lambda x: sum(v for v in x),              # __iter__
+            lambda x: x[np.array([1, 0])] * 2.0,      # copying __getitem__
+            lambda x: np.divmod(x, 2.0)[0],           # multi-output ufunc
+            lambda x: np.add(x, 1.0, dtype=np.float32),  # kwargs
+            lambda x: np.add.reduce(x),               # non-__call__ method
+            lambda x: (x * 2.0, x),                   # tuple result
+            lambda x: (x * 2.0)[0],                   # indexing an intermediate
+        ]
+        for fn in refused:
+            assert self.trace(fn, a) == (None, None)
+        schedule, value = self.trace(lambda x: x[1], a)   # passthrough view
+        assert schedule is None and np.shares_memory(value, a)
+        schedule, value = self.trace(lambda x: np.ones(3), a)  # constant
+        assert schedule is None and np.array_equal(value, np.ones(3))
+        assert self.trace(lambda x: 4.5, a) == (None, 4.5)
