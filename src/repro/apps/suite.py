@@ -61,8 +61,8 @@ FIGURE8_BENCHMARKS: List[str] = [
 
 
 #: Benchmarks whose real workload is time-stepping (the apps the paper's
-#: iterative-execution discussion targets); used as the default set for
-#: ``repro bench-plans`` and the plan smoke tests.
+#: iterative-execution discussion targets); the set the plan, fusion and
+#: parallel-replay tests parametrise over.
 ITERATIVE_BENCHMARKS: List[str] = [
     "hotspot2d",
     "hotspot3d",

@@ -1042,7 +1042,8 @@ def iterate_generic(
     This is the pre-plan steady-state loop — one full ``backend.run`` (cache
     lookup, closure traversal, fresh temporaries) per timestep — kept as the
     reference implementation plans are verified against bit for bit, and as
-    the baseline ``repro bench-plans`` compares them to.
+    the kernel-loop baseline the ladder's ``backend.plan.*.vs_kernel`` rows
+    compare them to.
     """
     return _iterate_generic(backend, program, inputs, steps, carry,
                             size_env)[0]

@@ -11,7 +11,8 @@ is an accounting and reuse layer over ``np.empty``:
   buffer set when they are evicted from the plan cache);
 * ``stats`` reports how many buffers and bytes are live, how many fresh
   allocations happened, and how many acquisitions were served for free —
-  the numbers the zero-allocation tests and ``repro bench-plans`` assert on.
+  the numbers the zero-allocation tests and the ladder's
+  ``backend.pool.steady_allocations`` invariant assert on.
 
 The pool is thread-safe; buffers themselves are owned by exactly one plan
 at a time (plans serialise their own execution with a per-plan lock).

@@ -7,10 +7,6 @@ Usage (after ``pip install -e .``, or with ``PYTHONPATH=src``)::
     python -m repro figure8 [--sizes small] [--devices nvidia amd]
     python -m repro kernel jacobi2d5pt --strategy tiled --tile 18 --size 64 64
     python -m repro verify [--benchmarks heat poisson] [--backend crosscheck]
-    python -m repro bench-backend [--out BENCH_backend.json]
-    python -m repro bench-plans [--steps 64] [--workers 4]
-                                [--out BENCH_plans.json]
-                                [--compare BENCH_plans.json] [--assert-fused]
     python -m repro explore stencil2d --workers 4 [--budget 200]
     python -m repro tune [stencil2d] --workers 2 --budget 20 [--resume SESSION]
     python -m repro serve --port 7457 [--store .repro/engine.sqlite]
@@ -20,7 +16,7 @@ Usage (after ``pip install -e .``, or with ``PYTHONPATH=src``)::
                           [--metrics-port 9464] [--log-level info] [--log-json]
     python -m repro submit stencil2d --port 7457 --shape 64 64
     python -m repro loadgen [stencil2d] --requests 64 [--shards 2]
-                            [--out BENCH_service.json]
+                            [--connect HOST:PORT] [--out report.json]
     python -m repro loadgen [stencil2d] --chaos kill-shard:t=2,hang-shard:t=4
                             [--duration-s 6] [--assert-chaos]
     python -m repro trace --port 7457 [--slow] [--limit 20] [--json]
@@ -30,8 +26,7 @@ Every sub-command prints human-readable text; the figure commands emit the
 same rows the paper plots.  ``explore`` and ``tune`` run on the parallel
 search engine: evaluations fan out over worker processes and are memoised
 in a SQLite results store, so re-running (or ``--resume``-ing) a session
-skips every already-evaluated point.  ``bench-plans --workers N`` adds a
-parallel-tiled-replay timing column per row.  ``serve`` exposes the asyncio
+skips every already-evaluated point.  ``serve`` exposes the asyncio
 micro-batching execution service over TCP (JSON lines) — ``--shards N``
 pre-forks N worker processes that sweep micro-batched groups concurrently;
 ``submit`` sends it requests; ``loadgen`` benchmarks batched serving
@@ -40,8 +35,10 @@ multi-process service in-process) and, with ``--chaos``, kills or hangs
 real shard processes mid-load to prove the supervisor heals the fleet
 with zero failed requests; ``serve --inject`` arms deterministic fault
 injection for drills; ``stats`` dumps the compilation-cache and
-results-store counters as one JSON blob.  ``docs/OPERATIONS.md``
-documents every verb, flag and emitted artifact in detail.
+results-store counters as one JSON blob.  Timings of the execution stack
+itself are ``python -m bench`` (``bench/README.md``), not a verb here.
+``docs/OPERATIONS.md`` documents every verb, flag and emitted artifact in
+detail.
 """
 
 from __future__ import annotations
@@ -123,89 +120,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"{key:<14} {'OK' if ok else 'MISMATCH'}")
         failures += 0 if ok else 1
     return 1 if failures else 0
-
-
-def _cmd_bench_backend(args: argparse.Namespace) -> int:
-    from .experiments.backend_bench import (
-        format_backend_bench,
-        run_backend_bench,
-        write_backend_bench,
-    )
-
-    rows = run_backend_bench(
-        benchmarks=args.benchmarks or None, repeats=args.repeats
-    )
-    print(format_backend_bench(rows))
-    if args.out:
-        write_backend_bench(rows, args.out)
-        print(f"\nwrote {args.out}")
-    return 0 if all(row.results_match for row in rows) else 1
-
-
-def _cmd_bench_plans(args: argparse.Namespace) -> int:
-    from .experiments.plan_bench import (
-        PLAN_BENCH_SHAPES,
-        compare_plan_bench,
-        format_plan_bench,
-        run_plan_bench,
-        write_plan_bench,
-    )
-
-    shapes = dict(PLAN_BENCH_SHAPES)
-    if args.shape:
-        shapes[len(args.shape)] = tuple(args.shape)
-    if args.tile is None:
-        tile = "search"
-    elif args.tile in (["off"], ["auto"]):
-        tile = args.tile[0]
-    else:
-        try:
-            tile = tuple(int(extent) for extent in args.tile)
-            if not tile:
-                raise ValueError("no extents")
-        except ValueError:
-            print("error: --tile takes tile extents (e.g. --tile 32 1024), "
-                  "'off' (unfused) or 'auto' (heuristic)", file=sys.stderr)
-            return 2
-    rows = run_plan_bench(
-        benchmarks=args.benchmarks or None,
-        steps=args.steps,
-        shapes=shapes,
-        repeats=args.repeats,
-        tile=tile,
-        workers=args.workers,
-    )
-    print(format_plan_bench(rows))
-    if args.out:
-        write_plan_bench(rows, args.out)
-        print(f"\nwrote {args.out}")
-    failures = [row.benchmark for row in rows if not row.results_match]
-    for name in failures:
-        print(f"FAIL: {name}: plan result diverges from the generic path",
-              file=sys.stderr)
-    status = 1 if failures else 0
-    if args.compare:
-        report, regressions = compare_plan_bench(rows, args.compare)
-        print("\n" + report)
-        for problem in regressions:
-            print(f"FAIL: {problem}", file=sys.stderr)
-        if regressions:
-            status = 1
-    if args.assert_speedup is not None:
-        slow = [row for row in rows if row.speedup < args.assert_speedup]
-        for row in slow:
-            print(f"FAIL: {row.benchmark}: plan speedup {row.speedup:.2f}x "
-                  f"< required {args.assert_speedup:.2f}x", file=sys.stderr)
-        if slow:
-            status = 1
-    if args.assert_fused:
-        unfused = [row for row in rows if row.fused_regions < 1]
-        for row in unfused:
-            print(f"FAIL: {row.benchmark}: no fused region formed",
-                  file=sys.stderr)
-        if unfused:
-            status = 1
-    return status
 
 
 def _run_engine_command(args: argparse.Namespace, command: str) -> int:
@@ -384,23 +298,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    import asyncio
     import json as _json
 
+    from .client import StencilClient
     from .telemetry.trace import format_trace
 
-    async def fetch() -> dict:
-        reader, writer = await asyncio.open_connection(args.host, args.port)
-        message = {"op": "trace", "slow": bool(args.slow)}
-        if args.limit is not None:
-            message["limit"] = args.limit
-        writer.write((_json.dumps(message) + "\n").encode("utf-8"))
-        await writer.drain()
-        reply = _json.loads(await reader.readline())
-        writer.close()
-        return reply
-
-    reply = asyncio.run(fetch())
+    meta = {"slow": bool(args.slow)}
+    if args.limit is not None:
+        meta["limit"] = args.limit
+    with StencilClient(host=args.host, port=args.port) as client:
+        reply, _grids = client.transport.call("trace", meta, None,
+                                              client.config.timeout_s)
     if not reply.get("ok"):
         print(f"error: {reply.get('error')}", file=sys.stderr)
         return 1
@@ -422,185 +330,60 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    import asyncio
-    import json as _json
+    from concurrent.futures import ThreadPoolExecutor
 
-    async def submit_all() -> int:
-        reader, writer = await asyncio.open_connection(args.host, args.port)
-        for index in range(args.count):
-            wire = {
-                "id": index,
-                "benchmark": args.benchmark,
-                "seed": args.seed + index,
-                "return_result": args.show_result,
-            }
-            if args.shape:
-                wire["shape"] = list(args.shape)
-            writer.write((_json.dumps(wire) + "\n").encode("utf-8"))
-        await writer.drain()
-        failures = 0
-        for _ in range(args.count):
-            reply = _json.loads(await reader.readline())
-            if not reply.get("ok"):
-                failures += 1
-                print(f"request {reply.get('id')}: ERROR {reply.get('error')}")
-                continue
-            print(
-                f"request {reply.get('id')}: {reply.get('benchmark')} "
-                f"variant [{reply.get('variant')}] ({reply.get('plan_source')}) "
-                f"batch {reply.get('batch_size')} "
-                f"latency {reply.get('latency_ms'):.2f} ms"
-            )
-            if args.show_result:
-                print(reply.get("result"))
-        writer.close()
-        return 1 if failures else 0
+    from .client import StencilClient
+    from .service.requests import ExecutionRequest
 
-    return asyncio.run(submit_all())
+    shape = tuple(args.shape) if args.shape else None
+    requests = [
+        ExecutionRequest.for_benchmark(args.benchmark, shape=shape,
+                                       seed=args.seed + index,
+                                       return_result=args.show_result)
+        for index in range(args.count)
+    ]
+    # One worker per request: all --count requests are in flight at once,
+    # so the server can stack them into micro-batches.
+    with StencilClient(host=args.host, port=args.port) as client, \
+            ThreadPoolExecutor(max_workers=max(1, args.count)) as pool:
+        responses = list(pool.map(client.execute, requests))
+    failures = 0
+    for index, response in enumerate(responses):
+        if not response.ok:
+            failures += 1
+            print(f"request {index}: ERROR {response.error}")
+            continue
+        print(
+            f"request {index}: {response.benchmark} "
+            f"variant [{response.variant}] ({response.plan_source}) "
+            f"batch {response.batch_size} "
+            f"latency {response.latency_s * 1e3:.2f} ms"
+        )
+        if args.show_result:
+            print(response.result.tolist())
+    return 1 if failures else 0
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import json as _json
 
-    from .service.loadgen import (
-        check_batching,
-        check_no_high_shed,
-        check_sharding,
-        format_loadgen,
-        format_mixed_loadgen,
-        parse_mix,
-        run_loadgen,
-        run_mixed_loadgen,
-    )
+    from .service.loadgen import scenario_kwargs, select_scenario
 
-    connect = None
-    if args.connect:
-        host, _, port = args.connect.rpartition(":")
-        connect = (host or "127.0.0.1", int(port))
-    if args.job_drill:
-        from .service.loadgen import (
-            check_job_drill,
-            format_job_drill,
-            run_job_drill,
-        )
-
-        report = run_job_drill(
-            benchmark=args.benchmark,
-            steps=args.steps,
-            checkpoint_every=args.checkpoint_every,
-            shape=tuple(args.shape) if args.shape else None,
-            seed=args.seed,
-            job_dir=args.job_dir,
-            auth_key=args.auth_key or "drill-key",
-            kill_after_steps=args.kill_after_steps,
-            timeout_s=args.drill_timeout_s,
-        )
-        print(format_job_drill(report))
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                _json.dump(report, fh, indent=2, sort_keys=True)
-            print(f"\nwrote {args.out}")
-        if args.assert_job_drill:
-            problems = check_job_drill(report)
-            for problem in problems:
-                print(f"FAIL: {problem}", file=sys.stderr)
-            return 1 if problems else 0
-        return 0
-    if args.chaos is not None:
-        from .service.loadgen import (
-            check_chaos,
-            format_chaos_loadgen,
-            parse_chaos,
-            run_chaos_loadgen,
-        )
-
-        report = run_chaos_loadgen(
-            benchmark=args.benchmark,
-            chaos=parse_chaos(args.chaos),
-            duration_s=args.duration_s,
-            shards=args.shards or 2,
-            shape=tuple(args.shape) if args.shape else None,
-            seed=args.seed,
-            window_ms=args.window_ms,
-            max_batch=args.max_batch,
-            shard_timeout_s=args.shard_timeout_s,
-            max_respawns=args.max_respawns,
-            recovery_timeout_s=args.recovery_timeout_s,
-            connect=connect,
-            transport=args.transport,
-            auth_key=args.auth_key,
-            store=args.store,
-            device=args.device,
-        )
-        print(format_chaos_loadgen(report))
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                _json.dump(report, fh, indent=2, sort_keys=True)
-            print(f"\nwrote {args.out}")
-        if args.assert_chaos:
-            problems = check_chaos(report, p99_ms=args.chaos_p99_ms)
-            for problem in problems:
-                print(f"FAIL: {problem}", file=sys.stderr)
-            return 1 if problems else 0
-        return 0
-    if args.mix is not None:
-        report = run_mixed_loadgen(
-            benchmark=args.benchmark,
-            requests=args.requests,
-            mix=parse_mix(args.mix),
-            shape=tuple(args.shape) if args.shape else None,
-            seed=args.seed,
-            deadline_ms=args.deadline_ms,
-            window_ms=args.window_ms,
-            max_batch=args.max_batch,
-            store=args.store,
-            device=args.device,
-            connect=connect,
-            transport=args.transport,
-            auth_key=args.auth_key,
-            concurrency=args.concurrency,
-            max_queue_depth=args.max_queue_depth,
-        )
-        print(format_mixed_loadgen(report))
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                _json.dump(report, fh, indent=2, sort_keys=True)
-            print(f"\nwrote {args.out}")
-        if args.assert_no_high_shed:
-            problems = check_no_high_shed(report)
-            for problem in problems:
-                print(f"FAIL: {problem}", file=sys.stderr)
-            return 1 if problems else 0
-        return 0
-    report = run_loadgen(
-        benchmark=args.benchmark,
-        requests=args.requests,
-        shape=tuple(args.shape) if args.shape else None,
-        identical=not args.distinct,
-        seed=args.seed,
-        window_ms=args.window_ms,
-        max_batch=args.max_batch,
-        store=args.store,
-        device=args.device,
-        connect=connect,
-        repeats=args.repeats,
-        shards=args.shards,
-    )
-    print(format_loadgen(report))
+    scenario = select_scenario(args)
+    report = scenario.run(**scenario_kwargs(scenario, args))
+    print(scenario.format(report))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             _json.dump(report, fh, indent=2, sort_keys=True)
         print(f"\nwrote {args.out}")
-    problems = []
-    if args.assert_batched:
-        problems += check_batching(report)
-    if args.assert_sharded:
-        problems += check_sharding(report)
+    problems = [
+        problem
+        for flag, check in scenario.checks.items() if getattr(args, flag)
+        for problem in check(report, args)
+    ]
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)
-    if args.assert_batched or args.assert_sharded:
-        return 1 if problems else 0
-    return 0
+    return 1 if problems else 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -654,55 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--backend", default=None,
                         choices=["numpy", "interpreter", "crosscheck"],
                         help="execution backend (default: the process default)")
-
-    bench_backend = sub.add_parser(
-        "bench-backend",
-        help="time the reference interpreter vs the compiled NumPy backend",
-    )
-    bench_backend.add_argument("--benchmarks", nargs="*", default=None)
-    bench_backend.add_argument("--repeats", type=int, default=3,
-                               help="timing repetitions for the compiled path")
-    bench_backend.add_argument("--out", default=None,
-                               help="write the rows as JSON to this path")
-
-    bench_plans = sub.add_parser(
-        "bench-plans",
-        help="time the per-sweep generic path vs the allocation-free "
-             "execution-plan path on iterative stencils",
-    )
-    bench_plans.add_argument("--benchmarks", nargs="*", default=None,
-                             help="benchmark keys (default: the iterative set)")
-    bench_plans.add_argument("--steps", type=int, default=64,
-                             help="timesteps per benchmark run")
-    bench_plans.add_argument("--repeats", type=int, default=3,
-                             help="timing repetitions (best wall kept)")
-    bench_plans.add_argument("--workers", type=int, default=1,
-                             help="also time the fused plan with this many "
-                                  "parallel tile-replay workers (adds the "
-                                  "par/par-x columns; results must stay "
-                                  "bit-identical)")
-    bench_plans.add_argument("--out", default=None,
-                             help="write the rows as JSON to this path")
-    bench_plans.add_argument("--shape", type=int, nargs="*", default=None,
-                             help="override the benchmark grid for its "
-                                  "dimensionality (e.g. --shape 256 256)")
-    bench_plans.add_argument("--tile", nargs="*", default=None,
-                             metavar="EXTENT",
-                             help="fixed tape-optimizer tile extents for "
-                                  "the fused path, or 'off' (unfused) / "
-                                  "'auto' (heuristic); default: "
-                                  "per-benchmark warm-replay search")
-    bench_plans.add_argument("--compare", default=None, metavar="BASELINE",
-                             help="diff steady-state times against a "
-                                  "recorded BENCH_plans.json; exit non-zero "
-                                  "on >25%% regression")
-    bench_plans.add_argument("--assert-speedup", type=float, default=None,
-                             metavar="X",
-                             help="exit non-zero unless every row's plan "
-                                  "speedup is at least X (CI smoke check)")
-    bench_plans.add_argument("--assert-fused", action="store_true",
-                             help="exit non-zero unless every row formed at "
-                                  "least one fused region (CI fuse smoke)")
 
     from .engine.store import DEFAULT_STORE_PATH
 
@@ -877,10 +611,11 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--host", default="127.0.0.1")
     submit.add_argument("--port", type=int, default=7457)
     submit.add_argument("--shape", type=int, nargs="*", default=None,
-                        help="input grid extents (generated server-side)")
+                        help="input grid extents")
     submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--count", type=int, default=1,
-                        help="pipeline this many requests on one connection")
+                        help="send this many requests concurrently (they "
+                             "batch server-side)")
     submit.add_argument("--show-result", action="store_true",
                         help="fetch and print the result grid")
 
@@ -931,15 +666,16 @@ def build_parser() -> argparse.ArgumentParser:
                               "shed with DeadlineExceeded")
     loadgen.add_argument("--transport", default="tcp",
                          choices=["tcp", "http"],
-                         help="wire protocol for --connect in mixed mode "
-                              "(http drives the /v1/execute endpoint "
-                              "through the client library)")
+                         help="wire protocol for --connect (http drives "
+                              "the /v1/execute endpoint, which exposes no "
+                              "stats op: batching counters then read None)")
     loadgen.add_argument("--auth-key", default=None,
-                         help="shared key for an authenticated endpoint "
-                              "(mixed mode with --connect)")
+                         help="shared key for an authenticated --connect "
+                              "endpoint (every mode)")
     loadgen.add_argument("--concurrency", type=int, default=8,
                          help="client worker threads in mixed mode with "
-                              "--connect (default 8)")
+                              "--connect (default 8; plain mode keeps the "
+                              "whole stream in flight, chaos one wave)")
     loadgen.add_argument("--max-queue-depth", type=int, default=None,
                          help="admission queue-depth cap for the in-process "
                               "mixed-mode service")
@@ -1031,8 +767,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "figure8": _cmd_figure8,
         "kernel": _cmd_kernel,
         "verify": _cmd_verify,
-        "bench-backend": _cmd_bench_backend,
-        "bench-plans": _cmd_bench_plans,
         "explore": _cmd_explore,
         "tune": _cmd_tune,
         "serve": _cmd_serve,

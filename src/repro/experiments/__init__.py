@@ -4,10 +4,8 @@
 * :mod:`repro.experiments.figure7` — Lift vs. hand-written kernels (GElements/s).
 * :mod:`repro.experiments.figure8` — Lift vs. PPCG speedups on small/large inputs.
 * :mod:`repro.experiments.pipeline` — the shared explore → tune → simulate pipeline.
-* :mod:`repro.experiments.backend_bench` — interpreter vs compiled backend timings.
 """
 
-from .backend_bench import BackendTiming, run_backend_bench
 from .pipeline import (
     BenchmarkOutcome,
     lift_best_result,
@@ -19,12 +17,10 @@ from .figure8 import Figure8Row, run_figure8
 from .table1 import format_table1
 
 __all__ = [
-    "BackendTiming",
     "BenchmarkOutcome",
     "lift_best_result",
     "ppcg_best_result",
     "reference_result",
-    "run_backend_bench",
     "Figure7Row",
     "run_figure7",
     "Figure8Row",

@@ -25,8 +25,9 @@ subsystem:
   ``StencilService(shards=N)`` / ``repro serve --shards``: groups are
   dispatched round-robin over shared-memory slabs so N sweeps run
   concurrently on a multi-core machine (:class:`ShardedExecutor`);
-* :mod:`.loadgen` — the load generator behind ``repro loadgen`` and
-  ``BENCH_service.json``;
+* :mod:`.loadgen` — the load generator behind ``repro loadgen``: four
+  traffic scenarios (plain, mixed-priority, chaos, job drill), each
+  written once over an in-process or a remote ``Target``;
 * :mod:`.metrics` — the shared ``/metrics``-style stats report, also
   printed by ``repro stats``.
 """

@@ -1,30 +1,40 @@
-"""The load generator: concurrent traffic, latency percentiles, speedups.
+"""The load generator: four traffic scenarios, each written once.
 
-``run_loadgen`` fires ``requests`` concurrent stencil executions at a
-service and measures per-request latency (p50/p99) and aggregate
-throughput, then runs the *per-request serial baseline* — the same
-requests, one synchronous backend call at a time, the way every consumer
-worked before the service existed — and reports the speedup.  The service's
-own stats (batches formed, compilations, registry hits) are embedded so a
-single report answers "did batching actually happen and how much did it
-pay" (the ``BENCH_service.json`` artifact and the CI ``service-smoke`` job
-both consume it).
+A *scenario* decides what traffic to send and what to conclude from the
+replies; a :class:`Target` decides where the traffic goes.  The scenarios:
 
-``--connect`` mode drives a remote ``repro serve`` endpoint over TCP
-instead of an in-process service; the serial baseline is then still
-executed locally (the baseline is a library call, not a network call).
+* **plain** (:func:`run_loadgen`) — ``requests`` concurrent stencil
+  executions, per-request latency (p50/p99) and aggregate throughput
+  against the *per-request serial baseline* (the same requests, one
+  synchronous backend call at a time — a library call, never a network
+  call), plus the service's own stats (batches formed, compilations) so
+  one report answers "did batching happen and how much did it pay";
+* **mixed** (:func:`run_mixed_loadgen`) — an interleaved mixed-priority
+  stream that saturates admission control, reported per priority;
+* **chaos** (:func:`run_chaos_loadgen`) — sustained waves while real
+  signals kill or wedge shard processes;
+* **job drill** (:func:`run_job_drill`) — SIGKILL a ``repro serve``
+  subprocess mid-job, restart it, verify the resume.
+
+The first three run unchanged against either target: an in-process
+:class:`StencilService`, or (``connect=``) a running ``repro serve``
+endpoint reached through :class:`~repro.client.StencilClient` over TCP or
+HTTP.  :data:`SCENARIOS` is the table ``repro loadgen`` drives.
 """
 
 from __future__ import annotations
 
-import asyncio
-import json
+import argparse
+import inspect
 import logging
 import os
 import signal
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Protocol, Sequence, Tuple)
 
 import numpy as np
 
@@ -33,10 +43,123 @@ from ..apps.suite import get_benchmark
 from ..backend.base import NumpyBackend
 from ..backend.cache import CompilationCache
 from ..telemetry.registry import LATENCY_BUCKETS, Histogram
-from .requests import PRIORITIES, ExecutionRequest
+from .requests import PRIORITIES, ExecutionRequest, ExecutionResponse
 from .server import ServiceClient, StencilService
 
 log = logging.getLogger("repro.service.loadgen")
+
+Row = Optional[ExecutionResponse]
+
+
+class Target(Protocol):
+    """Where a scenario sends its traffic.
+
+    ``fire`` sends one wave concurrently and returns one row per request,
+    in request order: the :class:`ExecutionResponse` (sheds, rejections
+    and errors ride in-band), or ``None`` for a reply lost in transport.
+    ``stats`` is the service's stats report (``{}`` where the endpoint
+    does not expose one) and ``mode`` names the path in the report.
+    """
+
+    mode: str
+
+    def fire(self, requests: Sequence[ExecutionRequest]) -> List[Row]: ...
+
+    def stats(self) -> Dict[str, object]: ...
+
+    def close(self) -> None: ...
+
+
+class _InProcessTarget:
+    """A private :class:`StencilService`; a wave is one ``asyncio.gather``
+    of submits, which is what lets the batcher stack it."""
+
+    mode = "in-process"
+
+    def __init__(self, **service_kwargs) -> None:
+        self._client = ServiceClient(StencilService(**service_kwargs))
+
+    def fire(self, requests):
+        return self._client.execute_many(list(requests), raise_on_error=False)
+
+    def stats(self):
+        return self._client.stats()
+
+    def close(self) -> None:
+        self._client.close()
+
+
+class _RemoteTarget:
+    """A running ``repro serve`` endpoint, through the client library.
+
+    ``concurrency`` worker threads share one :class:`StencilClient` (its
+    transports pool connections), so a wave arrives as genuinely
+    concurrent traffic.
+    """
+
+    def __init__(self, connect: Tuple[str, int], transport: str,
+                 auth_key: Optional[str], concurrency: int) -> None:
+        from ..client import ClientConfig, StencilClient, TransportError
+
+        self.mode = transport
+        self._lost = TransportError
+        self._client = StencilClient(ClientConfig(
+            host=connect[0], port=connect[1], transport=transport,
+            auth_key=auth_key))
+        self._pool = ThreadPoolExecutor(max_workers=max(1, concurrency))
+
+    def _one(self, request: ExecutionRequest) -> Row:
+        try:
+            return self._client.execute(request)
+        except self._lost as error:
+            log.warning("request lost in transport: %s", error)
+            return None
+
+    def fire(self, requests):
+        return list(self._pool.map(self._one, requests))
+
+    def stats(self):
+        return self._client.stats() or {}
+
+    def close(self) -> None:
+        self._pool.shutdown(wait=True)
+        self._client.close()
+
+
+@contextmanager
+def _open_target(connect: Optional[Tuple[str, int]], transport: str,
+                 auth_key: Optional[str], concurrency: int,
+                 **service_kwargs) -> Iterator[Target]:
+    """The remote endpoint when ``connect`` names one, else a private
+    in-process service built from ``service_kwargs``; closed on exit."""
+    target: Target = (
+        _RemoteTarget(connect, transport, auth_key, concurrency)
+        if connect is not None else _InProcessTarget(**service_kwargs))
+    try:
+        yield target
+    finally:
+        target.close()
+
+
+def _shard_rows(stats: Dict[str, object]) -> List[Dict[str, object]]:
+    """The ``per_shard`` rows of a stats report ([] when unsharded)."""
+    service_section = dict((stats or {}).get("service") or {})
+    return list(dict(service_section.get("shards") or {}).get("per_shard")
+                or [])
+
+
+def _small_shape(benchmark: str, shape: Optional[Sequence[int]]) -> tuple:
+    """``shape``, or the benchmark's default clipped to 64 per axis."""
+    default = get_benchmark(benchmark).default_shape
+    return tuple(shape or tuple(min(extent, 64) for extent in default))
+
+
+def _clone(head: ExecutionRequest, return_result: bool = False,
+           **fields) -> ExecutionRequest:
+    """A copy of ``head`` (same benchmark, its own grids)."""
+    return ExecutionRequest(
+        inputs=[np.array(grid) for grid in head.inputs],
+        benchmark=head.benchmark, return_result=return_result, **fields)
 
 
 def _percentile(latencies: Sequence[float], q: float) -> float:
@@ -89,29 +212,19 @@ def build_requests(
     return_result: bool = False,
 ) -> List[ExecutionRequest]:
     """The request stream: identical (hot-digest) or distinct-seed traffic."""
-    bench = get_benchmark(benchmark)
-    shape = tuple(shape or tuple(min(extent, 64) for extent in bench.default_shape))
+    shape = _small_shape(benchmark, shape)
     first = ExecutionRequest.for_benchmark(
         benchmark, shape=shape, seed=seed, return_result=return_result
     )
-    out = [first]
-    for index in range(1, requests):
-        if identical:
-            out.append(
-                ExecutionRequest(
-                    inputs=[np.array(grid) for grid in first.inputs],
-                    benchmark=first.benchmark,
-                    return_result=return_result,
-                )
-            )
-        else:
-            out.append(
-                ExecutionRequest.for_benchmark(
-                    benchmark, shape=shape, seed=seed + index,
-                    return_result=return_result,
-                )
-            )
-    return out
+    if identical:
+        return [first] + [_clone(first, return_result=return_result)
+                          for _ in range(1, requests)]
+    return [first] + [
+        ExecutionRequest.for_benchmark(benchmark, shape=shape,
+                                       seed=seed + index,
+                                       return_result=return_result)
+        for index in range(1, requests)
+    ]
 
 
 def _serial_baseline(requests: Sequence[ExecutionRequest],
@@ -122,24 +235,24 @@ def _serial_baseline(requests: Sequence[ExecutionRequest],
 
     registry = TunedKernelRegistry(store=None)
     backend = NumpyBackend(cache=CompilationCache(), fallback=False)
+
+    def run_one(request: ExecutionRequest) -> None:
+        plan = registry.plan_for(benchmark=request.benchmark,
+                                 program=request.program)
+        program, _variant, _source = plan.program_for(
+            tuple(request.inputs[0].shape))
+        squeeze_result(backend.run(program, request.inputs,
+                                   request.size_env or None))
+
     if warmup and requests:
-        head = requests[0]
-        plan = registry.plan_for(benchmark=head.benchmark, program=head.program)
-        program, _variant, _source = plan.program_for(tuple(head.inputs[0].shape))
-        backend.run(program, head.inputs, head.size_env or None)
+        run_one(requests[0])
     best: Optional[Dict[str, float]] = None
     for _ in range(max(1, repeats)):
         latencies: List[float] = []
         started = time.perf_counter()
         for request in requests:
             t0 = time.perf_counter()
-            plan = registry.plan_for(benchmark=request.benchmark,
-                                     program=request.program)
-            program, _variant, _source = plan.program_for(
-                tuple(request.inputs[0].shape)
-            )
-            squeeze_result(backend.run(program, request.inputs,
-                                       request.size_env or None))
+            run_one(request)
             latencies.append(time.perf_counter() - t0)
         wall = time.perf_counter() - started
         measured = _latency_summary(latencies, wall, len(requests))
@@ -149,89 +262,45 @@ def _serial_baseline(requests: Sequence[ExecutionRequest],
     return best
 
 
-def _drive_in_process(
+def _fire_checked(target: Target,
+                  requests: Sequence[ExecutionRequest]) -> List[ExecutionResponse]:
+    """One wave in which every request must be served."""
+    rows = target.fire(requests)
+    errors = ["reply lost in transport" if row is None else str(row.error)
+              for row in rows if row is None or not row.ok]
+    if errors:
+        raise RuntimeError(f"{len(errors)} requests failed: {errors[0]}")
+    return rows  # type: ignore[return-value]
+
+
+def _drive_plain(
+    target: Target,
     requests: Sequence[ExecutionRequest],
-    window_ms: float,
-    max_batch: int,
-    store: Optional[str],
-    device: str,
-    warmup: bool = True,
-    repeats: int = 1,
-    shards: int = 0,
-) -> Tuple[Dict[str, float], Dict[str, object]]:
-    service = StencilService(
-        device=device, store=store, batch_window=window_ms / 1e3,
-        max_batch=max_batch, shards=shards,
-    )
+    warmup: bool,
+    repeats: int,
+) -> Dict[str, float]:
+    """Fire the whole stream ``repeats`` times; keep the best wall clock.
+
+    Per-request latency is the service-measured enqueue-to-complete time
+    each response carries, so percentiles compare across targets.
+    """
+    if warmup and requests:
+        # One request up front compiles the hot kernel, so the timed
+        # stream measures steady-state serving throughput.  The compile
+        # still appears (exactly once) in the reported cache stats.
+        _fire_checked(target, requests[:1])
     best: Optional[Dict[str, float]] = None
-    with ServiceClient(service) as client:
-        if warmup and requests:
-            # One request up front compiles the hot kernel, so the timed
-            # stream measures steady-state serving throughput.  The compile
-            # still appears (exactly once) in the reported cache stats.
-            client.execute(requests[0])
-        for _ in range(max(1, repeats)):
-            started = time.perf_counter()
-            responses = client.execute_many(list(requests))
-            wall = time.perf_counter() - started
-            latencies = [response.latency_s for response in responses]
-            measured = _latency_summary(latencies, wall, len(requests))
-            if best is None or measured["wall_s"] < best["wall_s"]:
-                best = measured
-        stats = client.stats()
+    for _ in range(max(1, repeats)):
+        started = time.perf_counter()
+        responses = _fire_checked(target, requests)
+        wall = time.perf_counter() - started
+        measured = _latency_summary(
+            [response.latency_s for response in responses], wall,
+            len(requests))
+        if best is None or measured["wall_s"] < best["wall_s"]:
+            best = measured
     assert best is not None
-    return best, stats
-
-
-def _drive_tcp(
-    requests: Sequence[ExecutionRequest],
-    host: str,
-    port: int,
-    warmup: bool = True,
-) -> Tuple[Dict[str, float], Dict[str, object]]:
-    """Fire the stream down one pipelined TCP connection and fetch stats."""
-
-    async def drive() -> Tuple[Dict[str, float], Dict[str, object]]:
-        reader, writer = await asyncio.open_connection(host, port)
-        if warmup and requests:
-            wire = requests[0].to_wire()
-            wire["id"] = -2
-            writer.write((json.dumps(wire) + "\n").encode("utf-8"))
-            await writer.drain()
-            await reader.readline()
-        t0 = time.perf_counter()
-        for index, request in enumerate(requests):
-            wire = request.to_wire()
-            wire["id"] = index
-            writer.write((json.dumps(wire) + "\n").encode("utf-8"))
-        await writer.drain()
-        finished: Dict[int, float] = {}
-        errors: List[str] = []
-        while len(finished) < len(requests):
-            line = await reader.readline()
-            if not line:
-                raise ConnectionError("server closed the connection early")
-            reply = json.loads(line)
-            # Per-request latency is the server-measured enqueue-to-complete
-            # time carried in the reply — the same quantity the in-process
-            # mode reports, so percentiles stay comparable across modes.
-            finished[int(reply["id"])] = float(reply.get("latency_ms", 0.0)) / 1e3
-            if not reply.get("ok", True):
-                errors.append(str(reply.get("error")))
-        wall = time.perf_counter() - t0
-        writer.write((json.dumps({"op": "stats", "id": -1}) + "\n").encode("utf-8"))
-        await writer.drain()
-        stats_reply = json.loads(await reader.readline())
-        writer.close()
-        if errors:
-            raise RuntimeError(f"{len(errors)} requests failed: {errors[0]}")
-        latencies = list(finished.values())
-        return (
-            _latency_summary(latencies, wall, len(requests)),
-            dict(stats_reply.get("stats") or {}),
-        )
-
-    return asyncio.run(drive())
+    return best
 
 
 def run_loadgen(
@@ -248,6 +317,8 @@ def run_loadgen(
     warmup: bool = True,
     repeats: int = 1,
     shards: int = 0,
+    transport: str = "tcp",
+    auth_key: Optional[str] = None,
 ) -> Dict[str, object]:
     """Batched-service vs per-request-serial comparison for one stream.
 
@@ -260,36 +331,36 @@ def run_loadgen(
     ``shards`` drives a multi-process service (in-process mode only): N
     pre-forked shard processes sweep groups concurrently, and the report
     gains per-shard request counts; the compile-once contract then reads
-    "one compilation per shard that served the hot digest".
+    "one compilation per shard that served the hot digest".  With
+    ``connect`` the whole stream is in flight at once over ``transport``
+    (one client thread per request), authenticated by ``auth_key``.
     """
     stream = build_requests(benchmark, requests, shape=shape,
                             identical=identical, seed=seed)
-    log.info("loadgen: %d %s requests for %s (%s)",
-             requests, "identical" if identical else "distinct", benchmark,
-             "tcp" if connect is not None else "in-process")
     # A full batch flushes without waiting out the window, so cap the batch
     # size at the stream size: the generator measures batching, not the
     # batcher idling for traffic that will never arrive.
     max_batch = min(max_batch, requests)
     if connect is not None:
-        batched, stats = _drive_tcp(stream, connect[0], connect[1],
-                                    warmup=warmup)
         repeats = 1  # one network stream; mirror it in the serial baseline
-    else:
-        batched, stats = _drive_in_process(stream, window_ms, max_batch,
-                                           store, device, warmup=warmup,
-                                           repeats=repeats, shards=shards)
+    with _open_target(connect, transport, auth_key, concurrency=requests,
+                      device=device, store=store,
+                      batch_window=window_ms / 1e3, max_batch=max_batch,
+                      shards=shards) as target:
+        log.info("loadgen: %d %s requests for %s (%s)", requests,
+                 "identical" if identical else "distinct", benchmark,
+                 target.mode)
+        batched = _drive_plain(target, stream, warmup, repeats)
+        stats = target.stats()
     serial = _serial_baseline(stream, warmup=warmup, repeats=repeats)
     service_section = dict(stats.get("service") or {})
-    cache_section = dict(stats.get("compilation_cache") or {})
-    shard_section = dict(service_section.get("shards") or {})
-    per_shard = list(shard_section.get("per_shard") or [])
+    per_shard = _shard_rows(stats)
     # In sharded mode the parent backend compiles nothing (fallbacks aside):
     # the compile-once contract moves into the shard processes, so the
     # report's compilation count is the fleet total.
-    compilations = cache_section.get("misses")
+    compilations = dict(stats.get("compilation_cache") or {}).get("misses")
     if per_shard:
-        compilations = shard_section.get("compilations")
+        compilations = service_section["shards"].get("compilations")
     speedup = (
         batched["requests_per_s"] / serial["requests_per_s"]
         if serial["requests_per_s"] else float("inf")
@@ -299,12 +370,12 @@ def run_loadgen(
         "requests": requests,
         "shape": list(shape) if shape else None,
         "identical": identical,
-        # In tcp mode the batching configuration lives server-side; recording
-        # the local defaults would misattribute the measured batching.
+        # With a remote target the batching configuration lives server-side;
+        # recording the local defaults would misattribute the measured batching.
         "window_ms": None if connect is not None else window_ms,
         "max_batch": None if connect is not None else max_batch,
         "repeats": repeats,
-        "mode": "tcp" if connect is not None else "in-process",
+        "mode": target.mode,
         "batched": batched,
         "serial": serial,
         "speedup": speedup,
@@ -312,7 +383,7 @@ def run_loadgen(
         "requests_served": service_section.get("requests_served"),
         "largest_batch": service_section.get("largest_batch"),
         "compilations": compilations,
-        "shards": len(per_shard) if per_shard else 0,
+        "shards": len(per_shard),
         "shard_requests": [
             int(row.get("requests") or 0) for row in per_shard
         ],
@@ -416,50 +487,43 @@ def build_mixed_requests(
     of traffic carries the configured ratio (no long single-priority runs
     that would make priority draining trivially easy).
     """
-    bench = get_benchmark(benchmark)
-    shape = tuple(shape
-                  or tuple(min(extent, 64) for extent in bench.default_shape))
-    first = ExecutionRequest.for_benchmark(benchmark, shape=shape, seed=seed,
-                                           return_result=False)
+    first = ExecutionRequest.for_benchmark(
+        benchmark, shape=_small_shape(benchmark, shape), seed=seed,
+        return_result=False)
     pattern = [priority for priority in PRIORITIES
                for _ in range(mix.get(priority, 0))]
-    out: List[ExecutionRequest] = []
-    for index in range(requests):
-        out.append(
-            ExecutionRequest(
-                inputs=[np.array(grid) for grid in first.inputs],
-                benchmark=first.benchmark,
-                return_result=False,
-                priority=pattern[index % len(pattern)],
-                deadline_ms=deadline_ms,
-            )
-        )
-    return out
+    return [_clone(first, priority=pattern[index % len(pattern)],
+                   deadline_ms=deadline_ms)
+            for index in range(requests)]
+
+
+def _outcomes(rows: Sequence[Row]) -> Dict[str, int]:
+    """Count one set of rows by how each request was answered."""
+    counts = {"requests": len(rows), "served": 0, "shed": 0, "rejected": 0,
+              "failed": 0, "lost": 0}
+    for row in rows:
+        counts["lost" if row is None else "served" if row.ok
+               else "shed" if row.shed else "rejected" if row.rejected
+               else "failed"] += 1
+    return counts
 
 
 def _mixed_summary(stream: Sequence[ExecutionRequest],
-                   responses: Sequence[object],
+                   responses: Sequence[Row],
                    wall: float) -> Dict[str, object]:
     """Per-priority latency percentiles + shed/reject/error accounting."""
     per_priority: Dict[str, Dict[str, object]] = {}
     for priority in PRIORITIES:
-        indices = [i for i, request in enumerate(stream)
-                   if request.priority == priority]
-        if not indices:
+        rows = [row for request, row in zip(stream, responses)
+                if request.priority == priority]
+        if not rows:
             continue
-        rows = [responses[i] for i in indices]
-        ok = [row for row in rows if row is not None and row.ok]
-        shed = sum(1 for row in rows if row is not None and row.shed)
-        rejected = sum(1 for row in rows
-                       if row is not None and row.rejected)
-        errors = sum(1 for row in rows if row is None
-                     or (not row.ok and not row.shed and not row.rejected))
-        latencies = [row.latency_s for row in ok]
+        counts = _outcomes(rows)
+        errors = counts.pop("failed") + counts.pop("lost")
+        latencies = [row.latency_s for row in rows
+                     if row is not None and row.ok]
         per_priority[priority] = {
-            "requests": len(rows),
-            "served": len(ok),
-            "shed": shed,
-            "rejected": rejected,
+            **counts,
             "errors": errors,
             "p50_ms": _percentile(latencies, 50) * 1e3,
             "p99_ms": _percentile(latencies, 99) * 1e3,
@@ -474,81 +538,18 @@ def _mixed_summary(stream: Sequence[ExecutionRequest],
     }
 
 
-def _drive_mixed_in_process(
+def _drive_mixed(
+    target: Target,
     stream: Sequence[ExecutionRequest],
-    window_ms: float,
-    max_batch: int,
-    store: Optional[str],
-    device: str,
-    max_queue_depth: Optional[int] = None,
-    max_inflight_per_digest: Optional[int] = None,
-    warmup: bool = True,
-) -> Tuple[Sequence[object], float, Dict[str, object]]:
-    service = StencilService(
-        device=device, store=store, batch_window=window_ms / 1e3,
-        max_batch=max_batch, max_queue_depth=max_queue_depth,
-        max_inflight_per_digest=max_inflight_per_digest,
-    )
-    with ServiceClient(service) as client:
-        if warmup and stream:
-            head = stream[0]
-            client.execute(ExecutionRequest(
-                inputs=[np.array(grid) for grid in head.inputs],
-                benchmark=head.benchmark, return_result=False,
-            ))
-        started = time.perf_counter()
-        # Sheds and rejects are the measurement here, not failures.
-        responses = client.execute_many(list(stream), raise_on_error=False)
-        wall = time.perf_counter() - started
-        stats = client.stats()
-    return responses, wall, stats
-
-
-def _drive_mixed_remote(
-    stream: Sequence[ExecutionRequest],
-    host: str,
-    port: int,
-    transport: str = "tcp",
-    auth_key: Optional[str] = None,
-    concurrency: int = 8,
-    warmup: bool = True,
-) -> Tuple[Sequence[object], float, Dict[str, object]]:
-    """Drive a remote endpoint through the client library, concurrently.
-
-    ``concurrency`` worker threads share one :class:`StencilClient` (its
-    transports pool connections), so the stream arrives as genuinely
-    concurrent traffic — the saturating shape admission control exists for.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from ..client import ClientConfig, StencilClient, TransportError
-
-    client = StencilClient(ClientConfig(host=host, port=port,
-                                        transport=transport,
-                                        auth_key=auth_key))
-    responses: List[object] = [None] * len(stream)
-
-    def fire(index: int) -> None:
-        try:
-            responses[index] = client.execute(stream[index])
-        except TransportError as error:
-            log.warning("request %d failed in transport: %s", index, error)
-
-    try:
-        if warmup and stream:
-            head = stream[0]
-            client.execute(ExecutionRequest(
-                inputs=[np.array(grid) for grid in head.inputs],
-                benchmark=head.benchmark, return_result=False,
-            ))
-        started = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
-            list(pool.map(fire, range(len(stream))))
-        wall = time.perf_counter() - started
-        stats = client.stats() or {}
-    finally:
-        client.close()
-    return responses, wall, stats
+    warmup: bool,
+) -> Tuple[List[Row], float]:
+    """Fire one mixed stream; sheds and rejects are the measurement here,
+    not failures, so every row comes back as it was answered."""
+    if warmup and stream:
+        target.fire([_clone(stream[0])])
+    started = time.perf_counter()
+    responses = target.fire(stream)
+    return responses, time.perf_counter() - started
 
 
 def run_mixed_loadgen(
@@ -581,41 +582,26 @@ def run_mixed_loadgen(
     mix = dict(mix or {"high": 1, "normal": 8, "batch": 4})
     stream = build_mixed_requests(benchmark, requests, mix, shape=shape,
                                   seed=seed, deadline_ms=deadline_ms)
-    log.info(
-        "mixed loadgen: %d requests (%s) for %s (%s)", requests,
-        ",".join(f"{k}:{v}" for k, v in mix.items()), benchmark,
-        f"{transport} {connect[0]}:{connect[1]}" if connect else "in-process",
-    )
     # The unloaded baseline: a short, sequential, high-priority stream with
     # no deadline — what one isolated caller sees from the same service.
-    baseline_stream = [
-        ExecutionRequest(
-            inputs=[np.array(grid) for grid in stream[0].inputs],
-            benchmark=stream[0].benchmark, return_result=False,
-            priority="high",
-        )
-        for _ in range(min(8, max(2, requests // 8)))
-    ]
-    if connect is not None:
-        base_responses, base_wall, _ = _drive_mixed_remote(
-            baseline_stream, connect[0], connect[1], transport=transport,
-            auth_key=auth_key, concurrency=1, warmup=warmup,
-        )
-        responses, wall, stats = _drive_mixed_remote(
-            stream, connect[0], connect[1], transport=transport,
-            auth_key=auth_key, concurrency=concurrency, warmup=False,
-        )
-    else:
-        max_batch = min(max_batch, requests)
-        base_responses, base_wall, _ = _drive_mixed_in_process(
-            baseline_stream, window_ms, max_batch, store, device,
-            warmup=warmup,
-        )
-        responses, wall, stats = _drive_mixed_in_process(
-            stream, window_ms, max_batch, store, device,
-            max_queue_depth=max_queue_depth,
-            max_inflight_per_digest=max_inflight_per_digest, warmup=warmup,
-        )
+    baseline_stream = [_clone(stream[0], priority="high")
+                       for _ in range(min(8, max(2, requests // 8)))]
+    service_kwargs = dict(device=device, store=store,
+                          batch_window=window_ms / 1e3,
+                          max_batch=min(max_batch, requests))
+    with _open_target(connect, transport, auth_key, concurrency=1,
+                      **service_kwargs) as target:
+        base_responses, base_wall = _drive_mixed(target, baseline_stream,
+                                                 warmup)
+    with _open_target(connect, transport, auth_key, concurrency=concurrency,
+                      max_queue_depth=max_queue_depth,
+                      max_inflight_per_digest=max_inflight_per_digest,
+                      **service_kwargs) as target:
+        log.info("mixed loadgen: %d requests (%s) for %s (%s)", requests,
+                 ",".join(f"{k}:{v}" for k, v in mix.items()), benchmark,
+                 target.mode)
+        responses, wall = _drive_mixed(target, stream, warmup)
+        stats = target.stats()
     baseline = _mixed_summary(baseline_stream, base_responses, base_wall)
     mixed = _mixed_summary(stream, responses, wall)
     unloaded_high = dict(baseline["per_priority"].get("high") or {})
@@ -629,7 +615,7 @@ def run_mixed_loadgen(
         "requests": requests,
         "mix": mix,
         "deadline_ms": deadline_ms,
-        "mode": (f"{transport}" if connect is not None else "in-process"),
+        "mode": target.mode,
         "shape": list(shape) if shape else None,
         "wall_s": mixed["wall_s"],
         "requests_per_s": mixed["requests_per_s"],
@@ -683,18 +669,10 @@ def check_no_high_shed(report: Dict[str, object]) -> List[str]:
     if not high:
         problems.append("report carries no high-priority traffic")
         return problems
-    if int(high.get("shed", 0)) > 0:
-        problems.append(
-            f"{high['shed']} high-priority request(s) were shed"
-        )
-    if int(high.get("rejected", 0)) > 0:
-        problems.append(
-            f"{high['rejected']} high-priority request(s) were rejected"
-        )
-    if int(high.get("errors", 0)) > 0:
-        problems.append(
-            f"{high['errors']} high-priority request(s) failed"
-        )
+    for key, verb in (("shed", "were shed"), ("rejected", "were rejected"),
+                      ("errors", "failed")):
+        if int(high.get(key, 0)) > 0:
+            problems.append(f"{high[key]} high-priority request(s) {verb}")
     return problems
 
 
@@ -715,8 +693,6 @@ def check_sharding(report: Dict[str, object]) -> List[str]:
 # Chaos mode: inject real failures mid-run, assert the self-healing contract
 # ---------------------------------------------------------------------------
 
-CHAOS_ACTIONS = ("kill-shard", "hang-shard")
-
 _CHAOS_SIGNALS = {
     # SIGKILL: the shard dies instantly, the parent sees EOF on the pipe.
     "kill-shard": signal.SIGKILL,
@@ -725,6 +701,8 @@ _CHAOS_SIGNALS = {
     # it, which works on stopped processes.)
     "hang-shard": signal.SIGSTOP,
 }
+
+CHAOS_ACTIONS = tuple(_CHAOS_SIGNALS)
 
 
 def parse_chaos(spec: str) -> List[Dict[str, object]]:
@@ -743,17 +721,12 @@ def parse_chaos(spec: str) -> List[Dict[str, object]]:
         for field in fields[1:]:
             key, _, value = field.partition("=")
             key = key.strip()
+            if key not in ("t", "shard"):
+                raise ValueError(
+                    f"unknown chaos qualifier {key!r} in {part!r}")
             try:
-                if key == "t":
-                    event["t"] = float(value)
-                elif key == "shard":
-                    event["shard"] = int(value)
-                else:
-                    raise ValueError(
-                        f"unknown chaos qualifier {key!r} in {part!r}")
-            except ValueError as error:
-                if "unknown chaos" in str(error):
-                    raise
+                event[key] = float(value) if key == "t" else int(value)
+            except ValueError:
                 raise ValueError(
                     f"bad value for {key!r} in {part!r}: {value!r}")
         events.append(event)
@@ -765,43 +738,134 @@ def parse_chaos(spec: str) -> List[Dict[str, object]]:
 def _chaos_wave(first: ExecutionRequest, size: int) -> List[ExecutionRequest]:
     """One wave of concurrent traffic: request 0 is high priority (so the
     tail-latency contract is measured under chaos), the rest normal."""
-    return [
-        ExecutionRequest(
-            inputs=[np.array(grid) for grid in first.inputs],
-            benchmark=first.benchmark,
-            return_result=False,
-            priority="high" if index == 0 else "normal",
-        )
-        for index in range(size)
-    ]
+    return [_clone(first, priority="high" if index == 0 else "normal")
+            for index in range(size)]
 
 
-def _summarize_chaos_responses(
-    responses: Sequence[object], priorities: Sequence[str]
+def _fleet_recovered(applied: Sequence[Dict[str, object]],
+                     rows: Sequence[Dict[str, object]]) -> bool:
+    """Every victim is back: alive, respawned, and serving again.
+
+    A respawned shard restarts its child-side counters, so "serves again"
+    reads: at least one request since the respawn.
+    """
+    by_index = {int(row.get("shard", -1)): row for row in rows}
+    victims = [by_index.get(int(record["shard"])) or {} for record in applied]
+    return all(
+        row.get("alive") and int(row.get("requests") or 0) >= 1
+        and int(row.get("respawns") or 0) >= 1
+        for row in victims
+    )
+
+
+def _drive_chaos(
+    target: Target,
+    first: ExecutionRequest,
+    chaos: Sequence[Dict[str, object]],
+    duration_s: float,
+    wave_size: int,
+    wave_gap_s: float,
+    recovery_timeout_s: float,
+    kill: Callable[[int, int], None] = os.kill,
 ) -> Dict[str, object]:
-    served = shed = rejected = failed = lost = 0
-    high_latencies: List[float] = []
-    for response, priority in zip(responses, priorities):
-        if response is None:
-            lost += 1
-        elif response.ok:
-            served += 1
-            if priority == "high":
-                high_latencies.append(response.latency_s)
-        elif response.shed:
-            shed += 1
-        elif response.rejected:
-            rejected += 1
-        else:
-            failed += 1
+    """Waves of load while the schedule signals shards; the outcome fields.
+
+    Victims, their pids and the recovery verdict all come from the
+    target's per-shard stats rows, so the schedule runs the same against
+    an in-process fleet and a remote one (which must share this host:
+    ``kill`` signals a local pid).
+    """
+    responses: List[Row] = []
+    priorities: List[str] = []
+    applied: List[Dict[str, object]] = []
+    stop_load = threading.Event()
+
+    def fire_wave() -> None:
+        wave = _chaos_wave(first, wave_size)
+        responses.extend(target.fire(wave))
+        priorities.extend(request.priority for request in wave)
+
+    def load() -> None:
+        while not stop_load.is_set():
+            fire_wave()
+            if stop_load.wait(wave_gap_s):
+                break
+
+    target.fire(_chaos_wave(first, 1))  # warm the hot digest
+    loader = threading.Thread(target=load, name="chaos-load", daemon=True)
+    started = time.perf_counter()
+    loader.start()
+    try:
+        victim_rotation = 0
+        for event in chaos:
+            delay = float(event["t"]) - (time.perf_counter() - started)
+            if delay > 0:
+                time.sleep(delay)
+            rows = _shard_rows(target.stats())
+            if not rows:
+                raise RuntimeError(
+                    "chaos needs per-shard stats rows: a sharded service "
+                    "whose stats op is reachable (tcp or in-process)")
+            if event.get("shard") is None:
+                # Next alive shard, round-robin over events, so kill+hang
+                # hit different shards by default.
+                candidates = [row for row in rows if row.get("alive")] or rows
+                row = candidates[victim_rotation % len(candidates)]
+                victim_rotation += 1
+            else:
+                row = next(r for r in rows
+                           if int(r.get("shard", -1)) == int(event["shard"]))
+            pid = int(row["pid"])
+            log.info("chaos: %s -> shard %s (pid %d) at t=%.2fs",
+                     event["action"], row["shard"], pid,
+                     time.perf_counter() - started)
+            kill(pid, _CHAOS_SIGNALS[str(event["action"])])
+            applied.append({
+                "action": event["action"],
+                "t": float(event["t"]),
+                "shard": int(row["shard"]),
+                "pid": pid,
+                "requests_at_event": int(row.get("requests") or 0),
+            })
+        remaining = duration_s - (time.perf_counter() - started)
+        if remaining > 0:
+            time.sleep(remaining)
+    finally:
+        stop_load.set()
+        loader.join(timeout=60)
+    # Recovery settle: keep trickling traffic until every victim's shard
+    # is back in rotation and has served again.  The last snapshot is the
+    # report's: it is taken while the fleet is still up (closing an
+    # in-process target shuts its shards down).
+    deadline = time.monotonic() + recovery_timeout_s
+    stats = target.stats()
+    while (not _fleet_recovered(applied, _shard_rows(stats))
+           and time.monotonic() < deadline):
+        fire_wave()
+        time.sleep(0.1)
+        stats = target.stats()
+    wall = time.perf_counter() - started
+    high_latencies = [
+        row.latency_s for row, priority in zip(responses, priorities)
+        if priority == "high" and row is not None and row.ok
+    ]
+    summary = {**_outcomes(responses),
+               "high_p99_ms": _percentile(high_latencies, 99) * 1e3}
+    service_section = dict(stats.get("service") or {})
+    per_shard = _shard_rows(stats)
     return {
-        "requests": len(responses),
-        "served": served,
-        "shed": shed,
-        "rejected": rejected,
-        "failed": failed,
-        "lost": lost,
-        "high_p99_ms": _percentile(high_latencies, 99) * 1e3,
+        "chaos": applied,
+        "wall_s": wall,
+        "requests_per_s": (summary["requests"] / wall) if wall else 0.0,
+        **summary,
+        "shards": len(per_shard),
+        "shard_requests": [int(row.get("requests") or 0)
+                           for row in per_shard],
+        "shard_restarts": int(service_section.get("shard_restarts") or 0),
+        "shard_redispatches": int(
+            service_section.get("shard_redispatches") or 0),
+        "recovered": _fleet_recovered(applied, per_shard),
+        "service_stats": stats,
     }
 
 
@@ -834,275 +898,28 @@ def run_chaos_loadgen(
     (dead-shard groups are redispatched; the reply never arrived, so
     re-execution is idempotent), the supervisor respawns every victim
     (``shard_restarts >= len(chaos)``), and the killed shard serves again
-    (its request count grows past its value at the moment it was hit).
+    after its respawn.
 
     In ``--connect`` mode the victim PIDs come from the server's per-shard
     stats, so the loadgen must run on the same host as the server.
     """
     chaos = list(chaos or [])
-    bench = get_benchmark(benchmark)
-    shape = tuple(shape
-                  or tuple(min(extent, 64) for extent in bench.default_shape))
-    first = ExecutionRequest.for_benchmark(benchmark, shape=shape, seed=seed,
-                                           return_result=False)
+    first = ExecutionRequest.for_benchmark(
+        benchmark, shape=_small_shape(benchmark, shape), seed=seed,
+        return_result=False)
     log.info("chaos loadgen: %s for %.1fs over %d shards, events: %s",
              benchmark, duration_s, shards,
              ",".join(f"{e['action']}:t={e['t']}" for e in chaos) or "none")
-
-    responses: List[object] = []
-    priorities: List[str] = []
-    applied: List[Dict[str, object]] = []
-    stop_load = threading.Event()
-
-    if connect is not None:
-        return _run_chaos_remote(
-            first, chaos, duration_s, connect, transport=transport,
-            auth_key=auth_key, wave_size=wave_size, wave_gap_s=wave_gap_s,
-            recovery_timeout_s=recovery_timeout_s)
-
-    service = StencilService(
-        device=device, store=store, batch_window=window_ms / 1e3,
-        max_batch=max_batch, shards=shards,
-        shard_timeout_s=shard_timeout_s, max_respawns=max_respawns,
-    )
-    with ServiceClient(service) as client:
-        client.execute(_chaos_wave(first, 1)[0])  # warm the hot digest
-        handles = service.executor.handles if service.executor else []
-
-        def load() -> None:
-            while not stop_load.is_set():
-                wave = _chaos_wave(first, wave_size)
-                rows = client.execute_many(wave, raise_on_error=False)
-                responses.extend(rows)
-                priorities.extend(request.priority for request in wave)
-                if stop_load.wait(wave_gap_s):
-                    break
-
-        loader = threading.Thread(target=load, name="chaos-load", daemon=True)
-        started = time.perf_counter()
-        loader.start()
-        try:
-            victim_rotation = 0
-            for event in chaos:
-                delay = float(event["t"]) - (time.perf_counter() - started)
-                if delay > 0:
-                    time.sleep(delay)
-                target = event.get("shard")
-                if target is None:
-                    # Next available shard, round-robin over events, so
-                    # kill+hang hit different shards by default.
-                    candidates = [h for h in handles if h.available]
-                    if not candidates:
-                        candidates = handles
-                    handle = candidates[victim_rotation % len(candidates)]
-                    victim_rotation += 1
-                else:
-                    handle = handles[int(target)]
-                record = {
-                    "action": event["action"],
-                    "t": float(event["t"]),
-                    "shard": handle.index,
-                    "pid": handle.process.pid,
-                    "requests_at_event": handle.requests,
-                }
-                log.info("chaos: %s -> shard %d (pid %s) at t=%.2fs",
-                         event["action"], handle.index, handle.process.pid,
-                         time.perf_counter() - started)
-                os.kill(handle.process.pid,
-                        _CHAOS_SIGNALS[str(event["action"])])
-                applied.append(record)
-            remaining = duration_s - (time.perf_counter() - started)
-            if remaining > 0:
-                time.sleep(remaining)
-        finally:
-            stop_load.set()
-            loader.join(timeout=60)
-        # Recovery settle: keep trickling traffic until every victim's
-        # shard is back in rotation and has served past its at-event count.
-        deadline = time.monotonic() + recovery_timeout_s
-
-        def recovered() -> bool:
-            return all(
-                handles[int(rec["shard"])].available
-                and handles[int(rec["shard"])].requests
-                > int(rec["requests_at_event"])
-                for rec in applied
-            )
-        while not recovered() and time.monotonic() < deadline:
-            wave = _chaos_wave(first, wave_size)
-            rows = client.execute_many(wave, raise_on_error=False)
-            responses.extend(rows)
-            priorities.extend(request.priority for request in wave)
-            time.sleep(0.05)
-        wall = time.perf_counter() - started
-        # Take the verdict while the fleet is still up: after the ``with``
-        # block the client shuts the shards down and nothing is "available".
-        fleet_recovered = recovered()
-        stats = client.stats()
-
-    summary = _summarize_chaos_responses(responses, priorities)
-    service_section = dict(stats.get("service") or {})
-    shard_section = dict(service_section.get("shards") or {})
-    per_shard = list(shard_section.get("per_shard") or [])
-    report: Dict[str, object] = {
-        "benchmark": benchmark,
-        "mode": "in-process",
-        "duration_s": duration_s,
-        "chaos": applied,
-        "wall_s": wall,
-        "requests_per_s": (summary["requests"] / wall) if wall else 0.0,
-        **summary,
-        "shards": len(per_shard),
-        "shard_requests": [int(row.get("requests") or 0)
-                           for row in per_shard],
-        "shard_restarts": int(service_section.get("shard_restarts") or 0),
-        "shard_redispatches": int(
-            service_section.get("shard_redispatches") or 0),
-        "recovered": fleet_recovered,
-        "service_stats": stats,
-    }
-    return report
-
-
-def _run_chaos_remote(
-    first: ExecutionRequest,
-    chaos: List[Dict[str, object]],
-    duration_s: float,
-    connect: Tuple[str, int],
-    transport: str = "tcp",
-    auth_key: Optional[str] = None,
-    wave_size: int = 8,
-    wave_gap_s: float = 0.02,
-    recovery_timeout_s: float = 20.0,
-) -> Dict[str, object]:
-    """Chaos against a running ``repro serve`` on the *same host*: victim
-    PIDs come from the server's per-shard stats rows."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from ..client import ClientConfig, StencilClient, TransportError
-
-    client = StencilClient(ClientConfig(host=connect[0], port=connect[1],
-                                        transport=transport,
-                                        auth_key=auth_key))
-    responses: List[object] = []
-    priorities: List[str] = []
-    applied: List[Dict[str, object]] = []
-    stop_load = threading.Event()
-    lock = threading.Lock()
-
-    def per_shard_rows() -> List[Dict[str, object]]:
-        service_section = dict((client.stats() or {}).get("service") or {})
-        shard_section = dict(service_section.get("shards") or {})
-        return list(shard_section.get("per_shard") or [])
-
-    def fire(request: ExecutionRequest) -> None:
-        try:
-            row = client.execute(request)
-        except TransportError as error:
-            log.warning("chaos request failed in transport: %s", error)
-            row = None
-        with lock:
-            responses.append(row)
-            priorities.append(request.priority)
-
-    try:
-        client.execute(_chaos_wave(first, 1)[0])  # warm the hot digest
-        pool = ThreadPoolExecutor(max_workers=max(2, wave_size))
-
-        def load() -> None:
-            while not stop_load.is_set():
-                wave = _chaos_wave(first, wave_size)
-                list(pool.map(fire, wave))
-                if stop_load.wait(wave_gap_s):
-                    break
-
-        loader = threading.Thread(target=load, name="chaos-load", daemon=True)
-        started = time.perf_counter()
-        loader.start()
-        try:
-            victim_rotation = 0
-            for event in chaos:
-                delay = float(event["t"]) - (time.perf_counter() - started)
-                if delay > 0:
-                    time.sleep(delay)
-                rows = per_shard_rows()
-                target = event.get("shard")
-                if target is None:
-                    candidates = [row for row in rows if row.get("alive")]
-                    if not candidates:
-                        candidates = rows
-                    row = candidates[victim_rotation % len(candidates)]
-                    victim_rotation += 1
-                else:
-                    row = next(r for r in rows
-                               if int(r.get("shard", -1)) == int(target))
-                pid = int(row["pid"])
-                record = {
-                    "action": event["action"],
-                    "t": float(event["t"]),
-                    "shard": int(row["shard"]),
-                    "pid": pid,
-                    "requests_at_event": int(row.get("requests") or 0),
-                }
-                log.info("chaos: %s -> shard %s (pid %d)",
-                         event["action"], row["shard"], pid)
-                os.kill(pid, _CHAOS_SIGNALS[str(event["action"])])
-                applied.append(record)
-            remaining = duration_s - (time.perf_counter() - started)
-            if remaining > 0:
-                time.sleep(remaining)
-        finally:
-            stop_load.set()
-            loader.join(timeout=60)
-
-        def recovered_now(rows: List[Dict[str, object]]) -> bool:
-            # A respawned shard restarts its child-side counters, so
-            # "serves again" is: alive and served at least one request
-            # since the respawn.
-            by_index = {int(row.get("shard", -1)): row for row in rows}
-            return all(
-                (by_index.get(int(rec["shard"])) or {}).get("alive")
-                and int((by_index.get(int(rec["shard"])) or {})
-                        .get("requests") or 0) >= 1
-                and int((by_index.get(int(rec["shard"])) or {})
-                        .get("respawns") or 0) >= 1
-                for rec in applied
-            )
-
-        deadline = time.monotonic() + recovery_timeout_s
-        rows = per_shard_rows()
-        while not recovered_now(rows) and time.monotonic() < deadline:
-            wave = _chaos_wave(first, wave_size)
-            list(pool.map(fire, wave))
-            time.sleep(0.1)
-            rows = per_shard_rows()
-        pool.shutdown(wait=True)
-        wall = time.perf_counter() - started
-        stats = client.stats() or {}
-    finally:
-        client.close()
-
-    summary = _summarize_chaos_responses(responses, priorities)
-    service_section = dict(stats.get("service") or {})
-    shard_section = dict(service_section.get("shards") or {})
-    per_shard = list(shard_section.get("per_shard") or [])
-    return {
-        "benchmark": first.benchmark,
-        "mode": transport,
-        "duration_s": duration_s,
-        "chaos": applied,
-        "wall_s": wall,
-        "requests_per_s": (summary["requests"] / wall) if wall else 0.0,
-        **summary,
-        "shards": len(per_shard),
-        "shard_requests": [int(row.get("requests") or 0)
-                           for row in per_shard],
-        "shard_restarts": int(service_section.get("shard_restarts") or 0),
-        "shard_redispatches": int(
-            service_section.get("shard_redispatches") or 0),
-        "recovered": recovered_now(per_shard),
-        "service_stats": stats,
-    }
+    with _open_target(connect, transport, auth_key,
+                      concurrency=max(2, wave_size), device=device,
+                      store=store, batch_window=window_ms / 1e3,
+                      max_batch=max_batch, shards=shards,
+                      shard_timeout_s=shard_timeout_s,
+                      max_respawns=max_respawns) as target:
+        outcome = _drive_chaos(target, first, chaos, duration_s, wave_size,
+                               wave_gap_s, recovery_timeout_s)
+    return {"benchmark": benchmark, "mode": target.mode,
+            "duration_s": duration_s, **outcome}
 
 
 def format_chaos_loadgen(report: Dict[str, object]) -> str:
@@ -1170,17 +987,18 @@ def _free_port() -> int:
         return sock.getsockname()[1]
 
 
-def _scrape_metric(host: str, port: int, name: str) -> Optional[float]:
-    """One unlabelled sample from the telemetry sidecar's ``/metrics``."""
+def _scrape_metrics(host: str, port: int,
+                    names: Sequence[str]) -> Dict[str, Optional[float]]:
+    """Unlabelled samples from the telemetry sidecar's ``/metrics``."""
     import urllib.request
 
     with urllib.request.urlopen(f"http://{host}:{port}/metrics",
                                 timeout=10) as response:
-        text = response.read().decode("utf-8")
-    for line in text.splitlines():
-        if line.startswith(f"{name} "):
-            return float(line.split()[1])
-    return None
+        lines = response.read().decode("utf-8").splitlines()
+    samples = dict(line.split()[:2] for line in lines
+                   if line and not line.startswith("#"))
+    return {name: float(samples[name]) if name in samples else None
+            for name in names}
 
 
 def _spawn_serve(host: str, ports: Dict[str, int], job_dir: str,
@@ -1260,8 +1078,7 @@ def run_job_drill(
     from ..client import ClientConfig, StencilClient
 
     bench = get_benchmark(benchmark)
-    shape = tuple(shape
-                  or tuple(min(extent, 64) for extent in bench.default_shape))
+    shape = _small_shape(benchmark, shape)
     inputs = bench.make_inputs(shape, seed)
     expected = np.asarray(bench.iterate(inputs, steps), dtype=np.float64)
     kill_after = int(kill_after_steps or checkpoint_every)
@@ -1350,12 +1167,9 @@ def run_job_drill(
                     f"{final.get('error')}")
         finally:
             client.close()
-        report["metrics"] = {
-            "repro_job_checkpoints_total": _scrape_metric(
-                host, ports["metrics"], "repro_job_checkpoints_total"),
-            "repro_job_resumes_total": _scrape_metric(
-                host, ports["metrics"], "repro_job_resumes_total"),
-        }
+        report["metrics"] = _scrape_metrics(
+            host, ports["metrics"],
+            ("repro_job_checkpoints_total", "repro_job_resumes_total"))
     finally:
         if server.poll() is None:
             server.terminate()
@@ -1421,8 +1235,80 @@ def check_job_drill(report: Dict[str, object]) -> List[str]:
     return problems
 
 
+# ---------------------------------------------------------------------------
+# The scenario table ``repro loadgen`` drives
+# ---------------------------------------------------------------------------
+
+
+class Scenario(NamedTuple):
+    """One ``repro loadgen`` mode, as a row of :data:`SCENARIOS`."""
+
+    name: str
+    selected: Callable   # (args) -> bool: the flag that picks this row
+    overrides: Callable  # (args) -> the run keywords no flag spells directly
+    run: Callable        # run_*(**keywords) -> report
+    format: Callable     # format_*(report) -> text
+    checks: Dict[str, Callable]  # --assert-* flag -> check(report, args)
+
+
+#: First match wins; the plain comparison is what no mode flag selects.
+SCENARIOS: Tuple[Scenario, ...] = (
+    Scenario(
+        "job-drill", lambda args: args.job_drill,
+        lambda args: {"auth_key": args.auth_key or "drill-key",
+                      "timeout_s": args.drill_timeout_s},
+        run_job_drill, format_job_drill,
+        {"assert_job_drill": lambda report, args: check_job_drill(report)}),
+    Scenario(
+        "chaos", lambda args: args.chaos is not None,
+        lambda args: {"chaos": parse_chaos(args.chaos),
+                      "shards": args.shards or 2},
+        run_chaos_loadgen, format_chaos_loadgen,
+        {"assert_chaos": lambda report, args: check_chaos(
+            report, p99_ms=args.chaos_p99_ms)}),
+    Scenario(
+        "mixed", lambda args: args.mix is not None,
+        lambda args: {"mix": parse_mix(args.mix)},
+        run_mixed_loadgen, format_mixed_loadgen,
+        {"assert_no_high_shed":
+         lambda report, args: check_no_high_shed(report)}),
+    Scenario(
+        "plain", lambda args: True,
+        lambda args: {"identical": not args.distinct},
+        run_loadgen, format_loadgen,
+        {"assert_batched": lambda report, args: check_batching(report),
+         "assert_sharded": lambda report, args: check_sharding(report)}),
+)
+
+
+def select_scenario(args: argparse.Namespace) -> Scenario:
+    return next(scenario for scenario in SCENARIOS if scenario.selected(args))
+
+
+def scenario_kwargs(scenario: Scenario,
+                    args: argparse.Namespace) -> Dict[str, object]:
+    """The ``run`` keywords for one parsed command line: every keyword of
+    ``scenario.run`` that is also a ``loadgen`` flag takes the flag's value
+    (so a scenario honours exactly the flags its signature names), then the
+    scenario's ``overrides``."""
+    flags = dict(vars(args))
+    flags["shape"] = tuple(args.shape) if args.shape else None
+    flags["connect"] = None
+    if args.connect:
+        host, _, port = args.connect.rpartition(":")
+        flags["connect"] = (host or "127.0.0.1", int(port))
+    kwargs = {name: flags[name]
+              for name in inspect.signature(scenario.run).parameters
+              if name in flags}
+    kwargs.update(scenario.overrides(args))
+    return kwargs
+
+
 __all__ = [
     "CHAOS_ACTIONS",
+    "SCENARIOS",
+    "Scenario",
+    "Target",
     "build_mixed_requests",
     "build_requests",
     "check_batching",
@@ -1440,4 +1326,6 @@ __all__ = [
     "run_job_drill",
     "run_loadgen",
     "run_mixed_loadgen",
+    "scenario_kwargs",
+    "select_scenario",
 ]

@@ -114,10 +114,14 @@ class TestBenchmarkDetails:
         assert np.allclose(out, 2.5)
 
     def test_input_types_match_program_arity(self):
+        """Every suite app builds from pad/slide and type-checks (Table 1)."""
+        from repro.core.typecheck import check_program
+
         for key, benchmark in ALL_BENCHMARKS.items():
             program = benchmark.build_program()
             types = benchmark.input_types(SMALL_SHAPES[benchmark.ndims])
             assert len(types) == len(program.params), key
+            assert check_program(program, types) is not None, key
 
 
 class TestIterativeExecution:

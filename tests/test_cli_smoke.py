@@ -56,12 +56,6 @@ class TestCoreVerbs:
         ]) == 0
         assert "Jacobi" in capsys.readouterr().out
 
-    def test_bench_backend(self, capsys):
-        assert run_cli([
-            "bench-backend", "--benchmarks", "stencil2d", "--repeats", 1,
-        ]) == 0
-        assert "speedup" in capsys.readouterr().out
-
     def test_explore(self, capsys, store_path):
         assert run_cli([
             "explore", "stencil2d", "--budget", 4, "--scale", 0.01,
