@@ -6,11 +6,12 @@ grids through memory, so on large grids the steady state is bound by DRAM
 bandwidth, not compute.  This module rewrites a captured tape before it is
 first replayed:
 
-1. **Region analysis** — scan the tape's :class:`~repro.backend.numpy_backend.TapeEntry`
-   descriptors for maximal runs of *elementwise* traced schedules (every
-   node a plain ufunc / ``where`` / ``clip`` whose shape broadcasts to the
-   region's output shape), then extend each run backwards over the
-   halo-gather ``pad`` writes whose buffers only the run reads.
+1. **Region analysis** — a :class:`~repro.backend.numpy_backend.TapeEntry`
+   is either a traced schedule or an opaque op, and a region is a maximal
+   run of schedule entries whose every node (a plain ufunc / ``where`` /
+   ``clip``) broadcasts to the region's output shape.  Every opaque op ends
+   a run — a pad no resident home could serve included: it stays the one
+   full-buffer copy the capture recorded, between the regions around it.
 2. **Fusion** — replace each region with a single :class:`FusedOp` that
    replays the same operations in the same order but **tile by tile** over
    cache-blocked slices of the output.  Per-tile intermediates live in a
@@ -18,8 +19,11 @@ first replayed:
    :class:`~repro.backend.pool.BufferPool` (sized to one tile, reused
    across tiles), so a value produced by one op is consumed by the next
    while still resident in L1/L2 instead of round-tripping through DRAM.
-   Fused pad writes are *restricted*: each tile refreshes only the halo
-   slab it actually reads.
+   A tile's steps are the schedules' own micro-ops
+   (:func:`~repro.backend.ufunc_trace.micro_op`) built under a resolver
+   that slices every array down to the tile, and they run through the same
+   loop (:func:`~repro.backend.ufunc_trace.replay`) an unfused schedule
+   does.
 
 Because every elementwise operation computes output element ``i`` from
 element ``i`` of its (broadcast) operands, executing the identical
@@ -47,9 +51,7 @@ see, and its halo ring is refreshed by one tape op after the region.
 
 **Parallel tiled replay.**  Tiles of a fused region are independent by
 construction: each tile writes a disjoint box of every written-through
-buffer, per-tile intermediates live in scratch, and the only overlapping
-writes — adjacent tiles refreshing a shared halo slab of a copied pad —
-copy *identical bytes* from the same source, so racing them is benign.
+buffer and nothing outside it, and per-tile intermediates live in scratch.
 When a plan is built with ``parallel_workers=N`` (see
 :func:`normalize_workers`; ``None`` resolves through
 :func:`auto_workers`), the tile grid is partitioned into N contiguous chunks, each chunk gets its
@@ -79,7 +81,7 @@ from .. import faults as _faults
 from ..telemetry import registry as _telemetry
 from ..telemetry.registry import RATIO_BUCKETS, metrics_enabled as _metrics_on
 from .numpy_backend import ExecutionError, TapeEntry
-from .ufunc_trace import TracedArray
+from .ufunc_trace import micro_op, replay, replay_nbytes
 
 #: Per-tile working-set target.  One tile of every live scratch buffer
 #: should sit comfortably in L2: with the couple of buffers liveness reuse
@@ -346,38 +348,6 @@ def _tile_view(array: np.ndarray, tile, region_shape) -> np.ndarray:
 # The fused replay op
 # ---------------------------------------------------------------------------
 
-# Step kinds (local ints keep the replay loop's dispatch cheap).
-_UFUNC, _COPY, _WHERE, _CLIP = 0, 1, 2, 3
-
-
-def _replay_steps(steps: Sequence[Tuple]) -> None:
-    """Replay one chunk's pre-resolved micro-ops — the fused hot loop."""
-    for step in steps:
-        kind = step[0]
-        if kind == _UFUNC:
-            step[1](*step[2], out=step[3])
-        elif kind == _COPY:
-            np.copyto(step[1], step[2])
-        elif kind == _WHERE:
-            np.copyto(step[4], step[3], casting="unsafe")
-            np.copyto(step[4], step[2], where=step[1], casting="unsafe")
-        else:  # _CLIP
-            np.clip(step[1], step[2], step[3], out=step[4])
-
-
-def _nbytes(values) -> int:
-    """Logical bytes of the arrays among ``values`` (scalars move nothing)."""
-    return sum(value.nbytes for value in values
-               if isinstance(value, np.ndarray))
-
-
-def _step_nbytes(step: Tuple) -> int:
-    """Operand plus output bytes of one micro-op."""
-    if step[0] == _UFUNC:
-        return _nbytes(step[2]) + step[3].nbytes
-    return _nbytes(step[1:])
-
-
 class _Latch:
     """Countdown latch carrying the first worker error (if any).
 
@@ -451,7 +421,7 @@ class ReplayWorkerPool:
             timed = latch.durations is not None
             started = perf_counter() if timed else 0.0
             try:
-                _replay_steps(steps)
+                replay(steps)
             except BaseException as error:  # noqa: BLE001 - must reach caller
                 latch.finish(error,
                              perf_counter() - started if timed else None)
@@ -469,7 +439,7 @@ class ReplayWorkerPool:
         inline_error: Optional[BaseException] = None
         inline_started = perf_counter() if timed else 0.0
         try:
-            _replay_steps(parts[0])
+            replay(parts[0])
         except BaseException as error:  # noqa: BLE001 - joined below
             inline_error = error
         inline_seconds = perf_counter() - inline_started if timed else 0.0
@@ -510,23 +480,24 @@ def replay_pool() -> ReplayWorkerPool:
 class FusedOp:
     """One fused region: pre-resolved tile micro-ops, replayed in order.
 
-    Every operand/output view was resolved at build time, so a replay is a
-    flat loop of NumPy calls over existing views — zero allocations.
-    ``parts`` holds one step list per worker chunk: serial plans have a
-    single part replayed inline; parallel plans hand parts 1..N-1 to the
-    :class:`ReplayWorkerPool` while part 0 runs on the caller.  Each part
-    was built against its own scratch set, so parts share no mutable state
-    beyond the benign identical-byte halo overlaps documented above.
+    Every operand/output view was resolved at build time
+    (:func:`~repro.backend.ufunc_trace.micro_op` under the tile slicer), so
+    a replay is the shared micro-op loop over existing views — zero
+    allocations.  ``parts`` holds one step list per worker chunk: serial
+    plans have a single part replayed inline; parallel plans hand parts
+    1..N-1 to the :class:`ReplayWorkerPool` while part 0 runs on the caller.
+    Each part was built against its own scratch set and writes only its own
+    tiles' boxes of the written-through buffers, so parts share no mutable
+    state.
     """
 
-    __slots__ = ("parts", "tiles", "schedules", "pads")
+    __slots__ = ("parts", "tiles", "schedules")
 
     def __init__(self, parts: List[List[Tuple]], tiles: int,
-                 schedules: int, pads: int) -> None:
+                 schedules: int) -> None:
         self.parts = parts
         self.tiles = tiles
         self.schedules = schedules
-        self.pads = pads
 
     @property
     def step_count(self) -> int:
@@ -539,36 +510,31 @@ class FusedOp:
     @property
     def nbytes(self) -> int:
         """Operand plus output bytes one replay moves."""
-        return sum(_step_nbytes(step) for part in self.parts for step in part)
+        return sum(replay_nbytes(part) for part in self.parts)
 
     def run(self) -> None:
         if _faults.ARMED and _faults.should_fail("replay.chunk_error"):
             raise ExecutionError("fault injected: replay.chunk_error")
-        parts = self.parts
-        if _metrics_on():
-            started = perf_counter()
-            if len(parts) == 1:
-                _replay_steps(parts[0])
-            else:
-                replay_pool().run_parts(parts)
-            _REGION_REPLAY_SECONDS.observe(perf_counter() - started)
-        elif len(parts) == 1:
-            _replay_steps(parts[0])
+        timed = _metrics_on()
+        started = perf_counter() if timed else 0.0
+        if len(self.parts) == 1:
+            replay(self.parts[0])
         else:
-            replay_pool().run_parts(parts)
+            replay_pool().run_parts(self.parts)
+        if timed:
+            _REGION_REPLAY_SECONDS.observe(perf_counter() - started)
 
 
 class FusionInfo:
     """What the optimizer did to one tape (reported via plan stats)."""
 
-    __slots__ = ("regions", "tiles", "fused_schedules", "fused_pads", "steps",
-                 "nbytes", "dead")
+    __slots__ = ("regions", "tiles", "fused_schedules", "steps", "nbytes",
+                 "dead")
 
     def __init__(self) -> None:
         self.regions = 0
         self.tiles = 0
         self.fused_schedules = 0
-        self.fused_pads = 0
         self.steps = 0
         self.nbytes = 0  # operand + output bytes of one replay of the tape
         #: Full-grid schedule buffers the fused tape no longer touches
@@ -580,166 +546,43 @@ class FusionInfo:
 # Region analysis
 # ---------------------------------------------------------------------------
 
-def _entry_reads(entry: TapeEntry) -> List[np.ndarray]:
-    if entry.kind == "schedule":
-        reads: List[np.ndarray] = []
-        for node in entry.schedule.nodes:
-            for operand in node.operands:
-                if isinstance(operand, TracedArray):
-                    if operand.node is None:
-                        reads.append(operand.concrete)
-                elif isinstance(operand, np.ndarray):
-                    reads.append(operand)
-        return reads
-    return entry.reads
-
-
-def _reads_buffer(reads: Sequence[np.ndarray], buffer: np.ndarray) -> bool:
-    return any(np.may_share_memory(read, buffer) for read in reads)
-
-
-def entry_nbytes(entry: TapeEntry) -> int:
-    """Operand plus output bytes one replay of an unfused tape entry moves."""
-    if entry.kind != "schedule":
-        return _nbytes(entry.reads) + _nbytes(entry.writes)
-    total = 0
-    for node in entry.schedule.nodes:
-        total += node.buffer.nbytes
-        for operand in node.operands:
-            if isinstance(operand, TracedArray):
-                operand = operand.concrete if operand.node is None \
-                    else operand.node.buffer
-            if isinstance(operand, np.ndarray):
-                total += operand.nbytes
-    return total
-
-
-class _Region:
-    """One fusable candidate: ``[pad_start, end)`` entries of the tape."""
-
-    def __init__(self, pad_start: int, start: int, end: int) -> None:
-        self.pad_start = pad_start  # fused pads live in [pad_start, start)
-        self.start = start          # schedules live in [start, end)
-        self.end = end
-
-
-def _validate_schedules(entries: List[TapeEntry], start: int, end: int,
-                        region_shape) -> Dict[int, np.ndarray]:
-    """Check every node/operand is tileable; returns the internal buffers."""
-    internal: Dict[int, np.ndarray] = {}
-    for index in range(start, end):
-        for node in entries[index].schedule.nodes:
-            if node.kind not in ("ufunc", "where", "clip"):
-                raise FusionError(f"untileable node kind {node.kind!r}")
+def _validate_schedules(schedules, region_shape) -> Dict[int, np.ndarray]:
+    """Check every node/leaf is tileable.  Returns ``id(array) -> buffer``
+    for every internal (node) buffer and every leaf that is a view of one."""
+    owner: Dict[int, np.ndarray] = {}
+    for schedule in schedules:
+        for node in schedule.nodes:
             if node.buffer is None or not _broadcast_ok(node.buffer.shape,
                                                         region_shape):
                 raise FusionError("node shape does not broadcast to region")
-            internal[id(node.buffer)] = node.buffer
-    for index in range(start, end):
-        for node in entries[index].schedule.nodes:
-            for operand in node.operands:
-                if isinstance(operand, TracedArray) and operand.node is None:
-                    leaf = operand.concrete
-                    if not _broadcast_ok(leaf.shape, region_shape):
-                        raise FusionError("leaf does not broadcast to region")
-                    for buffer in internal.values():
-                        if np.may_share_memory(leaf, buffer) \
-                                and not _is_aligned(leaf, buffer):
-                            raise FusionError(
-                                "non-aligned view of an internal buffer"
-                            )
-                elif isinstance(operand, np.ndarray):
-                    if not _broadcast_ok(operand.shape, region_shape):
-                        raise FusionError("operand does not broadcast")
-                    for buffer in internal.values():
-                        if np.may_share_memory(operand, buffer):
-                            raise FusionError("raw view of an internal buffer")
-    return internal
+            owner[id(node.buffer)] = node.buffer
+    internal = list(owner.values())
+    for schedule in schedules:
+        for leaf in schedule.leaves:
+            if not _broadcast_ok(leaf.shape, region_shape):
+                raise FusionError("leaf does not broadcast to region")
+            for buffer in internal:
+                if np.may_share_memory(leaf, buffer):
+                    if not _is_aligned(leaf, buffer):
+                        raise FusionError(
+                            "non-aligned view of an internal buffer")
+                    owner.setdefault(id(leaf), buffer)
+    return owner
 
 
-def _pad_reader_locations(entries: List[TapeEntry], start: int, end: int,
-                          pad_buffer: np.ndarray, region_shape):
-    """Locate every region leaf reading ``pad_buffer``; None if any fails."""
-    locations = []
-    for index in range(start, end):
-        for node in entries[index].schedule.nodes:
-            for operand in node.operands:
-                leaf = None
-                if isinstance(operand, TracedArray) and operand.node is None:
-                    leaf = operand.concrete
-                elif isinstance(operand, np.ndarray):
-                    leaf = operand
-                if leaf is None or not np.may_share_memory(leaf, pad_buffer):
-                    continue
-                located = _locate(leaf, pad_buffer)
-                if located is None:
-                    return None
-                locations.append((leaf.ndim, located))
-    return locations
-
-
-def _leaf_box(locations, tile, region_shape):
-    """The pad-buffer box (per-axis [lo, hi)) one tile's leaf reads cover."""
-    ndim = len(locations[0][1])
-    lows = [None] * ndim
-    highs = [None] * ndim
-    for leaf_ndim, located in locations:
-        axis_offset = len(region_shape) - leaf_ndim
-        for k, (offset, view_axis, extent) in enumerate(located):
-            if view_axis is None:
-                lo, hi = offset, offset + extent
-            else:
-                start, stop = tile[axis_offset + view_axis]
-                lo, hi = offset + start, offset + stop
-            lows[k] = lo if lows[k] is None else min(lows[k], lo)
-            highs[k] = hi if highs[k] is None else max(highs[k], hi)
-    return lows, highs
-
-
-def _merge_box(box, other):
-    if box is None:
-        return other
-    if other is None:
-        return box
-    lows = [min(a, b) for a, b in zip(box[0], other[0])]
-    highs = [max(a, b) for a, b in zip(box[1], other[1])]
-    return lows, highs
-
-
-def find_regions(entries: List[TapeEntry], out_buffer: np.ndarray):
-    """All fusable regions (with backward pad extension), non-overlapping."""
-    regions: List[_Region] = []
+def find_regions(entries: List[TapeEntry]) -> List[Tuple[int, int]]:
+    """The fusable candidates: maximal runs ``[start, end)`` of schedule
+    entries.  Every opaque op — a copied pad included — ends a run."""
+    regions = []
     index = 0
     while index < len(entries):
-        if entries[index].kind != "schedule":
+        if entries[index].schedule is None:
             index += 1
             continue
         start = index
-        while index < len(entries) and entries[index].kind == "schedule":
+        while index < len(entries) and entries[index].schedule is not None:
             index += 1
-        regions.append(_Region(start, start, index))
-    if not regions:
-        return []
-
-    for region in regions:
-        # Extend backwards over halo-gather pads whose buffers nothing
-        # outside this region reads.  Chains are welcome: an earlier pad
-        # feeding a later fused pad is restricted transitively (the later
-        # pad's per-tile gathers define the earlier one's required box).
-        position = region.start - 1
-        while position >= 0 and entries[position].kind == "pad":
-            pad = entries[position].pad
-            outside = [
-                entry for k, entry in enumerate(entries)
-                if not (position <= k < region.end)
-            ]
-            if any(_reads_buffer(_entry_reads(entry), pad.buffer)
-                   for entry in outside):
-                break
-            if np.may_share_memory(pad.buffer, out_buffer):
-                break
-            region.pad_start = position
-            position -= 1
+        regions.append((start, index))
     return regions
 
 
@@ -764,62 +607,36 @@ def _partition_grid(grid: List, parts_count: int) -> List[List]:
     return chunks
 
 
-def _build_region(entries: List[TapeEntry], region: _Region,
+def _build_region(entries: List[TapeEntry], start: int, end: int,
                   out_buffer: np.ndarray, tile_spec, pool,
                   scratch: List[np.ndarray], dead: List[np.ndarray],
                   workers: int = 1) -> Optional[FusedOp]:
-    schedules = [entries[k].schedule for k in range(region.start, region.end)]
+    schedules = [entry.schedule for entry in entries[start:end]]
     final_node = schedules[-1].nodes[-1]
     if final_node.buffer is None:
         raise FusionError("schedule has no output buffer")
     region_shape = final_node.buffer.shape
 
-    internal = _validate_schedules(entries, region.start, region.end,
-                                   region_shape)
+    owner = _validate_schedules(schedules, region_shape)
+    internal = {id(buffer): buffer for buffer in owner.values()}
 
     # Buffers whose full contents outlive the region must be written through
     # (per-tile slices of the real buffer), not into tile scratch.
-    later_reads: List[np.ndarray] = []
-    for entry in entries[region.end:]:
-        later_reads.extend(_entry_reads(entry))
+    later_reads = [read for entry in entries[end:] for read in entry.reads]
     through: Dict[int, np.ndarray] = {}
     for key, buffer in internal.items():
-        outlives = np.may_share_memory(buffer, out_buffer) \
-            or _reads_buffer(later_reads, buffer)
-        if outlives:
+        if np.may_share_memory(buffer, out_buffer) or any(
+                np.may_share_memory(read, buffer) for read in later_reads):
             if buffer.shape != region_shape:
                 raise FusionError("escaping buffer is not region-shaped")
             through[key] = buffer
-
-    # Validate + locate the fused pads' readers.  A fused pad is read either
-    # directly by region leaves (located below) or by a *later* fused pad
-    # gathering from its buffer — a chained halo: pad₂'s restricted reads
-    # define, per tile, the box pad₁ must have refreshed first.
-    pads = []
-    for k in range(region.pad_start, region.start):
-        pad = entries[k].pad
-        locations = _pad_reader_locations(entries, region.start, region.end,
-                                          pad.buffer, region_shape)
-        if locations is None:
-            raise FusionError("cannot locate the halo reads of a fused pad")
-        pads.append((pad, locations))
-    for index, (pad, locations) in enumerate(pads):
-        fed = False
-        for later, _ in pads[index + 1:]:
-            if np.may_share_memory(later.source, pad.buffer):
-                if later.source.shape != pad.buffer.shape \
-                        or not _is_aligned(later.source, pad.buffer):
-                    raise FusionError("chained pad reads a reshaped buffer")
-                fed = True
-        if not locations and not fed:
-            raise FusionError("fused pad has no reader inside the region")
 
     tiles = tile_extents(tile_spec, region_shape, final_node.buffer.itemsize)
     grid = _tile_grid(region_shape, tiles)
     parts_count = 1 if workers <= 1 else max(1, min(workers, len(grid)))
 
-    if sum(len(schedule.nodes) for schedule in schedules) < 2 \
-            and not pads and parts_count < 2:
+    nodes = [node for schedule in schedules for node in schedule.nodes]
+    if len(nodes) < 2 and parts_count < 2:
         return None  # a lone operation gains nothing from serial tiling
 
     def allocate_scratch() -> Dict[int, np.ndarray]:
@@ -842,113 +659,34 @@ def _build_region(entries: List[TapeEntry], region: _Region,
             scratch_for[key] = tile_scratch
         return scratch_for
 
-    def buffer_tile(buffer: np.ndarray, tile, scratch_for) -> np.ndarray:
-        key = id(buffer)
-        if key in through:
-            return _tile_view(buffer, tile, region_shape)
-        base = scratch_for[key]
-        offset = len(region_shape) - buffer.ndim
-        selector = tuple(
-            slice(0, 1) if buffer.shape[axis] == 1
-            else slice(0, tile[offset + axis][1] - tile[offset + axis][0])
-            for axis in range(buffer.ndim)
-        )
-        return base[selector]
-
-    def operand_tile(operand, tile, scratch_for):
-        if isinstance(operand, TracedArray):
-            if operand.node is not None:
-                return buffer_tile(operand.node.buffer, tile, scratch_for)
-            leaf = operand.concrete
-            for buffer in internal.values():
-                if np.may_share_memory(leaf, buffer):
-                    return buffer_tile(buffer, tile, scratch_for)
-            return _tile_view(leaf, tile, region_shape)
-        if isinstance(operand, np.ndarray):
-            return _tile_view(operand, tile, region_shape)
-        return operand
-
-    def build_tile_steps(tile, scratch_for, steps: List[Tuple]) -> None:
-        # Walk the fused pads backwards: each pad's required box is the
-        # union of the region leaves' located reads and the restricted
-        # gathers of every later pad chained onto its buffer.
-        boxes: Dict[int, Tuple[List[int], List[int]]] = {}
-        pad_steps_reversed: List[List[Tuple]] = []
-        for pad, locations in reversed(pads):
-            box = _leaf_box(locations, tile, region_shape) \
-                if locations else None
-            box = _merge_box(box, boxes.pop(_address(pad.buffer), None))
-            if box is None:
-                raise FusionError("fused pad has no reader for a tile")
-            lows = [max(0, lo) for lo in box[0]]
-            highs = [min(extent, hi)
-                     for extent, hi in zip(pad.buffer.shape, box[1])]
-            axis = pad.axis
-            tile_steps: List[Tuple] = []
-            src_box = None
-            for dst_start, src_start, length in pad.runs:
-                lo = max(dst_start, lows[axis])
-                hi = min(dst_start + length, highs[axis])
-                if hi <= lo:
-                    continue
-                dst_selector = []
-                src_selector = []
-                for m in range(pad.buffer.ndim):
-                    if m == axis:
-                        dst_selector.append(slice(lo, hi))
-                        src_selector.append(slice(src_start + (lo - dst_start),
-                                                  src_start + (hi - dst_start)))
-                    else:
-                        dst_selector.append(slice(lows[m], highs[m]))
-                        src_selector.append(slice(lows[m], highs[m]))
-                destination = pad.buffer[tuple(dst_selector)]
-                if destination.size == 0:
-                    continue
-                tile_steps.append((_COPY, destination,
-                                   pad.source[tuple(src_selector)]))
-                src_box = _merge_box(src_box, (
-                    [selector.start for selector in src_selector],
-                    [selector.stop for selector in src_selector],
-                ))
-            if src_box is not None:
-                key = _address(pad.source)
-                boxes[key] = _merge_box(boxes.get(key), src_box)
-            pad_steps_reversed.append(tile_steps)
-        for tile_steps in reversed(pad_steps_reversed):
-            steps.extend(tile_steps)
-        for schedule in schedules:
-            for node in schedule.nodes:
-                out = buffer_tile(node.buffer, tile, scratch_for)
-                if node.kind == "ufunc":
-                    steps.append((
-                        _UFUNC, node.fn,
-                        tuple(operand_tile(op, tile, scratch_for)
-                              for op in node.operands),
-                        out,
-                    ))
-                elif node.kind == "where":
-                    condition, x, y = (operand_tile(op, tile, scratch_for)
-                                       for op in node.operands)
-                    steps.append((_WHERE, condition, x, y, out))
-                else:  # clip
-                    a, lo, hi = (operand_tile(op, tile, scratch_for)
-                                 for op in node.operands)
-                    steps.append((_CLIP, a, lo, hi, out))
+    def tile_slicer(tile, scratch_for):
+        """Maps a full-grid array (or scalar) to what ``tile`` touches."""
+        def view(array):
+            buffer = owner.get(id(array))
+            if buffer is None:  # a leaf outside the region, or a scalar
+                return _tile_view(array, tile, region_shape) \
+                    if isinstance(array, np.ndarray) else array
+            if id(buffer) in through:
+                return _tile_view(buffer, tile, region_shape)
+            offset = len(region_shape) - buffer.ndim
+            return scratch_for[id(buffer)][tuple(
+                slice(0, 1) if buffer.shape[axis] == 1
+                else slice(0, tile[offset + axis][1] - tile[offset + axis][0])
+                for axis in range(buffer.ndim)
+            )]
+        return view
 
     parts: List[List[Tuple]] = []
     for chunk in _partition_grid(grid, parts_count):
         chunk_scratch = allocate_scratch()
-        chunk_steps: List[Tuple] = []
-        for tile in chunk:
-            build_tile_steps(tile, chunk_scratch, chunk_steps)
-        parts.append(chunk_steps)
+        parts.append([micro_op(node, tile_slicer(tile, chunk_scratch))
+                      for tile in chunk for node in nodes])
 
     # What the schedules drew from the pool and the fused replay never
     # touches: everything but the written-through buffers.
     dead.extend(buffer for schedule in schedules for buffer in schedule.scratch
                 if id(buffer) not in through)
-    return FusedOp(parts, tiles=len(grid), schedules=len(schedules),
-                   pads=len(pads))
+    return FusedOp(parts, tiles=len(grid), schedules=len(schedules))
 
 
 def optimize_tape(entries: List[TapeEntry], out_buffer: np.ndarray,
@@ -965,21 +703,19 @@ def optimize_tape(entries: List[TapeEntry], out_buffer: np.ndarray,
     chunk's scratch comes from the same ``pool``, so worker scratch is
     released with the rest on fallback or plan release.
     """
-    regions = find_regions(entries, out_buffer)
     scratch: List[np.ndarray] = []
     info = FusionInfo()
     replacements = []
     try:
-        for region in regions:
-            fused = _build_region(entries, region, out_buffer, tile_spec,
+        for start, end in find_regions(entries):
+            fused = _build_region(entries, start, end, out_buffer, tile_spec,
                                   pool, scratch, info.dead, workers=workers)
             if fused is None:
                 continue
-            replacements.append((region, fused))
+            replacements.append((start, end, fused))
             info.regions += 1
             info.tiles += fused.tiles
             info.fused_schedules += fused.schedules
-            info.fused_pads += fused.pads
             info.steps += fused.step_count
     except FusionError:
         pool.release_all(scratch)
@@ -995,14 +731,14 @@ def optimize_tape(entries: List[TapeEntry], out_buffer: np.ndarray,
     def keep(start: int, stop: int) -> None:
         for entry in entries[start:stop]:
             ops.append(entry.op)
-            info.nbytes += entry_nbytes(entry)
+            info.nbytes += entry.nbytes
 
     index = 0
-    for region, fused in replacements:
-        keep(index, region.pad_start)
+    for start, end, fused in replacements:
+        keep(index, start)
         ops.append(fused.run)
         info.nbytes += fused.nbytes
-        index = region.end
+        index = end
     keep(index, len(entries))
     return ops, scratch, info
 
@@ -1063,7 +799,6 @@ __all__ = [
     "AUTO_WORKER_MIN_BYTES",
     "auto_tile",
     "auto_workers",
-    "entry_nbytes",
     "find_regions",
     "measure_best_tile",
     "normalize_tile_spec",

@@ -74,7 +74,7 @@ from ..core.primitives.algorithmic import (
 )
 from ..core.primitives.opencl import _MemorySpaceModifier
 from ..core.primitives.stencil import Pad, PadConstant, Slide
-from .ufunc_trace import view_geometry
+from .ufunc_trace import array_nbytes, replay_nbytes, view_geometry
 
 
 class CompileError(Exception):
@@ -253,27 +253,6 @@ def _active_arena() -> Optional["CaptureArena"]:
     return getattr(_ARENA, "current", None)
 
 
-class PadWrite:
-    """Structured description of one halo-gather buffer write.
-
-    A pad (or padConstant interior) tape op is a set of block copies along
-    one axis: ``buffer[..., dst:dst+length, ...] = source[..., src:src+length,
-    ...]`` for each ``(dst, src, length)`` run, with every other axis copied
-    in full.  Recording the geometry — not just the closure — lets the tape
-    optimizer (:mod:`repro.backend.fuse`) re-emit the copy restricted to the
-    halo region one output tile actually reads.
-    """
-
-    __slots__ = ("buffer", "source", "axis", "runs")
-
-    def __init__(self, buffer: np.ndarray, source: np.ndarray,
-                 axis: int, runs) -> None:
-        self.buffer = buffer
-        self.source = source
-        self.axis = axis
-        self.runs = list(runs)  # [(dst_start, src_start, length), ...]
-
-
 #: One link of a pad chain, as the appliers describe it to the arena:
 #: ``(axis, left, right, halo_runs, value)``.  ``halo_runs`` are the
 #: ``(dst, src, length)`` block copies filling the *halo* of a reindexing
@@ -353,27 +332,30 @@ class PadHome:
 class TapeEntry:
     """One tape op plus the dataflow facts the fuser needs.
 
-    ``kind`` is one of ``"pad"`` (a :class:`PadWrite`-described halo
-    gather), ``"schedule"`` (a traced
-    :class:`~repro.backend.ufunc_trace.ReplaySchedule`), ``"copy"``
-    (reshape/gather block copies the fuser treats as opaque), ``"opaque"``
-    (per-sweep re-executed user functions), ``"output"`` (the plan's
-    result materialisation) or ``"halo"`` (the ring refresh of the resident
-    padded buffer the output was stored into).  ``reads``/``writes`` list
-    the concrete arrays the op touches — the fuser's interference analysis
-    is conservative: unknown ops simply break fusion regions.
+    An entry is either a *traced schedule* — ``schedule`` is the
+    :class:`~repro.backend.ufunc_trace.ReplaySchedule` whose ``run`` is the
+    op, ``reads`` its leaves — or an *opaque op*: a materialised pad, a
+    reshape copy, a re-executed user function, the output store, a home's
+    halo refresh.  Opaque ops declare the concrete arrays they touch in
+    ``reads`` / ``writes``; the fuser never looks inside one, it only fuses
+    the schedule runs between them.
     """
 
-    __slots__ = ("kind", "op", "reads", "writes", "schedule", "pad")
+    __slots__ = ("op", "reads", "writes", "schedule")
 
-    def __init__(self, kind: str, op: Callable[[], object],
-                 reads=(), writes=(), schedule=None, pad=None) -> None:
-        self.kind = kind
+    def __init__(self, op: Callable[[], object], reads=(), writes=(),
+                 schedule=None) -> None:
         self.op = op
         self.reads = list(reads)
         self.writes = list(writes)
         self.schedule = schedule
-        self.pad = pad
+
+    @property
+    def nbytes(self) -> int:
+        """Operand plus output bytes one replay of the op moves."""
+        if self.schedule is not None:
+            return replay_nbytes(self.schedule.steps)
+        return array_nbytes(self.reads) + array_nbytes(self.writes)
 
 
 class CaptureArena:
@@ -383,7 +365,9 @@ class CaptureArena:
     compiled step that would allocate a fresh array for *run-varying* data —
     ``pad`` gathers, ``padConstant`` halos, reshape copies in ``split``/
     ``join``, and user-function results — instead writes into a buffer drawn
-    from the arena's pool and records the write as a *tape op*.  Everything
+    from the arena's pool and records the write as a *tape op*: one
+    :class:`TapeEntry` appended to ``entries``, the tape in execution
+    order.  Everything
     else in the compiled kernel is stride manipulation: views into those
     stable buffers, identical from run to run.  Replaying the tape therefore
     re-executes the whole kernel — bit-identically — without traversing the
@@ -410,10 +394,8 @@ class CaptureArena:
         }
         self.resident_pads = 0
         self.materialized_pads = 0
-        self.ops: List[Callable[[], object]] = []
-        self.entries: List[TapeEntry] = []  # descriptors, aligned with ops
+        self.entries: List[TapeEntry] = []  # the tape, in execution order
         self.buffers: List[np.ndarray] = []
-        self.schedules: List = []  # traced ReplaySchedules, in tape order
         self.traced_calls = 0
         self.opaque_calls = 0
 
@@ -425,11 +407,9 @@ class CaptureArena:
     # Allocator protocol used by the ufunc tracer's scratch buffers.
     acquire = buffer
 
-    def record_and_run(self, op: Callable[[], object], kind: str = "copy",
-                       reads=(), writes=(), pad=None) -> None:
-        self.ops.append(op)
-        self.entries.append(TapeEntry(kind, op, reads=reads, writes=writes,
-                                      pad=pad))
+    def record_and_run(self, op: Callable[[], object],
+                       reads=(), writes=()) -> None:
+        self.entries.append(TapeEntry(op, reads=reads, writes=writes))
         op()
 
     # -- pads ---------------------------------------------------------------
@@ -496,10 +476,8 @@ class CaptureArena:
         except Exception:  # noqa: BLE001 - tracing must never break execution
             schedule, result = None, None
         if schedule is not None:
-            self.ops.append(schedule.run)
-            self.entries.append(TapeEntry("schedule", schedule.run,
+            self.entries.append(TapeEntry(schedule.run, reads=schedule.leaves,
                                           schedule=schedule))
-            self.schedules.append(schedule)
             self.traced_calls += 1
             return result
         if result is not None:
@@ -522,10 +500,8 @@ class CaptureArena:
             _copy_structure(_stable, _fn(*_raws))
 
         _copy_structure(stable, produced)
-        self.ops.append(op)
         self.entries.append(TapeEntry(
-            "opaque", op,
-            reads=_flat_arrays(raws), writes=_flat_arrays(stable),
+            op, reads=_flat_arrays(raws), writes=_flat_arrays(stable),
         ))
         self.opaque_calls += 1
         return stable
@@ -547,7 +523,7 @@ class CaptureArena:
         def op(_dst=destination, _src=data):
             np.copyto(_dst, _src)
 
-        self.record_and_run(op, kind="copy", reads=[data], writes=[buffer])
+        self.record_and_run(op, reads=[data], writes=[buffer])
         return buffer
 
 
@@ -623,7 +599,7 @@ class _Compiler:
 
     def __init__(self, size_env: Mapping[str, int]) -> None:
         self.size_env = dict(size_env)
-        # (id(boundary), left, right, n) -> (index table, runs, halo runs)
+        # (id(boundary), left, right, n) -> (index table, halo runs)
         self._pad_layouts: Dict[Tuple, Tuple] = {}
 
     # -- expressions --------------------------------------------------------
@@ -894,10 +870,10 @@ class _Compiler:
         left, right, boundary = prim.left, prim.right, prim.boundary
 
         def layout_for(n: int):
-            """``(index table, block-copy runs, halo-only runs)`` for length
-            ``n``; either runs entry is ``None`` when too fragmented, and the
-            halo runs also when the boundary does not leave the interior in
-            place (only then can the pad be a view of a wider buffer)."""
+            """``(index table, halo-only runs)`` for length ``n``; the runs
+            are ``None`` when the halo is too fragmented for block copies or
+            the boundary does not leave the interior in place (only then can
+            the pad be a view of a wider buffer)."""
             key = (id(boundary), left, right, n)
             layout = self._pad_layouts.get(key)
             if layout is None:
@@ -914,7 +890,7 @@ class _Compiler:
                         (left + n + dst, src, length)
                         for dst, src, length in after
                     )
-                layout = (table, _index_runs(table), halo)
+                layout = (table, halo)
                 self._pad_layouts[key] = layout
             return layout
 
@@ -923,7 +899,7 @@ class _Compiler:
 
             def pad_leaf(leaf: Batched) -> Batched:
                 n = leaf.data.shape[depth]
-                table, runs, halo = layout_for(n)
+                table, halo = layout_for(n)
                 if arena is None:
                     return Batched(np.take(leaf.data, table, axis=depth), depth)
                 source = leaf.data
@@ -931,35 +907,17 @@ class _Compiler:
                 resident = arena.resident_pad(source, spec)
                 if resident is not None:
                     return Batched(resident, depth)
+                # No home serves this pad: it is copied, whole, on every
+                # replay — the generic path's gather threaded through out=.
                 shape = (
                     source.shape[:depth] + (len(table),) + source.shape[depth + 1:]
                 )
                 buffer = arena.buffer(shape, source.dtype)
-                if runs is not None:
-                    # The boundary re-indexing decomposes into a few
-                    # contiguous runs (clamp/mirror/wrap all do): replay as
-                    # block copies — one big interior copy plus tiny halo
-                    # slices — instead of a per-element gather.
-                    pairs = [
-                        (buffer[_axis_slice(depth, dst, dst + length)],
-                         source[_axis_slice(depth, src, src + length)])
-                        for dst, src, length in runs
-                    ]
 
-                    def op(_pairs=pairs):
-                        for destination, block in _pairs:
-                            np.copyto(destination, block)
+                def op(_src=source, _table=table, _axis=depth, _out=buffer):
+                    np.take(_src, _table, axis=_axis, out=_out)
 
-                    arena.record_and_run(
-                        op, kind="pad", reads=[source], writes=[buffer],
-                        pad=PadWrite(buffer, source, depth, runs),
-                    )
-                else:
-                    def op(_src=source, _table=table, _axis=depth, _out=buffer):
-                        np.take(_src, _table, axis=_axis, out=_out)
-
-                    arena.record_and_run(op, kind="copy", reads=[source],
-                                         writes=[buffer])
+                arena.record_and_run(op, reads=[source], writes=[buffer])
                 arena.materialized_pad(source, buffer, spec)
                 return Batched(buffer, depth)
 
@@ -1009,13 +967,7 @@ class _Compiler:
                 def op(_dst=interior, _src=source):
                     np.copyto(_dst, _src)
 
-                # The constant halo itself was written once above and never
-                # refreshed, so the replayable write is a single interior
-                # run — exactly the shape the tape optimizer can restrict.
-                arena.record_and_run(
-                    op, kind="pad", reads=[source], writes=[buffer],
-                    pad=PadWrite(buffer, source, depth, [(left, 0, n)]),
-                )
+                arena.record_and_run(op, reads=[source], writes=[buffer])
                 arena.materialized_pad(source, buffer, spec)
                 return Batched(buffer, depth)
 
@@ -1192,7 +1144,6 @@ __all__ = [
     "CompiledKernel",
     "ExecutionError",
     "PadHome",
-    "PadWrite",
     "TapeEntry",
     "compile_program",
 ]

@@ -38,15 +38,17 @@ step) and a ``halo`` tape op right after the output store for the buffer a
 carry feeds back.  Which inputs are padded, and how, is what the first
 capture observes; pads of anything else (computed intermediates, gathers
 too fragmented for block copies, two different chains on one buffer) are
-copied as before and counted (``materialized_pads``).  Because a stale halo
+copied — one recorded full-buffer op per pad per step, which the tape
+optimizer treats like any other opaque op — and counted
+(``materialized_pads``).  Because a stale halo
 would fool the fused-vs-unfused check on both sides alike, every tape that
 elided a pad is also compared, bit for bit, with the kernel's generic
 execution of the same step, which copies every pad; on a mismatch the plan
 falls back to copied pads (``fusion_fallbacks``, reason ``halo``).
 
 Captured tapes are handed to the tape optimizer (:mod:`repro.backend.fuse`)
-before their first replay: chains of elementwise traced-ufunc ops — halo
-gathers included — are fused into regions replayed **tile by tile** over
+before their first replay: runs of elementwise traced-ufunc schedules are
+fused into regions replayed **tile by tile** over
 cache-blocked output slices with per-tile pooled scratch, verified
 bit-identical against the unfused tape at capture time and falling back to
 it for anything the analyzer cannot prove safe.  The tile shape is a plan
@@ -82,7 +84,6 @@ from ..telemetry import registry as _telemetry
 from ..telemetry.registry import metrics_enabled as _metrics_on
 from .fuse import (
     FusionInfo,
-    entry_nbytes,
     normalize_tile_spec,
     normalize_workers,
     optimize_tape,
@@ -385,7 +386,6 @@ class ExecutionPlan:
         self.fused_regions = 0
         self.fused_tiles = 0
         self.fused_schedules = 0
-        self.fused_pads = 0
         self.fusion_fallbacks = 0
         self.resident_pads = 0      # pads served as views of a home
         self.materialized_pads = 0  # pads copied (no home, or no match)
@@ -394,19 +394,24 @@ class ExecutionPlan:
         _PLANS.add(self)
 
     # -- buffer management ---------------------------------------------------
-    def _bind(self, inputs: Sequence) -> None:
-        if len(inputs) != len(self._in_bufs):
+    @staticmethod
+    def _load(destinations: Sequence[np.ndarray], inputs: Sequence) -> None:
+        """Copy one request's grids into their destination views."""
+        if len(inputs) != len(destinations):
             raise ExecutionError(
-                f"plan expects {len(self._in_bufs)} inputs, got {len(inputs)}"
+                f"plan expects {len(destinations)} inputs, got {len(inputs)}"
             )
-        for buffer, value in zip(self._in_bufs, inputs):
+        for destination, value in zip(destinations, inputs):
             array = value if isinstance(value, np.ndarray) else np.asarray(value)
-            if array.shape != buffer.shape:
+            if array.shape != destination.shape:
                 raise ExecutionError(
                     f"input shape {array.shape} does not match the plan's "
-                    f"{buffer.shape}"
+                    f"{destination.shape}"
                 )
-            np.copyto(buffer, array)  # casts to float64, like the generic path
+            np.copyto(destination, array)  # casts to float64, like the generic path
+
+    def _bind(self, inputs: Sequence) -> None:
+        self._load(self._in_bufs, inputs)
         self._refresh_inputs()
 
     def _refresh_inputs(self) -> None:
@@ -540,15 +545,11 @@ class ExecutionPlan:
         self.opaque_calls += arena.opaque_calls
         self.resident_pads += arena.resident_pads
         self.materialized_pads += arena.materialized_pads
-        # A halo gather that costs no full-grid pass: tile-restricted by
-        # the fuser, or not there at all.
-        self.fused_pads += arena.resident_pads
         if tape.fusion is not None:
             _FUSED_REGIONS_TOTAL.inc(tape.fusion.regions)
             self.fused_regions += tape.fusion.regions
             self.fused_tiles += tape.fusion.tiles
             self.fused_schedules += tape.fusion.fused_schedules
-            self.fused_pads += tape.fusion.fused_pads
         self.replay_bytes_per_step = max(self.replay_bytes_per_step,
                                          tape.nbytes)
         return tape
@@ -575,48 +576,41 @@ class ExecutionPlan:
     def _assemble_tape(self, arena: CaptureArena, value, slot: int) -> _Tape:
         out_buffer = self._slot_buffer(slot)
         buffers = arena.buffers
+        entries = list(arena.entries)
+        schedule = entries[-1].schedule if entries else None
         if (
             isinstance(value, Batched)
             and value.bd == 0
-            and arena.schedules
-            and value.data is arena.schedules[-1].out
-            and arena.ops
-            and arena.ops[-1] == arena.schedules[-1].run
+            and schedule is not None
+            and value.data is schedule.out
             and value.data.shape == out_buffer.shape
             and value.data.dtype == out_buffer.dtype
         ):
             # The kernel's whole result is the last traced schedule's final
             # value: retarget that operation to write straight into the
             # output ring buffer and skip the materialisation copy pass.
-            schedule = arena.schedules[-1]
             np.copyto(out_buffer, value.data)  # this sweep already computed
             orphan = schedule.retarget(out_buffer)
             if orphan is not None:
                 buffers[:] = [b for b in buffers if b is not orphan]
                 self._pool.release(orphan)
-            ops = arena.ops[:-1] + [schedule.run]
-            entries = list(arena.entries)
         else:
             final, final_reads = _make_output_op(out_buffer, value, self.batch)
             final()  # a capture is a real execution: materialise this sweep
-            ops = arena.ops + [final]
-            entries = arena.entries + [
-                TapeEntry("output", final, reads=final_reads,
-                          writes=[out_buffer])
-            ]
+            entries.append(TapeEntry(final, reads=final_reads,
+                                     writes=[out_buffer]))
         home = self._homes.get(id(out_buffer))
         if home is not None and home.halo_pairs:
             # The store above wrote a home's interior: refresh its ring so
             # the step that pads this buffer next reads a view, not a copy.
             home.refresh()
-            ops.append(home.refresh)
             entries.append(TapeEntry(
-                "halo", home.refresh,
+                home.refresh,
                 reads=[source for _, source in home.halo_pairs],
                 writes=[destination for destination, _ in home.halo_pairs],
             ))
-        tape = _Tape(ops, out_buffer, buffers,
-                     sum(entry_nbytes(entry) for entry in entries))
+        tape = _Tape([entry.op for entry in entries], out_buffer, buffers,
+                     sum(entry.nbytes for entry in entries))
         if self.tile_shape is not False:
             tape = self._try_fuse(tape, entries)
         return tape
@@ -665,25 +659,20 @@ class ExecutionPlan:
     def _step(self, state: List[np.ndarray], slot: int) -> np.ndarray:
         key = (tuple(id(buffer) for buffer in state), slot)
         tape = self._tapes.get(key)
+        timed = _metrics_on()
+        started = perf_counter() if timed else 0.0
         if tape is None:
-            if _metrics_on():
-                started = perf_counter()
-                tape = self._capture(state, slot)
-                _CAPTURE_SECONDS.observe(perf_counter() - started)
-                _CAPTURES_TOTAL.inc()
-            else:
-                tape = self._capture(state, slot)
+            tape = self._capture(state, slot)
             # Keyed afresh: the first capture may have re-housed ``state``.
             self._tapes[(tuple(id(buffer) for buffer in state), slot)] = tape
-        elif _metrics_on():
-            started = perf_counter()
-            tape.run()
-            _REPLAY_SECONDS.observe(perf_counter() - started)
-            _REPLAYS_TOTAL.inc()
-            self.replays += 1
+            seconds, total = _CAPTURE_SECONDS, _CAPTURES_TOTAL
         else:
             tape.run()
             self.replays += 1
+            seconds, total = _REPLAY_SECONDS, _REPLAYS_TOTAL
+        if timed:
+            seconds.observe(perf_counter() - started)
+            total.inc()
         return tape.out
 
     @staticmethod
@@ -785,20 +774,8 @@ class ExecutionPlan:
             )
         with self._lock:
             for index, item_inputs in enumerate(parts):
-                if len(item_inputs) != len(self._in_bufs):
-                    raise ExecutionError(
-                        f"request {index} carries {len(item_inputs)} inputs, "
-                        f"plan expects {len(self._in_bufs)}"
-                    )
-                for buffer, value in zip(self._in_bufs, item_inputs):
-                    array = value if isinstance(value, np.ndarray) \
-                        else np.asarray(value)
-                    if array.shape != buffer.shape[1:]:
-                        raise ExecutionError(
-                            f"input shape {array.shape} does not match the "
-                            f"plan's per-item {buffer.shape[1:]}"
-                        )
-                    np.copyto(buffer[index], array)
+                self._load([buffer[index] for buffer in self._in_bufs],
+                           item_inputs)
             self._refresh_inputs()
             state = list(self._in_bufs)
             out = self._step(state, self._pick_slot(state))
@@ -823,7 +800,9 @@ class ExecutionPlan:
                 "fused_regions": self.fused_regions,
                 "fused_tiles": self.fused_tiles,
                 "fused_schedules": self.fused_schedules,
-                "fused_pads": self.fused_pads,
+                # halo gathers that cost no full-grid pass: the resident
+                # ones (a copied pad is never inside a region)
+                "fused_pads": self.resident_pads,
                 "fusion_fallbacks": self.fusion_fallbacks,
                 "resident_pads": self.resident_pads,
                 "materialized_pads": self.materialized_pads,
@@ -997,15 +976,13 @@ def time_steady(plan: ExecutionPlan, inputs: Sequence, runs: int = 3) -> float:
     allocation.  The shared protocol of the engine's measured scorer and
     the tuner's ``measure_best`` hook.
     """
-    import time
-
     plan.run(inputs)  # warm-up: capture the tape, populate buffers
     plan.run(inputs)  # first replay (steady state from here on)
     best = float("inf")
     for _ in range(max(1, runs)):
-        started = time.perf_counter()
+        started = perf_counter()
         plan.run(inputs, copy=False)
-        best = min(best, time.perf_counter() - started)
+        best = min(best, perf_counter() - started)
     return best
 
 

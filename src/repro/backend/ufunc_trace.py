@@ -19,6 +19,12 @@ Supported operations: every NumPy ufunc (arithmetic, comparisons,
 function that cannot be traced — e.g. one that branches on array values —
 raises :class:`UntraceableFunction` and the caller falls back to calling it
 directly into a pooled result buffer (correct, just not allocation-free).
+
+What a replay executes is a list of *micro-ops* ``(fn, operands, out)``,
+each meaning ``fn(*operands, out=out)`` over arrays resolved in advance.
+:func:`micro_op` is the one constructor (a schedule builds its own at full
+grid; the tape optimizer builds them again per tile) and :func:`replay` the
+one loop.
 """
 
 from __future__ import annotations
@@ -32,14 +38,23 @@ class UntraceableFunction(Exception):
     """The user function performed an operation the tracer cannot record."""
 
 
+def _select(condition, x, y, out: np.ndarray) -> None:
+    """``np.where`` through ``out=``: a pair of ``np.copyto`` selections."""
+    np.copyto(out, y, casting="unsafe")
+    np.copyto(out, x, where=condition, casting="unsafe")
+
+
+#: The traceable non-ufunc functions -> how each replays through ``out=``.
+_OUT_FORMS = {np.where: _select, np.clip: np.clip}
+
+
 class _Node:
-    """One recorded operation: ``kind`` plus operands (nodes, arrays, scalars)."""
+    """One recorded operation: ``fn`` plus operands (nodes, arrays, scalars)."""
 
-    __slots__ = ("kind", "fn", "operands", "buffer", "shape", "dtype")
+    __slots__ = ("fn", "operands", "buffer", "shape", "dtype")
 
-    def __init__(self, kind: str, fn, operands: Tuple, shape, dtype) -> None:
-        self.kind = kind            # "ufunc" | "where" | "clip"
-        self.fn = fn                # the ufunc (for kind == "ufunc")
+    def __init__(self, fn, operands: Tuple, shape, dtype) -> None:
+        self.fn = fn                # replays it: ``fn(*operands, out=buffer)``
         self.operands = operands    # mix of TracedArray / ndarray / scalar
         self.shape = shape          # result shape (drives the scratch buffer)
         self.dtype = dtype
@@ -100,12 +115,12 @@ class TracedArray:
         self.shape = source.shape
         self.dtype = source.dtype
 
-    def _record(self, kind: str, fn, operands: Tuple, evaluate) -> "TracedArray":
+    def _record(self, fn, operands: Tuple, evaluate) -> "TracedArray":
         operands = tuple(
             np.asarray(value) if isinstance(value, (list, tuple)) else value
             for value in operands
         )
-        key = (kind, fn) + tuple(_operand_key(value) for value in operands)
+        key = (fn,) + tuple(_operand_key(value) for value in operands)
         known = self.memo.get(key)
         if known is not None:
             return known
@@ -114,8 +129,8 @@ class TracedArray:
         with np.errstate(all="ignore"):
             sample = evaluate(*[_stand_in(value) for value in operands])
         if isinstance(sample, tuple):  # multi-output ufuncs (divmod, …)
-            raise UntraceableFunction(f"multi-output operation {fn or kind}")
-        node = _Node(kind, fn, operands, shape, np.asarray(sample).dtype)
+            raise UntraceableFunction(f"multi-output operation {fn}")
+        node = _Node(fn, operands, shape, np.asarray(sample).dtype)
         traced = TracedArray(None, self.memo, node)
         self.memo[key] = traced
         return traced
@@ -126,11 +141,11 @@ class TracedArray:
             raise UntraceableFunction(
                 f"unsupported ufunc use: {ufunc.__name__}.{method} with {kwargs}"
             )
-        return self._record("ufunc", ufunc, inputs, ufunc)
+        return self._record(ufunc, inputs, ufunc)
 
     def __array_function__(self, func, types, args, kwargs):
-        if func in (np.where, np.clip) and len(args) == 3 and not kwargs:
-            return self._record(func.__name__, None, args, func)
+        if func in _OUT_FORMS and len(args) == 3 and not kwargs:
+            return self._record(_OUT_FORMS[func], args, func)
         raise UntraceableFunction(f"unsupported function {getattr(func, '__name__', func)}")
 
     # -- structural access (views of leaves are themselves leaves) ----------
@@ -240,6 +255,42 @@ def _wrap_argument(value, memo: dict):
     return value  # scalars participate as plain Python numbers
 
 
+def micro_op(node: _Node, view=lambda array: array) -> Tuple:
+    """The micro-op ``(fn, operands, out)`` replaying ``node``.
+
+    The one place a traced node becomes something executable.  Operands are
+    resolved here, once — a computed operand to its node's buffer, a leaf to
+    the live view behind it — and ``view`` then maps each full-grid array
+    (and the node's own buffer) to what this replay touches: itself for a
+    full-grid schedule, one tile's slice of it for a fused region.
+    """
+    operands = tuple(
+        view(value if not isinstance(value, TracedArray)
+             else value.concrete if value.node is None else value.node.buffer)
+        for value in node.operands
+    )
+    return node.fn, operands, view(node.buffer)
+
+
+def replay(steps: Sequence[Tuple]) -> None:
+    """Execute micro-ops in order — the one loop every traced operation runs
+    through, whole-grid or tiled, on the caller or on a pool thread."""
+    for fn, operands, out in steps:
+        fn(*operands, out=out)
+
+
+def array_nbytes(values) -> int:
+    """Logical bytes of the arrays among ``values`` (scalars move nothing)."""
+    return sum(value.nbytes for value in values
+               if isinstance(value, np.ndarray))
+
+
+def replay_nbytes(steps: Sequence[Tuple]) -> int:
+    """Operand plus output bytes one :func:`replay` of ``steps`` moves."""
+    return sum(array_nbytes(operands) + out.nbytes
+               for _fn, operands, out in steps)
+
+
 class ReplaySchedule:
     """A traced function bound to scratch buffers: call :meth:`run` per sweep.
 
@@ -256,6 +307,15 @@ class ReplaySchedule:
         #: Every buffer this schedule drew from its allocator — what a
         #: caller that stops running the schedule may hand back.
         self.scratch = scratch
+        self.steps = [micro_op(node) for node in nodes]
+        #: The arrays read but not computed here: argument views and
+        #: constants the function closed over.
+        self.leaves = [
+            value.concrete if isinstance(value, TracedArray) else value
+            for node in nodes for value in node.operands
+            if isinstance(value, np.ndarray)
+            or (isinstance(value, TracedArray) and value.node is None)
+        ]
 
     @property
     def nodes(self) -> List[_Node]:
@@ -284,33 +344,15 @@ class ReplaySchedule:
         orphan = final.buffer
         final.buffer = new_out
         self.out = new_out
+        self.steps[-1] = micro_op(final)
         if any(node.buffer is orphan for node in self._nodes):
             return None
         self.scratch = [b for b in self.scratch if b is not orphan]
         return orphan
 
     def run(self) -> np.ndarray:
-        for node in self._nodes:
-            operands = node.operands
-            if node.kind == "ufunc":
-                node.fn(*[_replay_operand(value) for value in operands],
-                        out=node.buffer)
-            elif node.kind == "where":
-                condition, x, y = (_replay_operand(value) for value in operands)
-                np.copyto(node.buffer, y, casting="unsafe")
-                np.copyto(node.buffer, x, where=condition, casting="unsafe")
-            else:  # "clip"
-                a, lo, hi = (_replay_operand(value) for value in operands)
-                np.clip(a, lo, hi, out=node.buffer)
+        replay(self.steps)
         return self.out
-
-
-def _replay_operand(value):
-    if isinstance(value, TracedArray):
-        if value.node is not None:
-            return value.node.buffer
-        return value.concrete  # a live view of a stable buffer
-    return value
 
 
 def trace_function(
@@ -405,7 +447,7 @@ def _assign_buffers(nodes: List[_Node], final: _Node,
                     and not any(operand.node.buffer is b for b in dying):
                 dying.append(operand.node.buffer)
         reused = None
-        if node.kind == "ufunc":
+        if isinstance(node.fn, np.ufunc):
             for buffer in dying:
                 if buffer.shape == shape and buffer.dtype == dtype:
                     reused = buffer
@@ -426,4 +468,5 @@ def _assign_buffers(nodes: List[_Node], final: _Node,
 
 
 __all__ = ["ReplaySchedule", "TracedArray", "UntraceableFunction",
+           "array_nbytes", "micro_op", "replay", "replay_nbytes",
            "trace_function", "view_geometry"]

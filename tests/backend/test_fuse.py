@@ -94,6 +94,7 @@ class TestFusionFormation:
         stats = plan.stats()
         assert stats["fused_regions"] >= 1
         assert stats["fused_pads"] >= 1      # the halo-gather → ufunc edge
+        assert stats["resident_pads"] >= 1   # ... served as a view
         assert stats["fused_tiles"] >= 1
         assert stats["fusion_fallbacks"] == 0
 

@@ -218,7 +218,7 @@ class TestWorkerFailureHygiene:
         # Inject a raising micro-op into a *worker* chunk (not the inline
         # part), so the failure surfaces on a pool thread and must cross
         # the latch back to the caller.
-        injected = (0, _raising_ufunc, (), None)
+        injected = (_raising_ufunc, (), None)
         victim.parts[1].append(injected)
         try:
             for _ in range(3):  # repeated failures must not leak either
@@ -243,10 +243,10 @@ class TestWorkerFailureHygiene:
         pool = ReplayWorkerPool(max_threads=4)
         landed = np.zeros(8)
         tail_parts = [
-            [(1, landed[index:index + 1], np.float64(1.0))]  # _COPY steps
+            [(np.add, (1.0, 0.0), landed[index:index + 1])]
             for index in range(8)
         ]
-        inline = [(0, _raising_ufunc, (), None)]
+        inline = [(_raising_ufunc, (), None)]
         with pytest.raises(_Boom):
             pool.run_parts([inline] + tail_parts)
         assert np.array_equal(landed, np.ones(8))
@@ -256,14 +256,14 @@ class TestWorkerFailureHygiene:
         out = np.zeros(4)
         with pytest.raises(_Boom):
             pool.run_parts([
-                [(1, out, np.float64(2.0))],          # inline: fine
-                [(0, _raising_ufunc, (), None)],       # worker: raises
+                [(np.add, (2.0, 0.0), out)],          # inline: fine
+                [(_raising_ufunc, (), None)],         # worker: raises
             ])
         # The pool is a process-wide singleton in production: after an
         # error it must keep replaying subsequent runs normally.
         pool.run_parts([
-            [(1, out[:2], np.float64(3.0))],
-            [(1, out[2:], np.float64(3.0))],
+            [(np.add, (3.0, 0.0), out[:2])],
+            [(np.add, (3.0, 0.0), out[2:])],
         ])
         assert np.array_equal(out, np.full(4, 3.0))
 

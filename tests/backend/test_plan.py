@@ -588,6 +588,38 @@ class TestResidentPadMechanics:
             assert stats["fusion_fallbacks"] == 0, name
             assert not plan._homes, name
 
+        # A copied pad is one opaque op between fused regions, whatever the
+        # boundary and however the regions around it are replayed.
+        add5 = make_userfun("add5", ["a", "b", "c", "d", "e"],
+                            "return a+b+c+d+e;",
+                            lambda a, b, c, d, e: a + b + c + d + e)
+        x = [np.random.default_rng(3).random(257)]
+        for boundary in (L.CLAMP, L.MIRROR, L.WRAP):
+            two_stage = L.fun(row, lambda a: summed(L.pad(
+                1, 1, boundary, summed(L.pad(1, 1, boundary, a)))))
+            chained = L.fun(row, lambda a: L.map(
+                lambda w: L.FunCall(add5, *[L.at(i, w) for i in range(5)]),
+                L.slide(5, 1, L.pad(1, 1, boundary, L.pad(
+                    1, 1, boundary,
+                    L.map(lambda v: L.FunCall(double, v), a))))))
+            for tile in (None, (7,)):
+                for workers in (1, 2):
+                    for program in (two_stage, chained):
+                        case = (boundary, tile, workers, program is chained)
+                        plan = backend.plan(program, x, tile_shape=tile,
+                                            parallel_workers=workers)
+                        assert np.array_equal(plan.run(x),
+                                              backend.run(program, x)), case
+                        stats = plan.stats()
+                        assert stats["materialized_pads"] >= 1, case
+                        if program is two_stage:
+                            # the runs on both sides of the copy still fuse
+                            assert stats["fused_regions"] == 2, case
+                        assert np.array_equal(
+                            plan.iterate(x, 5),
+                            iterate_generic(backend, program, x, 5)), case
+                        assert plan.stats()["fusion_fallbacks"] == 0, case
+
     def test_gauges_are_exported(self):
         from repro.telemetry.registry import get_registry
 
