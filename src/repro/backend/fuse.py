@@ -759,10 +759,9 @@ def measure_best_tile(backend, program, inputs, candidates=None,
     :func:`repro.tuning.parameters.replay_worker_candidates` (just
     ``(1,)`` on a single-core machine, so the search stays serial there).
     Returns ``(steady_seconds, tile_spec, parallel_workers)`` for the
-    fastest warm replay — the tuner's ``measure_best`` protocol, and the
-    engine worker's measured-scoring primitive.  Worker counts above 1 are
-    only timed for specs that actually fuse (``False`` replays the unfused
-    tape, which has no tiles to parallelise).
+    fastest warm replay — the engine worker's measured-scoring primitive.
+    Worker counts above 1 are only timed for specs that actually fuse
+    (``False`` replays the unfused tape, which has no tiles to parallelise).
     """
     from ..tuning.parameters import (
         fuse_tile_candidates,

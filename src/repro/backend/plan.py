@@ -973,8 +973,7 @@ def time_steady(plan: ExecutionPlan, inputs: Sequence, runs: int = 3) -> float:
 
     Warms the plan first (capture + one replay) so the measurement reflects
     the tape-replay serving path, not first-call compilation or buffer
-    allocation.  The shared protocol of the engine's measured scorer and
-    the tuner's ``measure_best`` hook.
+    allocation.  The timing protocol of the engine's measured scorer.
     """
     plan.run(inputs)  # warm-up: capture the tape, populate buffers
     plan.run(inputs)  # first replay (steady state from here on)

@@ -23,10 +23,12 @@ Usage (after ``pip install -e .``, or with ``PYTHONPATH=src``)::
     python -m repro stats [--store .repro/engine.sqlite]
 
 Every sub-command prints human-readable text; the figure commands emit the
-same rows the paper plots.  ``explore`` and ``tune`` run on the parallel
-search engine: evaluations fan out over worker processes and are memoised
-in a SQLite results store, so re-running (or ``--resume``-ing) a session
-skips every already-evaluated point.  ``serve`` exposes the asyncio
+same rows the paper plots.  ``explore`` and ``tune`` (and the Lift side of
+the figure commands) run on the search engine: simulator scores are
+evaluated inline, validating and measured evaluations fan out over worker
+processes, and every cost is memoised in a SQLite results store, so
+re-running (or ``--resume``-ing) a session skips every already-evaluated
+point.  ``serve`` exposes the asyncio
 micro-batching execution service over TCP (JSON lines) — ``--shards N``
 pre-forks N worker processes that sweep micro-batched groups concurrently;
 ``submit`` sends it requests; ``loadgen`` benchmarks batched serving
@@ -419,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scale", type=float, default=1.0,
                        help="scale factor applied to the paper's input sizes")
         p.add_argument("--workers", type=int, default=1,
-                       help="fan Lift searches out over this many worker processes")
+                       help="engine worker processes (the sweep scores on the "
+                            "simulator, which runs inline at any count)")
         if name == "figure8":
             p.add_argument("--sizes", nargs="*", default=["small", "large"],
                            choices=["small", "large"])
@@ -450,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--device", default="nvidia",
                        choices=["nvidia", "amd", "arm"])
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes (1 = serial, inline evaluation)")
+                       help="worker processes for --validate / --scorer measured "
+                            "jobs (simulator scores always run inline)")
         p.add_argument("--budget", type=int, default=200,
                        help="evaluation budget per kernel variant")
         p.add_argument("--scale", type=float, default=1.0,

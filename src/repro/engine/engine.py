@@ -1,20 +1,24 @@
-"""The parallel, persistent search engine.
+"""The search engine: the one driver of explore → tune.
 
-:class:`SearchEngine` unifies macro-rewrite exploration and parameter
-tuning into one job graph:
+:class:`SearchEngine` treats macro-rewrite exploration and parameter
+tuning as one job graph, and :meth:`SearchEngine.run` is the only place a
+Lift variant set is explored and tuned — the experiment pipeline, the
+figure drivers and the ``explore`` / ``tune`` verbs all call it:
 
-* candidate evaluations fan out over a ``concurrent.futures``
-  ``ProcessPoolExecutor`` (``workers=1`` degenerates to inline, serial
-  evaluation — the exact behaviour of the old pipeline);
-* every cost is memoised in a SQLite :class:`~repro.engine.store.ResultsStore`
-  keyed by the stable structural digest + configuration, so repeated and
-  resumed sessions skip already-evaluated points;
+* a simulator score is ~10 µs of arithmetic and is always evaluated inline
+  in the driver; jobs that compile and execute (validation, measured
+  scoring) fan out over a ``concurrent.futures`` ``ProcessPoolExecutor``
+  when ``workers > 1`` — ``SearchEngine(store=None, workers=1)`` *is* the
+  serial pipeline;
+* with a store, every cost is memoised in a SQLite
+  :class:`~repro.engine.store.ResultsStore` keyed by the stable structural
+  digest + configuration, so repeated and resumed sessions skip
+  already-evaluated points;
 * a :class:`~repro.engine.pruner.CostModelPruner` (optional) cuts dominated
   variants before any evaluation budget is spent on them;
 * :meth:`SearchEngine.submit` is the async-friendly batch API: it returns a
   :class:`Batch` whose results can be harvested in submission order, as
-  they complete, or awaited from asyncio code — experiment drivers use it
-  to enqueue whole app suites at once (:meth:`SearchEngine.run_suite`).
+  they complete, or awaited from asyncio code.
 
 Determinism: batches preserve submission order, searches consume costs in
 that order, and ties are broken by first occurrence — so a fixed seed
@@ -37,7 +41,12 @@ from ..tuning.tuner import AutoTuner, TuningResult
 from .jobs import EvaluationJob, JobResult, VariantOutcome, VariantSpec, make_jobs
 from .pruner import CostModelPruner, PruneDecision
 from .store import ResultsStore
-from .worker import evaluate_job
+from .worker import (
+    evaluate_job,
+    explore_variants_for,
+    measurement_shape,
+    parameter_space_for,
+)
 
 
 class EngineError(RuntimeError):
@@ -68,6 +77,7 @@ class Batch:
     def __init__(
         self,
         jobs: Sequence[EvaluationJob],
+        keys: Sequence[object],
         resolved: Dict[int, JobResult],
         futures: Dict[int, "Future[JobResult]"],
         aliases: Dict[int, int],
@@ -75,9 +85,10 @@ class Batch:
         session: Optional[str],
     ) -> None:
         self.jobs = list(jobs)
+        self._keys = keys                # per job: its fingerprint when the engine has a store
         self._resolved = dict(resolved)
         self._futures = futures
-        self._aliases = aliases          # duplicate-fingerprint index → canonical index
+        self._aliases = aliases          # duplicate-key index → canonical index
         self._engine = engine
         self._session = session
         self._persisted_indices: set = set()
@@ -106,7 +117,7 @@ class Batch:
         ]
         if fresh:
             store.put_many(
-                [(self.jobs[index], result.cost, result.fingerprint)
+                [(self.jobs[index], result.cost, self._keys[index])
                  for index, result in fresh],
                 session=self._session,
             )
@@ -203,27 +214,39 @@ class EngineOutcome:
         )
 
 
+def _validation_mode(validate: Union[bool, str]) -> Tuple[bool, str]:
+    """``validate`` as ``(enabled, backend)``: a string names the backend."""
+    if isinstance(validate, str):
+        return True, validate
+    return bool(validate), "numpy"
+
+
 class SearchEngine:
-    """Fan candidate evaluations out over processes, memoised in a store.
+    """Explore and tune variants; the one driver of the Lift search.
 
     Parameters
     ----------
     store:
         A :class:`ResultsStore` (or a path for one).  ``None`` disables
-        persistence — every point is evaluated fresh.
+        persistence — every point is evaluated fresh, and no fingerprint
+        or expression digest is ever computed.
     workers:
-        Worker process count.  ``1`` evaluates inline in the driver
-        process — the old serial pipeline as a degenerate case.
+        Worker process count for jobs worth shipping — validating and
+        measured ones.  Simulator scores always run inline in the driver,
+        and ``1`` runs everything inline.
     pruner:
         An optional :class:`CostModelPruner` applied before tuning.
     validate:
-        Compile every variant in the workers and functionally cross-check
-        it against the high-level program (once per variant per process).
-        ``True`` (or ``"numpy"``) compares both through the compiled NumPy
-        backend; ``"crosscheck"`` additionally verifies every execution
-        against the reference interpreter oracle.  ``validate_size`` grows
-        the validation grid (per-dimension extent) beyond the default tiny
-        one, making validation a real workload worth parallelising.
+        Functionally check every variant before it is tuned (once per
+        variant per process, see :func:`repro.engine.worker._validate_variant`):
+        the lowered variant against the high-level program, and its
+        execution plan against the generic compiled path bit for bit.
+        ``True`` (or ``"numpy"``) runs the first check through the compiled
+        NumPy backend; ``"crosscheck"`` additionally verifies every
+        execution against the reference interpreter oracle.
+        ``validate_size`` grows the validation grid (per-dimension extent)
+        beyond the default tiny one, making validation a real workload
+        worth parallelising.
     scorer:
         ``"simulator"`` (default) scores configurations with the analytical
         device model — deterministic, so any worker count yields the same
@@ -255,12 +278,7 @@ class SearchEngine:
         self.store = ResultsStore(store) if isinstance(store, str) else store
         self.workers = workers
         self.pruner = pruner
-        if isinstance(validate, str):
-            self.validate = True
-            self.validate_backend = validate
-        else:
-            self.validate = bool(validate)
-            self.validate_backend = "numpy"
+        self.validate, self.validate_backend = _validation_mode(validate)
         self.validate_size = validate_size
         self.seed = seed
         self.scorer = scorer
@@ -299,111 +317,41 @@ class SearchEngine:
         """Submit a batch of evaluation jobs; returns immediately.
 
         Store lookups happen up front: already-known points resolve without
-        touching the pool, duplicate fingerprints within the batch are
-        evaluated once, and only genuinely new points are dispatched to
-        worker processes (or evaluated inline when ``workers=1``).
+        being evaluated and duplicates within the batch are evaluated once.
+        The memo key is the job's persisted fingerprint when there is a
+        store to read it (derived here, once per job) and the hashable job
+        itself otherwise.  A job that neither validates nor measures is
+        ~10 µs of arithmetic — less than its pickle — so it is scored
+        inline at any worker count; only jobs that compile and execute are
+        dispatched to the worker processes.
         """
         jobs = list(jobs)
-        fingerprints = [job.fingerprint() for job in jobs]
-        stored = (
-            self.store.get_many(fingerprints) if self.store is not None else {}
-        )
+        if self.store is not None:
+            keys = [job.fingerprint() for job in jobs]
+            stored = self.store.get_many(keys)
+        else:
+            keys, stored = jobs, {}
         resolved: Dict[int, JobResult] = {}
         futures: Dict[int, Future] = {}
         aliases: Dict[int, int] = {}
-        canonical: Dict[str, int] = {}
-        pending: List[Tuple[int, EvaluationJob]] = []
-        for index, (job, fingerprint) in enumerate(zip(jobs, fingerprints)):
-            if fingerprint in stored:
-                resolved[index] = JobResult(
-                    fingerprint=fingerprint,
-                    cost=stored[fingerprint].cost,
-                    from_store=True,
-                )
-                continue
-            if fingerprint in canonical:
-                aliases[index] = canonical[fingerprint]
-                continue
-            canonical[fingerprint] = index
-            pending.append((index, job))
-
-        if pending:
-            if self.workers == 1:
-                for index, job in pending:
-                    resolved[index] = evaluate_job(job)
+        canonical: Dict[object, int] = {}
+        for index, (job, key) in enumerate(zip(jobs, keys)):
+            if key in stored:
+                resolved[index] = JobResult(cost=stored[key].cost, from_store=True)
+            elif key in canonical:
+                aliases[index] = canonical[key]
             else:
-                pool = self._ensure_pool()
-                for index, job in pending:
-                    futures[index] = pool.submit(evaluate_job, job)
-        return Batch(jobs, resolved, futures, aliases, self, session)
+                canonical[key] = index
+                if self.workers > 1 and (job.validate or job.measure_runs > 0):
+                    futures[index] = self._ensure_pool().submit(evaluate_job, job)
+                else:
+                    resolved[index] = evaluate_job(job)
+        return Batch(jobs, keys, resolved, futures, aliases, self, session)
 
     def evaluate(self, jobs: Sequence[EvaluationJob],
                  session: Optional[str] = None) -> List[JobResult]:
         """Submit and harvest a batch, in submission order."""
         return self.submit(jobs, session=session).results()
-
-    # -- tuning glue -----------------------------------------------------------
-    def batch_objective(
-        self,
-        benchmark: str,
-        shape: Sequence[int],
-        device: str,
-        variant: VariantSpec,
-        expr_digest: str,
-        session: Optional[str] = None,
-        validate: Optional[bool] = None,
-    ):
-        """A ``batch_evaluate`` callable for :class:`~repro.tuning.AutoTuner`."""
-        validate = self.validate if validate is None else validate
-
-        def evaluate_configs(configs: Sequence[Dict[str, object]]) -> List[float]:
-            jobs = make_jobs(
-                benchmark, shape, device, variant, configs,
-                expr_digest=expr_digest, validate=validate,
-                validate_backend=self.validate_backend,
-                validate_size=self.validate_size,
-                **self._measure_args,
-            )
-            return [result.cost for result in self.evaluate(jobs, session=session)]
-
-        return evaluate_configs
-
-    def _validation_jobs(
-        self,
-        benchmark_name: str,
-        shape: Sequence[int],
-        device_key: str,
-        prepared: Sequence[Tuple[VariantSpec, object, str]],
-    ) -> List[EvaluationJob]:
-        """One validation job per variant, to be fanned across the pool.
-
-        Validation (compile + functional cross-check) is per-variant work;
-        leaving it on the per-configuration jobs would repeat it in *every*
-        worker process that touches the variant.  Submitting one dedicated
-        job per variant as a single up-front batch spreads the variants
-        across the pool, so the heavy part parallelises with the worker
-        count instead of being duplicated by it; the subsequent
-        configuration jobs then run with validation off.  A variant whose
-        validation job is answered from the results store is not
-        re-validated: it was validated when the stored cost was produced.
-        """
-        from itertools import islice
-
-        jobs: List[EvaluationJob] = []
-        for spec, space, digest in prepared:
-            first = next(islice(space.configurations(), 1), None)
-            if first is None:
-                continue
-            jobs.extend(
-                make_jobs(
-                    benchmark_name, shape, device_key, spec, [first],
-                    expr_digest=digest, validate=True,
-                    validate_backend=self.validate_backend,
-                    validate_size=self.validate_size,
-                    **self._measure_args,
-                )
-            )
-        return jobs
 
     # -- searches --------------------------------------------------------------
     def run(
@@ -416,24 +364,24 @@ class SearchEngine:
         restarts: int = 4,
         session: Optional[str] = None,
         prune: Optional[bool] = None,
+        validate: Union[bool, str, None] = None,
     ) -> EngineOutcome:
         """Explore a benchmark's variants and tune each one — one job graph.
 
-        Pruning defaults to on when the engine has a pruner.  The best
-        point is selected by (cost, submission order), which makes the
-        outcome independent of the worker count.
+        Pruning defaults to on when the engine has a pruner, and
+        ``validate`` to the engine's own setting (same values as the
+        constructor's).  The best point is selected by (cost, submission
+        order), which makes the outcome independent of the worker count.
         """
-        from ..experiments.pipeline import explore_variants_for, parameter_space_for
-
-        started = time.monotonic()
         if isinstance(benchmark, str):
             benchmark = get_benchmark(benchmark)
         device_key = _device_key(device)
-        device_model = DEVICES[device_key]
         shape = tuple(shape or benchmark.default_shape)
         session = session or new_session_id()
-        hits_before, misses_before = self._store_counters()
-
+        validation = (
+            (self.validate, self.validate_backend) if validate is None
+            else _validation_mode(validate)
+        )
         if self.store is not None:
             self.store.save_session(
                 session,
@@ -445,8 +393,8 @@ class SearchEngine:
                     "strategy": strategy,
                     "restarts": restarts,
                     "seed": self.seed,
-                    "validate": self.validate,
-                    "validate_backend": self.validate_backend,
+                    "validate": validation[0],
+                    "validate_backend": validation[1],
                     "validate_size": self.validate_size,
                     "scorer": self.scorer,
                     "measure_runs": self.measure_runs,
@@ -461,111 +409,11 @@ class SearchEngine:
                     ),
                 },
             )
-
-        variants = [
-            (VariantSpec.from_strategy(result.strategy), result.lowered)
-            for result in explore_variants_for(benchmark, shape)
-        ]
-        decisions: List[PruneDecision] = []
-        if self.pruner is not None and prune is not False:
-            variants, decisions = self.pruner.prune(
-                benchmark, shape, device_model, variants
-            )
-
-        problem = benchmark.problem(shape)
-        lowered_by_spec = dict(variants)
-        prepared = [
-            (
-                spec,
-                parameter_space_for(lowered, problem, device_model),
-                structural_digest(lowered.program),
-            )
-            for spec, lowered in variants
-        ]
-        if self.validate:
-            self.evaluate(
-                self._validation_jobs(benchmark.name, shape, device_key, prepared),
-                session=session,
-            )
-
-        from itertools import islice
-
-        per_variant: List[VariantOutcome] = []
-        evaluations = 0
-        for spec, space, digest in prepared:
-            if next(iter(islice(space.configurations(), 1)), None) is None:
-                # No valid configuration for this variant on this device
-                # (e.g. the tile's output block exceeds the work-group
-                # limit).  Checked explicitly so genuine ValueErrors from
-                # the search machinery are not silently swallowed.
-                continue
-            batch = self.batch_objective(
-                benchmark.name, shape, device_key, spec, digest,
-                session=session, validate=False,
-            )
-
-            def objective(config: Dict[str, object], _batch=batch) -> float:
-                return _batch([config])[0]
-
-            tuner = AutoTuner(
-                space,
-                objective,
-                budget=budget,
-                strategy=strategy,
-                seed=self.seed,
-                restarts=restarts,
-                batch_objective=batch,
-            )
-            tuning: TuningResult = tuner.tune()
-            evaluations += tuning.evaluations
-            per_variant.append(
-                VariantOutcome(
-                    variant=spec,
-                    best_config=dict(tuning.best_configuration),
-                    best_cost=tuning.best_cost,
-                    evaluations=tuning.evaluations,
-                )
-            )
-
-        if not per_variant:
-            raise EngineError(
-                f"{benchmark.name}: no variant admits a valid configuration on {device_key}"
-            )
-        best = min(per_variant, key=lambda outcome: outcome.best_cost)
-        hits_after, misses_after = self._store_counters()
+        outcome = self._search(benchmark, shape, device_key, budget, session,
+                               prune, validation, strategy, restarts)
         if self.store is not None:
             self.store.finish_session(session)
-        return EngineOutcome(
-            benchmark=benchmark.name,
-            device=device_key,
-            shape=shape,
-            session=session,
-            best=best,
-            per_variant=per_variant,
-            pruned=decisions,
-            evaluations=evaluations,
-            fresh_evaluations=misses_after - misses_before,
-            store_hits=hits_after - hits_before,
-            output_elements=self._scored_elements(
-                benchmark, problem, lowered_by_spec[best.variant]
-            ),
-            scorer=self.scorer,
-            wall_s=time.monotonic() - started,
-        )
-
-    def _scored_elements(self, benchmark: StencilBenchmark, problem,
-                         best_lowered) -> int:
-        """Element count of the grid the winning cost was computed on."""
-        if self.scorer != "measured":
-            return problem.output_elements
-        from .worker import measurement_shape
-
-        shape = measurement_shape(benchmark.stencil_extent, benchmark.ndims,
-                                  best_lowered, self.measure_size)
-        elements = 1
-        for extent in shape:
-            elements *= extent
-        return elements
+        return outcome
 
     def run_suite(
         self,
@@ -576,147 +424,161 @@ class SearchEngine:
         shapes: Optional[Dict[str, Sequence[int]]] = None,
         prune: Optional[bool] = None,
     ) -> Dict[str, EngineOutcome]:
-        """Enqueue a whole app suite as one batch and reduce per benchmark.
+        """Search a whole app suite under one session, keyed by benchmark name.
 
-        Unlike :meth:`run`, which interleaves search strategy and
-        evaluation, the suite path enumerates each variant's parameter
-        space up front (exhaustively, capped at ``budget`` per variant —
-        the experiment pipeline's configuration) and submits every job of
-        every benchmark in a single batch, so all worker processes stay
-        busy across benchmark boundaries.
+        Each entry gets exactly the search :meth:`run` gives it with the
+        exhaustive strategy (``budget`` configurations per variant — the
+        experiment pipeline's configuration).
         """
-        from itertools import islice
-
-        from ..experiments.pipeline import explore_variants_for, parameter_space_for
-
-        started = time.monotonic()
         device_key = _device_key(device)
-        device_model = DEVICES[device_key]
         session = session or new_session_id()
-        hits_before, misses_before = self._store_counters()
-
-        plans = []  # (benchmark, shape, spec, configs, jobs-slice bounds)
-        all_jobs: List[EvaluationJob] = []
-        validation_plans: Dict[str, List[Tuple[VariantSpec, object, str]]] = {}
-        decisions_by_bench: Dict[str, List[PruneDecision]] = {}
-        lowered_by_variant: Dict[Tuple[str, VariantSpec], object] = {}
+        outcomes: Dict[str, EngineOutcome] = {}
         for entry in benchmarks:
             benchmark = get_benchmark(entry) if isinstance(entry, str) else entry
             shape = tuple(
                 (shapes or {}).get(benchmark.name) or benchmark.default_shape
             )
-            problem = benchmark.problem(shape)
-            variants = [
-                (VariantSpec.from_strategy(result.strategy), result.lowered)
-                for result in explore_variants_for(benchmark, shape)
-            ]
-            decisions: List[PruneDecision] = []
-            if self.pruner is not None and prune is not False:
-                variants, decisions = self.pruner.prune(
-                    benchmark, shape, device_model, variants
-                )
-            decisions_by_bench[benchmark.name] = decisions
-            for spec, lowered in variants:
-                space = parameter_space_for(lowered, problem, device_model)
-                configs = list(islice(space.configurations(), budget))
-                if not configs:
-                    continue
-                digest = structural_digest(lowered.program)
-                validation_plans.setdefault(benchmark.name, []).append(
-                    (spec, space, digest)
-                )
-                lowered_by_variant[(benchmark.name, spec)] = lowered
-                jobs = make_jobs(
-                    benchmark.name, shape, device_key, spec, configs,
-                    expr_digest=digest, validate=False,
-                    validate_backend=self.validate_backend,
-                    validate_size=self.validate_size,
-                    **self._measure_args,
-                )
-                start = len(all_jobs)
-                all_jobs.extend(jobs)
-                plans.append((benchmark, shape, spec, configs, start, len(all_jobs)))
-
-        validation_counts: Dict[str, Tuple[int, int]] = {}  # name → (fresh, hits)
-        if self.validate:
-            # One combined validation batch across every benchmark (see
-            # _validation_jobs): per-variant validation fans across the
-            # pool instead of being duplicated per configuration job.
-            validation_jobs: List[EvaluationJob] = []
-            bounds: List[Tuple[str, int, int]] = []
-            for name, prepared in validation_plans.items():
-                bench_shape = next(
-                    shape for benchmark, shape, *_rest in plans
-                    if benchmark.name == name
-                )
-                start = len(validation_jobs)
-                validation_jobs.extend(
-                    self._validation_jobs(name, bench_shape, device_key, prepared)
-                )
-                bounds.append((name, start, len(validation_jobs)))
-            if validation_jobs:
-                vresults = self.evaluate(validation_jobs, session=session)
-                for name, start, stop in bounds:
-                    hits = sum(1 for result in vresults[start:stop] if result.from_store)
-                    validation_counts[name] = (stop - start - hits, hits)
-
-        results = self.evaluate(all_jobs, session=session)
-
-        outcomes: Dict[str, EngineOutcome] = {}
-        grouped: Dict[str, List[VariantOutcome]] = {}
-        bench_info: Dict[str, Tuple[StencilBenchmark, Tuple[int, ...]]] = {}
-        counters: Dict[str, List[int]] = {}  # name → [fresh, hits]
-        for benchmark, shape, spec, configs, start, stop in plans:
-            slice_results = results[start:stop]
-            best_index = min(
-                range(len(slice_results)), key=lambda i: slice_results[i].cost
-            )
-            grouped.setdefault(benchmark.name, []).append(
-                VariantOutcome(
-                    variant=spec,
-                    best_config=dict(configs[best_index]),
-                    best_cost=slice_results[best_index].cost,
-                    evaluations=len(slice_results),
-                )
-            )
-            hits = sum(1 for result in slice_results if result.from_store)
-            tally = counters.setdefault(benchmark.name, [0, 0])
-            tally[0] += len(slice_results) - hits
-            tally[1] += hits
-            bench_info[benchmark.name] = (benchmark, shape)
-        wall = time.monotonic() - started
-        for name, variant_outcomes in grouped.items():
-            benchmark, shape = bench_info[name]
-            best = min(variant_outcomes, key=lambda outcome: outcome.best_cost)
-            fresh, hits = counters[name]
-            validation_fresh, validation_hits = validation_counts.get(name, (0, 0))
-            outcomes[name] = EngineOutcome(
-                benchmark=name,
-                device=device_key,
-                shape=shape,
-                session=session,
-                best=best,
-                per_variant=variant_outcomes,
-                pruned=decisions_by_bench.get(name, []),
-                evaluations=sum(o.evaluations for o in variant_outcomes),
-                fresh_evaluations=fresh + validation_fresh,
-                store_hits=hits + validation_hits,
-                output_elements=self._scored_elements(
-                    benchmark, benchmark.problem(shape),
-                    lowered_by_variant[(name, best.variant)],
-                ),
-                scorer=self.scorer,
-                wall_s=wall,  # suite-wide wall clock: the batch is shared
+            outcomes[benchmark.name] = self._search(
+                benchmark, shape, device_key, budget, session, prune,
+                (self.validate, self.validate_backend),
             )
         if self.store is not None:
             self.store.finish_session(session)
         return outcomes
 
-    # -- helpers ---------------------------------------------------------------
-    def _store_counters(self) -> Tuple[int, int]:
-        if self.store is None:
-            return (0, 0)
-        return (self.store.hits, self.store.misses)
+    def _search(
+        self,
+        benchmark: StencilBenchmark,
+        shape: Tuple[int, ...],
+        device_key: str,
+        budget: int,
+        session: str,
+        prune: Optional[bool],
+        validation: Tuple[bool, str],
+        strategy: str = "exhaustive",
+        restarts: int = 4,
+    ) -> EngineOutcome:
+        """Explore → prune → validate → tune → reduce, for one benchmark."""
+        started = time.monotonic()
+        device_model = DEVICES[device_key]
+        problem = benchmark.problem(shape)
+        validate, validate_backend = validation
+        variants = [
+            (VariantSpec.from_strategy(result.strategy), result.lowered)
+            for result in explore_variants_for(benchmark, shape)
+        ]
+        decisions: List[PruneDecision] = []
+        if self.pruner is not None and prune is not False:
+            variants, decisions = self.pruner.prune(
+                benchmark, shape, device_model, variants
+            )
+
+        prepared = []  # (spec, space, expression digest, first configuration)
+        for spec, lowered in variants:
+            space = parameter_space_for(lowered, problem, device_model)
+            first = next(space.configurations(), None)
+            if first is None:
+                # No valid configuration for this variant on this device
+                # (e.g. the tile's output block exceeds the work-group
+                # limit).  Checked explicitly so genuine ValueErrors from
+                # the search machinery are not silently swallowed.
+                continue
+            # The expression digest exists to key the store.
+            digest = structural_digest(lowered.program) if self.store is not None else ""
+            prepared.append((spec, space, digest, first))
+        if not prepared:
+            raise EngineError(
+                f"{benchmark.name}: no variant admits a valid configuration on {device_key}"
+            )
+
+        def jobs_for(spec, digest, configs, validating=False):
+            return make_jobs(
+                benchmark.name, shape, device_key, spec, configs,
+                expr_digest=digest, validate=validating,
+                validate_backend=validate_backend,
+                validate_size=self.validate_size,
+                **self._measure_args,
+            )
+
+        looked_up: List[JobResult] = []  # every result of this search, for the tally
+
+        def costs(jobs: Sequence[EvaluationJob]) -> List[float]:
+            results = self.evaluate(jobs, session=session)
+            looked_up.extend(results)
+            return [result.cost for result in results]
+
+        if validate:
+            # Validation (compile + functional check) is per-variant work;
+            # leaving it on the per-configuration jobs would repeat it in
+            # *every* worker process that touches the variant.  One
+            # dedicated job per variant, submitted as a single up-front
+            # batch, spreads the variants across the pool instead; the
+            # configuration jobs below then run with validation off.  A
+            # validation job answered from the results store is not
+            # re-validated: it was validated when the stored cost was
+            # produced.
+            costs([
+                job
+                for spec, _space, digest, first in prepared
+                for job in jobs_for(spec, digest, [first], validating=True)
+            ])
+
+        per_variant: List[VariantOutcome] = []
+        for spec, space, digest, _first in prepared:
+            # Called only inside this iteration's ``tune()``, so the loop
+            # variables it closes over are the ones it means.
+            def batch(configs) -> List[float]:
+                return costs(jobs_for(spec, digest, configs))
+
+            tuning: TuningResult = AutoTuner(
+                space,
+                lambda config: batch([config])[0],
+                budget=budget,
+                strategy=strategy,
+                seed=self.seed,
+                restarts=restarts,
+                batch_objective=batch,
+            ).tune()
+            per_variant.append(
+                VariantOutcome(
+                    variant=spec,
+                    best_config=dict(tuning.best_configuration),
+                    best_cost=tuning.best_cost,
+                    evaluations=tuning.evaluations,
+                )
+            )
+
+        best = min(per_variant, key=lambda outcome: outcome.best_cost)
+        recalled = sum(1 for result in looked_up if result.from_store)
+        return EngineOutcome(
+            benchmark=benchmark.name,
+            device=device_key,
+            shape=shape,
+            session=session,
+            best=best,
+            per_variant=per_variant,
+            pruned=decisions,
+            evaluations=sum(outcome.evaluations for outcome in per_variant),
+            fresh_evaluations=len(looked_up) - recalled,
+            store_hits=recalled,
+            output_elements=self._scored_elements(
+                benchmark, problem, dict(variants)[best.variant]
+            ),
+            scorer=self.scorer,
+            wall_s=time.monotonic() - started,
+        )
+
+    def _scored_elements(self, benchmark: StencilBenchmark, problem,
+                         best_lowered) -> int:
+        """Element count of the grid the winning cost was computed on."""
+        if self.scorer != "measured":
+            return problem.output_elements
+        shape = measurement_shape(benchmark.stencil_extent, benchmark.ndims,
+                                  best_lowered, self.measure_size)
+        elements = 1
+        for extent in shape:
+            elements *= extent
+        return elements
 
 
 def new_session_id() -> str:

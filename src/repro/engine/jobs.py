@@ -53,9 +53,7 @@ class VariantSpec:
         return VariantSpec(**strategy.to_spec())
 
     def to_dict(self) -> Dict[str, object]:
-        import dataclasses
-
-        return dataclasses.asdict(self)
+        return dict(vars(self))  # flat primitives: no deep copy needed
 
     def to_strategy(self) -> Strategy:
         return Strategy(
@@ -130,7 +128,6 @@ class EvaluationJob:
 class JobResult:
     """The outcome of evaluating one job (or recalling it from the store)."""
 
-    fingerprint: str
     cost: float                      # simulated kernel runtime in seconds
     from_store: bool = False
     error: Optional[str] = None
@@ -170,10 +167,11 @@ def make_jobs(
     measure_size: int = 0,
 ) -> Tuple[EvaluationJob, ...]:
     """Build the evaluation jobs for one variant over many configurations."""
+    shape = tuple(int(extent) for extent in shape)
     return tuple(
         EvaluationJob(
             benchmark=benchmark,
-            shape=tuple(int(extent) for extent in shape),
+            shape=shape,
             device=device,
             variant=variant,
             config=config_items(config),

@@ -24,10 +24,8 @@ from typing import List, Sequence, Tuple
 from ..apps.base import StencilBenchmark
 from ..rewriting.strategies import LoweredProgram
 from ..runtime.simulator.device import DeviceModel
-from ..runtime.simulator.executor import VirtualDevice
-from ..runtime.simulator.kernel_model import build_profile
 from .jobs import VariantSpec
-from .worker import kernel_config_from
+from .worker import parameter_space_for, simulate
 
 
 @dataclass(frozen=True)
@@ -65,17 +63,13 @@ class CostModelPruner:
         lowered: LoweredProgram,
     ) -> float:
         """Best simulated cost over the variant's first few valid configs."""
-        from ..experiments.pipeline import parameter_space_for
-
         problem = benchmark.problem(shape)
         space = parameter_space_for(lowered, problem, device)
-        virtual = VirtualDevice(device)
-        best = float("inf")
-        for config in islice(space.configurations(), self.probes):
-            kernel_config = kernel_config_from(lowered, config, problem.ndims)
-            profile = build_profile(lowered, problem, kernel_config)
-            best = min(best, virtual.run(profile).runtime_s)
-        return best
+        return min(
+            (simulate(lowered, problem, device, config).runtime_s
+             for config in islice(space.configurations(), self.probes)),
+            default=float("inf"),
+        )
 
     def prune(
         self,

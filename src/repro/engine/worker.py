@@ -1,45 +1,139 @@
-"""The worker-side evaluator: rebuild, lower, compile, score.
+"""What a search point means: the space, and how one point is evaluated.
 
-This module is the ``ProcessPoolExecutor`` entry point of the search engine.
-A worker receives a picklable :class:`~repro.engine.jobs.EvaluationJob`,
-*reconstructs* the Lift program from the benchmark registry, lowers it with
-the job's strategy, optionally compiles and functionally checks it through
-the PR-1 NumPy backend, and scores the configuration with the simulator
-cost model.  Nothing compiled ever crosses the process boundary (see
-:mod:`repro.backend.cache` for the rationale); instead each worker keeps
+The first half of this module defines the space the engine searches — the
+macro-exploration variant set of a benchmark (:func:`explore_variants_for`),
+the tunable parameters of one variant (:func:`parameter_space_for`), and how
+a configuration of those parameters is read back (:func:`kernel_config_from`)
+and scored on the device model (:func:`simulate`).
+
+The second half is the evaluator, :func:`evaluate_job`.  It receives a
+picklable :class:`~repro.engine.jobs.EvaluationJob`, *reconstructs* the Lift
+program from the benchmark registry, lowers it with the job's strategy,
+optionally validates it (:func:`_validate_variant`) and scores the
+configuration with the simulator or by execution.  The engine calls it
+inline for simulator-only jobs and through a ``ProcessPoolExecutor`` for
+validating / measured ones; nothing compiled ever crosses the process
+boundary (see :mod:`repro.backend.cache` for the rationale).  Instead each
+process keeps
 
 * a lowered-program memo per (benchmark, variant) — lowering runs once per
   variant per process, and
 * the process-wide compilation cache — each variant compiles once per
   process, and
-* a validated-variant memo — the functional cross-check (compiled lowered
-  program vs. compiled high-level program on a small grid) runs once per
-  variant per process, not once per configuration.
-
-The same function doubles as the engine's inline evaluator when
-``workers=1``, which makes the serial path a true degenerate case of the
-parallel one.
+* a validated-variant memo — the functional check runs once per variant
+  per process, not once per configuration.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import time
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..apps.base import StencilBenchmark
+from ..apps.suite import get_benchmark
+from ..backend import BackendMismatch, CompileError, get_backend
+from ..backend.fuse import measure_best_tile
+from ..rewriting.exploration import ExplorationResult, explore, verify_variants
 from ..rewriting.strategies import LoweredProgram, lower_program
-from ..runtime.simulator.device import DEVICES
-from ..runtime.simulator.executor import VirtualDevice
-from ..runtime.simulator.kernel_model import KernelConfig, build_profile
+from ..runtime.simulator.device import DEVICES, DeviceModel
+from ..runtime.simulator.executor import SimulationResult, VirtualDevice
+from ..runtime.simulator.kernel_model import KernelConfig, ProblemInstance, build_profile
+from ..tuning.parameters import (
+    Parameter,
+    ParameterSpace,
+    fuse_tile_candidates,
+    opencl_constraints,
+)
 from .jobs import EvaluationJob, JobResult, VariantSpec
 
-# Per-process memo tables (re-populated lazily in every worker process).
-_LOWERED: Dict[Tuple[str, VariantSpec], LoweredProgram] = {}
-_VALIDATED: Dict[Tuple[str, VariantSpec, str, int], bool] = {}
-_MEASURED: Dict[Tuple[str, VariantSpec, int, int], float] = {}
+#: Tile widths considered by the macro exploration (before validity filtering).
+EXPLORATION_TILE_SIZES = (4, 6, 8, 10, 18, 34, 66)
+
+#: Work-group extents considered per dimension.
+WORKGROUP_CHOICES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+
+#: Sequential outputs per work-item considered by the tuner.
+WORK_PER_THREAD_CHOICES = (1, 2, 4, 8, 16, 32)
 
 #: Default tiny grids for the functional cross-check (per dimensionality).
 VALIDATION_SHAPES: Dict[int, Tuple[int, ...]] = {2: (13, 11), 3: (5, 7, 9)}
+
+# Per-process memo tables (re-populated lazily in every worker process).
+_LOWERED: Dict[Tuple[str, VariantSpec], LoweredProgram] = {}
+_VALIDATED: Set[Tuple[str, VariantSpec, str, int]] = set()
+_MEASURED: Dict[Tuple[str, VariantSpec, int, int], float] = {}
+
+
+# ---------------------------------------------------------------------------
+# The search space
+# ---------------------------------------------------------------------------
+
+def _valid_tile_sizes(benchmark: StencilBenchmark, shape: Sequence[int]) -> List[int]:
+    """Tile widths considered for this benchmark at this input size.
+
+    The structural constraint of the tiling rule (``u > size − step``) always
+    holds for the candidates below; exact coverage of non-divisible input
+    sizes is handled by rounding the ND-range up and guarding the boundary
+    work-groups, so it does not restrict the candidate set here.
+    """
+    size = benchmark.stencil_extent
+    return [
+        tile
+        for tile in EXPLORATION_TILE_SIZES
+        if tile > size - 1 and all(tile <= extent for extent in shape)
+    ]
+
+
+def explore_variants_for(benchmark: StencilBenchmark,
+                         shape: Sequence[int]) -> List[ExplorationResult]:
+    """The macro-exploration variant set the engine tunes for one benchmark."""
+    shape = tuple(shape)
+    radius = (benchmark.stencil_extent - 1) // 2
+    return explore(
+        benchmark.build_program(),
+        stencil_size=benchmark.stencil_extent,
+        stencil_step=1,
+        padded_length=shape[-1] + 2 * radius,
+        tile_sizes=_valid_tile_sizes(benchmark, shape),
+        validate_tiles=False,
+    )
+
+
+def parameter_space_for(
+    lowered: LoweredProgram,
+    problem: ProblemInstance,
+    device: DeviceModel,
+) -> ParameterSpace:
+    """The tunable parameters of one lowered Lift variant on one device."""
+    ndims = problem.ndims
+    parameters: List[Parameter] = []
+    if lowered.uses_tiling:
+        # Tiled kernels fix the work-group to the tile's output block; only the
+        # per-thread sequential work remains tunable.
+        outputs_per_tile = max(
+            1,
+            (lowered.tile_size - lowered.stencil_size + 1),
+        )
+        wg = [("wg_x", (outputs_per_tile,)), ("wg_y", (outputs_per_tile,))]
+        if ndims == 3:
+            wg.append(("wg_z", (min(outputs_per_tile, 4),)))
+        for name, values in wg[:ndims]:
+            parameters.append(Parameter(name, values))
+        parameters.append(Parameter("work_per_thread", (1, 2)))
+    else:
+        dim_names = ["wg_x", "wg_y", "wg_z"][:ndims]
+        for name in dim_names:
+            parameters.append(Parameter(name, WORKGROUP_CHOICES))
+        parameters.append(Parameter("work_per_thread", WORK_PER_THREAD_CHOICES))
+
+    constraints = opencl_constraints(
+        max_workgroup_size=device.max_workgroup_size,
+        local_memory_bytes=device.local_memory_bytes,
+        output_shape=problem.output_shape,
+    )
+    return ParameterSpace(parameters, constraints)
 
 
 def kernel_config_from(lowered: LoweredProgram, config: Dict[str, object],
@@ -55,6 +149,15 @@ def kernel_config_from(lowered: LoweredProgram, config: Dict[str, object],
         use_local_memory=lowered.uses_local_memory,
         unrolled=lowered.unrolled,
     )
+
+
+def simulate(lowered: LoweredProgram, problem: ProblemInstance,
+             device: DeviceModel, config: Dict[str, object],
+             label: Optional[str] = None) -> SimulationResult:
+    """Score one configuration of one variant on the device model."""
+    kernel_config = kernel_config_from(lowered, config, problem.ndims)
+    profile = build_profile(lowered, problem, kernel_config, label=label)
+    return VirtualDevice(device).run(profile)
 
 
 def validation_shape(stencil_extent: int, ndims: int,
@@ -96,9 +199,11 @@ def measurement_shape(stencil_extent: int, ndims: int, lowered: LoweredProgram,
     return validation_shape(stencil_extent, ndims, lowered, min_size=target)
 
 
-def _lowered_for(job: EvaluationJob) -> LoweredProgram:
-    from ..apps.suite import get_benchmark
+# ---------------------------------------------------------------------------
+# The evaluator
+# ---------------------------------------------------------------------------
 
+def _lowered_for(job: EvaluationJob) -> LoweredProgram:
     memo_key = (job.benchmark, job.variant)
     lowered = _LOWERED.get(memo_key)
     if lowered is None:
@@ -109,36 +214,50 @@ def _lowered_for(job: EvaluationJob) -> LoweredProgram:
 
 
 def _validate_variant(job: EvaluationJob, lowered: LoweredProgram) -> None:
-    """Compile the variant with the NumPy backend and cross-check it.
+    """The functional check a variant must pass before it may report a cost.
 
-    Both the high-level program and the lowered variant are compiled and
-    executed on a small grid; divergence means a rewrite (or the compiler)
-    broke the kernel this configuration belongs to, so the job fails loudly
-    rather than reporting a cost for a miscompiled variant.  With
-    ``validate_backend="crosscheck"``, each execution is additionally
-    verified against the reference interpreter — the slow, trusted oracle.
+    Two checks on a small grid, once per variant per process:
+
+    1. the lowered variant against the high-level program, both executed by
+       ``job.validate_backend`` (:func:`~repro.rewriting.exploration.verify_variants`)
+       — ``"numpy"`` compares two compiled runs, ``"crosscheck"`` additionally
+       verifies every execution against the reference interpreter, the slow,
+       trusted oracle.  Divergence means a rewrite (or the compiler) broke
+       the kernel this configuration belongs to;
+    2. the variant's execution plan against the generic compiled path, bit
+       for bit — the serving layer executes tuned variants through
+       buffer-pooled plans.  Variants only the interpreter fallback can
+       execute have no plan to compare; they validated above.
+
+    Either failure raises, so the job fails loudly instead of reporting a
+    cost for a miscompiled variant.
     """
-    from ..apps.suite import get_benchmark
-    from ..backend import BackendMismatch, get_backend
-
     memo_key = (job.benchmark, job.variant, job.validate_backend, job.validate_size)
-    if _VALIDATED.get(memo_key):
+    if memo_key in _VALIDATED:
         return
     benchmark = get_benchmark(job.benchmark)
     shape = validation_shape(benchmark.stencil_extent, benchmark.ndims, lowered,
                              min_size=job.validate_size)
     inputs = [np.asarray(grid) for grid in benchmark.make_inputs(shape, 23)]
-    backend = get_backend(job.validate_backend)
-    expected = np.asarray(backend.run(benchmark.build_program(), inputs))
-    actual = np.asarray(backend.run(lowered.program, inputs))
-    if expected.shape != actual.shape or not np.allclose(
-        actual, expected, rtol=1e-6, atol=0.0
-    ):
+    variant = ExplorationResult(strategy=lowered.strategy, lowered=lowered)
+    if not verify_variants(benchmark.build_program(), [variant], inputs,
+                           backend=job.validate_backend):
         raise BackendMismatch(
             f"{job.benchmark}: variant {job.variant.describe()!r} diverges "
-            "from the high-level program under the compiled backend"
+            f"from the high-level program under the {job.validate_backend} backend"
         )
-    _VALIDATED[memo_key] = True
+    backend = get_backend("numpy")
+    try:
+        planned = backend.plan(lowered.program, inputs).run(inputs)
+    except CompileError:
+        pass  # no compiled kernel, so no plan: check 1 was the whole check
+    else:
+        if not np.array_equal(backend.run(lowered.program, inputs), planned):
+            raise BackendMismatch(
+                f"{job.benchmark}: execution plan diverges from the generic "
+                f"path for variant {job.variant.describe()!r}"
+            )
+    _VALIDATED.add(memo_key)
 
 
 def _measured_cost(job: EvaluationJob, lowered: LoweredProgram) -> float:
@@ -162,19 +281,10 @@ def _measured_cost(job: EvaluationJob, lowered: LoweredProgram) -> float:
     *variants*: the timing is memoised per variant per process, and every
     configuration of a variant reports that variant's measured cost.
     """
-    import time
-
-    from ..apps.suite import get_benchmark
-    from ..backend import get_backend
-
     memo_key = (job.benchmark, job.variant, job.measure_runs, job.measure_size)
     cached = _MEASURED.get(memo_key)
     if cached is not None:
         return cached
-
-    from ..backend import CompileError
-    from ..backend.fuse import measure_best_tile
-    from ..tuning.parameters import fuse_tile_candidates
 
     benchmark = get_benchmark(job.benchmark)
     shape = measurement_shape(benchmark.stencil_extent, benchmark.ndims,
@@ -209,32 +319,31 @@ def evaluate_job(job: EvaluationJob) -> JobResult:
     executor's result iterator).
     """
     try:
-        from ..apps.suite import get_benchmark
-
-        benchmark = get_benchmark(job.benchmark)
         lowered = _lowered_for(job)
         if job.validate:
             _validate_variant(job, lowered)
         if job.measure_runs > 0:
             cost = _measured_cost(job, lowered)
         else:
-            problem = benchmark.problem(job.shape)
-            config = kernel_config_from(lowered, job.config_dict, problem.ndims)
-            profile = build_profile(lowered, problem, config)
-            cost = VirtualDevice(DEVICES[job.device]).run(profile).runtime_s
-        return JobResult(fingerprint=job.fingerprint(), cost=float(cost))
+            problem = get_benchmark(job.benchmark).problem(job.shape)
+            cost = simulate(lowered, problem, DEVICES[job.device],
+                            job.config_dict).runtime_s
+        return JobResult(cost=float(cost))
     except Exception as error:  # noqa: BLE001 - reported in-band, see docstring
-        return JobResult(
-            fingerprint=job.fingerprint(),
-            cost=float("inf"),
-            error=f"{type(error).__name__}: {error}",
-        )
+        return JobResult(cost=float("inf"),
+                         error=f"{type(error).__name__}: {error}")
 
 
 __all__ = [
+    "EXPLORATION_TILE_SIZES",
     "VALIDATION_SHAPES",
+    "WORKGROUP_CHOICES",
+    "WORK_PER_THREAD_CHOICES",
     "evaluate_job",
+    "explore_variants_for",
     "kernel_config_from",
     "measurement_shape",
+    "parameter_space_for",
+    "simulate",
     "validation_shape",
 ]

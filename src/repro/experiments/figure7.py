@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..apps.suite import FIGURE7_BENCHMARKS, get_benchmark
+from ..engine import SearchEngine
 from ..runtime.simulator.device import DEVICES
 from .pipeline import (
     lift_best_result,
     reference_result,
     scaled_shape as _scaled_shape,
-    sweep_engine as _sweep_engine,
 )
 
 
@@ -59,23 +59,24 @@ def run_figure7(
     """Run the Figure-7 comparison.
 
     ``shape_scale`` can shrink the problem sizes (used by the fast test-suite
-    configuration); the default reproduces the paper's sizes.  ``workers`` /
-    ``store`` route the per-benchmark searches through the parallel engine
-    (see :func:`~repro.experiments.pipeline.lift_best_result`).
+    configuration); the default reproduces the paper's sizes.  Every Lift
+    search of the sweep runs on one :class:`~repro.engine.SearchEngine`
+    built from ``workers`` / ``store`` (a store memoises costs across runs;
+    the sweep scores on the simulator, which is evaluated in this process
+    at any worker count).
     """
     benchmarks = list(benchmarks or FIGURE7_BENCHMARKS)
     device_keys = list(devices or DEVICES.keys())
     rows: List[Figure7Row] = []
-    engine = _sweep_engine(workers, store)
-    try:
+    with SearchEngine(store=store, workers=workers) as engine:
         for key in benchmarks:
             benchmark = get_benchmark(key)
             shape = _scaled_shape(benchmark.default_shape, shape_scale)
             for device_key in device_keys:
                 device = DEVICES[device_key]
                 lift = lift_best_result(
-                    benchmark, shape=shape, device=device, tuner_budget=tuner_budget,
-                    workers=workers, store=store, engine=engine,
+                    benchmark, shape=shape, device=device,
+                    tuner_budget=tuner_budget, engine=engine,
                 )
                 reference = reference_result(benchmark, key, device, shape=shape)
                 rows.append(
@@ -88,9 +89,6 @@ def run_figure7(
                         lift_uses_tiling=lift.uses_tiling,
                     )
                 )
-    finally:
-        if engine is not None:
-            engine.close()
     return rows
 
 

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..apps.suite import FIGURE8_BENCHMARKS, get_benchmark
+from ..engine import SearchEngine
 from ..runtime.simulator.device import DEVICES
 from .pipeline import (
     lift_best_result,
     ppcg_best_result,
     scaled_shape as _scaled_shape,
-    sweep_engine as _sweep_engine,
 )
 
 
@@ -63,14 +63,14 @@ def run_figure8(
 ) -> List[Figure8Row]:
     """Run the Figure-8 comparison (Lift vs PPCG).
 
-    ``workers`` / ``store`` route the Lift searches through the parallel
-    engine (see :func:`~repro.experiments.pipeline.lift_best_result`).
+    Every Lift search of the sweep runs on one
+    :class:`~repro.engine.SearchEngine` built from ``workers`` / ``store``
+    (see :func:`~repro.experiments.figure7.run_figure7`).
     """
     benchmarks = list(benchmarks or FIGURE8_BENCHMARKS)
     device_keys = list(devices or DEVICES.keys())
     rows: List[Figure8Row] = []
-    engine = _sweep_engine(workers, store)
-    try:
+    with SearchEngine(store=store, workers=workers) as engine:
         for key in benchmarks:
             benchmark = get_benchmark(key)
             for size in sizes:
@@ -80,8 +80,8 @@ def run_figure8(
                         continue  # paper: large inputs did not fit on the ARM board
                     shape = _scaled_shape(benchmark.shape_for(size), shape_scale)
                     lift = lift_best_result(
-                        benchmark, shape=shape, device=device, tuner_budget=tuner_budget,
-                        workers=workers, store=store, engine=engine,
+                        benchmark, shape=shape, device=device,
+                        tuner_budget=tuner_budget, engine=engine,
                     )
                     ppcg, ppcg_config, _ = ppcg_best_result(
                         benchmark, device, shape=shape, tuner_budget=tuner_budget
@@ -101,9 +101,6 @@ def run_figure8(
                             ppcg_configuration=ppcg_config,
                         )
                     )
-    finally:
-        if engine is not None:
-            engine.close()
     return rows
 
 

@@ -10,35 +10,37 @@ This mirrors the paper's methodology (§6):
 3. the fastest variant+configuration wins and is reported, just like the
    best-found kernel in the paper.
 
-The same tuner and virtual device are used for the PPCG baseline, matching the
-paper's "both approaches auto-tune for up to three hours" setup.
+Steps 1–2 are :meth:`repro.engine.SearchEngine.run` — the one driver of the
+Lift search; :func:`lift_best_result` runs it and simulates the winner.  The
+same tuner and virtual device are used for the PPCG baseline, matching the
+paper's "both approaches auto-tune for up to three hours" setup.  Imports
+point one way: ``experiments → engine → tuning / rewriting / simulator``.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..apps.base import StencilBenchmark
 from ..baselines.ppcg import PPCGCompiler, ppcg_parameter_space
 from ..baselines.reference_kernels import reference_profile
-from ..engine.worker import VALIDATION_SHAPES, kernel_config_from, validation_shape
-from ..rewriting.exploration import ExplorationResult, explore
-from ..rewriting.strategies import LoweredProgram
+from ..engine import (
+    EXPLORATION_TILE_SIZES,
+    VALIDATION_SHAPES,
+    WORK_PER_THREAD_CHOICES,
+    WORKGROUP_CHOICES,
+    SearchEngine,
+    explore_variants_for,
+    kernel_config_from,
+    parameter_space_for,
+    simulate,
+)
+from ..rewriting.strategies import lower_program
 from ..runtime.simulator.device import DeviceModel
 from ..runtime.simulator.executor import SimulationResult, VirtualDevice
-from ..runtime.simulator.kernel_model import ProblemInstance, build_profile
-from ..tuning.parameters import Parameter, ParameterSpace, opencl_constraints
 from ..tuning.tuner import AutoTuner
-
-#: Tile widths considered by the macro exploration (before validity filtering).
-EXPLORATION_TILE_SIZES = (4, 6, 8, 10, 18, 34, 66)
-
-#: Work-group extents considered per dimension.
-WORKGROUP_CHOICES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-
-#: Sequential outputs per work-item considered by the tuner.
-WORK_PER_THREAD_CHOICES = (1, 2, 4, 8, 16, 32)
 
 
 @dataclass
@@ -73,142 +75,6 @@ class BenchmarkOutcome:
 # Lift: explore, tune, simulate
 # ---------------------------------------------------------------------------
 
-def _valid_tile_sizes(benchmark: StencilBenchmark, shape: Sequence[int]) -> List[int]:
-    """Tile widths considered for this benchmark at this input size.
-
-    The structural constraint of the tiling rule (``u > size − step``) always
-    holds for the candidates below; exact coverage of non-divisible input
-    sizes is handled by rounding the ND-range up and guarding the boundary
-    work-groups, so it does not restrict the candidate set here.
-    """
-    size = benchmark.stencil_extent
-    return [
-        tile
-        for tile in EXPLORATION_TILE_SIZES
-        if tile > size - 1 and all(tile <= extent for extent in shape)
-    ]
-
-
-def parameter_space_for(
-    lowered: LoweredProgram,
-    problem: ProblemInstance,
-    device: DeviceModel,
-) -> ParameterSpace:
-    """The tunable parameters of one lowered Lift variant on one device."""
-    ndims = problem.ndims
-    parameters: List[Parameter] = []
-    if lowered.uses_tiling:
-        # Tiled kernels fix the work-group to the tile's output block; only the
-        # per-thread sequential work remains tunable.
-        outputs_per_tile = max(
-            1,
-            (lowered.tile_size - lowered.stencil_size + 1),
-        )
-        wg = [("wg_x", (outputs_per_tile,)), ("wg_y", (outputs_per_tile,))]
-        if ndims == 3:
-            wg.append(("wg_z", (min(outputs_per_tile, 4),)))
-        for name, values in wg[:ndims]:
-            parameters.append(Parameter(name, values))
-        parameters.append(Parameter("work_per_thread", (1, 2)))
-    else:
-        dim_names = ["wg_x", "wg_y", "wg_z"][:ndims]
-        for name in dim_names:
-            parameters.append(Parameter(name, WORKGROUP_CHOICES))
-        parameters.append(Parameter("work_per_thread", WORK_PER_THREAD_CHOICES))
-
-    constraints = opencl_constraints(
-        max_workgroup_size=device.max_workgroup_size,
-        local_memory_bytes=device.local_memory_bytes,
-        output_shape=problem.output_shape,
-    )
-    return ParameterSpace(parameters, constraints)
-
-
-def _validation_shape(benchmark: StencilBenchmark,
-                      variant: ExplorationResult) -> Tuple[int, ...]:
-    """A small input shape on which the variant computes the full output.
-
-    See :func:`repro.engine.worker.validation_shape`, which holds the
-    shared tiling exact-coverage logic.
-    """
-    return validation_shape(benchmark.stencil_extent, benchmark.ndims,
-                            variant.lowered)
-
-
-def _functional_validator(benchmark: StencilBenchmark, variant: ExplorationResult):
-    """A tuner hook executing the lowered variant and checking it functionally.
-
-    Both the high-level program and the lowered variant run through the
-    cross-check backend (compiled NumPy verified against the reference
-    interpreter) and their results are compared by
-    :func:`~repro.rewriting.exploration.verify_variants`.  Any divergence
-    means a rewrite or the compiler miscompiled the kernel the tuner is
-    about to report as the winner, so the hook raises.
-    """
-    from ..backend import BackendMismatch, NumpyBackend
-    from ..rewriting.exploration import verify_variants
-
-    def validate(_config: Dict[str, object]) -> None:
-        import numpy as np
-
-        shape = _validation_shape(benchmark, variant)
-        inputs = benchmark.make_inputs(shape, 23)
-        program = benchmark.build_program()
-        if not verify_variants(program, [variant], list(inputs), backend="crosscheck"):
-            raise BackendMismatch(
-                f"{benchmark.name}: tuned variant {variant.strategy.describe()!r} "
-                "diverges from the high-level program"
-            )
-        # The serving layer executes tuned variants through buffer-pooled
-        # execution plans: require the plan path to reproduce the generic
-        # compiled path bit for bit before this variant can win the search.
-        # Variants only the interpreter fallback can execute have no plan
-        # (or no compiled kernel) to compare — they validated above.
-        from ..backend import CompileError
-
-        backend = NumpyBackend()
-        generic = backend.run(variant.lowered.program, inputs)
-        try:
-            planned = backend.plan(variant.lowered.program, inputs).run(inputs)
-        except CompileError:
-            return
-        if not np.array_equal(generic, planned):
-            raise BackendMismatch(
-                f"{benchmark.name}: execution plan diverges from the generic "
-                f"path for variant {variant.strategy.describe()!r}"
-            )
-
-    return validate
-
-
-def _steady_measurer(benchmark: StencilBenchmark, variant: ExplorationResult,
-                     runs: int = 3):
-    """A tuner ``measure_best`` hook timing the warm plan-replay sweep.
-
-    Searches the tape optimizer's tile shapes (unfused tape, heuristic tile
-    and the row/slab-block candidates) crossed with the machine's replay
-    worker counts, all with warm fused-plan replays, and returns
-    ``(steady_seconds, tile_shape, parallel_workers)`` for the winner —
-    reported as :attr:`~repro.tuning.tuner.TuningResult.steady_cost_s` /
-    :attr:`~repro.tuning.tuner.TuningResult.tile_shape` /
-    :attr:`~repro.tuning.tuner.TuningResult.parallel_workers`.
-    """
-    from ..backend import NumpyBackend
-    from ..backend.fuse import measure_best_tile
-    from ..tuning.parameters import fuse_tile_candidates
-
-    def measure(_config: Dict[str, object]):
-        shape = _validation_shape(benchmark, variant)
-        inputs = benchmark.make_inputs(shape, 29)
-        backend = NumpyBackend()
-        return measure_best_tile(
-            backend, variant.lowered.program, inputs,
-            candidates=fuse_tile_candidates(benchmark.ndims), runs=runs,
-        )
-
-    return measure
-
-
 def scaled_shape(shape: Sequence[int], scale: float) -> Tuple[int, ...]:
     """Shrink an input shape by ``scale`` (>= 1 leaves it untouched).
 
@@ -220,42 +86,6 @@ def scaled_shape(shape: Sequence[int], scale: float) -> Tuple[int, ...]:
     return tuple(max(16, int(extent * scale)) for extent in shape)
 
 
-def sweep_engine(workers: int = 1, store=None):
-    """A shared :class:`~repro.engine.SearchEngine` for multi-benchmark sweeps.
-
-    Returns ``None`` for the plain serial configuration (callers then stay
-    on the serial path); otherwise one engine whose worker pool and store
-    are reused across every ``lift_best_result`` call of the sweep.  The
-    caller owns the engine and must ``close()`` it.
-    """
-    if workers == 1 and store is None:
-        return None
-    from ..engine import SearchEngine
-
-    return SearchEngine(store=store, workers=workers)
-
-
-def explore_variants_for(benchmark: StencilBenchmark,
-                         shape: Sequence[int]) -> List[ExplorationResult]:
-    """The macro-exploration variant set the pipeline tunes for one benchmark.
-
-    This is the single source of candidate variants for both the serial
-    pipeline below and the parallel search engine (:mod:`repro.engine`), so
-    the two paths always search the same space.
-    """
-    shape = tuple(shape)
-    tile_sizes = _valid_tile_sizes(benchmark, shape)
-    radius = (benchmark.stencil_extent - 1) // 2
-    return explore(
-        benchmark.build_program(),
-        stencil_size=benchmark.stencil_extent,
-        stencil_step=1,
-        padded_length=shape[-1] + 2 * radius,
-        tile_sizes=tile_sizes,
-        validate_tiles=False,
-    )
-
-
 def lift_best_result(
     benchmark: StencilBenchmark,
     shape: Optional[Sequence[int]] = None,
@@ -263,127 +93,27 @@ def lift_best_result(
     tuner_budget: int = 300,
     label: Optional[str] = None,
     validate_functional: bool = False,
-    workers: int = 1,
-    store=None,
     session: Optional[str] = None,
-    engine=None,
-    measure_steady: bool = False,
+    engine: Optional[SearchEngine] = None,
 ) -> BenchmarkOutcome:
     """Run the full Lift pipeline for one benchmark on one device.
 
-    With ``validate_functional`` set, every tuned kernel variant is also
-    executed on a small grid through the compiled NumPy backend and checked
-    against the reference interpreter before it may be reported — and its
-    execution plan is required to match the generic path bit for bit.
-    ``measure_steady`` additionally times the winning variant's warm
-    plan-replay sweep (:attr:`~repro.tuning.tuner.TuningResult.steady_cost_s`).
+    The search is :meth:`SearchEngine.run` on ``engine`` — a private engine
+    evaluating inline, without a store, when omitted.  Callers sweeping
+    many benchmarks, or wanting worker processes or a results store, build
+    one :class:`~repro.engine.SearchEngine` and pass it to every call (the
+    figure drivers do this); they keep ownership and ``close()`` it.
 
-    ``workers`` > 1 (or a ``store`` — a :class:`~repro.engine.ResultsStore`
-    or a path for one) routes the search through the parallel engine:
-    evaluations fan out over worker processes and are memoised in the
-    store.  The default ``workers=1`` without a store is the original
-    serial path; both paths search the same space in the same order and
-    report the same best kernel.  Callers sweeping many benchmarks should
-    build one :class:`~repro.engine.SearchEngine` and pass it as
-    ``engine`` so the worker pool and store are shared across calls
-    (the figure drivers do this).
+    With ``validate_functional`` set, every tuned kernel variant is first
+    executed on a small grid through the compiled NumPy backend, checked
+    against the reference interpreter, and its execution plan is required
+    to match the generic path bit for bit — on whichever engine, at any
+    worker count (:func:`repro.engine.worker._validate_variant`).
     """
     if device is None:
         raise ValueError("a device model is required")
     shape = tuple(shape or benchmark.default_shape)
-    problem = benchmark.problem(shape, label=label)
-    virtual = VirtualDevice(device)
-
-    if engine is not None or workers != 1 or store is not None:
-        return _lift_best_result_engine(
-            benchmark, shape, device, tuner_budget, problem, virtual,
-            validate_functional, workers, store, session, engine,
-        )
-
-    variants = explore_variants_for(benchmark, shape)
-
-    best: Optional[BenchmarkOutcome] = None
-    total_evaluations = 0
-    for variant in variants:
-        space = parameter_space_for(variant.lowered, problem, device)
-
-        def objective(config: Dict[str, object], _variant=variant) -> float:
-            kernel_config = kernel_config_from(_variant.lowered, config, problem.ndims)
-            profile = build_profile(_variant.lowered, problem, kernel_config)
-            return virtual.run(profile).runtime_s
-
-        tuner = AutoTuner(
-            space,
-            objective,
-            budget=tuner_budget,
-            strategy="exhaustive",
-            validate_best=(
-                _functional_validator(benchmark, variant)
-                if validate_functional
-                else None
-            ),
-            measure_best=(
-                _steady_measurer(benchmark, variant)
-                if measure_steady
-                else None
-            ),
-        )
-        try:
-            tuning = tuner.tune()
-        except ValueError:
-            # No valid configuration for this variant on this device (e.g. the
-            # tile's output block exceeds the device's work-group limit).
-            continue
-        total_evaluations += tuning.evaluations
-
-        kernel_config = kernel_config_from(
-            variant.lowered, tuning.best_configuration, problem.ndims
-        )
-        profile = build_profile(variant.lowered, problem, kernel_config,
-                                label=f"lift-{benchmark.name}-{variant.strategy.describe()}")
-        result = virtual.run(profile)
-        outcome = BenchmarkOutcome(
-            benchmark=benchmark.name,
-            device=device,
-            result=result,
-            configuration=dict(tuning.best_configuration),
-            strategy=variant.strategy.describe(),
-            uses_tiling=variant.lowered.uses_tiling,
-            evaluations=tuning.evaluations,
-        )
-        if best is None or outcome.result.runtime_s < best.result.runtime_s:
-            best = outcome
-
-    assert best is not None
-    best.evaluations = total_evaluations
-    return best
-
-
-def _lift_best_result_engine(
-    benchmark: StencilBenchmark,
-    shape: Tuple[int, ...],
-    device: DeviceModel,
-    tuner_budget: int,
-    problem: ProblemInstance,
-    virtual: VirtualDevice,
-    validate_functional: bool,
-    workers: int,
-    store,
-    session: Optional[str],
-    engine=None,
-) -> BenchmarkOutcome:
-    """The engine-backed twin of the serial loop in :func:`lift_best_result`."""
-    from contextlib import nullcontext
-
-    from ..engine import SearchEngine
-    from ..rewriting.strategies import lower_program
-
-    if engine is None:
-        context = SearchEngine(store=store, workers=workers,
-                               validate=validate_functional)
-    else:
-        context = nullcontext(engine)  # caller owns the pool and store
-    with context as engine:
+    with (SearchEngine() if engine is None else nullcontext(engine)) as engine:
         outcome = engine.run(
             benchmark,
             shape=shape,
@@ -391,19 +121,18 @@ def _lift_best_result_engine(
             budget=tuner_budget,
             strategy="exhaustive",
             session=session,
+            validate="crosscheck" if validate_functional else None,
         )
 
     best = outcome.best
-    lowered = lower_program(benchmark.build_program(), best.variant.to_strategy())
-    kernel_config = kernel_config_from(lowered, best.best_config, problem.ndims)
     strategy_text = best.variant.describe()
-    profile = build_profile(lowered, problem, kernel_config,
-                            label=f"lift-{benchmark.name}-{strategy_text}")
-    result = virtual.run(profile)
+    lowered = lower_program(benchmark.build_program(), best.variant.to_strategy())
     return BenchmarkOutcome(
         benchmark=benchmark.name,
         device=device,
-        result=result,
+        result=simulate(lowered, benchmark.problem(shape, label=label), device,
+                        best.best_config,
+                        label=f"lift-{benchmark.name}-{strategy_text}"),
         configuration=dict(best.best_config),
         strategy=strategy_text,
         uses_tiling=lowered.uses_tiling,

@@ -107,13 +107,11 @@ def fuse_tile_candidates(ndims: int) -> List[object]:
     Returns specs in the form :func:`repro.backend.fuse.normalize_tile_spec`
     accepts: ``False`` (unfused tape), ``"auto"`` (the cache-sized
     heuristic — spelled as a string, not ``None``, so a winning heuristic
-    stays distinguishable from "no tile search ran" in
-    :attr:`~repro.tuning.tuner.TuningResult.tile_shape`) and explicit
+    stays distinguishable from "no tile search ran") and explicit
     leading-axis row/slab blocks with ``None`` (= whole-axis) entries for
     the remaining axes.  This is the space
-    :meth:`~repro.tuning.tuner.AutoTuner` searches through its
-    ``measure_best`` hook and the engine's measured scorer times with warm
-    fused-plan replays.
+    :func:`repro.backend.fuse.measure_best_tile` — the engine's measured
+    scorer — times with warm fused-plan replays.
     """
     blocks = FUSE_TILE_BLOCKS.get(min(max(ndims, 2), 3), FUSE_TILE_BLOCKS[3])
     return [False, "auto"] + [

@@ -10,7 +10,7 @@ setup where both compilers get the same three-hour ATF/OpenTuner budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from .parameters import Configuration, ParameterSpace
 from .search import (
@@ -25,80 +25,33 @@ from .search import (
 
 @dataclass
 class TuningResult:
-    """Best configuration found plus the search history.
-
-    ``steady_cost_s`` is only set when the tuner was given a ``measure_best``
-    hook: the winner's *steady-state* wall-clock cost, measured through an
-    allocation-free execution plan (warm tape replay), as opposed to the
-    model- or first-call-based ``best_cost`` the search optimised.
-    ``tile_shape`` records the tape-optimizer tile the hook selected when it
-    additionally searched tile sizes over warm fused-plan replays (``False``
-    = the unfused tape won, ``"auto"`` = the cache-sized heuristic won,
-    ``None`` when no tile search ran).  ``parallel_workers`` likewise
-    records the fused-replay worker count the hook picked (``None`` when no
-    worker search ran, ``1`` = serial replay won).
-    """
+    """Best configuration found plus the search history."""
 
     best_configuration: Configuration
     best_cost: float
     evaluations: int
     history: List[Evaluation]
-    steady_cost_s: Optional[float] = None
-    tile_shape: object = None
-    parallel_workers: Optional[int] = None
 
     def describe(self) -> str:
-        steady = (
-            f", steady {self.steady_cost_s * 1e3:.4f} ms"
-            if self.steady_cost_s is not None else ""
-        )
-        tile = (
-            f" [tile {self.tile_shape}]"
-            if self.steady_cost_s is not None and self.tile_shape is not None
-            else ""
-        )
-        workers = (
-            f" [workers {self.parallel_workers}]"
-            if self.steady_cost_s is not None
-            and self.parallel_workers is not None
-            and self.parallel_workers != 1
-            else ""
-        )
         return (
-            f"best cost {self.best_cost:.6g} after {self.evaluations} evaluations"
-            f"{steady}{tile}{workers}: {self.best_configuration}"
+            f"best cost {self.best_cost:.6g} after {self.evaluations} evaluations: "
+            f"{self.best_configuration}"
         )
 
 
 class AutoTuner:
     """Search a constrained parameter space for the lowest-cost configuration.
 
-    ``validate_best`` is an optional callback invoked with the winning
-    configuration before the result is returned.  The experiment pipeline
-    uses it to *functionally* validate the tuned kernel variant — executing
-    the lowered expression through the compiled NumPy backend and comparing
-    against the reference interpreter — so a miscompiled variant can never
-    silently win the search.  The callback should raise on mismatch.
-
     ``batch_objective``, when provided, costs whole lists of configurations
     at once and takes precedence over per-point ``objective`` calls inside
-    the search strategies.  The parallel search engine passes its fan-out
-    evaluator here, which is how an unchanged :class:`AutoTuner` runs on a
-    process pool with a persistent results store underneath.  ``restarts``
-    bounds the number of hill-climbing basin walks.
+    the search strategies.  The search engine passes its batch evaluator
+    here, which is how an unchanged :class:`AutoTuner` runs on a process
+    pool with a persistent results store underneath.  ``restarts`` bounds
+    the number of hill-climbing basin walks.
 
-    ``measure_best`` is an optional callback invoked with the winning
-    configuration (after validation) returning its measured *steady-state*
-    cost in seconds — callers route this through an execution plan so the
-    recorded number reflects the warm serving path, not first-call
-    compilation and allocation noise.  The value is reported as
-    :attr:`TuningResult.steady_cost_s`.  The callback may instead return a
-    ``(cost_s, tile_shape)`` pair or a ``(cost_s, tile_shape,
-    parallel_workers)`` triple — the contract of
-    :func:`repro.backend.fuse.measure_best_tile`, which times warm fused
-    replays across tape-optimizer tile shapes and replay-worker counts — in
-    which case the winners are reported as :attr:`TuningResult.tile_shape`
-    and :attr:`TuningResult.parallel_workers`.
+    The tuner only searches.  Functional validation of the variant being
+    tuned and measured (wall-clock) scoring are the engine's job
+    (:mod:`repro.engine.worker`).
     """
 
     STRATEGIES = ("exhaustive", "random", "hillclimb")
@@ -110,10 +63,8 @@ class AutoTuner:
         budget: int = 200,
         strategy: str = "exhaustive",
         seed: int = 0,
-        validate_best: Optional[Callable[[Configuration], None]] = None,
         restarts: int = 4,
         batch_objective: Optional[BatchEvaluate] = None,
-        measure_best: Optional[Callable[[Configuration], float]] = None,
     ) -> None:
         if strategy not in self.STRATEGIES:
             raise ValueError(f"unknown search strategy {strategy!r}")
@@ -122,10 +73,8 @@ class AutoTuner:
         self.budget = budget
         self.strategy = strategy
         self.seed = seed
-        self.validate_best = validate_best
         self.restarts = restarts
         self.batch_objective = batch_objective
-        self.measure_best = measure_best
 
     def tune(self) -> TuningResult:
         if self.strategy == "exhaustive":
@@ -144,28 +93,11 @@ class AutoTuner:
                 restarts=self.restarts,
                 batch_evaluate=self.batch_objective,
             )
-        if self.validate_best is not None:
-            self.validate_best(outcome.best.configuration)
-        steady = None
-        tile_shape = None
-        parallel_workers = None
-        if self.measure_best is not None:
-            measured = self.measure_best(outcome.best.configuration)
-            if isinstance(measured, tuple):
-                if len(measured) >= 3:
-                    steady, tile_shape, parallel_workers = measured[:3]
-                else:
-                    steady, tile_shape = measured
-            else:
-                steady = measured
         return TuningResult(
             best_configuration=outcome.best.configuration,
             best_cost=outcome.best.cost,
             evaluations=outcome.evaluations,
             history=outcome.history,
-            steady_cost_s=steady,
-            tile_shape=tile_shape,
-            parallel_workers=parallel_workers,
         )
 
 

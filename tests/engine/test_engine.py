@@ -1,7 +1,10 @@
 """SearchEngine: resumability, workers=1 vs workers=N determinism, batching."""
 
+import dataclasses
+import multiprocessing
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.apps.suite import get_benchmark
@@ -14,6 +17,7 @@ from repro.engine import (
     VariantSpec,
     make_jobs,
 )
+from repro.engine import worker
 from repro.engine.worker import evaluate_job
 from repro.experiments.pipeline import lift_best_result
 from repro.runtime.simulator.device import DEVICES
@@ -21,48 +25,135 @@ from repro.runtime.simulator.device import DEVICES
 SHAPE = (64, 64)
 BUDGET = 40
 
+#: What the pre-engine serial loop (``lift_best_result`` before the engine
+#: became the only driver) answered for stencil2d 64x64, budget 40, nvidia —
+#: recorded at the last commit that had it.
+SERIAL_STRATEGY = "tiled tile=34 localMem unroll"
+SERIAL_CONFIGURATION = {"wg_x": 32, "wg_y": 32, "work_per_thread": 1}
+SERIAL_RUNTIME_S = 1.3105384615384616e-05
+SERIAL_EVALUATIONS = 104
+
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the spy on the worker module reaches pool processes by fork only",
+)
+
 
 def run_engine(store, workers=1, strategy="exhaustive", seed=0,
-               budget=BUDGET, **kwargs):
+               budget=BUDGET, crosses_pool=None, **kwargs):
     with SearchEngine(store=store, workers=workers, seed=seed) as engine:
-        return engine.run("stencil2d", shape=SHAPE, budget=budget,
-                          strategy=strategy, **kwargs)
+        outcome = engine.run("stencil2d", shape=SHAPE, budget=budget,
+                             strategy=strategy, **kwargs)
+        if crosses_pool is not None:
+            assert (engine._pool is not None) == crosses_pool
+        return outcome
+
+
+def tuned_variant_count(benchmark, shape, device):
+    """Variants of the exploration set with at least one valid configuration."""
+    problem = benchmark.problem(shape)
+    return sum(
+        1 for variant in worker.explore_variants_for(benchmark, shape)
+        if next(worker.parameter_space_for(variant.lowered, problem, device)
+                .configurations(), None) is not None
+    )
+
+
+@pytest.fixture
+def validator_entries(monkeypatch, tmp_path):
+    """Count entries into ``_validate_variant`` across this and pool processes."""
+    log = tmp_path / "validator-entries.log"
+    log.touch()
+    real = worker._validate_variant
+
+    def counted(job, lowered):
+        with open(log, "a") as handle:
+            handle.write(f"{job.variant.describe()}\n")
+        return real(job, lowered)
+
+    monkeypatch.setattr(worker, "_validate_variant", counted)
+    return lambda: log.read_text().splitlines()
 
 
 class TestSerialEquivalence:
-    def test_engine_matches_legacy_serial_pipeline(self):
-        serial = lift_best_result(
-            get_benchmark("stencil2d"), shape=SHAPE,
-            device=DEVICES["nvidia"], tuner_budget=BUDGET,
-        )
+    @staticmethod
+    def assert_serial_answer(outcome):
+        assert outcome.strategy == SERIAL_STRATEGY
+        assert outcome.configuration == SERIAL_CONFIGURATION
+        assert outcome.result.runtime_s == SERIAL_RUNTIME_S
+        assert outcome.evaluations == SERIAL_EVALUATIONS
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["private", "shared"])
+    def test_engine_matches_legacy_serial_pipeline(self, shared):
+        with SearchEngine() as engine:
+            self.assert_serial_answer(lift_best_result(
+                get_benchmark("stencil2d"), shape=SHAPE,
+                device=DEVICES["nvidia"], tuner_budget=BUDGET,
+                engine=engine if shared else None,
+            ))
         outcome = run_engine(store=None, workers=1)
-        assert outcome.best.variant.describe() == serial.strategy
-        assert outcome.best.best_config == serial.configuration
-        assert outcome.best.best_cost == serial.result.runtime_s
+        assert outcome.best.variant.describe() == SERIAL_STRATEGY
+        assert outcome.best.best_config == SERIAL_CONFIGURATION
+        assert outcome.best.best_cost == SERIAL_RUNTIME_S
+        assert outcome.evaluations == SERIAL_EVALUATIONS
 
     def test_lift_best_result_with_store_routes_through_engine(self):
         store = ResultsStore(":memory:")
-        outcome = lift_best_result(
-            get_benchmark("stencil2d"), shape=SHAPE,
-            device=DEVICES["nvidia"], tuner_budget=BUDGET, store=store,
-        )
-        serial = lift_best_result(
-            get_benchmark("stencil2d"), shape=SHAPE,
-            device=DEVICES["nvidia"], tuner_budget=BUDGET,
-        )
-        assert store.count() > 0
-        assert outcome.strategy == serial.strategy
-        assert outcome.configuration == serial.configuration
-        assert outcome.result.runtime_s == serial.result.runtime_s
+        with SearchEngine(store=store, workers=2) as engine:
+            self.assert_serial_answer(lift_best_result(
+                get_benchmark("stencil2d"), shape=SHAPE,
+                device=DEVICES["nvidia"], tuner_budget=BUDGET, engine=engine,
+            ))
+        assert store.count() == SERIAL_EVALUATIONS
+
+
+class TestFunctionalValidationIsNeverDropped:
+    LANES = {
+        "private": lambda: None,
+        "shared": lambda: SearchEngine(),
+        "workers2": lambda: SearchEngine(workers=2),
+    }
+
+    @pytest.mark.parametrize("lane", [
+        "private", "shared", pytest.param("workers2", marks=needs_fork),
+    ])
+    def test_validate_functional_validates_every_tuned_variant(
+            self, lane, validator_entries):
+        benchmark, device = get_benchmark("stencil2d"), DEVICES["nvidia"]
+        engine = self.LANES[lane]()
+        try:
+            validated = lift_best_result(
+                benchmark, shape=SHAPE, device=device, tuner_budget=4,
+                validate_functional=True, engine=engine,
+            )
+            entries = validator_entries()
+            plain = lift_best_result(
+                benchmark, shape=SHAPE, device=device, tuner_budget=4,
+                engine=engine,
+            )
+        finally:
+            if engine is not None:
+                engine.close()
+        # Once per tuned variant, each variant exactly once...
+        assert len(entries) == tuned_variant_count(benchmark, SHAPE, device) > 1
+        assert len(set(entries)) == len(entries)
+        # ...only when asked, and without changing the answer.
+        assert validator_entries() == entries
+        assert (validated.strategy, validated.configuration,
+                validated.result.runtime_s) == (
+            plain.strategy, plain.configuration, plain.result.runtime_s)
 
 
 class TestDeterminismAcrossWorkers:
+    @pytest.mark.parametrize("validate", [False, True],
+                             ids=["inline", "validating"])
     @pytest.mark.parametrize("strategy", ["exhaustive", "random", "hillclimb"])
-    def test_workers_1_vs_4_same_best(self, strategy):
-        one = run_engine(ResultsStore(":memory:"), workers=1,
-                         strategy=strategy, seed=7)
-        four = run_engine(ResultsStore(":memory:"), workers=4,
-                          strategy=strategy, seed=7)
+    def test_workers_1_vs_4_same_best(self, strategy, validate):
+        one = run_engine(ResultsStore(":memory:"), workers=1, strategy=strategy,
+                         seed=7, validate=validate, crosses_pool=False)
+        # Only validating (or measured) jobs are worth a process hop.
+        four = run_engine(ResultsStore(":memory:"), workers=4, strategy=strategy,
+                          seed=7, validate=validate, crosses_pool=validate)
         assert one.best.variant == four.best.variant
         assert one.best.best_config == four.best.best_config
         assert one.best.best_cost == four.best.best_cost
@@ -163,6 +254,52 @@ class TestBatchAPI:
             assert outcome.best.best_cost > 0
             assert outcome.evaluations > 0
 
+    def test_suite_is_run_per_benchmark(self):
+        shapes = {"Stencil2D": SHAPE, "Heat": (16, 16, 16)}
+
+        def comparable(outcome):
+            fields = dataclasses.asdict(outcome)
+            del fields["session"], fields["wall_s"]
+            return fields
+
+        with SearchEngine(pruner=CostModelPruner(margin=4.0)) as engine:
+            suite = engine.run_suite(["stencil2d", "heat"], budget=10, shapes=shapes)
+            singles = {
+                name: engine.run(name, shape=shape, budget=10)
+                for name, shape in shapes.items()
+            }
+        assert list(suite) == list(singles)
+        for name in shapes:
+            assert comparable(suite[name]) == comparable(singles[name])
+
+    def test_simulator_only_search_never_creates_the_pool(self, monkeypatch):
+        from repro.engine import engine as engine_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a simulator-only search must not start a pool")
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", no_pool)
+        outcome = run_engine(store=None, workers=4, crosses_pool=False)
+        assert outcome.best.best_cost == SERIAL_RUNTIME_S
+        assert outcome.fresh_evaluations == outcome.evaluations == SERIAL_EVALUATIONS
+
+    @pytest.mark.parametrize("entry", ["run", "run_suite"])
+    def test_evaluations_are_counted_with_and_without_a_store(self, entry):
+        def search(engine):
+            if entry == "run":
+                outcome = engine.run("stencil2d", shape=SHAPE, budget=10)
+            else:
+                outcome = engine.run_suite(
+                    ["stencil2d"], budget=10, shapes={"Stencil2D": SHAPE}
+                )["Stencil2D"]
+            return (outcome.evaluations, outcome.fresh_evaluations,
+                    outcome.store_hits)
+
+        assert search(SearchEngine(store=None)) == (44, 44, 0)
+        engine = SearchEngine(store=ResultsStore(":memory:"))
+        assert search(engine) == (44, 44, 0)   # cold store
+        assert search(engine) == (44, 0, 44)   # warm store
+
     def test_worker_errors_surface_in_band(self):
         bad = make_jobs(
             "stencil2d", SHAPE, "nvidia",
@@ -204,6 +341,30 @@ class TestScorersAndValidation:
                           validate="crosscheck", validate_size=16) as engine:
             outcome = engine.run("stencil2d", shape=SHAPE, budget=4)
         assert outcome.best.best_cost > 0
+
+    def test_validator_rejects_a_plan_one_bit_off_the_generic_path(
+            self, monkeypatch):
+        from repro.backend import BackendMismatch, ExecutionPlan
+
+        real_run = ExecutionPlan.run
+
+        def one_bit_off(self, inputs, copy=True):
+            out = np.array(real_run(self, inputs))
+            out.view(np.uint64).flat[0] ^= 1
+            return out
+
+        monkeypatch.setattr(ExecutionPlan, "run", one_bit_off)
+        monkeypatch.setattr(worker, "_VALIDATED", set())
+        job = make_jobs("stencil2d", SHAPE, "nvidia", VariantSpec(name="naive"),
+                        [{"wg_x": 4, "wg_y": 4, "work_per_thread": 1}],
+                        validate=True)[0]
+        with pytest.raises(BackendMismatch, match="execution plan diverges"):
+            worker._validate_variant(job, worker._lowered_for(job))
+        # Through the evaluator the refusal is in-band, and it is not cached
+        # as a pass.
+        result = evaluate_job(job)
+        assert not result.ok and "BackendMismatch" in result.error
+        assert not worker._VALIDATED
 
     def test_validation_shape_respects_min_size_and_coverage(self):
         from repro.engine.worker import validation_shape
@@ -324,11 +485,16 @@ class TestPruner:
         best = min(d.estimate for d in decisions)
         assert all(d.estimate == best for d in decisions if d.kept)
 
-    def test_pruned_search_same_winner_at_any_worker_count(self):
+    @pytest.mark.parametrize("validate", [False, True],
+                             ids=["inline", "validating"])
+    def test_pruned_search_same_winner_at_any_worker_count(self, validate):
         def run(workers):
             with SearchEngine(store=ResultsStore(":memory:"), workers=workers,
-                              pruner=CostModelPruner(margin=4.0)) as engine:
-                return engine.run("stencil2d", shape=SHAPE, budget=BUDGET)
+                              pruner=CostModelPruner(margin=4.0),
+                              validate=validate) as engine:
+                outcome = engine.run("stencil2d", shape=SHAPE, budget=BUDGET)
+                assert (engine._pool is not None) == (validate and workers > 1)
+                return outcome
 
         one, four = run(1), run(4)
         assert one.best.variant == four.best.variant

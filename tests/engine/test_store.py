@@ -8,7 +8,7 @@ from repro.engine import ResultsStore
 from repro.engine.jobs import EvaluationJob, VariantSpec, config_items
 
 
-def make_job(benchmark="stencil2d", tile=18, wg=16, device="nvidia"):
+def make_job(benchmark="stencil2d", tile=18, wg=16, device="nvidia", **flags):
     return EvaluationJob(
         benchmark=benchmark,
         shape=(64, 64),
@@ -17,6 +17,7 @@ def make_job(benchmark="stencil2d", tile=18, wg=16, device="nvidia"):
                             use_local_memory=True, unroll_reduce=True),
         config=config_items({"wg_x": wg, "wg_y": wg, "work_per_thread": 1}),
         expr_digest="d" * 64,
+        **flags,
     )
 
 
@@ -27,6 +28,18 @@ class TestFingerprints:
         assert job.fingerprint() != make_job(tile=34).fingerprint()
         assert job.fingerprint() != make_job(wg=8).fingerprint()
         assert job.fingerprint() != make_job(device="amd").fingerprint()
+
+    def test_fingerprints_are_pinned_across_releases(self):
+        # Stores written by earlier releases must keep answering --resume
+        # with zero re-evaluations: these digests were recorded before the
+        # variant dict stopped going through ``dataclasses.asdict``.
+        assert make_job().fingerprint() == (
+            "ca509cc1f37c9020793a7ae6b217083ca69766a637f28a8805d8bbcfae714836")
+        assert make_job(measure_runs=3, measure_size=256).fingerprint() == (
+            "8f665b8dd1c500938b8710b508c1edc091abaab176b0cb8e840d2bece52b56d1")
+        assert make_job(validate=True, validate_backend="crosscheck",
+                        validate_size=16).fingerprint() == (
+            "7ce2701e31d2870892d4e8dd177fb46c085b84a955136e7ebe4fe8ea9dbb1b2b")
 
     def test_config_items_canonicalises_order(self):
         a = config_items({"wg_x": 1, "wg_y": 2})
