@@ -6,8 +6,9 @@ lost.  This module makes the *work itself* durable.  Submitting a job
 returns an id immediately; a :class:`JobManager` worker executes the
 trajectory in ``checkpoint_every``-step **segments** through the same
 trajectory runner the synchronous route uses
-(:func:`~repro.service.executor.run_trajectory`), and at each segment
-boundary atomically persists a checkpoint under ``job_dir``:
+(:func:`~repro.service.executor.run_trajectory`), and each segment
+boundary's carry state is atomically persisted as a checkpoint under
+``job_dir``:
 
 .. code-block:: text
 
@@ -18,12 +19,20 @@ boundary atomically persists a checkpoint under ``job_dir``:
         result.rpg          final grid, written on completion
 
 Checkpoints reuse the RPG1 wire framing (:mod:`repro.service.wire`), so
-every carry buffer carries a per-buffer sha256 — plus one whole-checkpoint
-``sha256`` over the canonical manifest fields and the concatenated grid
-bytes, so a flipped bit in either metadata or data is detected at load.
-Writes are write-tmp → flush → fsync → rename → fsync(dir), so a crash at
-any instant leaves either the old complete checkpoint or the new complete
-checkpoint, never a torn one.
+every carry buffer's descriptor carries its sha256 — plus one
+``root_sha256`` over the canonical metadata and those descriptors, so a
+flipped bit in either metadata or data is detected at load and each byte
+is hashed once.  Writes are write-tmp → flush → fsync → rename →
+fsync(dir), so a crash at any instant leaves either the old complete
+checkpoint or the new complete checkpoint, never a torn one.
+
+**Off the critical path**: the worker hands each boundary's state to one
+long-lived writer thread and starts the next segment, so checkpoint k is
+hashed and fsynced, outside the manager lock, while segment k+1 computes.
+At most one checkpoint is in flight (boundary k+1 first waits for
+checkpoint k); the file lands before the manifest's ``completed_steps``,
+which therefore counts *durable* steps; a writer error fails the job at its
+next boundary; the writer is drained before any terminal status is set.
 
 **Recovery**: :meth:`JobManager.recover` (run at server startup) scans the
 job dir; incomplete jobs resume from their newest *valid* checkpoint —
@@ -33,8 +42,8 @@ Because segment boundaries replay through the same plan tapes with the
 same carry values, a resumed trajectory is **bit-identical** to an
 uninterrupted run (property-tested per suite app in
 ``tests/service/test_jobs.py``).  A step-0 checkpoint is written at submit
-time,
-so even a crash before the first segment completes loses nothing.
+time, so even a crash before the first segment completes loses nothing; a
+``*.tmp`` a crash cut short is removed by the same scan.
 
 **Idempotency**: clients supply a ``job_key`` (the client library
 generates a uuid4 before the first attempt); re-submitting the same key —
@@ -45,11 +54,13 @@ trajectory.
 **Bounded retention**: terminal jobs older than ``job_ttl_s`` are purged
 (memory and disk); at most ``max_resident`` completed results stay
 resident in memory (the ``repro_jobs_resident_results`` gauge), older ones
-are dropped to disk and reloaded on demand.
+are dropped to disk and reloaded on demand.  A terminal job keeps no carry
+state.
 
 Fault points (:mod:`repro.faults`): ``job.crash_after_checkpoint``
-abandons the worker right after a checkpoint persists — on-disk state is
-exactly what a ``kill -9`` leaves — and ``job.checkpoint_corrupt`` flips a
+fires on the writer right after a checkpoint persists and abandons the
+worker at its next boundary — on-disk state is exactly what a ``kill -9``
+leaves — and ``job.checkpoint_corrupt`` flips a
 byte of a checkpoint *after* its checksums were computed, which is how the
 corrupt-fallback path is tested end to end.
 """
@@ -60,6 +71,7 @@ import hashlib
 import json
 import logging
 import os
+import queue
 import shutil
 import threading
 import time
@@ -84,7 +96,12 @@ from .requests import (
     ExecutionRequest,
     ServiceError,
 )
-from .wire import WireFormatError, decode_grid_payload, encode_grid_payload
+from .wire import (
+    decode_grid_header,
+    decode_grid_payload,
+    describe_grids,
+    frame_prefix,
+)
 
 log = logging.getLogger("repro.service.jobs")
 
@@ -113,6 +130,10 @@ _RESULTS_EVICTED_TOTAL = _telemetry.counter(
 _CHECKPOINT_SECONDS = _telemetry.histogram(
     "repro_job_checkpoint_seconds",
     "Wall time to persist one job checkpoint (encode + fsync + rename).")
+_CHECKPOINT_WAIT_SECONDS = _telemetry.histogram(
+    "repro_job_checkpoint_wait_seconds",
+    "Wall time a job's compute thread spent blocked at a segment boundary "
+    "on the previous checkpoint's write.")
 
 #: Job lifecycle states.  ``queued`` and ``running`` are recoverable;
 #: ``completed`` / ``failed`` / ``cancelled`` are terminal.
@@ -142,53 +163,76 @@ class JobIntegrityError(JobError):
 
 
 # ---------------------------------------------------------------------------
-# Framing: RPG1 payloads with a whole-file integrity hash
+# Framing: RPG1 payloads under one root hash
 # ---------------------------------------------------------------------------
 
-def _frame(meta: Dict[str, object], grids: List[np.ndarray]) -> bytes:
-    """RPG1-frame ``meta`` + ``grids`` with a whole-payload sha256.
+_ROOT = "root_sha256"
 
-    The hash covers the canonical JSON of ``meta`` (sorted keys, before the
-    ``sha256`` field is added) followed by every grid's raw bytes — so a
-    flipped bit in *either* the metadata (step index, digest) or the data
-    fails validation, independently of the per-buffer hashes the RPG1
-    descriptors already carry.
+
+def _root_hash(meta: Dict[str, object], descriptors: List[dict]) -> str:
+    """sha256 over the canonical JSON of ``meta`` + the grid descriptors."""
+    canonical = json.dumps([meta, descriptors], sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _frame(meta: Dict[str, object],
+           grids: List[np.ndarray]) -> Tuple[bytes, List[memoryview]]:
+    """RPG1-frame ``meta`` + ``grids`` as (prefix, uncopied grid buffers).
+
+    Every grid byte is hashed once, into its descriptor's ``sha256``; the
+    root hash covers ``meta`` and the descriptors (shape, dtype, sha256).
+    A flipped bit in the data fails its grid's hash and a flipped bit in
+    the metadata (step index, digest) or a descriptor fails the root.
     """
-    digest = hashlib.sha256(json.dumps(meta, sort_keys=True).encode("utf-8"))
-    for grid in grids:
-        digest.update(np.ascontiguousarray(grid).tobytes())
-    framed = dict(meta)
-    framed["sha256"] = digest.hexdigest()
-    prefix, buffers = encode_grid_payload(framed, grids)
-    return prefix + b"".join(bytes(buffer) for buffer in buffers)
+    descriptors, buffers = describe_grids(grids)
+    framed = {**meta, _ROOT: _root_hash(meta, descriptors)}
+    return frame_prefix(framed, descriptors), buffers
 
 
 def _unframe(data: bytes) -> Tuple[Dict[str, object], List[np.ndarray]]:
     """Decode + validate a framed payload; raises :class:`JobIntegrityError`."""
     try:
+        header, _offset = decode_grid_header(data)
         meta, grids = decode_grid_payload(data)
-    except WireFormatError as error:
+    except (KeyError, TypeError, ValueError) as error:  # incl. WireFormatError
         raise JobIntegrityError(str(error)) from error
-    expected = meta.pop("sha256", None)
-    if expected is None:
+    descriptors = header.get("grids") or []
+    if _ROOT in meta:
+        expected = meta.pop(_ROOT)
+        if any("sha256" not in descriptor for descriptor in descriptors):
+            raise JobIntegrityError("a grid descriptor carries no sha256")
+        actual = _root_hash(meta, descriptors)
+    elif "sha256" in meta:
+        # A frame written before the root hash (a job checkpointed before
+        # an upgrade must resume): sha256 over meta + every grid byte.
+        expected = meta.pop("sha256")
+        digest = hashlib.sha256(json.dumps(meta, sort_keys=True).encode("utf-8"))
+        for grid in grids:
+            digest.update(np.ascontiguousarray(grid))
+        actual = digest.hexdigest()
+    else:
         raise JobIntegrityError("payload carries no integrity hash")
-    digest = hashlib.sha256(json.dumps(meta, sort_keys=True).encode("utf-8"))
-    for grid in grids:
-        digest.update(np.ascontiguousarray(grid).tobytes())
-    if digest.hexdigest() != str(expected):
+    if actual != str(expected):
         raise JobIntegrityError(
-            f"payload checksum mismatch (expected {expected}, "
-            f"got {digest.hexdigest()})")
+            f"payload checksum mismatch (expected {expected}, got {actual})")
     return meta, grids
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    """write-tmp → flush → fsync → rename → fsync(dir): crash-atomic."""
+def _atomic_write(path: Path, *pieces) -> None:
+    """write-tmp → flush → fsync → rename → fsync(dir): crash-atomic.
+
+    ``pieces`` (bytes or memoryviews) are written in order, unjoined.  The
+    file is read again only after a crash or an eviction, so once durable
+    its pages are dropped from the page cache rather than left to grow it.
+    """
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as handle:
-        handle.write(data)
+        for piece in pieces:
+            handle.write(piece)
         handle.flush()
         os.fsync(handle.fileno())
+        if hasattr(os, "posix_fadvise"):
+            os.posix_fadvise(handle.fileno(), 0, 0, os.POSIX_FADV_DONTNEED)
     os.replace(tmp, path)
     dir_fd = os.open(str(path.parent), os.O_RDONLY)
     try:
@@ -327,7 +371,9 @@ class JobManager:
     Thread-safe: submissions and status/result/cancel queries may come
     from any thread (the event loop, HTTP handlers, tests); one background
     worker thread drains the job queue so trajectory execution never
-    blocks the caller.  ``job_dir=None`` runs memory-only (no durability
+    blocks the caller, and one writer thread beside it persists segment
+    k's checkpoint while the worker computes segment k+1 (at most one in
+    flight).  ``job_dir=None`` runs memory-only (no durability
     across restarts, same segmented semantics) — the mode unit tests use
     for the deadline/cancel/TTL behaviours that don't need a disk.
     """
@@ -360,8 +406,15 @@ class JobManager:
         self._queue: Deque[str] = deque()
         self._closed = False
         self._worker: Optional[threading.Thread] = None
+        # Worker → writer hand-off of ``(job, step, state)``; ``None`` stops
+        # the writer.  ``_drain`` before every put keeps one in flight.
+        self._writes: "queue.Queue" = queue.Queue()
+        self._writer: Optional[threading.Thread] = None
+        self._write_error: Optional[BaseException] = None
         # Operational counters (scraped via the service stats section).
         self.checkpoints_written = 0
+        self.checkpoint_s = 0.0
+        self.checkpoint_wait_s = 0.0
         self.jobs_resumed = 0
         self.corrupt_checkpoints = 0
         self.results_evicted = 0
@@ -395,15 +448,25 @@ class JobManager:
             self._worker = threading.Thread(
                 target=self._worker_loop, name="repro-jobs", daemon=True)
             self._worker.start()
+        if self._writer is None or not self._writer.is_alive():
+            self._writer = threading.Thread(
+                target=self._writer_loop, name="repro-jobs-writer",
+                daemon=True)
+            self._writer.start()
 
     def close(self, timeout_s: float = 5.0) -> None:
-        """Stop the worker (in-flight segment finishes; queue is left)."""
+        """Stop the worker, then the writer behind it (in-flight segment
+        and checkpoint finish; the queue is left)."""
         with self._wake:
             self._closed = True
             self._wake.notify_all()
         if self._worker is not None:
             self._worker.join(timeout=timeout_s)
             self._worker = None
+        if self._writer is not None:
+            self._writes.put(None)
+            self._writer.join(timeout=timeout_s)
+            self._writer = None
 
     # -- submission -----------------------------------------------------------
     def submit(self, request: ExecutionRequest,
@@ -455,7 +518,7 @@ class JobManager:
                 raise JobError(f"cannot resolve job program: {error}")
             # The step-0 checkpoint: a crash before the first segment
             # completes must still be recoverable from disk.
-            self._persist_checkpoint(job)
+            self._persist_checkpoint(job, 0, job.state)
             self._persist_manifest(job)
             self._jobs[job.job_id] = job
             self._by_key[key] = job.job_id
@@ -539,6 +602,8 @@ class JobManager:
                 "jobs": by_status,
                 "queue_depth": len(self._queue),
                 "checkpoints_written": self.checkpoints_written,
+                "checkpoint_s": round(self.checkpoint_s, 6),
+                "checkpoint_wait_s": round(self.checkpoint_wait_s, 6),
                 "jobs_resumed": self.jobs_resumed,
                 "corrupt_checkpoints": self.corrupt_checkpoints,
                 "results_evicted": self.results_evicted,
@@ -577,6 +642,8 @@ class JobManager:
                     continue
                 self._jobs[job.job_id] = job
                 self._by_key[job.job_key] = job.job_id
+                for torn in manifest_path.parent.glob("*.tmp"):
+                    torn.unlink(missing_ok=True)  # a write the crash cut short
                 if job.status in TERMINAL:
                     continue
                 loaded = self._load_latest_checkpoint(job)
@@ -633,6 +700,41 @@ class JobManager:
                     self._finish(job, FAILED,
                                  error=f"{type(error).__name__}: {error}")
 
+    def _writer_loop(self) -> None:
+        while True:
+            item = self._writes.get()
+            try:
+                if item is None:
+                    return
+                self._write_checkpoint(*item)
+            except (Exception, _InjectedCrash) as error:  # noqa: BLE001
+                self._write_error = error  # re-raised on the worker
+            finally:
+                del item  # the carry state dies with its checkpoint
+                self._writes.task_done()
+
+    def _write_checkpoint(self, job: Job, step: int, state) -> None:
+        """File first, then the manifest: ``completed_steps`` reports
+        *durable* steps, and only the manifest is written under the lock."""
+        self._persist_checkpoint(job, step, state)
+        with self._lock:
+            job.completed_steps = step
+            job.updated_at = time.time()
+            self._persist_manifest(job)
+        if _faults.ARMED and _faults.should_fail("job.crash_after_checkpoint"):
+            raise _InjectedCrash()
+
+    def _drain(self) -> None:
+        """Wait out the in-flight checkpoint; re-raise what writing it raised."""
+        started = time.perf_counter()
+        self._writes.join()
+        waited = time.perf_counter() - started
+        _CHECKPOINT_WAIT_SECONDS.observe(waited)
+        self.checkpoint_wait_s += waited  # only the worker thread drains
+        error, self._write_error = self._write_error, None
+        if error is not None:
+            raise error
+
     def _run_job(self, job: Job) -> None:
         program, carry, digest = self.resolve(job.benchmark, job.shape,
                                               job.size_env)
@@ -650,26 +752,36 @@ class JobManager:
 
         def boundary(done: int, state) -> Optional[str]:
             if done:
-                # A segment just finished: make it durable before advancing.
-                with self._lock:
-                    job.state = state
-                    job.completed_steps = resumed_at + done
-                    job.updated_at = time.time()
-                    self._persist_checkpoint(job)
-                    self._persist_manifest(job)
-                if _faults.ARMED and _faults.should_fail(
-                        "job.crash_after_checkpoint"):
-                    raise _InjectedCrash()
+                # A segment just finished: hand it to the writer and go on.
+                # Waiting out the previous checkpoint first bounds how far
+                # durability lags compute: one segment.
+                self._drain()
+                job.state = state
+                self._writes.put((job, resumed_at + done, state))
             if job.cancel_requested:
                 return CANCELLED
             if job.deadline_at is not None and time.time() >= job.deadline_at:
                 return DEADLINE_EXCEEDED
             return None
 
-        _out, _done, stopped, _timings = run_trajectory(
-            self.backend, program, job.state, job.steps - resumed_at, carry,
-            job.size_env or None, use_plans=True,
-            segment=job.checkpoint_every, boundary=boundary)
+        try:
+            _out, _done, stopped, _timings = run_trajectory(
+                self.backend, program, job.state, job.steps - resumed_at,
+                carry, job.size_env or None, use_plans=True,
+                segment=job.checkpoint_every, boundary=boundary)
+            if stopped is None:
+                # The final output is the carry slot the spec feeds it back
+                # into (normalize_carry guarantees one exists) — identical
+                # to the array iterate() would have returned, so
+                # resume-at-completion needs no separately persisted
+                # per-segment output.  Written beside the last checkpoint.
+                out = job.state[spec.index("out")]
+                result = squeeze_result(np.asarray(out, dtype=np.float64))
+                self._persist_result(job, result)
+        finally:
+            # No status flips with a checkpoint still in flight, and a
+            # crash or OSError on the writer surfaces here at the latest.
+            self._drain()
         if stopped is not None:
             with self._lock:
                 if stopped == CANCELLED:
@@ -684,15 +796,8 @@ class JobManager:
                               f"{job.completed_steps}/{job.steps} steps",
                         code=DEADLINE_EXCEEDED)
             return
-        # The final output is the carry slot the spec feeds it back into
-        # (normalize_carry guarantees one exists) — identical to the array
-        # iterate() would have returned, so resume-at-completion needs no
-        # separately persisted per-segment output.
-        out = job.state[spec.index("out")]
-        result = squeeze_result(np.asarray(out, dtype=np.float64))
         with self._lock:
             job.result = result
-            self._persist_result(job, result)
             self._finish(job, COMPLETED)
             self._evict_residents(keep=job.job_id)
 
@@ -703,8 +808,7 @@ class JobManager:
         job.error = error
         job.code = code
         job.updated_at = time.time()
-        if status != COMPLETED:
-            job.state = None
+        job.state = None  # result() serves job.result; nothing reads this
         self._persist_manifest(job)
         if status == COMPLETED:
             _COMPLETIONS_TOTAL.inc()
@@ -729,30 +833,33 @@ class JobManager:
         _atomic_write(directory / _MANIFEST,
                       json.dumps(job.manifest(), indent=2).encode("utf-8"))
 
-    def _persist_checkpoint(self, job: Job) -> None:
+    def _persist_checkpoint(self, job: Job, step: int, state) -> None:
         directory = self._dir_for(job)
-        if directory is None or job.state is None:
+        if directory is None:
             return
         started = time.perf_counter()
         meta = {
             "job_id": job.job_id,
-            "step": job.completed_steps,
+            "step": step,
             "steps": job.steps,
             "digest": job.digest,
             "benchmark": job.benchmark,
         }
-        data = _frame(meta, job.state)
+        prefix, buffers = _frame(meta, state)
         if _faults.ARMED and _faults.should_fail("job.checkpoint_corrupt"):
             # Flip one byte of the *body* after every checksum was
             # computed: recovery must detect this and fall back.
-            corrupted = bytearray(data)
+            corrupted = bytearray(buffers[-1])
             corrupted[-1] ^= 0xFF
-            data = bytes(corrupted)
-        path = directory / f"{_CKPT_PREFIX}{job.completed_steps:08d}{_CKPT_SUFFIX}"
-        _atomic_write(path, data)
-        self.checkpoints_written += 1
+            buffers[-1] = memoryview(corrupted)
+        path = directory / f"{_CKPT_PREFIX}{step:08d}{_CKPT_SUFFIX}"
+        _atomic_write(path, prefix, *buffers)
+        elapsed = time.perf_counter() - started
         _CHECKPOINTS_TOTAL.inc()
-        _CHECKPOINT_SECONDS.observe(time.perf_counter() - started)
+        _CHECKPOINT_SECONDS.observe(elapsed)
+        with self._lock:  # submit threads and the writer both count here
+            self.checkpoints_written += 1
+            self.checkpoint_s += elapsed
         for stale in self._checkpoints(directory)[:-self.keep_checkpoints]:
             stale.unlink(missing_ok=True)
 
@@ -791,7 +898,8 @@ class JobManager:
             return
         meta = {"job_id": job.job_id, "steps": job.steps,
                 "digest": job.digest, "benchmark": job.benchmark}
-        _atomic_write(directory / _RESULT, _frame(meta, [result]))
+        prefix, buffers = _frame(meta, [result])
+        _atomic_write(directory / _RESULT, prefix, *buffers)
 
     def _load_result(self, job: Job) -> np.ndarray:
         directory = self.job_dir / job.job_id if self.job_dir else None

@@ -29,7 +29,11 @@ still happens to parse, injected corruption — surfaces as a structured
 :class:`WireFormatError` instead of silently executing (or returning) a
 corrupted grid.  The same framing backs durable-job checkpoints on disk
 (:mod:`repro.service.jobs`), so storage corruption is caught by the same
-checksums.  The ``wire.payload_corrupt`` fault point
+checksums: a checkpoint takes its descriptors from :func:`describe_grids`,
+signs them (with its metadata) under one root hash and frames them with
+:func:`frame_prefix`, so no grid byte is hashed twice.  Decoding hashes
+each grid in place, as a slice of the received buffer, before its one
+copy into a writable array.  The ``wire.payload_corrupt`` fault point
 (:mod:`repro.faults`) flips one byte of the first grid *after* the
 checksums are computed, which is how tests and chaos drills prove the
 detection path end to end.
@@ -68,17 +72,19 @@ class WireFormatError(ValueError):
     """A binary grid payload did not parse."""
 
 
-def encode_grid_payload(
-    meta: Dict[str, object], grids: Sequence[np.ndarray]
-) -> Tuple[bytes, List[memoryview]]:
-    """Frame ``meta`` + ``grids`` as (prefix bytes, raw grid buffers).
+def describe_grids(
+    grids: Sequence[np.ndarray],
+) -> Tuple[List[Dict[str, object]], List[memoryview]]:
+    """The header descriptors and raw buffers of ``grids``, hashed once.
 
-    The prefix is ``MAGIC + hlen + header``; the buffers are the grids'
-    little-endian contiguous bytes, *not copied* when the array already is
-    little-endian contiguous.  Callers concatenate (or chunk-stream) the
-    prefix followed by each buffer in order.
+    Each descriptor is ``{"shape", "dtype", "sha256"}``; each buffer is the
+    grid's little-endian contiguous bytes, *not copied* when the array
+    already is little-endian contiguous.  A framer that signs the
+    descriptors (durable-job checkpoints) calls this and
+    :func:`frame_prefix` directly; :func:`encode_grid_payload` is the two
+    composed.
     """
-    descriptors = []
+    descriptors: List[Dict[str, object]] = []
     buffers: List[memoryview] = []
     for grid in grids:
         array = np.ascontiguousarray(grid)
@@ -97,11 +103,28 @@ def encode_grid_payload(
         corrupted = bytearray(buffers[0])
         corrupted[0] ^= 0xFF
         buffers[0] = memoryview(bytes(corrupted))
+    return descriptors, buffers
+
+
+def frame_prefix(meta: Dict[str, object],
+                 descriptors: List[Dict[str, object]]) -> bytes:
+    """``MAGIC + hlen + header`` for ``meta`` plus the grid descriptors."""
     header = dict(meta)
     header["grids"] = descriptors
     header_bytes = json.dumps(header).encode("utf-8")
-    prefix = MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes
-    return prefix, buffers
+    return MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes
+
+
+def encode_grid_payload(
+    meta: Dict[str, object], grids: Sequence[np.ndarray]
+) -> Tuple[bytes, List[memoryview]]:
+    """Frame ``meta`` + ``grids`` as (prefix bytes, raw grid buffers).
+
+    Callers concatenate (or chunk-stream) the prefix followed by each
+    buffer in order.
+    """
+    descriptors, buffers = describe_grids(grids)
+    return frame_prefix(meta, descriptors), buffers
 
 
 def payload_length(prefix: bytes, buffers: Sequence[memoryview]) -> int:
@@ -147,9 +170,11 @@ def decode_grid_payload(
 
     Grid bytes are interpreted in place via ``np.frombuffer`` and then
     copied once into writable arrays — one buffer copy per grid, never a
-    textual intermediate.
+    textual intermediate; each checksum is taken over the received bytes
+    in place.
     """
     header, offset = decode_grid_header(data)
+    view = memoryview(data)  # slices of it are hashed in place, not copied
     grids: List[np.ndarray] = []
     for index, descriptor in enumerate(header.get("grids") or []):
         shape = tuple(int(extent) for extent in descriptor["shape"])
@@ -159,7 +184,7 @@ def decode_grid_payload(
             raise WireFormatError("truncated grid payload body")
         expected: Optional[str] = descriptor.get("sha256")
         if expected is not None:
-            actual = hashlib.sha256(data[offset:offset + nbytes]).hexdigest()
+            actual = hashlib.sha256(view[offset:offset + nbytes]).hexdigest()
             if actual != str(expected):
                 _CHECKSUM_FAILURES_TOTAL.inc()
                 raise WireFormatError(
@@ -188,7 +213,9 @@ __all__ = [
     "WireFormatError",
     "decode_grid_header",
     "decode_grid_payload",
+    "describe_grids",
     "encode_grid_payload",
+    "frame_prefix",
     "iter_chunks",
     "payload_length",
 ]

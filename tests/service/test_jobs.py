@@ -4,14 +4,20 @@ The load-bearing property: a job that crashes mid-trajectory and resumes
 from its checkpoint produces a final grid **bit-identical** to the
 uninterrupted run — for every suite app, for float64 and float32 client
 inputs, and for checkpoint segments of 1 step, 7 steps, and the whole
-trajectory.  Around it: corrupt-checkpoint fallback, idempotent
+trajectory.  Around it: the checkpoint pipeline's ordering (a writer
+thread persists segment k while segment k+1 computes), the root-hashed
+frame and its negatives, corrupt-checkpoint fallback, idempotent
 re-submission, retention bounds, wire-level payload integrity, and the
 sync path's between-segment deadline shedding.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +26,7 @@ from repro import faults
 from repro.apps.suite import ALL_BENCHMARKS, get_benchmark
 from repro.backend.base import NumpyBackend
 from repro.backend.plan import iterate_generic
+from repro.service import jobs as jobs_module
 from repro.service.executor import run_trajectory
 from repro.service.jobs import (
     COMPLETED,
@@ -30,15 +37,19 @@ from repro.service.jobs import (
     JobManager,
     JobNotFound,
     _frame,
+    _root_hash,
     _unframe,
 )
 from repro.service.requests import DEADLINE_EXCEEDED, ExecutionRequest
 from repro.service.server import ServiceClient, StencilService
 from repro.service.wire import (
     WireFormatError,
+    decode_grid_header,
     decode_grid_payload,
     encode_grid_payload,
+    frame_prefix,
 )
+from repro.telemetry import get_registry
 
 STEPS = 9
 SEGMENTS = (1, 7, STEPS)
@@ -75,6 +86,90 @@ def _reference(key: str, dtype, steps: int = STEPS) -> np.ndarray:
     inputs = [np.asarray(np.asarray(grid, dtype=dtype), dtype=np.float64)
               for grid in bench.make_inputs(_shape_for(key), 3)]
     return np.asarray(bench.iterate(inputs, steps), dtype=np.float64)
+
+
+def _joined(prefix: bytes, buffers) -> bytes:
+    """A framed payload as the one ``bytes`` a file or socket would hold."""
+    return prefix + b"".join(bytes(buffer) for buffer in buffers)
+
+
+def _crash_at(backend, job_dir, key: str, segment: int, at: int = 1):
+    """Submit ``key`` and let ``job.crash_after_checkpoint:at=`` abandon the
+    worker; returns the crashed manager and the job descriptor."""
+    faults.arm(f"job.crash_after_checkpoint:at={at}")
+    crashed = JobManager(backend, job_dir=str(job_dir),
+                         checkpoint_every=segment)
+    job = crashed.submit(_request_for(key, np.float64))
+    _wait_for_worker_death(crashed)
+    faults.disarm()
+    return crashed, job
+
+
+def _recover_and_finish(backend, job_dir, job, segment: int) -> JobManager:
+    """A fresh manager on ``job_dir`` that resumed ``job`` to completion."""
+    recovered = JobManager(backend, job_dir=str(job_dir),
+                           checkpoint_every=segment)
+    assert recovered.recover() == 1
+    final = recovered.wait(job["job_id"], timeout_s=30.0)
+    assert (final["status"], final["resumes"]) == (COMPLETED, 1)
+    return recovered
+
+
+def _edit_header(data: bytes, edit) -> bytes:
+    """``data`` with ``edit(header)`` applied and the prefix re-framed."""
+    header, offset = decode_grid_header(data)
+    edit(header)
+    descriptors = header.pop("grids")
+    return frame_prefix(header, descriptors) + data[offset:]
+
+
+def _flip_last_byte(data: bytes) -> bytes:
+    return data[:-1] + bytes([data[-1] ^ 0x01])
+
+
+def _flip_descriptor_sha(header) -> None:
+    sha = header["grids"][0]["sha256"]
+    header["grids"][0]["sha256"] = ("1" if sha[0] == "0" else "0") + sha[1:]
+
+
+def _drop_descriptor_sha(header) -> None:
+    """Unsign one grid and re-sign the root over what is left, so only the
+    "every descriptor carries a sha256" requirement can reject it."""
+    del header["grids"][0]["sha256"]
+    meta = {key: value for key, value in header.items()
+            if key not in ("grids", "root_sha256")}
+    header["root_sha256"] = _root_hash(meta, header["grids"])
+
+
+#: name -> (framed bytes -> tampered bytes): every way a checkpoint can rot.
+TAMPERINGS = {
+    "meta": lambda data: _edit_header(
+        data, lambda header: header.update(step=header["step"] + 1)),
+    # Reversed extents keep the byte count, so only the root can notice.
+    "descriptor-shape": lambda data: _edit_header(
+        data, lambda header: header["grids"][0].update(
+            shape=header["grids"][0]["shape"][::-1])),
+    "descriptor-dtype": lambda data: _edit_header(
+        data, lambda header: header["grids"][0].update(dtype="f9")),
+    "descriptor-sha256": lambda data: _edit_header(data, _flip_descriptor_sha),
+    "descriptor-sha256-removed": lambda data: _edit_header(
+        data, _drop_descriptor_sha),
+    "root-removed": lambda data: _edit_header(
+        data, lambda header: header.pop("root_sha256")),
+    "data": _flip_last_byte,
+    "truncated": lambda data: data[:-1],
+    "trailing-bytes": lambda data: data + b"\0",
+}
+
+
+def _legacy_frame(meta, grids) -> bytes:
+    """A frame built the way the commit before the root hash built it: one
+    ``sha256`` over the canonical meta and every grid byte."""
+    digest = hashlib.sha256(json.dumps(meta, sort_keys=True).encode("utf-8"))
+    for grid in grids:
+        digest.update(np.ascontiguousarray(grid).tobytes())
+    return _joined(*encode_grid_payload(
+        {**meta, "sha256": digest.hexdigest()}, grids))
 
 
 def _wait_for_worker_death(manager: JobManager, timeout_s: float = 30.0):
@@ -228,7 +323,7 @@ class TestCheckpointIntegrity:
 
     def test_frame_rejects_tampered_metadata_and_data(self):
         grids = [np.arange(12, dtype=np.float64).reshape(3, 4)]
-        data = _frame({"job_id": "j1", "step": 7}, grids)
+        data = _joined(*_frame({"job_id": "j1", "step": 7}, grids))
         meta, decoded = _unframe(data)
         assert meta["step"] == 7
         assert decoded[0].tobytes() == grids[0].tobytes()
@@ -238,6 +333,250 @@ class TestCheckpointIntegrity:
             _unframe(bytes(flipped))
         with pytest.raises(JobIntegrityError):
             _unframe(data.replace(b'"step": 7', b'"step": 8'))
+
+    @pytest.mark.parametrize("tampering", sorted(TAMPERINGS))
+    def test_every_tampering_is_rejected_and_counted_at_recovery(
+            self, tampering, backend, tmp_path):
+        expected = _reference("hotspot2d", np.float64)
+        crashed, job = _crash_at(backend, tmp_path, "hotspot2d", segment=4)
+        crashed.close()
+        newest = sorted((tmp_path / job["job_id"]).glob("ckpt-*.rpg"))[-1]
+        assert _unframe(newest.read_bytes())[0]["step"] == 4
+        tampered = TAMPERINGS[tampering](newest.read_bytes())
+        with pytest.raises(JobIntegrityError):
+            _unframe(tampered)
+        newest.write_bytes(tampered)
+
+        counter = "repro_job_corrupt_checkpoints_total"
+        before = get_registry().snapshot()[counter]["value"]
+        recovered = _recover_and_finish(backend, tmp_path, job, segment=4)
+        assert recovered.corrupt_checkpoints == 1
+        assert get_registry().snapshot()[counter]["value"] == before + 1
+        for path in newest.parent.glob("ckpt-*.rpg"):  # the rot is gone
+            _unframe(path.read_bytes())
+        _descriptor, result = recovered.result(job["job_id"])
+        assert result.tobytes() == expected.tobytes()
+        recovered.close()
+
+    def test_frame_written_before_the_root_hash_still_validates(self):
+        grids = [np.arange(12, dtype=np.float64).reshape(3, 4)]
+        data = _legacy_frame({"job_id": "j1", "step": 7}, grids)
+        meta, decoded = _unframe(data)
+        assert meta == {"job_id": "j1", "step": 7}
+        assert decoded[0].tobytes() == grids[0].tobytes()
+        with pytest.raises(JobIntegrityError):
+            _unframe(_flip_last_byte(data))
+        with pytest.raises(JobIntegrityError, match="checksum mismatch"):
+            _unframe(data.replace(b'"step": 7', b'"step": 8'))
+
+    def test_job_checkpointed_before_the_upgrade_resumes(
+            self, backend, tmp_path):
+        expected = _reference("acoustic", np.float64)
+        crashed, job = _crash_at(backend, tmp_path, "acoustic", segment=4)
+        crashed.close()
+        for path in (tmp_path / job["job_id"]).glob("ckpt-*.rpg"):
+            path.write_bytes(_legacy_frame(*_unframe(path.read_bytes())))
+        recovered = _recover_and_finish(backend, tmp_path, job, segment=4)
+        assert recovered.corrupt_checkpoints == 0
+        _descriptor, result = recovered.result(job["job_id"])
+        assert result.tobytes() == expected.tobytes()
+        recovered.close()
+
+    def test_recovery_removes_a_write_the_crash_cut_short(
+            self, backend, tmp_path):
+        expected = _reference("hotspot2d", np.float64)
+        crashed, job = _crash_at(backend, tmp_path, "hotspot2d", segment=4)
+        crashed.close()
+        directory = tmp_path / job["job_id"]
+        newest = sorted(directory.glob("ckpt-*.rpg"))[-1]
+        torn = directory / "ckpt-00000008.rpg.tmp"
+        torn.write_bytes(newest.read_bytes()[:100])  # kill -9 mid-write
+        recovered = _recover_and_finish(backend, tmp_path, job, segment=4)
+        assert recovered.corrupt_checkpoints == 0
+        assert not list(directory.glob("*.tmp"))
+        _descriptor, result = recovered.result(job["job_id"])
+        assert result.tobytes() == expected.tobytes()
+        recovered.close()
+
+
+def _hold_checkpoint_writes(monkeypatch):
+    """Hold every post-submit checkpoint write open until released.
+
+    Returns ``(entered, release)``: ``entered`` is set once the writer is
+    inside ``_atomic_write`` for a ``ckpt-`` file past step 0, and the
+    write goes through only after ``release`` is set.
+    """
+    entered, release = threading.Event(), threading.Event()
+    real_write = jobs_module._atomic_write
+
+    def held_write(path, *pieces):
+        if path.name.startswith("ckpt-") and "ckpt-00000000" not in path.name:
+            entered.set()
+            assert release.wait(timeout=30.0)
+        real_write(path, *pieces)
+
+    monkeypatch.setattr(jobs_module, "_atomic_write", held_write)
+    return entered, release
+
+
+class TestCheckpointPipeline:
+    """Segment k's checkpoint is written while segment k+1 computes: what
+    must hold about order, failure, latency and memory."""
+
+    @pytest.mark.parametrize("segment,at", [
+        (segment, at) for segment in (1, 3, STEPS)
+        for at in range(1, -(-STEPS // segment) + 1)])  # every boundary
+    @pytest.mark.parametrize("key", ["acoustic", "hotspot2d"])
+    def test_crash_after_any_checkpoint_resumes_bit_identically(
+            self, key, segment, at, backend, tmp_path):
+        expected = _reference(key, np.float64)
+        crashed, job = _crash_at(backend, tmp_path, key, segment, at=at)
+        crashed.close()
+        # File first, then manifest: what job.json calls completed is never
+        # ahead of what a valid checkpoint holds.
+        directory = tmp_path / job["job_id"]
+        manifest = json.loads((directory / "job.json").read_text())
+        newest = sorted(directory.glob("ckpt-*.rpg"))[-1]
+        durable = _unframe(newest.read_bytes())[0]["step"]
+        assert manifest["status"] == "running"
+        assert manifest["completed_steps"] == durable == min(at * segment,
+                                                             STEPS)
+        assert not list(directory.glob("*.tmp"))
+
+        recovered = _recover_and_finish(backend, tmp_path, job, segment)
+        _descriptor, result = recovered.result(job["job_id"])
+        assert result.tobytes() == expected.tobytes()
+        recovered.close()
+
+    def test_writer_failure_fails_the_job_not_the_manager(
+            self, backend, tmp_path, monkeypatch):
+        real_write = jobs_module._atomic_write
+        checkpoints = []
+
+        def failing_write(path, *pieces):
+            if path.name.startswith("ckpt-"):
+                checkpoints.append(path.name)
+                if len(checkpoints) == 2:  # 1 = step 0 at submit
+                    raise OSError(28, "No space left on device")
+            real_write(path, *pieces)
+
+        monkeypatch.setattr(jobs_module, "_atomic_write", failing_write)
+        manager = JobManager(backend, job_dir=str(tmp_path),
+                             checkpoint_every=2)
+        job = manager.submit(_request_for("hotspot2d", np.float64))
+        final = manager.wait(job["job_id"], timeout_s=30.0)
+        assert final["status"] == FAILED
+        assert "OSError" in final["error"]
+        assert "No space left on device" in final["error"]
+        assert final["completed_steps"] == 0  # nothing past step 0 was durable
+        directory = tmp_path / job["job_id"]
+        assert [path.name for path in directory.glob("ckpt-*")] == [
+            "ckpt-00000000.rpg"]
+        assert _unframe((directory / "ckpt-00000000.rpg").read_bytes())[
+            0]["step"] == 0
+
+        healthy = manager.submit(_request_for("hotspot2d", np.float64))
+        assert manager.wait(healthy["job_id"],
+                            timeout_s=30.0)["status"] == COMPLETED
+        _descriptor, result = manager.result(healthy["job_id"])
+        assert result.tobytes() == _reference("hotspot2d",
+                                              np.float64).tobytes()
+        manager.close()
+
+    def test_status_does_not_wait_behind_a_checkpoint_write(
+            self, backend, tmp_path, monkeypatch):
+        entered, release = _hold_checkpoint_writes(monkeypatch)
+        manager = JobManager(backend, job_dir=str(tmp_path),
+                             checkpoint_every=2)
+        job = manager.submit(_request_for("hotspot2d", np.float64))
+        assert entered.wait(timeout=30.0)
+        started = time.perf_counter()
+        status = manager.status(job["job_id"])
+        elapsed = time.perf_counter() - started
+        release.set()
+        assert elapsed < 0.05
+        # The held checkpoint is not durable yet, so it is not reported.
+        assert (status["status"], status["completed_steps"]) == ("running", 0)
+        assert manager.wait(job["job_id"],
+                            timeout_s=30.0)["status"] == COMPLETED
+        manager.close()
+
+    @pytest.mark.parametrize("how", ["cancel", "deadline"])
+    def test_stop_with_a_checkpoint_in_flight_drains_the_writer(
+            self, how, backend, tmp_path, monkeypatch):
+        entered, release = _hold_checkpoint_writes(monkeypatch)
+        manager = JobManager(backend, job_dir=str(tmp_path),
+                             checkpoint_every=2)
+        job = manager.submit(
+            _request_for("hotspot2d", np.float64, steps=1000))
+        assert entered.wait(timeout=30.0)
+        if how == "cancel":
+            manager.cancel(job["job_id"])
+        else:
+            manager._get(job["job_id"]).deadline_at = time.time() - 1.0
+        release.set()
+        final = manager.wait(job["job_id"], timeout_s=30.0)
+        if how == "cancel":
+            assert final["status"] == JOB_CANCELLED
+        else:
+            assert (final["status"], final["code"]) == (FAILED,
+                                                        DEADLINE_EXCEEDED)
+        # Drained before the status flipped: nothing is in flight, and the
+        # steps the job reports are the steps its newest checkpoint holds.
+        assert manager._writes.unfinished_tasks == 0
+        newest = sorted((tmp_path / job["job_id"]).glob("ckpt-*.rpg"))[-1]
+        assert _unframe(newest.read_bytes())[0]["step"] == \
+            final["completed_steps"] > 0
+        threads = (manager._worker, manager._writer)
+        manager.close()
+        assert not any(thread.is_alive() for thread in threads)
+
+    @pytest.mark.parametrize("key", ["acoustic", "hotspot2d"])
+    def test_at_most_two_carry_states_are_alive(self, key, backend, tmp_path):
+        manager = JobManager(backend, job_dir=str(tmp_path),
+                             checkpoint_every=1)
+        handed_off, alive = [], []
+        write_checkpoint = manager._write_checkpoint
+
+        def count_alive() -> None:
+            alive.append(sum(any(ref() is not None for ref in refs)
+                             for refs in handed_off))
+
+        def watched(job, step, state):
+            handed_off.append([weakref.ref(grid) for grid in state])
+            count_alive()
+            write_checkpoint(job, step, state)
+            count_alive()
+
+        manager._write_checkpoint = watched
+        job = manager.submit(_request_for(key, np.float64))
+        assert manager.wait(job["job_id"],
+                            timeout_s=30.0)["status"] == COMPLETED
+        manager.close()
+        assert len(handed_off) == STEPS
+        # The state being written and the one the next segment produced.
+        assert 1 <= max(alive) <= 2
+        count_alive()  # after completion only the result's grid survives
+        assert alive[-1] <= 1
+
+
+    def test_wait_histogram_and_stats_show_the_writer(self, backend, tmp_path):
+        histogram = "repro_job_checkpoint_wait_seconds"
+        before = get_registry().snapshot()[histogram]["count"]
+        manager = JobManager(backend, job_dir=str(tmp_path),
+                             checkpoint_every=1)
+        job = manager.submit(_request_for("hotspot2d", np.float64))
+        assert manager.wait(job["job_id"],
+                            timeout_s=30.0)["status"] == COMPLETED
+        stats = manager.stats()
+        manager.close()
+        # One wait per boundary and one before the status flips; one
+        # persist per boundary and one at submit.
+        assert get_registry().snapshot()[histogram]["count"] == \
+            before + STEPS + 1
+        assert stats["checkpoints_written"] == STEPS + 1
+        assert stats["checkpoint_s"] > 0.0
+        assert stats["checkpoint_wait_s"] > 0.0
 
 
 class TestIdempotency:
@@ -342,14 +681,34 @@ class TestRetention:
             assert result.tobytes() == expected.tobytes()
         manager.close()
 
+    def test_terminal_jobs_release_their_carry_state(self, backend, tmp_path):
+        expected = _reference("hotspot2d", np.float64)
+        manager = JobManager(backend, job_dir=str(tmp_path), max_resident=1)
+        jobs = []
+        for _ in range(5):
+            job = manager.submit(_request_for("hotspot2d", np.float64))
+            assert manager.wait(job["job_id"],
+                                timeout_s=30.0)["status"] == COMPLETED
+            jobs.append(job)
+        cancelled = manager.submit(
+            _request_for("hotspot2d", np.float64, steps=100000))
+        manager.cancel(cancelled["job_id"])
+        manager.wait(cancelled["job_id"], timeout_s=30.0)
+        # max_resident bounds what completed jobs hold: one result, no state.
+        assert manager.stats()["resident_results"] == 1
+        assert [record.state for record in manager._jobs.values()] == [None] * 6
+        _descriptor, result = manager.result(jobs[0]["job_id"])  # evicted
+        assert result.tobytes() == expected.tobytes()
+        assert manager.stats()["resident_results"] == 1
+        manager.close()
+
 
 class TestWireIntegrity:
     def test_payload_roundtrip_carries_and_validates_checksums(self):
         rng = np.random.default_rng(11)
         grids = [rng.random((5, 7)),
                  rng.random((3, 4)).astype(np.float32)]
-        prefix, buffers = encode_grid_payload({"benchmark": "x"}, grids)
-        body = prefix + b"".join(bytes(buffer) for buffer in buffers)
+        body = _joined(*encode_grid_payload({"benchmark": "x"}, grids))
         meta, decoded = decode_grid_payload(body)
         assert meta == {"benchmark": "x"}
         for original, copy in zip(grids, decoded):
@@ -358,18 +717,15 @@ class TestWireIntegrity:
 
     def test_flipped_grid_byte_is_detected_at_decode(self):
         grids = [np.arange(20, dtype=np.float64).reshape(4, 5)]
-        prefix, buffers = encode_grid_payload({}, grids)
-        body = bytearray(prefix + b"".join(bytes(b) for b in buffers))
-        body[-1] ^= 0x01
+        body = _joined(*encode_grid_payload({}, grids))
         with pytest.raises(WireFormatError, match="checksum mismatch"):
-            decode_grid_payload(bytes(body))
+            decode_grid_payload(_flip_last_byte(body))
 
     def test_wire_payload_corrupt_fault_is_caught_by_the_receiver(self):
         faults.arm("wire.payload_corrupt")
         grids = [np.ones((3, 3), dtype=np.float64)]
-        prefix, buffers = encode_grid_payload({}, grids)
+        body = _joined(*encode_grid_payload({}, grids))
         faults.disarm()
-        body = prefix + b"".join(bytes(buffer) for buffer in buffers)
         with pytest.raises(WireFormatError, match="corrupted in transit"):
             decode_grid_payload(body)
 
