@@ -24,9 +24,13 @@ gradient_fn = make_userfun(
     ["c", "n", "s", "w", "e"],
     "return sqrt((c - n) * (c - n) + (c - s) * (c - s) + "
     "(c - w) * (c - w) + (c - e) * (c - e));",
-    lambda c, n, s, w, e: math.sqrt((c - n) ** 2 + (c - s) ** 2 + (c - w) ** 2 + (c - e) ** 2),
+    # Squares are written as products, like the C body: Python's ``** 2`` is
+    # libm ``pow`` and NumPy's ``power`` squares, which differ by an ulp on
+    # some inputs, and a product is the same IEEE operation in all three.
+    lambda c, n, s, w, e: math.sqrt(
+        (c - n) * (c - n) + (c - s) * (c - s) + (c - w) * (c - w) + (c - e) * (c - e)),
     numpy_fn=lambda c, n, s, w, e: np.sqrt(
-        (c - n) ** 2 + (c - s) ** 2 + (c - w) ** 2 + (c - e) ** 2
+        (c - n) * (c - n) + (c - s) * (c - s) + (c - w) * (c - w) + (c - e) * (c - e)
     ),
 )
 
@@ -54,7 +58,8 @@ def reference_gradient(grid: np.ndarray) -> np.ndarray:
     south = p[2:2 + n, 1:1 + m]
     west = p[1:1 + n, 0:m]
     east = p[1:1 + n, 2:2 + m]
-    return np.sqrt((c - north) ** 2 + (c - south) ** 2 + (c - west) ** 2 + (c - east) ** 2)
+    return np.sqrt((c - north) * (c - north) + (c - south) * (c - south)
+                   + (c - west) * (c - west) + (c - east) * (c - east))
 
 
 def _inputs(shape, seed) -> List[np.ndarray]:

@@ -25,6 +25,14 @@ first replayed:
    loop (:func:`~repro.backend.ufunc_trace.replay`) an unfused schedule
    does.
 
+3. **Native regions** — on the default tile spec a validated region is
+   first offered to :mod:`repro.backend.native`, which compiles its node
+   list into one C loop nest (every node a register) with the system
+   compiler; the region's :class:`FusedOp` then holds that one micro-op.
+   A host without a compiler, an operation outside the whitelist, a
+   compile or load failure: the region keeps the ufunc tiles of step 2,
+   counted under a ``native_*`` reason.
+
 Because every elementwise operation computes output element ``i`` from
 element ``i`` of its (broadcast) operands, executing the identical
 operation sequence on tiles is **bit-identical** to the full-array replay —
@@ -36,11 +44,16 @@ that, :meth:`~repro.backend.plan.ExecutionPlan._capture` verifies every
 fused tape against the unfused one bit for bit at capture time before
 accepting it.
 
+A native region answers to the same check
+under one relaxed relation — equal bits, or NaN on both sides — because C
+cannot pin which NaN a commutative operation returns.
+
 Tile shape is a first-class tuning parameter (see
 :func:`repro.tuning.parameters.fuse_tile_candidates` and
-:func:`measure_best_tile`): ``None`` selects a cache-sized row-block
-heuristic, ``False`` disables fusion, and an explicit tuple blocks the
-trailing output axes (``None`` entries keep an axis un-blocked).
+:func:`measure_best_tile`): ``None`` means the best replay this host has
+(a native region, else a cache-sized row-block tile), ``False`` disables
+fusion, and an explicit tuple means ufunc tiles blocking the trailing
+output axes (``None`` entries keep an axis un-blocked).
 
 **The region's store target.**  A region whose result is the plan's output
 writes each tile into the output ring buffer, which for a grid the program
@@ -142,7 +155,10 @@ def normalize_tile_spec(tile_shape):
 
 
 #: Grid bytes a replay worker must have to itself before it is worth waking:
-#: sixteen cache-sized tiles.  Measured on the 2-vCPU recording box: one
+#: sixteen cache-sized tiles.  This governs ufunc-tiled regions only; a
+#: native region replays as one call (two threads over row halves bought
+#: nothing on the recording box: 1.105 vs 1.052 ms at 1024²).
+#: Measured on the 2-vCPU recording box: one
 #: ``run_parts`` hand-off costs ≈20 µs idle and one tile of a 14-ufunc region
 #: ≈0.25 ms, but two chunks only overlap by the ≈1.15× the second vCPU adds
 #: to tile-sized ufuncs, so the gain must outweigh scheduling jitter on the
@@ -491,13 +507,16 @@ class FusedOp:
     state.
     """
 
-    __slots__ = ("parts", "tiles", "schedules")
+    __slots__ = ("parts", "tiles", "schedules", "native")
 
     def __init__(self, parts: List[List[Tuple]], tiles: int,
-                 schedules: int) -> None:
+                 schedules: int, native=None) -> None:
         self.parts = parts
         self.tiles = tiles
         self.schedules = schedules
+        #: The :class:`~repro.backend.native.NativeRegion` that is this
+        #: op's one micro-op, when the region compiled.
+        self.native = native
 
     @property
     def step_count(self) -> int:
@@ -510,6 +529,8 @@ class FusedOp:
     @property
     def nbytes(self) -> int:
         """Operand plus output bytes one replay moves."""
+        if self.native is not None:
+            return self.native.nbytes
         return sum(replay_nbytes(part) for part in self.parts)
 
     def run(self) -> None:
@@ -529,10 +550,12 @@ class FusionInfo:
     """What the optimizer did to one tape (reported via plan stats)."""
 
     __slots__ = ("regions", "tiles", "fused_schedules", "steps", "nbytes",
-                 "dead")
+                 "dead", "sources", "declines")
 
     def __init__(self) -> None:
         self.regions = 0
+        self.sources: List[str] = []   # C text of each native region
+        self.declines: List[str] = []  # why a region kept its ufunc tiles
         self.tiles = 0
         self.fused_schedules = 0
         self.steps = 0
@@ -609,8 +632,8 @@ def _partition_grid(grid: List, parts_count: int) -> List[List]:
 
 def _build_region(entries: List[TapeEntry], start: int, end: int,
                   out_buffer: np.ndarray, tile_spec, pool,
-                  scratch: List[np.ndarray], dead: List[np.ndarray],
-                  workers: int = 1) -> Optional[FusedOp]:
+                  scratch: List[np.ndarray], info: FusionInfo,
+                  workers: int = 1, native: bool = True) -> Optional[FusedOp]:
     schedules = [entry.schedule for entry in entries[start:end]]
     final_node = schedules[-1].nodes[-1]
     if final_node.buffer is None:
@@ -676,21 +699,36 @@ def _build_region(entries: List[TapeEntry], start: int, end: int,
             )]
         return view
 
-    parts: List[List[Tuple]] = []
-    for chunk in _partition_grid(grid, parts_count):
-        chunk_scratch = allocate_scratch()
-        parts.append([micro_op(node, tile_slicer(tile, chunk_scratch))
-                      for tile in chunk for node in nodes])
+    region = None
+    if native and tile_spec is None:
+        # The best replay this host has: one compiled loop nest.  A region
+        # it cannot take keeps the ufunc tiles below, counted by reason.
+        from . import native as _native  # nothing looks for a compiler earlier
+        try:
+            region = _native.build(nodes, region_shape, owner, through)
+        except _native.Unavailable as declined:
+            info.declines.append(declined.reason)
+    if region is not None:
+        info.sources.append(region.source)
+        parts, tile_count = [[(region, (), None)]], 1
+    else:
+        parts, tile_count = [], len(grid)
+        for chunk in _partition_grid(grid, parts_count):
+            chunk_scratch = allocate_scratch()
+            parts.append([micro_op(node, tile_slicer(tile, chunk_scratch))
+                          for tile in chunk for node in nodes])
 
     # What the schedules drew from the pool and the fused replay never
     # touches: everything but the written-through buffers.
-    dead.extend(buffer for schedule in schedules for buffer in schedule.scratch
-                if id(buffer) not in through)
-    return FusedOp(parts, tiles=len(grid), schedules=len(schedules))
+    info.dead.extend(buffer for schedule in schedules
+                     for buffer in schedule.scratch
+                     if id(buffer) not in through)
+    return FusedOp(parts, tiles=tile_count, schedules=len(schedules),
+                   native=region)
 
 
 def optimize_tape(entries: List[TapeEntry], out_buffer: np.ndarray,
-                  tile_spec, pool, workers: int = 1):
+                  tile_spec, pool, workers: int = 1, native: bool = True):
     """Fuse every eligible region of a captured tape.
 
     Returns ``(ops, scratch_buffers, info)`` — the new op list with fused
@@ -701,7 +739,10 @@ def optimize_tape(entries: List[TapeEntry], out_buffer: np.ndarray,
     to the unfused tape either way.  ``workers`` (already canonicalised through
     :func:`normalize_workers`) selects N-way chunked parallel replay; each
     chunk's scratch comes from the same ``pool``, so worker scratch is
-    released with the rest on fallback or plan release.
+    released with the rest on fallback or plan release.  With the heuristic
+    tile spec (``None``) a region is first offered to
+    :mod:`repro.backend.native`; ``native=False`` keeps every region on
+    ufunc tiles (the plan's retry after a native tape fails verification).
     """
     scratch: List[np.ndarray] = []
     info = FusionInfo()
@@ -709,7 +750,7 @@ def optimize_tape(entries: List[TapeEntry], out_buffer: np.ndarray,
     try:
         for start, end in find_regions(entries):
             fused = _build_region(entries, start, end, out_buffer, tile_spec,
-                                  pool, scratch, info.dead, workers=workers)
+                                  pool, scratch, info, workers, native)
             if fused is None:
                 continue
             replacements.append((start, end, fused))

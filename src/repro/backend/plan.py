@@ -51,7 +51,12 @@ before their first replay: runs of elementwise traced-ufunc schedules are
 fused into regions replayed **tile by tile** over
 cache-blocked output slices with per-tile pooled scratch, verified
 bit-identical against the unfused tape at capture time and falling back to
-it for anything the analyzer cannot prove safe.  The tile shape is a plan
+it for anything the analyzer cannot prove safe.  On the default tile spec
+a region is first compiled to one C loop nest
+(:mod:`repro.backend.native`) where the host has a compiler and the
+region's operations allow it; such a tape is verified the same way under
+one relaxed relation (equal bits, or NaN on both sides), and one that
+fails is rebuilt on ufunc tiles.  The tile shape is a plan
 parameter (``tile_shape``) the auto-tuner searches, and so is
 ``parallel_workers``: with ``N >= 2`` each fused region's tile grid is
 chunked across a persistent worker-thread pool, every chunk replaying
@@ -265,6 +270,20 @@ def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
     ))
 
 
+def _same_or_nan(a: np.ndarray, b: np.ndarray) -> bool:
+    """The relation a tape with native regions answers to: equal bits, or
+    NaN on both sides.
+
+    C cannot pin which NaN a commutative operation returns — its sign and
+    payload follow the operand order the compiler chose — and no operation
+    a native region may contain can observe either."""
+    if a.shape != b.shape or a.dtype != b.dtype or a.dtype != np.float64:
+        return _bits_equal(a, b)
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return bool(((a.view(np.uint64) == b.view(np.uint64))
+                 | (np.isnan(a) & np.isnan(b))).all())
+
+
 class _Tape:
     """One captured buffer binding: ordered ops plus the output buffer.
 
@@ -334,8 +353,9 @@ class ExecutionPlan:
         self.program = program
         self.size_env = dict(size_env or {})
         self.batched = batched
-        #: Tape-optimizer tile spec: ``None`` = cache-sized heuristic,
-        #: ``False`` = unfused tapes, a tuple = explicit trailing-axis tile.
+        #: Tape-optimizer tile spec: ``None`` = the best replay this host
+        #: has (native regions, else cache-sized tiles), ``False`` = unfused
+        #: tapes, a tuple = explicit trailing-axis ufunc tiles.
         self.tile_shape = normalize_tile_spec(tile_shape)
         self.input_shapes = plan_signature(inputs_or_signature)
         #: Fused-region replay workers, resolved: 1 = serial, ``N >= 2``
@@ -386,6 +406,7 @@ class ExecutionPlan:
         self.fused_regions = 0
         self.fused_tiles = 0
         self.fused_schedules = 0
+        self.native_regions = 0     # fused regions replayed as one C loop
         self.fusion_fallbacks = 0
         self.resident_pads = 0      # pads served as views of a home
         self.materialized_pads = 0  # pads copied (no home, or no match)
@@ -550,6 +571,7 @@ class ExecutionPlan:
             self.fused_regions += tape.fusion.regions
             self.fused_tiles += tape.fusion.tiles
             self.fused_schedules += tape.fusion.fused_schedules
+            self.native_regions += len(tape.fusion.sources)
         self.replay_bytes_per_step = max(self.replay_bytes_per_step,
                                          tape.nbytes)
         return tape
@@ -563,7 +585,9 @@ class ExecutionPlan:
             expected = self._kernel.run_batched(state)
         else:
             expected = self._kernel(state)
-        return _bits_equal(np.asarray(expected), tape.out)
+        native = tape.fusion is not None and tape.fusion.sources
+        same = _same_or_nan if native else _bits_equal
+        return same(np.asarray(expected), tape.out)
 
     def _assemble(self, arena: CaptureArena, value, slot: int) -> _Tape:
         """Turn one traced execution into a tape writing output ``slot``."""
@@ -622,39 +646,48 @@ class ExecutionPlan:
         tile, so it must reproduce the unfused replay bit for bit — which
         is checked right here, against the output the capture just
         computed, before the fused tape is ever trusted with a result.
+        Native regions are tried first; a tape they fail is rebuilt on ufunc
+        tiles and answers to the strict comparison.
         """
         out_buffer = tape.out
-        try:
-            optimized = optimize_tape(entries, out_buffer, self.tile_shape,
-                                      self._pool,
-                                      workers=self.parallel_workers)
-        except Exception:  # noqa: BLE001 - fusion must never break execution
-            self.fusion_fallbacks += 1
-            _FUSION_FALLBACKS_TOTAL.inc(label="analysis")
-            return tape
-        if optimized is None:
-            return tape
-        ops, scratch, info = optimized
-        snapshot = out_buffer.copy()
-        dead = {id(buffer) for buffer in info.dead}
-        fused = _Tape(ops, out_buffer,
-                      [b for b in tape.buffers if id(b) not in dead] + scratch,
-                      info.nbytes, fusion=info)
-        try:
-            fused.run()
-            accepted = _bits_equal(snapshot, out_buffer)
-        except Exception:  # noqa: BLE001 - reject, restore, fall back
-            accepted = False
-        if not accepted:
+        for native in (True, False):
+            try:
+                optimized = optimize_tape(entries, out_buffer, self.tile_shape,
+                                          self._pool, self.parallel_workers,
+                                          native)
+            except Exception:  # noqa: BLE001 - fusion must never break execution
+                self.fusion_fallbacks += 1
+                _FUSION_FALLBACKS_TOTAL.inc(label="analysis")
+                return tape
+            if optimized is None:
+                return tape
+            ops, scratch, info = optimized
+            snapshot = out_buffer.copy()
+            for reason in info.declines:
+                _FUSION_FALLBACKS_TOTAL.inc(label=reason)
+            dead = {id(buffer) for buffer in info.dead}
+            fused = _Tape(ops, out_buffer,
+                          [b for b in tape.buffers if id(b) not in dead]
+                          + scratch, info.nbytes, fusion=info)
+            try:
+                fused.run()
+                same = _same_or_nan if info.sources else _bits_equal
+                accepted = same(snapshot, out_buffer)
+            except Exception:  # noqa: BLE001 - reject, restore, fall back
+                accepted = False
+            if accepted:
+                # Nothing in the accepted tape touches the schedules'
+                # full-grid buffers, so the next capture may have them.
+                self._pool.release_all(info.dead)
+                return fused
             self._pool.release_all(scratch)
-            self.fusion_fallbacks += 1
-            _FUSION_FALLBACKS_TOTAL.inc(label="verification")
             tape.run()  # restore every buffer from the trusted unfused ops
-            return tape
-        # Tile scratch replaced the schedules' full-grid buffers: nothing in
-        # the accepted tape touches them, so the next capture may have them.
-        self._pool.release_all(info.dead)
-        return fused
+            if not info.sources:
+                break
+            _FUSION_FALLBACKS_TOTAL.inc(label="native_verification")
+        self.fusion_fallbacks += 1
+        _FUSION_FALLBACKS_TOTAL.inc(label="verification")
+        return tape
 
     def _step(self, state: List[np.ndarray], slot: int) -> np.ndarray:
         key = (tuple(id(buffer) for buffer in state), slot)
@@ -799,6 +832,7 @@ class ExecutionPlan:
                 "buffer_bytes": sum(b.nbytes for b in self._buffers),
                 "fused_regions": self.fused_regions,
                 "fused_tiles": self.fused_tiles,
+                "native_regions": self.native_regions,
                 "fused_schedules": self.fused_schedules,
                 # halo gathers that cost no full-grid pass: the resident
                 # ones (a copied pad is never inside a region)
@@ -810,6 +844,14 @@ class ExecutionPlan:
                 "tile_shape": self.tile_shape,
                 "parallel_workers": self.parallel_workers,
             }
+
+    def native_sources(self) -> List[str]:
+        """The C text of each native region, in capture order (several
+        tapes of one plan usually share one text)."""
+        with self._lock:
+            return [source for tape in self._tapes.values()
+                    if tape.fusion is not None
+                    for source in tape.fusion.sources]
 
     def release(self) -> None:
         """Return every pooled buffer.  The plan must not be used afterwards."""

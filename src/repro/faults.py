@@ -70,6 +70,8 @@ POINTS = (
     "pool.alloc_fail",
     "plan.capture_fail",
     "replay.chunk_error",
+    "native.compile_error",
+    "native.load_error",
     "store.locked",
     "job.crash_after_checkpoint",
     "job.checkpoint_corrupt",

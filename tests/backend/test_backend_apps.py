@@ -43,6 +43,24 @@ def test_compiled_matches_interpreter_on_every_app(key):
     assert np.allclose(compiled, bench.run_reference(inputs), rtol=1e-5, atol=1e-6)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gradient_squares_are_products_on_every_path(seed):
+    # Regression: the scalar callable squared with ``** 2`` (libm ``pow``)
+    # while NumPy's ``power`` multiplies, and at 96x96 one or two cells per
+    # seed came out an ulp apart.  Written as products, like the C body, the
+    # interpreter, the compiled kernel and the default plan agree byte for
+    # byte.
+    from repro.backend.base import NumpyBackend
+
+    bench = ALL_BENCHMARKS["gradient"]
+    inputs = bench.make_inputs((96, 96), seed)
+    compiled, oracle = run_both(bench.build_program(), list(inputs))
+    planned = squeeze_result(
+        NumpyBackend(cache=None).plan(bench.build_program(), inputs).run(inputs))
+    assert compiled.tobytes() == oracle.tobytes() == planned.tobytes()
+    assert bench.run_reference(inputs).tobytes() == oracle.tobytes()
+
+
 @pytest.mark.parametrize("key", sorted(ALL_BENCHMARKS))
 def test_compiled_matches_interpreter_on_lowered_naive(key):
     bench = ALL_BENCHMARKS[key]

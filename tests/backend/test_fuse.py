@@ -235,13 +235,16 @@ class TestFusedResidency:
     """What fusion leaves pinned, and where a fused region stores."""
 
     def test_default_512_plan_pins_five_grids_at_most(self):
-        # Tiles smaller than the grid: tile scratch replaced the schedules'
-        # full-grid buffers and the pads are views, so what is left at grid
-        # size is the two inputs and the ring (20 buffers before).
+        # Tiles smaller than the grid (the tile the heuristic picks at this
+        # size, named so a compiler on the host does not change the test's
+        # subject): tile scratch replaced the schedules' full-grid buffers
+        # and the pads are views, so what is left at grid size is the two
+        # inputs and the ring (20 buffers before).
         bench = get_benchmark("hotspot2d")
         inputs = bench.make_inputs((512, 512), 3)
         pool = BufferPool()
-        plan = ExecutionPlan(bench.build_program(), inputs, pool=pool)
+        plan = ExecutionPlan(bench.build_program(), inputs, pool=pool,
+                             tile_shape=(64, None))
         plan.iterate(inputs, 16, carry=bench.carry_spec())
         stats = plan.stats()
         assert stats["fused_tiles"] > stats["fused_regions"] == 3
@@ -249,6 +252,32 @@ class TestFusedResidency:
         assert sum(b.nbytes >= grid for b in plan._buffers) <= 5
         assert stats["resident_pads"] >= 2 and stats["fusion_fallbacks"] == 0
         # nothing the plan still holds was handed back, and vice versa
+        assert pool.stats()["live_buffers"] == stats["buffers"]
+        plan.release()
+        assert pool.stats()["live_buffers"] == 0
+
+    def test_default_512_native_plan_pins_five_grids_and_no_tile_scratch(self):
+        # The native twin: registers replaced the schedules' full-grid
+        # buffers and there are no tiles, so grid-sized buffers are all the
+        # plan holds — the two inputs and the ring.
+        from repro.backend import native
+
+        try:
+            native.compiler()
+        except native.Unavailable:
+            pytest.skip("no C compiler on this host")
+        bench = get_benchmark("hotspot2d")
+        inputs = bench.make_inputs((512, 512), 3)
+        pool = BufferPool()
+        plan = ExecutionPlan(bench.build_program(), inputs, pool=pool)
+        plan.iterate(inputs, 16, carry=bench.carry_spec())
+        stats = plan.stats()
+        assert stats["native_regions"] == stats["fused_regions"] == 3
+        assert stats["fused_tiles"] == 3
+        grid = inputs[0].nbytes
+        assert all(b.nbytes >= grid for b in plan._buffers)
+        assert len(plan._buffers) <= 5
+        assert stats["resident_pads"] >= 2 and stats["fusion_fallbacks"] == 0
         assert pool.stats()["live_buffers"] == stats["buffers"]
         plan.release()
         assert pool.stats()["live_buffers"] == 0
