@@ -226,7 +226,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service.server import run_server
+    import inspect
+
+    from .service.server import StencilService, run_server
     from .telemetry.logs import configure_logging
 
     configure_logging(level=args.log_level, json_lines=args.log_json)
@@ -262,36 +264,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"window {args.window_ms} ms, max batch {args.max_batch}"
           f"{shard_text}{metrics_text})",
           flush=True)
-    stats = run_server(
-        host=args.host,
-        port=args.port,
-        max_requests=args.max_requests,
-        prewarm=prewarm,
-        prewarm_batch=tuple(args.prewarm_batch or ()),
-        metrics_port=args.metrics_port,
-        http_port=args.http_port,
-        auth_key=args.auth_key,
-        drain_timeout=args.drain_timeout,
-        max_request_bytes=args.max_request_bytes,
-        device=args.device,
+    # Every flag named like a keyword of run_server or StencilService feeds
+    # that keyword; the flags that are not the keyword's value are written out.
+    accepted = {*inspect.signature(run_server).parameters,
+                *inspect.signature(StencilService).parameters}
+    keywords = {name: value for name, value in vars(args).items()
+                if name in accepted}
+    keywords.update(
         store=store,
         batch_window=args.window_ms / 1e3,
-        max_batch=args.max_batch,
-        crosscheck=args.crosscheck,
-        auto_tune=args.auto_tune,
-        shards=args.shards,
-        max_queue_depth=args.max_queue_depth,
-        max_inflight_per_digest=args.max_inflight_per_digest,
-        shard_timeout_s=args.shard_timeout_s,
         supervise=not args.no_supervise,
-        max_respawns=args.max_respawns,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_s=args.breaker_cooldown_s,
-        job_dir=args.job_dir,
-        checkpoint_every=args.checkpoint_every,
-        job_ttl_s=args.job_ttl_s,
-        max_resident_jobs=args.max_resident_jobs,
+        prewarm=prewarm,
+        prewarm_batch=tuple(args.prewarm_batch or ()),
     )
+    stats = run_server(**keywords)
     if stats:
         import json as _json
 
@@ -574,8 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--job-dir", default=None, metavar="DIR",
                        help="durable-job state directory: multi-timestep "
                             "jobs checkpoint here and are resumed from it "
-                            "on restart (default: a per-process temp dir, "
-                            "durable for the process only)")
+                            "on restart (default: none, jobs are kept in "
+                            "memory and lost with the process)")
     serve.add_argument("--checkpoint-every", type=int, default=16,
                        metavar="STEPS",
                        help="default checkpoint segment length for durable "

@@ -4,10 +4,13 @@ A small asyncio HTTP/1.1 endpoint (same zero-dependency style as the
 telemetry sidecar, plus keep-alive and request bodies) that feeds the
 **same** :class:`~repro.service.server.StencilService` batcher as the
 JSON-lines TCP endpoint — an HTTP request and a TCP request for the same
-digest land in the same micro-batch.  It owns four things and no
-operation logic: the route table :data:`ROUTES` (request line → op), the
-body decoder :func:`decode_body` (content type + bytes → metadata +
-grids), the ``code`` → status-line map, and one reply writer.
+digest land in the same micro-batch.  It owns five things and no
+operation logic: the request reader :func:`read_request` (stream → request
+line, bounded header block, bounded body — the sidecar reads through it
+too, so there is one HTTP parser to harden), the route table
+:data:`ROUTES` (request line → op), the body decoder :func:`decode_body`
+(content type + bytes → metadata + grids), the ``code`` → status-line map,
+and one reply writer.
 
 Content negotiation, both directions:
 
@@ -20,10 +23,10 @@ Content negotiation, both directions:
 
 Reply codes map onto status codes: ``DeadlineExceeded`` → 504,
 ``AdmissionRejected`` → 429 (with a ``Retry-After`` header from
-``retry_after_ms``), bad auth → 401, an oversized body → 413, a malformed
-request or broken framing → 400, an unknown path or job id → 404, a
-result requested before the job completed → 409.  The body is the same
-structured reply the TCP endpoint writes, so HTTP and TCP clients see
+``retry_after_ms``), bad auth → 401, an oversized body or header block →
+413 (before authentication), a malformed request or broken framing → 400,
+an unknown path or job id → 404, a result requested before the job
+completed → 409.  The body is the same structured reply the TCP endpoint writes, so HTTP and TCP clients see
 identical in-band information.
 """
 
@@ -33,12 +36,13 @@ import asyncio
 import hmac
 import json
 import logging
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..telemetry import registry as _telemetry
 from .ops import Reply, dispatch, refusal
+from .server import DEFAULT_MAX_REQUEST_BYTES, ServedGate
 from .requests import (
     ADMISSION_REJECTED,
     BAD_REQUEST,
@@ -59,11 +63,6 @@ from .wire import (
 
 log = logging.getLogger("repro.service.http")
 
-_REJECTS_TOTAL = _telemetry.counter(
-    "repro_rejects_total",
-    "Requests pushed back by admission control (429-style), by reason.",
-    label="reason",
-)
 _HTTP_REQUESTS_TOTAL = _telemetry.counter(
     "repro_http_requests_total", "HTTP requests answered, by status class.",
     label="status",
@@ -86,14 +85,14 @@ ROUTES = (
     ("GET", "/v1/jobs/{job_id}/result", "job_result", None),
 )
 
-_REASONS = {200: "OK", 400: "Bad Request", 401: "Unauthorized",
-            404: "Not Found", 405: "Method Not Allowed",
-            409: "Conflict", 413: "Payload Too Large",
-            429: "Too Many Requests", 500: "Internal Server Error",
-            504: "Gateway Timeout"}
+REASONS = {200: "OK", 400: "Bad Request", 401: "Unauthorized",
+           404: "Not Found", 405: "Method Not Allowed",
+           409: "Conflict", 413: "Payload Too Large",
+           429: "Too Many Requests", 500: "Internal Server Error",
+           503: "Service Unavailable", 504: "Gateway Timeout"}
 
 #: Reply ``code`` → HTTP status.
-_CODE_STATUS = {
+CODE_STATUS = {
     DEADLINE_EXCEEDED: 504,
     ADMISSION_REJECTED: 429,
     UNAUTHORIZED: 401,
@@ -104,14 +103,29 @@ _CODE_STATUS = {
 }
 
 
-class _HTTPError(Exception):
+#: The request line and the header block of one request together: at most
+#: this many bytes and this many header lines, whichever comes first.
+MAX_HEADER_BYTES = 64 * 1024
+MAX_HEADER_LINES = 100
+
+
+class HTTPError(Exception):
     """An HTTP-level refusal answered before the request reaches an op."""
 
     def __init__(self, code: str, message: str,
                  status: Optional[int] = None) -> None:
         super().__init__(message)
         self.code = code
-        self.status = status
+        self.status = status if status is not None else CODE_STATUS[code]
+
+
+class Request(NamedTuple):
+    """One request as :func:`read_request` read it off a stream."""
+
+    method: str
+    target: str
+    headers: Dict[str, str]           # names lower-cased
+    body: bytes
 
 
 def _route(method: str, path: str) -> Tuple[str, Dict[str, str],
@@ -130,9 +144,9 @@ def _route(method: str, path: str) -> Tuple[str, Dict[str, str],
                         if want.startswith("{")}, required
         path_known = True
     if path_known:
-        raise _HTTPError(BAD_REQUEST, f"{path} does not support {method}",
+        raise HTTPError(BAD_REQUEST, f"{path} does not support {method}",
                          status=405)
-    raise _HTTPError(NOT_FOUND, f"unknown path {path!r}")
+    raise HTTPError(NOT_FOUND, f"unknown path {path!r}")
 
 
 def route_for(op: str, meta: Dict[str, object]) -> Optional[Tuple[str, str]]:
@@ -162,10 +176,10 @@ def decode_body(content_type: str,
             raise ValueError(f"unsupported content type {media!r}")
         message = json.loads(body.decode("utf-8"))
     except Exception as error:  # noqa: BLE001 - hostile bytes answer 400
-        raise _HTTPError(BAD_REQUEST,
+        raise HTTPError(BAD_REQUEST,
                          f"malformed body: {type(error).__name__}: {error}")
     if not isinstance(message, dict):
-        raise _HTTPError(BAD_REQUEST, "body must be a JSON object")
+        raise HTTPError(BAD_REQUEST, "body must be a JSON object")
     return message, None
 
 
@@ -192,7 +206,7 @@ async def _read_body(reader: asyncio.StreamReader,
     Every refusal raised here leaves unread bytes in the socket, so the
     caller answers it and closes the connection.
     """
-    too_large = _HTTPError(
+    too_large = HTTPError(
         REQUEST_TOO_LARGE, f"request body exceeds {max_request_bytes} bytes")
     encoding = headers.get("transfer-encoding", "").lower()
     if "chunked" in encoding:
@@ -205,7 +219,7 @@ async def _read_body(reader: asyncio.StreamReader,
             except ValueError:
                 size = -1
             if size < 0:
-                raise _HTTPError(BAD_REQUEST, "malformed chunk size")
+                raise HTTPError(BAD_REQUEST, "malformed chunk size")
             if size == 0:
                 while True:  # trailers, then the final blank line
                     trailer = await reader.readline()
@@ -222,10 +236,50 @@ async def _read_body(reader: asyncio.StreamReader,
     except ValueError:
         length = -1
     if length < 0:
-        raise _HTTPError(BAD_REQUEST, "malformed Content-Length")
+        raise HTTPError(BAD_REQUEST, "malformed Content-Length")
     if length > max_request_bytes:
         raise too_large
     return await reader.readexactly(length) if length else b""
+
+
+async def read_request(reader: asyncio.StreamReader,
+                       max_request_bytes: int) -> Optional[Request]:
+    """Read one HTTP/1.1 request off a stream — the one place that does.
+
+    Both listeners (the ``/v1`` endpoint and the telemetry sidecar) call
+    this before they authenticate or route anything, so what it bounds is
+    what an anonymous peer can make the server hold: the request line plus
+    header block by :data:`MAX_HEADER_BYTES` / :data:`MAX_HEADER_LINES`, the
+    body by ``max_request_bytes``.  ``None`` means the peer closed (or sent
+    no request line).  A refusal is raised as :class:`HTTPError`; it leaves
+    unread bytes in the socket, so the caller answers it and closes.
+    """
+    def too_large() -> HTTPError:
+        return HTTPError(
+            REQUEST_TOO_LARGE,
+            f"request headers exceed {MAX_HEADER_BYTES} bytes or "
+            f"{MAX_HEADER_LINES} lines")
+
+    headers: Dict[str, str] = {}
+    try:
+        request_line = await reader.readline()
+        parts = request_line.decode("latin-1").split()
+        if len(parts) < 2:
+            return None
+        size = len(request_line)
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            size += len(line)
+            if size > MAX_HEADER_BYTES or len(headers) >= MAX_HEADER_LINES:
+                raise too_large()
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+    except ValueError:  # one line longer than the stream's limit
+        raise too_large() from None
+    body = await _read_body(reader, headers, max_request_bytes)
+    return Request(parts[0], parts[1], headers, body)
 
 
 def _authorized(headers: Dict[str, str], auth_key: Optional[str]) -> bool:
@@ -244,36 +298,42 @@ async def serve_http(
     host: str = "127.0.0.1",
     port: int = 7458,
     auth_key: Optional[str] = None,
-    max_request_bytes: int = 32 * 1024 * 1024,
+    max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
     chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-    on_served=None,
+    gate: Optional[ServedGate] = None,
 ) -> "asyncio.AbstractServer":
     """Expose a started service as the ``/v1/*`` HTTP endpoint.
 
     Connections are keep-alive: one client can pump many requests through
     one socket (the client library's pooling counterpart).  Responses are
     written prefix-then-buffers in bounded chunks, so large binary results
-    stream instead of being joined into one object.  ``on_served`` is
-    called after each answered execute/iterate request — ``repro serve``
-    points it at the shared ``--max-requests`` gate.
+    stream instead of being joined into one object.  ``gate`` is the
+    :class:`~repro.service.server.ServedGate` ``repro serve`` shares with
+    the TCP endpoint: each answered execute/iterate request is marked on
+    it, every open connection is in its set for the shutdown drain, and
+    once it has resolved every reply says ``Connection: close``.
     """
+    if gate is None:
+        gate = ServedGate()
 
     async def write_reply(writer: asyncio.StreamWriter, reply: Reply,
                           accept: str, close: bool,
-                          status: Optional[int] = None) -> None:
+                          status: Optional[int] = None) -> bool:
         """The one reply writer: status line from the reply's ``code``,
-        JSON or RPG1 body from ``Accept``, ``Connection`` as asked."""
+        JSON or RPG1 body from ``Accept``, ``Connection: close`` as asked
+        or once the gate has resolved.  Returns whether it said ``close``."""
         meta = reply.meta
         if status is None:
             status = (200 if meta.get("ok")
-                      else _CODE_STATUS.get(str(meta.get("code") or ""), 500))
+                      else CODE_STATUS.get(str(meta.get("code") or ""), 500))
         # Encoding a grid (sha256 / tolist) stays off the loop; a bare
         # metadata reply is not worth the thread hop.
         content_type, prefix, buffers = (
             encode_reply(reply, accept) if reply.grid is None
             else await loop.run_in_executor(None, encode_reply, reply, accept))
+        close = close or gate.done.done()
         lines = [
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
+            f"HTTP/1.1 {status} {REASONS.get(status, 'OK')}",
             f"Content-Type: {content_type}",
             f"Content-Length: {payload_length(prefix, buffers)}",
             f"Connection: {'close' if close else 'keep-alive'}",
@@ -289,65 +349,54 @@ async def serve_http(
                 writer.write(bytes(buffer[start:start + chunk_bytes]))
                 await writer.drain()
         _HTTP_REQUESTS_TOTAL.inc(label=f"{status // 100}xx")
+        return close
 
     async def handle_one(reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> bool:
         """Serve one request; returns False when the connection should close."""
-        request_line = await reader.readline()
-        if not request_line:
+        try:
+            request = await read_request(reader, max_request_bytes)
+        except HTTPError as error:
+            if error.code == REQUEST_TOO_LARGE:
+                service.count_reject("too_large")
+            # Unread bytes are still in the socket; close to resync.
+            await write_reply(writer, refusal(error.code, str(error)), "",
+                              close=True)
             return False
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
+        if request is None:
             return False
-        method, target = parts[0], parts[1]
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+        method, target, headers, body = request
         accept = headers.get("accept", "")
         keep_alive = headers.get("connection", "").lower() != "close"
         path = target.split("?")[0].rstrip("/")
-        try:
-            body = await _read_body(reader, headers, max_request_bytes)
-        except _HTTPError as error:
-            if error.code == REQUEST_TOO_LARGE:
-                _REJECTS_TOTAL.inc(label="too_large")
-            # The unread body is still in the socket; close to resync.
-            await write_reply(writer, refusal(error.code, str(error)),
-                              accept, close=True)
-            return False
-        status, served = None, False
+        status = None
         try:
             op, params, required = _route(method, path)
             if op != "ping" and not _authorized(headers, auth_key):
-                _REJECTS_TOTAL.inc(label="unauthorized")
-                raise _HTTPError(UNAUTHORIZED, "missing or invalid auth key")
+                service.count_reject("unauthorized")
+                raise HTTPError(UNAUTHORIZED, "missing or invalid auth key")
             # Body decode can be arbitrarily large; keep it off the loop so
             # one fat request does not stall the batch window.
             meta, grids = ({}, None) if not body else (
                 await loop.run_in_executor(
                     None, decode_body, headers.get("content-type", ""), body))
             if required is not None and required not in meta:
-                raise _HTTPError(BAD_REQUEST,
-                                 f"{path} requires {required!r} in the body")
-        except _HTTPError as error:
+                raise HTTPError(BAD_REQUEST,
+                                f"{path} requires {required!r} in the body")
+        except HTTPError as error:
             reply, status = refusal(error.code, str(error)), error.status
         else:
             reply = await dispatch(service, op, {**meta, **params}, grids)
-            served = op == "execute"
+            if op == "execute":
+                gate.mark()
             if op == "ping":  # /healthz keeps the probe-friendly field
                 reply.meta["status"] = "ok"
-        await write_reply(writer, reply, accept, close=not keep_alive,
-                          status=status)
-        if served and on_served is not None:
-            on_served()
-        return keep_alive
+        return not await write_reply(writer, reply, accept,
+                                     close=not keep_alive, status=status)
 
     async def handle(reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
+        gate.connections.add(writer)
         try:
             while await handle_one(reader, writer):
                 pass
@@ -365,11 +414,14 @@ async def serve_http(
                 writer.close()
             except Exception:  # noqa: BLE001 - teardown must not raise
                 pass
+            gate.connections.discard(writer)
 
     loop = asyncio.get_running_loop()
     # The stream limit only bounds readline/readuntil (request/header/chunk
-    # lines); bodies are bounded explicitly in _read_body.
+    # lines); header blocks and bodies are bounded in read_request.
     return await asyncio.start_server(handle, host, port, limit=1024 * 1024)
 
 
-__all__ = ["ROUTES", "decode_body", "encode_reply", "route_for", "serve_http"]
+__all__ = ["CODE_STATUS", "HTTPError", "MAX_HEADER_BYTES", "MAX_HEADER_LINES",
+           "REASONS", "ROUTES", "Request", "decode_body", "encode_reply",
+           "read_request", "route_for", "serve_http"]

@@ -76,7 +76,6 @@ import shutil
 import threading
 import time
 import uuid
-import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,7 +86,7 @@ import numpy as np
 from .. import faults as _faults
 from ..apps.base import squeeze_result
 from ..backend.plan import normalize_carry
-from ..telemetry import registry as _telemetry
+from ..telemetry.registry import MetricsRegistry
 from .executor import run_trajectory
 from .requests import (
     CANCELLED,
@@ -104,36 +103,6 @@ from .wire import (
 )
 
 log = logging.getLogger("repro.service.jobs")
-
-_SUBMITS_TOTAL = _telemetry.counter(
-    "repro_job_submits_total", "Durable jobs accepted (idempotent-deduped "
-    "re-submits are not counted).")
-_CHECKPOINTS_TOTAL = _telemetry.counter(
-    "repro_job_checkpoints_total", "Job checkpoints atomically persisted.")
-_RESUMES_TOTAL = _telemetry.counter(
-    "repro_job_resumes_total", "Incomplete jobs resumed from a checkpoint "
-    "after a restart.")
-_COMPLETIONS_TOTAL = _telemetry.counter(
-    "repro_job_completions_total", "Jobs that ran to completion.")
-_FAILURES_TOTAL = _telemetry.counter(
-    "repro_job_failures_total", "Jobs that terminated with an error "
-    "(including mid-trajectory deadline sheds).")
-_CANCELLATIONS_TOTAL = _telemetry.counter(
-    "repro_job_cancellations_total", "Jobs cancelled between segments.")
-_CORRUPT_CHECKPOINTS_TOTAL = _telemetry.counter(
-    "repro_job_corrupt_checkpoints_total",
-    "Checkpoints discarded at recovery because checksum validation failed.")
-_RESULTS_EVICTED_TOTAL = _telemetry.counter(
-    "repro_job_results_evicted_total",
-    "Resident job results evicted by the max-resident bound (still "
-    "servable from disk when a job dir is configured).")
-_CHECKPOINT_SECONDS = _telemetry.histogram(
-    "repro_job_checkpoint_seconds",
-    "Wall time to persist one job checkpoint (encode + fsync + rename).")
-_CHECKPOINT_WAIT_SECONDS = _telemetry.histogram(
-    "repro_job_checkpoint_wait_seconds",
-    "Wall time a job's compute thread spent blocked at a segment boundary "
-    "on the previous checkpoint's write.")
 
 #: Job lifecycle states.  ``queued`` and ``running`` are recoverable;
 #: ``completed`` / ``failed`` / ``cancelled`` are terminal.
@@ -376,6 +345,11 @@ class JobManager:
     flight).  ``job_dir=None`` runs memory-only (no durability
     across restarts, same segmented semantics) — the mode unit tests use
     for the deadline/cancel/TTL behaviours that don't need a disk.
+
+    Every job counter, the two checkpoint histograms and the resident-
+    results gauge are instruments of ``metrics`` — the owning service's
+    registry, or a private one for a manager built alone — and
+    :meth:`stats` reads them back; nothing is counted twice.
     """
 
     def __init__(
@@ -387,6 +361,7 @@ class JobManager:
         job_ttl_s: float = 3600.0,
         max_resident: int = 64,
         keep_checkpoints: int = 2,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if checkpoint_every < 1:
             raise JobError("checkpoint_every must be >= 1")
@@ -411,36 +386,57 @@ class JobManager:
         self._writes: "queue.Queue" = queue.Queue()
         self._writer: Optional[threading.Thread] = None
         self._write_error: Optional[BaseException] = None
-        # Operational counters (scraped via the service stats section).
-        self.checkpoints_written = 0
-        self.checkpoint_s = 0.0
-        self.checkpoint_wait_s = 0.0
-        self.jobs_resumed = 0
-        self.corrupt_checkpoints = 0
-        self.results_evicted = 0
-        if self.job_dir is not None:
-            self.job_dir.mkdir(parents=True, exist_ok=True)
-        self._register_gauge()
-
-    # -- gauges ---------------------------------------------------------------
-    def _register_gauge(self) -> None:
-        manager_ref = weakref.ref(self)
-
-        def resident() -> float:
-            manager = manager_ref()
-            if manager is None:
-                return 0.0
-            with manager._lock:
-                return float(sum(
-                    1 for job in manager._jobs.values()
-                    if job.result is not None
-                ))
-
-        _telemetry.gauge(
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        counter, histogram = self.metrics.counter, self.metrics.histogram
+        self._submits_total = counter(
+            "repro_job_submits_total", "Durable jobs accepted (idempotent-"
+            "deduped re-submits are not counted).")
+        self._checkpoints_total = counter(
+            "repro_job_checkpoints_total",
+            "Job checkpoints atomically persisted.")
+        self._resumes_total = counter(
+            "repro_job_resumes_total", "Incomplete jobs resumed from a "
+            "checkpoint after a restart.")
+        self._finished = {
+            COMPLETED: counter("repro_job_completions_total",
+                               "Jobs that ran to completion."),
+            FAILED: counter("repro_job_failures_total",
+                            "Jobs that terminated with an error (including "
+                            "mid-trajectory deadline sheds)."),
+            JOB_CANCELLED: counter("repro_job_cancellations_total",
+                                   "Jobs cancelled between segments."),
+        }
+        self._corrupt_total = counter(
+            "repro_job_corrupt_checkpoints_total",
+            "Checkpoints discarded at recovery because checksum validation "
+            "failed.")
+        self._evicted_total = counter(
+            "repro_job_results_evicted_total",
+            "Resident job results evicted by the max-resident bound (still "
+            "servable from disk when a job dir is configured).")
+        self._checkpoint_seconds = histogram(
+            "repro_job_checkpoint_seconds",
+            "Wall time to persist one job checkpoint (encode + fsync + "
+            "rename).")
+        self._checkpoint_wait_seconds = histogram(
+            "repro_job_checkpoint_wait_seconds",
+            "Wall time a job's compute thread spent blocked at a segment "
+            "boundary on the previous checkpoint's write.")
+        self.metrics.gauge(
             "repro_jobs_resident_results",
             "Completed job results currently resident in memory.",
-            fn=resident,
-        )
+            fn=self._resident_results)
+        if self.job_dir is not None:
+            self.job_dir.mkdir(parents=True, exist_ok=True)
+
+    @property
+    def corrupt_checkpoints(self) -> int:
+        return self._corrupt_total.value
+
+    def _resident_results(self) -> int:
+        with self._lock:
+            return sum(1 for job in self._jobs.values()
+                       if job.result is not None)
 
     # -- lifecycle ------------------------------------------------------------
     def _ensure_worker(self) -> None:
@@ -523,7 +519,7 @@ class JobManager:
             self._jobs[job.job_id] = job
             self._by_key[key] = job.job_id
             self._queue.append(job.job_id)
-            _SUBMITS_TOTAL.inc()
+            self._submits_total.inc()
             self._wake.notify_all()
         self._ensure_worker()
         return job.describe()
@@ -601,15 +597,14 @@ class JobManager:
             return {
                 "jobs": by_status,
                 "queue_depth": len(self._queue),
-                "checkpoints_written": self.checkpoints_written,
-                "checkpoint_s": round(self.checkpoint_s, 6),
-                "checkpoint_wait_s": round(self.checkpoint_wait_s, 6),
-                "jobs_resumed": self.jobs_resumed,
-                "corrupt_checkpoints": self.corrupt_checkpoints,
-                "results_evicted": self.results_evicted,
-                "resident_results": sum(
-                    1 for job in self._jobs.values()
-                    if job.result is not None),
+                "checkpoints_written": self._checkpoints_total.value,
+                "checkpoint_s": round(self._checkpoint_seconds.sum, 6),
+                "checkpoint_wait_s": round(
+                    self._checkpoint_wait_seconds.sum, 6),
+                "jobs_resumed": self._resumes_total.value,
+                "corrupt_checkpoints": self._corrupt_total.value,
+                "results_evicted": self._evicted_total.value,
+                "resident_results": self._resident_results(),
                 "checkpoint_every": self.checkpoint_every,
                 "job_ttl_s": self.job_ttl_s,
                 "max_resident": self.max_resident,
@@ -657,8 +652,7 @@ class JobManager:
                 job.state = state
                 job.status = QUEUED
                 job.resumes += 1
-                self.jobs_resumed += 1
-                _RESUMES_TOTAL.inc()
+                self._resumes_total.inc()
                 self._persist_manifest(job)
                 self._queue.append(job.job_id)
                 self._wake.notify_all()
@@ -728,9 +722,7 @@ class JobManager:
         """Wait out the in-flight checkpoint; re-raise what writing it raised."""
         started = time.perf_counter()
         self._writes.join()
-        waited = time.perf_counter() - started
-        _CHECKPOINT_WAIT_SECONDS.observe(waited)
-        self.checkpoint_wait_s += waited  # only the worker thread drains
+        self._checkpoint_wait_seconds.observe(time.perf_counter() - started)
         error, self._write_error = self._write_error, None
         if error is not None:
             raise error
@@ -810,12 +802,7 @@ class JobManager:
         job.updated_at = time.time()
         job.state = None  # result() serves job.result; nothing reads this
         self._persist_manifest(job)
-        if status == COMPLETED:
-            _COMPLETIONS_TOTAL.inc()
-        elif status == JOB_CANCELLED:
-            _CANCELLATIONS_TOTAL.inc()
-        else:
-            _FAILURES_TOTAL.inc()
+        self._finished[status].inc()
         self._wake.notify_all()
 
     # -- persistence ----------------------------------------------------------
@@ -854,12 +841,8 @@ class JobManager:
             buffers[-1] = memoryview(corrupted)
         path = directory / f"{_CKPT_PREFIX}{step:08d}{_CKPT_SUFFIX}"
         _atomic_write(path, prefix, *buffers)
-        elapsed = time.perf_counter() - started
-        _CHECKPOINTS_TOTAL.inc()
-        _CHECKPOINT_SECONDS.observe(elapsed)
-        with self._lock:  # submit threads and the writer both count here
-            self.checkpoints_written += 1
-            self.checkpoint_s += elapsed
+        self._checkpoints_total.inc()
+        self._checkpoint_seconds.observe(time.perf_counter() - started)
         for stale in self._checkpoints(directory)[:-self.keep_checkpoints]:
             stale.unlink(missing_ok=True)
 
@@ -877,8 +860,7 @@ class JobManager:
             try:
                 meta, grids = _unframe(path.read_bytes())
             except (OSError, JobIntegrityError) as error:
-                self.corrupt_checkpoints += 1
-                _CORRUPT_CHECKPOINTS_TOTAL.inc()
+                self._corrupt_total.inc()
                 log.warning("discarding corrupt checkpoint %s: %s",
                             path, error)
                 path.unlink(missing_ok=True)
@@ -886,8 +868,7 @@ class JobManager:
             if str(meta.get("job_id")) != job.job_id:
                 continue
             if len(grids) != job.num_inputs:
-                self.corrupt_checkpoints += 1
-                _CORRUPT_CHECKPOINTS_TOTAL.inc()
+                self._corrupt_total.inc()
                 continue
             return int(meta["step"]), grids
         return None
@@ -926,8 +907,7 @@ class JobManager:
         residents.sort(key=lambda job: job.updated_at)
         for job in residents[:overflow]:
             job.result = None
-            self.results_evicted += 1
-            _RESULTS_EVICTED_TOTAL.inc()
+            self._evicted_total.inc()
 
     def _sweep(self) -> None:
         """Drop terminal jobs older than the TTL (memory + disk)."""

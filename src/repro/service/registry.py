@@ -28,6 +28,7 @@ from typing import Dict, Optional, Tuple, Union
 from ..core.ir import Lambda, structural_digest
 from ..engine.store import ResultsStore, StoredResult
 from ..rewriting.strategies import NAIVE, LoweredProgram, lower_program
+from ..telemetry.registry import MetricsRegistry
 from .requests import ServiceError
 
 
@@ -338,11 +339,13 @@ class DigestCircuitBreaker:
     ``threshold=0`` disables the breaker (``allow`` is always True).  The
     clock is injectable so the state machine is unit-testable without
     sleeping.  Thread-safe: ``allow`` runs on executor threads while
-    ``record_*`` runs on the event loop.
+    ``record_*`` runs on the event loop.  Trips are counted as
+    ``repro_breaker_opens_total`` in ``metrics`` — the owning service's
+    registry, or a private one for a breaker built alone.
     """
 
     def __init__(self, threshold: int = 3, cooldown_s: float = 5.0,
-                 clock=None) -> None:
+                 clock=None, metrics: Optional[MetricsRegistry] = None) -> None:
         import time as _time
 
         self.threshold = int(threshold)
@@ -350,8 +353,17 @@ class DigestCircuitBreaker:
         self._clock = clock if clock is not None else _time.monotonic
         self._entries: Dict[str, _BreakerEntry] = {}
         self._lock = threading.Lock()
-        self.opens = 0
+        if metrics is None:
+            metrics = MetricsRegistry()
+        self._opens = metrics.counter(
+            "repro_breaker_opens_total",
+            "Digest circuit breakers tripped open (incl. half-open probes "
+            "failing).")
         self.closes = 0
+
+    @property
+    def opens(self) -> int:
+        return self._opens.value
 
     def allow(self, digest: str) -> bool:
         """May this group take the fast path?  ``False`` = quarantined."""
@@ -372,21 +384,24 @@ class DigestCircuitBreaker:
             entry.probe_inflight = True
             return True
 
-    def record_failure(self, digest: str, reason: str = "") -> None:
+    def record_failure(self, digest: str, reason: str = "") -> bool:
+        """Count one fast-path failure; whether it tripped the breaker."""
         if self.threshold <= 0:
-            return
+            return False
         with self._lock:
             entry = self._entries.setdefault(digest, _BreakerEntry())
             entry.failures += 1
             entry.last_reason = reason
             entry.probe_inflight = False
-            if (entry.state == "half_open"
-                    or (entry.state == "closed"
-                        and entry.failures >= self.threshold)):
+            tripped = (entry.state == "half_open"
+                       or (entry.state == "closed"
+                           and entry.failures >= self.threshold))
+            if tripped:
                 entry.state = "open"
                 entry.opened_at = self._clock()
                 entry.opens += 1
-                self.opens += 1
+                self._opens.inc()
+            return tripped
 
     def record_success(self, digest: str) -> None:
         if self.threshold <= 0:

@@ -21,11 +21,19 @@ cross the process boundary once per (digest, variant) per shard, and groups
 on different shards sweep concurrently on a multi-core machine while this
 process keeps only admission, batching and I/O.
 
+Every serving counter lives once, in the service's own
+:class:`~repro.telemetry.registry.MetricsRegistry` (``service.metrics``):
+``stats()`` reads the instruments and ``/metrics`` renders them merged with
+the process-wide registry, which keeps only what ``set_metrics_enabled``
+gates — the request-path histograms here and the backend's instruments.
+
 :class:`ServiceClient` wraps a service in a background event-loop thread and
 exposes blocking ``execute`` / ``execute_many`` calls — the in-process form
 used by tests, the experiment drivers and the load generator.
 :func:`serve_tcp` exposes the same service as a JSON-lines TCP endpoint for
-``repro serve`` / ``repro submit``.
+``repro serve`` / ``repro submit``; :func:`run_server` runs it beside the
+HTTP endpoint and the telemetry sidecar, with one :class:`ServedGate`
+between the two transports for ``--max-requests`` and the shutdown drain.
 """
 
 from __future__ import annotations
@@ -37,7 +45,6 @@ import logging
 import signal
 import threading
 import time
-import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -51,7 +58,7 @@ from ..backend.plan import iterate_generic
 from ..core.serialize import SerializationError, program_to_dict
 from ..engine.store import ResultsStore
 from ..telemetry import registry as _telemetry
-from ..telemetry.registry import BATCH_BUCKETS
+from ..telemetry.registry import BATCH_BUCKETS, MetricsRegistry
 from ..telemetry.trace import TraceRing
 from .executor import batch_capacity, run_trajectory, sweep_group
 from .jobs import JobManager
@@ -71,42 +78,14 @@ from .requests import (
     ServiceError,
 )
 from .shards import ShardedExecutor, ShardUnavailable
-from .supervisor import ShardSupervisor
+from .supervisor import ShardSupervisor, restart_counters
 
 log = logging.getLogger("repro.service")
 
-# Request-path instruments (process-wide; shard processes run their own and
-# the /metrics route merges the snapshots).
-_REQUESTS_TOTAL = _telemetry.counter(
-    "repro_requests_total", "Requests served to completion."
-)
-_REQUEST_ERRORS_TOTAL = _telemetry.counter(
-    "repro_request_errors_total", "Requests answered with an in-band error."
-)
-_BATCHES_TOTAL = _telemetry.counter(
-    "repro_batches_total", "Micro-batch groups executed."
-)
-_BATCHED_REQUESTS_TOTAL = _telemetry.counter(
-    "repro_batched_requests_total",
-    "Requests served inside a batch of two or more.",
-)
-_SHARD_FALLBACKS_TOTAL = _telemetry.counter(
-    "repro_shard_fallbacks_total",
-    "Groups served in-process because their program cannot cross a shard pipe.",
-)
-_SHARD_REDISPATCHES_TOTAL = _telemetry.counter(
-    "repro_shard_redispatches_total",
-    "Groups redispatched away from a dead or unresponsive shard.",
-)
-_BREAKER_OPENS_TOTAL = _telemetry.counter(
-    "repro_breaker_opens_total",
-    "Digest circuit breakers tripped open (incl. half-open probes failing).",
-)
-_BREAKER_QUARANTINED_TOTAL = _telemetry.counter(
-    "repro_breaker_quarantined_requests_total",
-    "Requests served on the generic local path because their digest is "
-    "quarantined by an open circuit breaker.",
-)
+# Request-path histograms: process-wide (shard processes run their own and
+# /metrics merges the snapshots) and gated by set_metrics_enabled like every
+# clock on the replay path.  The *counters* are per service: see
+# ``StencilService.metrics``.
 _REQUEST_LATENCY_SECONDS = _telemetry.histogram(
     "repro_request_latency_seconds",
     "End-to-end request latency (enqueue to response).",
@@ -118,16 +97,6 @@ _BATCH_SIZE = _telemetry.histogram(
 _SHARD_ROUNDTRIP_SECONDS = _telemetry.histogram(
     "repro_shard_roundtrip_seconds",
     "Wall time of one group's shard dispatch (slab copy, sweep, reply).",
-)
-_SHEDS_TOTAL = _telemetry.counter(
-    "repro_sheds_total",
-    "Requests shed past their deadline instead of executing, by priority.",
-    label="priority",
-)
-_REJECTS_TOTAL = _telemetry.counter(
-    "repro_rejects_total",
-    "Requests pushed back by admission control (429-style), by reason.",
-    label="reason",
 )
 
 #: Upper bound on one TCP request line / HTTP body unless overridden.
@@ -373,8 +342,6 @@ class StencilService:
         self.supervise = bool(supervise)
         self.max_respawns = int(max_respawns)
         self.supervisor: Optional[ShardSupervisor] = None
-        self.breakers = DigestCircuitBreaker(
-            threshold=breaker_threshold, cooldown_s=breaker_cooldown_s)
         self.max_queue_depth = max_queue_depth
         self.max_inflight_per_digest = max_inflight_per_digest
         self._wires: Dict[str, Dict] = {}      # (digest:variant) -> wire dict
@@ -385,22 +352,53 @@ class StencilService:
         self._inflight: set = set()
         self._tuning_digests: set = set()
         self._tune_tasks: List[asyncio.Future] = []
-        # Serving counters (single-threaded: only the loop thread mutates).
-        self.requests_served = 0
-        self.batches_formed = 0
-        self.batched_requests = 0
+        #: The one store behind ``stats()`` and ``/metrics`` (see the module
+        #: docstring); never disabled, and handed down to the jobs, the
+        #: breaker and the supervisor so they count into it too.
+        self.metrics = MetricsRegistry()
+        counter = self.metrics.counter
+        self._requests_total = counter(
+            "repro_requests_total", "Requests served to completion.")
+        self._request_errors_total = counter(
+            "repro_request_errors_total",
+            "Requests answered with an in-band error.")
+        self._batches_total = counter(
+            "repro_batches_total", "Micro-batch groups executed.")
+        self._batched_requests_total = counter(
+            "repro_batched_requests_total",
+            "Requests served inside a batch of two or more.")
+        self._shard_fallbacks_total = counter(
+            "repro_shard_fallbacks_total",
+            "Groups served in-process because their program cannot cross a "
+            "shard pipe.")
+        self._shard_redispatches_total = counter(
+            "repro_shard_redispatches_total",
+            "Groups redispatched away from a dead or unresponsive shard.")
+        self._quarantined_total = counter(
+            "repro_breaker_quarantined_requests_total",
+            "Requests served on the generic local path because their digest "
+            "is quarantined by an open circuit breaker.")
+        #: Admission-control outcomes (separate from request errors so the
+        #: error accounting keeps meaning "execution failed").
+        self._sheds_total = counter(
+            "repro_sheds_total",
+            "Requests shed past their deadline instead of executing, by "
+            "priority.", label="priority")
+        self._rejects_total = counter(
+            "repro_rejects_total",
+            "Requests pushed back by admission control (429-style) or "
+            "refused by a transport before it, by reason.", label="reason")
+        # Declared here so an unsharded /metrics lists them at zero; the
+        # supervisor binds the same two when a sharded service starts one.
+        self._shard_restarts_total, _ = restart_counters(self.metrics)
+        self.breakers = DigestCircuitBreaker(
+            threshold=breaker_threshold, cooldown_s=breaker_cooldown_s,
+            metrics=self.metrics)
+        # Kept in one place each, as plain attributes (stats() only).
         self.largest_batch = 0
         self.crosschecks_passed = 0
         self.background_tunes = 0
-        self.request_errors = 0
         self.plans_prewarmed = 0
-        self.shard_fallbacks = 0
-        self.shard_redispatches = 0
-        self.quarantined_requests = 0
-        #: Admission-control outcomes (separate from request_errors so the
-        #: PR 7 error accounting keeps meaning "execution failed").
-        self.sheds: Dict[str, int] = {priority: 0 for priority in PRIORITIES}
-        self.rejects: Dict[str, int] = {}
         #: Request-lifecycle traces (``repro trace`` / the /trace route).
         self.tracer = TraceRing(capacity=trace_capacity, slow_ms=trace_slow_ms)
         #: Durable multi-timestep jobs: checkpointed execution + recovery.
@@ -417,6 +415,7 @@ class StencilService:
             checkpoint_every=checkpoint_every,
             job_ttl_s=job_ttl_s,
             max_resident=max_resident_jobs,
+            metrics=self.metrics,
         )
         self._register_gauges()
 
@@ -431,54 +430,47 @@ class StencilService:
                       plan.tuned is not None, plan.carry)
 
     def _register_gauges(self) -> None:
-        """Point the live service gauges at this instance (scrape-time only).
+        """The live gauges, sampled from this instance at scrape time."""
+        gauge = self.metrics.gauge
 
-        Gauge callbacks live in the process-wide registry, so they hold the
-        service through a weakref — a stopped, dropped service reads as
-        zero rather than being pinned alive by observability plumbing.
-        When several services coexist (tests), the newest registration
-        wins, matching the "one serving loop per process" deployment shape.
-        """
-        service_ref = weakref.ref(self)
+        def depth(priority: Optional[str] = None) -> int:
+            if self._queues is None:
+                return 0
+            return (self._queues.qsize() if priority is None
+                    else self._queues.depth(priority))
 
-        def from_service(read):
-            def sample() -> float:
-                service = service_ref()
-                return float(read(service)) if service is not None else 0.0
-            return sample
-
-        _telemetry.gauge(
-            "repro_queue_depth", "Requests admitted but not yet batch-formed.",
-            fn=from_service(
-                lambda s: s._queues.qsize() if s._queues is not None else 0
-            ),
-        )
+        gauge("repro_queue_depth",
+              "Requests admitted but not yet batch-formed.", fn=depth)
         for priority in PRIORITIES:
-            _telemetry.gauge(
-                f"repro_queue_depth_{priority}",
-                f"Queued {priority}-priority requests awaiting a batch slot.",
-                fn=from_service(
-                    lambda s, priority=priority: (
-                        s._queues.depth(priority)
-                        if s._queues is not None else 0
-                    )
-                ),
-            )
+            gauge(f"repro_queue_depth_{priority}",
+                  f"Queued {priority}-priority requests awaiting a batch slot.",
+                  fn=lambda priority=priority: depth(priority))
         for stat in ("hits", "misses", "evictions", "entries"):
-            _telemetry.gauge(
-                f"repro_service_compilation_cache_{stat}",
-                f"Service compilation cache {stat}.",
-                fn=from_service(
-                    lambda s, stat=stat: s.cache.stats()[stat]
-                ),
-            )
-            _telemetry.gauge(
-                f"repro_plan_cache_{stat}",
-                f"Service plan cache {stat}.",
-                fn=from_service(
-                    lambda s, stat=stat: s.backend.plans.stats()[stat]
-                ),
-            )
+            gauge(f"repro_service_compilation_cache_{stat}",
+                  f"Service compilation cache {stat}.",
+                  fn=lambda stat=stat: self.cache.stats()[stat])
+            gauge(f"repro_plan_cache_{stat}", f"Service plan cache {stat}.",
+                  fn=lambda stat=stat: self.backend.plans.stats()[stat])
+
+    @property
+    def requests_served(self) -> int:
+        return self._requests_total.value
+
+    @property
+    def sheds(self) -> Dict[str, int]:
+        """Deadline sheds by priority."""
+        return {priority: self._sheds_total.values.get(priority, 0)
+                for priority in PRIORITIES}
+
+    @property
+    def rejects(self) -> Dict[str, int]:
+        """Refusals by reason: admission control's and the transports'."""
+        return dict(self._rejects_total.values)
+
+    def count_reject(self, reason: str) -> None:
+        """One request a transport refused before admission saw it
+        (``unauthorized``, ``too_large``)."""
+        self._rejects_total.inc(label=reason)
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> "StencilService":
@@ -488,7 +480,8 @@ class StencilService:
         self._batcher = asyncio.get_running_loop().create_task(self._batch_loop())
         if self.executor is not None and self.supervise:
             self.supervisor = ShardSupervisor(
-                self.executor, self._wires, max_respawns=self.max_respawns)
+                self.executor, self._wires, max_respawns=self.max_respawns,
+                metrics=self.metrics)
             self.supervisor.start()
         # Durable-job recovery: resume incomplete jobs from their newest
         # valid checkpoint before traffic arrives (disk scan off the loop).
@@ -620,8 +613,7 @@ class StencilService:
         try:
             pending = self._admit(request)
         except Exception as error:  # bad request: respond in-band
-            self.request_errors += 1
-            _REQUEST_ERRORS_TOTAL.inc()
+            self._request_errors_total.inc()
             return ExecutionResponse(
                 result=None, benchmark=request.benchmark, digest="",
                 variant="", plan_source="", batch_size=0, batched=False,
@@ -708,8 +700,7 @@ class StencilService:
         if pending.future.done():
             return
         now = time.perf_counter()
-        self.sheds[pending.priority] = self.sheds.get(pending.priority, 0) + 1
-        _SHEDS_TOTAL.inc(label=pending.priority)
+        self._sheds_total.inc(label=pending.priority)
         waited_ms = (now - pending.enqueued_at) * 1e3
         deadline_ms = pending.request.deadline_ms
         reason = reason or (
@@ -725,8 +716,7 @@ class StencilService:
         if pending.future.done():
             return
         now = time.perf_counter()
-        self.rejects[reason] = self.rejects.get(reason, 0) + 1
-        _REJECTS_TOTAL.inc(label=reason)
+        self._rejects_total.inc(label=reason)
         retry_after = self._retry_after_ms()
         detail = {
             "queue_full": f"queue depth cap {self.max_queue_depth} reached",
@@ -863,13 +853,11 @@ class StencilService:
         else:
             self._breaker_outcome(digest, failure=None)
         executed_at = time.perf_counter()
-        self.batches_formed += 1
-        _BATCHES_TOTAL.inc()
+        self._batches_total.inc()
         _BATCH_SIZE.observe(size)
         self.largest_batch = max(self.largest_batch, size)
         if size > 1:
-            self.batched_requests += size
-            _BATCHED_REQUESTS_TOTAL.inc(size)
+            self._batched_requests_total.inc(size)
         self.crosschecks_passed += crosschecked
         now = time.perf_counter()
         for item, output in zip(group, outputs):
@@ -885,8 +873,7 @@ class StencilService:
             self._answer(
                 item, now, size,
                 result=output if item.request.return_result else None)
-            self.requests_served += 1
-            _REQUESTS_TOTAL.inc()
+            self._requests_total.inc()
             _REQUEST_LATENCY_SECONDS.observe(
                 (now - item.enqueued_at) + item.admit_ms * 1e-3
             )
@@ -895,14 +882,9 @@ class StencilService:
     def _breaker_outcome(self, digest: str,
                          failure: Optional[str]) -> None:
         """Feed one group's fast-path outcome to the digest breaker."""
-        before = self.breakers.opens
         if failure is None:
             self.breakers.record_success(digest)
-        else:
-            self.breakers.record_failure(digest, reason=failure)
-        tripped = self.breakers.opens - before
-        if tripped:
-            _BREAKER_OPENS_TOTAL.inc(tripped)
+        elif self.breakers.record_failure(digest, reason=failure):
             log.warning("circuit breaker opened for digest %s (%s)",
                         digest[:12], failure)
 
@@ -958,8 +940,7 @@ class StencilService:
             # entirely — the generic unfused local path is the one thing
             # that has not been failing for it.  The breaker's half-open
             # probe (which `allow` admits) is what retries the fast path.
-            self.quarantined_requests += len(group)
-            _BREAKER_QUARANTINED_TOTAL.inc(len(group))
+            self._quarantined_total.inc(len(group))
             use_plans = False
         swept = None
         if head.request.steps > 1:
@@ -969,8 +950,7 @@ class StencilService:
         elif self.executor is not None and not quarantined:
             swept = self._dispatch_sharded(head.route, parts, size_env)
             if swept is None:
-                self.shard_fallbacks += 1
-                _SHARD_FALLBACKS_TOTAL.inc()
+                self._shard_fallbacks_total.inc()
         if swept is None:
             swept = sweep_group(self.backend, head.route.program, parts,
                                 size_env, use_plans)
@@ -1049,8 +1029,7 @@ class StencilService:
                 # shard failed; the supervisor respawns it in the
                 # background.
                 redispatches += 1
-                self.shard_redispatches += 1
-                _SHARD_REDISPATCHES_TOTAL.inc()
+                self._shard_redispatches_total.inc()
                 log.warning(
                     "redispatching group (digest %s, %d requests): %s",
                     route.digest[:12], len(parts), error)
@@ -1107,8 +1086,7 @@ class StencilService:
         now = time.perf_counter()
         for item in group:
             if not item.future.done():
-                self.request_errors += 1
-                _REQUEST_ERRORS_TOTAL.inc()
+                self._request_errors_total.inc()
                 self._record_trace(item, len(group), {}, now, now,
                                    error=reason)
                 self._answer(item, now, len(group), error=reason, code=code)
@@ -1153,28 +1131,28 @@ class StencilService:
 
     # -- stats -----------------------------------------------------------------
     def service_section(self) -> Dict[str, object]:
+        """The serving counters, read from :attr:`metrics`."""
         return {
-            "requests_served": self.requests_served,
-            "batches_formed": self.batches_formed,
-            "batched_requests": self.batched_requests,
+            "requests_served": self._requests_total.value,
+            "batches_formed": self._batches_total.value,
+            "batched_requests": self._batched_requests_total.value,
             "largest_batch": self.largest_batch,
             "crosschecks_passed": self.crosschecks_passed,
             "background_tunes": self.background_tunes,
-            "request_errors": self.request_errors,
+            "request_errors": self._request_errors_total.value,
             "plans_prewarmed": self.plans_prewarmed,
-            "shard_fallbacks": self.shard_fallbacks,
-            "shard_redispatches": self.shard_redispatches,
-            "shard_restarts": (self.supervisor.restarts
-                               if self.supervisor is not None else 0),
+            "shard_fallbacks": self._shard_fallbacks_total.value,
+            "shard_redispatches": self._shard_redispatches_total.value,
+            "shard_restarts": self._shard_restarts_total.value,
             "supervisor": (self.supervisor.stats()
                            if self.supervisor is not None else None),
             "breakers": {
-                "quarantined_requests": self.quarantined_requests,
+                "quarantined_requests": self._quarantined_total.value,
                 **self.breakers.stats(),
             },
             "admission": {
-                "sheds": dict(self.sheds),
-                "rejects": dict(self.rejects),
+                "sheds": self.sheds,
+                "rejects": self.rejects,
                 "queue_depth": {
                     priority: (self._queues.depth(priority)
                                if self._queues is not None else 0)
@@ -1263,11 +1241,12 @@ class ServiceClient:
 # ---------------------------------------------------------------------------
 
 class ServedGate:
-    """Counts answered requests across endpoints; resolves at ``max``.
+    """What the endpoints of one server share: the ``--max-requests`` count
+    and the set of open connections the shutdown drain waits on.
 
-    One gate is shared by the TCP and HTTP endpoints so ``--max-requests``
-    bounds *total* traffic regardless of which transport carried it.
-    ``None`` max never resolves (serve forever).
+    One gate serves the TCP and HTTP endpoints, so ``max_requests`` bounds
+    *total* traffic and an in-flight request is drained whichever transport
+    carried it.  ``None`` max never resolves by count (serve forever).
     """
 
     def __init__(self, max_requests: Optional[int] = None) -> None:
@@ -1276,18 +1255,34 @@ class ServedGate:
         self.done: "asyncio.Future[None]" = (
             asyncio.get_running_loop().create_future()
         )
+        #: The ``StreamWriter`` of every open connection, either transport:
+        #: a handler adds its writer on accept and discards it once closed.
+        self.connections: set = set()
 
     def mark(self) -> None:
         self.count += 1
-        if (self.max_requests is not None
-                and self.count >= self.max_requests
-                and not self.done.done()):
-            self.done.set_result(None)
+        if self.max_requests is not None and self.count >= self.max_requests:
+            self.resolve()
 
     def resolve(self) -> None:
-        """Resolve the gate early (graceful-shutdown signal path)."""
+        """Serving is done: by count, or early on a shutdown signal."""
         if not self.done.done():
             self.done.set_result(None)
+
+    async def drain(self, timeout_s: float) -> bool:
+        """Wait, bounded, for every open connection to finish; whether
+        they all did."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + max(0.0, timeout_s)
+        while self.connections and loop.time() < deadline:
+            await asyncio.sleep(0.05)
+        return not self.connections
+
+    def close_connections(self) -> None:
+        """Hang up on whoever is still connected (``Server.wait_closed``
+        waits for every connection since Python 3.12)."""
+        for writer in list(self.connections):
+            writer.close()
 
 
 async def serve_tcp(
@@ -1317,7 +1312,6 @@ async def serve_tcp(
     """
     if gate is None:
         gate = ServedGate(max_requests)
-    connections: set = set()
 
     async def handle(reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
@@ -1336,7 +1330,7 @@ async def serve_tcp(
             if (auth_key is not None and op != "ping"
                     and not hmac.compare_digest(
                         str(message.get("auth") or ""), auth_key)):
-                _REJECTS_TOTAL.inc(label="unauthorized")
+                service.count_reject("unauthorized")
                 answered = refusal(UNAUTHORIZED,
                                    "missing or invalid auth key")
             else:
@@ -1351,9 +1345,7 @@ async def serve_tcp(
                 gate.mark()
 
         loop = asyncio.get_running_loop()
-        connection = asyncio.current_task()
-        if connection is not None:
-            connections.add(connection)
+        gate.connections.add(writer)
         try:
             while True:
                 try:
@@ -1362,7 +1354,7 @@ async def serve_tcp(
                     # One line exceeded max_request_bytes.  Report in-band
                     # and close: the rest of the oversized line is still in
                     # the socket, so the stream cannot be resynchronised.
-                    _REJECTS_TOTAL.inc(label="too_large")
+                    service.count_reject("too_large")
                     await write_line(refusal(
                         REQUEST_TOO_LARGE,
                         f"request line exceeds {max_request_bytes} bytes",
@@ -1391,14 +1383,10 @@ async def serve_tcp(
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
             writer.close()
-            if connection is not None:
-                connections.discard(connection)
+            gate.connections.discard(writer)
 
-    server = await asyncio.start_server(handle, host, port,
-                                        limit=max_request_bytes)
-    server.served_done = gate.done  # type: ignore[attr-defined]
-    server.connections = connections  # type: ignore[attr-defined]
-    return server
+    return await asyncio.start_server(handle, host, port,
+                                      limit=max_request_bytes)
 
 
 def run_server(
@@ -1427,9 +1415,12 @@ def run_server(
     (``/metrics`` + ``/healthz`` + ``/trace``) on the same host;
     ``http_port`` binds the ``/v1/execute``·``/v1/iterate`` HTTP endpoint
     sharing the same batcher.  ``auth_key`` guards both transports.
-    ``drain_timeout`` bounds the shutdown drain; requests still queued
+    ``drain_timeout`` bounds the shutdown drain, on both transports: the
+    server waits that long for open connections (a request still
+    executing, a pipelined trailing op) to finish; requests still queued
     when it expires are shed with ``DeadlineExceeded`` responses instead
-    of the connection being dropped mid-flight.
+    of the connection being dropped mid-flight, and whoever is still
+    connected after that is hung up on.
     """
     stats: Dict[str, object] = {}
 
@@ -1453,21 +1444,17 @@ def run_server(
                 log.info("prewarmed %d plans (%d skipped)",
                          warmed["prewarmed"], warmed["skipped"])
             # One gate across both endpoints: --max-requests bounds total
-            # traffic no matter which transport carried it.
+            # traffic, and the drain below waits on either's connections.
             gate = ServedGate(max_requests)
-            http_server = None
+            endpoints = [await serve_tcp(
+                service, host, port, auth_key=auth_key,
+                max_request_bytes=max_request_bytes, gate=gate)]
             if http_port is not None:
-                http_server = await serve_http(
+                endpoints.append(await serve_http(
                     service, host, http_port, auth_key=auth_key,
-                    max_request_bytes=max_request_bytes,
-                    on_served=gate.mark,
-                )
+                    max_request_bytes=max_request_bytes, gate=gate))
                 log.info("http endpoint on %s:%d", host, http_port)
-            server = await serve_tcp(service, host, port,
-                                     auth_key=auth_key,
-                                     max_request_bytes=max_request_bytes,
-                                     gate=gate)
-            async with server:
+            try:
                 if ready_event is not None:
                     ready_event.set()
                 log.info("serving on %s:%d", host, port)
@@ -1499,22 +1486,16 @@ def run_server(
                     # With --max-requests the gate resolves at the quota;
                     # without it, only a shutdown signal resolves it
                     # (serve forever).
-                    await server.served_done  # type: ignore[attr-defined]
+                    await gate.done
                 finally:
                     for signum in installed:
                         loop.remove_signal_handler(signum)
-                # Drain: clients may still pipeline trailing non-execute
-                # ops (e.g. the load generator's final stats fetch), so
-                # wait — bounded — for open connections to finish before
-                # the listening socket and the service are torn down.
-                loop_time = loop.time
-                drain_deadline = loop_time() + max(0.0, drain_timeout)
-                while (
-                    server.connections  # type: ignore[attr-defined]
-                    and loop_time() < drain_deadline
-                ):
-                    await asyncio.sleep(0.05)
-                if server.connections:  # type: ignore[attr-defined]
+                # Drain: a request may still be executing, and clients may
+                # still pipeline trailing non-execute ops (e.g. the load
+                # generator's final stats fetch), so wait — bounded — for
+                # open connections to finish before the listening sockets
+                # and the service are torn down.
+                if not await gate.drain(drain_timeout):
                     # Past the drain deadline: answer what is still
                     # queued with structured sheds so connected clients
                     # see DeadlineExceeded, not a dropped socket, then
@@ -1525,15 +1506,13 @@ def run_server(
                     if shed:
                         log.info("drain deadline: shed %d queued "
                                  "requests", shed)
-                    grace_deadline = loop_time() + 1.0
-                    while (
-                        server.connections  # type: ignore[attr-defined]
-                        and loop_time() < grace_deadline
-                    ):
-                        await asyncio.sleep(0.05)
-            if http_server is not None:
-                http_server.close()
-                await http_server.wait_closed()
+                    await gate.drain(1.0)
+            finally:
+                for endpoint in endpoints:
+                    endpoint.close()
+                gate.close_connections()
+                for endpoint in endpoints:
+                    await endpoint.wait_closed()
             if telemetry_http is not None:
                 await telemetry_http.stop()
             stats.update(service.stats())

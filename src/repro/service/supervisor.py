@@ -34,7 +34,8 @@ idempotent.  The supervisor's job is purely to restore capacity.
 
 Every transition is counted: ``repro_shard_restarts_total`` (successful
 respawns) and ``repro_shard_respawn_failures_total`` here,
-``repro_shard_redispatches_total`` in the server's redispatch path.
+``repro_shard_redispatches_total`` in the server's redispatch path — all
+three in the owning service's registry (:func:`restart_counters`).
 """
 
 from __future__ import annotations
@@ -42,19 +43,26 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
-from ..telemetry import registry as _telemetry
+from ..telemetry.registry import Counter, MetricsRegistry
 from .shards import ShardedExecutor, ShardHandle
 
 log = logging.getLogger("repro.service.supervisor")
 
-_SHARD_RESTARTS_TOTAL = _telemetry.counter(
-    "repro_shard_restarts_total",
-    "Shard processes respawned by the supervisor.")
-_SHARD_RESPAWN_FAILURES_TOTAL = _telemetry.counter(
-    "repro_shard_respawn_failures_total",
-    "Shard respawn attempts that themselves failed.")
+
+def restart_counters(metrics: MetricsRegistry) -> Tuple[Counter, Counter]:
+    """The supervisor's ``(restarts, respawn failures)`` counters in
+    ``metrics``.  Get-or-create: a service declares them when it is built
+    (an unsharded ``/metrics`` lists them at zero) and each supervisor it
+    starts counts into the same two."""
+    return (
+        metrics.counter("repro_shard_restarts_total",
+                        "Shard processes respawned by the supervisor."),
+        metrics.counter("repro_shard_respawn_failures_total",
+                        "Shard respawn attempts that themselves failed."),
+    )
+
 
 DEFAULT_MAX_RESPAWNS = 5
 DEFAULT_BACKOFF_BASE_S = 0.25
@@ -78,6 +86,9 @@ class ShardSupervisor:
     on_restart:
         Optional callback ``(handle) -> None`` invoked on the event loop
         after a shard rejoins (the service bumps its counters/trace here).
+    metrics:
+        The registry restarts and respawn failures are counted in: the
+        owning service's, or a private one for a supervisor built alone.
     """
 
     def __init__(self, executor: ShardedExecutor, wires: Dict[str, Dict],
@@ -86,6 +97,7 @@ class ShardSupervisor:
                  backoff_max_s: float = DEFAULT_BACKOFF_MAX_S,
                  check_interval_s: float = DEFAULT_CHECK_INTERVAL_S,
                  on_restart: Optional[Callable[[ShardHandle], None]] = None,
+                 metrics: Optional[MetricsRegistry] = None,
                  ) -> None:
         self.executor = executor
         self.wires = wires
@@ -94,8 +106,8 @@ class ShardSupervisor:
         self.backoff_max_s = backoff_max_s
         self.check_interval_s = check_interval_s
         self.on_restart = on_restart
-        self.restarts = 0
-        self.respawn_failures = 0
+        self._restarts, self._respawn_failures = restart_counters(
+            metrics if metrics is not None else MetricsRegistry())
         self._task: Optional[asyncio.Task] = None
         self._inflight: set = set()          # shard indices respawning now
         self._next_attempt: Dict[int, float] = {}
@@ -174,14 +186,12 @@ class ShardSupervisor:
         self._next_attempt.pop(index, None)
         error = future.exception()
         if error is not None:
-            self.respawn_failures += 1
-            _SHARD_RESPAWN_FAILURES_TOTAL.inc()
+            self._respawn_failures.inc()
             handle.mark_failed(f"respawn failed: {error}")
             handle.failed = True
             log.warning("shard %d respawn failed: %s", index, error)
             return
-        self.restarts += 1
-        _SHARD_RESTARTS_TOTAL.inc()
+        self._restarts.inc()
         log.info("shard %d rejoined the rotation", index)
         if self.on_restart is not None:
             try:
@@ -192,8 +202,8 @@ class ShardSupervisor:
     # -- observability -------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         return {
-            "restarts": self.restarts,
-            "respawn_failures": self.respawn_failures,
+            "restarts": self._restarts.value,
+            "respawn_failures": self._respawn_failures.value,
             "respawning": sorted(self._inflight),
             "gave_up": sorted(self._gave_up),
             "max_respawns": self.max_respawns,

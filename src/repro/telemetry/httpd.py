@@ -4,12 +4,18 @@ A deliberately tiny HTTP/1.1 server (asyncio streams, one response per
 connection, ``Connection: close``) — enough for Prometheus scrapers, load
 balancer health checks and ``curl``, with zero dependencies.  It runs on
 the *same* event loop as the serving endpoint, started by ``repro serve
---metrics-port``:
+--metrics-port``, and reads requests through the ``/v1`` endpoint's
+:func:`~repro.service.http.read_request`, so the header-block bound is the
+same on both ports.  Every request is answered: a bad query with the
+structured ``400``, an oversized header block with ``413``, a route that
+raises with a logged ``500``.
 
-* ``GET /metrics`` — the process registry rendered as Prometheus text.
-  On a sharded service the shard processes' registry snapshots are fetched
-  over the existing ``stats`` pipe op (off-loop, they block) and merged in,
-  so counters and histogram buckets are fleet totals.
+* ``GET /metrics`` — the process registry and the service's own
+  (``service.metrics``, where every serving counter lives) rendered as one
+  Prometheus text.  On a sharded service the shard processes' registry
+  snapshots are fetched over the existing ``stats`` pipe op (off-loop, they
+  block) and merged in too, so counters and histogram buckets are fleet
+  totals.
 * ``GET /healthz`` — JSON liveness: overall status (``503`` when any shard
   process has died), per-shard ``alive`` flags from ``Process.is_alive()``
   (no pipe round-trip — a wedged shard cannot wedge the health check), and
@@ -26,6 +32,10 @@ import logging
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from ..service.http import (MAX_HEADER_BYTES, REASONS, HTTPError,
+                            read_request)
+from ..service.ops import refusal
+from ..service.requests import BAD_REQUEST, REQUEST_TOO_LARGE
 from .registry import MetricsRegistry, get_registry
 
 log = logging.getLogger("repro.telemetry.http")
@@ -85,22 +95,14 @@ class TelemetryHTTP:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         try:
-            request_line = await reader.readline()
-            while True:  # drain headers; we need none of them
-                header = await reader.readline()
-                if header in (b"\r\n", b"\n", b""):
-                    break
-            parts = request_line.decode("latin-1").split()
-            if len(parts) < 2:
+            answer = await self._answer(reader)
+            if answer is None:
                 return
-            method, target = parts[0], parts[1]
-            status, content_type, body = await self._route(method, target)
+            status, content_type, body = answer
             payload = body.encode("utf-8")
-            reason = {200: "OK", 404: "Not Found", 405: "Method Not Allowed",
-                      503: "Service Unavailable"}.get(status, "OK")
             writer.write(
                 (
-                    f"HTTP/1.1 {status} {reason}\r\n"
+                    f"HTTP/1.1 {status} {REASONS.get(status, 'OK')}\r\n"
                     f"Content-Type: {content_type}\r\n"
                     f"Content-Length: {len(payload)}\r\n"
                     f"Connection: close\r\n\r\n"
@@ -114,6 +116,29 @@ class TelemetryHTTP:
                 writer.close()
             except Exception:  # noqa: BLE001 - teardown must not raise
                 pass
+
+    async def _answer(self,
+                      reader: asyncio.StreamReader
+                      ) -> Optional[Tuple[int, str, str]]:
+        """Read one request and route it: a refusal is its structured body,
+        any other failure a logged 500 — the handler task never dies of a
+        request.  ``None`` when the peer sent nothing."""
+        try:
+            request = await read_request(reader, MAX_HEADER_BYTES)
+            if request is None:
+                return None
+            return await self._route(request.method, request.target)
+        except HTTPError as error:
+            count_reject = getattr(self.service, "count_reject", None)
+            if error.code == REQUEST_TOO_LARGE and count_reject is not None:
+                count_reject("too_large")
+            return (error.status, "application/json",
+                    json.dumps(refusal(error.code, str(error)).meta) + "\n")
+        except (ConnectionError, asyncio.IncompleteReadError):
+            raise
+        except Exception:  # noqa: BLE001 - answered, not propagated
+            log.exception("telemetry route failed")
+            return 500, "text/plain; charset=utf-8", "internal error\n"
 
     async def _route(self, method: str,
                      target: str) -> Tuple[int, str, str]:
@@ -129,14 +154,18 @@ class TelemetryHTTP:
             return (200 if healthy else 503, "application/json",
                     json.dumps(payload, indent=2) + "\n")
         if path == "/trace":
-            query = parse_qs(split.query)
+            query = parse_qs(split.query, keep_blank_values=True)
             tracer = getattr(self.service, "tracer", None)
             if tracer is None:
                 return 404, "application/json", '{"error": "no tracer"}\n'
             slow_only = query.get("slow", ["0"])[0] not in ("0", "", "false")
-            limit = int(query.get("limit", ["20"])[0])
+            limit = query.get("limit", ["20"])[0]
+            if not limit.isdecimal():
+                raise HTTPError(
+                    BAD_REQUEST,
+                    f"limit must be a non-negative integer, not {limit!r}")
             payload = {"traces": tracer.snapshot(slow_only=slow_only,
-                                                 limit=limit),
+                                                 limit=int(limit)),
                        "ring": tracer.stats()}
             return 200, "application/json", json.dumps(payload) + "\n"
         return 404, "text/plain; charset=utf-8", "not found\n"
@@ -153,6 +182,11 @@ class TelemetryHTTP:
                 snapshot = row.get("telemetry")
                 if snapshot:
                     extra.append(snapshot)
+        # The service's own counter store: no name is in both registries,
+        # so the merge counts nothing twice.
+        metrics = getattr(self.service, "metrics", None)
+        if metrics is not None:
+            extra.append(metrics.snapshot())
         return self.registry.render(extra=extra)
 
     def _health(self) -> Tuple[Dict[str, object], bool]:

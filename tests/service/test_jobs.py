@@ -49,7 +49,6 @@ from repro.service.wire import (
     encode_grid_payload,
     frame_prefix,
 )
-from repro.telemetry import get_registry
 
 STEPS = 9
 SEGMENTS = (1, 7, STEPS)
@@ -348,10 +347,9 @@ class TestCheckpointIntegrity:
         newest.write_bytes(tampered)
 
         counter = "repro_job_corrupt_checkpoints_total"
-        before = get_registry().snapshot()[counter]["value"]
         recovered = _recover_and_finish(backend, tmp_path, job, segment=4)
         assert recovered.corrupt_checkpoints == 1
-        assert get_registry().snapshot()[counter]["value"] == before + 1
+        assert recovered.metrics.snapshot()[counter]["value"] == 1
         for path in newest.parent.glob("ckpt-*.rpg"):  # the rot is gone
             _unframe(path.read_bytes())
         _descriptor, result = recovered.result(job["job_id"])
@@ -562,7 +560,6 @@ class TestCheckpointPipeline:
 
     def test_wait_histogram_and_stats_show_the_writer(self, backend, tmp_path):
         histogram = "repro_job_checkpoint_wait_seconds"
-        before = get_registry().snapshot()[histogram]["count"]
         manager = JobManager(backend, job_dir=str(tmp_path),
                              checkpoint_every=1)
         job = manager.submit(_request_for("hotspot2d", np.float64))
@@ -572,8 +569,7 @@ class TestCheckpointPipeline:
         manager.close()
         # One wait per boundary and one before the status flips; one
         # persist per boundary and one at submit.
-        assert get_registry().snapshot()[histogram]["count"] == \
-            before + STEPS + 1
+        assert manager.metrics.snapshot()[histogram]["count"] == STEPS + 1
         assert stats["checkpoints_written"] == STEPS + 1
         assert stats["checkpoint_s"] > 0.0
         assert stats["checkpoint_wait_s"] > 0.0
