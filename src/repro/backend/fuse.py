@@ -1,4 +1,4 @@
-"""Tape-level optimizer: ufunc fusion + cache-blocked tiled replay.
+"""Tape-level optimizer: one region IR, two printers, tiled replay.
 
 An execution plan's tape (:mod:`repro.backend.plan`) replays one full-array
 pass per op: every traced user-function schedule streams its whole operand
@@ -6,47 +6,40 @@ grids through memory, so on large grids the steady state is bound by DRAM
 bandwidth, not compute.  This module rewrites a captured tape before it is
 first replayed:
 
-1. **Region analysis** — a :class:`~repro.backend.numpy_backend.TapeEntry`
-   is either a traced schedule or an opaque op, and a region is a maximal
-   run of schedule entries whose every node (a plain ufunc / ``where`` /
-   ``clip``) broadcasts to the region's output shape.  Every opaque op ends
-   a run — a pad no resident home could serve included: it stays the one
-   full-buffer copy the capture recorded, between the regions around it.
-2. **Fusion** — replace each region with a single :class:`FusedOp` that
-   replays the same operations in the same order but **tile by tile** over
-   cache-blocked slices of the output.  Per-tile intermediates live in a
-   small scratch arena drawn from the plan's
-   :class:`~repro.backend.pool.BufferPool` (sized to one tile, reused
-   across tiles), so a value produced by one op is consumed by the next
-   while still resident in L1/L2 instead of round-tripping through DRAM.
-   A tile's steps are the schedules' own micro-ops
-   (:func:`~repro.backend.ufunc_trace.micro_op`) built under a resolver
-   that slices every array down to the tile, and they run through the same
-   loop (:func:`~repro.backend.ufunc_trace.replay`) an unfused schedule
-   does.
-
-3. **Native regions** — on the default tile spec a validated region is
-   first offered to :mod:`repro.backend.native`, which compiles its node
-   list into one C loop nest (every node a register) with the system
-   compiler; the region's :class:`FusedOp` then holds that one micro-op.
-   A host without a compiler, an operation outside the whitelist, a
-   compile or load failure: the region keeps the ufunc tiles of step 2,
-   counted under a ``native_*`` reason.
+1. **Regions** — a :class:`~repro.backend.numpy_backend.TapeEntry` is
+   either a traced schedule or an opaque op, and a fusable run is a maximal
+   run of schedule entries (every opaque op ends one — a pad no resident
+   home could serve included).  :func:`build_region` turns each run into
+   one verified :class:`Region`: the arrays it loads, its ops over loads,
+   temps and scalars in replay order, the buffers it stores (those whose
+   contents outlive it) and the schedule buffers it no longer needs.  What
+   an operand reads is decided there, once; a run that is not elementwise
+   over one shape raises :class:`FusionError` and the tape stays unfused.
+2. **Printers** — the region then replaces its run with one
+   :class:`FusedOp`, printed by one of two printers that read nothing but
+   the :class:`Region`.  On the default tile spec,
+   :mod:`repro.backend.native` prints one C loop nest (every temp a
+   register) for the system compiler.  Otherwise — or when that printer
+   declines (no compiler, an op outside its whitelist, a compile or load
+   failure: counted under a ``native_*`` reason) — :func:`print_tiles`
+   prints the same ops **tile by tile** over cache-blocked slices of the
+   output, temps in a tile-sized scratch arena drawn from the plan's
+   :class:`~repro.backend.pool.BufferPool` (one buffer per slot the
+   tracer's liveness assignment gave), so a value produced by one op is
+   consumed by the next while still in L1/L2.  Its steps are micro-ops
+   (:func:`~repro.backend.ufunc_trace.micro_op`) run by the loop an
+   unfused schedule runs through (:func:`~repro.backend.ufunc_trace.replay`).
 
 Because every elementwise operation computes output element ``i`` from
 element ``i`` of its (broadcast) operands, executing the identical
 operation sequence on tiles is **bit-identical** to the full-array replay —
-no reassociation, no reordering.  The analyzer is conservative: reductions,
-opaque (re-executed) user functions, data-dependent gathers, non-aligned
-producer/consumer views and anything else it cannot prove safe simply
-breaks the region, and the plan falls back to the unfused tape.  On top of
-that, :meth:`~repro.backend.plan.ExecutionPlan._capture` verifies every
-fused tape against the unfused one bit for bit at capture time before
-accepting it.
-
-A native region answers to the same check
-under one relaxed relation — equal bits, or NaN on both sides — because C
-cannot pin which NaN a commutative operation returns.
+no reassociation, no reordering.  On top of that,
+:meth:`~repro.backend.plan.ExecutionPlan._capture` verifies every fused
+tape against the unfused one bit for bit at capture time before accepting
+it; a native region answers to the same check under one relaxed relation —
+equal bits, or NaN on both sides — because C cannot pin which NaN a
+commutative operation returns, and a tape that fails it is re-printed on
+ufunc tiles from the same regions.
 
 Tile shape is a first-class tuning parameter (see
 :func:`repro.tuning.parameters.fuse_tile_candidates` and
@@ -63,20 +56,14 @@ grid is produced in place, its pads left no tape entry for this module to
 see, and its halo ring is refreshed by one tape op after the region.
 
 **Parallel tiled replay.**  Tiles of a fused region are independent by
-construction: each tile writes a disjoint box of every written-through
-buffer and nothing outside it, and per-tile intermediates live in scratch.
-When a plan is built with ``parallel_workers=N`` (see
-:func:`normalize_workers`; ``None`` resolves through
-:func:`auto_workers`), the tile grid is partitioned into N contiguous chunks, each chunk gets its
-**own pooled scratch set** (preserving the zero-steady-allocation
-invariant — no sharing, no locking in the hot loop), and a persistent
-process-wide :class:`ReplayWorkerPool` of daemon threads replays the
-chunks concurrently.  Threads, not processes: NumPy ufuncs release the
-GIL over their inner loops, so bandwidth-bound tile chunks scale across
-cores without serialising on the interpreter.  The capture-time
-bit-identity check in :meth:`~repro.backend.plan.ExecutionPlan._capture`
-runs through this same parallel path, so an accepted parallel plan has
-already proven itself bit-identical to the generic backend.
+construction: each tile writes a disjoint box of every buffer the region
+stores and nothing outside it, and per-tile intermediates live in scratch.
+With ``parallel_workers=N`` (:func:`normalize_workers`; ``None`` resolves
+through :func:`auto_workers`) the tile grid is partitioned into N
+contiguous chunks, each with its **own pooled scratch set** (no sharing,
+no locking in the hot loop), replayed concurrently by the process-wide
+:class:`ReplayWorkerPool`; the capture-time check runs through this same
+parallel path.
 """
 
 from __future__ import annotations
@@ -86,7 +73,7 @@ import os
 import queue
 import threading
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,7 +81,13 @@ from .. import faults as _faults
 from ..telemetry import registry as _telemetry
 from ..telemetry.registry import RATIO_BUCKETS, metrics_enabled as _metrics_on
 from .numpy_backend import ExecutionError, TapeEntry
-from .ufunc_trace import micro_op, replay, replay_nbytes
+from .ufunc_trace import (
+    TracedArray,
+    micro_op,
+    replay,
+    replay_nbytes,
+    view_geometry,
+)
 
 #: Per-tile working-set target.  One tile of every live scratch buffer
 #: should sit comfortably in L2: with the couple of buffers liveness reuse
@@ -496,31 +489,25 @@ def replay_pool() -> ReplayWorkerPool:
 class FusedOp:
     """One fused region: pre-resolved tile micro-ops, replayed in order.
 
-    Every operand/output view was resolved at build time
-    (:func:`~repro.backend.ufunc_trace.micro_op` under the tile slicer), so
-    a replay is the shared micro-op loop over existing views — zero
-    allocations.  ``parts`` holds one step list per worker chunk: serial
-    plans have a single part replayed inline; parallel plans hand parts
-    1..N-1 to the :class:`ReplayWorkerPool` while part 0 runs on the caller.
-    Each part was built against its own scratch set and writes only its own
-    tiles' boxes of the written-through buffers, so parts share no mutable
-    state.
+    Every operand/output view was resolved at build time (by
+    :func:`print_tiles`), so a replay is the shared micro-op loop over
+    existing views — zero allocations.  ``parts`` holds one step list per
+    worker chunk: serial plans have a single part replayed inline; parallel
+    plans hand parts 1..N-1 to the :class:`ReplayWorkerPool` while part 0
+    runs on the caller.  Each part was built against its own scratch set and
+    writes only its own tiles' boxes of the stored buffers, so parts share
+    no mutable state.
     """
 
-    __slots__ = ("parts", "tiles", "schedules", "native")
+    __slots__ = ("parts", "tiles", "native")
 
     def __init__(self, parts: List[List[Tuple]], tiles: int,
-                 schedules: int, native=None) -> None:
+                 native=None) -> None:
         self.parts = parts
         self.tiles = tiles
-        self.schedules = schedules
         #: The :class:`~repro.backend.native.NativeRegion` that is this
         #: op's one micro-op, when the region compiled.
         self.native = native
-
-    @property
-    def step_count(self) -> int:
-        return sum(len(part) for part in self.parts)
 
     @property
     def workers(self) -> int:
@@ -549,8 +536,8 @@ class FusedOp:
 class FusionInfo:
     """What the optimizer did to one tape (reported via plan stats)."""
 
-    __slots__ = ("regions", "tiles", "fused_schedules", "steps", "nbytes",
-                 "dead", "sources", "declines")
+    __slots__ = ("regions", "tiles", "fused_schedules", "nbytes", "dead",
+                 "sources", "declines")
 
     def __init__(self) -> None:
         self.regions = 0
@@ -558,59 +545,155 @@ class FusionInfo:
         self.declines: List[str] = []  # why a region kept its ufunc tiles
         self.tiles = 0
         self.fused_schedules = 0
-        self.steps = 0
         self.nbytes = 0  # operand + output bytes of one replay of the tape
         #: Full-grid schedule buffers the fused tape no longer touches
-        #: (tile scratch replaced them); the plan hands them back.
+        #: (registers or tile scratch replaced them); the plan frees them.
         self.dead: List[np.ndarray] = []
 
 
 # ---------------------------------------------------------------------------
-# Region analysis
+# The region IR
 # ---------------------------------------------------------------------------
 
-def _validate_schedules(schedules, region_shape) -> Dict[int, np.ndarray]:
-    """Check every node/leaf is tileable.  Returns ``id(array) -> buffer``
-    for every internal (node) buffer and every leaf that is a view of one."""
-    owner: Dict[int, np.ndarray] = {}
-    for schedule in schedules:
-        for node in schedule.nodes:
-            if node.buffer is None or not _broadcast_ok(node.buffer.shape,
-                                                        region_shape):
-                raise FusionError("node shape does not broadcast to region")
-            owner[id(node.buffer)] = node.buffer
-    internal = list(owner.values())
-    for schedule in schedules:
-        for leaf in schedule.leaves:
-            if not _broadcast_ok(leaf.shape, region_shape):
-                raise FusionError("leaf does not broadcast to region")
-            for buffer in internal:
-                if np.may_share_memory(leaf, buffer):
-                    if not _is_aligned(leaf, buffer):
-                        raise FusionError(
-                            "non-aligned view of an internal buffer")
-                    owner.setdefault(id(leaf), buffer)
-    return owner
+class Load(NamedTuple):
+    """An op argument read from memory: ``Region.loads[index]``."""
+
+    index: int
 
 
-def find_regions(entries: List[TapeEntry]) -> List[Tuple[int, int]]:
-    """The fusable candidates: maximal runs ``[start, end)`` of schedule
-    entries.  Every opaque op — a copied pad included — ends a run."""
-    regions = []
-    index = 0
-    while index < len(entries):
-        if entries[index].schedule is None:
-            index += 1
-            continue
-        start = index
-        while index < len(entries) and entries[index].schedule is not None:
-            index += 1
-        regions.append((start, index))
-    return regions
+class Temp(NamedTuple):
+    """An op argument computed inside the region: ``Region.ops[op]``'s value."""
+
+    op: int
+
+
+class Op(NamedTuple):
+    """``fn`` over ``args`` (each a :class:`Load`, a :class:`Temp` or a
+    scalar), producing ``shape`` / ``dtype``.  Ops whose traced buffer was
+    one buffer share a ``slot``, so tile scratch is exactly as shared as the
+    tracer's liveness assignment made the schedules' buffers."""
+
+    fn: Callable
+    args: Tuple
+    shape: Tuple[int, ...]
+    dtype: np.dtype
+    slot: int
+
+
+class Region(NamedTuple):
+    """One fusable run of schedules, verified by :func:`build_region`.
+
+    ``shape`` is the output shape every load, op and store broadcasts to;
+    ``loads`` the distinct arrays read from memory (one per view geometry);
+    ``ops`` in replay order; ``stores`` one ``(buffer, op)`` per buffer
+    whose contents outlive the region, ``op`` its last writer; ``dead`` the
+    schedule buffers the fused replay never touches.
+    """
+
+    shape: Tuple[int, ...]
+    loads: List[np.ndarray]
+    ops: List[Op]
+    stores: List[Tuple[np.ndarray, int]]
+    dead: List[np.ndarray]
+
+
+def build_region(schedules: Sequence, outlive: Sequence[np.ndarray]) -> Region:
+    """The verified :class:`Region` of a run of traced schedules.
+
+    ``outlive`` holds what is read after the run (the tape's output buffer
+    and every later entry's reads): a buffer the schedules computed into
+    that shares memory with one of them is stored, every other one holds
+    temps.  A leaf that views such a buffer reads the temp last written to
+    it — or, for a stored buffer not yet written, last sweep's contents as
+    a load.  Raises :class:`FusionError` when a node or leaf does not
+    broadcast to the region, a leaf views a buffer other than element for
+    element, a stored buffer is not region-shaped, or a temp is read before
+    any op defines it.
+    """
+    nodes = [node for schedule in schedules for node in schedule.nodes]
+    if nodes[-1].buffer is None:
+        raise FusionError("schedule has no output buffer")
+    shape = nodes[-1].buffer.shape
+    buffers: List[np.ndarray] = []  # one per slot, in first-write order
+    slot_of: Dict[int, int] = {}
+    for node in nodes:
+        if node.buffer is None or not _broadcast_ok(node.buffer.shape, shape):
+            raise FusionError("node shape does not broadcast to region")
+        if slot_of.setdefault(id(node.buffer), len(buffers)) == len(buffers):
+            buffers.append(node.buffer)
+    stored = [any(np.may_share_memory(buffer, read) for read in outlive)
+              for buffer in buffers]
+    if any(kept and buffer.shape != shape
+           for buffer, kept in zip(buffers, stored)):
+        raise FusionError("escaping buffer is not region-shaped")
+
+    loads: List[np.ndarray] = []
+    geometries: Dict[Tuple, int] = {}
+    writer: Dict[int, int] = {}  # slot -> the op that last wrote it
+
+    def load(array: np.ndarray) -> Load:
+        index = geometries.setdefault(view_geometry(array), len(loads))
+        if index == len(loads):
+            loads.append(array)
+        return Load(index)
+
+    def read(slot: int):
+        if slot in writer:
+            return Temp(writer[slot])
+        if stored[slot]:
+            return load(buffers[slot])
+        raise FusionError("temp read before it is defined")
+
+    def argument(value):
+        if isinstance(value, TracedArray):
+            if value.node is not None:
+                return read(slot_of[id(value.node.buffer)])
+            value = value.concrete
+        if not isinstance(value, np.ndarray):
+            return value
+        if not _broadcast_ok(value.shape, shape):
+            raise FusionError("leaf does not broadcast to region")
+        views = [slot for slot, buffer in enumerate(buffers)
+                 if np.may_share_memory(value, buffer)]
+        if not all(_is_aligned(value, buffers[slot]) for slot in views):
+            raise FusionError("non-aligned view of an internal buffer")
+        return read(views[0]) if views else load(value)
+
+    ops: List[Op] = []
+    for node in nodes:
+        args = tuple(argument(value) for value in node.operands)
+        slot = slot_of[id(node.buffer)]
+        writer[slot] = len(ops)
+        ops.append(Op(node.fn, args, node.buffer.shape, np.dtype(node.dtype),
+                      slot))
+    stores = [(buffer, writer[slot]) for slot, buffer in enumerate(buffers)
+              if stored[slot]]
+    dead = [buffer for schedule in schedules for buffer in schedule.scratch
+            if not any(buffer is kept for kept, _op in stores)]
+    return Region(shape, loads, ops, stores, dead)
+
+
+def fusable_regions(entries: List[TapeEntry], out_buffer: np.ndarray
+                    ) -> List[Tuple[int, int, Region]]:
+    """Every maximal run ``[start, end)`` of schedule entries as ``(start,
+    end, region)`` — every opaque op, a copied pad included, ends a run.
+    Raises :class:`FusionError` when a run does not verify."""
+    found, start = [], 0
+    for traced, run in itertools.groupby(
+            entries, lambda entry: entry.schedule is not None):
+        end = start + len(list(run))
+        if traced:
+            later_reads = [read for entry in entries[end:]
+                           for read in entry.reads]
+            found.append((start, end, build_region(
+                [entry.schedule for entry in entries[start:end]],
+                [out_buffer] + later_reads)))
+        start = end
+    return found
 
 
 # ---------------------------------------------------------------------------
-# Building the fused replay
+# Printing a region as ufunc tiles
 # ---------------------------------------------------------------------------
 
 def _partition_grid(grid: List, parts_count: int) -> List[List]:
@@ -630,140 +713,119 @@ def _partition_grid(grid: List, parts_count: int) -> List[List]:
     return chunks
 
 
-def _build_region(entries: List[TapeEntry], start: int, end: int,
-                  out_buffer: np.ndarray, tile_spec, pool,
+def print_tiles(region: Region, tiles: Sequence[int], parts_count: int,
+                pool, scratch: List[np.ndarray]) -> List[List[Tuple]]:
+    """The ufunc-tile printer: one micro-op list per chunk of the tile grid.
+
+    Every tile replays every op of ``region``: a load reads the tile's
+    slice of its array, a stored slot is written through (the tile's slice
+    of the stored buffer), and every other slot lives in tile-sized scratch
+    drawn from ``pool`` (and listed in ``scratch``).  Tiles within a chunk
+    replay in turn and share one scratch set; each chunk gets its own, so
+    parallel workers never share scratch.
+    """
+    shape = region.shape
+    stored = {region.ops[op].slot: buffer for buffer, op in region.stores}
+
+    def trailing(extents: Sequence[int], op: Op) -> Tuple[int, ...]:
+        """``extents`` (one per region axis) on ``op``'s axes; 1 where it
+        broadcasts."""
+        offset = len(shape) - len(op.shape)
+        return tuple(1 if extent == 1 else extents[offset + axis]
+                     for axis, extent in enumerate(op.shape))
+
+    largest = [min(tile, extent) for tile, extent in zip(tiles, shape)]
+    parts = []
+    for chunk in _partition_grid(_tile_grid(shape, tiles), parts_count):
+        held: Dict[int, np.ndarray] = {}  # slot -> this chunk's scratch
+        steps = []
+        for tile in chunk:
+            spans = [stop - start for start, stop in tile]
+            values: List[np.ndarray] = []
+
+            def resolve(arg):
+                if isinstance(arg, Temp):
+                    return values[arg.op]
+                if isinstance(arg, Load):
+                    return _tile_view(region.loads[arg.index], tile, shape)
+                return arg
+
+            for op in region.ops:
+                if op.slot in stored:
+                    out = _tile_view(stored[op.slot], tile, shape)
+                else:
+                    if op.slot not in held:
+                        held[op.slot] = pool.acquire(trailing(largest, op),
+                                                     op.dtype)
+                        scratch.append(held[op.slot])
+                    out = held[op.slot][tuple(
+                        slice(0, span) for span in trailing(spans, op))]
+                steps.append(micro_op(op.fn, op.args, out, resolve))
+                values.append(out)
+        parts.append(steps)
+    return parts
+
+
+# ---------------------------------------------------------------------------
+# Lowering a tape
+# ---------------------------------------------------------------------------
+
+def _lower_region(region: Region, tile_spec, pool,
                   scratch: List[np.ndarray], info: FusionInfo,
-                  workers: int = 1, native: bool = True) -> Optional[FusedOp]:
-    schedules = [entry.schedule for entry in entries[start:end]]
-    final_node = schedules[-1].nodes[-1]
-    if final_node.buffer is None:
-        raise FusionError("schedule has no output buffer")
-    region_shape = final_node.buffer.shape
-
-    owner = _validate_schedules(schedules, region_shape)
-    internal = {id(buffer): buffer for buffer in owner.values()}
-
-    # Buffers whose full contents outlive the region must be written through
-    # (per-tile slices of the real buffer), not into tile scratch.
-    later_reads = [read for entry in entries[end:] for read in entry.reads]
-    through: Dict[int, np.ndarray] = {}
-    for key, buffer in internal.items():
-        if np.may_share_memory(buffer, out_buffer) or any(
-                np.may_share_memory(read, buffer) for read in later_reads):
-            if buffer.shape != region_shape:
-                raise FusionError("escaping buffer is not region-shaped")
-            through[key] = buffer
-
-    tiles = tile_extents(tile_spec, region_shape, final_node.buffer.itemsize)
-    grid = _tile_grid(region_shape, tiles)
-    parts_count = 1 if workers <= 1 else max(1, min(workers, len(grid)))
-
-    nodes = [node for schedule in schedules for node in schedule.nodes]
-    if len(nodes) < 2 and parts_count < 2:
+                  workers: int, native: bool) -> Optional[FusedOp]:
+    tiles = tile_extents(tile_spec, region.shape, region.ops[-1].dtype.itemsize)
+    tile_count = len(_tile_grid(region.shape, tiles))
+    parts_count = 1 if workers <= 1 else max(1, min(workers, tile_count))
+    if len(region.ops) < 2 and parts_count < 2:
         return None  # a lone operation gains nothing from serial tiling
-
-    def allocate_scratch() -> Dict[int, np.ndarray]:
-        # One tile-sized scratch buffer per internal (non-through) buffer.
-        # Tiles *within* a chunk replay sequentially and share the set;
-        # each chunk gets its own set so parallel workers never share
-        # scratch.  Edge tiles use pre-sliced sub-views.
-        scratch_for: Dict[int, np.ndarray] = {}
-        for key, buffer in internal.items():
-            if key in through:
-                continue
-            offset = len(region_shape) - buffer.ndim
-            shape = tuple(
-                1 if buffer.shape[axis] == 1
-                else min(buffer.shape[axis], tiles[offset + axis])
-                for axis in range(buffer.ndim)
-            )
-            tile_scratch = pool.acquire(shape, buffer.dtype)
-            scratch.append(tile_scratch)
-            scratch_for[key] = tile_scratch
-        return scratch_for
-
-    def tile_slicer(tile, scratch_for):
-        """Maps a full-grid array (or scalar) to what ``tile`` touches."""
-        def view(array):
-            buffer = owner.get(id(array))
-            if buffer is None:  # a leaf outside the region, or a scalar
-                return _tile_view(array, tile, region_shape) \
-                    if isinstance(array, np.ndarray) else array
-            if id(buffer) in through:
-                return _tile_view(buffer, tile, region_shape)
-            offset = len(region_shape) - buffer.ndim
-            return scratch_for[id(buffer)][tuple(
-                slice(0, 1) if buffer.shape[axis] == 1
-                else slice(0, tile[offset + axis][1] - tile[offset + axis][0])
-                for axis in range(buffer.ndim)
-            )]
-        return view
-
-    region = None
+    compiled = None
     if native and tile_spec is None:
         # The best replay this host has: one compiled loop nest.  A region
         # it cannot take keeps the ufunc tiles below, counted by reason.
         from . import native as _native  # nothing looks for a compiler earlier
         try:
-            region = _native.build(nodes, region_shape, owner, through)
+            compiled = _native.build(region)
         except _native.Unavailable as declined:
             info.declines.append(declined.reason)
-    if region is not None:
-        info.sources.append(region.source)
-        parts, tile_count = [[(region, (), None)]], 1
+    if compiled is not None:
+        info.sources.append(compiled.source)
+        parts, tile_count = [[(compiled, (), None)]], 1
     else:
-        parts, tile_count = [], len(grid)
-        for chunk in _partition_grid(grid, parts_count):
-            chunk_scratch = allocate_scratch()
-            parts.append([micro_op(node, tile_slicer(tile, chunk_scratch))
-                          for tile in chunk for node in nodes])
-
-    # What the schedules drew from the pool and the fused replay never
-    # touches: everything but the written-through buffers.
-    info.dead.extend(buffer for schedule in schedules
-                     for buffer in schedule.scratch
-                     if id(buffer) not in through)
-    return FusedOp(parts, tiles=tile_count, schedules=len(schedules),
-                   native=region)
+        parts = print_tiles(region, tiles, parts_count, pool, scratch)
+    info.dead.extend(region.dead)
+    return FusedOp(parts, tiles=tile_count, native=compiled)
 
 
-def optimize_tape(entries: List[TapeEntry], out_buffer: np.ndarray,
-                  tile_spec, pool, workers: int = 1, native: bool = True):
-    """Fuse every eligible region of a captured tape.
+def lower_tape(entries: List[TapeEntry], regions, tile_spec, pool,
+               workers: int = 1, native: bool = True):
+    """Replace every region of :func:`fusable_regions` by a :class:`FusedOp`.
 
-    Returns ``(ops, scratch_buffers, info)`` — the new op list with fused
-    regions replaced by :class:`FusedOp` replays; ``info.dead`` lists the
-    full-grid schedule buffers that list no longer touches — or ``None``
-    when nothing fuses.  Raises :class:`FusionError` (after handing scratch
-    back to the pool) when an analysis invariant fails; callers fall back
-    to the unfused tape either way.  ``workers`` (already canonicalised through
-    :func:`normalize_workers`) selects N-way chunked parallel replay; each
-    chunk's scratch comes from the same ``pool``, so worker scratch is
-    released with the rest on fallback or plan release.  With the heuristic
-    tile spec (``None``) a region is first offered to
-    :mod:`repro.backend.native`; ``native=False`` keeps every region on
-    ufunc tiles (the plan's retry after a native tape fails verification).
+    Returns ``(ops, scratch_buffers, info)`` — the new op list; ``info.dead``
+    lists the full-grid schedule buffers that list no longer touches — or
+    ``None`` when nothing fuses; scratch goes back to the pool when it
+    raises.  ``workers`` (already canonicalised through
+    :func:`normalize_workers`) selects N-way chunked parallel replay, each
+    chunk's scratch drawn from ``pool``.  With the heuristic tile spec
+    (``None``) a region is first offered to :mod:`repro.backend.native`;
+    ``native=False`` prints every region as ufunc tiles (the plan's re-print
+    after a native tape fails verification).
     """
     scratch: List[np.ndarray] = []
     info = FusionInfo()
     replacements = []
     try:
-        for start, end in find_regions(entries):
-            fused = _build_region(entries, start, end, out_buffer, tile_spec,
-                                  pool, scratch, info, workers, native)
+        for start, end, region in regions:
+            fused = _lower_region(region, tile_spec, pool, scratch, info,
+                                  workers, native)
             if fused is None:
                 continue
             replacements.append((start, end, fused))
             info.regions += 1
             info.tiles += fused.tiles
-            info.fused_schedules += fused.schedules
-            info.steps += fused.step_count
-    except FusionError:
+            info.fused_schedules += end - start
+    except BaseException:
         pool.release_all(scratch)
         raise
-    except Exception as error:  # noqa: BLE001 - analysis must never corrupt
-        pool.release_all(scratch)
-        raise FusionError(f"{type(error).__name__}: {error}") from error
     if not replacements:
         pool.release_all(scratch)
         return None
@@ -784,6 +846,14 @@ def optimize_tape(entries: List[TapeEntry], out_buffer: np.ndarray,
     return ops, scratch, info
 
 
+def optimize_tape(entries: List[TapeEntry], out_buffer: np.ndarray,
+                  tile_spec, pool, workers: int = 1, native: bool = True):
+    """Fuse every eligible region of a captured tape:
+    :func:`fusable_regions`, then :func:`lower_tape`."""
+    return lower_tape(entries, fusable_regions(entries, out_buffer),
+                      tile_spec, pool, workers, native)
+
+
 # ---------------------------------------------------------------------------
 # Tile-size search (the tuning hook)
 # ---------------------------------------------------------------------------
@@ -800,9 +870,9 @@ def measure_best_tile(backend, program, inputs, candidates=None,
     :func:`repro.tuning.parameters.replay_worker_candidates` (just
     ``(1,)`` on a single-core machine, so the search stays serial there).
     Returns ``(steady_seconds, tile_spec, parallel_workers)`` for the
-    fastest warm replay — the engine worker's measured-scoring primitive.
-    Worker counts above 1 are only timed for specs that actually fuse
-    (``False`` replays the unfused tape, which has no tiles to parallelise).
+    fastest warm replay (what the ladder's ``tuning.*`` rows time).  Worker
+    counts above 1 are only timed for specs that actually fuse (``False``
+    replays the unfused tape, which has no tiles to parallelise).
     """
     from ..tuning.parameters import (
         fuse_tile_candidates,
@@ -833,17 +903,24 @@ __all__ = [
     "FusedOp",
     "FusionError",
     "FusionInfo",
+    "Load",
     "MAX_REPLAY_WORKERS",
+    "Op",
+    "Region",
     "ReplayWorkerPool",
     "TILE_TARGET_BYTES",
     "AUTO_WORKER_MIN_BYTES",
+    "Temp",
     "auto_tile",
     "auto_workers",
-    "find_regions",
+    "build_region",
+    "fusable_regions",
+    "lower_tape",
     "measure_best_tile",
     "normalize_tile_spec",
     "normalize_workers",
     "optimize_tape",
+    "print_tiles",
     "replay_pool",
     "tile_extents",
 ]

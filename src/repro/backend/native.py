@@ -1,22 +1,19 @@
 """Native regions: one C loop nest per fused region, built by the system
 C compiler.
 
-The tape optimizer (:mod:`repro.backend.fuse`) proves a run of traced
-schedules elementwise over one region shape and decides which internal
-buffers must be written *through*.  :func:`build` takes that validated
-region and changes only how it executes: the node list becomes one C
-function with a loop nest over the region shape, every node a register,
-so the stencil is computed in one pass with no float64 temporaries.
+The tape optimizer (:mod:`repro.backend.fuse`) verifies a run of traced
+schedules as one :class:`~repro.backend.fuse.Region`.  :func:`lower`
+prints that region, and nothing else, as one C function with a loop nest
+over the region shape, every op a register, so the stencil is computed in
+one pass with no float64 temporaries; :func:`build` compiles and binds it.
 
-**Lowering.**  A leaf outside the region is a pointer plus one byte stride
-per region axis (0 on a broadcast axis); whether its innermost stride is
-the item size, zero or something else is written into the source, so the
-row loop vectorises, while pointers, strides and extents are arguments —
-every tape of a plan and every grid size of an app share one source text.
-A leaf that is an aligned view of an internal buffer, like a node operand,
-reads the register of the last node that wrote that buffer.  Scalars are
-``float.hex()`` literals.  Only the last writer of each written-through
-buffer is stored.
+**Lowering.**  A load is a pointer plus one byte stride per region axis
+(0 on a broadcast axis); whether its innermost stride is the item size,
+zero or something else is written into the source, so the row loop
+vectorises, while pointers, strides and extents are arguments — every tape
+of a plan and every grid size of an app share one source text.  A temp is
+the register of the op that computed it.  Scalars are ``float.hex()``
+literals.  Each store is the register of its last writer.
 
 **Whitelist.**  float64 ``add`` / ``subtract`` / ``multiply`` /
 ``true_divide`` / ``negative`` / ``absolute`` / ``sqrt``, the six
@@ -74,7 +71,8 @@ import numpy as np
 
 from .. import faults as _faults
 from ..telemetry import registry as _telemetry
-from .ufunc_trace import TracedArray, _select, view_geometry
+from .fuse import Load, Region, Temp
+from .ufunc_trace import _select
 
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno",
          "-fPIC", "-shared")
@@ -100,7 +98,7 @@ class Unavailable(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Lowering: node list -> C source
+# Lowering: region -> C source
 # ---------------------------------------------------------------------------
 
 #: The whitelist: traced ``fn`` -> (result kind, C expression over operands
@@ -169,71 +167,48 @@ def _row_strides(array: np.ndarray, rank: int) -> Tuple[int, ...]:
         for extent, stride in zip(array.shape, array.strides))
 
 
-def lower(nodes: Sequence, region_shape: Sequence[int],
-          owner: Dict[int, np.ndarray], through: Dict[int, np.ndarray]):
-    """``(source, loads, stores)`` for a validated region.
-
-    ``owner`` and ``through`` are the tape optimizer's analysis (array id
-    -> the internal buffer it views; buffer id -> a buffer whose contents
-    outlive the region).  ``loads`` / ``stores`` are the arrays behind the
-    kernel's pointer arguments, in argument order.
-    """
-    rank = len(region_shape)
-    if rank < 1 or 0 in region_shape:
+def lower(region: Region):
+    """``(source, loads, stores)`` for a verified region: the C text and
+    the arrays behind its pointer arguments, in argument order."""
+    rank = len(region.shape)
+    if rank < 1 or 0 in region.shape:
         raise Unavailable("native_layout", "rank-0 or empty region")
-    pointers: Dict[Tuple, int] = {}   # view geometry -> index in ``loads``
-    loads: List[np.ndarray] = []
-    written: Dict[int, Tuple[str, str]] = {}  # buffer id -> (register, kind)
+    registers: List[Tuple[str, str]] = []  # (name, kind) per op
 
-    def register_of(buffer: np.ndarray) -> Tuple[str, str]:
-        found = written.get(id(buffer))
-        if found is None:
-            raise Unavailable("native_layout",
-                              "read of an internal buffer before its write")
-        return found
-
-    def operand(value) -> Tuple[str, str]:
-        """``(C expression, kind)`` of one traced operand."""
-        if isinstance(value, TracedArray):
-            if value.node is not None:
-                return register_of(value.node.buffer)
-            value = value.concrete
-        if not isinstance(value, np.ndarray):
-            return _literal(value), "d"
-        buffer = owner.get(id(value))
-        if buffer is not None:
-            return register_of(buffer)
-        kind = _kind(value.dtype)
-        if not value.flags.aligned:
-            raise Unavailable("native_layout", "misaligned leaf")
-        index = pointers.setdefault(view_geometry(value), len(loads))
-        if index == len(loads):
-            loads.append(value)
-        return f"a{index}", kind
+    def operand(arg) -> Tuple[str, str]:
+        """``(C expression, kind)`` of one op argument."""
+        if isinstance(arg, Temp):
+            return registers[arg.op]
+        if not isinstance(arg, Load):
+            return _literal(arg), "d"
+        array = region.loads[arg.index]
+        kind = _kind(array.dtype)
+        if not array.flags.aligned:
+            raise Unavailable("native_layout", "misaligned load")
+        return f"a{arg.index}", kind
 
     body: List[str] = []
-    for index, node in enumerate(nodes):
-        form = _FORMS.get(node.fn)
+    for index, op in enumerate(region.ops):
+        form = _FORMS.get(op.fn)
         if form is None:
             raise Unavailable("native_op",
-                              getattr(node.fn, "__name__", str(node.fn)))
+                              getattr(op.fn, "__name__", str(op.fn)))
         kind, text = form
-        if _kind(node.dtype) != kind:
+        if _kind(op.dtype) != kind:
             raise Unavailable("native_dtype",
-                              f"{node.fn.__name__} -> {node.dtype}")
-        terms = [operand(value) for value in node.operands]
+                              f"{op.fn.__name__} -> {op.dtype}")
+        terms = [operand(arg) for arg in op.args]
         values = [name if held == "d" else f"(double){name}"
                   for name, held in terms]
-        if node.fn is np.clip:
+        if op.fn is np.clip:
             # Only the scalar-bounds loop: with array bounds NumPy takes
             # another one that differs on signed zeros, chosen by strides.
-            if any(isinstance(bound, (TracedArray, np.ndarray))
-                   for bound in node.operands[1:]):
+            if any(isinstance(bound, (Load, Temp)) for bound in op.args[1:]):
                 raise Unavailable("native_op", "clip with array bounds")
             if "NAN" in values[1:]:
                 values[0] = "NAN"  # a NaN bound fills the result with NaN
-        if node.fn is _select:
-            chosen = node.operands[0]
+        if op.fn is _select:
+            chosen = op.args[0]
             if isinstance(chosen, (bool, np.bool_)):
                 values[0] = "1" if chosen else "0"
             elif terms[0][1] == "b":
@@ -242,15 +217,18 @@ def lower(nodes: Sequence, region_shape: Sequence[int],
                 raise Unavailable("native_dtype", "where on a non-bool")
         body.append(f"const {_CTYPES[kind]} r{index} = "
                     f"{text.format(*values)};")
-        written[id(node.buffer)] = (f"r{index}", kind)
+        registers.append((f"r{index}", kind))
 
-    stores = list(through.values())
+    loads = region.loads
+    stores = [buffer for buffer, _op in region.stores]
     for buffer in stores:
         if not buffer.flags.aligned or not buffer.flags.writeable:
             raise Unavailable("native_layout", "store target")
-        if any(np.may_share_memory(buffer, leaf) for leaf in loads):
+        if any(buffer is array for array in loads):
+            # a stored buffer read before its write: last sweep's contents,
+            # which the loop nest overwrites as it goes
             raise Unavailable("native_layout", "a store aliases a load")
-    results = [register_of(buffer) for buffer in stores]
+    results = [registers[op] for _buffer, op in region.stores]
     return _emit(rank, loads, stores, results, body), loads, stores
 
 
@@ -489,13 +467,11 @@ class NativeRegion:
         self._function(*self._arguments)
 
 
-def build(nodes: Sequence, region_shape: Sequence[int],
-          owner: Dict[int, np.ndarray],
-          through: Dict[int, np.ndarray]) -> NativeRegion:
-    """Lower, compile and bind one validated region, or raise
+def build(region: Region) -> NativeRegion:
+    """Lower, compile and bind one verified region, or raise
     :class:`Unavailable` with the reason it stays on ufunc tiles."""
-    source, loads, stores = lower(nodes, region_shape, owner, through)
-    return NativeRegion(source, kernel(source), loads, stores, region_shape)
+    source, loads, stores = lower(region)
+    return NativeRegion(source, kernel(source), loads, stores, region.shape)
 
 
 __all__ = ["FLAGS", "NativeRegion", "Unavailable", "build", "cache_dir",

@@ -47,23 +47,21 @@ execution of the same step, which copies every pad; on a mismatch the plan
 falls back to copied pads (``fusion_fallbacks``, reason ``halo``).
 
 Captured tapes are handed to the tape optimizer (:mod:`repro.backend.fuse`)
-before their first replay: runs of elementwise traced-ufunc schedules are
-fused into regions replayed **tile by tile** over
-cache-blocked output slices with per-tile pooled scratch, verified
-bit-identical against the unfused tape at capture time and falling back to
-it for anything the analyzer cannot prove safe.  On the default tile spec
-a region is first compiled to one C loop nest
-(:mod:`repro.backend.native`) where the host has a compiler and the
-region's operations allow it; such a tape is verified the same way under
-one relaxed relation (equal bits, or NaN on both sides), and one that
-fails is rebuilt on ufunc tiles.  The tile shape is a plan
-parameter (``tile_shape``) the auto-tuner searches, and so is
-``parallel_workers``: with ``N >= 2`` each fused region's tile grid is
-chunked across a persistent worker-thread pool, every chunk replaying
-against its own pooled scratch set (see
-:class:`~repro.backend.fuse.ReplayWorkerPool`) — the capture-time
-verification exercises that same parallel replay before trusting it.
-Left at ``None`` the count follows one rule on the input shapes
+before their first replay: each run of elementwise traced-ufunc schedules
+is verified once as a :class:`~repro.backend.fuse.Region` (anything the
+verifier cannot prove safe keeps the unfused tape) and printed either as
+one C loop nest (:mod:`repro.backend.native`, on the default tile spec
+where the host has a compiler and the region's operations allow it) or as
+**ufunc tiles** replayed over cache-blocked output slices with per-tile
+pooled scratch.  The fused tape is verified against the unfused one at
+capture time — bit for bit, or for native regions under one relaxed
+relation (equal bits, or NaN on both sides) — and a native tape that fails
+is re-printed on ufunc tiles from the same regions.  ``tile_shape`` picks
+the printer and the tile; ``parallel_workers`` (``N >= 2``) chunks each
+tiled region across a persistent worker-thread pool, every chunk against
+its own pooled scratch set (:class:`~repro.backend.fuse.ReplayWorkerPool`),
+and the capture-time check exercises that same parallel replay.  Left at
+``None`` the count follows one rule on the input shapes
 (:func:`~repro.backend.fuse.auto_workers`): grids big enough to give each
 worker sixteen tiles take one worker per core, everything smaller stays
 serial.
@@ -89,9 +87,10 @@ from ..telemetry import registry as _telemetry
 from ..telemetry.registry import metrics_enabled as _metrics_on
 from .fuse import (
     FusionInfo,
+    fusable_regions,
+    lower_tape,
     normalize_tile_spec,
     normalize_workers,
-    optimize_tape,
 )
 from .numpy_backend import (
     Batched,
@@ -646,19 +645,22 @@ class ExecutionPlan:
         tile, so it must reproduce the unfused replay bit for bit — which
         is checked right here, against the output the capture just
         computed, before the fused tape is ever trusted with a result.
-        Native regions are tried first; a tape they fail is rebuilt on ufunc
-        tiles and answers to the strict comparison.
+        Native regions are tried first; a tape they fail is re-printed from
+        the same regions on ufunc tiles and answers to the strict
+        comparison.
         """
         out_buffer = tape.out
+        try:
+            regions = fusable_regions(entries, out_buffer)
+        except Exception:  # noqa: BLE001 - fusion must never break execution
+            return self._unfused(tape, "analysis")
         for native in (True, False):
             try:
-                optimized = optimize_tape(entries, out_buffer, self.tile_shape,
-                                          self._pool, self.parallel_workers,
-                                          native)
+                optimized = lower_tape(entries, regions, self.tile_shape,
+                                       self._pool, self.parallel_workers,
+                                       native)
             except Exception:  # noqa: BLE001 - fusion must never break execution
-                self.fusion_fallbacks += 1
-                _FUSION_FALLBACKS_TOTAL.inc(label="analysis")
-                return tape
+                return self._unfused(tape, "analysis")
             if optimized is None:
                 return tape
             ops, scratch, info = optimized
@@ -685,8 +687,12 @@ class ExecutionPlan:
             if not info.sources:
                 break
             _FUSION_FALLBACKS_TOTAL.inc(label="native_verification")
+        return self._unfused(tape, "verification")
+
+    def _unfused(self, tape: _Tape, reason: str) -> _Tape:
+        """Keep the unfused tape, counted under ``reason``."""
         self.fusion_fallbacks += 1
-        _FUSION_FALLBACKS_TOTAL.inc(label="verification")
+        _FUSION_FALLBACKS_TOTAL.inc(label=reason)
         return tape
 
     def _step(self, state: List[np.ndarray], slot: int) -> np.ndarray:

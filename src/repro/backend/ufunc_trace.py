@@ -23,8 +23,8 @@ directly into a pooled result buffer (correct, just not allocation-free).
 What a replay executes is a list of *micro-ops* ``(fn, operands, out)``,
 each meaning ``fn(*operands, out=out)`` over arrays resolved in advance.
 :func:`micro_op` is the one constructor (a schedule builds its own at full
-grid; the tape optimizer builds them again per tile) and :func:`replay` the
-one loop.
+grid; the tape optimizer builds a region's again per tile) and
+:func:`replay` the one loop.
 """
 
 from __future__ import annotations
@@ -255,21 +255,24 @@ def _wrap_argument(value, memo: dict):
     return value  # scalars participate as plain Python numbers
 
 
-def micro_op(node: _Node, view=lambda array: array) -> Tuple:
-    """The micro-op ``(fn, operands, out)`` replaying ``node``.
+def _live(value):
+    """What a traced operand reads at replay: a computed one its node's
+    buffer, a leaf the live view behind it, a scalar itself."""
+    if isinstance(value, TracedArray):
+        return value.concrete if value.node is None else value.node.buffer
+    return value
 
-    The one place a traced node becomes something executable.  Operands are
-    resolved here, once — a computed operand to its node's buffer, a leaf to
-    the live view behind it — and ``view`` then maps each full-grid array
-    (and the node's own buffer) to what this replay touches: itself for a
-    full-grid schedule, one tile's slice of it for a fused region.
+
+def micro_op(fn, args: Sequence, out: np.ndarray, resolve=_live) -> Tuple:
+    """The micro-op ``(fn, operands, out)`` meaning ``fn(*operands, out=out)``.
+
+    The one place a recorded operation becomes something executable:
+    ``resolve`` maps each argument to what this replay reads, once.  A
+    schedule resolves its traced operands at full grid (the default); the
+    tape optimizer's tile printer resolves a region's loads and temps to
+    one tile's views (:func:`repro.backend.fuse.print_tiles`).
     """
-    operands = tuple(
-        view(value if not isinstance(value, TracedArray)
-             else value.concrete if value.node is None else value.node.buffer)
-        for value in node.operands
-    )
-    return node.fn, operands, view(node.buffer)
+    return fn, tuple(resolve(arg) for arg in args), out
 
 
 def replay(steps: Sequence[Tuple]) -> None:
@@ -307,7 +310,8 @@ class ReplaySchedule:
         #: Every buffer this schedule drew from its allocator — what a
         #: caller that stops running the schedule may hand back.
         self.scratch = scratch
-        self.steps = [micro_op(node) for node in nodes]
+        self.steps = [micro_op(node.fn, node.operands, node.buffer)
+                      for node in nodes]
         #: The arrays read but not computed here: argument views and
         #: constants the function closed over.
         self.leaves = [
@@ -322,7 +326,7 @@ class ReplaySchedule:
         """The recorded operation DAG in replay order (read-only use).
 
         Exposed for the tape optimizer (:mod:`repro.backend.fuse`), which
-        re-derives a tiled replay from the same nodes."""
+        builds a region from the same nodes."""
         return self._nodes
 
     def retarget(self, new_out: np.ndarray) -> Optional[np.ndarray]:
@@ -344,7 +348,7 @@ class ReplaySchedule:
         orphan = final.buffer
         final.buffer = new_out
         self.out = new_out
-        self.steps[-1] = micro_op(final)
+        self.steps[-1] = micro_op(final.fn, final.operands, new_out)
         if any(node.buffer is orphan for node in self._nodes):
             return None
         self.scratch = [b for b in self.scratch if b is not orphan]

@@ -34,18 +34,13 @@ import numpy as np
 from ..apps.base import StencilBenchmark
 from ..apps.suite import get_benchmark
 from ..backend import BackendMismatch, CompileError, get_backend
-from ..backend.fuse import measure_best_tile
+from ..backend.plan import time_steady
 from ..rewriting.exploration import ExplorationResult, explore, verify_variants
 from ..rewriting.strategies import LoweredProgram, lower_program
 from ..runtime.simulator.device import DEVICES, DeviceModel
 from ..runtime.simulator.executor import SimulationResult, VirtualDevice
 from ..runtime.simulator.kernel_model import KernelConfig, ProblemInstance, build_profile
-from ..tuning.parameters import (
-    Parameter,
-    ParameterSpace,
-    fuse_tile_candidates,
-    opencl_constraints,
-)
+from ..tuning.parameters import Parameter, ParameterSpace, opencl_constraints
 from .jobs import EvaluationJob, JobResult, VariantSpec
 
 #: Tile widths considered by the macro exploration (before validity filtering).
@@ -266,15 +261,13 @@ def _measured_cost(job: EvaluationJob, lowered: LoweredProgram) -> float:
     The simulator scores a *device model*; measured scoring instead executes
     the variant on this machine and takes the best of ``measure_runs``
     timings — the closest analogue of the paper's on-device auto-tuning
-    runs.  Timing goes through an :class:`~repro.backend.plan.ExecutionPlan`
-    (warmed until its tape replays) and **searches the tape optimizer's
-    tile shapes** (unfused tape, heuristic tile, row/slab blocks — see
-    :func:`repro.tuning.parameters.fuse_tile_candidates`) with warm
-    fused-plan replays, so the reported cost is the best *steady-state*
-    sweep the serving layer could actually pay.  Measured costs are
-    wall-clock and therefore not bit-reproducible across machines; the
-    engine keeps them in a separate memo keyspace (see
-    :meth:`EvaluationJob.fingerprint`).
+    runs.  Timing goes through the default
+    :class:`~repro.backend.plan.ExecutionPlan` (warmed until its tape
+    replays, :func:`~repro.backend.plan.time_steady`) — the one plan the
+    serving layer builds, so the cost is the steady-state sweep a server
+    actually pays.  Measured costs are wall-clock and therefore not
+    bit-reproducible across machines; the engine keeps them in a separate
+    memo keyspace (see :meth:`EvaluationJob.fingerprint`).
 
     The compiled NumPy execution is configuration-independent (work-group
     geometry only exists in the device model), so measured mode ranks
@@ -293,10 +286,7 @@ def _measured_cost(job: EvaluationJob, lowered: LoweredProgram) -> float:
     backend = get_backend("numpy")
     runs = max(1, job.measure_runs)
     try:
-        best, _tile, _workers = measure_best_tile(
-            backend, lowered.program, inputs,
-            candidates=fuse_tile_candidates(benchmark.ndims), runs=runs,
-        )
+        best = time_steady(backend.plan(lowered.program, inputs), inputs, runs)
     except CompileError:
         # Plans have no interpreter fallback; a variant the compiler cannot
         # handle is still timed through the generic path (which falls back),

@@ -109,19 +109,14 @@ def fuse_tile_candidates(ndims: int) -> List[object]:
     heuristic — spelled as a string, not ``None``, so a winning heuristic
     stays distinguishable from "no tile search ran") and explicit
     leading-axis row/slab blocks with ``None`` (= whole-axis) entries for
-    the remaining axes.  This is the space
-    :func:`repro.backend.fuse.measure_best_tile` — the engine's measured
-    scorer — times with warm fused-plan replays.
+    the remaining axes.  Its one consumer is
+    :func:`repro.backend.fuse.measure_best_tile`, which times each with warm
+    fused-plan replays.
     """
     blocks = FUSE_TILE_BLOCKS.get(min(max(ndims, 2), 3), FUSE_TILE_BLOCKS[3])
     return [False, "auto"] + [
         (block,) + (None,) * (max(ndims, 2) - 1) for block in blocks
     ]
-
-
-def fuse_tile_parameter(ndims: int, name: str = "fuse_tile") -> Parameter:
-    """The tape-optimizer tile as a first-class tunable parameter."""
-    return Parameter(name, tuple(fuse_tile_candidates(ndims)))
 
 
 #: Cap on the replay-worker counts the tuner searches.  Chunked replay is
@@ -146,12 +141,6 @@ def replay_worker_candidates(max_workers: int = None) -> Tuple[int, ...]:
         candidates.append(workers)
         workers *= 2
     return tuple(candidates)
-
-
-def replay_workers_parameter(max_workers: int = None,
-                             name: str = "replay_workers") -> Parameter:
-    """Fused-region replay parallelism as a first-class tunable parameter."""
-    return Parameter(name, replay_worker_candidates(max_workers))
 
 
 def opencl_constraints(
@@ -205,8 +194,6 @@ __all__ = [
     "Parameter",
     "ParameterSpace",
     "fuse_tile_candidates",
-    "fuse_tile_parameter",
     "opencl_constraints",
     "replay_worker_candidates",
-    "replay_workers_parameter",
 ]

@@ -324,6 +324,28 @@ class TestScorersAndValidation:
         for variant in outcome.per_variant:
             assert variant.best_cost > 0
 
+    def test_a_measured_job_times_the_one_plan_a_server_builds(
+            self, monkeypatch):
+        # The default plan (no tile, no worker count): no caller under src/
+        # builds any other, so a cost from another is one no server pays.
+        from repro.backend.base import NumpyBackend
+
+        built = []
+        genuine = NumpyBackend.plan
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs)
+            return genuine(self, *args, **kwargs)
+
+        monkeypatch.setattr(NumpyBackend, "plan", counting)
+        monkeypatch.setattr(worker, "_MEASURED", {})
+        job = make_jobs("stencil2d", SHAPE, "nvidia", VariantSpec(name="naive"),
+                        [{"wg_x": 4, "wg_y": 4, "work_per_thread": 1}],
+                        measure_runs=2, measure_size=24)[0]
+        result = evaluate_job(job)
+        assert result.ok and 0 < result.cost < float("inf")
+        assert built == [{}]
+
     def test_measured_and_simulated_points_never_share_memo_entries(self):
         sim = make_jobs("stencil2d", SHAPE, "nvidia", VariantSpec(name="naive"),
                         [{"wg_x": 4, "wg_y": 4, "work_per_thread": 1}])[0]
