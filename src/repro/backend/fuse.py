@@ -10,11 +10,13 @@ first replayed:
    either a traced schedule or an opaque op, and a fusable run is a maximal
    run of schedule entries (every opaque op ends one — a pad no resident
    home could serve included).  :func:`build_region` turns each run into
-   one verified :class:`Region`: the arrays it loads, its ops over loads,
-   temps and scalars in replay order, the buffers it stores (those whose
-   contents outlive it) and the schedule buffers it no longer needs.  What
-   an operand reads is decided there, once; a run that is not elementwise
-   over one shape raises :class:`FusionError` and the tape stays unfused.
+   one verified :class:`Region`: the allocations it reads (its bases), its
+   ops over accesses (a base plus a per-axis offset), temps and scalars in
+   replay order, the buffers it stores (those whose contents outlive it)
+   and the schedule buffers it no longer needs.  Which allocation an
+   operand reads, and where in it, is decided there, once; a run that is
+   not elementwise over one shape raises :class:`FusionError` and the tape
+   stays unfused.
 2. **Printers** — the region then replaces its run with one
    :class:`FusedOp`, printed by one of two printers that read nothing but
    the :class:`Region`.  On the default tile spec,
@@ -41,12 +43,13 @@ equal bits, or NaN on both sides — because C cannot pin which NaN a
 commutative operation returns, and a tape that fails it is re-printed on
 ufunc tiles from the same regions.
 
-Tile shape is a first-class tuning parameter (see
-:func:`repro.tuning.parameters.fuse_tile_candidates` and
-:func:`measure_best_tile`): ``None`` means the best replay this host has
-(a native region, else a cache-sized row-block tile), ``False`` disables
-fusion, and an explicit tuple means ufunc tiles blocking the trailing
-output axes (``None`` entries keep an axis un-blocked).
+The tile spec is a plan option: ``None`` (the default) means the best
+replay this host has (a native region, else the cache-sized row-block
+tile of :func:`auto_tile`), ``False`` disables fusion, and an explicit
+tuple means ufunc tiles blocking the trailing output axes (``None``
+entries keep an axis un-blocked).  Nothing on the default path searches
+tile shapes; :func:`measure_best_tile` times candidates for the
+benchmark ladder only.
 
 **The region's store target.**  A region whose result is the plan's output
 writes each tile into the output ring buffer, which for a grid the program
@@ -81,13 +84,7 @@ from .. import faults as _faults
 from ..telemetry import registry as _telemetry
 from ..telemetry.registry import RATIO_BUCKETS, metrics_enabled as _metrics_on
 from .numpy_backend import ExecutionError, TapeEntry
-from .ufunc_trace import (
-    TracedArray,
-    micro_op,
-    replay,
-    replay_nbytes,
-    view_geometry,
-)
+from .ufunc_trace import TracedArray, micro_op, replay, replay_nbytes
 
 #: Per-tile working-set target.  One tile of every live scratch buffer
 #: should sit comfortably in L2: with the couple of buffers liveness reuse
@@ -257,78 +254,57 @@ def _address(array: np.ndarray) -> int:
     return array.__array_interface__["data"][0]
 
 
-def _is_box(buffer: np.ndarray) -> bool:
-    """True when ``buffer`` is a rectangular box of a C-ordered allocation:
-    a whole pooled buffer, or the interior view of a resident padded one.
-    Each axis then strides over at least the full extent of the axes after
-    it, which is what lets an address offset be split axis by axis."""
-    span = buffer.itemsize
-    for extent, stride in zip(reversed(buffer.shape), reversed(buffer.strides)):
-        if extent <= 1:
-            continue
-        if stride < span:
-            return False
-        span = stride * extent
-    return True
+def _reads(array: np.ndarray, shape: Sequence[int]):
+    """What ``array`` reads over a region of ``shape``: its address and its
+    byte step per region axis (0 where the region does not move along)."""
+    array = np.broadcast_to(array, shape)
+    return _address(array), tuple(
+        0 if extent == 1 else step for extent, step in zip(shape, array.strides))
 
 
-def _locate(view: np.ndarray, buffer: np.ndarray):
-    """Decompose ``view`` as a rectangular selection of ``buffer``.
+def _root(array: np.ndarray) -> np.ndarray:
+    """The allocation behind ``array``: the last array on its ``.base``
+    chain (``as_strided`` views hang off a non-array)."""
+    root = link = array
+    while link is not None:
+        if isinstance(link, np.ndarray):
+            root = link
+        link = getattr(link, "base", None)
+    return root
 
-    Returns, per buffer axis, ``(offset, view_axis, extent)`` — where
-    ``view_axis`` is the view axis sweeping that buffer axis (``None`` when
-    the view reads a single index) — or ``None`` when the view is not a
-    plain strided window (step-sliced, transposed onto equal strides,
-    different dtype, …).  Broadcast (stride-0) view axes contribute nothing.
+
+def _lead(base: np.ndarray, rank: int) -> int:
+    """Base axis ``k`` is swept by region axis ``lead + k`` (a fixed index
+    when that is past the region's last axis)."""
+    return max(rank - base.ndim, 0)
+
+
+def _resolve(view: np.ndarray, shape: Sequence[int]):
+    """``(base, offset)`` of a leaf over a region of ``shape``.
+
+    The base is ``view``'s allocation and ``offset`` its address split
+    axis by axis, when the access reads back exactly what ``view`` reads
+    (:func:`_tile_view` over the whole region): every base axis is swept by
+    its region axis (:func:`_lead`), has extent 1 (a broadcast), or is a
+    fixed index past the region's axes.  Anything else — negative strides,
+    a step slice, a broadcast row of a larger grid — is its own base at
+    offset zero.
     """
-    if view.dtype != buffer.dtype or not _is_box(buffer):
-        return None
-    delta = _address(view) - _address(buffer)
-    if delta < 0:
-        return None
-    matched: Dict[int, int] = {}
-    for axis in range(view.ndim):
-        if view.shape[axis] <= 1 or view.strides[axis] == 0:
-            continue
-        hits = [k for k in range(buffer.ndim)
-                if buffer.shape[k] > 1
-                and buffer.strides[k] == view.strides[axis]]
-        if len(hits) != 1 or hits[0] in matched:
-            return None
-        matched[hits[0]] = axis
-    locations = []
-    remaining = delta
-    for k in range(buffer.ndim):
-        stride = buffer.strides[k]
-        if buffer.shape[k] <= 1 or stride <= 0:
-            locations.append((0, None, 1))
-            continue
-        offset = remaining // stride
-        remaining -= offset * stride
-        view_axis = matched.get(k)
-        extent = view.shape[view_axis] if view_axis is not None else 1
-        if offset + extent > buffer.shape[k]:
-            return None
-        locations.append((int(offset), view_axis, int(extent)))
-    if remaining != 0:
-        return None
-    return locations
-
-
-def _is_aligned(view: np.ndarray, buffer: np.ndarray) -> bool:
-    """True when ``view`` reads all of ``buffer`` element-for-element —
-    i.e. it is ``buffer`` itself modulo inserted broadcast/singleton axes
-    (same order, no transposition, no offset)."""
-    locations = _locate(view, buffer)
-    if locations is None:
-        return False
-    swept = []
-    for k, (offset, view_axis, extent) in enumerate(locations):
-        if offset != 0 or extent != buffer.shape[k]:
-            return False
-        if view_axis is not None:
-            swept.append(view_axis)
-    return swept == sorted(swept)
+    root, rank = _root(view), len(shape)
+    lead = _lead(root, rank)
+    delta, offset = _address(view) - _address(root), []
+    for extent, stride in zip(root.shape, root.strides):
+        offset.append(delta // stride if extent > 1 and stride > 0 else 0)
+        delta -= offset[-1] * stride
+    spans = [shape[lead + k] if lead + k < rank and extent > 1 else 1
+             for k, extent in enumerate(root.shape)]
+    inside = all(0 <= shift <= extent - span
+                 for shift, span, extent in zip(offset, spans, root.shape))
+    if view.dtype == root.dtype and delta == 0 and inside:
+        whole = _tile_view(root, [(0, extent) for extent in shape], offset)
+        if _reads(whole, shape) == _reads(view, shape):
+            return root, tuple(offset)
+    return view, (0,) * view.ndim
 
 
 def _broadcast_ok(shape: Sequence[int], region_shape: Sequence[int]) -> bool:
@@ -341,16 +317,18 @@ def _broadcast_ok(shape: Sequence[int], region_shape: Sequence[int]) -> bool:
     )
 
 
-def _tile_view(array: np.ndarray, tile, region_shape) -> np.ndarray:
-    """Slice ``array`` (trailing-aligned, broadcastable to the region shape)
-    down to one tile box; broadcast (extent-1) axes stay extent 1."""
-    offset = len(region_shape) - array.ndim
-    selector = tuple(
-        slice(tile[offset + axis][0], tile[offset + axis][1])
-        if array.shape[axis] != 1 else slice(0, 1)
-        for axis in range(array.ndim)
-    )
-    return array[selector]
+def _tile_view(array: np.ndarray, tile, offset=None) -> np.ndarray:
+    """The view of ``array`` at ``offset`` (zero when omitted; see
+    :func:`_resolve`) that one tile box reads: a swept axis is the tile's
+    span shifted by its offset, a broadcast (extent-1) axis stays extent
+    1, and an axis past the region's is its fixed index."""
+    lead = _lead(array, len(tile))
+    offset = offset or (0,) * array.ndim
+    return array[tuple(
+        offset[k] if lead + k >= len(tile) else
+        slice(0, 1) if array.shape[k] == 1 else
+        slice(offset[k] + tile[lead + k][0], offset[k] + tile[lead + k][1])
+        for k in range(array.ndim))]
 
 
 # ---------------------------------------------------------------------------
@@ -555,10 +533,12 @@ class FusionInfo:
 # The region IR
 # ---------------------------------------------------------------------------
 
-class Load(NamedTuple):
-    """An op argument read from memory: ``Region.loads[index]``."""
+class Access(NamedTuple):
+    """An op argument read from memory: ``Region.bases[base]`` shifted by
+    ``offset``, one integer per base axis (see :func:`_resolve`)."""
 
-    index: int
+    base: int
+    offset: Tuple[int, ...]
 
 
 class Temp(NamedTuple):
@@ -568,7 +548,7 @@ class Temp(NamedTuple):
 
 
 class Op(NamedTuple):
-    """``fn`` over ``args`` (each a :class:`Load`, a :class:`Temp` or a
+    """``fn`` over ``args`` (each an :class:`Access`, a :class:`Temp` or a
     scalar), producing ``shape`` / ``dtype``.  Ops whose traced buffer was
     one buffer share a ``slot``, so tile scratch is exactly as shared as the
     tracer's liveness assignment made the schedules' buffers."""
@@ -583,18 +563,24 @@ class Op(NamedTuple):
 class Region(NamedTuple):
     """One fusable run of schedules, verified by :func:`build_region`.
 
-    ``shape`` is the output shape every load, op and store broadcasts to;
-    ``loads`` the distinct arrays read from memory (one per view geometry);
-    ``ops`` in replay order; ``stores`` one ``(buffer, op)`` per buffer
-    whose contents outlive the region, ``op`` its last writer; ``dead`` the
-    schedule buffers the fused replay never touches.
+    ``shape`` is the output shape every access, op and store broadcasts to;
+    ``bases`` the distinct allocations read from memory, each read through
+    one :class:`Access` per distinct offset; ``ops`` in replay order;
+    ``stores`` one ``(buffer, op)`` per buffer whose contents outlive the
+    region, ``op`` its last writer; ``dead`` the schedule buffers the fused
+    replay never touches.
     """
 
     shape: Tuple[int, ...]
-    loads: List[np.ndarray]
+    bases: List[np.ndarray]
     ops: List[Op]
     stores: List[Tuple[np.ndarray, int]]
     dead: List[np.ndarray]
+
+    def accesses(self) -> List[Access]:
+        """The distinct accesses, in the order the ops first read them."""
+        return list(dict.fromkeys(arg for op in self.ops for arg in op.args
+                                  if isinstance(arg, Access)))
 
 
 def build_region(schedules: Sequence, outlive: Sequence[np.ndarray]) -> Region:
@@ -603,12 +589,14 @@ def build_region(schedules: Sequence, outlive: Sequence[np.ndarray]) -> Region:
     ``outlive`` holds what is read after the run (the tape's output buffer
     and every later entry's reads): a buffer the schedules computed into
     that shares memory with one of them is stored, every other one holds
-    temps.  A leaf that views such a buffer reads the temp last written to
-    it — or, for a stored buffer not yet written, last sweep's contents as
-    a load.  Raises :class:`FusionError` when a node or leaf does not
-    broadcast to the region, a leaf views a buffer other than element for
-    element, a stored buffer is not region-shaped, or a temp is read before
-    any op defines it.
+    temps.  Each leaf resolves once to an :class:`Access` (:func:`_resolve`).
+    A leaf of a computed buffer's allocation must resolve to that buffer's
+    own access, and reads the temp last written to it — or, for a stored
+    buffer not yet written, last sweep's contents as an access.  Raises
+    :class:`FusionError` when a node or leaf does not broadcast to the
+    region, a leaf views a computed buffer other than element for element,
+    a stored buffer is not region-shaped, or a temp is read before any op
+    defines it.
     """
     nodes = [node for schedule in schedules for node in schedule.nodes]
     if nodes[-1].buffer is None:
@@ -627,21 +615,22 @@ def build_region(schedules: Sequence, outlive: Sequence[np.ndarray]) -> Region:
            for buffer, kept in zip(buffers, stored)):
         raise FusionError("escaping buffer is not region-shaped")
 
-    loads: List[np.ndarray] = []
-    geometries: Dict[Tuple, int] = {}
+    homes = [_resolve(buffer, shape) for buffer in buffers]
+    bases: List[np.ndarray] = []
     writer: Dict[int, int] = {}  # slot -> the op that last wrote it
 
-    def load(array: np.ndarray) -> Load:
-        index = geometries.setdefault(view_geometry(array), len(loads))
-        if index == len(loads):
-            loads.append(array)
-        return Load(index)
+    def access(base: np.ndarray, offset: Tuple[int, ...]) -> Access:
+        index = next((k for k, known in enumerate(bases) if known is base),
+                     len(bases))
+        if index == len(bases):
+            bases.append(base)
+        return Access(index, offset)
 
     def read(slot: int):
         if slot in writer:
             return Temp(writer[slot])
         if stored[slot]:
-            return load(buffers[slot])
+            return access(*homes[slot])
         raise FusionError("temp read before it is defined")
 
     def argument(value):
@@ -653,11 +642,15 @@ def build_region(schedules: Sequence, outlive: Sequence[np.ndarray]) -> Region:
             return value
         if not _broadcast_ok(value.shape, shape):
             raise FusionError("leaf does not broadcast to region")
-        views = [slot for slot, buffer in enumerate(buffers)
-                 if np.may_share_memory(value, buffer)]
-        if not all(_is_aligned(value, buffers[slot]) for slot in views):
-            raise FusionError("non-aligned view of an internal buffer")
-        return read(views[0]) if views else load(value)
+        base, offset = _resolve(value, shape)
+        computed = [slot for slot, (home, _offset) in enumerate(homes)
+                    if _root(home) is _root(base)]
+        if not computed:
+            return access(base, offset)
+        for slot in computed:
+            if homes[slot][0] is base and homes[slot][1] == offset:
+                return read(slot)
+        raise FusionError("non-aligned view of an internal buffer")
 
     ops: List[Op] = []
     for node in nodes:
@@ -670,7 +663,7 @@ def build_region(schedules: Sequence, outlive: Sequence[np.ndarray]) -> Region:
               if stored[slot]]
     dead = [buffer for schedule in schedules for buffer in schedule.scratch
             if not any(buffer is kept for kept, _op in stores)]
-    return Region(shape, loads, ops, stores, dead)
+    return Region(shape, bases, ops, stores, dead)
 
 
 def fusable_regions(entries: List[TapeEntry], out_buffer: np.ndarray
@@ -717,12 +710,13 @@ def print_tiles(region: Region, tiles: Sequence[int], parts_count: int,
                 pool, scratch: List[np.ndarray]) -> List[List[Tuple]]:
     """The ufunc-tile printer: one micro-op list per chunk of the tile grid.
 
-    Every tile replays every op of ``region``: a load reads the tile's
-    slice of its array, a stored slot is written through (the tile's slice
-    of the stored buffer), and every other slot lives in tile-sized scratch
-    drawn from ``pool`` (and listed in ``scratch``).  Tiles within a chunk
-    replay in turn and share one scratch set; each chunk gets its own, so
-    parallel workers never share scratch.
+    Every tile replays every op of ``region``: an access reads the tile's
+    slice of its base shifted by its offset, a stored slot is written
+    through (the tile's slice of the stored buffer), and every other slot
+    lives in tile-sized scratch drawn from ``pool`` (and listed in
+    ``scratch``).  Tiles within a chunk replay in turn and share one
+    scratch set; each chunk gets its own, so parallel workers never share
+    scratch.
     """
     shape = region.shape
     stored = {region.ops[op].slot: buffer for buffer, op in region.stores}
@@ -746,13 +740,14 @@ def print_tiles(region: Region, tiles: Sequence[int], parts_count: int,
             def resolve(arg):
                 if isinstance(arg, Temp):
                     return values[arg.op]
-                if isinstance(arg, Load):
-                    return _tile_view(region.loads[arg.index], tile, shape)
+                if isinstance(arg, Access):
+                    return _tile_view(region.bases[arg.base], tile,
+                                      arg.offset)
                 return arg
 
             for op in region.ops:
                 if op.slot in stored:
-                    out = _tile_view(stored[op.slot], tile, shape)
+                    out = _tile_view(stored[op.slot], tile)
                 else:
                     if op.slot not in held:
                         held[op.slot] = pool.acquire(trailing(largest, op),
@@ -902,8 +897,8 @@ def measure_best_tile(backend, program, inputs, candidates=None,
 __all__ = [
     "FusedOp",
     "FusionError",
+    "Access",
     "FusionInfo",
-    "Load",
     "MAX_REPLAY_WORKERS",
     "Op",
     "Region",

@@ -7,13 +7,18 @@ prints that region, and nothing else, as one C function with a loop nest
 over the region shape, every op a register, so the stencil is computed in
 one pass with no float64 temporaries; :func:`build` compiles and binds it.
 
-**Lowering.**  A load is a pointer plus one byte stride per region axis
-(0 on a broadcast axis); whether its innermost stride is the item size,
-zero or something else is written into the source, so the row loop
-vectorises, while pointers, strides and extents are arguments — every tape
-of a plan and every grid size of an app share one source text.  A temp is
-the register of the op that computed it.  Scalars are ``float.hex()``
-literals.  Each store is the register of its last writer.
+**Lowering.**  Each base of the region is one pointer plus one byte
+stride per base axis, and each store one pointer plus one stride per
+region axis.  An access is a row pointer of its base — one per distinct
+offset on the axes outside the row — read at a literal column offset, so
+the five shifted reads of one padded grid are one pointer argument.
+Offsets, and whether a base's row stride is the item size, zero or
+something else, are written into the source, so the row loop vectorises,
+while pointers, strides and extents are arguments — every tape of a plan
+and every grid size of an app share one source text.  A temp is the
+register of the op that computed it.  Scalars are ``float.hex()``
+literals.  Each store is the register of its last writer; a store into
+an allocation the region reads declines (``native_layout``).
 
 **Whitelist.**  float64 ``add`` / ``subtract`` / ``multiply`` /
 ``true_divide`` / ``negative`` / ``absolute`` / ``sqrt``, the six
@@ -64,14 +69,15 @@ import stat
 import subprocess
 import tempfile
 import threading
+from collections import Counter
 from time import perf_counter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .. import faults as _faults
 from ..telemetry import registry as _telemetry
-from .fuse import Load, Region, Temp
+from .fuse import Access, Region, Temp, _lead, _tile_view
 from .ufunc_trace import _select
 
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno",
@@ -159,33 +165,31 @@ def _literal(value) -> str:
     return f"({number.hex()})"
 
 
-def _row_strides(array: np.ndarray, rank: int) -> Tuple[int, ...]:
-    """Byte stride per region axis; 0 where ``array`` broadcasts."""
-    lead = rank - array.ndim
-    return (0,) * lead + tuple(
-        0 if extent == 1 else stride
-        for extent, stride in zip(array.shape, array.strides))
+def _plus(index: str, offset: int) -> str:
+    """``index`` shifted by a literal ``offset``, as a C factor."""
+    return f"({index} + {offset})" if offset else index
 
 
-def lower(region: Region):
-    """``(source, loads, stores)`` for a verified region: the C text and
-    the arrays behind its pointer arguments, in argument order."""
+def lower(region: Region) -> str:
+    """The C text of a verified region; its pointer arguments are
+    ``region.bases`` then the stored buffers."""
     rank = len(region.shape)
     if rank < 1 or 0 in region.shape:
         raise Unavailable("native_layout", "rank-0 or empty region")
+    accesses = region.accesses()
     registers: List[Tuple[str, str]] = []  # (name, kind) per op
 
     def operand(arg) -> Tuple[str, str]:
         """``(C expression, kind)`` of one op argument."""
         if isinstance(arg, Temp):
             return registers[arg.op]
-        if not isinstance(arg, Load):
+        if not isinstance(arg, Access):
             return _literal(arg), "d"
-        array = region.loads[arg.index]
-        kind = _kind(array.dtype)
-        if not array.flags.aligned:
+        base = region.bases[arg.base]
+        kind = _kind(base.dtype)
+        if not base.flags.aligned:
             raise Unavailable("native_layout", "misaligned load")
-        return f"a{arg.index}", kind
+        return f"a{accesses.index(arg)}", kind
 
     body: List[str] = []
     for index, op in enumerate(region.ops):
@@ -203,7 +207,7 @@ def lower(region: Region):
         if op.fn is np.clip:
             # Only the scalar-bounds loop: with array bounds NumPy takes
             # another one that differs on signed zeros, chosen by strides.
-            if any(isinstance(bound, (Load, Temp)) for bound in op.args[1:]):
+            if any(isinstance(bound, (Access, Temp)) for bound in op.args[1:]):
                 raise Unavailable("native_op", "clip with array bounds")
             if "NAN" in values[1:]:
                 values[0] = "NAN"  # a NaN bound fills the result with NaN
@@ -219,57 +223,96 @@ def lower(region: Region):
                     f"{text.format(*values)};")
         registers.append((f"r{index}", kind))
 
-    loads = region.loads
-    stores = [buffer for buffer, _op in region.stores]
-    for buffer in stores:
+    for buffer, _op in region.stores:
         if not buffer.flags.aligned or not buffer.flags.writeable:
             raise Unavailable("native_layout", "store target")
-        if any(buffer is array for array in loads):
-            # a stored buffer read before its write: last sweep's contents,
-            # which the loop nest overwrites as it goes
-            raise Unavailable("native_layout", "a store aliases a load")
-    results = [registers[op] for _buffer, op in region.stores]
-    return _emit(rank, loads, stores, results, body), loads, stores
+        if any(np.may_share_memory(buffer, base) for base in region.bases):
+            # a store into an allocation the region reads: the loop nest
+            # overwrites what a later element still reads
+            raise Unavailable("native_layout", "a store aliases a base")
+    results = [registers[op][0] for _buffer, op in region.stores]
+    return _emit(region, accesses, results, body)
 
 
-def _emit(rank: int, loads, stores, results, body: List[str]) -> str:
+def _corners(region: Region) -> List[Tuple[int, ...]]:
+    """Per base, the lowest offset its accesses read on each axis.  Its
+    pointer argument points there, so a grid read at one shift (a padded
+    grid's interior) prints as the grid itself does."""
+    corners: List = [None] * len(region.bases)
+    for b, offset in region.accesses():
+        corners[b] = offset if corners[b] is None \
+            else tuple(map(min, corners[b], offset))
+    return corners
+
+
+def _emit(region: Region, accesses, results, body: List[str]) -> str:
     """The C text: outer loops, per-row pointer set-up, the row loop.
 
-    Pointer ``k`` is ``p[k]`` with byte strides ``s[k * rank + axis]``:
-    the loads, then the stores."""
+    ``p`` holds one pointer per base (at its :func:`_corners` entry), then
+    one per store; ``s`` their byte strides, one per axis, in the same
+    order.  An access is a row pointer of its base (one per distinct offset
+    on the axes outside the row) at a literal column offset, both relative
+    to the corner; a store is the same at offset zero, through a
+    ``restrict`` pointer."""
+    rank = len(region.shape)
     inner = rank - 1
     rows: List[str] = []    # once per row: pointers, broadcast scalars
     reads: List[str] = []   # per element, before the node registers
     writes: List[str] = []  # per element, after them
+    arrays = list(region.bases) + [buffer for buffer, _op in region.stores]
+    origin = [0]  # index in ``s`` of each pointer's first stride
+    for array in arrays:
+        origin.append(origin[-1] + array.ndim)
+    pointers: Dict[str, str] = {}  # row start expression -> its name
 
-    def row_access(slot: int, name: str, kind: str, step: int,
-                   qualifier: str):
-        """Declare pointer ``slot`` at the current row; returns the C
-        lvalue of its element ``j`` (``None``: a row-invariant scalar)."""
-        ctype = qualifier + _CTYPES[kind]
-        start = f"p[{slot}]" + "".join(
-            f" + i{axis} * s[{slot * rank + axis}]" for axis in range(inner))
-        if step == 0:
-            rows.append(f"{ctype} {name} = *({ctype} *)({start});")
-            return None
-        if step == (8 if kind == "d" else 1):
-            restrict = "" if qualifier else "restrict "
-            rows.append(f"{ctype} *{restrict}{name}_ = ({ctype} *)({start});")
-            return f"{name}_[j]"
-        rows.append(f"{qualifier}char *{name}_ = {start};")
-        rows.append(f"const int64_t {name}s = s[{slot * rank + inner}];")
-        return f"*({ctype} *)({name}_ + j * {name}s)"
+    def element(slot: int, offset, name: str, qualifier: str):
+        """``(C expression of element j of p[slot] at offset, whether it
+        is the same all along the row)``; declares the row pointer, named
+        ``name``, once per distinct row."""
+        array = arrays[slot]
+        ctype = qualifier + _CTYPES[_kind(array.dtype)]
+        lead, terms, column = _lead(array, rank), [f"p[{slot}]"], None
+        for k, shift in enumerate(offset):
+            axis, stride = lead + k, f"s[{origin[slot] + k}]"
+            if axis < rank and (array.strides[k] == 0 or
+                                array.shape[k] == 1 < region.shape[axis]):
+                continue  # a broadcast axis
+            if axis == inner:
+                column = shift
+            elif axis < rank:
+                terms.append(f"{_plus(f'i{axis}', shift)} * {stride}")
+            elif shift:
+                terms.append(f"{shift} * {stride}")  # a fixed index
+        start = " + ".join(terms)
+        if column is None:
+            return f"*({ctype} *)({start})", True
+        unit = array.strides[inner - lead] == array.itemsize
+        if start not in pointers:
+            pointers[start] = name
+            if unit:
+                restrict = "" if qualifier else "restrict "  # stores only
+                rows.append(
+                    f"{ctype} *{restrict}{name} = ({ctype} *)({start});")
+            else:
+                rows.append(f"{qualifier}char *{name} = {start};")
+                rows.append(f"const int64_t {name}s = "
+                            f"s[{origin[slot] + inner - lead}];")
+        name = pointers[start]
+        if unit:
+            return (f"{name}[j + {column}]" if column else f"{name}[j]"), False
+        return f"*({ctype} *)({name} + {_plus('j', column)} * {name}s)", False
 
-    for slot, array in enumerate(loads):
-        kind = _KINDS[array.dtype]
-        access = row_access(slot, f"a{slot}", kind,
-                            _row_strides(array, rank)[inner], "const ")
-        if access is not None:
-            reads.append(f"const {_CTYPES[kind]} a{slot} = {access};")
-    for index, (array, (register, kind)) in enumerate(zip(stores, results)):
-        access = row_access(len(loads) + index, f"o{index}", kind,
-                            array.strides[inner] or array.itemsize, "")
-        writes.append(f"{access} = {register};")
+    corners = _corners(region)
+    for n, (b, offset) in enumerate(accesses):
+        value, per_row = element(
+            b, [shift - low for shift, low in zip(offset, corners[b])],
+            f"b{b}r{len(pointers)}_", "const ")
+        ctype = _CTYPES[_KINDS[region.bases[b].dtype]]
+        (rows if per_row else reads).append(f"const {ctype} a{n} = {value};")
+    for index, register in enumerate(results):
+        value = element(len(region.bases) + index, (0,) * rank,
+                        f"o{index}_", "")[0]
+        writes.append(f"{value} = {register};")
 
     lines = [_PREAMBLE,
              "void region(char *const *p, const int64_t *s, "
@@ -419,21 +462,6 @@ def kernel(source: str):
 # A region bound to its arrays
 # ---------------------------------------------------------------------------
 
-def _base_nbytes(arrays: Sequence[np.ndarray]) -> int:
-    """Bytes behind ``arrays`` with each underlying allocation counted once
-    (five shifted views of one padded grid are one grid)."""
-    groups: Dict[int, List[int]] = {}
-    for array in arrays:
-        base = link = array
-        while link is not None:  # ``as_strided`` views hang off a non-array
-            if isinstance(link, np.ndarray):
-                base = link
-            link = getattr(link, "base", None)
-        entry = groups.setdefault(id(base), [base.nbytes, 0])
-        entry[1] += array.nbytes
-    return sum(min(whole, viewed) for whole, viewed in groups.values())
-
-
 class NativeRegion:
     """One compiled region bound to the arrays of one tape.
 
@@ -441,26 +469,34 @@ class NativeRegion:
     micro-op calling convention (``fn(*operands, out=out)`` with no
     operands) so :func:`~repro.backend.ufunc_trace.replay` executes it.
     The arrays are held here for as long as their addresses are.
+    ``nbytes`` counts each base once: the smaller of the whole base and
+    what its accesses view (five shifted reads of one padded grid move one
+    grid), plus every stored buffer.
     """
 
     __slots__ = ("source", "nbytes", "_function", "_arrays", "_arguments")
 
-    def __init__(self, source: str, function, loads, stores,
-                 region_shape: Sequence[int]) -> None:
-        rank = len(region_shape)
+    def __init__(self, source: str, function, region: Region) -> None:
+        shape, whole = region.shape, [(0, extent) for extent in region.shape]
+        viewed: Counter = Counter()
+        for b, offset in region.accesses():
+            viewed[b] += _tile_view(region.bases[b], whole, offset).nbytes
+        stores = [buffer for buffer, _op in region.stores]
         self.source = source
-        self.nbytes = _base_nbytes(loads) + sum(b.nbytes for b in stores)
+        self.nbytes = sum(buffer.nbytes for buffer in stores) + sum(
+            min(base.nbytes, viewed[b]) for b, base in enumerate(region.bases))
         self._function = function
-        self._arrays = list(loads) + list(stores)
-        strides = [stride for array in loads
-                   for stride in _row_strides(array, rank)]
-        strides += [stride for array in stores for stride in array.strides]
+        self._arrays = list(region.bases) + stores
+        strides = [step for array in self._arrays for step in array.strides]
+        corners = _corners(region) + [()] * len(stores)
         self._arguments = (
-            (ctypes.c_void_p * len(self._arrays))(
-                *[array.ctypes.data for array in self._arrays]),
+            (ctypes.c_void_p * len(self._arrays))(*[
+                array.ctypes.data + sum(low * stride for low, stride
+                                        in zip(corner, array.strides))
+                for array, corner in zip(self._arrays, corners)]),
             (ctypes.c_int64 * len(strides))(*strides),
-            (ctypes.c_int64 * rank)(*region_shape),
-            0, int(region_shape[0]),
+            (ctypes.c_int64 * len(shape))(*shape),
+            0, int(shape[0]),
         )
 
     def __call__(self, out=None) -> None:
@@ -470,8 +506,8 @@ class NativeRegion:
 def build(region: Region) -> NativeRegion:
     """Lower, compile and bind one verified region, or raise
     :class:`Unavailable` with the reason it stays on ufunc tiles."""
-    source, loads, stores = lower(region)
-    return NativeRegion(source, kernel(source), loads, stores, region.shape)
+    source = lower(region)
+    return NativeRegion(source, kernel(source), region)
 
 
 __all__ = ["FLAGS", "NativeRegion", "Unavailable", "build", "cache_dir",

@@ -323,20 +323,27 @@ class TestFusedResidency:
         plan.release()
         assert pool.stats()["live_buffers"] == 0
 
-    def test_locate_splits_offsets_within_a_strided_box(self):
-        from repro.backend.fuse import _is_aligned, _locate
+    def test_resolve_splits_offsets_within_a_strided_box(self):
+        from repro.backend.fuse import _resolve
 
         padded = np.zeros((6, 8, 10))
         interior = padded[1:5, 2:7, 1:9]
-        assert _locate(interior[1:3, :, 2:5], interior) == \
-            [(1, 0, 2), (0, 1, 5), (2, 2, 3)]
-        assert _locate(interior[2, 1:4], interior) == \
-            [(2, None, 1), (1, 0, 3), (0, 1, 8)]
-        assert _is_aligned(interior[:, None], interior)
-        assert not _is_aligned(interior[:, :, 1:], interior)
-        assert _locate(padded[0:2], interior) is None       # starts before it
-        assert _locate(padded[1:5, 2:7, 1:10], interior) is None  # overruns
-        assert _locate(interior, interior.T) is None        # not a C-order box
+        # a window resolves to the allocation, shifted by its address
+        base, offset = _resolve(interior[1:3, :, 2:5], (2, 5, 3))
+        assert base is padded and offset == (2, 2, 3)
+        # a fixed index past the region's axes; a leading axis it lacks
+        base, offset = _resolve(padded[1:3, 4:6, 5], (2, 2))
+        assert base is padded and offset == (1, 4, 5)
+        base, offset = _resolve(padded[1:3, 4:6, :], (4, 2, 2, 10))
+        assert base is padded and offset == (1, 4, 0)
+        # anything else is its own base at offset zero
+        for view in (interior[:, :, ::2],  # a step slice
+                     interior[::-1],       # reversed
+                     interior[:, :1],      # a broadcast row
+                     interior[2]):         # a fixed index on a swept axis
+            shape = (4, 5, view.shape[-1])
+            base, offset = _resolve(view, shape)
+            assert base is view and offset == (0,) * view.ndim
 
 
 class TestTileSpecs:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -119,19 +120,22 @@ class TestSuiteAppsOnTheDefaultPlan:
         assert fallbacks("native_compiler") - before == stats["fused_regions"]
 
     @needs_cc
-    def test_tapes_and_grid_sizes_share_one_source(self):
-        bench = get_benchmark("hotspot2d")
+    @pytest.mark.parametrize("key", sorted(ALL_BENCHMARKS))
+    def test_tapes_and_grid_sizes_share_one_source(self, key):
+        bench = get_benchmark(key)
         texts = set()
-        for shape in SHAPES[2]:
+        for shape in SHAPES[bench.ndims]:
             inputs = bench.make_inputs(shape, 0)
             plan = NumpyBackend(cache=None).plan(bench.build_program(), inputs)
             plan.iterate(inputs, 6, carry=bench.carry_spec())
             sources = plan.native_sources()
-            assert len(sources) == plan.stats()["native_regions"] == 3
+            assert len(sources) == plan.stats()["native_regions"] >= 3
             texts.update(sources)
         assert len(texts) == 1
         (text,) = texts
         assert "void region(" in text and "restrict" in text
+        if key == "hotspot2d":  # two bases and one store
+            assert set(re.findall(r"p\[\d+\]", text)) == {"p[0]", "p[1]", "p[2]"}
 
     @needs_cc
     def test_explicit_tiles_and_unfused_stay_off_the_native_path(self):
@@ -388,7 +392,7 @@ class TestWhitelistedOperations:
         a, b = operand_grids((6, 20))
         text = assert_native_matches_numpy(
             lambda x, y: x * y - y, [a[:, ::2], b[::-1, 10:]])
-        assert "j * a0s" in text and "a1_[j]" in text
+        assert "j * b0r0_s" in text and "b1r1_[j]" in text
         assert_native_matches_numpy(
             lambda x, y: x * y - y, [a[:, ::-1], b[::-1, ::-1]])
 
