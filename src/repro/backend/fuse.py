@@ -515,11 +515,12 @@ class FusionInfo:
     """What the optimizer did to one tape (reported via plan stats)."""
 
     __slots__ = ("regions", "tiles", "fused_schedules", "nbytes", "dead",
-                 "sources", "declines")
+                 "natives", "declines")
 
     def __init__(self) -> None:
         self.regions = 0
-        self.sources: List[str] = []   # C text of each native region
+        #: Each native region's :class:`~repro.backend.native.NativeRegion`.
+        self.natives: List = []
         self.declines: List[str] = []  # why a region kept its ufunc tiles
         self.tiles = 0
         self.fused_schedules = 0
@@ -527,6 +528,11 @@ class FusionInfo:
         #: Full-grid schedule buffers the fused tape no longer touches
         #: (registers or tile scratch replaced them); the plan frees them.
         self.dead: List[np.ndarray] = []
+
+    @property
+    def sources(self) -> List[str]:
+        """The C text of each native region."""
+        return [compiled.source for compiled in self.natives]
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +789,7 @@ def _lower_region(region: Region, tile_spec, pool,
         except _native.Unavailable as declined:
             info.declines.append(declined.reason)
     if compiled is not None:
-        info.sources.append(compiled.source)
+        info.natives.append(compiled)
         parts, tile_count = [[(compiled, (), None)]], 1
     else:
         parts = print_tiles(region, tiles, parts_count, pool, scratch)

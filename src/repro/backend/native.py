@@ -20,6 +20,24 @@ register of the op that computed it.  Scalars are ``float.hex()``
 literals.  Each store is the register of its last writer; a store into
 an allocation the region reads declines (``native_layout``).
 
+**Temporal blocks.**  A region with one float64 store and a *wavefront
+base* — a grid the store could be the interior of, its padded home on the
+next step — also gets a second function in the same text, ``steps``: T
+steps of the same body as one wavefront down the leading axis.  Iteration
+``k`` computes row ``k - (t - 1) * lag`` of level ``t`` for ``t = 1..T``;
+level 0 is the base itself, levels ``1..T-1`` keep ``2r + 2`` padded rows
+each in a ring (``r`` the base's leading-axis radius, from
+``Region.accesses()``) and write their inner halo per row, and level T
+stores the interior of the destination.  Along the leading axis a clamp
+pad is a clamped row index and a constant pad the home's own halo row, so
+the grid crosses memory once per block instead of once per step.  T, the
+ring and the pad geometry are arguments (:class:`Wavefront`), so the text
+is still one per app; :func:`wavefront` decides T — the largest value up
+to 16 whose ring fits the tile budget — and declines any pad but clamp or
+constant (``temporal_boundary``).  :class:`NativeBlock` binds ``steps`` to
+one tape's arrays and the plan's ring; the plan decides when a block runs
+and checks one against the per-step tapes first.
+
 **Whitelist.**  float64 ``add`` / ``subtract`` / ``multiply`` /
 ``true_divide`` / ``negative`` / ``absolute`` / ``sqrt``, the six
 comparisons (bool result), ``where``, and ``clip`` between scalar bounds (NumPy's
@@ -71,7 +89,7 @@ import tempfile
 import threading
 from collections import Counter
 from time import perf_counter
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -246,7 +264,9 @@ def _corners(region: Region) -> List[Tuple[int, ...]]:
 
 
 def _emit(region: Region, accesses, results, body: List[str]) -> str:
-    """The C text: outer loops, per-row pointer set-up, the row loop.
+    """The C text: outer loops, per-row pointer set-up, the row loop; then,
+    when the region has a :func:`_wavefront_base`, the ``steps`` function
+    over the same body (:func:`_steps`).
 
     ``p`` holds one pointer per base (at its :func:`_corners` entry), then
     one per store; ``s`` their byte strides, one per axis, in the same
@@ -254,6 +274,36 @@ def _emit(region: Region, accesses, results, body: List[str]) -> str:
     on the axes outside the row) at a literal column offset, both relative
     to the corner; a store is the same at offset zero, through a
     ``restrict`` pointer."""
+    rank = len(region.shape)
+    inner = rank - 1
+    rows, reads, writes = _row_code(region, accesses, results)
+    lines = [_PREAMBLE,
+             "void region(char *const *p, const int64_t *s, "
+             "const int64_t *n, int64_t lo, int64_t hi)", "{"]
+    for axis in range(inner):
+        first, last = ("lo", "hi") if axis == 0 else ("0", f"n[{axis}]")
+        lines.append(f"    for (int64_t i{axis} = {first}; i{axis} < {last};"
+                     f" ++i{axis})")
+    first, last = ("lo", "hi") if rank == 1 else ("0", f"n[{inner}]")
+    lines += ["    {"] + ["        " + text for text in rows]
+    lines += [f"        for (int64_t j = {first}; j < {last}; ++j) {{"]
+    lines += ["            " + text for text in reads + body + writes]
+    lines += ["        }", "    }", "}", ""]
+    base = _wavefront_base(region)
+    if base is not None:
+        lines += _steps(region, accesses, results, body, base)
+    return "\n".join(lines)
+
+
+def _row_code(region: Region, accesses, results, wavefront=None):
+    """``(rows, reads, writes)``: the C lines of one row of the region —
+    once per row (pointers, broadcast scalars), per element before the
+    node registers (loads) and after them (stores).
+
+    With ``wavefront`` (a base index) they are the lines of ``steps``: that
+    base is read through ``c<shift>_``, the padded row at leading offset
+    ``shift``, at its absolute offsets on the other axes, and the store
+    through ``d_``, the row being written."""
     rank = len(region.shape)
     inner = rank - 1
     rows: List[str] = []    # once per row: pointers, broadcast scalars
@@ -265,14 +315,19 @@ def _emit(region: Region, accesses, results, body: List[str]) -> str:
         origin.append(origin[-1] + array.ndim)
     pointers: Dict[str, str] = {}  # row start expression -> its name
 
-    def element(slot: int, offset, name: str, qualifier: str):
+    def element(slot: int, offset, name: str, qualifier: str, row=None):
         """``(C expression of element j of p[slot] at offset, whether it
         is the same all along the row)``; declares the row pointer, named
-        ``name``, once per distinct row."""
+        ``name``, once per distinct row.  ``row`` replaces the pointer and
+        the leading axis."""
         array = arrays[slot]
         ctype = qualifier + _CTYPES[_kind(array.dtype)]
         lead, terms, column = _lead(array, rank), [f"p[{slot}]"], None
+        if row is not None:
+            terms = [row]
         for k, shift in enumerate(offset):
+            if row is not None and k == 0:
+                continue
             axis, stride = lead + k, f"s[{origin[slot] + k}]"
             if axis < rank and (array.strides[k] == 0 or
                                 array.shape[k] == 1 < region.shape[axis]):
@@ -304,29 +359,106 @@ def _emit(region: Region, accesses, results, body: List[str]) -> str:
 
     corners = _corners(region)
     for n, (b, offset) in enumerate(accesses):
-        value, per_row = element(
-            b, [shift - low for shift, low in zip(offset, corners[b])],
-            f"b{b}r{len(pointers)}_", "const ")
+        name = f"b{b}r{len(pointers)}_"
+        if b == wavefront:
+            value, per_row = element(b, offset, name, "const ",
+                                     f"c{offset[0]}_")
+        else:
+            value, per_row = element(
+                b, [shift - low for shift, low in zip(offset, corners[b])],
+                name, "const ")
         ctype = _CTYPES[_KINDS[region.bases[b].dtype]]
         (rows if per_row else reads).append(f"const {ctype} a{n} = {value};")
     for index, register in enumerate(results):
         value = element(len(region.bases) + index, (0,) * rank,
-                        f"o{index}_", "")[0]
+                        f"o{index}_", "",
+                        None if wavefront is None else "d_")[0]
         writes.append(f"{value} = {register};")
+    return rows, reads, writes
 
-    lines = [_PREAMBLE,
-             "void region(char *const *p, const int64_t *s, "
-             "const int64_t *n, int64_t lo, int64_t hi)", "{"]
-    for axis in range(inner):
-        first, last = ("lo", "hi") if axis == 0 else ("0", f"n[{axis}]")
-        lines.append(f"    for (int64_t i{axis} = {first}; i{axis} < {last};"
+
+_BLOCK_HELPERS = """\
+/* Padded row i of level t of a temporal block.  Level 0 is the carried
+   grid's home, halo rows included; level t > 0 keeps its rows in a ring of
+   g[2], and reads a leading halo row as a clamped row index or, under a
+   constant pad, as the home's own (never rewritten) halo row. */
+static inline const char *level_(const char *home, const char *w,
+                                 const int64_t *g, int64_t t, int64_t i,
+                                 int64_t n0)
+{
+    if (t == 0)
+        return home + i * g[3];
+    i -= g[0];
+    if (i < 0 || i >= n0) {
+        if (!g[1])
+            return home + (i + g[0]) * g[3];
+        i = i < 0 ? 0 : n0 - 1;
+    }
+    return w + ((t - 1) * g[2] + i % g[2]) * g[3];
+}
+
+/* The clamp links of the pad chain over one padded row, in chain order:
+   each copies the first and last interior element along its axis over the
+   halo on either side, across its box on the other inner axis. */
+static void halo_(char *row, const int64_t *g)
+{
+    for (const int64_t *k = g + 7; k < g + 7 + 8 * g[6]; k += 8)
+        for (int64_t b = k[2]; b < k[3]; ++b) {
+            char *line = row + b * k[1];
+            const double first = *(const double *)(line + k[6] * k[0]);
+            const double last = *(const double *)(line + k[7] * k[0]);
+            for (int64_t q = 0; q < k[4]; ++q)
+                *(double *)(line + q * k[0]) = first;
+            for (int64_t q = 1; q <= k[5]; ++q)
+                *(double *)(line + (k[7] + q) * k[0]) = last;
+        }
+}
+"""
+
+
+def _steps(region: Region, accesses, results, body: List[str],
+           base: int) -> List[str]:
+    """The ``steps`` function: ``T`` steps of the region as one wavefront
+    down the leading axis (:class:`Wavefront` documents ``g``).
+
+    Iteration ``k`` computes row ``k - (t - 1) * lag`` of level ``t`` for
+    ``t = 1..T``, so a level reads rows its predecessor wrote in the same
+    or an earlier iteration.  Levels below ``T`` write a padded row into
+    their ring and then its inner halo; level ``T`` writes the store.  The
+    wavefront base is ``p[base]`` at its first element (not its corner)."""
+    rank = len(region.shape)
+    inner = rank - 1
+    store = len(region.bases)
+    rows, reads, writes = _row_code(region, accesses, results, base)
+    leads = sorted({offset[0] for b, offset in accesses if b == base})
+    lines = [_BLOCK_HELPERS,
+             "void steps(char *const *p, const int64_t *s, const int64_t *n, "
+             "int64_t T, char *w, const int64_t *g)", "{",
+             "    const int64_t n0 = n[0], lag = g[4];",
+             "    for (int64_t k = 0; k < n0 + (T - 1) * lag; ++k)",
+             "    for (int64_t t = 1; t <= T; ++t) {",
+             "        const int64_t i0 = k - (t - 1) * lag;",
+             "        if (i0 < 0 || i0 >= n0)",
+             "            continue;",
+             f"        char *const d_ = t == T ? p[{store}] + i0 * "
+             f"s[{sum(array.ndim for array in region.bases)}]",
+             "            : w + ((t - 1) * g[2] + i0 % g[2]) * g[3] + g[5];"]
+    lines += [f"        const char *const c{lead}_ = level_(p[{base}], w, g, "
+              f"t - 1, {_plus('i0', lead)}, n0);" for lead in leads]
+    for axis in range(1, inner):
+        lines.append(f"        for (int64_t i{axis} = 0; i{axis} < n[{axis}];"
                      f" ++i{axis})")
-    first, last = ("lo", "hi") if rank == 1 else ("0", f"n[{inner}]")
-    lines += ["    {"] + ["        " + text for text in rows]
-    lines += [f"        for (int64_t j = {first}; j < {last}; ++j) {{"]
-    lines += ["            " + text for text in reads + body + writes]
-    lines += ["        }", "    }", "}", ""]
-    return "\n".join(lines)
+    lines += ["        {"] + ["            " + text for text in rows]
+    if rank == 1:  # a row is one element: the leading index is the column
+        lines += ["            const int64_t j = i0;"]
+        lines += ["            " + text for text in reads + body + writes]
+    else:
+        lines += [f"            for (int64_t j = 0; j < n[{inner}]; ++j) {{"]
+        lines += ["                " + text for text in reads + body + writes]
+        lines += ["            }"]
+    lines += ["        }", "        if (t < T)", "            halo_(d_ - g[5], g);",
+              "    }", "}", ""]
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +466,7 @@ def _emit(region: Region, accesses, results, body: List[str]) -> str:
 # ---------------------------------------------------------------------------
 
 _LOCK = threading.Lock()
-_LOADED: Dict[str, Tuple[ctypes.CDLL, object]] = {}  # source -> (lib, fn)
+_LOADED: Dict[str, ctypes.CDLL] = {}  # source -> its loaded library
 
 
 def reset() -> None:
@@ -418,24 +550,28 @@ def _load(path: str):
     if _faults.ARMED and _faults.should_fail("native.load_error"):
         raise OSError("fault injected: native.load_error")
     library = ctypes.CDLL(path)
-    function = library.region
-    function.argtypes = [ctypes.POINTER(ctypes.c_void_p),
-                         ctypes.POINTER(ctypes.c_int64),
-                         ctypes.POINTER(ctypes.c_int64),
-                         ctypes.c_int64, ctypes.c_int64]
-    function.restype = None
-    return library, function
+    arrays = [ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_int64),
+              ctypes.POINTER(ctypes.c_int64)]
+    library.region.argtypes = arrays + [ctypes.c_int64, ctypes.c_int64]
+    library.region.restype = None
+    steps = getattr(library, "steps", None)
+    if steps is not None:
+        steps.argtypes = arrays + [ctypes.c_int64, ctypes.c_void_p,
+                                   ctypes.POINTER(ctypes.c_int64)]
+        steps.restype = None
+    return library
 
 
-def kernel(source: str):
-    """The loaded ``region`` function for ``source``: from this process's
-    table, else the disk cache, else a compiler run."""
+def kernel(source: str, name: str = "region"):
+    """The loaded function ``name`` (``region``, or ``steps``) of
+    ``source``: from this process's table, else the disk cache, else a
+    compiler run."""
     command = compiler()  # first: a host without one has no native regions
     with _LOCK:
         found = _LOADED.get(source)
         if found is not None:
             _CACHE_TOTAL.inc(label="memory")
-            return found[1]
+            return getattr(found, name)
         directory = cache_dir()
         result = "disk"
         with tempfile.TemporaryDirectory() if directory is None \
@@ -455,7 +591,7 @@ def kernel(source: str):
                         raise Unavailable("native_load", str(error)) from error
         _LOADED[source] = found
         _CACHE_TOTAL.inc(label=result)
-        return found[1]
+        return getattr(found, name)
 
 
 # ---------------------------------------------------------------------------
@@ -474,33 +610,41 @@ class NativeRegion:
     grid), plus every stored buffer.
     """
 
-    __slots__ = ("source", "nbytes", "_function", "_arrays", "_arguments")
+    __slots__ = ("source", "nbytes", "region", "_function", "_arguments")
 
     def __init__(self, source: str, function, region: Region) -> None:
-        shape, whole = region.shape, [(0, extent) for extent in region.shape]
+        whole = [(0, extent) for extent in region.shape]
         viewed: Counter = Counter()
         for b, offset in region.accesses():
             viewed[b] += _tile_view(region.bases[b], whole, offset).nbytes
-        stores = [buffer for buffer, _op in region.stores]
         self.source = source
-        self.nbytes = sum(buffer.nbytes for buffer in stores) + sum(
+        self.nbytes = sum(buffer.nbytes for buffer, _op in region.stores) + sum(
             min(base.nbytes, viewed[b]) for b, base in enumerate(region.bases))
+        self.region = region  # holds the arrays as long as their addresses
         self._function = function
-        self._arrays = list(region.bases) + stores
-        strides = [step for array in self._arrays for step in array.strides]
-        corners = _corners(region) + [()] * len(stores)
-        self._arguments = (
-            (ctypes.c_void_p * len(self._arrays))(*[
-                array.ctypes.data + sum(low * stride for low, stride
-                                        in zip(corner, array.strides))
-                for array, corner in zip(self._arrays, corners)]),
-            (ctypes.c_int64 * len(strides))(*strides),
-            (ctypes.c_int64 * len(shape))(*shape),
-            0, int(shape[0]),
-        )
+        self._arguments = _arguments(region, _corners(region)) + (
+            0, int(region.shape[0]))
 
     def __call__(self, out=None) -> None:
         self._function(*self._arguments)
+
+
+def _arguments(region: Region, corners, stores=None) -> Tuple:
+    """``(p, s, n)`` of a region: each base's address at its corner, then
+    each store's (``stores`` in place of the region's); their strides; the
+    region shape."""
+    arrays = list(region.bases) + (
+        stores or [buffer for buffer, _op in region.stores])
+    corners = list(corners) + [()] * (len(arrays) - len(corners))
+    strides = [step for array in arrays for step in array.strides]
+    return (
+        (ctypes.c_void_p * len(arrays))(*[
+            array.ctypes.data + sum(low * stride for low, stride
+                                    in zip(corner, array.strides))
+            for array, corner in zip(arrays, corners)]),
+        (ctypes.c_int64 * len(strides))(*strides),
+        (ctypes.c_int64 * len(region.shape))(*region.shape),
+    )
 
 
 def build(region: Region) -> NativeRegion:
@@ -510,5 +654,138 @@ def build(region: Region) -> NativeRegion:
     return NativeRegion(source, kernel(source), region)
 
 
-__all__ = ["FLAGS", "NativeRegion", "Unavailable", "build", "cache_dir",
-           "compiler", "kernel", "lower", "reset"]
+# ---------------------------------------------------------------------------
+# Temporal blocks: T steps of a carried region as one wavefront
+# ---------------------------------------------------------------------------
+
+#: The most steps one block runs.
+MAX_BLOCK_STEPS = 16
+
+
+def _wavefront_base(region: Region):
+    """The base ``steps`` sweeps, or ``None`` (then the text has no
+    ``steps``): a float64 grid of the region's rank (1 to 3) whose
+    interior the single float64 store could be — as wide on every axis,
+    wider on one — and, of those, the one read at the most offsets."""
+    rank = len(region.shape)
+    if len(region.stores) != 1 or not 1 <= rank <= 3 \
+            or region.stores[0][0].dtype != np.float64:
+        return None
+    reads = Counter(b for b, _offset in region.accesses())
+    grids = [b for b, base in enumerate(region.bases)
+             if base.dtype == np.float64 and base.ndim == rank
+             and base.shape != region.shape
+             and all(e >= n for e, n in zip(base.shape, region.shape))]
+    return max(grids, key=reads.__getitem__, default=None)
+
+
+class Wavefront(NamedTuple):
+    """How ``steps`` runs one region over the pad chain of its carried
+    grid: ``steps`` (T) levels over the wavefront ``base``, levels 1..T-1
+    in a float64 ``ring`` of shape ``(T - 1, rows) + padded row``.
+
+    ``geometry`` is the kernel's ``g``: the chain's left pad on the leading
+    axis, whether that pad clamps (else it is constant), the ring's rows
+    per level, the padded row's bytes, the lag (rows a level trails the
+    one before it), the bytes from a padded row to its interior, the count
+    of clamp links on the inner axes, then per link in chain order: axis
+    stride, other inner axis' stride, that axis' box (start, stop), left
+    and right pads, first and last interior index."""
+
+    base: int
+    steps: int
+    ring: Tuple[int, ...]
+    geometry: Tuple[int, ...]
+
+
+def wavefront(region: Region, chain, budget: int) -> Wavefront:
+    """The :class:`Wavefront` of ``region`` over ``chain``, the pad chain
+    (``(axis, left, right, halo runs, constant)`` per link) of the home
+    whose padded grid the wavefront base is.
+
+    Every link must be a clamp (its runs copy the first or last interior
+    element, one halo cell each) or a constant, one per axis
+    (``temporal_boundary``).  T is the largest value up to
+    :data:`MAX_BLOCK_STEPS` whose ring — ``T - 1`` levels of ``2r + 2``
+    padded rows, ``r`` the base's leading-axis radius — fits ``budget``
+    bytes; a region without a base, or whose two-step ring does not fit,
+    raises ``temporal_layout``."""
+    base = _wavefront_base(region)
+    if base is None:
+        raise Unavailable("temporal_layout", "no wavefront base")
+    home, shape, rank = region.bases[base], region.shape, len(region.shape)
+    links: Dict[int, Tuple[int, int, int, bool]] = {}  # axis -> link
+    for position, (axis, left, right, runs, value) in enumerate(chain):
+        n = shape[axis] if axis < rank else 0
+        clamp = value is None and tuple(runs) == tuple(
+            (d, 0, 1) for d in range(left)) + tuple(
+            (left + n + d, n - 1, 1) for d in range(right))
+        if axis in links or not (clamp or value is not None):
+            raise Unavailable("temporal_boundary", f"axis {axis} of {chain}")
+        links[axis] = (position, left, right, clamp)
+    lefts = [links[axis][1] if axis in links else 0 for axis in range(rank)]
+    padded = tuple(n + sum(links[axis][1:3]) if axis in links else n
+                   for axis, n in enumerate(shape))
+    if home.shape != padded or not home.flags.c_contiguous:
+        raise Unavailable("temporal_layout", "the base is not the chain's grid")
+    leads = [offset[0] - lefts[0] for b, offset in region.accesses()
+             if b == base]
+    rows = 2 * max(abs(lead) for lead in leads) + 2
+    steps = min(MAX_BLOCK_STEPS, 1 + budget // (rows * home.strides[0]))
+    if steps < 2:
+        raise Unavailable("temporal_layout", "a two-step ring over budget")
+    clamps: List[int] = []
+    for axis in sorted(links, key=lambda axis: links[axis][0]):
+        position, left, right, clamp = links[axis]
+        if axis == 0 or not clamp:
+            continue  # the leading axis clamps row indices; constants stay
+        box, stride = (0, 1), 0
+        for other in range(1, rank):
+            if other != axis:
+                earlier = other in links and links[other][0] < position
+                box = (0, padded[other]) if earlier \
+                    else (lefts[other], lefts[other] + shape[other])
+                stride = home.strides[other]
+        clamps += [home.strides[axis], stride, *box, left, right, left,
+                   left + shape[axis] - 1]
+    clamps_rows = 0 not in links or links[0][3]
+    geometry = (lefts[0], int(clamps_rows), rows, home.strides[0],
+                max(0, max(leads)),
+                sum(lefts[axis] * home.strides[axis] for axis in range(1, rank)),
+                len(clamps) // 8, *clamps)
+    return Wavefront(base, steps, (steps - 1, rows) + home.shape[1:], geometry)
+
+
+class NativeBlock:
+    """One compiled region's ``steps`` bound to a ring: a call runs
+    ``steps`` steps from the wavefront base's home into the region's
+    store (or ``out``), interior only — its halo is the caller's to
+    refresh.  Constant halo cells of the ring are written here, once."""
+
+    __slots__ = ("_function", "_held", "_arguments")
+
+    def __init__(self, compiled: NativeRegion, wave: Wavefront,
+                 ring: np.ndarray, out=None) -> None:
+        region = compiled.region
+        home = region.bases[wave.base]
+        store = region.stores[0][0] if out is None else out
+        if ring.shape != wave.ring or ring.dtype != np.float64 \
+                or not ring.flags.c_contiguous or store.shape != region.shape \
+                or store.strides != home.strides:
+            raise Unavailable("temporal_layout", "ring or store geometry")
+        np.copyto(ring, home[wave.geometry[0]])
+        corners = _corners(region)
+        corners[wave.base] = ()  # ``steps`` addresses rows from the grid's start
+        self._function = kernel(compiled.source, "steps")
+        self._held = (region, store, ring)  # as long as their addresses
+        self._arguments = _arguments(region, corners, [store]) + (
+            wave.steps, ring.ctypes.data,
+            (ctypes.c_int64 * len(wave.geometry))(*wave.geometry))
+
+    def __call__(self) -> None:
+        self._function(*self._arguments)
+
+
+__all__ = ["FLAGS", "MAX_BLOCK_STEPS", "NativeBlock", "NativeRegion",
+           "Unavailable", "Wavefront", "build", "cache_dir", "compiler",
+           "kernel", "lower", "reset", "wavefront"]

@@ -25,6 +25,22 @@ specification names, per program input, what feeds it on the next step:
 value — e.g. the acoustic benchmark's two-timestep rotation), or ``None``
 (a static grid such as Hotspot's power input).
 
+**Temporal blocks.**  When every tape is one native region whose single
+store feeds, through ``"out"``, the padded home that same region reads —
+every other input static, the home's pads clamp or constant — the loop
+runs ``⌊remaining / T⌋`` blocks of T steps, each one call of the region's
+``steps`` wavefront (:mod:`repro.backend.native`) plus the output home's
+halo refresh (a constant halo has none), and sends the remainder to the
+per-step tapes.  A block
+never runs past the steps of one call, so trajectory segments and job
+checkpoints still land on step boundaries.  The first iterate decides it,
+once, for its carry spec: it acquires the row ring from the pool, runs T
+per-step replays and one block from the bound inputs into the other ring
+buffer, and accepts only if they agree under the native relation (then
+re-runs its own steps from the bind).  Anything else stays per-step,
+counted in ``repro_plan_fusion_fallbacks_total`` under a ``temporal_*``
+reason; ``stats()["temporal_steps"]`` is the T in use, or 1.
+
 **Pad as a view.**  Lift never materialises ``pad``, and neither does a
 plan for the buffers it owns: an input buffer or ping-pong output buffer
 that the program pads lives inside a *resident padded home*
@@ -188,6 +204,11 @@ def _rebind(state: List[np.ndarray], out: np.ndarray,
     ]
 
 
+def _key(state: Sequence[np.ndarray], slot: int) -> Tuple:
+    """The tape table key of one buffer binding and output slot."""
+    return tuple(id(buffer) for buffer in state), slot
+
+
 def _copy_out(out: np.ndarray, state: List[np.ndarray]
               ) -> Tuple[np.ndarray, List[np.ndarray]]:
     """Caller-owned copies of a loop's ``(out, state)``; ``out`` copied once."""
@@ -289,9 +310,12 @@ class _Tape:
     ``buffers`` are the pooled buffers the ops write (arena buffers and
     fused tile scratch) and ``nbytes`` the operand plus output bytes one
     replay moves; both are the plan's to account for once it accepts the
-    tape."""
+    tape.  ``block``, once the plan runs temporal blocks, is the tape's
+    :class:`~repro.backend.native.NativeBlock` and its output home's halo
+    refresh, if the home has one: ``temporal_steps`` replays in one or two
+    calls."""
 
-    __slots__ = ("ops", "out", "buffers", "nbytes", "fusion")
+    __slots__ = ("ops", "out", "buffers", "nbytes", "fusion", "block")
 
     def __init__(self, ops: List[Callable[[], None]], out: np.ndarray,
                  buffers: List[np.ndarray], nbytes: int,
@@ -301,6 +325,7 @@ class _Tape:
         self.buffers = buffers
         self.nbytes = nbytes
         self.fusion = fusion  # what the tape optimizer did, if it did
+        self.block: Optional[Tuple[Callable[[], None], ...]] = None
 
     def run(self) -> np.ndarray:
         for op in self.ops:
@@ -411,6 +436,12 @@ class ExecutionPlan:
         self.materialized_pads = 0  # pads copied (no home, or no match)
         #: Operand plus output bytes one replay of the longest tape moves.
         self.replay_bytes_per_step = 0
+        # Temporal blocks, decided by the first iterate for its carry spec:
+        # the accepted wavefront and its ring, or per-step for good.
+        self._block_carry: Optional[CarrySpec] = None
+        self._accepted = None  # (C text, Wavefront) of the checked block
+        self._block_ring: Optional[np.ndarray] = None
+        self.temporal_steps = 1  # steps one block runs; 1 = per-step tapes
         _PLANS.add(self)
 
     # -- buffer management ---------------------------------------------------
@@ -696,14 +727,15 @@ class ExecutionPlan:
         return tape
 
     def _step(self, state: List[np.ndarray], slot: int) -> np.ndarray:
-        key = (tuple(id(buffer) for buffer in state), slot)
-        tape = self._tapes.get(key)
+        tape = self._tapes.get(_key(state, slot))
         timed = _metrics_on()
         started = perf_counter() if timed else 0.0
         if tape is None:
             tape = self._capture(state, slot)
             # Keyed afresh: the first capture may have re-housed ``state``.
-            self._tapes[(tuple(id(buffer) for buffer in state), slot)] = tape
+            self._tapes[_key(state, slot)] = tape
+            if self._accepted is not None:
+                self._bind_block(tape, state)
             seconds, total = _CAPTURE_SECONDS, _CAPTURES_TOTAL
         else:
             tape.run()
@@ -713,6 +745,128 @@ class ExecutionPlan:
             seconds.observe(perf_counter() - started)
             total.inc()
         return tape.out
+
+    def _advance(self, state: List[np.ndarray], slot: int,
+                 remaining: int) -> Tuple[np.ndarray, int]:
+        """``(out, steps)``: one temporal block when this binding has one
+        and ``remaining`` covers it, else one step."""
+        tape = self._tapes.get(_key(state, slot))
+        if tape is None or tape.block is None \
+                or remaining < self.temporal_steps:
+            return self._step(state, slot), 1
+        timed = _metrics_on()
+        started = perf_counter() if timed else 0.0
+        for op in tape.block:
+            op()
+        self.replays += self.temporal_steps
+        if timed:
+            _REPLAY_SECONDS.observe(perf_counter() - started)
+            _REPLAYS_TOTAL.inc(self.temporal_steps)
+        return tape.out, self.temporal_steps
+
+    # -- temporal blocks -----------------------------------------------------
+    def _decide_blocks(self, spec: CarrySpec) -> None:
+        """Decide, once, on the first iterate (inputs bound), whether
+        iterate runs temporal blocks: accept a checked wavefront, or count
+        why not under a ``temporal_*`` reason.  The bound inputs are left
+        as they were."""
+        from . import native  # nothing looks for a compiler earlier
+
+        self._block_carry = spec
+        try:
+            if spec.count("out") != 1 \
+                    or any(entry not in ("out", None) for entry in spec):
+                raise native.Unavailable("temporal_carry", str(spec))
+            if self.tile_shape is not None:
+                raise native.Unavailable("temporal_layout", "ufunc tiles")
+            state = list(self._in_bufs)
+            slot = self._pick_slot(state)
+            if _key(state, slot) not in self._tapes:
+                self._step(state, slot)  # the first capture may re-house
+                state = list(self._in_bufs)
+            tape = self._tapes[_key(state, slot)]
+            wave = self._block_wave(tape, state)
+            ring = self._pool.acquire(wave.ring, np.float64)
+            try:
+                visited = self._check_block(tape, state, wave, ring)
+            except Exception:  # noqa: BLE001 - a block must never break iterate
+                visited = None
+            if visited is None:
+                self._pool.release(ring)
+                self.fusion_fallbacks += 1
+                raise native.Unavailable("temporal_verification")
+        except native.Unavailable as declined:
+            _FUSION_FALLBACKS_TOTAL.inc(label=declined.reason)
+            return
+        self._buffers.append(ring)
+        self._accepted = (tape.fusion.natives[0].source, wave)
+        self._block_ring = ring
+        self.temporal_steps = wave.steps
+        for tape, state in visited:
+            self._bind_block(tape, state)
+
+    def _block_wave(self, tape: _Tape, state: List[np.ndarray]):
+        """The :class:`~repro.backend.native.Wavefront` of ``tape`` from
+        ``state``, or :class:`~repro.backend.native.Unavailable`: the tape
+        must be one native region plus its output home's halo refresh (a
+        constant halo has none), sweeping the carried grid's home, and read
+        nothing else but static inputs."""
+        from . import native
+        from .fuse import TILE_TARGET_BYTES, _root
+
+        carried = state[self._block_carry.index("out")]
+        home, out_home = self._homes.get(id(carried)), self._homes.get(
+            id(tape.out))
+        natives = tape.fusion.natives if tape.fusion is not None else []
+        if home is None or out_home is None or out_home.chain != home.chain \
+                or len(natives) != 1 or tape.ops[1:] != (
+                    [out_home.refresh] if out_home.halo_pairs else []):
+            raise native.Unavailable(
+                "temporal_layout", "not one native region and its refresh")
+        region = natives[0].region
+        wave = native.wavefront(region, home.chain, TILE_TARGET_BYTES)
+        statics = [_root(buffer) for buffer, entry
+                   in zip(state, self._block_carry) if entry is None]
+        if region.bases[wave.base] is not home.padded or not all(
+                any(base is static for static in statics)
+                for b, base in enumerate(region.bases) if b != wave.base):
+            raise native.Unavailable(
+                "temporal_layout", "a base is neither carried nor static")
+        return wave
+
+    def _check_block(self, tape: _Tape, state: List[np.ndarray], wave,
+                     ring: np.ndarray):
+        """One block from ``state`` against ``wave.steps`` per-step
+        replays from the same state, under the native relation; returns
+        the ``(tape, state)`` pairs the replays visited when they agree,
+        else ``None``.  The block writes the ring buffer the replays did
+        not end in, so the check holds no grid of its own."""
+        from . import native
+
+        visited, current = [], list(state)
+        for _ in range(wave.steps):
+            slot = self._pick_slot(current)
+            out = self._step(current, slot)
+            visited.append((self._tapes[_key(current, slot)], current))
+            current = _rebind(current, out, self._block_carry)
+        spare = next(buffer for buffer in self._ring if buffer is not out)
+        native.NativeBlock(tape.fusion.natives[0], wave, ring, out=spare)()
+        if _faults.ARMED and _faults.should_fail("native.temporal_mismatch"):
+            spare.view(np.uint64)[(0,) * spare.ndim] ^= 1
+        return visited if _same_or_nan(spare, out) else None
+
+    def _bind_block(self, tape: _Tape, state: List[np.ndarray]) -> None:
+        """Give ``tape`` its block when it has the accepted wavefront."""
+        from . import native
+
+        try:
+            wave = self._block_wave(tape, state)
+        except native.Unavailable:
+            return
+        compiled = tape.fusion.natives[0]
+        if (compiled.source, wave) == self._accepted:
+            tape.block = (native.NativeBlock(compiled, wave, self._block_ring),
+                          *tape.ops[1:])
 
     @staticmethod
     def _result(out: np.ndarray, copy: bool) -> np.ndarray:
@@ -743,10 +897,17 @@ class ExecutionPlan:
             raise ExecutionError("iterate needs steps >= 1")
         spec = normalize_carry(carry, len(self._in_bufs))
         self._bind(inputs)
+        if self._block_carry is None:
+            self._decide_blocks(spec)
         state = list(self._in_bufs)
         out: Optional[np.ndarray] = None
-        for _ in range(steps):
-            out = self._step(state, self._pick_slot(state))
+        remaining = steps
+        while remaining:
+            # blocks were checked for one carry spec; any other steps singly
+            out, taken = self._advance(
+                state, self._pick_slot(state),
+                remaining if spec == self._block_carry else 1)
+            remaining -= taken
             state = _rebind(state, out, spec)
         assert out is not None
         return out, state
@@ -847,6 +1008,7 @@ class ExecutionPlan:
                 "resident_pads": self.resident_pads,
                 "materialized_pads": self.materialized_pads,
                 "replay_bytes_per_step": self.replay_bytes_per_step,
+                "temporal_steps": self.temporal_steps,
                 "tile_shape": self.tile_shape,
                 "parallel_workers": self.parallel_workers,
             }

@@ -72,6 +72,7 @@ POINTS = (
     "replay.chunk_error",
     "native.compile_error",
     "native.load_error",
+    "native.temporal_mismatch",
     "store.locked",
     "job.crash_after_checkpoint",
     "job.checkpoint_corrupt",

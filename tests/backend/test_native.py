@@ -553,6 +553,32 @@ class TestDemotion:
         assert stats["fused_regions"] == 3 and stats["native_regions"] == 2
         assert stats["fusion_fallbacks"] == 0
 
+    def test_a_temporal_mismatch_keeps_the_plan_per_step(self):
+        # The capture-time check compares one block with the per-step
+        # replays from the same state; a corrupted block result leaves the
+        # plan per-step for good, counted once, with the same bits.
+        bench = get_benchmark("hotspot2d")
+        inputs = bench.make_inputs((12, 16), 5)
+        program, carry = bench.build_program(), bench.carry_spec()
+        backend = NumpyBackend(cache=None)
+        blocked = backend.plan(program, inputs)
+        blocked.iterate(inputs, 1, carry=carry)
+        assert blocked.stats()["temporal_steps"] > 1
+        before = fallbacks("temporal_verification")
+        faults.arm("native.temporal_mismatch")
+        plan = NumpyBackend(cache=None).plan(program, inputs)
+        for steps in (3, 40):
+            assert np.array_equal(
+                bits(plan.iterate(inputs, steps, carry=carry)),
+                bits(iterate_generic(backend, program, inputs, steps,
+                                     carry=carry)))
+        assert faults.fired("native.temporal_mismatch") == 1
+        stats = plan.stats()
+        assert stats["temporal_steps"] == 1 and stats["fusion_fallbacks"] == 1
+        assert stats["buffers"] == blocked.stats()["buffers"] - 1  # no ring
+        assert fallbacks("temporal_verification") - before == 1
+        assert all(tape.block is None for tape in plan._tapes.values())
+
     def test_replay_fault_point_and_histogram_still_fire(self):
         from repro.backend import fuse
         from repro.backend.numpy_backend import ExecutionError
@@ -569,6 +595,55 @@ class TestDemotion:
         with pytest.raises(ExecutionError, match="replay.chunk_error"):
             plan.run(inputs)
         assert np.array_equal(plan.run(inputs), expected)
+
+
+# ---------------------------------------------------------------------------
+# The temporal block rule
+# ---------------------------------------------------------------------------
+
+def clamp_chain(n, width=1):
+    """The pad chain of a clamp pad of ``width`` on both axes of an n×n grid."""
+    runs = tuple((d, 0, 1) for d in range(width)) + tuple(
+        (width + n + d, n - 1, 1) for d in range(width))
+    return tuple((axis, width, width, runs, None) for axis in (0, 1))
+
+
+@needs_cc
+class TestTemporalRule:
+    def hotspot_region(self, n):
+        """Hotspot2D's region, re-pointed at (untouched) n×n arrays."""
+        tape = next(iter(hotspot_plan()._tapes.values()))
+        region = tape.fusion.natives[0].region
+        return region._replace(
+            shape=(n, n), bases=[np.empty((n + 2, n + 2)), np.empty((n, n))],
+            stores=[(np.empty((n, n)), region.stores[0][1])])
+
+    @pytest.mark.parametrize("n,steps", [(256, 16), (512, 16), (1024, 8),
+                                         (2048, 4)])
+    def test_the_largest_ring_that_fits_the_tile_budget(self, n, steps):
+        # (T - 1) levels of 2r + 2 = 4 padded rows of (n + 2) doubles
+        from repro.backend.fuse import TILE_TARGET_BYTES
+
+        wave = native.wavefront(self.hotspot_region(n), clamp_chain(n),
+                                TILE_TARGET_BYTES)
+        assert wave.steps == steps and wave.base == 0
+        assert wave.ring == (steps - 1, 4, n + 2)
+        assert np.prod(wave.ring) * 8 <= TILE_TARGET_BYTES
+        with pytest.raises(native.Unavailable, match="temporal_layout"):
+            native.wavefront(self.hotspot_region(n), clamp_chain(n),
+                             4 * (n + 2) * 8 - 1)
+
+    def test_only_clamp_and_constant_pads_block(self):
+        region = self.hotspot_region(12)
+        wrap = ((0, 1, 1, ((0, 11, 1), (13, 0, 1)), None),) + clamp_chain(12)[1:]
+        mirror = clamp_chain(12)[:1] + ((1, 2, 2, ((0, 1, 1), (1, 0, 1),
+                                                   (14, 11, 1), (15, 10, 1)),
+                                         None),)
+        constant = tuple((axis, 1, 1, (), 0.5) for axis in (0, 1))
+        for chain in (wrap, mirror):
+            with pytest.raises(native.Unavailable, match="temporal_boundary"):
+                native.wavefront(region, chain, 1 << 18)
+        assert native.wavefront(region, constant, 1 << 18).geometry[1] == 0
 
 
 # ---------------------------------------------------------------------------

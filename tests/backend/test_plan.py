@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 from repro.apps.suite import ALL_BENCHMARKS, ITERATIVE_BENCHMARKS, get_benchmark
+from repro.backend import native
 from repro.backend.base import NumpyBackend
 from repro.backend.plan import (
+    _FUSION_FALLBACKS_TOTAL,
     ExecutionPlan,
     PlanCache,
     compile_plan,
@@ -28,6 +30,12 @@ from repro.backend.numpy_backend import ExecutionError
 from repro.rewriting.strategies import NAIVE, lower_program, tiled_strategy
 
 SMALL_SHAPES = {2: (13, 11), 3: (5, 7, 9)}
+
+try:
+    native.compiler()
+    HAVE_CC = True
+except native.Unavailable:
+    HAVE_CC = False
 
 
 def small_inputs(bench, seed=7, dtype=None):
@@ -132,6 +140,36 @@ class TestZeroAllocationSteadyLoop:
         delta = after.compare_to(before, "filename")
         grown = sum(max(0, entry.size_diff) for entry in delta)
         assert grown < 64 * 1024, f"steady loop grew {grown} bytes"
+
+    def test_warm_temporal_blocks_grow_nothing(self):
+        # The ladder's ``backend.pool.steady_allocations`` check: the
+        # 8-step warm iterate captures the blocks (ring and check
+        # included), so 64 warm steps acquire no pool buffer and leave no
+        # traced block behind beyond the snapshots' own and the
+        # interpreter's free lists (about ten; the per-step loop leaves one
+        # per step).
+        bench = get_benchmark("hotspot2d")
+        inputs = bench.make_inputs((256, 256), 0)
+        carry = bench.carry_spec()
+        plan = NumpyBackend(cache=None).plan(bench.build_program(), inputs)
+        plan.iterate(inputs, 8, carry=carry)
+        stats = plan.stats()
+        pool_before = (plan._pool.allocations, plan._pool.reuses)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            plan.iterate(inputs, 64, carry=carry, copy=False)
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        blocks = sum(entry.count_diff
+                     for entry in after.compare_to(before, "filename"))
+        assert (plan._pool.allocations, plan._pool.reuses) == pool_before
+        assert plan.stats()["buffers"] == stats["buffers"]
+        assert plan.stats()["replays"] == stats["replays"] + 64
+        assert (plan.stats()["temporal_steps"] > 1) == HAVE_CC
+        if HAVE_CC:
+            assert blocks < 16, f"a warm loop left {blocks} traced blocks"
 
     def test_copying_selections_fall_back_to_opaque_replay(self):
         # A user function that fancy-indexes its argument produces a *copy*,
@@ -487,6 +525,69 @@ class TestResidentPadMatrix:
         padded_inputs = 2 if carry_kind == "static_padded" else 1
         ring_homes = 0 if carry_kind == "shrinking" else len(plan._ring)
         assert len(plan._homes) == padded_inputs + ring_homes
+
+    @pytest.mark.parametrize("carry_kind", ["out0", "rotation", "static_padded"])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("boundary", ["clamp", "mirror", "wrap", "const"])
+    def test_temporal_blocks_over_long_trajectories(self, boundary, rank,
+                                                    carry_kind):
+        # Which cases block: a single "out" carry over a clamp or constant
+        # home, with a compiler.  A width-1 mirror pad is the clamp's index
+        # table (A[-1] == A[0]), so it blocks too; a wider one declines
+        # (``test_a_wider_mirror_keeps_the_per_step_tape``).
+        from repro.backend.plan import iterate_state_generic
+
+        program, carry, make_inputs = matrix_case(rank, boundary, carry_kind)
+        x = make_inputs(1)
+        backend = NumpyBackend(cache=None)
+        plan = backend.plan(program, x)
+        counted = dict(_FUSION_FALLBACKS_TOTAL.values)
+        plan.iterate(x, 1, carry=carry)
+        T = plan.stats()["temporal_steps"]
+        reason = ("temporal_carry" if carry_kind == "rotation" else
+                  "temporal_layout" if not HAVE_CC else
+                  "temporal_boundary" if boundary == "wrap" else None)
+        assert (T > 1) == (reason is None), (T, reason)
+        if reason is not None:
+            assert _FUSION_FALLBACKS_TOTAL.values[reason] == \
+                counted.get(reason, 0) + 1
+        # iterate(x, 2T + 3) == iterate(iterate_state(x, T + 1).state, T + 2)
+        out, state = plan.iterate_state(x, T + 1, carry=carry)
+        ref_out, ref_state = iterate_state_generic(backend, program, x, T + 1,
+                                                   carry=carry)
+        assert np.array_equal(out, ref_out)
+        assert all(np.array_equal(a, b) for a, b in zip(state, ref_state))
+        whole = plan.iterate(x, 2 * T + 3, carry=carry)
+        assert np.array_equal(whole, iterate_generic(
+            backend, program, ref_state, T + 2, carry=carry))
+        assert np.array_equal(plan.iterate(state, T + 2, carry=carry), whole)
+        stats = plan.stats()
+        assert stats["fusion_fallbacks"] == stats["materialized_pads"] == 0
+
+    def test_a_wider_mirror_keeps_the_per_step_tape(self):
+        from repro.core import builders as L
+        from repro.core.arithmetic import Var
+        from repro.core.types import Float
+        from repro.core.userfuns import make_userfun
+
+        blur = make_userfun("mirror5", [f"x{i}" for i in range(5)], "return 0;",
+                            lambda *v: 0.1 * v[0] + 0.2 * v[1] + 0.4 * v[2]
+                            + 0.2 * v[3] + 0.1 * v[4])
+        program = L.fun([L.array_type(Float, Var("N"))], lambda grid: L.map(
+            lambda w: L.FunCall(blur, *[L.at(i, w) for i in range(5)]),
+            L.slide(5, 1, L.pad(2, 2, L.MIRROR, grid))))
+        x = [np.random.default_rng(4).random(11)]
+        backend = NumpyBackend(cache=None)
+        plan = backend.plan(program, x)
+        counted = _FUSION_FALLBACKS_TOTAL.values.get("temporal_boundary", 0)
+        assert np.array_equal(plan.iterate(x, 9, carry=("out",)),
+                              iterate_generic(backend, program, x, 9,
+                                              carry=("out",)))
+        stats = plan.stats()
+        assert stats["temporal_steps"] == 1 and stats["resident_pads"] >= 1
+        if HAVE_CC:
+            assert _FUSION_FALLBACKS_TOTAL.values["temporal_boundary"] == \
+                counted + 1
 
 
 class TestResidentPadMechanics:

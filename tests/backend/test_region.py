@@ -54,22 +54,23 @@ RAGGED_TILES = {2: (4, 3), 3: (2, 3, 4)}
 
 #: sha256 of each app's one native C text at :data:`SHAPES`.  Byte-equal
 #: text is what keeps every object already in a native cache a hit; a
-#: change that means to alter the text re-records these.
+#: change that means to alter the text re-records these (last: every app
+#: with a wavefront base gained ``steps``, the temporal block).
 NATIVE_TEXTS = {
-    "acoustic": "d49166f82df10cec6f4d95c8a379b0508aa4d710de117ec60095d13db44f7409",
+    "acoustic": "dc76a8a8e421f02c966e4424a5011b4f4cb66658d3a20961c5d6852e8d3d5778",
     "gaussian": "83adb6758e899629562deba77ddaa83858b40ca3583da0980d6831f8e495c35e",
-    "gradient": "0018143849d0becd8a148903c5614ad4dc80d2c9f91319db355cc0e42bf3855e",
-    "heat": "1c651485331a3388b818f42f71855c2cf4046b3737f82a4e1ca65e388f3f7325",
-    "hotspot2d": "8c61bf8e3feb2bcaaede67467a9cc746b1758a00967c6efac5327f88cf31abbe",
-    "hotspot3d": "55e789c4d2a646d63fd5c0e75c3022f0feba0ea38142f8f7b6f247aadb6468d1",
-    "jacobi2d5pt": "4305d7e6786e61720f5b388eddd6559225193a90ab7a44b741fefa56adfdd400",
-    "jacobi2d9pt": "c0e9fa9f9a625617d2ce1f3e1c438ce5d760b5a21cdd67561de490b59d9c8814",
-    "jacobi3d13pt": "bfd8f386d3a804a8a3662b70a415f9e17d14418f67c136c212be83208df42c8e",
-    "jacobi3d7pt": "ed2467d1589df983bed62d4136cd32d1247d660594b91998d74a871c14ec46ca",
-    "poisson": "72dc6abf3dd891df53ecae01abc097eb635d352e178f8c01d0a3c432a63494d6",
-    "srad1": "b4119993ebcf0e7b269e8cf5b6e43ad7062ebd40ff4855082a1a5063de9a3c70",
-    "srad2": "27690fdf8eb5df87d9805e97c5cc5ea92fbbb6e61d45d9442a76151f3ddea0fa",
-    "stencil2d": "a30eab96144b149f25eeeb5e1d7c684e9a7d36e8052cc12c292d559236bca2b4",
+    "gradient": "4e7482aa037827f0f81bc206eb2259ece061976842df6a8f32efb37e1447a7fd",
+    "heat": "acb016f101ba88f2c106cd64a0057715d648a5d2e181fdabe749cbdb736081c5",
+    "hotspot2d": "76e97633bb4c4a7cc698c3bba2bf1bc5e7f6b0b301bdce3b73cd76698c2e819b",
+    "hotspot3d": "03ea90eed93b5746c3569724c147ec519398a581a1a4b7e94b96ec8ddea92bd0",
+    "jacobi2d5pt": "944bd931903a7540895e49cc53967df42c4dd374d9f147da50213d2400cf34d9",
+    "jacobi2d9pt": "d053fb01ec07c9e782aac3c89dca5274876d4f149d39b35734b9db03688e96f0",
+    "jacobi3d13pt": "24d74d3b0873fc9e6dbd129822f3fbf8b08e0f09313ee681037d5a6aa12e0e72",
+    "jacobi3d7pt": "113067637dfbbf9855068f88b96863a40b69fe935e255942cc2504aef08c0b97",
+    "poisson": "132c7bc13191fb55becc750f579206c6142a7c25f0feb056345fe9741cecc78a",
+    "srad1": "18dcf4382050ecc22d59fccf26702a8b13cbb5c2794a178e940459aa6060876b",
+    "srad2": "8ef10c3eab5c0676d98c9de5b1f75c82694b6ada70777e9306112e1df0252897",
+    "stencil2d": "3be8a6e74762c75571efa8e8c7ea3336058ba42fca44caddef68e9d1b61bd4df",
 }
 
 STAT_KEYS = ("fused_regions", "native_regions", "fused_tiles",
@@ -78,35 +79,36 @@ STAT_KEYS = ("fused_regions", "native_regions", "fused_tiles",
 
 #: :data:`STAT_KEYS` after 4 iterate steps at :data:`SHAPES`, per app:
 #: (default plan with a compiler, default plan without one, the ragged
-#: explicit tile, ``tile_shape=False``).
+#: explicit tile, ``tile_shape=False``).  With a compiler, an app that runs
+#: temporal blocks holds one more buffer, the blocks' row ring.
 PLAN_STATS = {
     "acoustic": ((4, 4, 4, 0, 13104, 6, 27216), (4, 0, 4, 0, 99225, 22, 58716),
                  (4, 0, 108, 0, 99225, 22, 29616), (0, 0, 0, 0, 99225, 22, 58716)),
     "gaussian": ((3, 3, 3, 0, 88736, 6, 91920), (3, 0, 3, 0, 198560, 12, 98784),
                  (3, 0, 48, 0, 198560, 12, 92496), (0, 0, 0, 0, 198560, 12, 98784)),
-    "gradient": ((3, 3, 3, 0, 3536, 3, 4680), (3, 0, 3, 0, 40872, 9, 11544),
+    "gradient": ((3, 3, 3, 0, 3536, 4, 10920), (3, 0, 3, 0, 40872, 9, 11544),
                  (3, 0, 48, 0, 40872, 9, 5256), (0, 0, 0, 0, 40872, 9, 11544)),
-    "heat": ((3, 3, 3, 0, 14112, 3, 16632), (3, 0, 3, 0, 69048, 9, 31752),
+    "heat": ((3, 3, 3, 0, 14112, 4, 64152), (3, 0, 3, 0, 69048, 9, 31752),
              (3, 0, 81, 0, 69048, 9, 17784), (0, 0, 0, 0, 69048, 9, 31752)),
-    "hotspot2d": ((3, 3, 3, 0, 4680, 4, 5824), (3, 0, 3, 0, 42016, 13, 16120),
+    "hotspot2d": ((3, 3, 3, 0, 4680, 5, 12064), (3, 0, 3, 0, 42016, 13, 16120),
                   (3, 0, 48, 0, 42016, 13, 6688), (0, 0, 0, 0, 42016, 13, 16120)),
-    "hotspot3d": ((3, 3, 3, 0, 16632, 4, 19152), (3, 0, 3, 0, 124488, 13, 41832),
+    "hotspot3d": ((3, 3, 3, 0, 16632, 5, 66672), (3, 0, 3, 0, 124488, 13, 41832),
                   (3, 0, 81, 0, 124488, 13, 20880), (0, 0, 0, 0, 124488, 13, 41832)),
-    "jacobi2d5pt": ((3, 3, 3, 0, 3536, 3, 4680), (3, 0, 3, 0, 16848, 6, 8112),
+    "jacobi2d5pt": ((3, 3, 3, 0, 3536, 4, 10920), (3, 0, 3, 0, 16848, 6, 8112),
                     (3, 0, 48, 0, 16848, 6, 4968), (0, 0, 0, 0, 16848, 6, 8112)),
-    "jacobi2d9pt": ((3, 3, 3, 0, 3536, 3, 4680), (3, 0, 3, 0, 32864, 6, 8112),
+    "jacobi2d9pt": ((3, 3, 3, 0, 3536, 4, 10920), (3, 0, 3, 0, 32864, 6, 8112),
                     (3, 0, 48, 0, 32864, 6, 4968), (0, 0, 0, 0, 32864, 6, 8112)),
-    "jacobi3d13pt": ((3, 3, 3, 0, 28368, 3, 30888), (3, 0, 3, 0, 116352, 6, 38448),
+    "jacobi3d13pt": ((3, 3, 3, 0, 28368, 4, 133848), (3, 0, 3, 0, 116352, 6, 38448),
                      (3, 0, 81, 0, 116352, 6, 31464), (0, 0, 0, 0, 116352, 6, 38448)),
-    "jacobi3d7pt": ((3, 3, 3, 0, 14112, 3, 16632), (3, 0, 3, 0, 56448, 6, 24192),
+    "jacobi3d7pt": ((3, 3, 3, 0, 14112, 4, 64152), (3, 0, 3, 0, 56448, 6, 24192),
                     (3, 0, 81, 0, 56448, 6, 17208), (0, 0, 0, 0, 56448, 6, 24192)),
-    "poisson": ((3, 3, 3, 0, 14112, 3, 16632), (3, 0, 3, 0, 167328, 9, 31752),
+    "poisson": ((3, 3, 3, 0, 14112, 4, 64152), (3, 0, 3, 0, 167328, 9, 31752),
                 (3, 0, 81, 0, 167328, 9, 17784), (0, 0, 0, 0, 167328, 9, 31752)),
-    "srad1": ((3, 3, 3, 0, 3536, 3, 4680), (3, 0, 3, 0, 99502, 27, 29133),
+    "srad1": ((3, 3, 3, 0, 3536, 4, 10920), (3, 0, 3, 0, 99502, 27, 29133),
               (3, 0, 48, 0, 99502, 27, 6732), (0, 0, 0, 0, 99502, 27, 29133)),
-    "srad2": ((3, 3, 3, 0, 5096, 4, 6240), (3, 0, 3, 0, 44304, 10, 13104),
+    "srad2": ((3, 3, 3, 0, 5096, 5, 12480), (3, 0, 3, 0, 44304, 10, 13104),
               (3, 0, 48, 0, 44304, 10, 6816), (0, 0, 0, 0, 44304, 10, 13104)),
-    "stencil2d": ((3, 3, 3, 0, 3536, 3, 4680), (3, 0, 3, 0, 35152, 9, 11544),
+    "stencil2d": ((3, 3, 3, 0, 3536, 4, 10920), (3, 0, 3, 0, 35152, 9, 11544),
                   (3, 0, 48, 0, 35152, 9, 5256), (0, 0, 0, 0, 35152, 9, 11544)),
 }
 
