@@ -529,11 +529,6 @@ class FusionInfo:
         #: (registers or tile scratch replaced them); the plan frees them.
         self.dead: List[np.ndarray] = []
 
-    @property
-    def sources(self) -> List[str]:
-        """The C text of each native region."""
-        return [compiled.source for compiled in self.natives]
-
 
 # ---------------------------------------------------------------------------
 # The region IR

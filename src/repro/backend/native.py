@@ -20,23 +20,26 @@ register of the op that computed it.  Scalars are ``float.hex()``
 literals.  Each store is the register of its last writer; a store into
 an allocation the region reads declines (``native_layout``).
 
-**Temporal blocks.**  A region with one float64 store and a *wavefront
-base* — a grid the store could be the interior of, its padded home on the
-next step — also gets a second function in the same text, ``steps``: T
-steps of the same body as one wavefront down the leading axis.  Iteration
-``k`` computes row ``k - (t - 1) * lag`` of level ``t`` for ``t = 1..T``;
-level 0 is the base itself, levels ``1..T-1`` keep ``2r + 2`` padded rows
-each in a ring (``r`` the base's leading-axis radius, from
-``Region.accesses()``) and write their inner halo per row, and level T
-stores the interior of the destination.  Along the leading axis a clamp
-pad is a clamped row index and a constant pad the home's own halo row, so
-the grid crosses memory once per block instead of once per step.  T, the
-ring and the pad geometry are arguments (:class:`Wavefront`), so the text
-is still one per app; :func:`wavefront` decides T — the largest value up
-to 16 whose ring fits the tile budget — and declines any pad but clamp or
-constant (``temporal_boundary``).  :class:`NativeBlock` binds ``steps`` to
-one tape's arrays and the plan's ring; the plan decides when a block runs
-and checks one against the per-step tapes first.
+**Temporal blocks.**  The plan, which knows which base of a region is the
+padded home its single float64 store feeds on the next step (the
+*wavefront base*), may ask for a second text, :func:`lower_steps`: one
+function ``steps`` running up to T steps of the same body as one
+wavefront down the leading axis.  Iteration ``k`` computes row
+``k - (t - 1) * lag`` of level ``t`` for ``t = 1..T``; level 0 is the
+base itself, levels ``1..T-1`` keep ``2r + 2`` padded rows each in a ring
+(``r`` the base's leading-axis radius, from ``Region.accesses()``) and
+write their inner halo per row, and level T stores the interior of the
+destination.  Along the leading axis a clamp pad is a clamped row index
+and a constant pad the home's own halo row, so the grid crosses memory
+once per block instead of once per step.  T, the ring and the pad
+geometry are arguments (:class:`Wavefront`), so an app has one ``steps``
+text at every grid size, and the ``region`` text is the same whether or
+not a plan blocks.  :func:`wavefront` decides T — the largest value up to
+16 whose ring fits the tile budget — and declines any pad but clamp or
+constant (``temporal_boundary``).  :class:`NativeBlock` compiles ``steps``
+and binds it to one tape's arrays and the plan's ring; a call runs any
+count of steps up to T.  The plan decides when a block runs and checks
+one against the per-step tapes first.
 
 **Whitelist.**  float64 ``add`` / ``subtract`` / ``multiply`` /
 ``true_divide`` / ``negative`` / ``absolute`` / ``sqrt``, the six
@@ -191,6 +194,18 @@ def _plus(index: str, offset: int) -> str:
 def lower(region: Region) -> str:
     """The C text of a verified region; its pointer arguments are
     ``region.bases`` then the stored buffers."""
+    return _emit(region, *_lower_body(region))
+
+
+def lower_steps(region: Region, base: int) -> str:
+    """The C text of ``steps``, the temporal block of a verified region
+    whose wavefront base is ``region.bases[base]`` (:func:`_steps`)."""
+    return "\n".join(_steps(region, *_lower_body(region), base))
+
+
+def _lower_body(region: Region):
+    """``(accesses, results, body)``: the region's access table, each
+    store's register and the C lines of its ops, or :class:`Unavailable`."""
     rank = len(region.shape)
     if rank < 1 or 0 in region.shape:
         raise Unavailable("native_layout", "rank-0 or empty region")
@@ -249,7 +264,7 @@ def lower(region: Region) -> str:
             # overwrites what a later element still reads
             raise Unavailable("native_layout", "a store aliases a base")
     results = [registers[op][0] for _buffer, op in region.stores]
-    return _emit(region, accesses, results, body)
+    return accesses, results, body
 
 
 def _corners(region: Region) -> List[Tuple[int, ...]]:
@@ -264,9 +279,7 @@ def _corners(region: Region) -> List[Tuple[int, ...]]:
 
 
 def _emit(region: Region, accesses, results, body: List[str]) -> str:
-    """The C text: outer loops, per-row pointer set-up, the row loop; then,
-    when the region has a :func:`_wavefront_base`, the ``steps`` function
-    over the same body (:func:`_steps`).
+    """The C text: outer loops, per-row pointer set-up, the row loop.
 
     ``p`` holds one pointer per base (at its :func:`_corners` entry), then
     one per store; ``s`` their byte strides, one per axis, in the same
@@ -289,9 +302,6 @@ def _emit(region: Region, accesses, results, body: List[str]) -> str:
     lines += [f"        for (int64_t j = {first}; j < {last}; ++j) {{"]
     lines += ["            " + text for text in reads + body + writes]
     lines += ["        }", "    }", "}", ""]
-    base = _wavefront_base(region)
-    if base is not None:
-        lines += _steps(region, accesses, results, body, base)
     return "\n".join(lines)
 
 
@@ -418,8 +428,8 @@ static void halo_(char *row, const int64_t *g)
 
 def _steps(region: Region, accesses, results, body: List[str],
            base: int) -> List[str]:
-    """The ``steps`` function: ``T`` steps of the region as one wavefront
-    down the leading axis (:class:`Wavefront` documents ``g``).
+    """The lines of the ``steps`` text: ``T`` steps of the region as one
+    wavefront down the leading axis (:class:`Wavefront` documents ``g``).
 
     Iteration ``k`` computes row ``k - (t - 1) * lag`` of level ``t`` for
     ``t = 1..T``, so a level reads rows its predecessor wrote in the same
@@ -431,7 +441,7 @@ def _steps(region: Region, accesses, results, body: List[str],
     store = len(region.bases)
     rows, reads, writes = _row_code(region, accesses, results, base)
     leads = sorted({offset[0] for b, offset in accesses if b == base})
-    lines = [_BLOCK_HELPERS,
+    lines = [_PREAMBLE, _BLOCK_HELPERS,
              "void steps(char *const *p, const int64_t *s, const int64_t *n, "
              "int64_t T, char *w, const int64_t *g)", "{",
              "    const int64_t n0 = n[0], lag = g[4];",
@@ -466,7 +476,17 @@ def _steps(region: Region, accesses, results, body: List[str],
 # ---------------------------------------------------------------------------
 
 _LOCK = threading.Lock()
-_LOADED: Dict[str, ctypes.CDLL] = {}  # source -> its loaded library
+_LOADED: Dict[str, Tuple[ctypes.CDLL, object]] = {}  # source -> (lib, fn)
+
+_ARRAYS = [ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_int64),
+           ctypes.POINTER(ctypes.c_int64)]
+#: The argument types of each function a text defines: ``region(p, s, n,
+#: lo, hi)`` and ``steps(p, s, n, T, w, g)``.
+_SIGNATURES = {
+    "region": _ARRAYS + [ctypes.c_int64, ctypes.c_int64],
+    "steps": _ARRAYS + [ctypes.c_int64, ctypes.c_void_p,
+                        ctypes.POINTER(ctypes.c_int64)],
+}
 
 
 def reset() -> None:
@@ -546,32 +566,26 @@ def _run_compiler(command: List[str], source: str, target: str) -> None:
         _COMPILE_SECONDS.observe(perf_counter() - started)
 
 
-def _load(path: str):
+def _load(path: str, name: str):
     if _faults.ARMED and _faults.should_fail("native.load_error"):
         raise OSError("fault injected: native.load_error")
     library = ctypes.CDLL(path)
-    arrays = [ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_int64),
-              ctypes.POINTER(ctypes.c_int64)]
-    library.region.argtypes = arrays + [ctypes.c_int64, ctypes.c_int64]
-    library.region.restype = None
-    steps = getattr(library, "steps", None)
-    if steps is not None:
-        steps.argtypes = arrays + [ctypes.c_int64, ctypes.c_void_p,
-                                   ctypes.POINTER(ctypes.c_int64)]
-        steps.restype = None
-    return library
+    function = getattr(library, name)
+    function.argtypes = _SIGNATURES[name]
+    function.restype = None
+    return library, function
 
 
 def kernel(source: str, name: str = "region"):
-    """The loaded function ``name`` (``region``, or ``steps``) of
-    ``source``: from this process's table, else the disk cache, else a
-    compiler run."""
+    """The loaded function ``name`` of ``source`` (``region`` of a
+    :func:`lower` text, ``steps`` of a :func:`lower_steps` one): from this
+    process's table, else the disk cache, else a compiler run."""
     command = compiler()  # first: a host without one has no native regions
     with _LOCK:
         found = _LOADED.get(source)
         if found is not None:
             _CACHE_TOTAL.inc(label="memory")
-            return getattr(found, name)
+            return found[1]
         directory = cache_dir()
         result = "disk"
         with tempfile.TemporaryDirectory() if directory is None \
@@ -582,7 +596,7 @@ def kernel(source: str, name: str = "region"):
                     _run_compiler(command, source, path)
                     result = "compiled"
                 try:
-                    found = _load(path)
+                    found = _load(path, name)
                     break
                 except (OSError, AttributeError) as error:
                     # A truncated or foreign object: drop it, rebuild once.
@@ -591,7 +605,7 @@ def kernel(source: str, name: str = "region"):
                         raise Unavailable("native_load", str(error)) from error
         _LOADED[source] = found
         _CACHE_TOTAL.inc(label=result)
-        return getattr(found, name)
+        return found[1]
 
 
 # ---------------------------------------------------------------------------
@@ -662,23 +676,6 @@ def build(region: Region) -> NativeRegion:
 MAX_BLOCK_STEPS = 16
 
 
-def _wavefront_base(region: Region):
-    """The base ``steps`` sweeps, or ``None`` (then the text has no
-    ``steps``): a float64 grid of the region's rank (1 to 3) whose
-    interior the single float64 store could be — as wide on every axis,
-    wider on one — and, of those, the one read at the most offsets."""
-    rank = len(region.shape)
-    if len(region.stores) != 1 or not 1 <= rank <= 3 \
-            or region.stores[0][0].dtype != np.float64:
-        return None
-    reads = Counter(b for b, _offset in region.accesses())
-    grids = [b for b, base in enumerate(region.bases)
-             if base.dtype == np.float64 and base.ndim == rank
-             and base.shape != region.shape
-             and all(e >= n for e, n in zip(base.shape, region.shape))]
-    return max(grids, key=reads.__getitem__, default=None)
-
-
 class Wavefront(NamedTuple):
     """How ``steps`` runs one region over the pad chain of its carried
     grid: ``steps`` (T) levels over the wavefront ``base``, levels 1..T-1
@@ -698,22 +695,25 @@ class Wavefront(NamedTuple):
     geometry: Tuple[int, ...]
 
 
-def wavefront(region: Region, chain, budget: int) -> Wavefront:
-    """The :class:`Wavefront` of ``region`` over ``chain``, the pad chain
-    (``(axis, left, right, halo runs, constant)`` per link) of the home
-    whose padded grid the wavefront base is.
+def wavefront(region: Region, base: int, chain, budget: int) -> Wavefront:
+    """The :class:`Wavefront` of ``region`` over ``region.bases[base]``,
+    the padded grid of a home whose pad chain is ``chain`` (``(axis, left,
+    right, halo runs, constant)`` per link) and whose interior the
+    region's single store writes on the next step.
 
     Every link must be a clamp (its runs copy the first or last interior
     element, one halo cell each) or a constant, one per axis
     (``temporal_boundary``).  T is the largest value up to
     :data:`MAX_BLOCK_STEPS` whose ring — ``T - 1`` levels of ``2r + 2``
     padded rows, ``r`` the base's leading-axis radius — fits ``budget``
-    bytes; a region without a base, or whose two-step ring does not fit,
-    raises ``temporal_layout``."""
-    base = _wavefront_base(region)
-    if base is None:
-        raise Unavailable("temporal_layout", "no wavefront base")
+    bytes; anything but one float64 store over a float64 base of rank 1
+    to 3, or a two-step ring that does not fit, raises
+    ``temporal_layout``."""
     home, shape, rank = region.bases[base], region.shape, len(region.shape)
+    if len(region.stores) != 1 or not 1 <= rank <= 3 \
+            or region.stores[0][0].dtype != np.float64 \
+            or home.dtype != np.float64:
+        raise Unavailable("temporal_layout", "not one float64 grid store")
     links: Dict[int, Tuple[int, int, int, bool]] = {}  # axis -> link
     for position, (axis, left, right, runs, value) in enumerate(chain):
         n = shape[axis] if axis < rank else 0
@@ -757,12 +757,14 @@ def wavefront(region: Region, chain, budget: int) -> Wavefront:
 
 
 class NativeBlock:
-    """One compiled region's ``steps`` bound to a ring: a call runs
-    ``steps`` steps from the wavefront base's home into the region's
+    """One region's :func:`lower_steps` text, compiled and bound to a ring:
+    ``block(T)`` runs ``T`` steps, at most ``wave.steps`` (the ring holds
+    any fewer levels), from the wavefront base's home into the region's
     store (or ``out``), interior only — its halo is the caller's to
     refresh.  Constant halo cells of the ring are written here, once."""
 
-    __slots__ = ("_function", "_held", "_arguments")
+    __slots__ = ("source", "steps", "_function", "_held", "_p", "_s", "_n",
+                 "_w", "_g")
 
     def __init__(self, compiled: NativeRegion, wave: Wavefront,
                  ring: np.ndarray, out=None) -> None:
@@ -773,19 +775,23 @@ class NativeBlock:
                 or not ring.flags.c_contiguous or store.shape != region.shape \
                 or store.strides != home.strides:
             raise Unavailable("temporal_layout", "ring or store geometry")
+        self.source = lower_steps(region, wave.base)
+        self.steps = wave.steps
+        self._function = kernel(self.source, "steps")
         np.copyto(ring, home[wave.geometry[0]])
         corners = _corners(region)
         corners[wave.base] = ()  # ``steps`` addresses rows from the grid's start
-        self._function = kernel(compiled.source, "steps")
         self._held = (region, store, ring)  # as long as their addresses
-        self._arguments = _arguments(region, corners, [store]) + (
-            wave.steps, ring.ctypes.data,
-            (ctypes.c_int64 * len(wave.geometry))(*wave.geometry))
+        self._p, self._s, self._n = _arguments(region, corners, [store])
+        self._w = ring.ctypes.data
+        self._g = (ctypes.c_int64 * len(wave.geometry))(*wave.geometry)
 
-    def __call__(self) -> None:
-        self._function(*self._arguments)
+    def __call__(self, steps: int) -> None:
+        if not 1 <= steps <= self.steps:
+            raise ValueError(f"a block runs 1 to {self.steps} steps, not {steps}")
+        self._function(self._p, self._s, self._n, steps, self._w, self._g)
 
 
 __all__ = ["FLAGS", "MAX_BLOCK_STEPS", "NativeBlock", "NativeRegion",
            "Unavailable", "Wavefront", "build", "cache_dir", "compiler",
-           "kernel", "lower", "reset", "wavefront"]
+           "kernel", "lower", "lower_steps", "reset", "wavefront"]

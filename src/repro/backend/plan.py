@@ -28,18 +28,20 @@ value — e.g. the acoustic benchmark's two-timestep rotation), or ``None``
 **Temporal blocks.**  When every tape is one native region whose single
 store feeds, through ``"out"``, the padded home that same region reads —
 every other input static, the home's pads clamp or constant — the loop
-runs ``⌊remaining / T⌋`` blocks of T steps, each one call of the region's
-``steps`` wavefront (:mod:`repro.backend.native`) plus the output home's
-halo refresh (a constant halo has none), and sends the remainder to the
-per-step tapes.  A block
-never runs past the steps of one call, so trajectory segments and job
-checkpoints still land on step boundaries.  The first iterate decides it,
-once, for its carry spec: it acquires the row ring from the pool, runs T
-per-step replays and one block from the bound inputs into the other ring
-buffer, and accepts only if they agree under the native relation (then
-re-runs its own steps from the bind).  Anything else stays per-step,
-counted in ``repro_plan_fusion_fallbacks_total`` under a ``temporal_*``
-reason; ``stats()["temporal_steps"]`` is the T in use, or 1.
+runs blocks of ``min(remaining, T)`` steps while at least two remain, each
+one call of the region's ``steps`` wavefront (:mod:`repro.backend.native`,
+compiled from its own text, with the carried home as its wavefront base)
+plus the output home's halo refresh (a constant halo has none); a last
+single step replays the per-step tape.  A block never runs past the steps
+of one call, so trajectory segments and job checkpoints still land on
+step boundaries, and a segment shorter than T is one block.  The first
+iterate decides it, once, for its carry spec: it acquires the row ring
+from the pool, runs T per-step replays and one T-step block from the
+bound inputs into the other ring buffer, and accepts only if they agree
+under the native relation (then re-runs its own steps from the bind).
+Anything else stays per-step, counted in
+``repro_plan_fusion_fallbacks_total`` under a ``temporal_*`` reason;
+``stats()["temporal_steps"]`` is the T in use, or 1.
 
 **Pad as a view.**  Lift never materialises ``pad``, and neither does a
 plan for the buffers it owns: an input buffer or ping-pong output buffer
@@ -310,10 +312,9 @@ class _Tape:
     ``buffers`` are the pooled buffers the ops write (arena buffers and
     fused tile scratch) and ``nbytes`` the operand plus output bytes one
     replay moves; both are the plan's to account for once it accepts the
-    tape.  ``block``, once the plan runs temporal blocks, is the tape's
-    :class:`~repro.backend.native.NativeBlock` and its output home's halo
-    refresh, if the home has one: ``temporal_steps`` replays in one or two
-    calls."""
+    tape.  ``block``, once the plan runs temporal blocks, is the
+    :class:`~repro.backend.native.NativeBlock` that stands in for the
+    tape's first op (its one native region) over several steps."""
 
     __slots__ = ("ops", "out", "buffers", "nbytes", "fusion", "block")
 
@@ -325,11 +326,17 @@ class _Tape:
         self.buffers = buffers
         self.nbytes = nbytes
         self.fusion = fusion  # what the tape optimizer did, if it did
-        self.block: Optional[Tuple[Callable[[], None], ...]] = None
+        self.block = None
 
-    def run(self) -> np.ndarray:
-        for op in self.ops:
-            op()
+    def run(self, steps: int = 1) -> np.ndarray:
+        """One replay, or ``steps`` as one block and the halo refresh."""
+        if steps == 1:
+            for op in self.ops:
+                op()
+        else:
+            self.block(steps)
+            for op in self.ops[1:]:
+                op()
         return self.out
 
 
@@ -439,7 +446,7 @@ class ExecutionPlan:
         # Temporal blocks, decided by the first iterate for its carry spec:
         # the accepted wavefront and its ring, or per-step for good.
         self._block_carry: Optional[CarrySpec] = None
-        self._accepted = None  # (C text, Wavefront) of the checked block
+        self._accepted = None  # (steps text, Wavefront) of the checked block
         self._block_ring: Optional[np.ndarray] = None
         self.temporal_steps = 1  # steps one block runs; 1 = per-step tapes
         _PLANS.add(self)
@@ -601,7 +608,7 @@ class ExecutionPlan:
             self.fused_regions += tape.fusion.regions
             self.fused_tiles += tape.fusion.tiles
             self.fused_schedules += tape.fusion.fused_schedules
-            self.native_regions += len(tape.fusion.sources)
+            self.native_regions += len(tape.fusion.natives)
         self.replay_bytes_per_step = max(self.replay_bytes_per_step,
                                          tape.nbytes)
         return tape
@@ -615,7 +622,7 @@ class ExecutionPlan:
             expected = self._kernel.run_batched(state)
         else:
             expected = self._kernel(state)
-        native = tape.fusion is not None and tape.fusion.sources
+        native = tape.fusion is not None and tape.fusion.natives
         same = _same_or_nan if native else _bits_equal
         return same(np.asarray(expected), tape.out)
 
@@ -704,7 +711,7 @@ class ExecutionPlan:
                           + scratch, info.nbytes, fusion=info)
             try:
                 fused.run()
-                same = _same_or_nan if info.sources else _bits_equal
+                same = _same_or_nan if info.natives else _bits_equal
                 accepted = same(snapshot, out_buffer)
             except Exception:  # noqa: BLE001 - reject, restore, fall back
                 accepted = False
@@ -715,7 +722,7 @@ class ExecutionPlan:
                 return fused
             self._pool.release_all(scratch)
             tape.run()  # restore every buffer from the trusted unfused ops
-            if not info.sources:
+            if not info.natives:
                 break
             _FUSION_FALLBACKS_TOTAL.inc(label="native_verification")
         return self._unfused(tape, "verification")
@@ -728,41 +735,41 @@ class ExecutionPlan:
 
     def _step(self, state: List[np.ndarray], slot: int) -> np.ndarray:
         tape = self._tapes.get(_key(state, slot))
+        if tape is not None:
+            return self._replay(tape, 1)
         timed = _metrics_on()
         started = perf_counter() if timed else 0.0
-        if tape is None:
-            tape = self._capture(state, slot)
-            # Keyed afresh: the first capture may have re-housed ``state``.
-            self._tapes[_key(state, slot)] = tape
-            if self._accepted is not None:
-                self._bind_block(tape, state)
-            seconds, total = _CAPTURE_SECONDS, _CAPTURES_TOTAL
-        else:
-            tape.run()
-            self.replays += 1
-            seconds, total = _REPLAY_SECONDS, _REPLAYS_TOTAL
+        tape = self._capture(state, slot)
+        # Keyed afresh: the first capture may have re-housed ``state``.
+        self._tapes[_key(state, slot)] = tape
+        if self._accepted is not None:
+            self._bind_block(tape, state)
         if timed:
-            seconds.observe(perf_counter() - started)
-            total.inc()
+            _CAPTURE_SECONDS.observe(perf_counter() - started)
+            _CAPTURES_TOTAL.inc()
+        return tape.out
+
+    def _replay(self, tape: _Tape, steps: int) -> np.ndarray:
+        """Run ``steps`` steps of a captured tape (more than one: as one
+        temporal block), timed and counted as that many replays."""
+        timed = _metrics_on()
+        started = perf_counter() if timed else 0.0
+        tape.run(steps)
+        self.replays += steps
+        if timed:
+            _REPLAY_SECONDS.observe(perf_counter() - started)
+            _REPLAYS_TOTAL.inc(steps)
         return tape.out
 
     def _advance(self, state: List[np.ndarray], slot: int,
-                 remaining: int) -> Tuple[np.ndarray, int]:
-        """``(out, steps)``: one temporal block when this binding has one
-        and ``remaining`` covers it, else one step."""
+                 most: int) -> Tuple[np.ndarray, int]:
+        """``(out, steps)``: a temporal block of ``min(most, T)`` steps when
+        this binding has one, else one step (a block of one is a replay)."""
         tape = self._tapes.get(_key(state, slot))
-        if tape is None or tape.block is None \
-                or remaining < self.temporal_steps:
+        if tape is None:
             return self._step(state, slot), 1
-        timed = _metrics_on()
-        started = perf_counter() if timed else 0.0
-        for op in tape.block:
-            op()
-        self.replays += self.temporal_steps
-        if timed:
-            _REPLAY_SECONDS.observe(perf_counter() - started)
-            _REPLAYS_TOTAL.inc(self.temporal_steps)
-        return tape.out, self.temporal_steps
+        steps = 1 if tape.block is None else min(most, self.temporal_steps)
+        return self._replay(tape, steps), steps
 
     # -- temporal blocks -----------------------------------------------------
     def _decide_blocks(self, spec: CarrySpec) -> None:
@@ -788,18 +795,15 @@ class ExecutionPlan:
             wave = self._block_wave(tape, state)
             ring = self._pool.acquire(wave.ring, np.float64)
             try:
-                visited = self._check_block(tape, state, wave, ring)
-            except Exception:  # noqa: BLE001 - a block must never break iterate
-                visited = None
-            if visited is None:
+                visited, source = self._check_block(tape, state, wave, ring)
+            except BaseException:
                 self._pool.release(ring)
-                self.fusion_fallbacks += 1
-                raise native.Unavailable("temporal_verification")
+                raise
         except native.Unavailable as declined:
             _FUSION_FALLBACKS_TOTAL.inc(label=declined.reason)
             return
         self._buffers.append(ring)
-        self._accepted = (tape.fusion.natives[0].source, wave)
+        self._accepted = (source, wave)
         self._block_ring = ring
         self.temporal_steps = wave.steps
         for tape, state in visited:
@@ -809,8 +813,8 @@ class ExecutionPlan:
         """The :class:`~repro.backend.native.Wavefront` of ``tape`` from
         ``state``, or :class:`~repro.backend.native.Unavailable`: the tape
         must be one native region plus its output home's halo refresh (a
-        constant halo has none), sweeping the carried grid's home, and read
-        nothing else but static inputs."""
+        constant halo has none), reading the carried grid's padded home —
+        the wavefront base — and nothing else but static inputs."""
         from . import native
         from .fuse import TILE_TARGET_BYTES, _root
 
@@ -824,49 +828,69 @@ class ExecutionPlan:
             raise native.Unavailable(
                 "temporal_layout", "not one native region and its refresh")
         region = natives[0].region
-        wave = native.wavefront(region, home.chain, TILE_TARGET_BYTES)
         statics = [_root(buffer) for buffer, entry
                    in zip(state, self._block_carry) if entry is None]
-        if region.bases[wave.base] is not home.padded or not all(
+        bases = [b for b, base in enumerate(region.bases)
+                 if base is home.padded]
+        if len(bases) != 1 or not all(
                 any(base is static for static in statics)
-                for b, base in enumerate(region.bases) if b != wave.base):
+                for b, base in enumerate(region.bases) if b != bases[0]):
             raise native.Unavailable(
                 "temporal_layout", "a base is neither carried nor static")
-        return wave
+        return native.wavefront(region, bases[0], home.chain,
+                                TILE_TARGET_BYTES)
 
     def _check_block(self, tape: _Tape, state: List[np.ndarray], wave,
                      ring: np.ndarray):
-        """One block from ``state`` against ``wave.steps`` per-step
-        replays from the same state, under the native relation; returns
-        the ``(tape, state)`` pairs the replays visited when they agree,
-        else ``None``.  The block writes the ring buffer the replays did
-        not end in, so the check holds no grid of its own."""
+        """One T-step block from ``state`` against T per-step tapes run
+        from the same state, under the native relation: ``(the (tape,
+        state) pairs the tapes visited, the block's steps text)`` when they
+        agree, else ``temporal_verification``.  The block writes the ring
+        buffer the tapes did not end in, so the check holds no grid of its
+        own; the tapes it runs are not caller steps, so they count as no
+        replays (a binding seen for the first time is still a capture)."""
         from . import native
 
         visited, current = [], list(state)
         for _ in range(wave.steps):
             slot = self._pick_slot(current)
-            out = self._step(current, slot)
+            known = self._tapes.get(_key(current, slot))
+            out = known.run() if known is not None \
+                else self._step(current, slot)
             visited.append((self._tapes[_key(current, slot)], current))
             current = _rebind(current, out, self._block_carry)
         spare = next(buffer for buffer in self._ring if buffer is not out)
-        native.NativeBlock(tape.fusion.natives[0], wave, ring, out=spare)()
-        if _faults.ARMED and _faults.should_fail("native.temporal_mismatch"):
-            spare.view(np.uint64)[(0,) * spare.ndim] ^= 1
-        return visited if _same_or_nan(spare, out) else None
+        block = native.NativeBlock(tape.fusion.natives[0], wave, ring,
+                                   out=spare)
+        try:
+            block(wave.steps)
+            if _faults.ARMED and _faults.should_fail(
+                    "native.temporal_mismatch"):
+                spare.view(np.uint64)[(0,) * spare.ndim] ^= 1
+            same = _same_or_nan(spare, out)
+        except Exception:  # noqa: BLE001 - a failed block is a mismatch
+            same = False
+        if not same:
+            self.fusion_fallbacks += 1
+            raise native.Unavailable("temporal_verification")
+        return visited, block.source
 
     def _bind_block(self, tape: _Tape, state: List[np.ndarray]) -> None:
-        """Give ``tape`` its block when it has the accepted wavefront."""
+        """Give ``tape`` its block when it has the accepted wavefront and
+        prints the accepted steps text."""
         from . import native
 
+        source, accepted = self._accepted
         try:
             wave = self._block_wave(tape, state)
+            if wave != accepted:
+                return
+            block = native.NativeBlock(tape.fusion.natives[0], wave,
+                                       self._block_ring)
         except native.Unavailable:
             return
-        compiled = tape.fusion.natives[0]
-        if (compiled.source, wave) == self._accepted:
-            tape.block = (native.NativeBlock(compiled, wave, self._block_ring),
-                          *tape.ops[1:])
+        if block.source == source:
+            tape.block = block
 
     @staticmethod
     def _result(out: np.ndarray, copy: bool) -> np.ndarray:
@@ -1017,9 +1041,15 @@ class ExecutionPlan:
         """The C text of each native region, in capture order (several
         tapes of one plan usually share one text)."""
         with self._lock:
-            return [source for tape in self._tapes.values()
+            return [compiled.source for tape in self._tapes.values()
                     if tape.fusion is not None
-                    for source in tape.fusion.sources]
+                    for compiled in tape.fusion.natives]
+
+    def block_source(self) -> Optional[str]:
+        """The C text of the temporal blocks' ``steps``, or ``None`` while
+        iterate runs per step."""
+        with self._lock:
+            return None if self._accepted is None else self._accepted[0]
 
     def release(self) -> None:
         """Return every pooled buffer.  The plan must not be used afterwards."""

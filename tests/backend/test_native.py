@@ -253,15 +253,15 @@ def fuse_lambda(fn, args, tile=None):
 
 def assert_native_matches_numpy(fn, args):
     result, info, expected = fuse_lambda(fn, args)
-    assert info.declines == [] and len(info.sources) == info.regions == 1
+    assert info.declines == [] and len(info.natives) == info.regions == 1
     assert result.dtype == expected.dtype and result.shape == expected.shape
     if result.dtype != np.float64:
         assert np.array_equal(result, expected)
-        return info.sources[0]
+        return info.natives[0].source
     assert _same_or_nan(result, expected)
     real = ~np.isnan(expected)
     assert np.array_equal(bits(result)[real], bits(expected)[real])
-    return info.sources[0]
+    return info.natives[0].source
 
 
 def operand_grids(shape=(6, 10), seed=0):
@@ -357,7 +357,7 @@ class TestWhitelistedOperations:
         zeros = np.array([[-0.0, 0.0, -0.0, 0.0]])
         result, info, expected = fuse_lambda(
             lambda x: np.clip(x * 1.0, 0.0, 1.0), [zeros])
-        assert len(info.sources) == 1
+        assert len(info.natives) == 1
         assert np.array_equal(bits(result), bits(zeros))
         assert np.array_equal(bits(expected), bits(zeros))
 
@@ -423,8 +423,8 @@ class TestWhitelistedOperations:
             mid.fill(0)  # the fused region must not depend on it
             for op in ops:
                 op()
-        assert len(info.sources) == 1
-        assert info.sources[0].count("_[j];") == 2  # a and b, not ``mid``
+        assert len(info.natives) == 1
+        assert info.natives[0].source.count("_[j];") == 2  # a and b, not ``mid``
         assert _same_or_nan(second.out, expected)
         real = ~np.isnan(expected)
         assert np.array_equal(bits(second.out)[real], bits(expected)[real])
@@ -485,7 +485,7 @@ class TestDeclines:
         entries = [TapeEntry(s.run, reads=s.leaves, schedule=s)
                    for s in (second, first)]  # reader before writer
         _ops, _scratch, info = optimize_tape(entries, first.out, None, pool)
-        assert info.declines == ["native_layout"] and info.sources == []
+        assert info.declines == ["native_layout"] and info.natives == []
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +535,8 @@ class TestDemotion:
         assert faults.fired("native.load_error") == 1
         assert stats["native_regions"] == stats["fused_regions"] == 3
         assert fallbacks("native_load") == before
-        assert len(list(fresh_cache.glob("*.so"))) == 1
+        # one object for the region's text, one for its temporal block's
+        assert len(list(fresh_cache.glob("*.so"))) == 2
 
     def test_a_native_tape_rejected_at_capture_is_rebuilt_on_tiles(
             self, monkeypatch):
@@ -578,6 +579,42 @@ class TestDemotion:
         assert stats["buffers"] == blocked.stats()["buffers"] - 1  # no ring
         assert fallbacks("temporal_verification") - before == 1
         assert all(tape.block is None for tape in plan._tapes.values())
+
+    def test_the_check_counts_no_replays_and_passes_capture_errors_on(
+            self, monkeypatch):
+        # The check's per-step tapes are not caller steps: one iterated
+        # step is one replay.  A capture error among them is the caller's,
+        # as it is in a per-step loop — not a temporal decline — and the
+        # ring goes back to the pool.
+        from repro.backend.numpy_backend import PlanCaptureError
+        from repro.backend.plan import ExecutionPlan
+
+        bench = get_benchmark("hotspot2d")
+        inputs = bench.make_inputs((12, 16), 5)
+        program, carry = bench.build_program(), bench.carry_spec()
+        plan = NumpyBackend(cache=None).plan(program, inputs)
+        plan.iterate(inputs, 1, carry=carry)
+        stats = plan.stats()
+        assert stats["temporal_steps"] > 1 and stats["replays"] == 1
+
+        genuine, calls = ExecutionPlan._capture, []
+
+        def fail_second(self, state, slot):
+            calls.append(slot)
+            if len(calls) == 2:
+                raise PlanCaptureError("the second binding")
+            return genuine(self, state, slot)
+
+        monkeypatch.setattr(ExecutionPlan, "_capture", fail_second)
+        counted = {reason: fallbacks(reason) for reason in
+                   ("temporal_verification", "temporal_layout")}
+        plan = NumpyBackend(cache=None).plan(program, inputs)
+        with pytest.raises(PlanCaptureError, match="second binding"):
+            plan.iterate(inputs, 1, carry=carry)
+        assert {reason: fallbacks(reason) for reason in counted} == counted
+        stats = plan.stats()
+        assert stats["temporal_steps"] == 1 and stats["fusion_fallbacks"] == 0
+        assert plan._pool.stats()["live_buffers"] == stats["buffers"]
 
     def test_replay_fault_point_and_histogram_still_fire(self):
         from repro.backend import fuse
@@ -624,14 +661,20 @@ class TestTemporalRule:
         # (T - 1) levels of 2r + 2 = 4 padded rows of (n + 2) doubles
         from repro.backend.fuse import TILE_TARGET_BYTES
 
-        wave = native.wavefront(self.hotspot_region(n), clamp_chain(n),
+        wave = native.wavefront(self.hotspot_region(n), 0, clamp_chain(n),
                                 TILE_TARGET_BYTES)
         assert wave.steps == steps and wave.base == 0
         assert wave.ring == (steps - 1, 4, n + 2)
         assert np.prod(wave.ring) * 8 <= TILE_TARGET_BYTES
         with pytest.raises(native.Unavailable, match="temporal_layout"):
-            native.wavefront(self.hotspot_region(n), clamp_chain(n),
+            native.wavefront(self.hotspot_region(n), 0, clamp_chain(n),
                              4 * (n + 2) * 8 - 1)
+
+    def test_the_base_must_be_the_chains_padded_grid(self):
+        # base 1 is the power grid: the region's shape, not the padded one
+        with pytest.raises(native.Unavailable, match="temporal_layout"):
+            native.wavefront(self.hotspot_region(12), 1, clamp_chain(12),
+                             1 << 18)
 
     def test_only_clamp_and_constant_pads_block(self):
         region = self.hotspot_region(12)
@@ -642,8 +685,45 @@ class TestTemporalRule:
         constant = tuple((axis, 1, 1, (), 0.5) for axis in (0, 1))
         for chain in (wrap, mirror):
             with pytest.raises(native.Unavailable, match="temporal_boundary"):
-                native.wavefront(region, chain, 1 << 18)
-        assert native.wavefront(region, constant, 1 << 18).geometry[1] == 0
+                native.wavefront(region, 0, chain, 1 << 18)
+        assert native.wavefront(region, 0, constant, 1 << 18).geometry[1] == 0
+
+    @pytest.mark.parametrize("steps", [2, 8, 16, 17, 18, 35])
+    def test_every_run_of_two_or_more_steps_is_a_block(self, monkeypatch,
+                                                       steps):
+        # ⌊steps / T⌋ blocks of T, then one block of the rest when that is
+        # two or more, else one per-step replay — so an 8-step trajectory
+        # segment is one block at any T >= 8.
+        bench = get_benchmark("hotspot2d")
+        inputs = bench.make_inputs((12, 16), 5)
+        program, carry = bench.build_program(), bench.carry_spec()
+        backend = NumpyBackend(cache=None)
+        plan = backend.plan(program, inputs)
+        plan.iterate(inputs, 1, carry=carry)
+        T = plan.stats()["temporal_steps"]
+        assert T == native.MAX_BLOCK_STEPS
+        blocks, genuine = [], native.NativeBlock.__call__
+
+        def counted(self, count):
+            blocks.append(count)
+            genuine(self, count)
+
+        monkeypatch.setattr(native.NativeBlock, "__call__", counted)
+        replays = plan.stats()["replays"]
+        out = plan.iterate(inputs, steps, carry=carry)
+        assert blocks == [T] * (steps // T) + (
+            [steps % T] if steps % T >= 2 else [])
+        assert plan.stats()["replays"] == replays + steps
+        assert np.array_equal(bits(out), bits(iterate_generic(
+            backend, program, inputs, steps, carry=carry)))
+
+    def test_a_block_runs_at_most_its_ring(self):
+        tape = next(iter(hotspot_plan()._tapes.values()))
+        block = tape.block
+        assert block is not None
+        for steps in (0, block.steps + 1):
+            with pytest.raises(ValueError):
+                block(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -823,8 +903,9 @@ class TestObjectCache:
                 native_plan_in_child,
                 (home, pickle.dumps(backend), key, shape)).result(timeout=120)
         assert out == expected.tobytes() and regions == 3
-        # the child found the parent's object on disk; it compiled nothing
-        assert counts.get("disk", 0) == 1 and "compiled" not in counts
+        # the child found the parent's objects on disk — the region's and
+        # its temporal block's; it compiled nothing
+        assert counts.get("disk", 0) == 2 and "compiled" not in counts
 
 
 class TestImportIsInert:

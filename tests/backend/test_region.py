@@ -5,7 +5,8 @@ schedules; the native C printer and the ufunc-tile printer read nothing
 else.  Every read is an :class:`~repro.backend.fuse.Access`: a base (the
 allocation) plus a per-axis offset into it.  The acceptance properties:
 every suite app reads the pinned bases at the pinned offsets, prints one
-pinned C text, and its plans report what they reported before accesses
+pinned C text (and, where iterate runs temporal blocks, one pinned
+``steps`` text), and its plans report what they reported before accesses
 existed (literals recorded then, in both the compiler and the no-compiler
 lane); regions built by hand or generated, with no tracer, print to native
 and to 1-, 2- and 3-chunk tiles that agree with NumPy; every verifier
@@ -54,23 +55,40 @@ RAGGED_TILES = {2: (4, 3), 3: (2, 3, 4)}
 
 #: sha256 of each app's one native C text at :data:`SHAPES`.  Byte-equal
 #: text is what keeps every object already in a native cache a hit; a
-#: change that means to alter the text re-records these (last: every app
-#: with a wavefront base gained ``steps``, the temporal block).
+#: change that means to alter the text re-records these.
 NATIVE_TEXTS = {
-    "acoustic": "dc76a8a8e421f02c966e4424a5011b4f4cb66658d3a20961c5d6852e8d3d5778",
+    "acoustic": "d49166f82df10cec6f4d95c8a379b0508aa4d710de117ec60095d13db44f7409",
     "gaussian": "83adb6758e899629562deba77ddaa83858b40ca3583da0980d6831f8e495c35e",
-    "gradient": "4e7482aa037827f0f81bc206eb2259ece061976842df6a8f32efb37e1447a7fd",
-    "heat": "acb016f101ba88f2c106cd64a0057715d648a5d2e181fdabe749cbdb736081c5",
-    "hotspot2d": "76e97633bb4c4a7cc698c3bba2bf1bc5e7f6b0b301bdce3b73cd76698c2e819b",
-    "hotspot3d": "03ea90eed93b5746c3569724c147ec519398a581a1a4b7e94b96ec8ddea92bd0",
-    "jacobi2d5pt": "944bd931903a7540895e49cc53967df42c4dd374d9f147da50213d2400cf34d9",
-    "jacobi2d9pt": "d053fb01ec07c9e782aac3c89dca5274876d4f149d39b35734b9db03688e96f0",
-    "jacobi3d13pt": "24d74d3b0873fc9e6dbd129822f3fbf8b08e0f09313ee681037d5a6aa12e0e72",
-    "jacobi3d7pt": "113067637dfbbf9855068f88b96863a40b69fe935e255942cc2504aef08c0b97",
-    "poisson": "132c7bc13191fb55becc750f579206c6142a7c25f0feb056345fe9741cecc78a",
-    "srad1": "18dcf4382050ecc22d59fccf26702a8b13cbb5c2794a178e940459aa6060876b",
-    "srad2": "8ef10c3eab5c0676d98c9de5b1f75c82694b6ada70777e9306112e1df0252897",
-    "stencil2d": "3be8a6e74762c75571efa8e8c7ea3336058ba42fca44caddef68e9d1b61bd4df",
+    "gradient": "0018143849d0becd8a148903c5614ad4dc80d2c9f91319db355cc0e42bf3855e",
+    "heat": "1c651485331a3388b818f42f71855c2cf4046b3737f82a4e1ca65e388f3f7325",
+    "hotspot2d": "8c61bf8e3feb2bcaaede67467a9cc746b1758a00967c6efac5327f88cf31abbe",
+    "hotspot3d": "55e789c4d2a646d63fd5c0e75c3022f0feba0ea38142f8f7b6f247aadb6468d1",
+    "jacobi2d5pt": "4305d7e6786e61720f5b388eddd6559225193a90ab7a44b741fefa56adfdd400",
+    "jacobi2d9pt": "c0e9fa9f9a625617d2ce1f3e1c438ce5d760b5a21cdd67561de490b59d9c8814",
+    "jacobi3d13pt": "bfd8f386d3a804a8a3662b70a415f9e17d14418f67c136c212be83208df42c8e",
+    "jacobi3d7pt": "ed2467d1589df983bed62d4136cd32d1247d660594b91998d74a871c14ec46ca",
+    "poisson": "72dc6abf3dd891df53ecae01abc097eb635d352e178f8c01d0a3c432a63494d6",
+    "srad1": "b4119993ebcf0e7b269e8cf5b6e43ad7062ebd40ff4855082a1a5063de9a3c70",
+    "srad2": "27690fdf8eb5df87d9805e97c5cc5ea92fbbb6e61d45d9442a76151f3ddea0fa",
+    "stencil2d": "a30eab96144b149f25eeeb5e1d7c684e9a7d36e8052cc12c292d559236bca2b4",
+}
+
+#: sha256 of the temporal block's ``steps`` text at :data:`SHAPES`, for
+#: each app whose plan runs blocks (the others run per step).  It is its
+#: own text and object, beside the region's.
+BLOCK_TEXTS = {
+    "gradient": "8a7cc513448934f84acef7c15ee0378b001f7697ce44e9d1b63dcc3ce975d644",
+    "heat": "3b57c05632a3a29db6ff59b5219fca7b5e3da914a2bed85a7a2b015500ae288e",
+    "hotspot2d": "1cd36d7125ef6644839a3a95084d7191deb12fcf9ae8bb6fbf655439eb633509",
+    "hotspot3d": "b199b1433e9218f8ada25cfefc31c188ae5d054fad07685bfd8978ed93c0d0e0",
+    "jacobi2d5pt": "b325f7d567a8db05478c7264cb1c9cdeb74d4e803eb0c835df2e7e201e0356ab",
+    "jacobi2d9pt": "58d75429881a0fb5f38e7e76d8177969bb26f4136323370733ac31b0419c660a",
+    "jacobi3d13pt": "8e1141da5edeeaab6e611fe1bb7098825e8d31c61df53fcc8f29e984775a6f6d",
+    "jacobi3d7pt": "158b17f74c34b60181da648147d04793548cd2cffbbf13a7667186b7327823e0",
+    "poisson": "fea449831738657c02dd65b8f145002be6dd8108ebe564e8a83e274f768da83f",
+    "srad1": "bb28c2df46195f5acb7c15ce6b38c003f1488d5604ba1b3c0a54562ad7eea456",
+    "srad2": "911981dd4421241112972892577fb4536e0984d2d284d0c4edce980d7f802d31",
+    "stencil2d": "78842ff6052c02e8e10db7b9688b3727fe31eb2e0ae21cf0c888f2e52b8a7b6d",
 }
 
 STAT_KEYS = ("fused_regions", "native_regions", "fused_tiles",
@@ -137,6 +155,13 @@ class TestSuiteAppsPrintWhatTheyPrinted:
         texts = {hashlib.sha256(source.encode()).hexdigest()
                  for source in iterated_plan(key).native_sources()}
         assert texts == {NATIVE_TEXTS[key]}
+
+    @needs_cc
+    @pytest.mark.parametrize("key", sorted(ALL_BENCHMARKS))
+    def test_block_text_is_byte_identical(self, key):
+        source = iterated_plan(key).block_source()
+        digest = source and hashlib.sha256(source.encode()).hexdigest()
+        assert digest == BLOCK_TEXTS.get(key)
 
     @pytest.mark.parametrize("key", sorted(ALL_BENCHMARKS))
     def test_plan_stats_match_in_this_lane(self, key):
