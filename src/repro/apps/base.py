@@ -101,8 +101,7 @@ class StencilBenchmark:
 
         ``backend`` selects the execution backend ("numpy", "interpreter",
         "crosscheck", or a :class:`~repro.backend.Backend` instance); the
-        process default — normally the compiled NumPy backend — applies when
-        it is omitted.
+        compiled NumPy backend applies when it is omitted.
         """
         program = self.build_program()
         result = get_backend(backend).run(program, list(inputs))
@@ -119,39 +118,16 @@ class StencilBenchmark:
         count = self.num_program_inputs or self.num_grids
         return normalize_carry(self.carry, count)
 
-    def run_plan(self, inputs: Sequence[np.ndarray], backend=None,
-                 tile_shape=None, parallel_workers=None) -> np.ndarray:
-        """Execute the Lift expression through an allocation-free plan.
-
-        Bit-identical to :meth:`run_lift` on the compiled backend; the plan
-        (pooled buffers + replayable ``out=`` tape, fused + tiled by the
-        tape optimizer) is cached on the backend and reused across calls
-        with the same input shapes.  ``tile_shape`` selects the optimizer's
-        tile (``None`` = heuristic, ``False`` = unfused, tuple = explicit);
-        ``parallel_workers`` replays fused regions N-way chunked.
-        """
-        from ..backend.base import NumpyBackend
-
-        resolved = get_backend(backend)
-        if not isinstance(resolved, NumpyBackend):
-            return self.run_lift(inputs, backend=resolved)
-        program = self.build_program()
-        result = resolved.run_plan(program, list(inputs),
-                                   tile_shape=tile_shape,
-                                   parallel_workers=parallel_workers)
-        return squeeze_result(np.asarray(result, dtype=np.float64))
-
     def iterate(self, inputs: Sequence[np.ndarray], steps: int,
-                backend=None, use_plan: bool = True,
-                tile_shape=None, parallel_workers=None) -> np.ndarray:
+                backend=None) -> np.ndarray:
         """Run ``steps`` timesteps, feeding outputs back per :attr:`carry`.
 
-        ``use_plan`` selects the double-buffered execution-plan loop
-        (default); ``use_plan=False`` drives the per-sweep generic ``run``
-        path instead — the two are bit-identical, the plan path just does
-        not allocate or re-dispatch in the steady state.  ``tile_shape``
-        picks the tape optimizer's tile for the plan path and
-        ``parallel_workers`` its fused-region replay parallelism.
+        On the compiled backend (the default) this is the default plan's
+        double-buffered loop (:meth:`NumpyBackend.iterate`); any other
+        backend drives its per-sweep ``run`` through
+        :func:`~repro.backend.plan.iterate_generic`.  The two are
+        bit-identical; the plan loop just does not allocate or re-dispatch
+        in the steady state.
         """
         from ..backend.base import NumpyBackend
         from ..backend.plan import iterate_generic
@@ -159,10 +135,8 @@ class StencilBenchmark:
         resolved = get_backend(backend)
         program = self.build_program()
         spec = self.carry_spec()
-        if use_plan and isinstance(resolved, NumpyBackend):
-            result = resolved.iterate(program, list(inputs), steps, carry=spec,
-                                      tile_shape=tile_shape,
-                                      parallel_workers=parallel_workers)
+        if isinstance(resolved, NumpyBackend):
+            result = resolved.iterate(program, list(inputs), steps, carry=spec)
         else:
             result = iterate_generic(resolved, program, list(inputs), steps,
                                      carry=spec)

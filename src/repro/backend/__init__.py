@@ -12,13 +12,11 @@
 """
 
 from .base import (
-    BACKEND_ENV_VAR,
     Backend,
     BackendMismatch,
     CrossCheckBackend,
     InterpreterBackend,
     NumpyBackend,
-    default_backend_name,
     get_backend,
     run_program,
 )
@@ -32,14 +30,12 @@ from .numpy_backend import (
 from .plan import (
     ExecutionPlan,
     PlanCache,
-    compile_plan,
     iterate_generic,
     normalize_carry,
 )
 from .pool import BufferPool
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "Backend",
     "BackendMismatch",
     "BufferPool",
@@ -52,9 +48,7 @@ __all__ = [
     "InterpreterBackend",
     "NumpyBackend",
     "PlanCache",
-    "compile_plan",
     "compile_program",
-    "default_backend_name",
     "default_cache",
     "get_backend",
     "input_signature",

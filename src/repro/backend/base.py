@@ -3,8 +3,8 @@
 The reference interpreter remains the semantic oracle of the system; the
 compiled NumPy backend is the fast path used by experiments, exploration,
 tuning and benchmarks.  Both are exposed behind one small protocol so call
-sites select a backend by name (or honour the ``REPRO_BACKEND`` environment
-variable) instead of hard-coding an execution strategy:
+sites select a backend by name instead of hard-coding an execution
+strategy:
 
 * ``interpreter`` — :class:`InterpreterBackend`, per-element evaluation over
   nested lists (slow, simple, trusted);
@@ -16,7 +16,6 @@ variable) instead of hard-coding an execution strategy:
 
 from __future__ import annotations
 
-import os
 from typing import Mapping, Optional, Protocol, Sequence, Union, runtime_checkable
 
 import numpy as np
@@ -73,9 +72,11 @@ class NumpyBackend:
     exploratory code paths never lose coverage by switching backends.
 
     ``plans`` is the backend's :class:`~repro.backend.plan.PlanCache`:
-    :meth:`plan` / :meth:`run_plan` / :meth:`iterate` execute through
-    allocation-free execution plans (pooled buffers, ``out=`` tapes,
-    double-buffered iteration) with bit-identical results to :meth:`run`.
+    :meth:`plan` returns the cached allocation-free execution plan (pooled
+    buffers, ``out=`` tapes, double-buffered iteration), bit-identical to
+    :meth:`run`; it is the one place a tile spec or replay worker count is
+    chosen.  :meth:`iterate` runs the default plan's loop, falling back to
+    the per-sweep generic loop for programs a plan cannot capture.
     """
 
     name = "numpy"
@@ -175,28 +176,6 @@ class NumpyBackend:
             parallel_workers=parallel_workers,
         )
 
-    def run_plan(
-        self,
-        program: Lambda,
-        inputs: Sequence,
-        size_env: Optional[Mapping[str, int]] = None,
-        tile_shape=None,
-        parallel_workers=None,
-    ) -> np.ndarray:
-        """Like :meth:`run`, through the plan path (bit-identical results).
-
-        Programs a plan cannot capture — no compiled kernel, or a
-        run-varying scalar in the dataflow (:class:`PlanCaptureError`) —
-        are served by the generic :meth:`run` path instead, so callers can
-        route everything through plans without losing coverage.
-        """
-        try:
-            return self.plan(program, inputs, size_env,
-                             tile_shape=tile_shape,
-                             parallel_workers=parallel_workers).run(inputs)
-        except CompileError:
-            return self.run(program, inputs, size_env)
-
     def iterate(
         self,
         program: Lambda,
@@ -204,8 +183,6 @@ class NumpyBackend:
         steps: int,
         carry=None,
         size_env: Optional[Mapping[str, int]] = None,
-        tile_shape=None,
-        parallel_workers=None,
     ) -> np.ndarray:
         """Run ``steps`` timesteps through the double-buffered plan loop.
 
@@ -214,9 +191,7 @@ class NumpyBackend:
         Falls back to that per-sweep loop for programs a plan cannot capture.
         """
         try:
-            return self.plan(program, inputs, size_env,
-                             tile_shape=tile_shape,
-                             parallel_workers=parallel_workers).iterate(
+            return self.plan(program, inputs, size_env).iterate(
                 inputs, steps, carry=carry
             )
         except CompileError:
@@ -269,9 +244,6 @@ class CrossCheckBackend:
         return result
 
 
-#: Environment variable selecting the default backend for the process.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
 _BACKENDS = {
     "interpreter": InterpreterBackend,
     "numpy": NumpyBackend,
@@ -279,14 +251,11 @@ _BACKENDS = {
 }
 
 
-def default_backend_name() -> str:
-    return os.environ.get(BACKEND_ENV_VAR, "numpy")
-
-
 def get_backend(which: Union[str, Backend, None] = None) -> Backend:
-    """Resolve a backend instance from a name, an instance, or the default."""
+    """Resolve a backend instance from a name, an instance, or ``None``
+    (the compiled NumPy backend)."""
     if which is None:
-        which = default_backend_name()
+        which = "numpy"
     if isinstance(which, str):
         try:
             return _BACKENDS[which]()
@@ -312,11 +281,9 @@ def run_program(
 __all__ = [
     "Backend",
     "BackendMismatch",
-    "BACKEND_ENV_VAR",
     "CrossCheckBackend",
     "InterpreterBackend",
     "NumpyBackend",
-    "default_backend_name",
     "get_backend",
     "run_program",
 ]

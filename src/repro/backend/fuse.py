@@ -842,14 +842,6 @@ def lower_tape(entries: List[TapeEntry], regions, tile_spec, pool,
     return ops, scratch, info
 
 
-def optimize_tape(entries: List[TapeEntry], out_buffer: np.ndarray,
-                  tile_spec, pool, workers: int = 1, native: bool = True):
-    """Fuse every eligible region of a captured tape:
-    :func:`fusable_regions`, then :func:`lower_tape`."""
-    return lower_tape(entries, fusable_regions(entries, out_buffer),
-                      tile_spec, pool, workers, native)
-
-
 # ---------------------------------------------------------------------------
 # Tile-size search (the tuning hook)
 # ---------------------------------------------------------------------------
@@ -915,7 +907,6 @@ __all__ = [
     "measure_best_tile",
     "normalize_tile_spec",
     "normalize_workers",
-    "optimize_tape",
     "print_tiles",
     "replay_pool",
     "tile_extents",

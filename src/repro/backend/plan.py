@@ -1,6 +1,6 @@
 """Allocation-free execution plans: pooled buffers + replayable tapes.
 
-Compiling a program with :func:`compile_plan` executes it once under a
+Building an :class:`ExecutionPlan` for a program executes it once under a
 :class:`~repro.backend.numpy_backend.CaptureArena`, which pre-allocates
 every run-varying array — padded halo buffers, user-function scratch, the
 output — from a :class:`~repro.backend.pool.BufferPool` and records the
@@ -1062,23 +1062,6 @@ class ExecutionPlan:
             self._homes = {}
 
 
-def compile_plan(
-    program: Lambda,
-    inputs_or_signature,
-    size_env: Optional[Mapping[str, int]] = None,
-    pool: Optional[BufferPool] = None,
-    batched: bool = False,
-    kernel: Optional[CompiledKernel] = None,
-    tile_shape=None,
-    parallel_workers=None,
-) -> ExecutionPlan:
-    """Compile a program into an execution plan (no caching)."""
-    return ExecutionPlan(program, inputs_or_signature, size_env,
-                         pool=pool, batched=batched, kernel=kernel,
-                         tile_shape=tile_shape,
-                         parallel_workers=parallel_workers)
-
-
 # ---------------------------------------------------------------------------
 # The plan cache
 # ---------------------------------------------------------------------------
@@ -1099,8 +1082,7 @@ class PlanCache:
     4. whether the plan sweeps a leading batch axis (``batched``);
     5. the tape-optimizer tile spec, canonicalised through
        :func:`~repro.backend.fuse.normalize_tile_spec` (``"auto"`` and
-       ``None`` coincide; distinct tile shapes are distinct plans — how the
-       tuner searches tile sizes over warm fused replays);
+       ``None`` coincide; distinct tile shapes are distinct plans);
     6. the *resolved* ``parallel_workers`` count
        (:func:`~repro.backend.fuse.normalize_workers` on the input shapes:
        ``0``/``1`` key the serial plan, ``None`` keys whatever
@@ -1166,10 +1148,10 @@ class PlanCache:
             # accumulates the failure).
             raise PlanCaptureError("fault injected: plan.capture_fail")
         kernel = kernel_resolver() if kernel_resolver is not None else None
-        plan = compile_plan(program, inputs_or_signature, size_env,
-                            batched=batched, kernel=kernel,
-                            tile_shape=tile_shape,
-                            parallel_workers=parallel_workers)
+        plan = ExecutionPlan(program, inputs_or_signature, size_env,
+                             batched=batched, kernel=kernel,
+                             tile_shape=tile_shape,
+                             parallel_workers=parallel_workers)
         with self._lock:
             if key not in self._entries:
                 while len(self._entries) >= self.max_entries:
@@ -1288,7 +1270,6 @@ __all__ = [
     "CarrySpec",
     "ExecutionPlan",
     "PlanCache",
-    "compile_plan",
     "iterate_generic",
     "iterate_state_generic",
     "normalize_carry",

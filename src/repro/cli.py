@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--benchmarks", nargs="*", default=None)
     verify.add_argument("--backend", default=None,
                         choices=["numpy", "interpreter", "crosscheck"],
-                        help="execution backend (default: the process default)")
+                        help="execution backend (default: numpy)")
 
     from .engine.store import DEFAULT_STORE_PATH
 

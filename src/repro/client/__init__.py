@@ -17,7 +17,7 @@ what *callers* import:
 """
 
 from .auth import attach_auth, auth_headers
-from .client import StencilClient, execute_many
+from .client import StencilClient
 from .config import ClientConfig, RetryPolicy
 from .transport import HttpTransport, TcpTransport, Transport, TransportError
 
@@ -31,5 +31,4 @@ __all__ = [
     "TransportError",
     "attach_auth",
     "auth_headers",
-    "execute_many",
 ]

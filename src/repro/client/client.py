@@ -27,10 +27,11 @@ The client owns deadlines and retries so callers do not reimplement them:
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 import uuid
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,14 +60,11 @@ class StencilClient:
         elif config.transport == "http":
             self.transport = HttpTransport(
                 config.host, config.port, auth_key=config.auth_key,
-                chunk_bytes=config.chunk_bytes,
                 binary_threshold_bytes=config.binary_threshold_bytes,
             )
         else:
             self.transport = TcpTransport(
-                config.host, config.port, auth_key=config.auth_key,
-                chunk_bytes=config.chunk_bytes,
-            )
+                config.host, config.port, auth_key=config.auth_key)
 
     # -- calls ---------------------------------------------------------------
     def execute(self, request: ExecutionRequest,
@@ -92,10 +90,15 @@ class StencilClient:
 
     def iterate(self, request: ExecutionRequest, steps: int,
                 timeout_s: Optional[float] = None) -> ExecutionResponse:
-        """Run ``steps`` timesteps of one request (``POST /v1/iterate``)."""
-        request.steps = int(steps)
-        if request.steps < 1:
+        """Run ``steps`` timesteps of one request (``POST /v1/iterate``).
+
+        The caller's request is left as it was: the steps travel on a copy.
+        """
+        steps = int(steps)
+        if steps < 1:
             raise ValueError("steps must be >= 1")
+        if request.steps != steps:
+            request = dataclasses.replace(request, steps=steps)
         return self._execute(self._stamp(request), timeout_s)
 
     # -- durable jobs --------------------------------------------------------
@@ -191,9 +194,11 @@ class StencilClient:
 
     # -- mechanics -----------------------------------------------------------
     def _stamp(self, request: ExecutionRequest) -> ExecutionRequest:
-        """Apply the config's default server-side deadline when unset."""
+        """A copy carrying the config's default server-side deadline when
+        the request sets none; otherwise the request itself."""
         if request.deadline_ms is None and self.config.deadline_ms is not None:
-            request.deadline_ms = float(self.config.deadline_ms)
+            return dataclasses.replace(
+                request, deadline_ms=float(self.config.deadline_ms))
         return request
 
     def _execute(self, request: ExecutionRequest,
@@ -264,11 +269,4 @@ class StencilClient:
         self.close()
 
 
-def execute_many(client: StencilClient,
-                 requests: Sequence[ExecutionRequest],
-                 timeout_s: Optional[float] = None) -> list:
-    """Convenience: execute a sequence of requests through one client."""
-    return [client.execute(request, timeout_s) for request in requests]
-
-
-__all__ = ["StencilClient", "execute_many"]
+__all__ = ["StencilClient"]

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..service.wire import DEFAULT_CHUNK_BYTES
-
 #: Grid payloads above this many bytes switch the HTTP transport from the
 #: JSON body to the binary ``application/x-repro-grids`` framing.
 DEFAULT_BINARY_THRESHOLD_BYTES = 64 * 1024
@@ -55,7 +53,6 @@ class ClientConfig:
     deadline_ms: Optional[float] = None
     priority: str = "normal"
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES
     binary_threshold_bytes: int = DEFAULT_BINARY_THRESHOLD_BYTES
 
     def __post_init__(self) -> None:

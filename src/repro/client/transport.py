@@ -209,14 +209,13 @@ class _TcpConnection:
             pass
 
     def roundtrip(self, message: Dict[str, object],
-                  timeout_s: float,
-                  chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> Dict[str, object]:
+                  timeout_s: float) -> Dict[str, object]:
         self.sock.settimeout(timeout_s)
         line = (json.dumps(message) + "\n").encode("utf-8")
         got_response_byte = bool(self.buffer)
         try:
-            for start in range(0, len(line), chunk_bytes):
-                self.sock.sendall(line[start:start + chunk_bytes])
+            for start in range(0, len(line), DEFAULT_CHUNK_BYTES):
+                self.sock.sendall(line[start:start + DEFAULT_CHUNK_BYTES])
         except socket.timeout:
             raise TransportError("send timed out", retryable=True)
         except OSError as error:
@@ -252,12 +251,10 @@ class TcpTransport(Transport):
     """The JSON-lines TCP endpoint of ``repro serve``, with pooled sockets."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 7457,
-                 auth_key: Optional[str] = None,
-                 chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> None:
+                 auth_key: Optional[str] = None) -> None:
         self.host = host
         self.port = port
         self.auth_key = auth_key
-        self.chunk_bytes = chunk_bytes
         self._pool = _Pool()
 
     def call(self, op, meta, grids, timeout_s):
@@ -267,8 +264,7 @@ class TcpTransport(Transport):
         if connection is None:
             connection = _TcpConnection(self.host, self.port, timeout_s)
         try:
-            reply = connection.roundtrip(message, timeout_s,
-                                         chunk_bytes=self.chunk_bytes)
+            reply = connection.roundtrip(message, timeout_s)
         except TransportError:
             connection.close()
             raise
@@ -292,13 +288,11 @@ class HttpTransport(Transport):
 
     def __init__(self, host: str = "127.0.0.1", port: int = 7458,
                  auth_key: Optional[str] = None,
-                 chunk_bytes: int = DEFAULT_CHUNK_BYTES,
                  binary_threshold_bytes: int =
                  DEFAULT_BINARY_THRESHOLD_BYTES) -> None:
         self.host = host
         self.port = port
         self.auth_key = auth_key
-        self.chunk_bytes = chunk_bytes
         self.binary_threshold_bytes = binary_threshold_bytes
         self._pool = _Pool()
 
@@ -317,7 +311,7 @@ class HttpTransport(Transport):
             headers["Content-Type"] = CONTENT_TYPE_GRIDS
             # No Content-Length: the generator body makes http.client send
             # Transfer-Encoding: chunked, one bounded piece at a time.
-            body = iter_chunks(prefix, buffers, chunk_bytes=self.chunk_bytes)
+            body = iter_chunks(prefix, buffers)
         elif method == "POST":
             body = json.dumps(_with_inputs(meta, grids)).encode("utf-8")
             headers["Content-Type"] = CONTENT_TYPE_JSON

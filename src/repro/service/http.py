@@ -299,7 +299,6 @@ async def serve_http(
     port: int = 7458,
     auth_key: Optional[str] = None,
     max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     gate: Optional[ServedGate] = None,
 ) -> "asyncio.AbstractServer":
     """Expose a started service as the ``/v1/*`` HTTP endpoint.
@@ -345,8 +344,8 @@ async def serve_http(
         writer.write(prefix)
         await writer.drain()
         for buffer in buffers:
-            for start in range(0, buffer.nbytes, chunk_bytes):
-                writer.write(bytes(buffer[start:start + chunk_bytes]))
+            for start in range(0, buffer.nbytes, DEFAULT_CHUNK_BYTES):
+                writer.write(bytes(buffer[start:start + DEFAULT_CHUNK_BYTES]))
                 await writer.drain()
         _HTTP_REQUESTS_TOTAL.inc(label=f"{status // 100}xx")
         return close

@@ -102,6 +102,12 @@ _SHARD_ROUNDTRIP_SECONDS = _telemetry.histogram(
 #: Upper bound on one TCP request line / HTTP body unless overridden.
 DEFAULT_MAX_REQUEST_BYTES = 32 * 1024 * 1024
 
+#: Search budget of one background tune (``auto_tune``).
+TUNE_BUDGET = 20
+#: Request traces the ring keeps, and the latency past which one is slow.
+TRACE_CAPACITY = 256
+TRACE_SLOW_MS = 50.0
+
 
 class _Route(NamedTuple):
     """One resolved routing decision (see :meth:`StencilService._route`)."""
@@ -207,6 +213,16 @@ class _PriorityQueues:
 class StencilService:
     """An async, micro-batching execution service over the compiled backend.
 
+    Every group is served through cached execution plans (pooled buffers +
+    replayable ``out=`` tapes): one plan per (program structure, input
+    shapes), reused across requests, so the steady serving path neither
+    re-dispatches nor allocates.  Batched groups copy request grids
+    straight into the plan's one pooled stacked buffer set.  Only a
+    digest quarantined by the circuit breaker is served without plans.
+    The compilation cache (``service.cache``) is the service's own, so its
+    stats show one compilation per hot digest; request traces go to a ring
+    of :data:`TRACE_CAPACITY` (slow past :data:`TRACE_SLOW_MS`).
+
     Parameters
     ----------
     device:
@@ -215,10 +231,6 @@ class StencilService:
         A :class:`~repro.engine.store.ResultsStore`, a path to one, or
         ``None`` — the source of tuned variants (and the target of
         background tunes).
-    cache:
-        The service's compilation cache.  Defaults to a *fresh* cache so the
-        serving stats (one compilation per hot digest) are observable in
-        isolation from the process-wide cache.
     batch_window:
         How long (seconds) the batcher waits for more requests after the
         first one arrives.  A full ``max_batch`` flushes immediately.
@@ -227,17 +239,12 @@ class StencilService:
     crosscheck:
         Re-execute every batched request individually and require the
         stacked result to be **bit-identical** — the belt-and-braces mode
-        the acceptance tests run.  With plans enabled this also
-        cross-checks the plan path against the generic compiled path.
-    use_plans:
-        Serve through cached execution plans (pooled buffers + replayable
-        ``out=`` tapes): one plan per (program structure, input shapes),
-        reused across requests so the steady serving path neither
-        re-dispatches nor allocates.  Batched groups copy request grids
-        straight into the plan's one pooled stacked buffer set.
+        the acceptance tests run.  This also cross-checks the plan path
+        against the generic compiled path.
     auto_tune:
-        Enqueue one background ``SearchEngine`` tune per cold benchmark
-        digest (requires a persistent, file-backed store).
+        Enqueue one background ``SearchEngine`` tune (:data:`TUNE_BUDGET`
+        evaluations) per cold benchmark digest (requires a persistent,
+        file-backed store).
     shards:
         ``0`` (default) executes groups on this process's executor
         threads.  ``N >= 1`` pre-forks N shard processes and dispatches
@@ -273,9 +280,10 @@ class StencilService:
     breaker_threshold:
         Digest circuit breaker: after this many *consecutive* fast-path
         failures (plan capture, shard dispatch, execution) for one digest,
-        quarantine it to the generic unfused local path for
-        ``breaker_cooldown_s``, then let a single half-open probe try the
-        fast path again.  ``0`` disables the breaker.
+        quarantine it to the generic unfused local path (the one route
+        that serves without plans) for ``breaker_cooldown_s``, then let a
+        single half-open probe try the fast path again.  ``0`` disables
+        the breaker.
     job_dir:
         Directory for durable-job checkpoints (:mod:`~repro.service.jobs`).
         ``None`` keeps jobs memory-only (no recovery across restarts).
@@ -294,16 +302,11 @@ class StencilService:
         self,
         device: str = "nvidia",
         store: Union[ResultsStore, str, None] = None,
-        cache: Optional[CompilationCache] = None,
         batch_window: float = 0.002,
         max_batch: int = 64,
         crosscheck: bool = False,
         auto_tune: bool = False,
-        tune_budget: int = 20,
-        use_plans: bool = True,
         shards: int = 0,
-        trace_capacity: int = 256,
-        trace_slow_ms: float = 50.0,
         max_queue_depth: Optional[int] = None,
         max_inflight_per_digest: Optional[int] = None,
         shard_timeout_s: Optional[float] = 30.0,
@@ -323,20 +326,17 @@ class StencilService:
         if max_inflight_per_digest is not None and max_inflight_per_digest < 1:
             raise ServiceError("max_inflight_per_digest must be >= 1 (or None)")
         self.registry = TunedKernelRegistry(store=store, device=device)
-        self.cache = cache if cache is not None else CompilationCache()
+        self.cache = CompilationCache()
         self.backend = NumpyBackend(cache=self.cache, fallback=False)
-        self.use_plans = use_plans
         self.batch_window = batch_window
         self.max_batch = max_batch
         self.crosscheck = crosscheck
         self.auto_tune = auto_tune
-        self.tune_budget = tune_budget
         self.device = device
         self.shards = int(shards or 0)
         self.shard_timeout_s = shard_timeout_s
         self.executor: Optional[ShardedExecutor] = (
-            ShardedExecutor(self.shards, use_plans=use_plans,
-                            timeout_s=shard_timeout_s)
+            ShardedExecutor(self.shards, timeout_s=shard_timeout_s)
             if self.shards > 0 else None
         )
         self.supervise = bool(supervise)
@@ -400,7 +400,7 @@ class StencilService:
         self.background_tunes = 0
         self.plans_prewarmed = 0
         #: Request-lifecycle traces (``repro trace`` / the /trace route).
-        self.tracer = TraceRing(capacity=trace_capacity, slow_ms=trace_slow_ms)
+        self.tracer = TraceRing(capacity=TRACE_CAPACITY, slow_ms=TRACE_SLOW_MS)
         #: Durable multi-timestep jobs: checkpointed execution + recovery.
         self.checkpoint_every = int(checkpoint_every)
 
@@ -585,7 +585,7 @@ class StencilService:
                         if shard is None:
                             _rows, timings = sweep_group(
                                 self.backend, route.program, parts, size_env,
-                                self.use_plans)
+                                use_plans=True)
                             warmed = not timings.get("plan_fallback")
                         else:
                             shard.execute(route.key, wire, size_env, parts)
@@ -933,15 +933,14 @@ class StencilService:
         head = group[0]
         parts = [item.request.inputs for item in group]
         size_env = head.request.size_env or None
-        use_plans = self.use_plans
         quarantined = not self.breakers.allow(head.route.digest)
+        use_plans = not quarantined
         if quarantined:
             # Quarantined digest: skip plan capture and shard dispatch
             # entirely — the generic unfused local path is the one thing
             # that has not been failing for it.  The breaker's half-open
             # probe (which `allow` admits) is what retries the fast path.
             self._quarantined_total.inc(len(group))
-            use_plans = False
         swept = None
         if head.request.steps > 1:
             # Iterative requests run locally: the shard wire ships single
@@ -1117,7 +1116,7 @@ class StencilService:
             from ..engine import SearchEngine
 
             with SearchEngine(store=store_path, workers=1) as engine:
-                engine.run(benchmark, budget=self.tune_budget,
+                engine.run(benchmark, budget=TUNE_BUDGET,
                            device=self.device)
 
         def done(task: "asyncio.Future") -> None:
@@ -1164,7 +1163,7 @@ class StencilService:
             },
             "registry": self.registry.stats(),
             "jobs": self.jobs.stats(),
-            "plans": self.backend.plans.stats() if self.use_plans else None,
+            "plans": self.backend.plans.stats(),
             "shards": (
                 shards_section(self.executor.stats())
                 if self.executor is not None else None

@@ -99,7 +99,7 @@ def _attach_slab(name: str, shape, dtype):
 # The shard process (child side)
 # ---------------------------------------------------------------------------
 
-def _shard_main(index: int, conn, use_plans: bool) -> None:
+def _shard_main(index: int, conn) -> None:
     """One shard's serve loop: recv control message, sweep, reply.
 
     Runs in a spawned child process.  Owns a private backend (compilation
@@ -149,7 +149,7 @@ def _shard_main(index: int, conn, use_plans: bool) -> None:
         rows, _timings = sweep_group(
             backend, program,
             [[slab[row] for slab in slabs] for row in range(n)],
-            message["size_env"] or None, use_plans)
+            message["size_env"] or None, use_plans=True)
         shm, out = output_slab(
             (batch_capacity(n),) + np.shape(rows[0]), np.float64)
         for row, result in enumerate(rows):
@@ -246,11 +246,9 @@ class ShardHandle:
     their own groups concurrently.
     """
 
-    def __init__(self, index: int, ctx, use_plans: bool = True,
-                 timeout_s: Optional[float] = None) -> None:
+    def __init__(self, index: int, ctx, timeout_s: Optional[float] = None) -> None:
         self.index = index
         self._ctx = ctx
-        self._use_plans = use_plans
         self.timeout_s = timeout_s
         self._lock = threading.Lock()
         self._slabs: Dict[tuple, List[tuple]] = {}  # geometry -> [(shm, arr)]
@@ -266,7 +264,7 @@ class ShardHandle:
     def _spawn(self) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
         self.process = self._ctx.Process(
-            target=_shard_main, args=(self.index, child_conn, self._use_plans),
+            target=_shard_main, args=(self.index, child_conn),
             name=f"repro-shard-{self.index}", daemon=True,
         )
         self.process.start()
@@ -482,14 +480,13 @@ class ShardedExecutor:
     caches make the second group per (shard, digest) a warm replay.
     """
 
-    def __init__(self, shards: int, use_plans: bool = True,
-                 start_method: str = "spawn",
+    def __init__(self, shards: int, start_method: str = "spawn",
                  timeout_s: Optional[float] = None) -> None:
         if shards < 1:
             raise ServiceError("shards must be >= 1")
         ctx = mp.get_context(start_method)
         self.handles = [
-            ShardHandle(index, ctx, use_plans=use_plans, timeout_s=timeout_s)
+            ShardHandle(index, ctx, timeout_s=timeout_s)
             for index in range(shards)
         ]
         self._counter = itertools.count()

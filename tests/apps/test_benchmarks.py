@@ -129,13 +129,16 @@ class TestIterativeExecution:
 
     def test_hotspot2d_iterate_plan_matches_generic(self):
         import numpy as np
+        from repro.apps.base import squeeze_result
         from repro.apps.suite import get_benchmark
+        from repro.backend import NumpyBackend, iterate_generic
 
         bench = get_benchmark("hotspot2d")
         inputs = bench.make_inputs((13, 11), 3)
-        fast = bench.iterate(inputs, steps=6, use_plan=True)
-        slow = bench.iterate(inputs, steps=6, use_plan=False)
-        assert np.array_equal(fast, slow)
+        fast = bench.iterate(inputs, steps=6)
+        slow = iterate_generic(NumpyBackend(), bench.build_program(), inputs,
+                               6, carry=bench.carry_spec())
+        assert np.array_equal(fast, squeeze_result(slow))
 
     def test_acoustic_carry_rotation_matches_manual_loop(self):
         import numpy as np

@@ -117,7 +117,8 @@ class TestPlanCacheUnderThreads:
             try:
                 for _ in range(ROUNDS):
                     shape = shapes[int(rng.integers(len(shapes)))]
-                    produced = backend.run_plan(program, [np.ones(shape)])
+                    grids = [np.ones(shape)]
+                    produced = backend.plan(program, grids).run(grids)
                     assert np.array_equal(produced, expected[shape])
             except Exception as error:  # noqa: BLE001
                 errors.append(error)

@@ -29,7 +29,7 @@ from repro.apps.suite import ALL_BENCHMARKS, get_benchmark
 from repro.backend import native
 from repro.backend import plan as plan_module
 from repro.backend.base import InterpreterBackend, NumpyBackend
-from repro.backend.fuse import optimize_tape
+from repro.backend.fuse import fusable_regions, lower_tape
 from repro.backend.numpy_backend import TapeEntry
 from repro.backend.plan import _same_or_nan, iterate_generic
 from repro.backend.pool import BufferPool
@@ -242,7 +242,8 @@ def fuse_lambda(fn, args, tile=None):
         assert schedule is not None
         entries = [TapeEntry(schedule.run, reads=schedule.leaves,
                              schedule=schedule)]
-        optimized = optimize_tape(entries, schedule.out, tile, pool)
+        optimized = lower_tape(entries, fusable_regions(entries, schedule.out),
+                               tile, pool)
         assert optimized is not None, "the lambda needs at least two nodes"
         ops, _scratch, info = optimized
         schedule.out.fill(0)
@@ -418,7 +419,8 @@ class TestWhitelistedOperations:
             expected = (a * b + b) - b * 2.0
             entries = [TapeEntry(s.run, reads=s.leaves, schedule=s)
                        for s in (first, second)]
-            ops, _scratch, info = optimize_tape(entries, second.out, None, pool)
+            ops, _scratch, info = lower_tape(
+                entries, fusable_regions(entries, second.out), None, pool)
             second.out.fill(0)
             mid.fill(0)  # the fused region must not depend on it
             for op in ops:
@@ -484,7 +486,8 @@ class TestDeclines:
                                        pool)
         entries = [TapeEntry(s.run, reads=s.leaves, schedule=s)
                    for s in (second, first)]  # reader before writer
-        _ops, _scratch, info = optimize_tape(entries, first.out, None, pool)
+        _ops, _scratch, info = lower_tape(
+            entries, fusable_regions(entries, first.out), None, pool)
         assert info.declines == ["native_layout"] and info.natives == []
 
 

@@ -22,7 +22,6 @@ from repro.backend.plan import (
     _FUSION_FALLBACKS_TOTAL,
     ExecutionPlan,
     PlanCache,
-    compile_plan,
     iterate_generic,
     normalize_carry,
 )
@@ -55,13 +54,13 @@ class TestPlanVsGenericBitIdentity:
 
     @pytest.mark.parametrize("key", sorted(ALL_BENCHMARKS))
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_run_plan_matches_run(self, key, dtype):
+    def test_plan_run_matches_run(self, key, dtype):
         bench = ALL_BENCHMARKS[key]
         inputs = small_inputs(bench, dtype=dtype)
         program = bench.build_program()
         backend = NumpyBackend(cache=None)
         generic = backend.run(program, inputs)
-        planned = backend.run_plan(program, inputs)
+        planned = backend.plan(program, inputs).run(inputs)
         assert generic.shape == planned.shape
         assert np.array_equal(generic, planned)
 
@@ -119,7 +118,7 @@ class TestPlanVsGenericBitIdentity:
         for strategy in (NAIVE, tiled_strategy(6, use_local_memory=True)):
             lowered = lower_program(program, strategy)
             generic = backend.run(lowered.program, inputs)
-            planned = backend.run_plan(lowered.program, inputs)
+            planned = backend.plan(lowered.program, inputs).run(inputs)
             assert np.array_equal(generic, planned)
 
 
@@ -232,18 +231,21 @@ class TestZeroAllocationSteadyLoop:
 
         backend = NumpyBackend(cache=None)
         scalar_program = fun_of(lambda x: float(np.max(x)), "grid_peak")
-        plan = compile_plan(scalar_program, [np.ones((4, 3))])
+        plan = ExecutionPlan(scalar_program, [np.ones((4, 3))])
         with pytest.raises(PlanCaptureError):
             plan.run([np.ones((4, 3))])
-        # The backend-level entry points fall back and stay correct — for
-        # the refused scalar program and for an untraceable-but-array one
-        # (served by the opaque per-sweep re-execution path).
+        # The backend's iterate falls back to the per-sweep loop for the
+        # refused program and stays correct; an untraceable-but-array
+        # program is served by the plan's opaque per-sweep re-execution.
         array_program = fun_of(lambda x: x * float(np.max(x)), "peak_scale")
+        array_plan = backend.plan(array_program, [np.ones((4, 3))])
         for seed in (1, 2, 3):
             inputs = [np.random.default_rng(seed).random((4, 3))]
-            for program in (scalar_program, array_program):
-                assert np.array_equal(backend.run(program, inputs),
-                                      backend.run_plan(program, inputs)), seed
+            fallback = backend.iterate(scalar_program, inputs, 1)
+            assert np.array_equal(backend.run(scalar_program, inputs),
+                                  fallback), seed
+            assert np.array_equal(backend.run(array_program, inputs),
+                                  array_plan.run(inputs)), seed
 
     def test_all_suite_userfuns_trace_to_out_schedules(self):
         # Every suite app's arithmetic must take the traced (allocation-free)
@@ -285,21 +287,21 @@ class TestIterateMechanics:
 
     def test_shape_mismatch_rejected(self):
         bench = get_benchmark("stencil2d")
-        plan = compile_plan(bench.build_program(), small_inputs(bench))
+        plan = ExecutionPlan(bench.build_program(), small_inputs(bench))
         with pytest.raises(ExecutionError):
             plan.run([np.zeros((4, 4))])
 
     def test_iterate_rejected_on_batched_plans(self):
         bench = get_benchmark("stencil2d")
         stacked = [np.stack([small_inputs(bench, seed=s)[0] for s in range(3)])]
-        plan = compile_plan(bench.build_program(), stacked, batched=True)
+        plan = ExecutionPlan(bench.build_program(), stacked, batched=True)
         with pytest.raises(ExecutionError):
             plan.iterate(stacked, 2)
 
     def test_run_copy_false_returns_live_readonly_view(self):
         bench = get_benchmark("stencil2d")
         inputs = small_inputs(bench)
-        plan = compile_plan(bench.build_program(), inputs)
+        plan = ExecutionPlan(bench.build_program(), inputs)
         view = plan.run(inputs, copy=False)
         assert not view.flags.writeable
         first = view.copy()
@@ -350,7 +352,7 @@ class TestPlanCache:
         inputs = small_inputs(bench)
         backend.run(program, inputs)
         assert cache.stats()["misses"] == 1
-        backend.run_plan(program, inputs)
+        backend.plan(program, inputs).run(inputs)
         stacked = [np.stack([inputs[0], inputs[0]])]
         backend.plan(program, stacked, batched=True).run_batched(stacked)
         # The plan and batched-plan paths reuse the one compiled kernel.

@@ -366,6 +366,27 @@ class TestConfigAndAuth:
         client.execute(explicit)
         assert transport.last.deadline_ms == 10.0  # per-request wins
 
+    def test_calls_leave_the_callers_request_unchanged(self):
+        class Capture(ScriptedTransport):
+            def __init__(self):
+                super().__init__([])
+                self.sent = []
+
+            def submit(self, request, timeout_s):
+                self.sent.append((request.steps, request.deadline_ms))
+                return super().submit(request, timeout_s)
+
+        transport = Capture()
+        client = StencilClient(ClientConfig(deadline_ms=75.0),
+                               transport=transport)
+        request = _request()
+        client.iterate(request, 16)
+        client.execute(request)
+        assert transport.sent == [(16, 75.0), (1, 75.0)]
+        assert (request.steps, request.deadline_ms) == (1, None)
+        with pytest.raises(ValueError):
+            client.iterate(request, 0)
+
     def test_auth_helpers(self):
         assert auth_headers("k") == {"Authorization": "Bearer k"}
         assert auth_headers(None) == {}

@@ -190,10 +190,12 @@ class TestServiceBatching:
 
 
 class TestBackgroundTune:
-    def test_cold_benchmark_enqueues_one_background_tune(self, tmp_path):
+    def test_cold_benchmark_enqueues_one_background_tune(self, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setattr("repro.service.server.TUNE_BUDGET", 4)
         store_path = str(tmp_path / "tuned.sqlite")
         service = StencilService(store=store_path, auto_tune=True,
-                                 tune_budget=4, batch_window=0.01)
+                                 batch_window=0.01)
         with ServiceClient(service) as client:
             first = client.execute(
                 ExecutionRequest.for_benchmark("stencil2d", shape=(9, 8))

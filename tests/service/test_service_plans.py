@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.apps.suite import ALL_BENCHMARKS, get_benchmark
 from repro.backend.base import NumpyBackend
 from repro.service import ExecutionRequest, ServiceClient, StencilService
@@ -19,7 +20,7 @@ class TestServicePlanPath:
     def test_batched_plan_serving_is_bit_identical_to_generic(self):
         requests = build_requests("hotspot2d", 16, shape=(13, 11),
                                   identical=False, return_result=True)
-        with make_client(use_plans=True, crosscheck=True) as client:
+        with make_client(crosscheck=True) as client:
             responses = client.execute_many(requests)
             stats = client.stats()
         assert all(response.ok for response in responses)
@@ -31,7 +32,7 @@ class TestServicePlanPath:
 
     def test_plan_reuse_across_batches(self):
         bench = get_benchmark("stencil2d")
-        with make_client(use_plans=True) as client:
+        with make_client() as client:
             for seed in range(3):
                 requests = [
                     ExecutionRequest.for_benchmark("stencil2d", shape=(13, 11),
@@ -50,17 +51,39 @@ class TestServicePlanPath:
         # Exactly one kernel compilation across every batch.
         assert stats["compilation_cache"]["misses"] == 1
 
-    def test_plans_disabled_falls_back_to_generic_path(self):
-        requests = build_requests("stencil2d", 8, shape=(13, 11),
-                                  identical=True, return_result=True)
-        with make_client(use_plans=False, crosscheck=True) as client:
-            responses = client.execute_many(requests)
-            stats = client.stats()
+    def test_quarantined_batch_is_served_generically_and_bit_identical(self):
+        # The breaker's quarantine route is the one way the service serves
+        # without plans.  Open the breaker with one failed capture, then a
+        # batched wave for that digest must skip plan lookup entirely (no
+        # further capture attempt) and still pass the crosscheck.
+        faults.arm("plan.capture_fail:p=1")
+        try:
+            with make_client(store=None, crosscheck=True,
+                             breaker_threshold=1,
+                             breaker_cooldown_s=60.0) as client:
+                first = client.execute(ExecutionRequest.for_benchmark(
+                    "stencil2d", shape=(13, 11)))
+                assert first.ok, first.error
+                assert faults.hits("plan.capture_fail") == 1
+                requests = build_requests("stencil2d", 8, shape=(13, 11),
+                                          identical=False, return_result=True)
+                responses = client.execute_many(requests)
+                stats = client.stats()["service"]
+            captures = faults.hits("plan.capture_fail")
+        finally:
+            faults.disarm()
         assert all(response.ok for response in responses)
-        assert stats["service"]["plans"] is None
+        assert any(response.batched for response in responses)
+        assert captures == 1
+        assert stats["breakers"]["quarantined_requests"] == len(requests)
+        assert stats["crosschecks_passed"] == len(requests)
+        bench = get_benchmark("stencil2d")
+        for request, response in zip(requests, responses):
+            assert np.array_equal(response.result,
+                                  bench.run_lift(request.inputs))
 
     def test_mixed_shapes_get_separate_plans(self):
-        with make_client(use_plans=True) as client:
+        with make_client() as client:
             small = [ExecutionRequest.for_benchmark("stencil2d", shape=(13, 11),
                                                     seed=s) for s in range(4)]
             large = [ExecutionRequest.for_benchmark("stencil2d", shape=(16, 16),
@@ -77,7 +100,7 @@ class TestBatchSizeBucketing:
         # plan (padding slots discarded), so variable load does not pin a
         # resident stacked buffer set per distinct batch size.
         bench = get_benchmark("stencil2d")
-        with make_client(use_plans=True, crosscheck=True) as client:
+        with make_client(crosscheck=True) as client:
             for size in (3, 5, 6):
                 requests = [
                     ExecutionRequest.for_benchmark("stencil2d", shape=(13, 11),
