@@ -36,7 +36,7 @@ milliseconds while pickling closure trees is impossible in general.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,35 +53,92 @@ def input_signature(inputs: Sequence) -> Tuple:
     return tuple(signature)
 
 
-class CompilationCache:
-    """A thread-safe LRU memo table of compiled kernels with statistics.
+class _LRU:
+    """A thread-safe LRU memo table with hit, miss and eviction counts.
 
     Eviction is *recency* based: a hit moves the entry to the back of the
-    queue, so under pressure the least-recently-used kernel is dropped and a
-    hot kernel survives arbitrarily many insertions of cold ones.  Evictions
+    queue, so under pressure the least-recently-used value is dropped and a
+    hot value survives arbitrarily many insertions of cold ones.  Evictions
     are counted and reported by :meth:`stats` alongside hits and misses.
 
     Thread-safety contract: every read *and* write of the entry table and
     the counters happens under one lock — the execution service fans sweeps
-    out to executor threads that hit this cache concurrently, so an
+    out to executor threads that hit these caches concurrently, so an
     unlocked fast path (even a "harmless" ``len`` or a hit-count bump)
-    would race with the LRU's pop-and-reinsert.  Compilation itself runs
+    would race with the LRU's pop-and-reinsert.  Building a value runs
     outside the lock; when two threads miss on the same key simultaneously
-    both compile, and the second insert discards its kernel in favour of
-    the first — wasted work, never an inconsistent table.
+    both build, and the second insert discards its value in favour of the
+    first — wasted work, never an inconsistent table.
+
+    Pickling keeps only ``max_entries`` (see the module docstring's
+    multiprocessing contract): the copy is empty, with zeroed statistics.
     """
 
-    def __init__(self, max_entries: int = 256) -> None:
+    def __init__(self, max_entries: int) -> None:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._entries: Dict[Tuple, CompiledKernel] = {}
+        self._entries: Dict[Tuple, object] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    def _get_or_build(self, key: Tuple, build: Callable[[], object]):
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self.hits += 1
+                # LRU: refresh recency by re-inserting at the back.
+                self._entries.pop(key)
+                self._entries[key] = value
+                return value
+            self.misses += 1
+        value = build()
+        with self._lock:
+            if key not in self._entries:
+                while len(self._entries) >= self.max_entries:
+                    # Drop the least-recently-used entry (front of the dict).
+                    self._entries.pop(next(iter(self._entries)))
+                    self.evictions += 1
+                self._entries[key] = value
+            else:
+                value = self._entries[key]
+        return value
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.hits = 0
+            self.misses = 0
+            self.evictions = 0
+
+    def stats(self) -> Dict[str, int]:
+        with self._lock:
+            return {
+                "entries": len(self._entries),
+                "max_entries": self.max_entries,
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+            }
+
+    def __getstate__(self) -> Dict[str, int]:
+        # The values (closures, live buffers) are unpicklable and the lock
+        # is process-local: a pickled cache deliberately carries neither.
+        return {"max_entries": self.max_entries}
+
+    def __setstate__(self, state: Dict[str, int]) -> None:
+        self.__init__(max_entries=state["max_entries"])
+
+
+class CompilationCache(_LRU):
+    """A thread-safe LRU memo table of compiled kernels with statistics."""
+
+    def __init__(self, max_entries: int = 256) -> None:
+        super().__init__(max_entries)
 
     def key_for(
         self,
@@ -117,53 +174,9 @@ class CompilationCache:
         shares the one cached kernel — one compilation for a hot program no
         matter how traffic is batched.
         """
-        key = self.key_for(program, signature, size_env)
-        with self._lock:
-            kernel = self._entries.get(key)
-            if kernel is not None:
-                self.hits += 1
-                # LRU: refresh recency by re-inserting at the back.
-                self._entries.pop(key)
-                self._entries[key] = kernel
-                return kernel
-            self.misses += 1
-        kernel = compile_program(program, size_env)
-        with self._lock:
-            if key not in self._entries:
-                while len(self._entries) >= self.max_entries:
-                    # Drop the least-recently-used entry (front of the dict).
-                    self._entries.pop(next(iter(self._entries)))
-                    self.evictions += 1
-                self._entries[key] = kernel
-            else:
-                kernel = self._entries[key]
-        return kernel
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-    # -- pickling (see the module docstring's multiprocessing contract) -----
-    def __getstate__(self) -> Dict[str, int]:
-        # Compiled kernels hold unpicklable closures and the lock is
-        # process-local: a pickled cache deliberately carries neither.
-        return {"max_entries": self.max_entries}
-
-    def __setstate__(self, state: Dict[str, int]) -> None:
-        self.__init__(max_entries=state.get("max_entries", 256))
+        return self._get_or_build(
+            self.key_for(program, signature, size_env),
+            lambda: compile_program(program, size_env))
 
 
 #: The process-wide cache used by the default NumPy backend.

@@ -103,6 +103,7 @@ from .. import faults as _faults
 from ..core.ir import Lambda, structural_key
 from ..telemetry import registry as _telemetry
 from ..telemetry.registry import metrics_enabled as _metrics_on
+from .cache import _LRU
 from .fuse import (
     FusionInfo,
     fusable_regions,
@@ -1066,7 +1067,7 @@ class ExecutionPlan:
 # The plan cache
 # ---------------------------------------------------------------------------
 
-class PlanCache:
+class PlanCache(_LRU):
     """A thread-safe LRU of execution plans, keyed like the kernel cache.
 
     **Key composition** (see :meth:`key_for`) — six components, each
@@ -1092,20 +1093,12 @@ class PlanCache:
 
     Evicted plans are simply dropped: their buffers may still be
     mid-execution on another thread, so they are left to the garbage
-    collector rather than returned to a pool.
+    collector rather than returned to a pool.  A pickled cache carries only
+    its size limit and rebuilds plans on first use.
     """
 
     def __init__(self, max_entries: int = 64) -> None:
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: Dict[Tuple, ExecutionPlan] = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        super().__init__(max_entries)
 
     def key_for(self, program: Lambda, inputs_or_signature,
                 size_env: Optional[Mapping[str, int]] = None,
@@ -1131,63 +1124,22 @@ class PlanCache:
         callable returning a :class:`CompiledKernel`) lets the backend route
         the plan's kernel through its compilation cache so kernels stay
         shared — and counted — across the generic and plan paths."""
-        key = self.key_for(program, inputs_or_signature, size_env, batched,
-                           tile_shape, parallel_workers)
-        with self._lock:
-            plan = self._entries.get(key)
-            if plan is not None:
-                self.hits += 1
-                self._entries.pop(key)
-                self._entries[key] = plan  # LRU: refresh recency
-                return plan
-            self.misses += 1
-        if _faults.ARMED and _faults.should_fail("plan.capture_fail"):
-            # A CompileError here exercises the same fallback the service
-            # takes for genuinely uncapturable programs: the group is
-            # served on the generic compiled path (and the digest breaker
-            # accumulates the failure).
-            raise PlanCaptureError("fault injected: plan.capture_fail")
-        kernel = kernel_resolver() if kernel_resolver is not None else None
-        plan = ExecutionPlan(program, inputs_or_signature, size_env,
-                             batched=batched, kernel=kernel,
-                             tile_shape=tile_shape,
-                             parallel_workers=parallel_workers)
-        with self._lock:
-            if key not in self._entries:
-                while len(self._entries) >= self.max_entries:
-                    self._entries.pop(next(iter(self._entries)))
-                    self.evictions += 1
-                self._entries[key] = plan
-            else:
-                plan = self._entries[key]
-        return plan
+        def build() -> ExecutionPlan:
+            if _faults.ARMED and _faults.should_fail("plan.capture_fail"):
+                # A CompileError here exercises the same fallback the
+                # service takes for genuinely uncapturable programs: the
+                # group is served on the generic compiled path (and the
+                # digest breaker accumulates the failure).
+                raise PlanCaptureError("fault injected: plan.capture_fail")
+            kernel = kernel_resolver() if kernel_resolver is not None else None
+            return ExecutionPlan(program, inputs_or_signature, size_env,
+                                 batched=batched, kernel=kernel,
+                                 tile_shape=tile_shape,
+                                 parallel_workers=parallel_workers)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-    # -- pickling (same contract as the compilation cache) -------------------
-    def __getstate__(self) -> Dict[str, int]:
-        # Plans close over compiled kernels and live buffers — neither is
-        # picklable nor meaningful in another process.  A pickled cache
-        # carries only its size limit and rebuilds plans on first use.
-        return {"max_entries": self.max_entries}
-
-    def __setstate__(self, state: Dict[str, int]) -> None:
-        self.__init__(max_entries=state.get("max_entries", 64))
+        return self._get_or_build(
+            self.key_for(program, inputs_or_signature, size_env, batched,
+                         tile_shape, parallel_workers), build)
 
 
 def time_steady(plan: ExecutionPlan, inputs: Sequence, runs: int = 3) -> float:

@@ -260,7 +260,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.auth_key:
         metrics_text += ", auth required"
     print(f"serving on {args.host}:{args.port} "
-          f"(device {args.device}, store {store or '<none>'}, "
+          f"(store {store or '<none>'}, "
           f"window {args.window_ms} ms, max batch {args.max_batch}"
           f"{shard_text}{metrics_text})",
           flush=True)
@@ -376,12 +376,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     import json as _json
-    import os
 
     from .service.metrics import stats_report
 
-    store = args.store if os.path.exists(args.store) else None
-    print(_json.dumps(stats_report(store=store), indent=2, sort_keys=True))
+    print(_json.dumps(stats_report(store=args.store), indent=2,
+                      sort_keys=True))
     return 0
 
 
@@ -479,12 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7457)
-    serve.add_argument("--device", default="nvidia",
-                       choices=["nvidia", "amd", "arm"])
     serve.add_argument("--store", default=DEFAULT_STORE_PATH,
-                       help="results store supplying tuned kernel variants")
+                       help="results store the stats op summarises (read "
+                            "only, never created; serving does not consult "
+                            "it)")
     serve.add_argument("--no-store", action="store_true",
-                       help="serve without consulting a results store")
+                       help="report no results store in stats")
     serve.add_argument("--window-ms", type=float, default=2.0,
                        help="micro-batching window in milliseconds")
     serve.add_argument("--max-batch", type=int, default=64)
@@ -496,8 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--crosscheck", action="store_true",
                        help="verify every batched result against "
                             "single-request execution (bit-identical)")
-    serve.add_argument("--auto-tune", action="store_true",
-                       help="background-tune cold benchmark digests")
     serve.add_argument("--max-requests", type=int, default=None,
                        help="exit after serving this many requests "
                             "(smoke tests); default: serve forever")
@@ -629,10 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "with --connect; the server chooses there)")
     loadgen.add_argument("--repeats", type=int, default=3,
                          help="timed stream repetitions (best wall kept)")
-    loadgen.add_argument("--store", default=None,
-                         help="results store supplying tuned kernel variants")
-    loadgen.add_argument("--device", default="nvidia",
-                         choices=["nvidia", "amd", "arm"])
     loadgen.add_argument("--connect", default=None, metavar="HOST:PORT",
                          help="drive a running `repro serve` endpoint "
                               "instead of an in-process service")

@@ -127,9 +127,9 @@ class ResultsStore:
         self.misses = 0
 
     def _open(self) -> sqlite3.Connection:
-        # The execution service reads best-result rows from its event-loop
-        # thread while the store was opened by the constructing thread;
-        # reads are safe under the GIL and writes stay driver-only.
+        # Stats and /metrics scrapes read through one cached handle from
+        # whichever thread serves them; reads are safe under the GIL and
+        # writes stay driver-only.
         conn = sqlite3.connect(self.path, check_same_thread=False)
         try:
             conn.row_factory = sqlite3.Row
@@ -256,49 +256,10 @@ class ResultsStore:
         )
         self._conn.commit()
 
-    def best_for(self, benchmark: str, device: str) -> Optional[StoredResult]:
-        """The lowest-cost stored result for one benchmark on one device."""
-        row = self._conn.execute(
-            "SELECT * FROM results WHERE benchmark = ? AND device = ? "
-            "ORDER BY cost ASC, fingerprint ASC LIMIT 1",
-            (benchmark, device),
-        ).fetchone()
-        return None if row is None else _row_to_result(row)
-
-    def best_for_digest(self, expr_digest: str,
-                        device: Optional[str] = None) -> Optional[StoredResult]:
-        """The lowest-cost stored result for one expression digest.
-
-        ``expr_digest`` lives in the *lowered*-expression digest space (what
-        :meth:`put` persisted from :class:`~repro.engine.jobs.EvaluationJob`),
-        not the high-level program digest the service routes requests by.
-        The tuned-kernel registry uses it for programs that match no
-        registered benchmark: looking up the digest of the request's default
-        lowering recalls the best configuration any past session found for
-        exactly that expression (optionally restricted to one device model).
-        """
-        if device is None:
-            row = self._conn.execute(
-                "SELECT * FROM results WHERE expr_digest = ? "
-                "ORDER BY cost ASC, fingerprint ASC LIMIT 1",
-                (expr_digest,),
-            ).fetchone()
-        else:
-            row = self._conn.execute(
-                "SELECT * FROM results WHERE expr_digest = ? AND device = ? "
-                "ORDER BY cost ASC, fingerprint ASC LIMIT 1",
-                (expr_digest, device),
-            ).fetchone()
-        return None if row is None else _row_to_result(row)
-
     def best_per_benchmark(self, device: Optional[str] = None
                            ) -> Dict[str, StoredResult]:
-        """The best stored result of every benchmark (optionally per device).
-
-        One query warms the whole tuned-kernel registry: the service applies
-        these variants/configurations to incoming traffic without paying a
-        store round-trip per request.
-        """
+        """The best stored result of every benchmark (optionally per device)
+        in one query — the ``best`` summary of ``repro stats``."""
         device_filter = "" if device is None else "WHERE device = ?"
         params: Tuple = () if device is None else (device, device)
         rows = self._conn.execute(
@@ -327,22 +288,6 @@ class ResultsStore:
 
     def count(self) -> int:
         return self._conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
-
-    def generation(self) -> int:
-        """A monotonic counter advancing with every results write.
-
-        ``INSERT OR REPLACE`` always assigns a fresh (larger) rowid, and
-        results are never deleted, so ``MAX(rowid)`` grows on every
-        :meth:`put` / :meth:`put_many` — including ones issued by *other*
-        connections or processes on the same database file.  The
-        tuned-kernel registry polls this to notice mid-flight improvements
-        (a background or concurrent ``repro tune`` landing a better
-        variant) without an explicit ``refresh`` call.
-        """
-        row = self._conn.execute(
-            "SELECT COALESCE(MAX(rowid), 0) FROM results"
-        ).fetchone()
-        return int(row[0])
 
     def stats(self) -> Dict[str, int]:
         return {"entries": self.count(), "hits": self.hits, "misses": self.misses}

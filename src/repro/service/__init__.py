@@ -1,17 +1,14 @@
-"""The stencil execution service: async batching over tuned, compiled kernels.
+"""The stencil execution service: async batching over compiled kernels.
 
-This package turns the compiled NumPy backend (PR 1) and the tuned results
-of the search engine (PR 2) into a long-lived, high-throughput serving
-subsystem:
+This package turns the compiled NumPy backend into a long-lived,
+high-throughput serving subsystem:
 
 * :class:`StencilService` — the asyncio micro-batching server: concurrent
   requests that share a structural digest + input signature are stacked
   along a leading batch axis and executed as **one** vectorized call
   (one compile, one sweep, N responses);
-* :class:`TunedKernelRegistry` — routes each request's digest to the best
-  rewrite variant/configuration past ``repro tune`` sessions persisted in
-  the engine's SQLite results store (cold digests get the default lowering
-  and can enqueue a background tune);
+* :class:`DigestRouter` — routes each request's digest to its program's
+  default lowering, built once per digest;
 * :class:`ServiceClient` — the blocking in-process client;
   :func:`serve_tcp` / :func:`run_server` — the JSON-lines TCP endpoint
   behind ``repro serve`` / ``repro submit``;
@@ -47,10 +44,7 @@ from .loadgen import (
     run_mixed_loadgen,
 )
 from .metrics import stats_report
-# ExecutionPlan is the backwards-compatible alias of RoutingPlan (the class
-# was renamed when the backend gained its buffer-pooled ExecutionPlan).
-from .registry import (DigestCircuitBreaker, ExecutionPlan, RoutingPlan,
-                       TunedKernelRegistry)
+from .registry import DigestCircuitBreaker, DigestRouter
 from .http import serve_http
 from .requests import ExecutionRequest, ExecutionResponse, ServiceError
 from .server import ServiceClient, StencilService, run_server, serve_tcp
@@ -59,8 +53,7 @@ from .supervisor import ShardSupervisor
 
 __all__ = [
     "DigestCircuitBreaker",
-    "ExecutionPlan",
-    "RoutingPlan",
+    "DigestRouter",
     "ExecutionRequest",
     "ExecutionResponse",
     "ServiceClient",
@@ -70,7 +63,6 @@ __all__ = [
     "ShardUnavailable",
     "ShardedExecutor",
     "StencilService",
-    "TunedKernelRegistry",
     "check_batching",
     "check_chaos",
     "check_no_high_shed",

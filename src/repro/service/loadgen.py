@@ -42,6 +42,7 @@ from ..apps.base import squeeze_result
 from ..apps.suite import get_benchmark
 from ..backend.base import NumpyBackend
 from ..backend.cache import CompilationCache
+from ..rewriting.strategies import NAIVE, lower_program
 from ..telemetry.registry import LATENCY_BUCKETS, Histogram
 from .requests import PRIORITIES, ExecutionRequest, ExecutionResponse
 from .server import ServiceClient, StencilService
@@ -230,17 +231,17 @@ def build_requests(
 def _serial_baseline(requests: Sequence[ExecutionRequest],
                      warmup: bool = True,
                      repeats: int = 1) -> Dict[str, float]:
-    """The status quo: one synchronous compiled-backend call per request."""
-    from .registry import TunedKernelRegistry
-
-    registry = TunedKernelRegistry(store=None)
+    """The status quo: one synchronous compiled-backend call per
+    (benchmark-named) request, on the default lowering the service serves."""
     backend = NumpyBackend(cache=CompilationCache(), fallback=False)
+    lowered: Dict[str, object] = {}
 
     def run_one(request: ExecutionRequest) -> None:
-        plan = registry.plan_for(benchmark=request.benchmark,
-                                 program=request.program)
-        program, _variant, _source = plan.program_for(
-            tuple(request.inputs[0].shape))
+        program = lowered.get(request.benchmark)
+        if program is None:
+            program = lowered[request.benchmark] = lower_program(
+                get_benchmark(request.benchmark).build_program(), NAIVE
+            ).program
         squeeze_result(backend.run(program, request.inputs,
                                    request.size_env or None))
 
@@ -311,8 +312,6 @@ def run_loadgen(
     seed: int = 0,
     window_ms: float = 2.0,
     max_batch: int = 64,
-    store: Optional[str] = None,
-    device: str = "nvidia",
     connect: Optional[Tuple[str, int]] = None,
     warmup: bool = True,
     repeats: int = 1,
@@ -344,7 +343,6 @@ def run_loadgen(
     if connect is not None:
         repeats = 1  # one network stream; mirror it in the serial baseline
     with _open_target(connect, transport, auth_key, concurrency=requests,
-                      device=device, store=store,
                       batch_window=window_ms / 1e3, max_batch=max_batch,
                       shards=shards) as target:
         log.info("loadgen: %d %s requests for %s (%s)", requests,
@@ -561,8 +559,6 @@ def run_mixed_loadgen(
     deadline_ms: Optional[float] = None,
     window_ms: float = 2.0,
     max_batch: int = 8,
-    store: Optional[str] = None,
-    device: str = "nvidia",
     connect: Optional[Tuple[str, int]] = None,
     transport: str = "tcp",
     auth_key: Optional[str] = None,
@@ -586,8 +582,7 @@ def run_mixed_loadgen(
     # no deadline — what one isolated caller sees from the same service.
     baseline_stream = [_clone(stream[0], priority="high")
                        for _ in range(min(8, max(2, requests // 8)))]
-    service_kwargs = dict(device=device, store=store,
-                          batch_window=window_ms / 1e3,
+    service_kwargs = dict(batch_window=window_ms / 1e3,
                           max_batch=min(max_batch, requests))
     with _open_target(connect, transport, auth_key, concurrency=1,
                       **service_kwargs) as target:
@@ -886,8 +881,6 @@ def run_chaos_loadgen(
     connect: Optional[Tuple[str, int]] = None,
     transport: str = "tcp",
     auth_key: Optional[str] = None,
-    store: Optional[str] = None,
-    device: str = "nvidia",
 ) -> Dict[str, object]:
     """Sustained load with real mid-run failures; report the survival story.
 
@@ -911,8 +904,8 @@ def run_chaos_loadgen(
              benchmark, duration_s, shards,
              ",".join(f"{e['action']}:t={e['t']}" for e in chaos) or "none")
     with _open_target(connect, transport, auth_key,
-                      concurrency=max(2, wave_size), device=device,
-                      store=store, batch_window=window_ms / 1e3,
+                      concurrency=max(2, wave_size),
+                      batch_window=window_ms / 1e3,
                       max_batch=max_batch, shards=shards,
                       shard_timeout_s=shard_timeout_s,
                       max_respawns=max_respawns) as target:

@@ -2,8 +2,9 @@
 
 :func:`stats_report` assembles the compilation-cache counters (hits, misses,
 LRU evictions), the results-store counters (entries, hits, misses, sessions,
-per-benchmark bests) and — when called by a running service — the serving
-counters (requests, batches, compilations) into a single JSON-able dict.
+per-benchmark bests of past tuning sessions) and — when called by a running
+service — the serving counters (requests, batches, compilations) into a
+single JSON-able dict.
 The ``repro stats`` CLI verb prints exactly this report; the service's
 :meth:`~repro.service.server.StencilService.stats` embeds it, so operators
 read the same shape everywhere.
@@ -41,14 +42,23 @@ def _store_handle(path: str) -> ResultsStore:
         return handle
 
 
-def store_section(store: Union[ResultsStore, str, None]) -> Dict[str, object]:
-    """Results-store counters plus a per-benchmark best summary."""
+def store_section(store: Union[ResultsStore, str, os.PathLike, None]
+                  ) -> Dict[str, object]:
+    """Results-store counters plus a per-benchmark best summary.
+
+    A path that does not exist (``":memory:"`` aside) reads as unavailable
+    and is never created: a report only reads a store.
+    """
+    if isinstance(store, (str, os.PathLike)):
+        path = os.fspath(store)
+        if path != ":memory:" and not os.path.exists(path):
+            return {"available": False}
+        store = _store_handle(path)
     if store is None:
         return {"available": False}
-    opened = _store_handle(store) if isinstance(store, str) else store
     section: Dict[str, object] = {"available": True}
-    section.update(opened.stats())
-    section["sessions"] = len(opened.sessions())
+    section.update(store.stats())
+    section["sessions"] = len(store.sessions())
     section["best"] = {
         name: {
             "variant": result.variant.describe(),
@@ -56,7 +66,7 @@ def store_section(store: Union[ResultsStore, str, None]) -> Dict[str, object]:
             "cost_s": result.cost,
             "device": result.device,
         }
-        for name, result in sorted(opened.best_per_benchmark().items())
+        for name, result in sorted(store.best_per_benchmark().items())
     }
     return section
 

@@ -3,7 +3,7 @@
 A request names *what* to run — a registered benchmark or a full serialized
 program — and carries concrete input grids.  Responses return the result
 (optionally) together with the execution metadata the batching layer
-produced: which structural digest the request routed to, which tuned variant
+produced: which structural digest the request routed to, which lowering
 served it, how large the micro-batch was, and the observed latency.
 
 ``to_wire``/``from_wire`` translate both types to JSON-able dicts for the
@@ -193,7 +193,7 @@ class ExecutionResponse:
     benchmark: Optional[str]
     digest: str
     variant: str                 # description of the lowering that served it
-    plan_source: str             # "tuned" | "default" | "fallback"
+    plan_source: str             # "default" ("" on a request refused at admission)
     batch_size: int              # requests in the micro-batch that served it
     batched: bool                # True when batch_size > 1
     latency_s: float

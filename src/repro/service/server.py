@@ -8,11 +8,9 @@ group is executed as **one** stacked NumPy call through
 :meth:`~repro.backend.base.NumpyBackend.run_batched`: one compilation (the
 cache is keyed by the per-item signature), one vectorized sweep, N responses.
 
-Request routing consults the :class:`~repro.service.registry.TunedKernelRegistry`,
-so the best rewrite variant/configuration found by past ``repro tune``
-sessions is applied to incoming traffic automatically; cold digests are
-served by the default lowering and can enqueue a background tune on the
-engine.
+Requests are routed by structural digest through the
+:class:`~repro.service.registry.DigestRouter`: every digest is served by
+its program's default lowering.
 
 With ``shards=N`` the numeric work of each group is dispatched round-robin
 to N pre-forked worker processes (see :mod:`repro.service.shards`): request
@@ -47,7 +45,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,7 +62,7 @@ from .executor import batch_capacity, run_trajectory, sweep_group
 from .jobs import JobManager
 from .metrics import shards_section, stats_report
 from .ops import dispatch, refusal
-from .registry import DigestCircuitBreaker, TunedKernelRegistry
+from .registry import DigestCircuitBreaker, DigestRouter, Route
 from .requests import (
     DEADLINE_EXCEEDED,
     PRIORITIES,
@@ -102,28 +100,9 @@ _SHARD_ROUNDTRIP_SECONDS = _telemetry.histogram(
 #: Upper bound on one TCP request line / HTTP body unless overridden.
 DEFAULT_MAX_REQUEST_BYTES = 32 * 1024 * 1024
 
-#: Search budget of one background tune (``auto_tune``).
-TUNE_BUDGET = 20
 #: Request traces the ring keeps, and the latency past which one is slow.
 TRACE_CAPACITY = 256
 TRACE_SLOW_MS = 50.0
-
-
-class _Route(NamedTuple):
-    """One resolved routing decision (see :meth:`StencilService._route`)."""
-
-    program: object                   # the Lambda chosen by the tuned registry
-    variant: str
-    source: str
-    digest: str
-    benchmark: Optional[str]
-    tuned: bool
-    carry: Optional[Tuple]            # the iterate() carry specification
-
-    @property
-    def key(self) -> str:
-        """What shards and the supervisor's wire registry key programs by."""
-        return f"{self.digest}:{self.variant}"
 
 
 @dataclass
@@ -131,7 +110,7 @@ class _Pending:
     """One queued request together with its resolved execution plan."""
 
     request: ExecutionRequest
-    route: _Route
+    route: Route
     key: Tuple
     future: "asyncio.Future[ExecutionResponse]"
     enqueued_at: float = field(default_factory=time.perf_counter)
@@ -225,12 +204,11 @@ class StencilService:
 
     Parameters
     ----------
-    device:
-        Device model whose tuned results the registry consults.
     store:
         A :class:`~repro.engine.store.ResultsStore`, a path to one, or
-        ``None`` — the source of tuned variants (and the target of
-        background tunes).
+        ``None`` — the results store the ``stats()`` report summarises
+        (never opened by serving; a missing path reads as unavailable and
+        is not created).
     batch_window:
         How long (seconds) the batcher waits for more requests after the
         first one arrives.  A full ``max_batch`` flushes immediately.
@@ -241,10 +219,6 @@ class StencilService:
         stacked result to be **bit-identical** — the belt-and-braces mode
         the acceptance tests run.  This also cross-checks the plan path
         against the generic compiled path.
-    auto_tune:
-        Enqueue one background ``SearchEngine`` tune (:data:`TUNE_BUDGET`
-        evaluations) per cold benchmark digest (requires a persistent,
-        file-backed store).
     shards:
         ``0`` (default) executes groups on this process's executor
         threads.  ``N >= 1`` pre-forks N shard processes and dispatches
@@ -300,12 +274,10 @@ class StencilService:
 
     def __init__(
         self,
-        device: str = "nvidia",
         store: Union[ResultsStore, str, None] = None,
         batch_window: float = 0.002,
         max_batch: int = 64,
         crosscheck: bool = False,
-        auto_tune: bool = False,
         shards: int = 0,
         max_queue_depth: Optional[int] = None,
         max_inflight_per_digest: Optional[int] = None,
@@ -325,14 +297,13 @@ class StencilService:
             raise ServiceError("max_queue_depth must be >= 1 (or None)")
         if max_inflight_per_digest is not None and max_inflight_per_digest < 1:
             raise ServiceError("max_inflight_per_digest must be >= 1 (or None)")
-        self.registry = TunedKernelRegistry(store=store, device=device)
+        self.store = store
+        self.registry = DigestRouter()
         self.cache = CompilationCache()
         self.backend = NumpyBackend(cache=self.cache, fallback=False)
         self.batch_window = batch_window
         self.max_batch = max_batch
         self.crosscheck = crosscheck
-        self.auto_tune = auto_tune
-        self.device = device
         self.shards = int(shards or 0)
         self.shard_timeout_s = shard_timeout_s
         self.executor: Optional[ShardedExecutor] = (
@@ -350,8 +321,6 @@ class StencilService:
         self._digest_inflight: Dict[str, int] = {}
         self._batcher: Optional[asyncio.Task] = None
         self._inflight: set = set()
-        self._tuning_digests: set = set()
-        self._tune_tasks: List[asyncio.Future] = []
         #: The one store behind ``stats()`` and ``/metrics`` (see the module
         #: docstring); never disabled, and handed down to the jobs, the
         #: breaker and the supervisor so they count into it too.
@@ -397,15 +366,14 @@ class StencilService:
         # Kept in one place each, as plain attributes (stats() only).
         self.largest_batch = 0
         self.crosschecks_passed = 0
-        self.background_tunes = 0
         self.plans_prewarmed = 0
         #: Request-lifecycle traces (``repro trace`` / the /trace route).
         self.tracer = TraceRing(capacity=TRACE_CAPACITY, slow_ms=TRACE_SLOW_MS)
         #: Durable multi-timestep jobs: checkpointed execution + recovery.
         self.checkpoint_every = int(checkpoint_every)
 
-        def resolve_job(benchmark, shape, _size_env):
-            route = self._route(benchmark, None, shape)
+        def resolve_job(benchmark, _shape, _size_env):
+            route = self._route(benchmark, None)
             return route.program, route.carry, route.digest
 
         self.jobs = JobManager(
@@ -419,15 +387,11 @@ class StencilService:
         )
         self._register_gauges()
 
-    def _route(self, benchmark: Optional[str], program,
-               shape: Tuple[int, ...]) -> _Route:
+    def _route(self, benchmark: Optional[str], program) -> Route:
         """The one routing decision: admission, pre-warming and durable
         jobs all resolve through here, so a prewarmed plan is the plan live
-        traffic hits and a resumed job replays the identical tuned variant."""
-        plan = self.registry.plan_for(benchmark=benchmark, program=program)
-        lowered, variant, source = plan.program_for(shape)
-        return _Route(lowered, variant, source, plan.digest, plan.benchmark,
-                      plan.tuned is not None, plan.carry)
+        traffic hits and a resumed job replays the identical program."""
+        return self.registry.plan_for(benchmark=benchmark, program=program)
 
     def _register_gauges(self) -> None:
         """The live gauges, sampled from this instance at scrape time."""
@@ -513,9 +477,6 @@ class StencilService:
             # callers: fail them in-band.
             self._fail_group(self._queues.drain(), "service stopped",
                              code=UNAVAILABLE)
-        if self._tune_tasks:
-            await asyncio.gather(*self._tune_tasks, return_exceptions=True)
-        self._tune_tasks.clear()
         await asyncio.get_running_loop().run_in_executor(
             None, self.jobs.close
         )
@@ -525,7 +486,6 @@ class StencilService:
                 None, self.executor.close
             )
             self.executor = None
-        self.registry.close()
 
     async def __aenter__(self) -> "StencilService":
         return await self.start()
@@ -538,8 +498,8 @@ class StencilService:
                 batch_capacities: Sequence[int] = ()) -> Dict[str, int]:
         """Capture execution plans for these requests off the request path.
 
-        For each request the routing decision is resolved through the tuned
-        registry exactly as admission would, the program's execution plan
+        For each request the routing decision is resolved through the
+        router exactly as admission would, the program's execution plan
         (optimized, fused tape) is compiled into the plan cache and its tape
         captured with one real sweep — so the first *single* live request
         for the same (digest, shapes) pays a pure tape replay instead of
@@ -565,8 +525,7 @@ class StencilService:
         skipped = 0
         for request in requests:
             try:
-                shape = tuple(request.inputs[0].shape) if request.inputs else ()
-                route = self._route(request.benchmark, request.program, shape)
+                route = self._route(request.benchmark, request.program)
             except Exception:  # noqa: BLE001 - prewarm is best-effort
                 skipped += 1
                 continue
@@ -630,20 +589,12 @@ class StencilService:
         return await pending.future
 
     def _admit(self, request: ExecutionRequest) -> _Pending:
-        shape = tuple(request.inputs[0].shape) if request.inputs else ()
-        route = self._route(request.benchmark, request.program, shape)
+        route = self._route(request.benchmark, request.program)
         signature = tuple(
             (grid.shape, str(grid.dtype)) for grid in request.inputs
         )
         key = (route.digest, signature,
                tuple(sorted(request.size_env.items())), request.steps)
-        if (
-            self.auto_tune
-            and not route.tuned
-            and route.benchmark is not None
-            and route.digest not in self._tuning_digests
-        ):
-            self._start_background_tune(route.digest, route.benchmark)
         loop = asyncio.get_running_loop()
         pending = _Pending(
             request=request, route=route, key=key,
@@ -1000,7 +951,7 @@ class StencilService:
         return rows, timings
 
     def _dispatch_sharded(
-        self, route: _Route, parts: List, size_env
+        self, route: Route, parts: List, size_env
     ) -> Optional[Tuple[List, Dict[str, object]]]:
         """Sweep one group on a shard process; ``None`` = serve locally.
 
@@ -1043,7 +994,7 @@ class StencilService:
             timings["redispatches"] = redispatches
         return rows, timings
 
-    def _wire_for(self, route: _Route) -> Optional[Dict]:
+    def _wire_for(self, route: Route) -> Optional[Dict]:
         """The program's cross-process wire dict, serialised once per
         (digest, variant).  ``None`` for programs the wire format cannot
         express (e.g. closure-captured constant arrays): remembered in
@@ -1094,39 +1045,14 @@ class StencilService:
     def _answer(item: _Pending, now: float, size: int, result=None,
                 **outcome) -> None:
         """Resolve one request's future: every response — served, shed,
-        rejected or failed — carries the same routing facts."""
+        rejected or failed — carries the same routing facts.  Every route
+        serves the default lowering, so ``plan_source`` is always
+        ``"default"``."""
         item.future.set_result(ExecutionResponse(
             result=result, benchmark=item.route.benchmark,
             digest=item.route.digest, variant=item.route.variant,
-            plan_source=item.route.source, batch_size=size,
+            plan_source="default", batch_size=size,
             batched=size > 1, latency_s=now - item.enqueued_at, **outcome))
-
-    # -- background tuning -----------------------------------------------------
-    def _start_background_tune(self, digest: str, benchmark: str) -> None:
-        store = self.registry.store
-        store_path = getattr(store, "path", None) if store is not None else None
-        if store_path is None or store_path == ":memory:":
-            return  # background tuning needs a persistent, shareable store
-        self._tuning_digests.add(digest)
-        loop = asyncio.get_running_loop()
-
-        def tune() -> None:
-            # Fresh store connection: SQLite connections are cheap and this
-            # runs on an executor thread while the loop keeps serving.
-            from ..engine import SearchEngine
-
-            with SearchEngine(store=store_path, workers=1) as engine:
-                engine.run(benchmark, budget=TUNE_BUDGET,
-                           device=self.device)
-
-        def done(task: "asyncio.Future") -> None:
-            if not task.cancelled() and task.exception() is None:
-                self.background_tunes += 1
-                self.registry.refresh(digest)
-
-        task = loop.run_in_executor(None, tune)
-        task.add_done_callback(done)
-        self._tune_tasks.append(task)
 
     # -- stats -----------------------------------------------------------------
     def service_section(self) -> Dict[str, object]:
@@ -1137,7 +1063,6 @@ class StencilService:
             "batched_requests": self._batched_requests_total.value,
             "largest_batch": self.largest_batch,
             "crosschecks_passed": self.crosschecks_passed,
-            "background_tunes": self.background_tunes,
             "request_errors": self._request_errors_total.value,
             "plans_prewarmed": self.plans_prewarmed,
             "shard_fallbacks": self._shard_fallbacks_total.value,
@@ -1174,7 +1099,7 @@ class StencilService:
         """The combined ``/metrics``-style report (see :mod:`.metrics`)."""
         return stats_report(
             cache=self.cache,
-            store=self.registry.store,
+            store=self.store,
             service=self.service_section(),
         )
 

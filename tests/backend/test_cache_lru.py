@@ -1,6 +1,11 @@
-"""CompilationCache: true LRU eviction — a hot key survives pressure."""
+"""The caches' one LRU: true eviction — a hot key survives pressure."""
+
+import pickle
+
+import pytest
 
 from repro.backend.cache import CompilationCache
+from repro.backend.plan import PlanCache
 from repro.core import builders as L
 from repro.core.arithmetic import Var
 from repro.core.types import Float
@@ -49,3 +54,13 @@ class TestLruEviction:
         for n in range(1, 5):
             cache.get_or_compile(program, data_of_length(n))
         assert cache.stats()["evictions"] == 3
+
+
+@pytest.mark.parametrize("cache_type, default_size",
+                         [(CompilationCache, 256), (PlanCache, 64)])
+def test_both_caches_share_stats_keys_and_pickling(cache_type, default_size):
+    cache = cache_type()
+    assert cache.stats() == {"entries": 0, "max_entries": default_size,
+                             "hits": 0, "misses": 0, "evictions": 0}
+    small = pickle.loads(pickle.dumps(cache_type(max_entries=5)))
+    assert small.stats()["max_entries"] == 5 and len(small) == 0

@@ -80,15 +80,16 @@ class TestSchemaRoundTrip:
             assert len(found) == 4
             assert store.hits == 4 and store.misses == 1
 
-    def test_best_for_orders_by_cost(self, tmp_path):
+    def test_best_per_benchmark_orders_by_cost(self, tmp_path):
         with ResultsStore(str(tmp_path / "store.sqlite")) as store:
             store.put(make_job(wg=8), 3.0)
             store.put(make_job(wg=16), 1.0)
             store.put(make_job(wg=4), 2.0)
             store.put(make_job(benchmark="heat"), 0.1)
-            best = store.best_for("stencil2d", "nvidia")
-            assert best is not None and best.cost == 1.0
-            assert store.best_for("stencil2d", "arm") is None
+            best = store.best_per_benchmark(device="nvidia")
+            assert best["stencil2d"].cost == 1.0
+            assert best["heat"].cost == 0.1
+            assert store.best_per_benchmark(device="arm") == {}
 
 
 class TestCounters:

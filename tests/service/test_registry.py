@@ -1,11 +1,23 @@
-"""Tuned-kernel registry + store lookup API: digest routing, fallbacks."""
+"""The digest router, and what the service does with a results store.
 
+Every digest serves its default lowering: a tiled best left in the store
+by ``repro tune`` does not change what serves, and a store the service is
+pointed at is only read, never created.
+"""
+
+import pathlib
+
+import numpy as np
 import pytest
 
+from repro.apps.suite import get_benchmark
+from repro.backend import iterate_generic
+from repro.backend.base import NumpyBackend
 from repro.engine import ResultsStore
 from repro.engine.jobs import EvaluationJob, VariantSpec, config_items
-from repro.service import TunedKernelRegistry
-from repro.apps.suite import get_benchmark
+from repro.rewriting.strategies import NAIVE, lower_program
+from repro.service import (DigestRouter, ExecutionRequest, ServiceClient,
+                           StencilService)
 
 
 def stored_best(store, benchmark="Stencil2D", tile=18, cost=1e-5,
@@ -24,17 +36,12 @@ def stored_best(store, benchmark="Stencil2D", tile=18, cost=1e-5,
     return job
 
 
-class TestStoreLookupAPI:
-    def test_best_for_digest(self, tmp_path):
-        with ResultsStore(str(tmp_path / "s.sqlite")) as store:
-            stored_best(store, digest="a" * 64, cost=2e-5, tile=18)
-            stored_best(store, digest="a" * 64, cost=1e-5, tile=34)
-            stored_best(store, digest="b" * 64, cost=5e-6, tile=10)
-            best = store.best_for_digest("a" * 64)
-            assert best is not None and best.variant.tile_size == 34
-            assert store.best_for_digest("a" * 64, device="amd") is None
-            assert store.best_for_digest("c" * 64) is None
+def default_variant(key):
+    return lower_program(get_benchmark(key).build_program(),
+                         NAIVE).strategy.describe()
 
+
+class TestStoreLookupAPI:
     def test_best_per_benchmark_and_benchmarks(self, tmp_path):
         with ResultsStore(str(tmp_path / "s.sqlite")) as store:
             stored_best(store, benchmark="Stencil2D", cost=2e-5, tile=18)
@@ -48,161 +55,92 @@ class TestStoreLookupAPI:
 
 class TestRegistryRouting:
     def test_cold_digest_gets_default_plan(self):
-        registry = TunedKernelRegistry(store=None)
-        plan = registry.plan_for(benchmark="stencil2d")
-        assert plan.tuned is None
-        assert plan.source == "default"
-        program, variant, source = plan.program_for((16, 16))
-        assert source == "default" and "naive" in variant
+        router = DigestRouter()
+        route = router.plan_for(benchmark="stencil2d")
+        assert route.variant == default_variant("stencil2d")
+        assert "naive" in route.variant
+        assert route.key == f"{route.digest}:{route.variant}"
+        assert router.stats() == {"lookups": 1, "cold_misses": 1,
+                                  "plans_cached": 1}
 
     def test_plan_is_cached_per_digest(self):
-        registry = TunedKernelRegistry(store=None)
-        first = registry.plan_for(benchmark="stencil2d")
-        second = registry.plan_for(benchmark="stencil2d")
+        router = DigestRouter()
+        first = router.plan_for(benchmark="stencil2d")
+        second = router.plan_for(benchmark="stencil2d")
         assert first is second
-        assert registry.stats()["plans_cached"] == 1
+        assert router.stats() == {"lookups": 2, "cold_misses": 1,
+                                  "plans_cached": 1}
 
     def test_program_request_routes_to_benchmark_plan(self):
-        registry = TunedKernelRegistry(store=None)
-        by_name = registry.plan_for(benchmark="stencil2d")
+        router = DigestRouter()
+        by_name = router.plan_for(benchmark="stencil2d")
         program = get_benchmark("stencil2d").build_program()
-        by_program = registry.plan_for(program=program)
+        by_program = router.plan_for(program=program)
         assert by_program is by_name
         assert by_program.benchmark == "stencil2d"
+        assert by_program.carry == get_benchmark("stencil2d").carry_spec()
 
-    def test_tuned_variant_is_applied(self, tmp_path):
-        store = ResultsStore(str(tmp_path / "s.sqlite"))
-        stored_best(store, benchmark="Stencil2D", tile=18)
-        registry = TunedKernelRegistry(store=store)
-        plan = registry.plan_for(benchmark="stencil2d")
-        assert plan.tuned is not None and plan.source == "tuned"
-        # tile 18, window 3, step 1: v = 16, radius 1; 16+2 == 18 covers.
-        program, variant, source = plan.program_for((16, 16))
-        assert source == "tuned" and "tile=18" in variant
-        # 24+2 = 26; (26-18) % 16 != 0: tiling does not cover, fall back.
-        program, variant, source = plan.program_for((24, 24))
-        assert source == "fallback" and "naive" in variant
-        store.close()
-
-    def test_refresh_picks_up_new_results(self, tmp_path):
-        store = ResultsStore(str(tmp_path / "s.sqlite"))
-        registry = TunedKernelRegistry(store=store)
-        plan = registry.plan_for(benchmark="stencil2d")
-        assert plan.tuned is None
-        stored_best(store, benchmark="Stencil2D", tile=18)
-        refreshed = registry.refresh(plan.digest)
-        assert refreshed is not None and refreshed.tuned is not None
-        assert registry.plan_for(benchmark="stencil2d").source == "tuned"
-        store.close()
-
-    def test_unknown_program_recalls_stored_lowered_digest(self, tmp_path):
+    def test_unknown_program_serves_its_default_lowering(self):
         from repro.core import builders as L
         from repro.core.arithmetic import Var
         from repro.core.ir import structural_digest
         from repro.core.types import Float
         from repro.core.userfuns import add
-        from repro.rewriting.strategies import NAIVE, lower_program
 
         program = L.fun(
             [L.array_type(Float, Var("N"))],
             lambda a: L.map(lambda nbh: L.reduce(add, 0.0, nbh),
                             L.slide(3, 1, L.pad(1, 1, L.CLAMP, a))),
         )
-        lowered_digest = structural_digest(lower_program(program, NAIVE).program)
-        store = ResultsStore(str(tmp_path / "s.sqlite"))
-        stored_best(store, benchmark="custom-1d", name="naive",
-                    tile=0, digest=lowered_digest)
-        registry = TunedKernelRegistry(store=store)
-        plan = registry.plan_for(program=program)
-        assert plan.benchmark is None
-        assert plan.tuned is not None and plan.source == "tuned"
-        assert plan.tuned_config == {"wg_x": 16, "wg_y": 16,
-                                     "work_per_thread": 1}
-        store.close()
+        route = DigestRouter().plan_for(program=program)
+        assert route.benchmark is None and route.carry is None
+        assert route.digest == structural_digest(program)
+        assert structural_digest(route.program) == structural_digest(
+            lower_program(program, NAIVE).program)
 
     def test_requires_benchmark_or_program(self):
         from repro.service import ServiceError
 
-        registry = TunedKernelRegistry(store=None)
         with pytest.raises(ServiceError):
-            registry.plan_for()
+            DigestRouter().plan_for()
 
 
-class TestGenerationInvalidation:
-    """Mid-flight store improvements reach serving without explicit refresh."""
+class TestServiceAndStore:
+    def test_stored_tiled_best_does_not_change_what_serves(self, tmp_path):
+        path = str(tmp_path / "tuned.sqlite")
+        with ResultsStore(path) as store:
+            stored_best(store, benchmark="Jacobi2D5pt", tile=34, cost=1e-9)
+        bench = get_benchmark("jacobi2d5pt")
+        inputs = bench.make_inputs((64, 64), 3)
+        program = bench.build_program()
+        with ServiceClient(StencilService(store=path,
+                                          batch_window=0.001)) as client:
+            single = client.execute(ExecutionRequest(
+                inputs=[np.array(grid) for grid in inputs],
+                benchmark="jacobi2d5pt"))
+            iterated = client.execute(ExecutionRequest(
+                inputs=[np.array(grid) for grid in inputs],
+                benchmark="jacobi2d5pt", steps=16))
+            stats = client.stats()
+        # The store is still read for the stats report...
+        assert stats["results_store"]["best"]["Jacobi2D5pt"]["variant"] \
+            .startswith("tiled")
+        backend = NumpyBackend()
+        for response, steps in ((single, 1), (iterated, 16)):
+            # ...but never changes the program that serves.
+            assert response.variant == default_variant("jacobi2d5pt")
+            assert response.plan_source == "default"
+            expected = iterate_generic(backend, program, inputs, steps,
+                                       carry=bench.carry_spec())
+            assert response.result.tobytes() == np.asarray(
+                expected, dtype=np.float64).tobytes()
 
-    def test_store_generation_advances_on_writes(self, tmp_path):
-        with ResultsStore(str(tmp_path / "s.sqlite")) as store:
-            assert store.generation() == 0
-            stored_best(store, cost=2e-5, tile=18)
-            first = store.generation()
-            assert first > 0
-            stored_best(store, cost=1e-5, tile=34, digest="e" * 64)
-            assert store.generation() > first
-
-    def test_better_result_mid_flight_invalidates_cached_plans(self, tmp_path):
-        store = ResultsStore(str(tmp_path / "s.sqlite"))
-        registry = TunedKernelRegistry(store=store, poll_interval=0.0)
-        plan = registry.plan_for(benchmark="stencil2d")
-        assert plan.tuned is None  # cold store: default lowering
-
-        # A tune session lands a result while the registry keeps serving.
-        stored_best(store, benchmark="Stencil2D", tile=18)
-        refreshed = registry.plan_for(benchmark="stencil2d")
-        assert refreshed is not plan
-        assert refreshed.tuned is not None and refreshed.source == "tuned"
-        assert registry.stats()["invalidations"] >= 1
-        store.close()
-
-    def test_improvement_from_another_connection_is_noticed(self, tmp_path):
-        path = str(tmp_path / "s.sqlite")
-        store = ResultsStore(path)
-        stored_best(store, benchmark="Stencil2D", tile=18, cost=1e-4)
-        registry = TunedKernelRegistry(store=store, poll_interval=0.0)
-        plan = registry.plan_for(benchmark="stencil2d")
-        assert plan.tuned_config is not None
-
-        # A second connection (e.g. a background tune worker) writes a
-        # strictly better configuration for the same benchmark.
-        with ResultsStore(path) as other:
-            stored_best(other, benchmark="Stencil2D", tile=34, cost=1e-6)
-        updated = registry.plan_for(benchmark="stencil2d")
-        assert updated.tuned is not None
-        assert updated.tuned_cost == pytest.approx(1e-6)
-        store.close()
-
-    def test_poll_interval_throttles_store_queries(self, tmp_path):
-        store = ResultsStore(str(tmp_path / "s.sqlite"))
-        registry = TunedKernelRegistry(store=store, poll_interval=3600.0)
-        plan = registry.plan_for(benchmark="stencil2d")
-        stored_best(store, benchmark="Stencil2D", tile=18)
-        # Inside the poll window the cached plan keeps serving untouched...
-        assert registry.plan_for(benchmark="stencil2d") is plan
-        # ...and an explicit refresh still applies the improvement at once.
-        registry.refresh(plan.digest)
-        assert registry.plan_for(benchmark="stencil2d").tuned is not None
-        store.close()
-
-    def test_unrelated_store_write_does_not_rebuild_plans(self, tmp_path):
-        store = ResultsStore(str(tmp_path / "s.sqlite"))
-        stored_best(store, benchmark="Stencil2D", tile=18, cost=1e-4)
-        registry = TunedKernelRegistry(store=store, poll_interval=0.0)
-        plan = registry.plan_for(benchmark="stencil2d")
-        # A tune for a *different* benchmark advances the generation…
-        stored_best(store, benchmark="Gaussian", tile=10, cost=5e-6,
-                    digest="f" * 64)
-        # …but stencil2d's best is unchanged: same plan object, no rebuild.
-        assert registry.plan_for(benchmark="stencil2d") is plan
-        assert registry.stats()["invalidations"] == 0
-        store.close()
-
-    def test_worse_result_does_not_rebuild_plans(self, tmp_path):
-        store = ResultsStore(str(tmp_path / "s.sqlite"))
-        stored_best(store, benchmark="Stencil2D", tile=18, cost=1e-6)
-        registry = TunedKernelRegistry(store=store, poll_interval=0.0)
-        plan = registry.plan_for(benchmark="stencil2d")
-        stored_best(store, benchmark="Stencil2D", tile=34, cost=1e-3,
-                    digest="f" * 64)  # strictly worse: best is unchanged
-        assert registry.plan_for(benchmark="stencil2d") is plan
-        assert registry.stats()["invalidations"] == 0
-        store.close()
+    @pytest.mark.parametrize("as_path", [str, pathlib.Path])
+    def test_absent_store_is_never_created(self, tmp_path, as_path):
+        absent = as_path(tmp_path / "absent.sqlite")
+        with ServiceClient(StencilService(store=absent,
+                                          batch_window=0.001)) as client:
+            assert client.execute(ExecutionRequest.for_benchmark(
+                "stencil2d", shape=(9, 8))).ok
+            assert client.stats()["results_store"] == {"available": False}
+        assert list(tmp_path.iterdir()) == []

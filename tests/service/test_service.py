@@ -189,30 +189,6 @@ class TestServiceBatching:
         assert all(response.ok for response in responses)
 
 
-class TestBackgroundTune:
-    def test_cold_benchmark_enqueues_one_background_tune(self, tmp_path,
-                                                         monkeypatch):
-        monkeypatch.setattr("repro.service.server.TUNE_BUDGET", 4)
-        store_path = str(tmp_path / "tuned.sqlite")
-        service = StencilService(store=store_path, auto_tune=True,
-                                 batch_window=0.01)
-        with ServiceClient(service) as client:
-            first = client.execute(
-                ExecutionRequest.for_benchmark("stencil2d", shape=(9, 8))
-            )
-            assert first.plan_source == "default"
-            # close() stops the service, which awaits the background tune.
-        assert service.background_tunes == 1
-        # The registry was refreshed: a fresh service over the same store
-        # now serves the tuned variant.
-        follow_up = StencilService(store=store_path, batch_window=0.01)
-        with ServiceClient(follow_up) as client:
-            response = client.execute(
-                ExecutionRequest.for_benchmark("stencil2d", shape=(9, 8))
-            )
-        assert response.plan_source in ("tuned", "fallback")
-
-
 class TestTcpEndpoint:
     def test_execute_and_stats_over_tcp(self):
         started = threading.Event()

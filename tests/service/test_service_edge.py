@@ -80,7 +80,7 @@ def request(benchmark="stencil2d", shape=(8, 8), **fields):
 #: stats()["service"] of a started service that has served nothing.
 SERVICE_KEYS = {
     "requests_served", "batches_formed", "batched_requests", "largest_batch",
-    "crosschecks_passed", "background_tunes", "request_errors",
+    "crosschecks_passed", "request_errors",
     "plans_prewarmed", "shard_fallbacks", "shard_redispatches",
     "shard_restarts", "supervisor",
     "breakers", "breakers.quarantined_requests", "breakers.threshold",
@@ -92,9 +92,8 @@ SERVICE_KEYS = {
     "admission.queue_depth.normal", "admission.queue_depth.batch",
     "admission.inflight_digests", "admission.max_queue_depth",
     "admission.max_inflight_per_digest",
-    "registry", "registry.lookups", "registry.tuned_hits",
-    "registry.cold_misses", "registry.plans_cached", "registry.plans_tuned",
-    "registry.store_generation", "registry.invalidations",
+    "registry", "registry.lookups", "registry.cold_misses",
+    "registry.plans_cached",
     "jobs", "jobs.jobs", "jobs.queue_depth", "jobs.checkpoints_written",
     "jobs.checkpoint_s", "jobs.checkpoint_wait_s", "jobs.jobs_resumed",
     "jobs.corrupt_checkpoints", "jobs.results_evicted",
@@ -622,9 +621,9 @@ DEFAULT_SERVE_KEYWORDS = {
     "host": "127.0.0.1", "port": 7457, "max_requests": None,
     "prewarm": None, "prewarm_batch": (), "metrics_port": None,
     "http_port": None, "auth_key": None, "drain_timeout": 10.0,
-    "max_request_bytes": 32 * 1024 * 1024, "device": "nvidia",
+    "max_request_bytes": 32 * 1024 * 1024,
     "store": ".repro/engine.sqlite", "batch_window": 0.002, "max_batch": 64,
-    "crosscheck": False, "auto_tune": False, "shards": 0,
+    "crosscheck": False, "shards": 0,
     "max_queue_depth": None, "max_inflight_per_digest": None,
     "shard_timeout_s": 30.0, "supervise": True, "max_respawns": 5,
     "breaker_threshold": 3, "breaker_cooldown_s": 5.0, "job_dir": None,

@@ -33,8 +33,8 @@ PARAMETERS = {
                              "parallel_workers"),
     StencilBenchmark.iterate: ("inputs", "steps", "backend"),
     StencilService.__init__: (
-        "device", "store", "batch_window", "max_batch", "crosscheck",
-        "auto_tune", "shards", "max_queue_depth", "max_inflight_per_digest",
+        "store", "batch_window", "max_batch", "crosscheck",
+        "shards", "max_queue_depth", "max_inflight_per_digest",
         "shard_timeout_s", "supervise", "max_respawns", "breaker_threshold",
         "breaker_cooldown_s", "job_dir", "checkpoint_every", "job_ttl_s",
         "max_resident_jobs"),
@@ -60,6 +60,24 @@ def test_parameters_are_pinned(function):
 def test_client_config_fields_are_pinned():
     fields = tuple(field.name for field in dataclasses.fields(ClientConfig))
     assert fields == CLIENT_CONFIG_FIELDS
+
+
+def _verb_flags(verb: str) -> set:
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    subparsers = next(action for action in parser._actions
+                      if action.choices and verb in action.choices)
+    return {flag for action in subparsers.choices[verb]._actions
+            for flag in action.option_strings}
+
+
+def test_serving_never_names_a_device():
+    """Serving runs the default lowering: no flag picks a tuned variant."""
+    serve, loadgen = _verb_flags("serve"), _verb_flags("loadgen")
+    assert {"--store", "--no-store"} <= serve
+    assert not {"--auto-tune", "--device"} & serve
+    assert not {"--store", "--device"} & loadgen
 
 
 def _is_environ(node: ast.AST) -> bool:

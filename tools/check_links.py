@@ -1,6 +1,6 @@
 """Docs health check: relative links resolve, documented CLI verbs exist.
 
-Four passes, run by the CI ``docs`` job (and locally via
+Five passes, run by the CI ``docs`` job (and locally via
 ``python tools/check_links.py``):
 
 1. **Link check.** Every relative markdown link in ``README.md``,
@@ -19,6 +19,10 @@ Four passes, run by the CI ``docs`` job (and locally via
    ``repro.service.http.ROUTES`` must appear in ``docs/OPERATIONS.md``,
    and every ``/v1/...`` route or ``job_*`` op the document mentions must
    exist in those tables.
+5. **Documented flags.** Every ``--flag`` in the first column of a flag
+   table (a table whose header cell is ``flag``) under a
+   ``### `repro <verb>` `` heading must be accepted by one of that
+   heading's verbs, according to the parser ``build_parser()`` returns.
 
 Exits non-zero with one line per problem.
 """
@@ -48,6 +52,9 @@ _ROUTE = re.compile(r"/v1/[A-Za-z0-9_/{}]+")
 # A whole code span shaped like a job op; these two are wire fields.
 _JOB_OP = re.compile(r"`(job_[a-z_]+)`")
 _JOB_FIELDS = {"job_id", "job_key"}
+_FLAG = re.compile(r"--[a-z][a-z0-9-]*")
+# A table cell boundary: a pipe not escaped as ``\|`` inside a code span.
+_CELL = re.compile(r"(?<!\\)\|")
 
 
 def check_links() -> list[str]:
@@ -93,8 +100,8 @@ def check_verbs() -> list[str]:
     return problems
 
 
-def registered_verbs() -> set[str]:
-    """The subcommands the argparse parser actually registers."""
+def verb_parsers() -> dict:
+    """``{verb: subparser}`` as the argparse parser actually registers them."""
     import argparse
 
     from repro.cli import build_parser
@@ -102,8 +109,13 @@ def registered_verbs() -> set[str]:
     parser = build_parser()
     for action in parser._subparsers._group_actions:
         if isinstance(action, argparse._SubParsersAction):
-            return set(action.choices)
-    return set()
+            return dict(action.choices)
+    return {}
+
+
+def registered_verbs() -> set[str]:
+    """The subcommands the argparse parser actually registers."""
+    return set(verb_parsers())
 
 
 def check_verb_coverage() -> list[str]:
@@ -141,10 +153,47 @@ def check_service_surface() -> list[str]:
     return problems
 
 
+def documented_flags() -> list[tuple[tuple[str, ...], str]]:
+    """``(heading verbs, flag)`` for every flag-table first-column flag."""
+    found = []
+    verbs: tuple[str, ...] = ()
+    in_table = False
+    operations = REPO / "docs" / "OPERATIONS.md"
+    for line in operations.read_text(encoding="utf-8").splitlines():
+        if line.startswith("#"):
+            verbs = tuple(_VERB.findall(line)) if line.startswith("### ") else ()
+            in_table = False
+            continue
+        if not line.startswith("|"):
+            in_table = False
+            continue
+        first = _CELL.split(line)[1].strip()
+        if first == "flag":
+            in_table = bool(verbs)
+        elif in_table:
+            found.extend((verbs, flag) for flag in _FLAG.findall(first))
+    return found
+
+
+def check_flags() -> list[str]:
+    parsers = verb_parsers()
+    problems = []
+    for verbs, flag in documented_flags():
+        accepted = {option for verb in verbs if verb in parsers
+                    for action in parsers[verb]._actions
+                    for option in action.option_strings}
+        if flag not in accepted:
+            heading = " / ".join(f"repro {verb}" for verb in verbs)
+            problems.append(
+                f"docs/OPERATIONS.md documents `{flag}` under `{heading}`, "
+                f"which no verb of that heading accepts")
+    return problems
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO / "src"))
     problems = (check_links() + check_verbs() + check_verb_coverage()
-                + check_service_surface())
+                + check_service_surface() + check_flags())
     for problem in problems:
         print(f"FAIL: {problem}")
     if not problems:
@@ -152,7 +201,8 @@ def main() -> int:
             f"OK: {len(DOC_FILES)} docs link-checked, "
             f"{len(documented_verbs())} CLI verbs answered --help, "
             f"{len(registered_verbs())} registered subcommands documented, "
-            f"service ops and routes match docs/OPERATIONS.md"
+            f"service ops and routes match docs/OPERATIONS.md, "
+            f"{len(documented_flags())} documented flags exist"
         )
     return 1 if problems else 0
 
