@@ -1,6 +1,7 @@
 """The caches' one LRU: true eviction — a hot key survives pressure."""
 
 import pickle
+import threading
 
 import pytest
 
@@ -64,3 +65,27 @@ def test_both_caches_share_stats_keys_and_pickling(cache_type, default_size):
                              "hits": 0, "misses": 0, "evictions": 0}
     small = pickle.loads(pickle.dumps(cache_type(max_entries=5)))
     assert small.stats()["max_entries"] == 5 and len(small) == 0
+
+
+@pytest.mark.parametrize("cache_type", [CompilationCache, PlanCache])
+def test_concurrent_misses_on_one_key_keep_the_first_value(cache_type):
+    cache = cache_type(max_entries=4)
+    # Both threads miss before either inserts: each builds its own value.
+    both_missed = threading.Barrier(2, timeout=10)
+
+    def build():
+        both_missed.wait()
+        return object()
+
+    results = []
+    threads = [threading.Thread(
+        target=lambda: results.append(cache._get_or_build(("k",), build)))
+        for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert len(results) == 2 and results[0] is results[1]
+    assert cache._get_or_build(("k",), object) is results[0]
+    assert cache.stats() == {"entries": 1, "max_entries": 4, "hits": 1,
+                             "misses": 2, "evictions": 0}

@@ -6,6 +6,7 @@ pointed at is only read, never created.
 """
 
 import pathlib
+import threading
 
 import numpy as np
 import pytest
@@ -104,6 +105,29 @@ class TestRegistryRouting:
         with pytest.raises(ServiceError):
             DigestRouter().plan_for()
 
+    def test_concurrent_cold_misses_share_one_route(self, monkeypatch):
+        from repro.service import registry
+
+        # Both threads miss before either caches: each lowers the program.
+        both_missed = threading.Barrier(2, timeout=10)
+
+        def lower_after_both_missed(program, strategy):
+            both_missed.wait()
+            return lower_program(program, strategy)
+
+        monkeypatch.setattr(registry, "lower_program", lower_after_both_missed)
+        router = DigestRouter()
+        routes = []
+        threads = [threading.Thread(target=lambda: routes.append(
+            router.plan_for(benchmark="stencil2d"))) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert len(routes) == 2 and routes[0] is routes[1]
+        assert router.plan_for(benchmark="stencil2d") is routes[0]
+        assert router.stats()["plans_cached"] == 1
+
 
 class TestServiceAndStore:
     def test_stored_tiled_best_does_not_change_what_serves(self, tmp_path):
@@ -144,3 +168,9 @@ class TestServiceAndStore:
                 "stencil2d", shape=(9, 8))).ok
             assert client.stats()["results_store"] == {"available": False}
         assert list(tmp_path.iterdir()) == []
+
+    def test_in_memory_store_is_the_one_path_not_checked(self):
+        from repro.service.metrics import store_section
+
+        section = store_section(":memory:")
+        assert section["available"] and section["best"] == {}

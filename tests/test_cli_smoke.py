@@ -90,6 +90,7 @@ class TestServiceVerbs:
         assert run_cli(["stats", "--store", str(tmp_path / "nope.sqlite")]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["results_store"] == {"available": False}
+        assert list(tmp_path.iterdir()) == []
 
     def test_loadgen(self, capsys, tmp_path):
         out = str(tmp_path / "bench.json")
