@@ -145,9 +145,12 @@ def normalize_tile_spec(tile_shape):
 
 
 #: Grid bytes a replay worker must have to itself before it is worth waking:
-#: sixteen cache-sized tiles.  This governs ufunc-tiled regions only; a
-#: native region replays as one call (two threads over row halves bought
-#: nothing on the recording box: 1.105 vs 1.052 ms at 1024²).
+#: sixteen cache-sized tiles.  The resolved count chunks ufunc-tiled
+#: regions and splits a temporal block into row bands; a per-step native
+#: region replays as one call (two threads over its row halves bought
+#: nothing on the recording box: 1.105 vs 1.052 ms at 1024²), while two
+#: bands of the compute-bound Hotspot2D 1024² block took ``sim2d-dram``
+#: from 851 to 1336 Mcell/s (10 of 10 interleaved pairs).
 #: Measured on the 2-vCPU recording box: one
 #: ``run_parts`` hand-off costs ≈20 µs idle and one tile of a 14-ufunc region
 #: ≈0.25 ms, but two chunks only overlap by the ≈1.15× the second vCPU adds
@@ -369,10 +372,12 @@ class _Latch:
 
 
 class ReplayWorkerPool:
-    """Process-wide pool of daemon threads replaying fused tile chunks.
+    """Process-wide pool of daemon threads replaying fused tile chunks and
+    the row bands of temporal blocks.
 
     Threads (not processes) because NumPy ufuncs release the GIL over
-    their inner loops — bandwidth-bound chunks genuinely overlap.  The
+    their inner loops, and ``ctypes`` over every call into a native
+    kernel — chunks and bands genuinely overlap.  The
     pool is lazy and persistent: threads spawn on first parallel replay
     and idle on a queue between runs, so the steady serving path pays no
     thread-creation cost.  ``run_parts`` executes chunk 0 inline on the

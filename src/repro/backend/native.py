@@ -36,10 +36,14 @@ geometry are arguments (:class:`Wavefront`), so an app has one ``steps``
 text at every grid size, and the ``region`` text is the same whether or
 not a plan blocks.  :func:`wavefront` decides T — the largest value up to
 16 whose ring fits the tile budget — and declines any pad but clamp or
-constant (``temporal_boundary``).  :class:`NativeBlock` compiles ``steps``
-and binds it to one tape's arrays and the plan's ring; a call runs any
-count of steps up to T.  The plan decides when a block runs and checks
-one against the per-step tapes first.
+constant (``temporal_boundary``).  ``steps`` computes the rows ``[lo, hi)``
+of the store, each level only the rows the next one reads, so a block
+splits into row bands that recompute their overlap instead of sharing it
+(the paper's overlapped tiling, along time).  :class:`NativeBlock`
+compiles ``steps`` and binds it to one tape's arrays and the plan's rings,
+one per band; a call runs any count of steps up to T, its bands on the
+replay pool.  The plan decides when a block runs and checks one against
+the per-step tapes first.
 
 **Whitelist.**  float64 ``add`` / ``subtract`` / ``multiply`` /
 ``true_divide`` / ``negative`` / ``absolute`` / ``sqrt``, the six
@@ -62,14 +66,16 @@ tiles.
 which rounds once where NumPy rounds twice; ``-fno-math-errno`` lets
 ``sqrt`` be the hardware instruction; never ``-ffast-math``.
 
-**Cache.**  Kernels are memoised per process by source text and kept on
-disk under ``${XDG_CACHE_HOME:-~/.cache}/repro/native/`` (a directory
-owned by the caller and writable by nobody else, else a per-uid directory
-under the system temp directory, else memory only).  ``-march=native``
-makes an object CPU-specific, so the file name is the sha256 of source,
-flags, compiler path + size + mtime and the ``/proc/cpuinfo`` flags line.
-Objects are written to a temporary name and renamed into place; one that
-fails to load is unlinked and rebuilt once.
+**Cache.**  Kernels are memoised per process by source text and function
+name and kept on disk under ``${XDG_CACHE_HOME:-~/.cache}/repro/native/``
+(a directory owned by the caller and writable by nobody else, else a
+per-uid directory under the system temp directory, else memory only).
+``-march=native`` makes an object CPU-specific, so the file name is the
+sha256 of source, flags, compiler path + size + mtime and the
+``/proc/cpuinfo`` flags line.  Objects are written to a temporary name and
+renamed into place; one that fails to load is unlinked and rebuilt once,
+and one that loads without the asked function is kept and refused
+(``native_load``).
 
 Nothing here runs at import: the compiler is looked for when the first
 region is built, and failures are never remembered — the next plan tries
@@ -92,13 +98,13 @@ import tempfile
 import threading
 from collections import Counter
 from time import perf_counter
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .. import faults as _faults
 from ..telemetry import registry as _telemetry
-from .fuse import Access, Region, Temp, _lead, _tile_view
+from .fuse import Access, Region, Temp, _lead, _tile_view, replay_pool
 from .ufunc_trace import _select
 
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno",
@@ -435,7 +441,12 @@ def _steps(region: Region, accesses, results, body: List[str],
     ``t = 1..T``, so a level reads rows its predecessor wrote in the same
     or an earlier iteration.  Levels below ``T`` write a padded row into
     their ring and then its inner halo; level ``T`` writes the store.  The
-    wavefront base is ``p[base]`` at its first element (not its corner)."""
+    wavefront base is ``p[base]`` at its first element (not its corner).
+
+    A call computes the band ``[lo, hi)`` of the store: level ``t`` keeps
+    to rows ``[lo - (T - t) * back, hi + (T - t) * lag)`` of the grid,
+    ``back`` and ``lag`` the base's backward and forward leading reach, so
+    two bands share no ring row and write disjoint rows of the store."""
     rank = len(region.shape)
     inner = rank - 1
     store = len(region.bases)
@@ -443,12 +454,17 @@ def _steps(region: Region, accesses, results, body: List[str],
     leads = sorted({offset[0] for b, offset in accesses if b == base})
     lines = [_PREAMBLE, _BLOCK_HELPERS,
              "void steps(char *const *p, const int64_t *s, const int64_t *n, "
-             "int64_t T, char *w, const int64_t *g)", "{",
+             "int64_t T, char *w, const int64_t *g, int64_t lo, int64_t hi)",
+             "{",
              "    const int64_t n0 = n[0], lag = g[4];",
-             "    for (int64_t k = 0; k < n0 + (T - 1) * lag; ++k)",
+             f"    const int64_t back = g[0] > {leads[0]} ? g[0] - {leads[0]} : 0;",
+             "    const int64_t first = lo - (T - 1) * back;",
+             "    for (int64_t k = first > 0 ? first : 0; k < hi + (T - 1) * lag;"
+             " ++k)",
              "    for (int64_t t = 1; t <= T; ++t) {",
              "        const int64_t i0 = k - (t - 1) * lag;",
-             "        if (i0 < 0 || i0 >= n0)",
+             "        if (i0 < 0 || i0 >= n0 || i0 < lo - (T - t) * back",
+             "                || i0 >= hi + (T - t) * lag)",
              "            continue;",
              f"        char *const d_ = t == T ? p[{store}] + i0 * "
              f"s[{sum(array.ndim for array in region.bases)}]",
@@ -476,16 +492,18 @@ def _steps(region: Region, accesses, results, body: List[str],
 # ---------------------------------------------------------------------------
 
 _LOCK = threading.Lock()
-_LOADED: Dict[str, Tuple[ctypes.CDLL, object]] = {}  # source -> (lib, fn)
+#: ``(source, name) -> (library, function)``.
+_LOADED: Dict[Tuple[str, str], Tuple[ctypes.CDLL, object]] = {}
 
 _ARRAYS = [ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_int64),
            ctypes.POINTER(ctypes.c_int64)]
 #: The argument types of each function a text defines: ``region(p, s, n,
-#: lo, hi)`` and ``steps(p, s, n, T, w, g)``.
+#: lo, hi)`` and ``steps(p, s, n, T, w, g, lo, hi)``.
 _SIGNATURES = {
     "region": _ARRAYS + [ctypes.c_int64, ctypes.c_int64],
     "steps": _ARRAYS + [ctypes.c_int64, ctypes.c_void_p,
-                        ctypes.POINTER(ctypes.c_int64)],
+                        ctypes.POINTER(ctypes.c_int64), ctypes.c_int64,
+                        ctypes.c_int64],
 }
 
 
@@ -570,7 +588,11 @@ def _load(path: str, name: str):
     if _faults.ARMED and _faults.should_fail("native.load_error"):
         raise OSError("fault injected: native.load_error")
     library = ctypes.CDLL(path)
-    function = getattr(library, name)
+    try:
+        function = getattr(library, name)
+    except AttributeError as error:
+        # the object loads, so it stays: the text defines no such function
+        raise Unavailable("native_load", f"no function {name!r}") from error
     function.argtypes = _SIGNATURES[name]
     function.restype = None
     return library, function
@@ -582,7 +604,7 @@ def kernel(source: str, name: str = "region"):
     process's table, else the disk cache, else a compiler run."""
     command = compiler()  # first: a host without one has no native regions
     with _LOCK:
-        found = _LOADED.get(source)
+        found = _LOADED.get((source, name))
         if found is not None:
             _CACHE_TOTAL.inc(label="memory")
             return found[1]
@@ -598,12 +620,12 @@ def kernel(source: str, name: str = "region"):
                 try:
                     found = _load(path, name)
                     break
-                except (OSError, AttributeError) as error:
+                except OSError as error:
                     # A truncated or foreign object: drop it, rebuild once.
                     os.unlink(path)
                     if attempt:
                         raise Unavailable("native_load", str(error)) from error
-        _LOADED[source] = found
+        _LOADED[(source, name)] = found
         _CACHE_TOTAL.inc(label=result)
         return found[1]
 
@@ -757,39 +779,62 @@ def wavefront(region: Region, base: int, chain, budget: int) -> Wavefront:
 
 
 class NativeBlock:
-    """One region's :func:`lower_steps` text, compiled and bound to a ring:
-    ``block(T)`` runs ``T`` steps, at most ``wave.steps`` (the ring holds
-    any fewer levels), from the wavefront base's home into the region's
-    store (or ``out``), interior only — its halo is the caller's to
-    refresh.  Constant halo cells of the ring are written here, once."""
+    """One region's :func:`lower_steps` text, compiled and bound to one
+    ring per band: ``block(T)`` runs ``T`` steps, at most ``wave.steps``
+    (a ring holds any fewer levels), from the wavefront base's home into
+    the region's store (or ``out``), interior only — its halo is the
+    caller's to refresh.  Constant halo cells of the rings are written
+    here, once.
 
-    __slots__ = ("source", "steps", "_function", "_held", "_p", "_s", "_n",
-                 "_w", "_g")
+    The leading axis is split into as many equal row bands as there are
+    rings (at most one per row).  One band is one direct call; more run on
+    the :func:`~repro.backend.fuse.replay_pool`, band 0 on the caller, and
+    the call returns, or raises the first band's error, only once every
+    band has finished (``ctypes`` releases the GIL for each)."""
+
+    __slots__ = ("source", "steps", "bands", "_function", "_held", "_p",
+                 "_s", "_n", "_g")
 
     def __init__(self, compiled: NativeRegion, wave: Wavefront,
-                 ring: np.ndarray, out=None) -> None:
+                 rings: Sequence[np.ndarray], out=None) -> None:
         region = compiled.region
         home = region.bases[wave.base]
         store = region.stores[0][0] if out is None else out
-        if ring.shape != wave.ring or ring.dtype != np.float64 \
-                or not ring.flags.c_contiguous or store.shape != region.shape \
-                or store.strides != home.strides:
+        n0 = region.shape[0]
+        if not 1 <= len(rings) <= n0 or store.shape != region.shape \
+                or store.strides != home.strides or any(
+                    ring.shape != wave.ring or ring.dtype != np.float64
+                    or not ring.flags.c_contiguous for ring in rings):
             raise Unavailable("temporal_layout", "ring or store geometry")
         self.source = lower_steps(region, wave.base)
         self.steps = wave.steps
         self._function = kernel(self.source, "steps")
-        np.copyto(ring, home[wave.geometry[0]])
+        for ring in rings:
+            np.copyto(ring, home[wave.geometry[0]])
         corners = _corners(region)
         corners[wave.base] = ()  # ``steps`` addresses rows from the grid's start
-        self._held = (region, store, ring)  # as long as their addresses
+        self._held = (region, store, list(rings))  # as long as their addresses
         self._p, self._s, self._n = _arguments(region, corners, [store])
-        self._w = ring.ctypes.data
         self._g = (ctypes.c_int64 * len(wave.geometry))(*wave.geometry)
+        rows = [n0 * band // len(rings) for band in range(len(rings) + 1)]
+        #: ``(ring address, lo, hi)`` of each band.
+        self.bands = [(ring.ctypes.data, lo, hi)
+                      for ring, lo, hi in zip(rings, rows, rows[1:])]
 
     def __call__(self, steps: int) -> None:
         if not 1 <= steps <= self.steps:
             raise ValueError(f"a block runs 1 to {self.steps} steps, not {steps}")
-        self._function(self._p, self._s, self._n, steps, self._w, self._g)
+        if len(self.bands) == 1:
+            self._band(steps, 0)
+        else:
+            replay_pool().run_parts([[(self._band, (steps, band), None)]
+                                     for band in range(len(self.bands))])
+
+    def _band(self, steps: int, band: int, out=None) -> None:
+        """``steps`` steps of one band (the micro-op convention, so the
+        replay pool runs it)."""
+        ring, lo, hi = self.bands[band]
+        self._function(self._p, self._s, self._n, steps, ring, self._g, lo, hi)
 
 
 __all__ = ["FLAGS", "MAX_BLOCK_STEPS", "NativeBlock", "NativeRegion",

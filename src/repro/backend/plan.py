@@ -35,10 +35,13 @@ plus the output home's halo refresh (a constant halo has none); a last
 single step replays the per-step tape.  A block never runs past the steps
 of one call, so trajectory segments and job checkpoints still land on
 step boundaries, and a segment shorter than T is one block.  The first
-iterate decides it, once, for its carry spec: it acquires the row ring
-from the pool, runs T per-step replays and one T-step block from the
-bound inputs into the other ring buffer, and accepts only if they agree
-under the native relation (then re-runs its own steps from the bind).
+iterate decides it, once, for its carry spec: it acquires one row ring
+per band from the pool — the resolved ``parallel_workers`` count, at most
+one band per row, each band one overlapped slice of the block on the
+replay pool — runs T per-step replays and one banded T-step block from
+the bound inputs into the other ring buffer, and accepts only if they
+agree under the native relation (then re-runs its own steps from the
+bind).
 Anything else stays per-step, counted in
 ``repro_plan_fusion_fallbacks_total`` under a ``temporal_*`` reason;
 ``stats()["temporal_steps"]`` is the T in use, or 1.
@@ -445,10 +448,11 @@ class ExecutionPlan:
         #: Operand plus output bytes one replay of the longest tape moves.
         self.replay_bytes_per_step = 0
         # Temporal blocks, decided by the first iterate for its carry spec:
-        # the accepted wavefront and its ring, or per-step for good.
+        # the accepted wavefront and its rings (one per band), or per-step
+        # for good.
         self._block_carry: Optional[CarrySpec] = None
         self._accepted = None  # (steps text, Wavefront) of the checked block
-        self._block_ring: Optional[np.ndarray] = None
+        self._block_rings: List[np.ndarray] = []
         self.temporal_steps = 1  # steps one block runs; 1 = per-step tapes
         _PLANS.add(self)
 
@@ -794,18 +798,22 @@ class ExecutionPlan:
                 state = list(self._in_bufs)
             tape = self._tapes[_key(state, slot)]
             wave = self._block_wave(tape, state)
-            ring = self._pool.acquire(wave.ring, np.float64)
+            bands = min(self.parallel_workers,
+                        tape.fusion.natives[0].region.shape[0])
+            rings: List[np.ndarray] = []
             try:
-                visited, source = self._check_block(tape, state, wave, ring)
+                for _ in range(bands):
+                    rings.append(self._pool.acquire(wave.ring, np.float64))
+                visited, source = self._check_block(tape, state, wave, rings)
             except BaseException:
-                self._pool.release(ring)
+                self._pool.release_all(rings)
                 raise
         except native.Unavailable as declined:
             _FUSION_FALLBACKS_TOTAL.inc(label=declined.reason)
             return
-        self._buffers.append(ring)
+        self._buffers.extend(rings)
         self._accepted = (source, wave)
-        self._block_ring = ring
+        self._block_rings = rings
         self.temporal_steps = wave.steps
         for tape, state in visited:
             self._bind_block(tape, state)
@@ -842,14 +850,16 @@ class ExecutionPlan:
                                 TILE_TARGET_BYTES)
 
     def _check_block(self, tape: _Tape, state: List[np.ndarray], wave,
-                     ring: np.ndarray):
-        """One T-step block from ``state`` against T per-step tapes run
-        from the same state, under the native relation: ``(the (tape,
-        state) pairs the tapes visited, the block's steps text)`` when they
-        agree, else ``temporal_verification``.  The block writes the ring
-        buffer the tapes did not end in, so the check holds no grid of its
-        own; the tapes it runs are not caller steps, so they count as no
-        replays (a binding seen for the first time is still a capture)."""
+                     rings: List[np.ndarray]):
+        """One T-step block, banded over ``rings`` as every later block is,
+        from ``state`` against T per-step tapes run from the same state,
+        under the native relation: ``(the (tape, state) pairs the tapes
+        visited, the block's steps text)`` when they agree, else
+        ``temporal_verification`` (a band that raises included).  The block
+        writes the ring buffer the tapes did not end in, so the check holds
+        no grid of its own; the tapes it runs are not caller steps, so they
+        count as no replays (a binding seen for the first time is still a
+        capture)."""
         from . import native
 
         visited, current = [], list(state)
@@ -861,7 +871,7 @@ class ExecutionPlan:
             visited.append((self._tapes[_key(current, slot)], current))
             current = _rebind(current, out, self._block_carry)
         spare = next(buffer for buffer in self._ring if buffer is not out)
-        block = native.NativeBlock(tape.fusion.natives[0], wave, ring,
+        block = native.NativeBlock(tape.fusion.natives[0], wave, rings,
                                    out=spare)
         try:
             block(wave.steps)
@@ -887,7 +897,7 @@ class ExecutionPlan:
             if wave != accepted:
                 return
             block = native.NativeBlock(tape.fusion.natives[0], wave,
-                                       self._block_ring)
+                                       self._block_rings)
         except native.Unavailable:
             return
         if block.source == source:

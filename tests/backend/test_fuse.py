@@ -277,11 +277,12 @@ class TestFusedResidency:
         assert stats["native_regions"] == stats["fused_regions"] == 3
         assert stats["fused_tiles"] == 3
         grid = inputs[0].nbytes
-        grids = [b for b in plan._buffers if b is not plan._block_ring]
+        (ring,) = plan._block_rings  # 512² resolves to one worker: one band
+        grids = [b for b in plan._buffers if b is not ring]
         assert all(b.nbytes >= grid for b in grids)
         assert len(grids) <= 5
         assert stats["temporal_steps"] > 1
-        assert plan._block_ring.nbytes <= TILE_TARGET_BYTES
+        assert ring.nbytes <= TILE_TARGET_BYTES
         assert stats["resident_pads"] >= 2 and stats["fusion_fallbacks"] == 0
         assert pool.stats()["live_buffers"] == stats["buffers"]
         plan.release()

@@ -7,22 +7,29 @@ region native; over grids seeded with NaN / inf / signed zeros / subnormals
 / huge values the native plan, the ufunc-tiled plan and the generic loop
 agree bit for bit on every non-NaN cell and are NaN together elsewhere,
 with no region rejected at capture; every whitelisted operation is exact,
-everything else declines to ufunc tiles under a counted reason; and the
-object cache survives hostile directories, truncated objects, concurrent
-compilers and injected faults, each landing on the tiled path with the
-same bits.
+everything else declines to ufunc tiles under a counted reason; a
+temporal block split into row bands on the replay pool is bit-identical to
+the per-sweep loop at every band count, and a failing band is a decline at
+capture and an error raised only after every band has finished at steady
+state; and the object cache survives hostile directories, truncated
+objects, concurrent compilers and injected faults, each landing on the
+tiled path with the same bits.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import multiprocessing
 import os
 import pickle
 import re
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import faults
 from repro.apps.suite import ALL_BENCHMARKS, get_benchmark
@@ -730,6 +737,140 @@ class TestTemporalRule:
 
 
 # ---------------------------------------------------------------------------
+# Row bands: one block over several threads
+# ---------------------------------------------------------------------------
+
+#: ``(boundary, left, right)`` of the pad on every axis: the leading
+#: axis's backward and forward reach are ``left`` and ``right``.
+BAND_PADS = [("clamp", 1, 1), ("clamp", 2, 0), ("const", 1, 1),
+             ("const", 0, 2), ("mirror", 1, 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def band_program(rank, boundary, left, right):
+    """A box stencil over ``pad(left, right)`` on every axis, carried."""
+    size = left + right + 1
+    points = list(itertools.product(range(size), repeat=rank))
+    weights = [(k + 1) / (len(points) * (len(points) + 1))
+               for k in range(len(points))]
+
+    def update(*values):
+        acc = 0.0
+        for weight, value in zip(weights, values):
+            acc = acc + weight * value
+        return acc
+
+    box = make_userfun(f"band_{rank}_{boundary}_{left}_{right}",
+                       [f"x{k}" for k in range(len(points))], "return 0;",
+                       update)
+
+    def element(window, point):
+        for index in point:
+            window = L.at(index, window)
+        return window
+
+    def body(grid):
+        padded = L.pad_constant_nd(left, right, 0.5, grid, rank) \
+            if boundary == "const" else L.pad_nd(left, right, boundary, grid,
+                                                 rank)
+        return L.map_nd(
+            lambda window: L.FunCall(box, *[element(window, point)
+                                            for point in points]),
+            L.slide_nd(size, 1, padded, rank), rank)
+
+    return L.fun([L.array_type(Float, *[Var(name) for name in "ABC"[:rank]])],
+                 body)
+
+
+def banded_hotspot():
+    """A Hotspot2D plan at 12×16 whose blocks run in two bands."""
+    bench = get_benchmark("hotspot2d")
+    inputs = bench.make_inputs((12, 16), 5)
+    program, carry = bench.build_program(), bench.carry_spec()
+    plan = NumpyBackend(cache=None).plan(program, inputs, parallel_workers=2)
+    return plan, program, inputs, carry
+
+
+@needs_cc
+class TestBands:
+    @settings(max_examples=30, deadline=None)
+    @given(rank=st.sampled_from([2, 3]), n0=st.integers(1, 40),
+           bands=st.integers(1, 4), pad=st.sampled_from(BAND_PADS),
+           data=st.data())
+    def test_banded_blocks_are_the_per_sweep_loop(self, rank, n0, bands,
+                                                  pad, data):
+        # Bands of one row, bands narrower than (T - 1) * r, more bands
+        # asked for than rows, and lopsided reaches all agree bit for bit.
+        program = band_program(rank, *pad)
+        shape = (n0,) + ((6,) if rank == 2 else (3, 4))
+        x = [np.random.default_rng(n0).random(shape)]
+        backend = NumpyBackend(cache=None)
+        plan = backend.plan(program, x, parallel_workers=bands)
+        plan.iterate(x, 1, carry=("out",))
+        T = plan.stats()["temporal_steps"]
+        assert T == native.MAX_BLOCK_STEPS
+        assert len(plan._block_rings) == min(bands, n0)
+        steps = data.draw(st.integers(1, 2 * T + 3), label="steps")
+        assert np.array_equal(
+            bits(plan.iterate(x, steps, carry=("out",))),
+            bits(iterate_generic(backend, program, x, steps, carry=("out",))))
+
+    def test_a_band_that_raises_at_the_check_keeps_the_plan_per_step(
+            self, monkeypatch):
+        genuine, called = native.NativeBlock._band, []
+
+        def last_band_fails(self, steps, band, out=None):
+            called.append(band)
+            if band == len(self.bands) - 1:
+                raise RuntimeError("the last band")
+            genuine(self, steps, band)
+
+        monkeypatch.setattr(native.NativeBlock, "_band", last_band_fails)
+        before = fallbacks("temporal_verification")
+        plan, program, inputs, carry = banded_hotspot()
+        backend = NumpyBackend(cache=None)
+        for steps in (3, 40):
+            assert np.array_equal(
+                bits(plan.iterate(inputs, steps, carry=carry)),
+                bits(iterate_generic(backend, program, inputs, steps,
+                                     carry=carry)))
+        assert sorted(called) == [0, 1]  # the check ran both bands, once
+        assert fallbacks("temporal_verification") - before == 1
+        stats = plan.stats()
+        assert stats["temporal_steps"] == 1 and stats["fusion_fallbacks"] == 1
+        # both rings went back: the pool holds what the plan holds, and no
+        # ring (the only 3-D buffers of a 2-D plan) is among them
+        assert plan._pool.stats()["live_buffers"] == stats["buffers"]
+        assert all(buffer.ndim == 2 for buffer in plan._buffers)
+        assert plan._block_rings == []
+
+    def test_a_raising_band_propagates_after_the_latch_joins(
+            self, monkeypatch):
+        plan, program, inputs, carry = banded_hotspot()
+        plan.iterate(inputs, 1, carry=carry)
+        assert plan.stats()["temporal_steps"] > 1
+        assert len(plan._block_rings) == 2
+        genuine, finished = native.NativeBlock._band, []
+
+        def inline_fails_first(self, steps, band, out=None):
+            if band == 0:  # the caller's band, at once
+                raise RuntimeError("band 0")
+            time.sleep(0.2)
+            genuine(self, steps, band)
+            finished.append(band)
+
+        monkeypatch.setattr(native.NativeBlock, "_band", inline_fails_first)
+        with pytest.raises(RuntimeError, match="band 0"):
+            plan.iterate(inputs, 5, carry=carry)
+        assert finished == [1]
+        monkeypatch.undo()
+        assert np.array_equal(
+            bits(plan.iterate(inputs, 21, carry=carry)),
+            bits(iterate_generic(NumpyBackend(cache=None), program, inputs,
+                                 21, carry=carry)))
+
+
+# ---------------------------------------------------------------------------
 # The object cache
 # ---------------------------------------------------------------------------
 
@@ -740,6 +881,17 @@ void region(char *const *p, const int64_t *s, const int64_t *n,
 {
     for (int64_t j = lo; j < hi; ++j)
         ((double *)p[0])[j] = %s;
+}
+"""
+
+
+#: A text defining both functions: ``steps`` writes T over ``[lo, hi)``.
+TWO_FUNCTIONS = SOURCE_TEMPLATE + """
+void steps(char *const *p, const int64_t *s, const int64_t *n, int64_t T,
+           char *w, const int64_t *g, int64_t lo, int64_t hi)
+{
+    for (int64_t j = lo; j < hi; ++j)
+        ((double *)p[0])[j] = (double)T;
 }
 """
 
@@ -878,6 +1030,42 @@ class TestObjectCache:
         (rebuilt,) = second.iterdir()
         assert rebuilt.name == good.name
         assert rebuilt.stat().st_size == good.stat().st_size
+
+    def test_one_text_binds_each_of_its_functions_by_name(self, fresh_cache):
+        # Asked for ``steps`` after ``region``, the table must not hand back
+        # the function it loaded first, bound to ``region``'s arguments.
+        import ctypes
+
+        source = TWO_FUNCTIONS % "5.0"
+        region = native.kernel(source)
+        steps = native.kernel(source, "steps")
+        assert steps is not region
+        assert list(steps.argtypes) == native._SIGNATURES["steps"]
+        assert native.kernel(source, "steps") is steps
+        assert native.kernel(source) is region
+        assert run_kernel(region)[0] == 5.0
+        out = np.zeros(4)
+        pointers = (ctypes.c_void_p * 1)(out.__array_interface__["data"][0])
+        steps(pointers, (ctypes.c_int64 * 1)(8), (ctypes.c_int64 * 1)(4), 6,
+              None, (ctypes.c_int64 * 1)(0), 1, 3)
+        assert out.tolist() == [0.0, 6.0, 6.0, 0.0]
+
+    def test_a_missing_function_is_refused_and_its_object_kept(
+            self, fresh_cache):
+        source = SOURCE_TEMPLATE % "8.0"
+        native.kernel(source)
+        (kept,) = fresh_cache.iterdir()
+        before = cache_results()
+        for fresh in (False, True):  # from this process's table, from disk
+            if fresh:
+                native.reset()
+            with pytest.raises(native.Unavailable) as refused:
+                native.kernel(source, "steps")
+            assert refused.value.reason == "native_load"
+            assert kept.exists()
+        assert cache_results().get("compiled") == before.get("compiled")
+        assert run_kernel(native.kernel(source))[0] == 8.0
+        assert cache_results().get("compiled") == before.get("compiled")
 
     def test_two_processes_compiling_one_source(self, tmp_path):
         source = SOURCE_TEMPLATE % "11.0"

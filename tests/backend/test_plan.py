@@ -159,10 +159,30 @@ class TestZeroAllocationSteadyLoop:
         # traced block behind beyond the snapshots' own and the
         # interpreter's free lists (about ten; the per-step loop leaves one
         # per step).
+        plan, delta = self.warm_blocks(None)
+        blocks = sum(entry.count_diff for entry in delta)
+        if HAVE_CC:
+            assert blocks < 16, f"a warm loop left {blocks} traced blocks"
+
+    def test_warm_banded_blocks_grow_nothing(self):
+        # Two row bands, one on the replay pool: the check acquired both
+        # rings, and the pool's hand-offs (a latch and a queue item per
+        # block, recycled through the interpreter's free lists) stay at
+        # Python-object noise, as the parallel tiled loop's do.
+        plan, delta = self.warm_blocks(2)
+        assert len(plan._block_rings) == (2 if HAVE_CC else 0)
+        grown = sum(max(0, entry.size_diff) for entry in delta)
+        assert grown < 64 * 1024, f"a warm banded loop grew {grown} bytes"
+
+    @staticmethod
+    def warm_blocks(workers):
+        """A 256² Hotspot2D plan whose 64-step warm loop acquired nothing
+        from the pool, and that loop's traced allocation delta by file."""
         bench = get_benchmark("hotspot2d")
         inputs = bench.make_inputs((256, 256), 0)
         carry = bench.carry_spec()
-        plan = NumpyBackend(cache=None).plan(bench.build_program(), inputs)
+        plan = NumpyBackend(cache=None).plan(bench.build_program(), inputs,
+                                             parallel_workers=workers)
         plan.iterate(inputs, 8, carry=carry)
         stats = plan.stats()
         pool_before = (plan._pool.allocations, plan._pool.reuses)
@@ -173,14 +193,11 @@ class TestZeroAllocationSteadyLoop:
             after = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
-        blocks = sum(entry.count_diff
-                     for entry in after.compare_to(before, "filename"))
         assert (plan._pool.allocations, plan._pool.reuses) == pool_before
         assert plan.stats()["buffers"] == stats["buffers"]
         assert plan.stats()["replays"] == stats["replays"] + 64
         assert (plan.stats()["temporal_steps"] > 1) == HAVE_CC
-        if HAVE_CC:
-            assert blocks < 16, f"a warm loop left {blocks} traced blocks"
+        return plan, after.compare_to(before, "filename")
 
     def test_copying_selections_fall_back_to_opaque_replay(self):
         # A user function that fancy-indexes its argument produces a *copy*,
