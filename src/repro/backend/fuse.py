@@ -162,6 +162,20 @@ def normalize_tile_spec(tile_shape):
 AUTO_WORKER_MIN_BYTES = 16 * TILE_TARGET_BYTES
 
 
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity set where the
+    platform has one, else the machine's count, else 1."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+#: :func:`usable_cores`, read once per process (every warm plan lookup
+#: resolves a worker count, and the read is a sysfs walk).
+CORES = usable_cores()
+
+
 def auto_workers(input_shapes: Sequence[Sequence[int]]) -> int:
     """The worker count ``parallel_workers=None`` resolves to.
 
@@ -169,11 +183,11 @@ def auto_workers(input_shapes: Sequence[Sequence[int]]) -> int:
     a grid the size of the largest input (``float64`` after the bind) in
     tiles of :data:`TILE_TARGET_BYTES`, and each worker beyond the caller
     must find :data:`AUTO_WORKER_MIN_BYTES` of it to itself — up to one
-    worker per core.
+    worker per core (:data:`CORES`).
     """
     grid_bytes = max((8 * int(np.prod(shape, dtype=np.int64))
                       for shape in input_shapes), default=0)
-    return max(1, min(os.cpu_count() or 1, MAX_REPLAY_WORKERS,
+    return max(1, min(CORES, MAX_REPLAY_WORKERS,
                       grid_bytes // AUTO_WORKER_MIN_BYTES))
 
 

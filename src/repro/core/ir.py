@@ -29,6 +29,7 @@ Every expression carries a ``type`` attribute which is filled in by
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .types import Type, UNTYPED
@@ -349,8 +350,21 @@ def structural_key(expr: Expr) -> Tuple:
     might) can conflate two programs whose generator ids were reused after
     garbage collection.  The compilation cache is safe: its cached kernels
     keep their expressions (and thus the generators) alive.
+
+    The key is memoised per expression object, held weakly so it dies with
+    the expression: IR nodes are never restructured after construction
+    (rewrites build new nodes, typechecking only assigns ``.type``) and the
+    key reads no inferred type, so a warm plan or kernel lookup costs one
+    dictionary hit instead of a walk of the whole program.
     """
-    return _structural_key(expr, {})
+    key = _KEYS.get(expr)
+    if key is None:
+        key = _KEYS[expr] = _structural_key(expr, {})
+    return key
+
+
+#: ``structural_key`` memo: expression → key, dropped with the expression.
+_KEYS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _structural_key(expr: Expr, param_ids: Dict[Param, int],

@@ -4,9 +4,12 @@
 kernels.  Concurrent requests are collected from an ``asyncio.Queue`` for a
 short *batch window* (or until ``max_batch`` arrive), grouped by routing key
 — structural digest + per-item input signature + size environment — and each
-group is executed as **one** stacked NumPy call through
-:meth:`~repro.backend.base.NumpyBackend.run_batched`: one compilation (the
-cache is keyed by the per-item signature), one vectorized sweep, N responses.
+group is executed as **one** stacked sweep by
+:func:`~repro.service.executor.sweep_group`, on a batched execution plan's
+``run_batched_parts`` (a lone request replays its unbatched plan): one
+compilation and one plan per key, one vectorized sweep, N responses.  A
+micro-batch is one executor hop: every group it forms sweeps in order on
+one executor thread, then the loop answers them all.
 
 Requests are routed by structural digest through the
 :class:`~repro.service.registry.DigestRouter`: every digest is served by
@@ -749,52 +752,73 @@ class StencilService:
                     # shards sweep — successive groups round-robin onto
                     # different shard processes and overlap in time.
                     for group in groups.values():
-                        task = loop.create_task(self._execute_group(group))
+                        task = loop.create_task(self._execute_groups([group]))
                         self._inflight.add(task)
                         task.add_done_callback(self._inflight.discard)
                 else:
-                    for group in groups.values():
-                        await self._execute_group(group)
+                    await self._execute_groups(list(groups.values()))
             except asyncio.CancelledError:
                 # A half-collected batch must not strand its callers.
                 self._fail_group(pending, "service stopped")
                 raise
             except Exception as error:  # noqa: BLE001 - batcher must survive
-                # _execute_group reports execution errors in-band; anything
+                # _execute_groups reports execution errors in-band; anything
                 # reaching here is a bug, but one bad batch must not brick
                 # the long-lived serving loop for every later request.
                 self._fail_group(pending, f"{type(error).__name__}: {error}")
 
-    async def _execute_group(self, group: List[_Pending]) -> None:
-        """One compile, one vectorized sweep, ``len(group)`` responses.
+    async def _execute_groups(self, groups: List[List[_Pending]]) -> None:
+        """One executor hop for ``groups``: per group one compile, one
+        vectorized sweep and ``len(group)`` responses.
 
-        The numeric sweep runs on an executor thread so the event loop —
+        The sweeps run in order on one executor thread, so the event loop —
         the TCP readers, stats/ping ops, and admission of further requests
-        — stays responsive while a batch executes.  Counters and futures
-        are only touched back on the loop.
+        — stays responsive while a micro-batch executes, and a micro-batch
+        of any number of groups pays one loop → executor → loop hand-off.
+        Counters, breakers and futures are only touched back on the loop.
         """
         # Last line of defence: a deadline may expire between batch
         # formation and this dispatch (sharded groups run as tasks).
-        expired = [item for item in group if self._expired(item)]
-        if expired:
-            for item in expired:
-                self._shed(item)
+        live = []
+        for group in groups:
+            for item in group:
+                if self._expired(item):
+                    self._shed(item)
             group = [item for item in group if not item.future.done()]
-            if not group:
-                return
+            if group:
+                live.append(group)
+        if not live:
+            return
+        formed_at = time.perf_counter()
+        outcomes = await asyncio.get_running_loop().run_in_executor(
+            None, self._compute_groups, live)
+        for group, (outcome, executed_at) in zip(live, outcomes):
+            self._respond(group, outcome, formed_at, executed_at)
+
+    def _compute_groups(self, groups: List[List[_Pending]]) -> List[Tuple]:
+        """:meth:`_compute_group` for each group in order (on an executor
+        thread): ``(outcome, finished_at)`` per group, where ``outcome`` is
+        its result or the exception that failed it alone."""
+        outcomes = []
+        for group in groups:
+            try:
+                outcome = self._compute_group(group)
+            except Exception as error:  # noqa: BLE001 - reported in-band
+                outcome = error
+            outcomes.append((outcome, time.perf_counter()))
+        return outcomes
+
+    def _respond(self, group: List[_Pending], outcome, formed_at: float,
+                 executed_at: float) -> None:
+        """Feed the digest breaker one group's outcome and answer it."""
         size = len(group)
         digest = group[0].route.digest
-        loop = asyncio.get_running_loop()
-        formed_at = time.perf_counter()
-        try:
-            outputs, crosschecked, timings = await loop.run_in_executor(
-                None, self._compute_group, group
-            )
-        except Exception as error:  # noqa: BLE001 - reported in-band per request
-            self._breaker_outcome(digest,
-                                  failure=f"{type(error).__name__}: {error}")
-            self._fail_group(group, f"{type(error).__name__}: {error}")
+        if isinstance(outcome, Exception):
+            reason = f"{type(outcome).__name__}: {outcome}"
+            self._breaker_outcome(digest, failure=reason)
+            self._fail_group(group, reason)
             return
+        outputs, crosschecked, timings = outcome
         if timings.get("quarantined"):
             pass  # served on the quarantine route: no breaker evidence
         elif timings.get("plan_fallback"):
@@ -803,7 +827,6 @@ class StencilService:
             self._breaker_outcome(digest, failure="shard dispatch")
         else:
             self._breaker_outcome(digest, failure=None)
-        executed_at = time.perf_counter()
         self._batches_total.inc()
         _BATCH_SIZE.observe(size)
         self.largest_batch = max(self.largest_batch, size)

@@ -124,8 +124,6 @@ class TestParallelPlanCaching:
     def test_none_resolves_through_the_size_rule(self, monkeypatch):
         # One worker per core once each has sixteen cache-sized tiles of the
         # largest input to itself; everything smaller stays serial.
-        import os
-
         from repro.backend import fuse
 
         hotspot_1024 = [(1024, 1024), (1024, 1024)]
@@ -135,11 +133,11 @@ class TestParallelPlanCaching:
             [(16, 64, 64), (16, 64, 64)],  # a batched 64² wave
             [()],
         ]
-        for cores, expected in ((1, 1), (2, 2), (8, 2), (None, 1)):
-            monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+        for cores, expected in ((1, 1), (2, 2), (8, 2)):
+            monkeypatch.setattr(fuse, "CORES", cores)
             assert normalize_workers(None, hotspot_1024) == expected
             assert fuse.auto_workers([(4096, 4096)]) == \
-                min(cores or 1, MAX_REPLAY_WORKERS)
+                min(cores, MAX_REPLAY_WORKERS)
             for shapes in stay_serial:
                 assert normalize_workers(None, shapes) == 1
             # explicit integers mean what they meant
@@ -147,7 +145,7 @@ class TestParallelPlanCaching:
             assert normalize_workers(0, hotspot_1024) == 1
             assert normalize_workers(3, [(8, 8)]) == 3
         # the resolved count is the cache key: None and its resolution share
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(fuse, "CORES", 2)
         cache = PlanCache()
         program = get_benchmark("hotspot2d").build_program()
         big = [(shape, "float64") for shape in hotspot_1024]
@@ -158,6 +156,23 @@ class TestParallelPlanCaching:
         small = [((13, 11), "float64")] * 2
         assert cache.key_for(program, small) == \
             cache.key_for(program, small, parallel_workers=1)
+
+    def test_cores_come_from_the_affinity_set_then_the_machine(
+            self, monkeypatch):
+        # The count is resolved once per process (fuse.CORES); the rule
+        # behind it reads the affinity set first, then the machine count.
+        import os
+
+        from repro.backend import fuse
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert fuse.usable_cores() == 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert fuse.usable_cores() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert fuse.usable_cores() == 1
 
 
 class TestParallelZeroAllocation:

@@ -1,15 +1,21 @@
 """Unit tests for IR expression nodes and structural utilities."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import builders as L
+from repro.core import ir
 from repro.core.ir import (
     FunCall,
     Lambda,
     Literal,
     Param,
+    _structural_key,
     collect,
     replace,
+    structural_key,
     structurally_equal,
     substitute_params,
 )
@@ -120,3 +126,104 @@ class TestStructuralEquality:
     def test_primitive_static_key(self):
         assert Split(4).static_key() == Split(4).static_key()
         assert Split(4).static_key() != Split(8).static_key()
+
+
+class TestStructuralKeyMemo:
+    """``structural_key`` walks an expression once, then answers from a
+    weak per-expression memo."""
+
+    def test_independent_builds_of_one_app_share_a_key(self):
+        from repro.apps.suite import get_benchmark
+
+        benchmark = get_benchmark("hotspot2d")
+        first, second = benchmark.build_program(), benchmark.build_program()
+        assert first is not second
+        assert structural_key(first) == structural_key(second)
+        assert structural_key(first) == _structural_key(second, {})
+
+    def test_rewritten_variant_gets_its_own_key(self):
+        from repro.apps.suite import get_benchmark
+        from repro.rewriting.strategies import lower_program, tiled_strategy
+
+        program = get_benchmark("jacobi2d5pt").build_program()
+        original = structural_key(program)
+        variant = lower_program(program, tiled_strategy(8)).program
+        assert variant is not program
+        assert structural_key(variant) == _structural_key(variant, {})
+        assert structural_key(variant) != original
+        assert structural_key(program) == original
+
+    def test_memo_keeps_no_expression_alive(self):
+        def build():
+            return L.fun_n(1, lambda x: L.map(id_fn, L.pad(1, 1, L.CLAMP, x)))
+
+        gc.collect()
+        before = len(ir._KEYS)
+        probe = build()
+        structural_key(probe)
+        dead = weakref.ref(probe)
+        del probe
+        for _ in range(1000):
+            structural_key(build())
+        gc.collect()
+        assert dead() is None
+        assert len(ir._KEYS) <= before
+
+    def test_threads_sharing_the_memo_read_fresh_walks(self):
+        # Executor threads key programs concurrently while others die.
+        import sys
+        import threading
+
+        def build(size):
+            return L.fun_n(
+                1, lambda x: L.slide(size, 1, L.pad(1, 1, L.CLAMP, x)))
+
+        shared = [build(size) for size in range(1, 5)]
+        errors = []
+
+        def worker():
+            try:
+                for round_ in range(200):
+                    own = build(round_ % 4 + 1)
+                    for expr in (own, shared[round_ % 4]):
+                        if structural_key(expr) != _structural_key(expr, {}):
+                            errors.append(round_)
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_warm_lookups_do_not_walk_the_program(self, monkeypatch):
+        from repro.apps.suite import get_benchmark
+        from repro.backend.base import NumpyBackend
+        from repro.backend.cache import CompilationCache
+
+        benchmark = get_benchmark("hotspot2d")
+        program = benchmark.build_program()
+        inputs = benchmark.make_inputs((16, 16), 0)
+        backend, cache = NumpyBackend(), CompilationCache()
+        backend.plan(program, inputs)
+        cache.get_or_compile(program, inputs)
+        walks = []
+        real = ir._structural_key
+
+        def counting(expr, param_ids, stable=False):
+            walks.append(expr)
+            return real(expr, param_ids, stable)
+
+        monkeypatch.setattr(ir, "_structural_key", counting)
+        assert backend.plan(program, inputs) is backend.plan(program, inputs)
+        cache.get_or_compile(program, inputs)
+        assert walks == []
+        assert cache.stats()["misses"] == 1

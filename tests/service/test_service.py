@@ -4,11 +4,13 @@ import asyncio
 import json
 import socket
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.apps.suite import execution_requests, get_benchmark
+from repro.backend.base import NumpyBackend
 from repro.backend.numpy_backend import compile_program
 from repro.rewriting.strategies import NAIVE, lower_program
 from repro.service import (
@@ -18,6 +20,7 @@ from repro.service import (
     serve_tcp,
 )
 from repro.service.loadgen import build_requests
+from repro.service.requests import DEADLINE_EXCEEDED
 
 
 def make_client(**kwargs) -> ServiceClient:
@@ -187,6 +190,119 @@ class TestServiceBatching:
         with make_client() as client:
             responses = client.execute_many(requests)
         assert all(response.ok for response in responses)
+
+
+class _CountingExecutor(ThreadPoolExecutor):
+    """The loop's default executor, recording each submission's callable."""
+
+    def __init__(self) -> None:
+        super().__init__(max_workers=2)
+        self.calls: list = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.calls.append(getattr(fn, "__name__", repr(fn)))
+        return super().submit(fn, *args, **kwargs)
+
+
+def _mixed_wave(shape=(24, 24)):
+    """8 Hotspot2D, 4 Stencil2D and 4 Jacobi2D-5pt requests: three digests."""
+    return [
+        ExecutionRequest.for_benchmark(key, shape=shape, seed=seed)
+        for key, count in (("hotspot2d", 8), ("stencil2d", 4),
+                           ("jacobi2d5pt", 4))
+        for seed in range(count)
+    ]
+
+
+def _serve(requests, compute=None, **kwargs):
+    """Serve ``requests`` concurrently on a fresh loop whose default
+    executor counts submissions.  ``compute(group, real)`` stands in for
+    ``_compute_group`` when given.  Returns the responses, the submissions
+    made while serving them, the requests of each group that reached
+    compute, and the stats."""
+    computed = []
+
+    async def scenario():
+        executor = _CountingExecutor()
+        asyncio.get_running_loop().set_default_executor(executor)
+        service = StencilService(**kwargs)
+        await service.start()
+        real = service._compute_group
+
+        def compute_group(group):
+            computed.append([item.request for item in group])
+            return real(group) if compute is None else compute(group, real)
+
+        service._compute_group = compute_group
+        executor.calls.clear()
+        responses = await asyncio.gather(
+            *[service.submit(request) for request in requests])
+        calls, stats = list(executor.calls), service.stats()
+        await service.stop()
+        return responses, calls, stats
+
+    responses, calls, stats = asyncio.run(scenario())
+    return responses, calls, computed, stats
+
+
+def _alone(request):
+    program = get_benchmark(request.benchmark).build_program()
+    return NumpyBackend().run(program, request.inputs)
+
+
+class TestOneHopPerMicroBatch:
+    def test_three_digest_wave_is_one_executor_submission(self):
+        wave = _mixed_wave()
+        responses, calls, computed, stats = _serve(wave, batch_window=0.05)
+        assert calls == ["_compute_groups"]
+        assert sorted(len(group) for group in computed) == [4, 4, 8]
+        assert stats["service"]["batches_formed"] == 3
+        assert stats["compilation_cache"]["misses"] == 3
+        for request, response in zip(wave, responses):
+            assert response.ok
+            assert response.batch_size == (8 if request.benchmark ==
+                                           "hotspot2d" else 4)
+            assert np.array_equal(response.result, _alone(request))
+
+    def test_failing_group_fails_only_its_own_requests_and_breaker(self):
+        def compute(group, real):
+            if group[0].route.benchmark == "stencil2d":
+                raise RuntimeError("sweep exploded")
+            return real(group)
+
+        wave = _mixed_wave()
+        responses, calls, computed, stats = _serve(
+            wave, compute=compute, batch_window=0.05)
+        assert calls == ["_compute_groups"] and len(computed) == 3
+        failed = set()
+        for request, response in zip(wave, responses):
+            if request.benchmark == "stencil2d":
+                assert not response.ok
+                assert "RuntimeError: sweep exploded" in response.error
+                failed.add(response.digest)
+            else:
+                assert response.ok
+                assert np.array_equal(response.result, _alone(request))
+        (digest,) = failed
+        breakers = stats["service"]["breakers"]["digests"]
+        assert list(breakers) == [digest[:16]]
+        assert breakers[digest[:16]]["failures"] == 1
+        assert stats["service"]["request_errors"] == 4
+        assert stats["service"]["requests_served"] == 12
+
+    def test_request_expired_in_the_queue_is_shed_before_dispatch(self):
+        stale = ExecutionRequest.for_benchmark("stencil2d", shape=(9, 8),
+                                               deadline_ms=20.0)
+        fresh = ExecutionRequest.for_benchmark("stencil2d", shape=(9, 8),
+                                               seed=1)
+        # The 200 ms window outlives the stale request's deadline.
+        responses, calls, computed, stats = _serve(
+            [stale, fresh], batch_window=0.2)
+        assert responses[0].code == DEADLINE_EXCEEDED
+        assert responses[1].ok and responses[1].batch_size == 1
+        assert calls == ["_compute_groups"]
+        assert computed == [[fresh]]
+        assert sum(stats["service"]["admission"]["sheds"].values()) == 1
 
 
 class TestTcpEndpoint:
