@@ -13,7 +13,7 @@ Usage (after ``pip install -e .``, or with ``PYTHONPATH=src``)::
                           [--prewarm suite] [--shards 2]
                           [--shard-timeout-s 30] [--max-respawns 5]
                           [--inject shard.crash_before_reply:p=0.02:seed=7]
-                          [--metrics-port 9464] [--log-level info] [--log-json]
+                          [--http-port 7458] [--log-level info] [--log-json]
     python -m repro submit stencil2d --port 7457 --shape 64 64
     python -m repro loadgen [stencil2d] --requests 64 [--shards 2]
                             [--connect HOST:PORT] [--out report.json]
@@ -251,18 +251,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             shape=tuple(args.prewarm_shape) if args.prewarm_shape else None,
         )
     shard_text = f", shards {args.shards}" if args.shards else ""
-    metrics_text = (
-        f", metrics http://{args.host}:{args.metrics_port}/metrics"
-        if args.metrics_port is not None else ""
-    )
-    if args.http_port is not None:
-        metrics_text += f", http http://{args.host}:{args.http_port}/v1"
+    http_text = ("" if args.http_port is None else
+                 f", http http://{args.host}:{args.http_port}/v1 + /metrics")
     if args.auth_key:
-        metrics_text += ", auth required"
+        http_text += ", auth required"
     print(f"serving on {args.host}:{args.port} "
           f"(store {store or '<none>'}, "
           f"window {args.window_ms} ms, max batch {args.max_batch}"
-          f"{shard_text}{metrics_text})",
+          f"{shard_text}{http_text})",
           flush=True)
     # Every flag named like a keyword of run_server or StencilService feeds
     # that keyword; the flags that are not the keyword's value are written out.
@@ -512,16 +508,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also capture the batched plans for these "
                             "micro-batch capacities (rounded up to the "
                             "batcher's powers of two)")
-    serve.add_argument("--metrics-port", type=int, default=None,
-                       help="expose a telemetry HTTP sidecar on this port "
-                            "(/metrics Prometheus text, /healthz liveness, "
-                            "/trace recent request traces); 0 picks a free "
-                            "port; default: disabled")
     serve.add_argument("--http-port", type=int, default=None,
                        help="also expose the HTTP transport on this port "
                             "(POST /v1/execute and /v1/iterate, JSON or "
-                            "binary grid bodies) sharing the same batcher; "
-                            "default: TCP only")
+                            "binary grid bodies, sharing the same batcher; "
+                            "GET /metrics, /healthz and /trace without the "
+                            "auth key); default: TCP only")
     serve.add_argument("--auth-key", default=None,
                        help="require this shared key on every request "
                             "(HTTP 'Authorization: Bearer', TCP 'auth' "

@@ -1,16 +1,14 @@
 """The HTTP transport: a codec in front of :func:`repro.service.ops.dispatch`.
 
-A small asyncio HTTP/1.1 endpoint (same zero-dependency style as the
-telemetry sidecar, plus keep-alive and request bodies) that feeds the
-**same** :class:`~repro.service.server.StencilService` batcher as the
-JSON-lines TCP endpoint — an HTTP request and a TCP request for the same
-digest land in the same micro-batch.  It owns five things and no
-operation logic: the request reader :func:`read_request` (stream → request
-line, bounded header block, bounded body — the sidecar reads through it
-too, so there is one HTTP parser to harden), the route table
-:data:`ROUTES` (request line → op), the body decoder :func:`decode_body`
-(content type + bytes → metadata + grids), the ``code`` → status-line map,
-and one reply writer.
+The server's one HTTP/1.1 listener (asyncio, zero dependencies,
+keep-alive), feeding the **same** :class:`~repro.service.server.StencilService`
+batcher as the JSON-lines TCP endpoint.  It owns five things and no
+operation logic: the request reader :func:`read_request` (bounded header
+block and body), the route table :data:`ROUTES` (request line → op; a
+GET's query becomes the op's metadata; ``/metrics``, ``/healthz`` and
+``/trace`` need no auth key), the body decoder :func:`decode_body`, the
+``code`` → status-line map, and one reply writer (``HEAD`` on a GET route:
+the GET's status and headers, no body).
 
 Content negotiation, both directions:
 
@@ -20,14 +18,17 @@ Content negotiation, both directions:
   by raw little-endian buffers.  ``Accept: application/x-repro-grids``
   selects the same framing for the response, written buffer-by-buffer so a
   1024² float64 result streams out without ever being one JSON string.
+* ``/metrics`` answers ``text/plain; version=0.0.4`` unless ``Accept``
+  names one of the two forms above.
 
 Reply codes map onto status codes: ``DeadlineExceeded`` → 504,
 ``AdmissionRejected`` → 429 (with a ``Retry-After`` header from
 ``retry_after_ms``), bad auth → 401, an oversized body or header block →
 413 (before authentication), a malformed request or broken framing → 400,
 an unknown path or job id → 404, a result requested before the job
-completed → 409.  The body is the same structured reply the TCP endpoint writes, so HTTP and TCP clients see
-identical in-band information.
+completed → 409, a server fault → 500.  The body is the same structured
+reply the TCP endpoint writes, so HTTP and TCP clients see identical
+in-band information.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import hmac
 import json
 import logging
 from typing import Dict, List, NamedTuple, Optional, Tuple
+from urllib.parse import parse_qsl, urlencode
 
 import numpy as np
 
@@ -48,6 +50,7 @@ from .requests import (
     BAD_REQUEST,
     CANCELLED,
     DEADLINE_EXCEEDED,
+    INTERNAL,
     NOT_FOUND,
     REQUEST_TOO_LARGE,
     UNAUTHORIZED,
@@ -74,6 +77,8 @@ _HTTP_REQUESTS_TOTAL = _telemetry.counter(
 #: table (first row whose required field the metadata carries).
 ROUTES = (
     ("GET", "/healthz", "ping", None),
+    ("GET", "/metrics", "metrics", None),
+    ("GET", "/trace", "trace", None),
     # An iterate call without a step count is a client bug, not a 1-step
     # run, so the route insists on an explicit ``steps``.
     ("POST", "/v1/iterate", "execute", "steps"),
@@ -84,6 +89,11 @@ ROUTES = (
     ("DELETE", "/v1/jobs/{job_id}", "job_cancel", None),
     ("GET", "/v1/jobs/{job_id}/result", "job_result", None),
 )
+
+#: The ops a scraper or probe reaches without the auth key.
+OPEN_OPS = frozenset({"ping", "metrics", "trace"})
+
+CONTENT_TYPE_PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
 
 REASONS = {200: "OK", 400: "Bad Request", 401: "Unauthorized",
            404: "Not Found", 405: "Method Not Allowed",
@@ -100,6 +110,7 @@ CODE_STATUS = {
     BAD_REQUEST: 400,
     NOT_FOUND: 404,
     CANCELLED: 409,
+    INTERNAL: 500,
 }
 
 
@@ -151,11 +162,17 @@ def _route(method: str, path: str) -> Tuple[str, Dict[str, str],
 
 def route_for(op: str, meta: Dict[str, object]) -> Optional[Tuple[str, str]]:
     """The table read the other way: ``(method, path)`` a client uses for
-    ``op`` — the first row whose required field ``meta`` carries — or
-    ``None`` for an op HTTP does not expose (``stats``, ``trace``)."""
+    ``op`` — the first row whose required field ``meta`` carries, a GET's
+    other fields as its query — or ``None`` for the op HTTP does not
+    expose (``stats``)."""
     for method, pattern, route_op, required in ROUTES:
         if route_op == op and (required is None or required in meta):
-            return method, pattern.format(**meta)
+            path = pattern.format(**meta)
+            query = {name: value for name, value in meta.items()
+                     if "{%s}" % name not in pattern}
+            if method == "GET" and query:
+                path += "?" + urlencode(query)
+            return method, path
     return None
 
 
@@ -188,13 +205,19 @@ def encode_reply(reply: Reply,
     """Encode one reply as (content type, prefix bytes, grid buffers).
 
     The JSON form returns everything in the prefix; the binary form keeps
-    the result grid as a raw buffer so the writer can stream it.
+    the result grid as a raw buffer so the writer can stream it.  The
+    ``metrics`` op's text is the whole body, unless ``accept`` asks for
+    one of those two forms.
     """
     meta, grid = reply
-    if CONTENT_TYPE_GRIDS in accept.lower():
+    accept = accept.lower()
+    if CONTENT_TYPE_GRIDS in accept:
         prefix, buffers = encode_grid_payload(
             meta, [] if grid is None else [np.asarray(grid, dtype=np.float64)])
         return CONTENT_TYPE_GRIDS, prefix, buffers
+    text = meta.get("metrics")
+    if isinstance(text, str) and CONTENT_TYPE_JSON not in accept:
+        return CONTENT_TYPE_PROMETHEUS, text.encode("utf-8"), []
     return CONTENT_TYPE_JSON, json.dumps(reply.wire()).encode("utf-8"), []
 
 
@@ -246,13 +269,13 @@ async def read_request(reader: asyncio.StreamReader,
                        max_request_bytes: int) -> Optional[Request]:
     """Read one HTTP/1.1 request off a stream — the one place that does.
 
-    Both listeners (the ``/v1`` endpoint and the telemetry sidecar) call
-    this before they authenticate or route anything, so what it bounds is
-    what an anonymous peer can make the server hold: the request line plus
-    header block by :data:`MAX_HEADER_BYTES` / :data:`MAX_HEADER_LINES`, the
-    body by ``max_request_bytes``.  ``None`` means the peer closed (or sent
-    no request line).  A refusal is raised as :class:`HTTPError`; it leaves
-    unread bytes in the socket, so the caller answers it and closes.
+    The listener calls this before it authenticates or routes anything,
+    so what it bounds is what an anonymous peer can make the server hold:
+    the request line plus header block by :data:`MAX_HEADER_BYTES` /
+    :data:`MAX_HEADER_LINES`, the body by ``max_request_bytes``.  ``None``
+    means the peer closed (or sent no request line).  A refusal is raised
+    as :class:`HTTPError`; it leaves unread bytes in the socket, so the
+    caller answers it and closes.
     """
     def too_large() -> HTTPError:
         return HTTPError(
@@ -301,7 +324,7 @@ async def serve_http(
     max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
     gate: Optional[ServedGate] = None,
 ) -> "asyncio.AbstractServer":
-    """Expose a started service as the ``/v1/*`` HTTP endpoint.
+    """Expose a started service as the HTTP endpoint (:data:`ROUTES`).
 
     Connections are keep-alive: one client can pump many requests through
     one socket (the client library's pooling counterpart).  Responses are
@@ -317,10 +340,12 @@ async def serve_http(
 
     async def write_reply(writer: asyncio.StreamWriter, reply: Reply,
                           accept: str, close: bool,
-                          status: Optional[int] = None) -> bool:
+                          status: Optional[int] = None,
+                          head: bool = False) -> bool:
         """The one reply writer: status line from the reply's ``code``,
-        JSON or RPG1 body from ``Accept``, ``Connection: close`` as asked
-        or once the gate has resolved.  Returns whether it said ``close``."""
+        JSON, RPG1 or Prometheus body from ``Accept``, no body for
+        ``head``, ``Connection: close`` as asked or once the gate has
+        resolved.  Returns whether it said ``close``."""
         meta = reply.meta
         if status is None:
             status = (200 if meta.get("ok")
@@ -341,6 +366,8 @@ async def serve_http(
             lines.append("Retry-After: %d" % max(
                 1, int(round(float(meta["retry_after_ms"]) / 1e3))))
         writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
+        if head:
+            prefix, buffers = b"", []
         writer.write(prefix)
         await writer.drain()
         for buffer in buffers:
@@ -367,11 +394,13 @@ async def serve_http(
         method, target, headers, body = request
         accept = headers.get("accept", "")
         keep_alive = headers.get("connection", "").lower() != "close"
-        path = target.split("?")[0].rstrip("/")
+        path, _, query = target.partition("?")
+        path = path.rstrip("/")
+        head = method == "HEAD"
         status = None
         try:
-            op, params, required = _route(method, path)
-            if op != "ping" and not _authorized(headers, auth_key):
+            op, params, required = _route("GET" if head else method, path)
+            if op not in OPEN_OPS and not _authorized(headers, auth_key):
                 service.count_reject("unauthorized")
                 raise HTTPError(UNAUTHORIZED, "missing or invalid auth key")
             # Body decode can be arbitrarily large; keep it off the loop so
@@ -379,6 +408,8 @@ async def serve_http(
             meta, grids = ({}, None) if not body else (
                 await loop.run_in_executor(
                     None, decode_body, headers.get("content-type", ""), body))
+            if method in ("GET", "HEAD"):
+                meta.update(parse_qsl(query, keep_blank_values=True))
             if required is not None and required not in meta:
                 raise HTTPError(BAD_REQUEST,
                                 f"{path} requires {required!r} in the body")
@@ -388,10 +419,11 @@ async def serve_http(
             reply = await dispatch(service, op, {**meta, **params}, grids)
             if op == "execute":
                 gate.mark()
-            if op == "ping":  # /healthz keeps the probe-friendly field
-                reply.meta["status"] = "ok"
+            if op == "ping" and reply.meta["status"] == "unhealthy":
+                status = 503
         return not await write_reply(writer, reply, accept,
-                                     close=not keep_alive, status=status)
+                                     close=not keep_alive, status=status,
+                                     head=head)
 
     async def handle(reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:

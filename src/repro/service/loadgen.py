@@ -982,7 +982,7 @@ def _free_port() -> int:
 
 def _scrape_metrics(host: str, port: int,
                     names: Sequence[str]) -> Dict[str, Optional[float]]:
-    """Unlabelled samples from the telemetry sidecar's ``/metrics``."""
+    """Unlabelled samples from the HTTP endpoint's ``/metrics``."""
     import urllib.request
 
     with urllib.request.urlopen(f"http://{host}:{port}/metrics",
@@ -1006,7 +1006,6 @@ def _spawn_serve(host: str, ports: Dict[str, int], job_dir: str,
         "--host", host,
         "--port", str(ports["tcp"]),
         "--http-port", str(ports["http"]),
-        "--metrics-port", str(ports["metrics"]),
         "--no-store",
         "--window-ms", "1",
         "--job-dir", job_dir,
@@ -1078,8 +1077,7 @@ def run_job_drill(
 
     owns_dir = job_dir is None
     job_dir = job_dir or tempfile.mkdtemp(prefix="repro-job-drill-")
-    ports = {"tcp": _free_port(), "http": _free_port(),
-             "metrics": _free_port()}
+    ports = {"tcp": _free_port(), "http": _free_port()}
     log_path = os.path.join(job_dir, "serve.log")
     problems: List[str] = []
     report: Dict[str, object] = {
@@ -1161,7 +1159,7 @@ def run_job_drill(
         finally:
             client.close()
         report["metrics"] = _scrape_metrics(
-            host, ports["metrics"],
+            host, ports["http"],
             ("repro_job_checkpoints_total", "repro_job_resumes_total"))
     finally:
         if server.poll() is None:

@@ -4,25 +4,31 @@
 TCP and HTTP endpoints (:mod:`.server`, :mod:`.http`) are codecs that turn
 bytes into ``(op, meta, grids)`` and a :class:`Reply` back into bytes.
 Request construction, the off-loop hops (payload conversion, job-manager
-calls that hold a lock and touch disk) and the exception → structured
-``code`` mapping live here and nowhere else, so the two transports cannot
-drift.
+calls that hold a lock and touch disk, shard stats pipes) and the
+exception → structured ``code`` mapping live here and nowhere else, so the
+two transports cannot drift.
 
-``meta`` is the JSON message (TCP line, HTTP JSON body, or RPG1 header)
-as sent; ``grids`` are input grids that travelled beside it as raw
-buffers.  Handlers read their extra fields (``job_id``, ``job_key``,
-``checkpoint_every``, ``limit``) straight from ``meta``.
+``meta`` is the JSON message (TCP line, HTTP JSON body, RPG1 header, or a
+GET's query parameters) as sent; ``grids`` are input grids that travelled
+beside it as raw buffers.  Handlers read their extra fields (``job_id``,
+``job_key``, ``checkpoint_every``, ``limit``) straight from ``meta``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 from typing import Awaitable, Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
+from ..core.serialize import SerializationError
+from ..telemetry.registry import get_registry
 from .jobs import JobError, JobNotFound
-from .requests import BAD_REQUEST, CANCELLED, NOT_FOUND, ExecutionRequest
+from .requests import (BAD_REQUEST, CANCELLED, INTERNAL, NOT_FOUND,
+                       ExecutionRequest, ServiceError)
+
+log = logging.getLogger("repro.service.ops")
 
 Meta = Dict[str, object]
 Grids = Optional[List[np.ndarray]]
@@ -58,21 +64,62 @@ async def _request(meta: Meta, grids: Grids) -> ExecutionRequest:
 
 
 async def _ping(service, meta: Meta, grids: Grids) -> Reply:
-    return Reply({"ok": True, "pong": True})
+    """Liveness, ``"unhealthy"`` once a shard process has died.  Reading
+    ``is_alive()`` needs no pipe, so a wedged shard cannot wedge it."""
+    shards = ([] if service.executor is None else
+              [{"shard": handle.index, "alive": bool(handle.process.is_alive())}
+               for handle in service.executor.handles])
+    alive = sum(shard["alive"] for shard in shards)
+    return Reply({
+        "ok": True,
+        "pong": True,
+        "status": "ok" if alive == len(shards) else "unhealthy",
+        "shards": shards,
+        "shards_alive": alive,
+        "event_loop_lag_ms": service.loop_lag_s * 1e3,
+        "requests_served": service.requests_served,
+    })
 
 
 async def _stats(service, meta: Meta, grids: Grids) -> Reply:
     return Reply({"ok": True, "stats": service.stats()})
 
 
+async def _metrics(service, meta: Meta, grids: Grids) -> Reply:
+    """The Prometheus text: the process registry, the service's own
+    counter store (no name is in both, so the merge counts nothing twice)
+    and, on a sharded service, every shard's registry snapshot."""
+    extra = []
+    if service.executor is not None:
+        # Shard stats are blocking, locked pipe round-trips.
+        for row in await _off_loop(service.executor.stats):
+            if row.get("telemetry"):
+                extra.append(row["telemetry"])
+    extra.append(service.metrics.snapshot())
+    return Reply({"ok": True, "metrics": get_registry().render(extra=extra)})
+
+
+def _flag(value: object) -> bool:
+    """False for JSON false/0/null and query text ``"0"``, ``""``, ``"false"``."""
+    return value is not None and str(value).lower() not in ("0", "", "false")
+
+
+def _limit(value: object) -> Optional[int]:
+    """``None`` (the whole ring) or a non-negative integer, JSON or text."""
+    if value is None:
+        return None
+    if isinstance(value, str) and value.isdecimal():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return value
+    raise ValueError(f"limit must be a non-negative integer, not {value!r}")
+
+
 async def _trace(service, meta: Meta, grids: Grids) -> Reply:
-    limit = meta.get("limit")
+    slow_only, limit = _flag(meta.get("slow")), _limit(meta.get("limit"))
     return Reply({
         "ok": True,
-        "traces": service.tracer.snapshot(
-            slow_only=bool(meta.get("slow")),
-            limit=int(limit) if limit is not None else None,
-        ),
+        "traces": service.tracer.snapshot(slow_only=slow_only, limit=limit),
         "ring": service.tracer.stats(),
     })
 
@@ -124,6 +171,7 @@ async def _job_list(service, meta: Meta, grids: Grids) -> Reply:
 OPS: Dict[str, Callable[[object, Meta, Grids], Awaitable[Reply]]] = {
     "ping": _ping,
     "stats": _stats,
+    "metrics": _metrics,
     "trace": _trace,
     "execute": _execute,
     "job_submit": _job_submit,
@@ -136,7 +184,11 @@ OPS: Dict[str, Callable[[object, Meta, Grids], Awaitable[Reply]]] = {
 
 async def dispatch(service, op: str, meta: Meta,
                    grids: Grids = None) -> Reply:
-    """Answer one operation; every failure comes back as a refusal."""
+    """Answer one operation; every failure comes back as a refusal.
+
+    A field of the caller's that does not parse or validate is a
+    ``BadRequest``; any other exception is the server's fault, answered
+    ``Internal`` (HTTP 500) and logged once, here."""
     handler = OPS.get(op)
     if handler is None:
         return refusal(BAD_REQUEST, f"unknown op {op!r}")
@@ -149,8 +201,12 @@ async def dispatch(service, op: str, meta: Meta,
         # the job's state (HTTP 409); any other job error is the caller's.
         return refusal(CANCELLED if op == "job_result" else BAD_REQUEST,
                        str(error))
-    except Exception as error:  # noqa: BLE001 - malformed request payload
+    except (ServiceError, SerializationError, ValueError, TypeError,
+            KeyError) as error:
         return refusal(BAD_REQUEST, f"{type(error).__name__}: {error}")
+    except Exception as error:  # noqa: BLE001 - answered, not propagated
+        log.exception("op %r failed", op)
+        return refusal(INTERNAL, f"{type(error).__name__}: {error}")
 
 
 __all__ = ["OPS", "Reply", "dispatch", "refusal"]

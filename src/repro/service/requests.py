@@ -39,6 +39,7 @@ BAD_REQUEST = "BadRequest"
 UNAVAILABLE = "Unavailable"
 NOT_FOUND = "NotFound"
 CANCELLED = "Cancelled"
+INTERNAL = "Internal"
 
 
 @dataclass
@@ -275,6 +276,7 @@ __all__ = [
     "BAD_REQUEST",
     "CANCELLED",
     "DEADLINE_EXCEEDED",
+    "INTERNAL",
     "NOT_FOUND",
     "PRIORITIES",
     "REQUEST_TOO_LARGE",

@@ -33,8 +33,8 @@ exposes blocking ``execute`` / ``execute_many`` calls — the in-process form
 used by tests, the experiment drivers and the load generator.
 :func:`serve_tcp` exposes the same service as a JSON-lines TCP endpoint for
 ``repro serve`` / ``repro submit``; :func:`run_server` runs it beside the
-HTTP endpoint and the telemetry sidecar, with one :class:`ServedGate`
-between the two transports for ``--max-requests`` and the shutdown drain.
+HTTP endpoint, with one :class:`ServedGate` between the two transports for
+``--max-requests`` and the shutdown drain.
 """
 
 from __future__ import annotations
@@ -372,6 +372,9 @@ class StencilService:
         self.plans_prewarmed = 0
         #: Request-lifecycle traces (``repro trace`` / the /trace route).
         self.tracer = TraceRing(capacity=TRACE_CAPACITY, slow_ms=TRACE_SLOW_MS)
+        #: Event-loop scheduling lag for ``/healthz``; only ``run_server``
+        #: samples it, an in-process service keeps 0.
+        self.loop_lag_s = 0.0
         #: Durable multi-timestep jobs: checkpointed execution + recovery.
         self.checkpoint_every = int(checkpoint_every)
 
@@ -1336,6 +1339,18 @@ async def serve_tcp(
                                       limit=max_request_bytes)
 
 
+#: How often ``run_server`` samples event-loop scheduling lag.
+_LAG_INTERVAL_S = 0.25
+
+
+async def _sample_loop_lag(service: StencilService) -> None:
+    loop = asyncio.get_running_loop()
+    while True:
+        before = loop.time()
+        await asyncio.sleep(_LAG_INTERVAL_S)
+        service.loop_lag_s = max(0.0, loop.time() - before - _LAG_INTERVAL_S)
+
+
 def run_server(
     host: str = "127.0.0.1",
     port: int = 7457,
@@ -1343,7 +1358,6 @@ def run_server(
     ready_event: Optional[threading.Event] = None,
     prewarm: Optional[Sequence[ExecutionRequest]] = None,
     prewarm_batch: Sequence[int] = (),
-    metrics_port: Optional[int] = None,
     http_port: Optional[int] = None,
     auth_key: Optional[str] = None,
     drain_timeout: float = 10.0,
@@ -1358,10 +1372,10 @@ def run_server(
     ``prewarm`` requests have their plans captured *before* the endpoint
     starts accepting connections (``prewarm_batch`` capacities warm the
     batched plans too), so prewarmed traffic never pays a plan build.
-    ``metrics_port`` additionally binds the telemetry HTTP sidecar
-    (``/metrics`` + ``/healthz`` + ``/trace``) on the same host;
-    ``http_port`` binds the ``/v1/execute``·``/v1/iterate`` HTTP endpoint
-    sharing the same batcher.  ``auth_key`` guards both transports.
+    ``http_port`` binds the HTTP endpoint sharing the same batcher: the
+    ``/v1`` routes plus ``/metrics``, ``/healthz`` and ``/trace``, whose
+    event-loop lag a 250 ms sampler measures while the server runs.
+    ``auth_key`` guards both transports (all but those three routes).
     ``drain_timeout`` bounds the shutdown drain, on both transports: the
     server waits that long for open connections (a request still
     executing, a pipelined trailing op) to finish; requests still queued
@@ -1372,16 +1386,12 @@ def run_server(
     stats: Dict[str, object] = {}
 
     async def main() -> None:
-        from ..telemetry.httpd import TelemetryHTTP
         from .http import serve_http
 
         service = StencilService(**service_kwargs)
         async with service:
-            telemetry_http = None
-            if metrics_port is not None:
-                telemetry_http = await TelemetryHTTP(service).start(
-                    host, metrics_port
-                )
+            lag_sampler = asyncio.get_running_loop().create_task(
+                _sample_loop_lag(service))
             if prewarm:
                 warmed = await asyncio.get_running_loop().run_in_executor(
                     None, lambda: service.prewarm(
@@ -1460,8 +1470,7 @@ def run_server(
                 gate.close_connections()
                 for endpoint in endpoints:
                     await endpoint.wait_closed()
-            if telemetry_http is not None:
-                await telemetry_http.stop()
+                lag_sampler.cancel()
             stats.update(service.stats())
 
     try:

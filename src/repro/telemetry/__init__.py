@@ -1,7 +1,7 @@
-"""Process-wide telemetry: metrics registry, request tracing, HTTP surface.
+"""Process-wide telemetry: metrics registry and request tracing.
 
-Three small, dependency-free layers the rest of the stack instruments
-itself through:
+Two small, dependency-free layers the rest of the stack instruments
+itself through (and which import nothing from :mod:`repro.service`):
 
 * :mod:`repro.telemetry.registry` — monotonic counters, sampled gauges and
   fixed-bucket log-spaced streaming histograms (p50/p95/p99 without
@@ -12,9 +12,9 @@ itself through:
   (enqueue → batch formation → plan lookup → replay → respond) kept in a
   bounded ring buffer with a slow-request threshold, surfaced by the
   ``repro trace`` CLI verb and the ``/trace`` HTTP route.
-* :mod:`repro.telemetry.httpd` — the asyncio HTTP sidecar serving
-  ``/metrics`` (Prometheus text format) and ``/healthz`` (shard liveness +
-  event-loop lag), enabled by ``repro serve --metrics-port``.
+
+The serving endpoint's ``/metrics``, ``/healthz`` and ``/trace`` routes
+(:mod:`repro.service.http`) render them.
 
 :mod:`repro.telemetry.logs` configures stdlib logging for the serving
 stack (``repro serve --log-level`` / ``--log-json``).

@@ -200,6 +200,8 @@ OP_CALLS = {
     "trace": lambda client, job: (
         sorted(client.transport.call("trace", {"limit": 1}, None, 10)[0]),
         None),
+    "metrics": lambda client, job: (
+        sorted(client.transport.call("metrics", {}, None, 10)[0]), None),
     "execute": lambda client, job: _response_meta(client.execute(_request())),
     "iterate": lambda client, job: _response_meta(
         client.iterate(_request(), steps=4)),
@@ -221,14 +223,14 @@ class TestTransportParity:
         # iterate is the execute op behind its own route.
         assert set(OP_CALLS) - {"iterate"} == set(OPS)
         routed = {op for _method, _pattern, op, _required in ROUTES}
-        assert set(OPS) - routed == {"stats", "trace"}  # TCP-only, as ever
+        assert set(OPS) - routed == {"stats"}  # TCP-only, as ever
 
     @pytest.mark.parametrize("op", sorted(OP_CALLS))
     def test_every_op_agrees_across_transports(self, live_server,
                                                finished_job, op):
         """One op table ⇒ equal reply metadata over TCP, HTTP+JSON and
         HTTP+RPG1, and byte-equal grids where the op returns one."""
-        modes = ["tcp"] if op in ("stats", "trace") else list(MODES)
+        modes = ["tcp"] if op == "stats" else list(MODES)
         answers = {}
         for mode in modes:
             with _client(live_server, mode) as client:

@@ -1,7 +1,7 @@
 """Each fact once at the service edge.
 
-``stats()`` and ``/metrics`` are two views of one counter store, both HTTP
-listeners read requests through one bounded reader, both transports drain
+``stats()`` and ``/metrics`` are two views of one counter store, the HTTP
+listener reads requests through one bounded reader, both transports drain
 through one connection gate, and ``repro serve`` maps flags to keywords
 from the callee's signature.  The literals below were recorded from the
 commit before those four became single (``5e376c8``): the surface must
@@ -31,14 +31,12 @@ from repro.apps.suite import get_benchmark
 from repro.client import ClientConfig, StencilClient
 from repro.service import (ExecutionRequest, ServiceClient, StencilService,
                            loadgen, serve_http)
-from repro.service.requests import (BAD_REQUEST, DEADLINE_EXCEEDED,
-                                    REQUEST_TOO_LARGE)
+from repro.service.requests import DEADLINE_EXCEEDED, REQUEST_TOO_LARGE
 from repro.service.server import _PriorityQueues, run_server
 from repro.service.wire import (CONTENT_TYPE_GRIDS, decode_grid_payload,
                                 encode_grid_payload)
 from repro.telemetry import (get_registry, merge_snapshots,
                              set_metrics_enabled)
-from repro.telemetry.httpd import TelemetryHTTP
 
 AUTH_KEY = "edge-test-key"
 
@@ -122,16 +120,15 @@ SHARDED_KEYS = {
 
 
 class _Served:
-    """An authenticated in-thread ``run_server`` with all three listeners."""
+    """An authenticated in-thread ``run_server`` with both listeners."""
 
     def __init__(self, **kwargs):
-        self.tcp, self.http, self.sidecar = (
-            loadgen._free_port() for _ in range(3))
+        self.tcp, self.http = (loadgen._free_port() for _ in range(2))
         ready = threading.Event()
         self.stats = {}
         self.thread = threading.Thread(
             target=lambda: self.stats.update(run_server(
-                port=self.tcp, http_port=self.http, metrics_port=self.sidecar,
+                port=self.tcp, http_port=self.http,
                 auth_key=AUTH_KEY, ready_event=ready, store=None,
                 drain_timeout=5.0, **kwargs)),
             daemon=True)
@@ -193,7 +190,7 @@ def trafficked(tmp_path_factory):
         wave = server.lines([wire, wire, wire])
         assert sorted(reply["ok"] for reply in wave.values()) == [
             False, True, True]
-        text = scrape(server.sidecar)
+        text = scrape(server.http)
         hold.sendall(json.dumps({"op": "stats", "auth": AUTH_KEY}).encode()
                      + b"\n")
         stats = json.loads(hold.makefile("r", encoding="utf-8").readline())
@@ -370,12 +367,12 @@ class TestTheViewIsTheStore:
 
 
 # ---------------------------------------------------------------------------
-# One bounded HTTP request reader behind both listeners
+# One bounded HTTP request reader
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def listeners():
-    """A service behind the /v1 endpoint and the sidecar, on one loop."""
+def listener():
+    """A service behind the HTTP endpoint, on its own loop."""
     started = threading.Event()
     holder = {}
 
@@ -385,14 +382,12 @@ def listeners():
                 web = await serve_http(service, "127.0.0.1", 0,
                                        auth_key=AUTH_KEY,
                                        max_request_bytes=1 << 20)
-                sidecar = await TelemetryHTTP(service).start(port=0)
-                holder.update(service=service, sidecar=sidecar.port,
-                              v1=web.sockets[0].getsockname()[1])
+                holder.update(service=service,
+                              port=web.sockets[0].getsockname()[1])
                 started.set()
                 await holder["stop"]
                 web.close()
                 await web.wait_closed()
-                await sidecar.stop()
 
         loop = asyncio.new_event_loop()
         holder["loop"] = loop
@@ -443,17 +438,15 @@ def _too_large(service):
         "too_large", 0)
 
 
-@pytest.mark.parametrize("listener", ["v1", "sidecar"])
 class TestHeaderBlockIsBounded:
-    def test_header_flood_is_refused_before_it_is_held(self, listeners,
-                                                        listener):
+    def test_header_flood_is_refused_before_it_is_held(self, listener):
         flood = b"".join(b"X-Flood-%05d: %s\r\n" % (index, b"v" * 1000)
                          for index in range(40_000))
-        refused = _too_large(listeners["service"])
+        refused = _too_large(listener["service"])
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            head, body, closed = _flood(listeners[listener], flood)
+            head, body, closed = _flood(listener["port"], flood)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -463,63 +456,24 @@ class TestHeaderBlockIsBounded:
         assert closed
         # The 40 MB this test itself builds was allocated before `before`.
         assert peak - before < 2 << 20
-        assert _too_large(listeners["service"]) == refused + 1
+        assert _too_large(listener["service"]) == refused + 1
 
-    def test_one_oversized_header_line_is_refused(self, listeners, listener):
-        refused = _too_large(listeners["service"])
+    def test_one_oversized_header_line_is_refused(self, listener):
+        refused = _too_large(listener["service"])
         head, body, closed = _flood(
-            listeners[listener], b"X-Big: " + b"v" * (2 << 20) + b"\r\n")
+            listener["port"], b"X-Big: " + b"v" * (2 << 20) + b"\r\n")
         assert head.startswith(b"HTTP/1.1 413 "), head[:80]
         assert json.loads(body)["code"] == REQUEST_TOO_LARGE
         assert closed
-        assert _too_large(listeners["service"]) == refused + 1
+        assert _too_large(listener["service"]) == refused + 1
 
-    def test_ordinary_headers_pass(self, listeners, listener):
-        refused = _too_large(listeners["service"])
+    def test_ordinary_headers_pass(self, listener):
+        refused = _too_large(listener["service"])
         head, _body, _closed = _flood(
-            listeners[listener], b"Connection: close\r\n" + b"".join(
+            listener["port"], b"Connection: close\r\n" + b"".join(
                 b"X-Ordinary-%d: value\r\n" % index for index in range(20)))
         assert head.startswith(b"HTTP/1.1 200 "), head[:80]
-        assert _too_large(listeners["service"]) == refused
-
-
-class TestSidecarAnswersEveryRequest:
-    @pytest.mark.parametrize("query", ["limit=abc", "limit=-1", "limit="])
-    def test_a_bad_query_is_a_400(self, listeners, query):
-        conn = http.client.HTTPConnection("127.0.0.1", listeners["sidecar"],
-                                          timeout=10)
-        try:
-            conn.request("GET", f"/trace?{query}")
-            response = conn.getresponse()
-            payload = json.loads(response.read())
-        finally:
-            conn.close()
-        assert response.status == 400
-        assert (payload["ok"], payload["code"]) == (False, BAD_REQUEST)
-
-    def test_a_failing_route_is_a_500_logged_once(self, caplog):
-        class Broken:
-            @property
-            def tracer(self):
-                raise RuntimeError("ring unavailable")
-
-        async def run():
-            sidecar = await TelemetryHTTP(Broken()).start(port=0)
-            try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", sidecar.port)
-                writer.write(b"GET /trace HTTP/1.1\r\nHost: x\r\n\r\n")
-                raw = await reader.read()
-                writer.close()
-                return raw
-            finally:
-                await sidecar.stop()
-
-        with caplog.at_level("ERROR", logger="repro.telemetry.http"):
-            raw = asyncio.run(run())
-        assert raw.startswith(b"HTTP/1.1 500 ")
-        assert len([record for record in caplog.records
-                    if "ring unavailable" in str(record.exc_info)]) == 1
+        assert _too_large(listener["service"]) == refused
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +573,7 @@ def test_an_inflight_iterate_survives_sigterm(transport, long_iterate,
 #: was derived from the signatures.
 DEFAULT_SERVE_KEYWORDS = {
     "host": "127.0.0.1", "port": 7457, "max_requests": None,
-    "prewarm": None, "prewarm_batch": (), "metrics_port": None,
-    "http_port": None, "auth_key": None, "drain_timeout": 10.0,
+    "prewarm": None, "prewarm_batch": (), "http_port": None, "auth_key": None, "drain_timeout": 10.0,
     "max_request_bytes": 32 * 1024 * 1024,
     "store": ".repro/engine.sqlite", "batch_window": 0.002, "max_batch": 64,
     "crosscheck": False, "shards": 0,
