@@ -512,8 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also expose the HTTP transport on this port "
                             "(POST /v1/execute and /v1/iterate, JSON or "
                             "binary grid bodies, sharing the same batcher; "
-                            "GET /metrics, /healthz and /trace without the "
-                            "auth key); default: TCP only")
+                            "GET /metrics and /healthz without the auth "
+                            "key, GET /trace); default: TCP only")
     serve.add_argument("--auth-key", default=None,
                        help="require this shared key on every request "
                             "(HTTP 'Authorization: Bearer', TCP 'auth' "

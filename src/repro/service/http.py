@@ -5,8 +5,8 @@ keep-alive), feeding the **same** :class:`~repro.service.server.StencilService`
 batcher as the JSON-lines TCP endpoint.  It owns five things and no
 operation logic: the request reader :func:`read_request` (bounded header
 block and body), the route table :data:`ROUTES` (request line → op; a
-GET's query becomes the op's metadata; ``/metrics``, ``/healthz`` and
-``/trace`` need no auth key), the body decoder :func:`decode_body`, the
+GET's query becomes the op's metadata; ``/metrics`` and ``/healthz``
+need no auth key), the body decoder :func:`decode_body`, the
 ``code`` → status-line map, and one reply writer (``HEAD`` on a GET route:
 the GET's status and headers, no body).
 
@@ -90,8 +90,9 @@ ROUTES = (
     ("GET", "/v1/jobs/{job_id}/result", "job_result", None),
 )
 
-#: The ops a scraper or probe reaches without the auth key.
-OPEN_OPS = frozenset({"ping", "metrics", "trace"})
+#: The ops a scraper or probe reaches without the auth key.  ``trace``
+#: is not one: its ring holds other callers' digests and errors.
+OPEN_OPS = frozenset({"ping", "metrics"})
 
 CONTENT_TYPE_PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -419,7 +420,7 @@ async def serve_http(
             reply = await dispatch(service, op, {**meta, **params}, grids)
             if op == "execute":
                 gate.mark()
-            if op == "ping" and reply.meta["status"] == "unhealthy":
+            if op == "ping" and reply.meta.get("status") == "unhealthy":
                 status = 503
         return not await write_reply(writer, reply, accept,
                                      close=not keep_alive, status=status,

@@ -33,6 +33,10 @@ log = logging.getLogger("repro.service.ops")
 Meta = Dict[str, object]
 Grids = Optional[List[np.ndarray]]
 
+#: What a malformed field of the caller's raises: a ``BadRequest``.
+CALLER_ERRORS = (ServiceError, SerializationError, ValueError, TypeError,
+                 KeyError)
+
 
 class Reply(NamedTuple):
     """Reply metadata plus the one result grid a reply may carry."""
@@ -56,11 +60,22 @@ def _off_loop(function, *args):
     return asyncio.get_running_loop().run_in_executor(None, function, *args)
 
 
+def _build(meta: Meta, grids: Grids) -> ExecutionRequest:
+    # Every field read here is the caller's: whatever a malformed one raises
+    # (``int(1e400)``, a program node that is not a mapping) is theirs.
+    try:
+        return ExecutionRequest.from_wire(meta, grids)
+    except CALLER_ERRORS:
+        raise
+    except Exception as error:  # noqa: BLE001 - re-raised as the caller's
+        raise ServiceError(f"{type(error).__name__}: {error}") from error
+
+
 async def _request(meta: Meta, grids: Grids) -> ExecutionRequest:
     # Payload conversion (JSON grids → ndarrays, input generation) can be
     # arbitrarily large; keep it off the event loop so one fat request
     # does not stall the batch window or other connections.
-    return await _off_loop(ExecutionRequest.from_wire, meta, grids)
+    return await _off_loop(_build, meta, grids)
 
 
 async def _ping(service, meta: Meta, grids: Grids) -> Reply:
@@ -201,8 +216,7 @@ async def dispatch(service, op: str, meta: Meta,
         # the job's state (HTTP 409); any other job error is the caller's.
         return refusal(CANCELLED if op == "job_result" else BAD_REQUEST,
                        str(error))
-    except (ServiceError, SerializationError, ValueError, TypeError,
-            KeyError) as error:
+    except CALLER_ERRORS as error:
         return refusal(BAD_REQUEST, f"{type(error).__name__}: {error}")
     except Exception as error:  # noqa: BLE001 - answered, not propagated
         log.exception("op %r failed", op)

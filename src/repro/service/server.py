@@ -1375,7 +1375,8 @@ def run_server(
     ``http_port`` binds the HTTP endpoint sharing the same batcher: the
     ``/v1`` routes plus ``/metrics``, ``/healthz`` and ``/trace``, whose
     event-loop lag a 250 ms sampler measures while the server runs.
-    ``auth_key`` guards both transports (all but those three routes).
+    ``auth_key`` guards both transports (all but TCP ``ping`` and
+    HTTP ``/metrics`` and ``/healthz``).
     ``drain_timeout`` bounds the shutdown drain, on both transports: the
     server waits that long for open connections (a request still
     executing, a pipelined trailing op) to finish; requests still queued

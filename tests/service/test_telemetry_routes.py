@@ -43,11 +43,14 @@ def _service(handles=None, rows=(), requests_served=0, tracer=None,
 
 
 async def _fetch(port: int, target: str, method: str = "GET",
-                 headers: str = ""):
+                 headers: str = "", body: str = ""):
     """One request on a fresh connection: (status, headers, body text)."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    if body:
+        headers += ("Content-Type: application/json\r\n"
+                    f"Content-Length: {len(body.encode())}\r\n")
     writer.write(f"{method} {target} HTTP/1.1\r\nHost: localhost\r\n"
-                 f"{headers}Connection: close\r\n\r\n".encode())
+                 f"{headers}Connection: close\r\n\r\n{body}".encode())
     await writer.drain()
     raw = await reader.read()
     writer.close()
@@ -57,10 +60,11 @@ async def _fetch(port: int, target: str, method: str = "GET",
     return int(lines[0].split()[1]), fields, body.decode("utf-8")
 
 
-async def _op(port: int, message: dict) -> dict:
-    """One JSON line over TCP, one reply line back."""
+async def _op(port: int, message) -> dict:
+    """One JSON line (a dict, or its text) over TCP, one reply line back."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    writer.write(json.dumps(message).encode() + b"\n")
+    line = message if isinstance(message, str) else json.dumps(message)
+    writer.write(line.encode() + b"\n")
     await writer.drain()
     reply = json.loads(await reader.readline())
     writer.close()
@@ -242,13 +246,20 @@ class TestOneListener:
         assert _over(_service(), scenario) == (404, 405)
 
     def test_probe_routes_need_no_key(self):
+        """``/trace`` is not a probe route: its ring holds other callers'
+        digests and errors, so it needs the key, as over TCP."""
         async def scenario(http, tcp):
-            return {path: (await _fetch(http, path))[0]
+            bare = {path: (await _fetch(http, path))[0]
                     for path in ("/metrics", "/healthz", "/trace",
                                  "/v1/jobs")}
+            keyed = (await _fetch(
+                http, "/trace",
+                headers=f"Authorization: Bearer {AUTH_KEY}\r\n"))[0]
+            return bare, keyed
 
-        assert _over(_service(), scenario, auth_key=AUTH_KEY) == {
-            "/metrics": 200, "/healthz": 200, "/trace": 200, "/v1/jobs": 401}
+        assert _over(_service(), scenario, auth_key=AUTH_KEY) == ({
+            "/metrics": 200, "/healthz": 200, "/trace": 401,
+            "/v1/jobs": 401}, 200)
 
     @pytest.mark.parametrize("path", ["/healthz", "/metrics"])
     @pytest.mark.parametrize("alive", [True, False])
@@ -304,3 +315,54 @@ class TestServerFaults:
         assert (payload["ok"], payload["code"]) == (False, INTERNAL)
         assert len([record for record in caplog.records
                     if "ring unavailable" in str(record.exc_info)]) == 1
+
+    @pytest.mark.parametrize("transport", ["http", "tcp"])
+    def test_a_failing_ping_is_a_500(self, transport, caplog):
+        """A ping that raises carries no ``status``; ``/healthz`` must
+        still answer, as the refusal it is."""
+        class Broken:
+            @property
+            def executor(self):
+                raise RuntimeError("fleet unreadable")
+
+        async def scenario(http, tcp):
+            if transport == "tcp":
+                return None, await _op(tcp, {"op": "ping"})
+            status, _, body = await _fetch(http, "/healthz")
+            return status, json.loads(body)
+
+        with caplog.at_level("ERROR", logger="repro.service.ops"):
+            status, payload = _over(Broken(), scenario)
+        assert status == (500 if transport == "http" else None)
+        assert (payload["ok"], payload["code"]) == (False, INTERNAL)
+        assert len([record for record in caplog.records
+                    if "fleet unreadable" in str(record.exc_info)]) == 1
+
+    @pytest.mark.parametrize("transport", ["http", "tcp"])
+    @pytest.mark.parametrize("fields", [
+        '"benchmark": "stencil2d", "steps": 1e400',
+        '"benchmark": "stencil2d", "seed": 1e400',
+        '"inputs": [[1.0]], "program": '
+        '{"node": "lambda", "params": [], "body": 5}',
+    ])
+    def test_a_malformed_field_is_a_400(self, transport, fields, caplog):
+        """What building the request raises is the caller's fault, however
+        the field breaks it (``int(inf)``, a node that is not a mapping)."""
+        async def scenario(http, tcp):
+            if transport == "tcp":
+                return None, await _op(tcp, f'{{"op": "execute", {fields}}}')
+            status, _, body = await _fetch(http, "/v1/execute", "POST",
+                                           body=f"{{{fields}}}")
+            return status, json.loads(body)
+
+        async def submit(request):
+            raise AssertionError("a malformed request reached the batcher")
+
+        service = _service()
+        service.submit = submit
+        with caplog.at_level("ERROR", logger="repro.service.ops"):
+            status, payload = _over(service, scenario)
+        assert status == (400 if transport == "http" else None)
+        assert (payload["ok"], payload["code"]) == (False, BAD_REQUEST)
+        assert not [record for record in caplog.records
+                    if record.name == "repro.service.ops"]
