@@ -339,7 +339,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             continue
         print(
             f"request {index}: {response.benchmark} "
-            f"variant [{response.variant}] ({response.plan_source}) "
+            f"digest {response.digest[:12]} "
             f"batch {response.batch_size} "
             f"latency {response.latency_s * 1e3:.2f} ms"
         )

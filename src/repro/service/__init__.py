@@ -7,8 +7,8 @@ high-throughput serving subsystem:
   requests that share a structural digest + input signature are stacked
   along a leading batch axis and executed as **one** vectorized call
   (one compile, one sweep, N responses);
-* :class:`DigestRouter` — routes each request's digest to its program's
-  default lowering, built once per digest;
+* :class:`DigestRouter` — routes each request's digest to its program as
+  written, one route per digest;
 * :class:`ServiceClient` — the blocking in-process client;
   :func:`serve_tcp` / :func:`run_server` — the JSON-lines TCP endpoint
   behind ``repro serve`` / ``repro submit``;

@@ -79,7 +79,7 @@ import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,6 +88,7 @@ from ..apps.base import squeeze_result
 from ..backend.plan import normalize_carry
 from ..telemetry.registry import MetricsRegistry
 from .executor import run_trajectory
+from .registry import DigestRouter
 from .requests import (
     CANCELLED,
     DEADLINE_EXCEEDED,
@@ -117,6 +118,9 @@ _MANIFEST = "job.json"
 _RESULT = "result.rpg"
 _CKPT_PREFIX = "ckpt-"
 _CKPT_SUFFIX = ".rpg"
+#: Checkpoints kept per job: the newest, and the one recovery falls back
+#: to when the newest fails its checksums.
+KEEP_CHECKPOINTS = 2
 
 
 class JobError(ServiceError):
@@ -230,7 +234,6 @@ class Job:
     benchmark: str
     steps: int
     checkpoint_every: int
-    shape: Tuple[int, ...]
     num_inputs: int
     size_env: Dict[str, int] = field(default_factory=dict)
     priority: str = "normal"
@@ -255,7 +258,6 @@ class Job:
             "benchmark": self.benchmark,
             "steps": self.steps,
             "checkpoint_every": self.checkpoint_every,
-            "shape": list(self.shape),
             "num_inputs": self.num_inputs,
             "size_env": dict(self.size_env),
             "priority": self.priority,
@@ -278,7 +280,6 @@ class Job:
             benchmark=str(data["benchmark"]),
             steps=int(data["steps"]),
             checkpoint_every=int(data.get("checkpoint_every", 1)),
-            shape=tuple(int(n) for n in data.get("shape") or ()),
             num_inputs=int(data.get("num_inputs", 1)),
             size_env={str(k): int(v)
                       for k, v in dict(data.get("size_env") or {}).items()},
@@ -314,22 +315,6 @@ class Job:
         }
 
 
-#: ``resolve(benchmark, shape, size_env) -> (program, carry_spec, digest)``.
-Resolver = Callable[[str, Tuple[int, ...], Dict[str, int]],
-                    Tuple[object, Optional[Tuple], str]]
-
-
-def suite_resolver(benchmark: str, shape: Tuple[int, ...],
-                   size_env: Dict[str, int]):
-    """The default resolver: the benchmark suite's program + carry spec."""
-    from ..apps.suite import get_benchmark
-    from ..core.ir import structural_digest
-
-    bench = get_benchmark(benchmark)
-    program = bench.build_program()
-    return program, bench.carry_spec(), structural_digest(program)
-
-
 # ---------------------------------------------------------------------------
 # The manager
 # ---------------------------------------------------------------------------
@@ -350,30 +335,31 @@ class JobManager:
     results gauge are instruments of ``metrics`` — the owning service's
     registry, or a private one for a manager built alone — and
     :meth:`stats` reads them back; nothing is counted twice.
+
+    A job's benchmark is routed through ``router`` — the owning service's
+    :class:`~repro.service.registry.DigestRouter`, or a private one for a
+    manager built alone — so a job runs the program a request for the same
+    benchmark runs.
     """
 
     def __init__(
         self,
         backend,
-        resolve: Optional[Resolver] = None,
+        router: Optional[DigestRouter] = None,
         job_dir: Optional[str] = None,
         checkpoint_every: int = 16,
         job_ttl_s: float = 3600.0,
         max_resident: int = 64,
-        keep_checkpoints: int = 2,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if checkpoint_every < 1:
             raise JobError("checkpoint_every must be >= 1")
-        if keep_checkpoints < 1:
-            raise JobError("keep_checkpoints must be >= 1")
         self.backend = backend
-        self.resolve: Resolver = resolve if resolve is not None else suite_resolver
+        self.router = router if router is not None else DigestRouter()
         self.job_dir = Path(job_dir) if job_dir else None
         self.checkpoint_every = int(checkpoint_every)
         self.job_ttl_s = float(job_ttl_s)
         self.max_resident = int(max_resident)
-        self.keep_checkpoints = int(keep_checkpoints)
         self._jobs: Dict[str, Job] = {}
         self._by_key: Dict[str, str] = {}
         self._lock = threading.RLock()
@@ -493,7 +479,6 @@ class JobManager:
                 steps=request.steps,
                 checkpoint_every=int(checkpoint_every
                                      or self.checkpoint_every),
-                shape=tuple(request.inputs[0].shape) if request.inputs else (),
                 num_inputs=len(request.inputs),
                 size_env=dict(request.size_env or {}),
                 priority=request.priority,
@@ -508,8 +493,7 @@ class JobManager:
             if job.checkpoint_every < 1:
                 raise JobError("checkpoint_every must be >= 1")
             try:
-                _, _, job.digest = self.resolve(job.benchmark, job.shape,
-                                                job.size_env)
+                job.digest = self.router.plan_for(job.benchmark).digest
             except Exception as error:
                 raise JobError(f"cannot resolve job program: {error}")
             # The step-0 checkpoint: a crash before the first segment
@@ -728,16 +712,15 @@ class JobManager:
             raise error
 
     def _run_job(self, job: Job) -> None:
-        program, carry, digest = self.resolve(job.benchmark, job.shape,
-                                              job.size_env)
-        if job.digest and digest and job.digest != digest:
+        route = self.router.plan_for(job.benchmark)
+        if job.digest and job.digest != route.digest:
             with self._lock:
                 self._finish(job, FAILED,
                              error=f"program digest changed across restart "
-                                   f"({job.digest[:12]} -> {digest[:12]}); "
-                                   "refusing to resume")
+                                   f"({job.digest[:12]} -> "
+                                   f"{route.digest[:12]}); refusing to resume")
             return
-        spec = normalize_carry(carry, job.num_inputs)
+        spec = normalize_carry(route.carry, job.num_inputs)
         if job.state is None:
             raise JobError(f"job {job.job_id} has no carry state")
         resumed_at = job.completed_steps
@@ -758,8 +741,9 @@ class JobManager:
 
         try:
             _out, _done, stopped, _timings = run_trajectory(
-                self.backend, program, job.state, job.steps - resumed_at,
-                carry, job.size_env or None, use_plans=True,
+                self.backend, route.program, job.state,
+                job.steps - resumed_at, route.carry, job.size_env or None,
+                use_plans=True,
                 segment=job.checkpoint_every, boundary=boundary)
             if stopped is None:
                 # The final output is the carry slot the spec feeds it back
@@ -843,7 +827,7 @@ class JobManager:
         _atomic_write(path, prefix, *buffers)
         self._checkpoints_total.inc()
         self._checkpoint_seconds.observe(time.perf_counter() - started)
-        for stale in self._checkpoints(directory)[:-self.keep_checkpoints]:
+        for stale in self._checkpoints(directory)[:-KEEP_CHECKPOINTS]:
             stale.unlink(missing_ok=True)
 
     @staticmethod
@@ -939,5 +923,4 @@ __all__ = [
     "JobIntegrityError",
     "JobManager",
     "JobNotFound",
-    "suite_resolver",
 ]

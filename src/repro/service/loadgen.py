@@ -42,7 +42,6 @@ from ..apps.base import squeeze_result
 from ..apps.suite import get_benchmark
 from ..backend.base import NumpyBackend
 from ..backend.cache import CompilationCache
-from ..rewriting.strategies import NAIVE, lower_program
 from ..telemetry.registry import LATENCY_BUCKETS, Histogram
 from .requests import PRIORITIES, ExecutionRequest, ExecutionResponse
 from .server import ServiceClient, StencilService
@@ -232,16 +231,15 @@ def _serial_baseline(requests: Sequence[ExecutionRequest],
                      warmup: bool = True,
                      repeats: int = 1) -> Dict[str, float]:
     """The status quo: one synchronous compiled-backend call per
-    (benchmark-named) request, on the default lowering the service serves."""
+    (benchmark-named) request, on the program the service serves."""
     backend = NumpyBackend(cache=CompilationCache(), fallback=False)
-    lowered: Dict[str, object] = {}
+    programs: Dict[str, object] = {}
 
     def run_one(request: ExecutionRequest) -> None:
-        program = lowered.get(request.benchmark)
+        program = programs.get(request.benchmark)
         if program is None:
-            program = lowered[request.benchmark] = lower_program(
-                get_benchmark(request.benchmark).build_program(), NAIVE
-            ).program
+            program = programs[request.benchmark] = get_benchmark(
+                request.benchmark).build_program()
         squeeze_result(backend.run(program, request.inputs,
                                    request.size_env or None))
 

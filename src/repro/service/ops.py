@@ -60,11 +60,12 @@ def _off_loop(function, *args):
     return asyncio.get_running_loop().run_in_executor(None, function, *args)
 
 
-def _build(meta: Meta, grids: Grids) -> ExecutionRequest:
-    # Every field read here is the caller's: whatever a malformed one raises
-    # (``int(1e400)``, a program node that is not a mapping) is theirs.
+def _caller_fields(read, *args):
+    """``read(*args)``, where every field read is the caller's: whatever a
+    malformed one raises (``int(1e400)``, a program node that is not a
+    mapping) is theirs."""
     try:
-        return ExecutionRequest.from_wire(meta, grids)
+        return read(*args)
     except CALLER_ERRORS:
         raise
     except Exception as error:  # noqa: BLE001 - re-raised as the caller's
@@ -75,7 +76,8 @@ async def _request(meta: Meta, grids: Grids) -> ExecutionRequest:
     # Payload conversion (JSON grids → ndarrays, input generation) can be
     # arbitrarily large; keep it off the event loop so one fat request
     # does not stall the batch window or other connections.
-    return await _off_loop(_build, meta, grids)
+    return await _off_loop(_caller_fields, ExecutionRequest.from_wire, meta,
+                           grids)
 
 
 async def _ping(service, meta: Meta, grids: Grids) -> Reply:
@@ -148,13 +150,10 @@ async def _job_submit(service, meta: Meta, grids: Grids) -> Reply:
     """The execute wire form plus ``job_key`` (the idempotency token) and
     an optional per-job ``checkpoint_every``."""
     request = await _request(meta, grids)
-    job_key = meta.get("job_key")
-    checkpoint_every = meta.get("checkpoint_every")
+    job_key, every = meta.get("job_key"), meta.get("checkpoint_every")
     job = await _off_loop(
-        service.jobs.submit, request,
-        str(job_key) if job_key else None,
-        int(checkpoint_every) if checkpoint_every else None,
-    )
+        service.jobs.submit, request, str(job_key) if job_key else None,
+        _caller_fields(int, every) if every else None)
     return Reply({"ok": True, "job": job})
 
 

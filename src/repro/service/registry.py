@@ -1,16 +1,15 @@
 """The digest router, and the per-digest circuit breakers.
 
 Requests are routed by the :func:`~repro.core.ir.structural_digest` of their
-*high-level* program.  :class:`DigestRouter` resolves a digest to a
-:class:`Route` that serves it with the program's default lowering
-(``lower_program(program, NAIVE)``), built once per digest and cached; a
+program.  :class:`DigestRouter` resolves a digest to a :class:`Route` that
+serves the program exactly as written, built once per digest and cached; a
 benchmark-name request and the equivalent serialized-program request share
 one route.
 
-Stored tuning results do not change what serves.  The engine ranks rewrite
-variants on simulated OpenCL devices, where overlapped tiling pays through
-local memory; the service runs on the CPU backend, where a tiled variant is
-never faster than the default lowering (docs/ARCHITECTURE.md §6).
+Nothing is lowered or tuned on the way.  The OpenCL lowerings (``mapGlb``,
+``toLocal``, tiled variants) exist to generate GPU code; the CPU backend
+compiles a program and its default lowering to the same tape, and stored
+tuning results rank variants on simulated devices (docs/ARCHITECTURE.md §6).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import threading
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..core.ir import Lambda, structural_digest
-from ..rewriting.strategies import NAIVE, lower_program
 from ..telemetry.registry import MetricsRegistry
 from .requests import ServiceError
 
@@ -29,17 +27,11 @@ class Route(NamedTuple):
 
     digest: str
     benchmark: Optional[str]          # suite key, when the digest matched
-    program: Lambda                   # the default lowering
-    variant: str                      # its strategy's description
+    program: Lambda                   # the program as written
     #: The benchmark's iterate() carry specification; ``None`` (programs
     #: outside the suite) is ``plan.iterate``'s default — the output feeds
     #: input 0, the rest stay static.
     carry: Optional[Tuple] = None
-
-    @property
-    def key(self) -> str:
-        """What shards and the supervisor's wire registry key programs by."""
-        return f"{self.digest}:{self.variant}"
 
 
 class DigestRouter:
@@ -72,8 +64,8 @@ class DigestRouter:
         """The route for a request (cached per digest).
 
         Thread-safe without a lock: the tables are only read and
-        ``setdefault``-ed, so two threads missing on one digest both lower
-        it and the first insert wins.
+        ``setdefault``-ed, so two threads missing on one digest both build
+        a route and the first insert wins.
         """
         from ..apps.suite import ALL_BENCHMARKS, get_benchmark
 
@@ -100,12 +92,10 @@ class DigestRouter:
         route = self._routes.get(digest)
         if route is not None:
             return route
-        lowered = lower_program(program, NAIVE)
         route = self._routes.setdefault(digest, Route(
             digest=digest,
             benchmark=key if bench is not None else None,
-            program=lowered.program,
-            variant=lowered.strategy.describe(),
+            program=program,
             carry=bench.carry_spec() if bench is not None else None,
         ))
         self.cold_misses += 1

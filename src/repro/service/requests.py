@@ -3,8 +3,8 @@
 A request names *what* to run — a registered benchmark or a full serialized
 program — and carries concrete input grids.  Responses return the result
 (optionally) together with the execution metadata the batching layer
-produced: which structural digest the request routed to, which lowering
-served it, how large the micro-batch was, and the observed latency.
+produced: which structural digest the request routed to, how large the
+micro-batch was, and the observed latency.
 
 ``to_wire``/``from_wire`` translate both types to JSON-able dicts for the
 TCP endpoint (JSON lines over an asyncio stream); in-process callers hand
@@ -193,10 +193,7 @@ class ExecutionResponse:
     result: Optional[np.ndarray]
     benchmark: Optional[str]
     digest: str
-    variant: str                 # description of the lowering that served it
-    plan_source: str             # "default" ("" on a request refused at admission)
     batch_size: int              # requests in the micro-batch that served it
-    batched: bool                # True when batch_size > 1
     latency_s: float
     error: Optional[str] = None
     code: Optional[str] = None
@@ -205,6 +202,11 @@ class ExecutionResponse:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    @property
+    def batched(self) -> bool:
+        """True when a micro-batch of two or more served this request."""
+        return self.batch_size > 1
 
     @property
     def shed(self) -> bool:
@@ -222,8 +224,6 @@ class ExecutionResponse:
             "ok": self.ok,
             "benchmark": self.benchmark,
             "digest": self.digest,
-            "variant": self.variant,
-            "plan_source": self.plan_source,
             "batch_size": self.batch_size,
             "batched": self.batched,
             "latency_ms": round(self.latency_s * 1e3, 4),
@@ -260,10 +260,7 @@ class ExecutionResponse:
             result=None if result is None else np.asarray(result, dtype=np.float64),
             benchmark=data.get("benchmark"),
             digest=str(data.get("digest", "")),
-            variant=str(data.get("variant", "")),
-            plan_source=str(data.get("plan_source", "")),
             batch_size=int(data.get("batch_size", 1)),
-            batched=bool(data.get("batched", False)),
             latency_s=float(data.get("latency_ms", 0.0)) / 1e3,
             error=error,
             code=data.get("code"),

@@ -13,12 +13,12 @@ one executor thread, then the loop answers them all.
 
 Requests are routed by structural digest through the
 :class:`~repro.service.registry.DigestRouter`: every digest is served by
-its program's default lowering.
+its program as written.
 
 With ``shards=N`` the numeric work of each group is dispatched round-robin
 to N pre-forked worker processes (see :mod:`repro.service.shards`): request
 grids travel through shared-memory slabs (no pickling of arrays), programs
-cross the process boundary once per (digest, variant) per shard, and groups
+cross the process boundary once per digest per shard, and groups
 on different shards sweep concurrently on a multi-core machine while this
 process keeps only admission, batching and I/O.
 
@@ -250,8 +250,8 @@ class StencilService:
         Run a :class:`~repro.service.supervisor.ShardSupervisor` alongside
         a sharded service: dead/failed shards are respawned in the
         background (bounded exponential backoff, ``max_respawns`` per
-        shard) and re-warmed from the program registry before rejoining
-        the rotation.  Ignored when ``shards == 0``.
+        shard); a respawned shard receives each program again with its
+        first group.  Ignored when ``shards == 0``.
     max_respawns:
         Per-shard respawn budget for the supervisor.
     breaker_threshold:
@@ -318,8 +318,8 @@ class StencilService:
         self.supervisor: Optional[ShardSupervisor] = None
         self.max_queue_depth = max_queue_depth
         self.max_inflight_per_digest = max_inflight_per_digest
-        self._wires: Dict[str, Dict] = {}      # (digest:variant) -> wire dict
-        self._unshardable: set = set()         # program keys that won't pickle
+        self._wires: Dict[str, Dict] = {}      # digest -> program wire dict
+        self._unshardable: set = set()         # digests that won't pickle
         self._queues: Optional[_PriorityQueues] = None
         self._digest_inflight: Dict[str, int] = {}
         self._batcher: Optional[asyncio.Task] = None
@@ -377,14 +377,11 @@ class StencilService:
         self.loop_lag_s = 0.0
         #: Durable multi-timestep jobs: checkpointed execution + recovery.
         self.checkpoint_every = int(checkpoint_every)
-
-        def resolve_job(benchmark, _shape, _size_env):
-            route = self._route(benchmark, None)
-            return route.program, route.carry, route.digest
-
+        # Jobs route through the same router, so a resumed job replays the
+        # program live traffic for its digest runs.
         self.jobs = JobManager(
             backend=self.backend,
-            resolve=resolve_job,
+            router=self.registry,
             job_dir=job_dir,
             checkpoint_every=checkpoint_every,
             job_ttl_s=job_ttl_s,
@@ -392,12 +389,6 @@ class StencilService:
             metrics=self.metrics,
         )
         self._register_gauges()
-
-    def _route(self, benchmark: Optional[str], program) -> Route:
-        """The one routing decision: admission, pre-warming and durable
-        jobs all resolve through here, so a prewarmed plan is the plan live
-        traffic hits and a resumed job replays the identical program."""
-        return self.registry.plan_for(benchmark=benchmark, program=program)
 
     def _register_gauges(self) -> None:
         """The live gauges, sampled from this instance at scrape time."""
@@ -450,7 +441,7 @@ class StencilService:
         self._batcher = asyncio.get_running_loop().create_task(self._batch_loop())
         if self.executor is not None and self.supervise:
             self.supervisor = ShardSupervisor(
-                self.executor, self._wires, max_respawns=self.max_respawns,
+                self.executor, max_respawns=self.max_respawns,
                 metrics=self.metrics)
             self.supervisor.start()
         # Durable-job recovery: resume incomplete jobs from their newest
@@ -531,7 +522,8 @@ class StencilService:
         skipped = 0
         for request in requests:
             try:
-                route = self._route(request.benchmark, request.program)
+                route = self.registry.plan_for(request.benchmark,
+                                               request.program)
             except Exception:  # noqa: BLE001 - prewarm is best-effort
                 skipped += 1
                 continue
@@ -553,7 +545,7 @@ class StencilService:
                                 use_plans=True)
                             warmed = not timings.get("plan_fallback")
                         else:
-                            shard.execute(route.key, wire, size_env, parts)
+                            shard.execute(route.digest, wire, size_env, parts)
                             warmed = True
                     except Exception:  # noqa: BLE001 - prewarm is best-effort
                         warmed = False
@@ -581,8 +573,7 @@ class StencilService:
             self._request_errors_total.inc()
             return ExecutionResponse(
                 result=None, benchmark=request.benchmark, digest="",
-                variant="", plan_source="", batch_size=0, batched=False,
-                latency_s=time.perf_counter() - started,
+                batch_size=0, latency_s=time.perf_counter() - started,
                 error=f"{type(error).__name__}: {error}",
                 code=BAD_REQUEST,
             )
@@ -595,7 +586,7 @@ class StencilService:
         return await pending.future
 
     def _admit(self, request: ExecutionRequest) -> _Pending:
-        route = self._route(request.benchmark, request.program)
+        route = self.registry.plan_for(request.benchmark, request.program)
         signature = tuple(
             (grid.shape, str(grid.dtype)) for grid in request.inputs
         )
@@ -883,7 +874,6 @@ class StencilService:
         self.tracer.record({
             "benchmark": item.route.benchmark,
             "digest": item.route.digest,
-            "variant": item.route.variant,
             "batch_size": size,
             "total_ms": item.admit_ms + (done - item.enqueued_at) * 1e3,
             "stages": stages,
@@ -981,7 +971,7 @@ class StencilService:
     ) -> Optional[Tuple[List, Dict[str, object]]]:
         """Sweep one group on a shard process; ``None`` = serve locally.
 
-        The program crosses the pipe once per (digest, variant) per shard;
+        The program crosses the pipe once per digest per shard;
         request grids go through the shard's shared-memory input slabs.
         """
         wire = self._wire_for(route)
@@ -996,7 +986,7 @@ class StencilService:
                 # the supervisor restores capacity.
                 return None
             try:
-                rows = shard.execute(route.key, wire, size_env, parts)
+                rows = shard.execute(route.digest, wire, size_env, parts)
                 break
             except ShardUnavailable as error:
                 # The reply never arrived, so nothing was delivered for
@@ -1022,19 +1012,19 @@ class StencilService:
 
     def _wire_for(self, route: Route) -> Optional[Dict]:
         """The program's cross-process wire dict, serialised once per
-        (digest, variant).  ``None`` for programs the wire format cannot
-        express (e.g. closure-captured constant arrays): remembered in
-        ``_unshardable`` and served in-process."""
-        if route.key in self._unshardable:
+        digest.  ``None`` for programs the wire format cannot express (e.g.
+        closure-captured constant arrays): remembered in ``_unshardable``
+        and served in-process."""
+        if route.digest in self._unshardable:
             return None
-        wire = self._wires.get(route.key)
+        wire = self._wires.get(route.digest)
         if wire is None:
             try:
                 wire = program_to_dict(route.program)
             except SerializationError:
-                self._unshardable.add(route.key)
+                self._unshardable.add(route.digest)
                 return None
-            self._wires[route.key] = wire
+            self._wires[route.digest] = wire
         return wire
 
     def _crosscheck(self, group: List[_Pending], outputs: List) -> int:
@@ -1071,14 +1061,11 @@ class StencilService:
     def _answer(item: _Pending, now: float, size: int, result=None,
                 **outcome) -> None:
         """Resolve one request's future: every response — served, shed,
-        rejected or failed — carries the same routing facts.  Every route
-        serves the default lowering, so ``plan_source`` is always
-        ``"default"``."""
+        rejected or failed — carries the same routing facts."""
         item.future.set_result(ExecutionResponse(
             result=result, benchmark=item.route.benchmark,
-            digest=item.route.digest, variant=item.route.variant,
-            plan_source="default", batch_size=size,
-            batched=size > 1, latency_s=now - item.enqueued_at, **outcome))
+            digest=item.route.digest, batch_size=size,
+            latency_s=now - item.enqueued_at, **outcome))
 
     # -- stats -----------------------------------------------------------------
     def service_section(self) -> Dict[str, object]:

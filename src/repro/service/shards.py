@@ -15,7 +15,7 @@ space — no pickling of arrays, no sockets, no per-request allocation of
 wire buffers.  Each shard writes its stacked result into a shared output
 slab the parent maps back.  Only tiny control messages (slab names, the
 routing digest, batch geometry) cross the pipe; programs cross **once**
-per (digest, variant) per shard, as :func:`~repro.core.serialize.program_to_dict`
+per digest per shard, as :func:`~repro.core.serialize.program_to_dict`
 wire dicts, and are compiled into the shard's own caches — so in sharded
 mode the expected compilation count for one hot digest is one *per shard
 that served it*, not one per process tree.
@@ -30,8 +30,9 @@ timeout) raises :class:`ShardUnavailable` and marks the handle
 failed so :meth:`ShardedExecutor.pick` skips it; the service *redispatches*
 the group to a surviving shard (safe — the reply never arrived, so nothing
 was delivered twice) and the :class:`~repro.service.supervisor.ShardSupervisor`
-respawns the dead process in the background (:meth:`ShardHandle.respawn`)
-and re-warms its program cache before it rejoins the rotation.  An
+respawns the dead process in the background (:meth:`ShardHandle.respawn`).
+The new process starts with empty caches: the first group it gets for a
+digest carries the program again, as on a fresh shard.  An
 *in-band* error reply (the shard is alive but the program failed) stays a
 plain :class:`ShardError` and is **not** redispatched — a deterministic
 failure would fail everywhere.
@@ -104,8 +105,8 @@ def _shard_main(index: int, conn) -> None:
 
     Runs in a spawned child process.  Owns a private backend (compilation
     cache, plan cache, buffer pools) plus caches of deserialized programs
-    (by the parent's ``(digest, variant)`` key), attached input slabs (by
-    name) and created output slabs (by geometry).
+    (by digest), attached input slabs (by name) and created output slabs
+    (by geometry).
     """
     from ..backend.base import NumpyBackend
     from ..backend.cache import CompilationCache
@@ -171,9 +172,6 @@ def _shard_main(index: int, conn) -> None:
             if op == "shutdown":
                 conn.send({"ok": True})
                 break
-            if op == "ping":
-                conn.send({"ok": True, "pong": True, "shard": index})
-                continue
             if op == "stats":
                 stats = dict(counters)
                 stats["shard"] = index
@@ -185,19 +183,6 @@ def _shard_main(index: int, conn) -> None:
 
                 stats["telemetry"] = get_registry().snapshot()
                 conn.send({"ok": True, "stats": stats})
-                continue
-            if op == "load":
-                # Supervisor rewarm: cache the program so a respawned shard
-                # rejoins the rotation warm (no first-group program resend).
-                try:
-                    programs[message["digest"]] = program_from_dict(
-                        message["program"])
-                    conn.send({"ok": True, "loaded": message["digest"]})
-                except Exception as error:  # noqa: BLE001 - reported in-band
-                    conn.send({
-                        "ok": False,
-                        "error": f"{type(error).__name__}: {error}",
-                    })
                 continue
             if op != "execute":
                 conn.send({"ok": False, "error": f"unknown op {op!r}"})
@@ -328,7 +313,7 @@ class ShardHandle:
         return entry[1]
 
     # -- the group path ------------------------------------------------------
-    def execute(self, program_key: str, program_wire: Dict,
+    def execute(self, digest: str, program_wire: Dict,
                 size_env: Optional[Dict],
                 parts: Sequence[Sequence[np.ndarray]]) -> List[np.ndarray]:
         """Run one routed group on this shard; returns per-request outputs.
@@ -346,7 +331,7 @@ class ShardHandle:
                     np.copyto(array[row], grid)  # casts to float64 once, here
             message = {
                 "op": "execute",
-                "digest": program_key,
+                "digest": digest,
                 "size_env": dict(size_env or {}),
                 "n": n,
                 "inputs": [
@@ -355,9 +340,9 @@ class ShardHandle:
                     for shm, array in slabs
                 ],
             }
-            if program_key not in self._sent_programs:
+            if digest not in self._sent_programs:
                 message["program"] = program_wire
-                self._sent_programs.add(program_key)
+                self._sent_programs.add(digest)
             try:
                 reply = self._roundtrip(message, timeout_s=self.timeout_s)
             except ShardError:
@@ -384,8 +369,7 @@ class ShardHandle:
         a ``SIGKILL``-ed child never ran its cleanup), clears the
         program-sent set (the new process has empty caches), and spawns.
         Input slabs are parent-owned and name-attached lazily, so they
-        carry over.  The caller (supervisor) re-warms programs via
-        :meth:`load_program` before clearing ``failed``.
+        carry over.  The caller (supervisor) clears ``failed``.
         """
         with self._lock:
             if self.process.is_alive():
@@ -407,18 +391,6 @@ class ShardHandle:
             self.respawns += 1
             log.info("shard %d respawned (pid %s, respawn #%d)",
                      self.index, self.process.pid, self.respawns)
-
-    def load_program(self, program_key: str, program_wire: Dict,
-                     timeout_s: Optional[float] = None) -> None:
-        """Pre-load one program into the shard (supervisor rewarm)."""
-        with self._lock:
-            reply = self._roundtrip(
-                {"op": "load", "digest": program_key, "program": program_wire},
-                timeout_s=timeout_s if timeout_s is not None else self.timeout_s)
-            if not reply.get("ok"):
-                raise ShardError(
-                    f"shard {self.index} rewarm failed: {reply.get('error')}")
-            self._sent_programs.add(program_key)
 
     # -- ops -----------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
@@ -480,11 +452,10 @@ class ShardedExecutor:
     caches make the second group per (shard, digest) a warm replay.
     """
 
-    def __init__(self, shards: int, start_method: str = "spawn",
-                 timeout_s: Optional[float] = None) -> None:
+    def __init__(self, shards: int, timeout_s: Optional[float] = None) -> None:
         if shards < 1:
             raise ServiceError("shards must be >= 1")
-        ctx = mp.get_context(start_method)
+        ctx = mp.get_context("spawn")
         self.handles = [
             ShardHandle(index, ctx, timeout_s=timeout_s)
             for index in range(shards)

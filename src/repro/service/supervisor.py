@@ -1,9 +1,9 @@
-"""Shard supervision: detect dead/wedged shards, respawn, re-warm, rejoin.
+"""Shard supervision: detect dead/wedged shards, respawn, rejoin.
 
 The :class:`~repro.service.shards.ShardedExecutor` gives the service
 redundant capacity; this module gives it *self-healing*.  A
 :class:`ShardSupervisor` is an asyncio task on the service loop that
-sweeps the fleet every ``check_interval_s``:
+sweeps the fleet every :data:`DEFAULT_CHECK_INTERVAL_S`:
 
 1. **Detect** — a shard is down when its handle was marked failed (a
    round-trip broke or tripped the watchdog timeout) or its process is no
@@ -13,17 +13,15 @@ sweeps the fleet every ``check_interval_s``:
    round-trip has a reply to wait for.
 2. **Respawn** — the dead process is reaped and replaced
    (:meth:`ShardHandle.respawn`) on an executor thread (spawning blocks
-   ~1 s), gated by bounded exponential backoff (``backoff_base_s`` ·
-   2^respawns, capped at ``backoff_max_s``) and a ``max_respawns`` budget
-   per shard; a shard that exhausts its budget is left out of rotation
-   and logged once.
-3. **Re-warm** — every program wire dict the parent has ever routed (its
-   ``(digest:variant) -> wire`` registry) is pre-loaded into the new
-   process, so the shard rejoins the rotation with a warm program cache
-   instead of paying a program resend on its first group per digest.
-   Plans rebuild on first use, exactly like a cold service.
-4. **Rejoin** — only after a successful rewarm is ``failed`` cleared,
-   making the shard visible to :meth:`ShardedExecutor.pick` again.
+   ~1 s), gated by bounded exponential backoff
+   (:data:`DEFAULT_BACKOFF_BASE_S` · 2^respawns, capped at
+   :data:`DEFAULT_BACKOFF_MAX_S`) and a ``max_respawns`` budget per shard;
+   a shard that exhausts its budget is left out of rotation and logged
+   once.
+3. **Rejoin** — right after the respawn ``failed`` is cleared, making the
+   shard visible to :meth:`ShardedExecutor.pick` again.  The new process
+   has empty caches, so the first group it gets for a digest carries the
+   program, and its plans build on first use, like a fresh shard's.
 
 Redispatch of the failed shard's in-flight groups is *not* done here: the
 executor thread that caught :class:`~repro.service.shards.ShardUnavailable`
@@ -43,7 +41,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..telemetry.registry import Counter, MetricsRegistry
 from .shards import ShardedExecutor, ShardHandle
@@ -77,35 +75,18 @@ class ShardSupervisor:
     ----------
     executor:
         The fleet to supervise.
-    wires:
-        The parent's live ``(digest:variant) -> program wire dict``
-        registry (the service's ``_wires``); read at rewarm time, so
-        programs routed after a respawn began are still warmed next time.
     max_respawns:
         Per-shard respawn budget; exhausted shards stay down.
-    on_restart:
-        Optional callback ``(handle) -> None`` invoked on the event loop
-        after a shard rejoins (the service bumps its counters/trace here).
     metrics:
         The registry restarts and respawn failures are counted in: the
         owning service's, or a private one for a supervisor built alone.
     """
 
-    def __init__(self, executor: ShardedExecutor, wires: Dict[str, Dict],
-                 *, max_respawns: int = DEFAULT_MAX_RESPAWNS,
-                 backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
-                 backoff_max_s: float = DEFAULT_BACKOFF_MAX_S,
-                 check_interval_s: float = DEFAULT_CHECK_INTERVAL_S,
-                 on_restart: Optional[Callable[[ShardHandle], None]] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 ) -> None:
+    def __init__(self, executor: ShardedExecutor, *,
+                 max_respawns: int = DEFAULT_MAX_RESPAWNS,
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self.executor = executor
-        self.wires = wires
         self.max_respawns = max_respawns
-        self.backoff_base_s = backoff_base_s
-        self.backoff_max_s = backoff_max_s
-        self.check_interval_s = check_interval_s
-        self.on_restart = on_restart
         self._restarts, self._respawn_failures = restart_counters(
             metrics if metrics is not None else MetricsRegistry())
         self._task: Optional[asyncio.Task] = None
@@ -135,7 +116,7 @@ class ShardSupervisor:
                 self._sweep()
             except Exception:  # noqa: BLE001 - the monitor must not die
                 log.exception("supervisor sweep failed")
-            await asyncio.sleep(self.check_interval_s)
+            await asyncio.sleep(DEFAULT_CHECK_INTERVAL_S)
 
     def _sweep(self) -> None:
         now = time.monotonic()
@@ -145,8 +126,7 @@ class ShardSupervisor:
                 continue
             if not handle.failed and handle.process.is_alive():
                 continue
-            if not handle.failed:
-                handle.mark_failed("process died")
+            handle.mark_failed("process died")
             if handle.respawns >= self.max_respawns:
                 if index not in self._gave_up:
                     self._gave_up.add(index)
@@ -156,8 +136,8 @@ class ShardSupervisor:
                 continue
             due = self._next_attempt.get(index)
             if due is None:
-                delay = min(self.backoff_base_s * (2 ** handle.respawns),
-                            self.backoff_max_s)
+                delay = min(DEFAULT_BACKOFF_BASE_S * (2 ** handle.respawns),
+                            DEFAULT_BACKOFF_MAX_S)
                 self._next_attempt[index] = now + delay
                 log.info("shard %d down; respawn #%d in %.2fs",
                          index, handle.respawns + 1, delay)
@@ -166,18 +146,14 @@ class ShardSupervisor:
                 continue
             self._inflight.add(index)
             loop = asyncio.get_running_loop()
-            future = loop.run_in_executor(
-                None, self._respawn_and_rewarm, handle)
+            future = loop.run_in_executor(None, self._respawn, handle)
             future.add_done_callback(
                 lambda f, handle=handle: self._respawn_done(handle, f))
 
     # -- respawn (executor thread) -------------------------------------------
-    def _respawn_and_rewarm(self, handle: ShardHandle) -> None:
+    @staticmethod
+    def _respawn(handle: ShardHandle) -> None:
         handle.respawn()
-        # Rewarm from a snapshot of the parent's digest registry; a program
-        # routed mid-rewarm just falls back to the first-group resend path.
-        for program_key, wire in list(self.wires.items()):
-            handle.load_program(program_key, wire, timeout_s=30.0)
         handle.failed = False
 
     def _respawn_done(self, handle: ShardHandle, future) -> None:
@@ -186,18 +162,12 @@ class ShardSupervisor:
         self._next_attempt.pop(index, None)
         error = future.exception()
         if error is not None:
+            # ``failed`` is still set: only a respawn that returned clears it.
             self._respawn_failures.inc()
-            handle.mark_failed(f"respawn failed: {error}")
-            handle.failed = True
             log.warning("shard %d respawn failed: %s", index, error)
             return
         self._restarts.inc()
         log.info("shard %d rejoined the rotation", index)
-        if self.on_restart is not None:
-            try:
-                self.on_restart(handle)
-            except Exception:  # noqa: BLE001 - observer must not kill us
-                log.exception("on_restart callback failed")
 
     # -- observability -------------------------------------------------------
     def stats(self) -> Dict[str, object]:

@@ -21,9 +21,8 @@ from repro.service import ExecutionRequest, ExecutionResponse
 
 
 def _response(**overrides):
-    fields = dict(result=None, benchmark="stencil2d", digest="d", variant="v",
-                  plan_source="default", batch_size=1, batched=False,
-                  latency_s=0.001)
+    fields = dict(result=None, benchmark="stencil2d", digest="d",
+                  batch_size=1, latency_s=0.001)
     fields.update(overrides)
     return ExecutionResponse(**fields)
 

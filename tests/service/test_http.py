@@ -246,6 +246,18 @@ class TestTransportParity:
                 stepped = client.iterate(_request(), steps=4)
             assert grid == stepped.result.tobytes()
 
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_a_reply_carries_the_routing_facts_only(self, live_server, mode):
+        """No lowering serves, so no reply names one: ``variant`` and
+        ``plan_source`` are gone from every transport."""
+        meta = {"benchmark": "jacobi2d5pt", "shape": [10, 9], "seed": 2}
+        with _client(live_server, mode) as client:
+            reply, _grid = client.transport.call("execute", meta, None, 10)
+        assert reply["ok"], reply
+        assert set(reply) - {"result"} == {
+            "ok", "benchmark", "digest", "batch_size", "batched",
+            "latency_ms"}
+
     def test_binary_path_never_builds_json_lists(self, live_server,
                                                  monkeypatch):
         """RPG1 both ways reads grid-free metadata; ``to_wire`` (a

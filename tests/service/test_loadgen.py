@@ -107,8 +107,7 @@ class TestRemoteScenarios:
 
 def _response(**fields) -> ExecutionResponse:
     return ExecutionResponse(
-        result=None, benchmark="stencil2d", digest="d", variant="v",
-        plan_source="default", batch_size=1, batched=False,
+        result=None, benchmark="stencil2d", digest="d", batch_size=1,
         latency_s=0.001, **fields)
 
 

@@ -1,8 +1,8 @@
 """The digest router, and what the service does with a results store.
 
-Every digest serves its default lowering: a tiled best left in the store
-by ``repro tune`` does not change what serves, and a store the service is
-pointed at is only read, never created.
+Every digest serves its program as written: nothing is lowered on the
+way, a tiled best left in the store by ``repro tune`` does not change what
+serves, and a store the service is pointed at is only read, never created.
 """
 
 import pathlib
@@ -11,9 +11,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.apps.suite import get_benchmark
+from repro.apps.suite import ALL_BENCHMARKS, get_benchmark
 from repro.backend import iterate_generic
 from repro.backend.base import NumpyBackend
+from repro.core.ir import structural_digest
 from repro.engine import ResultsStore
 from repro.engine.jobs import EvaluationJob, VariantSpec, config_items
 from repro.rewriting.strategies import NAIVE, lower_program
@@ -37,11 +38,6 @@ def stored_best(store, benchmark="Stencil2D", tile=18, cost=1e-5,
     return job
 
 
-def default_variant(key):
-    return lower_program(get_benchmark(key).build_program(),
-                         NAIVE).strategy.describe()
-
-
 class TestStoreLookupAPI:
     def test_best_per_benchmark_and_benchmarks(self, tmp_path):
         with ResultsStore(str(tmp_path / "s.sqlite")) as store:
@@ -55,12 +51,16 @@ class TestStoreLookupAPI:
 
 
 class TestRegistryRouting:
-    def test_cold_digest_gets_default_plan(self):
+    def test_cold_digest_serves_the_benchmark_program(self):
         router = DigestRouter()
         route = router.plan_for(benchmark="stencil2d")
-        assert route.variant == default_variant("stencil2d")
-        assert "naive" in route.variant
-        assert route.key == f"{route.digest}:{route.variant}"
+        program = get_benchmark("stencil2d").build_program()
+        # The benchmark's own structure, not a lowering of it.
+        assert structural_digest(route.program) == route.digest \
+            == structural_digest(program)
+        assert structural_digest(route.program) != structural_digest(
+            lower_program(program, NAIVE).program)
+        assert route._fields == ("digest", "benchmark", "program", "carry")
         assert router.stats() == {"lookups": 1, "cold_misses": 1,
                                   "plans_cached": 1}
 
@@ -81,7 +81,7 @@ class TestRegistryRouting:
         assert by_program.benchmark == "stencil2d"
         assert by_program.carry == get_benchmark("stencil2d").carry_spec()
 
-    def test_unknown_program_serves_its_default_lowering(self):
+    def test_unknown_program_serves_as_written(self):
         from repro.core import builders as L
         from repro.core.arithmetic import Var
         from repro.core.ir import structural_digest
@@ -96,8 +96,7 @@ class TestRegistryRouting:
         route = DigestRouter().plan_for(program=program)
         assert route.benchmark is None and route.carry is None
         assert route.digest == structural_digest(program)
-        assert structural_digest(route.program) == structural_digest(
-            lower_program(program, NAIVE).program)
+        assert route.program is program
 
     def test_requires_benchmark_or_program(self):
         from repro.service import ServiceError
@@ -108,14 +107,15 @@ class TestRegistryRouting:
     def test_concurrent_cold_misses_share_one_route(self, monkeypatch):
         from repro.service import registry
 
-        # Both threads miss before either caches: each lowers the program.
+        # Both threads miss before either caches: each digests the program.
         both_missed = threading.Barrier(2, timeout=10)
 
-        def lower_after_both_missed(program, strategy):
+        def digest_after_both_missed(program):
             both_missed.wait()
-            return lower_program(program, strategy)
+            return structural_digest(program)
 
-        monkeypatch.setattr(registry, "lower_program", lower_after_both_missed)
+        monkeypatch.setattr(registry, "structural_digest",
+                            digest_after_both_missed)
         router = DigestRouter()
         routes = []
         threads = [threading.Thread(target=lambda: routes.append(
@@ -152,8 +152,7 @@ class TestServiceAndStore:
         backend = NumpyBackend()
         for response, steps in ((single, 1), (iterated, 16)):
             # ...but never changes the program that serves.
-            assert response.variant == default_variant("jacobi2d5pt")
-            assert response.plan_source == "default"
+            assert response.digest == structural_digest(program)
             expected = iterate_generic(backend, program, inputs, steps,
                                        carry=bench.carry_spec())
             assert response.result.tobytes() == np.asarray(
@@ -174,3 +173,47 @@ class TestServiceAndStore:
 
         section = store_section(":memory:")
         assert section["available"] and section["best"] == {}
+
+
+@pytest.fixture(scope="module")
+def served():
+    with ServiceClient(StencilService(batch_window=0.001)) as client:
+        yield client
+
+
+def _same_bits(got, expected) -> bool:
+    return np.asarray(got).tobytes() == np.asarray(
+        expected, dtype=np.float64).tobytes()
+
+
+class TestServedAsWritten:
+    @pytest.mark.parametrize("key", sorted(ALL_BENCHMARKS))
+    def test_suite_app_matches_generic_iteration_of_its_program(self, key,
+                                                                served):
+        bench = get_benchmark(key)
+        inputs = bench.make_inputs((13, 11) if bench.ndims == 2
+                                   else (5, 7, 9), 4)
+        backend = NumpyBackend()
+        for steps in (1, 20):
+            response = served.execute(ExecutionRequest(
+                inputs=[np.array(grid) for grid in inputs], benchmark=key,
+                steps=steps))
+            assert response.ok, response.error
+            expected = iterate_generic(backend, bench.build_program(),
+                                       inputs, steps, carry=bench.carry_spec())
+            assert _same_bits(response.result, expected), (key, steps)
+
+    def test_a_lowered_program_is_served_as_sent(self, served):
+        """A program already lowered to OpenCL primitives is a program like
+        any other: it routes by its own digest and serves unchanged."""
+        bench = get_benchmark("stencil2d")
+        program = bench.build_program()
+        lowered = lower_program(program, NAIVE).program
+        inputs = bench.make_inputs((13, 11), 5)
+        response = served.execute(ExecutionRequest(
+            inputs=[np.array(grid) for grid in inputs], program=lowered))
+        assert response.ok, response.error
+        assert response.benchmark is None
+        assert response.digest == structural_digest(lowered)
+        assert _same_bits(response.result,
+                          NumpyBackend().run(program, inputs))

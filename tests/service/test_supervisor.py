@@ -121,6 +121,44 @@ class TestSupervisedRespawn:
                 assert row["alive"], row
                 assert row["requests"] >= 1, row
 
+    def test_a_respawned_shard_gets_the_program_with_its_first_group(self):
+        """Nothing is preloaded into a respawned process: the first group
+        it is sent for a digest the dead process served carries the
+        program, and is answered bit-identically."""
+        first, second = _stream(count=2)
+        with ServiceClient(StencilService(store=None)) as client:
+            expected = client.execute(second).result
+
+        service = StencilService(store=None, shards=1, max_batch=1,
+                                 shard_timeout_s=5.0)
+        with ServiceClient(service) as client:
+            assert client.execute(first).ok
+            victim = service.executor.handles[0]
+            assert victim.groups == 1
+            victim.process.kill()
+
+            def restarted():
+                stats = client.stats()["service"]
+                return int(stats.get("shard_restarts") or 0) >= 1
+            assert _wait_for(restarted), client.stats()["service"]
+
+            sent = []
+            roundtrip = victim._roundtrip
+
+            def spy(message, timeout_s=None):
+                sent.append(message)
+                return roundtrip(message, timeout_s)
+
+            victim._roundtrip = spy
+            response = client.execute(second)
+            assert response.ok, response.error
+            assert response.result.tobytes() == expected.tobytes()
+            (group,) = [m for m in sent if m["op"] == "execute"]
+            assert group["digest"] == response.digest
+            assert "program" in group
+            assert client.stats()["service"]["supervisor"][
+                "respawn_failures"] == 0
+
     def test_in_flight_group_is_redispatched_exactly_once_per_request(self):
         # Arm the crash *in the shard children* (export=True → the spawned
         # process arms from the environment): each shard exits before its

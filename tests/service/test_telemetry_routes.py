@@ -13,8 +13,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.backend.base import NumpyBackend
 from repro.client import ClientConfig, StencilClient
 from repro.service import serve_http, serve_tcp
+from repro.service.jobs import JobManager
 from repro.service.requests import BAD_REQUEST, INTERNAL
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.trace import TraceRing
@@ -364,5 +366,34 @@ class TestServerFaults:
             status, payload = _over(service, scenario)
         assert status == (400 if transport == "http" else None)
         assert (payload["ok"], payload["code"]) == (False, BAD_REQUEST)
+        assert not [record for record in caplog.records
+                    if record.name == "repro.service.ops"]
+
+    @pytest.mark.parametrize("transport", ["http", "tcp"])
+    @pytest.mark.parametrize("every", ["1e400", '"abc"', "-1", "[1]"])
+    def test_a_malformed_checkpoint_every_is_a_400(self, transport, every,
+                                                    caplog):
+        """Job fields go through the same caller-field guard as the
+        request's: ``int(inf)`` is the caller's fault, not a 500."""
+        fields = ('"benchmark": "stencil2d", "shape": [8, 8], "steps": 4, '
+                  f'"checkpoint_every": {every}')
+
+        async def scenario(http, tcp):
+            if transport == "tcp":
+                return None, await _op(tcp,
+                                       f'{{"op": "job_submit", {fields}}}')
+            status, _, body = await _fetch(http, "/v1/jobs", "POST",
+                                           body=f"{{{fields}}}")
+            return status, json.loads(body)
+
+        service = _service()
+        service.jobs = JobManager(NumpyBackend())
+        with caplog.at_level("DEBUG", logger="repro.service.ops"):
+            status, payload = _over(service, scenario)
+        assert status == (400 if transport == "http" else None)
+        assert (payload["ok"], payload["code"]) == (False, BAD_REQUEST)
+        if every == "-1":  # the manager's own check, before a job exists
+            assert "checkpoint_every must be >= 1" in payload["error"]
+        assert service.jobs.list_jobs() == []
         assert not [record for record in caplog.records
                     if record.name == "repro.service.ops"]

@@ -134,6 +134,6 @@ class TestServiceVerbs:
             "--count", 2,
         ]) == 0
         out = capsys.readouterr().out
-        assert "variant" in out
+        assert "stencil2d digest " in out
         server.join(timeout=15)
         assert not server.is_alive()

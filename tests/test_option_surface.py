@@ -21,8 +21,10 @@ from repro.apps.base import StencilBenchmark
 from repro.backend.base import NumpyBackend
 from repro.backend.plan import ExecutionPlan
 from repro.client import ClientConfig
+from repro.service.jobs import JobManager
 from repro.service.server import StencilService
 from repro.service.shards import ShardedExecutor
+from repro.service.supervisor import ShardSupervisor
 
 PARAMETERS = {
     NumpyBackend.plan: ("program", "inputs_or_signature", "size_env",
@@ -38,7 +40,10 @@ PARAMETERS = {
         "shard_timeout_s", "supervise", "max_respawns", "breaker_threshold",
         "breaker_cooldown_s", "job_dir", "checkpoint_every", "job_ttl_s",
         "max_resident_jobs"),
-    ShardedExecutor.__init__: ("shards", "start_method", "timeout_s"),
+    ShardedExecutor.__init__: ("shards", "timeout_s"),
+    ShardSupervisor.__init__: ("executor", "max_respawns", "metrics"),
+    JobManager.__init__: ("backend", "router", "job_dir", "checkpoint_every",
+                          "job_ttl_s", "max_resident", "metrics"),
 }
 
 CLIENT_CONFIG_FIELDS = ("host", "port", "transport", "auth_key", "timeout_s",
@@ -73,7 +78,7 @@ def _verb_flags(verb: str) -> set:
 
 
 def test_serving_never_names_a_device():
-    """Serving runs the default lowering: no flag picks a tuned variant."""
+    """Serving runs the program as written: no flag picks a tuned variant."""
     serve, loadgen = _verb_flags("serve"), _verb_flags("loadgen")
     assert {"--store", "--no-store"} <= serve
     assert not {"--auto-tune", "--device"} & serve
