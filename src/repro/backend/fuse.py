@@ -152,13 +152,19 @@ def normalize_tile_spec(tile_shape):
 #: bands of the compute-bound Hotspot2D 1024² block took ``sim2d-dram``
 #: from 851 to 1336 Mcell/s (10 of 10 interleaved pairs).
 #: Measured on the 2-vCPU recording box: one
-#: ``run_parts`` hand-off costs ≈20 µs idle and one tile of a 14-ufunc region
-#: ≈0.25 ms, but two chunks only overlap by the ≈1.15× the second vCPU adds
-#: to tile-sized ufuncs, so the gain must outweigh scheduling jitter on the
-#: whole region, not one hand-off.  Hotspot2D 1024² (8 MB, 32 tiles) took
-#: the second core in 10 of 10 interleaved pairs (+6 % median Mcell/s);
-#: Acoustic 32×96×96 (2.4 MB, 11 tiles) tied or lost (3.01 vs 3.09 ms per
-#: step) and, like 512² grids and batched 64² plans, stays serial.
+#: ``run_parts`` hand-off costs ≈47 µs back to back and ≈131 µs median
+#: (617 µs p90) after a 1 ms idle, so a split must buy more than that on
+#: every call.  Hotspot2D 1024² (8 MB, 32 tiles) took the second core in 10
+#: of 10 interleaved pairs (+6 % median Mcell/s on ufunc tiles).
+#: Acoustic 32×96×96 (2.4 MB) is a compute-bound native region (530–760
+#: Mcell/s at every working set from 12 KB to 10 MB), and splitting each
+#: step into two row halves was noise on ``sim3d-cache`` (622→808,
+#: 590→769, 592→728, 580→551 Mcell/s): it stays serial per step and takes
+#: the second core through barrier blocks instead, T steps per hand-off
+#: (:data:`~repro.backend.native.BARRIER_BAND_CELLS`).  512² grids and
+#: batched 64² plans stay serial: a cell-count rule that banded 512²
+#: wavefront blocks made ``remote-traj-512`` ``latency_p50_ms`` worse in 3
+#: of 3 pairs (24.8→27.2, 22.4→29.6, 24.5→27.8 ms).
 AUTO_WORKER_MIN_BYTES = 16 * TILE_TARGET_BYTES
 
 
@@ -174,6 +180,31 @@ def usable_cores() -> int:
 #: :func:`usable_cores`, read once per process (every warm plan lookup
 #: resolves a worker count, and the read is a sysfs walk).
 CORES = usable_cores()
+
+#: Shard processes this process has started and not closed
+#: (:class:`~repro.service.shards.ShardedExecutor` counts them).  They
+#: sweep on the same cores: :data:`CORES` is the affinity set, not split.
+SHARD_PROCESSES = 0
+_SHARD_LOCK = threading.Lock()
+
+
+def count_shard_processes(delta: int) -> None:
+    """Count ``delta`` more (negative: fewer) :data:`SHARD_PROCESSES`."""
+    global SHARD_PROCESSES
+    with _SHARD_LOCK:
+        SHARD_PROCESSES += delta
+
+
+def band_cores() -> int:
+    """The cores a barrier block bands over when no worker count asks for
+    more: this process's share of :data:`CORES` beside its shard processes.
+
+    Served Acoustic 32×96×96 256-step trajectories on the 2-vCPU recording
+    box, two bands against per-step replay (median p50 of 4 interleaved
+    runs): 168→117 ms with no shards, 176→128 ms beside two idle shards,
+    but 226→306 ms while two shards swept single requests.  Banding over
+    this share instead, the last case read 202→183 ms."""
+    return max(1, CORES // (1 + SHARD_PROCESSES))
 
 
 def auto_workers(input_shapes: Sequence[Sequence[int]]) -> int:
@@ -405,10 +436,10 @@ class ReplayWorkerPool:
         self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._spawn_lock = threading.Lock()
         self._threads = 0
-        self._max_threads = max_threads
+        self.max_threads = max_threads  # the most it ever spawns
 
     def _ensure_threads(self, needed: int) -> None:
-        target = min(needed, self._max_threads)
+        target = min(needed, self.max_threads)
         if self._threads >= target:
             return
         with self._spawn_lock:
@@ -920,7 +951,9 @@ __all__ = [
     "Temp",
     "auto_tile",
     "auto_workers",
+    "band_cores",
     "build_region",
+    "count_shard_processes",
     "fusable_regions",
     "lower_tape",
     "measure_best_tile",

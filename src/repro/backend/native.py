@@ -45,6 +45,20 @@ one per band; a call runs any count of steps up to T, its bands on the
 replay pool.  The plan decides when a block runs and checks one against
 the per-step tapes first.
 
+**Barrier blocks.**  Where the wavefront declines — a carry that rotates
+grids, such as Acoustic's ``(1, "out", None)``, or a padded row so wide
+that even a two-step ring is over budget (:func:`wavefront` is ``None``) —
+the plan may ask for a barrier block: the region's own text plus a
+``steps`` loop (:func:`_barrier_steps`) that runs T per-step bodies
+over the rows ``[lo, hi)``, step ``t`` through the ``t``-th of T pointer
+and stride tables (those of the tape per-step replay runs at that step),
+refreshing the clamp halo of the rows it stored (``halo_`` and the
+leading rows, geometry from :func:`barrier_geometry`) and meeting the
+other bands at a spin barrier.  Bands exchange rows through the real
+grids, so there is no ring and nothing is recomputed; the cost is a
+barrier per step, paid inside one C call.  :class:`BarrierBlock` binds
+it; :func:`barrier_bands` picks the band count.
+
 **Whitelist.**  float64 ``add`` / ``subtract`` / ``multiply`` /
 ``true_divide`` / ``negative`` / ``absolute`` / ``sqrt``, the six
 comparisons (bool result), ``where``, and ``clip`` between scalar bounds (NumPy's
@@ -98,13 +112,15 @@ import tempfile
 import threading
 from collections import Counter
 from time import perf_counter
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import faults as _faults
 from ..telemetry import registry as _telemetry
-from .fuse import Access, Region, Temp, _lead, _tile_view, replay_pool
+from .fuse import (MAX_REPLAY_WORKERS, Access, Region, Temp, _lead,
+                   _tile_view, replay_pool)
+from .numpy_backend import ExecutionError
 from .ufunc_trace import _select
 
 FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno",
@@ -717,25 +733,28 @@ class Wavefront(NamedTuple):
     geometry: Tuple[int, ...]
 
 
-def wavefront(region: Region, base: int, chain, budget: int) -> Wavefront:
-    """The :class:`Wavefront` of ``region`` over ``region.bases[base]``,
-    the padded grid of a home whose pad chain is ``chain`` (``(axis, left,
-    right, halo runs, constant)`` per link) and whose interior the
-    region's single store writes on the next step.
+def _grid_store(region: Region) -> np.ndarray:
+    """The region's one float64 store, of rank 1 to 3, or
+    ``temporal_layout``: the one shape of region either block kind runs."""
+    if len(region.stores) != 1 or not 1 <= len(region.shape) <= 3 \
+            or region.stores[0][0].dtype != np.float64:
+        raise Unavailable("temporal_layout", "not one float64 grid store")
+    return region.stores[0][0]
+
+
+def _pads(shape, home: np.ndarray, chain):
+    """``(lefts, leading right pad, whether the leading axis clamps, inner
+    clamp links)`` of the padded grid ``home`` of a ``shape`` interior whose
+    pad chain is ``chain`` (``(axis, left, right, halo runs, constant)`` per
+    link).
 
     Every link must be a clamp (its runs copy the first or last interior
     element, one halo cell each) or a constant, one per axis
-    (``temporal_boundary``).  T is the largest value up to
-    :data:`MAX_BLOCK_STEPS` whose ring — ``T - 1`` levels of ``2r + 2``
-    padded rows, ``r`` the base's leading-axis radius — fits ``budget``
-    bytes; anything but one float64 store over a float64 base of rank 1
-    to 3, or a two-step ring that does not fit, raises
-    ``temporal_layout``."""
-    home, shape, rank = region.bases[base], region.shape, len(region.shape)
-    if len(region.stores) != 1 or not 1 <= rank <= 3 \
-            or region.stores[0][0].dtype != np.float64 \
-            or home.dtype != np.float64:
-        raise Unavailable("temporal_layout", "not one float64 grid store")
+    (``temporal_boundary``), and ``home`` the chain's C-contiguous grid
+    (``temporal_layout``).  A leading axis with no pad counts as clamping
+    (over no halo rows).  The links are the ``halo_`` words, eight per
+    inner clamp in chain order (:class:`Wavefront` lists them)."""
+    rank = len(shape)
     links: Dict[int, Tuple[int, int, int, bool]] = {}  # axis -> link
     for position, (axis, left, right, runs, value) in enumerate(chain):
         n = shape[axis] if axis < rank else 0
@@ -750,12 +769,6 @@ def wavefront(region: Region, base: int, chain, budget: int) -> Wavefront:
                    for axis, n in enumerate(shape))
     if home.shape != padded or not home.flags.c_contiguous:
         raise Unavailable("temporal_layout", "the base is not the chain's grid")
-    leads = [offset[0] - lefts[0] for b, offset in region.accesses()
-             if b == base]
-    rows = 2 * max(abs(lead) for lead in leads) + 2
-    steps = min(MAX_BLOCK_STEPS, 1 + budget // (rows * home.strides[0]))
-    if steps < 2:
-        raise Unavailable("temporal_layout", "a two-step ring over budget")
     clamps: List[int] = []
     for axis in sorted(links, key=lambda axis: links[axis][0]):
         position, left, right, clamp = links[axis]
@@ -770,10 +783,41 @@ def wavefront(region: Region, base: int, chain, budget: int) -> Wavefront:
                 stride = home.strides[other]
         clamps += [home.strides[axis], stride, *box, left, right, left,
                    left + shape[axis] - 1]
-    clamps_rows = 0 not in links or links[0][3]
+    right = links[0][2] if 0 in links else 0
+    return lefts, right, 0 not in links or links[0][3], clamps
+
+
+def _interior(home: np.ndarray, lefts) -> int:
+    """Bytes from a padded row of ``home`` to its interior."""
+    return sum(left * stride for left, stride
+               in zip(lefts[1:], home.strides[1:]))
+
+
+def wavefront(region: Region, base: int, chain,
+              budget: int) -> Optional[Wavefront]:
+    """The :class:`Wavefront` of ``region`` over ``region.bases[base]``,
+    the padded grid of a home whose pad chain is ``chain`` (:func:`_pads`)
+    and whose interior the region's single store writes on the next step.
+
+    T is the largest value up to :data:`MAX_BLOCK_STEPS` whose ring —
+    ``T - 1`` levels of ``2r + 2`` padded rows, ``r`` the base's
+    leading-axis radius — fits ``budget`` bytes; anything but one float64
+    store over a float64 base of rank 1 to 3 raises ``temporal_layout``.
+    A two-step ring that does not fit is ``None``: the region may still
+    run barrier blocks."""
+    home, shape = region.bases[base], region.shape
+    _grid_store(region)
+    if home.dtype != np.float64:
+        raise Unavailable("temporal_layout", "not one float64 grid store")
+    lefts, _right, clamps_rows, clamps = _pads(shape, home, chain)
+    leads = [offset[0] - lefts[0] for b, offset in region.accesses()
+             if b == base]
+    rows = 2 * max(abs(lead) for lead in leads) + 2
+    steps = min(MAX_BLOCK_STEPS, 1 + budget // (rows * home.strides[0]))
+    if steps < 2:
+        return None
     geometry = (lefts[0], int(clamps_rows), rows, home.strides[0],
-                max(0, max(leads)),
-                sum(lefts[axis] * home.strides[axis] for axis in range(1, rank)),
+                max(0, max(leads)), _interior(home, lefts),
                 len(clamps) // 8, *clamps)
     return Wavefront(base, steps, (steps - 1, rows) + home.shape[1:], geometry)
 
@@ -837,6 +881,198 @@ class NativeBlock:
         self._function(self._p, self._s, self._n, steps, ring, self._g, lo, hi)
 
 
-__all__ = ["FLAGS", "MAX_BLOCK_STEPS", "NativeBlock", "NativeRegion",
-           "Unavailable", "Wavefront", "build", "cache_dir", "compiler",
-           "kernel", "lower", "lower_steps", "reset", "wavefront"]
+# ---------------------------------------------------------------------------
+# Barrier blocks: T per-step bodies per call, bands meeting after each step
+# ---------------------------------------------------------------------------
+
+#: Cell updates each band of a barrier block must have to itself per
+#: block before a plan left at one worker bands it over the cores.  One
+#: hand-off to the replay pool costs ≈47 µs back to back and ≈131 µs
+#: median (617 µs p90) after a 1 ms idle on the 2-vCPU recording box, and
+#: 2^20 updates of Acoustic's body are ≈1.5 ms, so the wake-up stays under
+#: a tenth of a band's work.
+BARRIER_BAND_CELLS = 1 << 20
+
+#: One banded barrier block on the process-wide pool at a time: two groups
+#: of spinning bands could otherwise each hold a pool thread the other
+#: waits for.
+_BARRIER_LOCK = threading.Lock()
+
+#: The word of a block's sync array that holds the abort flag (``w + 8``
+#: in ``arrive_``); arrivals are word 0, a cache line away.
+_ABORT = 8
+
+_BARRIER_HELPERS = """\
+#include <sched.h>
+#include <string.h>
+
+/* The clamp halo of the store rows [lo, hi) of a padded grid: the inner
+   links of each row, then the leading halo rows beside the grid's first
+   or last row when the band holds it. */
+static void rows_(char *store, const int64_t *g, int64_t lo, int64_t hi,
+                  int64_t n0)
+{
+    char *const row = store - g[5];
+    for (int64_t i = lo; i < hi; ++i)
+        halo_(row + i * g[3], g);
+    if (!g[1])
+        return;
+    if (lo == 0)
+        for (int64_t d = 1; d <= g[0]; ++d)
+            memcpy(row - d * g[3], row, g[3]);
+    if (hi == n0)
+        for (int64_t d = 1; d <= g[2]; ++d)
+            memcpy(row + (n0 - 1 + d) * g[3], row + (n0 - 1) * g[3], g[3]);
+}
+
+/* Arrive at the barrier and wait until ``goal`` arrivals are in, or a band
+   has aborted (1). */
+static int arrive_(int64_t *w, int64_t goal)
+{
+    __atomic_add_fetch(w, 1, __ATOMIC_ACQ_REL);
+    for (int64_t spin = 0;; ++spin) {
+        if (__atomic_load_n(w + 8, __ATOMIC_ACQUIRE))
+            return 1;
+        if (__atomic_load_n(w, __ATOMIC_ACQUIRE) >= goal)
+            return 0;
+        if (spin >= 4096)
+            sched_yield();
+    }
+}
+"""
+
+
+def _barrier_steps(region: Region) -> str:
+    """The ``steps`` function of a barrier text: step ``t`` runs ``region``
+    on the ``t``-th pointer and stride tables, then (all but the last)
+    refreshes the clamp halo of the rows it stored and meets the other
+    bands (:class:`BarrierBlock` documents ``w`` and ``g``)."""
+    arrays = list(region.bases) + [buffer for buffer, _op in region.stores]
+    count, strides = len(arrays), sum(array.ndim for array in arrays)
+    return "\n".join([
+        _BLOCK_HELPERS + _BARRIER_HELPERS,
+        "void steps(char *const *p, const int64_t *s, const int64_t *n, "
+        "int64_t T, char *w, const int64_t *g, int64_t lo, int64_t hi)",
+        "{",
+        "    for (int64_t t = 0;; ++t) {",
+        f"        region(p + t * {count}, s + t * {strides}, n, lo, hi);",
+        "        if (t + 1 == T)",
+        "            return;",
+        f"        rows_(p[t * {count} + {len(region.bases)}], g, lo, hi, n[0]);",
+        "        if (arrive_((int64_t *)w, (t + 1) * g[4]))",
+        "            return;",
+        "    }",
+        "}",
+        ""])
+
+
+def barrier_geometry(region: Region, home, chain, bands: int) -> Tuple[int, ...]:
+    """The ``g`` of a barrier block over ``bands`` bands of ``region``,
+    whose one float64 store is the interior of ``home`` padded by ``chain``
+    (``None``: a plain grid, no halo): the leading left pad, whether it
+    clamps, the leading right pad, the padded row's bytes, the band count,
+    the bytes from a padded row to its interior, the count of inner clamp
+    links, then the links (as :class:`Wavefront`'s)."""
+    _grid_store(region)
+    if home is None:
+        return (0, 0, 0, 0, bands, 0, 0)
+    lefts, right, clamps_rows, clamps = _pads(region.shape, home, chain)
+    return (lefts[0], int(clamps_rows), right, home.strides[0], bands,
+            _interior(home, lefts), len(clamps) // 8, *clamps)
+
+
+def barrier_bands(shape: Sequence[int], workers: int, cores: int) -> int:
+    """The band count of a barrier block over a region of ``shape``: a
+    resolved ``workers`` count of two or more, else one band per each of
+    ``cores`` when each gets :data:`BARRIER_BAND_CELLS` updates of a full
+    block; never more than the leading extent, nor than
+    :data:`~repro.backend.fuse.MAX_REPLAY_WORKERS`, so the pool's threads
+    and the caller hold every band at once (a band left queued would keep
+    the others spinning at the first barrier)."""
+    if workers < 2:
+        cells = MAX_BLOCK_STEPS * int(np.prod(shape, dtype=np.int64))
+        workers = cores if cells // max(cores, 1) >= BARRIER_BAND_CELLS else 1
+    return max(1, min(workers, MAX_REPLAY_WORKERS, shape[0]))
+
+
+class BarrierBlock:
+    """T steps of one region text, bound to the tapes per-step replay would
+    run them with: step ``t`` reads and writes through ``compiled[t]``'s
+    pointer and stride tables, so a block leaves every buffer as T replays
+    of those tapes do (the store's clamp halo included, written in C after
+    every step but the last; the caller refreshes the last).
+
+    Bands meet at a spin barrier after each step (``w``: arrivals, and an
+    abort flag the barrier polls), exchanging rows through the real grids,
+    so a barrier block needs no ring and recomputes nothing.  One band is
+    one direct call.  More run on the
+    :func:`~repro.backend.fuse.replay_pool`, band 0 on the caller, one
+    banded block in the process at a time; a band that raises before or
+    inside its call sets the abort flag, and the call returns, or raises
+    the first band's error, only once every band has returned."""
+
+    __slots__ = ("source", "steps", "bands", "_function", "_held", "_p",
+                 "_s", "_n", "_g", "_sync", "_w")
+
+    def __init__(self, compiled: Sequence[NativeRegion],
+                 geometry: Sequence[int]) -> None:
+        tables = [native._arguments for native in compiled]
+        if len({(native.source, len(p), len(s), tuple(n)) for native,
+                (p, s, n, *_band) in zip(compiled, tables)}) != 1:
+            raise Unavailable("temporal_layout", "the steps differ in layout")
+        first = compiled[0].region
+        self.source = compiled[0].source + _barrier_steps(first)
+        self.steps = len(compiled)
+        self._function = kernel(self.source, "steps")
+        pointers = [address for p, *_rest in tables for address in p]
+        strides = [stride for _p, s, *_rest in tables for stride in s]
+        self._held = list(compiled)  # as long as their addresses
+        self._p = (ctypes.c_void_p * len(pointers))(*pointers)
+        self._s = (ctypes.c_int64 * len(strides))(*strides)
+        self._n = tables[0][2]
+        self._g = (ctypes.c_int64 * len(geometry))(*geometry)
+        self._sync = np.zeros(16, np.int64)
+        self._w = self._sync.ctypes.data
+        bands, n0 = geometry[4], first.shape[0]
+        rows = [n0 * band // bands for band in range(bands + 1)]
+        #: ``(lo, hi)`` of each band.
+        self.bands = list(zip(rows, rows[1:]))
+        threads = replay_pool().max_threads
+        if bands > 1 + threads:
+            # a band with no thread would never reach the first barrier
+            raise Unavailable("temporal_layout",
+                              f"{bands} bands over {threads} pool threads")
+
+    def __call__(self, steps: int) -> None:
+        if not 1 <= steps <= self.steps:
+            raise ValueError(f"a block runs 1 to {self.steps} steps, not {steps}")
+        self._sync.fill(0)
+        if len(self.bands) == 1:
+            self._band(steps, 0)
+            return
+        with _BARRIER_LOCK:
+            replay_pool().run_parts([[(self._enter, (steps, band), None)]
+                                     for band in range(len(self.bands))])
+
+    def _enter(self, steps: int, band: int, out=None) -> None:
+        """One band on the pool: its error, raised before or inside the
+        call, sets the abort flag so no other band waits for it."""
+        try:
+            self._band(steps, band)
+        except BaseException:
+            self._sync[_ABORT] = 1
+            raise
+
+    def _band(self, steps: int, band: int) -> None:
+        if _faults.ARMED and _faults.should_fail("replay.chunk_error"):
+            raise ExecutionError("fault injected: replay.chunk_error")
+        lo, hi = self.bands[band]
+        self._function(self._p, self._s, self._n, steps, self._w, self._g,
+                       lo, hi)
+
+
+__all__ = ["BARRIER_BAND_CELLS", "BarrierBlock", "FLAGS", "MAX_BLOCK_STEPS",
+           "NativeBlock", "NativeRegion", "Unavailable",
+           "Wavefront", "barrier_bands", "barrier_geometry", "build",
+           "cache_dir", "compiler", "kernel", "lower", "lower_steps",
+           "reset", "wavefront"]

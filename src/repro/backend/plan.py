@@ -42,9 +42,24 @@ replay pool — runs T per-step replays and one banded T-step block from
 the bound inputs into the other ring buffer, and accepts only if they
 agree under the native relation (then re-runs its own steps from the
 bind).
+Where that wavefront declines because the carry rotates grids (such as
+Acoustic's two-grid carry) or its ring is over budget even for two
+steps, the loop runs **barrier blocks** instead: every tape per-step
+replay would run for the next T steps from a binding is one native
+region storing its output (plus that output's halo refresh), all one
+text, so one ``steps`` call runs the T bodies with each step's own
+pointer table, the bands meeting at a barrier after each step; a block
+leaves the binding, the output buffer and every tape lookup exactly as T
+replays do.  Its check runs T per-step replays, then one banded barrier
+block from the same bound inputs, and compares the last output (one
+copy).  Its band count is ``parallel_workers`` when that resolves to two
+or more, else one per core of :func:`~repro.backend.fuse.band_cores` (the
+cores its shard processes leave) when each band gets
+:data:`~repro.backend.native.BARRIER_BAND_CELLS` cell updates a block.
 Anything else stays per-step, counted in
 ``repro_plan_fusion_fallbacks_total`` under a ``temporal_*`` reason;
-``stats()["temporal_steps"]`` is the T in use, or 1.
+``stats()["temporal_steps"]`` is the T in use, or 1, and
+``stats()["temporal_bands"]`` the bands a block runs in.
 
 **Pad as a view.**  Lift never materialises ``pad``, and neither does a
 plan for the buffers it owns: an input buffer or ping-pong output buffer
@@ -317,10 +332,13 @@ class _Tape:
     fused tile scratch) and ``nbytes`` the operand plus output bytes one
     replay moves; both are the plan's to account for once it accepts the
     tape.  ``block``, once the plan runs temporal blocks, is the
-    :class:`~repro.backend.native.NativeBlock` that stands in for the
-    tape's first op (its one native region) over several steps."""
+    :class:`~repro.backend.native.NativeBlock` or
+    :class:`~repro.backend.native.BarrierBlock` that stands in for the
+    tape's first op (its one native region) over several steps; a barrier
+    block's ``trail`` is the tape of each step it runs, this one first."""
 
-    __slots__ = ("ops", "out", "buffers", "nbytes", "fusion", "block")
+    __slots__ = ("ops", "out", "buffers", "nbytes", "fusion", "block",
+                 "trail")
 
     def __init__(self, ops: List[Callable[[], None]], out: np.ndarray,
                  buffers: List[np.ndarray], nbytes: int,
@@ -331,17 +349,27 @@ class _Tape:
         self.nbytes = nbytes
         self.fusion = fusion  # what the tape optimizer did, if it did
         self.block = None
+        self.trail: Optional[List["_Tape"]] = None
 
     def run(self, steps: int = 1) -> np.ndarray:
-        """One replay, or ``steps`` as one block and the halo refresh."""
+        """One replay, or ``steps`` as one block and the halo refresh of
+        the last step's output."""
         if steps == 1:
             for op in self.ops:
                 op()
-        else:
-            self.block(steps)
-            for op in self.ops[1:]:
-                op()
-        return self.out
+            return self.out
+        self.block(steps)
+        last = self if self.trail is None else self.trail[steps - 1]
+        for op in last.ops[1:]:
+            op()
+        return last.out
+
+    def outs(self, steps: int) -> List[np.ndarray]:
+        """The output each step of a ``steps``-step run leaves, in order
+        (a wavefront block writes only this tape's)."""
+        if self.trail is None or steps == 1:
+            return [self.out]
+        return [tape.out for tape in self.trail[:steps]]
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +479,11 @@ class ExecutionPlan:
         # the accepted wavefront and its rings (one per band), or per-step
         # for good.
         self._block_carry: Optional[CarrySpec] = None
-        self._accepted = None  # (steps text, Wavefront) of the checked block
+        # (steps text, Wavefront or None for a barrier block) once checked
+        self._accepted = None
         self._block_rings: List[np.ndarray] = []
         self.temporal_steps = 1  # steps one block runs; 1 = per-step tapes
+        self.temporal_bands = 1  # row bands one block runs in
         _PLANS.add(self)
 
     # -- buffer management ---------------------------------------------------
@@ -759,36 +789,43 @@ class ExecutionPlan:
         temporal block), timed and counted as that many replays."""
         timed = _metrics_on()
         started = perf_counter() if timed else 0.0
-        tape.run(steps)
+        out = tape.run(steps)
         self.replays += steps
         if timed:
             _REPLAY_SECONDS.observe(perf_counter() - started)
             _REPLAYS_TOTAL.inc(steps)
-        return tape.out
+        return out
 
-    def _advance(self, state: List[np.ndarray], slot: int,
-                 most: int) -> Tuple[np.ndarray, int]:
-        """``(out, steps)``: a temporal block of ``min(most, T)`` steps when
-        this binding has one, else one step (a block of one is a replay)."""
+    def _advance(self, state: List[np.ndarray], spec: CarrySpec,
+                 most: int) -> Tuple[np.ndarray, List[np.ndarray], int]:
+        """``(out, state, steps)`` after a temporal block of ``min(most,
+        T)`` steps from ``state`` when its binding has one, else after one
+        step (a block of one is a replay).  ``state`` is rebound after each
+        step the run took, so a barrier block leaves the binding its
+        per-step replays would."""
+        slot = self._pick_slot(state)
         tape = self._tapes.get(_key(state, slot))
         if tape is None:
-            return self._step(state, slot), 1
+            out = self._step(state, slot)
+            return out, _rebind(state, out, spec), 1
         steps = 1 if tape.block is None else min(most, self.temporal_steps)
-        return self._replay(tape, steps), steps
+        out = self._replay(tape, steps)
+        for written in tape.outs(steps):
+            state = _rebind(state, written, spec)
+        return out, state, steps
 
     # -- temporal blocks -----------------------------------------------------
     def _decide_blocks(self, spec: CarrySpec) -> None:
         """Decide, once, on the first iterate (inputs bound), whether
-        iterate runs temporal blocks: accept a checked wavefront, or count
-        why not under a ``temporal_*`` reason.  The bound inputs are left
-        as they were."""
+        iterate runs temporal blocks: accept a checked wavefront, else —
+        for a carry the wavefront cannot follow or a ring over budget — a
+        checked barrier block, or count why not under a ``temporal_*``
+        reason.  The bound inputs are left as they were."""
         from . import native  # nothing looks for a compiler earlier
 
         self._block_carry = spec
+        rings: List[np.ndarray] = []
         try:
-            if spec.count("out") != 1 \
-                    or any(entry not in ("out", None) for entry in spec):
-                raise native.Unavailable("temporal_carry", str(spec))
             if self.tile_shape is not None:
                 raise native.Unavailable("temporal_layout", "ufunc tiles")
             state = list(self._in_bufs)
@@ -797,14 +834,22 @@ class ExecutionPlan:
                 self._step(state, slot)  # the first capture may re-house
                 state = list(self._in_bufs)
             tape = self._tapes[_key(state, slot)]
-            wave = self._block_wave(tape, state)
-            bands = min(self.parallel_workers,
-                        tape.fusion.natives[0].region.shape[0])
-            rings: List[np.ndarray] = []
+            wave = None  # a carry that rotates grids: no wavefront base
+            if spec.count("out") == 1 \
+                    and all(entry in ("out", None) for entry in spec):
+                wave = self._block_wave(tape, state)  # None: ring too big
             try:
-                for _ in range(bands):
-                    rings.append(self._pool.acquire(wave.ring, np.float64))
-                visited, source = self._check_block(tape, state, wave, rings)
+                if wave is None:
+                    visited, block = self._check_barrier(tape, state)
+                    bands = len(block.bands)
+                else:
+                    bands = min(self.parallel_workers,
+                                tape.fusion.natives[0].region.shape[0])
+                    for _ in range(bands):
+                        rings.append(self._pool.acquire(wave.ring,
+                                                        np.float64))
+                    visited, block = self._check_block(tape, state, wave,
+                                                       rings)
             except BaseException:
                 self._pool.release_all(rings)
                 raise
@@ -812,15 +857,20 @@ class ExecutionPlan:
             _FUSION_FALLBACKS_TOTAL.inc(label=declined.reason)
             return
         self._buffers.extend(rings)
-        self._accepted = (source, wave)
+        self._accepted = (block.source, wave)
         self._block_rings = rings
-        self.temporal_steps = wave.steps
+        self.temporal_steps = block.steps
+        self.temporal_bands = bands
+        bound = set()
         for tape, state in visited:
-            self._bind_block(tape, state)
+            if id(tape) not in bound:
+                bound.add(id(tape))
+                self._bind_block(tape, state)
 
     def _block_wave(self, tape: _Tape, state: List[np.ndarray]):
         """The :class:`~repro.backend.native.Wavefront` of ``tape`` from
-        ``state``, or :class:`~repro.backend.native.Unavailable`: the tape
+        ``state`` (``None`` when its ring is over budget even for two
+        steps), or :class:`~repro.backend.native.Unavailable`: the tape
         must be one native region plus its output home's halo refresh (a
         constant halo has none), reading the carried grid's padded home —
         the wavefront base — and nothing else but static inputs."""
@@ -849,59 +899,147 @@ class ExecutionPlan:
         return native.wavefront(region, bases[0], home.chain,
                                 TILE_TARGET_BYTES)
 
-    def _check_block(self, tape: _Tape, state: List[np.ndarray], wave,
-                     rings: List[np.ndarray]):
-        """One T-step block, banded over ``rings`` as every later block is,
-        from ``state`` against T per-step tapes run from the same state,
-        under the native relation: ``(the (tape, state) pairs the tapes
-        visited, the block's steps text)`` when they agree, else
-        ``temporal_verification`` (a band that raises included).  The block
-        writes the ring buffer the tapes did not end in, so the check holds
-        no grid of its own; the tapes it runs are not caller steps, so they
-        count as no replays (a binding seen for the first time is still a
-        capture)."""
-        from . import native
-
+    def _walk(self, state: List[np.ndarray], steps: int):
+        """``(visited, out)``: the ``(tape, state)`` pairs of ``steps``
+        per-step replays from ``state`` — a binding seen for the first time
+        is captured — and the last output.  They are a check's, not caller
+        steps, so they count as no replays."""
         visited, current = [], list(state)
-        for _ in range(wave.steps):
+        for _ in range(steps):
             slot = self._pick_slot(current)
             known = self._tapes.get(_key(current, slot))
             out = known.run() if known is not None \
                 else self._step(current, slot)
             visited.append((self._tapes[_key(current, slot)], current))
             current = _rebind(current, out, self._block_carry)
+        return visited, out
+
+    def _check_block(self, tape: _Tape, state: List[np.ndarray], wave,
+                     rings: List[np.ndarray]):
+        """One T-step wavefront block, banded over ``rings`` as every later
+        block is, from ``state`` against T per-step tapes run from the same
+        state, under the native relation: ``(the (tape, state) pairs the
+        tapes visited, the block)`` when they agree, else
+        ``temporal_verification`` (a band that raises included).  The block
+        writes the ring buffer the tapes did not end in, so the check holds
+        no grid of its own."""
+        from . import native
+
+        visited, out = self._walk(state, wave.steps)
         spare = next(buffer for buffer in self._ring if buffer is not out)
         block = native.NativeBlock(tape.fusion.natives[0], wave, rings,
                                    out=spare)
+        self._verify(block, spare, out)
+        return visited, block
+
+    def _check_barrier(self, tape: _Tape, state: List[np.ndarray]):
+        """One T-step barrier block from ``state`` (whose tape is ``tape``),
+        banded as every later block is, against T per-step tapes run from
+        the same state: ``(the (tape, state) pairs they visited, the
+        block)`` when the block's last output agrees with theirs under the
+        native relation, else ``temporal_verification``.  The block
+        rewrites the tapes' own buffers, so the check holds one copy of the
+        last output."""
+        from . import native
+
+        self._barrier_geometry(tape)  # a layout decline costs no walk
+        visited, out = self._walk(state, native.MAX_BLOCK_STEPS)
+        expected = out.copy()
+        _trail, block = self._barrier_block(state)
+        self._verify(block, out, expected)
+        return visited, block
+
+    def _verify(self, block, result: np.ndarray,
+                expected: np.ndarray) -> None:
+        """Run ``block`` for all its steps and compare what it leaves in
+        ``result`` with ``expected``; any difference or error declines as
+        ``temporal_verification``, counted in ``fusion_fallbacks``."""
+        from . import native
+
         try:
-            block(wave.steps)
+            block(block.steps)
             if _faults.ARMED and _faults.should_fail(
                     "native.temporal_mismatch"):
-                spare.view(np.uint64)[(0,) * spare.ndim] ^= 1
-            same = _same_or_nan(spare, out)
+                result.view(np.uint64)[(0,) * result.ndim] ^= 1
+            same = _same_or_nan(result, expected)
         except Exception:  # noqa: BLE001 - a failed block is a mismatch
             same = False
         if not same:
             self.fusion_fallbacks += 1
             raise native.Unavailable("temporal_verification")
-        return visited, block.source
+
+    def _barrier_block(self, state: List[np.ndarray]):
+        """``(trail, block)``: the tapes per-step replay runs for T steps
+        from ``state`` and the :class:`~repro.backend.native.BarrierBlock`
+        that runs them, or ``None`` while one of those bindings is not
+        captured yet.  Every tape must have a :meth:`_barrier_geometry`, all
+        the same one, and print one text (``temporal_layout``, or
+        ``temporal_boundary`` for a pad other than clamp or constant)."""
+        from . import native
+
+        trail, current = [], list(state)
+        for _ in range(native.MAX_BLOCK_STEPS):
+            tape = self._tapes.get(_key(current, self._pick_slot(current)))
+            if tape is None:
+                return None
+            trail.append(tape)
+            current = _rebind(current, tape.out, self._block_carry)
+        geometries = {self._barrier_geometry(tape) for tape in trail}
+        if len(geometries) != 1:
+            raise native.Unavailable("temporal_layout",
+                                     "the steps differ in layout")
+        return trail, native.BarrierBlock(
+            [tape.fusion.natives[0] for tape in trail], geometries.pop())
+
+    def _barrier_geometry(self, tape: _Tape) -> Tuple[int, ...]:
+        """The barrier geometry of one step's tape (bands included), or
+        :class:`~repro.backend.native.Unavailable`: the tape must be one
+        native region storing its output, plus that output home's refresh
+        (none for a constant halo or a plain grid)."""
+        from . import native
+        from .fuse import band_cores
+
+        home = self._homes.get(id(tape.out))
+        natives = tape.fusion.natives if tape.fusion is not None else []
+        if len(natives) != 1 or tape.ops[1:] != (
+                [home.refresh] if home is not None and home.halo_pairs
+                else []):
+            raise native.Unavailable(
+                "temporal_layout", "not one native region and its refresh")
+        region = natives[0].region
+        geometry = native.barrier_geometry(
+            region, None if home is None else home.padded,
+            None if home is None else home.chain,
+            native.barrier_bands(region.shape, self.parallel_workers,
+                                 band_cores()))
+        if region.stores[0][0] is not tape.out:
+            raise native.Unavailable("temporal_layout",
+                                     "the region stores elsewhere")
+        return geometry
 
     def _bind_block(self, tape: _Tape, state: List[np.ndarray]) -> None:
-        """Give ``tape`` its block when it has the accepted wavefront and
-        prints the accepted steps text."""
+        """Give ``tape`` its block when it prints the accepted steps text
+        (and, for a wavefront, has the accepted wavefront); a barrier block
+        waits for every binding of its trail to be captured."""
         from . import native
 
         source, accepted = self._accepted
         try:
-            wave = self._block_wave(tape, state)
-            if wave != accepted:
-                return
-            block = native.NativeBlock(tape.fusion.natives[0], wave,
-                                       self._block_rings)
+            if accepted is None:
+                found = self._barrier_block(state)
+                if found is None:
+                    return
+                trail, block = found
+            else:
+                wave = self._block_wave(tape, state)
+                if wave != accepted:
+                    return
+                trail, block = None, native.NativeBlock(
+                    tape.fusion.natives[0], wave, self._block_rings)
         except native.Unavailable:
             return
         if block.source == source:
-            tape.block = block
+            tape.block, tape.trail = block, trail
 
     @staticmethod
     def _result(out: np.ndarray, copy: bool) -> np.ndarray:
@@ -939,11 +1077,9 @@ class ExecutionPlan:
         remaining = steps
         while remaining:
             # blocks were checked for one carry spec; any other steps singly
-            out, taken = self._advance(
-                state, self._pick_slot(state),
-                remaining if spec == self._block_carry else 1)
+            out, state, taken = self._advance(
+                state, spec, remaining if spec == self._block_carry else 1)
             remaining -= taken
-            state = _rebind(state, out, spec)
         assert out is not None
         return out, state
 
@@ -1044,6 +1180,7 @@ class ExecutionPlan:
                 "materialized_pads": self.materialized_pads,
                 "replay_bytes_per_step": self.replay_bytes_per_step,
                 "temporal_steps": self.temporal_steps,
+                "temporal_bands": self.temporal_bands,
                 "tile_shape": self.tile_shape,
                 "parallel_workers": self.parallel_workers,
             }

@@ -58,6 +58,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .. import faults as _faults
+from ..backend import fuse
 from .executor import batch_capacity, sweep_group
 from .requests import ServiceError
 
@@ -461,6 +462,9 @@ class ShardedExecutor:
             for index in range(shards)
         ]
         self._counter = itertools.count()
+        # they sweep on this process's cores (fuse.band_cores)
+        fuse.count_shard_processes(shards)
+        self._counted = shards
 
     def __len__(self) -> int:
         return len(self.handles)
@@ -481,6 +485,8 @@ class ShardedExecutor:
     def close(self) -> None:
         for handle in self.handles:
             handle.close()
+        fuse.count_shard_processes(-self._counted)
+        self._counted = 0
 
 
 __all__ = [

@@ -23,7 +23,9 @@ import itertools
 import multiprocessing
 import os
 import pickle
+import queue
 import re
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -33,12 +35,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro import faults
 from repro.apps.suite import ALL_BENCHMARKS, get_benchmark
-from repro.backend import native
+from repro.backend import fuse, native
 from repro.backend import plan as plan_module
 from repro.backend.base import InterpreterBackend, NumpyBackend
 from repro.backend.fuse import fusable_regions, lower_tape
 from repro.backend.numpy_backend import TapeEntry
-from repro.backend.plan import _same_or_nan, iterate_generic
+from repro.backend.plan import ExecutionPlan, _same_or_nan, iterate_generic
 from repro.backend.pool import BufferPool
 from repro.backend.ufunc_trace import trace_function
 from repro.core import builders as L
@@ -676,9 +678,10 @@ class TestTemporalRule:
         assert wave.steps == steps and wave.base == 0
         assert wave.ring == (steps - 1, 4, n + 2)
         assert np.prod(wave.ring) * 8 <= TILE_TARGET_BYTES
-        with pytest.raises(native.Unavailable, match="temporal_layout"):
-            native.wavefront(self.hotspot_region(n), 0, clamp_chain(n),
-                             4 * (n + 2) * 8 - 1)
+        # a two-step ring over budget is no wavefront (a barrier block may
+        # still run), not a decline
+        assert native.wavefront(self.hotspot_region(n), 0, clamp_chain(n),
+                                4 * (n + 2) * 8 - 1) is None
 
     def test_the_base_must_be_the_chains_padded_grid(self):
         # base 1 is the power grid: the region's shape, not the padded one
@@ -745,14 +748,36 @@ class TestTemporalRule:
 BAND_PADS = [("clamp", 1, 1), ("clamp", 2, 0), ("const", 1, 1),
              ("const", 0, 2), ("mirror", 1, 1)]
 
+#: The carries a barrier block serves: one ``"out"`` whose wavefront ring
+#: is over budget (``fuse.TILE_TARGET_BYTES`` patched to 0), and two
+#: rotations, with and without a static third input.
+BARRIER_CARRIES = [("out",), (1, "out"), (1, "out", None)]
 
-@functools.lru_cache(maxsize=None)
-def band_program(rank, boundary, left, right):
-    """A box stencil over ``pad(left, right)`` on every axis, carried."""
+
+def _padded(grid, rank, boundary, left, right):
+    return L.pad_constant_nd(left, right, 0.5, grid, rank) \
+        if boundary == "const" else L.pad_nd(left, right, boundary, grid, rank)
+
+
+def _box(rank, left, right):
+    """The window points and weights of a box stencil (weights sum to ½)."""
     size = left + right + 1
     points = list(itertools.product(range(size), repeat=rank))
     weights = [(k + 1) / (len(points) * (len(points) + 1))
                for k in range(len(points))]
+    return size, points, weights
+
+
+def _element(window, point):
+    for index in point:
+        window = L.at(index, window)
+    return window
+
+
+@functools.lru_cache(maxsize=None)
+def band_program(rank, boundary, left, right):
+    """A box stencil over ``pad(left, right)`` on every axis, carried."""
+    size, points, weights = _box(rank, left, right)
 
     def update(*values):
         acc = 0.0
@@ -764,22 +789,110 @@ def band_program(rank, boundary, left, right):
                        [f"x{k}" for k in range(len(points))], "return 0;",
                        update)
 
-    def element(window, point):
-        for index in point:
-            window = L.at(index, window)
-        return window
-
     def body(grid):
-        padded = L.pad_constant_nd(left, right, 0.5, grid, rank) \
-            if boundary == "const" else L.pad_nd(left, right, boundary, grid,
-                                                 rank)
         return L.map_nd(
-            lambda window: L.FunCall(box, *[element(window, point)
+            lambda window: L.FunCall(box, *[_element(window, point)
                                             for point in points]),
-            L.slide_nd(size, 1, padded, rank), rank)
+            L.slide_nd(size, 1, _padded(grid, rank, boundary, left, right),
+                       rank), rank)
 
     return L.fun([L.array_type(Float, *[Var(name) for name in "ABC"[:rank]])],
                  body)
+
+
+@functools.lru_cache(maxsize=None)
+def wave_program(rank, boundary, left, right, inputs):
+    """A second-order-in-time box stencil: ``2·box(curr) − prev``, scaled
+    by a static third grid when ``inputs`` is 3 (``carry=(1, "out"[,
+    None])``)."""
+    size, points, weights = _box(rank, left, right)
+
+    def update(prev, *values):
+        acc = 0.0
+        for weight, value in zip(weights, values):
+            acc = acc + weight * value
+        if inputs == 3:
+            return values[-1] * (2.0 * acc) - prev
+        return 2.0 * acc - prev
+
+    names = ["prev"] + [f"x{k}" for k in range(len(points))] + (
+        ["c"] if inputs == 3 else [])
+    wave = make_userfun(f"wave_{rank}_{boundary}_{left}_{right}_{inputs}",
+                        names, "return 0;", update)
+
+    def body(prev, curr, *static):
+        windows = L.slide_nd(size, 1, _padded(curr, rank, boundary, left,
+                                              right), rank)
+
+        def f(zipped):
+            window = L.get(1, zipped)
+            return L.FunCall(wave, L.get(0, zipped),
+                             *[_element(window, point) for point in points],
+                             *([L.get(2, zipped)] if static else []))
+
+        return L.map_nd(f, L.zip_nd([prev, windows, *static], rank), rank)
+
+    grid = L.array_type(Float, *[Var(name) for name in "ABC"[:rank]])
+    return L.fun([grid] * inputs, body)
+
+
+def barrier_case(rank, pad, carry, n0, seed=0):
+    """``(program, inputs)`` of one :data:`BARRIER_CARRIES` entry."""
+    shape = (n0,) + ((6,) if rank == 2 else (3, 4))
+    rng = np.random.default_rng(seed)
+    if len(carry) == 1:
+        return band_program(rank, *pad), [rng.random(shape)]
+    inputs = [rng.random(shape) for _ in carry]
+    if len(carry) == 3:
+        inputs[2] = 0.5 + 0.5 * inputs[2]
+    return wave_program(rank, *pad, len(carry)), inputs
+
+
+class FencedPool(BufferPool):
+    """A pool whose every buffer sits between guard rows of a sentinel NaN
+    payload, each its own allocation (a band that writes one row past its
+    ``hi`` writes what the next band writes, so only a fence sees a write
+    past a grid)."""
+
+    SENTINEL = np.uint64(0x7FF8DEADBEEF0001)
+    ROWS = 2
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fences = []
+
+    def acquire(self, shape, dtype=np.float64) -> np.ndarray:
+        shape, dtype = tuple(int(extent) for extent in shape), np.dtype(dtype)
+        row = int(np.prod(shape[1:], dtype=np.int64)) * dtype.itemsize
+        guard = -(-self.ROWS * row // 8) * 8
+        inner = -(-int(np.prod(shape, dtype=np.int64)) * dtype.itemsize // 8) * 8
+        whole = bytearray(2 * guard + inner)
+        words = np.frombuffer(whole, np.uint64)
+        words[:guard // 8] = self.SENTINEL
+        words[(guard + inner) // 8:] = self.SENTINEL
+        self.fences.append((words, guard // 8, (guard + inner) // 8))
+        self.live_buffers += 1
+        # its base is the bytearray, so the buffer is its own allocation
+        return np.ndarray(shape, dtype, buffer=whole, offset=guard)
+
+    def intact(self) -> bool:
+        return all((words[:low] == self.SENTINEL).all()
+                   and (words[high:] == self.SENTINEL).all()
+                   for words, low, high in self.fences)
+
+
+def fence_blocks(patch, pool) -> list:
+    """Read ``pool``'s fences after every block of either kind; the list
+    returned collects ``(steps, fences intact)`` per block.  (A failed
+    assertion inside the capture check would read as a declined block.)"""
+    ran = []
+    for kind in (native.NativeBlock, native.BarrierBlock):
+        def checked(self, steps, genuine=kind.__call__):
+            genuine(self, steps)
+            ran.append((steps, pool.intact()))
+
+        patch.setattr(kind, "__call__", checked)
+    return ran
 
 
 def banded_hotspot():
@@ -791,6 +904,52 @@ def banded_hotspot():
     return plan, program, inputs, carry
 
 
+def barrier_acoustic(workers=2, shape=(6, 7, 9), seed=5):
+    """An Acoustic plan whose barrier blocks run in ``workers`` bands,
+    decided: ``(plan, program, inputs, carry)``."""
+    bench = get_benchmark("acoustic")
+    inputs = bench.make_inputs(shape, seed)
+    program, carry = bench.build_program(), bench.carry_spec()
+    plan = NumpyBackend(cache=None).plan(program, inputs,
+                                         parallel_workers=workers)
+    plan.iterate(inputs, 1, carry=carry)
+    return plan, program, inputs, carry
+
+
+def abort_blocks(*plans):
+    """Raise the abort flag of every barrier block of ``plans``: bands
+    spinning at a barrier return, so a hung test fails instead of holding
+    the process-wide barrier lock for the tests after it."""
+    for plan in plans:
+        for tape in plan._tapes.values():
+            if isinstance(tape.block, native.BarrierBlock):
+                tape.block._sync[native._ABORT] = 1
+
+
+def within(seconds, work, *plans):
+    """Run ``work`` on a daemon thread; its error, re-raised, or a failure
+    when it has not returned after ``seconds`` (a hung barrier, whose
+    ``plans`` are then aborted)."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = work()
+        except BaseException as error:  # noqa: BLE001 - re-raised below
+            outcome["error"] = error
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    if worker.is_alive():
+        abort_blocks(*plans)
+        worker.join(10)
+        pytest.fail(f"still running after {seconds} s")
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
 @needs_cc
 class TestBands:
     @settings(max_examples=30, deadline=None)
@@ -800,20 +959,79 @@ class TestBands:
     def test_banded_blocks_are_the_per_sweep_loop(self, rank, n0, bands,
                                                   pad, data):
         # Bands of one row, bands narrower than (T - 1) * r, more bands
-        # asked for than rows, and lopsided reaches all agree bit for bit.
+        # asked for than rows, and lopsided reaches all agree bit for bit,
+        # and no band writes outside the store or its ring.
         program = band_program(rank, *pad)
         shape = (n0,) + ((6,) if rank == 2 else (3, 4))
         x = [np.random.default_rng(n0).random(shape)]
-        backend = NumpyBackend(cache=None)
-        plan = backend.plan(program, x, parallel_workers=bands)
-        plan.iterate(x, 1, carry=("out",))
-        T = plan.stats()["temporal_steps"]
-        assert T == native.MAX_BLOCK_STEPS
-        assert len(plan._block_rings) == min(bands, n0)
-        steps = data.draw(st.integers(1, 2 * T + 3), label="steps")
-        assert np.array_equal(
-            bits(plan.iterate(x, steps, carry=("out",))),
-            bits(iterate_generic(backend, program, x, steps, carry=("out",))))
+        pool = FencedPool()
+        plan = ExecutionPlan(program, x, pool=pool, parallel_workers=bands)
+        with pytest.MonkeyPatch.context() as patch:
+            ran = fence_blocks(patch, pool)
+            plan.iterate(x, 1, carry=("out",))
+            T = plan.stats()["temporal_steps"]
+            assert T == native.MAX_BLOCK_STEPS
+            assert len(plan._block_rings) == min(bands, n0) \
+                == plan.stats()["temporal_bands"]
+            steps = data.draw(st.integers(1, 2 * T + 3), label="steps")
+            assert np.array_equal(
+                bits(plan.iterate(x, steps, carry=("out",))),
+                bits(iterate_generic(NumpyBackend(cache=None), program, x,
+                                     steps, carry=("out",))))
+        assert all(intact for _steps, intact in ran), "a write past a grid"
+        assert ran[0][0] == T  # the check's
+        assert len(ran) == 1 + steps // T + (steps % T >= 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rank=st.sampled_from([2, 3]), n0=st.integers(1, 24),
+           bands=st.integers(1, 4),
+           pad=st.sampled_from([pad for pad in BAND_PADS
+                                if pad[0] != "mirror"]),
+           carry=st.sampled_from(BARRIER_CARRIES), data=st.data())
+    def test_barrier_blocks_are_the_per_sweep_loop(self, rank, n0, bands,
+                                                   pad, carry, data):
+        # Every carry the wavefront declines runs as barrier blocks: per
+        # step the pointer and stride tables of the tape per-step replay
+        # would use, bands meeting after each step, no ring.
+        program, x = barrier_case(rank, pad, carry, n0)
+        pool = FencedPool()
+        plan = ExecutionPlan(program, x, pool=pool, parallel_workers=bands)
+        with pytest.MonkeyPatch.context() as patch:
+            if len(carry) == 1:
+                patch.setattr(fuse, "TILE_TARGET_BYTES", 0)
+            ran = fence_blocks(patch, pool)
+            plan.iterate(x, 1, carry=carry)
+            assert all(intact for _steps, intact in ran), "a write past a grid"
+            stats = plan.stats()
+            assert stats["temporal_steps"] == native.MAX_BLOCK_STEPS
+            assert stats["temporal_bands"] == min(bands, n0)
+            assert plan._accepted[1] is None and plan._block_rings == []
+            steps = data.draw(st.integers(1, 2 * native.MAX_BLOCK_STEPS + 3),
+                              label="steps")
+            out, state = plan.iterate_state(x, steps, carry=carry)
+        ref_out, ref_state = plan_module.iterate_state_generic(
+            NumpyBackend(cache=None), program, x, steps, carry=carry)
+        assert np.array_equal(bits(out), bits(ref_out))
+        assert all(np.array_equal(bits(a), bits(b))
+                   for a, b in zip(state, ref_state))
+        assert all(intact for _steps, intact in ran), "a write past a grid"
+        assert ran[0][0] == native.MAX_BLOCK_STEPS
+
+    def test_a_barrier_block_leaves_what_its_replays_leave(self):
+        # The binding after a block is the one T replays reach, so every
+        # later lookup finds the tape per-step replay would run.
+        plan, program, inputs, carry = barrier_acoustic(workers=None)
+        assert plan.stats()["tapes"] == 5  # the prologue and a 3-cycle
+        for steps in (2, 3, 4, 16, 19):
+            out, state = plan._iterate(inputs, steps, carry)
+            expected_state = list(plan._in_bufs)
+            for _ in range(steps):
+                tape = plan._tapes[plan_module._key(
+                    expected_state, plan._pick_slot(expected_state))]
+                expected_state = plan_module._rebind(expected_state,
+                                                     tape.out, carry)
+            assert out is tape.out
+            assert [id(a) for a in state] == [id(b) for b in expected_state]
 
     def test_a_band_that_raises_at_the_check_keeps_the_plan_per_step(
             self, monkeypatch):
@@ -868,6 +1086,163 @@ class TestBands:
             bits(plan.iterate(inputs, 21, carry=carry)),
             bits(iterate_generic(NumpyBackend(cache=None), program, inputs,
                                  21, carry=carry)))
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_a_band_that_raises_aborts_the_barrier(self, monkeypatch,
+                                                   failing):
+        # The failing band never arrives: the others, spinning at the
+        # barrier, see the abort flag and return, and the block raises the
+        # band's error once every band has.
+        plan, program, inputs, carry = barrier_acoustic(workers=3)
+        assert plan.stats()["temporal_bands"] == 3
+        genuine, entered = native.BarrierBlock._band, []
+
+        def one_fails(self, steps, band):
+            if band == failing:
+                time.sleep(0.05)  # the others reach the first barrier
+                raise RuntimeError(f"band {band}")
+            entered.append(band)
+            genuine(self, steps, band)
+
+        monkeypatch.setattr(native.BarrierBlock, "_band", one_fails)
+        with pytest.raises(RuntimeError, match=f"band {failing}"):
+            within(30, lambda: plan.iterate(inputs, 16, carry=carry), plan)
+        assert sorted(entered) == sorted({0, 1, 2} - {failing})
+        monkeypatch.undo()
+        assert np.array_equal(
+            bits(plan.iterate(inputs, 21, carry=carry)),
+            bits(iterate_generic(NumpyBackend(cache=None), program, inputs,
+                                 21, carry=carry)))
+
+    def test_the_chunk_fault_aborts_a_barrier_block(self):
+        from repro.backend.numpy_backend import ExecutionError
+
+        plan, program, inputs, carry = barrier_acoustic(workers=2)
+        expected = iterate_generic(NumpyBackend(cache=None), program, inputs,
+                                   16, carry=carry)
+        for at in (1, 2):  # the caller's band or the pool's, as they race
+            faults.arm(f"replay.chunk_error:at={at}")
+            with pytest.raises(ExecutionError, match="replay.chunk_error"):
+                within(30, lambda: plan.iterate(inputs, 16, carry=carry),
+                       plan)
+            assert faults.fired("replay.chunk_error") == 1
+            faults.disarm()
+            assert np.array_equal(bits(plan.iterate(inputs, 16, carry=carry)),
+                                  bits(expected))
+
+    @pytest.mark.parametrize("bands", [(2, 3), (3, 3)])
+    def test_two_threads_share_the_pool_one_barrier_at_a_time(
+            self, monkeypatch, bands):
+        # On a pool of two threads, as on a two-core box, two 3-band groups
+        # whose hand-offs interleave would each hold one spinning band and
+        # wait for the thread the other holds; one banded barrier block at
+        # a time cannot.  Each hand-off here waits 5 ms, so they would.
+        class SlowHandOffs:
+            def __init__(self):
+                self._queue = queue.SimpleQueue()
+
+            def put(self, item):
+                time.sleep(0.005)
+                self._queue.put(item)
+
+            def get(self):
+                return self._queue.get()
+
+        pool = fuse.ReplayWorkerPool(max_threads=2)
+        pool._queue = SlowHandOffs()
+        monkeypatch.setattr(fuse, "_REPLAY_POOL", pool)
+        cases = [barrier_acoustic(workers=count, seed=seed)
+                 for seed, count in enumerate(bands)]
+        assert [case[0].stats()["temporal_bands"] for case in cases] == \
+            list(bands)
+        expected = [iterate_generic(NumpyBackend(cache=None), program,
+                                    inputs, 37, carry=carry)
+                    for _plan, program, inputs, carry in cases]
+        results = [[] for _ in cases]
+
+        def trajectories(index):
+            plan, _program, inputs, carry = cases[index]
+            for _ in range(6):
+                results[index].append(plan.iterate(inputs, 37, carry=carry))
+
+        threads = [threading.Thread(target=trajectories, args=(index,),
+                                    daemon=True) for index in (0, 1)]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 60
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        if any(thread.is_alive() for thread in threads):
+            abort_blocks(*[case[0] for case in cases])
+            pytest.fail("two barrier-blocked plans deadlocked")
+        for produced, reference in zip(results, expected):
+            assert len(produced) == 6
+            assert all(np.array_equal(bits(out), bits(reference))
+                       for out in produced)
+
+    def test_a_temporal_mismatch_demotes_a_barrier_block(self):
+        before = fallbacks("temporal_verification")
+        faults.arm("native.temporal_mismatch")
+        plan, program, inputs, carry = barrier_acoustic(workers=2)
+        for steps in (3, 40):
+            assert np.array_equal(
+                bits(plan.iterate(inputs, steps, carry=carry)),
+                bits(iterate_generic(NumpyBackend(cache=None), program,
+                                     inputs, steps, carry=carry)))
+        assert faults.fired("native.temporal_mismatch") == 1
+        stats = plan.stats()
+        assert stats["temporal_steps"] == stats["temporal_bands"] == 1
+        assert stats["fusion_fallbacks"] == 1
+        assert fallbacks("temporal_verification") - before == 1
+        assert all(tape.block is None for tape in plan._tapes.values())
+
+    def test_the_band_count_never_outgrows_the_pool(self, monkeypatch):
+        # On 32 cores with every block over the floor, the bands stop at
+        # the pool's threads plus the caller's: a band without a thread
+        # would leave the others spinning at the first barrier.
+        monkeypatch.setattr(fuse, "CORES", 32)
+        monkeypatch.setattr(fuse, "SHARD_PROCESSES", 0)
+        monkeypatch.setattr(native, "BARRIER_BAND_CELLS", 1)
+        plan, program, inputs, carry = within(
+            60, lambda: barrier_acoustic(workers=None, shape=(24, 5, 6)))
+        bands = plan.stats()["temporal_bands"]
+        assert 2 <= bands <= fuse.MAX_REPLAY_WORKERS + 1
+        assert np.array_equal(
+            bits(within(60, lambda: plan.iterate(inputs, 19, carry=carry),
+                        plan)),
+            bits(iterate_generic(NumpyBackend(cache=None), program, inputs,
+                                 19, carry=carry)))
+
+    def test_a_block_with_more_bands_than_the_pool_runs_declines(
+            self, monkeypatch):
+        monkeypatch.setattr(fuse, "_REPLAY_POOL",
+                            fuse.ReplayWorkerPool(max_threads=2))
+        before = fallbacks("temporal_layout")
+        plan, program, inputs, carry = within(
+            60, lambda: barrier_acoustic(workers=4))
+        assert plan.stats()["temporal_steps"] == 1
+        assert fallbacks("temporal_layout") - before == 1
+        assert np.array_equal(
+            bits(plan.iterate(inputs, 19, carry=carry)),
+            bits(iterate_generic(NumpyBackend(cache=None), program, inputs,
+                                 19, carry=carry)))
+
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_a_default_acoustic_plan_bands_over_two_cores(self, monkeypatch,
+                                                          shards):
+        # 32×96×96 × 16 steps gives each of two bands 2.4M cell updates a
+        # block, over the floor; a plan a sixteenth that size stays serial,
+        # and so does every plan of a process whose shard takes a core.
+        monkeypatch.setattr(fuse, "CORES", 2)
+        monkeypatch.setattr(fuse, "SHARD_PROCESSES", shards)
+        bench = get_benchmark("acoustic")
+        for shape, bands in (((32, 96, 96), 2 - shards), ((2, 96, 96), 1)):
+            inputs = bench.make_inputs(shape, 3)
+            plan = NumpyBackend(cache=None).plan(bench.build_program(), inputs)
+            plan.iterate(inputs, 1, carry=bench.carry_spec())
+            stats = plan.stats()
+            assert (stats["temporal_steps"], stats["temporal_bands"],
+                    stats["parallel_workers"]) == (16, bands, 1)
 
 
 # ---------------------------------------------------------------------------

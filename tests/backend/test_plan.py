@@ -36,10 +36,10 @@ try:
 except native.Unavailable:
     HAVE_CC = False
 
-#: Suite apps whose iterate stays per-step even with a compiler: acoustic
-#: carries two grids (``temporal_carry``); gaussian's tape is not one region
-#: reading its carried grid's home (``temporal_layout``).
-PER_STEP_APPS = {"acoustic", "gaussian"}
+#: Suite apps whose iterate stays per-step even with a compiler: gaussian's
+#: tape is not one region reading its carried grid's home
+#: (``temporal_layout``).  Acoustic's two-grid carry runs barrier blocks.
+PER_STEP_APPS = {"gaussian"}
 
 
 def small_inputs(bench, seed=7, dtype=None):
@@ -69,8 +69,9 @@ class TestPlanVsGenericBitIdentity:
     def test_iterate_matches_per_sweep_loop(self, key, steps):
         # At SMALL_SHAPES the temporal block rule gives T = 16, so with a
         # compiler the counts are 1, 2, T - 1, T, T + 1, 2T + 3 and 64 steps
-        # of blocks (every app with a single "out" carry over a clamp or
-        # constant home) and per-step replays (the rest).
+        # of blocks (every app whose tape is one region over a clamp or
+        # constant home: wavefronts, and Acoustic's barrier blocks) and
+        # per-step replays (the rest).
         bench = ALL_BENCHMARKS[key]
         inputs = small_inputs(bench)
         program = bench.build_program()
@@ -83,6 +84,32 @@ class TestPlanVsGenericBitIdentity:
         blocks = HAVE_CC and key not in PER_STEP_APPS
         assert plan.stats()["temporal_steps"] == (
             native.MAX_BLOCK_STEPS if blocks else 1)
+
+    @pytest.mark.parametrize("key", ["acoustic", "heat", "hotspot3d",
+                                     "jacobi3d7pt"])
+    def test_planes_over_budget_run_barrier_blocks(self, key):
+        # A 98×98 padded plane puts even a two-step wavefront ring over the
+        # 256 KiB budget (and Acoustic's carry rotates two grids): these
+        # run barrier blocks, step for step the per-sweep loop.
+        from repro.backend.plan import iterate_state_generic
+
+        bench = ALL_BENCHMARKS[key]
+        inputs = bench.make_inputs((3, 96, 96), 7)
+        program, carry = bench.build_program(), bench.carry_spec()
+        backend = NumpyBackend(cache=None)
+        plan = backend.plan(program, inputs)
+        state, references = inputs, []
+        for _ in range(2 * native.MAX_BLOCK_STEPS + 3):
+            out, state = iterate_state_generic(backend, program, state, 1,
+                                               carry=carry)
+            references.append(out)
+        for steps in (1, 2, 15, 16, 17, 35):
+            assert np.array_equal(plan.iterate(inputs, steps, carry=carry),
+                                  references[steps - 1]), steps
+        stats = plan.stats()
+        assert (stats["temporal_steps"], stats["temporal_bands"]) == (
+            (native.MAX_BLOCK_STEPS, 1) if HAVE_CC else (1, 1))
+        assert plan._block_rings == []
 
     @pytest.mark.parametrize("key", ["stencil2d", "hotspot2d", "acoustic",
                                      "gaussian", "srad1"])
@@ -562,10 +589,10 @@ class TestResidentPadMatrix:
     @pytest.mark.parametrize("boundary", ["clamp", "mirror", "wrap", "const"])
     def test_temporal_blocks_over_long_trajectories(self, boundary, rank,
                                                     carry_kind):
-        # Which cases block: a single "out" carry over a clamp or constant
-        # home, with a compiler.  A width-1 mirror pad is the clamp's index
-        # table (A[-1] == A[0]), so it blocks too; a wider one declines
-        # (``test_a_wider_mirror_keeps_the_per_step_tape``).
+        # Which cases block: every carry over a clamp or constant home, with
+        # a compiler (a rotation as a barrier block).  A width-1 mirror pad
+        # is the clamp's index table (A[-1] == A[0]), so it blocks too; a
+        # wider one declines (``test_a_wider_mirror_keeps_the_per_step_tape``).
         from repro.backend.plan import iterate_state_generic
 
         program, carry, make_inputs = matrix_case(rank, boundary, carry_kind)
@@ -575,8 +602,7 @@ class TestResidentPadMatrix:
         counted = dict(_FUSION_FALLBACKS_TOTAL.values)
         plan.iterate(x, 1, carry=carry)
         T = plan.stats()["temporal_steps"]
-        reason = ("temporal_carry" if carry_kind == "rotation" else
-                  "temporal_layout" if not HAVE_CC else
+        reason = ("temporal_layout" if not HAVE_CC else
                   "temporal_boundary" if boundary == "wrap" else None)
         assert (T > 1) == (reason is None), (T, reason)
         if reason is not None:

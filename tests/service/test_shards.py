@@ -90,6 +90,22 @@ class TestShardedService:
             assert stats["shard_fallbacks"] >= 1
             assert stats["shard_restarts"] == 0
 
+    def test_shard_processes_take_their_share_of_the_cores(self, monkeypatch):
+        # The shards sweep on the serving process's cores, so its barrier
+        # blocks band over what they leave (fuse.band_cores).
+        from repro.backend import fuse
+        from repro.service.shards import ShardedExecutor
+
+        monkeypatch.setattr(fuse, "CORES", 4)
+        monkeypatch.setattr(fuse, "SHARD_PROCESSES", 0)
+        executor = ShardedExecutor(shards=1)
+        try:
+            assert fuse.SHARD_PROCESSES == 1 and fuse.band_cores() == 2
+        finally:
+            executor.close()
+        executor.close()  # a second close counts nothing twice
+        assert fuse.SHARD_PROCESSES == 0 and fuse.band_cores() == 4
+
 
 class TestShardStatsRollup:
     def test_shards_section_sums_the_fleet(self):
