@@ -75,9 +75,6 @@ class PPCGCompiler:
         )
         return PolyhedralSchedule(tile_sizes=tiles, block_sizes=blocks)
 
-    def parameter_space(self, device: DeviceModel) -> ParameterSpace:
-        return ppcg_parameter_space(self.problem, device)
-
     # ------------------------------------------------------------- profiles
     def profile(self, schedule: PolyhedralSchedule, device: DeviceModel) -> KernelProfile:
         """Build the kernel profile of one PPCG schedule.

@@ -89,7 +89,7 @@ def _cmd_figure8(args: argparse.Namespace) -> int:
 def _cmd_kernel(args: argparse.Namespace) -> int:
     from .apps import get_benchmark
     from .codegen import generate_kernel
-    from .rewriting.strategies import NAIVE, lower_program, tiled_strategy
+    from .rewriting.strategies import NAIVE, LoweringError, lower_program, tiled_strategy
 
     benchmark = get_benchmark(args.benchmark)
     shape = tuple(args.size) if args.size else tuple(
@@ -99,7 +99,11 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
         strategy = tiled_strategy(args.tile, use_local_memory=not args.no_local_memory)
     else:
         strategy = NAIVE
-    lowered = lower_program(benchmark.build_program(), strategy)
+    try:
+        lowered = lower_program(benchmark.build_program(), strategy)
+    except LoweringError as error:
+        print(f"error: {args.benchmark}: {error}", file=sys.stderr)
+        return 2
     kernel = generate_kernel(
         lowered, benchmark.input_types(shape), f"{args.benchmark}_kernel"
     )
@@ -151,7 +155,6 @@ def _run_engine_command(args: argparse.Namespace, command: str) -> int:
         seed = int(resumed_spec.get("seed", 0))
         validate = resumed_spec.get("validate_backend", "numpy") \
             if resumed_spec.get("validate", False) else False
-        validate_size = int(resumed_spec.get("validate_size", 0))
         scorer = str(resumed_spec.get("scorer", "simulator"))
         measure_runs = int(resumed_spec.get("measure_runs", 3))
         measure_size = int(resumed_spec.get("measure_size", 256))
@@ -166,7 +169,6 @@ def _run_engine_command(args: argparse.Namespace, command: str) -> int:
         restarts = getattr(args, "restarts", 4)
         seed = args.seed
         validate = args.validate
-        validate_size = 0
         scorer = getattr(args, "scorer", "simulator")
         measure_runs = getattr(args, "measure_runs", 3)
         measure_size = getattr(args, "measure_size", 256)
@@ -175,8 +177,7 @@ def _run_engine_command(args: argparse.Namespace, command: str) -> int:
 
     pruner = None if prune_margin is None else CostModelPruner(margin=float(prune_margin))
     with SearchEngine(store=store, workers=args.workers, pruner=pruner,
-                      validate=validate, validate_size=validate_size,
-                      seed=seed, scorer=scorer,
+                      validate=validate, seed=seed, scorer=scorer,
                       measure_runs=measure_runs,
                       measure_size=measure_size) as engine:
         outcome = engine.run(

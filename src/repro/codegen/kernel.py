@@ -45,13 +45,6 @@ class OpenCLKernel:
             raise ValueError(f"kernel {self.name} has no output buffer")
         return outputs[0]
 
-    @property
-    def work_items(self) -> int:
-        total = 1
-        for extent in self.global_size:
-            total *= extent
-        return total
-
     def describe(self) -> str:
         local = "x".join(map(str, self.local_size)) if self.local_size else "auto"
         return (

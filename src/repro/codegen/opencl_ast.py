@@ -52,18 +52,6 @@ class VarDecl(Node):
         return f"{self._pad(indent)}{prefix}{self.c_type} {self.name}{suffix};"
 
 
-class ArrayDecl(Node):
-    def __init__(self, c_type: str, name: str, length: str, qualifier: str = "") -> None:
-        self.c_type = c_type
-        self.name = name
-        self.length = length
-        self.qualifier = qualifier
-
-    def render(self, indent: int = 0) -> str:
-        prefix = f"{self.qualifier} " if self.qualifier else ""
-        return f"{self._pad(indent)}{prefix}{self.c_type} {self.name}[{self.length}];"
-
-
 class Assign(Node):
     def __init__(self, target: str, value: str) -> None:
         self.target = target
@@ -166,7 +154,6 @@ __all__ = [
     "Comment",
     "RawStatement",
     "VarDecl",
-    "ArrayDecl",
     "Assign",
     "Block",
     "ForLoop",

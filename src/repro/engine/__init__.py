@@ -16,8 +16,8 @@ Entry points:
 * :meth:`SearchEngine.run` — explore + tune one benchmark (what
   :func:`repro.experiments.pipeline.lift_best_result`, the figure drivers
   and the CLI verbs call);
-* :meth:`SearchEngine.run_suite` — the same search over a whole app suite;
-* :meth:`SearchEngine.submit` — the raw async-friendly batch API;
+* :meth:`SearchEngine.evaluate` — the synchronous batch call every cost
+  goes through, answered in submission order;
 * the CLI verbs ``repro explore`` and ``repro tune [--resume <session-id>]``.
 
 :mod:`repro.engine.worker` defines the search space (variant set, parameter
@@ -25,7 +25,7 @@ spaces, how a configuration is scored and validated); imports point one
 way, ``experiments → engine → tuning / rewriting / simulator``.
 """
 
-from .engine import Batch, EngineError, EngineOutcome, SearchEngine, new_session_id
+from .engine import EngineError, EngineOutcome, SearchEngine, new_session_id
 from .jobs import EvaluationJob, JobResult, VariantOutcome, VariantSpec, make_jobs
 from .pruner import CostModelPruner, PruneDecision
 from .store import DEFAULT_STORE_PATH, ResultsStore, StoredResult
@@ -41,7 +41,6 @@ from .worker import (
 )
 
 __all__ = [
-    "Batch",
     "CostModelPruner",
     "DEFAULT_STORE_PATH",
     "EXPLORATION_TILE_SIZES",

@@ -16,9 +16,8 @@ figure drivers and the ``explore`` / ``tune`` verbs all call it:
   already-evaluated points;
 * a :class:`~repro.engine.pruner.CostModelPruner` (optional) cuts dominated
   variants before any evaluation budget is spent on them;
-* :meth:`SearchEngine.submit` is the async-friendly batch API: it returns a
-  :class:`Batch` whose results can be harvested in submission order, as
-  they complete, or awaited from asyncio code.
+* :meth:`SearchEngine.evaluate` is the one evaluation path: a synchronous
+  batch call that answers in submission order.
 
 Determinism: batches preserve submission order, searches consume costs in
 that order, and ties are broken by first occurrence — so a fixed seed
@@ -29,9 +28,9 @@ from __future__ import annotations
 
 import time
 import uuid
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..apps.base import StencilBenchmark
 from ..apps.suite import get_benchmark
@@ -64,114 +63,6 @@ def _device_key(device: Union[str, DeviceModel]) -> str:
     return device
 
 
-class Batch:
-    """A submitted batch of jobs; results arrive per job, in any order.
-
-    ``results()`` blocks until every job is done and returns costs in
-    submission order; ``as_completed()`` yields ``(index, JobResult)``
-    pairs as they finish; ``gather()`` is an awaitable for asyncio
-    callers.  Fresh results are persisted to the engine's store exactly
-    once, on first harvest.
-    """
-
-    def __init__(
-        self,
-        jobs: Sequence[EvaluationJob],
-        keys: Sequence[object],
-        resolved: Dict[int, JobResult],
-        futures: Dict[int, "Future[JobResult]"],
-        aliases: Dict[int, int],
-        engine: "SearchEngine",
-        session: Optional[str],
-    ) -> None:
-        self.jobs = list(jobs)
-        self._keys = keys                # per job: its fingerprint when the engine has a store
-        self._resolved = dict(resolved)
-        self._futures = futures
-        self._aliases = aliases          # duplicate-key index → canonical index
-        self._engine = engine
-        self._session = session
-        self._persisted_indices: set = set()
-
-    def __len__(self) -> int:
-        return len(self.jobs)
-
-    @property
-    def pending(self) -> int:
-        return sum(1 for future in self._futures.values() if not future.done())
-
-    def _finish(self, index: int, result: JobResult) -> None:
-        self._resolved[index] = result
-
-    def _persist_fresh(self) -> None:
-        """Store fresh results resolved so far (incremental, idempotent)."""
-        store = self._engine.store
-        if store is None:
-            return
-        fresh = [
-            (index, result)
-            for index, result in self._resolved.items()
-            if index not in self._persisted_indices
-            and not result.from_store and result.ok
-            and index not in self._aliases
-        ]
-        if fresh:
-            store.put_many(
-                [(self.jobs[index], result.cost, self._keys[index])
-                 for index, result in fresh],
-                session=self._session,
-            )
-        self._persisted_indices.update(index for index, _ in fresh)
-
-    def results(self, raise_on_error: bool = True) -> List[JobResult]:
-        """Every job's result, in submission order (blocks until done)."""
-        for index, future in self._futures.items():
-            self._finish(index, future.result())
-        for index, canonical in self._aliases.items():
-            self._resolved[index] = self._resolved[canonical]
-        self._persist_fresh()
-        ordered = [self._resolved[index] for index in range(len(self.jobs))]
-        if raise_on_error:
-            for job, result in zip(self.jobs, ordered):
-                if not result.ok:
-                    raise EngineError(f"{job.describe()}: {result.error}")
-        return ordered
-
-    def as_completed(self) -> Iterator[Tuple[int, JobResult]]:
-        """Yield ``(submission index, result)`` pairs as jobs finish.
-
-        Breaking out early is safe: results completed so far are persisted
-        when the generator is closed (the remaining in-flight futures keep
-        running on the pool but are not stored).
-        """
-        try:
-            for index in list(self._resolved):
-                yield index, self._resolved[index]
-            remaining = {future: index for index, future in self._futures.items()}
-            while remaining:
-                done, _ = wait(list(remaining), return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = remaining.pop(future)
-                    result = future.result()
-                    self._finish(index, result)
-                    yield index, result
-            for index, canonical in self._aliases.items():
-                self._resolved[index] = self._resolved[canonical]
-                yield index, self._resolved[index]
-        finally:
-            self._persist_fresh()
-
-    async def gather(self, raise_on_error: bool = True) -> List[JobResult]:
-        """Awaitable form of :meth:`results` for asyncio callers."""
-        import asyncio
-
-        if self._futures:
-            await asyncio.gather(
-                *[asyncio.wrap_future(future) for future in self._futures.values()]
-            )
-        return self.results(raise_on_error=raise_on_error)
-
-
 @dataclass
 class EngineOutcome:
     """The result of one engine search over a benchmark's variants."""
@@ -191,10 +82,6 @@ class EngineOutcome:
     wall_s: float = 0.0
 
     @property
-    def best_runtime_s(self) -> float:
-        return self.best.best_cost
-
-    @property
     def gelements_per_second(self) -> float:
         """Throughput over the grid the winning cost was computed on.
 
@@ -212,13 +99,6 @@ class EngineOutcome:
             f"{self.fresh_evaluations} fresh), {pruned} variants pruned, "
             f"{self.wall_s:.2f}s wall"
         )
-
-
-def _validation_mode(validate: Union[bool, str]) -> Tuple[bool, str]:
-    """``validate`` as ``(enabled, backend)``: a string names the backend."""
-    if isinstance(validate, str):
-        return True, validate
-    return bool(validate), "numpy"
 
 
 class SearchEngine:
@@ -244,9 +124,6 @@ class SearchEngine:
         ``True`` (or ``"numpy"``) runs the first check through the compiled
         NumPy backend; ``"crosscheck"`` additionally verifies every
         execution against the reference interpreter oracle.
-        ``validate_size`` grows the validation grid (per-dimension extent)
-        beyond the default tiny one, making validation a real workload
-        worth parallelising.
     scorer:
         ``"simulator"`` (default) scores configurations with the analytical
         device model — deterministic, so any worker count yields the same
@@ -264,7 +141,6 @@ class SearchEngine:
         workers: int = 1,
         pruner: Optional[CostModelPruner] = None,
         validate: Union[bool, str] = False,
-        validate_size: int = 0,
         seed: int = 0,
         scorer: str = "simulator",
         measure_runs: int = 3,
@@ -278,8 +154,8 @@ class SearchEngine:
         self.store = ResultsStore(store) if isinstance(store, str) else store
         self.workers = workers
         self.pruner = pruner
-        self.validate, self.validate_backend = _validation_mode(validate)
-        self.validate_size = validate_size
+        self.validate = bool(validate)
+        self.validate_backend = validate if isinstance(validate, str) else "numpy"
         self.seed = seed
         self.scorer = scorer
         self.measure_runs = measure_runs
@@ -311,10 +187,10 @@ class SearchEngine:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- the batch submission API ---------------------------------------------
-    def submit(self, jobs: Sequence[EvaluationJob],
-               session: Optional[str] = None) -> Batch:
-        """Submit a batch of evaluation jobs; returns immediately.
+    # -- evaluation ----------------------------------------------------------
+    def evaluate(self, jobs: Sequence[EvaluationJob],
+                 session: Optional[str] = None) -> List[JobResult]:
+        """Evaluate a batch of jobs; results come back in submission order.
 
         Store lookups happen up front: already-known points resolve without
         being evaluated and duplicates within the batch are evaluated once.
@@ -323,7 +199,8 @@ class SearchEngine:
         itself otherwise.  A job that neither validates nor measures is
         ~10 µs of arithmetic — less than its pickle — so it is scored
         inline at any worker count; only jobs that compile and execute are
-        dispatched to the worker processes.
+        dispatched to the worker processes.  Fresh results are stored in
+        one ``put_many``, then a failed job raises :class:`EngineError`.
         """
         jobs = list(jobs)
         if self.store is not None:
@@ -331,27 +208,32 @@ class SearchEngine:
             stored = self.store.get_many(keys)
         else:
             keys, stored = jobs, {}
-        resolved: Dict[int, JobResult] = {}
-        futures: Dict[int, Future] = {}
-        aliases: Dict[int, int] = {}
-        canonical: Dict[object, int] = {}
-        for index, (job, key) in enumerate(zip(jobs, keys)):
+        results: Dict[object, JobResult] = {}
+        futures: Dict[object, Future] = {}
+        fresh: Dict[object, EvaluationJob] = {}  # evaluated here, once per key
+        for job, key in zip(jobs, keys):
+            if key in results or key in futures:
+                continue
             if key in stored:
-                resolved[index] = JobResult(cost=stored[key].cost, from_store=True)
-            elif key in canonical:
-                aliases[index] = canonical[key]
+                results[key] = JobResult(cost=stored[key].cost, from_store=True)
+                continue
+            fresh[key] = job
+            if self.workers > 1 and (job.validate or job.measure_runs > 0):
+                futures[key] = self._ensure_pool().submit(evaluate_job, job)
             else:
-                canonical[key] = index
-                if self.workers > 1 and (job.validate or job.measure_runs > 0):
-                    futures[index] = self._ensure_pool().submit(evaluate_job, job)
-                else:
-                    resolved[index] = evaluate_job(job)
-        return Batch(jobs, keys, resolved, futures, aliases, self, session)
-
-    def evaluate(self, jobs: Sequence[EvaluationJob],
-                 session: Optional[str] = None) -> List[JobResult]:
-        """Submit and harvest a batch, in submission order."""
-        return self.submit(jobs, session=session).results()
+                results[key] = evaluate_job(job)
+        for key, future in futures.items():
+            results[key] = future.result()
+        if self.store is not None:
+            rows = [(job, results[key].cost, key)
+                    for key, job in fresh.items() if results[key].ok]
+            if rows:
+                self.store.put_many(rows, session=session)
+        ordered = [results[key] for key in keys]
+        for job, result in zip(jobs, ordered):
+            if not result.ok:
+                raise EngineError(f"{job.describe()}: {result.error}")
+        return ordered
 
     # -- searches --------------------------------------------------------------
     def run(
@@ -363,14 +245,11 @@ class SearchEngine:
         strategy: str = "exhaustive",
         restarts: int = 4,
         session: Optional[str] = None,
-        prune: Optional[bool] = None,
-        validate: Union[bool, str, None] = None,
     ) -> EngineOutcome:
-        """Explore a benchmark's variants and tune each one — one job graph.
+        """Explore → prune → validate → tune → reduce, for one benchmark.
 
-        Pruning defaults to on when the engine has a pruner, and
-        ``validate`` to the engine's own setting (same values as the
-        constructor's).  The best point is selected by (cost, submission
+        Pruning and validation follow the engine's ``pruner`` and
+        ``validate``.  The best point is selected by (cost, submission
         order), which makes the outcome independent of the worker count.
         """
         if isinstance(benchmark, str):
@@ -378,10 +257,6 @@ class SearchEngine:
         device_key = _device_key(device)
         shape = tuple(shape or benchmark.default_shape)
         session = session or new_session_id()
-        validation = (
-            (self.validate, self.validate_backend) if validate is None
-            else _validation_mode(validate)
-        )
         if self.store is not None:
             self.store.save_session(
                 session,
@@ -393,9 +268,8 @@ class SearchEngine:
                     "strategy": strategy,
                     "restarts": restarts,
                     "seed": self.seed,
-                    "validate": validation[0],
-                    "validate_backend": validation[1],
-                    "validate_size": self.validate_size,
+                    "validate": self.validate,
+                    "validate_backend": self.validate_backend,
                     "scorer": self.scorer,
                     "measure_runs": self.measure_runs,
                     "measure_size": self.measure_size,
@@ -403,72 +277,19 @@ class SearchEngine:
                     # Resume must re-derive the same job set, so the pruner
                     # configuration is part of the session's identity.
                     "prune_margin": (
-                        self.pruner.margin
-                        if (self.pruner is not None and prune is not False)
-                        else None
+                        None if self.pruner is None else self.pruner.margin
                     ),
                 },
             )
-        outcome = self._search(benchmark, shape, device_key, budget, session,
-                               prune, validation, strategy, restarts)
-        if self.store is not None:
-            self.store.finish_session(session)
-        return outcome
-
-    def run_suite(
-        self,
-        benchmarks: Sequence[Union[str, StencilBenchmark]],
-        device: Union[str, DeviceModel] = "nvidia",
-        budget: int = 200,
-        session: Optional[str] = None,
-        shapes: Optional[Dict[str, Sequence[int]]] = None,
-        prune: Optional[bool] = None,
-    ) -> Dict[str, EngineOutcome]:
-        """Search a whole app suite under one session, keyed by benchmark name.
-
-        Each entry gets exactly the search :meth:`run` gives it with the
-        exhaustive strategy (``budget`` configurations per variant — the
-        experiment pipeline's configuration).
-        """
-        device_key = _device_key(device)
-        session = session or new_session_id()
-        outcomes: Dict[str, EngineOutcome] = {}
-        for entry in benchmarks:
-            benchmark = get_benchmark(entry) if isinstance(entry, str) else entry
-            shape = tuple(
-                (shapes or {}).get(benchmark.name) or benchmark.default_shape
-            )
-            outcomes[benchmark.name] = self._search(
-                benchmark, shape, device_key, budget, session, prune,
-                (self.validate, self.validate_backend),
-            )
-        if self.store is not None:
-            self.store.finish_session(session)
-        return outcomes
-
-    def _search(
-        self,
-        benchmark: StencilBenchmark,
-        shape: Tuple[int, ...],
-        device_key: str,
-        budget: int,
-        session: str,
-        prune: Optional[bool],
-        validation: Tuple[bool, str],
-        strategy: str = "exhaustive",
-        restarts: int = 4,
-    ) -> EngineOutcome:
-        """Explore → prune → validate → tune → reduce, for one benchmark."""
         started = time.monotonic()
         device_model = DEVICES[device_key]
         problem = benchmark.problem(shape)
-        validate, validate_backend = validation
         variants = [
             (VariantSpec.from_strategy(result.strategy), result.lowered)
             for result in explore_variants_for(benchmark, shape)
         ]
         decisions: List[PruneDecision] = []
-        if self.pruner is not None and prune is not False:
+        if self.pruner is not None:
             variants, decisions = self.pruner.prune(
                 benchmark, shape, device_model, variants
             )
@@ -495,8 +316,7 @@ class SearchEngine:
             return make_jobs(
                 benchmark.name, shape, device_key, spec, configs,
                 expr_digest=digest, validate=validating,
-                validate_backend=validate_backend,
-                validate_size=self.validate_size,
+                validate_backend=self.validate_backend,
                 **self._measure_args,
             )
 
@@ -507,7 +327,7 @@ class SearchEngine:
             looked_up.extend(results)
             return [result.cost for result in results]
 
-        if validate:
+        if self.validate:
             # Validation (compile + functional check) is per-variant work;
             # leaving it on the per-configuration jobs would repeat it in
             # *every* worker process that touches the variant.  One
@@ -527,17 +347,16 @@ class SearchEngine:
         for spec, space, digest, _first in prepared:
             # Called only inside this iteration's ``tune()``, so the loop
             # variables it closes over are the ones it means.
-            def batch(configs) -> List[float]:
+            def evaluate(configs) -> List[float]:
                 return costs(jobs_for(spec, digest, configs))
 
             tuning: TuningResult = AutoTuner(
                 space,
-                lambda config: batch([config])[0],
+                evaluate,
                 budget=budget,
                 strategy=strategy,
                 seed=self.seed,
                 restarts=restarts,
-                batch_objective=batch,
             ).tune()
             per_variant.append(
                 VariantOutcome(
@@ -550,7 +369,7 @@ class SearchEngine:
 
         best = min(per_variant, key=lambda outcome: outcome.best_cost)
         recalled = sum(1 for result in looked_up if result.from_store)
-        return EngineOutcome(
+        outcome = EngineOutcome(
             benchmark=benchmark.name,
             device=device_key,
             shape=shape,
@@ -567,6 +386,9 @@ class SearchEngine:
             scorer=self.scorer,
             wall_s=time.monotonic() - started,
         )
+        if self.store is not None:
+            self.store.finish_session(session)
+        return outcome
 
     def _scored_elements(self, benchmark: StencilBenchmark, problem,
                          best_lowered) -> int:
@@ -587,7 +409,6 @@ def new_session_id() -> str:
 
 
 __all__ = [
-    "Batch",
     "EngineError",
     "EngineOutcome",
     "SearchEngine",

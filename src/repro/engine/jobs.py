@@ -87,7 +87,6 @@ class EvaluationJob:
     expr_digest: str = ""
     validate: bool = False
     validate_backend: str = "numpy"  # "numpy" or "crosscheck" (interpreter oracle)
-    validate_size: int = 0           # grow the validation grid to this extent
     measure_runs: int = 0            # > 0: score by executing the compiled kernel
     measure_size: int = 0            # target grid extent for measured scoring
 
@@ -114,8 +113,11 @@ class EvaluationJob:
             # without validation — keying the validation requirements means
             # a stored hit on a validate job really was validated when its
             # cost was produced.  Non-validating jobs still share entries
-            # across runs regardless of the validation settings.
-            payload["validated"] = [self.validate_backend, self.validate_size]
+            # across runs regardless of the validation settings.  The 0 is
+            # the validation-grid extent earlier jobs carried; it stays so
+            # stores written then keep answering ``--resume`` with zero
+            # re-evaluations.
+            payload["validated"] = [self.validate_backend, 0]
         blob = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -162,7 +164,6 @@ def make_jobs(
     expr_digest: str = "",
     validate: bool = False,
     validate_backend: str = "numpy",
-    validate_size: int = 0,
     measure_runs: int = 0,
     measure_size: int = 0,
 ) -> Tuple[EvaluationJob, ...]:
@@ -178,7 +179,6 @@ def make_jobs(
             expr_digest=expr_digest,
             validate=validate,
             validate_backend=validate_backend,
-            validate_size=validate_size,
             measure_runs=measure_runs,
             measure_size=measure_size,
         )

@@ -57,7 +57,7 @@ VALIDATION_SHAPES: Dict[int, Tuple[int, ...]] = {2: (13, 11), 3: (5, 7, 9)}
 
 # Per-process memo tables (re-populated lazily in every worker process).
 _LOWERED: Dict[Tuple[str, VariantSpec], LoweredProgram] = {}
-_VALIDATED: Set[Tuple[str, VariantSpec, str, int]] = set()
+_VALIDATED: Set[Tuple[str, VariantSpec, str]] = set()
 _MEASURED: Dict[Tuple[str, VariantSpec, int, int], float] = {}
 
 
@@ -227,12 +227,11 @@ def _validate_variant(job: EvaluationJob, lowered: LoweredProgram) -> None:
     Either failure raises, so the job fails loudly instead of reporting a
     cost for a miscompiled variant.
     """
-    memo_key = (job.benchmark, job.variant, job.validate_backend, job.validate_size)
+    memo_key = (job.benchmark, job.variant, job.validate_backend)
     if memo_key in _VALIDATED:
         return
     benchmark = get_benchmark(job.benchmark)
-    shape = validation_shape(benchmark.stencil_extent, benchmark.ndims, lowered,
-                             min_size=job.validate_size)
+    shape = validation_shape(benchmark.stencil_extent, benchmark.ndims, lowered)
     inputs = [np.asarray(grid) for grid in benchmark.make_inputs(shape, 23)]
     variant = ExplorationResult(strategy=lowered.strategy, lowered=lowered)
     if not verify_variants(benchmark.build_program(), [variant], inputs,

@@ -91,9 +91,6 @@ def lift_best_result(
     shape: Optional[Sequence[int]] = None,
     device: Optional[DeviceModel] = None,
     tuner_budget: int = 300,
-    label: Optional[str] = None,
-    validate_functional: bool = False,
-    session: Optional[str] = None,
     engine: Optional[SearchEngine] = None,
 ) -> BenchmarkOutcome:
     """Run the full Lift pipeline for one benchmark on one device.
@@ -104,11 +101,11 @@ def lift_best_result(
     one :class:`~repro.engine.SearchEngine` and pass it to every call (the
     figure drivers do this); they keep ownership and ``close()`` it.
 
-    With ``validate_functional`` set, every tuned kernel variant is first
-    executed on a small grid through the compiled NumPy backend, checked
-    against the reference interpreter, and its execution plan is required
-    to match the generic path bit for bit — on whichever engine, at any
-    worker count (:func:`repro.engine.worker._validate_variant`).
+    Functional validation is the engine's setting: pass
+    ``SearchEngine(validate="crosscheck")`` to check every tuned variant
+    against the reference interpreter, and its execution plan against the
+    generic path bit for bit, at any worker count
+    (:func:`repro.engine.worker._validate_variant`).
     """
     if device is None:
         raise ValueError("a device model is required")
@@ -120,8 +117,6 @@ def lift_best_result(
             device=device,
             budget=tuner_budget,
             strategy="exhaustive",
-            session=session,
-            validate="crosscheck" if validate_functional else None,
         )
 
     best = outcome.best
@@ -130,7 +125,7 @@ def lift_best_result(
     return BenchmarkOutcome(
         benchmark=benchmark.name,
         device=device,
-        result=simulate(lowered, benchmark.problem(shape, label=label), device,
+        result=simulate(lowered, benchmark.problem(shape), device,
                         best.best_config,
                         label=f"lift-{benchmark.name}-{strategy_text}"),
         configuration=dict(best.best_config),
@@ -171,12 +166,14 @@ def ppcg_best_result(
     space = ppcg_parameter_space(problem, device)
     virtual = VirtualDevice(device)
 
-    def objective(config: Dict[str, object]) -> float:
+    def simulate_schedule(config: Dict[str, object]) -> float:
         schedule = compiler.schedule_from_config(config)
         return virtual.run(compiler.profile(schedule, device)).runtime_s
 
-    tuner = AutoTuner(space, objective, budget=tuner_budget, strategy="exhaustive")
-    tuning = tuner.tune()
+    tuning = AutoTuner(
+        space, lambda configs: [simulate_schedule(config) for config in configs],
+        budget=tuner_budget, strategy="exhaustive",
+    ).tune()
     schedule = compiler.schedule_from_config(tuning.best_configuration)
     result = virtual.run(compiler.profile(schedule, device))
     return result, dict(tuning.best_configuration), tuning.evaluations

@@ -280,8 +280,14 @@ def _lower_tiled(body: Expr, stencil: StencilMatch, strategy: Strategy) -> Expr:
 
     nd = stencil.ndims
     size, step = stencil.size, stencil.step
+    overlap = tile_overlap(size, step)
+    if overlap.is_constant() and strategy.tile_size <= overlap.evaluate():
+        raise LoweringError(
+            f"tile {strategy.tile_size} is too small: overlapped tiling needs "
+            f"u > size − step = {overlap.evaluate()}"
+        )
     u = Cst(strategy.tile_size)
-    v = u - tile_overlap(size, step)
+    v = u - overlap
 
     def per_tile(tile: Expr) -> Expr:
         staged = tile

@@ -286,9 +286,4 @@ def _check_list(value, who: str) -> None:
         raise InterpreterError(f"{who} expects an array, got {type(value).__name__}")
 
 
-def to_numpy(value) -> np.ndarray:
-    """Convert an interpreter result (nested lists) into a NumPy array."""
-    return np.array(value, dtype=np.float64)
-
-
-__all__ = ["evaluate_program", "Interpreter", "InterpreterError", "to_numpy"]
+__all__ = ["evaluate_program", "Interpreter", "InterpreterError"]

@@ -13,16 +13,17 @@ Three strategies are provided, mirroring what OpenTuner mixes internally:
 Every strategy returns the full evaluation history so benchmarks can report
 how good the best-found point is relative to the explored space.
 
-Batch evaluation
-----------------
+Evaluation
+----------
 
-Each strategy accepts an optional ``batch_evaluate`` callable mapping a list
-of configurations to a list of costs.  When provided, configurations are
-costed in chunks through it instead of one ``objective`` call at a time —
-this is the hook the parallel search engine (:mod:`repro.engine`) uses to
-fan evaluations out over worker processes and its persistent results store.
-Results are consumed in submission order, so a search produces the *same*
-history and the same best point whether it is run serially or batched.
+Each strategy costs configurations through one ``evaluate`` callable that
+maps a list of configurations to a list of costs, called with chunks of up
+to :data:`DEFAULT_BATCH_SIZE` configurations.  The search engine
+(:mod:`repro.engine`) passes its job evaluator here, which fans validating
+and measured points out over worker processes and answers known points from
+its results store; a plain caller maps a per-configuration function over the
+list.  Costs are consumed in submission order, so a search produces the same
+history and the same best point whatever runs underneath.
 """
 
 from __future__ import annotations
@@ -34,10 +35,9 @@ from typing import Callable, Iterable, List, Optional, Sequence
 
 from .parameters import Configuration, ParameterSpace
 
-Objective = Callable[[Configuration], float]
-BatchEvaluate = Callable[[Sequence[Configuration]], Sequence[float]]
+Evaluate = Callable[[Sequence[Configuration]], Sequence[float]]
 
-#: Configurations submitted per ``batch_evaluate`` call.
+#: Configurations handed to ``evaluate`` per call.
 DEFAULT_BATCH_SIZE = 64
 
 
@@ -61,34 +61,13 @@ class SearchOutcome:
         return len(self.history)
 
 
-def _evaluate(objective: Objective, config: Configuration,
-              history: List[Evaluation]) -> Evaluation:
-    cost = float(objective(config))
-    evaluation = Evaluation(configuration=dict(config), cost=cost)
-    history.append(evaluation)
-    return evaluation
-
-
-def _evaluate_many(
-    configs: Sequence[Configuration],
-    objective: Objective,
-    batch_evaluate: Optional[BatchEvaluate],
-    history: List[Evaluation],
-) -> List[Evaluation]:
-    """Cost several configurations, batched when a batch evaluator exists.
-
-    The returned evaluations are in submission order and are appended to
-    ``history`` in the same order, which keeps batched and serial runs
-    byte-for-byte identical.
-    """
-    if not configs:
-        return []
-    if batch_evaluate is None:
-        return [_evaluate(objective, config, history) for config in configs]
-    costs = list(batch_evaluate(list(configs)))
+def _evaluate_many(configs: Sequence[Configuration], evaluate: Evaluate,
+                   history: List[Evaluation]) -> List[Evaluation]:
+    """Cost several configurations; returned and recorded in submission order."""
+    costs = list(evaluate(list(configs)))
     if len(costs) != len(configs):
         raise ValueError(
-            f"batch evaluator returned {len(costs)} costs for {len(configs)} configurations"
+            f"evaluator returned {len(costs)} costs for {len(configs)} configurations"
         )
     evaluations = [
         Evaluation(configuration=dict(config), cost=float(cost))
@@ -98,11 +77,10 @@ def _evaluate_many(
     return evaluations
 
 
-def _chunked(iterable: Iterable[Configuration],
-             size: int) -> Iterable[List[Configuration]]:
+def _chunked(iterable: Iterable[Configuration]) -> Iterable[List[Configuration]]:
     iterator = iter(iterable)
     while True:
-        chunk = list(itertools.islice(iterator, size))
+        chunk = list(itertools.islice(iterator, DEFAULT_BATCH_SIZE))
         if not chunk:
             return
         yield chunk
@@ -110,10 +88,8 @@ def _chunked(iterable: Iterable[Configuration],
 
 def exhaustive_search(
     space: ParameterSpace,
-    objective: Objective,
+    evaluate: Evaluate,
     budget: Optional[int] = None,
-    batch_evaluate: Optional[BatchEvaluate] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> SearchOutcome:
     """Evaluate every valid configuration (optionally capped at ``budget``)."""
     history: List[Evaluation] = []
@@ -121,8 +97,8 @@ def exhaustive_search(
     configs = space.configurations()
     if budget is not None:
         configs = itertools.islice(configs, budget)
-    for chunk in _chunked(configs, max(1, batch_size)):
-        for evaluation in _evaluate_many(chunk, objective, batch_evaluate, history):
+    for chunk in _chunked(configs):
+        for evaluation in _evaluate_many(chunk, evaluate, history):
             if best is None or evaluation.cost < best.cost:
                 best = evaluation
     if best is None:
@@ -132,37 +108,31 @@ def exhaustive_search(
 
 def random_search(
     space: ParameterSpace,
-    objective: Objective,
+    evaluate: Evaluate,
     budget: int,
     seed: int = 0,
-    batch_evaluate: Optional[BatchEvaluate] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> SearchOutcome:
     """Uniform random sampling of valid configurations."""
     rng = random.Random(seed)
     history: List[Evaluation] = []
     best: Optional[Evaluation] = None
     sample = space.sample(rng, budget)
-    for chunk in _chunked(sample, max(1, batch_size)):
-        for evaluation in _evaluate_many(chunk, objective, batch_evaluate, history):
+    for chunk in _chunked(sample):
+        for evaluation in _evaluate_many(chunk, evaluate, history):
             if best is None or evaluation.cost < best.cost:
                 best = evaluation
     if best is None:
         # Fall back to exhaustive enumeration of a possibly tiny space.
-        return exhaustive_search(space, objective, budget,
-                                 batch_evaluate=batch_evaluate,
-                                 batch_size=batch_size)
+        return exhaustive_search(space, evaluate, budget)
     return SearchOutcome(best=best, history=history)
 
 
 def hill_climb_search(
     space: ParameterSpace,
-    objective: Objective,
+    evaluate: Evaluate,
     budget: int,
     seed: int = 0,
     restarts: int = 4,
-    batch_evaluate: Optional[BatchEvaluate] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> SearchOutcome:
     """Random-restart steepest-descent over single-parameter neighbours.
 
@@ -171,7 +141,7 @@ def hill_climb_search(
     *fresh* point not yet used as a start is sampled, so a search whose
     first walk dies early still spends its remaining budget exploring other
     basins instead of returning the first local optimum.  All neighbours of
-    the current point are costed together per step, which lets the batch
+    the current point are costed together per step, which lets the
     evaluator fan a whole neighbourhood out at once.
     """
     rng = random.Random(seed)
@@ -193,7 +163,7 @@ def hill_climb_search(
         if start is None:
             break
         walks += 1
-        current = _evaluate_many([start], objective, batch_evaluate, history)[0]
+        current = _evaluate_many([start], evaluate, history)[0]
         if best is None or current.cost < best.cost:
             best = current
         improved = True
@@ -201,9 +171,8 @@ def hill_climb_search(
             improved = False
             neighbours = list(space.neighbours(current.configuration))
             neighbours = neighbours[: budget - len(history)]
-            for chunk in _chunked(neighbours, max(1, batch_size)):
-                for candidate in _evaluate_many(chunk, objective,
-                                                batch_evaluate, history):
+            for chunk in _chunked(neighbours):
+                for candidate in _evaluate_many(chunk, evaluate, history):
                     if candidate.cost < current.cost:
                         current = candidate
                         improved = True
@@ -211,15 +180,12 @@ def hill_climb_search(
                         best = candidate
 
     if best is None:
-        return exhaustive_search(space, objective, budget,
-                                 batch_evaluate=batch_evaluate,
-                                 batch_size=batch_size)
+        return exhaustive_search(space, evaluate, budget)
     return SearchOutcome(best=best, history=history)
 
 
 __all__ = [
-    "Objective",
-    "BatchEvaluate",
+    "Evaluate",
     "DEFAULT_BATCH_SIZE",
     "Evaluation",
     "SearchOutcome",

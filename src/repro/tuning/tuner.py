@@ -1,8 +1,9 @@
 """The ATF-style auto-tuner front end.
 
-:class:`AutoTuner` ties a constrained :class:`ParameterSpace` to an objective
-function (here: simulated kernel time on a virtual device) and runs one of the
-search strategies under an evaluation budget.  Both the Lift variants and the
+:class:`AutoTuner` ties a constrained :class:`ParameterSpace` to an evaluator
+(here: simulated kernel time on a virtual device, for a list of
+configurations at a time) and runs one of the search strategies under an
+evaluation budget.  Both the Lift variants and the
 PPCG baseline are tuned through this same interface, mirroring the paper's
 setup where both compilers get the same three-hour ATF/OpenTuner budget.
 """
@@ -10,13 +11,12 @@ setup where both compilers get the same three-hour ATF/OpenTuner budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .parameters import Configuration, ParameterSpace
 from .search import (
-    BatchEvaluate,
+    Evaluate,
     Evaluation,
-    Objective,
     exhaustive_search,
     hill_climb_search,
     random_search,
@@ -42,12 +42,11 @@ class TuningResult:
 class AutoTuner:
     """Search a constrained parameter space for the lowest-cost configuration.
 
-    ``batch_objective``, when provided, costs whole lists of configurations
-    at once and takes precedence over per-point ``objective`` calls inside
-    the search strategies.  The search engine passes its batch evaluator
-    here, which is how an unchanged :class:`AutoTuner` runs on a process
-    pool with a persistent results store underneath.  ``restarts`` bounds
-    the number of hill-climbing basin walks.
+    ``evaluate`` costs a list of configurations at once (see
+    :mod:`repro.tuning.search`).  The search engine passes its job
+    evaluator here, which is how an unchanged :class:`AutoTuner` runs on a
+    process pool with a persistent results store underneath.  ``restarts``
+    bounds the number of hill-climbing basin walks.
 
     The tuner only searches.  Functional validation of the variant being
     tuned and measured (wall-clock) scoring are the engine's job
@@ -59,40 +58,30 @@ class AutoTuner:
     def __init__(
         self,
         space: ParameterSpace,
-        objective: Objective,
+        evaluate: Evaluate,
         budget: int = 200,
         strategy: str = "exhaustive",
         seed: int = 0,
         restarts: int = 4,
-        batch_objective: Optional[BatchEvaluate] = None,
     ) -> None:
         if strategy not in self.STRATEGIES:
             raise ValueError(f"unknown search strategy {strategy!r}")
         self.space = space
-        self.objective = objective
+        self.evaluate = evaluate
         self.budget = budget
         self.strategy = strategy
         self.seed = seed
         self.restarts = restarts
-        self.batch_objective = batch_objective
 
     def tune(self) -> TuningResult:
         if self.strategy == "exhaustive":
-            outcome = exhaustive_search(
-                self.space, self.objective, self.budget,
-                batch_evaluate=self.batch_objective,
-            )
+            outcome = exhaustive_search(self.space, self.evaluate, self.budget)
         elif self.strategy == "random":
-            outcome = random_search(
-                self.space, self.objective, self.budget, self.seed,
-                batch_evaluate=self.batch_objective,
-            )
+            outcome = random_search(self.space, self.evaluate, self.budget,
+                                    self.seed)
         else:
-            outcome = hill_climb_search(
-                self.space, self.objective, self.budget, self.seed,
-                restarts=self.restarts,
-                batch_evaluate=self.batch_objective,
-            )
+            outcome = hill_climb_search(self.space, self.evaluate, self.budget,
+                                        self.seed, restarts=self.restarts)
         return TuningResult(
             best_configuration=outcome.best.configuration,
             best_cost=outcome.best.cost,

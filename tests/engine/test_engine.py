@@ -40,8 +40,9 @@ needs_fork = pytest.mark.skipif(
 
 
 def run_engine(store, workers=1, strategy="exhaustive", seed=0,
-               budget=BUDGET, crosses_pool=None, **kwargs):
-    with SearchEngine(store=store, workers=workers, seed=seed) as engine:
+               budget=BUDGET, crosses_pool=None, validate=False, **kwargs):
+    with SearchEngine(store=store, workers=workers, seed=seed,
+                      validate=validate) as engine:
         outcome = engine.run("stencil2d", shape=SHAPE, budget=budget,
                              strategy=strategy, **kwargs)
         if crosses_pool is not None:
@@ -108,32 +109,23 @@ class TestSerialEquivalence:
 
 
 class TestFunctionalValidationIsNeverDropped:
-    LANES = {
-        "private": lambda: None,
-        "shared": lambda: SearchEngine(),
-        "workers2": lambda: SearchEngine(workers=2),
-    }
-
-    @pytest.mark.parametrize("lane", [
-        "private", "shared", pytest.param("workers2", marks=needs_fork),
-    ])
-    def test_validate_functional_validates_every_tuned_variant(
-            self, lane, validator_entries):
+    @pytest.mark.parametrize("workers", [
+        1, pytest.param(2, marks=needs_fork),
+    ], ids=["inline", "workers2"])
+    def test_crosscheck_engine_validates_every_tuned_variant(
+            self, workers, validator_entries):
         benchmark, device = get_benchmark("stencil2d"), DEVICES["nvidia"]
-        engine = self.LANES[lane]()
-        try:
+        with SearchEngine(workers=workers, validate="crosscheck") as engine:
             validated = lift_best_result(
                 benchmark, shape=SHAPE, device=device, tuner_budget=4,
-                validate_functional=True, engine=engine,
+                engine=engine,
             )
-            entries = validator_entries()
+        entries = validator_entries()
+        with SearchEngine(workers=workers) as engine:
             plain = lift_best_result(
                 benchmark, shape=SHAPE, device=device, tuner_budget=4,
                 engine=engine,
             )
-        finally:
-            if engine is not None:
-                engine.close()
         # Once per tuned variant, each variant exactly once...
         assert len(entries) == tuned_variant_count(benchmark, SHAPE, device) > 1
         assert len(set(entries)) == len(entries)
@@ -223,54 +215,18 @@ class TestBatchAPI:
         assert all(result.from_store for result in again)
         assert [r.cost for r in again] == [r.cost for r in results]
 
-    def test_duplicate_jobs_evaluated_once(self):
-        engine = SearchEngine(store=ResultsStore(":memory:"))
-        jobs = list(self._jobs(2)) * 3
-        results = engine.evaluate(jobs)
-        assert len(results) == 6
-        assert engine.store.count() == 2
-        assert results[0].cost == results[2].cost == results[4].cost
-
-    def test_as_completed_yields_every_job(self):
-        with SearchEngine(workers=2) as engine:
-            jobs = self._jobs()
-            seen = dict(engine.submit(jobs).as_completed())
-        assert sorted(seen) == list(range(len(jobs)))
-
-    def test_gather_is_awaitable(self):
-        import asyncio
-
-        with SearchEngine(workers=2) as engine:
-            batch = engine.submit(self._jobs())
-            results = asyncio.run(batch.gather())
-        assert len(results) == 6
-
-    def test_suite_batch_submission(self):
-        engine = SearchEngine(store=ResultsStore(":memory:"))
-        outcomes = engine.run_suite(["stencil2d", "heat"], budget=10,
-                                    shapes={"Stencil2D": SHAPE, "Heat": (16, 16, 16)})
-        assert set(outcomes) == {"Stencil2D", "Heat"}
-        for outcome in outcomes.values():
-            assert outcome.best.best_cost > 0
-            assert outcome.evaluations > 0
-
-    def test_suite_is_run_per_benchmark(self):
-        shapes = {"Stencil2D": SHAPE, "Heat": (16, 16, 16)}
-
-        def comparable(outcome):
-            fields = dataclasses.asdict(outcome)
-            del fields["session"], fields["wall_s"]
-            return fields
-
-        with SearchEngine(pruner=CostModelPruner(margin=4.0)) as engine:
-            suite = engine.run_suite(["stencil2d", "heat"], budget=10, shapes=shapes)
-            singles = {
-                name: engine.run(name, shape=shape, budget=10)
-                for name, shape in shapes.items()
-            }
-        assert list(suite) == list(singles)
-        for name in shapes:
-            assert comparable(suite[name]) == comparable(singles[name])
+    @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "pool"])
+    def test_duplicate_jobs_evaluated_once(self, workers):
+        # Validating jobs are the ones that cross the pool at workers > 1.
+        jobs = [dataclasses.replace(job, validate=True)
+                for job in self._jobs(2)] * 3
+        with SearchEngine(store=ResultsStore(":memory:"),
+                          workers=workers) as engine:
+            results = engine.evaluate(jobs)
+            assert (engine._pool is not None) == (workers > 1)
+            assert engine.store.count() == 2
+        assert [r.cost for r in results] == [
+            r.cost for r in SearchEngine().evaluate(self._jobs(2))] * 3
 
     def test_simulator_only_search_never_creates_the_pool(self, monkeypatch):
         from repro.engine import engine as engine_module
@@ -283,15 +239,9 @@ class TestBatchAPI:
         assert outcome.best.best_cost == SERIAL_RUNTIME_S
         assert outcome.fresh_evaluations == outcome.evaluations == SERIAL_EVALUATIONS
 
-    @pytest.mark.parametrize("entry", ["run", "run_suite"])
-    def test_evaluations_are_counted_with_and_without_a_store(self, entry):
+    def test_evaluations_are_counted_with_and_without_a_store(self):
         def search(engine):
-            if entry == "run":
-                outcome = engine.run("stencil2d", shape=SHAPE, budget=10)
-            else:
-                outcome = engine.run_suite(
-                    ["stencil2d"], budget=10, shapes={"Stencil2D": SHAPE}
-                )["Stencil2D"]
+            outcome = engine.run("stencil2d", shape=SHAPE, budget=10)
             return (outcome.evaluations, outcome.fresh_evaluations,
                     outcome.store_hits)
 
@@ -312,6 +262,18 @@ class TestBatchAPI:
         engine = SearchEngine()
         with pytest.raises(EngineError):
             engine.evaluate(bad)
+
+    def test_a_failed_batch_still_stores_its_good_results(self):
+        good = self._jobs(2)
+        bad = make_jobs(
+            "stencil2d", SHAPE, "nvidia",
+            VariantSpec(name="tiled", use_tiling=True, tile_size=1),
+            [{"wg_x": 4, "wg_y": 4, "work_per_thread": 1}],
+        )
+        engine = SearchEngine(store=ResultsStore(":memory:"))
+        with pytest.raises(EngineError, match="LoweringError"):
+            engine.evaluate(list(good) + list(bad))
+        assert engine.store.count() == len(good)
 
 
 class TestScorersAndValidation:
@@ -360,7 +322,7 @@ class TestScorersAndValidation:
 
     def test_crosscheck_validation_accepts_all_variants(self):
         with SearchEngine(store=ResultsStore(":memory:"),
-                          validate="crosscheck", validate_size=16) as engine:
+                          validate="crosscheck") as engine:
             outcome = engine.run("stencil2d", shape=SHAPE, budget=4)
         assert outcome.best.best_cost > 0
 
@@ -444,16 +406,6 @@ class TestReviewRegressions:
         # not the 4096x4096 problem shape.
         assert outcome.output_elements < 4096 * 4096 / 100
 
-    def test_as_completed_early_break_persists_completed_results(self):
-        store = ResultsStore(":memory:")
-        engine = SearchEngine(store=store)
-        jobs = make_jobs("stencil2d", SHAPE, "nvidia", VariantSpec(name="naive"),
-                         [{"wg_x": 2 ** i, "wg_y": 4, "work_per_thread": 1}
-                          for i in range(5)])
-        for _index, _result in engine.submit(jobs).as_completed():
-            break  # early exit must not lose the completed evaluations
-        assert store.count() >= 1
-
     def test_session_spec_records_pruner_configuration(self, tmp_path):
         from repro.cli import main
 
@@ -473,21 +425,17 @@ class TestReviewRegressions:
             assert main(["tune", "--resume", "s", "--store", store_path]) == 0
         assert "zero re-evaluations" in out.getvalue()
 
-    def test_run_suite_reports_prune_decisions(self):
+    def test_run_reports_prune_decisions(self):
         with SearchEngine(store=ResultsStore(":memory:"),
                           pruner=CostModelPruner(margin=1.0)) as engine:
-            outcomes = engine.run_suite(["stencil2d"], budget=4,
-                                        shapes={"Stencil2D": SHAPE})
-        outcome = outcomes["Stencil2D"]
+            outcome = engine.run("stencil2d", shape=SHAPE, budget=4)
         assert outcome.pruned  # decisions surfaced, not dropped
         assert any(not decision.kept for decision in outcome.pruned)
-        # prune=False bypasses the pruner entirely.
-        with SearchEngine(store=ResultsStore(":memory:"),
-                          pruner=CostModelPruner(margin=1.0)) as engine:
-            unpruned = engine.run_suite(["stencil2d"], budget=4,
-                                        shapes={"Stencil2D": SHAPE},
-                                        prune=False)
-        assert len(unpruned["Stencil2D"].per_variant) > len(outcome.per_variant)
+        # Without a pruner every explored variant is tuned.
+        with SearchEngine(store=ResultsStore(":memory:"), pruner=None) as engine:
+            unpruned = engine.run("stencil2d", shape=SHAPE, budget=4)
+        assert not unpruned.pruned
+        assert len(unpruned.per_variant) > len(outcome.per_variant)
 
 
 class TestPruner:

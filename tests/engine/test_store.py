@@ -37,9 +37,11 @@ class TestFingerprints:
             "ca509cc1f37c9020793a7ae6b217083ca69766a637f28a8805d8bbcfae714836")
         assert make_job(measure_runs=3, measure_size=256).fingerprint() == (
             "8f665b8dd1c500938b8710b508c1edc091abaab176b0cb8e840d2bece52b56d1")
-        assert make_job(validate=True, validate_backend="crosscheck",
-                        validate_size=16).fingerprint() == (
-            "7ce2701e31d2870892d4e8dd177fb46c085b84a955136e7ebe4fe8ea9dbb1b2b")
+        assert make_job(validate=True,
+                        validate_backend="crosscheck").fingerprint() == (
+            "5fdc344b37f56e42fbe4b761a04ae3fa36ac41232d9fcb14eb6787333a5b4114")
+        assert make_job(validate=True).fingerprint() == (
+            "7ff0bf51e1137eac2b204c5d76981763698c953eee6bd181f8b1a0d0929e1463")
 
     def test_config_items_canonicalises_order(self):
         a = config_items({"wg_x": 1, "wg_y": 2})

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.apps.suite import get_benchmark
+from repro.cli import main
 from repro.core import builders as L
 from repro.core.arithmetic import Var
 from repro.core.ir import FunCall
@@ -16,6 +18,7 @@ from repro.core.primitives.opencl import (
 )
 from repro.core.types import Float, array
 from repro.core.userfuns import add, id_fn
+from repro.engine import explore_variants_for
 from repro.rewriting.lowering_rules import (
     IdInsertionRule,
     LowerMapRule,
@@ -34,6 +37,14 @@ from repro.rewriting.strategies import (
 )
 
 from ..conftest import golden_box_sum_2d, interpret_to_array
+
+#: The variant set the engine explores for Gaussian and Jacobi3D13pt (both
+#: 5-point windows, step 1) at their default shapes, recorded before a tile
+#: no wider than ``size − step`` became a ``LoweringError``.
+EXPLORED_SIZE5 = ["naive unroll", "naive"] + [
+    f"tiled tile={tile}{local} unroll"
+    for tile in (6, 8, 10, 18, 34, 66) for local in (" localMem", "")
+]
 
 
 def boxsum2d():
@@ -193,3 +204,26 @@ class TestExploration:
     def test_strategy_describe_mentions_choices(self):
         assert "tile=8" in tiled_strategy(8).describe()
         assert "localMem" in Strategy("tiled", True, 8, True, True).describe()
+
+
+class TestTileBound:
+    @pytest.mark.parametrize("key", ["gaussian", "jacobi3d13pt"])
+    def test_tile_within_the_overlap_is_a_lowering_error(self, key):
+        program = get_benchmark(key).build_program()
+        with pytest.raises(LoweringError,
+                           match=r"tile 4 .* needs u > size − step = 4"):
+            lower_program(program, tiled_strategy(4))
+        assert lower_program(program, tiled_strategy(5)).uses_tiling
+
+    @pytest.mark.parametrize("key", ["gaussian", "jacobi3d13pt"])
+    def test_kernel_verb_reports_the_bound_and_exits_2(self, key, capsys):
+        assert main(["kernel", key, "--strategy", "tiled", "--tile", "4"]) == 2
+        captured = capsys.readouterr()
+        assert "u > size − step = 4" in captured.err
+        assert not captured.out
+
+    @pytest.mark.parametrize("key", ["gaussian", "jacobi3d13pt"])
+    def test_explored_candidates_are_unchanged(self, key):
+        benchmark = get_benchmark(key)
+        explored = explore_variants_for(benchmark, benchmark.default_shape)
+        assert [r.strategy.describe() for r in explored] == EXPLORED_SIZE5

@@ -26,11 +26,17 @@ from repro.tuning import (
     opencl_constraints,
     random_search,
 )
+from repro.tuning.search import DEFAULT_BATCH_SIZE
 from repro.apps.jacobi import build_jacobi2d_5pt
 
 
 def jacobi_problem(n=1024):
     return ProblemInstance(name="jacobi", output_shape=(n, n), stencil_points=5)
+
+
+def each(cost):
+    """An evaluator that costs every configuration of a chunk with ``cost``."""
+    return lambda configs: [cost(config) for config in configs]
 
 
 def naive_profile(problem, wg=(16, 16), wpt=1):
@@ -166,24 +172,24 @@ class TestTuning:
     def test_exhaustive_search_finds_global_optimum(self):
         space = self._space()
         objective = lambda c: abs(c["wg_x"] * c["wg_y"] - 256)
-        outcome = exhaustive_search(space, objective)
+        outcome = exhaustive_search(space, each(objective))
         assert outcome.best.cost == 0
 
     def test_random_and_hillclimb_respect_budget(self):
         space = self._space()
         objective = lambda c: -c["wg_x"] * c["wg_y"]
-        assert random_search(space, objective, budget=5).evaluations <= 5
-        assert hill_climb_search(space, objective, budget=5).evaluations <= 5
+        assert random_search(space, each(objective), budget=5).evaluations <= 5
+        assert hill_climb_search(space, each(objective), budget=5).evaluations <= 5
 
     def test_autotuner_front_end(self):
-        tuner = AutoTuner(self._space(), lambda c: c["wg_x"], budget=100)
+        tuner = AutoTuner(self._space(), each(lambda c: c["wg_x"]), budget=100)
         result = tuner.tune()
         assert result.best_configuration["wg_x"] == 8
         assert "best cost" in result.describe()
 
     def test_autotuner_rejects_unknown_strategy(self):
         with pytest.raises(ValueError):
-            AutoTuner(self._space(), lambda c: 0.0, strategy="annealing")
+            AutoTuner(self._space(), each(lambda c: 0.0), strategy="annealing")
 
     def test_opencl_constraints(self):
         constraints = opencl_constraints(256, 32 * 1024, (128, 128))
@@ -210,7 +216,7 @@ class TestTuning:
         def best_with(restarts):
             costs = []
             for seed in range(8):
-                outcome = hill_climb_search(space, objective, budget=40,
+                outcome = hill_climb_search(space, each(objective), budget=40,
                                             seed=seed, restarts=restarts)
                 costs.append(outcome.best.cost)
             return costs
@@ -222,32 +228,31 @@ class TestTuning:
 
     def test_hillclimb_restarts_plumbed_through_autotuner(self):
         space = self._space()
-        tuner = AutoTuner(space, lambda c: c["wg_x"] + c["wg_y"], budget=50,
+        tuner = AutoTuner(space, each(lambda c: c["wg_x"] + c["wg_y"]), budget=50,
                           strategy="hillclimb", restarts=6)
         assert tuner.restarts == 6
         result = tuner.tune()
         assert result.best_configuration == {"wg_x": 8, "wg_y": 8}
 
-    def test_batch_evaluation_matches_serial(self):
-        space = self._space()
-        objective = lambda c: abs(c["wg_x"] * c["wg_y"] - 256)
-        calls = []
+    def test_evaluator_sees_chunks_in_submission_order(self):
+        space = ParameterSpace([Parameter("x", tuple(range(150)))])
+        chunks = []
 
-        def batch(configs):
-            calls.append(len(configs))
-            return [objective(c) for c in configs]
+        def evaluate(configs):
+            chunks.append([config["x"] for config in configs])
+            return [float(config["x"] % 7) for config in configs]
 
-        serial = exhaustive_search(space, objective)
-        batched = exhaustive_search(space, objective, batch_evaluate=batch)
-        assert [e.cost for e in serial.history] == [e.cost for e in batched.history]
-        assert batched.best.configuration == serial.best.configuration
-        assert calls and any(size > 1 for size in calls)
+        outcome = exhaustive_search(space, evaluate)
+        assert [len(chunk) for chunk in chunks] == [
+            DEFAULT_BATCH_SIZE, DEFAULT_BATCH_SIZE, 150 - 2 * DEFAULT_BATCH_SIZE]
+        assert [e.configuration["x"] for e in outcome.history] == list(range(150))
+        assert [e.cost for e in outcome.history] == [x % 7 for x in range(150)]
+        assert outcome.best.configuration == {"x": 0}  # first of the ties
 
-    def test_batch_evaluator_length_mismatch_rejected(self):
+    def test_evaluator_length_mismatch_rejected(self):
         space = self._space()
         with pytest.raises(ValueError):
-            exhaustive_search(space, lambda c: 0.0,
-                              batch_evaluate=lambda configs: [0.0])
+            exhaustive_search(space, lambda configs: [0.0])
 
 
 class TestBaselines:

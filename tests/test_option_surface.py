@@ -21,10 +21,14 @@ from repro.apps.base import StencilBenchmark
 from repro.backend.base import NumpyBackend
 from repro.backend.plan import ExecutionPlan
 from repro.client import ClientConfig
+from repro.engine import SearchEngine
+from repro.experiments.pipeline import lift_best_result
 from repro.service.jobs import JobManager
 from repro.service.server import StencilService
 from repro.service.shards import ShardedExecutor
 from repro.service.supervisor import ShardSupervisor
+from repro.tuning import (AutoTuner, exhaustive_search, hill_climb_search,
+                          random_search)
 
 PARAMETERS = {
     NumpyBackend.plan: ("program", "inputs_or_signature", "size_env",
@@ -44,6 +48,17 @@ PARAMETERS = {
     ShardSupervisor.__init__: ("executor", "max_respawns", "metrics"),
     JobManager.__init__: ("backend", "router", "job_dir", "checkpoint_every",
                           "job_ttl_s", "max_resident", "metrics"),
+    SearchEngine.__init__: ("store", "workers", "pruner", "validate", "seed",
+                            "scorer", "measure_runs", "measure_size"),
+    SearchEngine.run: ("benchmark", "shape", "device", "budget", "strategy",
+                       "restarts", "session"),
+    SearchEngine.evaluate: ("jobs", "session"),
+    AutoTuner.__init__: ("space", "evaluate", "budget", "strategy", "seed",
+                         "restarts"),
+    lift_best_result: ("benchmark", "shape", "device", "tuner_budget", "engine"),
+    exhaustive_search: ("space", "evaluate", "budget"),
+    random_search: ("space", "evaluate", "budget", "seed"),
+    hill_climb_search: ("space", "evaluate", "budget", "seed", "restarts"),
 }
 
 CLIENT_CONFIG_FIELDS = ("host", "port", "transport", "auth_key", "timeout_s",
