@@ -7,16 +7,26 @@ returns an id immediately; a :class:`JobManager` worker executes the
 trajectory in ``checkpoint_every``-step **segments** through the same
 trajectory runner the synchronous route uses
 (:func:`~repro.service.executor.run_trajectory`), and each segment
-boundary's carry state is atomically persisted as a checkpoint under
-``job_dir``:
+boundary short of the last has the grids its segment changed atomically
+persisted as a checkpoint under ``job_dir``:
 
 .. code-block:: text
 
     <job_dir>/<job_id>/
         job.json            manifest: status, steps, completed, deadline, …
-        ckpt-00000007.rpg   RPG1-framed carry state after step 7
+        inputs.rpg          the slots the carry spec never writes, once
+        ckpt-00000007.rpg   RPG1-framed carried slots after step 7
         ckpt-00000014.rpg   (the newest two checkpoints are kept)
         result.rpg          final grid, written on completion
+
+A slot whose carry entry is ``None`` (Hotspot2D's ``power``) is the same
+grid at every step, so it is framed once, at submit, into ``inputs.rpg``;
+an app with no such slot (Heat) writes none.  Every checkpoint — step 0
+included — frames only the carried slots, and its signed metadata lists
+the static slots' descriptors (slot, shape, dtype, sha256), which
+recovery checks ``inputs.rpg`` against before it rebuilds the full state
+in slot order.  The last boundary writes no checkpoint: ``result.rpg`` is
+the job's final durable state.
 
 Checkpoints reuse the RPG1 wire framing (:mod:`repro.service.wire`), so
 every carry buffer's descriptor carries its sha256 — plus one
@@ -38,12 +48,17 @@ next boundary; the writer is drained before any terminal status is set.
 job dir; incomplete jobs resume from their newest *valid* checkpoint —
 checkpoints that fail checksum validation are discarded (counted in
 ``repro_job_corrupt_checkpoints_total``) and the previous one is used.
-Because segment boundaries replay through the same plan tapes with the
-same carry values, a resumed trajectory is **bit-identical** to an
-uninterrupted run (property-tested per suite app in
-``tests/service/test_jobs.py``).  A step-0 checkpoint is written at submit
-time, so even a crash before the first segment completes loses nothing; a
-``*.tmp`` a crash cut short is removed by the same scan.
+Every checkpoint needs ``inputs.rpg``, so a missing, corrupt or
+mismatched one fails the job (counted the same way) instead of a silent
+re-run.  A checkpoint framed before ``inputs.rpg`` existed holds the full
+state and resumes without one.  Because segment boundaries replay through
+the same plan tapes with the same carry values, a resumed trajectory is
+**bit-identical** to an uninterrupted run (property-tested per suite app
+in ``tests/service/test_jobs.py``) — a crash after ``result.rpg`` lands but
+before the ``completed`` manifest recomputes the last segment.  A step-0
+checkpoint is written at submit time, so even a crash before the first
+segment completes loses nothing; a ``*.tmp`` a crash cut short is removed
+by the same scan.
 
 **Idempotency**: clients supply a ``job_key`` (the client library
 generates a uuid4 before the first attempt); re-submitting the same key —
@@ -59,8 +74,9 @@ state.
 
 Fault points (:mod:`repro.faults`): ``job.crash_after_checkpoint``
 fires on the writer right after a checkpoint persists and abandons the
-worker at its next boundary — on-disk state is exactly what a ``kill -9``
-leaves — and ``job.checkpoint_corrupt`` flips a
+worker at its next boundary, or on the worker right after ``result.rpg``
+lands — on-disk state is exactly what a ``kill -9`` leaves — and
+``job.checkpoint_corrupt`` flips a
 byte of a checkpoint *after* its checksums were computed, which is how the
 corrupt-fallback path is tested end to end.
 """
@@ -85,6 +101,7 @@ import numpy as np
 
 from .. import faults as _faults
 from ..apps.base import squeeze_result
+from ..backend import ExecutionError
 from ..backend.plan import normalize_carry
 from ..telemetry.registry import MetricsRegistry
 from .executor import run_trajectory
@@ -115,6 +132,7 @@ JOB_CANCELLED = "cancelled"
 TERMINAL = (COMPLETED, FAILED, JOB_CANCELLED)
 
 _MANIFEST = "job.json"
+_INPUTS = "inputs.rpg"
 _RESULT = "result.rpg"
 _CKPT_PREFIX = "ckpt-"
 _CKPT_SUFFIX = ".rpg"
@@ -148,9 +166,11 @@ def _root_hash(meta: Dict[str, object], descriptors: List[dict]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _frame(meta: Dict[str, object],
-           grids: List[np.ndarray]) -> Tuple[bytes, List[memoryview]]:
-    """RPG1-frame ``meta`` + ``grids`` as (prefix, uncopied grid buffers).
+def _frame(
+    meta: Dict[str, object], grids: List[np.ndarray],
+) -> Tuple[bytes, List[memoryview], List[dict]]:
+    """RPG1-frame ``meta`` + ``grids`` as (prefix, uncopied grid buffers,
+    grid descriptors).
 
     Every grid byte is hashed once, into its descriptor's ``sha256``; the
     root hash covers ``meta`` and the descriptors (shape, dtype, sha256).
@@ -159,11 +179,14 @@ def _frame(meta: Dict[str, object],
     """
     descriptors, buffers = describe_grids(grids)
     framed = {**meta, _ROOT: _root_hash(meta, descriptors)}
-    return frame_prefix(framed, descriptors), buffers
+    return frame_prefix(framed, descriptors), buffers, descriptors
 
 
-def _unframe(data: bytes) -> Tuple[Dict[str, object], List[np.ndarray]]:
-    """Decode + validate a framed payload; raises :class:`JobIntegrityError`."""
+def _unframe(
+    data: bytes,
+) -> Tuple[Dict[str, object], List[np.ndarray], List[dict]]:
+    """Decode + validate a framed payload as (meta, grids, grid
+    descriptors); raises :class:`JobIntegrityError`."""
     try:
         header, _offset = decode_grid_header(data)
         meta, grids = decode_grid_payload(data)
@@ -188,7 +211,7 @@ def _unframe(data: bytes) -> Tuple[Dict[str, object], List[np.ndarray]]:
     if actual != str(expected):
         raise JobIntegrityError(
             f"payload checksum mismatch (expected {expected}, got {actual})")
-    return meta, grids
+    return meta, grids, descriptors
 
 
 def _atomic_write(path: Path, *pieces) -> None:
@@ -212,6 +235,16 @@ def _atomic_write(path: Path, *pieces) -> None:
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
+
+
+def _static_slots(carry, num_inputs: int) -> List[int]:
+    """The slots ``carry`` never writes; none for a spec that does not fit
+    the inputs (the worker fails that job before it computes a step)."""
+    try:
+        spec = normalize_carry(carry, num_inputs)
+    except ExecutionError:
+        return []
+    return [slot for slot, entry in enumerate(spec) if entry is None]
 
 
 class _InjectedCrash(BaseException):
@@ -248,6 +281,9 @@ class Job:
     resumes: int = 0
     #: In-memory carry state (the inputs of the next step) and result.
     state: Optional[List[np.ndarray]] = None
+    #: Descriptors (slot, shape, dtype, sha256) of the grids ``inputs.rpg``
+    #: holds, signed into every checkpoint; empty when it holds none.
+    static: List[dict] = field(default_factory=list)
     result: Optional[np.ndarray] = None
     cancel_requested: bool = False
 
@@ -493,11 +529,14 @@ class JobManager:
             if job.checkpoint_every < 1:
                 raise JobError("checkpoint_every must be >= 1")
             try:
-                job.digest = self.router.plan_for(job.benchmark).digest
+                route = self.router.plan_for(job.benchmark)
             except Exception as error:
                 raise JobError(f"cannot resolve job program: {error}")
+            job.digest = route.digest
             # The step-0 checkpoint: a crash before the first segment
             # completes must still be recoverable from disk.
+            job.static = self._persist_inputs(
+                job, _static_slots(route.carry, job.num_inputs))
             self._persist_checkpoint(job, 0, job.state)
             self._persist_manifest(job)
             self._jobs[job.job_id] = job
@@ -625,15 +664,20 @@ class JobManager:
                     torn.unlink(missing_ok=True)  # a write the crash cut short
                 if job.status in TERMINAL:
                     continue
-                loaded = self._load_latest_checkpoint(job)
+                try:
+                    loaded = self._load_latest_checkpoint(job)
+                except JobIntegrityError as error:
+                    self._corrupt_total.inc()
+                    self._finish(job, FAILED,
+                                 error=f"{error}; refusing to silently re-run")
+                    continue
                 if loaded is None:
                     self._finish(job, FAILED,
                                  error="no valid checkpoint survived; "
                                        "refusing to silently re-run")
                     continue
-                step, state = loaded
+                step, job.state, job.static = loaded
                 job.completed_steps = step
-                job.state = state
                 job.status = QUEUED
                 job.resumes += 1
                 self._resumes_total.inc()
@@ -729,10 +773,12 @@ class JobManager:
             if done:
                 # A segment just finished: hand it to the writer and go on.
                 # Waiting out the previous checkpoint first bounds how far
-                # durability lags compute: one segment.
+                # durability lags compute: one segment.  The last boundary
+                # writes result.rpg instead of a checkpoint.
                 self._drain()
                 job.state = state
-                self._writes.put((job, resumed_at + done, state))
+                if resumed_at + done < job.steps:
+                    self._writes.put((job, resumed_at + done, state))
             if job.cancel_requested:
                 return CANCELLED
             if job.deadline_at is not None and time.time() >= job.deadline_at:
@@ -750,10 +796,14 @@ class JobManager:
                 # into (normalize_carry guarantees one exists) — identical
                 # to the array iterate() would have returned, so
                 # resume-at-completion needs no separately persisted
-                # per-segment output.  Written beside the last checkpoint.
+                # per-segment output.  Written once the previous checkpoint
+                # is durable: a crash from here on recomputes one segment.
                 out = job.state[spec.index("out")]
                 result = squeeze_result(np.asarray(out, dtype=np.float64))
                 self._persist_result(job, result)
+                if (_faults.ARMED
+                        and _faults.should_fail("job.crash_after_checkpoint")):
+                    raise _InjectedCrash()
         finally:
             # No status flips with a checkpoint still in flight, and a
             # crash or OSError on the writer surfaces here at the latest.
@@ -781,6 +831,8 @@ class JobManager:
                 code: Optional[str] = None) -> None:
         """Move a job to a terminal state (caller holds the lock)."""
         job.status = status
+        if status == COMPLETED:  # result.rpg holds the last segment
+            job.completed_steps = job.steps
         job.error = error
         job.code = code
         job.updated_at = time.time()
@@ -804,6 +856,23 @@ class JobManager:
         _atomic_write(directory / _MANIFEST,
                       json.dumps(job.manifest(), indent=2).encode("utf-8"))
 
+    def _persist_inputs(self, job: Job, slots: List[int]) -> List[dict]:
+        """Frame the ``slots`` no step writes into ``inputs.rpg``, once.
+
+        Returns their descriptors, which every checkpoint signs; writes
+        nothing when there are none (or no job dir).
+        """
+        directory = self._dir_for(job)
+        if directory is None or not slots:
+            return []
+        meta = {"job_id": job.job_id, "digest": job.digest,
+                "benchmark": job.benchmark, "slots": slots}
+        prefix, buffers, descriptors = _frame(
+            meta, [job.state[slot] for slot in slots])
+        _atomic_write(directory / _INPUTS, prefix, *buffers)
+        return [{"slot": slot, **descriptor}
+                for slot, descriptor in zip(slots, descriptors)]
+
     def _persist_checkpoint(self, job: Job, step: int, state) -> None:
         directory = self._dir_for(job)
         if directory is None:
@@ -815,8 +884,11 @@ class JobManager:
             "steps": job.steps,
             "digest": job.digest,
             "benchmark": job.benchmark,
+            "static": job.static,
         }
-        prefix, buffers = _frame(meta, state)
+        static = {descriptor["slot"] for descriptor in job.static}
+        state = [grid for slot, grid in enumerate(state) if slot not in static]
+        prefix, buffers, _descriptors = _frame(meta, state)
         if _faults.ARMED and _faults.should_fail("job.checkpoint_corrupt"):
             # Flip one byte of the *body* after every checksum was
             # computed: recovery must detect this and fall back.
@@ -836,13 +908,16 @@ class JobManager:
 
     def _load_latest_checkpoint(
         self, job: Job
-    ) -> Optional[Tuple[int, List[np.ndarray]]]:
+    ) -> Optional[Tuple[int, List[np.ndarray], List[dict]]]:
+        """``(step, full state, static descriptors)`` of the newest valid
+        checkpoint; raises :class:`JobIntegrityError` when it needs an
+        ``inputs.rpg`` that is missing, corrupt or another job's."""
         directory = self.job_dir / job.job_id if self.job_dir else None
         if directory is None or not directory.is_dir():
             return None
         for path in reversed(self._checkpoints(directory)):
             try:
-                meta, grids = _unframe(path.read_bytes())
+                meta, grids, _descriptors = _unframe(path.read_bytes())
             except (OSError, JobIntegrityError) as error:
                 self._corrupt_total.inc()
                 log.warning("discarding corrupt checkpoint %s: %s",
@@ -851,11 +926,38 @@ class JobManager:
                 continue
             if str(meta.get("job_id")) != job.job_id:
                 continue
-            if len(grids) != job.num_inputs:
+            # None: a checkpoint framed before inputs.rpg, every slot in it.
+            static = meta.get("static") or []
+            if len(grids) + len(static) != job.num_inputs:
                 self._corrupt_total.inc()
                 continue
-            return int(meta["step"]), grids
+            if static:
+                fixed = dict(zip((descriptor["slot"] for descriptor in static),
+                                 self._load_inputs(directory, job, static)))
+                carried = iter(grids)
+                grids = [fixed[slot] if slot in fixed else next(carried)
+                         for slot in range(job.num_inputs)]
+            return int(meta["step"]), grids, static
         return None
+
+    @staticmethod
+    def _load_inputs(directory: Path, job: Job,
+                     static: List[dict]) -> List[np.ndarray]:
+        """The grids of ``inputs.rpg``, once they match ``static`` — the
+        descriptors a checkpoint of ``job`` signed."""
+        path = directory / _INPUTS
+        try:
+            meta, grids, descriptors = _unframe(path.read_bytes())
+        except (OSError, JobIntegrityError) as error:
+            raise JobIntegrityError(f"{path}: {error}") from error
+        held = [{"slot": slot, **descriptor}
+                for slot, descriptor in zip(meta.get("slots") or (),
+                                            descriptors)]
+        if str(meta.get("job_id")) != job.job_id or held != static:
+            raise JobIntegrityError(
+                f"{path} does not hold the static inputs job {job.job_id}'s "
+                f"checkpoints reference")
+        return grids
 
     def _persist_result(self, job: Job, result: np.ndarray) -> None:
         directory = self._dir_for(job)
@@ -863,7 +965,7 @@ class JobManager:
             return
         meta = {"job_id": job.job_id, "steps": job.steps,
                 "digest": job.digest, "benchmark": job.benchmark}
-        prefix, buffers = _frame(meta, [result])
+        prefix, buffers, _descriptors = _frame(meta, [result])
         _atomic_write(directory / _RESULT, prefix, *buffers)
 
     def _load_result(self, job: Job) -> np.ndarray:
@@ -872,7 +974,7 @@ class JobManager:
         if path is None or not path.is_file():
             raise JobError(f"job {job.job_id}'s result is no longer resident "
                            "and no job dir holds it")
-        meta, grids = _unframe(path.read_bytes())
+        meta, grids, _descriptors = _unframe(path.read_bytes())
         if str(meta.get("job_id")) != job.job_id or len(grids) != 1:
             raise JobIntegrityError(
                 f"result file for {job.job_id} names job "

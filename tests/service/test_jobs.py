@@ -5,8 +5,10 @@ from its checkpoint produces a final grid **bit-identical** to the
 uninterrupted run — for every suite app, for float64 and float32 client
 inputs, and for checkpoint segments of 1 step, 7 steps, and the whole
 trajectory.  Around it: the checkpoint pipeline's ordering (a writer
-thread persists segment k while segment k+1 computes), the root-hashed
-frame and its negatives, corrupt-checkpoint fallback, idempotent
+thread persists segment k while segment k+1 computes), the layout (static
+inputs once in ``inputs.rpg``, carried slots per checkpoint, none behind
+the result), the root-hashed frame and its negatives, corrupt-checkpoint
+and ``inputs.rpg`` recovery, the full-state layout resuming, idempotent
 re-submission, retention bounds, wire-level payload integrity, and the
 sync path's between-segment deadline shedding.
 """
@@ -32,6 +34,7 @@ from repro.service.jobs import (
     COMPLETED,
     FAILED,
     JOB_CANCELLED,
+    Job,
     JobError,
     JobIntegrityError,
     JobManager,
@@ -40,6 +43,7 @@ from repro.service.jobs import (
     _root_hash,
     _unframe,
 )
+from repro.service.registry import DigestRouter
 from repro.service.requests import DEADLINE_EXCEEDED, ExecutionRequest
 from repro.service.server import ServiceClient, StencilService
 from repro.service.wire import (
@@ -161,6 +165,28 @@ TAMPERINGS = {
 }
 
 
+def _rot(tampering):
+    """Apply a :data:`TAMPERINGS` entry to a file in place."""
+    def apply(path, _other) -> None:
+        tampered = tampering(path.read_bytes())
+        with pytest.raises(JobIntegrityError):
+            _unframe(tampered)
+        path.write_bytes(tampered)
+    return apply
+
+
+#: name -> (inputs.rpg, another job's valid inputs.rpg) -> None: every way
+#: the one file all of a job's checkpoints need can rot, go, or be swapped.
+INPUT_TAMPERINGS = {
+    **{name: _rot(tampering) for name, tampering in TAMPERINGS.items()},
+    "meta": _rot(lambda data: _edit_header(
+        data, lambda header: header.update(slots=[0]))),
+    "missing": lambda path, _other: path.unlink(),
+    # Same benchmark, same seed: byte-identical grids, only the job differs.
+    "swapped": lambda path, other: path.write_bytes(other.read_bytes()),
+}
+
+
 def _legacy_frame(meta, grids) -> bytes:
     """A frame built the way the commit before the root hash built it: one
     ``sha256`` over the canonical meta and every grid byte."""
@@ -200,10 +226,12 @@ class TestResumeBitIdentity:
         faults.disarm()
 
         # On-disk state is exactly what kill -9 leaves: manifest still
-        # "running", newest checkpoint at the first segment boundary.
+        # "running", newest checkpoint at the first segment boundary — or,
+        # when that boundary is the last, result.rpg landed behind step 0.
         interrupted = crashed.status(job["job_id"])
         assert interrupted["status"] == "running"
-        assert 0 < interrupted["completed_steps"] <= STEPS
+        assert interrupted["completed_steps"] == (
+            segment if segment < STEPS else 0)
 
         recovered = JobManager(backend, job_dir=str(tmp_path),
                                checkpoint_every=segment)
@@ -322,8 +350,8 @@ class TestCheckpointIntegrity:
 
     def test_frame_rejects_tampered_metadata_and_data(self):
         grids = [np.arange(12, dtype=np.float64).reshape(3, 4)]
-        data = _joined(*_frame({"job_id": "j1", "step": 7}, grids))
-        meta, decoded = _unframe(data)
+        data = _joined(*_frame({"job_id": "j1", "step": 7}, grids)[:2])
+        meta, decoded, _descriptors = _unframe(data)
         assert meta["step"] == 7
         assert decoded[0].tobytes() == grids[0].tobytes()
         flipped = bytearray(data)
@@ -333,33 +361,60 @@ class TestCheckpointIntegrity:
         with pytest.raises(JobIntegrityError):
             _unframe(data.replace(b'"step": 7', b'"step": 8'))
 
-    @pytest.mark.parametrize("tampering", sorted(TAMPERINGS))
+    @pytest.mark.parametrize("tampering", sorted(TAMPERINGS) + [
+        f"inputs-{name}" for name in sorted(INPUT_TAMPERINGS)])
     def test_every_tampering_is_rejected_and_counted_at_recovery(
             self, tampering, backend, tmp_path):
-        expected = _reference("hotspot2d", np.float64)
         crashed, job = _crash_at(backend, tmp_path, "hotspot2d", segment=4)
         crashed.close()
-        newest = sorted((tmp_path / job["job_id"]).glob("ckpt-*.rpg"))[-1]
+        directory = tmp_path / job["job_id"]
+        newest = sorted(directory.glob("ckpt-*.rpg"))[-1]
         assert _unframe(newest.read_bytes())[0]["step"] == 4
-        tampered = TAMPERINGS[tampering](newest.read_bytes())
-        with pytest.raises(JobIntegrityError):
-            _unframe(tampered)
-        newest.write_bytes(tampered)
-
         counter = "repro_job_corrupt_checkpoints_total"
-        recovered = _recover_and_finish(backend, tmp_path, job, segment=4)
+        if tampering in TAMPERINGS:
+            expected = _reference("hotspot2d", np.float64)
+            tampered = TAMPERINGS[tampering](newest.read_bytes())
+            with pytest.raises(JobIntegrityError):
+                _unframe(tampered)
+            newest.write_bytes(tampered)
+
+            recovered = _recover_and_finish(backend, tmp_path, job, segment=4)
+            assert recovered.corrupt_checkpoints == 1
+            assert recovered.metrics.snapshot()[counter]["value"] == 1
+            for path in directory.glob("ckpt-*.rpg"):  # the rot is gone
+                _unframe(path.read_bytes())
+            _descriptor, result = recovered.result(job["job_id"])
+            assert result.tobytes() == expected.tobytes()
+            recovered.close()
+            return
+
+        # inputs.rpg: every checkpoint needs it, so no fallback can help.
+        other = JobManager(backend, job_dir=str(tmp_path / "other"))
+        sibling = other.submit(_request_for("hotspot2d", np.float64))
+        other.wait(sibling["job_id"], timeout_s=30.0)
+        other.close()
+        INPUT_TAMPERINGS[tampering[len("inputs-"):]](
+            directory / "inputs.rpg",
+            tmp_path / "other" / sibling["job_id"] / "inputs.rpg")
+        recovered = JobManager(backend, job_dir=str(tmp_path),
+                               checkpoint_every=4)
+        assert recovered.recover() == 0
+        final = recovered.status(job["job_id"])
+        assert (final["status"], final["resumes"],
+                final["completed_steps"]) == (FAILED, 0, 4)
+        assert "inputs.rpg" in final["error"]
+        assert "refusing to silently re-run" in final["error"]
         assert recovered.corrupt_checkpoints == 1
         assert recovered.metrics.snapshot()[counter]["value"] == 1
-        for path in newest.parent.glob("ckpt-*.rpg"):  # the rot is gone
-            _unframe(path.read_bytes())
-        _descriptor, result = recovered.result(job["job_id"])
-        assert result.tobytes() == expected.tobytes()
+        assert recovered._worker is None  # nothing was re-run
+        with pytest.raises(JobError, match="not completed"):
+            recovered.result(job["job_id"])
         recovered.close()
 
     def test_frame_written_before_the_root_hash_still_validates(self):
         grids = [np.arange(12, dtype=np.float64).reshape(3, 4)]
         data = _legacy_frame({"job_id": "j1", "step": 7}, grids)
-        meta, decoded = _unframe(data)
+        meta, decoded, _descriptors = _unframe(data)
         assert meta == {"job_id": "j1", "step": 7}
         assert decoded[0].tobytes() == grids[0].tobytes()
         with pytest.raises(JobIntegrityError):
@@ -373,12 +428,56 @@ class TestCheckpointIntegrity:
         crashed, job = _crash_at(backend, tmp_path, "acoustic", segment=4)
         crashed.close()
         for path in (tmp_path / job["job_id"]).glob("ckpt-*.rpg"):
-            path.write_bytes(_legacy_frame(*_unframe(path.read_bytes())))
+            path.write_bytes(_legacy_frame(*_unframe(path.read_bytes())[:2]))
         recovered = _recover_and_finish(backend, tmp_path, job, segment=4)
         assert recovered.corrupt_checkpoints == 0
         _descriptor, result = recovered.result(job["job_id"])
         assert result.tobytes() == expected.tobytes()
         recovered.close()
+
+    # newest=STEPS: the old layout's checkpoint at the last boundary.
+    @pytest.mark.parametrize("newest", [4, STEPS])
+    @pytest.mark.parametrize("key", ["acoustic", "hotspot2d"])
+    def test_job_in_the_full_state_layout_resumes_bit_identically(
+            self, key, newest, backend, tmp_path):
+        """A job directory as the layout before inputs.rpg left it: every
+        slot in every checkpoint, one at the last boundary, no inputs.rpg."""
+        expected = _reference(key, np.float64)
+        request = _request_for(key, np.float64)
+        route = DigestRouter().plan_for(key)
+        states = {}
+        run_trajectory(
+            backend, route.program, request.inputs, newest, route.carry,
+            None, True, segment=4,
+            boundary=lambda done, state: states.__setitem__(
+                done, [np.array(grid) for grid in state]))
+        job = Job(job_id="0123456789abcdef", job_key="upgrade",
+                  benchmark=key, steps=STEPS, checkpoint_every=4,
+                  num_inputs=len(request.inputs), digest=route.digest,
+                  status="running", completed_steps=newest)
+        directory = tmp_path / job.job_id
+        directory.mkdir()
+        (directory / "job.json").write_text(json.dumps(job.manifest()))
+        for step in sorted(states)[-2:]:
+            meta = {"job_id": job.job_id, "step": step, "steps": STEPS,
+                    "digest": route.digest, "benchmark": key}
+            (directory / f"ckpt-{step:08d}.rpg").write_bytes(
+                _joined(*_frame(meta, states[step])[:2]))
+
+        recovered = _recover_and_finish(
+            backend, tmp_path, job.describe(), segment=4)
+        assert recovered.corrupt_checkpoints == 0
+        _descriptor, result = recovered.result(job.job_id)
+        assert result.tobytes() == expected.tobytes()
+        recovered.close()
+        # The resumed job has no inputs.rpg, so what it writes after the
+        # resume is today's layout with no static slot: every slot framed.
+        assert not (directory / "inputs.rpg").exists()
+        for path in directory.glob("ckpt-*.rpg"):
+            meta, grids, _descriptors = _unframe(path.read_bytes())
+            assert meta.get("static") == ([] if meta["step"] > newest
+                                          else None)
+            assert len(grids) == job.num_inputs
 
     def test_recovery_removes_a_write_the_crash_cut_short(
             self, backend, tmp_path):
@@ -395,6 +494,83 @@ class TestCheckpointIntegrity:
         _descriptor, result = recovered.result(job["job_id"])
         assert result.tobytes() == expected.tobytes()
         recovered.close()
+
+
+def _record_writes(monkeypatch):
+    """``[(file name, grids framed)]`` of every job file written from now on
+    but the manifest, in write order."""
+    writes = []
+    real_write = jobs_module._atomic_write
+
+    def recording(path, *pieces):
+        if path.name != "job.json":
+            writes.append((path.name, len(pieces) - 1))  # prefix + grids
+        real_write(path, *pieces)
+
+    monkeypatch.setattr(jobs_module, "_atomic_write", recording)
+    return writes
+
+
+class TestCheckpointLayout:
+    """Static slots once in inputs.rpg, carried slots per checkpoint, and
+    no checkpoint behind the result."""
+
+    def test_hotspot2d_512_writes_power_once_and_no_final_checkpoint(
+            self, backend, tmp_path, monkeypatch):
+        bench = get_benchmark("hotspot2d")
+        inputs = bench.make_inputs((512, 512), 0)
+        writes = _record_writes(monkeypatch)
+        manager = JobManager(backend, job_dir=str(tmp_path),
+                             checkpoint_every=8)
+        job = manager.submit(ExecutionRequest(
+            inputs=inputs, benchmark="hotspot2d", steps=32))
+        final = manager.wait(job["job_id"], timeout_s=60.0)
+        _descriptor, result = manager.result(job["job_id"])
+        manager.close()
+        assert (final["status"], final["completed_steps"]) == (COMPLETED, 32)
+        assert result.tobytes() == np.asarray(
+            bench.iterate(inputs, 32), dtype=np.float64).tobytes()
+        assert writes == [("inputs.rpg", 1), ("ckpt-00000000.rpg", 1),
+                          ("ckpt-00000008.rpg", 1), ("ckpt-00000016.rpg", 1),
+                          ("ckpt-00000024.rpg", 1), ("result.rpg", 1)]
+
+        directory = tmp_path / job["job_id"]
+        assert json.loads((directory / "job.json").read_text())[
+            "completed_steps"] == 32
+        assert len(list(directory.glob("inputs*"))) == 1
+        inputs_meta, (power,), (power_descriptor,) = _unframe(
+            (directory / "inputs.rpg").read_bytes())
+        assert inputs_meta["slots"] == [1]
+        assert power.tobytes() == np.asarray(inputs[1], np.float64).tobytes()
+        checkpoints = sorted(directory.glob("ckpt-*.rpg"))
+        assert [path.name for path in checkpoints] == [
+            "ckpt-00000016.rpg", "ckpt-00000024.rpg"]
+        for path in checkpoints:
+            meta, grids, _descriptors = _unframe(path.read_bytes())
+            assert [grid.shape for grid in grids] == [(512, 512)]
+            assert meta["static"] == [{"slot": 1, **power_descriptor}]
+
+    @pytest.mark.parametrize("key", sorted(ALL_BENCHMARKS))
+    def test_every_app_checkpoints_only_its_carried_slots(
+            self, key, backend, tmp_path, monkeypatch):
+        carry = get_benchmark(key).carry_spec()
+        static = [slot for slot, entry in enumerate(carry) if entry is None]
+        writes = _record_writes(monkeypatch)
+        manager = JobManager(backend, job_dir=str(tmp_path),
+                             checkpoint_every=4)
+        job = manager.submit(_request_for(key, np.float64))
+        assert manager.wait(job["job_id"],
+                            timeout_s=30.0)["status"] == COMPLETED
+        manager.close()
+        carried = len(carry) - len(static)
+        assert writes == (
+            [("inputs.rpg", len(static))] if static else []) + [
+            ("ckpt-00000000.rpg", carried), ("ckpt-00000004.rpg", carried),
+            ("ckpt-00000008.rpg", carried), ("result.rpg", 1)]
+        directory = tmp_path / job["job_id"]
+        assert (directory / "inputs.rpg").exists() == bool(static)
+        meta, _grids, _descriptors = _unframe((directory / "ckpt-00000008.rpg").read_bytes())
+        assert [descriptor["slot"] for descriptor in meta["static"]] == static
 
 
 def _hold_checkpoint_writes(monkeypatch):
@@ -431,14 +607,17 @@ class TestCheckpointPipeline:
         crashed, job = _crash_at(backend, tmp_path, key, segment, at=at)
         crashed.close()
         # File first, then manifest: what job.json calls completed is never
-        # ahead of what a valid checkpoint holds.
+        # ahead of what a valid checkpoint holds.  The last boundary writes
+        # result.rpg and no checkpoint, so a crash there leaves the
+        # previous boundary as the newest durable step.
+        last = at * segment >= STEPS
         directory = tmp_path / job["job_id"]
         manifest = json.loads((directory / "job.json").read_text())
         newest = sorted(directory.glob("ckpt-*.rpg"))[-1]
         durable = _unframe(newest.read_bytes())[0]["step"]
         assert manifest["status"] == "running"
-        assert manifest["completed_steps"] == durable == min(at * segment,
-                                                             STEPS)
+        assert manifest["completed_steps"] == durable == (at - last) * segment
+        assert (directory / "result.rpg").exists() == last
         assert not list(directory.glob("*.tmp"))
 
         recovered = _recover_and_finish(backend, tmp_path, job, segment)
@@ -551,7 +730,7 @@ class TestCheckpointPipeline:
         assert manager.wait(job["job_id"],
                             timeout_s=30.0)["status"] == COMPLETED
         manager.close()
-        assert len(handed_off) == STEPS
+        assert len(handed_off) == STEPS - 1  # none behind the result
         # The state being written and the one the next segment produced.
         assert 1 <= max(alive) <= 2
         count_alive()  # after completion only the result's grid survives
@@ -568,9 +747,10 @@ class TestCheckpointPipeline:
         stats = manager.stats()
         manager.close()
         # One wait per boundary and one before the status flips; one
-        # persist per boundary and one at submit.
+        # persist per boundary but the last (result.rpg is the final
+        # state) and one at submit.
         assert manager.metrics.snapshot()[histogram]["count"] == STEPS + 1
-        assert stats["checkpoints_written"] == STEPS + 1
+        assert stats["checkpoints_written"] == STEPS
         assert stats["checkpoint_s"] > 0.0
         assert stats["checkpoint_wait_s"] > 0.0
 
