@@ -27,7 +27,7 @@ from repro.core.typecheck import check_program
 from repro.core.types import Float, array
 from repro.core.userfuns import add
 from repro.codegen import generate_kernel
-from repro.rewriting.algorithmic_rules import TileStencil1DRule
+from repro.rewriting.algorithmic_rules import TileStencilNDRule
 from repro.rewriting.rules import apply_at, find_applications
 from repro.rewriting.strategies import NAIVE, lower_program, tiled_strategy
 from repro.runtime.interpreter import evaluate_program
@@ -68,7 +68,7 @@ def main() -> None:
     print("  interpreter output matches the C semantics of Listing 1 ✓")
 
     # --- Listing 4: overlapped tiling as a rewrite rule ---------------------
-    rule = TileStencil1DRule(tile_size=6)
+    rule = TileStencilNDRule(tile_size=6)
     position = find_applications(stencil.body, rule)[0]
     tiled = Lambda(stencil.params, apply_at(stencil.body, rule, position))
     print("\nListing 4 (after the overlapped-tiling rewrite, tile size 6):")

@@ -148,6 +148,7 @@ class _KernelGenerator:
         buffers.append(KernelBuffer("output", "float", out_elements, is_output=True))
 
         source = self._render_source(buffers)
+        strategy = self.lowered.strategy
         return OpenCLKernel(
             name=self.kernel_name,
             source=source,
@@ -156,10 +157,10 @@ class _KernelGenerator:
             local_size=local_size,
             local_memory_bytes=self.memory.local_memory_bytes,
             metadata={
-                "strategy": self.lowered.strategy.describe(),
+                "strategy": strategy.describe(),
                 "ndims": self.lowered.ndims,
-                "uses_tiling": self.lowered.uses_tiling,
-                "uses_local_memory": self.lowered.uses_local_memory,
+                "uses_tiling": strategy.use_tiling,
+                "uses_local_memory": strategy.use_tiling and strategy.use_local_memory,
                 "output_shape": tuple(output_shape),
             },
         )
@@ -243,7 +244,7 @@ class _KernelGenerator:
         if not isinstance(tile_fn, Lambda) or len(tile_fn.params) != 1:
             raise CodegenError("expected the tile function to be a unary lambda")
 
-        tile_size = self.lowered.tile_size
+        tile_size = self.lowered.strategy.tile_size
         size, step = self.lowered.stencil_size, self.lowered.stencil_step
         outputs_per_tile = (tile_size - size + step) // step
         tiles_per_dim = self._tiles_per_dim(nest.type, ndims)

@@ -192,7 +192,7 @@ def slide(size: ArithLike, step: ArithLike, arg: Expr) -> FunCall:
 
 
 # ---------------------------------------------------------------------------
-# Low-level (OpenCL) primitives — used by lowering and by hand-written tests
+# Low-level (OpenCL) primitives — for writing lowered programs by hand
 # ---------------------------------------------------------------------------
 
 def map_glb(f: FunLike, arg: Expr, dim: int = 0) -> FunCall:

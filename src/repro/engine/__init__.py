@@ -26,7 +26,7 @@ way, ``experiments → engine → tuning / rewriting / simulator``.
 """
 
 from .engine import EngineError, EngineOutcome, SearchEngine, new_session_id
-from .jobs import EvaluationJob, JobResult, VariantOutcome, VariantSpec, make_jobs
+from .jobs import EvaluationJob, JobResult, VariantOutcome, make_jobs
 from .pruner import CostModelPruner, PruneDecision
 from .store import DEFAULT_STORE_PATH, ResultsStore, StoredResult
 from .worker import (
@@ -54,7 +54,6 @@ __all__ = [
     "StoredResult",
     "VALIDATION_SHAPES",
     "VariantOutcome",
-    "VariantSpec",
     "WORKGROUP_CHOICES",
     "WORK_PER_THREAD_CHOICES",
     "explore_variants_for",

@@ -37,7 +37,7 @@ from ..apps.suite import get_benchmark
 from ..core.ir import structural_digest
 from ..runtime.simulator.device import DEVICES, DeviceModel
 from ..tuning.tuner import AutoTuner, TuningResult
-from .jobs import EvaluationJob, JobResult, VariantOutcome, VariantSpec, make_jobs
+from .jobs import EvaluationJob, JobResult, VariantOutcome, make_jobs
 from .pruner import CostModelPruner, PruneDecision
 from .store import ResultsStore
 from .worker import (
@@ -285,7 +285,7 @@ class SearchEngine:
         device_model = DEVICES[device_key]
         problem = benchmark.problem(shape)
         variants = [
-            (VariantSpec.from_strategy(result.strategy), result.lowered)
+            (result.strategy, result.lowered)
             for result in explore_variants_for(benchmark, shape)
         ]
         decisions: List[PruneDecision] = []

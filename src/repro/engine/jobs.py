@@ -32,43 +32,6 @@ def config_items(config: Dict[str, object]) -> ConfigItems:
 
 
 @dataclass(frozen=True)
-class VariantSpec:
-    """A macro-rewrite strategy in wire form.
-
-    Field-for-field this mirrors :class:`~repro.rewriting.strategies.Strategy`
-    — deliberately a separate type: it is the engine's serialization
-    boundary (job pickles, store rows, session specs), so rewriting-side
-    changes to ``Strategy`` cannot silently change persisted identities.
-    ``to_dict``/``from_strategy``/``to_strategy`` are the only conversions.
-    """
-
-    name: str
-    use_tiling: bool = False
-    tile_size: int = 0
-    use_local_memory: bool = False
-    unroll_reduce: bool = True
-
-    @staticmethod
-    def from_strategy(strategy: Strategy) -> "VariantSpec":
-        return VariantSpec(**strategy.to_spec())
-
-    def to_dict(self) -> Dict[str, object]:
-        return dict(vars(self))  # flat primitives: no deep copy needed
-
-    def to_strategy(self) -> Strategy:
-        return Strategy(
-            name=self.name,
-            use_tiling=self.use_tiling,
-            tile_size=self.tile_size,
-            use_local_memory=self.use_local_memory,
-            unroll_reduce=self.unroll_reduce,
-        )
-
-    def describe(self) -> str:
-        return self.to_strategy().describe()
-
-
-@dataclass(frozen=True)
 class EvaluationJob:
     """One candidate evaluation: a variant + configuration on one device.
 
@@ -82,7 +45,7 @@ class EvaluationJob:
     benchmark: str
     shape: Tuple[int, ...]
     device: str
-    variant: VariantSpec
+    variant: Strategy
     config: ConfigItems
     expr_digest: str = ""
     validate: bool = False
@@ -100,7 +63,7 @@ class EvaluationJob:
             "benchmark": self.benchmark,
             "shape": list(self.shape),
             "device": self.device,
-            "variant": self.variant.to_dict(),
+            "variant": self.variant.to_spec(),
             "config": [[name, value] for name, value in self.config],
             "expr": self.expr_digest,
         }
@@ -143,7 +106,7 @@ class JobResult:
 class VariantOutcome:
     """Best point found for one variant plus its evaluation bookkeeping."""
 
-    variant: VariantSpec
+    variant: Strategy
     best_config: Dict[str, object] = field(default_factory=dict)
     best_cost: float = float("inf")
     evaluations: int = 0
@@ -159,7 +122,7 @@ def make_jobs(
     benchmark: str,
     shape: Sequence[int],
     device: str,
-    variant: VariantSpec,
+    variant: Strategy,
     configs: Sequence[Dict[str, object]],
     expr_digest: str = "",
     validate: bool = False,
@@ -189,7 +152,6 @@ def make_jobs(
 __all__ = [
     "ConfigItems",
     "config_items",
-    "VariantSpec",
     "EvaluationJob",
     "JobResult",
     "VariantOutcome",

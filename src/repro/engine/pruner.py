@@ -22,9 +22,8 @@ from itertools import islice
 from typing import List, Sequence, Tuple
 
 from ..apps.base import StencilBenchmark
-from ..rewriting.strategies import LoweredProgram
+from ..rewriting.strategies import LoweredProgram, Strategy
 from ..runtime.simulator.device import DeviceModel
-from .jobs import VariantSpec
 from .worker import parameter_space_for, simulate
 
 
@@ -32,7 +31,7 @@ from .worker import parameter_space_for, simulate
 class PruneDecision:
     """The pruner's verdict on one variant."""
 
-    variant: VariantSpec
+    variant: Strategy
     estimate: float          # best probe cost (simulated seconds); inf = no valid config
     kept: bool
 
@@ -76,8 +75,8 @@ class CostModelPruner:
         benchmark: StencilBenchmark,
         shape: Sequence[int],
         device: DeviceModel,
-        variants: Sequence[Tuple[VariantSpec, LoweredProgram]],
-    ) -> Tuple[List[Tuple[VariantSpec, LoweredProgram]], List[PruneDecision]]:
+        variants: Sequence[Tuple[Strategy, LoweredProgram]],
+    ) -> Tuple[List[Tuple[Strategy, LoweredProgram]], List[PruneDecision]]:
         """Split variants into survivors and decisions (in input order)."""
         estimates = [
             self.estimate(benchmark, shape, device, lowered)
@@ -86,7 +85,7 @@ class CostModelPruner:
         finite = [value for value in estimates if value != float("inf")]
         threshold = self.margin * min(finite) if finite else float("inf")
         decisions: List[PruneDecision] = []
-        kept: List[Tuple[VariantSpec, LoweredProgram]] = []
+        kept: List[Tuple[Strategy, LoweredProgram]] = []
         for (spec, lowered), estimate in zip(variants, estimates):
             keep = estimate <= threshold
             decisions.append(PruneDecision(variant=spec, estimate=estimate, kept=keep))

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import faults as _faults
-from .jobs import EvaluationJob, VariantSpec
+from ..rewriting.strategies import Strategy
+from .jobs import EvaluationJob
 
 log = logging.getLogger("repro.engine.store")
 
@@ -70,7 +71,7 @@ class StoredResult:
     device: str
     shape: Tuple[int, ...]
     expr_digest: str
-    variant: VariantSpec
+    variant: Strategy
     config: Dict[str, object]
     cost: float
     session: Optional[str]
@@ -84,7 +85,7 @@ def _row_to_result(row: sqlite3.Row) -> StoredResult:
         device=row["device"],
         shape=tuple(json.loads(row["shape"])),
         expr_digest=row["expr_digest"],
-        variant=VariantSpec(**json.loads(row["variant"])),
+        variant=Strategy.from_spec(json.loads(row["variant"])),
         config=dict(json.loads(row["config"])),
         cost=row["cost"],
         session=row["session"],
@@ -217,7 +218,7 @@ class ResultsStore:
                 job.device,
                 json.dumps(list(job.shape)),
                 job.expr_digest,
-                json.dumps(job.variant.to_dict()),
+                json.dumps(job.variant.to_spec()),
                 json.dumps([[name, value] for name, value in job.config]),
                 float(cost),
                 session,
@@ -239,7 +240,7 @@ class ResultsStore:
                 job.device,
                 json.dumps(list(job.shape)),
                 job.expr_digest,
-                json.dumps(job.variant.to_dict()),
+                json.dumps(job.variant.to_spec()),
                 json.dumps([[name, value] for name, value in job.config]),
                 float(cost),
                 session,

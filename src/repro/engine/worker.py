@@ -36,12 +36,12 @@ from ..apps.suite import get_benchmark
 from ..backend import BackendMismatch, CompileError, get_backend
 from ..backend.plan import time_steady
 from ..rewriting.exploration import ExplorationResult, explore, verify_variants
-from ..rewriting.strategies import LoweredProgram, lower_program
+from ..rewriting.strategies import LoweredProgram, Strategy, lower_program
 from ..runtime.simulator.device import DEVICES, DeviceModel
 from ..runtime.simulator.executor import SimulationResult, VirtualDevice
 from ..runtime.simulator.kernel_model import KernelConfig, ProblemInstance, build_profile
 from ..tuning.parameters import Parameter, ParameterSpace, opencl_constraints
-from .jobs import EvaluationJob, JobResult, VariantSpec
+from .jobs import EvaluationJob, JobResult
 
 #: Tile widths considered by the macro exploration (before validity filtering).
 EXPLORATION_TILE_SIZES = (4, 6, 8, 10, 18, 34, 66)
@@ -56,34 +56,24 @@ WORK_PER_THREAD_CHOICES = (1, 2, 4, 8, 16, 32)
 VALIDATION_SHAPES: Dict[int, Tuple[int, ...]] = {2: (13, 11), 3: (5, 7, 9)}
 
 # Per-process memo tables (re-populated lazily in every worker process).
-_LOWERED: Dict[Tuple[str, VariantSpec], LoweredProgram] = {}
-_VALIDATED: Set[Tuple[str, VariantSpec, str]] = set()
-_MEASURED: Dict[Tuple[str, VariantSpec, int, int], float] = {}
+_LOWERED: Dict[Tuple[str, Strategy], LoweredProgram] = {}
+_VALIDATED: Set[Tuple[str, Strategy, str]] = set()
+_MEASURED: Dict[Tuple[str, Strategy, int, int], float] = {}
 
 
 # ---------------------------------------------------------------------------
 # The search space
 # ---------------------------------------------------------------------------
 
-def _valid_tile_sizes(benchmark: StencilBenchmark, shape: Sequence[int]) -> List[int]:
-    """Tile widths considered for this benchmark at this input size.
-
-    The structural constraint of the tiling rule (``u > size − step``) always
-    holds for the candidates below; exact coverage of non-divisible input
-    sizes is handled by rounding the ND-range up and guarding the boundary
-    work-groups, so it does not restrict the candidate set here.
-    """
-    size = benchmark.stencil_extent
-    return [
-        tile
-        for tile in EXPLORATION_TILE_SIZES
-        if tile > size - 1 and all(tile <= extent for extent in shape)
-    ]
-
-
 def explore_variants_for(benchmark: StencilBenchmark,
                          shape: Sequence[int]) -> List[ExplorationResult]:
-    """The macro-exploration variant set the engine tunes for one benchmark."""
+    """The macro-exploration variant set the engine tunes for one benchmark.
+
+    Tiles wider than the grid are dropped; the exploration applies the
+    tiling rule's structural constraint (``u > size − step``).  Exact
+    coverage of non-divisible input sizes is not required: Lift rounds the
+    ND-range up and guards the boundary work-groups instead.
+    """
     shape = tuple(shape)
     radius = (benchmark.stencil_extent - 1) // 2
     return explore(
@@ -91,7 +81,8 @@ def explore_variants_for(benchmark: StencilBenchmark,
         stencil_size=benchmark.stencil_extent,
         stencil_step=1,
         padded_length=shape[-1] + 2 * radius,
-        tile_sizes=_valid_tile_sizes(benchmark, shape),
+        tile_sizes=[tile for tile in EXPLORATION_TILE_SIZES
+                    if all(tile <= extent for extent in shape)],
         validate_tiles=False,
     )
 
@@ -104,12 +95,12 @@ def parameter_space_for(
     """The tunable parameters of one lowered Lift variant on one device."""
     ndims = problem.ndims
     parameters: List[Parameter] = []
-    if lowered.uses_tiling:
+    if lowered.strategy.use_tiling:
         # Tiled kernels fix the work-group to the tile's output block; only the
         # per-thread sequential work remains tunable.
         outputs_per_tile = max(
             1,
-            (lowered.tile_size - lowered.stencil_size + 1),
+            (lowered.strategy.tile_size - lowered.stencil_size + 1),
         )
         wg = [("wg_x", (outputs_per_tile,)), ("wg_y", (outputs_per_tile,))]
         if ndims == 3:
@@ -137,12 +128,13 @@ def kernel_config_from(lowered: LoweredProgram, config: Dict[str, object],
     wg = tuple(
         int(config.get(name, 1)) for name in ["wg_x", "wg_y", "wg_z"][:ndims]
     )
+    strategy = lowered.strategy
     return KernelConfig(
         workgroup_size=wg,
         work_per_thread=int(config.get("work_per_thread", 1)),
-        tile_size=lowered.tile_size,
-        use_local_memory=lowered.uses_local_memory,
-        unrolled=lowered.unrolled,
+        tile_size=strategy.tile_size,
+        use_local_memory=strategy.use_tiling and strategy.use_local_memory,
+        unrolled=strategy.unroll_reduce,
     )
 
 
@@ -168,11 +160,11 @@ def validation_shape(stencil_extent: int, ndims: int,
     least that extent per dimension (while preserving exact coverage) —
     measured scoring uses it to time kernels on non-trivial inputs.
     """
-    if not lowered.uses_tiling:
+    if not lowered.strategy.use_tiling:
         if min_size > 0:
             return (min_size,) * ndims
         return VALIDATION_SHAPES[ndims]
-    u = lowered.tile_size
+    u = lowered.strategy.tile_size
     v = u - (lowered.stencil_size - lowered.stencil_step)
     radius = (stencil_extent - 1) // 2
     padded = u
@@ -203,7 +195,7 @@ def _lowered_for(job: EvaluationJob) -> LoweredProgram:
     lowered = _LOWERED.get(memo_key)
     if lowered is None:
         benchmark = get_benchmark(job.benchmark)
-        lowered = lower_program(benchmark.build_program(), job.variant.to_strategy())
+        lowered = lower_program(benchmark.build_program(), job.variant)
         _LOWERED[memo_key] = lowered
     return lowered
 

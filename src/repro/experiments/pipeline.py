@@ -121,7 +121,7 @@ def lift_best_result(
 
     best = outcome.best
     strategy_text = best.variant.describe()
-    lowered = lower_program(benchmark.build_program(), best.variant.to_strategy())
+    lowered = lower_program(benchmark.build_program(), best.variant)
     return BenchmarkOutcome(
         benchmark=benchmark.name,
         device=device,
@@ -130,7 +130,7 @@ def lift_best_result(
                         label=f"lift-{benchmark.name}-{strategy_text}"),
         configuration=dict(best.best_config),
         strategy=strategy_text,
-        uses_tiling=lowered.uses_tiling,
+        uses_tiling=best.variant.use_tiling,
         evaluations=outcome.evaluations,
     )
 

@@ -5,11 +5,12 @@ package provides:
 
 * :mod:`repro.rewriting.rules` — the rule abstraction and application machinery,
 * :mod:`repro.rewriting.algorithmic_rules` — map fusion, split-join and the
-  paper's **overlapped tiling** rule in one, two and three dimensions,
-* :mod:`repro.rewriting.lowering_rules` — mapping onto the OpenCL thread
-  hierarchy, local-memory copies and loop unrolling,
-* :mod:`repro.rewriting.strategies` — complete lowering strategies combining
-  the above,
+  paper's **overlapped tiling** rule for N-dimensional stencils,
+* :mod:`repro.rewriting.lowering_rules` — mapping map nests onto the OpenCL
+  thread hierarchy, local-memory copies and loop unrolling,
+* :mod:`repro.rewriting.strategies` — :func:`~.strategies.lower_program`,
+  which lowers a program by applying the tiling rule (for tiled strategies),
+  then the map-nest, local-memory and reduce rules at its outermost stencil,
 * :mod:`repro.rewriting.exploration` — enumeration of the optimisation space
   explored by the auto-tuner.
 """
@@ -19,12 +20,11 @@ from .algorithmic_rules import (
     MapFusionRule,
     MapJoinInterchangeRule,
     SplitJoinRule,
-    TileStencil1DRule,
     TileStencilNDRule,
     match_stencil,
 )
 from .lowering_rules import (
-    LowerMapRule,
+    LowerMapNestRule,
     LowerReduceSeqRule,
     LowerReduceUnrollRule,
     ToLocalRule,
@@ -38,10 +38,9 @@ __all__ = [
     "MapFusionRule",
     "MapJoinInterchangeRule",
     "SplitJoinRule",
-    "TileStencil1DRule",
     "TileStencilNDRule",
     "match_stencil",
-    "LowerMapRule",
+    "LowerMapNestRule",
     "LowerReduceSeqRule",
     "LowerReduceUnrollRule",
     "ToLocalRule",

@@ -28,7 +28,7 @@ from ..core.ir import Expr, FunCall, FunDecl, Lambda, Param
 from ..core.primitives.algorithmic import Join, Map, Transpose
 from ..core.primitives.opencl import MapGlb, MapLcl, MapSeq, MapWrg
 from ..core.primitives.stencil import Slide
-from .rules import RewriteRule, register_rule
+from .rules import RewriteRule
 
 
 def _is_plain_map(fun: FunDecl) -> bool:
@@ -264,6 +264,15 @@ def tile_overlap(size: ArithExpr, step: ArithExpr) -> ArithExpr:
     return size - step
 
 
+def tile_exceeds_overlap(tile_size: int, size: int, step: int) -> bool:
+    """The structural constraint of overlapped tiling: ``u > size − step``.
+
+    Only then is the tile step ``v = u − (size − step)`` positive, so that
+    consecutive tiles advance over the input.
+    """
+    return tile_size > size - step
+
+
 def tiling_is_valid(
     input_length: int, size: int, step: int, tile_size: int
 ) -> bool:
@@ -273,10 +282,9 @@ def tiling_is_valid(
     is positive and tiles exactly cover the input, i.e. both ``slide`` calls on
     the right-hand side produce whole windows covering every neighbourhood.
     """
-    overlap = size - step
-    tile_step = tile_size - overlap
-    if tile_step <= 0 or tile_size < size:
+    if not tile_exceeds_overlap(tile_size, size, step) or tile_size < size:
         return False
+    tile_step = tile_size - (size - step)
     if (input_length - tile_size) % tile_step != 0:
         return False
     if (tile_size - size) % step != 0:
@@ -285,32 +293,6 @@ def tiling_is_valid(
     tiles = (input_length - tile_size + tile_step) // tile_step
     per_tile = (tile_size - size + step) // step
     return lhs_windows == tiles * per_tile
-
-
-class TileStencil1DRule(RewriteRule):
-    """Overlapped tiling in one dimension (paper §4.1)."""
-
-    name = "tileStencil1D"
-
-    def __init__(self, tile_size: int) -> None:
-        self.tile_size = int(tile_size)
-
-    def matches(self, expr: Expr) -> bool:
-        match = match_stencil(expr)
-        return match is not None and match.ndims == 1
-
-    def rewrite(self, expr: Expr) -> Expr:
-        match = match_stencil(expr)
-        assert match is not None and match.ndims == 1
-        u = Cst(self.tile_size)
-        v = u - tile_overlap(match.size, match.step)
-        f, size, step = match.f, match.size, match.step
-        return L.join(
-            L.map(
-                lambda tile: L.map(f, L.slide(size, step, tile)),
-                L.slide(u, v, match.input),
-            )
-        )
 
 
 class TileStencilNDRule(RewriteRule):
@@ -378,13 +360,6 @@ def _move_dim_to_front(expr: Expr, depth: int) -> Expr:
     return L.transpose(L.map(lambda z: _move_dim_to_front(z, depth - 1), expr))
 
 
-# Register parameter-free rule prototypes for documentation / enumeration.
-register_rule(MapFusionRule())
-register_rule(MapJoinInterchangeRule())
-register_rule(TileStencil1DRule(tile_size=4))
-register_rule(TileStencilNDRule(tile_size=4))
-
-
 __all__ = [
     "StencilMatch",
     "match_map_nd",
@@ -394,9 +369,9 @@ __all__ = [
     "SplitJoinRule",
     "MapJoinInterchangeRule",
     "SlideTilingDecompositionRule",
-    "TileStencil1DRule",
     "TileStencilNDRule",
     "recombine_tiles",
+    "tile_exceeds_overlap",
     "tile_overlap",
     "tiling_is_valid",
 ]

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..core.ir import Lambda
-from .algorithmic_rules import tiling_is_valid
+from .algorithmic_rules import tile_exceeds_overlap, tiling_is_valid
 from .strategies import (
     LoweredProgram,
     LoweringError,
@@ -73,7 +73,7 @@ def candidate_strategies(
             Strategy(name="naive", use_tiling=False, unroll_reduce=unroll)
         )
     for tile in tile_sizes:
-        if tile <= stencil_size - stencil_step:
+        if not tile_exceeds_overlap(tile, stencil_size, stencil_step):
             continue
         if validate_tiles and not tiling_is_valid(
             padded_length, stencil_size, stencil_step, tile

@@ -4,13 +4,16 @@ These rules turn the high-level, hardware-agnostic expression into a
 low-level, OpenCL-specific expression.  They are the existing Lift machinery
 the paper reuses unchanged (Section 4.2/4.3):
 
-* thread-hierarchy mapping — ``map ↦ mapGlb(d)`` / ``mapWrg(d)`` / ``mapLcl(d)``
-  / ``mapSeq``,
+* thread-hierarchy mapping — an N-deep ``map`` nest ``↦`` a nest of
+  ``mapGlb`` / ``mapWrg`` / ``mapLcl``, one OpenCL dimension per level,
 * local memory — ``map(id) ↦ toLocal(map(id))`` together with a rule that
-  introduces ``map(id)`` copies,
+  introduces ``mapN(id)`` copies,
 * loop unrolling — ``reduce ↦ reduceSeq`` / ``reduceUnroll`` (the latter only
   when the reduced array has a compile-time constant length, which is always
   true for stencil neighbourhoods).
+
+:func:`repro.rewriting.strategies.lower_program` applies them, after the
+overlapped-tiling rule, to produce every kernel variant.
 """
 
 from __future__ import annotations
@@ -20,26 +23,10 @@ from typing import Type as PyType
 from ..core import builders as L
 from ..core.ir import Expr, FunCall, Lambda, UserFun
 from ..core.primitives.algorithmic import Id, Map, Reduce
-from ..core.primitives.opencl import (
-    MapGlb,
-    MapLcl,
-    MapSeq,
-    MapWrg,
-    ReduceSeq,
-    ReduceUnroll,
-    ToLocal,
-)
+from ..core.primitives.opencl import MapGlb, MapWrg, ReduceSeq, ReduceUnroll, ToLocal
 from ..core.types import ArrayType
-from .rules import RewriteRule, register_rule
-
-
-def _is_plain_map(expr: Expr) -> bool:
-    return (
-        isinstance(expr, FunCall)
-        and isinstance(expr.fun, Map)
-        and type(expr.fun) is Map
-        and len(expr.args) == 1
-    )
+from .algorithmic_rules import match_map_nd
+from .rules import RewriteRule
 
 
 def _is_plain_reduce(expr: Expr) -> bool:
@@ -51,24 +38,31 @@ def _is_plain_reduce(expr: Expr) -> bool:
     )
 
 
-class LowerMapRule(RewriteRule):
-    """Lower a plain ``map`` to a specific level of the OpenCL thread hierarchy."""
+class LowerMapNestRule(RewriteRule):
+    """``mapN(f) ↦ mapX(N−1)(… mapX(0)(f))`` — one thread level per dimension.
 
-    def __init__(self, target: PyType[Map], dim: int = 0) -> None:
+    ``target`` is ``MapGlb``, ``MapWrg`` or ``MapLcl``.  Level ``k`` of the
+    nest (outermost first) runs on OpenCL dimension ``N − 1 − k``: dimension 0
+    varies fastest, so the innermost map gets it and neighbouring work-items
+    touch neighbouring elements, as Lift assigns ids for coalesced accesses.
+    OpenCL exposes three thread dimensions, so deeper nests do not match.
+    """
+
+    def __init__(self, target: PyType[Map]) -> None:
         self.target = target
-        self.dim = dim
-        self.name = f"lowerMapTo{target.__name__}(dim={dim})"
+        self.name = f"lowerMapNestTo{target.__name__}"
 
     def matches(self, expr: Expr) -> bool:
-        return _is_plain_map(expr)
+        mapped = match_map_nd(expr)
+        return mapped is not None and mapped[0] <= 3
 
     def rewrite(self, expr: Expr) -> Expr:
-        f = expr.fun.f  # type: ignore[union-attr]
-        if self.target is MapSeq:
-            lowered = MapSeq(f)
-        else:
-            lowered = self.target(f, self.dim)  # type: ignore[call-arg]
-        return FunCall(lowered, expr.args[0])
+        ndims, f, arg = match_map_nd(expr)  # type: ignore[misc]
+        nest = self.target(f, 0)  # type: ignore[call-arg]
+        for dim in range(1, ndims):
+            inner = L.fun_n(1, lambda x, prim=nest: FunCall(prim, x))
+            nest = self.target(inner, dim)  # type: ignore[call-arg]
+        return FunCall(nest, arg)
 
 
 class LowerReduceSeqRule(RewriteRule):
@@ -126,7 +120,7 @@ class ToLocalRule(RewriteRule):
 
 
 class IdInsertionRule(RewriteRule):
-    """``in ↦ map(id, in)`` — introduce an explicit copy of an array.
+    """``in ↦ mapN(id, in)`` — introduce an explicit copy of an N-d array.
 
     Together with :class:`ToLocalRule` this lets the exploration place data in
     local memory at any point of the program.  To keep the rewrite space
@@ -134,6 +128,9 @@ class IdInsertionRule(RewriteRule):
     """
 
     name = "idInsertion"
+
+    def __init__(self, ndims: int = 1) -> None:
+        self.ndims = ndims
 
     def matches(self, expr: Expr) -> bool:
         if not isinstance(expr, FunCall):
@@ -145,7 +142,7 @@ class IdInsertionRule(RewriteRule):
         return isinstance(expr.type, ArrayType)
 
     def rewrite(self, expr: Expr) -> Expr:
-        return L.map(Id(), expr)
+        return L.map_nd(Id(), expr, self.ndims)
 
 
 def _is_identity_function(f) -> bool:
@@ -176,18 +173,8 @@ def _is_identity_function(f) -> bool:
     return False
 
 
-register_rule(LowerReduceSeqRule())
-register_rule(LowerReduceUnrollRule())
-register_rule(ToLocalRule())
-register_rule(IdInsertionRule())
-register_rule(LowerMapRule(MapGlb, 0))
-register_rule(LowerMapRule(MapWrg, 0))
-register_rule(LowerMapRule(MapLcl, 0))
-register_rule(LowerMapRule(MapSeq, 0))
-
-
 __all__ = [
-    "LowerMapRule",
+    "LowerMapNestRule",
     "LowerReduceSeqRule",
     "LowerReduceUnrollRule",
     "ToLocalRule",

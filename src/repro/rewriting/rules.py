@@ -5,14 +5,11 @@ decides whether the rule applies to a given sub-expression and ``rewrite``
 produces the replacement.  Rules never mutate their input; the application
 helpers rebuild the spine of the enclosing expression (see
 :func:`repro.core.ir.replace`).
-
-Rules are registered in :data:`RULE_REGISTRY` so the exploration pass and the
-documentation can enumerate them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from ..core.ir import Expr, replace
 
@@ -43,16 +40,6 @@ class RewriteRule:
 
     def __repr__(self) -> str:
         return f"<rule {self.name}>"
-
-
-#: All known rules, keyed by name.
-RULE_REGISTRY: Dict[str, RewriteRule] = {}
-
-
-def register_rule(rule: RewriteRule) -> RewriteRule:
-    """Add a rule instance to the global registry (idempotent by name)."""
-    RULE_REGISTRY[rule.name] = rule
-    return rule
 
 
 def find_applications(root: Expr, rule: RewriteRule) -> List[Expr]:
@@ -91,28 +78,9 @@ def apply_first(root: Expr, rule: RewriteRule) -> Optional[Expr]:
     return apply_at(root, rule, candidates[0])
 
 
-class LambdaRule(RewriteRule):
-    """A rule defined by a pair of Python functions (used in tests and ad-hoc rules)."""
-
-    def __init__(self, name: str, matches: Callable[[Expr], bool],
-                 rewrite: Callable[[Expr], Expr]) -> None:
-        self.name = name
-        self._matches = matches
-        self._rewrite = rewrite
-
-    def matches(self, expr: Expr) -> bool:
-        return self._matches(expr)
-
-    def rewrite(self, expr: Expr) -> Expr:
-        return self._rewrite(expr)
-
-
 __all__ = [
     "RewriteRule",
-    "LambdaRule",
     "RuleApplicationError",
-    "RULE_REGISTRY",
-    "register_rule",
     "find_applications",
     "apply_at",
     "apply_everywhere",

@@ -5,29 +5,50 @@ for one kernel variant:
 
 * whether to apply the overlapped-tiling rule, and with which tile size,
 * whether to stage the tile through OpenCL local memory,
-* whether to unroll the neighbourhood reduction,
-* how to map the remaining maps onto the thread hierarchy.
+* whether to unroll the neighbourhood reduction.
 
-``lower_program`` applies the corresponding rewrites to a high-level stencil
-program and returns a :class:`LoweredProgram`: the lowered Lift expression
-(still executable by the reference interpreter, which treats the OpenCL
-primitives as their sequential counterparts) together with the structural
-metadata consumed by the code generator and the GPU performance model.
+``lower_program`` turns those decisions into a short sequence of rewrite-rule
+applications at the program's outermost stencil:
+
+1. tiled strategies apply :class:`~.algorithmic_rules.TileStencilNDRule`, and
+   with local memory stage each tile through a ``toLocal`` copy built by
+   :class:`~.lowering_rules.IdInsertionRule` and
+   :class:`~.lowering_rules.ToLocalRule`;
+2. :class:`~.lowering_rules.LowerMapNestRule` maps the stencil's map nest onto
+   global threads (untiled), or the tile nest onto work-groups and the
+   per-tile nests onto local work-items (tiled);
+3. the reduce rules lower every neighbourhood reduction.
+
+It returns a :class:`LoweredProgram`: the lowered Lift expression (still
+executable by the reference interpreter, which treats the OpenCL primitives
+as their sequential counterparts), its strategy and the stencil geometry
+consumed by the code generator and the GPU performance model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
-from ..core import builders as L
-from ..core.arithmetic import Cst
 from ..core.ir import Expr, FunCall, Lambda, replace
-from ..core.primitives.algorithmic import Id, Zip
-from ..core.primitives.opencl import MapGlb, MapLcl, MapWrg, ToLocal
-from .algorithmic_rules import StencilMatch, match_stencil, tile_overlap
-from .rules import apply_everywhere
-from .lowering_rules import LowerReduceSeqRule, LowerReduceUnrollRule
+from ..core.primitives.algorithmic import Zip
+from ..core.primitives.opencl import MapGlb, MapLcl, MapWrg
+from .algorithmic_rules import (
+    StencilMatch,
+    TileStencilNDRule,
+    match_map_nd,
+    match_slide_nd,
+    match_stencil,
+    tile_exceeds_overlap,
+)
+from .lowering_rules import (
+    IdInsertionRule,
+    LowerMapNestRule,
+    LowerReduceSeqRule,
+    LowerReduceUnrollRule,
+    ToLocalRule,
+)
+from .rules import apply_at, apply_everywhere
 
 
 @dataclass(frozen=True)
@@ -93,17 +114,13 @@ def tiled_strategy(tile_size: int, use_local_memory: bool = True,
 
 @dataclass
 class LoweredProgram:
-    """A lowered kernel variant plus the structural metadata used downstream."""
+    """A lowered kernel variant, its strategy and the stencil's geometry."""
 
     program: Lambda
     strategy: Strategy
     ndims: int
     stencil_size: int           # window extent per dimension
     stencil_step: int
-    uses_tiling: bool
-    tile_size: int
-    uses_local_memory: bool
-    unrolled: bool
     multi_grid: bool            # True when the stencil zips several input grids
 
     def describe(self) -> str:
@@ -132,208 +149,81 @@ def lower_program(program: Lambda, strategy: Strategy) -> LoweredProgram:
     benchmarks favour untiled kernels.
     """
     body = program.body
-    stencil = _find_outermost_stencil(body)
-
-    if stencil is not None and strategy.use_tiling:
-        lowered_body = _lower_tiled(body, stencil, strategy)
-        multi_grid = False
-    else:
-        if strategy.use_tiling:
-            raise LoweringError(
-                "tiling requested but the program is not a pure mapN(f, slideN(...)) stencil"
-            )
-        lowered_body, stencil, multi_grid = _lower_naive(body, strategy)
-
-    lowered_body = _lower_reductions(lowered_body, strategy)
-    lowered = Lambda(program.params, lowered_body)
-
+    target, stencil, multi_grid = _outermost_stencil(body)
     size = int(stencil.size.evaluate()) if stencil.size.is_constant() else 0
     step = int(stencil.step.evaluate()) if stencil.step.is_constant() else 1
+    if stencil.ndims > 3:
+        raise LoweringError("OpenCL exposes at most three thread dimensions")
+
+    if not strategy.use_tiling:
+        lowered = apply_at(body, LowerMapNestRule(MapGlb), target)
+    elif multi_grid:
+        raise LoweringError(
+            "tiling requested but the program is not a pure mapN(f, slideN(...)) stencil"
+        )
+    elif not tile_exceeds_overlap(strategy.tile_size, size, step):
+        raise LoweringError(
+            f"tile {strategy.tile_size} is too small: overlapped tiling needs "
+            f"u > size − step = {size - step}"
+        )
+    else:
+        tiled = TileStencilNDRule(strategy.tile_size).apply(target)
+        tiles, tiling, _ = _outermost_stencil(tiled)
+        per_tile = tiling.f  # tile ⇒ mapN(f, slideN(size, step, tile))
+        tiled = apply_at(tiled, LowerMapNestRule(MapWrg), tiles)
+        tiled = apply_at(tiled, LowerMapNestRule(MapLcl), per_tile.body)
+        if strategy.use_local_memory:
+            tile = per_tile.params[0]
+            # IdInsertionRule only matches typed arrays and the tile parameter
+            # is untyped before inference, so its rewrite builds the copy.
+            copy = IdInsertionRule(stencil.ndims).rewrite(tile)
+            staged = ToLocalRule().apply(LowerMapNestRule(MapLcl).apply(copy))
+            tiled = replace(tiled, tile, staged)
+        lowered = replace(body, target, tiled)
+
+    rule = LowerReduceUnrollRule() if strategy.unroll_reduce else LowerReduceSeqRule()
     return LoweredProgram(
-        program=lowered,
+        program=Lambda(program.params, apply_everywhere(lowered, rule)),
         strategy=strategy,
         ndims=stencil.ndims,
         stencil_size=size,
         stencil_step=step,
-        uses_tiling=strategy.use_tiling,
-        tile_size=strategy.tile_size,
-        uses_local_memory=strategy.use_local_memory and strategy.use_tiling,
-        unrolled=strategy.unroll_reduce,
         multi_grid=multi_grid,
     )
 
 
-def _find_outermost_stencil(body: Expr) -> Optional[StencilMatch]:
-    """The stencil match not contained in any other matching sub-expression."""
-    matching_nodes = [node for node in body.walk() if match_stencil(node) is not None]
-    if not matching_nodes:
-        return None
-    outermost = matching_nodes[0]
-    for node in matching_nodes[1:]:
-        if node.contains(outermost):
-            outermost = node
-    return match_stencil(outermost)
+def _outermost_stencil(body: Expr) -> Tuple[FunCall, StencilMatch, bool]:
+    """The outermost stencil node of ``body``, its match, and whether it zips grids.
 
-
-def _find_zip_stencil(body: Expr) -> Optional[Tuple[FunCall, StencilMatch]]:
-    """Recognise ``mapN(f, ...zip...)`` where a zipped array is a ``slideN``.
-
-    Multi-grid benchmarks (Hotspot, SRAD2, the acoustic simulation) zip one or
-    more point-wise grids with the neighbourhoods of another grid; the zip may
-    itself be the ``zipN`` composition of ``map`` and ``zip``.  We locate the
-    ``slideN`` of matching depth anywhere below the mapped argument.
+    A pure ``mapN(f, slideN(...))`` stencil wins; otherwise the outermost
+    ``mapN(f, ...zip...)`` whose zipped arrays include a ``slideN`` of the
+    same depth (multi-grid benchmarks such as Hotspot, SRAD2 or the acoustic
+    simulation; the zip may itself be the ``zipN`` composition of ``map`` and
+    ``zip``).
     """
-    from .algorithmic_rules import match_map_nd, match_slide_nd
+    outermost = None
+    for node in body.walk():
+        if match_stencil(node) is not None and (outermost is None or node.contains(outermost)):
+            outermost = node
+    if outermost is not None:
+        return outermost, match_stencil(outermost), False
 
-    best: Optional[Tuple[FunCall, StencilMatch]] = None
+    best = None
     for node in body.walk():
         mapped = match_map_nd(node)
-        if mapped is None:
+        if mapped is None or (best is not None and not node.contains(best[0])):
             continue
-        ndims, _f, arg = mapped
-        contains_zip = any(
-            isinstance(sub, FunCall) and isinstance(sub.fun, Zip) for sub in arg.walk()
-        )
-        if not contains_zip:
+        ndims, f, arg = mapped
+        if not any(isinstance(sub, FunCall) and isinstance(sub.fun, Zip) for sub in arg.walk()):
             continue
         for sub in arg.walk():
             slid = match_slide_nd(sub)
             if slid is not None and slid[0] == ndims:
-                candidate = (node, StencilMatch(ndims, _f, slid[1], slid[2], slid[3]))
-                if best is None or node.contains(best[0]):
-                    best = candidate
+                best = (node, StencilMatch(ndims, f, slid[1], slid[2], slid[3]))
                 break
-    return best
-
-
-def _lower_naive(body: Expr, strategy: Strategy) -> Tuple[Expr, StencilMatch, bool]:
-    """Lower without tiling: the stencil's map nest becomes a mapGlb nest."""
-    stencil = _find_outermost_stencil(body)
-    if stencil is not None:
-        matching_nodes = [n for n in body.walk() if match_stencil(n) is not None]
-        target = matching_nodes[0]
-        for node in matching_nodes[1:]:
-            if node.contains(target):
-                target = node
-        lowered_nest = _build_glb_nest(stencil.f, target_arg(target), stencil.ndims)
-        return replace(body, target, lowered_nest), stencil, False
-
-    zip_match = _find_zip_stencil(body)
-    if zip_match is None:
+    if best is None:
         raise LoweringError("no stencil pattern found in program body")
-    node, stencil = zip_match
-    from .algorithmic_rules import match_map_nd
-
-    mapped = match_map_nd(node)
-    assert mapped is not None
-    ndims, f, arg = mapped
-    lowered_nest = _build_glb_nest(f, arg, ndims)
-    return replace(body, node, lowered_nest), stencil, True
-
-
-def target_arg(stencil_node: Expr) -> Expr:
-    """The data argument of the outermost map of a matched stencil node."""
-    assert isinstance(stencil_node, FunCall)
-    return stencil_node.args[0]
-
-
-def _build_glb_nest(f, arg: Expr, ndims: int) -> Expr:
-    """``mapGlb(d_outer)(... mapGlb(0)(f) ...)`` — one work-item per output element.
-
-    OpenCL dimension 0 is the fastest-varying one, so the innermost map uses
-    dimension 0 and the outermost map uses dimension ``ndims − 1`` (matching
-    how Lift assigns global ids to achieve coalesced accesses).
-    """
-    if ndims > 3:
-        raise LoweringError("OpenCL exposes at most three thread dimensions")
-
-    def nest(level: int):
-        dim = ndims - 1 - level
-        if level == ndims - 1:
-            return MapGlb(f, dim)
-        inner = nest(level + 1)
-        inner_lambda = L.fun_n(1, lambda x, prim=inner: FunCall(prim, x))
-        return MapGlb(inner_lambda, dim)
-
-    return FunCall(nest(0), arg)
-
-
-def _lower_tiled(body: Expr, stencil: StencilMatch, strategy: Strategy) -> Expr:
-    """Apply overlapped tiling and lower onto work-groups / local work-items.
-
-    Structure of the produced expression (2-D case, local memory enabled)::
-
-        recombine(
-          mapWrg(1)(mapWrg(0)(tile ⇒
-             mapLcl(1)(mapLcl(0)(f'),
-                slide2(size, step,
-                   toLocal(mapLcl(1)(mapLcl(0)(id)))(tile))))
-          , slide2(u, v, paddedInput)))
-    """
-    from .algorithmic_rules import recombine_tiles
-
-    matching_nodes = [n for n in body.walk() if match_stencil(n) is not None]
-    target = matching_nodes[0]
-    for node in matching_nodes[1:]:
-        if node.contains(target):
-            target = node
-
-    nd = stencil.ndims
-    size, step = stencil.size, stencil.step
-    overlap = tile_overlap(size, step)
-    if overlap.is_constant() and strategy.tile_size <= overlap.evaluate():
-        raise LoweringError(
-            f"tile {strategy.tile_size} is too small: overlapped tiling needs "
-            f"u > size − step = {overlap.evaluate()}"
-        )
-    u = Cst(strategy.tile_size)
-    v = u - overlap
-
-    def per_tile(tile: Expr) -> Expr:
-        staged = tile
-        if strategy.use_local_memory:
-            copy_nest = _build_lcl_nest(Id(), nd)
-            staged = FunCall(ToLocal(copy_nest), tile)
-        windows = L.slide_nd(size, step, staged, nd)
-        return FunCall(_build_lcl_nest(stencil.f, nd), windows)
-
-    tiles = L.slide_nd(u, v, stencil.input, nd)
-    tile_lambda = L.fun_n(1, per_tile)
-    tiled = FunCall(_build_wrg_nest(tile_lambda, nd), tiles)
-    recombined = recombine_tiles(tiled, nd)
-    return replace(body, target, recombined)
-
-
-def _build_lcl_nest(f, ndims: int):
-    """A nest of ``mapLcl`` primitives, innermost dimension 0."""
-    def nest(level: int):
-        dim = ndims - 1 - level
-        if level == ndims - 1:
-            return MapLcl(f, dim)
-        inner = nest(level + 1)
-        inner_lambda = L.fun_n(1, lambda x, prim=inner: FunCall(prim, x))
-        return MapLcl(inner_lambda, dim)
-
-    return nest(0)
-
-
-def _build_wrg_nest(f, ndims: int):
-    """A nest of ``mapWrg`` primitives, innermost dimension 0."""
-    def nest(level: int):
-        dim = ndims - 1 - level
-        if level == ndims - 1:
-            return MapWrg(f, dim)
-        inner = nest(level + 1)
-        inner_lambda = L.fun_n(1, lambda x, prim=inner: FunCall(prim, x))
-        return MapWrg(inner_lambda, dim)
-
-    return nest(0)
-
-
-def _lower_reductions(body: Expr, strategy: Strategy) -> Expr:
-    """Lower every plain ``reduce`` to ``reduceSeq`` or ``reduceUnroll``."""
-    rule = LowerReduceUnrollRule() if strategy.unroll_reduce else LowerReduceSeqRule()
-    return apply_everywhere(body, rule)
+    return best[0], best[1], True
 
 
 __all__ = [

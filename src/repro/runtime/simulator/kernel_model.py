@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from ...rewriting.strategies import LoweredProgram
+if TYPE_CHECKING:
+    from ...rewriting.strategies import LoweredProgram
 
 
 @dataclass(frozen=True)

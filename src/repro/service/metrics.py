@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from ..backend.cache import CompilationCache, default_cache
-from ..engine.store import ResultsStore
+
+if TYPE_CHECKING:
+    from ..engine.store import ResultsStore
 
 
 def cache_section(cache: Optional[CompilationCache] = None) -> Dict[str, int]:
@@ -34,6 +36,10 @@ _STORE_HANDLES_LOCK = threading.Lock()
 
 
 def _store_handle(path: str) -> ResultsStore:
+    # Imported here: the engine package loads the Lift search (rewriting,
+    # tuning), which serving never runs.
+    from ..engine.store import ResultsStore
+
     key = os.path.abspath(path) if path != ":memory:" else path
     with _STORE_HANDLES_LOCK:
         handle = _STORE_HANDLES.get(key)

@@ -48,7 +48,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from ..backend.base import NumpyBackend
 from ..backend.cache import CompilationCache
 from ..backend.plan import iterate_generic
 from ..core.serialize import SerializationError, program_to_dict
-from ..engine.store import ResultsStore
 from ..telemetry import registry as _telemetry
 from ..telemetry.registry import BATCH_BUCKETS, MetricsRegistry
 from ..telemetry.trace import TraceRing
@@ -80,6 +79,9 @@ from .requests import (
 )
 from .shards import ShardedExecutor, ShardUnavailable
 from .supervisor import ShardSupervisor, restart_counters
+
+if TYPE_CHECKING:
+    from ..engine.store import ResultsStore
 
 log = logging.getLogger("repro.service")
 

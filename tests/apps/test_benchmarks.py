@@ -164,7 +164,8 @@ class TestIterativeExecution:
 class TestTunerSteadyMeasurement:
     def test_functional_validator_checks_plan_bit_identity(self, monkeypatch):
         from repro.backend import NumpyBackend
-        from repro.engine import VariantSpec, make_jobs, worker
+        from repro.engine import make_jobs, worker
+        from repro.rewriting.strategies import Strategy
 
         plans = []
         real_plan = NumpyBackend.plan
@@ -175,7 +176,7 @@ class TestTunerSteadyMeasurement:
 
         monkeypatch.setattr(NumpyBackend, "plan", spy)
         monkeypatch.setattr(worker, "_VALIDATED", set())
-        job = make_jobs("stencil2d", (16, 16), "nvidia", VariantSpec(name="naive"),
+        job = make_jobs("stencil2d", (16, 16), "nvidia", Strategy(name="naive"),
                         [{}], validate=True)[0]
         lowered = worker._lowered_for(job)
         worker._validate_variant(job, lowered)  # must not raise

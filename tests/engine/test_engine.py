@@ -14,12 +14,12 @@ from repro.engine import (
     EngineError,
     ResultsStore,
     SearchEngine,
-    VariantSpec,
     make_jobs,
 )
 from repro.engine import worker
 from repro.engine.worker import evaluate_job
 from repro.experiments.pipeline import lift_best_result
+from repro.rewriting.strategies import Strategy
 from repro.runtime.simulator.device import DEVICES
 
 SHAPE = (64, 64)
@@ -201,7 +201,7 @@ class TestBatchAPI:
     def _jobs(self, count=6):
         return make_jobs(
             "stencil2d", SHAPE, "nvidia",
-            VariantSpec(name="naive"),
+            Strategy(name="naive"),
             [{"wg_x": 2 ** i, "wg_y": 4, "work_per_thread": 1}
              for i in range(count)],
         )
@@ -254,7 +254,7 @@ class TestBatchAPI:
         bad = make_jobs(
             "stencil2d", SHAPE, "nvidia",
             # Tiling with an invalid (too small) tile cannot lower.
-            VariantSpec(name="tiled", use_tiling=True, tile_size=1),
+            Strategy(name="tiled", use_tiling=True, tile_size=1),
             [{"wg_x": 4, "wg_y": 4, "work_per_thread": 1}],
         )
         result = evaluate_job(bad[0])
@@ -267,7 +267,7 @@ class TestBatchAPI:
         good = self._jobs(2)
         bad = make_jobs(
             "stencil2d", SHAPE, "nvidia",
-            VariantSpec(name="tiled", use_tiling=True, tile_size=1),
+            Strategy(name="tiled", use_tiling=True, tile_size=1),
             [{"wg_x": 4, "wg_y": 4, "work_per_thread": 1}],
         )
         engine = SearchEngine(store=ResultsStore(":memory:"))
@@ -301,7 +301,7 @@ class TestScorersAndValidation:
 
         monkeypatch.setattr(NumpyBackend, "plan", counting)
         monkeypatch.setattr(worker, "_MEASURED", {})
-        job = make_jobs("stencil2d", SHAPE, "nvidia", VariantSpec(name="naive"),
+        job = make_jobs("stencil2d", SHAPE, "nvidia", Strategy(name="naive"),
                         [{"wg_x": 4, "wg_y": 4, "work_per_thread": 1}],
                         measure_runs=2, measure_size=24)[0]
         result = evaluate_job(job)
@@ -309,9 +309,9 @@ class TestScorersAndValidation:
         assert built == [{}]
 
     def test_measured_and_simulated_points_never_share_memo_entries(self):
-        sim = make_jobs("stencil2d", SHAPE, "nvidia", VariantSpec(name="naive"),
+        sim = make_jobs("stencil2d", SHAPE, "nvidia", Strategy(name="naive"),
                         [{"wg_x": 4, "wg_y": 4, "work_per_thread": 1}])[0]
-        measured = make_jobs("stencil2d", SHAPE, "nvidia", VariantSpec(name="naive"),
+        measured = make_jobs("stencil2d", SHAPE, "nvidia", Strategy(name="naive"),
                              [{"wg_x": 4, "wg_y": 4, "work_per_thread": 1}],
                              measure_runs=2, measure_size=24)[0]
         assert sim.fingerprint() != measured.fingerprint()
@@ -339,7 +339,7 @@ class TestScorersAndValidation:
 
         monkeypatch.setattr(ExecutionPlan, "run", one_bit_off)
         monkeypatch.setattr(worker, "_VALIDATED", set())
-        job = make_jobs("stencil2d", SHAPE, "nvidia", VariantSpec(name="naive"),
+        job = make_jobs("stencil2d", SHAPE, "nvidia", Strategy(name="naive"),
                         [{"wg_x": 4, "wg_y": 4, "work_per_thread": 1}],
                         validate=True)[0]
         with pytest.raises(BackendMismatch, match="execution plan diverges"):
@@ -366,9 +366,9 @@ class TestScorersAndValidation:
 
 class TestReviewRegressions:
     def test_validate_jobs_do_not_reuse_unvalidated_costs(self):
-        plain = make_jobs("stencil2d", SHAPE, "nvidia", VariantSpec(name="naive"),
+        plain = make_jobs("stencil2d", SHAPE, "nvidia", Strategy(name="naive"),
                           [{"wg_x": 4, "wg_y": 4, "work_per_thread": 1}])[0]
-        validating = make_jobs("stencil2d", SHAPE, "nvidia", VariantSpec(name="naive"),
+        validating = make_jobs("stencil2d", SHAPE, "nvidia", Strategy(name="naive"),
                                [{"wg_x": 4, "wg_y": 4, "work_per_thread": 1}],
                                validate=True)[0]
         # Same point, but a validating job must not be answered by a cost
@@ -445,7 +445,7 @@ class TestPruner:
         from repro.experiments.pipeline import explore_variants_for
 
         variants = [
-            (VariantSpec(**result.strategy.to_spec()), result.lowered)
+            (result.strategy, result.lowered)
             for result in explore_variants_for(benchmark, SHAPE)
         ]
         pruner = CostModelPruner(margin=1.0)  # keep only the front-runner(s)
@@ -502,7 +502,7 @@ class TestPickling:
         assert np.allclose(result, backend.run(benchmark.build_program(), list(inputs)))
 
     def test_jobs_pickle(self):
-        job = make_jobs("heat", (8, 8, 8), "amd", VariantSpec(name="naive"),
+        job = make_jobs("heat", (8, 8, 8), "amd", Strategy(name="naive"),
                         [{"wg_x": 4}])[0]
         assert pickle.loads(pickle.dumps(job)) == job
 

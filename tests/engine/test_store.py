@@ -5,7 +5,8 @@ import math
 import pytest
 
 from repro.engine import ResultsStore
-from repro.engine.jobs import EvaluationJob, VariantSpec, config_items
+from repro.engine.jobs import EvaluationJob, config_items
+from repro.rewriting.strategies import Strategy
 
 
 def make_job(benchmark="stencil2d", tile=18, wg=16, device="nvidia", **flags):
@@ -13,8 +14,8 @@ def make_job(benchmark="stencil2d", tile=18, wg=16, device="nvidia", **flags):
         benchmark=benchmark,
         shape=(64, 64),
         device=device,
-        variant=VariantSpec(name="tiled", use_tiling=True, tile_size=tile,
-                            use_local_memory=True, unroll_reduce=True),
+        variant=Strategy(name="tiled", use_tiling=True, tile_size=tile,
+                         use_local_memory=True, unroll_reduce=True),
         config=config_items({"wg_x": wg, "wg_y": wg, "work_per_thread": 1}),
         expr_digest="d" * 64,
         **flags,

@@ -21,7 +21,7 @@ from repro.core.userfuns import add, id_fn
 from repro.engine import explore_variants_for
 from repro.rewriting.lowering_rules import (
     IdInsertionRule,
-    LowerMapRule,
+    LowerMapNestRule,
     LowerReduceSeqRule,
     LowerReduceUnrollRule,
     ToLocalRule,
@@ -91,7 +91,7 @@ class TestLoweringRules:
 
     def test_map_lowered_to_mapglb(self):
         program = L.fun([array(Float, 8)], lambda a: L.map(id_fn, a))
-        lowered = apply_first(program.body, LowerMapRule(MapGlb, dim=0))
+        lowered = apply_first(program.body, LowerMapNestRule(MapGlb))
         assert isinstance(lowered.fun, MapGlb)
 
     def test_to_local_rule_matches_map_id_only(self):
@@ -119,7 +119,7 @@ class TestLoweringRules:
 class TestStrategies:
     def test_naive_lowering_uses_global_threads(self):
         lowered = lower_program(boxsum2d(), NAIVE)
-        assert not lowered.uses_tiling
+        assert not lowered.strategy.use_tiling
         glbs = [n for n in lowered.program.body.walk()
                 if isinstance(n, FunCall) and isinstance(n.fun, MapGlb)]
         assert len(glbs) == 2  # one per dimension
@@ -135,7 +135,7 @@ class TestStrategies:
     def test_tiled_lowering_uses_workgroups_and_local_memory(self):
         lowered = lower_program(boxsum2d(), tiled_strategy(6))
         body = lowered.program.body
-        assert lowered.uses_tiling and lowered.uses_local_memory
+        assert lowered.strategy.use_tiling and lowered.strategy.use_local_memory
         assert any(isinstance(n, FunCall) and isinstance(n.fun, MapWrg) for n in body.walk())
         assert any(isinstance(n, FunCall) and isinstance(n.fun, MapLcl) for n in body.walk())
         assert any(isinstance(n, FunCall) and isinstance(n.fun, ToLocal) for n in body.walk())
@@ -150,7 +150,7 @@ class TestStrategies:
 
     def test_tiled_without_local_memory(self):
         lowered = lower_program(boxsum2d(), tiled_strategy(6, use_local_memory=False))
-        assert lowered.uses_tiling and not lowered.uses_local_memory
+        assert lowered.strategy.use_tiling and not lowered.strategy.use_local_memory
         assert not any(
             isinstance(n, FunCall) and isinstance(n.fun, ToLocal)
             for n in lowered.program.body.walk()
@@ -199,7 +199,7 @@ class TestExploration:
         results = explore(multigrid2d(), stencil_size=3, stencil_step=1,
                           padded_length=14, tile_sizes=(6,))
         assert results
-        assert all(not r.lowered.uses_tiling for r in results)
+        assert all(not r.lowered.strategy.use_tiling for r in results)
 
     def test_strategy_describe_mentions_choices(self):
         assert "tile=8" in tiled_strategy(8).describe()
@@ -213,7 +213,7 @@ class TestTileBound:
         with pytest.raises(LoweringError,
                            match=r"tile 4 .* needs u > size − step = 4"):
             lower_program(program, tiled_strategy(4))
-        assert lower_program(program, tiled_strategy(5)).uses_tiling
+        assert lower_program(program, tiled_strategy(5)).strategy.use_tiling
 
     @pytest.mark.parametrize("key", ["gaussian", "jacobi3d13pt"])
     def test_kernel_verb_reports_the_bound_and_exits_2(self, key, capsys):

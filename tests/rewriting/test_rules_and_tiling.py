@@ -13,14 +13,13 @@ from repro.rewriting.algorithmic_rules import (
     MapJoinInterchangeRule,
     SlideTilingDecompositionRule,
     SplitJoinRule,
-    TileStencil1DRule,
     TileStencilNDRule,
     match_slide_nd,
     match_stencil,
     tiling_is_valid,
 )
 from repro.rewriting.rules import (
-    LambdaRule,
+    RewriteRule,
     RuleApplicationError,
     apply_at,
     apply_everywhere,
@@ -62,6 +61,21 @@ def boxsum3d():
     )
 
 
+class LambdaRule(RewriteRule):
+    """A rule defined by a pair of Python functions."""
+
+    def __init__(self, name, matches, rewrite):
+        self.name = name
+        self._matches = matches
+        self._rewrite = rewrite
+
+    def matches(self, expr):
+        return self._matches(expr)
+
+    def rewrite(self, expr):
+        return self._rewrite(expr)
+
+
 class TestRuleMachinery:
     def test_apply_at_unmatched_position_raises(self):
         program = jacobi1d()
@@ -71,7 +85,7 @@ class TestRuleMachinery:
 
     def test_find_applications_returns_positions(self):
         program = jacobi1d()
-        rule = TileStencil1DRule(tile_size=6)
+        rule = TileStencilNDRule(tile_size=6, ndims=1)
         assert len(find_applications(program.body, rule)) == 1
 
     def test_apply_first_returns_none_without_match(self):
@@ -175,7 +189,7 @@ class TestOverlappedTiling:
     @pytest.mark.parametrize("tile_size,n", [(4, 10), (6, 12), (10, 16)])
     def test_1d_tiling_preserves_semantics(self, tile_size, n):
         program = jacobi1d()
-        rule = TileStencil1DRule(tile_size=tile_size)
+        rule = TileStencilNDRule(tile_size=tile_size, ndims=1)
         target = find_applications(program.body, rule)[0]
         tiled = Lambda(program.params, apply_at(program.body, rule, target))
         data = [float(i * i % 7) for i in range(n)]
@@ -213,7 +227,7 @@ class TestOverlappedTiling:
 
     def test_tiling_changes_expression_structure(self):
         program = jacobi1d()
-        rule = TileStencil1DRule(tile_size=6)
+        rule = TileStencilNDRule(tile_size=6, ndims=1)
         tiled_body = apply_first(program.body, rule)
         from repro.core.primitives.algorithmic import Join
         from repro.core.primitives.stencil import Slide

@@ -16,8 +16,8 @@ from repro.backend import iterate_generic
 from repro.backend.base import NumpyBackend
 from repro.core.ir import structural_digest
 from repro.engine import ResultsStore
-from repro.engine.jobs import EvaluationJob, VariantSpec, config_items
-from repro.rewriting.strategies import NAIVE, lower_program
+from repro.engine.jobs import EvaluationJob, config_items
+from repro.rewriting.strategies import NAIVE, Strategy, lower_program
 from repro.service import (DigestRouter, ExecutionRequest, ServiceClient,
                            StencilService)
 
@@ -28,9 +28,9 @@ def stored_best(store, benchmark="Stencil2D", tile=18, cost=1e-5,
         benchmark=benchmark,
         shape=(64, 64),
         device=device,
-        variant=VariantSpec(name=name, use_tiling=(name == "tiled"),
-                            tile_size=tile, use_local_memory=(name == "tiled"),
-                            unroll_reduce=True),
+        variant=Strategy(name=name, use_tiling=(name == "tiled"),
+                         tile_size=tile, use_local_memory=(name == "tiled"),
+                         unroll_reduce=True),
         config=config_items({"wg_x": 16, "wg_y": 16, "work_per_thread": 1}),
         expr_digest=digest,
     )

@@ -2,10 +2,14 @@
 
 Telemetry sits below the service: the service imports it, never back.
 Serving runs each program as written, so the service never imports the
-rewriting system, whose lowerings exist to generate OpenCL code.
+rewriting system, whose lowerings exist to generate OpenCL code — neither
+directly nor through a module it imports, which a fresh interpreter checks.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +41,19 @@ def test_package_does_not_import(package, forbidden):
                  for name in _imports(path, f"repro.{package}")
                  if name == banned or name.startswith(banned + ".")]
     assert not offenders
+
+
+#: Packages of the Lift search, which serving never runs.
+SEARCH_PACKAGES = ("repro.rewriting", "repro.engine", "repro.tuning")
+
+
+def test_serving_loads_no_search_module():
+    src = str(Path(repro.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [path for path in [os.environ.get("PYTHONPATH")] if path]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.service; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    loaded = [name for name in done.stdout.split()
+              if ".".join(name.split(".")[:2]) in SEARCH_PACKAGES]
+    assert not loaded

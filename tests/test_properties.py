@@ -18,7 +18,7 @@ from repro.core.ir import Lambda
 from repro.core.types import Float, array
 from repro.core.typecheck import check_program
 from repro.core.userfuns import add
-from repro.rewriting.algorithmic_rules import TileStencil1DRule, tiling_is_valid
+from repro.rewriting.algorithmic_rules import TileStencilNDRule, tiling_is_valid
 from repro.rewriting.rules import apply_at, find_applications
 from repro.runtime.interpreter import evaluate_program
 
@@ -157,7 +157,7 @@ def test_overlapped_tiling_preserves_semantics_for_valid_parameters(tiles, per_t
         lambda a: L.map(lambda nbh: L.reduce(add, 0.0, nbh),
                         L.slide(size, step, L.pad(1, 1, L.CLAMP, a))),
     )
-    rule = TileStencil1DRule(tile_size=tile_size)
+    rule = TileStencilNDRule(tile_size=tile_size, ndims=1)
     target = find_applications(program.body, rule)[0]
     tiled = Lambda(program.params, apply_at(program.body, rule, target))
 
