@@ -270,7 +270,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     keywords.update(
         store=store,
         batch_window=args.window_ms / 1e3,
-        supervise=not args.no_supervise,
         prewarm=prewarm,
         prewarm_batch=tuple(args.prewarm_batch or ()),
     )
@@ -536,10 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-respawns", type=int, default=5,
                        help="respawn budget per shard before the supervisor "
                             "gives up on it (exponential backoff between "
-                            "attempts)")
-    serve.add_argument("--no-supervise", action="store_true",
-                       help="disable the shard supervisor (failed shards "
-                            "stay down; groups fall back to the local path)")
+                            "attempts); 0 respawns nothing: failed shards "
+                            "stay down and groups fall back to the local "
+                            "path")
     serve.add_argument("--breaker-threshold", type=int, default=3,
                        help="consecutive per-digest failures before the "
                             "circuit breaker quarantines the digest to the "

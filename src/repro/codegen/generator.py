@@ -24,19 +24,7 @@ import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.ir import Expr, FunCall, Lambda, Literal, Param, UserFun
-from ..core.primitives.algorithmic import (
-    ArrayConstructor,
-    At,
-    Get,
-    Id,
-    Join,
-    Map,
-    Reduce,
-    Split,
-    Transpose,
-    TupleCons,
-    Zip,
-)
+from ..core.primitives.algorithmic import Id, Map, Reduce
 from ..core.primitives.opencl import (
     MapGlb,
     MapLcl,
@@ -48,25 +36,19 @@ from ..core.primitives.opencl import (
     ToLocal,
     ToPrivate,
 )
-from ..core.primitives.stencil import Pad, PadConstant, Slide
+from ..core.primitives.stencil import PadConstant
 from ..core.typecheck import check_program
 from ..core.types import ArrayType, Type
 from ..rewriting.strategies import LoweredProgram
-from ..views.view import (
+from ..views import (
     View,
     ViewError,
-    ViewGenerated,
-    ViewJoin,
     ViewMapped,
     ViewMemory,
-    ViewPad,
-    ViewPadConstant,
     ViewScalar,
-    ViewSlide,
-    ViewSplit,
-    ViewTranspose,
-    ViewTuple,
-    ViewZip,
+    array_size,
+    c_literal,
+    layout_view,
 )
 from .kernel import KernelBuffer, OpenCLKernel
 from .memory import MemoryAllocator, flat_index
@@ -133,7 +115,7 @@ class _KernelGenerator:
                 KernelBuffer(name, "float", _product(type_), is_output=False)
             )
 
-        nest = self._find_compute_nest(self.program.body)
+        nest = _outermost_call(self.program.body, lambda fun: isinstance(fun, (MapGlb, MapWrg)))
         if nest is None:
             raise CodegenError("no mapGlb/mapWrg nest found in the lowered program")
 
@@ -166,20 +148,6 @@ class _KernelGenerator:
         )
 
     # ------------------------------------------------------------- nest search
-    def _find_compute_nest(self, body: Expr) -> Optional[FunCall]:
-        candidates = [
-            node
-            for node in body.walk()
-            if isinstance(node, FunCall) and isinstance(node.fun, (MapGlb, MapWrg))
-        ]
-        if not candidates:
-            return None
-        outermost = candidates[0]
-        for node in candidates[1:]:
-            if node.contains(outermost):
-                outermost = node
-        return outermost
-
     def _collect_nest(self, nest: FunCall, map_class) -> Tuple[List[int], Expr, Expr]:
         """Peel a ``mapX(dim)(λx. mapX(dim')( ... ))`` nest.
 
@@ -227,7 +195,7 @@ class _KernelGenerator:
         for gid in gid_names:
             element_view = element_view.access(gid)
 
-        result = self._apply_element_function(element_fn, element_view, dict(param_views))
+        result = self._as_scalar(self._apply(element_fn, [element_view], dict(param_views)))
         out_index = flat_index(gid_names, output_shape)
         self.body.add(Assign(f"output[{out_index}]", result.scalar_ref()))
 
@@ -247,7 +215,7 @@ class _KernelGenerator:
         tile_size = self.lowered.strategy.tile_size
         size, step = self.lowered.stencil_size, self.lowered.stencil_step
         outputs_per_tile = (tile_size - size + step) // step
-        tiles_per_dim = self._tiles_per_dim(nest.type, ndims)
+        tiles_per_dim = self._output_shape(nest.type, ndims)
         output_shape = [tiles_per_dim[d] * outputs_per_tile for d in range(ndims)]
 
         self.body.add(Comment("one work-group per tile (mapWrg nest), overlapped tiling"))
@@ -269,12 +237,12 @@ class _KernelGenerator:
         env[tile_fn.params[0]] = tile_view
 
         tile_body = tile_fn.body
-        staged_view, windows_expr = self._stage_tile(tile_body, tile_view, env, ndims, tile_size, lid_names)
-
-        inner_nest = self._find_inner_lcl_nest(tile_body)
+        inner_nest = _outermost_call(
+            tile_body, lambda fun: isinstance(fun, MapLcl) and not _wraps_only_id(fun))
         if inner_nest is None:
             raise CodegenError("tiled kernel without an inner mapLcl nest")
-        lcl_dims, element_fn, _ = self._collect_nest(inner_nest, MapLcl)
+        _, element_fn, windows_expr = self._collect_nest(inner_nest, MapLcl)
+        self._stage_tile(tile_body, tile_view, ndims, tile_size, lid_names)
 
         windows_view = self.gen_value(windows_expr, env)
         element_view = windows_view
@@ -284,7 +252,7 @@ class _KernelGenerator:
         compute = Block()
         saved_body = self.body
         self.body = compute
-        result = self._apply_element_function(element_fn, element_view, env)
+        result = self._as_scalar(self._apply(element_fn, [element_view], env))
         out_indices = [
             f"({wg} * {outputs_per_tile} + {lid})" for wg, lid in zip(wg_names, lid_names)
         ]
@@ -305,30 +273,21 @@ class _KernelGenerator:
         self,
         tile_body: Expr,
         tile_view: View,
-        env: Dict[Param, View],
         ndims: int,
         tile_size: int,
         lid_names: List[str],
-    ) -> Tuple[Optional[View], Expr]:
-        """Emit the local-memory copy (if any) and locate the windows expression.
+    ) -> None:
+        """Emit the local-memory copy, if the tile body stages one.
 
         The tile body produced by the tiled strategy is
         ``mapLcl-nest(f, slideN(size, step, staged))`` where ``staged`` is the
-        tile parameter itself or ``toLocal(mapLcl-nest(id))(tile)``.
+        tile parameter itself or ``toLocal(mapLcl-nest(id))(tile)``.  For the
+        latter, ``_tolocal_view`` is the copy, and ``gen_value`` reads the
+        ``toLocal`` call from it.
         """
-        tolocal_calls = [
-            node
-            for node in tile_body.walk()
-            if isinstance(node, FunCall) and isinstance(node.fun, ToLocal)
-        ]
-        inner_nest = self._find_inner_lcl_nest(tile_body)
-        if inner_nest is None:
-            raise CodegenError("tiled kernel without an inner mapLcl nest")
-        windows_expr = inner_nest.args[0]
-
-        if not tolocal_calls:
-            self._tolocal_view = None
-            return None, windows_expr
+        self._tolocal_view = None
+        if _outermost_call(tile_body, lambda fun: isinstance(fun, ToLocal)) is None:
+            return
 
         allocation = self.memory.allocate_local("float", tile_size ** ndims)
         self.body.add(Comment("cooperative copy of the tile into local memory"))
@@ -362,26 +321,8 @@ class _KernelGenerator:
             self.body.add(stmt)
         self.body.add(Barrier())
 
-        staged_view = ViewMemory(allocation.name, [str(tile_size)] * ndims, space="local")
-        self._tolocal_view = staged_view
-        return staged_view, windows_expr
-
-    def _find_inner_lcl_nest(self, tile_body: Expr) -> Optional[FunCall]:
-        candidates = [
-            node
-            for node in tile_body.walk()
-            if isinstance(node, FunCall)
-            and isinstance(node.fun, MapLcl)
-            and not isinstance(node.fun.f, Id)
-            and not _wraps_only_id(node.fun)
-        ]
-        if not candidates:
-            return None
-        outermost = candidates[0]
-        for node in candidates[1:]:
-            if node.contains(outermost):
-                outermost = node
-        return outermost
+        self._tolocal_view = ViewMemory(allocation.name, [str(tile_size)] * ndims,
+                                        space="local")
 
     # ------------------------------------------------------------ value codegen
     def gen_value(self, expr: Expr, env: Dict[Param, View]) -> View:
@@ -392,98 +333,42 @@ class _KernelGenerator:
             return env[expr]
 
         if isinstance(expr, Literal):
-            return ViewScalar(_literal_c(expr))
+            return ViewScalar(c_literal(expr))
 
         if not isinstance(expr, FunCall):
             raise CodegenError(f"cannot generate code for {type(expr).__name__}")
 
-        fun = expr.fun
+        if isinstance(expr.fun, ToLocal) and self._tolocal_view is not None:
+            return self._tolocal_view
+        views = [self.gen_value(arg, env) for arg in expr.args]
+        return self._apply(expr.fun, views, env, expr.args)
 
-        # --- data layout primitives become views -----------------------------
-        if isinstance(fun, Pad):
-            parent = self.gen_value(expr.args[0], env)
-            size = self._size_of(expr.args[0])
-            return ViewPad(parent, fun.left, fun.right, size, fun.boundary.c_template)
-        if isinstance(fun, PadConstant):
-            parent = self.gen_value(expr.args[0], env)
-            size = self._size_of(expr.args[0])
-            constant = _literal_c(fun.value) if isinstance(fun.value, Literal) else "0.0f"
-            return ViewPadConstant(parent, fun.left, fun.right, size, constant)
-        if isinstance(fun, Slide):
-            parent = self.gen_value(expr.args[0], env)
-            return ViewSlide(parent, str(fun.size), str(fun.step))
-        if isinstance(fun, Split):
-            parent = self.gen_value(expr.args[0], env)
-            return ViewSplit(parent, str(fun.chunk))
-        if isinstance(fun, Join):
-            parent = self.gen_value(expr.args[0], env)
-            inner = self._inner_size_of(expr.args[0])
-            return ViewJoin(parent, inner)
-        if isinstance(fun, Transpose):
-            return ViewTranspose(self.gen_value(expr.args[0], env))
-        if isinstance(fun, Zip):
-            return ViewZip([self.gen_value(a, env) for a in expr.args])
-        if isinstance(fun, TupleCons):
-            return ViewTuple([self.gen_value(a, env) for a in expr.args])
-        if isinstance(fun, At):
-            return self.gen_value(expr.args[0], env).access(fun.index)
-        if isinstance(fun, Get):
-            return self.gen_value(expr.args[0], env).get(fun.index)
-        if isinstance(fun, ArrayConstructor):
-            return ViewGenerated(fun.c_expression or "0.0f", str(fun.size))
-        if isinstance(fun, Id):
-            return self.gen_value(expr.args[0], env)
+    def _apply(self, fun, views: List[View], env: Dict[Param, View],
+               arg_exprs: Sequence[Expr] = ()) -> View:
+        """Apply ``fun`` to argument views: bind a lambda's parameters and walk
+        its body, call a user function, or take a layout primitive's view.
 
-        # --- memory space modifiers ------------------------------------------
-        if isinstance(fun, ToLocal):
-            if self._tolocal_view is not None:
-                return self._tolocal_view
-            return self._apply_layout_fn(fun.f, expr.args[0], env)
-        if isinstance(fun, (ToGlobal, ToPrivate)):
-            return self._apply_layout_fn(fun.f, expr.args[0], env)
-
-        # --- reductions --------------------------------------------------------
-        if isinstance(fun, (ReduceUnroll, ReduceSeq, Reduce)):
-            return self._gen_reduce(fun, expr, env)
-
-        # --- plain / lowered maps over layout functions ------------------------
-        if isinstance(fun, (Map, MapSeq, MapLcl, MapGlb, MapWrg)):
-            parent = self.gen_value(expr.args[0], env)
-            return ViewMapped(fun.f, parent, env)
-
-        # --- user functions -----------------------------------------------------
-        if isinstance(fun, UserFun):
-            return self._gen_userfun_call(fun, expr.args, env)
-
-        # --- beta reduction ------------------------------------------------------
+        ``arg_exprs`` are the typed argument expressions; a mapped element,
+        a reduction's accumulator and a kernel's element have none.
+        """
         if isinstance(fun, Lambda):
             inner_env = dict(env)
-            for param, arg in zip(fun.params, expr.args):
-                inner_env[param] = self.gen_value(arg, env)
+            inner_env.update(zip(fun.params, views))
             return self.gen_value(fun.body, inner_env)
-
-        raise CodegenError(f"no code generation for primitive {getattr(fun, 'name', fun)!r}")
-
-    def _apply_layout_fn(self, f, arg: Expr, env: Dict[Param, View]) -> View:
-        arg_view = self.gen_value(arg, env)
-        if isinstance(f, Lambda) and len(f.params) == 1:
-            inner_env = dict(env)
-            inner_env[f.params[0]] = arg_view
-            return self.gen_value(f.body, inner_env)
-        return arg_view
-
-    def _apply_element_function(self, f, element: View, env: Dict[Param, View]) -> View:
-        if isinstance(f, Lambda):
-            inner_env = dict(env)
-            inner_env[f.params[0]] = element
-            result = self.gen_value(f.body, inner_env)
-        elif isinstance(f, UserFun):
-            result = self._gen_userfun_views(f, [element])
-        elif isinstance(f, Id):
-            result = element
-        else:
-            raise CodegenError(f"unsupported element function {type(f).__name__}")
-        return self._as_scalar(result)
+        if isinstance(fun, UserFun):
+            return self._gen_userfun_views(fun, views)
+        if isinstance(fun, (ToLocal, ToGlobal, ToPrivate)):
+            return self._apply(fun.f, views, env, arg_exprs)
+        if isinstance(fun, (ReduceUnroll, ReduceSeq, Reduce)):
+            if not arg_exprs:
+                raise CodegenError("reduce needs a typed argument expression")
+            return self._gen_reduce(fun, views[0], arg_exprs[0], env)
+        if isinstance(fun, (Map, MapSeq, MapLcl, MapGlb, MapWrg)):
+            return ViewMapped(views[0], lambda element: self._apply(fun.f, [element], env))
+        if isinstance(fun, PadConstant):
+            # the pad value is a scalar expression like any other
+            views = [*views, self.gen_value(fun.value, env)]
+        return layout_view(fun, views, arg_exprs)
 
     def _as_scalar(self, view: View) -> View:
         """Squeeze trailing length-1 dimensions (e.g. the array-of-1 a reduce returns)."""
@@ -496,9 +381,8 @@ class _KernelGenerator:
         raise CodegenError("element function did not produce a scalar result")
 
     # ------------------------------------------------------------ reductions
-    def _gen_reduce(self, fun: Reduce, expr: FunCall, env: Dict[Param, View]) -> View:
-        arg = expr.args[0]
-        arg_view = self.gen_value(arg, env)
+    def _gen_reduce(self, fun: Reduce, arg_view: View, arg: Expr,
+                    env: Dict[Param, View]) -> View:
         length = self._constant_length(arg)
         init_view = self.gen_value(fun.init, env) if isinstance(fun.init, Expr) else ViewScalar("0.0f")
         acc = self.memory.fresh("acc")
@@ -512,22 +396,21 @@ class _KernelGenerator:
                 raise CodegenError("reduceUnroll requires a compile-time constant length")
             for i in range(length):
                 element = arg_view.access(i).scalar_ref()
-                self.body.add(Assign(acc, self._apply_scalar_fn(fun.f, [acc, element], env)))
+                self.body.add(Assign(acc, self._combine(fun.f, acc, element, env)))
         else:
             loop_var = self.memory.fresh("red_i")
-            bound = str(length) if length is not None else self._size_of(arg)
+            bound = str(length) if length is not None else array_size(arg.type)
             loop_body = Block()
             element = arg_view.access(loop_var).scalar_ref()
-            loop_body.add(Assign(acc, self._apply_scalar_fn(fun.f, [acc, element], env)))
+            loop_body.add(Assign(acc, self._combine(fun.f, acc, element, env)))
             self.body.add(ForLoop(loop_var, "0", bound, body=loop_body))
         return ViewScalar(acc)
 
-    # ------------------------------------------------------------ user functions
-    def _gen_userfun_call(self, fun: UserFun, args: Sequence[Expr],
-                          env: Dict[Param, View]) -> View:
-        arg_views = [self.gen_value(a, env) for a in args]
-        return self._gen_userfun_views(fun, arg_views)
+    def _combine(self, f, acc: str, element: str, env: Dict[Param, View]) -> str:
+        """The reduction operator ``f`` applied to the accumulator and an element."""
+        return self._apply(f, [ViewScalar(acc), ViewScalar(element)], env).scalar_ref()
 
+    # ------------------------------------------------------------ user functions
     def _gen_userfun_views(self, fun: UserFun, arg_views: Sequence[View]) -> View:
         if all(_is_scalar_view(v) for v in arg_views):
             self.user_functions[fun.name] = fun
@@ -556,28 +439,7 @@ class _KernelGenerator:
             expression = re.sub(rf"\b{name}\[(\d+)\]", substitute, expression)
         return f"({expression})"
 
-    def _apply_scalar_fn(self, f, args: List[str], env: Dict[Param, View]) -> str:
-        if isinstance(f, UserFun):
-            self.user_functions[f.name] = f
-            return f"{f.name}({', '.join(args)})"
-        if isinstance(f, Lambda):
-            inner_env = dict(env)
-            for param, arg in zip(f.params, args):
-                inner_env[param] = ViewScalar(arg)
-            return self.gen_value(f.body, inner_env).scalar_ref()
-        raise CodegenError(f"unsupported reduction operator {type(f).__name__}")
-
     # ------------------------------------------------------------ helpers
-    def _size_of(self, expr: Expr) -> str:
-        if isinstance(expr.type, ArrayType):
-            return str(expr.type.size)
-        raise CodegenError("expression has no array type; was the program type-checked?")
-
-    def _inner_size_of(self, expr: Expr) -> str:
-        if isinstance(expr.type, ArrayType) and isinstance(expr.type.elem_type, ArrayType):
-            return str(expr.type.elem_type.size)
-        raise CodegenError("join applied to a non-nested array")
-
     def _constant_length(self, expr: Expr) -> Optional[int]:
         if isinstance(expr.type, ArrayType) and expr.type.size.is_constant():
             return expr.type.size.evaluate()
@@ -592,9 +454,6 @@ class _KernelGenerator:
             shape.append(int(current.size.evaluate()))
             current = current.elem_type
         return shape
-
-    def _tiles_per_dim(self, nest_type: Type, ndims: int) -> List[int]:
-        return self._output_shape(nest_type, ndims)
 
     # ------------------------------------------------------------ rendering
     def _render_source(self, buffers: List[KernelBuffer]) -> str:
@@ -617,6 +476,16 @@ class _KernelGenerator:
         return "\n\n".join(parts) + "\n"
 
 
+def _outermost_call(expr: Expr, accept) -> Optional[FunCall]:
+    """The outermost call in ``expr`` whose function ``accept`` admits."""
+    outermost = None
+    for node in expr.walk():  # post-order: an enclosing call comes later
+        if isinstance(node, FunCall) and accept(node.fun):
+            if outermost is None or node.contains(outermost):
+                outermost = node
+    return outermost
+
+
 def _wraps_only_id(map_prim: MapLcl) -> bool:
     """True when a mapLcl nest only applies the identity (a copy nest)."""
     f = map_prim.f
@@ -635,13 +504,6 @@ def _is_scalar_view(view: View) -> bool:
         return True
     except ViewError:
         return False
-
-
-def _literal_c(literal: Literal) -> str:
-    value = literal.value
-    if isinstance(value, float):
-        return f"{value}f"
-    return str(value)
 
 
 def _sanitize(name: str) -> str:

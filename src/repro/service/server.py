@@ -248,14 +248,14 @@ class StencilService:
         is redispatched, and the supervisor respawns it.  ``None``
         disables the watchdog (dead shards are still detected via pipe
         errors and process liveness).
-    supervise:
-        Run a :class:`~repro.service.supervisor.ShardSupervisor` alongside
-        a sharded service: dead/failed shards are respawned in the
-        background (bounded exponential backoff, ``max_respawns`` per
-        shard); a respawned shard receives each program again with its
-        first group.  Ignored when ``shards == 0``.
     max_respawns:
-        Per-shard respawn budget for the supervisor.
+        Per-shard respawn budget of the
+        :class:`~repro.service.supervisor.ShardSupervisor` a sharded
+        service runs: dead/failed shards are respawned in the background
+        (bounded exponential backoff); a respawned shard receives each
+        program again with its first group.  ``0`` respawns nothing:
+        failed shards stay out of rotation and their traffic falls back to
+        the in-process path.
     breaker_threshold:
         Digest circuit breaker: after this many *consecutive* fast-path
         failures (plan capture, shard dispatch, execution) for one digest,
@@ -287,7 +287,6 @@ class StencilService:
         max_queue_depth: Optional[int] = None,
         max_inflight_per_digest: Optional[int] = None,
         shard_timeout_s: Optional[float] = 30.0,
-        supervise: bool = True,
         max_respawns: int = 5,
         breaker_threshold: int = 3,
         breaker_cooldown_s: float = 5.0,
@@ -315,7 +314,6 @@ class StencilService:
             ShardedExecutor(self.shards, timeout_s=shard_timeout_s)
             if self.shards > 0 else None
         )
-        self.supervise = bool(supervise)
         self.max_respawns = int(max_respawns)
         self.supervisor: Optional[ShardSupervisor] = None
         self.max_queue_depth = max_queue_depth
@@ -441,7 +439,7 @@ class StencilService:
             raise ServiceError("service already started")
         self._queues = _PriorityQueues()
         self._batcher = asyncio.get_running_loop().create_task(self._batch_loop())
-        if self.executor is not None and self.supervise:
+        if self.executor is not None:
             self.supervisor = ShardSupervisor(
                 self.executor, max_respawns=self.max_respawns,
                 metrics=self.metrics)

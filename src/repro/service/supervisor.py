@@ -17,7 +17,7 @@ sweeps the fleet every :data:`DEFAULT_CHECK_INTERVAL_S`:
    (:data:`DEFAULT_BACKOFF_BASE_S` · 2^respawns, capped at
    :data:`DEFAULT_BACKOFF_MAX_S`) and a ``max_respawns`` budget per shard;
    a shard that exhausts its budget is left out of rotation and logged
-   once.
+   once (a budget of 0 turns respawning off).
 3. **Rejoin** — right after the respawn ``failed`` is cleared, making the
    shard visible to :meth:`ShardedExecutor.pick` again.  The new process
    has empty caches, so the first group it gets for a digest carries the
@@ -130,9 +130,14 @@ class ShardSupervisor:
             if handle.respawns >= self.max_respawns:
                 if index not in self._gave_up:
                     self._gave_up.add(index)
-                    log.error(
-                        "shard %d exhausted its respawn budget (%d); "
-                        "leaving it out of rotation", index, self.max_respawns)
+                    if self.max_respawns:
+                        log.error(
+                            "shard %d exhausted its respawn budget (%d); "
+                            "leaving it out of rotation", index, self.max_respawns)
+                    else:
+                        log.info("shard %d down; respawning is off "
+                                 "(max_respawns 0), leaving it out of rotation",
+                                 index)
                 continue
             due = self._next_attempt.get(index)
             if due is None:

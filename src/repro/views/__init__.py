@@ -1,21 +1,27 @@
-"""The view system: data-layout primitives as index arithmetic."""
+"""The view system: data-layout primitives as index arithmetic.
+
+:func:`layout_view` holds the one view rule per layout primitive; the walk
+over a lowered expression that calls it is :mod:`repro.codegen`'s.
+"""
 
 from .view import (
     View,
     ViewError,
-    ViewGenerated,
-    ViewGuarded,
+    ViewMapped,
     ViewMemory,
-    ViewTuple,
-    build_view,
+    ViewScalar,
+    array_size,
+    c_literal,
+    layout_view,
 )
 
 __all__ = [
     "View",
     "ViewError",
-    "ViewGenerated",
-    "ViewGuarded",
+    "ViewMapped",
     "ViewMemory",
-    "ViewTuple",
-    "build_view",
+    "ViewScalar",
+    "array_size",
+    "c_literal",
+    "layout_view",
 ]

@@ -15,28 +15,33 @@ A :class:`View` here is an object with two operations:
 ``scalar_ref()``
     render the C r-value expression for a fully-indexed scalar.
 
-:func:`build_view` constructs the view of an argument expression (the data
-side of a lowered map nest) by symbolic evaluation, binding parameters to
-their buffer views.
+:func:`layout_view` is the one rule per layout primitive: the view that
+``pad``, ``slide``, ``split``, ``join``, ``transpose``, ``zip`` (and the
+tuple, element and generated-array primitives) make of their arguments'
+views.  The walk over a lowered expression is the code generator's
+(:meth:`repro.codegen.generator._KernelGenerator.gen_value`): it builds the
+argument views, calls :func:`layout_view`, and hands :class:`ViewMapped` its
+own application of the mapped function.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
-from ..core.ir import Expr, FunCall, Lambda, Literal, Param
+from ..core.ir import Expr, Literal
 from ..core.primitives.algorithmic import (
     ArrayConstructor,
     At,
     Get,
+    Id,
     Join,
-    Map,
     Split,
     Transpose,
     TupleCons,
     Zip,
 )
 from ..core.primitives.stencil import Pad, PadConstant, Slide
+from ..core.types import ArrayType, Type
 
 Index = Union[str, int]
 
@@ -222,17 +227,6 @@ class _ViewWindow(View):
         return self.parent.access(f"({self.base} + ({_idx(index)}))")
 
 
-class ViewSplit(View):
-    """``split(m)``: element ``(i, j)`` maps to parent index ``i*m + j``."""
-
-    def __init__(self, parent: View, chunk: str) -> None:
-        self.parent = parent
-        self.chunk = chunk
-
-    def access(self, index: Index) -> View:
-        return _ViewWindow(self.parent, f"(({_idx(index)}) * ({self.chunk}))")
-
-
 class ViewJoin(View):
     """``join``: element ``i`` maps to parent element ``(i / m, i % m)``."""
 
@@ -287,142 +281,81 @@ class ViewTuple(View):
 
 
 class ViewMapped(View):
-    """``map(f)`` over a view where ``f`` is itself a data-layout function.
+    """``map(f)`` over a view: indexing applies ``f`` to the element view.
 
-    Indexing applies ``f`` symbolically to the element view — this is how the
-    composed ``slideN`` (``map(slide)`` / ``map(transpose)``) collapses into
-    pure index arithmetic.
+    ``apply`` is the code generator's application of ``f``.  When ``f`` is a
+    layout function (the ``map(slide)`` / ``map(transpose)`` of a composed
+    ``slideN``) the element view is pure index arithmetic.
     """
 
-    def __init__(self, f, parent: View, env: Dict[Param, View]) -> None:
-        self.f = f
+    def __init__(self, parent: View, apply: Callable[[View], View]) -> None:
         self.parent = parent
-        self.env = env
+        self.apply = apply
 
     def access(self, index: Index) -> View:
-        element = self.parent.access(index)
-        return apply_function_view(self.f, element, self.env)
+        return self.apply(self.parent.access(index))
 
 
 # ---------------------------------------------------------------------------
-# Building views from expressions
+# The view rule of each layout primitive
 # ---------------------------------------------------------------------------
 
-def build_view(expr: Expr, env: Dict[Param, View]) -> View:
-    """Construct the view of a data expression.
+def layout_view(fun, parent_views: Sequence[View], arg_exprs: Sequence[Expr]) -> View:
+    """The view that the layout primitive ``fun`` makes of its arguments' views.
 
-    ``env`` binds the program parameters (and any lambda parameters introduced
-    by enclosing maps) to their buffer views.
+    ``arg_exprs`` are the typed argument expressions: ``pad``,
+    ``padConstant`` and ``join`` read their argument's sizes from them, so a
+    mapped element (which has none) cannot be padded or joined directly.
+    ``padConstant`` takes the scalar view of its value after its argument's.
     """
-    if isinstance(expr, Param):
-        if expr not in env:
-            raise ViewError(f"unbound parameter {expr.name!r} while building view")
-        return env[expr]
-
-    if isinstance(expr, Literal):
-        return ViewScalar(_literal_to_c(expr))
-
-    if isinstance(expr, FunCall):
-        fun = expr.fun
-
-        if isinstance(fun, Pad):
-            parent = build_view(expr.args[0], env)
-            size = _array_size_c(expr.args[0])
-            return ViewPad(parent, fun.left, fun.right, size, fun.boundary.c_template)
-
-        if isinstance(fun, PadConstant):
-            parent = build_view(expr.args[0], env)
-            size = _array_size_c(expr.args[0])
-            constant = _literal_to_c(fun.value) if isinstance(fun.value, Literal) else "0.0f"
-            return ViewPadConstant(parent, fun.left, fun.right, size, constant)
-
-        if isinstance(fun, Slide):
-            parent = build_view(expr.args[0], env)
-            return ViewSlide(parent, str(fun.size), str(fun.step))
-
-        if isinstance(fun, Split):
-            parent = build_view(expr.args[0], env)
-            return ViewSplit(parent, str(fun.chunk))
-
-        if isinstance(fun, Join):
-            parent = build_view(expr.args[0], env)
-            inner_size = _inner_size_c(expr.args[0])
-            return ViewJoin(parent, inner_size)
-
-        if isinstance(fun, Transpose):
-            parent = build_view(expr.args[0], env)
-            return ViewTranspose(parent)
-
-        if isinstance(fun, Zip):
-            return ViewZip([build_view(arg, env) for arg in expr.args])
-
-        if isinstance(fun, TupleCons):
-            return ViewTuple([build_view(arg, env) for arg in expr.args])
-
-        if isinstance(fun, At):
-            parent = build_view(expr.args[0], env)
-            return parent.access(fun.index)
-
-        if isinstance(fun, Get):
-            parent = build_view(expr.args[0], env)
-            return parent.get(fun.index)
-
-        if isinstance(fun, ArrayConstructor):
-            c_expr = fun.c_expression or "0.0f"
-            return ViewGenerated(c_expr, str(fun.size))
-
-        if isinstance(fun, Map):
-            # A map over a view is only a view itself when the mapped function
-            # performs pure data reorganisation (slide, transpose, pad, ...).
-            parent = build_view(expr.args[0], env)
-            return ViewMapped(fun.f, parent, env)
-
-        if isinstance(fun, Lambda):
-            inner_env = dict(env)
-            for param, arg in zip(fun.params, expr.args):
-                inner_env[param] = build_view(arg, env)
-            return build_view(fun.body, inner_env)
-
-    raise ViewError(f"expression cannot be represented as a view: {expr!r}")
+    arg_type = arg_exprs[0].type if arg_exprs else None
+    if isinstance(fun, Id):
+        return parent_views[0]
+    if isinstance(fun, Pad):
+        return ViewPad(parent_views[0], fun.left, fun.right, array_size(arg_type),
+                       fun.boundary.c_template)
+    if isinstance(fun, PadConstant):
+        parent, value = parent_views
+        return ViewPadConstant(parent, fun.left, fun.right, array_size(arg_type),
+                               value.scalar_ref())
+    if isinstance(fun, Slide):
+        return ViewSlide(parent_views[0], str(fun.size), str(fun.step))
+    if isinstance(fun, Split):
+        # split(m) indexes exactly like slide(m, m)
+        return ViewSlide(parent_views[0], str(fun.chunk), str(fun.chunk))
+    if isinstance(fun, Join):
+        return ViewJoin(parent_views[0], array_size(arg_type, depth=1))
+    if isinstance(fun, Transpose):
+        return ViewTranspose(parent_views[0])
+    if isinstance(fun, Zip):
+        return ViewZip(parent_views)
+    if isinstance(fun, TupleCons):
+        return ViewTuple(parent_views)
+    if isinstance(fun, At):
+        return parent_views[0].access(fun.index)
+    if isinstance(fun, Get):
+        return parent_views[0].get(fun.index)
+    if isinstance(fun, ArrayConstructor):
+        return ViewGenerated(fun.c_expression or "0.0f", str(fun.size))
+    raise ViewError(f"{getattr(fun, 'name', type(fun).__name__)!r} has no view rule")
 
 
-def apply_function_view(f, element: View, env: Dict[Param, View]) -> View:
-    """Apply a data-layout function symbolically to an element view."""
-    if isinstance(f, Lambda):
-        inner_env = dict(env)
-        inner_env[f.params[0]] = element
-        return build_view(f.body, inner_env)
-    if isinstance(f, Transpose):
-        return ViewTranspose(element)
-    if isinstance(f, Slide):
-        return ViewSlide(element, str(f.size), str(f.step))
-    if isinstance(f, (Pad,)):
-        raise ViewError("pad inside map requires the array size; use a lambda")
-    raise ViewError(f"cannot apply {type(f).__name__} as a view function")
-
-
-def _literal_to_c(literal: Literal) -> str:
+def c_literal(literal: Literal) -> str:
+    """A literal as C text (``1.5`` → ``1.5f``)."""
     value = literal.value
     if isinstance(value, float):
         return f"{value}f"
     return str(value)
 
 
-def _array_size_c(expr: Expr) -> str:
-    """The length of the outermost dimension of ``expr`` as a C expression."""
-    from ..core.types import ArrayType
-
-    if isinstance(expr.type, ArrayType):
-        return str(expr.type.size)
-    raise ViewError("cannot determine array size: expression is not typed as an array")
-
-
-def _inner_size_c(expr: Expr) -> str:
-    from ..core.types import ArrayType
-
-    if isinstance(expr.type, ArrayType) and isinstance(expr.type.elem_type, ArrayType):
-        return str(expr.type.elem_type.size)
-    raise ViewError("cannot determine inner array size for join view")
+def array_size(type_: Optional[Type], depth: int = 0) -> str:
+    """The extent of ``type_`` (``depth`` 1: of its elements) as C text."""
+    for _ in range(depth):
+        type_ = getattr(type_, "elem_type", None)
+    if not isinstance(type_, ArrayType):
+        raise ViewError("cannot determine an array size: the expression is not "
+                        "typed as an array of that depth")
+    return str(type_.size)
 
 
 __all__ = [
@@ -435,12 +368,12 @@ __all__ = [
     "ViewPad",
     "ViewPadConstant",
     "ViewSlide",
-    "ViewSplit",
     "ViewJoin",
     "ViewTranspose",
     "ViewZip",
     "ViewTuple",
     "ViewMapped",
-    "build_view",
-    "apply_function_view",
+    "layout_view",
+    "c_literal",
+    "array_size",
 ]

@@ -8,6 +8,9 @@ from repro.core.typecheck import check_program
 from repro.core.types import Float, array
 from repro.codegen import CodegenError, generate_kernel
 from repro.rewriting.strategies import NAIVE, lower_program, tiled_strategy
+from repro.core.ir import FunCall
+from repro.core.primitives.algorithmic import Split
+from repro.core.userfuns import add
 from repro.views.view import (
     ViewError,
     ViewMemory,
@@ -16,7 +19,7 @@ from repro.views.view import (
     ViewSlide,
     ViewTranspose,
     ViewZip,
-    build_view,
+    layout_view,
 )
 from repro.apps.jacobi import build_jacobi2d_5pt
 from repro.apps.hotspot import build_hotspot2d
@@ -62,16 +65,25 @@ class TestViews:
         assert "a[" in zipped.access("i").get(0).scalar_ref()
         assert "b[" in zipped.access("i").get(1).scalar_ref()
 
-    def test_build_view_for_pad_slide_composition(self):
+    def test_layout_views_compose_pad_then_slide(self):
         program = L.fun(
             [array(Float, 16)],
             lambda a: L.slide(3, 1, L.pad(1, 1, L.CLAMP, a)),
             names=["input"],
         )
         check_program(program, [array(Float, 16)])
-        view = build_view(program.body, {program.params[0]: ViewMemory("input", ["16"])})
+        slide_call = program.body
+        pad_call = slide_call.args[0]
+        padded = layout_view(pad_call.fun, [ViewMemory("input", ["16"])], pad_call.args)
+        view = layout_view(slide_call.fun, [padded], slide_call.args)
         ref = view.access("5").access("2").scalar_ref()
         assert "input[" in ref
+
+    def test_split_indexes_like_slide_with_step_equal_to_size(self):
+        base = ViewMemory("a", ["12"])
+        split = layout_view(Split(4), [base], [])
+        assert (split.access("i").access("j").scalar_ref()
+                == ViewSlide(base, "4", "4").access("i").access("j").scalar_ref())
 
     def test_scalar_view_passthrough(self):
         assert ViewScalar("1.0f").scalar_ref() == "1.0f"
@@ -120,6 +132,20 @@ class TestNaiveCodegen:
         kernel = generate_kernel(lowered, [array(Float, 32, 32)], "gaussian")
         # The 25 weights are inlined as literal multiplications.
         assert kernel.source.count("*") > 25
+
+    def test_computed_pad_constant_value_is_printed(self):
+        """padConstant's value is a scalar expression: it is printed, never zeroed."""
+        program = L.fun(
+            [array(Float, 8)],
+            lambda a: L.map(
+                lambda w: L.reduce(add, 0.0, w),
+                L.slide(3, 1, L.pad_constant(1, 1, FunCall(add, L.lit(1.0), L.lit(2.0)), a)),
+            ),
+            names=["a"],
+        )
+        kernel = generate_kernel(lower_program(program, NAIVE), [array(Float, 8)])
+        assert "? 0.0f :" not in kernel.source
+        assert kernel.source.count("? add(1.0f, 2.0f) :") == 3
 
     def test_3d_kernel_uses_three_dimensions(self):
         from repro.apps.heat import build_heat

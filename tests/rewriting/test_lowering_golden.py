@@ -10,6 +10,9 @@ source.  The sha256 of each row list, rows joined by newlines, is pinned, so
 a refactor of the rewriting or the code generator must leave every lowered
 expression and every kernel unchanged.  The row lists are kept in
 ``golden/`` so a mismatch names its first differing row.
+
+:func:`golden_variants` is the enumeration; CI also parses every golden
+kernel as C with it (``tests/codegen/test_kernels_parse_as_c.py``).
 """
 
 import hashlib
@@ -32,9 +35,9 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def rows():
-    lowering, kernels = [], []
+def golden_variants():
+    """Yield ``(row, lowered, input types)`` for every (app × strategy) pair in
+    pin order; ``lowered`` is ``None`` where lowering raises LoweringError."""
     for key in sorted(ALL_BENCHMARKS):
         benchmark = ALL_BENCHMARKS[key]
         program = benchmark.build_program()
@@ -45,11 +48,21 @@ def rows():
             try:
                 lowered = lower_program(program, strategy)
             except LoweringError:
-                lowering.append(f"{row}|LoweringError")
+                yield row, None, None
                 continue
-            lowering.append(f"{row}|{structural_digest(lowered.program)}")
-            source = generate_kernel(lowered, benchmark.input_types(shape)).source
-            kernels.append(f"{row}|{_sha256(source)}")
+            yield row, lowered, benchmark.input_types(shape)
+
+
+@pytest.fixture(scope="module")
+def rows():
+    lowering, kernels = [], []
+    for row, lowered, input_types in golden_variants():
+        if lowered is None:
+            lowering.append(f"{row}|LoweringError")
+            continue
+        lowering.append(f"{row}|{structural_digest(lowered.program)}")
+        source = generate_kernel(lowered, input_types).source
+        kernels.append(f"{row}|{_sha256(source)}")
     return {"lowering_rows.txt": lowering, "kernel_rows.txt": kernels}
 
 

@@ -579,7 +579,7 @@ DEFAULT_SERVE_KEYWORDS = {
     "store": ".repro/engine.sqlite", "batch_window": 0.002, "max_batch": 64,
     "crosscheck": False, "shards": 0,
     "max_queue_depth": None, "max_inflight_per_digest": None,
-    "shard_timeout_s": 30.0, "supervise": True, "max_respawns": 5,
+    "shard_timeout_s": 30.0, "max_respawns": 5,
     "breaker_threshold": 3, "breaker_cooldown_s": 5.0, "job_dir": None,
     "checkpoint_every": 16, "job_ttl_s": 3600.0, "max_resident_jobs": 64,
 }
@@ -589,7 +589,6 @@ TRANSLATED = {
     "store": (["--store", "s.sqlite"], {"store": "s.sqlite"}),
     "no_store": (["--no-store"], {"store": None}),
     "window_ms": (["--window-ms", "7"], {"batch_window": 0.007}),
-    "no_supervise": (["--no-supervise"], {"supervise": False}),
     # What these two produce is test_prewarm_flags_become_requests'.
     "prewarm": (["--prewarm", "stencil2d"], {}),
     "prewarm_shape": (["--prewarm", "stencil2d", "--prewarm-shape", "6",

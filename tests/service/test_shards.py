@@ -66,7 +66,7 @@ class TestShardedService:
                 assert row.get("compilations") == 1, row
 
     def test_dead_shard_falls_back_locally_without_failing_requests(self):
-        # Supervision off: with the only shard dead, pick() returns None and
+        # No respawns (a budget of 0): with the only shard dead, pick() returns None and
         # the service must serve the group on the local path, in-band and
         # bit-identical — requests never observe the crash.
         requests = _stream(count=2)
@@ -76,7 +76,7 @@ class TestShardedService:
                 for response in client.execute_many(requests)
             ]
         service = StencilService(store=None, shards=1, max_batch=4,
-                                 supervise=False)
+                                 max_respawns=0)
         with ServiceClient(service) as client:
             client.execute_many(requests)
             handle = service.executor.handles[0]

@@ -8,9 +8,11 @@ CI job.
 
 from __future__ import annotations
 
+import logging
 import os
 import signal
 import time
+import types
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from repro.service import (
     StencilService,
 )
 from repro.service.shards import ShardedExecutor
+from repro.service.supervisor import ShardSupervisor
 
 
 @pytest.fixture(autouse=True)
@@ -167,7 +170,7 @@ class TestSupervisedRespawn:
         faults.arm("shard.crash_before_reply:at=1", export=True)
         requests = _stream(count=4)
         service = StencilService(store=None, shards=2, max_batch=2,
-                                 shard_timeout_s=5.0, supervise=False,
+                                 shard_timeout_s=5.0, max_respawns=0,
                                  breaker_threshold=0)
         with ServiceClient(service) as client:
             faults.disarm()  # keep the *parent* process clean
@@ -176,9 +179,31 @@ class TestSupervisedRespawn:
             assert all(r.ok for r in responses), [r.error for r in responses]
             stats = client.stats()["service"]
             assert stats["shard_redispatches"] >= 1, stats
-            # Crashed-and-unsupervised shards never answered: the serves
-            # landed on surviving shards or the local fallback, once each.
+            # Crashed shards are not respawned (a budget of 0) and never
+            # answered: the serves landed on surviving shards or the local
+            # fallback, once each.
             assert stats["requests_served"] == len(requests)
+
+
+    def test_a_zero_budget_logs_each_down_shard_once_and_not_as_an_error(
+            self, caplog):
+        class DeadHandle:
+            def __init__(self, index):
+                self.index, self.failed, self.respawns = index, True, 0
+                self.process = types.SimpleNamespace(is_alive=lambda: False)
+
+            def mark_failed(self, reason):
+                self.failed = True
+
+        fleet = types.SimpleNamespace(handles=[DeadHandle(0), DeadHandle(1)])
+        supervisor = ShardSupervisor(fleet, max_respawns=0)
+        with caplog.at_level(logging.INFO, logger="repro.service.supervisor"):
+            supervisor._sweep()
+            supervisor._sweep()
+        levels = [record.levelno for record in caplog.records
+                  if record.name == "repro.service.supervisor"]
+        assert levels == [logging.INFO, logging.INFO]
+        assert supervisor.stats()["gave_up"] == [0, 1]
 
 
 class TestBreakerIntegration:

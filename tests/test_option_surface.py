@@ -41,7 +41,7 @@ PARAMETERS = {
     StencilService.__init__: (
         "store", "batch_window", "max_batch", "crosscheck",
         "shards", "max_queue_depth", "max_inflight_per_digest",
-        "shard_timeout_s", "supervise", "max_respawns", "breaker_threshold",
+        "shard_timeout_s", "max_respawns", "breaker_threshold",
         "breaker_cooldown_s", "job_dir", "checkpoint_every", "job_ttl_s",
         "max_resident_jobs"),
     ShardedExecutor.__init__: ("shards", "timeout_s"),
