@@ -36,7 +36,7 @@ from ..service.wire import (
     DEFAULT_CHUNK_BYTES,
     decode_grid_payload,
     encode_grid_payload,
-    iter_chunks,
+    payload_length,
 )
 from .auth import attach_auth, auth_headers
 from .config import DEFAULT_BINARY_THRESHOLD_BYTES
@@ -105,6 +105,22 @@ def _split_result(reply: Dict[str, object]):
     result = reply.pop("result", None)
     return reply, ([] if result is None
                    else [np.asarray(result, dtype=np.float64)])
+
+
+def _read_payload(response: http.client.HTTPResponse):
+    """The response body: with a ``Content-Length``, read straight into
+    one ``bytearray`` of that length."""
+    if not response.length:
+        return response.read()
+    payload = bytearray(response.length)
+    view = memoryview(payload)
+    received = 0
+    while received < len(payload):
+        count = response.readinto(view[received:])
+        if not count:
+            raise http.client.IncompleteRead(b"", len(payload) - received)
+        received += count
+    return payload
 
 
 class Transport:
@@ -280,10 +296,11 @@ class HttpTransport(Transport):
 
     Small requests travel as JSON; once the grids exceed
     ``binary_threshold_bytes`` the request switches to the binary
-    ``application/x-repro-grids`` body, uploaded in bounded chunks
-    (``Transfer-Encoding: chunked`` via a generator body) and downloaded as
-    raw little-endian buffers — a 1024² float64 grid never exists as one
-    JSON string on either side of the socket.
+    ``application/x-repro-grids`` body: one ``Content-Length``, then the
+    framing prefix and each grid's buffer written to the socket as they
+    are, uncopied.  A binary reply is read with ``readinto`` into one
+    ``bytearray`` and decoded to views of it, so a 1024² float64 grid is
+    copied once per side and never exists as one JSON string.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 7458,
@@ -309,9 +326,8 @@ class HttpTransport(Transport):
                 >= self.binary_threshold_bytes):
             prefix, buffers = encode_grid_payload(meta, grids)
             headers["Content-Type"] = CONTENT_TYPE_GRIDS
-            # No Content-Length: the generator body makes http.client send
-            # Transfer-Encoding: chunked, one bounded piece at a time.
-            body = iter_chunks(prefix, buffers)
+            headers["Content-Length"] = str(payload_length(prefix, buffers))
+            body = [prefix, *buffers]  # sent piece by piece, never joined
         elif method == "POST":
             body = json.dumps(_with_inputs(meta, grids)).encode("utf-8")
             headers["Content-Type"] = CONTENT_TYPE_JSON
@@ -360,8 +376,9 @@ class HttpTransport(Transport):
                     f"server closed the connection: {error}", retryable=True
                 )
             try:
-                payload = response.read()
-            except (socket.timeout, OSError) as error:
+                payload = _read_payload(response)
+            except (socket.timeout, OSError,
+                    http.client.IncompleteRead) as error:
                 # Bytes of the response were consumed; never replay.
                 raise TransportError(f"response truncated: {error}",
                                      retryable=False)

@@ -195,7 +195,9 @@ class _KernelGenerator:
         for gid in gid_names:
             element_view = element_view.access(gid)
 
-        result = self._as_scalar(self._apply(element_fn, [element_view], dict(param_views)))
+        result = self._as_scalar(self._apply(
+            element_fn, [element_view], dict(param_views),
+            [_element_type(data_arg.type, ndims)]))
         out_index = flat_index(gid_names, output_shape)
         self.body.add(Assign(f"output[{out_index}]", result.scalar_ref()))
 
@@ -252,7 +254,8 @@ class _KernelGenerator:
         compute = Block()
         saved_body = self.body
         self.body = compute
-        result = self._as_scalar(self._apply(element_fn, [element_view], env))
+        result = self._as_scalar(self._apply(
+            element_fn, [element_view], env, [_element_type(windows_expr.type, ndims)]))
         out_indices = [
             f"({wg} * {outputs_per_tile} + {lid})" for wg, lid in zip(wg_names, lid_names)
         ]
@@ -341,15 +344,16 @@ class _KernelGenerator:
         if isinstance(expr.fun, ToLocal) and self._tolocal_view is not None:
             return self._tolocal_view
         views = [self.gen_value(arg, env) for arg in expr.args]
-        return self._apply(expr.fun, views, env, expr.args)
+        return self._apply(expr.fun, views, env, [arg.type for arg in expr.args])
 
     def _apply(self, fun, views: List[View], env: Dict[Param, View],
-               arg_exprs: Sequence[Expr] = ()) -> View:
+               arg_types: Sequence[Optional[Type]] = ()) -> View:
         """Apply ``fun`` to argument views: bind a lambda's parameters and walk
         its body, call a user function, or take a layout primitive's view.
 
-        ``arg_exprs`` are the typed argument expressions; a mapped element,
-        a reduction's accumulator and a kernel's element have none.
+        ``arg_types`` are the arguments' types, where lengths come from: a
+        mapped element's is its map argument's ``elem_type``.  A reduction's
+        accumulator and element are scalars and need none.
         """
         if isinstance(fun, Lambda):
             inner_env = dict(env)
@@ -358,17 +362,17 @@ class _KernelGenerator:
         if isinstance(fun, UserFun):
             return self._gen_userfun_views(fun, views)
         if isinstance(fun, (ToLocal, ToGlobal, ToPrivate)):
-            return self._apply(fun.f, views, env, arg_exprs)
+            return self._apply(fun.f, views, env, arg_types)
         if isinstance(fun, (ReduceUnroll, ReduceSeq, Reduce)):
-            if not arg_exprs:
-                raise CodegenError("reduce needs a typed argument expression")
-            return self._gen_reduce(fun, views[0], arg_exprs[0], env)
+            return self._gen_reduce(fun, views[0], arg_types[0] if arg_types else None, env)
         if isinstance(fun, (Map, MapSeq, MapLcl, MapGlb, MapWrg)):
-            return ViewMapped(views[0], lambda element: self._apply(fun.f, [element], env))
+            element_type = _element_type(arg_types[0] if arg_types else None)
+            return ViewMapped(views[0], lambda element: self._apply(
+                fun.f, [element], env, [element_type]))
         if isinstance(fun, PadConstant):
             # the pad value is a scalar expression like any other
             views = [*views, self.gen_value(fun.value, env)]
-        return layout_view(fun, views, arg_exprs)
+        return layout_view(fun, views, arg_types)
 
     def _as_scalar(self, view: View) -> View:
         """Squeeze trailing length-1 dimensions (e.g. the array-of-1 a reduce returns)."""
@@ -381,9 +385,9 @@ class _KernelGenerator:
         raise CodegenError("element function did not produce a scalar result")
 
     # ------------------------------------------------------------ reductions
-    def _gen_reduce(self, fun: Reduce, arg_view: View, arg: Expr,
+    def _gen_reduce(self, fun: Reduce, arg_view: View, arg_type: Optional[Type],
                     env: Dict[Param, View]) -> View:
-        length = self._constant_length(arg)
+        length = self._constant_length(arg_type)
         init_view = self.gen_value(fun.init, env) if isinstance(fun.init, Expr) else ViewScalar("0.0f")
         acc = self.memory.fresh("acc")
         self.body.add(VarDecl("float", acc, init_view.scalar_ref()))
@@ -399,7 +403,7 @@ class _KernelGenerator:
                 self.body.add(Assign(acc, self._combine(fun.f, acc, element, env)))
         else:
             loop_var = self.memory.fresh("red_i")
-            bound = str(length) if length is not None else array_size(arg.type)
+            bound = str(length) if length is not None else array_size(arg_type)
             loop_body = Block()
             element = arg_view.access(loop_var).scalar_ref()
             loop_body.add(Assign(acc, self._combine(fun.f, acc, element, env)))
@@ -440,9 +444,9 @@ class _KernelGenerator:
         return f"({expression})"
 
     # ------------------------------------------------------------ helpers
-    def _constant_length(self, expr: Expr) -> Optional[int]:
-        if isinstance(expr.type, ArrayType) and expr.type.size.is_constant():
-            return expr.type.size.evaluate()
+    def _constant_length(self, type_: Optional[Type]) -> Optional[int]:
+        if isinstance(type_, ArrayType) and type_.size.is_constant():
+            return type_.size.evaluate()
         return None
 
     def _output_shape(self, nest_type: Type, ndims: int) -> List[int]:
@@ -496,6 +500,13 @@ def _wraps_only_id(map_prim: MapLcl) -> bool:
             continue
         break
     return isinstance(f, Id)
+
+
+def _element_type(type_: Optional[Type], depth: int = 1) -> Optional[Type]:
+    """The type ``depth`` array levels inside ``type_`` (``None`` if it has fewer)."""
+    for _ in range(depth):
+        type_ = getattr(type_, "elem_type", None)
+    return type_
 
 
 def _is_scalar_view(view: View) -> bool:

@@ -2,13 +2,20 @@
 
 The server's one HTTP/1.1 listener (asyncio, zero dependencies,
 keep-alive), feeding the **same** :class:`~repro.service.server.StencilService`
-batcher as the JSON-lines TCP endpoint.  It owns five things and no
-operation logic: the request reader :func:`read_request` (bounded header
-block and body), the route table :data:`ROUTES` (request line → op; a
-GET's query becomes the op's metadata; ``/metrics`` and ``/healthz``
-need no auth key), the body decoder :func:`decode_body`, the
-``code`` → status-line map, and one reply writer (``HEAD`` on a GET route:
-the GET's status and headers, no body).
+batcher as the JSON-lines TCP endpoint.  It owns six things and no
+operation logic: the connection protocol :class:`Connection`, the request
+reader :func:`read_request` (bounded header block and body), the route
+table :data:`ROUTES` (request line → op; a GET's query becomes the op's
+metadata; ``/metrics`` and ``/healthz`` need no auth key), the body
+decoder :func:`decode_body`, the ``code`` → status-line map, and one reply
+writer (``HEAD`` on a GET route: the GET's status and headers, no body).
+
+Each grid byte is copied once on the way in and at most once on the way
+out.  A ``Content-Length`` body is received by the kernel straight into
+one ``bytearray`` of that length (:meth:`Connection.readinto`), and an
+RPG1 body decodes to views of it (:mod:`repro.service.wire`).  A chunked
+body, still accepted from other clients, is appended into one buffer.  A
+reply writes its prefix, then slices of each grid's own buffer.
 
 Content negotiation, both directions:
 
@@ -16,8 +23,8 @@ Content negotiation, both directions:
 * ``Content-Type: application/x-repro-grids`` — the binary grid framing of
   :mod:`repro.service.wire`: JSON header (everything except grids) followed
   by raw little-endian buffers.  ``Accept: application/x-repro-grids``
-  selects the same framing for the response, written buffer-by-buffer so a
-  1024² float64 result streams out without ever being one JSON string.
+  selects the same framing for the response, written buffer by buffer, so
+  a 1024² float64 result never becomes one JSON string.
 * ``/metrics`` answers ``text/plain; version=0.0.4`` unless ``Accept``
   names one of the two forms above.
 
@@ -131,13 +138,158 @@ class HTTPError(Exception):
         self.status = status if status is not None else CODE_STATUS[code]
 
 
+#: The longest line (request line, header, chunk size) a connection reads.
+MAX_LINE_BYTES = 1024 * 1024
+#: The receive buffer of a connection's lines and chunked bodies.
+RECV_BYTES = 256 * 1024
+
+
 class Request(NamedTuple):
-    """One request as :func:`read_request` read it off a stream."""
+    """One request as :func:`read_request` read it off a connection."""
 
     method: str
     target: str
     headers: Dict[str, str]           # names lower-cased
-    body: bytes
+    body: bytearray
+
+
+class Connection(asyncio.BufferedProtocol):
+    """One HTTP connection: lines for the request head, one buffer per body.
+
+    The transport receives into :data:`RECV_BYTES` of scratch, and what the
+    request reader has not yet consumed waits in ``_pending``; reading from
+    the peer pauses while that holds more than :data:`MAX_LINE_BYTES`
+    (pipelined requests behind one that is executing).
+    :meth:`readinto` hands the transport the caller's buffer instead, so
+    the rest of a ``Content-Length`` body goes from the socket straight
+    into it.  ``serve`` is the coroutine that serves the connection; it
+    runs as one task from the moment the peer connects.
+    """
+
+    def __init__(self, serve) -> None:
+        self._serve = serve
+        self._recv = bytearray(RECV_BYTES)
+        self._pending = bytearray()
+        self._sink: Optional[memoryview] = None
+        self._data: Optional[asyncio.Future] = None
+        self._writable: Optional[asyncio.Future] = None
+        self._eof = False
+        self._lost = False
+        self._paused = False
+        self.transport: Optional[asyncio.Transport] = None
+        self._task: Optional[asyncio.Task] = None
+
+    # -- the transport's side -------------------------------------------------
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self._task = asyncio.get_running_loop().create_task(self._serve(self))
+
+    def get_buffer(self, sizehint: int):
+        if self._sink is not None and len(self._sink):
+            return self._sink
+        return self._recv
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if self._sink is not None:
+            self._sink = self._sink[nbytes:]
+        else:
+            self._pending += memoryview(self._recv)[:nbytes]
+            if len(self._pending) > MAX_LINE_BYTES and not self._paused:
+                self._paused = True
+                self.transport.pause_reading()
+        self._wake()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._wake()
+        return True  # keep the write side open for the reply
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._eof = self._lost = True
+        self._wake()
+        self.resume_writing()
+
+    def pause_writing(self) -> None:
+        self._writable = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        if self._writable is not None and not self._writable.done():
+            self._writable.set_result(None)
+        self._writable = None
+
+    def _wake(self) -> None:
+        if self._data is not None and not self._data.done():
+            self._data.set_result(None)
+
+    async def _more(self) -> None:
+        """Wait for the next bytes (or the end) from the peer."""
+        if self._paused:
+            self._paused = False
+            self.transport.resume_reading()
+        self._data = asyncio.get_running_loop().create_future()
+        try:
+            await self._data
+        finally:
+            self._data = None
+
+    # -- the request reader's side -------------------------------------------
+    async def readline(self) -> bytes:
+        """One line with its ``\\n``; what is left, unterminated, at the end.
+        A line longer than :data:`MAX_LINE_BYTES` raises ``ValueError``."""
+        searched = 0
+        while True:
+            end = self._pending.find(b"\n", searched)
+            if end >= 0:
+                return self._take(end + 1)
+            if len(self._pending) > MAX_LINE_BYTES:
+                raise ValueError("line exceeds the connection's limit")
+            if self._eof:
+                return self._take(len(self._pending))
+            searched = len(self._pending)
+            await self._more()
+
+    async def readexactly(self, count: int) -> bytes:
+        while len(self._pending) < count:
+            if self._eof:
+                raise asyncio.IncompleteReadError(bytes(self._pending), count)
+            await self._more()
+        return self._take(count)
+
+    def _take(self, count: int) -> bytes:
+        data = bytes(self._pending[:count])
+        del self._pending[:count]
+        return data
+
+    async def readinto(self, buffer: bytearray) -> None:
+        """Fill ``buffer``: bytes already received first, then the rest
+        straight from the socket."""
+        view = memoryview(buffer)
+        try:
+            held = min(len(self._pending), len(view))
+            view[:held] = memoryview(self._pending)[:held]
+            del self._pending[:held]
+            self._sink = view[held:]
+            while len(self._sink):
+                if self._eof:  # the peer closed mid-body
+                    raise asyncio.IncompleteReadError(b"", len(view))
+                await self._more()
+        finally:
+            self._sink = None
+            view.release()
+
+    # -- the reply writer's side ----------------------------------------------
+    def write(self, data) -> None:
+        self.transport.write(data)
+
+    async def drain(self) -> None:
+        """Wait while the transport's write buffer is over its high mark."""
+        if self._writable is not None:
+            await self._writable
+        if self._lost:
+            raise ConnectionResetError("connection lost")
+
+    def close(self) -> None:
+        self.transport.close()
 
 
 def _route(method: str, path: str) -> Tuple[str, Dict[str, str],
@@ -178,13 +330,13 @@ def route_for(op: str, meta: Dict[str, object]) -> Optional[Tuple[str, str]]:
 
 
 def decode_body(content_type: str,
-                body: bytes) -> Tuple[Dict[str, object],
+                body: bytearray) -> Tuple[Dict[str, object],
                                       Optional[List[np.ndarray]]]:
     """Decode one HTTP body into ``(metadata, grids)``.
 
-    The binary framing yields its JSON header plus the raw grids; a JSON
-    body is the TCP wire form verbatim (grids, if any, stay nested lists
-    under ``"inputs"``).
+    The binary framing yields its JSON header plus the raw grids (views of
+    ``body`` where they lie aligned in it); a JSON body is the TCP wire
+    form verbatim (grids, if any, stay nested lists under ``"inputs"``).
     """
     media = content_type.split(";")[0].strip().lower()
     try:
@@ -222,22 +374,22 @@ def encode_reply(reply: Reply,
     return CONTENT_TYPE_JSON, json.dumps(reply.wire()).encode("utf-8"), []
 
 
-async def _read_body(reader: asyncio.StreamReader,
-                     headers: Dict[str, str],
-                     max_request_bytes: int) -> bytes:
+async def _read_body(connection: Connection, headers: Dict[str, str],
+                     max_request_bytes: int) -> bytearray:
     """Read one request body (Content-Length or chunked), bounded.
 
-    Every refusal raised here leaves unread bytes in the socket, so the
-    caller answers it and closes the connection.
+    A ``Content-Length`` body is checked against ``max_request_bytes``
+    before its one buffer is allocated.  Every refusal raised here leaves
+    unread bytes in the socket, so the caller answers it and closes the
+    connection.
     """
     too_large = HTTPError(
         REQUEST_TOO_LARGE, f"request body exceeds {max_request_bytes} bytes")
+    body = bytearray()
     encoding = headers.get("transfer-encoding", "").lower()
     if "chunked" in encoding:
-        chunks: List[bytes] = []
-        total = 0
         while True:
-            size_line = await reader.readline()
+            size_line = await connection.readline()
             try:
                 size = int(size_line.split(b";")[0].strip() or b"0", 16)
             except ValueError:
@@ -246,15 +398,14 @@ async def _read_body(reader: asyncio.StreamReader,
                 raise HTTPError(BAD_REQUEST, "malformed chunk size")
             if size == 0:
                 while True:  # trailers, then the final blank line
-                    trailer = await reader.readline()
+                    trailer = await connection.readline()
                     if trailer in (b"\r\n", b"\n", b""):
                         break
-                return b"".join(chunks)
-            total += size
-            if total > max_request_bytes:
+                return body
+            if len(body) + size > max_request_bytes:
                 raise too_large
-            chunks.append(await reader.readexactly(size))
-            await reader.readexactly(2)  # the chunk's trailing CRLF
+            body += await connection.readexactly(size)
+            await connection.readexactly(2)  # the chunk's trailing CRLF
     try:
         length = int(headers.get("content-length", "0") or "0")
     except ValueError:
@@ -263,12 +414,15 @@ async def _read_body(reader: asyncio.StreamReader,
         raise HTTPError(BAD_REQUEST, "malformed Content-Length")
     if length > max_request_bytes:
         raise too_large
-    return await reader.readexactly(length) if length else b""
+    if length:
+        body = bytearray(length)
+        await connection.readinto(body)
+    return body
 
 
-async def read_request(reader: asyncio.StreamReader,
+async def read_request(connection: Connection,
                        max_request_bytes: int) -> Optional[Request]:
-    """Read one HTTP/1.1 request off a stream — the one place that does.
+    """Read one HTTP/1.1 request off a connection — the one place that does.
 
     The listener calls this before it authenticates or routes anything,
     so what it bounds is what an anonymous peer can make the server hold:
@@ -286,13 +440,13 @@ async def read_request(reader: asyncio.StreamReader,
 
     headers: Dict[str, str] = {}
     try:
-        request_line = await reader.readline()
+        request_line = await connection.readline()
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
             return None
         size = len(request_line)
         while True:
-            line = await reader.readline()
+            line = await connection.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
             size += len(line)
@@ -300,9 +454,9 @@ async def read_request(reader: asyncio.StreamReader,
                 raise too_large()
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-    except ValueError:  # one line longer than the stream's limit
+    except ValueError:  # one line longer than MAX_LINE_BYTES
         raise too_large() from None
-    body = await _read_body(reader, headers, max_request_bytes)
+    body = await _read_body(connection, headers, max_request_bytes)
     return Request(parts[0], parts[1], headers, body)
 
 
@@ -328,9 +482,8 @@ async def serve_http(
     """Expose a started service as the HTTP endpoint (:data:`ROUTES`).
 
     Connections are keep-alive: one client can pump many requests through
-    one socket (the client library's pooling counterpart).  Responses are
-    written prefix-then-buffers in bounded chunks, so large binary results
-    stream instead of being joined into one object.  ``gate`` is the
+    one socket (the client library's pooling counterpart).  Each is a
+    :class:`Connection`.  ``gate`` is the
     :class:`~repro.service.server.ServedGate` ``repro serve`` shares with
     the TCP endpoint: each answered execute/iterate request is marked on
     it, every open connection is in its set for the shutdown drain, and
@@ -339,14 +492,15 @@ async def serve_http(
     if gate is None:
         gate = ServedGate()
 
-    async def write_reply(writer: asyncio.StreamWriter, reply: Reply,
+    async def write_reply(connection: Connection, reply: Reply,
                           accept: str, close: bool,
                           status: Optional[int] = None,
                           head: bool = False) -> bool:
         """The one reply writer: status line from the reply's ``code``,
         JSON, RPG1 or Prometheus body from ``Accept``, no body for
         ``head``, ``Connection: close`` as asked or once the gate has
-        resolved.  Returns whether it said ``close``."""
+        resolved.  A grid goes out as slices of its own buffer, uncopied.
+        Returns whether it said ``close``."""
         meta = reply.meta
         if status is None:
             status = (200 if meta.get("ok")
@@ -366,28 +520,29 @@ async def serve_http(
         if meta.get("retry_after_ms") is not None:
             lines.append("Retry-After: %d" % max(
                 1, int(round(float(meta["retry_after_ms"]) / 1e3))))
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
         if head:
             prefix, buffers = b"", []
-        writer.write(prefix)
-        await writer.drain()
+        connection.write(
+            ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + prefix)
         for buffer in buffers:
+            # Draining after each slice bounds what the transport holds
+            # unsent, whatever the grid's size.
             for start in range(0, buffer.nbytes, DEFAULT_CHUNK_BYTES):
-                writer.write(bytes(buffer[start:start + DEFAULT_CHUNK_BYTES]))
-                await writer.drain()
+                connection.write(buffer[start:start + DEFAULT_CHUNK_BYTES])
+                await connection.drain()
+        await connection.drain()
         _HTTP_REQUESTS_TOTAL.inc(label=f"{status // 100}xx")
         return close
 
-    async def handle_one(reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter) -> bool:
+    async def handle_one(connection: Connection) -> bool:
         """Serve one request; returns False when the connection should close."""
         try:
-            request = await read_request(reader, max_request_bytes)
+            request = await read_request(connection, max_request_bytes)
         except HTTPError as error:
             if error.code == REQUEST_TOO_LARGE:
                 service.count_reject("too_large")
             # Unread bytes are still in the socket; close to resync.
-            await write_reply(writer, refusal(error.code, str(error)), "",
+            await write_reply(connection, refusal(error.code, str(error)), "",
                               close=True)
             return False
         if request is None:
@@ -422,18 +577,16 @@ async def serve_http(
                 gate.mark()
             if op == "ping" and reply.meta.get("status") == "unhealthy":
                 status = 503
-        return not await write_reply(writer, reply, accept,
+        return not await write_reply(connection, reply, accept,
                                      close=not keep_alive, status=status,
                                      head=head)
 
-    async def handle(reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        gate.connections.add(writer)
+    async def handle(connection: Connection) -> None:
+        gate.connections.add(connection)
         try:
-            while await handle_one(reader, writer):
+            while await handle_one(connection):
                 pass
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError, ValueError):
+        except (ConnectionError, asyncio.IncompleteReadError, ValueError):
             pass
         except asyncio.CancelledError:
             # Loop teardown while parked on readline (keep-alive idle):
@@ -443,17 +596,16 @@ async def serve_http(
             log.exception("http connection handler failed")
         finally:
             try:
-                writer.close()
+                connection.close()
             except Exception:  # noqa: BLE001 - teardown must not raise
                 pass
-            gate.connections.discard(writer)
+            gate.connections.discard(connection)
 
     loop = asyncio.get_running_loop()
-    # The stream limit only bounds readline/readuntil (request/header/chunk
-    # lines); header blocks and bodies are bounded in read_request.
-    return await asyncio.start_server(handle, host, port, limit=1024 * 1024)
+    return await loop.create_server(lambda: Connection(handle), host, port)
 
 
-__all__ = ["CODE_STATUS", "HTTPError", "MAX_HEADER_BYTES", "MAX_HEADER_LINES",
-           "REASONS", "ROUTES", "Request", "decode_body", "encode_reply",
-           "read_request", "route_for", "serve_http"]
+__all__ = ["CODE_STATUS", "Connection", "HTTPError", "MAX_HEADER_BYTES",
+           "MAX_HEADER_LINES", "MAX_LINE_BYTES", "REASONS", "ROUTES", "Request",
+           "decode_body", "encode_reply", "read_request", "route_for",
+           "serve_http"]

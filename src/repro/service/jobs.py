@@ -168,6 +168,7 @@ def _root_hash(meta: Dict[str, object], descriptors: List[dict]) -> str:
 
 def _frame(
     meta: Dict[str, object], grids: List[np.ndarray],
+    as_received: bool = False,
 ) -> Tuple[bytes, List[memoryview], List[dict]]:
     """RPG1-frame ``meta`` + ``grids`` as (prefix, uncopied grid buffers,
     grid descriptors).
@@ -176,8 +177,11 @@ def _frame(
     root hash covers ``meta`` and the descriptors (shape, dtype, sha256).
     A flipped bit in the data fails its grid's hash and a flipped bit in
     the metadata (step index, digest) or a descriptor fails the root.
+    ``as_received`` frames grids exactly as a submission delivered them:
+    a grid the wire decoder already verified keeps that sha256 instead of
+    being hashed again, so one written since would fail its check at load.
     """
-    descriptors, buffers = describe_grids(grids)
+    descriptors, buffers = describe_grids(grids, reuse_verified=as_received)
     framed = {**meta, _ROOT: _root_hash(meta, descriptors)}
     return frame_prefix(framed, descriptors), buffers, descriptors
 
@@ -534,10 +538,12 @@ class JobManager:
                 raise JobError(f"cannot resolve job program: {error}")
             job.digest = route.digest
             # The step-0 checkpoint: a crash before the first segment
-            # completes must still be recoverable from disk.
+            # completes must still be recoverable from disk.  Both files
+            # frame the grids as received, under the sha256 the wire
+            # decoder verified for them.
             job.static = self._persist_inputs(
                 job, _static_slots(route.carry, job.num_inputs))
-            self._persist_checkpoint(job, 0, job.state)
+            self._persist_checkpoint(job, 0, job.state, as_received=True)
             self._persist_manifest(job)
             self._jobs[job.job_id] = job
             self._by_key[key] = job.job_id
@@ -857,7 +863,8 @@ class JobManager:
                       json.dumps(job.manifest(), indent=2).encode("utf-8"))
 
     def _persist_inputs(self, job: Job, slots: List[int]) -> List[dict]:
-        """Frame the ``slots`` no step writes into ``inputs.rpg``, once.
+        """Frame the ``slots`` no step writes into ``inputs.rpg``, once, as
+        the submission delivered them.
 
         Returns their descriptors, which every checkpoint signs; writes
         nothing when there are none (or no job dir).
@@ -868,12 +875,13 @@ class JobManager:
         meta = {"job_id": job.job_id, "digest": job.digest,
                 "benchmark": job.benchmark, "slots": slots}
         prefix, buffers, descriptors = _frame(
-            meta, [job.state[slot] for slot in slots])
+            meta, [job.state[slot] for slot in slots], as_received=True)
         _atomic_write(directory / _INPUTS, prefix, *buffers)
         return [{"slot": slot, **descriptor}
                 for slot, descriptor in zip(slots, descriptors)]
 
-    def _persist_checkpoint(self, job: Job, step: int, state) -> None:
+    def _persist_checkpoint(self, job: Job, step: int, state,
+                            as_received: bool = False) -> None:
         directory = self._dir_for(job)
         if directory is None:
             return
@@ -888,7 +896,7 @@ class JobManager:
         }
         static = {descriptor["slot"] for descriptor in job.static}
         state = [grid for slot, grid in enumerate(state) if slot not in static]
-        prefix, buffers, _descriptors = _frame(meta, state)
+        prefix, buffers, _descriptors = _frame(meta, state, as_received)
         if _faults.ARMED and _faults.should_fail("job.checkpoint_corrupt"):
             # Flip one byte of the *body* after every checksum was
             # computed: recovery must detect this and fall back.

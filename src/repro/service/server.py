@@ -216,7 +216,9 @@ class StencilService:
         is not created).
     batch_window:
         How long (seconds) the batcher waits for more requests after the
-        first one arrives.  A full ``max_batch`` flushes immediately.
+        first one arrives.  A full ``max_batch`` flushes immediately, and so
+        does a lone request: one with nothing else queued and no other
+        request in flight for its digest.
     max_batch:
         Upper bound on requests per micro-batch.
     crosscheck:
@@ -719,6 +721,8 @@ class StencilService:
                     if not self._queues.empty():
                         pending.append(self._queues.get_nowait())
                         continue
+                    if self._lone(pending):
+                        break
                     timeout = deadline - loop.time()
                     if timeout <= 0:
                         break
@@ -760,6 +764,12 @@ class StencilService:
                 # reaching here is a bug, but one bad batch must not brick
                 # the long-lived serving loop for every later request.
                 self._fail_group(pending, f"{type(error).__name__}: {error}")
+
+    def _lone(self, pending: List[_Pending]) -> bool:
+        """One request, and nothing else queued or in flight for its digest:
+        the window would only hold it for a partner nobody has sent yet."""
+        return (len(pending) == 1
+                and self._digest_inflight.get(pending[0].route.digest, 0) <= 1)
 
     async def _execute_groups(self, groups: List[List[_Pending]]) -> None:
         """One executor hop for ``groups``: per group one compile, one
@@ -1192,8 +1202,9 @@ class ServedGate:
         self.done: "asyncio.Future[None]" = (
             asyncio.get_running_loop().create_future()
         )
-        #: The ``StreamWriter`` of every open connection, either transport:
-        #: a handler adds its writer on accept and discards it once closed.
+        #: Every open connection, either transport, by what closes it (a
+        #: TCP ``StreamWriter``, an HTTP ``Connection``): a handler adds it
+        #: on accept and discards it once closed.
         self.connections: set = set()
 
     def mark(self) -> None:

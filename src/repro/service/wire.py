@@ -15,10 +15,14 @@ sides).  The ``application/x-repro-grids`` body avoids that entirely:
 The header carries everything the JSON wire form does *except* the grids
 (``benchmark``/``program``, ``size_env``, ``priority``, ``deadline_ms``,
 ``steps``, …) so the two content types are interchangeable; only the grid
-payload changes representation.  Encoders yield the raw array buffers as
-memoryviews — :func:`iter_chunks` turns them into bounded-size chunks for
-chunked HTTP upload, so neither side ever materialises the full body as
-one string or list.
+payload changes representation.  The encoder pads the header with trailing
+spaces so the first grid starts 8-byte aligned (still valid JSON, still
+RPG1).  Encoders yield the raw array buffers as memoryviews: the client
+uploads the prefix and each buffer as they are under one
+``Content-Length``, and the server writes a reply the same way, so neither
+side ever materialises the full body as one string or list.
+:func:`iter_chunks` cuts the same pieces into bounded ``bytes`` chunks for
+a chunked upload, which the server still accepts.
 
 **End-to-end payload integrity**: every grid descriptor carries a
 ``sha256`` of its raw little-endian bytes, computed at encode time and
@@ -32,11 +36,16 @@ corrupted grid.  The same framing backs durable-job checkpoints on disk
 checksums: a checkpoint takes its descriptors from :func:`describe_grids`,
 signs them (with its metadata) under one root hash and frames them with
 :func:`frame_prefix`, so no grid byte is hashed twice.  Decoding hashes
-each grid in place, as a slice of the received buffer, before its one
-copy into a writable array.  The ``wire.payload_corrupt`` fault point
-(:mod:`repro.faults`) flips one byte of the first grid *after* the
-checksums are computed, which is how tests and chaos drills prove the
-detection path end to end.
+each grid in place, as a slice of the received buffer.  A writable payload
+(the ``bytearray`` a body was received into) then yields each grid as a
+*view* of that buffer when the view is aligned and native-endian; any
+other payload (``bytes``, a misaligned or big-endian grid) costs one copy
+into a writable array.  The digest a decode verified stays known for that
+array object (:func:`verified_sha256`), so a durable job framing the
+grids it was just sent hashes none of them again.  The
+``wire.payload_corrupt`` fault point (:mod:`repro.faults`) flips one byte
+of the first grid *after* the checksums are computed, which is how tests
+and chaos drills prove the detection path end to end.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import weakref
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,21 +82,42 @@ class WireFormatError(ValueError):
     """A binary grid payload did not parse."""
 
 
+#: The sha256 each decoded grid was verified against, by ``id`` of the
+#: array object; an entry leaves when its array is freed.
+_VERIFIED: Dict[int, str] = {}
+
+
+def _remember(grid: np.ndarray, digest: str) -> None:
+    _VERIFIED[id(grid)] = digest
+    weakref.finalize(grid, _VERIFIED.pop, id(grid), None)
+
+
+def verified_sha256(grid: np.ndarray) -> Optional[str]:
+    """The sha256 a decode in this process verified for exactly this array
+    object, or ``None``.  It describes the bytes as received: an array
+    written since then no longer matches it."""
+    return _VERIFIED.get(id(grid))
+
+
 def describe_grids(
-    grids: Sequence[np.ndarray],
+    grids: Sequence[np.ndarray], reuse_verified: bool = False,
 ) -> Tuple[List[Dict[str, object]], List[memoryview]]:
     """The header descriptors and raw buffers of ``grids``, hashed once.
 
     Each descriptor is ``{"shape", "dtype", "sha256"}``; each buffer is the
     grid's little-endian contiguous bytes, *not copied* when the array
-    already is little-endian contiguous.  A framer that signs the
-    descriptors (durable-job checkpoints) calls this and
-    :func:`frame_prefix` directly; :func:`encode_grid_payload` is the two
-    composed.
+    already is little-endian contiguous.  ``reuse_verified`` takes a
+    grid's sha256 from :func:`verified_sha256` when a decode already
+    verified it, instead of hashing the same bytes again; only a caller
+    that knows nothing wrote the grid since its decode may ask for that.
+    A framer that signs the descriptors (durable-job checkpoints) calls
+    this and :func:`frame_prefix` directly; :func:`encode_grid_payload` is
+    the two composed.
     """
     descriptors: List[Dict[str, object]] = []
     buffers: List[memoryview] = []
     for grid in grids:
+        known = verified_sha256(grid) if reuse_verified else None
         array = np.ascontiguousarray(grid)
         if array.dtype.byteorder == ">":  # normalise to little-endian
             array = array.astype(array.dtype.newbyteorder("<"))
@@ -94,7 +125,7 @@ def describe_grids(
         descriptors.append({
             "shape": list(array.shape),
             "dtype": array.dtype.str.lstrip("<=|"),
-            "sha256": hashlib.sha256(buffer).hexdigest(),
+            "sha256": known or hashlib.sha256(buffer).hexdigest(),
         })
         buffers.append(buffer)
     if _faults.ARMED and buffers and _faults.should_fail("wire.payload_corrupt"):
@@ -108,10 +139,13 @@ def describe_grids(
 
 def frame_prefix(meta: Dict[str, object],
                  descriptors: List[Dict[str, object]]) -> bytes:
-    """``MAGIC + hlen + header`` for ``meta`` plus the grid descriptors."""
+    """``MAGIC + hlen + header`` for ``meta`` plus the grid descriptors,
+    the header padded with spaces to a multiple of 8 bytes so the grids
+    that follow start aligned."""
     header = dict(meta)
     header["grids"] = descriptors
     header_bytes = json.dumps(header).encode("utf-8")
+    header_bytes += b" " * (-(8 + len(header_bytes)) % 8)
     return MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes
 
 
@@ -136,9 +170,10 @@ def iter_chunks(prefix: bytes, buffers: Sequence[memoryview],
                 chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> Iterator[bytes]:
     """Yield the framed payload as chunks of at most ``chunk_bytes``.
 
-    This is the chunked-upload driver: each yielded chunk is a plain
-    ``bytes`` slice, so a 1024² grid crosses the socket in ~32 pieces
-    without ever being joined into one object.
+    Each yielded chunk is a plain ``bytes`` slice: the form a chunked
+    upload sends (a 1024² grid in ~32 pieces, never joined into one
+    object).  The client itself uploads the pieces whole under one
+    ``Content-Length``.
     """
     chunk_bytes = max(1, int(chunk_bytes))
     pieces: Iterable[memoryview] = [memoryview(prefix), *buffers]
@@ -164,22 +199,27 @@ def decode_grid_header(data: bytes) -> Tuple[Dict[str, object], int]:
 
 
 def decode_grid_payload(
-    data: bytes,
+    data,
 ) -> Tuple[Dict[str, object], List[np.ndarray]]:
-    """Decode a full framed payload into (meta, writable grids).
+    """Decode a full framed payload (``bytes`` or ``bytearray``) into
+    (meta, writable grids).
 
-    Grid bytes are interpreted in place via ``np.frombuffer`` and then
-    copied once into writable arrays — one buffer copy per grid, never a
-    textual intermediate; each checksum is taken over the received bytes
-    in place.
+    Each checksum is taken over the received bytes in place.  A grid of a
+    writable ``data`` that lies aligned and native-endian in it is returned
+    as a view of ``data``, with no copy; any other grid is copied once into
+    a writable array.  Never a textual intermediate.
     """
     header, offset = decode_grid_header(data)
     view = memoryview(data)  # slices of it are hashed in place, not copied
     grids: List[np.ndarray] = []
     for index, descriptor in enumerate(header.get("grids") or []):
         shape = tuple(int(extent) for extent in descriptor["shape"])
-        dtype = np.dtype(str(descriptor["dtype"])).newbyteorder("<")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        # Rebuilt from its string, the dtype is numpy's canonical object,
+        # so ``np.asarray(grid, np.float64)`` keeps this very array.
+        dtype = np.dtype(
+            np.dtype(str(descriptor["dtype"])).newbyteorder("<").str)
+        count = int(np.prod(shape, dtype=np.int64))
+        nbytes = count * dtype.itemsize
         if offset + nbytes > len(data):
             raise WireFormatError("truncated grid payload body")
         expected: Optional[str] = descriptor.get("sha256")
@@ -192,10 +232,14 @@ def decode_grid_payload(
                     f"transit or at rest (expected sha256 {expected}, "
                     f"got {actual})"
                 )
-        flat = np.frombuffer(data, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)),
-                             offset=offset)
-        grids.append(flat.reshape(shape).astype(dtype.newbyteorder("="),
-                                                copy=True))
+        grid = np.frombuffer(data, dtype=dtype, count=count,
+                             offset=offset).reshape(shape)
+        if not (grid.flags.writeable and grid.flags.aligned
+                and dtype.isnative):
+            grid = grid.astype(np.dtype(dtype.newbyteorder("=").str))
+        if expected is not None:
+            _remember(grid, actual)
+        grids.append(grid)
         offset += nbytes
     if offset != len(data):
         raise WireFormatError(
@@ -218,4 +262,5 @@ __all__ = [
     "frame_prefix",
     "iter_chunks",
     "payload_length",
+    "verified_sha256",
 ]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Union
 
-from ..core.ir import Expr, Literal
+from ..core.ir import Literal
 from ..core.primitives.algorithmic import (
     ArrayConstructor,
     At,
@@ -300,15 +300,16 @@ class ViewMapped(View):
 # The view rule of each layout primitive
 # ---------------------------------------------------------------------------
 
-def layout_view(fun, parent_views: Sequence[View], arg_exprs: Sequence[Expr]) -> View:
+def layout_view(fun, parent_views: Sequence[View],
+                arg_types: Sequence[Optional[Type]]) -> View:
     """The view that the layout primitive ``fun`` makes of its arguments' views.
 
-    ``arg_exprs`` are the typed argument expressions: ``pad``,
-    ``padConstant`` and ``join`` read their argument's sizes from them, so a
-    mapped element (which has none) cannot be padded or joined directly.
-    ``padConstant`` takes the scalar view of its value after its argument's.
+    ``arg_types`` are the arguments' types: ``pad``, ``padConstant`` and
+    ``join`` read their argument's sizes from them (a mapped element's type
+    is its map argument's ``elem_type``).  ``padConstant`` takes the scalar
+    view of its value after its argument's.
     """
-    arg_type = arg_exprs[0].type if arg_exprs else None
+    arg_type = arg_types[0] if arg_types else None
     if isinstance(fun, Id):
         return parent_views[0]
     if isinstance(fun, Pad):

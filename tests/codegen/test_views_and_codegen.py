@@ -1,15 +1,18 @@
 """Tests for the view system and the OpenCL code generator (paper §5)."""
 
 
+import re
+
 import pytest
 
+from repro.backend import native
 from repro.core import builders as L
 from repro.core.typecheck import check_program
 from repro.core.types import Float, array
 from repro.codegen import CodegenError, generate_kernel
 from repro.rewriting.strategies import NAIVE, lower_program, tiled_strategy
 from repro.core.ir import FunCall
-from repro.core.primitives.algorithmic import Split
+from repro.core.primitives.algorithmic import Map, Reduce, Split
 from repro.core.userfuns import add
 from repro.views.view import (
     ViewError,
@@ -24,6 +27,7 @@ from repro.views.view import (
 from repro.apps.jacobi import build_jacobi2d_5pt
 from repro.apps.hotspot import build_hotspot2d
 from repro.apps.gaussian import build_gaussian
+from tests.codegen.test_kernels_parse_as_c import c_diagnostics
 
 
 class TestViews:
@@ -74,8 +78,9 @@ class TestViews:
         check_program(program, [array(Float, 16)])
         slide_call = program.body
         pad_call = slide_call.args[0]
-        padded = layout_view(pad_call.fun, [ViewMemory("input", ["16"])], pad_call.args)
-        view = layout_view(slide_call.fun, [padded], slide_call.args)
+        padded = layout_view(pad_call.fun, [ViewMemory("input", ["16"])],
+                             [arg.type for arg in pad_call.args])
+        view = layout_view(slide_call.fun, [padded], [arg.type for arg in slide_call.args])
         ref = view.access("5").access("2").scalar_ref()
         assert "input[" in ref
 
@@ -146,6 +151,37 @@ class TestNaiveCodegen:
         kernel = generate_kernel(lower_program(program, NAIVE), [array(Float, 8)])
         assert "? 0.0f :" not in kernel.source
         assert kernel.source.count("? add(1.0f, 2.0f) :") == 3
+
+    @staticmethod
+    def _sum_of_three_kernels():
+        """The paper's ``map(reduce(add, 0.0), slide(3, 1, pad(1, 1, clamp, a)))``
+        written bare and with the reduce wrapped in a lambda: NAIVE kernels."""
+        def windows(a):
+            return L.slide(3, 1, L.pad(1, 1, L.CLAMP, a))
+
+        bare = L.fun([array(Float, 8)],
+                     lambda a: FunCall(Map(Reduce(add, L.lit(0.0))), windows(a)),
+                     names=["a"])
+        wrapped = L.fun([array(Float, 8)],
+                        lambda a: L.map(lambda w: L.reduce(add, 0.0, w), windows(a)),
+                        names=["a"])
+        return [generate_kernel(lower_program(program, NAIVE), [array(Float, 8)]).source
+                for program in (bare, wrapped)]
+
+    def test_bare_mapped_reduce_reads_what_the_lambda_form_reads(self):
+        """A reduce mapped directly takes its length from the element's type."""
+        bare, wrapped = self._sum_of_three_kernels()
+        reads = [re.findall(r"a\[[^\]]*\]", source) for source in (bare, wrapped)]
+        assert len(reads[0]) == 3 and len(set(reads[0])) == 3
+        assert reads[0] == reads[1]
+        assert all("< 0 ? 0 :" in read for read in reads[0])  # clamped
+
+    def test_bare_mapped_reduce_kernel_parses_as_c(self, tmp_path):
+        try:
+            native.compiler()
+        except native.Unavailable:
+            pytest.skip("no C compiler on this host")
+        assert c_diagnostics(self._sum_of_three_kernels()[:1], tmp_path) == ""
 
     def test_3d_kernel_uses_three_dimensions(self):
         from repro.apps.heat import build_heat

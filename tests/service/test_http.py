@@ -4,16 +4,20 @@ import asyncio
 import http.client
 import json
 import socket
+import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.apps.suite import execution_requests
 from repro.client import ClientConfig, StencilClient
 from repro.service import (ExecutionRequest, ExecutionResponse,
                            StencilService, serve_http, serve_tcp)
-from repro.service.http import ROUTES, route_for
+from repro.service.http import (ROUTES, Connection, HTTPError, decode_body,
+                                read_request, route_for)
 from repro.service.ops import OPS
 from repro.service.requests import (
     BAD_REQUEST,
@@ -25,11 +29,14 @@ from repro.service.requests import (
 )
 from repro.service.wire import (
     CONTENT_TYPE_GRIDS,
+    MAGIC,
     WireFormatError,
     decode_grid_payload,
+    describe_grids,
     encode_grid_payload,
     iter_chunks,
     payload_length,
+    verified_sha256,
 )
 
 AUTH_KEY = "test-http-key"
@@ -71,6 +78,162 @@ class TestWireCodec:
             decode_grid_payload(body[:-3])
         with pytest.raises(WireFormatError):
             decode_grid_payload(body + b"\x00")
+
+    def test_grids_start_8_byte_aligned(self):
+        for meta in ({}, {"benchmark": "x"}, {"benchmark": "xy", "steps": 3}):
+            prefix, _buffers = encode_grid_payload(meta, [np.ones((2, 3))])
+            assert len(prefix) % 8 == 0
+
+    def test_grid_decoded_from_a_bytearray_is_a_writable_view_of_it(self):
+        rng = np.random.default_rng(3)
+        grids = [rng.random((6, 5)), rng.random((4, 4))]
+        prefix, buffers = encode_grid_payload({}, grids)
+        body = bytearray(prefix + b"".join(buffers))
+        _meta, decoded = decode_grid_payload(body)
+        descriptors, _ = describe_grids(grids)
+        for original, grid, descriptor in zip(grids, decoded, descriptors):
+            assert np.shares_memory(grid, np.frombuffer(body, np.uint8))
+            assert grid.flags.writeable
+            assert grid.tobytes() == original.tobytes()
+            assert verified_sha256(grid) == descriptor["sha256"]
+        decoded[0][0, 0] = -1.0  # writes land in the received buffer
+        assert np.frombuffer(body, np.float64, 1, len(prefix))[0] == -1.0
+
+    @staticmethod
+    def _misaligned(grids) -> bytearray:
+        """RPG1 whose grids start one byte past an 8-byte boundary."""
+        descriptors, buffers = describe_grids(grids)
+        header = json.dumps({"grids": descriptors}).encode()
+        header += b" " * ((-(8 + len(header)) + 1) % 8)
+        return bytearray(MAGIC + struct.pack("<I", len(header)) + header
+                         + b"".join(buffers))
+
+    @pytest.mark.parametrize("form", ["bytes", "misaligned", "big-endian"])
+    def test_other_payloads_decode_to_correct_writable_grids(self, form):
+        original = np.random.default_rng(5).random((7, 3))
+        grids = [original.astype(">f8") if form == "big-endian" else original]
+        if form == "misaligned":
+            body = self._misaligned(grids)
+        else:
+            prefix, buffers = encode_grid_payload({}, grids)
+            body = prefix + b"".join(buffers)
+            body = bytearray(body) if form == "big-endian" else body
+        _meta, (grid,) = decode_grid_payload(body)
+        assert grid.flags.writeable and grid.dtype.isnative
+        assert grid.tobytes() == original.tobytes()
+        if form != "big-endian":  # a big-endian grid travels little-endian
+            assert not np.shares_memory(grid, np.frombuffer(body, np.uint8))
+
+    def test_payload_corrupt_fault_is_caught_on_the_zero_copy_path(self):
+        faults.arm("wire.payload_corrupt")
+        try:
+            prefix, buffers = encode_grid_payload({}, [np.ones((4, 4))])
+        finally:
+            faults.disarm()
+        with pytest.raises(WireFormatError, match="checksum mismatch"):
+            decode_grid_payload(bytearray(prefix + b"".join(buffers)))
+
+
+def _read_one(raw: bytes, max_request_bytes: int = 1 << 20):
+    """``read_request`` over a real loopback :class:`Connection` that is
+    sent ``raw``: the Request it returns, or the exception it raises."""
+    async def main():
+        loop = asyncio.get_running_loop()
+        outcome = loop.create_future()
+
+        async def serve(connection):
+            try:
+                outcome.set_result(
+                    await read_request(connection, max_request_bytes))
+            except Exception as error:  # noqa: BLE001 - handed to the test
+                outcome.set_exception(error)
+            finally:
+                connection.close()
+
+        server = await loop.create_server(lambda: Connection(serve),
+                                          "127.0.0.1", 0)
+        _reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.sockets[0].getsockname()[1])
+        writer.write(raw)
+        try:
+            return await asyncio.wait_for(outcome, 10)
+        finally:
+            writer.close()
+            server.close()
+            await server.wait_closed()
+
+    return asyncio.run(main())
+
+
+def _chunked(pieces) -> bytes:
+    return b"".join(b"%x\r\n%s\r\n" % (len(piece), piece)
+                    for piece in pieces) + b"0\r\n\r\n"
+
+
+class TestRequestBody:
+    """The server's body path: one buffer of the declared length."""
+
+    def test_content_length_body_lands_in_one_bytearray(self):
+        grids = [np.arange(600, dtype=np.float64).reshape(20, 30)]
+        prefix, buffers = encode_grid_payload({"benchmark": "x"}, grids)
+        body = prefix + b"".join(buffers)
+        request = _read_one(b"POST /v1/execute HTTP/1.1\r\nContent-Length: "
+                            b"%d\r\n\r\n" % len(body) + body)
+        assert isinstance(request.body, bytearray) and request.body == body
+        _meta, (grid,) = decode_body(CONTENT_TYPE_GRIDS, request.body)
+        assert np.shares_memory(grid, np.frombuffer(request.body, np.uint8))
+
+    def test_chunked_and_content_length_uploads_decode_identically(self):
+        rng = np.random.default_rng(9)
+        grids = [rng.random((33, 17)), rng.random((5, 8))]
+        prefix, buffers = encode_grid_payload({"benchmark": "x"}, grids)
+        body = prefix + b"".join(buffers)
+        sized = _read_one(b"POST /v1/execute HTTP/1.1\r\nContent-Length: "
+                          b"%d\r\n\r\n" % len(body) + body)
+        chunked = _read_one(
+            b"POST /v1/execute HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + _chunked(iter_chunks(prefix, buffers, chunk_bytes=1000)))
+        decoded = [decode_body(CONTENT_TYPE_GRIDS, request.body)
+                   for request in (sized, chunked)]
+        assert decoded[0][0] == decoded[1][0] == {"benchmark": "x"}
+        for original, via_length, via_chunks in zip(grids, decoded[0][1],
+                                                    decoded[1][1]):
+            assert via_length.tobytes() == via_chunks.tobytes()
+            assert via_chunks.tobytes() == original.tobytes()
+
+    def test_oversized_content_length_is_refused_before_allocating(self):
+        declared = 64 * 1024 * 1024
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            with pytest.raises(HTTPError) as refused:
+                # No body follows: the refusal cannot wait for one.
+                _read_one(b"POST /v1/execute HTTP/1.1\r\nContent-Length: "
+                          b"%d\r\n\r\n" % declared)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert refused.value.code == REQUEST_TOO_LARGE
+        assert peak < declared // 8
+
+    def test_oversized_content_length_answers_413_over_http(self, live_server):
+        raw = _raw_socket(
+            live_server["http_port"],
+            b"POST /v1/execute HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\n\r\n" % (64 * 1024 * 1024))
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert json.loads(body)["code"] == REQUEST_TOO_LARGE
+
+    def test_body_cut_short_by_the_peer_closes_without_a_reply(
+            self, live_server):
+        with socket.create_connection(
+                ("127.0.0.1", live_server["http_port"]), timeout=5) as sock:
+            sock.sendall(b"POST /v1/execute HTTP/1.1\r\nHost: x\r\n"
+                         b"Authorization: Bearer " + AUTH_KEY.encode()
+                         + b"\r\nContent-Length: 1000\r\n\r\n" + b"x" * 10)
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(4096) == b""  # closed, nothing answered
 
 
 @pytest.fixture(scope="module")

@@ -20,6 +20,7 @@ import json
 import threading
 import time
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.apps.suite import ALL_BENCHMARKS, get_benchmark
 from repro.backend.base import NumpyBackend
 from repro.backend.plan import iterate_generic
 from repro.service import jobs as jobs_module
+from repro.service import wire as wire_module
 from repro.service.executor import run_trajectory
 from repro.service.jobs import (
     COMPLETED,
@@ -52,6 +54,7 @@ from repro.service.wire import (
     decode_grid_payload,
     encode_grid_payload,
     frame_prefix,
+    verified_sha256,
 )
 
 STEPS = 9
@@ -904,6 +907,80 @@ class TestWireIntegrity:
         faults.disarm()
         with pytest.raises(WireFormatError, match="corrupted in transit"):
             decode_grid_payload(body)
+
+
+def _received(request: ExecutionRequest) -> ExecutionRequest:
+    """``request`` as the server rebuilds it from an RPG1 upload: its grids
+    are views of the received body, each verified by the wire decoder."""
+    body = bytearray(_joined(*encode_grid_payload(request.wire_meta(),
+                                                  request.inputs)))
+    return ExecutionRequest.from_wire(*decode_grid_payload(body))
+
+
+class TestReceivedGrids:
+    """A submission frames the grids it received under the sha256 the
+    decoder verified, and a grid changed since then fails closed."""
+
+    def test_submit_hashes_no_received_byte_again(
+            self, backend, tmp_path, monkeypatch):
+        request = _received(_request_for("hotspot2d", np.float64))
+        submitter = threading.get_ident()
+        hashed = []
+
+        def sha256(data=b""):
+            if threading.get_ident() == submitter:
+                hashed.append(memoryview(data).nbytes)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(wire_module, "hashlib",
+                            SimpleNamespace(sha256=sha256))
+        manager = JobManager(backend, job_dir=str(tmp_path),
+                             checkpoint_every=4)
+        job = manager.submit(request)
+        monkeypatch.undo()
+        assert hashed == []
+        final = manager.wait(job["job_id"], timeout_s=30.0)
+        assert final["status"] == COMPLETED
+        directory = tmp_path / job["job_id"]
+        _meta, _grids, static = _unframe(
+            (directory / "inputs.rpg").read_bytes())
+        assert [d["sha256"] for d in static] == [
+            verified_sha256(request.inputs[1])]
+        _descriptor, result = manager.result(job["job_id"])
+        assert result.tobytes() == _reference(
+            "hotspot2d", np.float64).tobytes()
+        manager.close()
+
+    @pytest.mark.parametrize("change", [
+        "static grid written in memory", "carried grid written in memory",
+        "inputs.rpg edited"])
+    def test_a_grid_changed_since_receipt_fails_recovery_closed(
+            self, change, backend, tmp_path):
+        request = _received(_request_for("hotspot2d", np.float64))
+        if change.endswith("in memory"):
+            request.inputs[0 if change.startswith("carried") else 1][0, 0] += 1
+        # The carried grid's only checkpoint is step 0: a segment of the
+        # whole trajectory crashes right after result.rpg, behind it.
+        segment = STEPS if change.startswith("carried") else 4
+        faults.arm("job.crash_after_checkpoint:at=1")
+        crashed = JobManager(backend, job_dir=str(tmp_path),
+                             checkpoint_every=segment)
+        job = crashed.submit(request)
+        _wait_for_worker_death(crashed)
+        faults.disarm()
+        crashed.close()
+        inputs = tmp_path / job["job_id"] / "inputs.rpg"
+        if change == "inputs.rpg edited":
+            inputs.write_bytes(_flip_last_byte(inputs.read_bytes()))
+        recovered = JobManager(backend, job_dir=str(tmp_path),
+                               checkpoint_every=segment)
+        assert recovered.recover() == 0
+        final = recovered.status(job["job_id"])
+        assert final["status"] == FAILED
+        assert "refusing to silently re-run" in final["error"]
+        assert recovered.corrupt_checkpoints == 1
+        assert recovered._worker is None  # nothing was re-run
+        recovered.close()
 
 
 class TestSyncPathDeadline:

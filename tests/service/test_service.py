@@ -4,6 +4,7 @@ import asyncio
 import json
 import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -156,9 +157,14 @@ class TestServiceBatching:
             service = StencilService(batch_window=0.1)
             await service.start()
             request = ExecutionRequest.for_benchmark("stencil2d", shape=(9, 8))
+            # A same-digest partner queued first keeps the window open (a
+            # lone request would dispatch at once).
+            partner = asyncio.ensure_future(service.submit(
+                ExecutionRequest.for_benchmark("stencil2d", shape=(9, 8))))
             with pytest.raises(asyncio.TimeoutError):
                 # The caller gives up mid-window, cancelling its future.
                 await asyncio.wait_for(service.submit(request), 0.01)
+            assert (await partner).ok
             # The serving loop must survive and answer later requests.
             response = await asyncio.wait_for(
                 service.submit(
@@ -175,12 +181,15 @@ class TestServiceBatching:
         async def scenario():
             service = StencilService(batch_window=30.0)  # never flushes
             await service.start()
-            request = ExecutionRequest.for_benchmark("stencil2d", shape=(9, 8))
-            submitted = asyncio.ensure_future(service.submit(request))
+            # Two same-digest requests: a lone one would dispatch at once.
+            submitted = [asyncio.ensure_future(service.submit(
+                ExecutionRequest.for_benchmark("stencil2d", shape=(9, 8))))
+                for _ in range(2)]
             await asyncio.sleep(0.05)  # admitted, sitting in the batch window
             await service.stop()
-            response = await asyncio.wait_for(submitted, 5)
-            assert not response.ok and "stopped" in response.error
+            for response in await asyncio.wait_for(
+                    asyncio.gather(*submitted), 5):
+                assert not response.ok and "stopped" in response.error
 
         asyncio.run(scenario())
 
@@ -190,6 +199,58 @@ class TestServiceBatching:
         with make_client() as client:
             responses = client.execute_many(requests)
         assert all(response.ok for response in responses)
+
+
+class TestLoneRequest:
+    """A request with no partner queued or in flight skips the window."""
+
+    @staticmethod
+    def _request():
+        return ExecutionRequest.for_benchmark("stencil2d", shape=(9, 8))
+
+    def test_lone_request_does_not_wait_out_the_window(self):
+        with make_client(batch_window=0.5) as client:
+            assert client.execute(self._request()).ok  # compiles the plan
+            started = time.perf_counter()
+            response = client.execute(self._request())
+            elapsed = time.perf_counter() - started
+        assert response.ok and response.batch_size == 1
+        assert elapsed < 0.25
+
+    def test_gathered_wave_still_forms_one_batch(self):
+        with make_client(batch_window=0.05, max_batch=64) as client:
+            responses = client.execute_many(
+                [self._request() for _ in range(16)])
+            stats = client.stats()
+        assert [response.batch_size for response in responses] == [16] * 16
+        assert stats["service"]["batches_formed"] == 1
+
+    def test_arrivals_during_a_batch_still_batch_together(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            service = StencilService(batch_window=0.05)
+            await service.start()
+            entered, release = threading.Event(), threading.Event()
+            compute = service._compute_groups
+
+            def held(groups):
+                entered.set()
+                release.wait(10)
+                return compute(groups)
+
+            service._compute_groups = held
+            first = asyncio.ensure_future(service.submit(self._request()))
+            assert await loop.run_in_executor(None, entered.wait, 10)
+            later = [asyncio.ensure_future(service.submit(self._request()))
+                     for _ in range(2)]
+            await asyncio.sleep(0.02)  # both queued behind the running one
+            service._compute_groups = compute
+            release.set()
+            responses = await asyncio.gather(first, *later)
+            await service.stop()
+            return [response.batch_size for response in responses]
+
+        assert asyncio.run(scenario()) == [1, 2, 2]
 
 
 class _CountingExecutor(ThreadPoolExecutor):
