@@ -20,9 +20,11 @@ Two kernel shapes are supported, matching the two lowering strategies:
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.arithmetic import Var, to_c
 from ..core.ir import Expr, FunCall, Lambda, Literal, Param, UserFun
 from ..core.primitives.algorithmic import Id, Map, Reduce
 from ..core.primitives.opencl import (
@@ -42,8 +44,7 @@ from ..core.types import ArrayType, Type
 from ..rewriting.strategies import LoweredProgram
 from ..views import (
     View,
-    ViewError,
-    ViewMapped,
+    ViewIndexed,
     ViewMemory,
     ViewScalar,
     array_size,
@@ -51,7 +52,7 @@ from ..views import (
     layout_view,
 )
 from .kernel import KernelBuffer, OpenCLKernel
-from .memory import MemoryAllocator, flat_index
+from .memory import MemoryAllocator
 from .opencl_ast import (
     Assign,
     Barrier,
@@ -108,12 +109,10 @@ class _KernelGenerator:
         for param, type_ in zip(self.program.params, self.input_types):
             if not isinstance(type_, ArrayType):
                 raise CodegenError("scalar kernel arguments are not supported yet")
-            shape = [str(dim.evaluate()) for dim in type_.shape()]
+            shape = [dim.evaluate() for dim in type_.shape()]
             name = _sanitize(param.name)
             param_views[param] = ViewMemory(name, shape)
-            buffers.append(
-                KernelBuffer(name, "float", _product(type_), is_output=False)
-            )
+            buffers.append(KernelBuffer(name, "float", math.prod(shape)))
 
         nest = _outermost_call(self.program.body, lambda fun: isinstance(fun, (MapGlb, MapWrg)))
         if nest is None:
@@ -124,10 +123,7 @@ class _KernelGenerator:
         else:
             output_shape, global_size, local_size = self._generate_naive(nest, param_views)
 
-        out_elements = 1
-        for extent in output_shape:
-            out_elements *= extent
-        buffers.append(KernelBuffer("output", "float", out_elements, is_output=True))
+        buffers.append(KernelBuffer("output", "float", math.prod(output_shape), is_output=True))
 
         source = self._render_source(buffers)
         strategy = self.lowered.strategy
@@ -190,16 +186,13 @@ class _KernelGenerator:
                 RawStatement(f"if (gid_{dim} >= {output_shape[level]}) return;")
             )
 
-        data_view = self.gen_value(data_arg, dict(param_views))
-        element_view = data_view
-        for gid in gid_names:
-            element_view = element_view.access(gid)
-
+        gids = [Var(gid) for gid in gid_names]
+        element_view = _indexed(self.gen_value(data_arg, dict(param_views)), gids)
         result = self._as_scalar(self._apply(
             element_fn, [element_view], dict(param_views),
             [_element_type(data_arg.type, ndims)]))
-        out_index = flat_index(gid_names, output_shape)
-        self.body.add(Assign(f"output[{out_index}]", result.scalar_ref()))
+        target = _indexed(ViewMemory("output", output_shape), gids)
+        self.body.add(Assign(target.scalar_ref(), result.scalar_ref()))
 
         global_size = tuple(reversed(output_shape))
         local_size = self.requested_local_size
@@ -230,10 +223,9 @@ class _KernelGenerator:
             self.body.add(VarDecl("int", wg, f"get_group_id({dim})", qualifier="const"))
             self.body.add(VarDecl("int", lid, f"get_local_id({dim})", qualifier="const"))
 
-        tiles_view = self.gen_value(tiles_arg, dict(param_views))
-        tile_view = tiles_view
-        for wg in wg_names:
-            tile_view = tile_view.access(wg)
+        wgs = [Var(wg) for wg in wg_names]
+        lids = [Var(lid) for lid in lid_names]
+        tile_view = _indexed(self.gen_value(tiles_arg, dict(param_views)), wgs)
 
         env = dict(param_views)
         env[tile_fn.params[0]] = tile_view
@@ -246,21 +238,16 @@ class _KernelGenerator:
         _, element_fn, windows_expr = self._collect_nest(inner_nest, MapLcl)
         self._stage_tile(tile_body, tile_view, ndims, tile_size, lid_names)
 
-        windows_view = self.gen_value(windows_expr, env)
-        element_view = windows_view
-        for lid in lid_names:
-            element_view = element_view.access(lid)
+        element_view = _indexed(self.gen_value(windows_expr, env), lids)
 
         compute = Block()
         saved_body = self.body
         self.body = compute
         result = self._as_scalar(self._apply(
             element_fn, [element_view], env, [_element_type(windows_expr.type, ndims)]))
-        out_indices = [
-            f"({wg} * {outputs_per_tile} + {lid})" for wg, lid in zip(wg_names, lid_names)
-        ]
-        out_index = flat_index(out_indices, output_shape)
-        compute.add(Assign(f"output[{out_index}]", result.scalar_ref()))
+        target = _indexed(ViewMemory("output", output_shape),
+                          [wg * outputs_per_tile + lid for wg, lid in zip(wgs, lids)])
+        compute.add(Assign(target.scalar_ref(), result.scalar_ref()))
         self.body = saved_body
 
         guard = " && ".join(f"{lid} < {outputs_per_tile}" for lid in lid_names)
@@ -292,7 +279,7 @@ class _KernelGenerator:
         if _outermost_call(tile_body, lambda fun: isinstance(fun, ToLocal)) is None:
             return
 
-        allocation = self.memory.allocate_local("float", tile_size ** ndims)
+        allocation = self.memory.allocate_local(tile_size ** ndims)
         self.body.add(Comment("cooperative copy of the tile into local memory"))
         self.body.add(
             RawStatement(
@@ -302,12 +289,11 @@ class _KernelGenerator:
 
         extents = [tile_size] * ndims
         loop_vars = [f"cp_{d}" for d in range(ndims)]
+        copies = [Var(var) for var in loop_vars]
         innermost = Block()
-        dst_index = flat_index(loop_vars, extents)
-        src_view = tile_view
-        for var in loop_vars:
-            src_view = src_view.access(var)
-        innermost.add(Assign(f"{allocation.name}[{dst_index}]", src_view.scalar_ref()))
+        self._tolocal_view = ViewMemory(allocation.name, extents)
+        innermost.add(Assign(_indexed(self._tolocal_view, copies).scalar_ref(),
+                             _indexed(tile_view, copies).scalar_ref()))
 
         loop: Block = innermost
         for depth in reversed(range(ndims)):
@@ -323,9 +309,6 @@ class _KernelGenerator:
         for stmt in loop.statements:
             self.body.add(stmt)
         self.body.add(Barrier())
-
-        self._tolocal_view = ViewMemory(allocation.name, [str(tile_size)] * ndims,
-                                        space="local")
 
     # ------------------------------------------------------------ value codegen
     def gen_value(self, expr: Expr, env: Dict[Param, View]) -> View:
@@ -367,8 +350,8 @@ class _KernelGenerator:
             return self._gen_reduce(fun, views[0], arg_types[0] if arg_types else None, env)
         if isinstance(fun, (Map, MapSeq, MapLcl, MapGlb, MapWrg)):
             element_type = _element_type(arg_types[0] if arg_types else None)
-            return ViewMapped(views[0], lambda element: self._apply(
-                fun.f, [element], env, [element_type]))
+            return ViewIndexed(lambda i: self._apply(
+                fun.f, [views[0].access(i)], env, [element_type]))
         if isinstance(fun, PadConstant):
             # the pad value is a scalar expression like any other
             views = [*views, self.gen_value(fun.value, env)]
@@ -377,17 +360,16 @@ class _KernelGenerator:
     def _as_scalar(self, view: View) -> View:
         """Squeeze trailing length-1 dimensions (e.g. the array-of-1 a reduce returns)."""
         for _ in range(4):
-            try:
-                view.scalar_ref()
+            if view.is_scalar():
                 return view
-            except ViewError:
-                view = view.access(0)
+            view = view.access(0)
         raise CodegenError("element function did not produce a scalar result")
 
     # ------------------------------------------------------------ reductions
     def _gen_reduce(self, fun: Reduce, arg_view: View, arg_type: Optional[Type],
                     env: Dict[Param, View]) -> View:
-        length = self._constant_length(arg_type)
+        size = getattr(arg_type, "size", None)
+        length = size.evaluate() if size is not None and size.is_constant() else None
         init_view = self.gen_value(fun.init, env) if isinstance(fun.init, Expr) else ViewScalar("0.0f")
         acc = self.memory.fresh("acc")
         self.body.add(VarDecl("float", acc, init_view.scalar_ref()))
@@ -403,9 +385,9 @@ class _KernelGenerator:
                 self.body.add(Assign(acc, self._combine(fun.f, acc, element, env)))
         else:
             loop_var = self.memory.fresh("red_i")
-            bound = str(length) if length is not None else array_size(arg_type)
+            bound = to_c(array_size(arg_type))
             loop_body = Block()
-            element = arg_view.access(loop_var).scalar_ref()
+            element = arg_view.access(Var(loop_var)).scalar_ref()
             loop_body.add(Assign(acc, self._combine(fun.f, acc, element, env)))
             self.body.add(ForLoop(loop_var, "0", bound, body=loop_body))
         return ViewScalar(acc)
@@ -416,7 +398,7 @@ class _KernelGenerator:
 
     # ------------------------------------------------------------ user functions
     def _gen_userfun_views(self, fun: UserFun, arg_views: Sequence[View]) -> View:
-        if all(_is_scalar_view(v) for v in arg_views):
+        if all(v.is_scalar() for v in arg_views):
             self.user_functions[fun.name] = fun
             call = f"{fun.name}({', '.join(v.scalar_ref() for v in arg_views)})"
             return ViewScalar(call)
@@ -432,7 +414,7 @@ class _KernelGenerator:
             )
         expression = body[len("return"):].rstrip(";").strip()
         for name, view in zip(fun.param_names, arg_views):
-            if _is_scalar_view(view):
+            if view.is_scalar():
                 expression = re.sub(rf"\b{name}\b", f"({view.scalar_ref()})", expression)
                 continue
 
@@ -444,11 +426,6 @@ class _KernelGenerator:
         return f"({expression})"
 
     # ------------------------------------------------------------ helpers
-    def _constant_length(self, type_: Optional[Type]) -> Optional[int]:
-        if isinstance(type_, ArrayType) and type_.size.is_constant():
-            return type_.size.evaluate()
-        return None
-
     def _output_shape(self, nest_type: Type, ndims: int) -> List[int]:
         shape = []
         current = nest_type
@@ -502,6 +479,13 @@ def _wraps_only_id(map_prim: MapLcl) -> bool:
     return isinstance(f, Id)
 
 
+def _indexed(view: View, indices) -> View:
+    """``view`` indexed by each of ``indices`` in turn, outermost first."""
+    for index in indices:
+        view = view.access(index)
+    return view
+
+
 def _element_type(type_: Optional[Type], depth: int = 1) -> Optional[Type]:
     """The type ``depth`` array levels inside ``type_`` (``None`` if it has fewer)."""
     for _ in range(depth):
@@ -509,26 +493,11 @@ def _element_type(type_: Optional[Type], depth: int = 1) -> Optional[Type]:
     return type_
 
 
-def _is_scalar_view(view: View) -> bool:
-    try:
-        view.scalar_ref()
-        return True
-    except ViewError:
-        return False
-
-
 def _sanitize(name: str) -> str:
     cleaned = re.sub(r"\W", "_", name)
     if not cleaned or cleaned[0].isdigit():
         cleaned = f"arg_{cleaned}"
     return cleaned
-
-
-def _product(type_: ArrayType) -> int:
-    total = 1
-    for dim in type_.shape():
-        total *= int(dim.evaluate())
-    return total
 
 
 __all__ = ["CodegenError", "generate_kernel"]

@@ -20,11 +20,6 @@ class KernelBuffer:
     element_count: int
     is_output: bool = False
 
-    @property
-    def size_bytes(self) -> int:
-        widths = {"float": 4, "double": 8, "int": 4}
-        return self.element_count * widths.get(self.element_type, 4)
-
 
 @dataclass
 class OpenCLKernel:

@@ -16,16 +16,10 @@ from typing import List
 
 @dataclass
 class LocalAllocation:
-    """One ``__local`` array allocated by a kernel."""
+    """One ``__local float`` array allocated by a kernel."""
 
     name: str
-    element_type: str
     element_count: int
-
-    @property
-    def size_bytes(self) -> int:
-        widths = {"float": 4, "double": 8, "int": 4}
-        return self.element_count * widths.get(self.element_type, 4)
 
 
 class MemoryAllocator:
@@ -38,25 +32,15 @@ class MemoryAllocator:
     def fresh(self, prefix: str) -> str:
         return f"{prefix}_{next(self._counter)}"
 
-    def allocate_local(self, element_type: str, element_count: int,
+    def allocate_local(self, element_count: int,
                        prefix: str = "tile_local") -> LocalAllocation:
-        allocation = LocalAllocation(self.fresh(prefix), element_type, element_count)
+        allocation = LocalAllocation(self.fresh(prefix), element_count)
         self.local_allocations.append(allocation)
         return allocation
 
     @property
     def local_memory_bytes(self) -> int:
-        return sum(a.size_bytes for a in self.local_allocations)
+        return 4 * sum(a.element_count for a in self.local_allocations)
 
 
-def flat_index(indices: List[str], extents: List[int]) -> str:
-    """Row-major flattening of a multi-dimensional index."""
-    if not indices:
-        return "0"
-    expr = f"({indices[0]})"
-    for index, extent in zip(indices[1:], extents[1:]):
-        expr = f"(({expr}) * {extent} + ({index}))"
-    return expr
-
-
-__all__ = ["LocalAllocation", "MemoryAllocator", "flat_index"]
+__all__ = ["LocalAllocation", "MemoryAllocator"]

@@ -95,18 +95,13 @@ class ForLoop(Node):
 
 
 class If(Node):
-    def __init__(self, condition: str, then: Optional[Block] = None,
-                 otherwise: Optional[Block] = None) -> None:
+    def __init__(self, condition: str, then: Block) -> None:
         self.condition = condition
-        self.then = then or Block()
-        self.otherwise = otherwise
+        self.then = then
 
     def render(self, indent: int = 0) -> str:
         pad = self._pad(indent)
-        out = f"{pad}if ({self.condition}) {{\n{self.then.render(indent + 1)}\n{pad}}}"
-        if self.otherwise is not None:
-            out += f" else {{\n{self.otherwise.render(indent + 1)}\n{pad}}}"
-        return out
+        return f"{pad}if ({self.condition}) {{\n{self.then.render(indent + 1)}\n{pad}}}"
 
 
 class Barrier(Node):

@@ -10,9 +10,15 @@ system need:
 * constants and named variables,
 * addition, subtraction, multiplication,
 * exact (assumed-divisible) division as used by ``split``/``slide``,
+* ``min`` and ``max`` (the boundary maps of ``pad``),
 * substitution of variables by values or other expressions,
 * simplification of the common patterns produced by the stencil primitives
-  (for example ``(n + 2 - 3 + 1) / 1``).
+  (for example ``(n + 2 - 3 + 1) / 1``),
+* printing as OpenCL-C (:func:`to_c`): every index of a generated kernel is
+  one of these expressions.
+
+Every variable stands for a non-negative integer, as sizes and work-item
+indices do; :func:`lower_bound` builds on that (``max(i, 0)`` is ``i``).
 
 The implementation intentionally favours clarity over algebraic completeness:
 expressions are normalised into a sum-of-products form with rational-free
@@ -22,9 +28,10 @@ be proven divisible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 Number = Union[int, Fraction]
 ArithLike = Union["ArithExpr", int]
@@ -54,22 +61,26 @@ class ArithExpr:
 
     # -- operator overloads -------------------------------------------------
     def __add__(self, other: ArithLike) -> "ArithExpr":
+        if type(other) is int and other == 0:
+            return self
         return simplify_sum([self, _as_arith(other)])
 
-    def __radd__(self, other: ArithLike) -> "ArithExpr":
-        return simplify_sum([_as_arith(other), self])
+    __radd__ = __add__  # sums and products are kept sorted
 
     def __sub__(self, other: ArithLike) -> "ArithExpr":
+        if type(other) is int:
+            return self + -other
         return simplify_sum([self, simplify_product([Cst(-1), _as_arith(other)])])
 
     def __rsub__(self, other: ArithLike) -> "ArithExpr":
         return simplify_sum([_as_arith(other), simplify_product([Cst(-1), self])])
 
     def __mul__(self, other: ArithLike) -> "ArithExpr":
+        if type(other) is int and other == 1:
+            return self
         return simplify_product([self, _as_arith(other)])
 
-    def __rmul__(self, other: ArithLike) -> "ArithExpr":
-        return simplify_product([_as_arith(other), self])
+    __rmul__ = __mul__
 
     def __floordiv__(self, other: ArithLike) -> "ArithExpr":
         return exact_div(self, _as_arith(other), allow_floor=True)
@@ -118,6 +129,14 @@ class ArithExpr:
         return hash(self._key())
 
     def _key(self) -> Tuple:
+        """The structural identity (computed once per node)."""
+        key = self.__dict__.get("_cached_key")
+        if key is None:
+            key = self._make_key()
+            object.__setattr__(self, "_cached_key", key)
+        return key
+
+    def _make_key(self) -> Tuple:
         raise NotImplementedError
 
 
@@ -129,7 +148,7 @@ class Cst(ArithExpr):
 
     def __post_init__(self) -> None:
         value = self.value
-        if isinstance(value, Fraction) and value.denominator == 1:
+        if type(value) is Fraction and value.denominator == 1:
             object.__setattr__(self, "value", int(value))
 
     def free_variables(self) -> frozenset:
@@ -138,8 +157,8 @@ class Cst(ArithExpr):
     def substitute(self, mapping: Mapping[str, ArithLike]) -> ArithExpr:
         return self
 
-    def _key(self) -> Tuple:
-        return ("cst", Fraction(self.value))
+    def _make_key(self) -> Tuple:
+        return ("cst", self.value)
 
     def __repr__(self) -> str:
         return str(self.value)
@@ -159,7 +178,7 @@ class Var(ArithExpr):
             return _as_arith(mapping[self.name])
         return self
 
-    def _key(self) -> Tuple:
+    def _make_key(self) -> Tuple:
         return ("var", self.name)
 
     def __repr__(self) -> str:
@@ -173,15 +192,12 @@ class Sum(ArithExpr):
     terms: Tuple[ArithExpr, ...]
 
     def free_variables(self) -> frozenset:
-        out: frozenset = frozenset()
-        for term in self.terms:
-            out = out | term.free_variables()
-        return out
+        return frozenset().union(*(x.free_variables() for x in self.terms))
 
     def substitute(self, mapping: Mapping[str, ArithLike]) -> ArithExpr:
         return simplify_sum([t.substitute(mapping) for t in self.terms])
 
-    def _key(self) -> Tuple:
+    def _make_key(self) -> Tuple:
         return ("sum", tuple(sorted(t._key() for t in self.terms)))
 
     def __repr__(self) -> str:
@@ -195,15 +211,12 @@ class Prod(ArithExpr):
     factors: Tuple[ArithExpr, ...]
 
     def free_variables(self) -> frozenset:
-        out: frozenset = frozenset()
-        for factor in self.factors:
-            out = out | factor.free_variables()
-        return out
+        return frozenset().union(*(x.free_variables() for x in self.factors))
 
     def substitute(self, mapping: Mapping[str, ArithLike]) -> ArithExpr:
         return simplify_product([f.substitute(mapping) for f in self.factors])
 
-    def _key(self) -> Tuple:
+    def _make_key(self) -> Tuple:
         return ("prod", tuple(sorted(f._key() for f in self.factors)))
 
     def __repr__(self) -> str:
@@ -211,50 +224,62 @@ class Prod(ArithExpr):
 
 
 @dataclass(frozen=True, eq=False)
-class FloorDiv(ArithExpr):
-    """An integer division that could not be resolved symbolically."""
+class _Binary(ArithExpr):
+    """``a`` and ``b`` under an operation that could not be resolved
+    symbolically; ``build`` resolves it again after a substitution."""
 
-    numerator: ArithExpr
-    denominator: ArithExpr
-
-    def free_variables(self) -> frozenset:
-        return self.numerator.free_variables() | self.denominator.free_variables()
-
-    def substitute(self, mapping: Mapping[str, ArithLike]) -> ArithExpr:
-        return exact_div(
-            self.numerator.substitute(mapping),
-            self.denominator.substitute(mapping),
-            allow_floor=True,
-        )
-
-    def _key(self) -> Tuple:
-        return ("floordiv", self.numerator._key(), self.denominator._key())
-
-    def __repr__(self) -> str:
-        return f"({self.numerator!r} / {self.denominator!r})"
-
-
-@dataclass(frozen=True, eq=False)
-class Mod(ArithExpr):
-    """A modulo operation that could not be resolved symbolically."""
-
-    numerator: ArithExpr
-    denominator: ArithExpr
+    a: ArithExpr
+    b: ArithExpr
+    name = ""
+    form = ""
 
     def free_variables(self) -> frozenset:
-        return self.numerator.free_variables() | self.denominator.free_variables()
+        return self.a.free_variables() | self.b.free_variables()
 
     def substitute(self, mapping: Mapping[str, ArithLike]) -> ArithExpr:
-        return modulo(
-            self.numerator.substitute(mapping),
-            self.denominator.substitute(mapping),
-        )
+        return self.build(self.a.substitute(mapping), self.b.substitute(mapping))
 
-    def _key(self) -> Tuple:
-        return ("mod", self.numerator._key(), self.denominator._key())
+    def _make_key(self) -> Tuple:
+        return (self.name, self.a._key(), self.b._key())
 
     def __repr__(self) -> str:
-        return f"({self.numerator!r} % {self.denominator!r})"
+        return self.form.format(a=repr(self.a), b=repr(self.b))
+
+
+class FloorDiv(_Binary):
+    """An integer division."""
+
+    name, form = "floordiv", "({a} / {b})"
+
+    @staticmethod
+    def build(a: ArithExpr, b: ArithExpr) -> ArithExpr:
+        return exact_div(a, b, allow_floor=True)
+
+
+class Mod(_Binary):
+    """A modulo (floored: the result has the divisor's sign)."""
+
+    name, form = "mod", "({a} % {b})"
+
+    @staticmethod
+    def build(a: ArithExpr, b: ArithExpr) -> ArithExpr:
+        return modulo(a, b)
+
+
+class Min(_Binary):
+    name, form = "min", "min({a}, {b})"
+
+    @staticmethod
+    def build(a: ArithExpr, b: ArithExpr) -> ArithExpr:
+        return arith_min(a, b)
+
+
+class Max(_Binary):
+    name, form = "max", "max({a}, {b})"
+
+    @staticmethod
+    def build(a: ArithExpr, b: ArithExpr) -> ArithExpr:
+        return arith_max(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -271,26 +296,27 @@ def _flatten_sum(terms: Iterable[ArithExpr]) -> list:
     return flat
 
 
-def _split_coefficient(expr: ArithExpr) -> Tuple[Fraction, Tuple[ArithExpr, ...]]:
+def _split_coefficient(expr: ArithExpr) -> Tuple[Number, Tuple[ArithExpr, ...]]:
     """Split ``expr`` into (numeric coefficient, non-constant factor tuple)."""
     if isinstance(expr, Cst):
-        return Fraction(expr.value), ()
+        return expr.value, ()
     if isinstance(expr, Prod):
-        coeff = Fraction(1)
+        coeff: Number = 1
         rest = []
         for factor in expr.factors:
             if isinstance(factor, Cst):
-                coeff *= Fraction(factor.value)
+                coeff *= factor.value
             else:
                 rest.append(factor)
-        return coeff, tuple(sorted(rest, key=lambda e: e._key()))
-    return Fraction(1), (expr,)
+        return coeff, tuple(rest)  # a product keeps its factors sorted
+    return 1, (expr,)
 
 
 def simplify_sum(terms: Iterable[ArithExpr]) -> ArithExpr:
     """Build a simplified :class:`Sum` (collecting like terms and constants)."""
-    collected: Dict[Tuple, Tuple[Fraction, Tuple[ArithExpr, ...]]] = {}
-    constant = Fraction(0)
+    # key -> [coefficient, factors, the term itself while it is alone]
+    collected: Dict[Tuple, list] = {}
+    constant: Number = 0
     for term in _flatten_sum(terms):
         coeff, factors = _split_coefficient(term)
         if not factors:
@@ -298,16 +324,19 @@ def simplify_sum(terms: Iterable[ArithExpr]) -> ArithExpr:
             continue
         key = tuple(f._key() for f in factors)
         if key in collected:
-            prev_coeff, _ = collected[key]
-            collected[key] = (prev_coeff + coeff, factors)
+            entry = collected[key]
+            entry[0] += coeff
+            entry[2] = None
         else:
-            collected[key] = (coeff, factors)
+            collected[key] = [coeff, factors, term]
 
     result_terms: list = []
-    for coeff, factors in collected.values():
+    for coeff, factors, term in collected.values():
         if coeff == 0:
             continue
-        if coeff == 1 and len(factors) == 1:
+        if term is not None:
+            result_terms.append(term)
+        elif coeff == 1 and len(factors) == 1:
             result_terms.append(factors[0])
         else:
             result_terms.append(simplify_product([Cst(coeff), *factors]))
@@ -334,11 +363,11 @@ def _flatten_product(factors: Iterable[ArithExpr]) -> list:
 
 def simplify_product(factors: Iterable[ArithExpr]) -> ArithExpr:
     """Build a simplified :class:`Prod` (multiplying constants, distributing over sums)."""
-    coeff = Fraction(1)
+    coeff: Number = 1
     rest: list = []
     for factor in _flatten_product(factors):
         if isinstance(factor, Cst):
-            coeff *= Fraction(factor.value)
+            coeff *= factor.value
         else:
             rest.append(factor)
 
@@ -417,7 +446,7 @@ def exact_div(num: ArithExpr, den: ArithExpr, *, allow_floor: bool = False) -> A
             remaining = list(factors)
             for f in den_factors:
                 remaining.remove(f)
-            new_coeff = coeff / den_coeff
+            new_coeff = Fraction(coeff) / den_coeff
             if new_coeff.denominator == 1:
                 return simplify_product([Cst(new_coeff), *remaining])
 
@@ -441,15 +470,131 @@ def modulo(num: ArithExpr, den: ArithExpr) -> ArithExpr:
     return Mod(num, den)
 
 
-def arith_max(a: ArithLike, b: ArithLike) -> ArithExpr:
-    """Maximum of two expressions (resolved only when both are constants)."""
+def lower_bound(expr: ArithExpr) -> Optional[Number]:
+    """A lower bound of ``expr`` over non-negative variables, or ``None``."""
+    if isinstance(expr, Cst):
+        return expr.value
+    if isinstance(expr, Var):
+        return 0
+    if isinstance(expr, Sum):
+        bounds = [lower_bound(term) for term in expr.terms]
+        return None if None in bounds else sum(bounds)
+    if isinstance(expr, Prod):
+        coeff, factors = _split_coefficient(expr)
+        bounds = [lower_bound(factor) for factor in factors]
+        if coeff < 0 or None in bounds or min(bounds) < 0:
+            return None
+        return math.prod(bounds, start=coeff)
+    if isinstance(expr, Max):
+        bounds = [b for b in (lower_bound(expr.a), lower_bound(expr.b)) if b is not None]
+        return max(bounds) if bounds else None
+    if isinstance(expr, Min):
+        bounds = [lower_bound(expr.a), lower_bound(expr.b)]
+        return None if None in bounds else min(bounds)
+    if isinstance(expr, Mod):  # floored: the divisor's sign
+        return 0 if _at_least(expr.b, 1) else None
+    if isinstance(expr, FloorDiv):
+        num, den = lower_bound(expr.a), expr.b
+        if num is not None and num >= 0 and isinstance(den, Cst) and den.value > 0:
+            return num // den.value
+    return None
+
+
+def _at_least(a: ArithExpr, b: ArithLike = 0) -> bool:
+    """Whether ``a >= b`` provably."""
+    if not isinstance(b, (int, Cst)):
+        a, b = a - b, 0
+    bound = lower_bound(a)
+    return bound is not None and bound >= (b.value if isinstance(b, Cst) else b)
+
+
+def arith_min(a: ArithLike, b: ArithLike) -> ArithExpr:
+    """Minimum of two expressions (resolved when one provably is the smaller)."""
     a = _as_arith(a)
     b = _as_arith(b)
-    if isinstance(a, Cst) and isinstance(b, Cst):
-        return a if a.value >= b.value else b
-    if a == b:
+    if _at_least(b, a):
         return a
-    raise ArithmeticError_(f"cannot compute max({a}, {b}) symbolically")
+    if _at_least(a, b):
+        return b
+    return Min(a, b)
+
+
+def arith_max(a: ArithLike, b: ArithLike) -> ArithExpr:
+    """Maximum of two expressions (resolved when one provably is the larger)."""
+    a = _as_arith(a)
+    b = _as_arith(b)
+    if _at_least(a, b):
+        return a
+    if _at_least(b, a):
+        return b
+    return Max(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Printing as OpenCL C
+# ---------------------------------------------------------------------------
+
+def to_c(expr: ArithLike) -> str:
+    """``expr`` as an OpenCL-C ``int`` expression.
+
+    A sum prints its positive terms first, largest coefficient first, and
+    its constant last; ``min`` and ``max`` are OpenCL's integer built-ins; a
+    modulo whose operand may be negative prints floored
+    (``((a % n + n) % n)``), as :func:`modulo` means it.  C's ``/``
+    truncates, so a division of a possibly negative operand is refused.
+    """
+    expr = _as_arith(expr)
+    if not isinstance(expr, Sum):
+        return _c_factor(expr)
+    text = ""
+    for term in sorted(expr.terms, key=_print_order):
+        coeff, factors = _split_coefficient(term)
+        magnitude = _c_product(abs(coeff), factors)
+        if text:
+            text += f" {'-' if coeff < 0 else '+'} {magnitude}"
+        else:
+            text = f"-{magnitude}" if coeff < 0 else magnitude
+    return text
+
+
+def _print_order(term: ArithExpr) -> Tuple:
+    coeff = _split_coefficient(term)[0]
+    return coeff < 0, isinstance(term, Cst), -abs(coeff)
+
+
+def _c_product(coeff: Number, factors: Tuple[ArithExpr, ...]) -> str:
+    parts = [_c_factor(factor) for factor in factors]
+    if coeff != 1 or not parts:
+        parts.append(_c_int(coeff))
+    return " * ".join(parts)
+
+
+def _c_factor(expr: ArithExpr) -> str:
+    """``expr`` as an operand of ``*``: sums, divisions and modulos in parentheses."""
+    if isinstance(expr, Cst):
+        return f"({expr.value})" if expr.value < 0 else _c_int(expr.value)
+    if isinstance(expr, Var):
+        return expr.name
+    if isinstance(expr, Sum):
+        return f"({to_c(expr)})"
+    if isinstance(expr, Prod):
+        coeff, factors = _split_coefficient(expr)
+        text = _c_product(abs(coeff), factors)
+        return f"(-{text})" if coeff < 0 else text
+    if isinstance(expr, (Min, Max)):
+        return f"{expr.name}({to_c(expr.a)}, {to_c(expr.b)})"
+    a, b = _c_factor(expr.a), _c_factor(expr.b)
+    if isinstance(expr, Mod):
+        return f"({a} % {b})" if _at_least(expr.a) else f"(({a} % {b} + {b}) % {b})"
+    if not _at_least(expr.a):
+        raise ArithmeticError_(f"C division truncates: {expr!r} may be negative")
+    return f"({a} / {b})"
+
+
+def _c_int(value: Number) -> str:
+    if type(value) is not int and Fraction(value).denominator != 1:
+        raise ArithmeticError_(f"{value} is not an integer")
+    return str(int(value))
 
 
 __all__ = [
@@ -462,9 +607,14 @@ __all__ = [
     "Prod",
     "FloorDiv",
     "Mod",
+    "Min",
+    "Max",
     "simplify_sum",
     "simplify_product",
     "exact_div",
     "modulo",
+    "arith_min",
     "arith_max",
+    "lower_bound",
+    "to_c",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
-from ..arithmetic import ArithLike, _as_arith, exact_div
+from ..arithmetic import ArithExpr, ArithLike, _as_arith, arith_max, arith_min, exact_div
 from ..ir import Expr, Literal, Primitive
 from ..types import ArrayType, Type, TypeError_
 
@@ -32,18 +32,18 @@ class Boundary:
     Attributes
     ----------
     name:
-        Human-readable name (appears in generated OpenCL code comments).
+        The name programs are printed and serialised with.
     index_fn:
-        Python implementation ``(i, n) -> j`` mapping a possibly out-of-range
-        index ``i`` into the valid range ``[0, n)``.
-    c_template:
-        C expression template with ``{i}`` and ``{n}`` placeholders producing
-        the same mapping in generated code.
+        ``(i, n, min=min, max=max) -> j`` mapping a possibly out-of-range
+        index ``i`` into the valid range ``[0, n)``.  It is the one definition
+        of the boundary: on ``int`` s with the built-in ``min``/``max`` it
+        serves the interpreter and the NumPy backend's index tables
+        (:meth:`__call__`); on :class:`~repro.core.arithmetic.ArithExpr`
+        indices it builds the index of generated code (:meth:`index`).
     """
 
     name: str
-    index_fn: Callable[[int, int], int]
-    c_template: str
+    index_fn: Callable[..., ArithLike]
 
     def __call__(self, i: int, n: int) -> int:
         j = self.index_fn(i, n)
@@ -53,33 +53,31 @@ class Boundary:
             )
         return j
 
-
-def _clamp(i: int, n: int) -> int:
-    return 0 if i < 0 else (n - 1 if i >= n else i)
-
-
-def _mirror(i: int, n: int) -> int:
-    if i < 0:
-        i = -1 - i
-    if i >= n:
-        i = n - (i - n) - 1
-    return _clamp(i, n)
+    def index(self, i: ArithLike, n: ArithLike) -> ArithExpr:
+        """The boundary map of a symbolic index."""
+        return self.index_fn(_as_arith(i), n, min=arith_min, max=arith_max)
 
 
-def _wrap(i: int, n: int) -> int:
+def _clamp(i, n, min=min, max=max):
+    return min(max(i, 0), n - 1)
+
+
+def _mirror(i, n, min=min, max=max):
+    reflected = max(i, -1 - i)
+    return _clamp(min(reflected, 2 * n - 1 - reflected), n, min, max)
+
+
+def _wrap(i, n, min=min, max=max):
     return i % n
 
 
 #: Repeat the value at the boundary (``A[-1] == A[0]``).
-CLAMP = Boundary("clamp", _clamp, "(({i}) < 0 ? 0 : (({i}) >= ({n}) ? ({n}) - 1 : ({i})))")
-#: Reflect indices at the boundary (``A[-1] == A[0]``, ``A[-2] == A[1]``).
-MIRROR = Boundary(
-    "mirror",
-    _mirror,
-    "((({i}) < 0 ? (-({i}) - 1) : (({i}) >= ({n}) ? (2 * ({n}) - ({i}) - 1) : ({i}))))",
-)
+CLAMP = Boundary("clamp", _clamp)
+#: Reflect indices at the boundary (``A[-1] == A[0]``, ``A[-2] == A[1]``);
+#: a pad wider than the input clamps what one reflection leaves outside.
+MIRROR = Boundary("mirror", _mirror)
 #: Wrap indices around (periodic boundary).
-WRAP = Boundary("wrap", _wrap, "((({i}) % ({n}) + ({n})) % ({n}))")
+WRAP = Boundary("wrap", _wrap)
 
 BOUNDARIES = {"clamp": CLAMP, "mirror": MIRROR, "wrap": WRAP}
 

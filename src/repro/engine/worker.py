@@ -70,9 +70,9 @@ def explore_variants_for(benchmark: StencilBenchmark,
     """The macro-exploration variant set the engine tunes for one benchmark.
 
     Tiles wider than the grid are dropped; the exploration applies the
-    tiling rule's structural constraint (``u > size − step``).  Exact
-    coverage of non-divisible input sizes is not required: Lift rounds the
-    ND-range up and guards the boundary work-groups instead.
+    tiling rule's structural constraint (``u > size − step``) but not exact
+    coverage: nothing rounds the ND-range up, so a tile that does not divide
+    the grid gives a kernel with a truncated output (ROADMAP.md, item 14).
     """
     shape = tuple(shape)
     radius = (benchmark.stencil_extent - 1) // 2
@@ -154,8 +154,8 @@ def validation_shape(stencil_extent: int, ndims: int,
 
     Untiled variants work on any shape.  A tiled variant only reproduces the
     whole output when its tiles exactly cover the padded input
-    (``(padded − u) % v == 0``); at the benchmark's own sizes Lift instead
-    rounds the ND-range up, which the executors do not model, so the grid is
+    (``(padded − u) % v == 0``); elsewhere its output is truncated, as
+    nothing rounds the ND-range up (ROADMAP.md, item 14), so the grid is
     chosen to satisfy exact coverage.  ``min_size`` grows the grid to at
     least that extent per dimension (while preserving exact coverage) —
     measured scoring uses it to time kernels on non-trivial inputs.

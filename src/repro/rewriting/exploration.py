@@ -64,8 +64,8 @@ def candidate_strategies(
     first ``slide`` runs over; when ``validate_tiles`` is set (the default),
     tile sizes that do not exactly cover it are rejected by the validity
     constraint of the tiling rewrite rule.  The experiment pipeline disables
-    the exact-coverage check because, at the paper's input sizes, Lift rounds
-    the ND-range up and guards the boundary work-groups instead.
+    the exact-coverage check, so at the paper's input sizes it also ranks
+    tiles whose kernels compute a truncated output (ROADMAP.md, item 14).
     """
     strategies: List[Strategy] = []
     for unroll in ([True, False] if include_unrolled else [True]):

@@ -13,7 +13,8 @@ on entry.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+import functools
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -211,11 +212,8 @@ class Interpreter:
         if isinstance(prim, Pad):
             (data,) = args
             _check_list(data, prim.name)
-            n = len(data)
-            return [
-                data[prim.boundary(i - prim.left, n)]
-                for i in range(n + prim.left + prim.right)
-            ]
+            return [data[j] for j in _pad_indices(prim.boundary, prim.left, prim.right,
+                                                  len(data))]
 
         if isinstance(prim, PadConstant):
             (data,) = args
@@ -279,6 +277,12 @@ def _copy_nested(value):
     if isinstance(value, list):
         return [_copy_nested(item) for item in value]
     return value
+
+
+@functools.lru_cache(maxsize=256)
+def _pad_indices(boundary, left: int, right: int, n: int) -> Tuple[int, ...]:
+    """Where each element of ``pad(left, right, boundary)`` over ``n`` reads."""
+    return tuple(boundary(i - left, n) for i in range(n + left + right))
 
 
 def _check_list(value, who: str) -> None:

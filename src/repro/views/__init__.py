@@ -7,7 +7,7 @@ over a lowered expression that calls it is :mod:`repro.codegen`'s.
 from .view import (
     View,
     ViewError,
-    ViewMapped,
+    ViewIndexed,
     ViewMemory,
     ViewScalar,
     array_size,
@@ -18,7 +18,7 @@ from .view import (
 __all__ = [
     "View",
     "ViewError",
-    "ViewMapped",
+    "ViewIndexed",
     "ViewMemory",
     "ViewScalar",
     "array_size",

@@ -3,11 +3,11 @@
 OpenCL C is C99 with address-space qualifiers and work-item built-ins.
 Through :data:`PRELUDE` (``__kernel``/``__global`` expand to nothing,
 ``__local`` to ``static``, ``barrier`` is a no-op, the work-item built-ins
-and the math built-ins the suite's user functions call are declared, and
-``clamp`` is a macro) the host C compiler's
-``-fsyntax-only -Wall`` checks that the generator prints well-formed code
-with nothing a compiler would warn about.  Running the kernels is a further
-step this does not take.
+and the math built-ins the suite's user functions call are declared,
+``clamp`` is a macro, and OpenCL's integer ``min``/``max`` are ``int``
+functions) the host C compiler's ``-fsyntax-only -Wall`` checks that the
+generator prints well-formed code with nothing a compiler would warn about.
+``test_kernels_run.py`` runs the kernels behind the same prelude.
 
 Tier-1 checks each app's naive kernel and its smallest and largest tile
 kernel, with and without local memory.  CI checks every golden kernel the
@@ -40,6 +40,8 @@ int get_group_id(int dim);
 int get_local_id(int dim);
 int get_local_size(int dim);
 #define clamp(x, lo, hi) ((x) < (lo) ? (lo) : (x) > (hi) ? (hi) : (x))
+static inline int min(int a, int b) { return a < b ? a : b; }
+static inline int max(int a, int b) { return a > b ? a : b; }
 double sqrt(double x);
 double fabs(double x);
 """
@@ -64,13 +66,12 @@ def c_diagnostics(sources, workdir: Path) -> str:
     return diagnostics or (f"exit status {result.returncode}" if result.returncode else "")
 
 
-def sampled_kernels():
-    """Each app's naive kernel and its smallest and largest valid tile
-    kernel with and without local memory, on the golden test's grids."""
+def sampled_variants():
+    """Yield ``(key, benchmark, lowered)`` for each app's naive variant and its
+    smallest and largest valid tile with and without local memory."""
     for key in sorted(ALL_BENCHMARKS):
         benchmark = ALL_BENCHMARKS[key]
         program = benchmark.build_program()
-        shape = (64, 64) if benchmark.ndims == 2 else (16, 16, 16)
         tiles = [tile for tile in DEFAULT_TILE_SIZES
                  if tile_exceeds_overlap(tile, benchmark.stencil_extent, 1)]
         strategies = [NAIVE] + [tiled_strategy(tile, use_local_memory=local)
@@ -78,10 +79,16 @@ def sampled_kernels():
                                 for local in (True, False)]
         for strategy in strategies:
             try:
-                lowered = lower_program(program, strategy)
+                yield key, benchmark, lower_program(program, strategy)
             except LoweringError:
                 continue
-            yield generate_kernel(lowered, benchmark.input_types(shape)).source
+
+
+def sampled_kernels():
+    """The :func:`sampled_variants` kernels on the golden test's grids."""
+    for _, benchmark, lowered in sampled_variants():
+        shape = (64, 64) if benchmark.ndims == 2 else (16, 16, 16)
+        yield generate_kernel(lowered, benchmark.input_types(shape)).source
 
 
 def test_sampled_kernels_parse_as_c(tmp_path):

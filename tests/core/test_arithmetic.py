@@ -8,8 +8,10 @@ from repro.core.arithmetic import (
     FloorDiv,
     Var,
     arith_max,
+    arith_min,
     exact_div,
     modulo,
+    to_c,
 )
 
 
@@ -135,6 +137,28 @@ class TestModuloAndMax:
     def test_max_of_equal_expressions(self):
         n = Var("n")
         assert arith_max(n, n) == n
+
+
+class TestMinMaxAndC:
+    def test_min_and_max_resolve_what_non_negative_variables_prove(self):
+        i = Var("i")
+        assert arith_max(i, 0) == i
+        assert arith_min(i - 1, i) == i - 1
+        clamped = arith_min(arith_max(i - 1, 0), 9)
+        assert to_c(clamped) == "min(max(i - 1, 0), 9)"
+        assert clamped.substitute({"i": 20}) == 9 and clamped.substitute({"i": 0}) == 0
+
+    def test_sums_print_positive_terms_first_and_the_constant_last(self):
+        assert to_c(3 - 2 * Var("i")) == "3 - i * 2"
+        assert to_c(Var("i") * 64 + Var("j") - 1) == "i * 64 + j - 1"
+
+    def test_a_possibly_negative_operand_prints_a_floored_modulo(self):
+        i = Var("i")
+        assert to_c(modulo(i, Cst(4))) == "(i % 4)"
+        assert to_c(modulo(i - 3, Cst(4))) == "(((i - 3) % 4 + 4) % 4)"
+        assert to_c(exact_div(i + 1, Cst(4), allow_floor=True)) == "((i + 1) / 4)"
+        with pytest.raises(ArithmeticError_):  # C's / truncates
+            to_c(exact_div(i - 1, Cst(4), allow_floor=True))
 
 
 class TestHashingAndRepr:

@@ -27,7 +27,7 @@ from repro.rewriting.exploration import DEFAULT_TILE_SIZES, candidate_strategies
 from repro.rewriting.strategies import LoweringError, lower_program
 
 LOWERING_SHA256 = "45998bf77afd4c5758e629eaa3378b59a3fd4a1501cd926220bffd545c75082e"
-KERNELS_SHA256 = "837f293443c2ef123b05ee09d58d6759d4d4deea4b7a6721cc085c7387cb6e45"
+KERNELS_SHA256 = "00ef44de795d3394e68fce38ef315f2d7a52363a7305868269422d75c1363795"
 GOLDEN = Path(__file__).parent / "golden"
 
 

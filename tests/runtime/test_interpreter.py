@@ -82,6 +82,25 @@ class TestStencilPrimitives:
         program = L.fun([array(Float, Var("N"))], lambda a: L.pad(1, 1, L.WRAP, a))
         assert evaluate_program(program, [[1.0, 2.0, 3.0]]) == [3.0, 1.0, 2.0, 3.0, 1.0]
 
+    def test_boundaries_match_their_case_by_case_definitions(self):
+        """Each boundary is one function of ``(i, n)``, on ints and on
+        symbolic constants alike, also for pads wider than the input."""
+        def clamp(i, n):
+            return 0 if i < 0 else (n - 1 if i >= n else i)
+
+        def mirror(i, n):
+            if i < 0:
+                i = -1 - i
+            if i >= n:
+                i = n - (i - n) - 1
+            return clamp(i, n)
+
+        for boundary, reference in ((L.CLAMP, clamp), (L.MIRROR, mirror),
+                                    (L.WRAP, lambda i, n: i % n)):
+            for n in range(1, 7):
+                for i in range(-15, 20):
+                    assert boundary(i, n) == reference(i, n) == boundary.index(i, n)
+
     def test_pad_constant_scalar(self):
         program = L.fun([array(Float, Var("N"))], lambda a: L.pad_constant(1, 2, 9.0, a))
         assert evaluate_program(program, [[1.0, 2.0]]) == [9.0, 1.0, 2.0, 9.0, 9.0]
