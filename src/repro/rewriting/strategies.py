@@ -30,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..core.ir import Expr, FunCall, Lambda, replace
+from ..core.ir import Expr, FunCall, Lambda, Primitive, replace
+from ..core.printer import pretty
 from ..core.primitives.algorithmic import Zip
 from ..core.primitives.opencl import MapGlb, MapLcl, MapWrg
 from .algorithmic_rules import (
@@ -150,6 +151,15 @@ def lower_program(program: Lambda, strategy: Strategy) -> LoweredProgram:
     """
     body = program.body
     target, stencil, multi_grid = _outermost_stencil(body)
+    for node in body.walk():
+        if (isinstance(node, FunCall) and isinstance(node.fun, Primitive)
+                and any(nested.contains(target)
+                        for nested in node.fun.nested_functions())):
+            # Its parameter would be free in the kernel: no rule lowers
+            # the enclosing pattern, so code generation could not bind it.
+            raise LoweringError(
+                f"the stencil sits inside the function of an outer "
+                f"{node.fun.name} that no rule lowers: {pretty(node)}")
     size = int(stencil.size.evaluate()) if stencil.size.is_constant() else 0
     step = int(stencil.step.evaluate()) if stencil.step.is_constant() else 1
     if stencil.ndims > 3:

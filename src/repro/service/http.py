@@ -366,7 +366,8 @@ def encode_reply(reply: Reply,
     accept = accept.lower()
     if CONTENT_TYPE_GRIDS in accept:
         prefix, buffers = encode_grid_payload(
-            meta, [] if grid is None else [np.asarray(grid, dtype=np.float64)])
+            meta, [] if grid is None else [np.asarray(grid, dtype=np.float64)],
+            reuse_verified=True)  # a job result's digest is its file's
         return CONTENT_TYPE_GRIDS, prefix, buffers
     text = meta.get("metrics")
     if isinstance(text, str) and CONTENT_TYPE_JSON not in accept:

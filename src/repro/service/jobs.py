@@ -13,20 +13,24 @@ persisted as a checkpoint under ``job_dir``:
 .. code-block:: text
 
     <job_dir>/<job_id>/
-        job.json            manifest: status, steps, completed, deadline, …
-        inputs.rpg          the slots the carry spec never writes, once
+        job.json            manifest: steps, deadline, status at submit,
+                            resume and end
+        inputs.rpg          every slot as submitted: the step-0 state
         ckpt-00000007.rpg   RPG1-framed carried slots after step 7
         ckpt-00000014.rpg   (the newest two checkpoints are kept)
         result.rpg          final grid, written on completion
 
-A slot whose carry entry is ``None`` (Hotspot2D's ``power``) is the same
-grid at every step, so it is framed once, at submit, into ``inputs.rpg``;
-an app with no such slot (Heat) writes none.  Every checkpoint — step 0
-included — frames only the carried slots, and its signed metadata lists
-the static slots' descriptors (slot, shape, dtype, sha256), which
-recovery checks ``inputs.rpg`` against before it rebuilds the full state
-in slot order.  The last boundary writes no checkpoint: ``result.rpg`` is
-the job's final durable state.
+A submit writes exactly two files, ``inputs.rpg`` and then ``job.json``,
+so a manifest on disk always has its inputs.  A slot whose carry entry is
+``None`` (Hotspot2D's ``power``) is the same grid at every step, so no
+checkpoint frames it again: every checkpoint frames only the carried
+slots, and its signed metadata lists the static slots' descriptors (slot,
+shape, dtype, sha256), which recovery checks ``inputs.rpg`` against
+before it rebuilds the full state in slot order.  The last boundary
+writes no checkpoint: ``result.rpg`` is the job's final durable state.
+The manifest is written at submit, at a resume and at every terminal
+state, never per checkpoint: recovery takes a running job's step from its
+newest valid checkpoint, not from ``job.json``.
 
 Checkpoints reuse the RPG1 wire framing (:mod:`repro.service.wire`), so
 every carry buffer's descriptor carries its sha256 — plus one
@@ -34,31 +38,49 @@ every carry buffer's descriptor carries its sha256 — plus one
 flipped bit in either metadata or data is detected at load and each byte
 is hashed once.  Writes are write-tmp → flush → fsync → rename →
 fsync(dir), so a crash at any instant leaves either the old complete
-checkpoint or the new complete checkpoint, never a torn one.
+checkpoint or the new complete checkpoint, never a torn one; a new job's
+directory entry is made durable by one fsync of ``job_dir`` before the
+submit answers.
 
-**Off the critical path**: the worker hands each boundary's state to one
-long-lived writer thread and starts the next segment, so checkpoint k is
-hashed and fsynced, outside the manager lock, while segment k+1 computes.
-At most one checkpoint is in flight (boundary k+1 first waits for
-checkpoint k); the file lands before the manifest's ``completed_steps``,
-which therefore counts *durable* steps; a writer error fails the job at its
-next boundary; the writer is drained before any terminal status is set.
+**Off the critical path, not free**: the worker hands each boundary's
+state to one long-lived writer thread and starts the next segment, so
+checkpoint k is hashed and fsynced, outside the manager lock, while
+segment k+1 computes.  On two cores the two share the machine rather
+than overlap: a 512² Hotspot2D segment that takes 4.6 ms alone took
+8.9 ms beside a sha256 thread and 7.7 ms beside a write+fsync thread.
+Hashing on the worker at the boundary instead measured slower still, so
+the writer hashes.  At most one checkpoint is in flight (boundary k+1
+first waits for checkpoint k); the file lands before ``completed_steps``
+counts it, so a status reply reports *durable* steps; a writer error
+fails the job at its next boundary; the writer is drained before any
+terminal status is set.
 
 **Recovery**: :meth:`JobManager.recover` (run at server startup) scans the
 job dir; incomplete jobs resume from their newest *valid* checkpoint —
-checkpoints that fail checksum validation are discarded (counted in
-``repro_job_corrupt_checkpoints_total``) and the previous one is used.
+checkpoints that fail checksum validation are counted in
+``repro_job_corrupt_checkpoints_total`` and the previous one is used.
 Every checkpoint needs ``inputs.rpg``, so a missing, corrupt or
 mismatched one fails the job (counted the same way) instead of a silent
-re-run.  A checkpoint framed before ``inputs.rpg`` existed holds the full
-state and resumes without one.  Because segment boundaries replay through
-the same plan tapes with the same carry values, a resumed trajectory is
-**bit-identical** to an uninterrupted run (property-tested per suite app
-in ``tests/service/test_jobs.py``) — a crash after ``result.rpg`` lands but
-before the ``completed`` manifest recomputes the last segment.  A step-0
-checkpoint is written at submit time, so even a crash before the first
-segment completes loses nothing; a ``*.tmp`` a crash cut short is removed
-by the same scan.
+re-run.  ``inputs.rpg`` is the step-0 state only while fewer than
+:data:`KEEP_CHECKPOINTS` checkpoint files exist — where the layout with a
+step-0 checkpoint still held one — so a job whose newest two checkpoints
+are corrupt fails rather than re-running from step 0.  A corrupt
+checkpoint is therefore left in place (the resumed run overwrites it), so
+a crash during recovery cannot shrink that count.  Older layouts resume:
+a step-0 checkpoint beside an ``inputs.rpg`` of the static slots only,
+and checkpoints framed before ``inputs.rpg`` existed, which hold the full
+state.  Because segment boundaries replay through the same plan tapes
+with the same carry values, a resumed trajectory is **bit-identical** to
+an uninterrupted run (property-tested per suite app in
+``tests/service/test_jobs.py``) — a crash after ``result.rpg`` lands but
+before the ``completed`` manifest recomputes the last segment.  A ``*.tmp``
+a crash cut short is removed by the same scan.
+
+**Hashed once**: ``inputs.rpg`` reuses the sha256 the wire decoder
+verified for each submitted grid, and the final grid is frozen read-only
+with its ``result.rpg`` digest recorded by
+:func:`~repro.service.wire.remember_sha256`, which the ``job_result``
+reply reuses.
 
 **Idempotency**: clients supply a ``job_key`` (the client library
 generates a uuid4 before the first attempt); re-submitting the same key —
@@ -101,7 +123,6 @@ import numpy as np
 
 from .. import faults as _faults
 from ..apps.base import squeeze_result
-from ..backend import ExecutionError
 from ..backend.plan import normalize_carry
 from ..telemetry.registry import MetricsRegistry
 from .executor import run_trajectory
@@ -109,7 +130,6 @@ from .registry import DigestRouter
 from .requests import (
     CANCELLED,
     DEADLINE_EXCEEDED,
-    NOT_FOUND,
     ExecutionRequest,
     ServiceError,
 )
@@ -118,6 +138,7 @@ from .wire import (
     decode_grid_payload,
     describe_grids,
     frame_prefix,
+    remember_sha256,
 )
 
 log = logging.getLogger("repro.service.jobs")
@@ -218,6 +239,15 @@ def _unframe(
     return meta, grids, descriptors
 
 
+def _fsync_dir(path: Path) -> None:
+    """Make the entries of directory ``path`` durable."""
+    dir_fd = os.open(str(path), os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 def _atomic_write(path: Path, *pieces) -> None:
     """write-tmp → flush → fsync → rename → fsync(dir): crash-atomic.
 
@@ -234,21 +264,7 @@ def _atomic_write(path: Path, *pieces) -> None:
         if hasattr(os, "posix_fadvise"):
             os.posix_fadvise(handle.fileno(), 0, 0, os.POSIX_FADV_DONTNEED)
     os.replace(tmp, path)
-    dir_fd = os.open(str(path.parent), os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-
-
-def _static_slots(carry, num_inputs: int) -> List[int]:
-    """The slots ``carry`` never writes; none for a spec that does not fit
-    the inputs (the worker fails that job before it computes a step)."""
-    try:
-        spec = normalize_carry(carry, num_inputs)
-    except ExecutionError:
-        return []
-    return [slot for slot, entry in enumerate(spec) if entry is None]
+    _fsync_dir(path.parent)
 
 
 class _InjectedCrash(BaseException):
@@ -285,8 +301,9 @@ class Job:
     resumes: int = 0
     #: In-memory carry state (the inputs of the next step) and result.
     state: Optional[List[np.ndarray]] = None
-    #: Descriptors (slot, shape, dtype, sha256) of the grids ``inputs.rpg``
-    #: holds, signed into every checkpoint; empty when it holds none.
+    #: Descriptors (slot, shape, dtype, sha256) of the ``inputs.rpg`` grids
+    #: every checkpoint signs: the static slots once the job runs.  Empty
+    #: for a job resumed from checkpoints that frame every slot.
     static: List[dict] = field(default_factory=list)
     result: Optional[np.ndarray] = None
     cancel_requested: bool = False
@@ -537,13 +554,9 @@ class JobManager:
             except Exception as error:
                 raise JobError(f"cannot resolve job program: {error}")
             job.digest = route.digest
-            # The step-0 checkpoint: a crash before the first segment
-            # completes must still be recoverable from disk.  Both files
-            # frame the grids as received, under the sha256 the wire
-            # decoder verified for them.
-            job.static = self._persist_inputs(
-                job, _static_slots(route.carry, job.num_inputs))
-            self._persist_checkpoint(job, 0, job.state, as_received=True)
+            # The step-0 state, so a crash before the first checkpoint
+            # resumes; then the manifest, which never lands without it.
+            job.static = self._persist_inputs(job)
             self._persist_manifest(job)
             self._jobs[job.job_id] = job
             self._by_key[key] = job.job_id
@@ -710,15 +723,14 @@ class JobManager:
                 job = self._jobs.get(job_id)
                 if job is None or job.status != QUEUED:
                     continue
-                job.status = RUNNING
+                job.status = RUNNING  # not persisted: recovery resumes both
                 job.updated_at = time.time()
-                self._persist_manifest(job)
             try:
                 self._run_job(job)
             except _InjectedCrash:
                 # Simulated process death: leave the job exactly as a real
-                # crash would (manifest still "running", newest checkpoint
-                # on disk) and abandon this worker thread.  recover() is
+                # crash would (manifest as submitted, newest checkpoint on
+                # disk) and abandon this worker thread.  recover() is
                 # what brings the job back.
                 log.warning("job %s: injected crash after checkpoint",
                             job.job_id)
@@ -742,13 +754,13 @@ class JobManager:
                 self._writes.task_done()
 
     def _write_checkpoint(self, job: Job, step: int, state) -> None:
-        """File first, then the manifest: ``completed_steps`` reports
-        *durable* steps, and only the manifest is written under the lock."""
+        """File first, then ``completed_steps``, so a status reply reports
+        *durable* steps.  No manifest: recovery reads the step from the
+        newest valid checkpoint."""
         self._persist_checkpoint(job, step, state)
         with self._lock:
             job.completed_steps = step
             job.updated_at = time.time()
-            self._persist_manifest(job)
         if _faults.ARMED and _faults.should_fail("job.crash_after_checkpoint"):
             raise _InjectedCrash()
 
@@ -773,6 +785,9 @@ class JobManager:
         spec = normalize_carry(route.carry, job.num_inputs)
         if job.state is None:
             raise JobError(f"job {job.job_id} has no carry state")
+        # inputs.rpg may hold every slot; checkpoints sign the static ones.
+        job.static = [descriptor for descriptor in job.static
+                      if spec[descriptor["slot"]] is None]
         resumed_at = job.completed_steps
 
         def boundary(done: int, state) -> Optional[str]:
@@ -806,6 +821,7 @@ class JobManager:
                 # is durable: a crash from here on recomputes one segment.
                 out = job.state[spec.index("out")]
                 result = squeeze_result(np.asarray(out, dtype=np.float64))
+                result.flags.writeable = False  # its digest is recorded
                 self._persist_result(job, result)
                 if (_faults.ARMED
                         and _faults.should_fail("job.crash_after_checkpoint")):
@@ -862,26 +878,28 @@ class JobManager:
         _atomic_write(directory / _MANIFEST,
                       json.dumps(job.manifest(), indent=2).encode("utf-8"))
 
-    def _persist_inputs(self, job: Job, slots: List[int]) -> List[dict]:
-        """Frame the ``slots`` no step writes into ``inputs.rpg``, once, as
-        the submission delivered them.
+    def _persist_inputs(self, job: Job) -> List[dict]:
+        """Frame every slot into ``inputs.rpg`` as the submission delivered
+        it, under the sha256 the wire decoder verified: the step-0 state.
 
-        Returns their descriptors, which every checkpoint signs; writes
-        nothing when there are none (or no job dir).
+        Returns the slots' descriptors (:meth:`_run_job` keeps the static
+        ones); writes nothing without a job dir.  The new job's entry in
+        ``job_dir`` is made durable before this returns.
         """
         directory = self._dir_for(job)
-        if directory is None or not slots:
+        if directory is None:
             return []
+        slots = list(range(job.num_inputs))
         meta = {"job_id": job.job_id, "digest": job.digest,
                 "benchmark": job.benchmark, "slots": slots}
-        prefix, buffers, descriptors = _frame(
-            meta, [job.state[slot] for slot in slots], as_received=True)
+        prefix, buffers, descriptors = _frame(meta, job.state,
+                                              as_received=True)
         _atomic_write(directory / _INPUTS, prefix, *buffers)
+        _fsync_dir(self.job_dir)
         return [{"slot": slot, **descriptor}
                 for slot, descriptor in zip(slots, descriptors)]
 
-    def _persist_checkpoint(self, job: Job, step: int, state,
-                            as_received: bool = False) -> None:
+    def _persist_checkpoint(self, job: Job, step: int, state) -> None:
         directory = self._dir_for(job)
         if directory is None:
             return
@@ -896,7 +914,7 @@ class JobManager:
         }
         static = {descriptor["slot"] for descriptor in job.static}
         state = [grid for slot, grid in enumerate(state) if slot not in static]
-        prefix, buffers, _descriptors = _frame(meta, state, as_received)
+        prefix, buffers, _descriptors = _frame(meta, state)
         if _faults.ARMED and _faults.should_fail("job.checkpoint_corrupt"):
             # Flip one byte of the *body* after every checksum was
             # computed: recovery must detect this and fall back.
@@ -917,20 +935,26 @@ class JobManager:
     def _load_latest_checkpoint(
         self, job: Job
     ) -> Optional[Tuple[int, List[np.ndarray], List[dict]]]:
-        """``(step, full state, static descriptors)`` of the newest valid
-        checkpoint; raises :class:`JobIntegrityError` when it needs an
-        ``inputs.rpg`` that is missing, corrupt or another job's."""
+        """``(step, full state, descriptors)`` of the newest valid
+        checkpoint, else of ``inputs.rpg`` as the step-0 state while fewer
+        than :data:`KEEP_CHECKPOINTS` checkpoint files exist; raises
+        :class:`JobIntegrityError` when the state needs an ``inputs.rpg``
+        that is missing, corrupt or another job's.
+
+        A corrupt checkpoint stays on disk (the resumed run overwrites it):
+        unlinked, a crash before the outcome is recorded would leave too
+        few files for the count to refuse a re-run from step 0.
+        """
         directory = self.job_dir / job.job_id if self.job_dir else None
         if directory is None or not directory.is_dir():
             return None
-        for path in reversed(self._checkpoints(directory)):
+        checkpoints = self._checkpoints(directory)
+        for path in reversed(checkpoints):
             try:
                 meta, grids, _descriptors = _unframe(path.read_bytes())
             except (OSError, JobIntegrityError) as error:
                 self._corrupt_total.inc()
-                log.warning("discarding corrupt checkpoint %s: %s",
-                            path, error)
-                path.unlink(missing_ok=True)
+                log.warning("skipping corrupt checkpoint %s: %s", path, error)
                 continue
             if str(meta.get("job_id")) != job.job_id:
                 continue
@@ -940,32 +964,44 @@ class JobManager:
                 self._corrupt_total.inc()
                 continue
             if static:
-                fixed = dict(zip((descriptor["slot"] for descriptor in static),
-                                 self._load_inputs(directory, job, static)))
+                held, inputs = self._load_inputs(directory, job)
+                fixed = {descriptor["slot"]: grid
+                         for descriptor, grid in zip(held, inputs)
+                         if descriptor in static}
+                if len(fixed) != len(static):
+                    raise JobIntegrityError(
+                        f"{directory / _INPUTS} does not hold the static "
+                        f"inputs job {job.job_id}'s checkpoints reference")
                 carried = iter(grids)
                 grids = [fixed[slot] if slot in fixed else next(carried)
                          for slot in range(job.num_inputs)]
             return int(meta["step"]), grids, static
-        return None
+        if len(checkpoints) >= KEEP_CHECKPOINTS:
+            return None
+        held, inputs = self._load_inputs(directory, job)
+        if [descriptor["slot"] for descriptor in held] != list(
+                range(job.num_inputs)):
+            return None  # the static slots only, beside a step-0 checkpoint
+        return 0, inputs, held
 
     @staticmethod
-    def _load_inputs(directory: Path, job: Job,
-                     static: List[dict]) -> List[np.ndarray]:
-        """The grids of ``inputs.rpg``, once they match ``static`` — the
-        descriptors a checkpoint of ``job`` signed."""
+    def _load_inputs(directory: Path,
+                     job: Job) -> Tuple[List[dict], List[np.ndarray]]:
+        """The descriptors (with their slots) and grids of ``job``'s
+        ``inputs.rpg``."""
         path = directory / _INPUTS
         try:
             meta, grids, descriptors = _unframe(path.read_bytes())
         except (OSError, JobIntegrityError) as error:
             raise JobIntegrityError(f"{path}: {error}") from error
+        if str(meta.get("job_id")) != job.job_id:
+            raise JobIntegrityError(
+                f"{path} holds job {meta.get('job_id')!r}'s inputs, not "
+                f"job {job.job_id}'s")
         held = [{"slot": slot, **descriptor}
                 for slot, descriptor in zip(meta.get("slots") or (),
                                             descriptors)]
-        if str(meta.get("job_id")) != job.job_id or held != static:
-            raise JobIntegrityError(
-                f"{path} does not hold the static inputs job {job.job_id}'s "
-                f"checkpoints reference")
-        return grids
+        return held, grids
 
     def _persist_result(self, job: Job, result: np.ndarray) -> None:
         directory = self._dir_for(job)
@@ -973,8 +1009,9 @@ class JobManager:
             return
         meta = {"job_id": job.job_id, "steps": job.steps,
                 "digest": job.digest, "benchmark": job.benchmark}
-        prefix, buffers, _descriptors = _frame(meta, [result])
+        prefix, buffers, (descriptor,) = _frame(meta, [result])
         _atomic_write(directory / _RESULT, prefix, *buffers)
+        remember_sha256(result, str(descriptor["sha256"]))
 
     def _load_result(self, job: Job) -> np.ndarray:
         directory = self.job_dir / job.job_id if self.job_dir else None
@@ -987,6 +1024,7 @@ class JobManager:
             raise JobIntegrityError(
                 f"result file for {job.job_id} names job "
                 f"{meta.get('job_id')!r}")
+        grids[0].flags.writeable = False  # the decoder recorded its digest
         return grids[0]
 
     # -- retention ------------------------------------------------------------

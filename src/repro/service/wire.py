@@ -42,7 +42,9 @@ each grid in place, as a slice of the received buffer.  A writable payload
 other payload (``bytes``, a misaligned or big-endian grid) costs one copy
 into a writable array.  The digest a decode verified stays known for that
 array object (:func:`verified_sha256`), so a durable job framing the
-grids it was just sent hashes none of them again.  The
+grids it was just sent hashes none of them again; a job records its
+result file's digest the same way (:func:`remember_sha256`), and the
+reply that serves that result reuses it.  The
 ``wire.payload_corrupt`` fault point (:mod:`repro.faults`) flips one byte
 of the first grid *after* the checksums are computed, which is how tests
 and chaos drills prove the detection path end to end.
@@ -82,20 +84,24 @@ class WireFormatError(ValueError):
     """A binary grid payload did not parse."""
 
 
-#: The sha256 each decoded grid was verified against, by ``id`` of the
-#: array object; an entry leaves when its array is freed.
+#: The sha256 each decoded grid was verified against (or a framer computed
+#: for it), by ``id`` of the array object; an entry leaves when its array
+#: is freed.
 _VERIFIED: Dict[int, str] = {}
 
 
-def _remember(grid: np.ndarray, digest: str) -> None:
+def remember_sha256(grid: np.ndarray, digest: str) -> None:
+    """Record ``digest`` as the sha256 of exactly this array object's
+    bytes, for :func:`verified_sha256` to return until it is freed."""
     _VERIFIED[id(grid)] = digest
     weakref.finalize(grid, _VERIFIED.pop, id(grid), None)
 
 
 def verified_sha256(grid: np.ndarray) -> Optional[str]:
-    """The sha256 a decode in this process verified for exactly this array
-    object, or ``None``.  It describes the bytes as received: an array
-    written since then no longer matches it."""
+    """The sha256 this process verified (a decode) or computed and recorded
+    (:func:`remember_sha256`) for exactly this array object, or ``None``.
+    It describes the bytes as they were then: an array written since no
+    longer matches it, and a receiver that checks fails closed."""
     return _VERIFIED.get(id(grid))
 
 
@@ -107,9 +113,11 @@ def describe_grids(
     Each descriptor is ``{"shape", "dtype", "sha256"}``; each buffer is the
     grid's little-endian contiguous bytes, *not copied* when the array
     already is little-endian contiguous.  ``reuse_verified`` takes a
-    grid's sha256 from :func:`verified_sha256` when a decode already
-    verified it, instead of hashing the same bytes again; only a caller
-    that knows nothing wrote the grid since its decode may ask for that.
+    grid's sha256 from :func:`verified_sha256` when this process already
+    has it, instead of hashing the same bytes again.  A digest gone stale
+    (the grid written since) fails the frame's check where it is read,
+    never passes wrong bytes; callers ask for reuse where nothing writes
+    the grid (a received submission, a frozen job result).
     A framer that signs the descriptors (durable-job checkpoints) calls
     this and :func:`frame_prefix` directly; :func:`encode_grid_payload` is
     the two composed.
@@ -150,14 +158,15 @@ def frame_prefix(meta: Dict[str, object],
 
 
 def encode_grid_payload(
-    meta: Dict[str, object], grids: Sequence[np.ndarray]
+    meta: Dict[str, object], grids: Sequence[np.ndarray],
+    reuse_verified: bool = False,
 ) -> Tuple[bytes, List[memoryview]]:
     """Frame ``meta`` + ``grids`` as (prefix bytes, raw grid buffers).
 
     Callers concatenate (or chunk-stream) the prefix followed by each
-    buffer in order.
+    buffer in order.  ``reuse_verified`` is :func:`describe_grids`'s.
     """
-    descriptors, buffers = describe_grids(grids)
+    descriptors, buffers = describe_grids(grids, reuse_verified)
     return frame_prefix(meta, descriptors), buffers
 
 
@@ -238,7 +247,7 @@ def decode_grid_payload(
                 and dtype.isnative):
             grid = grid.astype(np.dtype(dtype.newbyteorder("=").str))
         if expected is not None:
-            _remember(grid, actual)
+            remember_sha256(grid, actual)
         grids.append(grid)
         offset += nbytes
     if offset != len(data):
@@ -262,5 +271,6 @@ __all__ = [
     "frame_prefix",
     "iter_chunks",
     "payload_length",
+    "remember_sha256",
     "verified_sha256",
 ]

@@ -175,6 +175,22 @@ class TestStrategies:
             interpret_to_array(lowered.program, [temp, power]),
         )
 
+    @pytest.mark.parametrize("strategy", [NAIVE, tiled_strategy(6)])
+    def test_stencil_under_an_outer_map_is_a_lowering_error(self, strategy):
+        # A per-row 1-D stencil over a 2-D grid: lowering only the inner
+        # stencil leaves the outer map's parameter unbound in the kernel.
+        program = L.fun(
+            [array(Float, Var("N"), Var("M"))],
+            lambda a: L.map(
+                lambda row: L.map(
+                    lambda window: L.reduce(add, 0.0, window),
+                    L.slide(3, 1, L.pad(1, 1, L.MIRROR, row))),
+                a),
+            names=["grid"],
+        )
+        with pytest.raises(LoweringError, match=r"outer map .*map\(λ"):
+            lower_program(program, strategy)
+
 
 class TestExploration:
     def test_candidate_strategies_respect_tiling_validity(self):

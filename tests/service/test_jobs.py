@@ -5,12 +5,13 @@ from its checkpoint produces a final grid **bit-identical** to the
 uninterrupted run — for every suite app, for float64 and float32 client
 inputs, and for checkpoint segments of 1 step, 7 steps, and the whole
 trajectory.  Around it: the checkpoint pipeline's ordering (a writer
-thread persists segment k while segment k+1 computes), the layout (static
-inputs once in ``inputs.rpg``, carried slots per checkpoint, none behind
-the result), the root-hashed frame and its negatives, corrupt-checkpoint
-and ``inputs.rpg`` recovery, the full-state layout resuming, idempotent
-re-submission, retention bounds, wire-level payload integrity, and the
-sync path's between-segment deadline shedding.
+thread persists segment k while segment k+1 computes), the layout (every
+input once in ``inputs.rpg`` as the step-0 state, carried slots per
+checkpoint, none behind the result, ``job.json`` at submit and at the end),
+the root-hashed frame and its negatives, corrupt-checkpoint and
+``inputs.rpg`` recovery, both older layouts resuming, idempotent
+re-submission, retention bounds, wire-level payload integrity, the result
+hashed once, and the sync path's between-segment deadline shedding.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from repro.backend.base import NumpyBackend
 from repro.backend.plan import iterate_generic
 from repro.service import jobs as jobs_module
 from repro.service import wire as wire_module
+from repro.backend.plan import normalize_carry
 from repro.service.executor import run_trajectory
+from repro.service.http import encode_reply
 from repro.service.jobs import (
     COMPLETED,
     FAILED,
@@ -45,10 +48,12 @@ from repro.service.jobs import (
     _root_hash,
     _unframe,
 )
+from repro.service.ops import Reply
 from repro.service.registry import DigestRouter
 from repro.service.requests import DEADLINE_EXCEEDED, ExecutionRequest
 from repro.service.server import ServiceClient, StencilService
 from repro.service.wire import (
+    CONTENT_TYPE_GRIDS,
     WireFormatError,
     decode_grid_header,
     decode_grid_payload,
@@ -109,6 +114,16 @@ def _crash_at(backend, job_dir, key: str, segment: int, at: int = 1):
     _wait_for_worker_death(crashed)
     faults.disarm()
     return crashed, job
+
+
+def _killed_after_submit(backend, job_dir, key: str = "hotspot2d"):
+    """Submit ``key`` to a manager whose worker never starts: the job dir
+    as a ``kill -9`` right after the submit answered leaves it."""
+    killed = JobManager(backend, job_dir=str(job_dir), checkpoint_every=4)
+    killed._ensure_worker = lambda: None
+    job = killed.submit(_request_for(key, np.float64))
+    killed.close()
+    return job
 
 
 def _recover_and_finish(backend, job_dir, job, segment: int) -> JobManager:
@@ -307,11 +322,10 @@ class TestCheckpointIntegrity:
     def test_corrupt_newest_checkpoint_falls_back_to_previous(
             self, backend, tmp_path):
         expected = _reference("hotspot2d", np.float64)
-        # Hit 1 of checkpoint_corrupt is the step-0 checkpoint written at
-        # submit; hit 2 is the first segment's — the one the crash leaves
-        # newest on disk.
+        # Checkpoints land at steps 4 and 8; the crash right after the
+        # second leaves it, corrupt, newest on disk beside a valid step 4.
         faults.arm("job.checkpoint_corrupt:at=2,"
-                   "job.crash_after_checkpoint:at=1")
+                   "job.crash_after_checkpoint:at=2")
         crashed = JobManager(backend, job_dir=str(tmp_path),
                              checkpoint_every=4)
         job = crashed.submit(_request_for("hotspot2d", np.float64))
@@ -350,6 +364,41 @@ class TestCheckpointIntegrity:
             recovered.result(job["job_id"])
         recovered.close()
         crashed.close()
+
+    def test_two_corrupt_newest_checkpoints_fail_beside_valid_inputs(
+            self, backend, tmp_path):
+        # Checkpoints at 2, 4, 6: the crash after 6 leaves 4 and 6, both
+        # corrupt.  inputs.rpg is valid, but the step-0 state it holds is
+        # not where this job stood: recovery must refuse, not re-run.
+        faults.arm("job.checkpoint_corrupt:at=2:times=2,"
+                   "job.crash_after_checkpoint:at=3")
+        crashed = JobManager(backend, job_dir=str(tmp_path),
+                             checkpoint_every=2)
+        job = crashed.submit(_request_for("stencil2d", np.float64))
+        _wait_for_worker_death(crashed)
+        faults.disarm()
+        crashed.close()
+        directory = tmp_path / job["job_id"]
+        assert [path.name for path in sorted(directory.glob("ckpt-*"))] == [
+            "ckpt-00000004.rpg", "ckpt-00000006.rpg"]
+        _unframe((directory / "inputs.rpg").read_bytes())
+
+        for attempt in range(2):
+            recovered = JobManager(backend, job_dir=str(tmp_path),
+                                   checkpoint_every=2)
+            assert recovered.recover() == 0
+            final = recovered.status(job["job_id"])
+            assert (final["status"], final["resumes"]) == (FAILED, 0)
+            assert "no valid checkpoint survived" in final["error"]
+            assert recovered.corrupt_checkpoints == 2
+            assert recovered._worker is None  # nothing was re-run
+            recovered.close()
+            # The corrupt files stay: a crash before the failed manifest
+            # landed finds the same two at the next start, never fewer.
+            assert len(list(directory.glob("ckpt-*"))) == 2
+            manifest = json.loads((directory / "job.json").read_text())
+            (directory / "job.json").write_text(
+                json.dumps({**manifest, "status": "queued", "error": None}))
 
     def test_frame_rejects_tampered_metadata_and_data(self):
         grids = [np.arange(12, dtype=np.float64).reshape(3, 4)]
@@ -403,8 +452,10 @@ class TestCheckpointIntegrity:
                                checkpoint_every=4)
         assert recovered.recover() == 0
         final = recovered.status(job["job_id"])
+        # 0: job.json is not rewritten per checkpoint, and the failed
+        # recovery never got as far as the step-4 checkpoint's state.
         assert (final["status"], final["resumes"],
-                final["completed_steps"]) == (FAILED, 0, 4)
+                final["completed_steps"]) == (FAILED, 0, 0)
         assert "inputs.rpg" in final["error"]
         assert "refusing to silently re-run" in final["error"]
         assert recovered.corrupt_checkpoints == 1
@@ -412,6 +463,46 @@ class TestCheckpointIntegrity:
         assert recovered._worker is None  # nothing was re-run
         with pytest.raises(JobError, match="not completed"):
             recovered.result(job["job_id"])
+        recovered.close()
+
+    @pytest.mark.parametrize("tampering", sorted(INPUT_TAMPERINGS))
+    def test_inputs_tampering_with_no_checkpoint_fails_closed(
+            self, tampering, backend, tmp_path):
+        """inputs.rpg is the step-0 state: rotten, missing or another
+        job's, it fails the job even where no checkpoint exists yet."""
+        job = _killed_after_submit(backend, tmp_path)
+        directory = tmp_path / job["job_id"]
+        assert sorted(path.name for path in directory.iterdir()) == [
+            "inputs.rpg", "job.json"]
+        sibling = _killed_after_submit(backend, tmp_path / "other")
+        INPUT_TAMPERINGS[tampering](
+            directory / "inputs.rpg",
+            tmp_path / "other" / sibling["job_id"] / "inputs.rpg")
+        recovered = JobManager(backend, job_dir=str(tmp_path),
+                               checkpoint_every=4)
+        assert recovered.recover() == 0
+        final = recovered.status(job["job_id"])
+        assert (final["status"], final["resumes"],
+                final["completed_steps"]) == (FAILED, 0, 0)
+        assert "inputs.rpg" in final["error"]
+        assert "refusing to silently re-run" in final["error"]
+        assert recovered.corrupt_checkpoints == 1
+        assert recovered._worker is None  # nothing was re-run
+        recovered.close()
+
+    @pytest.mark.parametrize("key", sorted(ALL_BENCHMARKS))
+    def test_crash_before_the_first_checkpoint_resumes_from_inputs(
+            self, key, backend, tmp_path):
+        expected = _reference(key, np.float64)
+        job = _killed_after_submit(backend, tmp_path, key)
+        directory = tmp_path / job["job_id"]
+        meta, grids, _descriptors = _unframe(
+            (directory / "inputs.rpg").read_bytes())
+        assert meta["slots"] == list(range(len(grids)))
+        recovered = _recover_and_finish(backend, tmp_path, job, segment=4)
+        assert recovered.corrupt_checkpoints == 0
+        _descriptor, result = recovered.result(job["job_id"])
+        assert result.tobytes() == expected.tobytes()
         recovered.close()
 
     def test_frame_written_before_the_root_hash_still_validates(self):
@@ -482,6 +573,78 @@ class TestCheckpointIntegrity:
                                           else None)
             assert len(grids) == job.num_inputs
 
+    @pytest.mark.parametrize("newest", [0, 4])
+    @pytest.mark.parametrize("key", ["acoustic", "hotspot2d"])
+    def test_job_in_the_step0_checkpoint_layout_resumes_bit_identically(
+            self, key, newest, backend, tmp_path):
+        """A job directory as the layout with a step-0 checkpoint left it:
+        an inputs.rpg of the static slots only, and checkpoints (step 0
+        included) of the carried slots."""
+        expected = _reference(key, np.float64)
+        request = _request_for(key, np.float64)
+        route = DigestRouter().plan_for(key)
+        spec = normalize_carry(route.carry, len(request.inputs))
+        slots = [slot for slot, entry in enumerate(spec) if entry is None]
+        states = {}
+        run_trajectory(
+            backend, route.program, request.inputs, newest, route.carry,
+            None, True, segment=4,
+            boundary=lambda done, state: states.__setitem__(
+                done, [np.array(grid) for grid in state]))
+        job = Job(job_id="0123456789abcdef", job_key="step0",
+                  benchmark=key, steps=STEPS, checkpoint_every=4,
+                  num_inputs=len(request.inputs), digest=route.digest,
+                  status="running", completed_steps=newest)
+        directory = tmp_path / job.job_id
+        directory.mkdir()
+        (directory / "job.json").write_text(json.dumps(job.manifest()))
+        inputs_meta = {"job_id": job.job_id, "digest": route.digest,
+                       "benchmark": key, "slots": slots}
+        prefix, buffers, descriptors = _frame(
+            inputs_meta, [request.inputs[slot] for slot in slots])
+        (directory / "inputs.rpg").write_bytes(_joined(prefix, buffers))
+        static = [{"slot": slot, **descriptor}
+                  for slot, descriptor in zip(slots, descriptors)]
+        for step in sorted(states):
+            meta = {"job_id": job.job_id, "step": step, "steps": STEPS,
+                    "digest": route.digest, "benchmark": key,
+                    "static": static}
+            carried = [grid for slot, grid in enumerate(states[step])
+                       if slot not in slots]
+            (directory / f"ckpt-{step:08d}.rpg").write_bytes(
+                _joined(*_frame(meta, carried)[:2]))
+
+        recovered = _recover_and_finish(
+            backend, tmp_path, job.describe(), segment=4)
+        assert recovered.corrupt_checkpoints == 0
+        _descriptor, result = recovered.result(job.job_id)
+        assert result.tobytes() == expected.tobytes()
+        recovered.close()
+        # The resumed job signs the static slots of the inputs.rpg it has.
+        assert _unframe((directory / "inputs.rpg").read_bytes())[0][
+            "slots"] == slots
+        for path in directory.glob("ckpt-*.rpg"):
+            assert _unframe(path.read_bytes())[0]["static"] == static
+
+    def test_step0_layout_with_its_only_checkpoint_corrupt_fails(
+            self, backend, tmp_path):
+        """An inputs.rpg of the static slots only is no step-0 state."""
+        job = _killed_after_submit(backend, tmp_path)
+        directory = tmp_path / job["job_id"]
+        meta, grids, _descriptors = _unframe(
+            (directory / "inputs.rpg").read_bytes())
+        prefix, buffers, _descriptors = _frame(
+            {**meta, "slots": [1]}, grids[1:])
+        (directory / "inputs.rpg").write_bytes(_joined(prefix, buffers))
+        (directory / "ckpt-00000000.rpg").write_bytes(b"torn")
+        recovered = JobManager(backend, job_dir=str(tmp_path))
+        assert recovered.recover() == 0
+        final = recovered.status(job["job_id"])
+        assert final["status"] == FAILED
+        assert "no valid checkpoint survived" in final["error"]
+        assert recovered._worker is None  # nothing was re-run
+        recovered.close()
+
     def test_recovery_removes_a_write_the_crash_cut_short(
             self, backend, tmp_path):
         expected = _reference("hotspot2d", np.float64)
@@ -500,14 +663,13 @@ class TestCheckpointIntegrity:
 
 
 def _record_writes(monkeypatch):
-    """``[(file name, grids framed)]`` of every job file written from now on
-    but the manifest, in write order."""
+    """``[(file name, grids framed)]`` of every job file written from now
+    on, in write order (the manifest frames none)."""
     writes = []
     real_write = jobs_module._atomic_write
 
     def recording(path, *pieces):
-        if path.name != "job.json":
-            writes.append((path.name, len(pieces) - 1))  # prefix + grids
+        writes.append((path.name, len(pieces) - 1))  # prefix + grids
         real_write(path, *pieces)
 
     monkeypatch.setattr(jobs_module, "_atomic_write", recording)
@@ -515,8 +677,8 @@ def _record_writes(monkeypatch):
 
 
 class TestCheckpointLayout:
-    """Static slots once in inputs.rpg, carried slots per checkpoint, and
-    no checkpoint behind the result."""
+    """Every slot once in inputs.rpg, carried slots per checkpoint, no
+    checkpoint behind the result, and job.json at submit and at the end."""
 
     def test_hotspot2d_512_writes_power_once_and_no_final_checkpoint(
             self, backend, tmp_path, monkeypatch):
@@ -533,17 +695,19 @@ class TestCheckpointLayout:
         assert (final["status"], final["completed_steps"]) == (COMPLETED, 32)
         assert result.tobytes() == np.asarray(
             bench.iterate(inputs, 32), dtype=np.float64).tobytes()
-        assert writes == [("inputs.rpg", 1), ("ckpt-00000000.rpg", 1),
+        assert writes == [("inputs.rpg", 2), ("job.json", 0),
                           ("ckpt-00000008.rpg", 1), ("ckpt-00000016.rpg", 1),
-                          ("ckpt-00000024.rpg", 1), ("result.rpg", 1)]
+                          ("ckpt-00000024.rpg", 1), ("result.rpg", 1),
+                          ("job.json", 0)]
 
         directory = tmp_path / job["job_id"]
         assert json.loads((directory / "job.json").read_text())[
             "completed_steps"] == 32
         assert len(list(directory.glob("inputs*"))) == 1
-        inputs_meta, (power,), (power_descriptor,) = _unframe(
+        inputs_meta, (temp, power), (_temp, power_descriptor) = _unframe(
             (directory / "inputs.rpg").read_bytes())
-        assert inputs_meta["slots"] == [1]
+        assert inputs_meta["slots"] == [0, 1]
+        assert temp.tobytes() == np.asarray(inputs[0], np.float64).tobytes()
         assert power.tobytes() == np.asarray(inputs[1], np.float64).tobytes()
         checkpoints = sorted(directory.glob("ckpt-*.rpg"))
         assert [path.name for path in checkpoints] == [
@@ -566,28 +730,49 @@ class TestCheckpointLayout:
                             timeout_s=30.0)["status"] == COMPLETED
         manager.close()
         carried = len(carry) - len(static)
-        assert writes == (
-            [("inputs.rpg", len(static))] if static else []) + [
-            ("ckpt-00000000.rpg", carried), ("ckpt-00000004.rpg", carried),
-            ("ckpt-00000008.rpg", carried), ("result.rpg", 1)]
+        assert writes == [
+            ("inputs.rpg", len(carry)), ("job.json", 0),
+            ("ckpt-00000004.rpg", carried), ("ckpt-00000008.rpg", carried),
+            ("result.rpg", 1), ("job.json", 0)]
         directory = tmp_path / job["job_id"]
-        assert (directory / "inputs.rpg").exists() == bool(static)
         meta, _grids, _descriptors = _unframe((directory / "ckpt-00000008.rpg").read_bytes())
         assert [descriptor["slot"] for descriptor in meta["static"]] == static
+
+    def test_submit_fsyncs_the_job_dir_before_it_answers(
+            self, backend, tmp_path, monkeypatch):
+        """The new job's entry in job_dir is durable only once job_dir
+        itself is fsynced, after the job's first file landed."""
+        synced = []
+        real_fsync = jobs_module.os.fsync
+
+        def recording(fd):
+            synced.append(jobs_module.os.readlink(f"/proc/self/fd/{fd}"))
+            real_fsync(fd)
+
+        monkeypatch.setattr(jobs_module.os, "fsync", recording)
+        manager = JobManager(backend, job_dir=str(tmp_path))
+        manager._ensure_worker = lambda: None  # only the submit's fsyncs
+        job = manager.submit(_request_for("hotspot2d", np.float64))
+        answered = list(synced)
+        manager.close()
+        directory = str(tmp_path / job["job_id"])
+        assert answered.index(str(tmp_path)) > answered.index(
+            f"{directory}/inputs.rpg.tmp")
+        assert answered.count(str(tmp_path)) == 1
 
 
 def _hold_checkpoint_writes(monkeypatch):
     """Hold every post-submit checkpoint write open until released.
 
     Returns ``(entered, release)``: ``entered`` is set once the writer is
-    inside ``_atomic_write`` for a ``ckpt-`` file past step 0, and the
-    write goes through only after ``release`` is set.
+    inside ``_atomic_write`` for a ``ckpt-`` file, and the write goes
+    through only after ``release`` is set.
     """
     entered, release = threading.Event(), threading.Event()
     real_write = jobs_module._atomic_write
 
     def held_write(path, *pieces):
-        if path.name.startswith("ckpt-") and "ckpt-00000000" not in path.name:
+        if path.name.startswith("ckpt-"):
             entered.set()
             assert release.wait(timeout=30.0)
         real_write(path, *pieces)
@@ -609,17 +794,19 @@ class TestCheckpointPipeline:
         expected = _reference(key, np.float64)
         crashed, job = _crash_at(backend, tmp_path, key, segment, at=at)
         crashed.close()
-        # File first, then manifest: what job.json calls completed is never
-        # ahead of what a valid checkpoint holds.  The last boundary writes
-        # result.rpg and no checkpoint, so a crash there leaves the
-        # previous boundary as the newest durable step.
+        # job.json is as submitted: recovery reads the step from the
+        # newest checkpoint, or inputs.rpg (step 0) before there is one.
+        # The last boundary writes result.rpg and no checkpoint, so a crash
+        # there leaves the previous boundary as the newest durable step.
         last = at * segment >= STEPS
         directory = tmp_path / job["job_id"]
         manifest = json.loads((directory / "job.json").read_text())
-        newest = sorted(directory.glob("ckpt-*.rpg"))[-1]
-        durable = _unframe(newest.read_bytes())[0]["step"]
-        assert manifest["status"] == "running"
-        assert manifest["completed_steps"] == durable == (at - last) * segment
+        checkpoints = sorted(directory.glob("ckpt-*.rpg"))
+        durable = (_unframe(checkpoints[-1].read_bytes())[0]["step"]
+                   if checkpoints else 0)
+        assert (manifest["status"], manifest["completed_steps"]) == (
+            "queued", 0)
+        assert durable == (at - last) * segment
         assert (directory / "result.rpg").exists() == last
         assert not list(directory.glob("*.tmp"))
 
@@ -636,7 +823,7 @@ class TestCheckpointPipeline:
         def failing_write(path, *pieces):
             if path.name.startswith("ckpt-"):
                 checkpoints.append(path.name)
-                if len(checkpoints) == 2:  # 1 = step 0 at submit
+                if len(checkpoints) == 1:
                     raise OSError(28, "No space left on device")
             real_write(path, *pieces)
 
@@ -650,10 +837,9 @@ class TestCheckpointPipeline:
         assert "No space left on device" in final["error"]
         assert final["completed_steps"] == 0  # nothing past step 0 was durable
         directory = tmp_path / job["job_id"]
-        assert [path.name for path in directory.glob("ckpt-*")] == [
-            "ckpt-00000000.rpg"]
-        assert _unframe((directory / "ckpt-00000000.rpg").read_bytes())[
-            0]["step"] == 0
+        assert list(directory.glob("ckpt-*")) == []
+        assert _unframe((directory / "inputs.rpg").read_bytes())[
+            0]["slots"] == [0, 1]
 
         healthy = manager.submit(_request_for("hotspot2d", np.float64))
         assert manager.wait(healthy["job_id"],
@@ -751,9 +937,9 @@ class TestCheckpointPipeline:
         manager.close()
         # One wait per boundary and one before the status flips; one
         # persist per boundary but the last (result.rpg is the final
-        # state) and one at submit.
+        # state); inputs.rpg at submit is no checkpoint.
         assert manager.metrics.snapshot()[histogram]["count"] == STEPS + 1
-        assert stats["checkpoints_written"] == STEPS
+        assert stats["checkpoints_written"] == STEPS - 1
         assert stats["checkpoint_s"] > 0.0
         assert stats["checkpoint_wait_s"] > 0.0
 
@@ -942,10 +1128,10 @@ class TestReceivedGrids:
         final = manager.wait(job["job_id"], timeout_s=30.0)
         assert final["status"] == COMPLETED
         directory = tmp_path / job["job_id"]
-        _meta, _grids, static = _unframe(
+        _meta, _grids, held = _unframe(
             (directory / "inputs.rpg").read_bytes())
-        assert [d["sha256"] for d in static] == [
-            verified_sha256(request.inputs[1])]
+        assert [d["sha256"] for d in held] == [
+            verified_sha256(grid) for grid in request.inputs]
         _descriptor, result = manager.result(job["job_id"])
         assert result.tobytes() == _reference(
             "hotspot2d", np.float64).tobytes()
@@ -959,8 +1145,8 @@ class TestReceivedGrids:
         request = _received(_request_for("hotspot2d", np.float64))
         if change.endswith("in memory"):
             request.inputs[0 if change.startswith("carried") else 1][0, 0] += 1
-        # The carried grid's only checkpoint is step 0: a segment of the
-        # whole trajectory crashes right after result.rpg, behind it.
+        # The carried grid's only durable copy is inputs.rpg: a segment of
+        # the whole trajectory crashes right after result.rpg, behind it.
         segment = STEPS if change.startswith("carried") else 4
         faults.arm("job.crash_after_checkpoint:at=1")
         crashed = JobManager(backend, job_dir=str(tmp_path),
@@ -981,6 +1167,47 @@ class TestReceivedGrids:
         assert recovered.corrupt_checkpoints == 1
         assert recovered._worker is None  # nothing was re-run
         recovered.close()
+
+
+class TestResultHashedOnce:
+    @pytest.mark.parametrize("job_dir", [True, False])
+    def test_the_reply_reuses_the_result_files_digest(
+            self, job_dir, backend, tmp_path, monkeypatch):
+        """result.rpg's sha256 is the job_result reply's; a memory-only
+        manager hashes the result once, at reply time."""
+        request = _received(_request_for("hotspot2d", np.float64))
+        hashed = []
+
+        def sha256(data=b""):
+            hashed.append(memoryview(data).nbytes)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(wire_module, "hashlib",
+                            SimpleNamespace(sha256=sha256))
+        # One segment: no checkpoint, so the only grid hashes are the
+        # result's (the received inputs are framed under their digests).
+        manager = JobManager(backend, job_dir=str(tmp_path) if job_dir
+                             else None, checkpoint_every=STEPS)
+        job = manager.submit(request)
+        assert manager.wait(job["job_id"],
+                            timeout_s=30.0)["status"] == COMPLETED
+        descriptor, result = manager.result(job["job_id"])
+        _type, prefix, buffers = encode_reply(
+            Reply({"ok": True, "job": descriptor}, result),
+            CONTENT_TYPE_GRIDS)
+        monkeypatch.undo()
+        manager.close()
+        assert hashed == [result.nbytes]
+        assert not result.flags.writeable
+        (sent,) = decode_grid_header(prefix)[0]["grids"]
+        assert sent["sha256"] == hashlib.sha256(result.tobytes()).hexdigest()
+        if job_dir:
+            _meta, _grids, (stored,) = _unframe(
+                (tmp_path / job["job_id"] / "result.rpg").read_bytes())
+            assert sent["sha256"] == stored["sha256"]
+        _meta, (received,) = decode_grid_payload(_joined(prefix, buffers))
+        assert received.tobytes() == _reference(
+            "hotspot2d", np.float64).tobytes()
 
 
 class TestSyncPathDeadline:

@@ -296,8 +296,8 @@ class TestTheViewIsTheStore:
         assert admission["rejects"] == {
             "digest_limit": 1, "unauthorized": 1, "too_large": 1}
         assert admission["sheds"] == {"high": 0, "normal": 1, "batch": 0}
-        # Steps 0 and 2; step 4 is result.rpg, not a checkpoint.
-        assert jobs["checkpoints_written"] == 2 and jobs["jobs_resumed"] == 0
+        # Step 2 only: step 0 is inputs.rpg and step 4 is result.rpg.
+        assert jobs["checkpoints_written"] == 1 and jobs["jobs_resumed"] == 0
         for value, name in [
             (stats["requests_served"], "repro_requests_total"),
             (stats["request_errors"], "repro_request_errors_total"),

@@ -17,7 +17,6 @@ from repro.telemetry.registry import (
     BATCH_BUCKETS,
     LATENCY_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     log_buckets,
