@@ -34,7 +34,12 @@ compiled from its own text, with the carried home as its wavefront base)
 plus the output home's halo refresh (a constant halo has none); a last
 single step replays the per-step tape.  A block never runs past the steps
 of one call, so trajectory segments and job checkpoints still land on
-step boundaries, and a segment shorter than T is one block.  The first
+step boundaries, and a segment shorter than T is one block.  Capping
+blocks at a segment costs little (≈ 0.3 ms per 32 steps of 512²
+Hotspot2D at T = 16); re-binding the state and copying every slot out
+at each boundary cost ≈ 2.4 ms, so a segment that
+:meth:`ExecutionPlan.iterate_state` handed out continues from the live
+binding and only the carried slots are copied out.  The first
 iterate decides it, once, for its carry spec: it acquires one row ring
 per band from the pool — the resolved ``parallel_workers`` count, at most
 one band per row, each band one overlapped slice of the block on the
@@ -230,12 +235,20 @@ def _key(state: Sequence[np.ndarray], slot: int) -> Tuple:
     return tuple(id(buffer) for buffer in state), slot
 
 
-def _copy_out(out: np.ndarray, state: List[np.ndarray]
-              ) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Caller-owned copies of a loop's ``(out, state)``; ``out`` copied once."""
-    copied = out.copy()
-    return copied, [copied if buffer is out else buffer.copy()
-                    for buffer in state]
+def _copy_out(out: np.ndarray, state: Sequence[np.ndarray], spec: CarrySpec,
+              statics: Sequence) -> Tuple[np.ndarray, Tuple]:
+    """Caller-owned ``(out, state)`` after a loop: each carried buffer
+    copied once (``out`` too) and frozen read-only, each static slot the
+    caller's own ``statics`` entry, uncopied."""
+    copies = {id(out): out.copy()}
+    for buffer, entry in zip(state, spec):
+        if entry is not None and id(buffer) not in copies:
+            copies[id(buffer)] = buffer.copy()
+    for copied in copies.values():
+        copied.flags.writeable = False
+    return copies[id(out)], tuple(
+        statics[slot] if entry is None else copies[id(buffer)]
+        for slot, (buffer, entry) in enumerate(zip(state, spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +475,11 @@ class ExecutionPlan:
         self._resident = True  # cleared for good by a failed halo check
         self._out_shape: Optional[Tuple[int, ...]] = None
         self._out_dtype = None
+        # ``(state handed out, live binding it continues from)`` after an
+        # ``iterate_state``, until that state comes back or anything binds
+        # the plan (a trajectory stopped between segments leaves its last
+        # state referenced here until then).
+        self._live: Optional[Tuple[Tuple, List[np.ndarray]]] = None
         self.captures = 0
         self.replays = 0
         self.traced_calls = 0
@@ -504,6 +522,7 @@ class ExecutionPlan:
             np.copyto(destination, array)  # casts to float64, like the generic path
 
     def _bind(self, inputs: Sequence) -> None:
+        self._live = None  # whoever binds overwrites a live trajectory
         self._load(self._in_bufs, inputs)
         self._refresh_inputs()
 
@@ -1063,16 +1082,23 @@ class ExecutionPlan:
                  ) -> Tuple[np.ndarray, List[np.ndarray]]:
         """The one ``bind → step → rebind`` loop (caller holds the lock):
         the final output buffer and post-rebind binding state, both *live*
-        pooled buffers — the public wrappers decide what is copied out."""
+        pooled buffers — the public wrappers decide what is copied out.
+        ``inputs`` that are the state the last :meth:`iterate_state`
+        handed out, with nothing bound since, continue from the live
+        binding instead of being bound."""
         if self.batched:
             raise ExecutionError("iterate is not supported on batched plans")
         if steps < 1:
             raise ExecutionError("iterate needs steps >= 1")
         spec = normalize_carry(carry, len(self._in_bufs))
-        self._bind(inputs)
-        if self._block_carry is None:
-            self._decide_blocks(spec)
-        state = list(self._in_bufs)
+        if self._live is not None and self._live[0] is inputs:
+            state = self._live[1]
+            self._live = None
+        else:
+            self._bind(inputs)
+            if self._block_carry is None:
+                self._decide_blocks(spec)
+            state = list(self._in_bufs)
         out: Optional[np.ndarray] = None
         remaining = steps
         while remaining:
@@ -1091,7 +1117,9 @@ class ExecutionPlan:
         Equivalent — bit for bit — to calling the generic ``run`` path once
         per step and re-binding inputs per ``carry``; after the first few
         steps capture the binding cycle, every further step is a pure tape
-        replay with zero allocations.
+        replay with zero allocations.  ``inputs`` that are the state the
+        last :meth:`iterate_state` returned continue from the live binding,
+        as a further ``iterate_state`` would.
         """
         with self._lock:
             out, _state = self._iterate(inputs, steps, carry)
@@ -1100,27 +1128,36 @@ class ExecutionPlan:
     def iterate_state(
         self, inputs: Sequence, steps: int,
         carry: Optional[Sequence] = None,
-    ) -> Tuple[np.ndarray, List[np.ndarray]]:
+    ) -> Tuple[np.ndarray, Tuple]:
         """Like :meth:`iterate`, but also return the post-rebind carry state.
 
-        Returns ``(out, state)`` where ``out`` is a copy of the final
-        step's output and ``state`` is a copy of the full input binding
-        for the *next* step (the state after the final carry rebind; its
-        ``"out"`` slots hold ``out`` itself, not a second copy).
-        Feeding ``state`` back as ``inputs`` of a further
-        ``iterate_state``/``iterate`` call continues the trajectory bit
-        for bit: ``_bind`` copies the values into the same pooled input
-        buffers a fresh trajectory would use, and every step is the same
-        deterministic elementwise tape, so
+        Returns ``(out, state)``: ``out`` is a read-only copy of the final
+        step's output, and ``state`` the input binding of the *next* step
+        (after the final carry rebind) as a tuple — each carried slot a
+        read-only copy (an ``"out"`` slot holds ``out`` itself), each
+        static slot (carry entry ``None``) the caller's own ``inputs``
+        entry, uncopied.  Feeding ``state`` back as ``inputs`` of a
+        further ``iterate_state``/``iterate`` call continues the
+        trajectory bit for bit:
 
             iterate(x, a + b)  ==  iterate(iterate_state(x, a).state, b)
 
-        exactly.  This is the primitive the service's trajectory runner
+        exactly.  If nothing has bound the plan since (no other ``run``,
+        ``iterate`` or ``iterate_state``), the next call continues from
+        the plan's live binding — the same buffers, so the same captured
+        tapes run on the same values — and copies nothing in; otherwise
+        it binds ``state`` like any input.  Either way the lock is
+        released between calls.  A caller that writes into a static slot
+        between two calls must therefore pass a new sequence.  This is the
+        primitive the service's trajectory runner
         (:func:`repro.service.executor.run_trajectory`) segments with.
         """
         with self._lock:
-            out, state = self._iterate(inputs, steps, carry)
-            return _copy_out(out, state)
+            out, live = self._iterate(inputs, steps, carry)
+            out, state = _copy_out(out, live,
+                                   normalize_carry(carry, len(live)), inputs)
+            self._live = (state, live)
+            return out, state
 
     def run_batched(self, stacked_inputs: Sequence,
                     copy: bool = True) -> np.ndarray:
@@ -1144,6 +1181,7 @@ class ExecutionPlan:
                 f"plan is sized for batches of {self.batch}, got {len(parts)}"
             )
         with self._lock:
+            self._live = None
             for index, item_inputs in enumerate(parts):
                 self._load([buffer[index] for buffer in self._in_bufs],
                            item_inputs)
@@ -1208,6 +1246,7 @@ class ExecutionPlan:
             self._ring = []
             self._in_bufs = []
             self._homes = {}
+            self._live = None
 
 
 # ---------------------------------------------------------------------------
@@ -1353,16 +1392,18 @@ def iterate_state_generic(
     steps: int,
     carry: Optional[Sequence] = None,
     size_env: Optional[Mapping[str, int]] = None,
-) -> Tuple[np.ndarray, List[np.ndarray]]:
+) -> Tuple[np.ndarray, Tuple]:
     """:func:`iterate_generic` that also returns the post-rebind state.
 
     The generic counterpart of :meth:`ExecutionPlan.iterate_state` — the
     fallback the trajectory runner uses for programs a plan cannot
-    capture.  Resuming from the returned ``state`` continues the
-    trajectory bit for bit.
+    capture — with the same ``(out, state)`` shape: carried slots copied
+    read-only, static slots the ``float64`` inputs as given.  Resuming
+    from the returned ``state`` continues the trajectory bit for bit.
     """
-    return _copy_out(*_iterate_generic(backend, program, inputs, steps,
-                                       carry, size_env))
+    out, state = _iterate_generic(backend, program, inputs, steps, carry,
+                                  size_env)
+    return _copy_out(out, state, normalize_carry(carry, len(state)), state)
 
 
 __all__ = [

@@ -153,22 +153,33 @@ class StencilClient:
 
     def wait_job(self, job_id: str, timeout_s: float = 60.0,
                  poll_s: float = 0.1) -> Dict[str, object]:
-        """Poll until the job reaches a terminal status; returns it.
+        """Wait until the job reaches a terminal status; returns it.
 
+        Each status request asks the server to answer as soon as the job
+        ends, or after ``min(poll_s, remaining)``, so ``poll_s`` bounds how
+        long one request stays open and the job's end is learned when it
+        happens.  A reply that comes back early without an end (a draining
+        server) is followed by a sleep out of the rest of that interval.
         Raises :class:`TransportError` if the job is still running when
         ``timeout_s`` elapses (the job itself keeps running server-side).
         """
         deadline = time.monotonic() + timeout_s
         while True:
-            job = self.job_status(job_id)
+            asked = time.monotonic()
+            wait_s = max(0.0, min(poll_s, deadline - asked))
+            job = self._call(
+                lambda remaining: self.transport.job_status(
+                    job_id, remaining, wait_ms=wait_s * 1e3),
+                wait_s + self.config.timeout_s)
             if job.get("status") in TERMINAL:
                 return job
-            if time.monotonic() + poll_s >= deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 raise TransportError(
                     f"job {job_id} still {job.get('status')!r} after "
                     f"{timeout_s:g}s"
                 )
-            time.sleep(poll_s)
+            time.sleep(max(0.0, min(asked + wait_s, deadline) - now))
 
     def run_job(self, request: ExecutionRequest,
                 checkpoint_every: Optional[int] = None,

@@ -181,10 +181,14 @@ class Transport:
         return self._job("job_submit", meta, request.inputs,
                          timeout_s)[0]["job"]
 
-    def job_status(self, job_id: str,
-                   timeout_s: float = 30.0) -> Dict[str, object]:
-        return self._job("job_status", {"job_id": job_id}, None,
-                         timeout_s)[0]["job"]
+    def job_status(self, job_id: str, timeout_s: float = 30.0,
+                   wait_ms: Optional[float] = None) -> Dict[str, object]:
+        """The job's descriptor; with ``wait_ms``, the server answers as
+        soon as the job ends, or after that long."""
+        meta: Dict[str, object] = {"job_id": job_id}
+        if wait_ms is not None:
+            meta["wait_ms"] = round(float(wait_ms), 3)
+        return self._job("job_status", meta, None, timeout_s)[0]["job"]
 
     def job_result(self, job_id: str, timeout_s: float = 30.0):
         """The final grid of a completed job: ``(descriptor, ndarray)``."""

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..backend.numpy_backend import CompileError
-from ..backend.plan import iterate_state_generic
+from ..backend.plan import iterate_generic, iterate_state_generic
 
 #: ``boundary(done, state) -> stop reason | None`` — see :func:`run_trajectory`.
 Boundary = Callable[[int, Sequence[np.ndarray]], Optional[str]]
@@ -105,13 +105,17 @@ def run_trajectory(
     """Advance one request ``steps`` timesteps, ``segment`` steps at a time.
 
     ``boundary(done, state)`` runs before the first segment and after
-    every segment, with the steps completed so far and the carry state the
-    next step would read; a stop reason from it ends the trajectory there
-    (after the final segment its answer is ignored — the work is done).
-    ``segment=None`` is one monolithic plan loop.  Segments re-bind the
-    copied carry state into the same pooled plan buffers, so any
-    segmentation is bit-identical to the monolithic loop and to
-    :func:`~repro.backend.plan.iterate_generic`.
+    every segment but the last, with the steps completed so far and the
+    state the next step would read (carried slots copied, read-only;
+    static slots the caller's ``inputs`` entries); a stop reason from it
+    ends the trajectory there.  ``segment=None`` is one monolithic plan
+    loop.  A segment continues from the plan's live binding
+    (:meth:`~repro.backend.plan.ExecutionPlan.iterate_state`), unless
+    another caller bound the plan in between — then it binds the copied
+    state — so any segmentation is bit-identical to the monolithic loop
+    and to :func:`~repro.backend.plan.iterate_generic`.  The last segment
+    copies out only its output, so a trajectory with no boundary costs
+    one copy.
 
     Returns ``(out, done, stopped, timings)``: the last completed step's
     output (``None`` if none ran), the completed step count, the stop
@@ -123,25 +127,30 @@ def run_trajectory(
     state = inputs
     out: Optional[np.ndarray] = None
     done = 0
-    while True:
+    while done < steps:
         stopped = boundary(done, state) if boundary is not None else None
-        if done >= steps or stopped is not None:
-            return out, done, (stopped if done < steps else None), timings
+        if stopped is not None:
+            return out, done, stopped, timings
         count = min(segment or steps, steps - done)
+        last = done + count == steps
         advanced = None
         if use_plans:
             try:
                 if plan is None:
                     plan = backend.plan(program, inputs, size_env)
-                advanced = plan.iterate_state(state, count, carry)
+                advanced = ((plan.iterate(state, count, carry), None) if last
+                            else plan.iterate_state(state, count, carry))
             except CompileError:
                 use_plans = False
                 timings["plan_fallback"] = True
         if advanced is None:
-            advanced = iterate_state_generic(backend, program, state, count,
-                                             carry, size_env)
+            advanced = ((iterate_generic(backend, program, state, count,
+                                         carry, size_env), None) if last
+                        else iterate_state_generic(backend, program, state,
+                                                   count, carry, size_env))
         out, state = advanced
         done += count
+    return out, done, None, timings
 
 
 __all__ = ["batch_capacity", "run_trajectory", "sweep_group"]

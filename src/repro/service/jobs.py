@@ -8,7 +8,11 @@ trajectory in ``checkpoint_every``-step **segments** through the same
 trajectory runner the synchronous route uses
 (:func:`~repro.service.executor.run_trajectory`), and each segment
 boundary short of the last has the grids its segment changed atomically
-persisted as a checkpoint under ``job_dir``:
+persisted as a checkpoint under ``job_dir``.  A segment continues from
+the plan's live binding — no re-bind, no copy in — unless another
+request bound the plan in between; a boundary copies out only the
+carried slots (read-only), which the writer frames and ``job.state``
+keeps, while the static slots stay the submitted arrays:
 
 .. code-block:: text
 
@@ -69,11 +73,12 @@ checkpoint is therefore left in place (the resumed run overwrites it), so
 a crash during recovery cannot shrink that count.  Older layouts resume:
 a step-0 checkpoint beside an ``inputs.rpg`` of the static slots only,
 and checkpoints framed before ``inputs.rpg`` existed, which hold the full
-state.  Because segment boundaries replay through the same plan tapes
-with the same carry values, a resumed trajectory is **bit-identical** to
-an uninterrupted run (property-tested per suite app in
-``tests/service/test_jobs.py``) — a crash after ``result.rpg`` lands but
-before the ``completed`` manifest recomputes the last segment.  A ``*.tmp``
+state.  Because a segment, whether it continues from the live binding or
+binds copied state, runs the same plan tapes on the same carry values, a
+resumed trajectory is **bit-identical** to an uninterrupted run
+(property-tested per suite app in ``tests/service/test_jobs.py``) — a
+crash after ``result.rpg`` lands but before the ``completed`` manifest
+recomputes the last segment.  A ``*.tmp``
 a crash cut short is removed by the same scan.
 
 **Hashed once**: ``inputs.rpg`` reuses the sha256 the wire decoder
@@ -81,6 +86,13 @@ verified for each submitted grid, and the final grid is frozen read-only
 with its ``result.rpg`` digest recorded by
 :func:`~repro.service.wire.remember_sha256`, which the ``job_result``
 reply reuses.
+
+**Waiting for the end**: :meth:`JobManager.until_ended` is the
+``job_status`` op's ``wait_ms``: an event-loop future that
+:meth:`JobManager._finish` resolves with the terminal descriptor through
+``call_soon_threadsafe``, so a waiting request holds no thread, and
+:meth:`JobManager.end_waits` answers every pending one when the server
+drains or the manager closes.
 
 **Idempotency**: clients supply a ``job_key`` (the client library
 generates a uuid4 before the first attempt); re-submitting the same key —
@@ -105,6 +117,7 @@ corrupt-fallback path is tested end to end.
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import json
 import logging
@@ -160,6 +173,20 @@ _CKPT_SUFFIX = ".rpg"
 #: Checkpoints kept per job: the newest, and the one recovery falls back
 #: to when the newest fails its checksums.
 KEEP_CHECKPOINTS = 2
+
+
+def _resolve_all(futures: List[asyncio.Future], value) -> None:
+    """Resolve event-loop futures from any thread (a closed loop's
+    waiter is gone already)."""
+    def resolve(future: asyncio.Future) -> None:
+        if not future.done():
+            future.set_result(value)
+
+    for future in futures:
+        try:
+            future.get_loop().call_soon_threadsafe(resolve, future)
+        except RuntimeError:
+            pass
 
 
 class JobError(ServiceError):
@@ -429,6 +456,11 @@ class JobManager:
         self._writes: "queue.Queue" = queue.Queue()
         self._writer: Optional[threading.Thread] = None
         self._write_error: Optional[BaseException] = None
+        # Event-loop futures of pending status waits, by job id
+        # (:meth:`until_ended`); a leaf lock, never held across I/O.
+        self._waits: Dict[str, List[asyncio.Future]] = {}
+        self._waits_lock = threading.Lock()
+        self._waits_ended = False
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         counter, histogram = self.metrics.counter, self.metrics.histogram
         self._submits_total = counter(
@@ -494,8 +526,10 @@ class JobManager:
             self._writer.start()
 
     def close(self, timeout_s: float = 5.0) -> None:
-        """Stop the worker, then the writer behind it (in-flight segment
-        and checkpoint finish; the queue is left)."""
+        """Answer every pending status wait, then stop the worker and the
+        writer behind it (in-flight segment and checkpoint finish; the
+        queue is left)."""
+        self.end_waits()
         with self._wake:
             self._closed = True
             self._wake.notify_all()
@@ -612,6 +646,46 @@ class JobManager:
                 self._finish(job, JOB_CANCELLED, error="cancelled by client",
                              code=CANCELLED)
             return job.describe()
+
+    async def until_ended(self, job_id: str, timeout_s: float
+                          ) -> Optional[Dict[str, object]]:
+        """The job's terminal descriptor as soon as it has one, or ``None``
+        once ``timeout_s`` passes, when the job was already terminal, or
+        when :meth:`end_waits` answers every wait.  Raises
+        :class:`JobNotFound` at once for an unknown id.
+
+        The wait is a future of the running event loop that
+        :meth:`_finish` resolves through ``call_soon_threadsafe``: it holds
+        no thread, so any number of waits leave the executor to the
+        requests."""
+        future = asyncio.get_running_loop().create_future()
+        with self._waits_lock:
+            # Checked under the lock _finish takes after setting a terminal
+            # status, so an end between the check and the append is seen.
+            job = self._get(job_id)
+            if job.status in TERMINAL or self._waits_ended:
+                return None
+            self._waits.setdefault(job.job_id, []).append(future)
+        try:
+            return await asyncio.wait_for(future, timeout_s)
+        except asyncio.TimeoutError:
+            return None
+        finally:
+            with self._waits_lock:
+                pending = self._waits.get(job.job_id, [])
+                if future in pending:
+                    pending.remove(future)
+                    if not pending:
+                        del self._waits[job.job_id]
+
+    def end_waits(self) -> None:
+        """Answer every pending and future :meth:`until_ended` at once
+        (``None``): a shutdown drain must not wait on them."""
+        with self._waits_lock:
+            self._waits_ended = True
+            waits, self._waits = self._waits, {}
+        for futures in waits.values():
+            _resolve_all(futures, None)
 
     def list_jobs(self) -> List[Dict[str, object]]:
         self._sweep()
@@ -792,14 +866,13 @@ class JobManager:
 
         def boundary(done: int, state) -> Optional[str]:
             if done:
-                # A segment just finished: hand it to the writer and go on.
-                # Waiting out the previous checkpoint first bounds how far
-                # durability lags compute: one segment.  The last boundary
-                # writes result.rpg instead of a checkpoint.
+                # A segment short of the last just finished: hand its
+                # carried slots to the writer and go on.  Waiting out the
+                # previous checkpoint first bounds how far durability lags
+                # compute: one segment.
                 self._drain()
                 job.state = state
-                if resumed_at + done < job.steps:
-                    self._writes.put((job, resumed_at + done, state))
+                self._writes.put((job, resumed_at + done, state))
             if job.cancel_requested:
                 return CANCELLED
             if job.deadline_at is not None and time.time() >= job.deadline_at:
@@ -807,19 +880,18 @@ class JobManager:
             return None
 
         try:
-            _out, _done, stopped, _timings = run_trajectory(
+            out, _done, stopped, _timings = run_trajectory(
                 self.backend, route.program, job.state,
                 job.steps - resumed_at, route.carry, job.size_env or None,
                 use_plans=True,
                 segment=job.checkpoint_every, boundary=boundary)
             if stopped is None:
-                # The final output is the carry slot the spec feeds it back
-                # into (normalize_carry guarantees one exists) — identical
-                # to the array iterate() would have returned, so
-                # resume-at-completion needs no separately persisted
-                # per-segment output.  Written once the previous checkpoint
-                # is durable: a crash from here on recomputes one segment.
-                out = job.state[spec.index("out")]
+                # The last segment writes result.rpg instead of a
+                # checkpoint, once the previous checkpoint is durable: a
+                # crash from here on recomputes one segment.
+                self._drain()
+                if out is None:  # resumed at the last step (older layouts)
+                    out = job.state[spec.index("out")]
                 result = squeeze_result(np.asarray(out, dtype=np.float64))
                 result.flags.writeable = False  # its digest is recorded
                 self._persist_result(job, result)
@@ -862,6 +934,9 @@ class JobManager:
         self._persist_manifest(job)
         self._finished[status].inc()
         self._wake.notify_all()
+        with self._waits_lock:
+            waiting = self._waits.pop(job.job_id, [])
+        _resolve_all(waiting, job.describe())
 
     # -- persistence ----------------------------------------------------------
     def _dir_for(self, job: Job) -> Optional[Path]:

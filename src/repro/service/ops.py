@@ -11,13 +11,15 @@ two transports cannot drift.
 ``meta`` is the JSON message (TCP line, HTTP JSON body, RPG1 header, or a
 GET's query parameters) as sent; ``grids`` are input grids that travelled
 beside it as raw buffers.  Handlers read their extra fields (``job_id``,
-``job_key``, ``checkpoint_every``, ``limit``) straight from ``meta``.
+``job_key``, ``checkpoint_every``, ``limit``, ``wait_ms``) straight from
+``meta``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
+import math
 from typing import Awaitable, Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
@@ -29,6 +31,10 @@ from .requests import (BAD_REQUEST, CANCELLED, INTERNAL, NOT_FOUND,
                        ExecutionRequest, ServiceError)
 
 log = logging.getLogger("repro.service.ops")
+
+#: The longest a ``job_status`` request may wait for its job to end;
+#: a larger ``wait_ms`` is clamped to it.
+MAX_WAIT_MS = 60_000.0
 
 Meta = Dict[str, object]
 Grids = Optional[List[np.ndarray]]
@@ -161,8 +167,31 @@ def _job_id(meta: Meta) -> str:
     return str(meta.get("job_id") or "")
 
 
+def _wait_s(value: object) -> float:
+    """``wait_ms`` (JSON number or query text) as seconds, clamped to
+    :data:`MAX_WAIT_MS`; absent is 0.  Not a finite number >= 0 is the
+    caller's error."""
+    if value is None:
+        return 0.0
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"wait_ms must be a number, not {value!r}")
+    try:
+        wait_ms = float(value)
+    except (ValueError, OverflowError):
+        raise ValueError(f"wait_ms must be a number, not {value!r}") from None
+    if not math.isfinite(wait_ms) or wait_ms < 0:
+        raise ValueError(f"wait_ms must be finite and >= 0, not {value!r}")
+    return min(wait_ms, MAX_WAIT_MS) / 1e3
+
+
 async def _job_status(service, meta: Meta, grids: Grids) -> Reply:
-    job = await _off_loop(service.jobs.status, _job_id(meta))
+    """The job's descriptor; with ``wait_ms``, answered as soon as the job
+    ends, or after that long (a future, not a thread, waits)."""
+    job_id, wait_s = _job_id(meta), _wait_s(meta.get("wait_ms"))
+    job = (await service.jobs.until_ended(job_id, wait_s)
+           if wait_s > 0 else None)
+    if job is None:
+        job = await _off_loop(service.jobs.status, job_id)
     return Reply({"ok": True, "job": job})
 
 

@@ -1446,6 +1446,9 @@ def run_server(
                 finally:
                     for signum in installed:
                         loop.remove_signal_handler(signum)
+                # A job_status wait would hold its connection open for up
+                # to its wait_ms: answer every pending one now.
+                service.jobs.end_waits()
                 # Drain: a request may still be executing, and clients may
                 # still pipeline trailing non-execute ops (e.g. the load
                 # generator's final stats fetch), so wait — bounded — for

@@ -6,6 +6,7 @@ import json
 import socket
 import struct
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from repro import faults
 from repro.apps.suite import execution_requests
-from repro.client import ClientConfig, StencilClient
+from repro.client import ClientConfig, StencilClient, TransportError
 from repro.service import (ExecutionRequest, ExecutionResponse,
                            StencilService, serve_http, serve_tcp)
 from repro.service.http import (ROUTES, Connection, HTTPError, decode_body,
@@ -598,6 +599,10 @@ class TestStatusMapping:
         ("job for an unknown benchmark", "job_submit",
          {"benchmark": "nope", "steps": 3}, BAD_REQUEST, 400),
         ("unknown job id", "job_status", {"job_id": "nope"}, NOT_FOUND, 404),
+        ("unknown job id, waiting", "job_status",
+         {"job_id": "nope", "wait_ms": 30000}, NOT_FOUND, 404),
+        ("malformed wait", "job_status", {"job_id": "nope", "wait_ms": "abc"},
+         BAD_REQUEST, 400),
         ("cancel of an unknown job", "job_cancel", {"job_id": "nope"},
          NOT_FOUND, 404),
         ("result of an unknown job", "job_result", {"job_id": "nope"},
@@ -633,6 +638,35 @@ class TestStatusMapping:
                 status, _headers, body = _raw_op(live_server, "job_result",
                                                  meta)
                 assert (status, json.loads(body)["code"]) == (409, CANCELLED)
+            finally:
+                client.cancel_job(job["job_id"])
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_wait_job_learns_the_end_when_it_happens(self, live_server,
+                                                     mode):
+        # One status request waits for the end: a 20 s poll interval no
+        # longer means sleeping 20 s.
+        with _client(live_server, mode) as client:
+            job = client.submit_job(_request(steps=200), checkpoint_every=50)
+            started = time.monotonic()
+            done = client.wait_job(job["job_id"], timeout_s=30, poll_s=20)
+        assert done["status"] == "completed", done
+        assert time.monotonic() - started < 10.0
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_wait_job_honours_its_timeout(self, live_server, mode):
+        # Neither early (a poll interval past the deadline is no reason to
+        # give up) nor much late: the last request waits out the rest.
+        with _client(live_server, mode) as client:
+            job = client.submit_job(
+                ExecutionRequest.for_benchmark("jacobi2d5pt", shape=(64, 64),
+                                               steps=10 ** 9),
+                checkpoint_every=64)
+            try:
+                started = time.monotonic()
+                with pytest.raises(TransportError, match="still"):
+                    client.wait_job(job["job_id"], timeout_s=0.5, poll_s=10)
+                assert 0.5 <= time.monotonic() - started < 3.0
             finally:
                 client.cancel_job(job["job_id"])
 

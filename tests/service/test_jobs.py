@@ -16,11 +16,13 @@ hashed once, and the sync path's between-segment deadline shedding.
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import json
 import threading
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,8 +31,10 @@ import pytest
 from repro import faults
 from repro.apps.suite import ALL_BENCHMARKS, get_benchmark
 from repro.backend.base import NumpyBackend
-from repro.backend.plan import iterate_generic
+from repro.backend.plan import (ExecutionPlan, iterate_generic,
+                                iterate_state_generic)
 from repro.service import jobs as jobs_module
+from repro.service import ops
 from repro.service import wire as wire_module
 from repro.backend.plan import normalize_carry
 from repro.service.executor import run_trajectory
@@ -48,9 +52,10 @@ from repro.service.jobs import (
     _root_hash,
     _unframe,
 )
-from repro.service.ops import Reply
+from repro.service.ops import Reply, dispatch
 from repro.service.registry import DigestRouter
-from repro.service.requests import DEADLINE_EXCEEDED, ExecutionRequest
+from repro.service.requests import (BAD_REQUEST, DEADLINE_EXCEEDED,
+                                    NOT_FOUND, ExecutionRequest)
 from repro.service.server import ServiceClient, StencilService
 from repro.service.wire import (
     CONTENT_TYPE_GRIDS,
@@ -285,8 +290,67 @@ class TestTrajectoryRunner:
             boundary=lambda done, state: boundaries.append(done))
         assert (done, stopped, timings) == (STEPS, None, {})
         assert out.tobytes() == expected.tobytes()
-        stride = segment or STEPS
-        assert boundaries == sorted({*range(0, STEPS, stride), STEPS})
+        # Before every segment; none after the last, whose state nobody
+        # reads (it copies out only its output).
+        assert boundaries == list(range(0, STEPS, segment or STEPS))
+
+    @pytest.mark.parametrize("segment", [1, 4])
+    @pytest.mark.parametrize("key", sorted(ALL_BENCHMARKS))
+    def test_a_foreign_bind_between_segments_is_bit_identical(
+            self, key, segment, backend, monkeypatch):
+        # At every boundary another caller runs the trajectory's plan on
+        # other inputs, overwriting its live binding: the next segment
+        # must bind the copied state instead of continuing (Hotspot2D's
+        # static power, Acoustic's rotating carry, and every other app).
+        bench = get_benchmark(key)
+        program, carry = bench.build_program(), bench.carry_spec()
+        inputs = bench.make_inputs(_shape_for(key), 3)
+        other = bench.make_inputs(_shape_for(key), 4)
+        plan = backend.plan(program, inputs)
+        binds = []
+        bind = ExecutionPlan._bind
+        monkeypatch.setattr(ExecutionPlan, "_bind", lambda self, grids: (
+            binds.append(self is plan), bind(self, grids)))
+
+        def foreign(done, state):
+            if done:
+                _out, expected = iterate_state_generic(
+                    backend, program, inputs, done, carry=carry)
+                assert [grid.tobytes() for grid in state] == \
+                    [grid.tobytes() for grid in expected]
+                plan.run(other)
+            return None
+
+        out, done, stopped, timings = run_trajectory(
+            backend, program, inputs, STEPS, carry, None, True,
+            segment=segment, boundary=foreign)
+        assert (done, stopped, timings) == (STEPS, None, {})
+        assert out.tobytes() == iterate_generic(
+            backend, program, inputs, STEPS, carry=carry).tobytes()
+        # The first bind, then per boundary the foreign run's and the
+        # re-bind of the copied state.
+        boundaries = len(range(segment, STEPS, segment))
+        assert binds == [True] * (1 + 2 * boundaries)
+
+    @pytest.mark.parametrize("key", ["acoustic", "hotspot2d"])
+    def test_an_undisturbed_trajectory_loads_its_inputs_once(
+            self, key, backend, monkeypatch):
+        bench = get_benchmark(key)
+        program, carry = bench.build_program(), bench.carry_spec()
+        inputs = bench.make_inputs(_shape_for(key), 3)
+        loads = []
+        load = ExecutionPlan._load
+        monkeypatch.setattr(ExecutionPlan, "_load", staticmethod(
+            lambda destinations, grids: (loads.append(len(grids)),
+                                         load(destinations, grids))))
+        segments = []
+        out, done, _stopped, _timings = run_trajectory(
+            backend, program, inputs, 8, carry, None, True, segment=2,
+            boundary=lambda done, state: segments.append(done))
+        assert (segments, done) == ([0, 2, 4, 6], 8)
+        assert loads == [len(inputs)]
+        assert out.tobytes() == iterate_generic(
+            backend, program, inputs, 8, carry=carry).tobytes()
 
     @pytest.mark.parametrize("use_plans", [True, False])
     def test_boundary_stop_returns_exactly_the_completed_segments(
@@ -540,8 +604,9 @@ class TestCheckpointIntegrity:
         request = _request_for(key, np.float64)
         route = DigestRouter().plan_for(key)
         states = {}
+        # One step past ``newest``: no boundary follows the last segment.
         run_trajectory(
-            backend, route.program, request.inputs, newest, route.carry,
+            backend, route.program, request.inputs, newest + 1, route.carry,
             None, True, segment=4,
             boundary=lambda done, state: states.__setitem__(
                 done, [np.array(grid) for grid in state]))
@@ -586,8 +651,9 @@ class TestCheckpointIntegrity:
         spec = normalize_carry(route.carry, len(request.inputs))
         slots = [slot for slot, entry in enumerate(spec) if entry is None]
         states = {}
+        # One step past ``newest``: no boundary follows the last segment.
         run_trajectory(
-            backend, route.program, request.inputs, newest, route.carry,
+            backend, route.program, request.inputs, newest + 1, route.carry,
             None, True, segment=4,
             boundary=lambda done, state: states.__setitem__(
                 done, [np.array(grid) for grid in state]))
@@ -908,8 +974,14 @@ class TestCheckpointPipeline:
             alive.append(sum(any(ref() is not None for ref in refs)
                              for refs in handed_off))
 
+        # Counted over carried slots: a static slot is the submitted array
+        # itself, alive as long as the request is.
+        spec = normalize_carry(DigestRouter().plan_for(key).carry,
+                               len(_request_for(key, np.float64).inputs))
+
         def watched(job, step, state):
-            handed_off.append([weakref.ref(grid) for grid in state])
+            handed_off.append([weakref.ref(grid) for grid, entry
+                               in zip(state, spec) if entry is not None])
             count_alive()
             write_checkpoint(job, step, state)
             count_alive()
@@ -925,6 +997,37 @@ class TestCheckpointPipeline:
         count_alive()  # after completion only the result's grid survives
         assert alive[-1] <= 1
 
+
+    @pytest.mark.parametrize("key", ["acoustic", "hotspot2d"])
+    def test_static_slots_are_the_submitted_arrays(self, key, backend):
+        # A boundary copies only the carried slots, read-only; a static
+        # slot is never copied, so what job.state and the writer hold of
+        # it is the submitted grid itself.
+        manager = JobManager(backend, checkpoint_every=2)
+        request = _request_for(key, np.float64)
+        spec = normalize_carry(DigestRouter().plan_for(key).carry,
+                               len(request.inputs))
+        handed_off = []
+        write_checkpoint = manager._write_checkpoint
+
+        def watched(job, step, state):
+            handed_off.append((state, job.state))
+            write_checkpoint(job, step, state)
+
+        manager._write_checkpoint = watched
+        job = manager.submit(request)
+        assert manager.wait(job["job_id"],
+                            timeout_s=30.0)["status"] == COMPLETED
+        manager.close()
+        assert len(handed_off) == (STEPS - 1) // 2
+        assert None in spec
+        for state, kept in handed_off:
+            assert kept is state
+            for slot, entry in enumerate(spec):
+                if entry is None:
+                    assert state[slot] is request.inputs[slot]
+                else:
+                    assert not state[slot].flags.writeable
 
     def test_wait_histogram_and_stats_show_the_writer(self, backend, tmp_path):
         histogram = "repro_job_checkpoint_wait_seconds"
@@ -1235,6 +1338,155 @@ class TestSyncPathDeadline:
                 benchmark="hotspot2d", steps=11))
         assert response.ok
         assert response.result.tobytes() == expected.tobytes()
+
+
+def _hold_jobs(service) -> threading.Event:
+    """Make the service's job worker hold each job (queued, then running)
+    until the returned event is set."""
+    release = threading.Event()
+    run_job = service.jobs._run_job
+    service.jobs._run_job = lambda job: (release.wait(30.0), run_job(job))
+    return release
+
+
+def _with_held_jobs(body, executor_workers: int = 2) -> None:
+    """Run ``body(service, release)`` on a started in-process service on a
+    default executor of ``executor_workers`` threads, its jobs held
+    (:func:`_hold_jobs`).  Every job still pending at the end is
+    cancelled first."""
+    async def main():
+        loop = asyncio.get_running_loop()
+        loop.set_default_executor(ThreadPoolExecutor(executor_workers))
+        service = StencilService(batch_window=0.001, checkpoint_every=1)
+        release = _hold_jobs(service)
+        async with service:
+            try:
+                await body(service, release)
+            finally:
+                for job in service.jobs.list_jobs():
+                    service.jobs.cancel(job["job_id"])
+                release.set()
+
+    asyncio.run(main())
+
+
+def _status_wait(service, job_id: str, wait_ms) -> "asyncio.Future":
+    return asyncio.ensure_future(dispatch(
+        service, "job_status", {"job_id": job_id, "wait_ms": wait_ms}))
+
+
+class TestStatusWait:
+    """``job_status`` with ``wait_ms``: answered as soon as the job ends,
+    by an event-loop future that holds no executor thread."""
+
+    def test_a_wait_is_answered_when_the_job_ends(self):
+        async def body(service, release):
+            job = service.jobs.submit(_request_for("hotspot2d", np.float64))
+            waiting = _status_wait(service, job["job_id"], 30_000)
+            await asyncio.sleep(0.1)
+            assert not waiting.done()
+            started = time.monotonic()
+            release.set()
+            reply = await asyncio.wait_for(waiting, 10.0)
+            assert time.monotonic() - started < 5.0  # not the 30 s
+            assert reply.meta["ok"], reply.meta
+            assert reply.meta["job"]["status"] == COMPLETED
+            assert reply.meta["job"]["completed_steps"] == STEPS
+            # An ended job answers at once, whatever the wait.
+            reply = await asyncio.wait_for(
+                _status_wait(service, job["job_id"], 30_000), 5.0)
+            assert reply.meta["job"]["status"] == COMPLETED
+            assert service.jobs._waits == {}
+
+        _with_held_jobs(body)
+
+    def test_waits_beyond_the_executor_let_an_execute_through(self):
+        # Eight waits on a two-thread executor: a wait that held a thread
+        # would starve the execute's off-loop request decoding.
+        async def body(service, release):
+            job = service.jobs.submit(
+                _request_for("heat", np.float64, steps=100_000))
+            waits = [_status_wait(service, job["job_id"], 20_000)
+                     for _ in range(8)]
+            await asyncio.sleep(0.1)
+            reply = await asyncio.wait_for(dispatch(
+                service, "execute",
+                {"benchmark": "stencil2d", "shape": [16, 16]}), 5.0)
+            assert reply.meta["ok"], reply.meta
+            assert not any(wait.done() for wait in waits)
+            # A cancel ends the job: every wait is answered with it.
+            service.jobs.cancel(job["job_id"])
+            release.set()
+            replies = await asyncio.wait_for(asyncio.gather(*waits), 10.0)
+            assert {reply.meta["job"]["status"] for reply in replies} == {
+                JOB_CANCELLED}
+
+        _with_held_jobs(body, executor_workers=2)
+
+    @pytest.mark.parametrize("wait_ms", [
+        "abc", -1, "-1", "nan", "inf", "1e400", float("nan"), float("inf"),
+        10 ** 400, True, [5]], ids=[
+        "text", "negative", "negative-text", "nan-text", "inf-text",
+        "1e400-text", "nan", "inf", "10**400", "true", "list"])
+    def test_a_malformed_wait_is_a_bad_request(self, wait_ms):
+        async def body(service, release):
+            job = service.jobs.submit(_request_for("heat", np.float64))
+            reply = await asyncio.wait_for(
+                _status_wait(service, job["job_id"], wait_ms), 5.0)
+            assert reply.meta["ok"] is False
+            assert reply.meta["code"] == BAD_REQUEST, reply.meta
+            assert "wait_ms" in reply.meta["error"]
+
+        _with_held_jobs(body)
+
+    def test_a_huge_wait_is_clamped(self, monkeypatch):
+        assert ops._wait_s(10 ** 12) == ops._wait_s("1e12") == \
+            ops.MAX_WAIT_MS / 1e3
+        monkeypatch.setattr(ops, "MAX_WAIT_MS", 50.0)
+
+        async def body(service, release):
+            job = service.jobs.submit(_request_for("heat", np.float64))
+            started = time.monotonic()
+            reply = await asyncio.wait_for(
+                _status_wait(service, job["job_id"], 10 ** 12), 5.0)
+            assert time.monotonic() - started < 2.0
+            assert reply.meta["job"]["status"] in ("queued", "running")
+
+        _with_held_jobs(body)
+
+    def test_an_unknown_id_is_not_found_at_once(self):
+        async def body(service, release):
+            reply = await asyncio.wait_for(
+                _status_wait(service, "nope", 30_000), 1.0)
+            assert (reply.meta["ok"], reply.meta["code"]) == (False,
+                                                              NOT_FOUND)
+
+        _with_held_jobs(body)
+
+    def test_stopping_the_service_answers_a_pending_wait(self):
+        async def main():
+            service = StencilService(batch_window=0.001, checkpoint_every=1)
+            release = _hold_jobs(service)
+            await service.start()
+            job = service.jobs.submit(
+                _request_for("heat", np.float64, steps=100_000))
+            waiting = _status_wait(service, job["job_id"], 30_000)
+            await asyncio.sleep(0.1)
+            stopping = asyncio.ensure_future(service.stop())
+            try:
+                reply = await asyncio.wait_for(waiting, 5.0)
+                assert reply.meta["job"]["status"] in ("queued", "running")
+                # A wait that arrives after the stop began is answered at
+                # once too.
+                reply = await asyncio.wait_for(
+                    _status_wait(service, job["job_id"], 30_000), 1.0)
+                assert reply.meta["ok"], reply.meta
+            finally:
+                service.jobs.cancel(job["job_id"])
+                release.set()
+                await stopping
+
+        asyncio.run(main())
 
 
 class TestServiceJobsSection:

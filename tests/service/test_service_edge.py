@@ -566,6 +566,61 @@ def test_an_inflight_iterate_survives_sigterm(transport, long_iterate,
         assert reply["connection"] == "close"
 
 
+def test_sigterm_answers_a_pending_job_wait(tmp_path):
+    # A 30 s job_status wait must not hold the drain: SIGTERM answers it at
+    # once with the job still running, the listener still takes the
+    # cancel, and the server exits 0.
+    ports = {"tcp": loadgen._free_port(), "http": loadgen._free_port()}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [path for path in [env.get("PYTHONPATH")] if path])
+    config = ClientConfig(transport="http", port=ports["http"],
+                          timeout_s=30.0)
+    reply = {}
+
+    def wait(job_id):
+        conn = http.client.HTTPConnection("127.0.0.1", ports["http"],
+                                          timeout=60)
+        try:
+            conn.request("GET", f"/v1/jobs/{job_id}?wait_ms=30000")
+            response = conn.getresponse()
+            reply.update(status=response.status,
+                         body=json.loads(response.read()))
+        finally:
+            conn.close()
+
+    with open(tmp_path / "serve.log", "wb") as log:
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--no-store",
+             "--port", str(ports["tcp"]), "--http-port", str(ports["http"]),
+             "--drain-timeout", "20"], stdout=log, stderr=log, env=env)
+        try:
+            with loadgen._wait_ready(lambda: StencilClient(config)) as client:
+                job = client.submit_job(
+                    ExecutionRequest.for_benchmark(
+                        "jacobi2d5pt", shape=(64, 64), steps=10 ** 9),
+                    checkpoint_every=64)
+            waiter = threading.Thread(target=wait, args=(job["job_id"],),
+                                      daemon=True)
+            waiter.start()
+            time.sleep(0.5)
+            assert waiter.is_alive()        # the signal lands mid-wait
+            signalled = time.monotonic()
+            server.send_signal(signal.SIGTERM)
+            waiter.join(timeout=10)
+            assert not waiter.is_alive()
+            assert time.monotonic() - signalled < 5.0
+            with StencilClient(config) as client:
+                client.cancel_job(job["job_id"])
+            assert server.wait(timeout=30) == 0
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+    assert reply["status"] == 200, reply
+    assert reply["body"]["job"]["status"] == "running", reply
+
+
 # ---------------------------------------------------------------------------
 # One flag -> keyword mapping
 # ---------------------------------------------------------------------------
