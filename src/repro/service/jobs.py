@@ -63,19 +63,19 @@ terminal status is set.
 job dir; incomplete jobs resume from their newest *valid* checkpoint —
 checkpoints that fail checksum validation are counted in
 ``repro_job_corrupt_checkpoints_total`` and the previous one is used.
-Every checkpoint needs ``inputs.rpg``, so a missing, corrupt or
-mismatched one fails the job (counted the same way) instead of a silent
-re-run.  ``inputs.rpg`` is the step-0 state only while fewer than
-:data:`KEEP_CHECKPOINTS` checkpoint files exist — where the layout with a
-step-0 checkpoint still held one — so a job whose newest two checkpoints
-are corrupt fails rather than re-running from step 0.  A corrupt
-checkpoint is therefore left in place (the resumed run overwrites it), so
-a crash during recovery cannot shrink that count.  Older layouts resume:
-a step-0 checkpoint beside an ``inputs.rpg`` of the static slots only,
-and checkpoints framed before ``inputs.rpg`` existed, which hold the full
-state.  Because a segment, whether it continues from the live binding or
-binds copied state, runs the same plan tapes on the same carry values, a
-resumed trajectory is **bit-identical** to an uninterrupted run
+Every resume reads ``inputs.rpg``, so a missing, corrupt or mismatched
+one fails the job (counted the same way) instead of a silent re-run.
+``inputs.rpg`` is the step-0 state only while fewer than
+:data:`KEEP_CHECKPOINTS` checkpoint files exist, so a job whose newest
+two checkpoints are corrupt fails rather than re-running from step 0.  A
+corrupt checkpoint is therefore left in place (the resumed run overwrites
+it), so a crash during recovery cannot shrink that count.  A directory an
+older layout wrote fails closed the same way: each misses one thing this
+layout has (the root hash, the checkpoints' ``static`` list, or an
+``inputs.rpg`` of every slot).  Because a segment, whether it continues
+from the live binding or binds copied state, runs the same plan tapes on
+the same carry values, a resumed trajectory is **bit-identical** to an
+uninterrupted run
 (property-tested per suite app in ``tests/service/test_jobs.py``) — a
 crash after ``result.rpg`` lands but before the ``completed`` manifest
 recomputes the last segment.  A ``*.tmp``
@@ -143,6 +143,7 @@ from .registry import DigestRouter
 from .requests import (
     CANCELLED,
     DEADLINE_EXCEEDED,
+    UNAVAILABLE,
     ExecutionRequest,
     ServiceError,
 )
@@ -245,21 +246,12 @@ def _unframe(
     except (KeyError, TypeError, ValueError) as error:  # incl. WireFormatError
         raise JobIntegrityError(str(error)) from error
     descriptors = header.get("grids") or []
-    if _ROOT in meta:
-        expected = meta.pop(_ROOT)
-        if any("sha256" not in descriptor for descriptor in descriptors):
-            raise JobIntegrityError("a grid descriptor carries no sha256")
-        actual = _root_hash(meta, descriptors)
-    elif "sha256" in meta:
-        # A frame written before the root hash (a job checkpointed before
-        # an upgrade must resume): sha256 over meta + every grid byte.
-        expected = meta.pop("sha256")
-        digest = hashlib.sha256(json.dumps(meta, sort_keys=True).encode("utf-8"))
-        for grid in grids:
-            digest.update(np.ascontiguousarray(grid))
-        actual = digest.hexdigest()
-    else:
-        raise JobIntegrityError("payload carries no integrity hash")
+    if _ROOT not in meta:
+        raise JobIntegrityError("payload carries no root hash")
+    expected = meta.pop(_ROOT)
+    if any("sha256" not in descriptor for descriptor in descriptors):
+        raise JobIntegrityError("a grid descriptor carries no sha256")
+    actual = _root_hash(meta, descriptors)
     if actual != str(expected):
         raise JobIntegrityError(
             f"payload checksum mismatch (expected {expected}, got {actual})")
@@ -329,8 +321,7 @@ class Job:
     #: In-memory carry state (the inputs of the next step) and result.
     state: Optional[List[np.ndarray]] = None
     #: Descriptors (slot, shape, dtype, sha256) of the ``inputs.rpg`` grids
-    #: every checkpoint signs: the static slots once the job runs.  Empty
-    #: for a job resumed from checkpoints that frame every slot.
+    #: every checkpoint signs: the static slots once the job runs.
     static: List[dict] = field(default_factory=list)
     result: Optional[np.ndarray] = None
     cancel_requested: bool = False
@@ -360,24 +351,24 @@ class Job:
     def from_manifest(data: Dict[str, object]) -> "Job":
         return Job(
             job_id=str(data["job_id"]),
-            job_key=str(data.get("job_key") or data["job_id"]),
+            job_key=str(data["job_key"]),
             benchmark=str(data["benchmark"]),
             steps=int(data["steps"]),
-            checkpoint_every=int(data.get("checkpoint_every", 1)),
-            num_inputs=int(data.get("num_inputs", 1)),
+            checkpoint_every=int(data["checkpoint_every"]),
+            num_inputs=int(data["num_inputs"]),
             size_env={str(k): int(v)
-                      for k, v in dict(data.get("size_env") or {}).items()},
-            priority=str(data.get("priority", "normal")),
-            deadline_at=(None if data.get("deadline_at") is None
+                      for k, v in dict(data["size_env"]).items()},
+            priority=str(data["priority"]),
+            deadline_at=(None if data["deadline_at"] is None
                          else float(data["deadline_at"])),
-            digest=str(data.get("digest", "")),
-            status=str(data.get("status", QUEUED)),
-            completed_steps=int(data.get("completed_steps", 0)),
-            error=data.get("error"),
-            code=data.get("code"),
-            created_at=float(data.get("created_at", 0.0)),
-            updated_at=float(data.get("updated_at", 0.0)),
-            resumes=int(data.get("resumes", 0)),
+            digest=str(data["digest"]),
+            status=str(data["status"]),
+            completed_steps=int(data["completed_steps"]),
+            error=data["error"],
+            code=data["code"],
+            created_at=float(data["created_at"]),
+            updated_at=float(data["updated_at"]),
+            resumes=int(data["resumes"]),
         )
 
     def describe(self) -> Dict[str, object]:
@@ -527,11 +518,22 @@ class JobManager:
 
     def close(self, timeout_s: float = 5.0) -> None:
         """Answer every pending status wait, then stop the worker and the
-        writer behind it (in-flight segment and checkpoint finish; the
-        queue is left)."""
+        writer behind it.  A running job stops at its next segment
+        boundary once the checkpoint handed to the writer there is
+        durable: a durable job resumes from it at the next
+        :meth:`recover`, a memory-only one fails ``Unavailable``.  So does
+        every memory-only job still queued; a durable queue is left for
+        :meth:`recover`."""
         self.end_waits()
         with self._wake:
             self._closed = True
+            if self.job_dir is None:
+                for job_id in self._queue:
+                    job = self._jobs.get(job_id)
+                    if job is not None and job.status == QUEUED:
+                        self._finish(job, FAILED, error="service stopped",
+                                     code=UNAVAILABLE)
+                self._queue.clear()
             self._wake.notify_all()
         if self._worker is not None:
             self._worker.join(timeout=timeout_s)
@@ -744,7 +746,7 @@ class JobManager:
             try:
                 job = Job.from_manifest(
                     json.loads(manifest_path.read_text(encoding="utf-8")))
-            except (OSError, ValueError, KeyError) as error:
+            except (OSError, ValueError, KeyError, TypeError) as error:
                 log.warning("skipping unreadable job manifest %s: %s",
                             manifest_path, error)
                 continue
@@ -859,7 +861,7 @@ class JobManager:
         spec = normalize_carry(route.carry, job.num_inputs)
         if job.state is None:
             raise JobError(f"job {job.job_id} has no carry state")
-        # inputs.rpg may hold every slot; checkpoints sign the static ones.
+        # inputs.rpg holds every slot; checkpoints sign the static ones.
         job.static = [descriptor for descriptor in job.static
                       if spec[descriptor["slot"]] is None]
         resumed_at = job.completed_steps
@@ -877,6 +879,8 @@ class JobManager:
                 return CANCELLED
             if job.deadline_at is not None and time.time() >= job.deadline_at:
                 return DEADLINE_EXCEEDED
+            if self._closed:
+                return UNAVAILABLE
             return None
 
         try:
@@ -890,8 +894,6 @@ class JobManager:
                 # checkpoint, once the previous checkpoint is durable: a
                 # crash from here on recomputes one segment.
                 self._drain()
-                if out is None:  # resumed at the last step (older layouts)
-                    out = job.state[spec.index("out")]
                 result = squeeze_result(np.asarray(out, dtype=np.float64))
                 result.flags.writeable = False  # its digest is recorded
                 self._persist_result(job, result)
@@ -904,7 +906,13 @@ class JobManager:
             self._drain()
         if stopped is not None:
             with self._lock:
-                if stopped == CANCELLED:
+                if stopped == UNAVAILABLE:
+                    # A durable job's job.json still reads queued: the next
+                    # recover() resumes it from the checkpoint just drained.
+                    if self.job_dir is None:
+                        self._finish(job, FAILED, error="service stopped",
+                                     code=UNAVAILABLE)
+                elif stopped == CANCELLED:
                     self._finish(job, JOB_CANCELLED,
                                  error="cancelled by client", code=CANCELLED)
                 else:
@@ -1010,11 +1018,12 @@ class JobManager:
     def _load_latest_checkpoint(
         self, job: Job
     ) -> Optional[Tuple[int, List[np.ndarray], List[dict]]]:
-        """``(step, full state, descriptors)`` of the newest valid
-        checkpoint, else of ``inputs.rpg`` as the step-0 state while fewer
-        than :data:`KEEP_CHECKPOINTS` checkpoint files exist; raises
-        :class:`JobIntegrityError` when the state needs an ``inputs.rpg``
-        that is missing, corrupt or another job's.
+        """``(step, full state, inputs.rpg descriptors)`` of the newest
+        valid checkpoint, else of ``inputs.rpg`` as the step-0 state while
+        fewer than :data:`KEEP_CHECKPOINTS` checkpoint files exist; raises
+        :class:`JobIntegrityError` when ``inputs.rpg`` is missing, corrupt,
+        another job's or short of a slot, or when a valid checkpoint does
+        not sign its static slots (an older layout's lists none).
 
         A corrupt checkpoint stays on disk (the resumed run overwrites it):
         unlinked, a crash before the outcome is recorded would leave too
@@ -1023,6 +1032,7 @@ class JobManager:
         directory = self.job_dir / job.job_id if self.job_dir else None
         if directory is None or not directory.is_dir():
             return None
+        held, inputs = self._load_inputs(directory, job)
         checkpoints = self._checkpoints(directory)
         for path in reversed(checkpoints):
             try:
@@ -1033,37 +1043,29 @@ class JobManager:
                 continue
             if str(meta.get("job_id")) != job.job_id:
                 continue
-            # None: a checkpoint framed before inputs.rpg, every slot in it.
-            static = meta.get("static") or []
+            static = meta.get("static")
+            if not isinstance(static, list) or [
+                    descriptor for descriptor in held
+                    if descriptor in static] != static:
+                raise JobIntegrityError(
+                    f"{path} does not sign the static inputs "
+                    f"{directory / _INPUTS} holds")
             if len(grids) + len(static) != job.num_inputs:
                 self._corrupt_total.inc()
                 continue
-            if static:
-                held, inputs = self._load_inputs(directory, job)
-                fixed = {descriptor["slot"]: grid
-                         for descriptor, grid in zip(held, inputs)
-                         if descriptor in static}
-                if len(fixed) != len(static):
-                    raise JobIntegrityError(
-                        f"{directory / _INPUTS} does not hold the static "
-                        f"inputs job {job.job_id}'s checkpoints reference")
-                carried = iter(grids)
-                grids = [fixed[slot] if slot in fixed else next(carried)
-                         for slot in range(job.num_inputs)]
-            return int(meta["step"]), grids, static
+            carried = iter(grids)
+            return int(meta["step"]), [
+                grid if descriptor in static else next(carried)
+                for descriptor, grid in zip(held, inputs)], held
         if len(checkpoints) >= KEEP_CHECKPOINTS:
             return None
-        held, inputs = self._load_inputs(directory, job)
-        if [descriptor["slot"] for descriptor in held] != list(
-                range(job.num_inputs)):
-            return None  # the static slots only, beside a step-0 checkpoint
         return 0, inputs, held
 
     @staticmethod
     def _load_inputs(directory: Path,
                      job: Job) -> Tuple[List[dict], List[np.ndarray]]:
         """The descriptors (with their slots) and grids of ``job``'s
-        ``inputs.rpg``."""
+        ``inputs.rpg``, which holds every slot."""
         path = directory / _INPUTS
         try:
             meta, grids, descriptors = _unframe(path.read_bytes())
@@ -1073,9 +1075,13 @@ class JobManager:
             raise JobIntegrityError(
                 f"{path} holds job {meta.get('job_id')!r}'s inputs, not "
                 f"job {job.job_id}'s")
+        slots = list(range(job.num_inputs))
+        if meta.get("slots") != slots or len(grids) != job.num_inputs:
+            raise JobIntegrityError(
+                f"{path} holds slots {meta.get('slots')!r}, not every slot "
+                f"of job {job.job_id}'s inputs")
         held = [{"slot": slot, **descriptor}
-                for slot, descriptor in zip(meta.get("slots") or (),
-                                            descriptors)]
+                for slot, descriptor in zip(slots, descriptors)]
         return held, grids
 
     def _persist_result(self, job: Job, result: np.ndarray) -> None:

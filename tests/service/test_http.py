@@ -17,6 +17,7 @@ from repro.apps.suite import execution_requests
 from repro.client import ClientConfig, StencilClient, TransportError
 from repro.service import (ExecutionRequest, ExecutionResponse,
                            StencilService, serve_http, serve_tcp)
+from repro.service import jobs as jobs_module
 from repro.service.http import (ROUTES, Connection, HTTPError, decode_body,
                                 read_request, route_for)
 from repro.service.ops import OPS
@@ -345,6 +346,28 @@ def _job_result(client, job_id):
     return descriptor, grid.tobytes()
 
 
+def _hold_first_boundary(monkeypatch):
+    """Hold the next job at its first segment boundary until released.
+
+    Returns ``(held, release)``: ``held`` is set once the job's worker
+    waits at that boundary, which it leaves only after ``release`` is
+    set, taking whatever stop reason the job has by then.
+    """
+    held, release = threading.Event(), threading.Event()
+    real_run = jobs_module.run_trajectory
+
+    def held_run(*args, boundary, **kwargs):
+        def holding(done, state):
+            if not held.is_set():
+                held.set()
+                assert release.wait(timeout=30.0)
+            return boundary(done, state)
+        return real_run(*args, boundary=holding, **kwargs)
+
+    monkeypatch.setattr(jobs_module, "run_trajectory", held_run)
+    return held, release
+
+
 @pytest.fixture(scope="module")
 def finished_job(live_server):
     """A completed 4-step job every mode of the matrix then asks about."""
@@ -622,7 +645,9 @@ class TestStatusMapping:
         got, _headers, body = _raw_op(live_server, op, meta)
         assert (got, json.loads(body)["code"]) == (status, code), name
 
-    def test_result_before_completion_is_cancelled_409(self, live_server):
+    def test_result_before_completion_is_cancelled_409(self, live_server,
+                                                       monkeypatch):
+        held, release = _hold_first_boundary(monkeypatch)
         with _client(live_server, "tcp") as client:
             job = client.submit_job(
                 ExecutionRequest.for_benchmark("jacobi2d5pt", shape=(64, 64),
@@ -630,6 +655,7 @@ class TestStatusMapping:
                 checkpoint_every=64)
             meta = {"job_id": job["job_id"]}
             try:
+                assert held.wait(timeout=30)  # running, and stays so
                 for mode in MODES:
                     with _client(live_server, mode) as other:
                         reply, _grids = other.transport.call(
@@ -640,6 +666,7 @@ class TestStatusMapping:
                 assert (status, json.loads(body)["code"]) == (409, CANCELLED)
             finally:
                 client.cancel_job(job["job_id"])
+                release.set()
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_wait_job_learns_the_end_when_it_happens(self, live_server,

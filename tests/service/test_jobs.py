@@ -9,7 +9,7 @@ thread persists segment k while segment k+1 computes), the layout (every
 input once in ``inputs.rpg`` as the step-0 state, carried slots per
 checkpoint, none behind the result, ``job.json`` at submit and at the end),
 the root-hashed frame and its negatives, corrupt-checkpoint and
-``inputs.rpg`` recovery, both older layouts resuming, idempotent
+``inputs.rpg`` recovery, every older layout failing closed, idempotent
 re-submission, retention bounds, wire-level payload integrity, the result
 hashed once, and the sync path's between-segment deadline shedding.
 """
@@ -55,7 +55,7 @@ from repro.service.jobs import (
 from repro.service.ops import Reply, dispatch
 from repro.service.registry import DigestRouter
 from repro.service.requests import (BAD_REQUEST, DEADLINE_EXCEEDED,
-                                    NOT_FOUND, ExecutionRequest)
+                                    NOT_FOUND, UNAVAILABLE, ExecutionRequest)
 from repro.service.server import ServiceClient, StencilService
 from repro.service.wire import (
     CONTENT_TYPE_GRIDS,
@@ -210,14 +210,72 @@ INPUT_TAMPERINGS = {
 }
 
 
-def _legacy_frame(meta, grids) -> bytes:
-    """A frame built the way the commit before the root hash built it: one
-    ``sha256`` over the canonical meta and every grid byte."""
-    digest = hashlib.sha256(json.dumps(meta, sort_keys=True).encode("utf-8"))
-    for grid in grids:
-        digest.update(np.ascontiguousarray(grid).tobytes())
-    return _joined(*encode_grid_payload(
-        {**meta, "sha256": digest.hexdigest()}, grids))
+#: older layout -> what the failed job's error names.
+OLDER_LAYOUTS = {
+    "pre-root-hash": "no valid checkpoint survived",
+    "full-state": "inputs.rpg",
+    "full-state-beside-inputs": "does not sign the static inputs",
+    "step0-checkpoint": "inputs.rpg",
+}
+
+
+def _older_layout_dir(backend, job_dir, layout: str) -> str:
+    """A Hotspot2D job directory as an older layout left it mid-run;
+    returns the job id.
+
+    ``pre-root-hash``: checkpoints under one ``sha256`` over the canonical
+    meta and every grid byte.  ``full-state``: every slot in every
+    checkpoint (step 0 included), no ``static`` list and no inputs.rpg;
+    ``full-state-beside-inputs`` adds today's inputs.rpg, so only the
+    missing list can reject it.  ``step0-checkpoint``: an inputs.rpg of the
+    static slot only, beside checkpoints (step 0 included) of the carried
+    one.
+    """
+    if layout == "pre-root-hash":
+        # Two checkpoints, as the older layout kept after its first
+        # boundary (one at step 0): inputs.rpg is no fallback then.
+        crashed, job = _crash_at(backend, job_dir, "hotspot2d", segment=4,
+                                 at=2)
+        crashed.close()
+        for path in (job_dir / job["job_id"]).glob("ckpt-*.rpg"):
+            meta, grids, _descriptors = _unframe(path.read_bytes())
+            digest = hashlib.sha256(
+                json.dumps(meta, sort_keys=True).encode("utf-8"))
+            for grid in grids:
+                digest.update(np.ascontiguousarray(grid).tobytes())
+            path.write_bytes(_joined(*encode_grid_payload(
+                {**meta, "sha256": digest.hexdigest()}, grids)))
+        return job["job_id"]
+    request = _request_for("hotspot2d", np.float64)
+    route = DigestRouter().plan_for("hotspot2d")
+    states = {}
+    run_trajectory(
+        backend, route.program, request.inputs, 5, route.carry, None, True,
+        segment=4, boundary=lambda done, state: states.__setitem__(
+            done, [np.array(grid) for grid in state]))
+    job = Job(job_id="0123456789abcdef", job_key=layout,
+              benchmark="hotspot2d", steps=STEPS, checkpoint_every=4,
+              num_inputs=len(request.inputs), digest=route.digest,
+              status="running", completed_steps=4)
+    directory = job_dir / job.job_id
+    directory.mkdir()
+    (directory / "job.json").write_text(json.dumps(job.manifest()))
+    meta = {"job_id": job.job_id, "steps": STEPS, "digest": route.digest,
+            "benchmark": "hotspot2d"}
+    if layout != "full-state":
+        slots = [1] if layout == "step0-checkpoint" else [0, 1]
+        prefix, buffers, descriptors = _frame(
+            {**meta, "slots": slots},
+            [request.inputs[slot] for slot in slots])
+        (directory / "inputs.rpg").write_bytes(_joined(prefix, buffers))
+    for step, state in sorted(states.items()):
+        framed = {**meta, "step": step}
+        if layout == "step0-checkpoint":  # the carried slot, signing power
+            framed["static"] = [{"slot": 1, **descriptors[0]}]
+            state = state[:1]
+        (directory / f"ckpt-{step:08d}.rpg").write_bytes(
+            _joined(*_frame(framed, state)[:2]))
+    return job.job_id
 
 
 def _wait_for_worker_death(manager: JobManager, timeout_s: float = 30.0):
@@ -477,18 +535,24 @@ class TestCheckpointIntegrity:
         with pytest.raises(JobIntegrityError):
             _unframe(data.replace(b'"step": 7', b'"step": 8'))
 
-    @pytest.mark.parametrize("tampering", sorted(TAMPERINGS) + [
-        f"inputs-{name}" for name in sorted(INPUT_TAMPERINGS)])
+    # Jacobi2D-5pt has no static slot, and its checkpoints still need
+    # inputs.rpg: recovery has one path.
+    @pytest.mark.parametrize("tampering,key", [
+        pytest.param(name, "hotspot2d", id=name)
+        for name in sorted(TAMPERINGS)
+        + [f"inputs-{name}" for name in sorted(INPUT_TAMPERINGS)]
+    ] + [pytest.param("inputs-missing", "jacobi2d5pt",
+                      id="inputs-missing-jacobi2d5pt")])
     def test_every_tampering_is_rejected_and_counted_at_recovery(
-            self, tampering, backend, tmp_path):
-        crashed, job = _crash_at(backend, tmp_path, "hotspot2d", segment=4)
+            self, tampering, key, backend, tmp_path):
+        crashed, job = _crash_at(backend, tmp_path, key, segment=4)
         crashed.close()
         directory = tmp_path / job["job_id"]
         newest = sorted(directory.glob("ckpt-*.rpg"))[-1]
         assert _unframe(newest.read_bytes())[0]["step"] == 4
         counter = "repro_job_corrupt_checkpoints_total"
         if tampering in TAMPERINGS:
-            expected = _reference("hotspot2d", np.float64)
+            expected = _reference(key, np.float64)
             tampered = TAMPERINGS[tampering](newest.read_bytes())
             with pytest.raises(JobIntegrityError):
                 _unframe(tampered)
@@ -506,7 +570,7 @@ class TestCheckpointIntegrity:
 
         # inputs.rpg: every checkpoint needs it, so no fallback can help.
         other = JobManager(backend, job_dir=str(tmp_path / "other"))
-        sibling = other.submit(_request_for("hotspot2d", np.float64))
+        sibling = other.submit(_request_for(key, np.float64))
         other.wait(sibling["job_id"], timeout_s=30.0)
         other.close()
         INPUT_TAMPERINGS[tampering[len("inputs-"):]](
@@ -569,146 +633,52 @@ class TestCheckpointIntegrity:
         assert result.tobytes() == expected.tobytes()
         recovered.close()
 
-    def test_frame_written_before_the_root_hash_still_validates(self):
-        grids = [np.arange(12, dtype=np.float64).reshape(3, 4)]
-        data = _legacy_frame({"job_id": "j1", "step": 7}, grids)
-        meta, decoded, _descriptors = _unframe(data)
-        assert meta == {"job_id": "j1", "step": 7}
-        assert decoded[0].tobytes() == grids[0].tobytes()
-        with pytest.raises(JobIntegrityError):
-            _unframe(_flip_last_byte(data))
-        with pytest.raises(JobIntegrityError, match="checksum mismatch"):
-            _unframe(data.replace(b'"step": 7', b'"step": 8'))
-
-    def test_job_checkpointed_before_the_upgrade_resumes(
-            self, backend, tmp_path):
-        expected = _reference("acoustic", np.float64)
-        crashed, job = _crash_at(backend, tmp_path, "acoustic", segment=4)
-        crashed.close()
-        for path in (tmp_path / job["job_id"]).glob("ckpt-*.rpg"):
-            path.write_bytes(_legacy_frame(*_unframe(path.read_bytes())[:2]))
-        recovered = _recover_and_finish(backend, tmp_path, job, segment=4)
-        assert recovered.corrupt_checkpoints == 0
-        _descriptor, result = recovered.result(job["job_id"])
-        assert result.tobytes() == expected.tobytes()
-        recovered.close()
-
-    # newest=STEPS: the old layout's checkpoint at the last boundary.
-    @pytest.mark.parametrize("newest", [4, STEPS])
-    @pytest.mark.parametrize("key", ["acoustic", "hotspot2d"])
-    def test_job_in_the_full_state_layout_resumes_bit_identically(
-            self, key, newest, backend, tmp_path):
-        """A job directory as the layout before inputs.rpg left it: every
-        slot in every checkpoint, one at the last boundary, no inputs.rpg."""
-        expected = _reference(key, np.float64)
-        request = _request_for(key, np.float64)
-        route = DigestRouter().plan_for(key)
-        states = {}
-        # One step past ``newest``: no boundary follows the last segment.
-        run_trajectory(
-            backend, route.program, request.inputs, newest + 1, route.carry,
-            None, True, segment=4,
-            boundary=lambda done, state: states.__setitem__(
-                done, [np.array(grid) for grid in state]))
-        job = Job(job_id="0123456789abcdef", job_key="upgrade",
-                  benchmark=key, steps=STEPS, checkpoint_every=4,
-                  num_inputs=len(request.inputs), digest=route.digest,
-                  status="running", completed_steps=newest)
-        directory = tmp_path / job.job_id
-        directory.mkdir()
-        (directory / "job.json").write_text(json.dumps(job.manifest()))
-        for step in sorted(states)[-2:]:
-            meta = {"job_id": job.job_id, "step": step, "steps": STEPS,
-                    "digest": route.digest, "benchmark": key}
-            (directory / f"ckpt-{step:08d}.rpg").write_bytes(
-                _joined(*_frame(meta, states[step])[:2]))
-
-        recovered = _recover_and_finish(
-            backend, tmp_path, job.describe(), segment=4)
-        assert recovered.corrupt_checkpoints == 0
-        _descriptor, result = recovered.result(job.job_id)
-        assert result.tobytes() == expected.tobytes()
-        recovered.close()
-        # The resumed job has no inputs.rpg, so what it writes after the
-        # resume is today's layout with no static slot: every slot framed.
-        assert not (directory / "inputs.rpg").exists()
-        for path in directory.glob("ckpt-*.rpg"):
-            meta, grids, _descriptors = _unframe(path.read_bytes())
-            assert meta.get("static") == ([] if meta["step"] > newest
-                                          else None)
-            assert len(grids) == job.num_inputs
-
-    @pytest.mark.parametrize("newest", [0, 4])
-    @pytest.mark.parametrize("key", ["acoustic", "hotspot2d"])
-    def test_job_in_the_step0_checkpoint_layout_resumes_bit_identically(
-            self, key, newest, backend, tmp_path):
-        """A job directory as the layout with a step-0 checkpoint left it:
-        an inputs.rpg of the static slots only, and checkpoints (step 0
-        included) of the carried slots."""
-        expected = _reference(key, np.float64)
-        request = _request_for(key, np.float64)
-        route = DigestRouter().plan_for(key)
-        spec = normalize_carry(route.carry, len(request.inputs))
-        slots = [slot for slot, entry in enumerate(spec) if entry is None]
-        states = {}
-        # One step past ``newest``: no boundary follows the last segment.
-        run_trajectory(
-            backend, route.program, request.inputs, newest + 1, route.carry,
-            None, True, segment=4,
-            boundary=lambda done, state: states.__setitem__(
-                done, [np.array(grid) for grid in state]))
-        job = Job(job_id="0123456789abcdef", job_key="step0",
-                  benchmark=key, steps=STEPS, checkpoint_every=4,
-                  num_inputs=len(request.inputs), digest=route.digest,
-                  status="running", completed_steps=newest)
-        directory = tmp_path / job.job_id
-        directory.mkdir()
-        (directory / "job.json").write_text(json.dumps(job.manifest()))
-        inputs_meta = {"job_id": job.job_id, "digest": route.digest,
-                       "benchmark": key, "slots": slots}
-        prefix, buffers, descriptors = _frame(
-            inputs_meta, [request.inputs[slot] for slot in slots])
-        (directory / "inputs.rpg").write_bytes(_joined(prefix, buffers))
-        static = [{"slot": slot, **descriptor}
-                  for slot, descriptor in zip(slots, descriptors)]
-        for step in sorted(states):
-            meta = {"job_id": job.job_id, "step": step, "steps": STEPS,
-                    "digest": route.digest, "benchmark": key,
-                    "static": static}
-            carried = [grid for slot, grid in enumerate(states[step])
-                       if slot not in slots]
-            (directory / f"ckpt-{step:08d}.rpg").write_bytes(
-                _joined(*_frame(meta, carried)[:2]))
-
-        recovered = _recover_and_finish(
-            backend, tmp_path, job.describe(), segment=4)
-        assert recovered.corrupt_checkpoints == 0
-        _descriptor, result = recovered.result(job.job_id)
-        assert result.tobytes() == expected.tobytes()
-        recovered.close()
-        # The resumed job signs the static slots of the inputs.rpg it has.
-        assert _unframe((directory / "inputs.rpg").read_bytes())[0][
-            "slots"] == slots
-        for path in directory.glob("ckpt-*.rpg"):
-            assert _unframe(path.read_bytes())[0]["static"] == static
-
-    def test_step0_layout_with_its_only_checkpoint_corrupt_fails(
-            self, backend, tmp_path):
-        """An inputs.rpg of the static slots only is no step-0 state."""
-        job = _killed_after_submit(backend, tmp_path)
-        directory = tmp_path / job["job_id"]
-        meta, grids, _descriptors = _unframe(
-            (directory / "inputs.rpg").read_bytes())
-        prefix, buffers, _descriptors = _frame(
-            {**meta, "slots": [1]}, grids[1:])
-        (directory / "inputs.rpg").write_bytes(_joined(prefix, buffers))
-        (directory / "ckpt-00000000.rpg").write_bytes(b"torn")
-        recovered = JobManager(backend, job_dir=str(tmp_path))
+    @pytest.mark.parametrize("layout", sorted(OLDER_LAYOUTS))
+    def test_a_job_dir_of_an_older_layout_fails_closed(
+            self, layout, backend, tmp_path):
+        """Recovery reads one layout: a directory an older one wrote is a
+        failed job, counted like corruption and never re-run."""
+        job_id = _older_layout_dir(backend, tmp_path, layout)
+        recovered = JobManager(backend, job_dir=str(tmp_path),
+                               checkpoint_every=4)
         assert recovered.recover() == 0
-        final = recovered.status(job["job_id"])
-        assert final["status"] == FAILED
-        assert "no valid checkpoint survived" in final["error"]
+        final = recovered.status(job_id)
+        assert (final["status"], final["resumes"]) == (FAILED, 0)
+        assert OLDER_LAYOUTS[layout] in final["error"]
+        assert "refusing to silently re-run" in final["error"]
+        assert recovered.corrupt_checkpoints >= 1
         assert recovered._worker is None  # nothing was re-run
+        recovered.close()
+
+    def test_a_manifest_missing_any_field_is_skipped(
+            self, backend, tmp_path):
+        """job.json carries every field manifest() writes; one without a
+        field is no job of this layout, and recovery leaves it alone."""
+        resumed = _killed_after_submit(backend, tmp_path)
+        skipped = _killed_after_submit(backend, tmp_path)
+        path = tmp_path / skipped["job_id"] / "job.json"
+        manifest = json.loads(path.read_text())
+        for field in sorted(manifest):
+            path.write_text(json.dumps(
+                {key: value for key, value in manifest.items()
+                 if key != field}))
+            recovered = JobManager(backend, job_dir=str(tmp_path),
+                                   checkpoint_every=4)
+            recovered._ensure_worker = lambda: None
+            assert recovered.recover() == 1, field
+            with pytest.raises(JobNotFound):
+                recovered.status(skipped["job_id"])
+            recovered.close()
+        # Each pass above resumed the intact job (and persisted that).
+        recovered = JobManager(backend, job_dir=str(tmp_path),
+                               checkpoint_every=4)
+        assert recovered.recover() == 1
+        final = recovered.wait(resumed["job_id"], timeout_s=30.0)
+        assert (final["status"], final["resumes"]) == (
+            COMPLETED, len(manifest) + 1)
+        _descriptor, result = recovered.result(resumed["job_id"])
+        assert result.tobytes() == \
+            _reference("hotspot2d", np.float64).tobytes()
         recovered.close()
 
     def test_recovery_removes_a_write_the_crash_cut_short(
@@ -1106,6 +1076,91 @@ class TestLifecycle:
         with pytest.raises(JobError, match="not completed"):
             manager.result(job["job_id"])
         manager.close()
+
+    def test_close_fails_a_running_memory_only_job_unavailable(
+            self, backend):
+        # No job dir to resume from: the drain stops the job at its next
+        # boundary and says why, as a stopping service fails its queue.
+        manager = JobManager(backend, checkpoint_every=1)
+        job = manager.submit(_request_for("heat", np.float64, steps=10 ** 9))
+        deadline = time.monotonic() + 30
+        while manager.status(job["job_id"])["completed_steps"] == 0:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        worker = manager._worker
+        manager.close()
+        assert not worker.is_alive()
+        final = manager.status(job["job_id"])
+        assert (final["status"], final["code"], final["error"]) == (
+            FAILED, UNAVAILABLE, "service stopped")
+
+    def test_close_fails_a_queued_memory_only_job_unavailable(
+            self, backend):
+        # Nothing resumes a memory-only job still queued behind the
+        # running one either: it fails as that one does.
+        manager = JobManager(backend, checkpoint_every=1)
+        running, queued = (
+            manager.submit(_request_for("heat", np.float64, steps=10 ** 9))
+            for _ in range(2))
+        deadline = time.monotonic() + 30
+        while manager.status(running["job_id"])["completed_steps"] == 0:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        assert manager.status(queued["job_id"])["status"] == "queued"
+        manager.close()
+        for job in (running, queued):
+            final = manager.status(job["job_id"])
+            assert (final["status"], final["code"], final["error"]) == (
+                FAILED, UNAVAILABLE, "service stopped")
+        assert not manager._queue
+
+    @pytest.mark.parametrize("key", ["acoustic", "hotspot2d", "jacobi2d5pt"])
+    def test_close_leaves_durable_jobs_that_recover_finishes_bit_identically(
+            self, key, backend, tmp_path, monkeypatch):
+        """The running job stops at its first boundary past step 0 once
+        close has begun, the queued one stays queued, and both job.json
+        files still read queued for the next recover()."""
+        manager = JobManager(backend, job_dir=str(tmp_path),
+                             checkpoint_every=4)
+        held = threading.Event()
+        real_run = jobs_module.run_trajectory
+
+        def held_run(*args, boundary, **kwargs):
+            def holding(done, state):
+                if done and not held.is_set():
+                    held.set()
+                    deadline = time.monotonic() + 30
+                    while not manager._closed:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.005)
+                return boundary(done, state)
+            return real_run(*args, boundary=holding, **kwargs)
+
+        monkeypatch.setattr(jobs_module, "run_trajectory", held_run)
+        running, queued = (manager.submit(_request_for(key, np.float64))
+                           for _ in range(2))
+        assert held.wait(timeout=30.0)
+        worker = manager._worker
+        manager.close()
+        assert not worker.is_alive()
+        for job in (running, queued):
+            manifest = json.loads(
+                (tmp_path / job["job_id"] / "job.json").read_text())
+            assert manifest["status"] == "queued"
+        newest = sorted((tmp_path / running["job_id"]).glob("ckpt-*.rpg"))
+        assert _unframe(newest[-1].read_bytes())[0]["step"] == 4
+        assert not list((tmp_path / queued["job_id"]).glob("ckpt-*.rpg"))
+
+        expected = _reference(key, np.float64)
+        recovered = JobManager(backend, job_dir=str(tmp_path),
+                               checkpoint_every=4)
+        assert recovered.recover() == 2
+        for job in (running, queued):
+            final = recovered.wait(job["job_id"], timeout_s=30.0)
+            assert (final["status"], final["resumes"]) == (COMPLETED, 1)
+            _descriptor, result = recovered.result(job["job_id"])
+            assert result.tobytes() == expected.tobytes()
+        recovered.close()
 
     def test_unknown_job_raises_not_found(self, backend):
         manager = JobManager(backend)

@@ -566,6 +566,78 @@ def test_an_inflight_iterate_survives_sigterm(transport, long_iterate,
         assert reply["connection"] == "close"
 
 
+def test_sigterm_stops_a_durable_job_at_its_next_boundary(tmp_path):
+    # A hotspot2d 64² job sized to run ≈ 2 s here in 20 segments: SIGTERM
+    # after its first checkpoint stops it within one segment plus the
+    # drain, and a restart on the same --job-dir finishes it from there.
+    bench = get_benchmark("hotspot2d")
+    inputs = bench.make_inputs((64, 64), 0)
+
+    def seconds(steps):
+        started = time.perf_counter()
+        bench.iterate(inputs, steps)
+        return time.perf_counter() - started
+
+    seconds(8)                               # capture the plan
+    per_step = (seconds(16448) - seconds(64)) / 16384
+    steps = max(20 * 64, int(2.0 / per_step))
+    expected = np.asarray(bench.iterate(inputs, steps), dtype=np.float64)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [path for path in [env.get("PYTHONPATH")] if path])
+
+    def serve(name):
+        ports = {"tcp": loadgen._free_port(), "http": loadgen._free_port()}
+        with open(tmp_path / f"{name}.log", "wb") as log:
+            server = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--no-store",
+                 "--port", str(ports["tcp"]),
+                 "--http-port", str(ports["http"]),
+                 "--job-dir", str(tmp_path / "jobs")],
+                stdout=log, stderr=log, env=env)
+        config = ClientConfig(transport="http", port=ports["http"],
+                              timeout_s=30.0)
+        return server, lambda: loadgen._wait_ready(
+            lambda: StencilClient(config))
+
+    server, connect = serve("first")
+    try:
+        with connect() as client:
+            job = client.submit_job(
+                ExecutionRequest(inputs=inputs, benchmark="hotspot2d",
+                                 steps=steps),
+                checkpoint_every=steps // 20)
+            deadline = time.monotonic() + 30
+            while client.job_status(job["job_id"])["completed_steps"] == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        signalled = time.monotonic()
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=30) == 0
+        assert time.monotonic() - signalled < 3.0
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+    manifest = json.loads(
+        (tmp_path / "jobs" / job["job_id"] / "job.json").read_text())
+    assert manifest["status"] == "queued"
+
+    server, connect = serve("second")
+    try:
+        with connect() as client:
+            final = client.wait_job(job["job_id"], timeout_s=60)
+            _descriptor, result = client.job_result(job["job_id"])
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=30) == 0
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+    assert (final["status"], final["resumes"]) == ("completed", 1), final
+    assert result.tobytes() == expected.tobytes()
+
+
 def test_sigterm_answers_a_pending_job_wait(tmp_path):
     # A 30 s job_status wait must not hold the drain: SIGTERM answers it at
     # once with the job still running, the listener still takes the
