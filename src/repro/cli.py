@@ -560,9 +560,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "state and results older than this are purged "
                             "from memory and disk (default 3600)")
     serve.add_argument("--max-resident-jobs", type=int, default=64,
-                       help="in-memory result cap: only this many completed "
-                            "results stay resident, the rest reload from "
-                            "their result file on demand (default 64)")
+                       help="in-memory result cap: at most this many "
+                            "completed results stay resident, served ones "
+                            "evicted first; with --job-dir a result leaves "
+                            "memory once served and every later fetch "
+                            "reloads its result file (default 64)")
     serve.add_argument("--inject", default=None, metavar="SPEC",
                        help="arm deterministic fault injection, e.g. "
                             "'shard.crash_before_reply:p=0.02:seed=7' or "

@@ -101,9 +101,14 @@ restart — returns the existing job instead of starting a second
 trajectory.
 
 **Bounded retention**: terminal jobs older than ``job_ttl_s`` are purged
-(memory and disk); at most ``max_resident`` completed results stay
-resident in memory (the ``repro_jobs_resident_results`` gauge), older ones
-are dropped to disk and reloaded on demand.  A terminal job keeps no carry
+(memory and disk).  With a job dir a result leaves memory once
+:meth:`JobManager.result` has served it: ``result.rpg`` is then its only
+home, and a later fetch reloads and checksum-verifies it.  At most
+``max_resident`` completed results no one has fetched yet stay resident
+(the ``repro_jobs_resident_results`` gauge); older ones are dropped to
+disk and reloaded on demand.  A memory-only manager keeps served results
+too, since memory is their only home, and evicts served ones first,
+oldest first, before any unserved one.  A terminal job keeps no carry
 state.
 
 Fault points (:mod:`repro.faults`): ``job.crash_after_checkpoint``
@@ -236,10 +241,11 @@ def _frame(
 
 
 def _unframe(
-    data: bytes,
+    data,
 ) -> Tuple[Dict[str, object], List[np.ndarray], List[dict]]:
     """Decode + validate a framed payload as (meta, grids, grid
-    descriptors); raises :class:`JobIntegrityError`."""
+    descriptors); raises :class:`JobIntegrityError`.  The grids of a
+    ``bytearray`` are views of it (:func:`decode_grid_payload`)."""
     try:
         header, _offset = decode_grid_header(data)
         meta, grids = decode_grid_payload(data)
@@ -286,6 +292,22 @@ def _atomic_write(path: Path, *pieces) -> None:
     _fsync_dir(path.parent)
 
 
+def _read_file(path: Path) -> bytearray:
+    """``path``'s bytes, read with ``readinto`` into one writable buffer:
+    :func:`_unframe` returns each grid as a view of it, not a copy."""
+    with open(path, "rb", buffering=0) as handle:
+        data = bytearray(os.fstat(handle.fileno()).st_size)
+        view = memoryview(data)
+        received = 0
+        while received < len(data):
+            count = handle.readinto(view[received:])
+            if not count:
+                raise JobIntegrityError(
+                    f"{path} ended after {received} of {len(data)} bytes")
+            received += count
+    return data
+
+
 class _InjectedCrash(BaseException):
     """``job.crash_after_checkpoint`` fired: abandon the worker *without*
     recording a failure, leaving on-disk state exactly as process death
@@ -324,6 +346,9 @@ class Job:
     #: every checkpoint signs: the static slots once the job runs.
     static: List[dict] = field(default_factory=list)
     result: Optional[np.ndarray] = None
+    #: :meth:`JobManager.result` has returned the result (kept in memory
+    #: only, never in the manifest): a served result is evicted first.
+    served: bool = False
     cancel_requested: bool = False
 
     def manifest(self) -> Dict[str, object]:
@@ -478,8 +503,9 @@ class JobManager:
             "failed.")
         self._evicted_total = counter(
             "repro_job_results_evicted_total",
-            "Resident job results evicted by the max-resident bound (still "
-            "servable from disk when a job dir is configured).")
+            "Completed job results evicted by the max-resident bound, served "
+            "ones first (still servable from disk when a job dir is "
+            "configured; a served durable result leaves memory uncounted).")
         self._checkpoint_seconds = histogram(
             "repro_job_checkpoint_seconds",
             "Wall time to persist one job checkpoint (encode + fsync + "
@@ -618,8 +644,10 @@ class JobManager:
         """The completed job's descriptor + final grid.
 
         Raises :class:`JobError` while the job is still queued/running and
-        :class:`JobNotFound` after it aged out.  Evicted results are
-        reloaded (and checksum-validated) from disk.
+        :class:`JobNotFound` after it aged out.  With a job dir the resident
+        grid is served once and dropped: every later fetch, like a fetch of
+        an evicted result, reloads (and checksum-validates) ``result.rpg``.
+        A memory-only manager keeps the grid it serves.
         """
         self._sweep()
         with self._lock:
@@ -628,10 +656,13 @@ class JobManager:
                 raise JobError(
                     f"job {job_id} is {job.status}, not completed"
                     + (f": {job.error}" if job.error else ""))
-            if job.result is None:
-                job.result = self._load_result(job)
-            self._evict_residents(keep=job.job_id)
-            return job.describe(), job.result
+            result = job.result
+            job.served = True
+            if self.job_dir is not None:
+                job.result = None
+            if result is None:
+                result = self._load_result(job)
+            return job.describe(), result
 
     def cancel(self, job_id: str) -> Dict[str, object]:
         """Request cancellation; takes effect at the next segment boundary.
@@ -1028,6 +1059,10 @@ class JobManager:
         A corrupt checkpoint stays on disk (the resumed run overwrites it):
         unlinked, a crash before the outcome is recorded would leave too
         few files for the count to refuse a re-run from step 0.
+
+        Every grid is a view of its file's buffer (:func:`_read_file`), so
+        a resumed job's static slots hold all of ``inputs.rpg`` until the
+        job ends: at most one carried set more than a copy would keep.
         """
         directory = self.job_dir / job.job_id if self.job_dir else None
         if directory is None or not directory.is_dir():
@@ -1036,7 +1071,7 @@ class JobManager:
         checkpoints = self._checkpoints(directory)
         for path in reversed(checkpoints):
             try:
-                meta, grids, _descriptors = _unframe(path.read_bytes())
+                meta, grids, _descriptors = _unframe(_read_file(path))
             except (OSError, JobIntegrityError) as error:
                 self._corrupt_total.inc()
                 log.warning("skipping corrupt checkpoint %s: %s", path, error)
@@ -1068,7 +1103,7 @@ class JobManager:
         ``inputs.rpg``, which holds every slot."""
         path = directory / _INPUTS
         try:
-            meta, grids, descriptors = _unframe(path.read_bytes())
+            meta, grids, descriptors = _unframe(_read_file(path))
         except (OSError, JobIntegrityError) as error:
             raise JobIntegrityError(f"{path}: {error}") from error
         if str(meta.get("job_id")) != job.job_id:
@@ -1100,7 +1135,7 @@ class JobManager:
         if path is None or not path.is_file():
             raise JobError(f"job {job.job_id}'s result is no longer resident "
                            "and no job dir holds it")
-        meta, grids, _descriptors = _unframe(path.read_bytes())
+        meta, grids, _descriptors = _unframe(_read_file(path))
         if str(meta.get("job_id")) != job.job_id or len(grids) != 1:
             raise JobIntegrityError(
                 f"result file for {job.job_id} names job "
@@ -1109,15 +1144,16 @@ class JobManager:
         return grids[0]
 
     # -- retention ------------------------------------------------------------
-    def _evict_residents(self, keep: Optional[str] = None) -> None:
-        """Bound resident results to ``max_resident`` (caller holds lock)."""
+    def _evict_residents(self, keep: str) -> None:
+        """Bound resident results to ``max_resident``, counting ``keep``
+        but never evicting it: served ones go first, then unserved ones,
+        each oldest first (caller holds lock)."""
         residents = [job for job in self._jobs.values()
                      if job.result is not None and job.job_id != keep]
-        overflow = (len(residents) + (1 if keep is not None else 0)
-                    - self.max_resident)
+        overflow = len(residents) + 1 - self.max_resident
         if overflow <= 0:
             return
-        residents.sort(key=lambda job: job.updated_at)
+        residents.sort(key=lambda job: (not job.served, job.updated_at))
         for job in residents[:overflow]:
             job.result = None
             self._evicted_total.inc()

@@ -1036,6 +1036,12 @@ def _wait_ready(make_client, timeout_s: float = 30.0):
                        f"(last error: {last_error})")
 
 
+def _bit_identical(grid: np.ndarray, reference: np.ndarray) -> bool:
+    return bool(grid.dtype == reference.dtype
+                and grid.shape == reference.shape
+                and grid.tobytes() == reference.tobytes())
+
+
 def run_job_drill(
     benchmark: str = "heat",
     steps: int = 512,
@@ -1058,9 +1064,12 @@ def run_job_drill(
     started on the same ports with the same ``--job-dir``; the drill then
     asserts the job **resumed** (``resumes == 1``, never restarted from
     step 0), **completed**, and produced a final grid **bit-identical** to
-    the uninterrupted local ``benchmark.iterate`` reference, and that the
-    restarted server's ``/metrics`` shows ``repro_job_checkpoints_total
-    >= 1`` and ``repro_job_resumes_total == 1``.
+    the uninterrupted local ``benchmark.iterate`` reference, that a second
+    fetch (from ``result.rpg``, since the first took the result out of
+    memory) is bit-identical to the first, and that the restarted
+    server's ``/metrics`` shows ``repro_job_checkpoints_total >= 1``,
+    ``repro_job_resumes_total == 1`` and ``repro_jobs_resident_results
+    == 0``.
     """
     import shutil
     import tempfile
@@ -1143,14 +1152,15 @@ def run_job_drill(
             report["resumes"] = int(final.get("resumes") or 0)
             report["completed_steps"] = int(final.get("completed_steps") or 0)
             if final.get("status") == "completed":
+                # The first fetch is served from memory; the second from
+                # result.rpg alone, which the first left as its only home.
                 _job, result = client.job_result(job_id)
-                report["bit_identical"] = bool(
-                    result.dtype == expected.dtype
-                    and result.shape == expected.shape
-                    and result.tobytes() == expected.tobytes()
-                )
+                _job, again = client.job_result(job_id)
+                report["bit_identical"] = _bit_identical(result, expected)
+                report["refetch_identical"] = _bit_identical(again, result)
             else:
                 report["bit_identical"] = False
+                report["refetch_identical"] = False
                 problems.append(
                     f"job ended {final.get('status')!r} after restart: "
                     f"{final.get('error')}")
@@ -1158,7 +1168,8 @@ def run_job_drill(
             client.close()
         report["metrics"] = _scrape_metrics(
             host, ports["http"],
-            ("repro_job_checkpoints_total", "repro_job_resumes_total"))
+            ("repro_job_checkpoints_total", "repro_job_resumes_total",
+             "repro_jobs_resident_results"))
     finally:
         if server.poll() is None:
             server.terminate()
@@ -1185,10 +1196,12 @@ def format_job_drill(report: Dict[str, object]) -> str:
         f"{report['steps']} steps, restarted with the same --job-dir",
         f"  outcome: status={report.get('final_status')} "
         f"resumes={report.get('resumes')} "
-        f"bit_identical={report.get('bit_identical')}",
+        f"bit_identical={report.get('bit_identical')} "
+        f"refetch_identical={report.get('refetch_identical')}",
         f"  metrics: checkpoints_total="
         f"{metrics.get('repro_job_checkpoints_total')} "
-        f"resumes_total={metrics.get('repro_job_resumes_total')}",
+        f"resumes_total={metrics.get('repro_job_resumes_total')} "
+        f"resident_results={metrics.get('repro_jobs_resident_results')}",
         f"  wall: {float(report.get('wall_s') or 0.0):.1f}s "
         f"(log: {report.get('server_log')})",
     ]
@@ -1206,6 +1219,9 @@ def check_job_drill(report: Dict[str, object]) -> List[str]:
     if not report.get("bit_identical"):
         problems.append(
             "recovered result is not bit-identical to the uninterrupted run")
+    if not report.get("refetch_identical"):
+        problems.append(
+            "a second fetch of the result is not bit-identical to the first")
     kill_point = int(report.get("completed_steps_at_kill") or 0)
     if not 0 < kill_point < int(report.get("steps") or 0):
         problems.append(
@@ -1221,6 +1237,11 @@ def check_job_drill(report: Dict[str, object]) -> List[str]:
     if resumes != 1:
         problems.append(
             f"repro_job_resumes_total = {resumes}, expected exactly 1")
+    resident = metrics.get("repro_jobs_resident_results")
+    if resident != 0:
+        problems.append(
+            f"repro_jobs_resident_results = {resident}, expected 0: a "
+            "served durable result stays in memory")
     return problems
 
 

@@ -275,8 +275,11 @@ class StencilService:
     job_ttl_s:
         How long terminal jobs (and their on-disk results) are retained.
     max_resident_jobs:
-        At most this many completed results stay resident in memory;
-        older ones drop to disk and reload on demand.
+        At most this many completed results stay resident in memory.
+        With a ``job_dir`` these are the ones no one has fetched yet: a
+        served result leaves memory at once, and every later fetch, like
+        one of an evicted result, reloads ``result.rpg``.  A memory-only
+        manager keeps served results too and evicts them first.
     """
 
     def __init__(

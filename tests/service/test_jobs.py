@@ -109,6 +109,13 @@ def _joined(prefix: bytes, buffers) -> bytes:
     return prefix + b"".join(bytes(buffer) for buffer in buffers)
 
 
+def _buffer_of(grid: np.ndarray):
+    """The object whose memory ``grid`` is a view of."""
+    while isinstance(grid, np.ndarray):
+        grid = grid.base
+    return grid.obj if isinstance(grid, memoryview) else grid
+
+
 def _crash_at(backend, job_dir, key: str, segment: int, at: int = 1):
     """Submit ``key`` and let ``job.crash_after_checkpoint:at=`` abandon the
     worker; returns the crashed manager and the job descriptor."""
@@ -632,6 +639,25 @@ class TestCheckpointIntegrity:
         _descriptor, result = recovered.result(job["job_id"])
         assert result.tobytes() == expected.tobytes()
         recovered.close()
+
+    def test_a_resumed_state_is_views_of_the_files_it_was_read_from(
+            self, backend, tmp_path):
+        """Each file is read once into one buffer and every grid is a view
+        of it: the carried slot of the checkpoint's, the static one of
+        inputs.rpg's."""
+        crashed, job = _crash_at(backend, tmp_path, "hotspot2d", segment=4)
+        crashed.close()
+        directory = tmp_path / job["job_id"]
+        record = Job.from_manifest(
+            json.loads((directory / "job.json").read_text(encoding="utf-8")))
+        step, state, _held = JobManager(
+            backend, job_dir=str(tmp_path))._load_latest_checkpoint(record)
+        assert step == 4
+        buffers = [_buffer_of(grid) for grid in state]
+        assert all(isinstance(buffer, bytearray) for buffer in buffers)
+        assert [len(buffer) for buffer in buffers] == [
+            (directory / "ckpt-00000004.rpg").stat().st_size,  # temp
+            (directory / "inputs.rpg").stat().st_size]         # power
 
     @pytest.mark.parametrize("layout", sorted(OLDER_LAYOUTS))
     def test_a_job_dir_of_an_older_layout_fails_closed(
@@ -1223,6 +1249,78 @@ class TestRetention:
         _descriptor, result = manager.result(jobs[0]["job_id"])  # evicted
         assert result.tobytes() == expected.tobytes()
         assert manager.stats()["resident_results"] == 1
+        manager.close()
+
+    @staticmethod
+    def _resident(manager: JobManager) -> float:
+        return manager.metrics.snapshot()[
+            "repro_jobs_resident_results"]["value"]
+
+    def _completed(self, manager: JobManager, key: str = "hotspot2d"):
+        job = manager.submit(_request_for(key, np.float64))
+        assert manager.wait(job["job_id"],
+                            timeout_s=30.0)["status"] == COMPLETED
+        return job["job_id"]
+
+    def test_a_served_durable_result_leaves_memory(self, backend, tmp_path):
+        manager = JobManager(backend, job_dir=str(tmp_path))
+        job_id = self._completed(manager)
+        assert self._resident(manager) == 1
+        _descriptor, first = manager.result(job_id)
+        assert self._resident(manager) == 0
+        # result.rpg is its only home now: the next fetch reloads it, one
+        # read-only view of the file's buffer, bit-identical to the first.
+        _descriptor, second = manager.result(job_id)
+        assert second is not first
+        assert second.tobytes() == first.tobytes() == _reference(
+            "hotspot2d", np.float64).tobytes()
+        assert not second.flags.writeable
+        buffer = _buffer_of(second)
+        assert isinstance(buffer, bytearray)
+        assert len(buffer) == (tmp_path / job_id / "result.rpg").stat().st_size
+        assert verified_sha256(second) == hashlib.sha256(
+            second.tobytes()).hexdigest()
+        assert self._resident(manager) == 0
+        assert manager.stats()["results_evicted"] == 0
+        manager.close()
+
+    def test_a_byte_flipped_after_the_first_fetch_fails_the_second(
+            self, backend, tmp_path):
+        manager = JobManager(backend, job_dir=str(tmp_path))
+        job_id = self._completed(manager)
+        manager.result(job_id)
+        path = tmp_path / job_id / "result.rpg"
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(JobIntegrityError, match="checksum"):
+            manager.result(job_id)
+        manager.close()
+
+    def test_a_memory_only_manager_serves_a_result_twice(self, backend):
+        manager = JobManager(backend)
+        job_id = self._completed(manager)
+        _descriptor, first = manager.result(job_id)
+        _descriptor, second = manager.result(job_id)
+        assert second is first
+        assert self._resident(manager) == 1
+        manager.close()
+
+    def test_memory_only_eviction_takes_served_results_first(self, backend):
+        """An older unserved result outlives a newer served one: memory is
+        a memory-only manager's only home for either."""
+        manager = JobManager(backend, max_resident=2)
+        unserved = self._completed(manager)
+        served = self._completed(manager)
+        manager.result(served)
+        newest = self._completed(manager)  # three results, bound two
+        assert manager.stats()["results_evicted"] == 1
+        for job_id in (unserved, newest):
+            _descriptor, result = manager.result(job_id)
+            assert result.tobytes() == _reference(
+                "hotspot2d", np.float64).tobytes()
+        with pytest.raises(JobError, match="no longer resident"):
+            manager.result(served)
         manager.close()
 
 

@@ -282,3 +282,27 @@ def test_scenario_keywords_come_from_the_flags():
     assert kwargs["shards"] == 2 and kwargs["recovery_timeout_s"] == 30.0
     assert kwargs["chaos"][0]["action"] == "hang-shard"
     assert "requests" not in kwargs  # run_chaos_loadgen has no such keyword
+
+
+DRILL_PASSED = {
+    "steps": 96, "completed_steps_at_kill": 20, "final_status": "completed",
+    "resumes": 1, "bit_identical": True, "refetch_identical": True,
+    "problems": [], "metrics": {"repro_job_checkpoints_total": 3.0,
+                                "repro_job_resumes_total": 1.0,
+                                "repro_jobs_resident_results": 0.0}}
+
+
+@pytest.mark.parametrize("broken, problem", [
+    ({"refetch_identical": False}, "second fetch"),
+    ({"metrics": {**DRILL_PASSED["metrics"],
+                  "repro_jobs_resident_results": 1.0}},
+     "repro_jobs_resident_results = 1.0"),
+    ({"metrics": {**DRILL_PASSED["metrics"],
+                  "repro_jobs_resident_results": None}},
+     "repro_jobs_resident_results = None"),
+])
+def test_the_job_drill_requires_the_served_result_to_leave_memory(
+        broken, problem):
+    assert loadgen.check_job_drill(DRILL_PASSED) == []
+    (found,) = loadgen.check_job_drill({**DRILL_PASSED, **broken})
+    assert problem in found
