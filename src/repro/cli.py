@@ -538,13 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "attempts); 0 respawns nothing: failed shards "
                             "stay down and groups fall back to the local "
                             "path")
-    serve.add_argument("--breaker-threshold", type=int, default=3,
-                       help="consecutive per-digest failures before the "
-                            "circuit breaker quarantines the digest to the "
-                            "generic local path (0 disables)")
-    serve.add_argument("--breaker-cooldown-s", type=float, default=5.0,
-                       help="seconds a quarantined digest waits before a "
-                            "half-open probe is allowed through")
     serve.add_argument("--job-dir", default=None, metavar="DIR",
                        help="durable-job state directory: multi-timestep "
                             "jobs checkpoint here and are resumed from it "
@@ -555,16 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default checkpoint segment length for durable "
                             "jobs — a crash loses at most this many steps "
                             "(default 16; per-job override on submission)")
-    serve.add_argument("--job-ttl-s", type=float, default=3600.0,
-                       help="retention for finished jobs: terminal job "
-                            "state and results older than this are purged "
-                            "from memory and disk (default 3600)")
-    serve.add_argument("--max-resident-jobs", type=int, default=64,
-                       help="in-memory result cap: at most this many "
-                            "completed results stay resident, served ones "
-                            "evicted first; with --job-dir a result leaves "
-                            "memory once served and every later fetch "
-                            "reloads its result file (default 64)")
     serve.add_argument("--inject", default=None, metavar="SPEC",
                        help="arm deterministic fault injection, e.g. "
                             "'shard.crash_before_reply:p=0.02:seed=7' or "

@@ -4,9 +4,8 @@ The service end of the wire lives in :mod:`repro.service`; this package is
 what *callers* import:
 
 * :class:`StencilClient` (:mod:`.client`) — blocking calls with per-call
-  transport deadlines, default server-side ``deadline_ms`` stamping, and
-  bounded exponential-backoff retries that replay only provably-unexecuted
-  failures;
+  transport deadlines and bounded exponential-backoff retries that replay
+  only provably-unexecuted failures;
 * :class:`TcpTransport` / :class:`HttpTransport` (:mod:`.transport`) —
   pluggable wire protocols with pooled, reused connections; the HTTP
   transport switches to the chunk-streamed binary grid body for large

@@ -15,7 +15,7 @@ The client owns deadlines and retries so callers do not reimplement them:
 
 * every call has a *transport* deadline (``timeout_s``, per call or from
   the config) and every request may carry a *server-side* ``deadline_ms``
-  freshness bound (the service sheds it once stale);
+  freshness bound (the service sheds it once stale), set on the request;
 * failed calls are retried with bounded exponential backoff + jitter, but
   **only** when the transport reports the failure as provably-unexecuted
   (connect error, or timeout before a single response byte) — a failure
@@ -70,21 +70,18 @@ class StencilClient:
     def execute(self, request: ExecutionRequest,
                 timeout_s: Optional[float] = None) -> ExecutionResponse:
         """Execute one request (the request's own priority/deadline apply)."""
-        return self._execute(self._stamp(request), timeout_s)
+        return self._execute(request, timeout_s)
 
     def execute_benchmark(self, key: str, shape=None, seed: int = 0,
-                          priority: Optional[str] = None,
+                          priority: str = "normal",
                           deadline_ms: Optional[float] = None,
                           steps: int = 1,
                           timeout_s: Optional[float] = None,
                           ) -> ExecutionResponse:
         """Execute a registered benchmark with generated inputs."""
         request = ExecutionRequest.for_benchmark(
-            key, shape=shape, seed=seed,
-            priority=priority if priority is not None else self.config.priority,
-            deadline_ms=(deadline_ms if deadline_ms is not None
-                         else self.config.deadline_ms),
-            steps=steps,
+            key, shape=shape, seed=seed, priority=priority,
+            deadline_ms=deadline_ms, steps=steps,
         )
         return self._execute(request, timeout_s)
 
@@ -99,7 +96,7 @@ class StencilClient:
             raise ValueError("steps must be >= 1")
         if request.steps != steps:
             request = dataclasses.replace(request, steps=steps)
-        return self._execute(self._stamp(request), timeout_s)
+        return self._execute(request, timeout_s)
 
     # -- durable jobs --------------------------------------------------------
     def submit_job(self, request: ExecutionRequest,
@@ -117,7 +114,7 @@ class StencilClient:
             job_key = uuid.uuid4().hex
         return self._call(
             lambda remaining: self.transport.job_submit(
-                self._stamp(request), job_key=job_key,
+                request, job_key=job_key,
                 checkpoint_every=checkpoint_every, timeout_s=remaining,
             ),
             timeout_s,
@@ -204,14 +201,6 @@ class StencilClient:
                                     else self.config.timeout_s)
 
     # -- mechanics -----------------------------------------------------------
-    def _stamp(self, request: ExecutionRequest) -> ExecutionRequest:
-        """A copy carrying the config's default server-side deadline when
-        the request sets none; otherwise the request itself."""
-        if request.deadline_ms is None and self.config.deadline_ms is not None:
-            return dataclasses.replace(
-                request, deadline_ms=float(self.config.deadline_ms))
-        return request
-
     def _execute(self, request: ExecutionRequest,
                  timeout_s: Optional[float]) -> ExecutionResponse:
         return self._call(

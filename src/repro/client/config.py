@@ -40,9 +40,8 @@ class ClientConfig:
     ``transport`` selects the wire protocol: ``"tcp"`` is the JSON-lines
     endpoint of ``repro serve``, ``"http"`` the ``/v1/*`` endpoint of
     ``repro serve --http-port``.  ``timeout_s`` is the per-call transport
-    deadline (connect + send + first response byte); ``deadline_ms`` is the
-    default *server-side* freshness bound stamped onto requests that do not
-    carry their own.
+    deadline (connect + send + first response byte).  A request's
+    server-side priority and ``deadline_ms`` are fields of the request.
     """
 
     host: str = "127.0.0.1"
@@ -50,8 +49,6 @@ class ClientConfig:
     transport: str = "tcp"
     auth_key: Optional[str] = None
     timeout_s: float = 30.0
-    deadline_ms: Optional[float] = None
-    priority: str = "normal"
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     binary_threshold_bytes: int = DEFAULT_BINARY_THRESHOLD_BYTES
 

@@ -100,16 +100,16 @@ e.g. a retry after an ambiguous transport failure, or after a server
 restart — returns the existing job instead of starting a second
 trajectory.
 
-**Bounded retention**: terminal jobs older than ``job_ttl_s`` are purged
-(memory and disk).  With a job dir a result leaves memory once
+**Bounded retention**: terminal jobs older than :data:`JOB_TTL_S` are
+purged (memory and disk).  With a job dir a result leaves memory once
 :meth:`JobManager.result` has served it: ``result.rpg`` is then its only
-home, and a later fetch reloads and checksum-verifies it.  At most
-``max_resident`` completed results no one has fetched yet stay resident
-(the ``repro_jobs_resident_results`` gauge); older ones are dropped to
-disk and reloaded on demand.  A memory-only manager keeps served results
-too, since memory is their only home, and evicts served ones first,
-oldest first, before any unserved one.  A terminal job keeps no carry
-state.
+home, and a later fetch reloads and checksum-verifies it outside the
+manager lock.  At most :data:`MAX_RESIDENT_RESULTS` completed results no
+one has fetched yet stay resident (the ``repro_jobs_resident_results``
+gauge); older ones are dropped to disk and reloaded on demand.  A
+memory-only manager keeps served results too, since memory is their only
+home, and evicts served ones first, oldest first, before any unserved
+one.  A terminal job keeps no carry state.
 
 Fault points (:mod:`repro.faults`): ``job.crash_after_checkpoint``
 fires on the writer right after a checkpoint persists and abandons the
@@ -179,6 +179,10 @@ _CKPT_SUFFIX = ".rpg"
 #: Checkpoints kept per job: the newest, and the one recovery falls back
 #: to when the newest fails its checksums.
 KEEP_CHECKPOINTS = 2
+#: Seconds a terminal job (and its directory) is kept before a sweep drops it.
+JOB_TTL_S = 3600.0
+#: Completed results kept in memory; older ones are reloaded from disk.
+MAX_RESIDENT_RESULTS = 64
 
 
 def _resolve_all(futures: List[asyncio.Future], value) -> None:
@@ -448,8 +452,6 @@ class JobManager:
         router: Optional[DigestRouter] = None,
         job_dir: Optional[str] = None,
         checkpoint_every: int = 16,
-        job_ttl_s: float = 3600.0,
-        max_resident: int = 64,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if checkpoint_every < 1:
@@ -458,8 +460,6 @@ class JobManager:
         self.router = router if router is not None else DigestRouter()
         self.job_dir = Path(job_dir) if job_dir else None
         self.checkpoint_every = int(checkpoint_every)
-        self.job_ttl_s = float(job_ttl_s)
-        self.max_resident = int(max_resident)
         self._jobs: Dict[str, Job] = {}
         self._by_key: Dict[str, str] = {}
         self._lock = threading.RLock()
@@ -596,8 +596,9 @@ class JobManager:
                 job_key=key,
                 benchmark=request.benchmark,
                 steps=request.steps,
-                checkpoint_every=int(checkpoint_every
-                                     or self.checkpoint_every),
+                checkpoint_every=(self.checkpoint_every
+                                  if checkpoint_every is None
+                                  else int(checkpoint_every)),
                 num_inputs=len(request.inputs),
                 size_env=dict(request.size_env or {}),
                 priority=request.priority,
@@ -644,10 +645,11 @@ class JobManager:
         """The completed job's descriptor + final grid.
 
         Raises :class:`JobError` while the job is still queued/running and
-        :class:`JobNotFound` after it aged out.  With a job dir the resident
-        grid is served once and dropped: every later fetch, like a fetch of
-        an evicted result, reloads (and checksum-validates) ``result.rpg``.
-        A memory-only manager keeps the grid it serves.
+        :class:`JobNotFound` after it aged out, also while its result file
+        was being read.  With a job dir the resident grid is served once and
+        dropped: every later fetch, like a fetch of an evicted result,
+        reloads (and checksum-validates) ``result.rpg`` without holding the
+        manager lock.  A memory-only manager keeps the grid it serves.
         """
         self._sweep()
         with self._lock:
@@ -660,9 +662,10 @@ class JobManager:
             job.served = True
             if self.job_dir is not None:
                 job.result = None
-            if result is None:
-                result = self._load_result(job)
-            return job.describe(), result
+            descriptor = job.describe()
+        if result is None:
+            result = self._load_result(job)
+        return descriptor, result
 
     def cancel(self, job_id: str) -> Dict[str, object]:
         """Request cancellation; takes effect at the next segment boundary.
@@ -755,8 +758,8 @@ class JobManager:
                 "results_evicted": self._evicted_total.value,
                 "resident_results": self._resident_results(),
                 "checkpoint_every": self.checkpoint_every,
-                "job_ttl_s": self.job_ttl_s,
-                "max_resident": self.max_resident,
+                "job_ttl_s": JOB_TTL_S,
+                "max_resident": MAX_RESIDENT_RESULTS,
                 "job_dir": str(self.job_dir) if self.job_dir else None,
             }
 
@@ -1130,12 +1133,17 @@ class JobManager:
         remember_sha256(result, str(descriptor["sha256"]))
 
     def _load_result(self, job: Job) -> np.ndarray:
-        directory = self.job_dir / job.job_id if self.job_dir else None
-        path = directory / _RESULT if directory is not None else None
-        if path is None or not path.is_file():
+        """``result.rpg``'s grid; a file a TTL sweep removed is the job's
+        :class:`JobNotFound`."""
+        if self.job_dir is None:
             raise JobError(f"job {job.job_id}'s result is no longer resident "
                            "and no job dir holds it")
-        meta, grids, _descriptors = _unframe(_read_file(path))
+        try:
+            data = _read_file(self.job_dir / job.job_id / _RESULT)
+        except FileNotFoundError:
+            raise JobNotFound(f"no job {job.job_id!r}: it aged out while "
+                              "its result was read") from None
+        meta, grids, _descriptors = _unframe(data)
         if str(meta.get("job_id")) != job.job_id or len(grids) != 1:
             raise JobIntegrityError(
                 f"result file for {job.job_id} names job "
@@ -1145,12 +1153,12 @@ class JobManager:
 
     # -- retention ------------------------------------------------------------
     def _evict_residents(self, keep: str) -> None:
-        """Bound resident results to ``max_resident``, counting ``keep``
-        but never evicting it: served ones go first, then unserved ones,
-        each oldest first (caller holds lock)."""
+        """Bound resident results to :data:`MAX_RESIDENT_RESULTS`, counting
+        ``keep`` but never evicting it: served ones go first, then unserved
+        ones, each oldest first (caller holds lock)."""
         residents = [job for job in self._jobs.values()
                      if job.result is not None and job.job_id != keep]
-        overflow = len(residents) + 1 - self.max_resident
+        overflow = len(residents) + 1 - MAX_RESIDENT_RESULTS
         if overflow <= 0:
             return
         residents.sort(key=lambda job: (not job.served, job.updated_at))
@@ -1159,21 +1167,22 @@ class JobManager:
             self._evicted_total.inc()
 
     def _sweep(self) -> None:
-        """Drop terminal jobs older than the TTL (memory + disk)."""
+        """Drop terminal jobs older than :data:`JOB_TTL_S` from memory under
+        the lock, then delete their directories after releasing it."""
         now = time.time()
         with self._lock:
             expired = [
                 job for job in self._jobs.values()
                 if job.status in TERMINAL
-                and now - job.updated_at > self.job_ttl_s
+                and now - job.updated_at > JOB_TTL_S
             ]
             for job in expired:
                 self._jobs.pop(job.job_id, None)
                 if self._by_key.get(job.job_key) == job.job_id:
                     self._by_key.pop(job.job_key, None)
-                if self.job_dir is not None:
-                    shutil.rmtree(self.job_dir / job.job_id,
-                                  ignore_errors=True)
+        if self.job_dir is not None:
+            for job in expired:
+                shutil.rmtree(self.job_dir / job.job_id, ignore_errors=True)
 
 
 __all__ = [

@@ -127,19 +127,22 @@ def _flag(value: object) -> bool:
     return value is not None and str(value).lower() not in ("0", "", "false")
 
 
-def _limit(value: object) -> Optional[int]:
-    """``None`` (the whole ring) or a non-negative integer, JSON or text."""
+def _count(meta: Meta, name: str, least: int) -> Optional[int]:
+    """Field ``name``: ``None`` when absent, else an integer >= ``least``,
+    JSON or decimal text.  A bool, a float or a smaller number is the
+    caller's error."""
+    value = meta.get(name)
     if value is None:
         return None
     if isinstance(value, str) and value.isdecimal():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        value = int(value)
+    if isinstance(value, int) and not isinstance(value, bool) and value >= least:
         return value
-    raise ValueError(f"limit must be a non-negative integer, not {value!r}")
+    raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
 
 
 async def _trace(service, meta: Meta, grids: Grids) -> Reply:
-    slow_only, limit = _flag(meta.get("slow")), _limit(meta.get("limit"))
+    slow_only, limit = _flag(meta.get("slow")), _count(meta, "limit", 0)
     return Reply({
         "ok": True,
         "traces": service.tracer.snapshot(slow_only=slow_only, limit=limit),
@@ -154,12 +157,12 @@ async def _execute(service, meta: Meta, grids: Grids) -> Reply:
 
 async def _job_submit(service, meta: Meta, grids: Grids) -> Reply:
     """The execute wire form plus ``job_key`` (the idempotency token) and
-    an optional per-job ``checkpoint_every``."""
+    an optional per-job ``checkpoint_every`` (absent: the server's)."""
+    every = _count(meta, "checkpoint_every", 1)
     request = await _request(meta, grids)
-    job_key, every = meta.get("job_key"), meta.get("checkpoint_every")
+    job_key = meta.get("job_key")
     job = await _off_loop(
-        service.jobs.submit, request, str(job_key) if job_key else None,
-        _caller_fields(int, every) if every else None)
+        service.jobs.submit, request, str(job_key) if job_key else None, every)
     return Reply({"ok": True, "job": job})
 
 

@@ -21,6 +21,11 @@ from ..core.ir import Lambda, structural_digest
 from ..telemetry.registry import MetricsRegistry
 from .requests import ServiceError
 
+#: Consecutive fast-path failures that open a digest's circuit breaker.
+BREAKER_THRESHOLD = 3
+#: Seconds an open breaker quarantines its digest before one half-open probe.
+BREAKER_COOLDOWN_S = 5.0
+
 
 class Route(NamedTuple):
     """How the service executes all traffic for one structural digest."""
@@ -131,28 +136,26 @@ class DigestCircuitBreaker:
 
     A digest whose fast path keeps failing — plan capture raises on every
     request, or its groups keep taking shards down — re-pays that failure
-    on every request.  The breaker caps the bill: after ``threshold``
-    *consecutive* failures the digest is **quarantined** (state ``open``)
-    and its groups are served on the generic unfused local path, which
-    skips plan capture and shard dispatch entirely.  After ``cooldown_s``
-    the breaker goes ``half_open`` and lets exactly **one** group (the
-    probe) through the fast path: success closes the breaker, failure
-    re-opens it for another cooldown.
+    on every request.  The breaker caps the bill: after
+    :data:`BREAKER_THRESHOLD` *consecutive* failures the digest is
+    **quarantined** (state ``open``) and its groups are served on the
+    generic unfused local path, which skips plan capture and shard
+    dispatch entirely.  After :data:`BREAKER_COOLDOWN_S` the breaker goes
+    ``half_open`` and lets exactly **one** group (the probe) through the
+    fast path: success closes the breaker, failure re-opens it for another
+    cooldown.
 
-    ``threshold=0`` disables the breaker (``allow`` is always True).  The
-    clock is injectable so the state machine is unit-testable without
+    The clock is injectable so the state machine is unit-testable without
     sleeping.  Thread-safe: ``allow`` runs on executor threads while
     ``record_*`` runs on the event loop.  Trips are counted as
     ``repro_breaker_opens_total`` in ``metrics`` — the owning service's
     registry, or a private one for a breaker built alone.
     """
 
-    def __init__(self, threshold: int = 3, cooldown_s: float = 5.0,
-                 clock=None, metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, clock=None,
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         import time as _time
 
-        self.threshold = int(threshold)
-        self.cooldown_s = float(cooldown_s)
         self._clock = clock if clock is not None else _time.monotonic
         self._entries: Dict[str, _BreakerEntry] = {}
         self._lock = threading.Lock()
@@ -170,14 +173,12 @@ class DigestCircuitBreaker:
 
     def allow(self, digest: str) -> bool:
         """May this group take the fast path?  ``False`` = quarantined."""
-        if self.threshold <= 0:
-            return True
         with self._lock:
             entry = self._entries.get(digest)
             if entry is None or entry.state == "closed":
                 return True
             if entry.state == "open":
-                if self._clock() - entry.opened_at < self.cooldown_s:
+                if self._clock() - entry.opened_at < BREAKER_COOLDOWN_S:
                     return False
                 entry.state = "half_open"
                 entry.probe_inflight = False
@@ -189,8 +190,6 @@ class DigestCircuitBreaker:
 
     def record_failure(self, digest: str, reason: str = "") -> bool:
         """Count one fast-path failure; whether it tripped the breaker."""
-        if self.threshold <= 0:
-            return False
         with self._lock:
             entry = self._entries.setdefault(digest, _BreakerEntry())
             entry.failures += 1
@@ -198,7 +197,7 @@ class DigestCircuitBreaker:
             entry.probe_inflight = False
             tripped = (entry.state == "half_open"
                        or (entry.state == "closed"
-                           and entry.failures >= self.threshold))
+                           and entry.failures >= BREAKER_THRESHOLD))
             if tripped:
                 entry.state = "open"
                 entry.opened_at = self._clock()
@@ -207,8 +206,6 @@ class DigestCircuitBreaker:
             return tripped
 
     def record_success(self, digest: str) -> None:
-        if self.threshold <= 0:
-            return
         with self._lock:
             entry = self._entries.get(digest)
             if entry is None:
@@ -217,26 +214,11 @@ class DigestCircuitBreaker:
                 self.closes += 1
             del self._entries[digest]
 
-    def state(self, digest: str) -> str:
-        with self._lock:
-            entry = self._entries.get(digest)
-            if entry is None:
-                return "closed"
-            if (entry.state == "open"
-                    and self._clock() - entry.opened_at >= self.cooldown_s):
-                return "half_open"
-            return entry.state
-
-    def open_count(self) -> int:
-        with self._lock:
-            return sum(1 for entry in self._entries.values()
-                       if entry.state == "open")
-
     def stats(self) -> Dict[str, object]:
         with self._lock:
             return {
-                "threshold": self.threshold,
-                "cooldown_s": self.cooldown_s,
+                "threshold": BREAKER_THRESHOLD,
+                "cooldown_s": BREAKER_COOLDOWN_S,
                 "opens": self.opens,
                 "closes": self.closes,
                 "digests": {

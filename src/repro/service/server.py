@@ -205,7 +205,9 @@ class StencilService:
     digest quarantined by the circuit breaker is served without plans.
     The compilation cache (``service.cache``) is the service's own, so its
     stats show one compilation per hot digest; request traces go to a ring
-    of :data:`TRACE_CAPACITY` (slow past :data:`TRACE_SLOW_MS`).
+    of :data:`TRACE_CAPACITY` (slow past :data:`TRACE_SLOW_MS`).  The
+    breaker and job-retention policies are module constants too
+    (``registry.BREAKER_*``, ``jobs.JOB_TTL_S``, ``jobs.MAX_RESIDENT_RESULTS``).
 
     Parameters
     ----------
@@ -258,13 +260,6 @@ class StencilService:
         program again with its first group.  ``0`` respawns nothing:
         failed shards stay out of rotation and their traffic falls back to
         the in-process path.
-    breaker_threshold:
-        Digest circuit breaker: after this many *consecutive* fast-path
-        failures (plan capture, shard dispatch, execution) for one digest,
-        quarantine it to the generic unfused local path (the one route
-        that serves without plans) for ``breaker_cooldown_s``, then let a
-        single half-open probe try the fast path again.  ``0`` disables
-        the breaker.
     job_dir:
         Directory for durable-job checkpoints (:mod:`~repro.service.jobs`).
         ``None`` keeps jobs memory-only (no recovery across restarts).
@@ -272,14 +267,6 @@ class StencilService:
         Steps per durable-job execution segment — a checkpoint is
         atomically persisted after each segment, and the synchronous
         ``steps > 1`` path re-checks deadlines at the same cadence.
-    job_ttl_s:
-        How long terminal jobs (and their on-disk results) are retained.
-    max_resident_jobs:
-        At most this many completed results stay resident in memory.
-        With a ``job_dir`` these are the ones no one has fetched yet: a
-        served result leaves memory at once, and every later fetch, like
-        one of an evicted result, reloads ``result.rpg``.  A memory-only
-        manager keeps served results too and evicts them first.
     """
 
     def __init__(
@@ -293,12 +280,8 @@ class StencilService:
         max_inflight_per_digest: Optional[int] = None,
         shard_timeout_s: Optional[float] = 30.0,
         max_respawns: int = 5,
-        breaker_threshold: int = 3,
-        breaker_cooldown_s: float = 5.0,
         job_dir: Optional[str] = None,
         checkpoint_every: int = 16,
-        job_ttl_s: float = 3600.0,
-        max_resident_jobs: int = 64,
     ) -> None:
         if max_batch < 1:
             raise ServiceError("max_batch must be >= 1")
@@ -368,9 +351,7 @@ class StencilService:
         # Declared here so an unsharded /metrics lists them at zero; the
         # supervisor binds the same two when a sharded service starts one.
         self._shard_restarts_total, _ = restart_counters(self.metrics)
-        self.breakers = DigestCircuitBreaker(
-            threshold=breaker_threshold, cooldown_s=breaker_cooldown_s,
-            metrics=self.metrics)
+        self.breakers = DigestCircuitBreaker(metrics=self.metrics)
         # Kept in one place each, as plain attributes (stats() only).
         self.largest_batch = 0
         self.crosschecks_passed = 0
@@ -380,17 +361,13 @@ class StencilService:
         #: Event-loop scheduling lag for ``/healthz``; only ``run_server``
         #: samples it, an in-process service keeps 0.
         self.loop_lag_s = 0.0
-        #: Durable multi-timestep jobs: checkpointed execution + recovery.
-        self.checkpoint_every = int(checkpoint_every)
-        # Jobs route through the same router, so a resumed job replays the
-        # program live traffic for its digest runs.
+        # Durable jobs route through the same router, so a resumed job
+        # replays the program live traffic for its digest runs.
         self.jobs = JobManager(
             backend=self.backend,
             router=self.registry,
             job_dir=job_dir,
             checkpoint_every=checkpoint_every,
-            job_ttl_s=job_ttl_s,
-            max_resident=max_resident_jobs,
             metrics=self.metrics,
         )
         self._register_gauges()
@@ -972,7 +949,7 @@ class StencilService:
             out, _done, stopped, fallback = run_trajectory(
                 self.backend, item.route.program, item.request.inputs, steps,
                 item.route.carry, size_env, use_plans, boundary=expired,
-                segment=(self.checkpoint_every
+                segment=(self.jobs.checkpoint_every
                          if item.expires_at is not None else None))
             rows.append(out if stopped is None else stopped)
             timings.update(fallback)

@@ -345,25 +345,24 @@ class TestConfigAndAuth:
 
     def test_overrides_build_a_config(self):
         client = StencilClient(transport=ScriptedTransport([]), port=9999,
-                               deadline_ms=25.0)
+                               timeout_s=2.5)
         assert client.config.port == 9999
-        assert client.config.deadline_ms == 25.0
+        assert client.config.timeout_s == 2.5
 
-    def test_config_default_deadline_is_stamped_onto_requests(self):
+    def test_execute_benchmark_sets_priority_and_deadline_on_the_request(
+            self):
         class Capture(ScriptedTransport):
             def submit(self, request, timeout_s):
-                self.last = request
+                self.sent.append((request.priority, request.deadline_ms))
                 return super().submit(request, timeout_s)
 
         transport = Capture([])
-        client = StencilClient(ClientConfig(deadline_ms=75.0),
-                               transport=transport)
-        client.execute(_request())
-        assert transport.last.deadline_ms == 75.0
-        explicit = _request()
-        explicit.deadline_ms = 10.0
-        client.execute(explicit)
-        assert transport.last.deadline_ms == 10.0  # per-request wins
+        transport.sent = []
+        client = StencilClient(ClientConfig(), transport=transport)
+        client.execute_benchmark("stencil2d", shape=(6, 6))
+        client.execute_benchmark("stencil2d", shape=(6, 6), priority="high",
+                                 deadline_ms=50)
+        assert transport.sent == [("normal", None), ("high", 50.0)]
 
     def test_calls_leave_the_callers_request_unchanged(self):
         class Capture(ScriptedTransport):
@@ -376,13 +375,13 @@ class TestConfigAndAuth:
                 return super().submit(request, timeout_s)
 
         transport = Capture()
-        client = StencilClient(ClientConfig(deadline_ms=75.0),
-                               transport=transport)
+        client = StencilClient(ClientConfig(), transport=transport)
         request = _request()
+        request.deadline_ms = 75.0
         client.iterate(request, 16)
         client.execute(request)
         assert transport.sent == [(16, 75.0), (1, 75.0)]
-        assert (request.steps, request.deadline_ms) == (1, None)
+        assert (request.steps, request.deadline_ms) == (1, 75.0)
         with pytest.raises(ValueError):
             client.iterate(request, 0)
 

@@ -1080,6 +1080,47 @@ class TestIdempotency:
         manager.close()
 
 
+class TestSubmitFields:
+    """``job_submit``'s ``checkpoint_every`` is absent or an integer >= 1
+    (JSON or decimal text, like ``trace``'s ``limit``)."""
+
+    @staticmethod
+    def _submit(**fields):
+        async def main():
+            service = StencilService()
+            async with service:
+                reply = await dispatch(service, "job_submit", {
+                    "benchmark": "heat", "shape": [8, 8, 8], "steps": 2,
+                    **fields})
+                for job in service.jobs.list_jobs():
+                    service.jobs.wait(job["job_id"], timeout_s=30.0)
+                return reply.meta
+        return asyncio.run(main())
+
+    @pytest.mark.parametrize("every", [0, -3, 2.7, True, "0", "2.7"],
+                             ids=["0", "-3", "2.7", "true", "text-0",
+                                  "text-2.7"])
+    def test_anything_but_a_positive_integer_is_a_bad_request(self, every):
+        meta = self._submit(checkpoint_every=every)
+        assert (meta["ok"], meta["code"]) == (False, BAD_REQUEST), meta
+        assert "checkpoint_every must be an integer >= 1" in meta["error"]
+
+    @pytest.mark.parametrize("every, kept", [(None, 16), (3, 3), ("4", 4)])
+    def test_absent_is_the_server_default_and_an_integer_is_kept(
+            self, every, kept):
+        fields = {} if every is None else {"checkpoint_every": every}
+        meta = self._submit(**fields)
+        assert meta["ok"], meta
+        assert meta["job"]["checkpoint_every"] == kept
+
+    def test_the_manager_refuses_an_explicit_zero(self, backend):
+        manager = JobManager(backend)
+        with pytest.raises(JobError, match="checkpoint_every"):
+            manager.submit(_request_for("heat", np.float64),
+                           checkpoint_every=0)
+        manager.close()
+
+
 class TestLifecycle:
     def test_deadline_sheds_between_segments_with_structured_code(
             self, backend):
@@ -1197,8 +1238,9 @@ class TestLifecycle:
 
 class TestRetention:
     def test_ttl_purges_terminal_jobs_from_memory_and_disk(
-            self, backend, tmp_path):
-        manager = JobManager(backend, job_dir=str(tmp_path), job_ttl_s=0.05)
+            self, backend, tmp_path, monkeypatch):
+        monkeypatch.setattr(jobs_module, "JOB_TTL_S", 0.05)
+        manager = JobManager(backend, job_dir=str(tmp_path))
         job = manager.submit(_request_for("heat", np.float64))
         manager.wait(job["job_id"], timeout_s=30.0)
         job_path = tmp_path / job["job_id"]
@@ -1211,9 +1253,10 @@ class TestRetention:
         manager.close()
 
     def test_max_resident_evicts_to_disk_and_reloads_bit_identically(
-            self, backend, tmp_path):
+            self, backend, tmp_path, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_RESIDENT_RESULTS", 2)
         expected = _reference("heat", np.float64)
-        manager = JobManager(backend, job_dir=str(tmp_path), max_resident=2)
+        manager = JobManager(backend, job_dir=str(tmp_path))
         jobs = []
         for index in range(4):
             job = manager.submit(_request_for("heat", np.float64),
@@ -1230,9 +1273,11 @@ class TestRetention:
             assert result.tobytes() == expected.tobytes()
         manager.close()
 
-    def test_terminal_jobs_release_their_carry_state(self, backend, tmp_path):
+    def test_terminal_jobs_release_their_carry_state(
+            self, backend, tmp_path, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_RESIDENT_RESULTS", 1)
         expected = _reference("hotspot2d", np.float64)
-        manager = JobManager(backend, job_dir=str(tmp_path), max_resident=1)
+        manager = JobManager(backend, job_dir=str(tmp_path))
         jobs = []
         for _ in range(5):
             job = manager.submit(_request_for("hotspot2d", np.float64))
@@ -1243,7 +1288,8 @@ class TestRetention:
             _request_for("hotspot2d", np.float64, steps=100000))
         manager.cancel(cancelled["job_id"])
         manager.wait(cancelled["job_id"], timeout_s=30.0)
-        # max_resident bounds what completed jobs hold: one result, no state.
+        # MAX_RESIDENT_RESULTS bounds what completed jobs hold: one result,
+        # no state.
         assert manager.stats()["resident_results"] == 1
         assert [record.state for record in manager._jobs.values()] == [None] * 6
         _descriptor, result = manager.result(jobs[0]["job_id"])  # evicted
@@ -1306,10 +1352,12 @@ class TestRetention:
         assert self._resident(manager) == 1
         manager.close()
 
-    def test_memory_only_eviction_takes_served_results_first(self, backend):
+    def test_memory_only_eviction_takes_served_results_first(
+            self, backend, monkeypatch):
         """An older unserved result outlives a newer served one: memory is
         a memory-only manager's only home for either."""
-        manager = JobManager(backend, max_resident=2)
+        monkeypatch.setattr(jobs_module, "MAX_RESIDENT_RESULTS", 2)
+        manager = JobManager(backend)
         unserved = self._completed(manager)
         served = self._completed(manager)
         manager.result(served)
@@ -1321,6 +1369,53 @@ class TestRetention:
                 "hotspot2d", np.float64).tobytes()
         with pytest.raises(JobError, match="no longer resident"):
             manager.result(served)
+        manager.close()
+
+    def test_a_refetch_reads_its_file_outside_the_manager_lock(
+            self, backend, tmp_path, monkeypatch):
+        """While one fetch reads ``result.rpg``, another job's status
+        answers: the read does not hold the lock every job op takes."""
+        manager = JobManager(backend, job_dir=str(tmp_path))
+        fetched, other = self._completed(manager), self._completed(manager)
+        manager.result(fetched)  # the next fetch reloads result.rpg
+        reading, release = threading.Event(), threading.Event()
+        read_file = jobs_module._read_file
+
+        def parked(path):
+            reading.set()
+            release.wait(30.0)
+            return read_file(path)
+
+        monkeypatch.setattr(jobs_module, "_read_file", parked)
+        with ThreadPoolExecutor(2) as pool:
+            try:
+                refetch = pool.submit(manager.result, fetched)
+                assert reading.wait(10.0)
+                status = pool.submit(manager.status, other)
+                assert status.result(timeout=5.0)["status"] == COMPLETED
+            finally:
+                release.set()
+            _descriptor, result = refetch.result(timeout=30.0)
+        assert result.tobytes() == _reference(
+            "hotspot2d", np.float64).tobytes()
+        manager.close()
+
+    def test_a_result_the_sweep_removed_mid_fetch_is_not_found(
+            self, backend, tmp_path, monkeypatch):
+        manager = JobManager(backend, job_dir=str(tmp_path))
+        job_id = self._completed(manager)
+        manager.result(job_id)
+        read_file = jobs_module._read_file
+
+        def swept_first(path):
+            monkeypatch.setattr(jobs_module, "JOB_TTL_S", 0.0)
+            manager._sweep()
+            return read_file(path)
+
+        monkeypatch.setattr(jobs_module, "_read_file", swept_first)
+        with pytest.raises(JobNotFound, match=job_id):
+            manager.result(job_id)
+        assert not (tmp_path / job_id).exists()
         manager.close()
 
 

@@ -706,9 +706,8 @@ DEFAULT_SERVE_KEYWORDS = {
     "store": ".repro/engine.sqlite", "batch_window": 0.002, "max_batch": 64,
     "crosscheck": False, "shards": 0,
     "max_queue_depth": None, "max_inflight_per_digest": None,
-    "shard_timeout_s": 30.0, "max_respawns": 5,
-    "breaker_threshold": 3, "breaker_cooldown_s": 5.0, "job_dir": None,
-    "checkpoint_every": 16, "job_ttl_s": 3600.0, "max_resident_jobs": 64,
+    "shard_timeout_s": 30.0, "max_respawns": 5, "job_dir": None,
+    "checkpoint_every": 16,
 }
 
 #: dest -> (argv, the keywords that must arrive): the written-out translations.

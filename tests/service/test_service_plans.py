@@ -6,7 +6,8 @@ import pytest
 from repro import faults
 from repro.apps.suite import ALL_BENCHMARKS, get_benchmark
 from repro.backend.base import NumpyBackend
-from repro.service import ExecutionRequest, ServiceClient, StencilService
+from repro.service import (ExecutionRequest, ServiceClient, StencilService,
+                           registry)
 from repro.service.executor import sweep_group
 from repro.service.loadgen import build_requests
 
@@ -51,16 +52,17 @@ class TestServicePlanPath:
         # Exactly one kernel compilation across every batch.
         assert stats["compilation_cache"]["misses"] == 1
 
-    def test_quarantined_batch_is_served_generically_and_bit_identical(self):
+    def test_quarantined_batch_is_served_generically_and_bit_identical(
+            self, monkeypatch):
         # The breaker's quarantine route is the one way the service serves
         # without plans.  Open the breaker with one failed capture, then a
         # batched wave for that digest must skip plan lookup entirely (no
         # further capture attempt) and still pass the crosscheck.
+        monkeypatch.setattr(registry, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(registry, "BREAKER_COOLDOWN_S", 60.0)
         faults.arm("plan.capture_fail:p=1")
         try:
-            with make_client(store=None, crosscheck=True,
-                             breaker_threshold=1,
-                             breaker_cooldown_s=60.0) as client:
+            with make_client(store=None, crosscheck=True) as client:
                 first = client.execute(ExecutionRequest.for_benchmark(
                     "stencil2d", shape=(13, 11)))
                 assert first.ok, first.error

@@ -24,6 +24,7 @@ from repro.service import (
     ServiceClient,
     ShardUnavailable,
     StencilService,
+    registry,
 )
 from repro.service.shards import ShardedExecutor
 from repro.service.supervisor import ShardSupervisor
@@ -162,16 +163,19 @@ class TestSupervisedRespawn:
             assert client.stats()["service"]["supervisor"][
                 "respawn_failures"] == 0
 
-    def test_in_flight_group_is_redispatched_exactly_once_per_request(self):
+    def test_in_flight_group_is_redispatched_exactly_once_per_request(
+            self, monkeypatch):
         # Arm the crash *in the shard children* (export=True → the spawned
         # process arms from the environment): each shard exits before its
         # first reply.  The reply never arrived, so redispatching is
         # idempotent — every request must be answered exactly once, ok.
+        # No failure count reaches the breaker's threshold, so every group
+        # takes the shard path.
+        monkeypatch.setattr(registry, "BREAKER_THRESHOLD", 1_000)
         faults.arm("shard.crash_before_reply:at=1", export=True)
         requests = _stream(count=4)
         service = StencilService(store=None, shards=2, max_batch=2,
-                                 shard_timeout_s=5.0, max_respawns=0,
-                                 breaker_threshold=0)
+                                 shard_timeout_s=5.0, max_respawns=0)
         with ServiceClient(service) as client:
             faults.disarm()  # keep the *parent* process clean
             responses = client.execute_many(requests)
@@ -207,14 +211,16 @@ class TestSupervisedRespawn:
 
 
 class TestBreakerIntegration:
-    def test_repeated_plan_capture_failures_quarantine_the_digest(self):
+    def test_repeated_plan_capture_failures_quarantine_the_digest(
+            self, monkeypatch):
         # Bare point: every plan capture in this process fails.  The service
         # must keep serving (generic fallback), and after `threshold`
         # consecutive plan fallbacks the breaker quarantines the digest so
         # later groups skip capture entirely.
+        monkeypatch.setattr(registry, "BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr(registry, "BREAKER_COOLDOWN_S", 60.0)
         faults.arm("plan.capture_fail")
-        service = StencilService(store=None, breaker_threshold=2,
-                                 breaker_cooldown_s=60.0)
+        service = StencilService(store=None)
         requests = _stream(count=6)
         with ServiceClient(service) as client:
             responses = [client.execute(request) for request in requests]
@@ -227,9 +233,11 @@ class TestBreakerIntegration:
             assert row["state"] == "open", breakers
             assert "plan capture" in row["last_reason"]
 
-    def test_breaker_disabled_never_quarantines(self):
+    def test_failures_below_the_threshold_never_quarantine(
+            self, monkeypatch):
+        monkeypatch.setattr(registry, "BREAKER_THRESHOLD", 5)
         faults.arm("plan.capture_fail")
-        service = StencilService(store=None, breaker_threshold=0)
+        service = StencilService(store=None)
         with ServiceClient(service) as client:
             responses = [client.execute(r) for r in _stream(count=4)]
             assert all(r.ok for r in responses)

@@ -392,8 +392,8 @@ class TestServerFaults:
             status, payload = _over(service, scenario)
         assert status == (400 if transport == "http" else None)
         assert (payload["ok"], payload["code"]) == (False, BAD_REQUEST)
-        if every == "-1":  # the manager's own check, before a job exists
-            assert "checkpoint_every must be >= 1" in payload["error"]
+        if every == "-1":  # the op's own check, before a job exists
+            assert "checkpoint_every must be an integer >= 1" in payload["error"]
         assert service.jobs.list_jobs() == []
         assert not [record for record in caplog.records
                     if record.name == "repro.service.ops"]

@@ -1,4 +1,5 @@
-"""The docs check's flag pass: every documented serve/loadgen flag exists."""
+"""The docs check's flag pass, both ways: every documented serve/loadgen
+flag exists, and every flag those verbs register is documented."""
 
 from __future__ import annotations
 
@@ -34,3 +35,12 @@ def test_a_flag_the_parser_lacks_fails_the_pass(check_links, monkeypatch):
     assert check_links.check_flags() == [
         "docs/OPERATIONS.md documents `--crosscheck` under `repro serve`, "
         "which no verb of that heading accepts"]
+
+
+def test_a_flag_the_table_lacks_fails_the_pass(check_links, monkeypatch):
+    parsers = check_links.verb_parsers()
+    parsers["loadgen"].add_argument("--undocumented-knob", type=int)
+    monkeypatch.setattr(check_links, "verb_parsers", lambda: parsers)
+    assert check_links.check_flags() == [
+        "`repro loadgen` accepts `--undocumented-knob`, which its flag table "
+        "in docs/OPERATIONS.md does not document"]

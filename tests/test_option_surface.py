@@ -24,6 +24,7 @@ from repro.client import ClientConfig
 from repro.engine import SearchEngine
 from repro.experiments.pipeline import lift_best_result
 from repro.service.jobs import JobManager
+from repro.service.registry import DigestCircuitBreaker
 from repro.service.server import StencilService
 from repro.service.shards import ShardedExecutor
 from repro.service.supervisor import ShardSupervisor
@@ -41,13 +42,12 @@ PARAMETERS = {
     StencilService.__init__: (
         "store", "batch_window", "max_batch", "crosscheck",
         "shards", "max_queue_depth", "max_inflight_per_digest",
-        "shard_timeout_s", "max_respawns", "breaker_threshold",
-        "breaker_cooldown_s", "job_dir", "checkpoint_every", "job_ttl_s",
-        "max_resident_jobs"),
+        "shard_timeout_s", "max_respawns", "job_dir", "checkpoint_every"),
     ShardedExecutor.__init__: ("shards", "timeout_s"),
     ShardSupervisor.__init__: ("executor", "max_respawns", "metrics"),
     JobManager.__init__: ("backend", "router", "job_dir", "checkpoint_every",
-                          "job_ttl_s", "max_resident", "metrics"),
+                          "metrics"),
+    DigestCircuitBreaker.__init__: ("clock", "metrics"),
     SearchEngine.__init__: ("store", "workers", "pruner", "validate", "seed",
                             "scorer", "measure_runs", "measure_size"),
     SearchEngine.run: ("benchmark", "shape", "device", "budget", "strategy",
@@ -62,8 +62,29 @@ PARAMETERS = {
 }
 
 CLIENT_CONFIG_FIELDS = ("host", "port", "transport", "auth_key", "timeout_s",
-                        "deadline_ms", "priority", "retry",
-                        "binary_threshold_bytes")
+                        "retry", "binary_threshold_bytes")
+
+#: Every flag of the two serving verbs: a CLI flag is a settable value too.
+VERB_FLAGS = {
+    "serve": {
+        "-h", "--help", "--host", "--port", "--store", "--no-store",
+        "--window-ms", "--max-batch", "--shards", "--crosscheck",
+        "--max-requests", "--prewarm", "--prewarm-shape", "--prewarm-batch",
+        "--http-port", "--auth-key", "--max-queue-depth",
+        "--max-inflight-per-digest", "--shard-timeout-s", "--max-respawns",
+        "--job-dir", "--checkpoint-every", "--inject", "--drain-timeout",
+        "--max-request-bytes", "--log-level", "--log-json"},
+    "loadgen": {
+        "-h", "--help", "--requests", "--shape", "--distinct", "--seed",
+        "--window-ms", "--max-batch", "--shards", "--repeats", "--connect",
+        "--out", "--assert-batched", "--assert-sharded", "--mix",
+        "--deadline-ms", "--transport", "--auth-key", "--concurrency",
+        "--max-queue-depth", "--chaos", "--duration-s", "--shard-timeout-s",
+        "--max-respawns", "--recovery-timeout-s", "--assert-chaos",
+        "--chaos-p99-ms", "--assert-no-high-shed", "--job-drill", "--steps",
+        "--checkpoint-every", "--job-dir", "--kill-after-steps",
+        "--drill-timeout-s", "--assert-job-drill"},
+}
 
 #: Every environment variable the package reads.
 ENVIRONMENT = {"CC", "XDG_CACHE_HOME", "REPRO_INJECT"}
@@ -90,6 +111,11 @@ def _verb_flags(verb: str) -> set:
                       if action.choices and verb in action.choices)
     return {flag for action in subparsers.choices[verb]._actions
             for flag in action.option_strings}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_FLAGS))
+def test_verb_flags_are_pinned(verb):
+    assert _verb_flags(verb) == VERB_FLAGS[verb]
 
 
 def test_serving_never_names_a_device():

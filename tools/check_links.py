@@ -19,10 +19,12 @@ Five passes, run by the CI ``docs`` job (and locally via
    ``repro.service.http.ROUTES`` must appear in ``docs/OPERATIONS.md``,
    and every ``/v1/...`` route or ``job_*`` op the document mentions must
    exist in those tables.
-5. **Documented flags.** Every ``--flag`` in the first column of a flag
-   table (a table whose header cell is ``flag``) under a
-   ``### `repro <verb>` `` heading must be accepted by one of that
-   heading's verbs, according to the parser ``build_parser()`` returns.
+5. **Documented flags.** Both directions again: every ``--flag`` in the
+   first column of a flag table (a table whose header cell is ``flag``)
+   under a ``### `repro <verb>` `` heading must be accepted by one of that
+   heading's verbs, and every option those verbs register (``--help``
+   aside) must appear in that table, according to the parser
+   ``build_parser()`` returns.
 
 Exits non-zero with one line per problem.
 """
@@ -176,17 +178,29 @@ def documented_flags() -> list[tuple[tuple[str, ...], str]]:
 
 
 def check_flags() -> list[str]:
+    import argparse
+
     parsers = verb_parsers()
-    problems = []
+    tables: dict[tuple[str, ...], set[str]] = {}
     for verbs, flag in documented_flags():
-        accepted = {option for verb in verbs if verb in parsers
-                    for action in parsers[verb]._actions
+        tables.setdefault(verbs, set()).add(flag)
+    problems = []
+    for verbs, flags in tables.items():
+        heading = " / ".join(f"repro {verb}" for verb in verbs)
+        actions = [action for verb in verbs if verb in parsers
+                   for action in parsers[verb]._actions
+                   if not isinstance(action, argparse._HelpAction)]
+        accepted = {option for action in actions
                     for option in action.option_strings}
-        if flag not in accepted:
-            heading = " / ".join(f"repro {verb}" for verb in verbs)
-            problems.append(
-                f"docs/OPERATIONS.md documents `{flag}` under `{heading}`, "
-                f"which no verb of that heading accepts")
+        problems += [
+            f"docs/OPERATIONS.md documents `{flag}` under `{heading}`, "
+            f"which no verb of that heading accepts"
+            for flag in sorted(flags - accepted)]
+        problems += sorted({
+            f"`{heading}` accepts `{action.option_strings[-1]}`, which its "
+            f"flag table in docs/OPERATIONS.md does not document"
+            for action in actions
+            if action.option_strings and not set(action.option_strings) & flags})
     return problems
 
 
@@ -202,7 +216,8 @@ def main() -> int:
             f"{len(documented_verbs())} CLI verbs answered --help, "
             f"{len(registered_verbs())} registered subcommands documented, "
             f"service ops and routes match docs/OPERATIONS.md, "
-            f"{len(documented_flags())} documented flags exist"
+            f"{len(documented_flags())} documented flags exist and document "
+            f"every flag of their verbs"
         )
     return 1 if problems else 0
 
