@@ -284,13 +284,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json as _json
 
-    from .client import StencilClient
+    from .client import ClientConfig, StencilClient
     from .telemetry.trace import format_trace
 
     meta = {"slow": bool(args.slow)}
     if args.limit is not None:
         meta["limit"] = args.limit
-    with StencilClient(host=args.host, port=args.port) as client:
+    config = ClientConfig(host=args.host, port=args.port)
+    with StencilClient(config) as client:
         reply, _grids = client.transport.call("trace", meta, None,
                                               client.config.timeout_s)
     if not reply.get("ok"):
@@ -316,7 +317,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
-    from .client import StencilClient
+    from .client import ClientConfig, StencilClient
     from .service.requests import ExecutionRequest
 
     shape = tuple(args.shape) if args.shape else None
@@ -328,7 +329,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     ]
     # One worker per request: all --count requests are in flight at once,
     # so the server can stack them into micro-batches.
-    with StencilClient(host=args.host, port=args.port) as client, \
+    config = ClientConfig(host=args.host, port=args.port)
+    with StencilClient(config) as client, \
             ThreadPoolExecutor(max_workers=max(1, args.count)) as pool:
         responses = list(pool.map(client.execute, requests))
     failures = 0

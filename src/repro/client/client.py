@@ -36,22 +36,40 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..service.jobs import TERMINAL
-from ..service.requests import ExecutionRequest, ExecutionResponse
+from ..service.requests import (ADMISSION_REJECTED, ExecutionRequest,
+                                ExecutionResponse)
 from .config import ClientConfig
 from .transport import HttpTransport, TcpTransport, Transport, TransportError
 
+#: The retry policy: attempts after the first try, and the backoff before
+#: retry ``n`` (0-based), ``min(BACKOFF_MAX_S, BACKOFF_BASE_S * 2**n)``.
+RETRIES = 2
+BACKOFF_BASE_S = 0.05
+BACKOFF_MAX_S = 2.0
+
+
+def backoff_s(attempt: int, jitter: float) -> float:
+    """The wait before retry ``attempt`` (0-based); ``jitter`` in [0, 1)
+    stretches it by up to its own length, so synchronized clients do not
+    stampede."""
+    delay = min(BACKOFF_MAX_S, BACKOFF_BASE_S * (2.0 ** attempt))
+    return delay * (1.0 + jitter)
+
 
 class StencilClient:
-    """A blocking client over one pluggable transport (TCP or HTTP)."""
+    """A blocking client over one pluggable transport (TCP or HTTP).
+
+    Every op is written here once: it builds the op's metadata, sends it
+    through :meth:`_call` (the one retry loop over
+    :meth:`Transport.call`; ``ping``, a probe, makes one attempt) and
+    reads the reply.
+    """
 
     def __init__(self, config: Optional[ClientConfig] = None,
                  transport: Optional[Transport] = None,
-                 rng: Optional[random.Random] = None, **overrides) -> None:
+                 rng: Optional[random.Random] = None) -> None:
         if config is None:
-            config = ClientConfig(**overrides)
-        elif overrides:
-            raise ValueError("pass a ClientConfig or keyword overrides, "
-                             "not both")
+            config = ClientConfig()
         self.config = config
         self._rng = rng if rng is not None else random.Random()
         self.retries_attempted = 0
@@ -70,7 +88,9 @@ class StencilClient:
     def execute(self, request: ExecutionRequest,
                 timeout_s: Optional[float] = None) -> ExecutionResponse:
         """Execute one request (the request's own priority/deadline apply)."""
-        return self._execute(request, timeout_s)
+        reply, grids = self._call("execute", request.wire_meta(),
+                                  request.inputs, timeout_s)
+        return ExecutionResponse.from_wire(reply, grids)
 
     def execute_benchmark(self, key: str, shape=None, seed: int = 0,
                           priority: str = "normal",
@@ -83,7 +103,7 @@ class StencilClient:
             key, shape=shape, seed=seed, priority=priority,
             deadline_ms=deadline_ms, steps=steps,
         )
-        return self._execute(request, timeout_s)
+        return self.execute(request, timeout_s)
 
     def iterate(self, request: ExecutionRequest, steps: int,
                 timeout_s: Optional[float] = None) -> ExecutionResponse:
@@ -96,7 +116,17 @@ class StencilClient:
             raise ValueError("steps must be >= 1")
         if request.steps != steps:
             request = dataclasses.replace(request, steps=steps)
-        return self._execute(request, timeout_s)
+        return self.execute(request, timeout_s)
+
+    def ping(self, timeout_s: float = 5.0) -> bool:
+        """Whether the server answers now: one attempt, never retried, so
+        a readiness probe polls on its own schedule, not the backoff's."""
+        reply, _grids = self.transport.call("ping", {}, None, timeout_s)
+        return bool(reply.get("ok"))
+
+    def stats(self, timeout_s: Optional[float] = None) -> Dict[str, object]:
+        """The server's stats report (``GET /v1/stats`` over HTTP)."""
+        return self._call("stats", {}, None, timeout_s)[0]["stats"]
 
     # -- durable jobs --------------------------------------------------------
     def submit_job(self, request: ExecutionRequest,
@@ -110,43 +140,35 @@ class StencilClient:
         timeout before a response byte) lands on the server's idempotency
         map and returns the already-created job instead of a duplicate.
         """
-        if job_key is None:
-            job_key = uuid.uuid4().hex
-        return self._call(
-            lambda remaining: self.transport.job_submit(
-                request, job_key=job_key,
-                checkpoint_every=checkpoint_every, timeout_s=remaining,
-            ),
-            timeout_s,
-        )
+        meta = request.wire_meta()
+        meta["job_key"] = job_key if job_key is not None else uuid.uuid4().hex
+        if checkpoint_every is not None:
+            meta["checkpoint_every"] = int(checkpoint_every)
+        return self._call("job_submit", meta, request.inputs,
+                          timeout_s)[0]["job"]
 
     def job_status(self, job_id: str,
                    timeout_s: Optional[float] = None) -> Dict[str, object]:
-        return self._call(
-            lambda remaining: self.transport.job_status(job_id, remaining),
-            timeout_s,
-        )
+        return self._call("job_status", {"job_id": job_id}, None,
+                          timeout_s)[0]["job"]
 
     def job_result(self, job_id: str, timeout_s: Optional[float] = None
                    ) -> Tuple[Dict[str, object], np.ndarray]:
         """The ``(descriptor, final grid)`` of a completed job."""
-        return self._call(
-            lambda remaining: self.transport.job_result(job_id, remaining),
-            timeout_s,
-        )
+        reply, grids = self._call("job_result", {"job_id": job_id}, None,
+                                  timeout_s)
+        if not grids:
+            raise TransportError("job result carried no grid")
+        return reply.get("job", {}), np.asarray(grids[0], dtype=np.float64)
 
     def cancel_job(self, job_id: str,
                    timeout_s: Optional[float] = None) -> Dict[str, object]:
-        return self._call(
-            lambda remaining: self.transport.job_cancel(job_id, remaining),
-            timeout_s,
-        )
+        return self._call("job_cancel", {"job_id": job_id}, None,
+                          timeout_s)[0]["job"]
 
     def list_jobs(self, timeout_s: Optional[float] = None
                   ) -> List[Dict[str, object]]:
-        return self._call(
-            lambda remaining: self.transport.job_list(remaining), timeout_s,
-        )
+        return self._call("job_list", {}, None, timeout_s)[0]["jobs"]
 
     def wait_job(self, job_id: str, timeout_s: float = 60.0,
                  poll_s: float = 0.1) -> Dict[str, object]:
@@ -165,9 +187,9 @@ class StencilClient:
             asked = time.monotonic()
             wait_s = max(0.0, min(poll_s, deadline - asked))
             job = self._call(
-                lambda remaining: self.transport.job_status(
-                    job_id, remaining, wait_ms=wait_s * 1e3),
-                wait_s + self.config.timeout_s)
+                "job_status",
+                {"job_id": job_id, "wait_ms": round(wait_s * 1e3, 3)}, None,
+                wait_s + self.config.timeout_s)[0]["job"]
             if job.get("status") in TERMINAL:
                 return job
             now = time.monotonic()
@@ -192,44 +214,31 @@ class StencilClient:
         _job, result = self.job_result(job["job_id"])
         return result
 
-    def ping(self, timeout_s: float = 5.0) -> bool:
-        return self.transport.ping(timeout_s)
-
-    def stats(self, timeout_s: Optional[float] = None
-              ) -> Optional[Dict[str, object]]:
-        return self.transport.stats(timeout_s if timeout_s is not None
-                                    else self.config.timeout_s)
-
     # -- mechanics -----------------------------------------------------------
-    def _execute(self, request: ExecutionRequest,
-                 timeout_s: Optional[float]) -> ExecutionResponse:
-        return self._call(
-            lambda remaining: self.transport.submit(request, remaining),
-            timeout_s, rejected=lambda response: response.rejected,
-        )
-
-    def _call(self, attempt_fn, timeout_s: Optional[float],
-              rejected=lambda result: False):
-        """One logical call: attempts = 1 + retries, safe failures only.
+    def _call(self, op: str, meta: Dict[str, object],
+              grids: Optional[List[np.ndarray]], timeout_s: Optional[float]):
+        """One logical call: attempts = 1 + :data:`RETRIES`, safe failures
+        only; returns the reply's ``(metadata, grids)``.
 
         A :class:`TransportError` is replayed only when the transport
         marks it ``retryable``.  For ``execute`` that flag means
         provably-unexecuted (connect failure, timeout before a response
         byte); job ops are idempotent server-side (submission dedups on
         its ``job_key``; status/result/list are reads; cancel is
-        at-most-once), so the same flag is all they need.  In-band job
-        refusals arrive as non-retryable errors with a structured ``code``
-        and surface immediately.
+        at-most-once), and stats is a read, so the same flag is all they
+        need.
 
-        Results for which ``rejected(result)`` holds — admission
-        rejections (429-style, in-band): a rejected request was provably
-        not executed — are retried too, honouring the server's
-        ``retry_after_ms`` hint: the wait is the *larger* of the hint and
-        the policy's backoff, clipped to the call deadline.  The last
-        rejection is returned (not raised) once retries are exhausted.
+        An in-band refusal of any op but ``execute`` raises a
+        non-retryable :class:`TransportError` carrying the server's
+        ``code`` at once — the caller decides.  An ``execute`` refusal is
+        its response; an admission rejection (429-style, in-band: a
+        rejected request was provably not executed) is retried too,
+        honouring the server's ``retry_after_ms`` hint: the wait is the
+        *larger* of the hint and the backoff, clipped to the call
+        deadline.  The last rejection is returned (not raised) once
+        retries are exhausted.
         """
         timeout = timeout_s if timeout_s is not None else self.config.timeout_s
-        policy = self.config.retry
         call_deadline = time.monotonic() + timeout
         attempt = 0
         while True:
@@ -238,20 +247,27 @@ class StencilClient:
                 raise TransportError("call deadline exhausted before "
                                      f"attempt {attempt + 1}")
             try:
-                result = attempt_fn(remaining)
+                reply, out = self.transport.call(op, meta, grids, remaining)
             except TransportError as error:
-                if not error.retryable or attempt >= policy.retries:
+                if not error.retryable or attempt >= RETRIES:
                     raise
-                delay = policy.delay_s(attempt, self._rng.random())
+                delay = backoff_s(attempt, self._rng.random())
             else:
-                if not rejected(result) or attempt >= policy.retries:
-                    return result
-                hint_s = (result.retry_after_ms or 0.0) / 1e3
-                delay = max(hint_s, policy.delay_s(attempt, self._rng.random()))
+                if op != "execute":
+                    if not reply.get("ok", False):
+                        raise TransportError(
+                            str(reply.get("error", f"{op} refused")),
+                            code=reply.get("code"))
+                    return reply, out
+                if (reply.get("code") != ADMISSION_REJECTED
+                        or attempt >= RETRIES):
+                    return reply, out
+                hint_s = float(reply.get("retry_after_ms") or 0.0) / 1e3
+                delay = max(hint_s, backoff_s(attempt, self._rng.random()))
                 if delay > call_deadline - time.monotonic():
                     # Honouring the hint would blow the call deadline:
                     # hand the rejection back instead of a doomed retry.
-                    return result
+                    return reply, out
             delay = min(delay, max(0.0, call_deadline - time.monotonic()))
             attempt += 1
             self.retries_attempted += 1
@@ -269,4 +285,5 @@ class StencilClient:
         self.close()
 
 
-__all__ = ["StencilClient"]
+__all__ = ["BACKOFF_BASE_S", "BACKOFF_MAX_S", "RETRIES", "StencilClient",
+           "backoff_s"]

@@ -1,12 +1,9 @@
 """Pluggable transports: JSON-lines TCP and HTTP, with pooled connections.
 
 Each transport implements one primitive, :meth:`Transport.call` — send
-``(op, metadata, grids)``, get ``(reply metadata, grids)`` — and the
-blocking surface (``submit`` one
-:class:`~repro.service.requests.ExecutionRequest`, get one
-:class:`~repro.service.requests.ExecutionResponse`; ``ping``; ``stats``;
-the five ``job_*`` calls) is written once on the base class in terms of
-it.  Both keep a pool of idle connections so sequential and multi-threaded
+``(op, metadata, grids)``, get ``(reply metadata, grids)`` — and every op
+of :class:`~repro.client.client.StencilClient` is written once in terms
+of it.  Both keep a pool of idle connections so sequential and multi-threaded
 callers reuse sockets instead of reconnecting per request.
 
 Failure classification is the load-bearing part: :class:`TransportError`
@@ -28,8 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..service.http import route_for
-from ..service.ops import refusal
-from ..service.requests import BAD_REQUEST, ExecutionRequest, ExecutionResponse
 from ..service.wire import (
     CONTENT_TYPE_GRIDS,
     CONTENT_TYPE_JSON,
@@ -124,11 +119,9 @@ def _read_payload(response: http.client.HTTPResponse):
 
 
 class Transport:
-    """The transport surface :class:`StencilClient` drives.
-
-    A transport implements :meth:`call` (and :meth:`close`); every
-    operation below is written once in terms of it.
-    """
+    """The transport surface :class:`StencilClient` drives: one exchange
+    (:meth:`call`) and :meth:`close`.  Every op is written once, on the
+    client, in terms of :meth:`call`."""
 
     def call(self, op: str, meta: Dict[str, object],
              grids: Optional[Sequence[np.ndarray]], timeout_s: float,
@@ -136,75 +129,6 @@ class Transport:
         """One exchange: send ``(op, meta, grids)``, get ``(reply meta,
         reply grids)``.  ``grids=None`` means the op carries no inputs."""
         raise NotImplementedError
-
-    def submit(self, request: ExecutionRequest,
-               timeout_s: float) -> ExecutionResponse:
-        reply, grids = self.call("execute", request.wire_meta(),
-                                 request.inputs, timeout_s)
-        return ExecutionResponse.from_wire(reply, grids)
-
-    def ping(self, timeout_s: float = 5.0) -> bool:
-        reply, _grids = self.call("ping", {}, None, timeout_s)
-        return bool(reply.get("ok"))
-
-    def stats(self, timeout_s: float = 30.0) -> Optional[Dict[str, object]]:
-        """Server-side stats, when the protocol exposes them (else None)."""
-        reply, _grids = self.call("stats", {}, None, timeout_s)
-        stats = reply.get("stats")
-        return stats if isinstance(stats, dict) else None
-
-    # -- durable jobs --------------------------------------------------------
-    # All job ops are idempotent on the server (submission dedups on
-    # ``job_key``; the rest are reads or at-most-once cancels), so every
-    # in-band failure below surfaces as a non-retryable TransportError
-    # carrying the server's structured ``code`` — the caller decides.
-    def _job(self, op: str, meta: Dict[str, object],
-             grids: Optional[Sequence[np.ndarray]], timeout_s: float):
-        reply, out = self.call(op, meta, grids, timeout_s)
-        if not reply.get("ok", False):
-            raise TransportError(
-                str(reply.get("error", "job operation refused")),
-                retryable=False, code=reply.get("code"),
-            )
-        return reply, out
-
-    def job_submit(self, request: ExecutionRequest,
-                   job_key: Optional[str] = None,
-                   checkpoint_every: Optional[int] = None,
-                   timeout_s: float = 30.0) -> Dict[str, object]:
-        """Submit a checkpointed multi-timestep job; returns its descriptor."""
-        meta = request.wire_meta()
-        if job_key is not None:
-            meta["job_key"] = job_key
-        if checkpoint_every is not None:
-            meta["checkpoint_every"] = int(checkpoint_every)
-        return self._job("job_submit", meta, request.inputs,
-                         timeout_s)[0]["job"]
-
-    def job_status(self, job_id: str, timeout_s: float = 30.0,
-                   wait_ms: Optional[float] = None) -> Dict[str, object]:
-        """The job's descriptor; with ``wait_ms``, the server answers as
-        soon as the job ends, or after that long."""
-        meta: Dict[str, object] = {"job_id": job_id}
-        if wait_ms is not None:
-            meta["wait_ms"] = round(float(wait_ms), 3)
-        return self._job("job_status", meta, None, timeout_s)[0]["job"]
-
-    def job_result(self, job_id: str, timeout_s: float = 30.0):
-        """The final grid of a completed job: ``(descriptor, ndarray)``."""
-        reply, grids = self._job("job_result", {"job_id": job_id}, None,
-                                 timeout_s)
-        if not grids:
-            raise TransportError("job result carried no grid")
-        return reply.get("job", {}), np.asarray(grids[0], dtype=np.float64)
-
-    def job_cancel(self, job_id: str,
-                   timeout_s: float = 30.0) -> Dict[str, object]:
-        return self._job("job_cancel", {"job_id": job_id}, None,
-                         timeout_s)[0]["job"]
-
-    def job_list(self, timeout_s: float = 30.0) -> List[Dict[str, object]]:
-        return self._job("job_list", {}, None, timeout_s)[0]["jobs"]
 
     def close(self) -> None:
         raise NotImplementedError
@@ -318,10 +242,7 @@ class HttpTransport(Transport):
         self._pool = _Pool()
 
     def call(self, op, meta, grids, timeout_s):
-        route = route_for(op, meta)
-        if route is None:  # e.g. stats / trace: TCP-only ops
-            return refusal(BAD_REQUEST, f"op {op!r} has no HTTP route").meta, []
-        method, path = route
+        method, path = route_for(op, meta)
         headers = {"Accept": CONTENT_TYPE_GRIDS,
                    **auth_headers(self.auth_key)}
         body = None

@@ -86,6 +86,7 @@ ROUTES = (
     ("GET", "/healthz", "ping", None),
     ("GET", "/metrics", "metrics", None),
     ("GET", "/trace", "trace", None),
+    ("GET", "/v1/stats", "stats", None),
     # An iterate call without a step count is a client bug, not a 1-step
     # run, so the route insists on an explicit ``steps``.
     ("POST", "/v1/iterate", "execute", "steps"),
@@ -98,7 +99,8 @@ ROUTES = (
 )
 
 #: The ops a scraper or probe reaches without the auth key.  ``trace``
-#: is not one: its ring holds other callers' digests and errors.
+#: and ``stats`` are not: both describe other callers' traffic (the ring
+#: holds their digests and errors).
 OPEN_OPS = frozenset({"ping", "metrics"})
 
 CONTENT_TYPE_PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
@@ -313,11 +315,10 @@ def _route(method: str, path: str) -> Tuple[str, Dict[str, str],
     raise HTTPError(NOT_FOUND, f"unknown path {path!r}")
 
 
-def route_for(op: str, meta: Dict[str, object]) -> Optional[Tuple[str, str]]:
+def route_for(op: str, meta: Dict[str, object]) -> Tuple[str, str]:
     """The table read the other way: ``(method, path)`` a client uses for
     ``op`` — the first row whose required field ``meta`` carries, a GET's
-    other fields as its query — or ``None`` for the op HTTP does not
-    expose (``stats``)."""
+    other fields as its query."""
     for method, pattern, route_op, required in ROUTES:
         if route_op == op and (required is None or required in meta):
             path = pattern.format(**meta)
@@ -326,7 +327,7 @@ def route_for(op: str, meta: Dict[str, object]) -> Optional[Tuple[str, str]]:
             if method == "GET" and query:
                 path += "?" + urlencode(query)
             return method, path
-    return None
+    raise ValueError(f"op {op!r} has no HTTP route")
 
 
 def decode_body(content_type: str,

@@ -521,10 +521,6 @@ class JobManager:
         if self.job_dir is not None:
             self.job_dir.mkdir(parents=True, exist_ok=True)
 
-    @property
-    def corrupt_checkpoints(self) -> int:
-        return self._corrupt_total.value
-
     def _resident_results(self) -> int:
         with self._lock:
             return sum(1 for job in self._jobs.values()

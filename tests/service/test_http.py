@@ -341,6 +341,14 @@ def _response_meta(response):
     return meta, response.result.tobytes()
 
 
+def _leaves(tree, path=()):
+    """A nested report flattened to ``{key path: leaf value}``."""
+    if not isinstance(tree, dict):
+        return {path: tree}
+    return {leaf: value for key, child in tree.items()
+            for leaf, value in _leaves(child, path + (key,)).items()}
+
+
 def _job_result(client, job_id):
     descriptor, grid = client.job_result(job_id)
     return descriptor, grid.tobytes()
@@ -410,16 +418,15 @@ class TestTransportParity:
         # iterate is the execute op behind its own route.
         assert set(OP_CALLS) - {"iterate"} == set(OPS)
         routed = {op for _method, _pattern, op, _required in ROUTES}
-        assert set(OPS) - routed == {"stats"}  # TCP-only, as ever
+        assert set(OPS) - routed == set()  # every op reaches both codecs
 
     @pytest.mark.parametrize("op", sorted(OP_CALLS))
     def test_every_op_agrees_across_transports(self, live_server,
                                                finished_job, op):
         """One op table ⇒ equal reply metadata over TCP, HTTP+JSON and
         HTTP+RPG1, and byte-equal grids where the op returns one."""
-        modes = ["tcp"] if op == "stats" else list(MODES)
         answers = {}
-        for mode in modes:
+        for mode in MODES:
             with _client(live_server, mode) as client:
                 answers[mode] = OP_CALLS[op](client, finished_job)
         meta, grid = answers["tcp"]
@@ -537,12 +544,27 @@ class TestTransportParity:
             auth_key=AUTH_KEY,
         )) as client:
             assert client.ping()
-            assert client.stats() is None  # HTTP does not expose op=stats
-        with StencilClient(ClientConfig(
-            port=live_server["tcp_port"], transport="tcp", auth_key=AUTH_KEY,
-        )) as tcp_client:
-            stats = tcp_client.stats()
+            stats = client.stats()
         assert stats["service"]["requests_served"] >= 1
+
+    def test_stats_route_needs_the_key_and_answers_the_tcp_report(
+            self, live_server):
+        """``GET /v1/stats`` is the TCP ``stats`` op: 401 without the key,
+        and with it the report TCP returns for the same server."""
+        status, _, body = _raw_http(live_server, "GET", "/v1/stats")
+        assert status == 401
+        assert json.loads(body)["code"] == UNAUTHORIZED
+        with _client(live_server, "tcp") as tcp_client, \
+                _client(live_server, "http+json") as http_client:
+            first, tcp, last = (_leaves(read()) for read in (
+                http_client.stats, tcp_client.stats, http_client.stats))
+        assert first.keys() == tcp.keys()
+        # Nothing runs between the reads, so every counter agrees; a value
+        # that moves on its own between the two HTTP reads is left out.
+        steady = {path for path in first if first[path] == last[path]}
+        assert {path: tcp[path] for path in steady} == {
+            path: first[path] for path in steady}
+        assert tcp[("service", "requests_served")] >= 1
 
 
 class TestStatusMapping:

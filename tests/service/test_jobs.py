@@ -464,7 +464,7 @@ class TestCheckpointIntegrity:
         recovered = JobManager(backend, job_dir=str(tmp_path),
                                checkpoint_every=4)
         assert recovered.recover() == 1
-        assert recovered.corrupt_checkpoints == 1
+        assert recovered.stats()["corrupt_checkpoints"] == 1
         final = recovered.wait(job["job_id"], timeout_s=30.0)
         assert final["status"] == COMPLETED
         _descriptor, result = recovered.result(job["job_id"])
@@ -488,7 +488,7 @@ class TestCheckpointIntegrity:
         final = recovered.status(job["job_id"])
         assert final["status"] == FAILED
         assert "no valid checkpoint" in final["error"]
-        assert recovered.corrupt_checkpoints >= 2
+        assert recovered.stats()["corrupt_checkpoints"] >= 2
         with pytest.raises(JobError):
             recovered.result(job["job_id"])
         recovered.close()
@@ -519,7 +519,7 @@ class TestCheckpointIntegrity:
             final = recovered.status(job["job_id"])
             assert (final["status"], final["resumes"]) == (FAILED, 0)
             assert "no valid checkpoint survived" in final["error"]
-            assert recovered.corrupt_checkpoints == 2
+            assert recovered.stats()["corrupt_checkpoints"] == 2
             assert recovered._worker is None  # nothing was re-run
             recovered.close()
             # The corrupt files stay: a crash before the failed manifest
@@ -566,7 +566,7 @@ class TestCheckpointIntegrity:
             newest.write_bytes(tampered)
 
             recovered = _recover_and_finish(backend, tmp_path, job, segment=4)
-            assert recovered.corrupt_checkpoints == 1
+            assert recovered.stats()["corrupt_checkpoints"] == 1
             assert recovered.metrics.snapshot()[counter]["value"] == 1
             for path in directory.glob("ckpt-*.rpg"):  # the rot is gone
                 _unframe(path.read_bytes())
@@ -593,7 +593,7 @@ class TestCheckpointIntegrity:
                 final["completed_steps"]) == (FAILED, 0, 0)
         assert "inputs.rpg" in final["error"]
         assert "refusing to silently re-run" in final["error"]
-        assert recovered.corrupt_checkpoints == 1
+        assert recovered.stats()["corrupt_checkpoints"] == 1
         assert recovered.metrics.snapshot()[counter]["value"] == 1
         assert recovered._worker is None  # nothing was re-run
         with pytest.raises(JobError, match="not completed"):
@@ -621,7 +621,7 @@ class TestCheckpointIntegrity:
                 final["completed_steps"]) == (FAILED, 0, 0)
         assert "inputs.rpg" in final["error"]
         assert "refusing to silently re-run" in final["error"]
-        assert recovered.corrupt_checkpoints == 1
+        assert recovered.stats()["corrupt_checkpoints"] == 1
         assert recovered._worker is None  # nothing was re-run
         recovered.close()
 
@@ -635,7 +635,7 @@ class TestCheckpointIntegrity:
             (directory / "inputs.rpg").read_bytes())
         assert meta["slots"] == list(range(len(grids)))
         recovered = _recover_and_finish(backend, tmp_path, job, segment=4)
-        assert recovered.corrupt_checkpoints == 0
+        assert recovered.stats()["corrupt_checkpoints"] == 0
         _descriptor, result = recovered.result(job["job_id"])
         assert result.tobytes() == expected.tobytes()
         recovered.close()
@@ -672,7 +672,7 @@ class TestCheckpointIntegrity:
         assert (final["status"], final["resumes"]) == (FAILED, 0)
         assert OLDER_LAYOUTS[layout] in final["error"]
         assert "refusing to silently re-run" in final["error"]
-        assert recovered.corrupt_checkpoints >= 1
+        assert recovered.stats()["corrupt_checkpoints"] >= 1
         assert recovered._worker is None  # nothing was re-run
         recovered.close()
 
@@ -717,7 +717,7 @@ class TestCheckpointIntegrity:
         torn = directory / "ckpt-00000008.rpg.tmp"
         torn.write_bytes(newest.read_bytes()[:100])  # kill -9 mid-write
         recovered = _recover_and_finish(backend, tmp_path, job, segment=4)
-        assert recovered.corrupt_checkpoints == 0
+        assert recovered.stats()["corrupt_checkpoints"] == 0
         assert not list(directory.glob("*.tmp"))
         _descriptor, result = recovered.result(job["job_id"])
         assert result.tobytes() == expected.tobytes()
@@ -1515,7 +1515,7 @@ class TestReceivedGrids:
         final = recovered.status(job["job_id"])
         assert final["status"] == FAILED
         assert "refusing to silently re-run" in final["error"]
-        assert recovered.corrupt_checkpoints == 1
+        assert recovered.stats()["corrupt_checkpoints"] == 1
         assert recovered._worker is None  # nothing was re-run
         recovered.close()
 

@@ -84,10 +84,9 @@ class TestRemoteScenarios:
         assert set(report) == in_process_keys["plain"]
         assert report["mode"] == transport
         assert report["repeats"] == 1 and report["window_ms"] is None
-        if transport == "tcp":  # HTTP exposes no stats op
-            assert report["requests_served"] == 7
-            assert report["batches_formed"] < report["requests_served"]
-            assert report["compilations"] == 1
+        assert report["requests_served"] == 7
+        assert report["batches_formed"] < report["requests_served"]
+        assert report["compilations"] == 1
 
     def test_mixed_reports_the_same_keys(self, transport, in_process_keys):
         # Two baseline + eight loaded requests, one warm-up before each.

@@ -20,7 +20,7 @@ import repro
 from repro.apps.base import StencilBenchmark
 from repro.backend.base import NumpyBackend
 from repro.backend.plan import ExecutionPlan
-from repro.client import ClientConfig
+from repro.client import ClientConfig, StencilClient
 from repro.engine import SearchEngine
 from repro.experiments.pipeline import lift_best_result
 from repro.service.jobs import JobManager
@@ -48,6 +48,7 @@ PARAMETERS = {
     JobManager.__init__: ("backend", "router", "job_dir", "checkpoint_every",
                           "metrics"),
     DigestCircuitBreaker.__init__: ("clock", "metrics"),
+    StencilClient.__init__: ("config", "transport", "rng"),
     SearchEngine.__init__: ("store", "workers", "pruner", "validate", "seed",
                             "scorer", "measure_runs", "measure_size"),
     SearchEngine.run: ("benchmark", "shape", "device", "budget", "strategy",
@@ -62,7 +63,7 @@ PARAMETERS = {
 }
 
 CLIENT_CONFIG_FIELDS = ("host", "port", "transport", "auth_key", "timeout_s",
-                        "retry", "binary_threshold_bytes")
+                        "binary_threshold_bytes")
 
 #: Every flag of the two serving verbs: a CLI flag is a settable value too.
 VERB_FLAGS = {
