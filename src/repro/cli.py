@@ -11,8 +11,7 @@ Usage (after ``pip install -e .``, or with ``PYTHONPATH=src``)::
     python -m repro tune [stencil2d] --workers 2 --budget 20 [--resume SESSION]
     python -m repro serve --port 7457 [--store .repro/engine.sqlite]
                           [--prewarm suite] [--shards 2]
-                          [--shard-timeout-s 30] [--max-respawns 5]
-                          [--inject shard.crash_before_reply:p=0.02:seed=7]
+                          [--shard-timeout-s 30]
                           [--http-port 7458] [--log-level info] [--log-json]
     python -m repro submit stencil2d --port 7457 --shape 64 64
     python -m repro loadgen [stencil2d] --requests 64 [--shards 2]
@@ -35,10 +34,11 @@ pre-forks N worker processes that sweep micro-batched groups concurrently;
 against the per-request serial baseline (``--shards N`` drives the
 multi-process service in-process) and, with ``--chaos``, kills or hangs
 real shard processes mid-load to prove the supervisor heals the fleet
-with zero failed requests; ``serve --inject`` arms deterministic fault
-injection for drills; ``stats`` dumps the compilation-cache and
-results-store counters as one JSON blob.  Timings of the execution stack
-itself are ``python -m bench`` (``bench/README.md``), not a verb here.
+with zero failed requests; ``REPRO_INJECT=SPEC repro serve`` arms
+deterministic fault injection for drills; ``stats`` dumps the
+compilation-cache and results-store counters as one JSON blob.  Timings
+of the execution stack itself are ``python -m bench``
+(``bench/README.md``), not a verb here.
 ``docs/OPERATIONS.md`` documents every verb, flag and emitted artifact in
 detail.
 """
@@ -229,17 +229,16 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import inspect
 
+    from . import faults
     from .service.server import StencilService, run_server
     from .telemetry.logs import configure_logging
 
     configure_logging(level=args.log_level, json_lines=args.log_json)
-    if args.inject:
-        from . import faults
-
-        # export=True: spawned shard processes arm the same schedule from
-        # the environment when they import the package.
-        faults.arm(args.inject, export=True)
-        print(f"fault injection armed: {args.inject}", flush=True)
+    if faults.ARMED:
+        # Armed from REPRO_INJECT at import; spawned shard processes
+        # inherit the variable and arm the same schedule.
+        points = ", ".join(row["point"] for row in faults.snapshot())
+        print(f"fault injection armed: {points}", flush=True)
     store = None if args.no_store else args.store
     prewarm = None
     if args.prewarm is not None:
@@ -490,9 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "dispatch micro-batched groups to them "
                             "round-robin over shared memory (0 = execute "
                             "in-process)")
-    serve.add_argument("--crosscheck", action="store_true",
-                       help="verify every batched result against "
-                            "single-request execution (bit-identical)")
     serve.add_argument("--max-requests", type=int, default=None,
                        help="exit after serving this many requests "
                             "(smoke tests); default: serve forever")
@@ -526,20 +522,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "queued; arriving higher-priority work evicts "
                             "queued lower-priority work instead; default: "
                             "unbounded")
-    serve.add_argument("--max-inflight-per-digest", type=int, default=None,
-                       help="per-digest admission limit: at most this many "
-                            "admitted-but-unfinished requests per "
-                            "structural digest; default: unbounded")
     serve.add_argument("--shard-timeout-s", type=float, default=30.0,
                        help="per-round-trip shard watchdog: a shard that "
                             "neither answers nor dies within this window is "
                             "failed out of rotation and respawned")
-    serve.add_argument("--max-respawns", type=int, default=5,
-                       help="respawn budget per shard before the supervisor "
-                            "gives up on it (exponential backoff between "
-                            "attempts); 0 respawns nothing: failed shards "
-                            "stay down and groups fall back to the local "
-                            "path")
     serve.add_argument("--job-dir", default=None, metavar="DIR",
                        help="durable-job state directory: multi-timestep "
                             "jobs checkpoint here and are resumed from it "
@@ -550,11 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default checkpoint segment length for durable "
                             "jobs — a crash loses at most this many steps "
                             "(default 16; per-job override on submission)")
-    serve.add_argument("--inject", default=None, metavar="SPEC",
-                       help="arm deterministic fault injection, e.g. "
-                            "'shard.crash_before_reply:p=0.02:seed=7' or "
-                            "'plan.capture_fail:at=3' (comma-separate "
-                            "points; exported to shard processes)")
     serve.add_argument("--drain-timeout", type=float, default=10.0,
                        help="seconds to wait for open connections at "
                             "shutdown before shedding still-queued requests "
@@ -650,8 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="chaos mode: seconds of sustained load")
     loadgen.add_argument("--shard-timeout-s", type=float, default=1.0,
                          help="chaos mode: shard watchdog round-trip bound")
-    loadgen.add_argument("--max-respawns", type=int, default=5,
-                         help="chaos mode: supervisor respawn budget")
     loadgen.add_argument("--recovery-timeout-s", type=float, default=20.0,
                          help="chaos mode: how long to wait for every "
                               "victim shard to rejoin and serve again")
@@ -659,9 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="exit nonzero unless the chaos contract held: "
                               "zero failed/lost requests, every victim "
                               "respawned, fleet recovered (CI gate)")
-    loadgen.add_argument("--chaos-p99-ms", type=float, default=None,
-                         help="with --assert-chaos, also bound the "
-                              "high-priority p99 latency (ms)")
     loadgen.add_argument("--assert-no-high-shed", action="store_true",
                          help="exit non-zero if any high-priority request "
                               "was shed, rejected or failed (CI check; "
@@ -686,9 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--kill-after-steps", type=int, default=None,
                          help="job-drill mode: SIGKILL once this many steps "
                               "are checkpointed (default: one segment)")
-    loadgen.add_argument("--drill-timeout-s", type=float, default=180.0,
-                         help="job-drill mode: bound on each wait (server "
-                              "ready, first checkpoint, job completion)")
     loadgen.add_argument("--assert-job-drill", action="store_true",
                          help="exit non-zero unless the durability contract "
                               "held: resumed once, completed, bit-identical "

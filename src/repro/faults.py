@@ -36,11 +36,12 @@ Each spec names a registered point plus qualifiers:
     Maximum number of fires (default unlimited for ``p=``, 1 for ``at=``).
     A bare point name with no qualifiers fires on every hit.
 
-Arming happens three ways, all equivalent: the ``REPRO_INJECT``
-environment variable (read at import, which is how spawned shard children
-inherit the schedule), :func:`arm` (used by ``serve --inject``, which also
-exports the env var so its shard processes arm themselves), or directly in
-tests.  :func:`disarm` restores the zero-overhead state.
+Arming happens two ways, both equivalent: the ``REPRO_INJECT``
+environment variable (read at import — ``REPRO_INJECT=SPEC repro serve``
+arms a server, and its spawned shard children inherit the schedule), or
+:func:`arm` in-process (``export=True`` also sets the variable, so shards
+spawned afterwards arm themselves).  :func:`disarm` restores the
+zero-overhead state.
 """
 
 from __future__ import annotations

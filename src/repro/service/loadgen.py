@@ -562,7 +562,6 @@ def run_mixed_loadgen(
     auth_key: Optional[str] = None,
     concurrency: int = 8,
     max_queue_depth: Optional[int] = None,
-    max_inflight_per_digest: Optional[int] = None,
     warmup: bool = True,
 ) -> Dict[str, object]:
     """The mixed-priority replay: saturate, then report who got served.
@@ -588,7 +587,6 @@ def run_mixed_loadgen(
                                                  warmup)
     with _open_target(connect, transport, auth_key, concurrency=concurrency,
                       max_queue_depth=max_queue_depth,
-                      max_inflight_per_digest=max_inflight_per_digest,
                       **service_kwargs) as target:
         log.info("mixed loadgen: %d requests (%s) for %s (%s)", requests,
                  ",".join(f"{k}:{v}" for k, v in mix.items()), benchmark,
@@ -873,7 +871,6 @@ def run_chaos_loadgen(
     wave_size: int = 8,
     wave_gap_s: float = 0.02,
     shard_timeout_s: float = 1.0,
-    max_respawns: int = 5,
     recovery_timeout_s: float = 20.0,
     connect: Optional[Tuple[str, int]] = None,
     transport: str = "tcp",
@@ -904,8 +901,7 @@ def run_chaos_loadgen(
                       concurrency=max(2, wave_size),
                       batch_window=window_ms / 1e3,
                       max_batch=max_batch, shards=shards,
-                      shard_timeout_s=shard_timeout_s,
-                      max_respawns=max_respawns) as target:
+                      shard_timeout_s=shard_timeout_s) as target:
         outcome = _drive_chaos(target, first, chaos, duration_s, wave_size,
                                wave_gap_s, recovery_timeout_s)
     return {"benchmark": benchmark, "mode": target.mode,
@@ -934,14 +930,12 @@ def format_chaos_loadgen(report: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def check_chaos(report: Dict[str, object],
-                p99_ms: Optional[float] = None) -> List[str]:
+def check_chaos(report: Dict[str, object]) -> List[str]:
     """The chaos contract (empty = pass): nothing user-visible broke.
 
     * zero failed requests and zero lost replies;
     * every chaos victim was respawned (``shard_restarts >= len(chaos)``)
-      and the fleet recovered (victims alive and serving again);
-    * optionally, high-priority p99 stayed within ``p99_ms``.
+      and the fleet recovered (victims alive and serving again).
     """
     problems: List[str] = []
     if int(report.get("failed") or 0) > 0:
@@ -957,16 +951,16 @@ def check_chaos(report: Dict[str, object],
         if not report.get("recovered"):
             problems.append(
                 "fleet did not recover (a victim shard is dead or idle)")
-    if p99_ms is not None and float(report.get("high_p99_ms") or 0.0) > p99_ms:
-        problems.append(
-            f"high-priority p99 {report['high_p99_ms']:.2f} ms exceeds "
-            f"bound {p99_ms:g} ms")
     return problems
 
 
 # ---------------------------------------------------------------------------
 # Job-durability drill: SIGKILL the server mid-job, restart, assert recovery
 # ---------------------------------------------------------------------------
+
+#: The drill's budget (seconds) for each wait: first checkpointed progress
+#: before the kill, and the resumed job's completion after the restart.
+DRILL_TIMEOUT_S = 180.0
 
 
 def _free_port() -> int:
@@ -1050,7 +1044,6 @@ def run_job_drill(
     job_dir: Optional[str] = None,
     auth_key: Optional[str] = "drill-key",
     kill_after_steps: Optional[int] = None,
-    timeout_s: float = 180.0,
     host: str = "127.0.0.1",
 ) -> Dict[str, object]:
     """The durability drill: kill -9 a server mid-job, restart, verify.
@@ -1117,7 +1110,7 @@ def run_job_drill(
             report["job_id"] = job_id
             # Wait for the first durable progress, then pull the plug.
             completed_at_kill = 0
-            kill_deadline = time.monotonic() + timeout_s
+            kill_deadline = time.monotonic() + DRILL_TIMEOUT_S
             while True:
                 status = client.job_status(job_id)
                 completed_at_kill = int(status.get("completed_steps") or 0)
@@ -1130,7 +1123,8 @@ def run_job_drill(
                     break
                 if time.monotonic() > kill_deadline:
                     problems.append(
-                        f"no checkpointed progress within {timeout_s:g}s")
+                        f"no checkpointed progress within "
+                        f"{DRILL_TIMEOUT_S:g}s")
                     break
                 time.sleep(0.01)
         finally:
@@ -1146,7 +1140,7 @@ def run_job_drill(
                               auth_key, log_path)
         client = _wait_ready(make_client)
         try:
-            final = client.wait_job(job_id, timeout_s=timeout_s)
+            final = client.wait_job(job_id, timeout_s=DRILL_TIMEOUT_S)
             report["final_status"] = final.get("status")
             report["resumes"] = int(final.get("resumes") or 0)
             report["completed_steps"] = int(final.get("completed_steps") or 0)
@@ -1264,8 +1258,7 @@ class Scenario(NamedTuple):
 SCENARIOS: Tuple[Scenario, ...] = (
     Scenario(
         "job-drill", lambda args: args.job_drill,
-        lambda args: {"auth_key": args.auth_key or "drill-key",
-                      "timeout_s": args.drill_timeout_s},
+        lambda args: {"auth_key": args.auth_key or "drill-key"},
         run_job_drill, format_job_drill,
         {"assert_job_drill": lambda report, args: check_job_drill(report)}),
     Scenario(
@@ -1273,8 +1266,7 @@ SCENARIOS: Tuple[Scenario, ...] = (
         lambda args: {"chaos": parse_chaos(args.chaos),
                       "shards": args.shards or 2},
         run_chaos_loadgen, format_chaos_loadgen,
-        {"assert_chaos": lambda report, args: check_chaos(
-            report, p99_ms=args.chaos_p99_ms)}),
+        {"assert_chaos": lambda report, args: check_chaos(report)}),
     Scenario(
         "mixed", lambda args: args.mix is not None,
         lambda args: {"mix": parse_mix(args.mix)},
@@ -1315,6 +1307,7 @@ def scenario_kwargs(scenario: Scenario,
 
 __all__ = [
     "CHAOS_ACTIONS",
+    "DRILL_TIMEOUT_S",
     "SCENARIOS",
     "Scenario",
     "Target",

@@ -105,7 +105,9 @@ async def _ping(service, meta: Meta, grids: Grids) -> Reply:
 
 
 async def _stats(service, meta: Meta, grids: Grids) -> Reply:
-    return Reply({"ok": True, "stats": service.stats()})
+    # A sharded service's stats are blocking, locked pipe round-trips, and
+    # the report opens the results store: neither may stall the loop.
+    return Reply({"ok": True, "stats": await _off_loop(service.stats)})
 
 
 async def _metrics(service, meta: Meta, grids: Grids) -> Reply:

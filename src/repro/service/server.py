@@ -206,8 +206,9 @@ class StencilService:
     The compilation cache (``service.cache``) is the service's own, so its
     stats show one compilation per hot digest; request traces go to a ring
     of :data:`TRACE_CAPACITY` (slow past :data:`TRACE_SLOW_MS`).  The
-    breaker and job-retention policies are module constants too
-    (``registry.BREAKER_*``, ``jobs.JOB_TTL_S``, ``jobs.MAX_RESIDENT_RESULTS``).
+    breaker, respawn-budget and job-retention policies are module constants
+    too (``registry.BREAKER_*``, ``supervisor.DEFAULT_MAX_RESPAWNS``,
+    ``jobs.JOB_TTL_S``, ``jobs.MAX_RESIDENT_RESULTS``).
 
     Parameters
     ----------
@@ -234,6 +235,9 @@ class StencilService:
         each group's numeric sweep to one of them round-robin; programs a
         shard cannot receive (unserialisable, e.g. closure-captured
         constant arrays) transparently fall back to in-process execution.
+        A :class:`~repro.service.supervisor.ShardSupervisor` respawns
+        dead or failed shards in the background; a respawned shard
+        receives each program again with its first group.
     max_queue_depth:
         Global admission cap: when this many requests are already queued,
         new work is rejected in-band with :data:`ADMISSION_REJECTED` and a
@@ -241,25 +245,12 @@ class StencilService:
         that an arriving *higher*-priority request evicts one queued
         lower-priority request to claim its slot.  ``None`` = unbounded
         (the pre-admission-control behaviour).
-    max_inflight_per_digest:
-        Per-digest admission limit: at most this many requests for one
-        structural digest may be admitted-but-unfinished at a time; the
-        excess is rejected with ``retry_after_ms``.  Protects the batcher
-        from one hot key starving every other digest.  ``None`` = no limit.
     shard_timeout_s:
         Per-round-trip watchdog on shard dispatches: a shard that neither
         replies nor dies within this window is declared failed, its group
         is redispatched, and the supervisor respawns it.  ``None``
         disables the watchdog (dead shards are still detected via pipe
         errors and process liveness).
-    max_respawns:
-        Per-shard respawn budget of the
-        :class:`~repro.service.supervisor.ShardSupervisor` a sharded
-        service runs: dead/failed shards are respawned in the background
-        (bounded exponential backoff); a respawned shard receives each
-        program again with its first group.  ``0`` respawns nothing:
-        failed shards stay out of rotation and their traffic falls back to
-        the in-process path.
     job_dir:
         Directory for durable-job checkpoints (:mod:`~repro.service.jobs`).
         ``None`` keeps jobs memory-only (no recovery across restarts).
@@ -277,9 +268,7 @@ class StencilService:
         crosscheck: bool = False,
         shards: int = 0,
         max_queue_depth: Optional[int] = None,
-        max_inflight_per_digest: Optional[int] = None,
         shard_timeout_s: Optional[float] = 30.0,
-        max_respawns: int = 5,
         job_dir: Optional[str] = None,
         checkpoint_every: int = 16,
     ) -> None:
@@ -287,8 +276,6 @@ class StencilService:
             raise ServiceError("max_batch must be >= 1")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ServiceError("max_queue_depth must be >= 1 (or None)")
-        if max_inflight_per_digest is not None and max_inflight_per_digest < 1:
-            raise ServiceError("max_inflight_per_digest must be >= 1 (or None)")
         self.store = store
         self.registry = DigestRouter()
         self.cache = CompilationCache()
@@ -302,10 +289,8 @@ class StencilService:
             ShardedExecutor(self.shards, timeout_s=shard_timeout_s)
             if self.shards > 0 else None
         )
-        self.max_respawns = int(max_respawns)
         self.supervisor: Optional[ShardSupervisor] = None
         self.max_queue_depth = max_queue_depth
-        self.max_inflight_per_digest = max_inflight_per_digest
         self._wires: Dict[str, Dict] = {}      # digest -> program wire dict
         self._unshardable: set = set()         # digests that won't pickle
         self._queues: Optional[_PriorityQueues] = None
@@ -422,9 +407,8 @@ class StencilService:
         self._queues = _PriorityQueues()
         self._batcher = asyncio.get_running_loop().create_task(self._batch_loop())
         if self.executor is not None:
-            self.supervisor = ShardSupervisor(
-                self.executor, max_respawns=self.max_respawns,
-                metrics=self.metrics)
+            self.supervisor = ShardSupervisor(self.executor,
+                                              metrics=self.metrics)
             self.supervisor.start()
         # Durable-job recovery: resume incomplete jobs from their newest
         # valid checkpoint before traffic arrives (disk scan off the loop).
@@ -594,13 +578,6 @@ class StencilService:
             self._shed(pending)
             return pending.future.result()
         if (
-            self.max_inflight_per_digest is not None
-            and self._digest_inflight.get(pending.route.digest, 0)
-            >= self.max_inflight_per_digest
-        ):
-            self._reject(pending, "digest_limit")
-            return pending.future.result()
-        if (
             self.max_queue_depth is not None
             and self._queues.qsize() >= self.max_queue_depth
         ):
@@ -650,10 +627,6 @@ class StencilService:
         retry_after = self._retry_after_ms()
         detail = {
             "queue_full": f"queue depth cap {self.max_queue_depth} reached",
-            "digest_limit": (
-                f"per-digest admission limit {self.max_inflight_per_digest} "
-                f"reached for {pending.route.digest[:12]}"
-            ),
             "evicted": (
                 f"evicted from a full queue (depth cap {self.max_queue_depth})"
                 " by higher-priority work"
@@ -1087,7 +1060,6 @@ class StencilService:
                 },
                 "inflight_digests": len(self._digest_inflight),
                 "max_queue_depth": self.max_queue_depth,
-                "max_inflight_per_digest": self.max_inflight_per_digest,
             },
             "registry": self.registry.stats(),
             "jobs": self.jobs.stats(),

@@ -15,9 +15,10 @@ sweeps the fleet every :data:`DEFAULT_CHECK_INTERVAL_S`:
    (:meth:`ShardHandle.respawn`) on an executor thread (spawning blocks
    ~1 s), gated by bounded exponential backoff
    (:data:`DEFAULT_BACKOFF_BASE_S` · 2^respawns, capped at
-   :data:`DEFAULT_BACKOFF_MAX_S`) and a ``max_respawns`` budget per shard;
-   a shard that exhausts its budget is left out of rotation and logged
-   once (a budget of 0 turns respawning off).
+   :data:`DEFAULT_BACKOFF_MAX_S`) and a :data:`DEFAULT_MAX_RESPAWNS`
+   budget per shard, read at use time (a test monkeypatches it); a shard
+   that exhausts its budget is left out of rotation and logged once (a
+   budget of 0 turns respawning off).
 3. **Rejoin** — right after the respawn ``failed`` is cleared, making the
    shard visible to :meth:`ShardedExecutor.pick` again.  The new process
    has empty caches, so the first group it gets for a digest carries the
@@ -75,18 +76,14 @@ class ShardSupervisor:
     ----------
     executor:
         The fleet to supervise.
-    max_respawns:
-        Per-shard respawn budget; exhausted shards stay down.
     metrics:
         The registry restarts and respawn failures are counted in: the
         owning service's, or a private one for a supervisor built alone.
     """
 
     def __init__(self, executor: ShardedExecutor, *,
-                 max_respawns: int = DEFAULT_MAX_RESPAWNS,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.executor = executor
-        self.max_respawns = max_respawns
         self._restarts, self._respawn_failures = restart_counters(
             metrics if metrics is not None else MetricsRegistry())
         self._task: Optional[asyncio.Task] = None
@@ -127,13 +124,14 @@ class ShardSupervisor:
             if not handle.failed and handle.process.is_alive():
                 continue
             handle.mark_failed("process died")
-            if handle.respawns >= self.max_respawns:
+            budget = DEFAULT_MAX_RESPAWNS
+            if handle.respawns >= budget:
                 if index not in self._gave_up:
                     self._gave_up.add(index)
-                    if self.max_respawns:
+                    if budget:
                         log.error(
                             "shard %d exhausted its respawn budget (%d); "
-                            "leaving it out of rotation", index, self.max_respawns)
+                            "leaving it out of rotation", index, budget)
                     else:
                         log.info("shard %d down; respawning is off "
                                  "(max_respawns 0), leaving it out of rotation",
@@ -181,7 +179,7 @@ class ShardSupervisor:
             "respawn_failures": self._respawn_failures.value,
             "respawning": sorted(self._inflight),
             "gave_up": sorted(self._gave_up),
-            "max_respawns": self.max_respawns,
+            "max_respawns": DEFAULT_MAX_RESPAWNS,
         }
 
 

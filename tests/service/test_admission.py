@@ -144,21 +144,6 @@ class TestAdmissionControl:
 
         asyncio.run(run())
 
-    def test_per_digest_inflight_limit(self):
-        async def run():
-            service = self._frozen_service(max_inflight_per_digest=2)
-            for seed in range(2):
-                pending = service._admit(_request(seed=seed))
-                assert service._admission_control(pending) is None
-                service._track_inflight(pending)
-                service._queues.put(pending)
-            third = service._admit(_request(seed=3))
-            rejection = service._admission_control(third)
-            assert rejection is not None and rejection.rejected
-            assert service.rejects == {"digest_limit": 1}
-
-        asyncio.run(run())
-
     def test_dead_on_arrival_deadline_is_shed_not_queued(self):
         async def run():
             service = self._frozen_service()
@@ -310,13 +295,11 @@ class TestTcpBoundsAndAuth:
 
 class TestAdmissionStats:
     def test_admission_section_in_service_stats(self):
-        with ServiceClient(StencilService(max_queue_depth=4,
-                                          max_inflight_per_digest=8)) as client:
+        with ServiceClient(StencilService(max_queue_depth=4)) as client:
             client.execute(_request())
             stats = client.stats()
         admission = stats["service"]["admission"]
         assert admission["max_queue_depth"] == 4
-        assert admission["max_inflight_per_digest"] == 8
         assert set(admission["queue_depth"]) == {"high", "normal", "batch"}
         assert admission["sheds"] == {"high": 0, "normal": 0, "batch": 0}
         assert admission["rejects"] == {}

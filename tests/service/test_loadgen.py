@@ -226,7 +226,7 @@ TABLE_CASES = {
                "rejected": 0, "high_p99_ms": 1.0, "wall_s": 2.0, "chaos": [],
                "shard_restarts": 0, "shard_redispatches": 0,
                "shard_requests": [4, 3], "recovered": True}),
-    "job-drill": (["--job-drill", "--steps", 16, "--drill-timeout-s", 5],
+    "job-drill": (["--job-drill", "--steps", 16],
                   "--assert-job-drill",
                   {"benchmark": "stencil2d", "steps": 16,
                    "checkpoint_every": 8, "final_status": "failed",

@@ -89,7 +89,6 @@ SERVICE_KEYS = {
     "admission.queue_depth", "admission.queue_depth.high",
     "admission.queue_depth.normal", "admission.queue_depth.batch",
     "admission.inflight_digests", "admission.max_queue_depth",
-    "admission.max_inflight_per_digest",
     "registry", "registry.lookups", "registry.cold_misses",
     "registry.plans_cached",
     "jobs", "jobs.jobs", "jobs.queue_depth", "jobs.checkpoints_written",
@@ -160,10 +159,10 @@ class _Served:
 
 @pytest.fixture(scope="module")
 def trafficked(tmp_path_factory):
-    """One shed, three rejects (auth, size, admission), one job and one
-    wave through a live ``run_server``; the scrape and the stats after."""
-    server = _Served(batch_window=0.05, max_inflight_per_digest=2,
-                     max_request_bytes=1 << 16, checkpoint_every=2,
+    """One shed, two rejects (auth, size), one job and one wave through a
+    live ``run_server``; the scrape and the stats after."""
+    server = _Served(batch_window=0.05, max_request_bytes=1 << 16,
+                     checkpoint_every=2,
                      job_dir=str(tmp_path_factory.mktemp("jobs")),
                      max_requests=4)          # the shed + the wave of three
     wire = request().to_wire()
@@ -186,10 +185,9 @@ def trafficked(tmp_path_factory):
     # so the scrape and the stats below read the end state.
     with socket.create_connection(("127.0.0.1", server.tcp),
                                   timeout=30) as hold:
-        # Three pipelined requests for one digest against a limit of two.
+        # Three pipelined requests for one digest.
         wave = server.lines([wire, wire, wire])
-        assert sorted(reply["ok"] for reply in wave.values()) == [
-            False, True, True]
+        assert all(reply["ok"] for reply in wave.values())
         text = scrape(server.http)
         hold.sendall(json.dumps({"op": "stats", "auth": AUTH_KEY}).encode()
                      + b"\n")
@@ -292,9 +290,8 @@ class TestTheViewIsTheStore:
         text, stats = trafficked
         metric = samples(text)
         jobs, admission = stats["jobs"], stats["admission"]
-        assert stats["requests_served"] == 2
-        assert admission["rejects"] == {
-            "digest_limit": 1, "unauthorized": 1, "too_large": 1}
+        assert stats["requests_served"] == 3
+        assert admission["rejects"] == {"unauthorized": 1, "too_large": 1}
         assert admission["sheds"] == {"high": 0, "normal": 1, "batch": 0}
         # Step 2 only: step 0 is inputs.rpg and step 4 is result.rpg.
         assert jobs["checkpoints_written"] == 1 and jobs["jobs_resumed"] == 0
@@ -704,10 +701,8 @@ DEFAULT_SERVE_KEYWORDS = {
     "prewarm": None, "prewarm_batch": (), "http_port": None, "auth_key": None, "drain_timeout": 10.0,
     "max_request_bytes": 32 * 1024 * 1024,
     "store": ".repro/engine.sqlite", "batch_window": 0.002, "max_batch": 64,
-    "crosscheck": False, "shards": 0,
-    "max_queue_depth": None, "max_inflight_per_digest": None,
-    "shard_timeout_s": 30.0, "max_respawns": 5, "job_dir": None,
-    "checkpoint_every": 16,
+    "shards": 0, "max_queue_depth": None, "shard_timeout_s": 30.0,
+    "job_dir": None, "checkpoint_every": 16,
 }
 
 #: dest -> (argv, the keywords that must arrive): the written-out translations.
@@ -722,7 +717,7 @@ TRANSLATED = {
     "prewarm_batch": (["--prewarm-batch", "3", "5"],
                       {"prewarm_batch": (3, 5)}),
 }
-CLI_ONLY = {"inject", "log_level", "log_json", "command", "help"}
+CLI_ONLY = {"log_level", "log_json", "command", "help"}
 
 
 def _serve_parser():
@@ -804,3 +799,17 @@ class TestNoFlagReachesNothing:
         monkeypatch.setattr(cli, "build_parser", with_orphan)
         with pytest.raises(AssertionError, match="--orphan-flag"):
             self.test_every_flag_reaches_a_keyword(monkeypatch, capsys)
+
+    def test_serve_reports_a_schedule_armed_from_the_environment(
+            self, monkeypatch, capsys):
+        """``REPRO_INJECT`` is the one outside switch: ``serve`` names the
+        points it armed and passes the service nothing for them."""
+        from repro import faults
+
+        faults.arm("store.locked:at=1")
+        try:
+            passed = _served_keywords(monkeypatch, [])
+        finally:
+            faults.disarm()
+        assert passed == DEFAULT_SERVE_KEYWORDS
+        assert "fault injection armed: store.locked" in capsys.readouterr().out

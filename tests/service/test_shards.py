@@ -18,6 +18,7 @@ from repro.service import (
     StencilService,
     check_batching,
     check_sharding,
+    supervisor,
 )
 from repro.service.metrics import shards_section
 
@@ -65,7 +66,8 @@ class TestShardedService:
             for row in shards["per_shard"]:
                 assert row.get("compilations") == 1, row
 
-    def test_dead_shard_falls_back_locally_without_failing_requests(self):
+    def test_dead_shard_falls_back_locally_without_failing_requests(
+            self, monkeypatch):
         # No respawns (a budget of 0): with the only shard dead, pick() returns None and
         # the service must serve the group on the local path, in-band and
         # bit-identical — requests never observe the crash.
@@ -75,8 +77,8 @@ class TestShardedService:
                 np.asarray(response.result)
                 for response in client.execute_many(requests)
             ]
-        service = StencilService(store=None, shards=1, max_batch=4,
-                                 max_respawns=0)
+        monkeypatch.setattr(supervisor, "DEFAULT_MAX_RESPAWNS", 0)
+        service = StencilService(store=None, shards=1, max_batch=4)
         with ServiceClient(service) as client:
             client.execute_many(requests)
             handle = service.executor.handles[0]

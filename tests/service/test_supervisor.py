@@ -25,6 +25,7 @@ from repro.service import (
     ShardUnavailable,
     StencilService,
     registry,
+    supervisor as supervisor_module,
 )
 from repro.service.shards import ShardedExecutor
 from repro.service.supervisor import ShardSupervisor
@@ -172,10 +173,11 @@ class TestSupervisedRespawn:
         # No failure count reaches the breaker's threshold, so every group
         # takes the shard path.
         monkeypatch.setattr(registry, "BREAKER_THRESHOLD", 1_000)
+        monkeypatch.setattr(supervisor_module, "DEFAULT_MAX_RESPAWNS", 0)
         faults.arm("shard.crash_before_reply:at=1", export=True)
         requests = _stream(count=4)
         service = StencilService(store=None, shards=2, max_batch=2,
-                                 shard_timeout_s=5.0, max_respawns=0)
+                                 shard_timeout_s=5.0)
         with ServiceClient(service) as client:
             faults.disarm()  # keep the *parent* process clean
             responses = client.execute_many(requests)
@@ -190,7 +192,7 @@ class TestSupervisedRespawn:
 
 
     def test_a_zero_budget_logs_each_down_shard_once_and_not_as_an_error(
-            self, caplog):
+            self, caplog, monkeypatch):
         class DeadHandle:
             def __init__(self, index):
                 self.index, self.failed, self.respawns = index, True, 0
@@ -200,7 +202,8 @@ class TestSupervisedRespawn:
                 self.failed = True
 
         fleet = types.SimpleNamespace(handles=[DeadHandle(0), DeadHandle(1)])
-        supervisor = ShardSupervisor(fleet, max_respawns=0)
+        monkeypatch.setattr(supervisor_module, "DEFAULT_MAX_RESPAWNS", 0)
+        supervisor = ShardSupervisor(fleet)
         with caplog.at_level(logging.INFO, logger="repro.service.supervisor"):
             supervisor._sweep()
             supervisor._sweep()

@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 from types import SimpleNamespace
 
 import pytest
 
 from repro.backend.base import NumpyBackend
 from repro.client import ClientConfig, StencilClient
-from repro.service import serve_http, serve_tcp
+from repro.service import StencilService, serve_http, serve_tcp
 from repro.service.jobs import JobManager
+from repro.service.ops import dispatch
 from repro.service.requests import BAD_REQUEST, INTERNAL
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.trace import TraceRing
@@ -397,3 +399,34 @@ class TestServerFaults:
         assert service.jobs.list_jobs() == []
         assert not [record for record in caplog.records
                     if record.name == "repro.service.ops"]
+
+
+class TestStatsLeavesTheLoop:
+    def test_a_ping_answers_while_a_stats_op_is_pending(self):
+        """A sharded ``stats`` is one blocking pipe round-trip per shard:
+        it runs off the event loop, so a probe is not held behind it."""
+        entered, release = threading.Event(), threading.Event()
+
+        def blocking_rows():
+            entered.set()
+            release.wait(5)
+            return []
+
+        service = StencilService()
+        service.executor = SimpleNamespace(handles=[], stats=blocking_rows)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            stats = asyncio.ensure_future(dispatch(service, "stats", {}))
+            try:
+                assert await loop.run_in_executor(None, entered.wait, 5)
+                ping = await asyncio.wait_for(dispatch(service, "ping", {}),
+                                              1.0)
+                pending = not stats.done()
+            finally:
+                release.set()
+            return ping, pending, await stats
+
+        ping, pending, stats = asyncio.run(scenario())
+        assert ping.meta["pong"] and pending
+        assert stats.meta["ok"] and stats.meta["stats"]["service"]["shards"]

@@ -24,6 +24,7 @@ from repro.client import ClientConfig, StencilClient
 from repro.engine import SearchEngine
 from repro.experiments.pipeline import lift_best_result
 from repro.service.jobs import JobManager
+from repro.service.loadgen import SCENARIOS, check_chaos
 from repro.service.registry import DigestCircuitBreaker
 from repro.service.server import StencilService
 from repro.service.shards import ShardedExecutor
@@ -41,10 +42,10 @@ PARAMETERS = {
     StencilBenchmark.iterate: ("inputs", "steps", "backend"),
     StencilService.__init__: (
         "store", "batch_window", "max_batch", "crosscheck",
-        "shards", "max_queue_depth", "max_inflight_per_digest",
-        "shard_timeout_s", "max_respawns", "job_dir", "checkpoint_every"),
+        "shards", "max_queue_depth", "shard_timeout_s", "job_dir",
+        "checkpoint_every"),
     ShardedExecutor.__init__: ("shards", "timeout_s"),
-    ShardSupervisor.__init__: ("executor", "max_respawns", "metrics"),
+    ShardSupervisor.__init__: ("executor", "metrics"),
     JobManager.__init__: ("backend", "router", "job_dir", "checkpoint_every",
                           "metrics"),
     DigestCircuitBreaker.__init__: ("clock", "metrics"),
@@ -60,6 +61,24 @@ PARAMETERS = {
     exhaustive_search: ("space", "evaluate", "budget"),
     random_search: ("space", "evaluate", "budget", "seed"),
     hill_climb_search: ("space", "evaluate", "budget", "seed", "restarts"),
+    check_chaos: ("report",),
+}
+
+#: The ``run`` keywords of each ``repro loadgen`` scenario: one that no
+#: flag names (``host``, ``wave_size``, ``warmup``) is set from Python alone.
+SCENARIO_KEYWORDS = {
+    "job-drill": ("benchmark", "steps", "checkpoint_every", "shape", "seed",
+                  "job_dir", "auth_key", "kill_after_steps", "host"),
+    "chaos": ("benchmark", "chaos", "duration_s", "shards", "shape", "seed",
+              "window_ms", "max_batch", "wave_size", "wave_gap_s",
+              "shard_timeout_s", "recovery_timeout_s", "connect",
+              "transport", "auth_key"),
+    "mixed": ("benchmark", "requests", "mix", "shape", "seed", "deadline_ms",
+              "window_ms", "max_batch", "connect", "transport", "auth_key",
+              "concurrency", "max_queue_depth", "warmup"),
+    "plain": ("benchmark", "requests", "shape", "identical", "seed",
+              "window_ms", "max_batch", "connect", "warmup", "repeats",
+              "shards", "transport", "auth_key"),
 }
 
 CLIENT_CONFIG_FIELDS = ("host", "port", "transport", "auth_key", "timeout_s",
@@ -69,22 +88,20 @@ CLIENT_CONFIG_FIELDS = ("host", "port", "transport", "auth_key", "timeout_s",
 VERB_FLAGS = {
     "serve": {
         "-h", "--help", "--host", "--port", "--store", "--no-store",
-        "--window-ms", "--max-batch", "--shards", "--crosscheck",
-        "--max-requests", "--prewarm", "--prewarm-shape", "--prewarm-batch",
-        "--http-port", "--auth-key", "--max-queue-depth",
-        "--max-inflight-per-digest", "--shard-timeout-s", "--max-respawns",
-        "--job-dir", "--checkpoint-every", "--inject", "--drain-timeout",
-        "--max-request-bytes", "--log-level", "--log-json"},
+        "--window-ms", "--max-batch", "--shards", "--max-requests",
+        "--prewarm", "--prewarm-shape", "--prewarm-batch", "--http-port",
+        "--auth-key", "--max-queue-depth", "--shard-timeout-s", "--job-dir",
+        "--checkpoint-every", "--drain-timeout", "--max-request-bytes",
+        "--log-level", "--log-json"},
     "loadgen": {
         "-h", "--help", "--requests", "--shape", "--distinct", "--seed",
         "--window-ms", "--max-batch", "--shards", "--repeats", "--connect",
         "--out", "--assert-batched", "--assert-sharded", "--mix",
         "--deadline-ms", "--transport", "--auth-key", "--concurrency",
         "--max-queue-depth", "--chaos", "--duration-s", "--shard-timeout-s",
-        "--max-respawns", "--recovery-timeout-s", "--assert-chaos",
-        "--chaos-p99-ms", "--assert-no-high-shed", "--job-drill", "--steps",
-        "--checkpoint-every", "--job-dir", "--kill-after-steps",
-        "--drill-timeout-s", "--assert-job-drill"},
+        "--recovery-timeout-s", "--assert-chaos", "--assert-no-high-shed",
+        "--job-drill", "--steps", "--checkpoint-every", "--job-dir",
+        "--kill-after-steps", "--assert-job-drill"},
 }
 
 #: Every environment variable the package reads.
@@ -97,6 +114,11 @@ def test_parameters_are_pinned(function):
     names = tuple(name for name in inspect.signature(function).parameters
                   if name != "self")
     assert names == PARAMETERS[function]
+
+
+def test_scenario_keywords_are_pinned():
+    assert {scenario.name: tuple(inspect.signature(scenario.run).parameters)
+            for scenario in SCENARIOS} == SCENARIO_KEYWORDS
 
 
 def test_client_config_fields_are_pinned():

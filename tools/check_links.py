@@ -1,6 +1,6 @@
 """Docs health check: relative links resolve, documented CLI verbs exist.
 
-Five passes, run by the CI ``docs`` job (and locally via
+Six passes, run by the CI ``docs`` job (and locally via
 ``python tools/check_links.py``):
 
 1. **Link check.** Every relative markdown link in ``README.md``,
@@ -25,6 +25,12 @@ Five passes, run by the CI ``docs`` job (and locally via
    heading's verbs, and every option those verbs register (``--help``
    aside) must appear in that table, according to the parser
    ``build_parser()`` returns.
+6. **Command lines.** Every ``repro <verb> …`` command line in
+   ``README.md``, ``docs/*.md`` and ``.claude/skills/verify/SKILL.md`` —
+   in an inline code span or a fenced block, backslash continuations
+   joined, up to the first shell operator — may name only flags that
+   verb registers.  ``ROADMAP.md`` and ``CHANGES.md`` are history and
+   are not read.
 
 Exits non-zero with one line per problem.
 """
@@ -55,6 +61,17 @@ _ROUTE = re.compile(r"/v1/[A-Za-z0-9_/{}]+")
 _JOB_OP = re.compile(r"`(job_[a-z_]+)`")
 _JOB_FIELDS = {"job_id", "job_key"}
 _FLAG = re.compile(r"--[a-z][a-z0-9-]*")
+# A command's flags: ``--name`` standing alone, not inside another token.
+_COMMAND_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+# Where a command line stops: a pipe, list, redirect or subshell operator,
+# or a comment.
+_SHELL_BREAK = re.compile(r"[|;&<>()]|(?:^|\s)#")
+_FENCE = re.compile(r"^\s*```")
+COMMAND_DOCS = [
+    REPO / "README.md",
+    *sorted((REPO / "docs").glob("*.md")),
+    REPO / ".claude" / "skills" / "verify" / "SKILL.md",
+]
 # A table cell boundary: a pipe not escaped as ``\|`` inside a code span.
 _CELL = re.compile(r"(?<!\\)\|")
 
@@ -204,10 +221,53 @@ def check_flags() -> list[str]:
     return problems
 
 
+def command_lines(text: str) -> list[str]:
+    """Every fenced-block line (``\\`` continuations joined) and every
+    inline code span outside the fences (newlines as spaces)."""
+    lines, prose, fenced, held = [], [], False, ""
+    for line in text.splitlines():
+        if _FENCE.match(line):
+            fenced, held = not fenced, ""
+            continue
+        if not fenced:
+            prose.append(line)
+            continue
+        line = line.rstrip()
+        if line.endswith("\\"):
+            held += line[:-1] + " "
+            continue
+        lines.append(held + line)
+        held = ""
+    spans = _CODE_SPAN.findall("\n".join(prose))
+    return lines + [span.strip("`").replace("\n", " ") for span in spans]
+
+
+def check_command_lines() -> list[str]:
+    accepted = {verb: {option for action in parser._actions
+                       for option in action.option_strings}
+                for verb, parser in verb_parsers().items()}
+    problems = set()
+    for doc in COMMAND_DOCS:
+        name = doc.relative_to(REPO)
+        for line in command_lines(doc.read_text(encoding="utf-8")):
+            for match in _VERB.finditer(line):
+                verb = match.group(1)
+                if verb not in accepted:
+                    continue
+                tail = _SHELL_BREAK.split(line[match.end():], 1)[0]
+                problems.update(
+                    f"{name}: `repro {verb}` is given `{flag}`, which "
+                    f"`repro {verb}` does not accept"
+                    for flag in _COMMAND_FLAG.findall(tail)
+                    if flag not in accepted[verb])
+    return sorted(problems)
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO / "src"))
     problems = (check_links() + check_verbs() + check_verb_coverage()
-                + check_service_surface() + check_flags())
+                + check_service_surface() + check_flags()
+                + check_command_lines())
     for problem in problems:
         print(f"FAIL: {problem}")
     if not problems:
@@ -217,7 +277,8 @@ def main() -> int:
             f"{len(registered_verbs())} registered subcommands documented, "
             f"service ops and routes match docs/OPERATIONS.md, "
             f"{len(documented_flags())} documented flags exist and document "
-            f"every flag of their verbs"
+            f"every flag of their verbs, and every documented command line "
+            f"names only flags its verb accepts"
         )
     return 1 if problems else 0
 
