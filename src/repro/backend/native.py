@@ -31,15 +31,19 @@ base itself, levels ``1..T-1`` keep ``2r + 2`` padded rows each in a ring
 write their inner halo per row, and level T stores the interior of the
 destination.  Along the leading axis a clamp pad is a clamped row index
 and a constant pad the home's own halo row, so the grid crosses memory
-once per block instead of once per step.  T, the ring and the pad
-geometry are arguments (:class:`Wavefront`), so an app has one ``steps``
-text at every grid size, and the ``region`` text is the same whether or
-not a plan blocks.  :func:`wavefront` decides T — the largest value up to
-16 whose ring fits the tile budget — and declines any pad but clamp or
-constant (``temporal_boundary``).  ``steps`` computes the rows ``[lo, hi)``
-of the store, each level only the rows the next one reads, so a block
-splits into row bands that recompute their overlap instead of sharing it
-(the paper's overlapped tiling, along time).  :class:`NativeBlock`
+once per block instead of once per step.  Ring rows are laid out for the
+cache, not like the home's: each spans an odd count of whole 64-byte
+lines (:func:`ring_stride`, so no two rows of a level alias at 4 KiB),
+and every row's interior starts on a line, so the vectorised row loop
+splits no line on the ring.  T, the ring and the pad geometry are
+arguments (:class:`Wavefront`), so an app has one ``steps`` text at every
+grid size, and the ``region`` text is the same whether or not a plan
+blocks.  :func:`wavefront` decides T — the largest value up to 16 whose
+ring fits :data:`RING_BUDGET_BYTES`, half a core's L2 — and declines any
+pad but clamp or constant (``temporal_boundary``).  ``steps`` computes
+the rows ``[lo, hi)`` of the store, each level only the rows the next one
+reads, so a block splits into row bands that recompute their overlap
+instead of sharing it (the paper's overlapped tiling, along time).  :class:`NativeBlock`
 compiles ``steps`` and binds it to one tape's arrays and the plan's rings,
 one per band; a call runs any count of steps up to T, its bands on the
 replay pool.  The plan decides when a block runs and checks one against
@@ -409,7 +413,51 @@ def _row_code(region: Region, accesses, results, wavefront=None):
     return rows, reads, writes
 
 
-_BLOCK_HELPERS = """\
+_LEVEL = """\
+/* Padded row i of level t of a temporal block.  Level 0 is the carried
+   grid's home, rows g[3] bytes apart, halo rows included; level t > 0 keeps
+   its rows in a ring of g[2], the ring's row stride (the word after the
+   clamp links) apart, and reads a leading halo row as a clamped row index
+   or, under a constant pad, as the home's own (never rewritten) halo row. */
+static inline const char *level_(const char *home, const char *w,
+                                 const int64_t *g, int64_t t, int64_t i,
+                                 int64_t n0)
+{
+    if (t == 0)
+        return home + i * g[3];
+    i -= g[0];
+    if (i < 0 || i >= n0) {
+        if (!g[1])
+            return home + (i + g[0]) * g[3];
+        i = i < 0 ? 0 : n0 - 1;
+    }
+    return w + ((t - 1) * g[2] + i % g[2]) * g[7 + 8 * g[6]];
+}
+"""
+
+_HALO = """\
+/* The clamp links of the pad chain over one padded row, in chain order:
+   each copies the first and last interior element along its axis over the
+   halo on either side, across its box on the other inner axis. */
+static void halo_(char *row, const int64_t *g)
+{
+    for (const int64_t *k = g + 7; k < g + 7 + 8 * g[6]; k += 8)
+        for (int64_t b = k[2]; b < k[3]; ++b) {
+            char *line = row + b * k[1];
+            const double first = *(const double *)(line + k[6] * k[0]);
+            const double last = *(const double *)(line + k[7] * k[0]);
+            for (int64_t q = 0; q < k[4]; ++q)
+                *(double *)(line + q * k[0]) = first;
+            for (int64_t q = 1; q <= k[5]; ++q)
+                *(double *)(line + (k[7] + q) * k[0]) = last;
+        }
+}
+"""
+
+#: ``level_`` as barrier texts print it, with ring rows ``g[3]`` bytes
+#: apart.  A barrier block calls no ``level_``; its text keeps this one so
+#: that it, and every object compiled from it, stays as first printed.
+_BARRIER_LEVEL = """\
 /* Padded row i of level t of a temporal block.  Level 0 is the carried
    grid's home, halo rows included; level t > 0 keeps its rows in a ring of
    g[2], and reads a leading halo row as a clamped row index or, under a
@@ -427,23 +475,6 @@ static inline const char *level_(const char *home, const char *w,
         i = i < 0 ? 0 : n0 - 1;
     }
     return w + ((t - 1) * g[2] + i % g[2]) * g[3];
-}
-
-/* The clamp links of the pad chain over one padded row, in chain order:
-   each copies the first and last interior element along its axis over the
-   halo on either side, across its box on the other inner axis. */
-static void halo_(char *row, const int64_t *g)
-{
-    for (const int64_t *k = g + 7; k < g + 7 + 8 * g[6]; k += 8)
-        for (int64_t b = k[2]; b < k[3]; ++b) {
-            char *line = row + b * k[1];
-            const double first = *(const double *)(line + k[6] * k[0]);
-            const double last = *(const double *)(line + k[7] * k[0]);
-            for (int64_t q = 0; q < k[4]; ++q)
-                *(double *)(line + q * k[0]) = first;
-            for (int64_t q = 1; q <= k[5]; ++q)
-                *(double *)(line + (k[7] + q) * k[0]) = last;
-        }
 }
 """
 
@@ -468,11 +499,12 @@ def _steps(region: Region, accesses, results, body: List[str],
     store = len(region.bases)
     rows, reads, writes = _row_code(region, accesses, results, base)
     leads = sorted({offset[0] for b, offset in accesses if b == base})
-    lines = [_PREAMBLE, _BLOCK_HELPERS,
+    lines = [_PREAMBLE, _LEVEL + "\n" + _HALO,
              "void steps(char *const *p, const int64_t *s, const int64_t *n, "
              "int64_t T, char *w, const int64_t *g, int64_t lo, int64_t hi)",
              "{",
              "    const int64_t n0 = n[0], lag = g[4];",
+             "    const int64_t stride = g[7 + 8 * g[6]];",
              f"    const int64_t back = g[0] > {leads[0]} ? g[0] - {leads[0]} : 0;",
              "    const int64_t first = lo - (T - 1) * back;",
              "    for (int64_t k = first > 0 ? first : 0; k < hi + (T - 1) * lag;"
@@ -484,7 +516,7 @@ def _steps(region: Region, accesses, results, body: List[str],
              "            continue;",
              f"        char *const d_ = t == T ? p[{store}] + i0 * "
              f"s[{sum(array.ndim for array in region.bases)}]",
-             "            : w + ((t - 1) * g[2] + i0 % g[2]) * g[3] + g[5];"]
+             "            : w + ((t - 1) * g[2] + i0 % g[2]) * stride + g[5];"]
     lines += [f"        const char *const c{lead}_ = level_(p[{base}], w, g, "
               f"t - 1, {_plus('i0', lead)}, n0);" for lead in leads]
     for axis in range(1, inner):
@@ -713,11 +745,23 @@ def build(region: Region) -> NativeRegion:
 #: The most steps one block runs.
 MAX_BLOCK_STEPS = 16
 
+#: Bytes one band's wavefront ring may span: half of one core's 2 MiB L2
+#: on the recording box (an AVX-512 Xeon, 48 KiB L1d per core), so a ring
+#: and the rows it streams share that cache.  Hotspot2D's ring at 1024²
+#: for T = 16 is 0.5 MB.
+RING_BUDGET_BYTES = 1 << 20
+
+#: A cache line: ring rows start on one, and span an odd count of them.
+LINE_BYTES = 64
+
 
 class Wavefront(NamedTuple):
     """How ``steps`` runs one region over the pad chain of its carried
     grid: ``steps`` (T) levels over the wavefront ``base``, levels 1..T-1
-    in a float64 ``ring`` of shape ``(T - 1, rows) + padded row``.
+    in a flat float64 ``ring`` of shape ``(words,)``: ``(T - 1) * rows``
+    padded rows, each :func:`ring_stride` bytes from the next, and one
+    cache line of slack, so :class:`NativeBlock` can start every row's
+    interior on a line.
 
     ``geometry`` is the kernel's ``g``: the chain's left pad on the leading
     axis, whether that pad clamps (else it is constant), the ring's rows
@@ -725,7 +769,8 @@ class Wavefront(NamedTuple):
     one before it), the bytes from a padded row to its interior, the count
     of clamp links on the inner axes, then per link in chain order: axis
     stride, other inner axis' stride, that axis' box (start, stop), left
-    and right pads, first and last interior index."""
+    and right pads, first and last interior index; last, the ring's row
+    stride (``g[7 + 8 * g[6]]``)."""
 
     base: int
     steps: int
@@ -800,11 +845,12 @@ def wavefront(region: Region, base: int, chain,
     and whose interior the region's single store writes on the next step.
 
     T is the largest value up to :data:`MAX_BLOCK_STEPS` whose ring —
-    ``T - 1`` levels of ``2r + 2`` padded rows, ``r`` the base's
-    leading-axis radius — fits ``budget`` bytes; anything but one float64
-    store over a float64 base of rank 1 to 3 raises ``temporal_layout``.
-    A two-step ring that does not fit is ``None``: the region may still
-    run barrier blocks."""
+    ``T - 1`` levels of ``2r + 2`` rows :func:`ring_stride` bytes apart,
+    ``r`` the base's leading-axis radius — fits ``budget`` bytes
+    (:data:`RING_BUDGET_BYTES` in a plan); anything but one float64 store
+    over a float64 base of rank 1 to 3 raises ``temporal_layout``.  A
+    two-step ring that does not fit is ``None``: the region may still run
+    barrier blocks."""
     home, shape = region.bases[base], region.shape
     _grid_store(region)
     if home.dtype != np.float64:
@@ -813,13 +859,23 @@ def wavefront(region: Region, base: int, chain,
     leads = [offset[0] - lefts[0] for b, offset in region.accesses()
              if b == base]
     rows = 2 * max(abs(lead) for lead in leads) + 2
-    steps = min(MAX_BLOCK_STEPS, 1 + budget // (rows * home.strides[0]))
+    stride = ring_stride(home.strides[0])
+    steps = min(MAX_BLOCK_STEPS, 1 + budget // (rows * stride))
     if steps < 2:
         return None
     geometry = (lefts[0], int(clamps_rows), rows, home.strides[0],
                 max(0, max(leads)), _interior(home, lefts),
-                len(clamps) // 8, *clamps)
-    return Wavefront(base, steps, (steps - 1, rows) + home.shape[1:], geometry)
+                len(clamps) // 8, *clamps, stride)
+    words = ((steps - 1) * rows * stride + LINE_BYTES) // 8
+    return Wavefront(base, steps, (words,), geometry)
+
+
+def ring_stride(row_bytes: int) -> int:
+    """The bytes from one ring row to the next for padded rows of
+    ``row_bytes``: whole cache lines, and an odd count of them, so no two
+    rows of a level fall on the same 4 KiB alias of the L1."""
+    lines = -(-row_bytes // LINE_BYTES)
+    return (lines + (lines % 2 == 0)) * LINE_BYTES
 
 
 class NativeBlock:
@@ -827,8 +883,9 @@ class NativeBlock:
     ring per band: ``block(T)`` runs ``T`` steps, at most ``wave.steps``
     (a ring holds any fewer levels), from the wavefront base's home into
     the region's store (or ``out``), interior only — its halo is the
-    caller's to refresh.  Constant halo cells of the rings are written
-    here, once.
+    caller's to refresh.  Each band's ring starts within its buffer's
+    slack line where every row's interior starts on a cache line; the
+    constant halo cells of its rows are written here, once.
 
     The leading axis is split into as many equal row bands as there are
     rings (at most one per row).  One band is one direct call; more run on
@@ -853,17 +910,23 @@ class NativeBlock:
         self.source = lower_steps(region, wave.base)
         self.steps = wave.steps
         self._function = kernel(self.source, "steps")
+        g, stride = wave.geometry, wave.geometry[-1]
+        starts = []
         for ring in rings:
-            np.copyto(ring, home[wave.geometry[0]])
+            start = -(ring.ctypes.data + g[5]) % LINE_BYTES
+            levels = np.ndarray((wave.steps - 1, g[2]) + home.shape[1:],
+                                np.float64, ring, start,
+                                (g[2] * stride, stride) + home.strides[1:])
+            np.copyto(levels, home[g[0]])
+            starts.append(ring.ctypes.data + start)
         corners = _corners(region)
         corners[wave.base] = ()  # ``steps`` addresses rows from the grid's start
         self._held = (region, store, list(rings))  # as long as their addresses
         self._p, self._s, self._n = _arguments(region, corners, [store])
-        self._g = (ctypes.c_int64 * len(wave.geometry))(*wave.geometry)
+        self._g = (ctypes.c_int64 * len(g))(*g)
         rows = [n0 * band // len(rings) for band in range(len(rings) + 1)]
         #: ``(ring address, lo, hi)`` of each band.
-        self.bands = [(ring.ctypes.data, lo, hi)
-                      for ring, lo, hi in zip(rings, rows, rows[1:])]
+        self.bands = list(zip(starts, rows, rows[1:]))
 
     def __call__(self, steps: int) -> None:
         if not 1 <= steps <= self.steps:
@@ -950,7 +1013,7 @@ def _barrier_steps(region: Region) -> str:
     arrays = list(region.bases) + [buffer for buffer, _op in region.stores]
     count, strides = len(arrays), sum(array.ndim for array in arrays)
     return "\n".join([
-        _BLOCK_HELPERS + _BARRIER_HELPERS,
+        _BARRIER_LEVEL + "\n" + _HALO + _BARRIER_HELPERS,
         "void steps(char *const *p, const int64_t *s, const int64_t *n, "
         "int64_t T, char *w, const int64_t *g, int64_t lo, int64_t hi)",
         "{",
@@ -1071,8 +1134,8 @@ class BarrierBlock:
                        lo, hi)
 
 
-__all__ = ["BARRIER_BAND_CELLS", "BarrierBlock", "FLAGS", "MAX_BLOCK_STEPS",
-           "NativeBlock", "NativeRegion", "Unavailable",
-           "Wavefront", "barrier_bands", "barrier_geometry", "build",
-           "cache_dir", "compiler", "kernel", "lower", "lower_steps",
-           "reset", "wavefront"]
+__all__ = ["BARRIER_BAND_CELLS", "BarrierBlock", "FLAGS", "LINE_BYTES",
+           "MAX_BLOCK_STEPS", "NativeBlock", "NativeRegion",
+           "RING_BUDGET_BYTES", "Unavailable", "Wavefront", "barrier_bands",
+           "barrier_geometry", "build", "cache_dir", "compiler", "kernel",
+           "lower", "lower_steps", "reset", "ring_stride", "wavefront"]

@@ -63,8 +63,10 @@ cores its shard processes leave) when each band gets
 :data:`~repro.backend.native.BARRIER_BAND_CELLS` cell updates a block.
 Anything else stays per-step, counted in
 ``repro_plan_fusion_fallbacks_total`` under a ``temporal_*`` reason;
-``stats()["temporal_steps"]`` is the T in use, or 1, and
-``stats()["temporal_bands"]`` the bands a block runs in.
+``stats()["temporal_steps"]`` is the T in use, or 1,
+``stats()["temporal_bands"]`` the bands a block runs in, and
+``stats()["temporal_kind"]`` the block kind: ``"wavefront"``,
+``"barrier"`` or ``None`` (per step).
 
 **Pad as a view.**  Lift never materialises ``pad``, and neither does a
 plan for the buffers it owns: an input buffer or ping-pong output buffer
@@ -894,7 +896,7 @@ class ExecutionPlan:
         constant halo has none), reading the carried grid's padded home —
         the wavefront base — and nothing else but static inputs."""
         from . import native
-        from .fuse import TILE_TARGET_BYTES, _root
+        from .fuse import _root
 
         carried = state[self._block_carry.index("out")]
         home, out_home = self._homes.get(id(carried)), self._homes.get(
@@ -916,7 +918,7 @@ class ExecutionPlan:
             raise native.Unavailable(
                 "temporal_layout", "a base is neither carried nor static")
         return native.wavefront(region, bases[0], home.chain,
-                                TILE_TARGET_BYTES)
+                                native.RING_BUDGET_BYTES)
 
     def _walk(self, state: List[np.ndarray], steps: int):
         """``(visited, out)``: the ``(tape, state)`` pairs of ``steps``
@@ -1219,6 +1221,8 @@ class ExecutionPlan:
                 "replay_bytes_per_step": self.replay_bytes_per_step,
                 "temporal_steps": self.temporal_steps,
                 "temporal_bands": self.temporal_bands,
+                "temporal_kind": None if self._accepted is None else (
+                    "barrier" if self._accepted[1] is None else "wavefront"),
                 "tile_shape": self.tile_shape,
                 "parallel_workers": self.parallel_workers,
             }

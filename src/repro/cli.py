@@ -289,7 +289,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     meta = {"slow": bool(args.slow)}
     if args.limit is not None:
         meta["limit"] = args.limit
-    config = ClientConfig(host=args.host, port=args.port)
+    config = ClientConfig(host=args.host, port=args.port,
+                          auth_key=args.auth_key)
     with StencilClient(config) as client:
         reply, _grids = client.transport.call("trace", meta, None,
                                               client.config.timeout_s)
@@ -328,7 +329,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     ]
     # One worker per request: all --count requests are in flight at once,
     # so the server can stack them into micro-batches.
-    config = ClientConfig(host=args.host, port=args.port)
+    config = ClientConfig(host=args.host, port=args.port,
+                          auth_key=args.auth_key)
     with StencilClient(config) as client, \
             ThreadPoolExecutor(max_workers=max(1, args.count)) as pool:
         responses = list(pool.map(client.execute, requests))
@@ -564,6 +566,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "batch server-side)")
     submit.add_argument("--show-result", action="store_true",
                         help="fetch and print the result grid")
+    submit.add_argument("--auth-key", default=None,
+                        help="shared key for a server started with "
+                             "--auth-key")
 
     loadgen = sub.add_parser(
         "loadgen",
@@ -688,6 +693,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--json", action="store_true",
                        help="print the raw JSON reply instead of the "
                             "per-stage breakdown")
+    trace.add_argument("--auth-key", default=None,
+                       help="shared key for a server started with "
+                            "--auth-key")
 
     return parser
 

@@ -588,6 +588,7 @@ class TestDemotion:
         assert faults.fired("native.temporal_mismatch") == 1
         stats = plan.stats()
         assert stats["temporal_steps"] == 1 and stats["fusion_fallbacks"] == 1
+        assert stats["temporal_kind"] is None
         assert stats["buffers"] == blocked.stats()["buffers"] - 1  # no ring
         assert fallbacks("temporal_verification") - before == 1
         assert all(tape.block is None for tape in plan._tapes.values())
@@ -667,21 +668,35 @@ class TestTemporalRule:
             shape=(n, n), bases=[np.empty((n + 2, n + 2)), np.empty((n, n))],
             stores=[(np.empty((n, n)), region.stores[0][1])])
 
-    @pytest.mark.parametrize("n,steps", [(256, 16), (512, 16), (1024, 8),
-                                         (2048, 4)])
-    def test_the_largest_ring_that_fits_the_tile_budget(self, n, steps):
-        # (T - 1) levels of 2r + 2 = 4 padded rows of (n + 2) doubles
-        from repro.backend.fuse import TILE_TARGET_BYTES
-
+    @pytest.mark.parametrize("n,lines,steps", [
+        (256, 33, 16), (1000, 127, 16), (1024, 129, 16), (2048, 257, 16),
+        (4096, 513, 8)])
+    def test_the_largest_ring_that_fits_the_ring_budget(self, n, lines,
+                                                        steps):
+        # (T - 1) levels of 2r + 2 = 4 ring rows, each (n + 2) doubles
+        # rounded up to an odd count of whole cache lines
+        budget = native.RING_BUDGET_BYTES
         wave = native.wavefront(self.hotspot_region(n), 0, clamp_chain(n),
-                                TILE_TARGET_BYTES)
+                                budget)
+        stride = wave.geometry[-1]
+        assert stride == lines * 64 and lines % 2 == 1
+        assert (n + 2) * 8 <= stride < (n + 2) * 8 + 128
         assert wave.steps == steps and wave.base == 0
-        assert wave.ring == (steps - 1, 4, n + 2)
-        assert np.prod(wave.ring) * 8 <= TILE_TARGET_BYTES
+        assert (steps - 1) * 4 * stride <= budget
+        assert steps == native.MAX_BLOCK_STEPS or steps * 4 * stride > budget
+        # the rows, and one line of slack to start them on a line
+        assert wave.ring == (((steps - 1) * 4 * stride + 64) // 8,)
         # a two-step ring over budget is no wavefront (a barrier block may
         # still run), not a decline
         assert native.wavefront(self.hotspot_region(n), 0, clamp_chain(n),
-                                4 * (n + 2) * 8 - 1) is None
+                                4 * stride - 1) is None
+
+    @pytest.mark.parametrize("row_bytes,stride", [
+        (8, 64), (64, 64), (65, 192), (104, 192), (8208, 8256),
+        (8256, 8256), (8257, 8384)])
+    def test_a_ring_row_is_an_odd_count_of_whole_lines(self, row_bytes,
+                                                       stride):
+        assert native.ring_stride(row_bytes) == stride
 
     def test_the_base_must_be_the_chains_padded_grid(self):
         # base 1 is the power grid: the region's shape, not the padded one
@@ -738,6 +753,60 @@ class TestTemporalRule:
             with pytest.raises(ValueError):
                 block(steps)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("key,shape", [
+        ("hotspot2d", (24, 1024)), ("hotspot2d", (24, 1000)),
+        ("jacobi3d7pt", (6, 10, 13))])
+    def test_every_bands_ring_rows_start_their_interior_on_a_line(
+            self, key, shape, workers):
+        # Rows of 1026 and 1002 doubles, and rank-3 planes, are no whole
+        # count of lines at the home's stride: each ring row spans an odd
+        # count of them, every band's row interiors start on one, and a
+        # 19-step iterate (a block of T, then one of the rest) is still
+        # the per-sweep loop, bit for bit.
+        bench = get_benchmark(key)
+        inputs = bench.make_inputs(shape, 3)
+        program, carry = bench.build_program(), bench.carry_spec()
+        plan = NumpyBackend(cache=None).plan(program, inputs,
+                                             parallel_workers=workers)
+        out = plan.iterate(inputs, 19, carry=carry)
+        stats = plan.stats()
+        assert (stats["temporal_kind"], stats["temporal_bands"]) == (
+            "wavefront", workers)
+        assert_ring_layout(plan, stats)
+        assert np.array_equal(bits(out), bits(iterate_generic(
+            NumpyBackend(cache=None), program, inputs, 19, carry=carry)))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_rank_one_ring_row_is_one_line(self, workers):
+        program = band_program(1, "clamp", 1, 1)
+        x = [np.random.default_rng(4).random(40)]
+        plan = ExecutionPlan(program, x, parallel_workers=workers)
+        out = plan.iterate(x, 19, carry=("out",))
+        stats = plan.stats()
+        assert (stats["temporal_kind"], stats["temporal_bands"]) == (
+            "wavefront", workers)
+        assert plan._accepted[1].geometry[-1] == 64
+        assert_ring_layout(plan, stats)
+        assert np.array_equal(bits(out), bits(iterate_generic(
+            NumpyBackend(cache=None), program, x, 19, carry=("out",))))
+
+
+def assert_ring_layout(plan, stats):
+    """The accepted wavefront's rings: rows an odd count of whole lines
+    apart, T the largest that fits the ring budget, and every band of
+    every bound block starting its rows' interior on a line."""
+    g = plan._accepted[1].geometry
+    rows, stride = g[2], g[-1]
+    assert stride % 64 == 0 and stride // 64 % 2 == 1
+    assert g[3] <= stride < g[3] + 128
+    assert stats["temporal_steps"] == min(
+        native.MAX_BLOCK_STEPS, 1 + native.RING_BUDGET_BYTES // (rows * stride))
+    blocks = [tape.block for tape in plan._tapes.values()
+              if tape.block is not None]
+    assert blocks and all((address + g[5]) % 64 == 0 for block in blocks
+                          for address, _lo, _hi in block.bands)
+
 
 # ---------------------------------------------------------------------------
 # Row bands: one block over several threads
@@ -749,7 +818,7 @@ BAND_PADS = [("clamp", 1, 1), ("clamp", 2, 0), ("const", 1, 1),
              ("const", 0, 2), ("mirror", 1, 1)]
 
 #: The carries a barrier block serves: one ``"out"`` whose wavefront ring
-#: is over budget (``fuse.TILE_TARGET_BYTES`` patched to 0), and two
+#: is over budget (``native.RING_BUDGET_BYTES`` patched to 0), and two
 #: rotations, with and without a static third input.
 BARRIER_CARRIES = [("out",), (1, "out"), (1, "out", None)]
 
@@ -852,10 +921,12 @@ class FencedPool(BufferPool):
     """A pool whose every buffer sits between guard rows of a sentinel NaN
     payload, each its own allocation (a band that writes one row past its
     ``hi`` writes what the next band writes, so only a fence sees a write
-    past a grid)."""
+    past a grid).  A guard is at least a page, so a flat buffer such as a
+    wavefront ring is fenced too."""
 
     SENTINEL = np.uint64(0x7FF8DEADBEEF0001)
     ROWS = 2
+    LEAST = 4096
 
     def __init__(self) -> None:
         super().__init__()
@@ -864,7 +935,7 @@ class FencedPool(BufferPool):
     def acquire(self, shape, dtype=np.float64) -> np.ndarray:
         shape, dtype = tuple(int(extent) for extent in shape), np.dtype(dtype)
         row = int(np.prod(shape[1:], dtype=np.int64)) * dtype.itemsize
-        guard = -(-self.ROWS * row // 8) * 8
+        guard = max(-(-self.ROWS * row // 8) * 8, self.LEAST)
         inner = -(-int(np.prod(shape, dtype=np.int64)) * dtype.itemsize // 8) * 8
         whole = bytearray(2 * guard + inner)
         words = np.frombuffer(whole, np.uint64)
@@ -998,7 +1069,7 @@ class TestBands:
         plan = ExecutionPlan(program, x, pool=pool, parallel_workers=bands)
         with pytest.MonkeyPatch.context() as patch:
             if len(carry) == 1:
-                patch.setattr(fuse, "TILE_TARGET_BYTES", 0)
+                patch.setattr(native, "RING_BUDGET_BYTES", 0)
             ran = fence_blocks(patch, pool)
             plan.iterate(x, 1, carry=carry)
             assert all(intact for _steps, intact in ran), "a write past a grid"
@@ -1057,7 +1128,7 @@ class TestBands:
         stats = plan.stats()
         assert stats["temporal_steps"] == 1 and stats["fusion_fallbacks"] == 1
         # both rings went back: the pool holds what the plan holds, and no
-        # ring (the only 3-D buffers of a 2-D plan) is among them
+        # ring (the only 1-D buffers of a 2-D plan) is among them
         assert plan._pool.stats()["live_buffers"] == stats["buffers"]
         assert all(buffer.ndim == 2 for buffer in plan._buffers)
         assert plan._block_rings == []

@@ -88,13 +88,14 @@ class TestPlanVsGenericBitIdentity:
     @pytest.mark.parametrize("key", ["acoustic", "heat", "hotspot3d",
                                      "jacobi3d7pt"])
     def test_planes_over_budget_run_barrier_blocks(self, key):
-        # A 98×98 padded plane puts even a two-step wavefront ring over the
-        # 256 KiB budget (and Acoustic's carry rotates two grids): these
-        # run barrier blocks, step for step the per-sweep loop.
+        # A 182×182 padded plane (4141 lines) puts even a two-step
+        # wavefront ring, four such rows, over the 1 MiB ring budget (and
+        # Acoustic's carry rotates two grids): these run barrier blocks,
+        # step for step the per-sweep loop.
         from repro.backend.plan import iterate_state_generic
 
         bench = ALL_BENCHMARKS[key]
-        inputs = bench.make_inputs((3, 96, 96), 7)
+        inputs = bench.make_inputs((3, 180, 180), 7)
         program, carry = bench.build_program(), bench.carry_spec()
         backend = NumpyBackend(cache=None)
         plan = backend.plan(program, inputs)
@@ -110,6 +111,7 @@ class TestPlanVsGenericBitIdentity:
         assert (stats["temporal_steps"], stats["temporal_bands"]) == (
             (native.MAX_BLOCK_STEPS, 1) if HAVE_CC else (1, 1))
         assert plan._block_rings == []
+        assert stats["temporal_kind"] == ("barrier" if HAVE_CC else None)
 
     @pytest.mark.parametrize("key", ["stencil2d", "hotspot2d", "acoustic",
                                      "gaussian", "srad1"])

@@ -76,22 +76,23 @@ NATIVE_TEXTS = {
 #: sha256 of the temporal block's ``steps`` text at :data:`SHAPES`, for
 #: each app whose plan runs blocks (the others run per step).  It is its
 #: own text and object, beside the region's, and the same at every band
-#: count (re-recorded when ``steps`` gained its band, ``lo, hi``).
+#: count (re-recorded when ``steps`` gained its band, ``lo, hi``, and when
+#: ring rows moved to their own stride, the last word of ``g``).
 #: Acoustic's is a barrier block's: its ``region`` text plus a ``steps`` loop.
 BLOCK_TEXTS = {
     "acoustic": "760b6ca78846c2f64a9049987f57c7c41267bf0a4f2d4c10a97078c1c76be525",
-    "gradient": "a8d04a2a90fdb65c66b98be716fe2ddc9c2d25cbbe5a741738eefdb87ad7c96a",
-    "heat": "093897b4bdbd19232b927c3609f50aa4fcdad16a88ac0b2a8146506a0957e6b6",
-    "hotspot2d": "02069183921629dbbc2e4417fb7dd6a56e3890dca9ef76f8fe4ababe7b3f43bd",
-    "hotspot3d": "4e2c00832d712f53dc79cd3a1ce9c03c9514aba848fa19f9a18417f79f192e16",
-    "jacobi2d5pt": "2dd7181f9201d47dd58c2852be3005fa5dda51e97dafa489a63d44d05bc8fd32",
-    "jacobi2d9pt": "fa39c99a001aaf9e9cdd45efb0b2f15787a0f214509fe46edd2dbeba46dc6ec4",
-    "jacobi3d13pt": "07920f817639464a9e73a34bda24befa50102bb596c5fedf0d1ed0005f8b853b",
-    "jacobi3d7pt": "9d5bf1c75d57e350c3464e6e72200f866bc1abf1ecb4423414e614fa824ee89d",
-    "poisson": "2d3dbda1a4d93650e4544c22c4fe00c539633b141d3a773da6dcf4e096a50e72",
-    "srad1": "f2fb735163d7832132983a79e94645449af1d672f14f788c30f316a0c0ec76f0",
-    "srad2": "2013b86fbb50c41d77c3d48672a2329d8240c78e4347b867dc75efdd8e60482c",
-    "stencil2d": "12c79f0d06f5847668999eb584cf3985f70a71ae26170e5e5b092c35dce12f85",
+    "gradient": "d1a75ab5a1771b12dcf48277ee91b2fa37fddf2209a8ad57463fcd31c0e72b8c",
+    "heat": "6efc5c5ed97526bf7dbc7d3f9432755c86aba39fa8ddc15bdffcb7fc7d288cb2",
+    "hotspot2d": "9f02220ddb4116c5ca7761c2aa93d6ddc0cbc6b68831b57967e6d259d398b6de",
+    "hotspot3d": "8fd9242d355eca49f25e094d10d029a706f208b8a0f92d5502a618fa5af4e794",
+    "jacobi2d5pt": "7fecc10e54fcba6602d3e542ab8bf8fa6fe3c782e82813ced83f8742350dc313",
+    "jacobi2d9pt": "b2a401ae96bc4c524c780f0664fe2bdb197b88764768fe166ea887a8ff1926a1",
+    "jacobi3d13pt": "7c3fe89e75ab90797cb0954d8c8d9c9fade1ec2b7e6419aefb7d1d83995d8319",
+    "jacobi3d7pt": "dccfad8cefb980313fdb03c98cb13af4829a9b48a5a808cf8f0538d595f56e86",
+    "poisson": "f56e10c5484124b79e54e05df0bbbf2b695839d2fd517c81f5957fbcd1db8eeb",
+    "srad1": "dc9a695989bde51ed297cce9ba0fc587ea48dbee83a3bdc77a1cf5fea77de66a",
+    "srad2": "55132d64297413a4d1f01c2934e6b91acfb888bebf20c3e2aaf1f1fa68845bce",
+    "stencil2d": "7cca1230901f289b06e1f98221c7baba1738d80658aed585d7f972cdde9db8a6",
 }
 
 STAT_KEYS = ("fused_regions", "native_regions", "fused_tiles",
@@ -101,7 +102,8 @@ STAT_KEYS = ("fused_regions", "native_regions", "fused_tiles",
 #: :data:`STAT_KEYS` after 4 iterate steps at :data:`SHAPES`, per app:
 #: (default plan with a compiler, default plan without one, the ragged
 #: explicit tile, ``tile_shape=False``).  With a compiler, an app that runs
-#: wavefront blocks holds one more buffer, the blocks' row ring; Acoustic's
+#: wavefront blocks holds one more buffer, the blocks' row ring (rows of
+#: whole cache lines, plus a line of slack); Acoustic's
 #: barrier block holds none, but its check walks all five bindings of its
 #: rotation in the first iterate.
 PLAN_STATS = {
@@ -109,29 +111,29 @@ PLAN_STATS = {
                  (4, 0, 108, 0, 99225, 22, 29616), (0, 0, 0, 0, 99225, 22, 58716)),
     "gaussian": ((3, 3, 3, 0, 88736, 6, 91920), (3, 0, 3, 0, 198560, 12, 98784),
                  (3, 0, 48, 0, 198560, 12, 92496), (0, 0, 0, 0, 198560, 12, 98784)),
-    "gradient": ((3, 3, 3, 0, 3536, 4, 10920), (3, 0, 3, 0, 40872, 9, 11544),
+    "gradient": ((3, 3, 3, 0, 3536, 4, 16264), (3, 0, 3, 0, 40872, 9, 11544),
                  (3, 0, 48, 0, 40872, 9, 5256), (0, 0, 0, 0, 40872, 9, 11544)),
-    "heat": ((3, 3, 3, 0, 14112, 4, 64152), (3, 0, 3, 0, 69048, 9, 31752),
+    "heat": ((3, 3, 3, 0, 14112, 4, 66616), (3, 0, 3, 0, 69048, 9, 31752),
              (3, 0, 81, 0, 69048, 9, 17784), (0, 0, 0, 0, 69048, 9, 31752)),
-    "hotspot2d": ((3, 3, 3, 0, 4680, 5, 12064), (3, 0, 3, 0, 42016, 13, 16120),
+    "hotspot2d": ((3, 3, 3, 0, 4680, 5, 17408), (3, 0, 3, 0, 42016, 13, 16120),
                   (3, 0, 48, 0, 42016, 13, 6688), (0, 0, 0, 0, 42016, 13, 16120)),
-    "hotspot3d": ((3, 3, 3, 0, 16632, 5, 66672), (3, 0, 3, 0, 124488, 13, 41832),
+    "hotspot3d": ((3, 3, 3, 0, 16632, 5, 69136), (3, 0, 3, 0, 124488, 13, 41832),
                   (3, 0, 81, 0, 124488, 13, 20880), (0, 0, 0, 0, 124488, 13, 41832)),
-    "jacobi2d5pt": ((3, 3, 3, 0, 3536, 4, 10920), (3, 0, 3, 0, 16848, 6, 8112),
+    "jacobi2d5pt": ((3, 3, 3, 0, 3536, 4, 16264), (3, 0, 3, 0, 16848, 6, 8112),
                     (3, 0, 48, 0, 16848, 6, 4968), (0, 0, 0, 0, 16848, 6, 8112)),
-    "jacobi2d9pt": ((3, 3, 3, 0, 3536, 4, 10920), (3, 0, 3, 0, 32864, 6, 8112),
+    "jacobi2d9pt": ((3, 3, 3, 0, 3536, 4, 16264), (3, 0, 3, 0, 32864, 6, 8112),
                     (3, 0, 48, 0, 32864, 6, 4968), (0, 0, 0, 0, 32864, 6, 8112)),
-    "jacobi3d13pt": ((3, 3, 3, 0, 28368, 4, 133848), (3, 0, 3, 0, 116352, 6, 38448),
+    "jacobi3d13pt": ((3, 3, 3, 0, 28368, 4, 140392), (3, 0, 3, 0, 116352, 6, 38448),
                      (3, 0, 81, 0, 116352, 6, 31464), (0, 0, 0, 0, 116352, 6, 38448)),
-    "jacobi3d7pt": ((3, 3, 3, 0, 14112, 4, 64152), (3, 0, 3, 0, 56448, 6, 24192),
+    "jacobi3d7pt": ((3, 3, 3, 0, 14112, 4, 66616), (3, 0, 3, 0, 56448, 6, 24192),
                     (3, 0, 81, 0, 56448, 6, 17208), (0, 0, 0, 0, 56448, 6, 24192)),
-    "poisson": ((3, 3, 3, 0, 14112, 4, 64152), (3, 0, 3, 0, 167328, 9, 31752),
+    "poisson": ((3, 3, 3, 0, 14112, 4, 66616), (3, 0, 3, 0, 167328, 9, 31752),
                 (3, 0, 81, 0, 167328, 9, 17784), (0, 0, 0, 0, 167328, 9, 31752)),
-    "srad1": ((3, 3, 3, 0, 3536, 4, 10920), (3, 0, 3, 0, 99502, 27, 29133),
+    "srad1": ((3, 3, 3, 0, 3536, 4, 16264), (3, 0, 3, 0, 99502, 27, 29133),
               (3, 0, 48, 0, 99502, 27, 6732), (0, 0, 0, 0, 99502, 27, 29133)),
-    "srad2": ((3, 3, 3, 0, 5096, 5, 12480), (3, 0, 3, 0, 44304, 10, 13104),
+    "srad2": ((3, 3, 3, 0, 5096, 5, 17824), (3, 0, 3, 0, 44304, 10, 13104),
               (3, 0, 48, 0, 44304, 10, 6816), (0, 0, 0, 0, 44304, 10, 13104)),
-    "stencil2d": ((3, 3, 3, 0, 3536, 4, 10920), (3, 0, 3, 0, 35152, 9, 11544),
+    "stencil2d": ((3, 3, 3, 0, 3536, 4, 16264), (3, 0, 3, 0, 35152, 9, 11544),
                   (3, 0, 48, 0, 35152, 9, 5256), (0, 0, 0, 0, 35152, 9, 11544)),
 }
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -105,30 +106,7 @@ class TestServiceVerbs:
         assert report["batches_formed"] < report["requests_served"]
 
     def test_serve_and_submit(self, capsys):
-        free = socket.socket()
-        free.bind(("127.0.0.1", 0))
-        port = free.getsockname()[1]
-        free.close()
-
-        server = threading.Thread(
-            target=run_cli,
-            args=([
-                "serve", "--port", port, "--no-store",
-                "--max-requests", 2, "--window-ms", 1,
-            ],),
-            daemon=True,
-        )
-        server.start()
-        deadline = 10.0
-        import time
-
-        start = time.monotonic()
-        while time.monotonic() - start < deadline:
-            try:
-                socket.create_connection(("127.0.0.1", port), timeout=1).close()
-                break
-            except OSError:
-                time.sleep(0.05)
+        port, server = start_server([])
         assert run_cli([
             "submit", "stencil2d", "--port", port, "--shape", 9, 8,
             "--count", 2,
@@ -137,3 +115,45 @@ class TestServiceVerbs:
         assert "stencil2d digest " in out
         server.join(timeout=15)
         assert not server.is_alive()
+
+    def test_trace_and_submit_reach_an_authenticated_server(self, capsys):
+        port, server = start_server(["--auth-key", "k"])
+        assert run_cli(["trace", "--port", port, "--json"]) == 1
+        assert "invalid auth key" in capsys.readouterr().err
+        assert run_cli(["trace", "--port", port, "--json",
+                        "--auth-key", "k"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+        assert run_cli([
+            "submit", "stencil2d", "--port", port, "--shape", 9, 8,
+            "--count", 2, "--auth-key", "k",
+        ]) == 0
+        assert "stencil2d digest " in capsys.readouterr().out
+        server.join(timeout=15)
+        assert not server.is_alive()
+
+
+def start_server(flags):
+    """``(port, thread)`` of a ``serve`` on an ephemeral port that exits
+    after two executed requests, once it accepts connections."""
+    free = socket.socket()
+    free.bind(("127.0.0.1", 0))
+    port = free.getsockname()[1]
+    free.close()
+
+    server = threading.Thread(
+        target=run_cli,
+        args=([
+            "serve", "--port", port, "--no-store",
+            "--max-requests", 2, "--window-ms", 1, *flags,
+        ],),
+        daemon=True,
+    )
+    server.start()
+    start = time.monotonic()
+    while time.monotonic() - start < 10.0:
+        try:
+            socket.create_connection(("127.0.0.1", port), timeout=1).close()
+            break
+        except OSError:
+            time.sleep(0.05)
+    return port, server

@@ -102,6 +102,12 @@ VERB_FLAGS = {
         "--recovery-timeout-s", "--assert-chaos", "--assert-no-high-shed",
         "--job-drill", "--steps", "--checkpoint-every", "--job-dir",
         "--kill-after-steps", "--assert-job-drill"},
+    "submit": {
+        "-h", "--help", "--host", "--port", "--shape", "--seed", "--count",
+        "--show-result", "--auth-key"},
+    "trace": {
+        "-h", "--help", "--host", "--port", "--slow", "--limit", "--json",
+        "--auth-key"},
 }
 
 #: Every environment variable the package reads.
