@@ -454,31 +454,6 @@ static void halo_(char *row, const int64_t *g)
 }
 """
 
-#: ``level_`` as barrier texts print it, with ring rows ``g[3]`` bytes
-#: apart.  A barrier block calls no ``level_``; its text keeps this one so
-#: that it, and every object compiled from it, stays as first printed.
-_BARRIER_LEVEL = """\
-/* Padded row i of level t of a temporal block.  Level 0 is the carried
-   grid's home, halo rows included; level t > 0 keeps its rows in a ring of
-   g[2], and reads a leading halo row as a clamped row index or, under a
-   constant pad, as the home's own (never rewritten) halo row. */
-static inline const char *level_(const char *home, const char *w,
-                                 const int64_t *g, int64_t t, int64_t i,
-                                 int64_t n0)
-{
-    if (t == 0)
-        return home + i * g[3];
-    i -= g[0];
-    if (i < 0 || i >= n0) {
-        if (!g[1])
-            return home + (i + g[0]) * g[3];
-        i = i < 0 ? 0 : n0 - 1;
-    }
-    return w + ((t - 1) * g[2] + i % g[2]) * g[3];
-}
-"""
-
-
 def _steps(region: Region, accesses, results, body: List[str],
            base: int) -> List[str]:
     """The lines of the ``steps`` text: ``T`` steps of the region as one
@@ -1013,7 +988,7 @@ def _barrier_steps(region: Region) -> str:
     arrays = list(region.bases) + [buffer for buffer, _op in region.stores]
     count, strides = len(arrays), sum(array.ndim for array in arrays)
     return "\n".join([
-        _BARRIER_LEVEL + "\n" + _HALO + _BARRIER_HELPERS,
+        _HALO + _BARRIER_HELPERS,
         "void steps(char *const *p, const int64_t *s, const int64_t *n, "
         "int64_t T, char *w, const int64_t *g, int64_t lo, int64_t hi)",
         "{",

@@ -38,7 +38,7 @@ from ..core.primitives.opencl import (
     ToLocal,
     ToPrivate,
 )
-from ..core.primitives.stencil import PadConstant
+from ..core.primitives.stencil import OverlappedTiling, PadConstant
 from ..core.typecheck import check_program
 from ..core.types import ArrayType, Type
 from ..rewriting.strategies import LoweredProgram
@@ -207,9 +207,8 @@ class _KernelGenerator:
         if not isinstance(tile_fn, Lambda) or len(tile_fn.params) != 1:
             raise CodegenError("expected the tile function to be a unary lambda")
 
-        tile_size = self.lowered.strategy.tile_size
-        size, step = self.lowered.stencil_size, self.lowered.stencil_step
-        outputs_per_tile = (tile_size - size + step) // step
+        tiling = self.lowered.tiling
+        outputs_per_tile = tiling.outputs_per_tile
         tiles_per_dim = self._output_shape(nest.type, ndims)
         output_shape = [tiles_per_dim[d] * outputs_per_tile for d in range(ndims)]
 
@@ -236,7 +235,7 @@ class _KernelGenerator:
         if inner_nest is None:
             raise CodegenError("tiled kernel without an inner mapLcl nest")
         _, element_fn, windows_expr = self._collect_nest(inner_nest, MapLcl)
-        self._stage_tile(tile_body, tile_view, ndims, tile_size, lid_names)
+        self._stage_tile(tile_body, tile_view, tiling, lid_names)
 
         element_view = _indexed(self.gen_value(windows_expr, env), lids)
 
@@ -263,8 +262,7 @@ class _KernelGenerator:
         self,
         tile_body: Expr,
         tile_view: View,
-        ndims: int,
-        tile_size: int,
+        tiling: OverlappedTiling,
         lid_names: List[str],
     ) -> None:
         """Emit the local-memory copy, if the tile body stages one.
@@ -279,7 +277,8 @@ class _KernelGenerator:
         if _outermost_call(tile_body, lambda fun: isinstance(fun, ToLocal)) is None:
             return
 
-        allocation = self.memory.allocate_local(tile_size ** ndims)
+        ndims = len(lid_names)
+        allocation = self.memory.allocate_local(tiling.local_elements(ndims))
         self.body.add(Comment("cooperative copy of the tile into local memory"))
         self.body.add(
             RawStatement(
@@ -287,7 +286,7 @@ class _KernelGenerator:
             )
         )
 
-        extents = [tile_size] * ndims
+        extents = [tiling.tile] * ndims
         loop_vars = [f"cp_{d}" for d in range(ndims)]
         copies = [Var(var) for var in loop_vars]
         innermost = Block()
@@ -301,7 +300,7 @@ class _KernelGenerator:
             wrapped = ForLoop(
                 loop_vars[depth],
                 lid,
-                str(tile_size),
+                str(tiling.tile),
                 step=f"get_local_size({self.lowered.ndims - 1 - depth})",
                 body=loop,
             )

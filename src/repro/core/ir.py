@@ -416,16 +416,11 @@ def _structural_key(expr: Expr, param_ids: Dict[Param, int],
     raise TypeError(f"cannot key expression {type(expr).__name__}")
 
 
-def structural_hash(expr: Expr) -> int:
-    """A stable (within one process) hash of :func:`structural_key`."""
-    return hash(structural_key(expr))
-
-
 def structural_digest(expr: Expr) -> str:
     """A hex digest of the structure of ``expr``, stable across processes.
 
-    Unlike :func:`structural_hash` (which relies on Python's salted ``hash``
-    and on object ids for embedded generator callables), the digest keys
+    Unlike Python's salted ``hash`` of :func:`structural_key` (which keys
+    embedded generator callables by object id), the digest keys
     generators by their code location (module + qualname), so the same
     program built in different processes — or in different runs — produces
     the same digest.  It is the identity used by the persistent
@@ -472,5 +467,4 @@ __all__ = [
     "collect",
     "structurally_equal",
     "structural_key",
-    "structural_hash",
 ]

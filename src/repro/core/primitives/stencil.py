@@ -189,6 +189,67 @@ class Slide(Primitive):
         )
 
 
+@dataclass(frozen=True)
+class OverlappedTiling:
+    """The geometry of overlapped tiling (paper §4.1), per dimension.
+
+    ``slide(size, step)`` over a padded row becomes ``slide(size, step)``
+    over each tile of ``slide(u, v)``, with ``size − step = u − v``; ``tile``
+    is ``u``.  The counts are :class:`Slide`'s window count,
+    ``(n − size + step) // step``, at concrete lengths.  The rewrite, the
+    code generator, the simulator and the search read them here.
+    ``size`` and ``step`` may be symbolic for :attr:`tile_step` alone.
+    """
+
+    size: ArithLike
+    step: ArithLike
+    tile: int
+
+    @property
+    def tile_step(self) -> ArithLike:
+        """``v = u − (size − step)``, the distance between tile origins."""
+        return self.tile - (self.size - self.step)
+
+    @property
+    def advances(self) -> bool:
+        """The rule's structural constraint ``u > size − step``: ``v > 0``."""
+        return self.tile_step > 0
+
+    @property
+    def outputs_per_tile(self) -> int:
+        """The windows of ``slide(size, step)`` over one tile."""
+        return (self.tile - self.size + self.step) // self.step
+
+    def tiles(self, length: int) -> int:
+        """The windows of ``slide(u, v)`` over a padded ``length``."""
+        return (length - self.tile + self.tile_step) // self.tile_step
+
+    def covers(self, length: int) -> bool:
+        """Whether the tiles cover a padded ``length`` exactly.
+
+        Each tile then holds whole windows and the last tile ends on the
+        last element, so ``tiles(length) * outputs_per_tile`` is the window
+        count of the untiled ``slide``.
+        """
+        return (self.advances and (self.tile - self.size) % self.step == 0
+                and (length - self.tile) % self.tile_step == 0)
+
+    def covering_length(self, bound: int) -> int:
+        """The smallest padded length at or above ``bound`` the tiles cover."""
+        if not self.covers(self.tile):
+            raise ValueError(f"tile {self.tile} covers no length of "
+                             f"slide({self.size}, {self.step})")
+        return self.tile - (self.tile - bound) // self.tile_step * self.tile_step
+
+    def local_elements(self, ndims: int) -> int:
+        """The elements of one tile staged in local memory: ``u ** ndims``."""
+        return self.tile ** ndims
+
+    def loads_per_output(self, ndims: int) -> float:
+        """Tile elements loaded per output computed (the halo's overhead)."""
+        return (self.tile / self.outputs_per_tile) ** ndims
+
+
 __all__ = [
     "Boundary",
     "CLAMP",
@@ -198,4 +259,5 @@ __all__ = [
     "Pad",
     "PadConstant",
     "Slide",
+    "OverlappedTiling",
 ]

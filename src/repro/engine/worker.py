@@ -70,9 +70,11 @@ def explore_variants_for(benchmark: StencilBenchmark,
     """The macro-exploration variant set the engine tunes for one benchmark.
 
     Tiles wider than the grid are dropped; the exploration applies the
-    tiling rule's structural constraint (``u > size − step``) but not exact
-    coverage: nothing rounds the ND-range up, so a tile that does not divide
-    the grid gives a kernel with a truncated output (ROADMAP.md, item 14).
+    tiling rule's structural constraint
+    (:attr:`~repro.core.primitives.stencil.OverlappedTiling.advances`) but
+    not exact coverage (:meth:`~repro.core.primitives.stencil.OverlappedTiling.covers`):
+    nothing rounds the ND-range up, so a tile that does not cover the grid
+    gives a kernel with a truncated output (ROADMAP.md, item 14).
     """
     shape = tuple(shape)
     radius = (benchmark.stencil_extent - 1) // 2
@@ -95,13 +97,11 @@ def parameter_space_for(
     """The tunable parameters of one lowered Lift variant on one device."""
     ndims = problem.ndims
     parameters: List[Parameter] = []
-    if lowered.strategy.use_tiling:
+    tiling = lowered.tiling
+    if tiling is not None:
         # Tiled kernels fix the work-group to the tile's output block; only the
         # per-thread sequential work remains tunable.
-        outputs_per_tile = max(
-            1,
-            (lowered.strategy.tile_size - lowered.stencil_size + 1),
-        )
+        outputs_per_tile = tiling.outputs_per_tile
         wg = [("wg_x", (outputs_per_tile,)), ("wg_y", (outputs_per_tile,))]
         if ndims == 3:
             wg.append(("wg_z", (min(outputs_per_tile, 4),)))
@@ -116,9 +116,14 @@ def parameter_space_for(
 
     constraints = opencl_constraints(
         max_workgroup_size=device.max_workgroup_size,
-        local_memory_bytes=device.local_memory_bytes,
         output_shape=problem.output_shape,
     )
+    if (lowered.strategy.use_local_memory and tiling is not None
+            and tiling.local_elements(ndims) * problem.bytes_per_element
+            > device.local_memory_bytes):
+        # The staged tile does not fit the device's local memory, whatever
+        # the configuration: the variant has no valid point on this device.
+        constraints.append(lambda config: False)
     return ParameterSpace(parameters, constraints)
 
 
@@ -154,22 +159,20 @@ def validation_shape(stencil_extent: int, ndims: int,
 
     Untiled variants work on any shape.  A tiled variant only reproduces the
     whole output when its tiles exactly cover the padded input
-    (``(padded − u) % v == 0``); elsewhere its output is truncated, as
-    nothing rounds the ND-range up (ROADMAP.md, item 14), so the grid is
-    chosen to satisfy exact coverage.  ``min_size`` grows the grid to at
-    least that extent per dimension (while preserving exact coverage) —
-    measured scoring uses it to time kernels on non-trivial inputs.
+    (:meth:`~repro.core.primitives.stencil.OverlappedTiling.covers`);
+    elsewhere its output is truncated, as nothing rounds the ND-range up
+    (ROADMAP.md, item 14), so the grid is the geometry's smallest covering
+    length.  ``min_size`` grows the grid to at least that extent per
+    dimension (while preserving exact coverage) — measured scoring uses it
+    to time kernels on non-trivial inputs.
     """
-    if not lowered.strategy.use_tiling:
+    tiling = lowered.tiling
+    if tiling is None:
         if min_size > 0:
             return (min_size,) * ndims
         return VALIDATION_SHAPES[ndims]
-    u = lowered.strategy.tile_size
-    v = u - (lowered.stencil_size - lowered.stencil_step)
     radius = (stencil_extent - 1) // 2
-    padded = u
-    while padded - 2 * radius < max(8, lowered.stencil_size, min_size):
-        padded += v
+    padded = tiling.covering_length(max(8, lowered.stencil_size, min_size) + 2 * radius)
     return (padded - 2 * radius,) * ndims
 
 

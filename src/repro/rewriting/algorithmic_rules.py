@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..core import builders as L
-from ..core.arithmetic import ArithExpr, Cst
+from ..core.arithmetic import ArithExpr
 from ..core.ir import Expr, FunCall, FunDecl, Lambda, Param
 from ..core.primitives.algorithmic import Join, Map, Transpose
 from ..core.primitives.opencl import MapGlb, MapLcl, MapSeq, MapWrg
-from ..core.primitives.stencil import Slide
+from ..core.primitives.stencil import OverlappedTiling, Slide
 from .rules import RewriteRule
 
 
@@ -248,52 +248,16 @@ class SlideTilingDecompositionRule(RewriteRule):
     def rewrite(self, expr: Expr) -> Expr:
         slide_prim: Slide = expr.fun  # type: ignore[assignment]
         size, step = slide_prim.size, slide_prim.step
-        u = Cst(self.tile_size)
-        v = u - (size - step)
+        v = OverlappedTiling(size, step, self.tile_size).tile_step
         return L.join(
-            L.map(lambda tile: L.slide(size, step, tile), L.slide(u, v, expr.args[0]))
+            L.map(lambda tile: L.slide(size, step, tile),
+                  L.slide(self.tile_size, v, expr.args[0]))
         )
 
 
 # ---------------------------------------------------------------------------
 # Overlapped tiling (the paper's new rule)
 # ---------------------------------------------------------------------------
-
-def tile_overlap(size: ArithExpr, step: ArithExpr) -> ArithExpr:
-    """The overlap between consecutive tiles required by the validity constraint."""
-    return size - step
-
-
-def tile_exceeds_overlap(tile_size: int, size: int, step: int) -> bool:
-    """The structural constraint of overlapped tiling: ``u > size − step``.
-
-    Only then is the tile step ``v = u − (size − step)`` positive, so that
-    consecutive tiles advance over the input.
-    """
-    return tile_size > size - step
-
-
-def tiling_is_valid(
-    input_length: int, size: int, step: int, tile_size: int
-) -> bool:
-    """Check the tiling parameters against a concrete (padded) input length.
-
-    The rewrite preserves semantics when the tile step ``v = u − (size − step)``
-    is positive and tiles exactly cover the input, i.e. both ``slide`` calls on
-    the right-hand side produce whole windows covering every neighbourhood.
-    """
-    if not tile_exceeds_overlap(tile_size, size, step) or tile_size < size:
-        return False
-    tile_step = tile_size - (size - step)
-    if (input_length - tile_size) % tile_step != 0:
-        return False
-    if (tile_size - size) % step != 0:
-        return False
-    lhs_windows = (input_length - size + step) // step
-    tiles = (input_length - tile_size + tile_step) // tile_step
-    per_tile = (tile_size - size + step) // step
-    return lhs_windows == tiles * per_tile
-
 
 class TileStencilNDRule(RewriteRule):
     """Overlapped tiling in N dimensions (paper §4.1, "tiling in higher dimensions").
@@ -327,10 +291,9 @@ class TileStencilNDRule(RewriteRule):
         assert match is not None
         nd = match.ndims
         f, size, step = match.f, match.size, match.step
-        u = Cst(self.tile_size)
-        v = u - tile_overlap(size, step)
+        v = OverlappedTiling(size, step, self.tile_size).tile_step
 
-        tiles = L.slide_nd(u, v, match.input, nd)
+        tiles = L.slide_nd(self.tile_size, v, match.input, nd)
         per_tile = L.fun_n(
             1, lambda tile: L.map_nd(f, L.slide_nd(size, step, tile, nd), nd)
         )
@@ -371,7 +334,4 @@ __all__ = [
     "SlideTilingDecompositionRule",
     "TileStencilNDRule",
     "recombine_tiles",
-    "tile_exceeds_overlap",
-    "tile_overlap",
-    "tiling_is_valid",
 ]

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..core.ir import Lambda
-from .algorithmic_rules import tile_exceeds_overlap, tiling_is_valid
+from ..core.primitives.stencil import OverlappedTiling
 from .strategies import (
     LoweredProgram,
     LoweringError,
@@ -61,11 +61,15 @@ def candidate_strategies(
     """Enumerate macro strategies valid for the given stencil geometry.
 
     ``padded_length`` is the length (per dimension) of the padded input the
-    first ``slide`` runs over; when ``validate_tiles`` is set (the default),
-    tile sizes that do not exactly cover it are rejected by the validity
-    constraint of the tiling rewrite rule.  The experiment pipeline disables
-    the exact-coverage check, so at the paper's input sizes it also ranks
-    tiles whose kernels compute a truncated output (ROADMAP.md, item 14).
+    first ``slide`` runs over.  Every tile must satisfy the tiling rule's
+    structural constraint
+    (:attr:`~repro.core.primitives.stencil.OverlappedTiling.advances`); when
+    ``validate_tiles`` is set (the default), tiles must also cover
+    ``padded_length`` exactly
+    (:meth:`~repro.core.primitives.stencil.OverlappedTiling.covers`).  The
+    experiment pipeline disables the exact-coverage check, so at the paper's
+    input sizes it also ranks tiles whose kernels compute a truncated output
+    (ROADMAP.md, item 14).
     """
     strategies: List[Strategy] = []
     for unroll in ([True, False] if include_unrolled else [True]):
@@ -73,11 +77,10 @@ def candidate_strategies(
             Strategy(name="naive", use_tiling=False, unroll_reduce=unroll)
         )
     for tile in tile_sizes:
-        if not tile_exceeds_overlap(tile, stencil_size, stencil_step):
+        tiling = OverlappedTiling(stencil_size, stencil_step, tile)
+        if not tiling.advances:
             continue
-        if validate_tiles and not tiling_is_valid(
-            padded_length, stencil_size, stencil_step, tile
-        ):
+        if validate_tiles and not tiling.covers(padded_length):
             continue
         local_options = [True, False] if include_local_memory else [False]
         for local in local_options:

@@ -28,19 +28,19 @@ consumed by the code generator and the GPU performance model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from ..core.ir import Expr, FunCall, Lambda, Primitive, replace
 from ..core.printer import pretty
 from ..core.primitives.algorithmic import Zip
 from ..core.primitives.opencl import MapGlb, MapLcl, MapWrg
+from ..core.primitives.stencil import OverlappedTiling
 from .algorithmic_rules import (
     StencilMatch,
     TileStencilNDRule,
     match_map_nd,
     match_slide_nd,
     match_stencil,
-    tile_exceeds_overlap,
 )
 from .lowering_rules import (
     IdInsertionRule,
@@ -124,6 +124,13 @@ class LoweredProgram:
     stencil_step: int
     multi_grid: bool            # True when the stencil zips several input grids
 
+    @property
+    def tiling(self) -> Optional[OverlappedTiling]:
+        """The overlapped-tiling geometry of a tiled variant (``None`` untiled)."""
+        if not self.strategy.use_tiling:
+            return None
+        return OverlappedTiling(self.stencil_size, self.stencil_step, self.strategy.tile_size)
+
     def describe(self) -> str:
         return (
             f"{self.ndims}D stencil, {self.strategy.describe()}, "
@@ -171,7 +178,7 @@ def lower_program(program: Lambda, strategy: Strategy) -> LoweredProgram:
         raise LoweringError(
             "tiling requested but the program is not a pure mapN(f, slideN(...)) stencil"
         )
-    elif not tile_exceeds_overlap(strategy.tile_size, size, step):
+    elif not OverlappedTiling(size, step, strategy.tile_size).advances:
         raise LoweringError(
             f"tile {strategy.tile_size} is too small: overlapped tiling needs "
             f"u > size − step = {size - step}"

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
+from ...core.primitives.stencil import OverlappedTiling
+
 if TYPE_CHECKING:
     from ...rewriting.strategies import LoweredProgram
 
@@ -100,14 +102,6 @@ class KernelProfile:
         )
 
 
-def halo_factor(tile_size: int, stencil_size: int, step: int, ndims: int) -> float:
-    """Extra global reads caused by tile halos (tile volume / useful outputs)."""
-    if tile_size <= 0:
-        return 1.0
-    outputs = max(1, (tile_size - stencil_size + step) // step)
-    return (tile_size / outputs) ** ndims
-
-
 def build_profile(
     lowered: LoweredProgram,
     problem: ProblemInstance,
@@ -136,12 +130,13 @@ def build_profile(
 
     uses_local = bool(config.use_local_memory and config.tile_size > 0)
     if uses_local:
-        halo = halo_factor(config.tile_size, lowered.stencil_size or 3,
-                           lowered.stencil_step or 1, problem.ndims)
+        tiling = OverlappedTiling(lowered.stencil_size, lowered.stencil_step,
+                                  config.tile_size)
+        halo = tiling.loads_per_output(problem.ndims)
         global_read_bytes = elements * bpe * halo \
             + elements * bpe * (problem.num_input_grids - 1)
         local_traffic = elements * bpe * (halo + problem.stencil_points)
-        local_per_wg = (config.tile_size ** problem.ndims) * bpe
+        local_per_wg = tiling.local_elements(problem.ndims) * bpe
         barriers = 1
     else:
         global_read_bytes = elements * bpe * reads_per_output
@@ -178,5 +173,4 @@ __all__ = [
     "KernelConfig",
     "KernelProfile",
     "build_profile",
-    "halo_factor",
 ]

@@ -145,15 +145,14 @@ def replay_worker_candidates(max_workers: int = None) -> Tuple[int, ...]:
 
 def opencl_constraints(
     max_workgroup_size: int,
-    local_memory_bytes: int,
     output_shape: Sequence[int],
-    bytes_per_element: int = 4,
 ) -> List[Constraint]:
     """The standard OpenCL validity constraints used for every stencil kernel.
 
     Configurations are expected to contain ``wg_x`` / ``wg_y`` / ``wg_z``
-    (missing dimensions default to 1), optionally ``tile_size`` and
-    ``use_local_memory``.
+    (missing dimensions default to 1).  Whether a variant's staged tile fits
+    local memory does not depend on the configuration;
+    :func:`repro.engine.worker.parameter_space_for` checks it per variant.
     """
 
     def workgroup_items(config: Configuration) -> int:
@@ -166,15 +165,6 @@ def opencl_constraints(
     def fits_workgroup(config: Configuration) -> bool:
         return 1 <= workgroup_items(config) <= max_workgroup_size
 
-    def fits_local_memory(config: Configuration) -> bool:
-        if not config.get("use_local_memory", False):
-            return True
-        tile = int(config.get("tile_size", 0))
-        if tile <= 0:
-            return True
-        ndims = len(output_shape)
-        return (tile ** ndims) * bytes_per_element <= local_memory_bytes
-
     def workgroup_not_larger_than_output(config: Configuration) -> bool:
         dims = ["wg_x", "wg_y", "wg_z"][: len(output_shape)]
         # wg_x maps to the innermost (fastest varying) output dimension.
@@ -183,7 +173,7 @@ def opencl_constraints(
                 return False
         return True
 
-    return [fits_workgroup, fits_local_memory, workgroup_not_larger_than_output]
+    return [fits_workgroup, workgroup_not_larger_than_output]
 
 
 __all__ = [

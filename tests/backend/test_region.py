@@ -78,9 +78,10 @@ NATIVE_TEXTS = {
 #: own text and object, beside the region's, and the same at every band
 #: count (re-recorded when ``steps`` gained its band, ``lo, hi``, and when
 #: ring rows moved to their own stride, the last word of ``g``).
-#: Acoustic's is a barrier block's: its ``region`` text plus a ``steps`` loop.
+#: Acoustic's is a barrier block's: its ``region`` text plus a ``steps`` loop
+#: (re-recorded when that text lost the ``level_`` it never called).
 BLOCK_TEXTS = {
-    "acoustic": "760b6ca78846c2f64a9049987f57c7c41267bf0a4f2d4c10a97078c1c76be525",
+    "acoustic": "c46f5cb62c0bddb5878b53f081e5cb9793292a08e78a99476c38f7ae5648e83a",
     "gradient": "d1a75ab5a1771b12dcf48277ee91b2fa37fddf2209a8ad57463fcd31c0e72b8c",
     "heat": "6efc5c5ed97526bf7dbc7d3f9432755c86aba39fa8ddc15bdffcb7fc7d288cb2",
     "hotspot2d": "9f02220ddb4116c5ca7761c2aa93d6ddc0cbc6b68831b57967e6d259d398b6de",

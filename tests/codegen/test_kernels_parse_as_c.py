@@ -25,7 +25,7 @@ import pytest
 from repro.apps.suite import ALL_BENCHMARKS
 from repro.backend import native
 from repro.codegen import generate_kernel
-from repro.rewriting.algorithmic_rules import tile_exceeds_overlap
+from repro.core.primitives.stencil import OverlappedTiling
 from repro.rewriting.exploration import DEFAULT_TILE_SIZES
 from repro.rewriting.strategies import NAIVE, LoweringError, lower_program, tiled_strategy
 
@@ -73,7 +73,7 @@ def sampled_variants():
         benchmark = ALL_BENCHMARKS[key]
         program = benchmark.build_program()
         tiles = [tile for tile in DEFAULT_TILE_SIZES
-                 if tile_exceeds_overlap(tile, benchmark.stencil_extent, 1)]
+                 if OverlappedTiling(benchmark.stencil_extent, 1, tile).advances]
         strategies = [NAIVE] + [tiled_strategy(tile, use_local_memory=local)
                                 for tile in (tiles[0], tiles[-1])
                                 for local in (True, False)]

@@ -358,10 +358,27 @@ class TestScorersAndValidation:
         lowered = lower_program(benchmark.build_program(), tiled_strategy(18))
         shape = validation_shape(3, 2, lowered, min_size=64)
         assert all(extent >= 64 for extent in shape)
-        # Exact tile coverage of the padded input: (padded - u) % v == 0.
-        u, v = 18, 18 - 2
-        padded = shape[0] + 2  # radius 1 per side
-        assert (padded - u) % v == 0
+        # Exact tile coverage of the padded input (radius 1 per side), with
+        # 18-element tiles every v = 16 elements.
+        padded = shape[0] + 2
+        assert lowered.tiling.covers(padded) and (padded - 18) % 16 == 0
+
+    def test_a_staged_tile_beyond_local_memory_gets_no_configuration(self):
+        from repro.rewriting.strategies import lower_program, tiled_strategy
+
+        benchmark = get_benchmark("stencil2d")
+        problem = benchmark.problem(SHAPE)
+        # An 18x18 float tile takes 1296 bytes; this device has 1 KiB.
+        device = dataclasses.replace(DEVICES["nvidia"], local_memory_bytes=1024)
+
+        def first_configuration(use_local_memory):
+            lowered = lower_program(benchmark.build_program(),
+                                    tiled_strategy(18, use_local_memory=use_local_memory))
+            space = worker.parameter_space_for(lowered, problem, device)
+            return next(space.configurations(), None)
+
+        assert first_configuration(use_local_memory=True) is None
+        assert first_configuration(use_local_memory=False) is not None
 
 
 class TestReviewRegressions:

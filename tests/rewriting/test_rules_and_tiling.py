@@ -6,6 +6,7 @@ import pytest
 from repro.core import builders as L
 from repro.core.arithmetic import Var
 from repro.core.ir import FunCall, Lambda
+from repro.core.primitives.stencil import OverlappedTiling
 from repro.core.types import Float, array
 from repro.core.userfuns import add
 from repro.rewriting.algorithmic_rules import (
@@ -16,7 +17,6 @@ from repro.rewriting.algorithmic_rules import (
     TileStencilNDRule,
     match_slide_nd,
     match_stencil,
-    tiling_is_valid,
 )
 from repro.rewriting.rules import (
     RewriteRule,
@@ -197,9 +197,21 @@ class TestOverlappedTiling:
 
     def test_validity_constraint(self):
         # size - step = u - v must hold and tiles must cover the input exactly.
-        assert tiling_is_valid(input_length=14, size=3, step=1, tile_size=6)
-        assert not tiling_is_valid(input_length=13, size=3, step=1, tile_size=6)
-        assert not tiling_is_valid(input_length=14, size=3, step=1, tile_size=2)
+        assert OverlappedTiling(size=3, step=1, tile=6).covers(14)
+        assert not OverlappedTiling(size=3, step=1, tile=6).covers(13)
+        assert not OverlappedTiling(size=3, step=1, tile=2).covers(14)
+
+    def test_geometry_counts(self):
+        tiling = OverlappedTiling(size=5, step=2, tile=9)
+        assert tiling.tile_step == 6 and tiling.advances
+        assert tiling.outputs_per_tile == 3
+        assert tiling.tiles(21) == 3 and tiling.covers(21)
+        assert tiling.covering_length(16) == 21 and tiling.covering_length(21) == 21
+        assert tiling.local_elements(2) == 81
+        assert tiling.loads_per_output(2) == 9.0
+        assert not OverlappedTiling(size=5, step=2, tile=3).advances
+        with pytest.raises(ValueError):  # a tile of 8 holds no whole last window
+            OverlappedTiling(size=5, step=2, tile=8).covering_length(10)
 
     def test_2d_tiling_preserves_semantics(self):
         program = boxsum2d()

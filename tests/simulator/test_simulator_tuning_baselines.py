@@ -192,8 +192,8 @@ class TestTuning:
             AutoTuner(self._space(), each(lambda c: 0.0), strategy="annealing")
 
     def test_opencl_constraints(self):
-        constraints = opencl_constraints(256, 32 * 1024, (128, 128))
-        valid = {"wg_x": 16, "wg_y": 16, "use_local_memory": True, "tile_size": 16}
+        constraints = opencl_constraints(256, (128, 128))
+        valid = {"wg_x": 16, "wg_y": 16}
         oversized = {"wg_x": 32, "wg_y": 32}
         assert all(c(valid) for c in constraints)
         assert not all(c(oversized) for c in constraints)

@@ -18,7 +18,8 @@ from repro.core.ir import Lambda
 from repro.core.types import Float, array
 from repro.core.typecheck import check_program
 from repro.core.userfuns import add
-from repro.rewriting.algorithmic_rules import TileStencilNDRule, tiling_is_valid
+from repro.core.primitives.stencil import OverlappedTiling
+from repro.rewriting.algorithmic_rules import TileStencilNDRule
 from repro.rewriting.rules import apply_at, find_applications
 from repro.runtime.interpreter import evaluate_program
 
@@ -138,19 +139,30 @@ def test_split_join_is_identity(data, chunk):
 
 @settings(deadline=None, max_examples=40)
 @given(
+    st.sampled_from([(3, 1), (3, 2), (5, 2), (5, 3)]),  # (size, step)
     st.integers(2, 12),   # tiles
     st.integers(1, 8),    # outputs per tile
     st.integers(0, 1000), # data seed
 )
-def test_overlapped_tiling_preserves_semantics_for_valid_parameters(tiles, per_tile, seed):
-    """For every valid (u, v) choice, both sides of the rewrite agree (paper §4.1)."""
-    size, step = 3, 1
+def test_overlapped_tiling_preserves_semantics_for_valid_parameters(
+        window, tiles, per_tile, seed):
+    """For every valid (u, v) choice, both sides of the rewrite agree (paper §4.1),
+    and wherever the tiles cover a length, they hold the untiled slide's windows."""
+    size, step = window
     overlap = size - step
     tile_step = per_tile * step
     tile_size = tile_step + overlap
     padded_length = tiles * tile_step + overlap
     n = padded_length - 2  # the program pads by 1 on each side
-    assert tiling_is_valid(padded_length, size, step, tile_size)
+    tiling = OverlappedTiling(size, step, tile_size)
+    assert tiling.covers(padded_length)
+    assert (tiling.tile_step, tiling.outputs_per_tile) == (tile_step, per_tile)
+    for length in range(size, padded_length + 1):
+        if tiling.covers(length):
+            windows = check_program(
+                L.fun([array(Float, length)], lambda a: L.slide(size, step, a)),
+                [array(Float, length)]).size
+            assert tiling.tiles(length) * tiling.outputs_per_tile == windows
 
     program = L.fun(
         [array(Float, Var("N"))],
