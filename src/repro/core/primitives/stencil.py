@@ -216,6 +216,13 @@ class OverlappedTiling:
         return self.tile_step > 0
 
     @property
+    def holds_whole_windows(self) -> bool:
+        """Whether each tile holds whole windows of ``slide(size, step)``
+        and every tile starts on the untiled window grid: ``covers(tile)``.
+        For ``step = 1`` this is :attr:`advances`."""
+        return self.advances and (self.tile - self.size) % self.step == 0
+
+    @property
     def outputs_per_tile(self) -> int:
         """The windows of ``slide(size, step)`` over one tile."""
         return (self.tile - self.size + self.step) // self.step
@@ -231,12 +238,12 @@ class OverlappedTiling:
         last element, so ``tiles(length) * outputs_per_tile`` is the window
         count of the untiled ``slide``.
         """
-        return (self.advances and (self.tile - self.size) % self.step == 0
+        return (self.holds_whole_windows
                 and (length - self.tile) % self.tile_step == 0)
 
     def covering_length(self, bound: int) -> int:
         """The smallest padded length at or above ``bound`` the tiles cover."""
-        if not self.covers(self.tile):
+        if not self.holds_whole_windows:
             raise ValueError(f"tile {self.tile} covers no length of "
                              f"slide({self.size}, {self.step})")
         return self.tile - (self.tile - bound) // self.tile_step * self.tile_step

@@ -69,9 +69,9 @@ def explore_variants_for(benchmark: StencilBenchmark,
                          shape: Sequence[int]) -> List[ExplorationResult]:
     """The macro-exploration variant set the engine tunes for one benchmark.
 
-    Tiles wider than the grid are dropped; the exploration applies the
-    tiling rule's structural constraint
-    (:attr:`~repro.core.primitives.stencil.OverlappedTiling.advances`) but
+    Tiles wider than the grid are dropped; the exploration keeps tiles
+    that hold whole windows
+    (:attr:`~repro.core.primitives.stencil.OverlappedTiling.holds_whole_windows`) but
     not exact coverage (:meth:`~repro.core.primitives.stencil.OverlappedTiling.covers`):
     nothing rounds the ND-range up, so a tile that does not cover the grid
     gives a kernel with a truncated output (ROADMAP.md, item 14).

@@ -61,9 +61,9 @@ def candidate_strategies(
     """Enumerate macro strategies valid for the given stencil geometry.
 
     ``padded_length`` is the length (per dimension) of the padded input the
-    first ``slide`` runs over.  Every tile must satisfy the tiling rule's
-    structural constraint
-    (:attr:`~repro.core.primitives.stencil.OverlappedTiling.advances`); when
+    first ``slide`` runs over.  Every tile must hold whole windows
+    (:attr:`~repro.core.primitives.stencil.OverlappedTiling.holds_whole_windows`),
+    as :func:`~repro.rewriting.strategies.lower_program` requires; when
     ``validate_tiles`` is set (the default), tiles must also cover
     ``padded_length`` exactly
     (:meth:`~repro.core.primitives.stencil.OverlappedTiling.covers`).  The
@@ -78,7 +78,7 @@ def candidate_strategies(
         )
     for tile in tile_sizes:
         tiling = OverlappedTiling(stencil_size, stencil_step, tile)
-        if not tiling.advances:
+        if not tiling.holds_whole_windows:
             continue
         if validate_tiles and not tiling.covers(padded_length):
             continue

@@ -178,10 +178,11 @@ def lower_program(program: Lambda, strategy: Strategy) -> LoweredProgram:
         raise LoweringError(
             "tiling requested but the program is not a pure mapN(f, slideN(...)) stencil"
         )
-    elif not OverlappedTiling(size, step, strategy.tile_size).advances:
+    elif not OverlappedTiling(size, step, strategy.tile_size).holds_whole_windows:
         raise LoweringError(
-            f"tile {strategy.tile_size} is too small: overlapped tiling needs "
-            f"u > size − step = {size - step}"
+            f"tile {strategy.tile_size} holds no whole window of "
+            f"slide(size={size}, step={step}): overlapped tiling needs "
+            f"u > size − step = {size - step} and u ≡ size (mod step)"
         )
     else:
         tiled = TileStencilNDRule(strategy.tile_size).apply(target)

@@ -50,10 +50,16 @@ submit answers.
 state to one long-lived writer thread and starts the next segment, so
 checkpoint k is hashed and fsynced, outside the manager lock, while
 segment k+1 computes.  On two cores the two share the machine rather
-than overlap: a 512² Hotspot2D segment that takes 4.6 ms alone took
-8.9 ms beside a sha256 thread and 7.7 ms beside a write+fsync thread.
-Hashing on the worker at the boundary instead measured slower still, so
-the writer hashes.  At most one checkpoint is in flight (boundary k+1
+than overlap.  In a 32-step, ``checkpoint_every=8`` Hotspot2D 512² job
+run in process on a 2-vCPU Xeon, an 8-step segment took 1.7–3.1 ms with
+no checkpoint in flight and 4.2–6.4 ms beside the writer.  A checkpoint
+took the writer 4.0–6.7 ms (hash ≈ 1.6, fsyncs 1.2–2.5, the stale-file
+unlink 0.5–0.8) and landed 4.8–8.2 ms after its hand-off, so the worker
+waited up to 4.4 ms at a boundary and 4.4–6.4 ms before writing
+``result.rpg`` (3.4–4.7 ms): the writer chain, not the compute, is the
+job's critical path.  Hashing on the worker at the boundary instead
+measured slower still, so the writer hashes.  At most one checkpoint is
+in flight (boundary k+1
 first waits for checkpoint k); the file lands before ``completed_steps``
 counts it, so a status reply reports *durable* steps; a writer error
 fails the job at its next boundary; the writer is drained before any

@@ -36,7 +36,15 @@ corrupted grid.  The same framing backs durable-job checkpoints on disk
 checksums: a checkpoint takes its descriptors from :func:`describe_grids`,
 signs them (with its metadata) under one root hash and frames them with
 :func:`frame_prefix`, so no grid byte is hashed twice.  Decoding hashes
-each grid in place, as a slice of the received buffer.  A writable payload
+each grid in place, as a slice of the received buffer, once every grid's
+span is known to lie inside it.  Encoding and decoding alike hash a
+frame's grids on two threads when at least two grids need hashing, the
+caller may run on two CPUs, and each of the two byte-balanced shares holds
+:data:`PARALLEL_SHARE_MIN_BYTES` or more: the caller hashes one share and
+one helper thread, started on first use and started afresh in a forked
+child, hashes the other.  Digests, and the grid a mismatch is reported
+for (the first in header order), are those of one thread hashing in
+order.  A writable payload
 (the ``bytearray`` a body was received into) then yields each grid as a
 *view* of that buffer when the view is aligned and native-endian; any
 other payload (``bytes``, a misaligned or big-endian grid) costs one copy
@@ -52,10 +60,15 @@ and chaos drills prove the detection path end to end.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
+import os
+import queue
 import struct
+import threading
 import weakref
+from concurrent.futures import Future
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -105,6 +118,129 @@ def verified_sha256(grid: np.ndarray) -> Optional[str]:
     return _VERIFIED.get(id(grid))
 
 
+#: The fewest bytes each of a frame's two hashing shares must hold before
+#: a second thread hashes one of them.  On a 2-vCPU Xeon SHA-256 runs at
+#: about 1.1 GB/s (a 2 MiB grid in 1.8 ms) and waking the helper after an
+#: idle gap costs about 0.15 ms: two 128 KiB grids hashed 1.2× slower on
+#: two threads, two of 256 KiB 0.92× the serial time, two of 2 MiB 0.57×.
+PARALLEL_SHARE_MIN_BYTES = 256 * 1024
+
+
+class _Hasher:
+    """One daemon thread that hashes the buffers a caller hands it.
+
+    The kernel may wake a thread on the CPU of the thread that woke it,
+    which is busy hashing its own share; both shares then run at half
+    speed.  Each hand-off therefore first pins the helper to the caller's
+    other usable CPUs.
+    """
+
+    def __init__(self) -> None:
+        self._tasks: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._pinned: Optional[frozenset] = None
+        self._current_cpu = getattr(ctypes.CDLL(None), "sched_getcpu", None)
+        if self._current_cpu is not None:
+            self._current_cpu.argtypes = []
+            self._current_cpu.restype = ctypes.c_int
+        self.thread = threading.Thread(target=self._serve, daemon=True,
+                                       name="repro-wire-sha256")
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            buffers, future = self._tasks.get()
+            try:
+                digests = [hashlib.sha256(buffer).hexdigest()
+                           for buffer in buffers]
+            except Exception as error:  # noqa: BLE001 - raised by the caller
+                digests = error
+            # Let go of the frame before its caller wakes: a received body
+            # kept alive here would make the next one land in fresh pages.
+            del buffers
+            if isinstance(digests, Exception):
+                future.set_exception(digests)
+            else:
+                future.set_result(digests)
+
+    def submit(self, buffers: List[memoryview], cpus: set) -> Future:
+        """Hash ``buffers`` on the helper, pinned to ``cpus`` less the
+        caller's current CPU."""
+        future: Future = Future()
+        with self._lock:
+            if self._current_cpu is not None:
+                cpus = cpus - {self._current_cpu()}
+            others = frozenset(cpus)
+            if others != self._pinned:
+                os.sched_setaffinity(self.thread.native_id, others)
+                self._pinned = others
+            self._tasks.put((buffers, future))
+        return future
+
+
+_HASHER: Optional[_Hasher] = None
+_HASHER_LOCK = threading.Lock()
+
+
+def _hasher() -> _Hasher:
+    """The process's helper, started on first use."""
+    global _HASHER
+    with _HASHER_LOCK:
+        if _HASHER is None:
+            _HASHER = _Hasher()
+        return _HASHER
+
+
+def _forget_hasher() -> None:
+    """In a forked child: the parent's helper thread does not exist here,
+    so the next frame that needs one starts its own."""
+    global _HASHER, _HASHER_LOCK
+    _HASHER = None
+    _HASHER_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_hasher)
+
+
+def _usable_cpus() -> set:
+    """The CPUs the calling thread may run on; empty where the platform
+    keeps no affinity set."""
+    try:
+        return os.sched_getaffinity(0)
+    except (AttributeError, OSError):
+        return set()
+
+
+def _sha256_all(buffers: Sequence[memoryview]) -> List[str]:
+    """The sha256 hex digest of each buffer, in order, each byte hashed
+    once.
+
+    The buffers split into two shares balanced by bytes, largest first.
+    When each share holds at least :data:`PARALLEL_SHARE_MIN_BYTES` and
+    the caller may run on two CPUs, the helper thread hashes the lighter
+    share while the caller hashes the other; otherwise the caller hashes
+    them all.
+    """
+    shares: Tuple[List[int], List[int]] = ([], [])
+    loads = [0, 0]
+    for index in sorted(range(len(buffers)),
+                        key=lambda index: -buffers[index].nbytes):
+        lighter = int(loads[1] < loads[0])
+        shares[lighter].append(index)
+        loads[lighter] += buffers[index].nbytes
+    mine, theirs = shares if loads[1] <= loads[0] else shares[::-1]
+    cpus = (_usable_cpus() if len(buffers) >= 2
+            and min(loads) >= PARALLEL_SHARE_MIN_BYTES else set())
+    if len(cpus) < 2:
+        return [hashlib.sha256(buffer).hexdigest() for buffer in buffers]
+    future = _hasher().submit([buffers[index] for index in theirs], cpus)
+    digests = {index: hashlib.sha256(buffers[index]).hexdigest()
+               for index in mine}
+    digests.update(zip(theirs, future.result()))
+    return [digests[index] for index in range(len(buffers))]
+
+
 def describe_grids(
     grids: Sequence[np.ndarray], reuse_verified: bool = False,
 ) -> Tuple[List[Dict[str, object]], List[memoryview]]:
@@ -124,18 +260,23 @@ def describe_grids(
     """
     descriptors: List[Dict[str, object]] = []
     buffers: List[memoryview] = []
+    unknown: List[int] = []
     for grid in grids:
         known = verified_sha256(grid) if reuse_verified else None
         array = np.ascontiguousarray(grid)
         if array.dtype.byteorder == ">":  # normalise to little-endian
             array = array.astype(array.dtype.newbyteorder("<"))
-        buffer = memoryview(array).cast("B")
+        if known is None:
+            unknown.append(len(buffers))
         descriptors.append({
             "shape": list(array.shape),
             "dtype": array.dtype.str.lstrip("<=|"),
-            "sha256": known or hashlib.sha256(buffer).hexdigest(),
+            "sha256": known,
         })
-        buffers.append(buffer)
+        buffers.append(memoryview(array).cast("B"))
+    digests = _sha256_all([buffers[index] for index in unknown])
+    for index, digest in zip(unknown, digests):
+        descriptors[index]["sha256"] = digest
     if _faults.ARMED and buffers and _faults.should_fail("wire.payload_corrupt"):
         # Flip one byte of the first grid *after* its checksum was taken,
         # so the decoder's verification must catch it.
@@ -220,7 +361,8 @@ def decode_grid_payload(
     """
     header, offset = decode_grid_header(data)
     view = memoryview(data)  # slices of it are hashed in place, not copied
-    grids: List[np.ndarray] = []
+    spans = []  # (shape, dtype, count, offset) per grid
+    checked: Dict[int, Tuple[str, memoryview]] = {}  # index: (sha256, bytes)
     for index, descriptor in enumerate(header.get("grids") or []):
         shape = tuple(int(extent) for extent in descriptor["shape"])
         # Rebuilt from its string, the dtype is numpy's canonical object,
@@ -231,29 +373,37 @@ def decode_grid_payload(
         nbytes = count * dtype.itemsize
         if offset + nbytes > len(data):
             raise WireFormatError("truncated grid payload body")
-        expected: Optional[str] = descriptor.get("sha256")
-        if expected is not None:
-            actual = hashlib.sha256(view[offset:offset + nbytes]).hexdigest()
-            if actual != str(expected):
-                _CHECKSUM_FAILURES_TOTAL.inc()
-                raise WireFormatError(
-                    f"grid {index} checksum mismatch: payload corrupted in "
-                    f"transit or at rest (expected sha256 {expected}, "
-                    f"got {actual})"
-                )
-        grid = np.frombuffer(data, dtype=dtype, count=count,
-                             offset=offset).reshape(shape)
-        if not (grid.flags.writeable and grid.flags.aligned
-                and dtype.isnative):
-            grid = grid.astype(np.dtype(dtype.newbyteorder("=").str))
-        if expected is not None:
-            remember_sha256(grid, actual)
-        grids.append(grid)
+        if descriptor.get("sha256") is not None:
+            checked[index] = (str(descriptor["sha256"]),
+                              view[offset:offset + nbytes])
+        spans.append((shape, dtype, count, offset))
         offset += nbytes
+    # Every span lies inside the body before any byte is hashed; the first
+    # mismatching grid in header order is the one reported.
+    actual = dict(zip(checked, _sha256_all(
+        [piece for _expected, piece in checked.values()])))
+    for index, (expected, _piece) in checked.items():
+        if actual[index] != expected:
+            _CHECKSUM_FAILURES_TOTAL.inc()
+            raise WireFormatError(
+                f"grid {index} checksum mismatch: payload corrupted in "
+                f"transit or at rest (expected sha256 {expected}, "
+                f"got {actual[index]})"
+            )
     if offset != len(data):
         raise WireFormatError(
             f"grid payload has {len(data) - offset} trailing bytes"
         )
+    grids: List[np.ndarray] = []
+    for index, (shape, dtype, count, start) in enumerate(spans):
+        grid = np.frombuffer(data, dtype=dtype, count=count,
+                             offset=start).reshape(shape)
+        if not (grid.flags.writeable and grid.flags.aligned
+                and dtype.isnative):
+            grid = grid.astype(np.dtype(dtype.newbyteorder("=").str))
+        if index in actual:
+            remember_sha256(grid, actual[index])
+        grids.append(grid)
     meta = {key: value for key, value in header.items() if key != "grids"}
     return meta, grids
 

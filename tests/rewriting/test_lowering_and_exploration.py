@@ -231,6 +231,29 @@ class TestTileBound:
             lower_program(program, tiled_strategy(4))
         assert lower_program(program, tiled_strategy(5)).strategy.use_tiling
 
+    def test_a_tile_that_holds_no_whole_window_is_a_lowering_error(self):
+        # slide(5, 3): a tile of 4 advances (v = 2 > 0) but holds no window,
+        # and a tile of 7 holds one but its windows leave the window grid.
+        program = L.fun(
+            [array(Float, Var("N"), Var("M"))],
+            lambda a: L.map_nd(
+                lambda nbh: L.reduce(add, 0.0, L.join(nbh)),
+                L.slide_nd(5, 3, L.pad_nd(1, 1, L.CLAMP, a, 2), 2),
+                2,
+            ),
+            names=["grid"],
+        )
+        for tile in (4, 7):
+            with pytest.raises(
+                    LoweringError,
+                    match=rf"tile {tile} holds no whole window of "
+                          rf"slide\(size=5, step=3\)"):
+                lower_program(program, tiled_strategy(tile))
+        assert lower_program(program, tiled_strategy(8)).strategy.use_tiling
+        strategies = candidate_strategies(5, 3, 14, tile_sizes=(4, 7, 8),
+                                          validate_tiles=False)
+        assert {s.tile_size for s in strategies if s.use_tiling} == {8}
+
     @pytest.mark.parametrize("key", ["gaussian", "jacobi3d13pt"])
     def test_kernel_verb_reports_the_bound_and_exits_2(self, key, capsys):
         assert main(["kernel", key, "--strategy", "tiled", "--tile", "4"]) == 2
