@@ -48,22 +48,28 @@ submit answers.
 
 **Off the critical path, not free**: the worker hands each boundary's
 state to one long-lived writer thread and starts the next segment, so
-checkpoint k is hashed and fsynced, outside the manager lock, while
-segment k+1 computes.  On two cores the two share the machine rather
-than overlap.  In a 32-step, ``checkpoint_every=8`` Hotspot2D 512² job
-run in process on a 2-vCPU Xeon, an 8-step segment took 1.7–3.1 ms with
-no checkpoint in flight and 4.2–6.4 ms beside the writer.  A checkpoint
-took the writer 4.0–6.7 ms (hash ≈ 1.6, fsyncs 1.2–2.5, the stale-file
-unlink 0.5–0.8) and landed 4.8–8.2 ms after its hand-off, so the worker
-waited up to 4.4 ms at a boundary and 4.4–6.4 ms before writing
-``result.rpg`` (3.4–4.7 ms): the writer chain, not the compute, is the
-job's critical path.  Hashing on the worker at the boundary instead
-measured slower still, so the writer hashes.  At most one checkpoint is
-in flight (boundary k+1
-first waits for checkpoint k); the file lands before ``completed_steps``
-counts it, so a status reply reports *durable* steps; a writer error
-fails the job at its next boundary; the writer is drained before any
-terminal status is set.
+checkpoint k is written, outside the manager lock, while segment k+1
+computes.  Each hand-off pins the writer off the worker's CPU
+(:class:`~repro.service.placement.OffCallerCpu`): woken on it, the
+writer shared that CPU with the next segment while the other idled.
+When the worker reaches boundary k+1 with checkpoint k still being
+written, it hashes checkpoint k+1's carried grids itself
+(:func:`_hash_ahead`) instead of idling, and the writer then only frames
+and writes it; a writer already idle gets the state unhashed and hashes
+it, since hashing on the worker at every boundary measured slower.  The
+final grid is hashed before the last wait, beside the last checkpoint's
+write.  In a ``repro serve`` on a 2-vCPU Xeon running 20 timed 32-step,
+``checkpoint_every=8`` Hotspot2D 512² jobs between execute and iterate
+calls, an 8-step segment took a median 3.3 ms (5.0 ms before the writer
+was pinned), hashing one 2 MiB grid 2.1 ms on either thread, writing a
+checkpoint 3.2 ms, and ``result.rpg`` 3.1 ms; the worker's median wait
+at a boundary fell from 0.7 to 0.02 ms, and submit-to-end inside the
+server from 45.6 to 34.9 ms.  The compute thread, now busy with the
+next segment and that hash, is the job's critical path again.  At most
+one checkpoint is in flight (boundary k+1 first waits for checkpoint
+k); the file lands before ``completed_steps`` counts it, so a status
+reply reports *durable* steps; a writer error fails the job at its next
+boundary; the writer is drained before any terminal status is set.
 
 **Recovery**: :meth:`JobManager.recover` (run at server startup) scans the
 job dir; incomplete jobs resume from their newest *valid* checkpoint —
@@ -88,10 +94,11 @@ recomputes the last segment.  A ``*.tmp``
 a crash cut short is removed by the same scan.
 
 **Hashed once**: ``inputs.rpg`` reuses the sha256 the wire decoder
-verified for each submitted grid, and the final grid is frozen read-only
-with its ``result.rpg`` digest recorded by
-:func:`~repro.service.wire.remember_sha256`, which the ``job_result``
-reply reuses.
+verified for each submitted grid; a checkpoint the worker hashed ahead
+reuses the digests :func:`_hash_ahead` recorded for its read-only carry
+copies; and the final grid is frozen read-only with its ``result.rpg``
+digest recorded by :func:`~repro.service.wire.remember_sha256`, which
+the ``job_result`` reply reuses.
 
 **Waiting for the end**: :meth:`JobManager.until_ended` is the
 ``job_status`` op's ``wait_ms``: an event-loop future that
@@ -150,6 +157,7 @@ from ..apps.base import squeeze_result
 from ..backend.plan import normalize_carry
 from ..telemetry.registry import MetricsRegistry
 from .executor import run_trajectory
+from .placement import OffCallerCpu
 from .registry import DigestRouter
 from .requests import (
     CANCELLED,
@@ -232,7 +240,7 @@ def _root_hash(meta: Dict[str, object], descriptors: List[dict]) -> str:
 
 def _frame(
     meta: Dict[str, object], grids: List[np.ndarray],
-    as_received: bool = False,
+    reuse_verified: bool = False,
 ) -> Tuple[bytes, List[memoryview], List[dict]]:
     """RPG1-frame ``meta`` + ``grids`` as (prefix, uncopied grid buffers,
     grid descriptors).
@@ -241,13 +249,27 @@ def _frame(
     root hash covers ``meta`` and the descriptors (shape, dtype, sha256).
     A flipped bit in the data fails its grid's hash and a flipped bit in
     the metadata (step index, digest) or a descriptor fails the root.
-    ``as_received`` frames grids exactly as a submission delivered them:
-    a grid the wire decoder already verified keeps that sha256 instead of
-    being hashed again, so one written since would fail its check at load.
+    ``reuse_verified`` takes a grid's sha256 from what this process
+    already verified or recorded for that array object
+    (:func:`~repro.service.wire.verified_sha256`) instead of hashing it
+    again: a submission as the wire decoder delivered it, or a read-only
+    grid :func:`_hash_ahead` hashed.  A grid written since would fail its
+    check at load.
     """
-    descriptors, buffers = describe_grids(grids, reuse_verified=as_received)
+    descriptors, buffers = describe_grids(grids, reuse_verified)
     framed = {**meta, _ROOT: _root_hash(meta, descriptors)}
     return frame_prefix(framed, descriptors), buffers, descriptors
+
+
+def _hash_ahead(grids: List[np.ndarray]) -> None:
+    """Hash the read-only ``grids`` now and record each digest
+    (:func:`~repro.service.wire.remember_sha256`), so that framing them
+    later with ``reuse_verified`` hashes none of their bytes.  A grid that
+    is still writable is left for the framer to hash."""
+    frozen = [grid for grid in grids if not grid.flags.writeable]
+    descriptors, _buffers = describe_grids(frozen)
+    for grid, descriptor in zip(frozen, descriptors):
+        remember_sha256(grid, str(descriptor["sha256"]))
 
 
 def _unframe(
@@ -471,12 +493,15 @@ class JobManager:
         self._lock = threading.RLock()
         self._wake = threading.Condition(self._lock)
         self._queue: Deque[str] = deque()
+        # Keys whose submit is writing the job's files (outside the lock).
+        self._submitting: set = set()
         self._closed = False
         self._worker: Optional[threading.Thread] = None
         # Worker → writer hand-off of ``(job, step, state)``; ``None`` stops
         # the writer.  ``_drain`` before every put keeps one in flight.
         self._writes: "queue.Queue" = queue.Queue()
         self._writer: Optional[threading.Thread] = None
+        self._writer_placement: Optional[OffCallerCpu] = None
         self._write_error: Optional[BaseException] = None
         # Event-loop futures of pending status waits, by job id
         # (:meth:`until_ended`); a leaf lock, never held across I/O.
@@ -514,12 +539,15 @@ class JobManager:
             "configured; a served durable result leaves memory uncounted).")
         self._checkpoint_seconds = histogram(
             "repro_job_checkpoint_seconds",
-            "Wall time to persist one job checkpoint (encode + fsync + "
+            "Writer-thread wall time to persist one job checkpoint (frame, "
+            "hash what the compute thread did not hash ahead, fsync, "
             "rename).")
         self._checkpoint_wait_seconds = histogram(
             "repro_job_checkpoint_wait_seconds",
             "Wall time a job's compute thread spent blocked at a segment "
-            "boundary on the previous checkpoint's write.")
+            "boundary, or before result.rpg, on the previous checkpoint's "
+            "write; only the blocked time, not the hashing it does first "
+            "while that write is still running.")
         self.metrics.gauge(
             "repro_jobs_resident_results",
             "Completed job results currently resident in memory.",
@@ -534,15 +562,19 @@ class JobManager:
 
     # -- lifecycle ------------------------------------------------------------
     def _ensure_worker(self) -> None:
-        if self._worker is None or not self._worker.is_alive():
-            self._worker = threading.Thread(
-                target=self._worker_loop, name="repro-jobs", daemon=True)
-            self._worker.start()
-        if self._writer is None or not self._writer.is_alive():
-            self._writer = threading.Thread(
-                target=self._writer_loop, name="repro-jobs-writer",
-                daemon=True)
-            self._writer.start()
+        with self._lock:
+            # The writer first: the worker pins it at its first hand-off.
+            if self._writer is None or not self._writer.is_alive():
+                writer = threading.Thread(
+                    target=self._writer_loop, name="repro-jobs-writer",
+                    daemon=True)
+                writer.start()
+                self._writer_placement = OffCallerCpu(writer)
+                self._writer = writer
+            if self._worker is None or not self._worker.is_alive():
+                self._worker = threading.Thread(
+                    target=self._worker_loop, name="repro-jobs", daemon=True)
+                self._worker.start()
 
     def close(self, timeout_s: float = 5.0) -> None:
         """Answer every pending status wait, then stop the worker and the
@@ -581,6 +613,10 @@ class JobManager:
         disk, including across a restart) returns the existing job's
         descriptor without starting a second trajectory — which is what
         makes client retries safe even after ambiguous transport failures.
+
+        The job's files are written outside the manager lock, so no other
+        job's query waits on them; the key is reserved under it first, and
+        a submit of the same key meanwhile answers once they are durable.
         """
         if request.benchmark is None:
             raise JobError("durable jobs require a benchmark-keyed request "
@@ -588,48 +624,63 @@ class JobManager:
                            "after a restart)")
         self._sweep()
         key = str(job_key) if job_key else uuid.uuid4().hex
-        with self._lock:
+        with self._wake:
+            while key in self._submitting:
+                self._wake.wait()
             existing = self._by_key.get(key)
             if existing is not None and existing in self._jobs:
                 return self._jobs[existing].describe()
-            now = time.time()
-            job = Job(
-                job_id=uuid.uuid4().hex[:16],
-                job_key=key,
-                benchmark=request.benchmark,
-                steps=request.steps,
-                checkpoint_every=(self.checkpoint_every
-                                  if checkpoint_every is None
-                                  else int(checkpoint_every)),
-                num_inputs=len(request.inputs),
-                size_env=dict(request.size_env or {}),
-                priority=request.priority,
-                deadline_at=(now + request.deadline_ms / 1e3
-                             if request.deadline_ms is not None else None),
-                status=QUEUED,
-                created_at=now,
-                updated_at=now,
-                state=[np.asarray(grid, dtype=np.float64)
-                       for grid in request.inputs],
-            )
-            if job.checkpoint_every < 1:
-                raise JobError("checkpoint_every must be >= 1")
-            try:
-                route = self.router.plan_for(job.benchmark)
-            except Exception as error:
-                raise JobError(f"cannot resolve job program: {error}")
-            job.digest = route.digest
-            # The step-0 state, so a crash before the first checkpoint
-            # resumes; then the manifest, which never lands without it.
-            job.static = self._persist_inputs(job)
-            self._persist_manifest(job)
-            self._jobs[job.job_id] = job
-            self._by_key[key] = job.job_id
-            self._queue.append(job.job_id)
-            self._submits_total.inc()
-            self._wake.notify_all()
+            self._submitting.add(key)
+        job = None
+        try:
+            job = self._new_job(request, key, checkpoint_every)
+        finally:
+            with self._wake:
+                self._submitting.discard(key)
+                if job is not None:
+                    self._jobs[job.job_id] = job
+                    self._by_key[key] = job.job_id
+                    self._queue.append(job.job_id)
+                    self._submits_total.inc()
+                self._wake.notify_all()
         self._ensure_worker()
         return job.describe()
+
+    def _new_job(self, request: ExecutionRequest, key: str,
+                 checkpoint_every: Optional[int]) -> Job:
+        """A queued job for ``request`` whose files are durable: the step-0
+        state, so a crash before the first checkpoint resumes, and then the
+        manifest, which never lands without it."""
+        now = time.time()
+        job = Job(
+            job_id=uuid.uuid4().hex[:16],
+            job_key=key,
+            benchmark=request.benchmark,
+            steps=request.steps,
+            checkpoint_every=(self.checkpoint_every
+                              if checkpoint_every is None
+                              else int(checkpoint_every)),
+            num_inputs=len(request.inputs),
+            size_env=dict(request.size_env or {}),
+            priority=request.priority,
+            deadline_at=(now + request.deadline_ms / 1e3
+                         if request.deadline_ms is not None else None),
+            status=QUEUED,
+            created_at=now,
+            updated_at=now,
+            state=[np.asarray(grid, dtype=np.float64)
+                   for grid in request.inputs],
+        )
+        if job.checkpoint_every < 1:
+            raise JobError("checkpoint_every must be >= 1")
+        try:
+            route = self.router.plan_for(job.benchmark)
+        except Exception as error:
+            raise JobError(f"cannot resolve job program: {error}")
+        job.digest = route.digest
+        job.static = self._persist_inputs(job)
+        self._persist_manifest(job)
+        return job
 
     # -- queries --------------------------------------------------------------
     def _get(self, job_id: str) -> Job:
@@ -907,9 +958,15 @@ class JobManager:
                 # A segment short of the last just finished: hand its
                 # carried slots to the writer and go on.  Waiting out the
                 # previous checkpoint first bounds how far durability lags
-                # compute: one segment.
+                # compute: one segment.  While that checkpoint is still
+                # being written, the worker hashes this one instead of
+                # idling, and the writer only frames and writes it.
+                if self.job_dir is not None and self._writes.unfinished_tasks:
+                    _hash_ahead(self._carried(job, state))
                 self._drain()
                 job.state = state
+                # Off this CPU, the writer leaves it to the next segment.
+                self._writer_placement.pin()
                 self._writes.put((job, resumed_at + done, state))
             if job.cancel_requested:
                 return CANCELLED
@@ -928,10 +985,13 @@ class JobManager:
             if stopped is None:
                 # The last segment writes result.rpg instead of a
                 # checkpoint, once the previous checkpoint is durable: a
-                # crash from here on recomputes one segment.
-                self._drain()
+                # crash from here on recomputes one segment.  The result is
+                # hashed first, beside that checkpoint's write.
                 result = squeeze_result(np.asarray(out, dtype=np.float64))
                 result.flags.writeable = False  # its digest is recorded
+                if self.job_dir is not None:
+                    _hash_ahead([result])
+                self._drain()
                 self._persist_result(job, result)
                 if (_faults.ARMED
                         and _faults.should_fail("job.crash_after_checkpoint")):
@@ -1012,7 +1072,7 @@ class JobManager:
         meta = {"job_id": job.job_id, "digest": job.digest,
                 "benchmark": job.benchmark, "slots": slots}
         prefix, buffers, descriptors = _frame(meta, job.state,
-                                              as_received=True)
+                                              reuse_verified=True)
         _atomic_write(directory / _INPUTS, prefix, *buffers)
         _fsync_dir(self.job_dir)
         return [{"slot": slot, **descriptor}
@@ -1031,9 +1091,8 @@ class JobManager:
             "benchmark": job.benchmark,
             "static": job.static,
         }
-        static = {descriptor["slot"] for descriptor in job.static}
-        state = [grid for slot, grid in enumerate(state) if slot not in static]
-        prefix, buffers, _descriptors = _frame(meta, state)
+        prefix, buffers, _descriptors = _frame(
+            meta, self._carried(job, state), reuse_verified=True)
         if _faults.ARMED and _faults.should_fail("job.checkpoint_corrupt"):
             # Flip one byte of the *body* after every checksum was
             # computed: recovery must detect this and fall back.
@@ -1046,6 +1105,13 @@ class JobManager:
         self._checkpoint_seconds.observe(time.perf_counter() - started)
         for stale in self._checkpoints(directory)[:-KEEP_CHECKPOINTS]:
             stale.unlink(missing_ok=True)
+
+    @staticmethod
+    def _carried(job: Job, state) -> List[np.ndarray]:
+        """The grids of ``state`` a checkpoint frames: all but the static
+        slots, which it signs instead."""
+        static = {descriptor["slot"] for descriptor in job.static}
+        return [grid for slot, grid in enumerate(state) if slot not in static]
 
     @staticmethod
     def _checkpoints(directory: Path) -> List[Path]:
@@ -1125,14 +1191,16 @@ class JobManager:
         return held, grids
 
     def _persist_result(self, job: Job, result: np.ndarray) -> None:
+        """Write the frozen ``result`` under the digest :func:`_hash_ahead`
+        recorded for it, which the ``job_result`` reply reuses."""
         directory = self._dir_for(job)
         if directory is None:
             return
         meta = {"job_id": job.job_id, "steps": job.steps,
                 "digest": job.digest, "benchmark": job.benchmark}
-        prefix, buffers, (descriptor,) = _frame(meta, [result])
+        prefix, buffers, _descriptors = _frame(meta, [result],
+                                               reuse_verified=True)
         _atomic_write(directory / _RESULT, prefix, *buffers)
-        remember_sha256(result, str(descriptor["sha256"]))
 
     def _load_result(self, job: Job) -> np.ndarray:
         """``result.rpg``'s grid; a file a TTL sweep removed is the job's

@@ -60,7 +60,6 @@ and chaos drills prove the detection path end to end.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import os
@@ -75,6 +74,7 @@ import numpy as np
 
 from .. import faults as _faults
 from ..telemetry import registry as _telemetry
+from .placement import OffCallerCpu, usable_cpus
 
 MAGIC = b"RPG1"
 
@@ -129,23 +129,18 @@ PARALLEL_SHARE_MIN_BYTES = 256 * 1024
 class _Hasher:
     """One daemon thread that hashes the buffers a caller hands it.
 
-    The kernel may wake a thread on the CPU of the thread that woke it,
-    which is busy hashing its own share; both shares then run at half
-    speed.  Each hand-off therefore first pins the helper to the caller's
-    other usable CPUs.
+    Woken on its caller's CPU, busy hashing its own share, the helper
+    would run both shares at half speed: each hand-off first pins it off
+    that CPU (:class:`~repro.service.placement.OffCallerCpu`).
     """
 
     def __init__(self) -> None:
         self._tasks: "queue.SimpleQueue" = queue.SimpleQueue()
         self._lock = threading.Lock()
-        self._pinned: Optional[frozenset] = None
-        self._current_cpu = getattr(ctypes.CDLL(None), "sched_getcpu", None)
-        if self._current_cpu is not None:
-            self._current_cpu.argtypes = []
-            self._current_cpu.restype = ctypes.c_int
         self.thread = threading.Thread(target=self._serve, daemon=True,
                                        name="repro-wire-sha256")
         self.thread.start()
+        self._placement = OffCallerCpu(self.thread)
 
     def _serve(self) -> None:
         while True:
@@ -168,12 +163,7 @@ class _Hasher:
         caller's current CPU."""
         future: Future = Future()
         with self._lock:
-            if self._current_cpu is not None:
-                cpus = cpus - {self._current_cpu()}
-            others = frozenset(cpus)
-            if others != self._pinned:
-                os.sched_setaffinity(self.thread.native_id, others)
-                self._pinned = others
+            self._placement.pin(cpus)
             self._tasks.put((buffers, future))
         return future
 
@@ -203,15 +193,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_hasher)
 
 
-def _usable_cpus() -> set:
-    """The CPUs the calling thread may run on; empty where the platform
-    keeps no affinity set."""
-    try:
-        return os.sched_getaffinity(0)
-    except (AttributeError, OSError):
-        return set()
-
-
 def _sha256_all(buffers: Sequence[memoryview]) -> List[str]:
     """The sha256 hex digest of each buffer, in order, each byte hashed
     once.
@@ -230,7 +211,7 @@ def _sha256_all(buffers: Sequence[memoryview]) -> List[str]:
         shares[lighter].append(index)
         loads[lighter] += buffers[index].nbytes
     mine, theirs = shares if loads[1] <= loads[0] else shares[::-1]
-    cpus = (_usable_cpus() if len(buffers) >= 2
+    cpus = (usable_cpus() if len(buffers) >= 2
             and min(loads) >= PARALLEL_SHARE_MIN_BYTES else set())
     if len(cpus) < 2:
         return [hashlib.sha256(buffer).hexdigest() for buffer in buffers]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import os
 import threading
 import time
 import weakref
@@ -34,7 +35,7 @@ from repro.backend.base import NumpyBackend
 from repro.backend.plan import (ExecutionPlan, iterate_generic,
                                 iterate_state_generic)
 from repro.service import jobs as jobs_module
-from repro.service import ops
+from repro.service import ops, placement
 from repro.service import wire as wire_module
 from repro.backend.plan import normalize_carry
 from repro.service.executor import run_trajectory
@@ -49,6 +50,7 @@ from repro.service.jobs import (
     JobManager,
     JobNotFound,
     _frame,
+    _hash_ahead,
     _root_hash,
     _unframe,
 )
@@ -1043,6 +1045,218 @@ class TestCheckpointPipeline:
         assert stats["checkpoint_wait_s"] > 0.0
 
 
+def _boundary_state(backend, key: str, job: Job):
+    """The read-only boundary state after 2 steps of ``key``, whose static
+    slots ``job`` records (as :meth:`JobManager._run_job` does)."""
+    request = _request_for(key, np.float64)
+    route = DigestRouter().plan_for(key)
+    states = []
+    run_trajectory(backend, route.program, request.inputs, 4, route.carry,
+                   None, True, segment=2,
+                   boundary=lambda done, state: states.append(state)
+                   if done else None)
+    spec = normalize_carry(route.carry, len(request.inputs))
+    job.digest, job.num_inputs = route.digest, len(request.inputs)
+    job.static = [{"slot": slot, "shape": [1], "dtype": "float64",
+                   "sha256": "0" * 64}
+                  for slot, entry in enumerate(spec) if entry is None]
+    return states[0]
+
+
+def _fresh(grids):
+    """Read-only copies of ``grids``: array objects no digest is known for."""
+    copies = [np.array(grid) for grid in grids]
+    for copy in copies:
+        copy.flags.writeable = False
+    return copies
+
+
+def _count_hashed(monkeypatch):
+    """The byte count of every buffer the wire hashes from now on."""
+    hashed = []
+    sha256_all = wire_module._sha256_all
+
+    def counting(buffers):
+        hashed.extend(buffer.nbytes for buffer in buffers)
+        return sha256_all(buffers)
+
+    monkeypatch.setattr(wire_module, "_sha256_all", counting)
+    return hashed
+
+
+class TestWorkerFraming:
+    """A checkpoint or result the worker hashes while the writer is busy is
+    the file the writer would have framed, byte for byte."""
+
+    @pytest.mark.parametrize("key", ["acoustic", "hotspot2d"])
+    def test_a_checkpoint_hashed_ahead_is_byte_identical(
+            self, key, backend, tmp_path, monkeypatch):
+        job = Job(job_id="0123456789abcdef", job_key="k", benchmark=key,
+                  steps=STEPS, checkpoint_every=2, num_inputs=0)
+        state = _boundary_state(backend, key, job)
+        assert job.static  # both apps keep a static slot out of the frame
+        files = {}
+        for where in ("writer", "worker"):
+            manager = JobManager(backend, job_dir=str(tmp_path / where))
+            fresh = _fresh(state)
+            if where == "worker":
+                _hash_ahead(manager._carried(job, fresh))
+            hashed = _count_hashed(monkeypatch)
+            manager._persist_checkpoint(job, 2, fresh)
+            monkeypatch.undo()
+            manager.close()
+            carried = manager._carried(job, fresh)
+            assert hashed == ([] if where == "worker"
+                              else [grid.nbytes for grid in carried])
+            files[where] = (tmp_path / where / job.job_id
+                            / "ckpt-00000002.rpg").read_bytes()
+        assert files["worker"] == files["writer"]
+        meta, grids, descriptors = _unframe(files["worker"])
+        assert (meta["step"], meta["static"]) == (2, job.static)
+        assert [grid.tobytes() for grid in grids] == [
+            grid.tobytes() for grid in manager._carried(job, state)]
+        assert [descriptor["sha256"] for descriptor in descriptors] == [
+            hashlib.sha256(grid.tobytes()).hexdigest() for grid in grids]
+
+    @pytest.mark.parametrize("key", ["acoustic", "hotspot2d"])
+    def test_a_result_hashed_ahead_is_byte_identical(
+            self, key, backend, tmp_path, monkeypatch):
+        job = Job(job_id="0123456789abcdef", job_key="k", benchmark=key,
+                  steps=STEPS, checkpoint_every=2, num_inputs=0)
+        (result,) = _fresh([_reference(key, np.float64)])
+        files = {}
+        for where in ("writer", "worker"):
+            manager = JobManager(backend, job_dir=str(tmp_path / where))
+            (fresh,) = _fresh([result])
+            if where == "worker":
+                _hash_ahead([fresh])
+            hashed = _count_hashed(monkeypatch)
+            manager._persist_result(job, fresh)
+            monkeypatch.undo()
+            manager.close()
+            assert hashed == ([] if where == "worker" else [result.nbytes])
+            files[where] = (tmp_path / where / job.job_id
+                            / "result.rpg").read_bytes()
+        assert files["worker"] == files["writer"]
+        _meta, _grids, (descriptor,) = _unframe(files["worker"])
+        assert verified_sha256(fresh) == descriptor["sha256"] == (
+            hashlib.sha256(result.tobytes()).hexdigest())
+
+    def test_a_writable_grid_is_left_for_the_framer(self):
+        frozen, writable = _fresh([np.arange(6.0), np.arange(7.0)])
+        writable.flags.writeable = True
+        _hash_ahead([frozen, writable])
+        assert verified_sha256(frozen) == hashlib.sha256(
+            frozen.tobytes()).hexdigest()
+        assert verified_sha256(writable) is None
+
+    def test_a_busy_writer_gets_hashed_checkpoints_and_corruption_still_falls_back(
+            self, backend, tmp_path, monkeypatch):
+        """Every checkpoint write takes 50 ms, so the worker finds the
+        writer busy at each boundary and hashes ahead; the corrupt flip
+        still lands after the checksums, and recovery falls back."""
+        expected = _reference("hotspot2d", np.float64)
+        real_write = jobs_module._atomic_write
+
+        def slow_write(path, *pieces):
+            if path.name.startswith("ckpt-"):
+                time.sleep(0.05)
+            real_write(path, *pieces)
+
+        ahead = []
+        real_ahead = jobs_module._hash_ahead
+
+        def recording(grids):
+            ahead.append((threading.current_thread().name,
+                          [grid.shape for grid in grids]))
+            real_ahead(grids)
+
+        monkeypatch.setattr(jobs_module, "_atomic_write", slow_write)
+        monkeypatch.setattr(jobs_module, "_hash_ahead", recording)
+        # Checkpoints at steps 4 and 8: the boundary at 8 finds step 4's
+        # write running; the crash right after the corrupt step 8 lands.
+        faults.arm("job.checkpoint_corrupt:at=2,"
+                   "job.crash_after_checkpoint:at=2")
+        crashed = JobManager(backend, job_dir=str(tmp_path),
+                             checkpoint_every=4)
+        job = crashed.submit(_request_for("hotspot2d", np.float64))
+        _wait_for_worker_death(crashed)
+        faults.disarm()
+        crashed.close()
+        # Step 8's carried grid (step 4's write still running) and the
+        # result, both before the drain that re-raises the crash.
+        assert ahead == [("repro-jobs", [(13, 11)])] * 2
+
+        recovered = JobManager(backend, job_dir=str(tmp_path),
+                               checkpoint_every=4)
+        assert recovered.recover() == 1
+        assert recovered.stats()["corrupt_checkpoints"] == 1
+        final = recovered.wait(job["job_id"], timeout_s=30.0)
+        assert (final["status"], final["resumes"]) == (COMPLETED, 1)
+        _descriptor, result = recovered.result(job["job_id"])
+        assert result.tobytes() == expected.tobytes()
+        recovered.close()
+        # Resumed from step 4, the job hands step 8 to an idle writer,
+        # which hashes it: the worker hashes only its result ahead.
+        assert ahead[2:] == [("repro-jobs", [(13, 11)])]
+
+
+@pytest.mark.skipif(len(placement.usable_cpus()) < 2,
+                    reason="needs two usable CPUs")
+class TestWriterPlacement:
+    def test_the_writer_is_pinned_off_the_workers_cpu_at_every_hand_off(
+            self, backend, tmp_path, monkeypatch):
+        """Woken on the worker's CPU, the writer would share it with the
+        next segment.  A writer started again is pinned too."""
+        if placement.current_cpu() is None:
+            pytest.skip("the C library has no sched_getcpu")
+        usable = placement.usable_cpus()
+        hand_offs = []
+        pin = placement.OffCallerCpu.pin
+
+        def watched(self, cpus=None):
+            before = placement.current_cpu()
+            pin(self, cpus)
+            if placement.current_cpu() == before:  # not migrated meanwhile
+                hand_offs.append((self.thread, before, os.sched_getaffinity(
+                    self.thread.native_id)))
+
+        monkeypatch.setattr(placement.OffCallerCpu, "pin", watched)
+        manager = JobManager(backend, job_dir=str(tmp_path),
+                             checkpoint_every=1)
+        writers = []
+        for _round in range(2):
+            job = manager.submit(_request_for("hotspot2d", np.float64))
+            assert manager.wait(job["job_id"],
+                                timeout_s=30.0)["status"] == COMPLETED
+            writers.append(manager._writer)
+            # Stop the writer the way close() does; the next submit's
+            # _ensure_worker starts a new one.
+            manager._writes.put(None)
+            manager._writer.join(timeout=10.0)
+            assert not manager._writer.is_alive()
+        manager.close()
+        assert writers[0] is not writers[1]
+        for writer in writers:
+            mine = [(cpu, pinned) for thread, cpu, pinned in hand_offs
+                    if thread is writer]
+            assert len(mine) >= (STEPS - 1) // 2
+            for cpu, pinned in mine:
+                assert pinned == usable - {cpu}
+
+    def test_a_one_cpu_caller_leaves_the_writer_where_it_is(
+            self, backend, monkeypatch):
+        manager = JobManager(backend)
+        manager._ensure_worker()
+        writer = manager._writer
+        before = os.sched_getaffinity(writer.native_id)
+        monkeypatch.setattr(placement, "current_cpu", lambda: 0)
+        manager._writer_placement.pin({0})
+        assert os.sched_getaffinity(writer.native_id) == before
+        manager.close()
+        assert not writer.is_alive()
+
+
 class TestIdempotency:
     def test_double_submit_returns_the_same_job(self, backend, tmp_path):
         manager = JobManager(backend, job_dir=str(tmp_path))
@@ -1077,6 +1291,77 @@ class TestIdempotency:
             bench.build_program(), bench.make_inputs((13, 11), 0))
         with pytest.raises(JobError, match="benchmark-keyed"):
             manager.submit(request)
+        manager.close()
+
+
+class TestSubmitOutsideTheLock:
+    """A submit writes its job's files without the manager lock: other jobs'
+    queries answer meanwhile, and its key stays reserved."""
+
+    @staticmethod
+    def _held_inputs_write(monkeypatch):
+        writing, release = threading.Event(), threading.Event()
+        real_write = jobs_module._atomic_write
+
+        def held(path, *pieces):
+            if path.name == "inputs.rpg":
+                writing.set()
+                assert release.wait(30.0)
+            real_write(path, *pieces)
+
+        monkeypatch.setattr(jobs_module, "_atomic_write", held)
+        return writing, release
+
+    def test_a_status_answers_while_a_submit_writes_its_inputs(
+            self, backend, tmp_path, monkeypatch):
+        manager = JobManager(backend, job_dir=str(tmp_path))
+        other = manager.submit(_request_for("heat", np.float64))
+        writing, release = self._held_inputs_write(monkeypatch)
+        with ThreadPoolExecutor(3) as pool:
+            try:
+                first = pool.submit(manager.submit,
+                                    _request_for("heat", np.float64),
+                                    job_key="held")
+                assert writing.wait(10.0)
+                status = pool.submit(manager.status, other["job_id"])
+                assert status.result(timeout=5.0)["job_id"] == \
+                    other["job_id"]
+                # The same key answers only once the files are durable.
+                again = pool.submit(manager.submit,
+                                    _request_for("heat", np.float64),
+                                    job_key="held")
+                time.sleep(0.05)
+                assert not again.done()
+            finally:
+                release.set()
+            first, again = first.result(30.0), again.result(30.0)
+        assert again["job_id"] == first["job_id"]
+        assert manager.wait(first["job_id"],
+                            timeout_s=30.0)["status"] == COMPLETED
+        manager.close()
+        assert manager.stats()["jobs"] == {COMPLETED: 2}
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            [other["job_id"], first["job_id"]])
+
+    def test_a_failed_submit_releases_its_key(
+            self, backend, tmp_path, monkeypatch):
+        real_write = jobs_module._atomic_write
+        failures = []
+
+        def failing_once(path, *pieces):
+            if path.name == "inputs.rpg" and not failures:
+                failures.append(path)
+                raise OSError(28, "No space left on device")
+            real_write(path, *pieces)
+
+        monkeypatch.setattr(jobs_module, "_atomic_write", failing_once)
+        manager = JobManager(backend, job_dir=str(tmp_path))
+        with pytest.raises(OSError, match="No space left"):
+            manager.submit(_request_for("heat", np.float64), job_key="k")
+        assert manager.stats()["jobs"] == {}
+        job = manager.submit(_request_for("heat", np.float64), job_key="k")
+        assert manager.wait(job["job_id"],
+                            timeout_s=30.0)["status"] == COMPLETED
         manager.close()
 
 

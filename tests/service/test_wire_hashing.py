@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.service import wire
+from repro.service import placement, wire
 from repro.service.wire import (
     MAGIC,
     WireFormatError,
@@ -29,7 +29,7 @@ from repro.service.wire import (
     verified_sha256,
 )
 
-TWO_CPUS = len(wire._usable_cpus()) >= 2
+TWO_CPUS = len(placement.usable_cpus()) >= 2
 needs_two_cpus = pytest.mark.skipif(not TWO_CPUS,
                                     reason="needs two usable CPUs")
 
@@ -256,10 +256,10 @@ class TestHelperThread:
         rng = np.random.default_rng(5)
         describe_grids([rng.random((512, 512)), rng.random((512, 512))])
         assert handoffs
-        if wire._HASHER._current_cpu is None:
+        if placement.current_cpu() is None:
             pytest.skip("the C library has no sched_getcpu")
         pinned = os.sched_getaffinity(wire._HASHER.thread.native_id)
-        assert len(pinned) == len(wire._usable_cpus()) - 1
+        assert len(pinned) == len(placement.usable_cpus()) - 1
 
     @needs_two_cpus
     def test_concurrent_callers_each_get_their_own_digests(self, monkeypatch):
