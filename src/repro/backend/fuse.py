@@ -64,16 +64,15 @@ stores and nothing outside it, and per-tile intermediates live in scratch.
 With ``parallel_workers=N`` (:func:`normalize_workers`; ``None`` resolves
 through :func:`auto_workers`) the tile grid is partitioned into N
 contiguous chunks, each with its **own pooled scratch set** (no sharing,
-no locking in the hot loop), replayed concurrently by the process-wide
-:class:`ReplayWorkerPool`; the capture-time check runs through this same
-parallel path.
+no locking in the hot loop), replayed concurrently on the process-wide
+helper pool (:meth:`repro.helpers.HelperPool.run_parts`); the
+capture-time check runs through this same parallel path.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import queue
 import threading
 from time import perf_counter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -81,8 +80,9 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import faults as _faults
+from ..helpers import MAX_REPLAY_WORKERS, pool, usable_cpus
 from ..telemetry import registry as _telemetry
-from ..telemetry.registry import RATIO_BUCKETS, metrics_enabled as _metrics_on
+from ..telemetry.registry import metrics_enabled as _metrics_on
 from .numpy_backend import ExecutionError, TapeEntry
 from .ufunc_trace import TracedArray, micro_op, replay, replay_nbytes
 
@@ -91,31 +91,17 @@ from .ufunc_trace import TracedArray, micro_op, replay, replay_nbytes
 #: leaves live, 256 KiB per buffer keeps the fused loop cache-resident.
 TILE_TARGET_BYTES = 1 << 18
 
-#: Upper bound on parallel replay workers per fused region.  Scratch cost
-#: scales linearly with workers (one scratch set per chunk), so the cap
-#: keeps a mis-tuned ``parallel_workers`` from ballooning the pool.
-MAX_REPLAY_WORKERS = 16
-
 
 class FusionError(Exception):
     """The tape optimizer could not (safely) fuse — callers fall back."""
 
 
-# Fused-replay instruments.  All three sit on the steady path and are
-# guarded by ``_metrics_on()`` where the clocks are read; observations are
-# bucket increments, so the zero-allocation replay invariants survive.
+# Fused-replay instrument, on the steady path and guarded by
+# ``_metrics_on()`` where the clocks are read; an observation is a bucket
+# increment, so the zero-allocation replay invariants survive.
 _REGION_REPLAY_SECONDS = _telemetry.histogram(
     "repro_fused_region_replay_seconds",
     "Wall time of one fused region replay (all chunks).",
-)
-_CHUNK_SECONDS = _telemetry.histogram(
-    "repro_replay_chunk_seconds",
-    "Wall time of one parallel replay chunk (inline chunk included).",
-)
-_CHUNK_IMBALANCE = _telemetry.histogram(
-    "repro_replay_chunk_imbalance",
-    "(max - min) / max chunk wall time per parallel region replay.",
-    buckets=RATIO_BUCKETS,
 )
 
 
@@ -151,11 +137,10 @@ def normalize_tile_spec(tile_shape):
 #: nothing on the recording box: 1.105 vs 1.052 ms at 1024²), while two
 #: bands of the compute-bound Hotspot2D 1024² block took ``sim2d-dram``
 #: from 851 to 1336 Mcell/s (10 of 10 interleaved pairs).
-#: Measured on the 2-vCPU recording box: one
-#: ``run_parts`` hand-off costs ≈47 µs back to back and ≈131 µs median
-#: (617 µs p90) after a 1 ms idle, so a split must buy more than that on
-#: every call.  Hotspot2D 1024² (8 MB, 32 tiles) took the second core in 10
-#: of 10 interleaved pairs (+6 % median Mcell/s on ufunc tiles).
+#: A split must buy more than a ``run_parts`` hand-off
+#: (:mod:`repro.helpers`) on every call.  Hotspot2D 1024² (8 MB, 32 tiles)
+#: took the second core in 10 of 10 interleaved pairs (+6 % median Mcell/s
+#: on ufunc tiles).
 #: Acoustic 32×96×96 (2.4 MB) is a compute-bound native region (530–760
 #: Mcell/s at every working set from 12 KB to 10 MB), and splitting each
 #: step into two row halves was noise on ``sim3d-cache`` (622→808,
@@ -171,10 +156,7 @@ AUTO_WORKER_MIN_BYTES = 16 * TILE_TARGET_BYTES
 def usable_cores() -> int:
     """The cores this process may run on: its CPU affinity set where the
     platform has one, else the machine's count, else 1."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
+    return len(usable_cpus()) or os.cpu_count() or 1
 
 
 #: :func:`usable_cores`, read once per process (every warm plan lookup
@@ -383,137 +365,6 @@ def _tile_view(array: np.ndarray, tile, offset=None) -> np.ndarray:
 # The fused replay op
 # ---------------------------------------------------------------------------
 
-class _Latch:
-    """Countdown latch carrying the first worker error (if any).
-
-    When built with ``collect_durations=True`` (telemetry enabled at
-    dispatch time) workers report their chunk wall time through
-    :meth:`finish`; the caller reads ``durations`` after :meth:`wait`.
-    """
-
-    __slots__ = ("_remaining", "error", "_cond", "durations")
-
-    def __init__(self, count: int, collect_durations: bool = False) -> None:
-        self._remaining = count
-        self.error: Optional[BaseException] = None
-        self._cond = threading.Condition(threading.Lock())
-        self.durations: Optional[List[float]] = [] if collect_durations else None
-
-    def finish(self, error: Optional[BaseException] = None,
-               duration: Optional[float] = None) -> None:
-        with self._cond:
-            if error is not None and self.error is None:
-                self.error = error
-            if duration is not None and self.durations is not None:
-                self.durations.append(duration)
-            self._remaining -= 1
-            if self._remaining <= 0:
-                self._cond.notify_all()
-
-    def wait(self) -> None:
-        with self._cond:
-            while self._remaining > 0:
-                self._cond.wait()
-
-
-class ReplayWorkerPool:
-    """Process-wide pool of daemon threads replaying fused tile chunks and
-    the row bands of temporal blocks.
-
-    Threads (not processes) because NumPy ufuncs release the GIL over
-    their inner loops, and ``ctypes`` over every call into a native
-    kernel — chunks and bands genuinely overlap.  The
-    pool is lazy and persistent: threads spawn on first parallel replay
-    and idle on a queue between runs, so the steady serving path pays no
-    thread-creation cost.  ``run_parts`` executes chunk 0 inline on the
-    caller (one fewer handoff; the caller is otherwise idle) and always
-    waits for every dispatched chunk before returning — even when a chunk
-    raises — so plan scratch is never touched after the call returns and
-    the first error propagates to the caller intact.
-    """
-
-    def __init__(self, max_threads: int = MAX_REPLAY_WORKERS) -> None:
-        self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._spawn_lock = threading.Lock()
-        self._threads = 0
-        self.max_threads = max_threads  # the most it ever spawns
-
-    def _ensure_threads(self, needed: int) -> None:
-        target = min(needed, self.max_threads)
-        if self._threads >= target:
-            return
-        with self._spawn_lock:
-            while self._threads < target:
-                worker = threading.Thread(
-                    target=self._worker_loop,
-                    name=f"repro-replay-{self._threads}",
-                    daemon=True,
-                )
-                worker.start()
-                self._threads += 1
-
-    def _worker_loop(self) -> None:
-        while True:
-            latch, steps = self._queue.get()
-            timed = latch.durations is not None
-            started = perf_counter() if timed else 0.0
-            try:
-                replay(steps)
-            except BaseException as error:  # noqa: BLE001 - must reach caller
-                latch.finish(error,
-                             perf_counter() - started if timed else None)
-            else:
-                latch.finish(None,
-                             perf_counter() - started if timed else None)
-
-    def run_parts(self, parts: Sequence[Sequence[Tuple]]) -> None:
-        tail = parts[1:]
-        self._ensure_threads(len(tail))
-        timed = _metrics_on()
-        latch = _Latch(len(tail), collect_durations=timed)
-        for steps in tail:
-            self._queue.put((latch, steps))
-        inline_error: Optional[BaseException] = None
-        inline_started = perf_counter() if timed else 0.0
-        try:
-            replay(parts[0])
-        except BaseException as error:  # noqa: BLE001 - joined below
-            inline_error = error
-        inline_seconds = perf_counter() - inline_started if timed else 0.0
-        latch.wait()  # never leave workers racing a returned-from replay
-        if timed:
-            self._record_chunks([inline_seconds] + (latch.durations or []))
-        error = inline_error if inline_error is not None else latch.error
-        if error is not None:
-            raise error
-
-    @staticmethod
-    def _record_chunks(durations: List[float]) -> None:
-        """File per-chunk wall times into the chunk/imbalance histograms."""
-        slowest = 0.0
-        fastest = float("inf")
-        for duration in durations:
-            _CHUNK_SECONDS.observe(duration)
-            slowest = max(slowest, duration)
-            fastest = min(fastest, duration)
-        if len(durations) > 1 and slowest > 0.0:
-            _CHUNK_IMBALANCE.observe((slowest - fastest) / slowest)
-
-
-_REPLAY_POOL: Optional[ReplayWorkerPool] = None
-_REPLAY_POOL_LOCK = threading.Lock()
-
-
-def replay_pool() -> ReplayWorkerPool:
-    """The process-wide :class:`ReplayWorkerPool` (created on first use)."""
-    global _REPLAY_POOL
-    if _REPLAY_POOL is None:
-        with _REPLAY_POOL_LOCK:
-            if _REPLAY_POOL is None:
-                _REPLAY_POOL = ReplayWorkerPool()
-    return _REPLAY_POOL
-
-
 class FusedOp:
     """One fused region: pre-resolved tile micro-ops, replayed in order.
 
@@ -521,10 +372,10 @@ class FusedOp:
     :func:`print_tiles`), so a replay is the shared micro-op loop over
     existing views — zero allocations.  ``parts`` holds one step list per
     worker chunk: serial plans have a single part replayed inline; parallel
-    plans hand parts 1..N-1 to the :class:`ReplayWorkerPool` while part 0
-    runs on the caller.  Each part was built against its own scratch set and
-    writes only its own tiles' boxes of the stored buffers, so parts share
-    no mutable state.
+    plans hand parts 1..N-1 to the helper pool (:func:`repro.helpers.pool`)
+    while part 0 runs on the caller.  Each part was built against its own
+    scratch set and writes only its own tiles' boxes of the stored buffers,
+    so parts share no mutable state.
     """
 
     __slots__ = ("parts", "tiles", "native")
@@ -556,7 +407,7 @@ class FusedOp:
         if len(self.parts) == 1:
             replay(self.parts[0])
         else:
-            replay_pool().run_parts(self.parts)
+            pool().run_parts([(replay, (part,)) for part in self.parts])
         if timed:
             _REGION_REPLAY_SECONDS.observe(perf_counter() - started)
 
@@ -945,7 +796,6 @@ __all__ = [
     "MAX_REPLAY_WORKERS",
     "Op",
     "Region",
-    "ReplayWorkerPool",
     "TILE_TARGET_BYTES",
     "AUTO_WORKER_MIN_BYTES",
     "Temp",
@@ -960,6 +810,5 @@ __all__ = [
     "normalize_tile_spec",
     "normalize_workers",
     "print_tiles",
-    "replay_pool",
     "tile_extents",
 ]

@@ -46,8 +46,9 @@ reads, so a block splits into row bands that recompute their overlap
 instead of sharing it (the paper's overlapped tiling, along time).  :class:`NativeBlock`
 compiles ``steps`` and binds it to one tape's arrays and the plan's rings,
 one per band; a call runs any count of steps up to T, its bands on the
-replay pool.  The plan decides when a block runs and checks one against
-the per-step tapes first.
+helper pool (:meth:`repro.helpers.HelperPool.run_parts`).  The plan
+decides when a block runs and checks one against the per-step tapes
+first.
 
 **Barrier blocks.**  Where the wavefront declines — a carry that rotates
 grids, such as Acoustic's ``(1, "out", None)``, or a padded row so wide
@@ -121,9 +122,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import faults as _faults
+from ..helpers import MAX_REPLAY_WORKERS, pool
 from ..telemetry import registry as _telemetry
-from .fuse import (MAX_REPLAY_WORKERS, Access, Region, Temp, _lead,
-                   _tile_view, replay_pool)
+from .fuse import Access, Region, Temp, _lead, _tile_view
 from .numpy_backend import ExecutionError
 from .ufunc_trace import _select
 
@@ -864,7 +865,7 @@ class NativeBlock:
 
     The leading axis is split into as many equal row bands as there are
     rings (at most one per row).  One band is one direct call; more run on
-    the :func:`~repro.backend.fuse.replay_pool`, band 0 on the caller, and
+    the helper pool (:func:`repro.helpers.pool`), band 0 on the caller, and
     the call returns, or raises the first band's error, only once every
     band has finished (``ctypes`` releases the GIL for each)."""
 
@@ -909,12 +910,10 @@ class NativeBlock:
         if len(self.bands) == 1:
             self._band(steps, 0)
         else:
-            replay_pool().run_parts([[(self._band, (steps, band), None)]
-                                     for band in range(len(self.bands))])
+            pool().run_parts([(self._band, (steps, band))
+                              for band in range(len(self.bands))])
 
-    def _band(self, steps: int, band: int, out=None) -> None:
-        """``steps`` steps of one band (the micro-op convention, so the
-        replay pool runs it)."""
+    def _band(self, steps: int, band: int) -> None:
         ring, lo, hi = self.bands[band]
         self._function(self._p, self._s, self._n, steps, ring, self._g, lo, hi)
 
@@ -924,11 +923,9 @@ class NativeBlock:
 # ---------------------------------------------------------------------------
 
 #: Cell updates each band of a barrier block must have to itself per
-#: block before a plan left at one worker bands it over the cores.  One
-#: hand-off to the replay pool costs ≈47 µs back to back and ≈131 µs
-#: median (617 µs p90) after a 1 ms idle on the 2-vCPU recording box, and
-#: 2^20 updates of Acoustic's body are ≈1.5 ms, so the wake-up stays under
-#: a tenth of a band's work.
+#: block before a plan left at one worker bands it over the cores: 2^20
+#: updates of Acoustic's body are ≈1.5 ms, so a wake-up on the helper pool
+#: (:mod:`repro.helpers`) stays under a tenth of a band's work.
 BARRIER_BAND_CELLS = 1 << 20
 
 #: One banded barrier block on the process-wide pool at a time: two groups
@@ -1024,7 +1021,7 @@ def barrier_bands(shape: Sequence[int], workers: int, cores: int) -> int:
     resolved ``workers`` count of two or more, else one band per each of
     ``cores`` when each gets :data:`BARRIER_BAND_CELLS` updates of a full
     block; never more than the leading extent, nor than
-    :data:`~repro.backend.fuse.MAX_REPLAY_WORKERS`, so the pool's threads
+    :data:`~repro.helpers.MAX_REPLAY_WORKERS`, so the pool's threads
     and the caller hold every band at once (a band left queued would keep
     the others spinning at the first barrier)."""
     if workers < 2:
@@ -1043,8 +1040,8 @@ class BarrierBlock:
     Bands meet at a spin barrier after each step (``w``: arrivals, and an
     abort flag the barrier polls), exchanging rows through the real grids,
     so a barrier block needs no ring and recomputes nothing.  One band is
-    one direct call.  More run on the
-    :func:`~repro.backend.fuse.replay_pool`, band 0 on the caller, one
+    one direct call.  More run on the helper pool
+    (:func:`repro.helpers.pool`), band 0 on the caller, one
     banded block in the process at a time; a band that raises before or
     inside its call sets the abort flag, and the call returns, or raises
     the first band's error, only once every band has returned."""
@@ -1075,7 +1072,7 @@ class BarrierBlock:
         rows = [n0 * band // bands for band in range(bands + 1)]
         #: ``(lo, hi)`` of each band.
         self.bands = list(zip(rows, rows[1:]))
-        threads = replay_pool().max_threads
+        threads = pool().max_threads
         if bands > 1 + threads:
             # a band with no thread would never reach the first barrier
             raise Unavailable("temporal_layout",
@@ -1089,10 +1086,10 @@ class BarrierBlock:
             self._band(steps, 0)
             return
         with _BARRIER_LOCK:
-            replay_pool().run_parts([[(self._enter, (steps, band), None)]
-                                     for band in range(len(self.bands))])
+            pool().run_parts([(self._enter, (steps, band))
+                              for band in range(len(self.bands))])
 
-    def _enter(self, steps: int, band: int, out=None) -> None:
+    def _enter(self, steps: int, band: int) -> None:
         """One band on the pool: its error, raised before or inside the
         call, sets the abort flag so no other band waits for it."""
         try:

@@ -43,7 +43,7 @@ binding and only the carried slots are copied out.  The first
 iterate decides it, once, for its carry spec: it acquires one row ring
 per band from the pool — the resolved ``parallel_workers`` count, at most
 one band per row, each band one overlapped slice of the block on the
-replay pool — runs T per-step replays and one banded T-step block from
+helper pool — runs T per-step replays and one banded T-step block from
 the bound inputs into the other ring buffer, and accepts only if they
 agree under the native relation (then re-runs its own steps from the
 bind).
@@ -101,9 +101,9 @@ capture time — bit for bit, or for native regions under one relaxed
 relation (equal bits, or NaN on both sides) — and a native tape that fails
 is re-printed on ufunc tiles from the same regions.  ``tile_shape`` picks
 the printer and the tile; ``parallel_workers`` (``N >= 2``) chunks each
-tiled region across a persistent worker-thread pool, every chunk against
-its own pooled scratch set (:class:`~repro.backend.fuse.ReplayWorkerPool`),
-and the capture-time check exercises that same parallel replay.  Left at
+tiled region across the process-wide helper pool
+(:func:`repro.helpers.pool`), every chunk against its own pooled scratch
+set, and the capture-time check exercises that same parallel replay.  Left at
 ``None`` the count follows one rule on the input shapes
 (:func:`~repro.backend.fuse.auto_workers`): grids big enough to give each
 worker sixteen tiles take one worker per core, everything smaller stays
@@ -437,8 +437,8 @@ class ExecutionPlan:
         self.tile_shape = normalize_tile_spec(tile_shape)
         self.input_shapes = plan_signature(inputs_or_signature)
         #: Fused-region replay workers, resolved: 1 = serial, ``N >= 2``
-        #: chunks each region's tile grid across the process-wide
-        #: :class:`~repro.backend.fuse.ReplayWorkerPool`.  ``None`` asked
+        #: chunks each region's tile grid across the process-wide helper
+        #: pool (:func:`repro.helpers.pool`).  ``None`` asked
         #: :func:`~repro.backend.fuse.auto_workers`.
         self.parallel_workers = normalize_workers(parallel_workers,
                                                   self.input_shapes)

@@ -11,8 +11,8 @@ boundary short of the last has the grids its segment changed atomically
 persisted as a checkpoint under ``job_dir``.  A segment continues from
 the plan's live binding — no re-bind, no copy in — unless another
 request bound the plan in between; a boundary copies out only the
-carried slots (read-only), which the writer frames and ``job.state``
-keeps, while the static slots stay the submitted arrays:
+carried slots (read-only), which the checkpoint write frames and
+``job.state`` keeps, while the static slots stay the submitted arrays:
 
 .. code-block:: text
 
@@ -46,30 +46,30 @@ checkpoint or the new complete checkpoint, never a torn one; a new job's
 directory entry is made durable by one fsync of ``job_dir`` before the
 submit answers.
 
-**Off the critical path, not free**: the worker hands each boundary's
-state to one long-lived writer thread and starts the next segment, so
+**Off the critical path, not free**: the job worker hands each boundary's
+state to a helper thread of the process's pool
+(:meth:`repro.helpers.HelperPool.submit`) and starts the next segment, so
 checkpoint k is written, outside the manager lock, while segment k+1
-computes.  Each hand-off pins the writer off the worker's CPU
-(:class:`~repro.service.placement.OffCallerCpu`): woken on it, the
-writer shared that CPU with the next segment while the other idled.
-When the worker reaches boundary k+1 with checkpoint k still being
-written, it hashes checkpoint k+1's carried grids itself
-(:func:`_hash_ahead`) instead of idling, and the writer then only frames
-and writes it; a writer already idle gets the state unhashed and hashes
-it, since hashing on the worker at every boundary measured slower.  The
-final grid is hashed before the last wait, beside the last checkpoint's
-write.  In a ``repro serve`` on a 2-vCPU Xeon running 20 timed 32-step,
+computes, on a helper the pool pins off the worker's CPU.  When the worker
+reaches boundary k+1 with checkpoint k still being written, it hashes
+checkpoint k+1's carried grids itself (:func:`_hash_ahead`) instead of
+idling, and the helper then only frames and writes it; a write handed off
+after the previous one finished gets the state unhashed and hashes it,
+since hashing on the worker at every boundary measured slower.  The final
+grid is hashed before the last wait, beside the last checkpoint's write.
+In a ``repro serve`` on a 2-vCPU Xeon running 20 timed 32-step,
 ``checkpoint_every=8`` Hotspot2D 512² jobs between execute and iterate
-calls, an 8-step segment took a median 3.3 ms (5.0 ms before the writer
+calls, an 8-step segment took a median 3.3 ms (5.0 ms before the helper
 was pinned), hashing one 2 MiB grid 2.1 ms on either thread, writing a
-checkpoint 3.2 ms, and ``result.rpg`` 3.1 ms; the worker's median wait
-at a boundary fell from 0.7 to 0.02 ms, and submit-to-end inside the
-server from 45.6 to 34.9 ms.  The compute thread, now busy with the
-next segment and that hash, is the job's critical path again.  At most
-one checkpoint is in flight (boundary k+1 first waits for checkpoint
-k); the file lands before ``completed_steps`` counts it, so a status
-reply reports *durable* steps; a writer error fails the job at its next
-boundary; the writer is drained before any terminal status is set.
+checkpoint 3.2 ms, and ``result.rpg`` 3.1 ms; the worker's median wait at
+a boundary fell from 0.7 to 0.02 ms, and submit-to-end inside the server
+from 45.6 to 34.9 ms.  The compute thread, now busy with the next segment
+and that hash, is the job's critical path again.  At most one checkpoint
+is in flight (the worker keeps its one pending future, and boundary k+1
+first waits for checkpoint k); the file lands before ``completed_steps``
+counts it, so a status reply reports *durable* steps; a write error fails
+the job at its next boundary; the pending write is awaited before any
+terminal status is set.
 
 **Recovery**: :meth:`JobManager.recover` (run at server startup) scans the
 job dir; incomplete jobs resume from their newest *valid* checkpoint —
@@ -125,12 +125,12 @@ home, and evicts served ones first, oldest first, before any unserved
 one.  A terminal job keeps no carry state.
 
 Fault points (:mod:`repro.faults`): ``job.crash_after_checkpoint``
-fires on the writer right after a checkpoint persists and abandons the
-worker at its next boundary, or on the worker right after ``result.rpg``
-lands — on-disk state is exactly what a ``kill -9`` leaves — and
-``job.checkpoint_corrupt`` flips a
-byte of a checkpoint *after* its checksums were computed, which is how the
-corrupt-fallback path is tested end to end.
+fires on the write's helper right after a checkpoint persists and
+abandons the worker at its next boundary, or on the worker right after
+``result.rpg`` lands — on-disk state is exactly what a ``kill -9``
+leaves — and ``job.checkpoint_corrupt`` flips a byte of a checkpoint
+*after* its checksums were computed, which is how the corrupt-fallback
+path is tested end to end.
 """
 
 from __future__ import annotations
@@ -140,12 +140,12 @@ import hashlib
 import json
 import logging
 import os
-import queue
 import shutil
 import threading
 import time
 import uuid
 from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Tuple
@@ -155,9 +155,9 @@ import numpy as np
 from .. import faults as _faults
 from ..apps.base import squeeze_result
 from ..backend.plan import normalize_carry
+from ..helpers import pool
 from ..telemetry.registry import MetricsRegistry
 from .executor import run_trajectory
-from .placement import OffCallerCpu
 from .registry import DigestRouter
 from .requests import (
     CANCELLED,
@@ -457,7 +457,7 @@ class JobManager:
     Thread-safe: submissions and status/result/cancel queries may come
     from any thread (the event loop, HTTP handlers, tests); one background
     worker thread drains the job queue so trajectory execution never
-    blocks the caller, and one writer thread beside it persists segment
+    blocks the caller, and a helper-pool worker beside it persists segment
     k's checkpoint while the worker computes segment k+1 (at most one in
     flight).  ``job_dir=None`` runs memory-only (no durability
     across restarts, same segmented semantics) — the mode unit tests use
@@ -497,12 +497,9 @@ class JobManager:
         self._submitting: set = set()
         self._closed = False
         self._worker: Optional[threading.Thread] = None
-        # Worker → writer hand-off of ``(job, step, state)``; ``None`` stops
-        # the writer.  ``_drain`` before every put keeps one in flight.
-        self._writes: "queue.Queue" = queue.Queue()
-        self._writer: Optional[threading.Thread] = None
-        self._writer_placement: Optional[OffCallerCpu] = None
-        self._write_error: Optional[BaseException] = None
+        # The checkpoint write in flight, the worker's alone: ``_drain``
+        # before every hand-off keeps one.
+        self._pending: Optional[Future] = None
         # Event-loop futures of pending status waits, by job id
         # (:meth:`until_ended`); a leaf lock, never held across I/O.
         self._waits: Dict[str, List[asyncio.Future]] = {}
@@ -539,7 +536,7 @@ class JobManager:
             "configured; a served durable result leaves memory uncounted).")
         self._checkpoint_seconds = histogram(
             "repro_job_checkpoint_seconds",
-            "Writer-thread wall time to persist one job checkpoint (frame, "
+            "Helper-thread wall time to persist one job checkpoint (frame, "
             "hash what the compute thread did not hash ahead, fsync, "
             "rename).")
         self._checkpoint_wait_seconds = histogram(
@@ -563,27 +560,19 @@ class JobManager:
     # -- lifecycle ------------------------------------------------------------
     def _ensure_worker(self) -> None:
         with self._lock:
-            # The writer first: the worker pins it at its first hand-off.
-            if self._writer is None or not self._writer.is_alive():
-                writer = threading.Thread(
-                    target=self._writer_loop, name="repro-jobs-writer",
-                    daemon=True)
-                writer.start()
-                self._writer_placement = OffCallerCpu(writer)
-                self._writer = writer
             if self._worker is None or not self._worker.is_alive():
                 self._worker = threading.Thread(
                     target=self._worker_loop, name="repro-jobs", daemon=True)
                 self._worker.start()
 
     def close(self, timeout_s: float = 5.0) -> None:
-        """Answer every pending status wait, then stop the worker and the
-        writer behind it.  A running job stops at its next segment
-        boundary once the checkpoint handed to the writer there is
-        durable: a durable job resumes from it at the next
-        :meth:`recover`, a memory-only one fails ``Unavailable``.  So does
-        every memory-only job still queued; a durable queue is left for
-        :meth:`recover`."""
+        """Answer every pending status wait, then stop the worker, waiting
+        up to ``timeout_s`` for it.  A running job stops at its next
+        segment boundary, however long that takes, once the checkpoint it
+        hands off there is durable: a durable job resumes from it at the
+        next :meth:`recover`, a memory-only one fails ``Unavailable``.  So
+        does every memory-only job still queued; a durable queue is left
+        for :meth:`recover`."""
         self.end_waits()
         with self._wake:
             self._closed = True
@@ -598,10 +587,6 @@ class JobManager:
         if self._worker is not None:
             self._worker.join(timeout=timeout_s)
             self._worker = None
-        if self._writer is not None:
-            self._writes.put(None)
-            self._writer.join(timeout=timeout_s)
-            self._writer = None
 
     # -- submission -----------------------------------------------------------
     def submit(self, request: ExecutionRequest,
@@ -617,6 +602,8 @@ class JobManager:
         The job's files are written outside the manager lock, so no other
         job's query waits on them; the key is reserved under it first, and
         a submit of the same key meanwhile answers once they are durable.
+        A closed manager refuses the submit before writing anything: no
+        worker would run the job.
         """
         if request.benchmark is None:
             raise JobError("durable jobs require a benchmark-keyed request "
@@ -625,6 +612,8 @@ class JobManager:
         self._sweep()
         key = str(job_key) if job_key else uuid.uuid4().hex
         with self._wake:
+            if self._closed:
+                raise JobError("the job manager is closed")
             while key in self._submitting:
                 self._wake.wait()
             existing = self._by_key.get(key)
@@ -903,23 +892,11 @@ class JobManager:
                     self._finish(job, FAILED,
                                  error=f"{type(error).__name__}: {error}")
 
-    def _writer_loop(self) -> None:
-        while True:
-            item = self._writes.get()
-            try:
-                if item is None:
-                    return
-                self._write_checkpoint(*item)
-            except (Exception, _InjectedCrash) as error:  # noqa: BLE001
-                self._write_error = error  # re-raised on the worker
-            finally:
-                del item  # the carry state dies with its checkpoint
-                self._writes.task_done()
-
     def _write_checkpoint(self, job: Job, step: int, state) -> None:
         """File first, then ``completed_steps``, so a status reply reports
         *durable* steps.  No manifest: recovery reads the step from the
-        newest valid checkpoint."""
+        newest valid checkpoint.  Runs on a helper-pool worker, which drops
+        the carry state once this returns."""
         self._persist_checkpoint(job, step, state)
         with self._lock:
             job.completed_steps = step
@@ -930,9 +907,9 @@ class JobManager:
     def _drain(self) -> None:
         """Wait out the in-flight checkpoint; re-raise what writing it raised."""
         started = time.perf_counter()
-        self._writes.join()
+        pending, self._pending = self._pending, None
+        error = pending.exception() if pending is not None else None
         self._checkpoint_wait_seconds.observe(time.perf_counter() - started)
-        error, self._write_error = self._write_error, None
         if error is not None:
             raise error
 
@@ -956,18 +933,18 @@ class JobManager:
         def boundary(done: int, state) -> Optional[str]:
             if done:
                 # A segment short of the last just finished: hand its
-                # carried slots to the writer and go on.  Waiting out the
+                # carried slots to a helper and go on.  Waiting out the
                 # previous checkpoint first bounds how far durability lags
                 # compute: one segment.  While that checkpoint is still
                 # being written, the worker hashes this one instead of
-                # idling, and the writer only frames and writes it.
-                if self.job_dir is not None and self._writes.unfinished_tasks:
+                # idling, and the helper only frames and writes it.
+                if (self.job_dir is not None and self._pending is not None
+                        and not self._pending.done()):
                     _hash_ahead(self._carried(job, state))
                 self._drain()
                 job.state = state
-                # Off this CPU, the writer leaves it to the next segment.
-                self._writer_placement.pin()
-                self._writes.put((job, resumed_at + done, state))
+                self._pending = pool().submit(
+                    self._write_checkpoint, job, resumed_at + done, state)
             if job.cancel_requested:
                 return CANCELLED
             if job.deadline_at is not None and time.time() >= job.deadline_at:
@@ -998,7 +975,7 @@ class JobManager:
                     raise _InjectedCrash()
         finally:
             # No status flips with a checkpoint still in flight, and a
-            # crash or OSError on the writer surfaces here at the latest.
+            # crash or OSError writing it surfaces here at the latest.
             self._drain()
         if stopped is not None:
             with self._lock:

@@ -37,44 +37,41 @@ checksums: a checkpoint takes its descriptors from :func:`describe_grids`,
 signs them (with its metadata) under one root hash and frames them with
 :func:`frame_prefix`, so no grid byte is hashed twice.  Decoding hashes
 each grid in place, as a slice of the received buffer, once every grid's
-span is known to lie inside it.  Encoding and decoding alike hash a
-frame's grids on two threads when at least two grids need hashing, the
-caller may run on two CPUs, and each of the two byte-balanced shares holds
+span is known to lie inside it.  Encoding and decoding alike hash a frame's
+grids on two threads when at least two grids need hashing, the caller may
+run on two CPUs, and each of the two byte-balanced shares holds
 :data:`PARALLEL_SHARE_MIN_BYTES` or more: the caller hashes one share and
-one helper thread, started on first use and started afresh in a forked
-child, hashes the other.  Digests, and the grid a mismatch is reported
-for (the first in header order), are those of one thread hashing in
-order.  A writable payload
-(the ``bytearray`` a body was received into) then yields each grid as a
-*view* of that buffer when the view is aligned and native-endian; any
+a worker of the process's helper pool (:mod:`repro.helpers`) hashes the
+other.  Digests, and the grid a mismatch is reported for (the first in
+header order), are those of one thread hashing in order.  A writable
+payload (the ``bytearray`` a body was received into) then yields each grid
+as a *view* of that buffer when the view is aligned and native-endian; any
 other payload (``bytes``, a misaligned or big-endian grid) costs one copy
 into a writable array.  The digest a decode verified stays known for that
-array object (:func:`verified_sha256`), so a durable job framing the
-grids it was just sent hashes none of them again; a job records its
-result file's digest the same way (:func:`remember_sha256`), and the
-reply that serves that result reuses it.  The
-``wire.payload_corrupt`` fault point (:mod:`repro.faults`) flips one byte
-of the first grid *after* the checksums are computed, which is how tests
-and chaos drills prove the detection path end to end.
+array object (:func:`verified_sha256`), so a durable job framing the grids
+it was just sent hashes none of them again; a job records its result
+file's digest the same way (:func:`remember_sha256`), and the reply that
+serves that result reuses it.  The ``wire.payload_corrupt`` fault point
+(:mod:`repro.faults`) flips one byte of the first grid *after* the
+checksums are computed, in :func:`encode_grid_payload` (what the
+transports send), which is how tests and chaos drills prove the detection
+path end to end; a durable job frames its files through
+:func:`describe_grids` and never sees the flip.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import queue
 import struct
-import threading
 import weakref
-from concurrent.futures import Future
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import faults as _faults
+from ..helpers import pool, usable_cpus
 from ..telemetry import registry as _telemetry
-from .placement import OffCallerCpu, usable_cpus
 
 MAGIC = b"RPG1"
 
@@ -126,71 +123,9 @@ def verified_sha256(grid: np.ndarray) -> Optional[str]:
 PARALLEL_SHARE_MIN_BYTES = 256 * 1024
 
 
-class _Hasher:
-    """One daemon thread that hashes the buffers a caller hands it.
-
-    Woken on its caller's CPU, busy hashing its own share, the helper
-    would run both shares at half speed: each hand-off first pins it off
-    that CPU (:class:`~repro.service.placement.OffCallerCpu`).
-    """
-
-    def __init__(self) -> None:
-        self._tasks: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._lock = threading.Lock()
-        self.thread = threading.Thread(target=self._serve, daemon=True,
-                                       name="repro-wire-sha256")
-        self.thread.start()
-        self._placement = OffCallerCpu(self.thread)
-
-    def _serve(self) -> None:
-        while True:
-            buffers, future = self._tasks.get()
-            try:
-                digests = [hashlib.sha256(buffer).hexdigest()
-                           for buffer in buffers]
-            except Exception as error:  # noqa: BLE001 - raised by the caller
-                digests = error
-            # Let go of the frame before its caller wakes: a received body
-            # kept alive here would make the next one land in fresh pages.
-            del buffers
-            if isinstance(digests, Exception):
-                future.set_exception(digests)
-            else:
-                future.set_result(digests)
-
-    def submit(self, buffers: List[memoryview], cpus: set) -> Future:
-        """Hash ``buffers`` on the helper, pinned to ``cpus`` less the
-        caller's current CPU."""
-        future: Future = Future()
-        with self._lock:
-            self._placement.pin(cpus)
-            self._tasks.put((buffers, future))
-        return future
-
-
-_HASHER: Optional[_Hasher] = None
-_HASHER_LOCK = threading.Lock()
-
-
-def _hasher() -> _Hasher:
-    """The process's helper, started on first use."""
-    global _HASHER
-    with _HASHER_LOCK:
-        if _HASHER is None:
-            _HASHER = _Hasher()
-        return _HASHER
-
-
-def _forget_hasher() -> None:
-    """In a forked child: the parent's helper thread does not exist here,
-    so the next frame that needs one starts its own."""
-    global _HASHER, _HASHER_LOCK
-    _HASHER = None
-    _HASHER_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_hasher)
+def _sha256_each(buffers: List[memoryview]) -> List[str]:
+    """The sha256 hex digest of each buffer, in order."""
+    return [hashlib.sha256(buffer).hexdigest() for buffer in buffers]
 
 
 def _sha256_all(buffers: Sequence[memoryview]) -> List[str]:
@@ -199,9 +134,9 @@ def _sha256_all(buffers: Sequence[memoryview]) -> List[str]:
 
     The buffers split into two shares balanced by bytes, largest first.
     When each share holds at least :data:`PARALLEL_SHARE_MIN_BYTES` and
-    the caller may run on two CPUs, the helper thread hashes the lighter
-    share while the caller hashes the other; otherwise the caller hashes
-    them all.
+    the caller may run on two CPUs, a helper (:func:`repro.helpers.pool`)
+    hashes the lighter share while the caller hashes the other; otherwise
+    the caller hashes them all.
     """
     shares: Tuple[List[int], List[int]] = ([], [])
     loads = [0, 0]
@@ -214,10 +149,9 @@ def _sha256_all(buffers: Sequence[memoryview]) -> List[str]:
     cpus = (usable_cpus() if len(buffers) >= 2
             and min(loads) >= PARALLEL_SHARE_MIN_BYTES else set())
     if len(cpus) < 2:
-        return [hashlib.sha256(buffer).hexdigest() for buffer in buffers]
-    future = _hasher().submit([buffers[index] for index in theirs], cpus)
-    digests = {index: hashlib.sha256(buffers[index]).hexdigest()
-               for index in mine}
+        return _sha256_each(buffers)
+    future = pool().submit(_sha256_each, [buffers[i] for i in theirs])
+    digests = dict(zip(mine, _sha256_each([buffers[i] for i in mine])))
     digests.update(zip(theirs, future.result()))
     return [digests[index] for index in range(len(buffers))]
 
@@ -258,12 +192,6 @@ def describe_grids(
     digests = _sha256_all([buffers[index] for index in unknown])
     for index, digest in zip(unknown, digests):
         descriptors[index]["sha256"] = digest
-    if _faults.ARMED and buffers and _faults.should_fail("wire.payload_corrupt"):
-        # Flip one byte of the first grid *after* its checksum was taken,
-        # so the decoder's verification must catch it.
-        corrupted = bytearray(buffers[0])
-        corrupted[0] ^= 0xFF
-        buffers[0] = memoryview(bytes(corrupted))
     return descriptors, buffers
 
 
@@ -289,6 +217,12 @@ def encode_grid_payload(
     buffer in order.  ``reuse_verified`` is :func:`describe_grids`'s.
     """
     descriptors, buffers = describe_grids(grids, reuse_verified)
+    if _faults.ARMED and buffers and _faults.should_fail("wire.payload_corrupt"):
+        # Flip one byte of the first grid *after* its checksum was taken,
+        # so the decoder's verification must catch it.
+        corrupted = bytearray(buffers[0])
+        corrupted[0] ^= 0xFF
+        buffers[0] = memoryview(bytes(corrupted))
     return frame_prefix(meta, descriptors), buffers
 
 

@@ -23,7 +23,6 @@ import itertools
 import multiprocessing
 import os
 import pickle
-import queue
 import re
 import threading
 import time
@@ -33,7 +32,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import faults
+from repro import faults, helpers
 from repro.apps.suite import ALL_BENCHMARKS, get_benchmark
 from repro.backend import fuse, native
 from repro.backend import plan as plan_module
@@ -1208,20 +1207,15 @@ class TestBands:
         # whose hand-offs interleave would each hold one spinning band and
         # wait for the thread the other holds; one banded barrier block at
         # a time cannot.  Each hand-off here waits 5 ms, so they would.
-        class SlowHandOffs:
-            def __init__(self):
-                self._queue = queue.SimpleQueue()
+        pool = helpers.HelperPool(max_threads=2)
+        hand = pool._hand
 
-            def put(self, item):
-                time.sleep(0.005)
-                self._queue.put(item)
+        def slow_hand(fn, args, pin):
+            time.sleep(0.005)
+            return hand(fn, args, pin)
 
-            def get(self):
-                return self._queue.get()
-
-        pool = fuse.ReplayWorkerPool(max_threads=2)
-        pool._queue = SlowHandOffs()
-        monkeypatch.setattr(fuse, "_REPLAY_POOL", pool)
+        pool._hand = slow_hand
+        monkeypatch.setattr(helpers, "_POOL", pool)
         cases = [barrier_acoustic(workers=count, seed=seed)
                  for seed, count in enumerate(bands)]
         assert [case[0].stats()["temporal_bands"] for case in cases] == \
@@ -1286,8 +1280,8 @@ class TestBands:
 
     def test_a_block_with_more_bands_than_the_pool_runs_declines(
             self, monkeypatch):
-        monkeypatch.setattr(fuse, "_REPLAY_POOL",
-                            fuse.ReplayWorkerPool(max_threads=2))
+        monkeypatch.setattr(helpers, "_POOL",
+                            helpers.HelperPool(max_threads=2))
         before = fallbacks("temporal_layout")
         plan, program, inputs, carry = within(
             60, lambda: barrier_acoustic(workers=4))

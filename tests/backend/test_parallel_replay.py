@@ -1,7 +1,7 @@
 """Parallel tiled replay: bit-identity, zero allocations, failure hygiene.
 
-The acceptance property for the replay worker pool: for every suite
-application, dtype, tile shape and worker count, dispatching a fused
+The acceptance property for parallel replay on the helper pool: for every
+suite application, dtype, tile shape and worker count, dispatching a fused
 region's independent tile chunks across N pool threads produces results
 **bit-identical** to the serial replay (which is itself verified
 bit-identical to the generic path at capture time), the steady parallel
@@ -18,13 +18,9 @@ import pytest
 
 from repro.apps.suite import ALL_BENCHMARKS, ITERATIVE_BENCHMARKS, get_benchmark
 from repro.backend.base import NumpyBackend
-from repro.backend.fuse import (
-    MAX_REPLAY_WORKERS,
-    FusedOp,
-    ReplayWorkerPool,
-    normalize_workers,
-    replay_pool,
-)
+from repro.backend.fuse import MAX_REPLAY_WORKERS, FusedOp, normalize_workers
+from repro.backend.ufunc_trace import replay
+from repro.helpers import HelperPool, pool
 from repro.backend.numpy_backend import ExecutionError
 from repro.backend.plan import PlanCache, iterate_generic
 
@@ -231,7 +227,7 @@ class TestWorkerFailureHygiene:
 
         # Inject a raising micro-op into a *worker* chunk (not the inline
         # part), so the failure surfaces on a pool thread and must cross
-        # the latch back to the caller.
+        # back to the caller.
         injected = (_raising_ufunc, (), None)
         victim.parts[1].append(injected)
         try:
@@ -254,32 +250,32 @@ class TestWorkerFailureHygiene:
         # racing scratch the caller believes is quiescent.  Observable
         # contract: the tail's writes have all landed when the error
         # arrives.
-        pool = ReplayWorkerPool(max_threads=4)
+        workers = HelperPool(max_threads=4)
         landed = np.zeros(8)
         tail_parts = [
-            [(np.add, (1.0, 0.0), landed[index:index + 1])]
+            (replay, ([(np.add, (1.0, 0.0), landed[index:index + 1])],))
             for index in range(8)
         ]
-        inline = [(_raising_ufunc, (), None)]
+        inline = (replay, ([(_raising_ufunc, (), None)],))
         with pytest.raises(_Boom):
-            pool.run_parts([inline] + tail_parts)
+            workers.run_parts([inline] + tail_parts)
         assert np.array_equal(landed, np.ones(8))
 
     def test_pool_reports_first_worker_error_and_survives(self):
-        pool = ReplayWorkerPool(max_threads=2)
+        workers = HelperPool(max_threads=2)
         out = np.zeros(4)
         with pytest.raises(_Boom):
-            pool.run_parts([
-                [(np.add, (2.0, 0.0), out)],          # inline: fine
-                [(_raising_ufunc, (), None)],         # worker: raises
+            workers.run_parts([
+                (replay, ([(np.add, (2.0, 0.0), out)],)),   # inline: fine
+                (replay, ([(_raising_ufunc, (), None)],)),  # worker: raises
             ])
         # The pool is a process-wide singleton in production: after an
         # error it must keep replaying subsequent runs normally.
-        pool.run_parts([
-            [(np.add, (3.0, 0.0), out[:2])],
-            [(np.add, (3.0, 0.0), out[2:])],
+        workers.run_parts([
+            (replay, ([(np.add, (3.0, 0.0), out[:2])],)),
+            (replay, ([(np.add, (3.0, 0.0), out[2:])],)),
         ])
         assert np.array_equal(out, np.full(4, 3.0))
 
     def test_process_pool_singleton(self):
-        assert replay_pool() is replay_pool()
+        assert pool() is pool()

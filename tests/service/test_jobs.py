@@ -4,7 +4,7 @@ The load-bearing property: a job that crashes mid-trajectory and resumes
 from its checkpoint produces a final grid **bit-identical** to the
 uninterrupted run — for every suite app, for float64 and float32 client
 inputs, and for checkpoint segments of 1 step, 7 steps, and the whole
-trajectory.  Around it: the checkpoint pipeline's ordering (a writer
+trajectory.  Around it: the checkpoint pipeline's ordering (a helper
 thread persists segment k while segment k+1 computes), the layout (every
 input once in ``inputs.rpg`` as the step-0 state, carried slots per
 checkpoint, none behind the result, ``job.json`` at submit and at the end),
@@ -29,13 +29,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro import faults
+from repro import faults, helpers
 from repro.apps.suite import ALL_BENCHMARKS, get_benchmark
 from repro.backend.base import NumpyBackend
 from repro.backend.plan import (ExecutionPlan, iterate_generic,
                                 iterate_state_generic)
 from repro.service import jobs as jobs_module
-from repro.service import ops, placement
+from repro.service import ops
 from repro.service import wire as wire_module
 from repro.backend.plan import normalize_carry
 from repro.service.executor import run_trajectory
@@ -953,13 +953,43 @@ class TestCheckpointPipeline:
                                                         DEADLINE_EXCEEDED)
         # Drained before the status flipped: nothing is in flight, and the
         # steps the job reports are the steps its newest checkpoint holds.
-        assert manager._writes.unfinished_tasks == 0
+        assert manager._pending is None
         newest = sorted((tmp_path / job["job_id"]).glob("ckpt-*.rpg"))[-1]
         assert _unframe(newest.read_bytes())[0]["step"] == \
             final["completed_steps"] > 0
-        threads = (manager._worker, manager._writer)
+        worker = manager._worker
         manager.close()
-        assert not any(thread.is_alive() for thread in threads)
+        assert not worker.is_alive()
+
+    def test_close_mid_segment_lands_the_stopping_checkpoint(
+            self, backend, tmp_path):
+        # close() that does not wait: the worker still hands off the
+        # checkpoint of the boundary it stops at, that write lands, and
+        # the worker exits; recovery resumes from that checkpoint.
+        manager = JobManager(backend, job_dir=str(tmp_path),
+                             checkpoint_every=2)
+        job = manager.submit(
+            _request_for("hotspot2d", np.float64, steps=10 ** 6))
+        deadline = time.monotonic() + 30
+        while manager.status(job["job_id"])["completed_steps"] == 0:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        worker = manager._worker
+        manager.close(timeout_s=0)
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        assert manager._pending is None
+        stopped_at = manager.status(job["job_id"])["completed_steps"]
+        newest = sorted((tmp_path / job["job_id"]).glob("ckpt-*.rpg"))[-1]
+        assert _unframe(newest.read_bytes())[0]["step"] == stopped_at > 0
+
+        recovered = JobManager(backend, job_dir=str(tmp_path),
+                               checkpoint_every=2)
+        assert recovered.recover() == 1
+        resumed = recovered.status(job["job_id"])
+        assert resumed["resumes"] == 1
+        assert resumed["completed_steps"] >= stopped_at
+        recovered.close(timeout_s=10.0)
 
     @pytest.mark.parametrize("key", ["acoustic", "hotspot2d"])
     def test_at_most_two_carry_states_are_alive(self, key, backend, tmp_path):
@@ -1201,60 +1231,54 @@ class TestWorkerFraming:
         assert ahead[2:] == [("repro-jobs", [(13, 11)])]
 
 
-@pytest.mark.skipif(len(placement.usable_cpus()) < 2,
+@pytest.mark.skipif(len(helpers.usable_cpus()) < 2,
                     reason="needs two usable CPUs")
 class TestWriterPlacement:
     def test_the_writer_is_pinned_off_the_workers_cpu_at_every_hand_off(
             self, backend, tmp_path, monkeypatch):
-        """Woken on the worker's CPU, the writer would share it with the
-        next segment.  A writer started again is pinned too."""
-        if placement.current_cpu() is None:
+        """Woken on the worker's CPU, the helper writing a checkpoint would
+        share it with the next segment.  A newly spawned helper is pinned
+        too."""
+        if helpers.current_cpu() is None:
             pytest.skip("the C library has no sched_getcpu")
-        usable = placement.usable_cpus()
+        usable = helpers.usable_cpus()
         hand_offs = []
-        pin = placement.OffCallerCpu.pin
+        submit = helpers.HelperPool.submit
 
-        def watched(self, cpus=None):
-            before = placement.current_cpu()
-            pin(self, cpus)
-            if placement.current_cpu() == before:  # not migrated meanwhile
-                hand_offs.append((self.thread, before, os.sched_getaffinity(
-                    self.thread.native_id)))
+        def watched(self, fn, *args):
+            if getattr(fn, "__name__", None) != "_write_checkpoint":
+                return submit(self, fn, *args)
+            seen = {}
 
-        monkeypatch.setattr(placement.OffCallerCpu, "pin", watched)
+            def write(*args):
+                seen.update(thread=threading.current_thread(),
+                            pinned=os.sched_getaffinity(0))
+                return fn(*args)
+
+            before = helpers.current_cpu()
+            future = submit(self, write, *args)
+            if helpers.current_cpu() == before:  # not migrated meanwhile
+                hand_offs.append((before, seen))
+            return future
+
+        monkeypatch.setattr(helpers.HelperPool, "submit", watched)
         manager = JobManager(backend, job_dir=str(tmp_path),
                              checkpoint_every=1)
-        writers = []
+        pools = []
         for _round in range(2):
+            pools.append(helpers.HelperPool())  # its helpers spawn afresh
+            monkeypatch.setattr(helpers, "_POOL", pools[-1])
+            start = len(hand_offs)
             job = manager.submit(_request_for("hotspot2d", np.float64))
             assert manager.wait(job["job_id"],
                                 timeout_s=30.0)["status"] == COMPLETED
-            writers.append(manager._writer)
-            # Stop the writer the way close() does; the next submit's
-            # _ensure_worker starts a new one.
-            manager._writes.put(None)
-            manager._writer.join(timeout=10.0)
-            assert not manager._writer.is_alive()
-        manager.close()
-        assert writers[0] is not writers[1]
-        for writer in writers:
-            mine = [(cpu, pinned) for thread, cpu, pinned in hand_offs
-                    if thread is writer]
+            mine = hand_offs[start:]
             assert len(mine) >= (STEPS - 1) // 2
-            for cpu, pinned in mine:
-                assert pinned == usable - {cpu}
-
-    def test_a_one_cpu_caller_leaves_the_writer_where_it_is(
-            self, backend, monkeypatch):
-        manager = JobManager(backend)
-        manager._ensure_worker()
-        writer = manager._writer
-        before = os.sched_getaffinity(writer.native_id)
-        monkeypatch.setattr(placement, "current_cpu", lambda: 0)
-        manager._writer_placement.pin({0})
-        assert os.sched_getaffinity(writer.native_id) == before
+            for cpu, seen in mine:
+                assert seen["thread"].name.startswith("repro-helper-")
+                assert seen["pinned"] == usable - {cpu}
         manager.close()
-        assert not writer.is_alive()
+        assert pools[0]._threads >= 1 and pools[1]._threads >= 1
 
 
 class TestIdempotency:
@@ -1465,6 +1489,19 @@ class TestLifecycle:
             assert (final["status"], final["code"], final["error"]) == (
                 FAILED, UNAVAILABLE, "service stopped")
         assert not manager._queue
+
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_a_submit_after_close_is_refused_before_any_file(
+            self, durable, backend, tmp_path):
+        # No worker runs a job accepted after close: a memory-only one
+        # would read queued forever.
+        manager = JobManager(backend,
+                             job_dir=str(tmp_path) if durable else None)
+        manager.close()
+        with pytest.raises(JobError, match="closed"):
+            manager.submit(_request_for("heat", np.float64))
+        assert manager.list_jobs() == []
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("key", ["acoustic", "hotspot2d", "jacobi2d5pt"])
     def test_close_leaves_durable_jobs_that_recover_finishes_bit_identically(
@@ -1729,6 +1766,31 @@ class TestWireIntegrity:
         faults.disarm()
         with pytest.raises(WireFormatError, match="corrupted in transit"):
             decode_grid_payload(body)
+
+    def test_the_transport_fault_leaves_job_files_intact(
+            self, backend, tmp_path):
+        # The flip belongs to what the transports send: a durable job
+        # framing its own files with the fault armed writes them whole.
+        faults.arm("wire.payload_corrupt")
+        manager = JobManager(backend, job_dir=str(tmp_path),
+                             checkpoint_every=1)
+        job = manager.submit(_request_for("hotspot2d", np.float64, steps=4))
+        final = manager.wait(job["job_id"], timeout_s=30.0)
+        manager.close()
+        faults.disarm()
+        assert final["status"] == COMPLETED
+        directory = tmp_path / job["job_id"]
+        files = sorted(path.name for path in directory.glob("*.rpg"))
+        assert files == ["ckpt-00000002.rpg", "ckpt-00000003.rpg",
+                         "inputs.rpg", "result.rpg"]
+        for name in files:
+            _unframe((directory / name).read_bytes())
+        fresh = JobManager(backend, job_dir=str(tmp_path))
+        assert fresh.recover() == 0
+        _descriptor, result = fresh.result(job["job_id"])
+        assert result.tobytes() == _reference("hotspot2d", np.float64,
+                                              steps=4).tobytes()
+        fresh.close()
 
 
 def _received(request: ExecutionRequest) -> ExecutionRequest:

@@ -1,6 +1,6 @@
 """RPG1 hashing on two threads: what it computes is what serial hashing
-computes, refusals name the same grid, and the helper thread stays one
-thread, starts only when a frame needs it and survives a fork."""
+computes, refusals name the same grid, and the helper pool's share stays
+on one thread, starts only when a frame needs it and survives a fork."""
 
 import gc
 import hashlib
@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.service import placement, wire
+from repro import helpers
+from repro.service import wire
 from repro.service.wire import (
     MAGIC,
     WireFormatError,
@@ -29,7 +30,7 @@ from repro.service.wire import (
     verified_sha256,
 )
 
-TWO_CPUS = len(placement.usable_cpus()) >= 2
+TWO_CPUS = len(helpers.usable_cpus()) >= 2
 needs_two_cpus = pytest.mark.skipif(not TWO_CPUS,
                                     reason="needs two usable CPUs")
 
@@ -79,16 +80,25 @@ def _flip(body: bytearray, descriptors, index: int) -> bytearray:
 
 @pytest.fixture
 def handoffs(monkeypatch):
-    """Every list of buffers handed to the helper thread, in order."""
+    """Every list of buffers handed to a helper for hashing, in order."""
     seen = []
-    submit = wire._Hasher.submit
+    submit = helpers.HelperPool.submit
 
-    def spy(self, buffers, cpus):
-        seen.append([buffer.nbytes for buffer in buffers])
-        return submit(self, buffers, cpus)
+    def spy(self, fn, *args):
+        if fn is wire._sha256_each:
+            seen.append([buffer.nbytes for buffer in args[0]])
+        return submit(self, fn, *args)
 
-    monkeypatch.setattr(wire._Hasher, "submit", spy)
+    monkeypatch.setattr(helpers.HelperPool, "submit", spy)
     return seen
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """A helper pool no other test has spawned workers in."""
+    pool = helpers.HelperPool()
+    monkeypatch.setattr(helpers, "_POOL", pool)
+    return pool
 
 
 class TestSameBytesAsSerial:
@@ -186,9 +196,10 @@ class TestRefusals:
         grids = _grids(2)
         faults.arm("wire.payload_corrupt")
         try:
-            descriptors, buffers = describe_grids(grids)
+            prefix, buffers = encode_grid_payload({}, grids)
         finally:
             faults.disarm()
+        descriptors = json.loads(prefix[8:])["grids"]
         assert descriptors == [_serial_descriptor(grid) for grid in grids]
         with pytest.raises(WireFormatError, match=r"^grid 0 checksum"):
             decode_grid_payload(_body(descriptors, buffers))
@@ -210,7 +221,7 @@ class TestHelperThread:
         def no_helper():
             raise AssertionError("a small frame reached the helper")
 
-        monkeypatch.setattr(wire, "_hasher", no_helper)
+        monkeypatch.setattr(wire, "pool", no_helper)
         rng = np.random.default_rng(0)
         half = wire.PARALLEL_SHARE_MIN_BYTES // 8
         for grids in ([rng.random((48, 48)), rng.random((48, 48))],
@@ -223,17 +234,16 @@ class TestHelperThread:
             assert all(np.array_equal(a, b) for a, b in zip(grids, decoded))
 
     @needs_two_cpus
-    def test_the_helper_stays_one_thread(self, handoffs):
+    def test_the_helper_stays_one_thread(self, handoffs, fresh_pool):
         rng = np.random.default_rng(1)
         half = wire.PARALLEL_SHARE_MIN_BYTES // 8
         grids = [rng.random(half), rng.random(half)]
         for _ in range(200):
             prefix, buffers = encode_grid_payload({}, grids)
             decode_grid_payload(bytearray(prefix + b"".join(buffers)))
-        helpers = [thread for thread in threading.enumerate()
-                   if thread.name == "repro-wire-sha256"]
-        assert helpers == [wire._HASHER.thread]
-        assert helpers[0].daemon
+        assert fresh_pool._threads == 1
+        (worker,) = fresh_pool._idle
+        assert worker.daemon and worker.is_alive()
         assert len(handoffs) == 400
 
     @needs_two_cpus
@@ -250,16 +260,18 @@ class TestHelperThread:
         assert [ref() for ref in alive] == [None, None]
 
     @needs_two_cpus
-    def test_the_helper_is_pinned_off_the_callers_cpu(self, handoffs):
+    def test_the_helper_is_pinned_off_the_callers_cpu(self, handoffs,
+                                                       fresh_pool):
         # Woken on its busy caller's CPU, the helper would hash at half
         # speed beside it.
         rng = np.random.default_rng(5)
         describe_grids([rng.random((512, 512)), rng.random((512, 512))])
         assert handoffs
-        if placement.current_cpu() is None:
+        if helpers.current_cpu() is None:
             pytest.skip("the C library has no sched_getcpu")
-        pinned = os.sched_getaffinity(wire._HASHER.thread.native_id)
-        assert len(pinned) == len(placement.usable_cpus()) - 1
+        (worker,) = fresh_pool._idle
+        pinned = os.sched_getaffinity(worker.native_id)
+        assert len(pinned) == len(helpers.usable_cpus()) - 1
 
     @needs_two_cpus
     def test_concurrent_callers_each_get_their_own_digests(self, monkeypatch):
@@ -296,8 +308,8 @@ class TestHelperThread:
         rng = np.random.default_rng(3)
         grids = [rng.random((512, 512)), rng.random((512, 512))]
         encode_grid_payload({}, grids)  # the parent's helper has run
-        parent_helper = wire._HASHER
-        assert handoffs and parent_helper.thread.is_alive()
+        parent_pool = helpers.pool()
+        assert handoffs and parent_pool._threads >= 1
         with warnings.catch_warnings():  # fork of a threaded process
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
@@ -307,10 +319,10 @@ class TestHelperThread:
                 prefix, buffers = encode_grid_payload({}, grids)
                 _meta, decoded = decode_grid_payload(
                     bytearray(prefix + b"".join(buffers)))
-                fresh = wire._HASHER
+                fresh = helpers.pool()
                 if (all(np.array_equal(a, b) for a, b in zip(grids, decoded))
-                        and fresh is not parent_helper
-                        and fresh.thread.is_alive()):
+                        and fresh is not parent_pool
+                        and fresh._idle[0].is_alive()):
                     status = 0
             finally:
                 os._exit(status)

@@ -1,6 +1,8 @@
 """Layering: what a package's modules must never import.
 
-Telemetry sits below the service: the service imports it, never back.
+Telemetry and the backend sit below the service: the service imports
+them, never back (what both use, such as the helper pool of
+:mod:`repro.helpers`, lives below both).
 Serving runs each program as written, so the service never imports the
 rewriting system, whose lowerings exist to generate OpenCL code — neither
 directly nor through a module it imports, which a fresh interpreter checks.
@@ -17,7 +19,8 @@ import pytest
 import repro
 
 #: ``(package, a package it must not import)``.
-RULES = [("telemetry", "service"), ("service", "rewriting")]
+RULES = [("telemetry", "service"), ("service", "rewriting"),
+         ("backend", "service")]
 
 
 def _imports(path: Path, package: str):
