@@ -25,17 +25,21 @@ padded home its single float64 store feeds on the next step (the
 *wavefront base*), may ask for a second text, :func:`lower_steps`: one
 function ``steps`` running up to T steps of the same body as one
 wavefront down the leading axis.  Iteration ``k`` computes row
-``k - (t - 1) * lag`` of level ``t`` for ``t = 1..T``; level 0 is the
-base itself, levels ``1..T-1`` keep ``2r + 2`` padded rows each in a ring
-(``r`` the base's leading-axis radius, from ``Region.accesses()``) and
-write their inner halo per row, and level T stores the interior of the
-destination.  Along the leading axis a clamp pad is a clamped row index
-and a constant pad the home's own halo row, so the grid crosses memory
-once per block instead of once per step.  Ring rows are laid out for the
-cache, not like the home's: each spans an odd count of whole 64-byte
-lines (:func:`ring_stride`, so no two rows of a level alias at 4 KiB),
-and every row's interior starts on a line, so the vectorised row loop
-splits no line on the ring.  T, the ring and the pad geometry are
+``k - (t - 1) * lag`` of each level ``t`` that has such a row in the
+band, a range of ``1..T`` found once per ``k`` from closed forms; level 0
+is the base itself, levels ``1..T-1`` keep ``2r + 2`` padded rows each in
+a ring (``r`` the base's leading-axis radius, from ``Region.accesses()``)
+and write their inner halo per row, and level T stores the interior of
+the destination.  A row's ring slot steps back ``lag`` slots a level,
+with no division, and rows read from the ring are slots around it; only
+a row within reach of the grid's first or last row calls ``level_``,
+where along the leading axis a clamp pad is a clamped row index and a
+constant pad the home's own halo row.  The grid crosses memory once per
+block instead of once per step.  Ring rows are laid out for the cache,
+not like the home's: each spans an odd count of whole 64-byte lines
+(:func:`ring_stride`, so no two rows of a level alias at 4 KiB), and
+every row's interior starts on a line, so the vectorised row loop splits
+no line on the ring.  T, the ring and the pad geometry are
 arguments (:class:`Wavefront`), so an app has one ``steps`` text at every
 grid size, and the ``region`` text is the same whether or not a plan
 blocks.  :func:`wavefront` decides T — the largest value up to 16 whose
@@ -415,17 +419,14 @@ def _row_code(region: Region, accesses, results, wavefront=None):
 
 
 _LEVEL = """\
-/* Padded row i of level t of a temporal block.  Level 0 is the carried
-   grid's home, rows g[3] bytes apart, halo rows included; level t > 0 keeps
-   its rows in a ring of g[2], the ring's row stride (the word after the
-   clamp links) apart, and reads a leading halo row as a clamped row index
-   or, under a constant pad, as the home's own (never rewritten) halo row. */
-static inline const char *level_(const char *home, const char *w,
-                                 const int64_t *g, int64_t t, int64_t i,
-                                 int64_t n0)
+/* Padded row i of level t >= 1 of a temporal block where a read leaves the
+   grid: level t keeps its rows in a ring of g[2], the ring's row stride
+   (the word after the clamp links) apart, and reads a leading halo row as
+   a clamped row index or, under a constant pad, as the home's own (never
+   rewritten) halo row, g[3] bytes a row. */
+static const char *level_(const char *home, const char *w, const int64_t *g,
+                          int64_t t, int64_t i, int64_t n0)
 {
-    if (t == 0)
-        return home + i * g[3];
     i -= g[0];
     if (i < 0 || i >= n0) {
         if (!g[1])
@@ -433,6 +434,13 @@ static inline const char *level_(const char *home, const char *w,
         i = i < 0 ? 0 : n0 - 1;
     }
     return w + ((t - 1) * g[2] + i % g[2]) * g[7 + 8 * g[6]];
+}
+
+/* The ring slot of row x of a level whose rows go round ``rows`` slots, for
+   x no more than one lap off [0, rows). */
+static inline int64_t slot_(int64_t x, int64_t rows)
+{
+    return x < 0 ? x + rows : x >= rows ? x - rows : x;
 }
 """
 
@@ -460,16 +468,26 @@ def _steps(region: Region, accesses, results, body: List[str],
     """The lines of the ``steps`` text: ``T`` steps of the region as one
     wavefront down the leading axis (:class:`Wavefront` documents ``g``).
 
-    Iteration ``k`` computes row ``k - (t - 1) * lag`` of level ``t`` for
-    ``t = 1..T``, so a level reads rows its predecessor wrote in the same
-    or an earlier iteration.  Levels below ``T`` write a padded row into
-    their ring and then its inner halo; level ``T`` writes the store.  The
-    wavefront base is ``p[base]`` at its first element (not its corner).
+    Iteration ``k`` computes row ``i0 = k - (t - 1) * lag`` of each level
+    ``t`` that has that row in the band, so a level reads rows its
+    predecessor wrote in the same or an earlier iteration.  Levels below ``T`` write a
+    padded row into their ring and then its inner halo; level ``T`` writes
+    the store.  The wavefront base is ``p[base]`` at its first element
+    (not its corner).
 
     A call computes the band ``[lo, hi)`` of the store: level ``t`` keeps
     to rows ``[lo - (T - t) * back, hi + (T - t) * lag)`` of the grid,
     ``back`` and ``lag`` the base's backward and forward leading reach, so
-    two bands share no ring row and write disjoint rows of the store."""
+    two bands share no ring row and write disjoint rows of the store.
+
+    The per-row control is hoisted: those levels are a range ``t..last``
+    that closed forms give once per ``k`` (``i0 < n0`` bounds ``t`` below,
+    ``i0 >= 0`` and the band's lower edge bound it above, and ``k``'s own
+    bound is the band's upper edge), and ``r``, row ``i0``'s ring slot,
+    steps back ``lag`` slots a level instead of a ``%`` per row.  Level 0 is the home, read
+    at the row itself; a level above it reads its ring slots around ``r``
+    unless a read leaves the grid (a row within ``back`` of the first or
+    ``lag`` of the last), which ``level_`` resolves."""
     rank = len(region.shape)
     inner = rank - 1
     store = len(region.bases)
@@ -479,35 +497,51 @@ def _steps(region: Region, accesses, results, body: List[str],
              "void steps(char *const *p, const int64_t *s, const int64_t *n, "
              "int64_t T, char *w, const int64_t *g, int64_t lo, int64_t hi)",
              "{",
-             "    const int64_t n0 = n[0], lag = g[4];",
+             "    const int64_t n0 = n[0], lag = g[4], rows = g[2];",
              "    const int64_t stride = g[7 + 8 * g[6]];",
              f"    const int64_t back = g[0] > {leads[0]} ? g[0] - {leads[0]} : 0;",
              "    const int64_t first = lo - (T - 1) * back;",
              "    for (int64_t k = first > 0 ? first : 0; k < hi + (T - 1) * lag;"
-             " ++k)",
-             "    for (int64_t t = 1; t <= T; ++t) {",
-             "        const int64_t i0 = k - (t - 1) * lag;",
-             "        if (i0 < 0 || i0 >= n0 || i0 < lo - (T - t) * back",
-             "                || i0 >= hi + (T - t) * lag)",
-             "            continue;",
-             f"        char *const d_ = t == T ? p[{store}] + i0 * "
-             f"s[{sum(array.ndim for array in region.bases)}]",
-             "            : w + ((t - 1) * g[2] + i0 % g[2]) * stride + g[5];"]
-    lines += [f"        const char *const c{lead}_ = level_(p[{base}], w, g, "
-              f"t - 1, {_plus('i0', lead)}, n0);" for lead in leads]
+             " ++k) {",
+             "        int64_t t = k < n0 ? 1 : 1 + (k - n0 + lag) / lag;",
+             "        int64_t last = lag + back ?"
+             " (k - lo + lag + T * back) / (lag + back) : T;",
+             "        if (lag && k / lag + 1 < last)",
+             "            last = k / lag + 1;",
+             "        if (last > T)",
+             "            last = T;",
+             "        int64_t i0 = k - (t - 1) * lag, r = i0 % rows;",
+             "        for (; t <= last; ++t, i0 -= lag,"
+             " r = r < lag ? r - lag + rows : r - lag) {"]
+    row = [f"    char *const d_ = t == T ? p[{store}] + i0 * "
+           f"s[{sum(array.ndim for array in region.bases)}]",
+           "        : w + ((t - 1) * rows + r) * stride + g[5];",
+           "    const char " + ", ".join(f"*c{lead}_" for lead in leads) + ";",
+           "    if (t == 1) {"]
+    row += [f"        c{lead}_ = p[{base}] + {_plus('i0', lead)} * g[3];"
+            for lead in leads]
+    row += ["    } else if (i0 < back || i0 + lag >= n0) {"]
+    row += [f"        c{lead}_ = level_(p[{base}], w, g, t - 1, "
+            f"{_plus('i0', lead)}, n0);" for lead in leads]
+    row += ["    } else {",
+            "        const char *const l_ = w + (t - 2) * rows * stride;"]
+    row += [f"        c{lead}_ = l_ + slot_(r{f' + {lead}' if lead else ''}"
+            " - g[0], rows) * stride;" for lead in leads]
+    row += ["    }"]
     for axis in range(1, inner):
-        lines.append(f"        for (int64_t i{axis} = 0; i{axis} < n[{axis}];"
-                     f" ++i{axis})")
-    lines += ["        {"] + ["            " + text for text in rows]
+        row.append(f"    for (int64_t i{axis} = 0; i{axis} < n[{axis}];"
+                   f" ++i{axis})")
+    row += ["    {"] + ["        " + text for text in rows]
     if rank == 1:  # a row is one element: the leading index is the column
-        lines += ["            const int64_t j = i0;"]
-        lines += ["            " + text for text in reads + body + writes]
+        row += ["        const int64_t j = i0;"]
+        row += ["        " + text for text in reads + body + writes]
     else:
-        lines += [f"            for (int64_t j = 0; j < n[{inner}]; ++j) {{"]
-        lines += ["                " + text for text in reads + body + writes]
-        lines += ["            }"]
-    lines += ["        }", "        if (t < T)", "            halo_(d_ - g[5], g);",
-              "    }", "}", ""]
+        row += [f"        for (int64_t j = 0; j < n[{inner}]; ++j) {{"]
+        row += ["            " + text for text in reads + body + writes]
+        row += ["        }"]
+    row += ["    }", "    if (t < T)", "        halo_(d_ - g[5], g);"]
+    lines += ["        " + text for text in row]
+    lines += ["        }", "    }", "}", ""]
     return lines
 
 

@@ -1,17 +1,18 @@
 """One process-wide pool of helper threads: how work reaches a second core.
 
-The row bands of temporal blocks and the tile chunks of fused regions
-(:mod:`repro.backend`), one share of a frame's hashing
-(:mod:`repro.service.wire`) and durable-job checkpoint writes
-(:mod:`repro.service.jobs`) all run beside their caller on :func:`pool`.
-:meth:`HelperPool.submit` pins its worker off the caller's CPU before
+The row bands of temporal blocks, the tile chunks of fused regions and a
+banded plan's bind and result copies (:mod:`repro.backend`), one share of
+a frame's hashing (:mod:`repro.service.wire`) and durable-job checkpoint
+writes (:mod:`repro.service.jobs`) all run beside their caller on
+:func:`pool`.  Every hand-off pins its worker off the caller's CPU before
 waking it: the kernel may wake a thread on its waker's CPU, and a caller
 that goes on computing would share that CPU at half speed while another
-idles.  :meth:`HelperPool.run_parts` runs parts on the caller's whole
-affinity set; on a 2-vCPU Xeon its hand-off to an idle worker costs
-25–35 µs back to back and 50–75 µs (p90 ≈ 0.1 ms) after a 1 ms idle.
-Threads suffice because ``hashlib``, NumPy ufuncs and ``ctypes`` calls
-release the interpreter lock over their loops.
+idles: left on the caller's whole set, a fresh 2-vCPU pool ran both
+bands of a Hotspot2D 1024² block on one CPU in 6 of 6 calls, in each of
+3 processes (10.2–11.9 ms a block; 4.6–8.6 ms pinned apart).  A hand-off
+to an idle worker costs 25–35 µs back to back, 50–75 µs after a 1 ms
+idle.  Threads suffice: ``hashlib``, NumPy and ``ctypes`` calls release
+the interpreter lock over their loops.
 
 No thread starts at import; workers spawn on demand, up to
 :data:`MAX_REPLAY_WORKERS`, and a forked child gets a fresh pool.  A
@@ -98,9 +99,9 @@ class _Worker(threading.Thread):
         super().__init__(name=f"repro-helper-{index}", daemon=True)
         self.pool = pool
         self.inbox: "queue.SimpleQueue" = queue.SimpleQueue()
-        #: The CPUs a submit pinned it to; ``None`` on a caller's whole set;
-        #: empty (its starter's set, unknown) until a hand-off places it.
-        self.pinned: Optional[frozenset] = frozenset()
+        #: The CPUs the last hand-off pinned it to; empty (its starter's
+        #: set, unknown) until one places it.
+        self.pinned = frozenset()
 
     def run(self) -> None:
         task = self.inbox.get()
@@ -134,17 +135,18 @@ class HelperPool:
     def submit(self, fn: Callable, *args) -> Future:
         """Run ``fn(*args)`` on an idle worker, pinned off the caller's CPU
         before it is woken; the future holds its result or error."""
-        return self._hand(fn, args, pin=True)
+        return self._hand(fn, args)
 
     def run_parts(self, parts: Sequence[Tuple[Callable, tuple]]) -> None:
         """Run every ``(fn, args)`` part at once: part 0 on the caller, the
-        rest on workers on the caller's whole affinity set.  Every part is
-        awaited, even when one raises, so nothing a part touches is in use
-        once this returns; then the first part's error (in part order) is
-        raised.  With telemetry on, each part's wall time and their spread
-        are recorded."""
+        rest on workers pinned off the caller's CPU, as :meth:`submit`
+        pins them (on one usable CPU they share the caller's).  Every part
+        is awaited, even when one raises, so nothing a part touches is in
+        use once this returns; then the first part's error (in part order)
+        is raised.  With telemetry on, each part's wall time and their
+        spread are recorded."""
         timed = _metrics_on()
-        futures = [self._hand(_part, (fn, args, timed), pin=False)
+        futures = [self._hand(_part, (fn, args, timed))
                    for fn, args in parts[1:]]
         outcomes = [_part(*parts[0], timed)]
         outcomes += [future.result() for future in futures]
@@ -159,12 +161,12 @@ class HelperPool:
             if error is not None:
                 raise error
 
-    def _hand(self, fn: Callable, args: tuple, pin: bool) -> Future:
+    def _hand(self, fn: Callable, args: tuple) -> Future:
         """Give ``fn(*args)`` to an idle worker (spawning one when none is
-        idle and the pool has room), placed first: off the caller's CPU
-        when ``pin``, else on the caller's whole set; a system call only
-        when that changes.  With every worker busy, the task waits in the
-        backlog."""
+        idle and the pool has room), pinned first to the caller's usable
+        CPUs but the one it runs on; a system call only when that changes,
+        and none where no other CPU is usable.  With every worker busy, the
+        task waits in the backlog."""
         future: Future = Future()
         with self._lock:
             if self._idle:
@@ -176,12 +178,10 @@ class HelperPool:
             else:
                 self._backlog.append((future, fn, args))
                 return future
-        cpus = frozenset(usable_cpus() - {current_cpu()}) if pin else None
-        if pin and not cpus:  # one usable CPU: leave the worker be
-            cpus = worker.pinned
-        if cpus != worker.pinned:
+        cpus = frozenset(usable_cpus() - {current_cpu()})
+        if cpus and cpus != worker.pinned:
             try:
-                os.sched_setaffinity(worker.native_id, cpus or usable_cpus())
+                os.sched_setaffinity(worker.native_id, cpus)
             except OSError:  # a refused placement leaves it where it runs
                 pass
             else:

@@ -1210,9 +1210,9 @@ class TestBands:
         pool = helpers.HelperPool(max_threads=2)
         hand = pool._hand
 
-        def slow_hand(fn, args, pin):
+        def slow_hand(fn, args):
             time.sleep(0.005)
-            return hand(fn, args, pin)
+            return hand(fn, args)
 
         pool._hand = slow_hand
         monkeypatch.setattr(helpers, "_POOL", pool)
@@ -1308,6 +1308,79 @@ class TestBands:
             stats = plan.stats()
             assert (stats["temporal_steps"], stats["temporal_bands"],
                     stats["parallel_workers"]) == (16, bands, 1)
+
+
+# ---------------------------------------------------------------------------
+# The wavefront's row control at every edge
+# ---------------------------------------------------------------------------
+
+T_MAX = native.MAX_BLOCK_STEPS
+
+#: ``(program and inputs maker, carry)`` per case: Hotspot2D (rank 2, a
+#: static power grid), Heat (rank 3) and the rank-1 box stencil under each
+#: band pad, whose leading reaches include a backward reach of 0 and a
+#: forward one (the lag) of 0.
+EDGE_CASES = {
+    "hotspot2d": (5,), "heat": (3, 4),
+    **{f"rank1-{boundary}-{left}-{right}": (boundary, left, right)
+       for boundary, left, right in BAND_PADS},
+}
+
+
+def edge_case(case, n0):
+    """``(program, inputs, carry)`` of one :data:`EDGE_CASES` entry at a
+    leading extent of ``n0``."""
+    if case.startswith("rank1"):
+        rng = np.random.default_rng(n0)
+        return band_program(1, *EDGE_CASES[case]), [rng.random(n0)], ("out",)
+    bench = get_benchmark(case)
+    return (bench.build_program(),
+            bench.make_inputs((n0,) + EDGE_CASES[case], n0), bench.carry_spec())
+
+
+@needs_cc
+class TestHoistedRowControl:
+    @pytest.mark.parametrize("n0", [1, 2, T_MAX - 1, T_MAX, T_MAX + 1,
+                                    2 * T_MAX + 3])
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_every_block_is_its_per_step_replays(self, case, n0):
+        # Each level's closed-form row range, the ring slot stepped back a
+        # lag a level and the edge rows ``level_`` resolves, at leading
+        # extents around T, in 1, 2, 3 and one-row bands, over blocks of
+        # 1, 2, T - 1 and T steps: bit for bit what the per-step tapes
+        # compute, no write to the store's halo (a row of a level past
+        # either end of the grid lands there) and none past a store or a
+        # ring.
+        program, x, carry = edge_case(case, n0)
+        pool = FencedPool()
+        plan = ExecutionPlan(program, x, pool=pool, parallel_workers=1)
+        plan.iterate(x, 1, carry=carry)
+        wave = plan._accepted[1]
+        assert plan.stats()["temporal_kind"] == "wavefront"
+        assert wave.steps == T_MAX
+        plan._bind(x)
+        state = list(plan._in_bufs)
+        tape = plan._tapes[plan_module._key(state, plan._pick_slot(state))]
+        halo = plan._homes[id(tape.out)].padded.view(np.uint64)
+        expected = {}
+        for steps in (1, 2, T_MAX - 1, T_MAX):
+            plan._bind(x)
+            expected[steps] = plan._walk(state, steps)[1].copy()
+        for bands in sorted({1, 2, 3, n0} - set(range(n0 + 1, 4))):
+            rings = [pool.acquire(wave.ring) for _ in range(bands)]
+            block = native.NativeBlock(tape.fusion.natives[0], wave, rings)
+            assert [hi - lo for _ring, lo, hi in block.bands] == [
+                n0 * (band + 1) // bands - n0 * band // bands
+                for band in range(bands)]
+            for steps, reference in expected.items():
+                plan._bind(x)
+                halo[...] = FencedPool.SENTINEL
+                block(steps)
+                assert np.array_equal(bits(tape.out), bits(reference)), \
+                    (bands, steps)
+                assert np.count_nonzero(halo == FencedPool.SENTINEL) == \
+                    halo.size - tape.out.size, (bands, steps)
+                assert pool.intact(), (bands, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.backend.fuse import MAX_REPLAY_WORKERS, FusedOp, normalize_workers
 from repro.backend.ufunc_trace import replay
 from repro.helpers import HelperPool, pool
 from repro.backend.numpy_backend import ExecutionError
+from repro.backend import plan as plan_module
 from repro.backend.plan import PlanCache, iterate_generic
 
 SMALL_SHAPES = {2: (13, 11), 3: (5, 7, 9)}
@@ -200,6 +201,83 @@ class TestParallelZeroAllocation:
         delta = after.compare_to(before, "filename")
         grown = sum(max(0, entry.size_diff) for entry in delta)
         assert grown < 64 * 1024, f"steady parallel loop grew {grown} bytes"
+
+
+def bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+class TestBandedCopies:
+    """A plan that resolved two or more workers binds its inputs and copies
+    its results out in row bands on the helper pool."""
+
+    @pytest.fixture(scope="class")
+    def hotspot_1024(self):
+        bench = get_benchmark("hotspot2d")
+        inputs = bench.make_inputs((1024, 1024), 9)
+        plans = [NumpyBackend(cache=None).plan(bench.build_program(), inputs,
+                                               parallel_workers=workers)
+                 for workers in (1, 2)]
+        yield plans, inputs, bench.carry_spec()
+        for plan in plans:
+            plan.release()
+
+    @staticmethod
+    def counted_bands(monkeypatch):
+        """The ``(band, bands)`` of every banded copy part that runs."""
+        ran, genuine = [], plan_module._copy_band
+
+        def counted(pairs, band, bands):
+            ran.append((band, bands))
+            genuine(pairs, band, bands)
+
+        monkeypatch.setattr(plan_module, "_copy_band", counted)
+        return ran
+
+    def test_results_and_continuations_match_one_worker(self, hotspot_1024,
+                                                         monkeypatch):
+        (serial, banded), inputs, carry = hotspot_1024
+        assert banded.stats()["parallel_workers"] == 2
+        banded.iterate(inputs, 17, carry=carry)  # capture and decide blocks
+        buffers, allocations = banded.stats()["buffers"], \
+            banded._pool.allocations
+        ran = self.counted_bands(monkeypatch)
+        pairs = [(serial.run(inputs), banded.run(inputs)),
+                 (serial.iterate(inputs, 21, carry=carry),
+                  banded.iterate(inputs, 21, carry=carry))]
+        assert set(ran) == {(0, 2), (1, 2)}  # the banded plan's copies
+        states = []
+        for plan in (serial, banded):
+            out, state = plan.iterate_state(inputs, 19, carry=carry)
+            more, further = plan.iterate_state(state, 13, carry=carry)
+            states.append((out, state, more, further,
+                           plan.iterate(further, 5, carry=carry)))
+        for ours, theirs in zip(*states):
+            pairs += zip(ours, theirs) if isinstance(ours, tuple) \
+                else [(ours, theirs)]
+        for expected, got in pairs:
+            assert np.array_equal(bits(got), bits(expected))
+        # the bind reads the caller's grids, never keeps them
+        assert states[1][1][1] is inputs[1] and not states[1][0].flags.writeable
+        assert banded.stats()["buffers"] == buffers
+        assert banded._pool.allocations == allocations
+
+    def test_a_wrong_input_raises_before_any_part_is_handed_off(
+            self, hotspot_1024, monkeypatch):
+        (_serial, banded), inputs, carry = hotspot_1024
+        handed = []
+        monkeypatch.setattr(HelperPool, "run_parts",
+                            lambda self, parts: handed.append(parts))
+        bound = banded._in_bufs[0].copy()
+        for wrong in ([inputs[0]], inputs + [inputs[0]],
+                      [inputs[0], inputs[1][:-1]],
+                      [inputs[0][:, :-1], inputs[1]]):
+            for call in (banded.run, lambda grids: banded.iterate(
+                    grids, 4, carry=carry)):
+                with pytest.raises(ExecutionError):
+                    call(wrong)
+        assert handed == []
+        assert np.array_equal(bits(banded._in_bufs[0]), bits(bound))
 
 
 class _Boom(RuntimeError):

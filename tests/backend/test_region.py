@@ -76,24 +76,26 @@ NATIVE_TEXTS = {
 #: sha256 of the temporal block's ``steps`` text at :data:`SHAPES`, for
 #: each app whose plan runs blocks (the others run per step).  It is its
 #: own text and object, beside the region's, and the same at every band
-#: count (re-recorded when ``steps`` gained its band, ``lo, hi``, and when
-#: ring rows moved to their own stride, the last word of ``g``).
+#: count (re-recorded when ``steps`` gained its band, ``lo, hi``, when
+#: ring rows moved to their own stride, the last word of ``g``, and when
+#: the row control left the ``(k, t)`` loop: each ``k``'s level range from
+#: closed forms, ring slots stepped, ``level_`` only at the grid's edges).
 #: Acoustic's is a barrier block's: its ``region`` text plus a ``steps`` loop
 #: (re-recorded when that text lost the ``level_`` it never called).
 BLOCK_TEXTS = {
     "acoustic": "c46f5cb62c0bddb5878b53f081e5cb9793292a08e78a99476c38f7ae5648e83a",
-    "gradient": "d1a75ab5a1771b12dcf48277ee91b2fa37fddf2209a8ad57463fcd31c0e72b8c",
-    "heat": "6efc5c5ed97526bf7dbc7d3f9432755c86aba39fa8ddc15bdffcb7fc7d288cb2",
-    "hotspot2d": "9f02220ddb4116c5ca7761c2aa93d6ddc0cbc6b68831b57967e6d259d398b6de",
-    "hotspot3d": "8fd9242d355eca49f25e094d10d029a706f208b8a0f92d5502a618fa5af4e794",
-    "jacobi2d5pt": "7fecc10e54fcba6602d3e542ab8bf8fa6fe3c782e82813ced83f8742350dc313",
-    "jacobi2d9pt": "b2a401ae96bc4c524c780f0664fe2bdb197b88764768fe166ea887a8ff1926a1",
-    "jacobi3d13pt": "7c3fe89e75ab90797cb0954d8c8d9c9fade1ec2b7e6419aefb7d1d83995d8319",
-    "jacobi3d7pt": "dccfad8cefb980313fdb03c98cb13af4829a9b48a5a808cf8f0538d595f56e86",
-    "poisson": "f56e10c5484124b79e54e05df0bbbf2b695839d2fd517c81f5957fbcd1db8eeb",
-    "srad1": "dc9a695989bde51ed297cce9ba0fc587ea48dbee83a3bdc77a1cf5fea77de66a",
-    "srad2": "55132d64297413a4d1f01c2934e6b91acfb888bebf20c3e2aaf1f1fa68845bce",
-    "stencil2d": "7cca1230901f289b06e1f98221c7baba1738d80658aed585d7f972cdde9db8a6",
+    "gradient": "7d91eac5e71b5f235313bf1c57d20893633db7b4bc2537ddba18d2f34e96fef6",
+    "heat": "6dabdd06cf59ba42c31382d65a158756cb8f161b44a5ded54c38ae30b200d79d",
+    "hotspot2d": "5475627ceb280ef4351b30dc46bb6cf9a88e51081521a34e683d46345bbc7479",
+    "hotspot3d": "e3ea173ab86b9924f5c38e8918c8271a038d63786770185188cc41253525c4c2",
+    "jacobi2d5pt": "bb0a061dd98dc1a5e4b26c0c6c751cc6121b7888b6af44db727f1a1c48413c14",
+    "jacobi2d9pt": "6d201576d7c4016326dc63919221957dd9b87193c36fbeaaefa62e334904181f",
+    "jacobi3d13pt": "e58c056941eb5dca07fe82b99fc37f3df17b5516cfc9d3ce72e4a879b6a50e5b",
+    "jacobi3d7pt": "05f9b7838cec0ddbdefbdd78e7d65c97319cac5e46747ba13435e12a817ac5a6",
+    "poisson": "5e1035fa8a23a31138ed233d920368a2810f969c8b79763140363752a778a271",
+    "srad1": "79b9f689236ad9eb2a5cb754c630e2f6f0953c6a9526c89dd1bb6c6ba81950ca",
+    "srad2": "fa9c0b664e162de4109f34f3f9a26f3609c75bfab9c5348b5bacf5bfd8535680",
+    "stencil2d": "37e5d2c4108a58be9612fd8b03c9f2ef7f7361d44c402c9e76c26ea90c197274",
 }
 
 STAT_KEYS = ("fused_regions", "native_regions", "fused_tiles",

@@ -407,9 +407,9 @@ class TestTrajectoryRunner:
         inputs = bench.make_inputs(_shape_for(key), 3)
         loads = []
         load = ExecutionPlan._load
-        monkeypatch.setattr(ExecutionPlan, "_load", staticmethod(
-            lambda destinations, grids: (loads.append(len(grids)),
-                                         load(destinations, grids))))
+        monkeypatch.setattr(
+            ExecutionPlan, "_load", lambda self, destinations, grids: (
+                loads.append(len(grids)), load(self, destinations, grids)))
         segments = []
         out, done, _stopped, _timings = run_trajectory(
             backend, program, inputs, 8, carry, None, True, segment=2,

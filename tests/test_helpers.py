@@ -19,26 +19,49 @@ needs_two_cpus = pytest.mark.skipif(len(helpers.usable_cpus()) < 2,
                                     reason="needs two usable CPUs")
 
 
-@needs_two_cpus
-def test_a_submit_pins_off_the_caller_and_a_part_gets_the_whole_set_back():
+def placed(monkeypatch, hand):
+    """``(sets, cpus)``: the affinity set each part or task ``hand(read)``
+    hands off reads of its own thread, and the caller's CPU each hand-off
+    placed a worker by (spied, so a caller that migrates meanwhile cannot
+    mislead the test)."""
     if helpers.current_cpu() is None:
         pytest.skip("the C library has no sched_getcpu")
+    sets, cpus, genuine = [], [], helpers.current_cpu
+
+    def spied():
+        cpus.append(genuine())
+        return cpus[-1]
+
+    monkeypatch.setattr(helpers, "current_cpu", spied)
+    hand(lambda: sets.append(os.sched_getaffinity(0)))
+    monkeypatch.setattr(helpers, "current_cpu", genuine)
+    return sets, cpus
+
+
+@needs_two_cpus
+def test_a_submit_and_a_part_both_pin_off_the_caller(monkeypatch):
     pool = HelperPool(max_threads=1)
     usable = helpers.usable_cpus()
-    for _ in range(20):
-        before = helpers.current_cpu()
-        pinned = pool.submit(os.sched_getaffinity, 0).result(timeout=10)
-        if helpers.current_cpu() == before:  # not migrated meanwhile
-            assert pinned == usable - {before}
-            break
-    else:
-        pytest.skip("the caller migrated during every hand-off")
-    # The same worker, handed a part next, runs it on the caller's set.
-    seen = []
-    pool.run_parts([(seen.append, (None,)),
-                    (lambda: seen.append(os.sched_getaffinity(0)), ())])
+    sets, cpus = placed(monkeypatch,
+                        lambda read: pool.submit(read).result(timeout=10))
+    assert len(cpus) == 1 and sets == [usable - set(cpus)]
+    # The same worker, handed a part next, runs it off the caller's CPU too.
+    sets, cpus = placed(monkeypatch, lambda read: pool.run_parts(
+        [(int, ()), (read, ())]))
     assert pool._threads == 1
-    assert usable in seen
+    assert len(cpus) == 1 and sets == [usable - set(cpus)]
+
+
+@needs_two_cpus
+def test_a_fresh_pools_parts_run_off_the_callers_cpu(monkeypatch):
+    # Left on the caller's whole set, a freshly woken worker ran where its
+    # waker did, and both bands of a block shared one CPU.
+    usable = helpers.usable_cpus()
+    sets, cpus = placed(monkeypatch, lambda read: HelperPool(
+        max_threads=2).run_parts([(int, ()), (read, ()), (read, ())]))
+    assert len(cpus) == 2
+    assert sorted(map(sorted, sets)) == sorted(
+        sorted(usable - {cpu}) for cpu in cpus)
 
 
 def test_a_one_cpu_caller_leaves_the_helper_where_it_is(monkeypatch):
